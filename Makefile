@@ -13,6 +13,10 @@
 #   make transport  print the pooled-vs-legacy transport table
 #   make store      print the durable-store (wal vs files) table
 #   make wire       run the codec micro-benchmark (binary vs gob)
+#   make bench-check
+#                   vet + test the repo's benchmark (bench/ is its own
+#                   Go module: the root's ./... does not reach it, yet
+#                   it compiles against a dozen internal packages)
 #   make sim        conformance + chaos smoke: 2 config cells x 2 fault
 #                   scenarios on real loopback clusters (rpcv-sim -quick)
 #   make sim-full   the full conformance matrix: every wire codec, store
@@ -30,7 +34,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench smoke shard sched transport store wire sim sim-full race loops obs mon ci
+.PHONY: all vet lint build test bench bench-check smoke shard sched transport store wire sim sim-full race loops obs mon ci
 
 all: vet lint build test
 
@@ -64,6 +68,9 @@ mon:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
 smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkTransportCompare|BenchmarkLogStoreCompare|BenchmarkCodec' -benchtime 1x .
 
@@ -88,4 +95,4 @@ sim:
 sim-full:
 	$(GO) run ./cmd/rpcv-sim
 
-ci: vet lint build test race smoke sim
+ci: vet lint build test bench-check race smoke sim

@@ -360,3 +360,22 @@ func BenchmarkSubmissionThroughput(b *testing.B) {
 		_ = experiments.Fig4SubmissionProbe(benchSeed, msglog.Optimistic, 64, 300)
 	}
 }
+
+// BenchmarkPollRound measures one result-collection round — the
+// client's pollNow, the Poll through the binary codec, the
+// coordinator's handlePoll and the (empty) reply — on hand-driven envs
+// (pollround_test.go), in the steady state of a long open-loop session:
+// `held` results delivered long ago, 32 calls in flight. Run with
+// -benchmem: B/op must not grow with held.
+func BenchmarkPollRound(b *testing.B) {
+	for _, held := range []int{1 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("held=%d", held), func(b *testing.B) {
+			g := heavyShaped(b, held)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.round(b)
+			}
+		})
+	}
+}

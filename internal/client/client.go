@@ -18,7 +18,6 @@ package client
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"rpcv/internal/detector"
@@ -147,8 +146,13 @@ type Client struct {
 
 	syncSentAt time.Time // pending sync round trip, for OnSyncReply
 
+	// calls holds every call of the session, keyed by seq in 1..nextSeq.
+	// ack is the result watermark — every seq in 1..ack has a result —
+	// advanced lazily by pollNow; pending counts the calls without one.
 	nextSeq proto.RPCSeq
 	calls   map[proto.RPCSeq]*call
+	ack     proto.RPCSeq
+	pending int
 
 	pollTimer node.Timer
 	ackTimer  node.Timer
@@ -217,7 +221,8 @@ func (c *Client) Start(env node.Env) {
 			callLatency: reg.Histogram("rpcv_client_call_latency_ns", n),
 		}
 	}
-	c.nextSeq = 0
+	c.nextSeq, c.ack, c.pending = 0, 0, 0
+	c.cm.pending.SetInt(0)
 	c.recoverFromLog()
 
 	c.monitor = detector.NewMonitor(env, detector.MonitorConfig{
@@ -234,7 +239,6 @@ func (c *Client) Start(env node.Env) {
 	}
 	c.schedulePoll()
 	c.scheduleAckCheck()
-	c.notePending()
 }
 
 // trace records one lifecycle span for a call on this node's tracer.
@@ -242,33 +246,47 @@ func (c *Client) trace(call proto.CallID, stage obs.Stage, detail string) {
 	c.cfg.Obs.Tracer().EventAt(c.env.Now(), call, stage, detail)
 }
 
-// notePending refreshes the pending-calls gauge. Event-loop only.
-func (c *Client) notePending() {
-	if c.cm.pending == nil {
-		return
+// track registers a call that has no result yet.
+func (c *Client) track(seq proto.RPCSeq, cl *call) {
+	c.calls[seq] = cl
+	if seq > c.nextSeq {
+		c.nextSeq = seq
 	}
-	n := 0
-	for _, cl := range c.calls {
-		if cl.result == nil {
-			n++
-		}
+	c.pending++
+	c.cm.pending.SetInt(c.pending)
+}
+
+// deliver stores the first result to arrive for a tracked call.
+func (c *Client) deliver(cl *call, res proto.Result) {
+	cl.result = &res
+	c.pending--
+	c.cm.pending.SetInt(c.pending)
+	c.cm.results.Inc()
+	if c.cm.callLatency != nil && !cl.issued.IsZero() {
+		c.cm.callLatency.Observe(int64(c.env.Now().Sub(cl.issued)))
 	}
-	c.cm.pending.SetInt(n)
+	c.trace(res.Call, obs.StageAck, "result delivered")
+	if c.cfg.OnResult != nil {
+		c.cfg.OnResult(res, c.env.Now())
+	}
 }
 
 // scheduleAckCheck periodically verifies that every submission was
 // acknowledged; a long-unacked call means the Submit (or its ack) was
 // lost, and a synchronization will resend it. This is the paper's
 // "components synchronize their local state from these logs on each
-// communication", run proactively.
+// communication", run proactively. Only calls above the result
+// watermark can qualify: a call with a result is registered by
+// definition.
 func (c *Client) scheduleAckCheck() {
 	if c.cfg.AckResyncTimeout < 0 {
 		return
 	}
 	c.ackTimer = c.env.After(c.cfg.AckResyncTimeout/2, func() {
 		now := c.env.Now()
-		for _, cl := range c.calls {
-			if cl.submit != nil && !cl.acked &&
+		for seq := c.ack + 1; seq <= c.nextSeq; seq++ {
+			cl := c.calls[seq]
+			if cl != nil && cl.submit != nil && !cl.acked && cl.result == nil &&
 				now.Sub(cl.lastResent) >= c.cfg.AckResyncTimeout {
 				c.sendSync()
 				break
@@ -315,13 +333,10 @@ func (c *Client) recoverFromLog() {
 		if !ok {
 			continue
 		}
-		c.calls[sub.Call.Seq] = &call{
+		c.track(sub.Call.Seq, &call{
 			submit: sub, issued: c.env.Now(),
 			logDone: true, acked: true, completed: true,
-		}
-		if sub.Call.Seq > c.nextSeq {
-			c.nextSeq = sub.Call.Seq
-		}
+		})
 	}
 	if len(c.calls) > 0 {
 		c.env.Logf("client: recovered %d calls from log, resuming at seq %d", len(c.calls), c.nextSeq+1)
@@ -411,11 +426,10 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 		Deadline:   deadline,
 	}
 	cl := &call{submit: sub, issued: c.env.Now(), lastResent: c.env.Now()}
-	c.calls[seq] = cl
+	c.track(seq, cl)
 	c.submitted++
 	c.cm.submitted.Inc()
 	c.trace(sub.Call, obs.StageSubmit, service)
-	c.notePending()
 	c.sendSubmit(cl)
 	return seq
 }
@@ -472,18 +486,31 @@ func (c *Client) schedulePoll() {
 	})
 }
 
+// pollNow asks the preferred coordinator for the results this client
+// does not hold yet (see proto.Poll): everything but 1..ack and the
+// results above the watermark, which finished ahead of an earlier call.
+// The cost follows the calls in flight, not the session's age.
 func (c *Client) pollNow() {
 	if c.pref == "" {
 		return
 	}
+	for c.hasResult(c.ack + 1) {
+		c.ack++
+	}
+	// The watermark stopped at ack+1, which has no result: the window
+	// of results that overtook it starts at ack+2.
 	var have []proto.RPCSeq
-	for seq, cl := range c.calls {
-		if cl.result != nil {
+	for seq := c.ack + 2; seq <= c.nextSeq; seq++ {
+		if c.hasResult(seq) {
 			have = append(have, seq)
 		}
 	}
-	sort.Slice(have, func(i, j int) bool { return have[i] < have[j] })
-	c.env.Send(c.pref, &proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Have: have})
+	c.env.Send(c.pref, &proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Ack: c.ack, Have: have})
+}
+
+func (c *Client) hasResult(seq proto.RPCSeq) bool {
+	cl := c.calls[seq]
+	return cl != nil && cl.result != nil
 }
 
 // Receive implements node.Handler.
@@ -588,31 +615,13 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 			// Result for a call from a lost log suffix (optimistic
 			// logging crash): adopt it — the computation is not wasted.
 			cl = &call{issued: c.env.Now(), completed: true}
-			c.calls[res.Call.Seq] = cl
-			if res.Call.Seq > c.nextSeq {
-				c.nextSeq = res.Call.Seq
-			}
+			c.track(res.Call.Seq, cl)
 		}
 		if cl.result != nil {
 			continue // duplicate delivery
 		}
-		cl.result = &res
-		c.noteResult(cl, res.Call)
-		if c.cfg.OnResult != nil {
-			c.cfg.OnResult(res, c.env.Now())
-		}
+		c.deliver(cl, res)
 	}
-	c.notePending()
-}
-
-// noteResult records the metrics and the terminal trace span for one
-// newly delivered result.
-func (c *Client) noteResult(cl *call, id proto.CallID) {
-	c.cm.results.Inc()
-	if c.cm.callLatency != nil && !cl.issued.IsZero() {
-		c.cm.callLatency.Observe(int64(c.env.Now().Sub(cl.issued)))
-	}
-	c.trace(id, obs.StageAck, "result delivered")
 }
 
 // ---------------------------------------------------------------------
@@ -669,13 +678,10 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 		// back through the bulk pull below.
 		for _, seq := range m.Known {
 			if _, ok := c.calls[seq]; !ok {
-				c.calls[seq] = &call{
+				c.track(seq, &call{
 					issued:  c.env.Now(),
 					logDone: true, acked: true, completed: true,
-				}
-				if seq > c.nextSeq {
-					c.nextSeq = seq
-				}
+				})
 			}
 		}
 	}
@@ -742,13 +748,7 @@ func (c *Client) handleFetchReply(from proto.NodeID, m *proto.FetchReply) {
 	}
 	if m.Finished {
 		if cl, ok := c.calls[m.Call.Seq]; ok && cl.result == nil {
-			res := m.Result
-			cl.result = &res
-			c.noteResult(cl, res.Call)
-			c.notePending()
-			if c.cfg.OnResult != nil {
-				c.cfg.OnResult(res, c.env.Now())
-			}
+			c.deliver(cl, m.Result)
 		}
 	}
 	c.fetchNext()
@@ -794,15 +794,7 @@ func (c *Client) StatsNow() Stats {
 }
 
 // ResultCount returns the number of distinct completed calls.
-func (c *Client) ResultCount() int {
-	n := 0
-	for _, cl := range c.calls {
-		if cl.result != nil {
-			n++
-		}
-	}
-	return n
-}
+func (c *Client) ResultCount() int { return len(c.calls) - c.pending }
 
 // Result returns the stored result for seq, if any.
 func (c *Client) Result(seq proto.RPCSeq) (*proto.Result, bool) {

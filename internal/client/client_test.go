@@ -1,11 +1,13 @@
 package client
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"rpcv/internal/msglog"
 	"rpcv/internal/node"
+	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/sim"
 )
@@ -18,6 +20,8 @@ type fakeCoord struct {
 	silent  bool
 	submits int
 	fetches int
+
+	polls []*proto.Poll
 }
 
 func newFakeCoord() *fakeCoord {
@@ -39,13 +43,14 @@ func (f *fakeCoord) Receive(from proto.NodeID, msg proto.Message) {
 		f.jobs[m.Call.Seq] = m
 		f.env.Send(from, &proto.SubmitAck{Call: m.Call, MaxSeq: f.maxSeq()})
 	case *proto.Poll:
+		f.polls = append(f.polls, m)
 		have := make(map[proto.RPCSeq]bool)
 		for _, s := range m.Have {
 			have[s] = true
 		}
 		out := &proto.Results{User: m.User, Session: m.Session}
 		for seq, res := range f.results {
-			if !have[seq] {
+			if seq > m.Ack && !have[seq] {
 				out.Results = append(out.Results, res)
 			}
 		}
@@ -339,5 +344,113 @@ func TestGCNowDropsDeliveredOnly(t *testing.T) {
 	w.RunFor(time.Second)
 	if _, ok := fc.jobs[2]; !ok {
 		t.Fatal("undelivered call 2 not resendable after GC")
+	}
+}
+
+// wantPoll checks the watermark and the out-of-order window of one poll.
+func wantPoll(t *testing.T, p *proto.Poll, ack proto.RPCSeq, have ...proto.RPCSeq) {
+	t.Helper()
+	if p.Ack != ack || !slices.Equal(p.Have, have) {
+		t.Fatalf("poll = {Ack: %d, Have: %v}, want {Ack: %d, Have: %v}", p.Ack, p.Have, ack, have)
+	}
+}
+
+func (f *fakeCoord) lastPoll(t *testing.T) *proto.Poll {
+	t.Helper()
+	if len(f.polls) == 0 {
+		t.Fatal("no poll arrived")
+	}
+	return f.polls[len(f.polls)-1]
+}
+
+func TestPollCarriesWatermarkAndWindow(t *testing.T) {
+	delivered := 0
+	w, cli, fc := rig(t, Config{
+		Logging:    msglog.BlockingPessimistic,
+		PollPeriod: time.Second,
+		OnResult:   func(proto.Result, time.Time) { delivered++ },
+	})
+	w.Schedule(0, func() {
+		for i := 0; i < 6; i++ {
+			cli.Submit("svc", nil, time.Second, 1)
+		}
+	})
+	w.RunFor(2 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 0)
+
+	// Out-of-order completion: the watermark stops below the hole, the
+	// results above it ride in Have, ascending.
+	fc.finish(1, "r1")
+	fc.finish(2, "r2")
+	fc.finish(5, "r5")
+	fc.finish(4, "r4")
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 2, 4, 5)
+
+	// The hole closes: the watermark jumps over the whole window.
+	fc.finish(3, "r3")
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 5)
+	if delivered != 5 || cli.ResultCount() != 5 {
+		t.Fatalf("delivered %d, ResultCount %d, want 5 and 5 (each result exactly once)", delivered, cli.ResultCount())
+	}
+
+	// A restart forgets the results, so the watermark starts over and
+	// the coordinator sends everything again.
+	before := len(fc.polls)
+	w.Restart("cli")
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.polls[before], 0)
+	wantPoll(t, fc.lastPoll(t), 5)
+	if cli.ResultCount() != 5 {
+		t.Fatalf("results after restart = %d, want 5", cli.ResultCount())
+	}
+}
+
+func TestPendingGaugeCountsCallsWithoutResult(t *testing.T) {
+	o := obs.New("cli")
+	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second, Obs: o})
+	pending := func() float64 {
+		v, _ := o.Registry().Value("rpcv_client_pending_calls", obs.L("node", "cli"))
+		return v
+	}
+	w.Schedule(0, func() {
+		for i := 0; i < 3; i++ {
+			cli.Submit("svc", nil, time.Second, 1)
+		}
+	})
+	w.RunFor(time.Second)
+	if got := pending(); got != 3 {
+		t.Fatalf("pending after 3 submits = %v, want 3", got)
+	}
+	fc.finish(2, "r2")
+	fc.finish(9, "ghost") // adopted: never pending
+	w.RunFor(3 * time.Second)
+	w.RunFor(3 * time.Second) // a duplicate delivery must not count twice
+	if got := pending(); got != 2 {
+		t.Fatalf("pending after one result and one adoption = %v, want 2", got)
+	}
+	// Recovered calls hold no result: all three are pending again, the
+	// adopted one (never logged) is gone.
+	fc.silent = true
+	w.Restart("cli")
+	w.RunFor(500 * time.Millisecond)
+	if got := pending(); got != 3 {
+		t.Fatalf("pending after restart = %v, want 3", got)
+	}
+}
+
+func TestAckCheckIgnoresCallsWithResults(t *testing.T) {
+	// The SubmitAck is lost but the result arrives: the call is
+	// registered by definition, no resynchronization is due.
+	w, cli, fc := rig(t, Config{PollPeriod: time.Second, AckResyncTimeout: 10 * time.Second})
+	fc.silent = true
+	w.Schedule(0, func() { cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	fc.silent = false
+	fc.finish(1, "r1")
+	w.RunFor(time.Minute)
+	if st := cli.StatsNow(); st.Results != 1 || st.Acked != 0 || st.Syncs != 0 {
+		t.Fatalf("stats = %+v, want 1 result, 0 acks, 0 syncs", st)
 	}
 }

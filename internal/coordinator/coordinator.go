@@ -25,6 +25,7 @@ package coordinator
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"time"
@@ -178,10 +179,6 @@ type Coordinator struct {
 	loopN   int
 	loopMap *shard.LoopMap
 	parts   []*Coordinator
-
-	// sessionMax is the indexed per-session maximum RPC timestamp
-	// (an indexed column in the real MySQL schema: reads are free).
-	sessionMax map[sessionKey]proto.RPCSeq
 
 	// Scheduling state (volatile; rebuilt from the store on restart).
 	// The engine owns the pending queue, policy order, admission gate
@@ -401,7 +398,6 @@ func (c *Coordinator) Start(env node.Env) {
 	c.dirty = make(map[proto.CallID]bool)
 	c.stolenOut = make(map[proto.CallID]stolenOutInfo)
 	c.stealPending = false
-	c.sessionMax = make(map[sessionKey]proto.RPCSeq)
 	c.dbEng = node.SerialResource{}
 	c.replPending = false
 	c.successor = ""
@@ -619,8 +615,7 @@ func (c *Coordinator) loadStore() {
 			// The assignment did not survive the crash; schedule anew.
 			rec.State = proto.TaskPending
 		}
-		c.store.Put(rec)
-		c.noteSeq(rec.Call)
+		c.put(rec)
 		if rec.State == proto.TaskPending {
 			c.enqueue(rec.Call)
 		}
@@ -698,13 +693,11 @@ func (c *Coordinator) afterDBCost(fn func()) {
 	fn()
 }
 
-// noteSeq maintains the indexed per-session max timestamp.
-func (c *Coordinator) noteSeq(call proto.CallID) {
-	k := sessionKey{call.User, call.Session}
-	if call.Seq > c.sessionMax[k] {
-		c.sessionMax[k] = call.Seq
-	}
-	c.cm.sessions.SetInt(len(c.sessionMax))
+// put writes rec to the job table (whose session index also answers
+// maxSeq and the result polls) and refreshes the sessions gauge.
+func (c *Coordinator) put(rec *proto.JobRecord) {
+	c.store.Put(rec)
+	c.cm.sessions.SetInt(c.store.Sessions())
 }
 
 // ---------------------------------------------------------------------
@@ -740,12 +733,11 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 	if m.Deadline > 0 {
 		rec.Deadline = c.env.Now().Add(m.Deadline)
 	}
-	c.store.Put(rec)
+	c.put(rec)
 	c.persistJob(rec)
 	c.enqueue(m.Call)
 	c.trace(m.Call, obs.StageEnqueue, string(from))
 	c.markDirty(m.Call)
-	c.noteSeq(m.Call)
 	c.afterDBCost(func() {
 		c.jobsAccepted++
 		c.cm.accepted.Inc()
@@ -755,7 +747,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 
 // maxSeq returns the indexed maximum timestamp known for a session.
 func (c *Coordinator) maxSeq(user proto.UserID, session proto.SessionID) proto.RPCSeq {
-	return c.sessionMax[sessionKey{user, session}]
+	return c.store.MaxSeq(user, session)
 }
 
 func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
@@ -763,15 +755,21 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
 		return
 	}
-	have := make(map[proto.RPCSeq]bool, len(m.Have))
-	for _, s := range m.Have {
-		have[s] = true
+	// The reply is every finished result outside {1..Ack} ∪ Have. Both
+	// the session index and Have ascend, so one merge pass over the
+	// records above the watermark decides membership.
+	have := m.Have
+	if !slices.IsSorted(have) { // the sender's contract; cheap to enforce
+		have = slices.Sorted(slices.Values(have))
 	}
 	var out []proto.Result
-	for _, rec := range c.store.Select(func(r *proto.JobRecord) bool {
-		return r.Call.User == m.User && r.Call.Session == m.Session &&
-			r.State == proto.TaskFinished && !have[r.Call.Seq]
-	}) {
+	for rec := range c.store.SessionAfter(m.User, m.Session, m.Ack) {
+		for len(have) > 0 && have[0] < rec.Call.Seq {
+			have = have[1:]
+		}
+		if rec.State != proto.TaskFinished || (len(have) > 0 && have[0] == rec.Call.Seq) {
+			continue
+		}
 		out = append(out, proto.Result{
 			Call:   rec.Call,
 			Output: rec.Output,
@@ -813,13 +811,6 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
 		return
 	}
-	known := c.store.Select(func(r *proto.JobRecord) bool {
-		return r.Call.User == m.User && r.Call.Session == m.Session
-	})
-	seqs := make([]proto.RPCSeq, 0, len(known))
-	for _, rec := range known {
-		seqs = append(seqs, rec.Call.Seq)
-	}
 	// The reply always carries the exact list of known sequence
 	// numbers: the client's log may have holes *below* its maximum
 	// (a submission lost on the best-effort network), which a bare
@@ -828,7 +819,7 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 		User:    m.User,
 		Session: m.Session,
 		MaxSeq:  c.maxSeq(m.User, m.Session),
-		Known:   seqs,
+		Known:   c.store.SessionSeqs(m.User, m.Session),
 	}
 	c.afterDBCost(func() { c.env.Send(from, reply) })
 }
@@ -933,7 +924,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 				continue
 			}
 			rec.Instance++
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
 			task := proto.TaskID{Call: call, Instance: rec.Instance}
 			c.spec[call] = ongoingInfo{server: server, task: task, assignedAt: now}
@@ -961,7 +952,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 		rec.State = proto.TaskOngoing
 		rec.Instance++
 		rec.Server = server
-		c.store.Put(rec)
+		c.put(rec)
 		c.persistJob(rec)
 		task := proto.TaskID{Call: call, Instance: rec.Instance}
 		c.ongoing[call] = ongoingInfo{server: server, task: task, assignedAt: now}
@@ -1025,9 +1016,8 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	rec.Output = m.Output
 	rec.ResultErr = m.Err
 	rec.Server = from
-	c.store.Put(rec)
+	c.put(rec)
 	c.persistJob(rec)
-	c.noteSeq(rec.Call)
 	c.clearOngoing(m.Task.Call, from)
 	c.unqueue(m.Task.Call)
 	c.markDirty(m.Task.Call)
@@ -1229,7 +1219,7 @@ func (c *Coordinator) requeue(call proto.CallID) bool {
 		return false // placeholder learned via replication without data
 	}
 	rec.State = proto.TaskPending
-	c.store.Put(rec)
+	c.put(rec)
 	c.persistJob(rec)
 	if c.enqueue(call) {
 		c.rescheduled++
@@ -1334,9 +1324,8 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			// Finished tasks are never regressed.
 		case incoming.State == proto.TaskFinished:
 			rec := incoming.Clone()
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
-			c.noteSeq(rec.Call)
 			c.clearOngoing(rec.Call, rec.Server)
 			c.unqueue(rec.Call)
 			c.finished++
@@ -1351,9 +1340,8 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
-			c.noteSeq(rec.Call)
 			c.fromPredecessor[rec.Call] = true
 			applied++
 		default: // pending
@@ -1361,9 +1349,8 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
-			c.noteSeq(rec.Call)
 			if !ok || local.State != proto.TaskOngoing {
 				c.enqueue(rec.Call)
 			}
@@ -1659,15 +1646,8 @@ func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSe
 	if len(active) == 0 {
 		return nil
 	}
-	bySession := make(map[sessionKey][]proto.RPCSeq, len(active))
-	for _, rec := range c.store.PeekAll() {
-		k := sessionKey{rec.Call.User, rec.Call.Session}
-		if active[k] {
-			bySession[k] = append(bySession[k], rec.Call.Seq)
-		}
-	}
-	keys := make([]sessionKey, 0, len(bySession))
-	for k := range bySession {
+	keys := make([]sessionKey, 0, len(active))
+	for k := range active {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -1678,7 +1658,7 @@ func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSe
 	})
 	out := make([]proto.SessionSeqs, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, proto.SessionSeqs{User: k.user, Session: k.session, Seqs: bySession[k]})
+		out = append(out, proto.SessionSeqs{User: k.user, Session: k.session, Seqs: c.store.PeekSessionSeqs(k.user, k.session)})
 	}
 	return out
 }
@@ -1704,9 +1684,8 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 				c.cm.stolenHome.Inc()
 			}
 			rec := incoming.Clone()
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
-			c.noteSeq(rec.Call)
 			c.clearOngoing(rec.Call, rec.Server)
 			c.unqueue(rec.Call)
 			delete(c.fromShard, rec.Call)
@@ -1730,13 +1709,12 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
-			c.store.Put(rec)
+			c.put(rec)
 			c.persistJob(rec)
-			c.noteSeq(rec.Call)
 			if c.adopted[m.Shard] {
 				// Already adopted the source shard: schedule right away.
 				rec.State = proto.TaskPending
-				c.store.Put(rec)
+				c.put(rec)
 				c.enqueue(rec.Call)
 				c.markDirty(rec.Call)
 			} else {
@@ -1748,12 +1726,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 	}
 	ack := &proto.ShardSyncAck{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
 	for _, ss := range m.Sessions {
-		mine := make([]proto.RPCSeq, 0, 8)
-		for _, rec := range c.store.Select(func(r *proto.JobRecord) bool {
-			return r.Call.User == ss.User && r.Call.Session == ss.Session
-		}) {
-			mine = append(mine, rec.Call.Seq)
-		}
+		mine := c.store.SessionSeqs(ss.User, ss.Session)
 		for _, seq := range statesync.SeqSetDiff(ss.Seqs, mine) {
 			ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
 		}
@@ -1973,7 +1946,7 @@ func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealReques
 		}
 		rec.State = proto.TaskOngoing
 		rec.Instance++
-		c.store.Put(rec)
+		c.put(rec)
 		c.persistJob(rec)
 		c.stolenOut[call] = stolenOutInfo{shard: m.Shard, grantedAt: now}
 		c.stolenOutTotal++
@@ -2042,9 +2015,8 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 		}
 		rec := incoming.Clone()
 		rec.State = proto.TaskPending
-		c.store.Put(rec)
+		c.put(rec)
 		c.persistJob(rec)
-		c.noteSeq(rec.Call)
 		delete(c.fromShard, rec.Call) // now actively ours, not passive
 		c.enqueue(rec.Call)
 		c.stolenIn++

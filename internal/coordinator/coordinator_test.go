@@ -150,6 +150,13 @@ func TestResultStoredAndServed(t *testing.T) {
 	if len(res2.Results) != 0 {
 		t.Fatal("poll returned already-held result")
 	}
+	// So does the Ack watermark covering it.
+	p.env.Send("co", &proto.Poll{User: "u", Session: 1, Ack: 1})
+	w.RunFor(time.Second)
+	res3 := p.last().(*proto.Results)
+	if len(res3.Results) != 0 {
+		t.Fatal("poll returned a result below the Ack watermark")
+	}
 }
 
 func TestDuplicateResultDeduplicated(t *testing.T) {

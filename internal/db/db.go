@@ -14,9 +14,15 @@
 // archives are NOT stored here (they go to the archive store), matching
 // the paper's split between "job descriptions in a database, for fast
 // management, and file archives in an optimized file system".
+//
+// A secondary index, (user, session) → ascending sequence numbers,
+// serves the per-session reads (result polls, synchronization, the
+// per-session maximum timestamp) without scanning the table.
 package db
 
 import (
+	"iter"
+	"slices"
 	"sort"
 	"time"
 
@@ -52,10 +58,23 @@ func RealLifeCost() CostModel {
 	return CostModel{PerOp: 1 * time.Millisecond, PerByte: 10 * time.Nanosecond}
 }
 
+// sessionKey names one client session: the prefix its CallIDs share.
+type sessionKey struct {
+	user    proto.UserID
+	session proto.SessionID
+}
+
 // DB stores job records for one coordinator.
 type DB struct {
 	cost    CostModel
 	records map[proto.CallID]*proto.JobRecord
+
+	// sessions indexes records by session: the ascending sequence
+	// numbers stored for each (user, session). Put and Delete maintain
+	// it, so every writer — submissions, replication, shard sync, work
+	// stealing, recovery — feeds it. A session with no record has no
+	// entry.
+	sessions map[sessionKey][]proto.RPCSeq
 
 	// spent accumulates the virtual time consumed by operations; the
 	// coordinator drains it into timer delays so the event loop charges
@@ -66,13 +85,30 @@ type DB struct {
 
 // New creates an empty database with the given cost model.
 func New(cost CostModel) *DB {
-	return &DB{cost: cost, records: make(map[proto.CallID]*proto.JobRecord)}
+	return &DB{
+		cost:     cost,
+		records:  make(map[proto.CallID]*proto.JobRecord),
+		sessions: make(map[sessionKey][]proto.RPCSeq),
+	}
 }
 
 // Put inserts or replaces a record, charging one operation.
 func (d *DB) Put(rec *proto.JobRecord) {
 	d.charge(len(rec.Params) + len(rec.Output))
+	n := len(d.records)
 	d.records[rec.Call] = rec
+	if len(d.records) == n {
+		return // replaced: already indexed
+	}
+	k := sessionKey{rec.Call.User, rec.Call.Session}
+	seqs := d.sessions[k]
+	// Sessions count upward, so the new seq almost always belongs at
+	// the end; replication and resends may deliver out of order.
+	i := len(seqs)
+	if i > 0 && seqs[i-1] > rec.Call.Seq {
+		i, _ = slices.BinarySearch(seqs, rec.Call.Seq)
+	}
+	d.sessions[k] = slices.Insert(seqs, i, rec.Call.Seq)
 }
 
 // Get returns the record for id, charging one operation.
@@ -96,7 +132,18 @@ func (d *DB) Peek(id proto.CallID) (*proto.JobRecord, bool) {
 // Delete removes a record, charging one operation.
 func (d *DB) Delete(id proto.CallID) {
 	d.charge(0)
+	if _, ok := d.records[id]; !ok {
+		return
+	}
 	delete(d.records, id)
+	k := sessionKey{id.User, id.Session}
+	seqs := d.sessions[k]
+	if len(seqs) == 1 {
+		delete(d.sessions, k)
+		return
+	}
+	i, _ := slices.BinarySearch(seqs, id.Seq)
+	d.sessions[k] = slices.Delete(seqs, i, i+1)
 }
 
 // Len returns the record count (free).
@@ -138,6 +185,55 @@ func (d *DB) Select(pred func(*proto.JobRecord) bool) []*proto.JobRecord {
 	sort.Slice(out, func(i, j int) bool { return out[i].Call.Less(out[j].Call) })
 	return out
 }
+
+// SessionSeqs returns the sequence numbers stored for a session, in
+// ascending order, charged as one index read. The slice is the
+// caller's own.
+func (d *DB) SessionSeqs(user proto.UserID, session proto.SessionID) []proto.RPCSeq {
+	d.charge(0)
+	return d.PeekSessionSeqs(user, session)
+}
+
+// PeekSessionSeqs is SessionSeqs without the charge.
+func (d *DB) PeekSessionSeqs(user proto.UserID, session proto.SessionID) []proto.RPCSeq {
+	return slices.Clone(d.sessions[sessionKey{user, session}])
+}
+
+// SessionAfter iterates over a session's records with Seq > after, in
+// ascending Seq order. The whole iteration is charged as one operation
+// (an indexed range query), however many records it visits. The
+// database must not be written while the iteration runs.
+func (d *DB) SessionAfter(user proto.UserID, session proto.SessionID, after proto.RPCSeq) iter.Seq[*proto.JobRecord] {
+	return func(yield func(*proto.JobRecord) bool) {
+		d.charge(0)
+		seqs := d.sessions[sessionKey{user, session}]
+		first, found := slices.BinarySearch(seqs, after)
+		if found {
+			first++
+		}
+		id := proto.CallID{User: user, Session: session}
+		for _, seq := range seqs[first:] {
+			id.Seq = seq
+			if !yield(d.records[id]) {
+				return
+			}
+		}
+	}
+}
+
+// MaxSeq returns the highest sequence number stored for a session, zero
+// if none (free: an indexed column in the real MySQL schema).
+func (d *DB) MaxSeq(user proto.UserID, session proto.SessionID) proto.RPCSeq {
+	seqs := d.sessions[sessionKey{user, session}]
+	if len(seqs) == 0 {
+		return 0
+	}
+	return seqs[len(seqs)-1]
+}
+
+// Sessions returns the number of sessions with at least one record
+// (free).
+func (d *DB) Sessions() int { return len(d.sessions) }
 
 func (d *DB) charge(size int) {
 	d.spent += d.cost.Cost(size)

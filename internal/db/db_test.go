@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,5 +205,100 @@ func TestOpsCountQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSessionIndexAgreesWithSelectQuick: after any sequence of Put,
+// replacing Put and Delete across sessions and users, every read the
+// session index serves — SessionSeqs, SessionAfter from any watermark,
+// MaxSeq, Sessions — equals what a full-table Select computes.
+func TestSessionIndexAgreesWithSelectQuick(t *testing.T) {
+	type op struct {
+		Delete  bool
+		User    uint8 // mod 2
+		Session uint8 // mod 3
+		Seq     uint8 // mod 24: collisions make replaces and real deletes
+	}
+	id := func(o op) proto.CallID {
+		return proto.CallID{
+			User:    proto.UserID([]string{"a", "b"}[o.User%2]),
+			Session: proto.SessionID(o.Session % 3),
+			Seq:     proto.RPCSeq(o.Seq % 24),
+		}
+	}
+	f := func(ops []op, after uint8) bool {
+		d := New(CostModel{PerOp: time.Microsecond})
+		for _, o := range ops {
+			if o.Delete {
+				d.Delete(id(o))
+			} else {
+				d.Put(&proto.JobRecord{Call: id(o), State: proto.TaskPending})
+			}
+		}
+		sessions := 0
+		for _, user := range []proto.UserID{"a", "b"} {
+			for session := proto.SessionID(0); session < 3; session++ {
+				want := d.Select(func(r *proto.JobRecord) bool {
+					return r.Call.User == user && r.Call.Session == session
+				})
+				if len(want) > 0 {
+					sessions++
+				}
+				var wantSeqs, wantAfter, gotAfter []proto.RPCSeq
+				for _, r := range want {
+					wantSeqs = append(wantSeqs, r.Call.Seq)
+					if r.Call.Seq > proto.RPCSeq(after%26) {
+						wantAfter = append(wantAfter, r.Call.Seq)
+					}
+				}
+				for r := range d.SessionAfter(user, session, proto.RPCSeq(after%26)) {
+					if got, _ := d.Peek(r.Call); got != r {
+						return false // the iterator yields the stored record itself
+					}
+					gotAfter = append(gotAfter, r.Call.Seq)
+				}
+				var wantMax proto.RPCSeq
+				if len(wantSeqs) > 0 {
+					wantMax = wantSeqs[len(wantSeqs)-1]
+				}
+				if !slices.Equal(d.SessionSeqs(user, session), wantSeqs) ||
+					!slices.Equal(d.PeekSessionSeqs(user, session), wantSeqs) ||
+					!slices.Equal(gotAfter, wantAfter) ||
+					d.MaxSeq(user, session) != wantMax {
+					return false
+				}
+			}
+		}
+		return d.Sessions() == sessions
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSessionReadsCharging(t *testing.T) {
+	d := New(CostModel{PerOp: time.Millisecond})
+	for i := 1; i <= 5; i++ {
+		d.Put(rec("u", i, proto.TaskFinished))
+	}
+	d.DrainCost()
+	ops := d.Ops()
+	d.MaxSeq("u", 1)
+	d.Sessions()
+	d.PeekSessionSeqs("u", 1)
+	if d.Ops() != ops {
+		t.Fatal("MaxSeq/Sessions/PeekSessionSeqs charged")
+	}
+	for range d.SessionAfter("u", 1, 2) {
+	}
+	d.SessionSeqs("u", 1)
+	if d.Ops() != ops+2 || d.DrainCost() != 2*time.Millisecond {
+		t.Fatalf("SessionAfter + SessionSeqs charged %d ops, want one each", d.Ops()-ops)
+	}
+	// The returned slice is the caller's: writing it leaves the index alone.
+	seqs := d.SessionSeqs("u", 1)
+	seqs[0] = 99
+	if got := d.PeekSessionSeqs("u", 1); got[0] != 1 {
+		t.Fatalf("index aliased by SessionSeqs: %v", got)
 	}
 }

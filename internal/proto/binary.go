@@ -558,6 +558,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 	case *Poll:
 		dst = appendString(dst, string(m.User))
 		dst = binary.AppendUvarint(dst, uint64(m.Session))
+		dst = appendSeq(dst, m.Ack)
 		return appendSlice(dst, m.Have, appendSeq)
 	case *Results:
 		dst = appendString(dst, string(m.User))
@@ -689,7 +690,7 @@ func readMessageBody(r *binReader, kind uint8) Message {
 		return &SubmitAck{Call: r.call(), MaxSeq: r.seq()}
 	case kindPoll:
 		return &Poll{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			Have: readSlice(r, (*binReader).seq)}
+			Ack: r.seq(), Have: readSlice(r, (*binReader).seq)}
 	case kindResults:
 		return &Results{User: UserID(r.str()), Session: SessionID(r.uvarint()),
 			Results: readSlice(r, readResult)}

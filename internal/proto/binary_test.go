@@ -191,7 +191,10 @@ func wireSizeHints(msg Message) (records int, hintBytes int) {
 // and larger only by the structural slack the hint formulas knowingly
 // include.
 func TestWireSizeMatchesCodec(t *testing.T) {
-	for _, msg := range allMessages() {
+	// Poll.Ack has no WireSize term of its own: even a ten-byte varint
+	// watermark must fit in the header hint.
+	bigAck := &Poll{User: "user-01", Session: 7, Ack: 1 << 63}
+	for _, msg := range append(allMessages(), bigAck) {
 		actual := len(CodecBinary.EncodeMessage(msg)) - 3 // strip magic/version/kind
 		ws := msg.WireSize()
 		if actual > ws {

@@ -22,7 +22,7 @@ func allMessages() []Message {
 	return []Message{
 		&Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
 		&SubmitAck{Call: call, MaxSeq: 42},
-		&Poll{User: "user-01", Session: 7, Have: []RPCSeq{1, 2, 3}},
+		&Poll{User: "user-01", Session: 7, Ack: 40, Have: []RPCSeq{42, 43, 47}},
 		&Results{User: "user-01", Session: 7, Results: []Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
 		&SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
 		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []RPCSeq{1, 2}},

@@ -78,18 +78,34 @@ func (m *SubmitAck) WireSize() int { return headerSize }
 
 // Poll asks the coordinator for any completed results for a session.
 // The client collects RPC results by pulling the coordinator
-// periodically; Have lists the sequence numbers whose results the client
-// already holds, so the coordinator only returns new ones.
+// periodically, and tells it what not to send again: the paper's
+// timestamp comparison, plus the exceptions to it.
+//
+// Ack is a watermark: the client holds a result for every sequence
+// number in 1..Ack. Have lists, in ascending order, the sequence
+// numbers above Ack whose results it also holds — calls that finished
+// ahead of an earlier one still in flight — so its length follows the
+// out-of-order window, not the session's age. The coordinator answers
+// with the finished results for every seq outside {1..Ack} ∪ Have and
+// keeps no memory of what a client holds: each Poll stands alone.
+//
+// A client that lost its log (or restarted and holds no results yet)
+// polls with Ack = 0 and an empty Have, and receives everything the
+// coordinator has finished for the session. Ack = 0 with a long Have is
+// equally valid; a coordinator also tolerates a Have that is unsorted
+// or repeats entries.
 type Poll struct {
 	User    UserID
 	Session SessionID
+	Ack     RPCSeq
 	Have    []RPCSeq
 }
 
 // Kind implements Message.
 func (*Poll) Kind() string { return "poll" }
 
-// WireSize implements Message.
+// WireSize implements Message. Ack rides in the header, like every
+// other single sequence number.
 func (m *Poll) WireSize() int { return headerSize + 8*len(m.Have) }
 
 // Results returns zero or more completed RPC results to the client.

@@ -99,7 +99,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	msgs := []Message{
 		&Submit{Call: CallID{User: "u", Session: 1, Seq: 1}, Service: "s", Params: []byte{9}},
 		&SubmitAck{Call: CallID{User: "u", Session: 1, Seq: 1}, MaxSeq: 5},
-		&Poll{User: "u", Session: 1, Have: []RPCSeq{1, 2}},
+		&Poll{User: "u", Session: 1, Ack: 3, Have: []RPCSeq{5, 6}},
 		&Results{User: "u", Session: 1, Results: []Result{{Output: []byte("r")}}},
 		&SyncRequest{User: "u", Session: 1, MaxSeq: 3, HaveLog: true},
 		&SyncReply{User: "u", Session: 1, MaxSeq: 3, Known: []RPCSeq{1}},

@@ -33,7 +33,7 @@ func wireSampleMessages() []proto.Message {
 	return []proto.Message{
 		&proto.Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
 		&proto.SubmitAck{Call: call, MaxSeq: 42},
-		&proto.Poll{User: "user-01", Session: 7, Have: []proto.RPCSeq{1, 2, 3}},
+		&proto.Poll{User: "user-01", Session: 7, Ack: 40, Have: []proto.RPCSeq{42, 43, 47}},
 		&proto.Results{User: "user-01", Session: 7, Results: []proto.Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
 		&proto.SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
 		&proto.SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []proto.RPCSeq{1, 2}},
