@@ -24,6 +24,7 @@
 package coordinator
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -81,10 +82,12 @@ type Config struct {
 	// figures 9-11 plot exactly this counter over time).
 	OnJobFinished func(call proto.CallID, at time.Time)
 
-	// Codec selects the encoding of persisted job records. The zero
-	// value is the binary codec; loadStore auto-detects, so a database
-	// written under either codec (or by a pre-binary build) recovers
-	// under either.
+	// Codec selects the encoding of persisted job headers (payload
+	// blobs are raw bytes under either). The zero value is the binary
+	// codec; loadStore auto-detects, so a database written under either
+	// codec — or by a build that persisted whole records, payloads
+	// inside — recovers under either, and holds only headers and blobs
+	// once it has.
 	Codec proto.Codec
 
 	// Shard, when non-nil and describing more than one ring, places
@@ -245,6 +248,11 @@ type Coordinator struct {
 	// predecessor shard, for timeout reclaim.
 	stolenOut map[proto.CallID]stolenOutInfo
 
+	// unwritten holds, per call, the payloads whose blob write failed:
+	// the next persist of the call writes them again before any header
+	// that would reference them.
+	unwritten map[proto.CallID]jobParts
+
 	stopped bool
 
 	// Metrics.
@@ -271,6 +279,7 @@ type coordMetrics struct {
 	submits, accepted, finished, dups, requeues *obs.Counter
 	redirects, adoptions, speculated, specWins  *obs.Counter
 	stolenIn, stolenOut, stolenHome             *obs.Counter
+	persistErrs                                 [len(persistPartNames)]*obs.Counter
 	sessions, inflight, specInflight, shardIdx  *obs.Gauge
 	dispatchLat                                 *obs.Histogram
 }
@@ -397,6 +406,7 @@ func (c *Coordinator) Start(env node.Env) {
 	c.queuedAt = make(map[proto.CallID]time.Time)
 	c.dirty = make(map[proto.CallID]bool)
 	c.stolenOut = make(map[proto.CallID]stolenOutInfo)
+	c.unwritten = make(map[proto.CallID]jobParts)
 	c.stealPending = false
 	c.dbEng = node.SerialResource{}
 	c.replPending = false
@@ -497,6 +507,10 @@ func (c *Coordinator) initObs(env node.Env) {
 	if reg != nil {
 		c.cm.dispatchLat = reg.Histogram("rpcv_coord_dispatch_latency_ns", ls...)
 	}
+	for part, name := range persistPartNames {
+		c.cm.persistErrs[part] = reg.Counter("rpcv_coord_persist_errors_total",
+			append(slices.Clone(ls), obs.L("part", name))...)
+	}
 }
 
 // trace stamps one span for call on this coordinator's ring (no-op
@@ -593,23 +607,114 @@ func (c *Coordinator) loadEpoch() {
 	}
 }
 
+// The persisted layout of one job, after the paper's "job descriptions
+// in a database, for fast management, and file archives in an optimized
+// file system": a small mutable header under coord/job/<call>,
+// rewritten on every state transition, and for each payload of at least
+// blobMin bytes an immutable blob of the raw bytes under
+// coord/blob/<call>/p (params) or /o (output), written once. A smaller
+// payload stays inline in the header, which is then byte for byte the
+// whole record earlier builds persisted.
+const (
+	jobPrefix  = "coord/job/"
+	blobPrefix = "coord/blob/"
+
+	// blobMin is the description/archive line: below it a payload costs
+	// less to re-encode with its header than a second key costs to keep.
+	blobMin = 4 << 10
+)
+
+// jobParts is a set of a record's payloads.
+type jobParts = proto.JobPayloads
+
+const (
+	headerOnly jobParts = 0
+	partParams          = proto.JobParams
+	partOutput          = proto.JobOutput
+	allParts            = partParams | partOutput
+)
+
+// persistPartNames labels the persist-error counters by the write that
+// failed: a payload's blob, or the header (the write that is no part).
+var persistPartNames = [...]string{headerOnly: "header", partParams: "params", partOutput: "output"}
+
+// blob describes one payload's place in the layout.
+type blob struct {
+	part   jobParts
+	suffix string
+	of     func(*proto.JobRecord) *[]byte
+}
+
+var blobs = [...]blob{
+	{partParams, "/p", func(r *proto.JobRecord) *[]byte { return &r.Params }},
+	{partOutput, "/o", func(r *proto.JobRecord) *[]byte { return &r.Output }},
+}
+
+// changedParts names the payloads of rec that differ from those of the
+// record it replaces (nil: none did), which is what a persist of rec
+// must write. A payload carried over from old shares its backing array,
+// so the comparison is a pointer check.
+func changedParts(old, rec *proto.JobRecord) jobParts {
+	if old == nil {
+		return allParts
+	}
+	var parts jobParts
+	for _, b := range blobs {
+		if !bytes.Equal(*b.of(old), *b.of(rec)) {
+			parts |= b.part
+		}
+	}
+	return parts
+}
+
 func (c *Coordinator) loadStore() {
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
-	for _, key := range c.env.Disk().Keys("coord/job/") {
-		raw, ok := c.env.Disk().Read(key)
+	disk := c.env.Disk()
+	for _, key := range disk.Keys(jobPrefix) {
+		raw, ok := disk.Read(key)
 		if !ok {
 			continue
 		}
-		rec, err := dec.DecodeJob(raw)
+		sj, err := dec.DecodeStoredJob(raw)
 		if err != nil {
 			c.env.Logf("coordinator: corrupt job record %s: %v", key, err)
 			continue
 		}
+		rec := sj.Rec
 		if !c.ownsLoop(rec.Call) {
 			// Another partition's session: its owner reloads it. All
 			// partitions share one durable store, so the key space is
 			// split by the same placement the runtime routes with.
 			continue
+		}
+		// Join the blobs the header measured. One that is missing or of
+		// another length was torn or never became durable: the record is
+		// as corrupt as one that fails to decode (the WAL CRCs what it
+		// replays; the length is the header's own check), and the
+		// client's resync resends the call. A blob no header references
+		// — an output that landed before a header saying so — is never
+		// read.
+		intact := true
+		for _, b := range blobs {
+			if sj.External&b.part == 0 {
+				continue
+			}
+			payload, ok := disk.Read(blobPrefix + rec.Call.String() + b.suffix)
+			if !ok || len(payload) != sj.Len(b.part) {
+				c.env.Logf("coordinator: corrupt job record %s: blob %s is %d bytes (present %v), header says %d",
+					key, b.suffix, len(payload), ok, sj.Len(b.part))
+				intact = false
+				break
+			}
+			*b.of(rec) = payload
+		}
+		if !intact {
+			continue
+		}
+		if sj.External == 0 && (len(rec.Params) >= blobMin || len(rec.Output) >= blobMin) {
+			// A whole record from before the split: rewrite it in the
+			// one layout, so nothing but this branch ever reads the old.
+			c.persistJob(rec, allParts)
 		}
 		if rec.State == proto.TaskOngoing {
 			// The assignment did not survive the crash; schedule anew.
@@ -627,11 +732,79 @@ func (c *Coordinator) loadStore() {
 	c.jobsAccepted = c.store.Len()
 }
 
-func (c *Coordinator) persistJob(rec *proto.JobRecord) {
-	key := "coord/job/" + rec.Call.String()
-	if err := c.env.Disk().Write(key, c.cfg.Codec.EncodeJob(rec)); err != nil {
-		c.env.Logf("coordinator: persist job %s: %v", rec.Call, err)
+// persistJob makes rec's current state durable: always its header, and
+// first the blob of each payload in fresh that is large enough to have
+// one. fresh names what this transition changed — the params at submit,
+// the output when the result lands, nothing on assign, speculate,
+// requeue or steal, whatever differs from the replaced record on the
+// replication paths — so each payload is written once, not once per
+// transition. Where the disk batches, blobs are staged with WriteAsync
+// and the header goes by the synchronous Write behind them: staging
+// order is commit order, so the one group commit the Write waits for
+// covers the call's blobs too.
+//
+// A failed write is logged and counted, never returned: the handler
+// acks regardless and the protocol's resyncs repair what a crash would
+// then lose. But a header is not written after a blob of its own that
+// is already known to have failed, and a failed blob is retried ahead
+// of the call's next header, so no header written here references a
+// blob this incarnation knows to be bad. (A failure reported only after
+// the header went out — a group commit's callback — leaves a header
+// whose blob loadStore finds missing or short, and skips.)
+//
+// The store takes ownership of what it is handed: rec.Params and
+// rec.Output are shared with it from here on, never copied, which is
+// why nothing may modify a stored record's payload bytes in place.
+func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
+	if retry, ok := c.unwritten[rec.Call]; ok {
+		fresh |= retry
+		delete(c.unwritten, rec.Call)
 	}
+	call := rec.Call.String()
+	var external jobParts
+	for _, b := range blobs {
+		if len(*b.of(rec)) >= blobMin {
+			external |= b.part
+		}
+	}
+	// Encode before staging anything: the less time between a staged
+	// blob and its header, the surer one group commit takes both.
+	header := c.cfg.Codec.EncodeJobHeader(rec, external)
+	for _, b := range blobs {
+		if external&fresh&b.part == 0 {
+			continue
+		}
+		if !c.writeBlob(rec.Call, b, blobPrefix+call+b.suffix, *b.of(rec)) {
+			return
+		}
+	}
+	if err := c.env.Disk().Write(jobPrefix+call, header); err != nil {
+		c.persistFailed(rec.Call, headerOnly, err)
+	}
+}
+
+// writeBlob stores one payload, reporting false if the write is already
+// known to have failed when it returns.
+func (c *Coordinator) writeBlob(call proto.CallID, b blob, key string, payload []byte) bool {
+	ok := true
+	done := func(err error) {
+		if err != nil {
+			ok = false
+			c.unwritten[call] |= b.part
+			c.persistFailed(call, b.part, err)
+		}
+	}
+	if bd, batches := c.env.Disk().(node.BatchDisk); batches {
+		bd.WriteAsync(key, payload, done)
+	} else {
+		done(c.env.Disk().Write(key, payload))
+	}
+	return ok
+}
+
+func (c *Coordinator) persistFailed(call proto.CallID, part jobParts, err error) {
+	c.cm.persistErrs[part].Inc()
+	c.env.Logf("coordinator: persist job %s (%s): %v", call, persistPartNames[part], err)
 }
 
 // ---------------------------------------------------------------------
@@ -734,7 +907,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		rec.Deadline = c.env.Now().Add(m.Deadline)
 	}
 	c.put(rec)
-	c.persistJob(rec)
+	c.persistJob(rec, partParams)
 	c.enqueue(m.Call)
 	c.trace(m.Call, obs.StageEnqueue, string(from))
 	c.markDirty(m.Call)
@@ -925,7 +1098,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 			}
 			rec.Instance++
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, headerOnly)
 			task := proto.TaskID{Call: call, Instance: rec.Instance}
 			c.spec[call] = ongoingInfo{server: server, task: task, assignedAt: now}
 			c.bindToServer(server, call)
@@ -953,7 +1126,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 		rec.Instance++
 		rec.Server = server
 		c.put(rec)
-		c.persistJob(rec)
+		c.persistJob(rec, headerOnly)
 		task := proto.TaskID{Call: call, Instance: rec.Instance}
 		c.ongoing[call] = ongoingInfo{server: server, task: task, assignedAt: now}
 		c.bindToServer(server, call)
@@ -1017,7 +1190,7 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	rec.ResultErr = m.Err
 	rec.Server = from
 	c.put(rec)
-	c.persistJob(rec)
+	c.persistJob(rec, partOutput)
 	c.clearOngoing(m.Task.Call, from)
 	c.unqueue(m.Task.Call)
 	c.markDirty(m.Task.Call)
@@ -1220,7 +1393,7 @@ func (c *Coordinator) requeue(call proto.CallID) bool {
 	}
 	rec.State = proto.TaskPending
 	c.put(rec)
-	c.persistJob(rec)
+	c.persistJob(rec, headerOnly)
 	if c.enqueue(call) {
 		c.rescheduled++
 		c.cm.requeues.Inc()
@@ -1325,7 +1498,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 		case incoming.State == proto.TaskFinished:
 			rec := incoming.Clone()
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, changedParts(local, rec))
 			c.clearOngoing(rec.Call, rec.Server)
 			c.unqueue(rec.Call)
 			c.finished++
@@ -1341,7 +1514,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 				rec.Params = local.Params
 			}
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, changedParts(local, rec))
 			c.fromPredecessor[rec.Call] = true
 			applied++
 		default: // pending
@@ -1350,7 +1523,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 				rec.Params = local.Params
 			}
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, changedParts(local, rec))
 			if !ok || local.State != proto.TaskOngoing {
 				c.enqueue(rec.Call)
 			}
@@ -1685,7 +1858,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 			}
 			rec := incoming.Clone()
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, changedParts(local, rec))
 			c.clearOngoing(rec.Call, rec.Server)
 			c.unqueue(rec.Call)
 			delete(c.fromShard, rec.Call)
@@ -1710,7 +1883,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 				rec.Params = local.Params
 			}
 			c.put(rec)
-			c.persistJob(rec)
+			c.persistJob(rec, changedParts(local, rec))
 			if c.adopted[m.Shard] {
 				// Already adopted the source shard: schedule right away.
 				rec.State = proto.TaskPending
@@ -1947,7 +2120,7 @@ func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealReques
 		rec.State = proto.TaskOngoing
 		rec.Instance++
 		c.put(rec)
-		c.persistJob(rec)
+		c.persistJob(rec, headerOnly)
 		c.stolenOut[call] = stolenOutInfo{shard: m.Shard, grantedAt: now}
 		c.stolenOutTotal++
 		c.cm.stolenOut.Inc()
@@ -2007,7 +2180,8 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 	}
 	for i := range m.Jobs {
 		incoming := &m.Jobs[i]
-		if local, ok := c.store.Peek(incoming.Call); ok && local.State == proto.TaskFinished {
+		local, _ := c.store.Peek(incoming.Call)
+		if local != nil && local.State == proto.TaskFinished {
 			continue // result already here; ShardSync will carry it home
 		}
 		if c.locallyClaimed(incoming.Call) {
@@ -2016,7 +2190,7 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 		rec := incoming.Clone()
 		rec.State = proto.TaskPending
 		c.put(rec)
-		c.persistJob(rec)
+		c.persistJob(rec, changedParts(local, rec))
 		delete(c.fromShard, rec.Call) // now actively ours, not passive
 		c.enqueue(rec.Call)
 		c.stolenIn++

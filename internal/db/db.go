@@ -10,10 +10,17 @@
 // the behaviour that matters: each operation has a modelled cost, and
 // the cost scales with record payload.
 //
-// The store itself is a deterministic ordered map keyed by CallID; file
-// archives are NOT stored here (they go to the archive store), matching
-// the paper's split between "job descriptions in a database, for fast
-// management, and file archives in an optimized file system".
+// The store itself is a deterministic ordered map keyed by CallID. A
+// record here is the coordinator's working copy of a job and carries
+// its payloads (Params, Output) whatever their size — scheduling and
+// result polls read them from memory — which is also why every
+// operation charges for them. The paper's split between "job
+// descriptions in a database, for fast management, and file archives in
+// an optimized file system" is drawn one layer down, where it costs
+// something: the coordinator persists a record as a small header plus,
+// for a payload of archive size, an immutable blob written once
+// (coordinator.persistJob), and this table and the durable store then
+// share the one slice per payload rather than holding a copy each.
 //
 // A secondary index, (user, session) → ascending sequence numbers,
 // serves the per-session reads (result polls, synchronization, the

@@ -17,6 +17,15 @@
 // An explicit blank assignment (`_ = d.Write(...)`) is the documented
 // opt-out: it states the discard is deliberate, survives review, and
 // should carry a comment saying why.
+//
+// WriteAsync returns nothing: its error arrives through the done
+// callback, and dropping it there is the same bug. A WriteAsync on a
+// disk-shaped receiver is flagged when done is nil or a func literal
+// that never reads its error parameter. A callback passed by name is
+// trusted (its body is checked where it is written, if it is a
+// literal). Packages store and rt are exempt: engines and the loop
+// adapter forward a caller's done, nil included, and their tests stage
+// fire-and-forget fillers.
 package diskerr
 
 import (
@@ -34,8 +43,12 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
+	checkAsync := !forwardsDone(pass.Pkg)
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && checkAsync {
+				checkWriteAsync(pass, call)
+			}
 			var call *ast.CallExpr
 			switch stmt := n.(type) {
 			case *ast.ExprStmt:
@@ -70,6 +83,67 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
+}
+
+// forwardsDone reports whether pkg is one of the two layers that pass a
+// caller's done callback through (or is their external test package).
+func forwardsDone(pkg *types.Package) bool {
+	for _, name := range [...]string{"store", "rt", "store_test", "rt_test"} {
+		if astutil.PkgPathIs(pkg, name) {
+			return true
+		}
+	}
+	return false
+}
+
+// checkWriteAsync flags a WriteAsync whose completion error cannot
+// reach anyone.
+func checkWriteAsync(pass *analysis.Pass, call *ast.CallExpr) {
+	callee := astutil.Callee(pass.TypesInfo, call)
+	if callee == nil || callee.Name() != "WriteAsync" || len(call.Args) == 0 {
+		return
+	}
+	sig, ok := callee.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil || !diskShaped(sig.Recv().Type()) {
+		return
+	}
+	what := astutil.ReceiverTypeName(callee) + ".WriteAsync"
+	switch done := ast.Unparen(call.Args[len(call.Args)-1]).(type) {
+	case *ast.Ident:
+		if _, isNil := pass.TypesInfo.Uses[done].(*types.Nil); isNil {
+			pass.Reportf(call.Pos(),
+				"%s with a nil done drops the write's error: pass a callback that handles it", what)
+		}
+	case *ast.FuncLit:
+		if !readsErrorParam(pass.TypesInfo, done) {
+			pass.Reportf(call.Pos(),
+				"%s's done callback never reads its error: a failed durable write must be handled", what)
+		}
+	}
+}
+
+// readsErrorParam reports whether the literal names an error parameter
+// and uses it somewhere in its body.
+func readsErrorParam(info *types.Info, lit *ast.FuncLit) bool {
+	for _, field := range lit.Type.Params.List {
+		for _, name := range field.Names {
+			obj := info.Defs[name]
+			if obj == nil || !isErrorType(obj.Type()) {
+				continue // unnamed, blank or not the error
+			}
+			used := false
+			ast.Inspect(lit.Body, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
+					used = true
+				}
+				return !used
+			})
+			if used {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func returnsError(sig *types.Signature) bool {

@@ -1,6 +1,7 @@
 // Package a seeds diskerr's analysistest suite: discarded durable-store
 // errors flagged, handled and explicitly-ignored ones silent, and
-// non-storage callees never matched.
+// non-storage callees never matched; and WriteAsync completions whose
+// error nobody can see.
 package a
 
 type fakeDisk struct{}
@@ -9,6 +10,8 @@ func (fakeDisk) Write(key string, val []byte) error { return nil }
 func (fakeDisk) Read(key string) ([]byte, error)    { return nil, nil }
 func (fakeDisk) Delete(key string) error            { return nil }
 func (fakeDisk) Keys() ([]string, error)            { return nil, nil }
+
+func (fakeDisk) WriteAsync(key string, val []byte, done func(err error)) {}
 
 // open mimics store.Open: a constructor whose results include a
 // disk-shaped type alongside an error.
@@ -36,4 +39,32 @@ func handled(d fakeDisk) error {
 	v, err := d.Read("k")
 	_ = v
 	return err
+}
+
+// notADisk has a WriteAsync but not the Disk quartet.
+type notADisk struct{}
+
+func (notADisk) WriteAsync(key string, val []byte, done func(error)) {}
+
+func asyncDropped(d fakeDisk, n notADisk) {
+	d.WriteAsync("k", nil, nil)                // want `fakeDisk.WriteAsync with a nil done drops the write's error`
+	d.WriteAsync("k", nil, func(error) {})     // want `fakeDisk.WriteAsync's done callback never reads its error`
+	d.WriteAsync("k", nil, func(_ error) {})   // want `fakeDisk.WriteAsync's done callback never reads its error`
+	d.WriteAsync("k", nil, func(err error) {}) // want `fakeDisk.WriteAsync's done callback never reads its error`
+	d.WriteAsync("k", nil, func(err error) {   // want `fakeDisk.WriteAsync's done callback never reads its error`
+		if err := notStorage(); err != nil { // shadows the parameter: still never read
+			return
+		}
+	})
+	n.WriteAsync("k", nil, nil) // ok: not a storage receiver
+}
+
+func asyncHandled(d fakeDisk, logged func(error)) {
+	d.WriteAsync("k", nil, func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	})
+	d.WriteAsync("k", nil, func(err error) { logged(err) })
+	d.WriteAsync("k", nil, logged) // a named callback is trusted
 }

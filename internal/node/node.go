@@ -61,17 +61,31 @@ type Env interface {
 }
 
 // Disk models the node-local stable storage used for sender-based
-// message logging and result archives. Write is durable when it
-// returns: higher layers (internal/msglog) model optimistic logging by
-// delaying the Write call itself.
+// message logging, result archives and the coordinator's job table.
+// Write is durable when it returns: higher layers (internal/msglog)
+// model optimistic logging by delaying the Write call itself.
 //
 // Keys are flat strings; the simulator charges a latency per operation
 // proportional to the data size, the real runtime maps the store to a
 // pluggable durable-store engine (internal/store).
+//
+// Values are immutable and change hands without a copy. Write and
+// WriteAsync take ownership of value: the store keeps that very slice,
+// so the caller must not modify its bytes afterwards (it may keep
+// reading them, and may hand the same slice to the store again). Read
+// returns the stored slice, which the caller must not modify either.
+// Why: every engine serves reads from memory, so a defensive copy on
+// each side of the interface made a 64 KiB payload cost two extra
+// allocations per write and live twice — once decoded in the writer's
+// own table, once in the store. Every writer hands over a buffer it
+// has just encoded or just received and never touches again, so the
+// copies bought nothing. store.Checked enforces the rule in tests.
 type Disk interface {
-	// Write durably stores value under key, replacing any previous value.
+	// Write durably stores value under key, replacing any previous
+	// value. It takes ownership of value (see above).
 	Write(key string, value []byte) error
-	// Read returns the stored value, or ok=false if absent.
+	// Read returns the stored value, or ok=false if absent. The slice
+	// is the store's own: read-only for the caller.
 	Read(key string) (value []byte, ok bool)
 	// Delete durably removes key; deleting an absent key is a no-op.
 	Delete(key string) error
@@ -86,15 +100,22 @@ type Disk interface {
 //
 // Consumers discover it by type assertion on Env.Disk(). When absent,
 // they fall back to synchronous Write calls (per-operation durability,
-// the paper's literal per-entry disk access).
+// the paper's literal per-entry disk access). A writer with several
+// values to make durable together stages all but the last with
+// WriteAsync and issues the last with Write: staging order is commit
+// order, so the one group commit the Write waits for covers them all.
 type BatchDisk interface {
 	Disk
 
 	// WriteAsync stages the write and returns immediately; a Read
-	// issued after WriteAsync returns observes the value. done is
-	// invoked exactly once, on the node's event loop, when the entry
-	// is durable (err == nil) or permanently failed. Ordering between
-	// distinct staged writes is preserved.
+	// issued after WriteAsync returns observes the value. It takes
+	// ownership of value exactly as Write does, from the moment it is
+	// called — not from the moment done runs. done is invoked exactly
+	// once, on the node's event loop, when the entry is durable
+	// (err == nil) or permanently failed; a caller that drops that
+	// error has lost a write without knowing (rpcv-lint's diskerr
+	// analyzer flags it). Ordering between distinct staged writes is
+	// preserved.
 	WriteAsync(key string, value []byte, done func(err error))
 
 	// Sync blocks until every write staged so far is durable.

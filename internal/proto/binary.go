@@ -24,6 +24,7 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"time"
 )
@@ -79,6 +80,7 @@ const (
 	kindJobRecord // storage blobs only; JobRecord is not a Message
 	kindSimFault
 	kindSimVerdict
+	kindJobHeader // storage blobs only: a job record minus its external payloads
 )
 
 // kindOf maps a message to its wire kind byte (0 when unregistered).
@@ -396,6 +398,18 @@ func (r *binReader) time() time.Time {
 		r.fail()
 		return time.Time{}
 	}
+}
+
+// length reads a stored byte count. It sizes a comparison, never an
+// allocation, so the bound only keeps a corrupt one from overflowing
+// int on the way there.
+func (r *binReader) length() int {
+	n := r.uvarint()
+	if n > math.MaxInt32 {
+		r.fail()
+		return 0
+	}
+	return int(n)
 }
 
 func (r *binReader) dur() time.Duration { return time.Duration(r.varint()) }

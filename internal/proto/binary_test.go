@@ -130,6 +130,9 @@ func TestKindBytesStable(t *testing.T) {
 	if kindJobRecord != 25 {
 		t.Errorf("job record kind byte %d, want 25", kindJobRecord)
 	}
+	if kindJobHeader != 28 {
+		t.Errorf("job header kind byte %d, want 28", kindJobHeader)
+	}
 }
 
 // wireSizeHints mirrors each WireSize formula: the number of

@@ -24,7 +24,14 @@ import (
 // Storage blobs (EncodeJob/EncodeMessage) use the same magic: binary
 // blobs are [magic, version, kind, body]; anything else is decoded as
 // gob, so logs and WALs written by pre-binary builds recover under the
-// binary default.
+// binary default. A job header (EncodeJobHeader) is the one blob that
+// nests: a binary prefix naming the payloads stored outside it, then
+// the record itself as either codec's EncodeJob wrote it.
+//
+// Stores keep the very slice an encoder returns (node.Disk's ownership
+// contract), so every storage encoder sizes its result: capacity a
+// generous hint reserved and the encoding did not use would otherwise
+// be retained for as long as the entry is.
 //
 // init registers every concrete message type so that gob can move them
 // through the legacy transport's envelope (whose payload is a Message
@@ -111,20 +118,93 @@ func (c Codec) String() string {
 	return "binary"
 }
 
-// EncodeJob serializes a job record for durable storage.
+// EncodeJob serializes a job record, payloads included, for durable
+// storage.
 func (c Codec) EncodeJob(rec *JobRecord) []byte {
-	if c == CodecGob {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-			// A JobRecord contains only gob-encodable fields; failure
-			// here is a programming error, not an I/O condition.
-			panic(fmt.Sprintf("proto: encode job record: %v", err))
+	return c.EncodeJobHeader(rec, 0)
+}
+
+// JobPayloads is a set of a job record's two payloads.
+type JobPayloads uint8
+
+const (
+	JobParams JobPayloads = 1 << iota
+	JobOutput
+)
+
+// EncodeJobHeader serializes rec for durable storage without the
+// payloads in external: the header records only the length of each, and
+// the caller keeps the bytes elsewhere — written once, while the header
+// is rewritten on every state transition of the job. With nothing
+// external the result is EncodeJob's whole record, byte for byte.
+func (c Codec) EncodeJobHeader(rec *JobRecord, external JobPayloads) []byte {
+	inline := *rec
+	var scratch [4 + 2*binary.MaxVarintLen64]byte
+	prefix := scratch[:0]
+	if external != 0 {
+		prefix = append(prefix, binMagic, binVersion, kindJobHeader, byte(external))
+		if external&JobParams != 0 {
+			prefix = binary.AppendUvarint(prefix, uint64(len(rec.Params)))
+			inline.Params = nil
 		}
-		return buf.Bytes()
+		if external&JobOutput != 0 {
+			prefix = binary.AppendUvarint(prefix, uint64(len(rec.Output)))
+			inline.Output = nil
+		}
 	}
-	dst := make([]byte, 0, 3+rec.wireSize())
-	dst = append(dst, binMagic, binVersion, kindJobRecord)
-	return appendJobBody(dst, rec)
+	if c == CodecGob {
+		return gobJob(prefix, inline)
+	}
+	return encodeSized(len(prefix)+3+inline.wireSize(), func(dst []byte) []byte {
+		dst = append(dst, prefix...)
+		dst = append(dst, binMagic, binVersion, kindJobRecord)
+		return appendJobBody(dst, &inline)
+	})
+}
+
+// gobJob is EncodeJobHeader's legacy arm, apart and by value so that
+// what gob's reflection makes escape is its own copy, not the binary
+// arm's stack.
+func gobJob(prefix []byte, rec JobRecord) []byte {
+	var buf bytes.Buffer
+	buf.Write(prefix)
+	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
+		// A JobRecord contains only gob-encodable fields; failure
+		// here is a programming error, not an I/O condition.
+		panic(fmt.Sprintf("proto: encode job record: %v", err))
+	}
+	return rightSized(buf.Bytes())
+}
+
+// scratchMax is the largest size hint encoded through a pooled scratch
+// buffer and copied out at its exact length. Hints over-estimate by a
+// headerSize per record: a third of a 64 B submission's log entry, noise
+// on the payload-sized encodings above this line, which are therefore
+// allocated from their hint directly and spared the second copy.
+const scratchMax = 4 << 10
+
+// encodeSized runs an append-style encoder and returns its output in a
+// slice of its own with no capacity to spare.
+func encodeSized(hint int, enc func(dst []byte) []byte) []byte {
+	if hint > scratchMax {
+		return rightSized(enc(make([]byte, 0, hint)))
+	}
+	scratch := GetBuffer()
+	scratch.B = enc(scratch.B)
+	out := append([]byte(nil), scratch.B...)
+	PutBuffer(scratch)
+	return out
+}
+
+// rightSized returns b, or a copy of it when b's spare capacity exceeds
+// what the allocator's own size classes would round up to anyway (an
+// eighth): a hint that fell short made append double the buffer, and
+// gob's bytes.Buffer grows by doubling always.
+func rightSized(b []byte) []byte {
+	if cap(b)-len(b) <= len(b)/8 {
+		return b
+	}
+	return append([]byte(nil), b...)
 }
 
 // EncodeMessage serializes any registered protocol message with a kind
@@ -136,17 +216,18 @@ func (c Codec) EncodeMessage(msg Message) []byte {
 		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
 			panic(fmt.Sprintf("proto: encode %s: %v", msg.Kind(), err))
 		}
-		return buf.Bytes()
+		return rightSized(buf.Bytes())
 	}
 	kind := kindOf(msg)
 	if kind == kindInvalid {
 		panic("proto: encode unregistered message type " + msg.Kind())
 	}
 	// WireSize over-estimates framing generously (headerSize per
-	// record), so the single allocation below almost never regrows.
-	dst := make([]byte, 0, 3+msg.WireSize())
-	dst = append(dst, binMagic, binVersion, kind)
-	return appendMessageBody(dst, msg)
+	// record), so a direct allocation almost never regrows.
+	return encodeSized(3+msg.WireSize(), func(dst []byte) []byte {
+		dst = append(dst, binMagic, binVersion, kind)
+		return appendMessageBody(dst, msg)
+	})
 }
 
 // EncodeJob serializes a job record for durable storage with the
@@ -200,6 +281,58 @@ func (d *Decoder) DecodeJob(raw []byte) (*JobRecord, error) {
 		return nil, fmt.Errorf("proto: decode job record: %w", err)
 	}
 	return &rec, nil
+}
+
+// StoredJob is a decoded job header: the record, and which of its
+// payloads the header only measured. Those are nil in Rec; the reader
+// joins them from wherever the writer kept them and checks the lengths.
+type StoredJob struct {
+	Rec       *JobRecord
+	External  JobPayloads
+	ParamsLen int // meaningful when External has JobParams
+	OutputLen int // meaningful when External has JobOutput
+}
+
+// Len returns the length the header recorded for external payload p
+// (JobParams or JobOutput).
+func (s StoredJob) Len(p JobPayloads) int {
+	if p == JobParams {
+		return s.ParamsLen
+	}
+	return s.OutputLen
+}
+
+// DecodeStoredJob parses what any codec's EncodeJobHeader or EncodeJob
+// produced (a whole record is a header with nothing external).
+func (d *Decoder) DecodeStoredJob(raw []byte) (StoredJob, error) {
+	var sj StoredJob
+	if len(raw) >= 3 && raw[0] == binMagic && raw[1] == binVersion && raw[2] == kindJobHeader {
+		rd := binReader{buf: raw[3:]}
+		sj.External = JobPayloads(rd.u8())
+		if sj.External == 0 || sj.External&^(JobParams|JobOutput) != 0 {
+			rd.fail()
+		}
+		if sj.External&JobParams != 0 {
+			sj.ParamsLen = rd.length()
+		}
+		if sj.External&JobOutput != 0 {
+			sj.OutputLen = rd.length()
+		}
+		if rd.err != nil {
+			return StoredJob{}, fmt.Errorf("proto: decode job header: %w", rd.err)
+		}
+		raw = raw[3+rd.pos:]
+	}
+	rec, err := d.DecodeJob(raw)
+	if err != nil {
+		return StoredJob{}, err
+	}
+	// A payload is measured or carried, never both.
+	if (sj.External&JobParams != 0 && rec.Params != nil) || (sj.External&JobOutput != 0 && rec.Output != nil) {
+		return StoredJob{}, fmt.Errorf("proto: decode job header: %w (external payload also inline)", ErrCorrupt)
+	}
+	sj.Rec = rec
+	return sj, nil
 }
 
 // DecodeMessage parses a message previously produced by any codec's

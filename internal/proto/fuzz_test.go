@@ -28,6 +28,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(hbFrame)
+	f.Add(CodecBinary.EncodeJobHeader(&JobRecord{
+		Call: CallID{User: "user-01", Session: 7, Seq: 43}, Service: "svc",
+		Params: make([]byte, 9), State: TaskFinished, Output: []byte{3}, Server: "server-000",
+	}, JobParams))
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, binVersion, kindSubmit})
 	f.Add([]byte{0, 0, 0, 5, kindSubmit, 0})
@@ -55,6 +59,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			if !bytes.Equal(raw, EncodeJob(again)) {
 				t.Fatalf("job encoding is not a fixed point")
+			}
+		}
+		if sj, err := dec.DecodeStoredJob(data); err == nil && sj.External != 0 &&
+			sj.ParamsLen <= 1<<20 && sj.OutputLen <= 1<<20 { // bound fuzz memory
+			// Put payloads of the measured lengths back, and the header
+			// must re-encode to a fixed point like everything else.
+			if sj.External&JobParams != 0 {
+				sj.Rec.Params = make([]byte, sj.ParamsLen)
+			}
+			if sj.External&JobOutput != 0 {
+				sj.Rec.Output = make([]byte, sj.OutputLen)
+			}
+			raw := CodecBinary.EncodeJobHeader(sj.Rec, sj.External)
+			again, err := dec.DecodeStoredJob(raw)
+			if err != nil || again.External != sj.External ||
+				again.ParamsLen != sj.ParamsLen || again.OutputLen != sj.OutputLen {
+				t.Fatalf("re-decode of valid job header: %v, %+v", err, again)
 			}
 		}
 		// The framed wire path: drain frames until error or EOF. The

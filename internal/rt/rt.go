@@ -279,6 +279,7 @@ func Start(cfg Config) (*Runtime, error) {
 	} else {
 		r.store = store.NewMemory()
 	}
+	r.store = checkStore(r.store)
 	if cfg.WrapStore != nil {
 		r.store = cfg.WrapStore(r.store)
 	}
@@ -813,7 +814,9 @@ func (e *rtEnv) After(d time.Duration, fn func()) node.Timer {
 
 // loopDisk adapts a loop's durable store (internal/store; a per-loop
 // staging lane on engines that support one) to the node.BatchDisk
-// contract: synchronous operations pass through, and WriteAsync
+// contract: synchronous operations pass through — values included,
+// uncopied in both directions, so the ownership rule the handler
+// accepted is the one the engine relies on — and WriteAsync
 // completion callbacks — which a group-commit engine runs on its
 // committer goroutine — are marshalled back onto the owning loop,
 // preserving the handlers' no-locking discipline. Completions ride the

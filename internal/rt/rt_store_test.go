@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -77,7 +78,7 @@ func TestStoreEngineMismatchRefused(t *testing.T) {
 // and the reopened store holds a finished, durable record for every
 // call.
 func TestWALCoordinatorKillAndRestartRecovery(t *testing.T) {
-	runWALKillRestart(t, 1, 1)
+	runWALKillRestart(t, 1, 1, 0)
 }
 
 // TestWALCoordinatorKillAndRestartRecoveryMultiLoop is the same crash
@@ -88,13 +89,27 @@ func TestWALCoordinatorKillAndRestartRecovery(t *testing.T) {
 // back, with no record lost to a lane whose staging missed the final
 // group commit.
 func TestWALCoordinatorKillAndRestartRecoveryMultiLoop(t *testing.T) {
-	runWALKillRestart(t, 4, 4)
+	runWALKillRestart(t, 4, 4, 0)
+}
+
+// TestWALCoordinatorKillAndRestartRecoveryLargePayloads is the same
+// crash with 16 KiB params echoed as results, on one loop and on four:
+// each job persists as a header plus two blobs, the blobs staged with
+// WriteAsync ahead of the header's synchronous Write — through a store
+// lane when partitioned — so a kill lands between a blob and its header
+// as readily as anywhere else. Recovery must join every header with its
+// blobs, and every result delivered after the restart must be the echo
+// of its call's params.
+func TestWALCoordinatorKillAndRestartRecoveryLargePayloads(t *testing.T) {
+	runWALKillRestart(t, 1, 1, 16<<10)
+	runWALKillRestart(t, 4, 4, 16<<10)
 }
 
 // runWALKillRestart drives one kill-and-restart recovery scenario with
 // the coordinator on the given loop count and nClients one-session
-// clients spread over distinct users.
-func runWALKillRestart(t *testing.T, loops, nClients int) {
+// clients spread over distinct users, each call carrying payload bytes
+// of params (0: none, and a constant result).
+func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	const (
 		total   = 60
 		beat    = 25 * time.Millisecond
@@ -124,7 +139,20 @@ func runWALKillRestart(t *testing.T, loops, nClients int) {
 	dir := Directory{"co": rco.Addr()}
 
 	services := map[string]server.Service{
-		"noop": func([]byte) ([]byte, error) { return []byte("ok"), nil },
+		"noop": func(p []byte) ([]byte, error) {
+			if payload > 0 {
+				return p, nil
+			}
+			return []byte("ok"), nil
+		},
+	}
+	// paramsOf is call (user c, seq)'s params: distinct per call, so an
+	// echo delivered under the wrong call shows.
+	paramsOf := func(c int, seq proto.RPCSeq) []byte {
+		if payload == 0 {
+			return nil
+		}
+		return bytes.Repeat([]byte{byte(c), byte(seq)}, payload/2)
 	}
 	var rsvs []*Runtime
 	for _, id := range []proto.NodeID{"sv0", "sv1"} {
@@ -151,6 +179,7 @@ func runWALKillRestart(t *testing.T, loops, nClients int) {
 	perClient := total / nClients
 	var rclis []*Runtime
 	for c := 0; c < nClients; c++ {
+		c := c
 		user := proto.UserID(fmt.Sprintf("u%d", c))
 		cli := client.New(client.Config{
 			User:             user,
@@ -161,6 +190,9 @@ func runWALKillRestart(t *testing.T, loops, nClients int) {
 			Logging:          msglog.NonBlockingPessimistic,
 			Disk:             msglog.InstantDisk(),
 			OnResult: func(res proto.Result, _ time.Time) {
+				if payload > 0 && !bytes.Equal(res.Output, paramsOf(c, res.Call.Seq)) {
+					t.Errorf("%s: result is not the echo of its params (%d bytes)", res.Call, len(res.Output))
+				}
 				mu.Lock()
 				results[res.Call] = true
 				mu.Unlock()
@@ -177,7 +209,7 @@ func runWALKillRestart(t *testing.T, loops, nClients int) {
 		rclis = append(rclis, rcli)
 		rcli.Do(func() {
 			for i := 0; i < perClient; i++ {
-				cli.Submit("noop", nil, 0, 0)
+				cli.Submit("noop", paramsOf(c, proto.RPCSeq(i+1)), 0, 0)
 			}
 		})
 	}
@@ -227,16 +259,26 @@ func runWALKillRestart(t *testing.T, loops, nClients int) {
 	}
 	defer func() { _ = st.Close() }() // read-only reopen; nothing to flush
 	finished := 0
+	var dec proto.Decoder
 	for _, key := range st.Keys("coord/job/") {
 		raw, ok := st.Read(key)
 		if !ok {
 			continue
 		}
-		rec, err := proto.DecodeJob(raw)
+		sj, err := dec.DecodeStoredJob(raw)
 		if err != nil {
 			t.Fatalf("corrupt job record %s after recovery: %v", key, err)
 		}
-		if rec.State == proto.TaskFinished {
+		if wantExt := proto.JobParams | proto.JobOutput; payload > 0 && sj.External != wantExt {
+			t.Fatalf("%s: payloads external %b, want both in blobs", key, sj.External)
+		}
+		for suffix, want := range map[string]int{"/p": sj.Len(proto.JobParams), "/o": sj.Len(proto.JobOutput)} {
+			blob, ok := st.Read("coord/blob/" + sj.Rec.Call.String() + suffix)
+			if payload > 0 && (!ok || len(blob) != want || want != payload) {
+				t.Fatalf("%s: blob %s present %v, %d bytes, header says %d", key, suffix, ok, len(blob), want)
+			}
+		}
+		if sj.Rec.State == proto.TaskFinished {
 			finished++
 		}
 	}

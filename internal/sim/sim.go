@@ -106,6 +106,7 @@ type simNode struct {
 	up          bool
 	incarnation uint64
 	disk        *MemDisk
+	envDisk     node.Disk // disk as handlers see it (checkDisk)
 	rng         *rand.Rand
 	env         *simEnv
 }
@@ -123,6 +124,7 @@ func (w *World) AddNode(id proto.NodeID, h node.Handler) {
 		disk:    NewMemDisk(),
 		rng:     rand.New(rand.NewSource(w.rng.Int63())),
 	}
+	n.envDisk = checkDisk(n.disk)
 	w.nodes[id] = n
 	w.order = append(w.order, id)
 }
@@ -177,12 +179,10 @@ func (w *World) Disk(id proto.NodeID) *MemDisk { return w.mustNode(id).disk }
 // different host). Wipe while the node is down, then Start it.
 func (w *World) WipeDisk(id proto.NodeID) {
 	n := w.mustNode(id)
+	// A running node keeps its in-memory state; only future reads see
+	// the empty disk. Callers normally wipe crashed nodes.
 	n.disk = NewMemDisk()
-	if n.up {
-		// A running node keeps its in-memory state; only future reads
-		// see the empty disk. Callers normally wipe crashed nodes.
-		n.env.node.disk = n.disk
-	}
+	n.envDisk = checkDisk(n.disk)
 }
 
 // Nodes returns all registered node IDs in registration order.
@@ -322,7 +322,7 @@ var _ node.Env = (*simEnv)(nil)
 func (e *simEnv) Self() proto.NodeID { return e.node.id }
 func (e *simEnv) Now() time.Time     { return e.world.now }
 func (e *simEnv) Rand() *rand.Rand   { return e.node.rng }
-func (e *simEnv) Disk() node.Disk    { return e.node.disk }
+func (e *simEnv) Disk() node.Disk    { return e.node.envDisk }
 
 func (e *simEnv) Logf(format string, args ...any) {
 	e.world.tracef(e.node.id, format, args...)
@@ -409,7 +409,9 @@ func (q eventQueue) peek() time.Time { return q[0].at }
 // MemDisk is the simulator's node-local stable store. It survives
 // crashes and restarts of its node (the simulator keeps it across
 // incarnations), modelling the local disk that message logs and result
-// archives are written to.
+// archives are written to. It has no cost model (the layers above
+// charge disk latency) and, per the node.Disk ownership contract, no
+// copies: it keeps the slices it is handed and hands them back.
 type MemDisk struct {
 	data map[string][]byte
 }
@@ -421,17 +423,14 @@ func NewMemDisk() *MemDisk { return &MemDisk{data: make(map[string][]byte)} }
 
 // Write implements node.Disk.
 func (d *MemDisk) Write(key string, value []byte) error {
-	d.data[key] = append([]byte(nil), value...)
+	d.data[key] = value
 	return nil
 }
 
 // Read implements node.Disk.
 func (d *MemDisk) Read(key string) ([]byte, bool) {
 	v, ok := d.data[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return v, ok
 }
 
 // Delete implements node.Disk.

@@ -128,14 +128,13 @@ func (l *walLane) clearPending(ops []walOp) {
 // shared batch fsync covers it.
 func (l *walLane) Write(key string, value []byte) error {
 	ch := make(chan error, 1)
-	l.stage(walOp{kind: recPut, key: key, val: append([]byte(nil), value...),
-		done: func(err error) { ch <- err }})
+	l.stage(walOp{kind: recPut, key: key, val: value, done: func(err error) { ch <- err }})
 	return <-ch
 }
 
 // WriteAsync implements Store.
 func (l *walLane) WriteAsync(key string, value []byte, done func(error)) {
-	l.stage(walOp{kind: recPut, key: key, val: append([]byte(nil), value...), done: done})
+	l.stage(walOp{kind: recPut, key: key, val: value, done: done})
 }
 
 // Delete implements Store.
@@ -154,9 +153,8 @@ func (l *walLane) Read(key string) ([]byte, bool) {
 			l.mu.Unlock()
 			return nil, false
 		}
-		v := append([]byte(nil), e.val...)
 		l.mu.Unlock()
-		return v, true
+		return e.val, true
 	}
 	l.mu.Unlock()
 	return l.w.Read(key)

@@ -8,7 +8,9 @@ import (
 
 // Memory is a volatile in-memory store (tests, throwaway clients).
 // Every operation is immediately "durable" for as long as the process
-// lives.
+// lives. It keeps the slices it is handed and hands them back (the
+// node.Disk ownership contract): a write costs a map assignment, not a
+// copy of the value.
 type Memory struct {
 	mu   sync.Mutex
 	data map[string][]byte
@@ -23,7 +25,7 @@ func NewMemory() *Memory { return &Memory{data: make(map[string][]byte)} }
 func (m *Memory) Write(key string, value []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data[key] = append([]byte(nil), value...)
+	m.data[key] = value
 	return nil
 }
 
@@ -40,10 +42,7 @@ func (m *Memory) Read(key string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.data[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return v, ok
 }
 
 // Delete implements Store.

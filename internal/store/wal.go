@@ -93,6 +93,10 @@ type walOp struct {
 // therefore pay one fsync per *batch*, not per operation — concurrent
 // loggers share the disk's access floor, which is the engine-level fix
 // for the paper's fig-4 blocking-pessimistic overhead.
+//
+// Values are never copied on the way in or out (the node.Disk ownership
+// contract): the staged operation, the index, a snapshot's frozen view
+// and every Read share the one slice the writer handed over.
 type WAL struct {
 	dir string
 	opt WALOptions
@@ -318,15 +322,14 @@ func (w *WAL) replaySegment(id uint64, tolerateTail bool) (int, error) {
 // holding it is fsynced.
 func (w *WAL) Write(key string, value []byte) error {
 	ch := make(chan error, 1)
-	w.stage(walOp{kind: recPut, key: key, val: append([]byte(nil), value...),
-		done: func(err error) { ch <- err }})
+	w.stage(walOp{kind: recPut, key: key, val: value, done: func(err error) { ch <- err }})
 	return <-ch
 }
 
 // WriteAsync implements Store: it stages the put and returns; done
 // runs (possibly on the committer goroutine) after the batch fsync.
 func (w *WAL) WriteAsync(key string, value []byte, done func(error)) {
-	w.stage(walOp{kind: recPut, key: key, val: append([]byte(nil), value...), done: done})
+	w.stage(walOp{kind: recPut, key: key, val: value, done: done})
 }
 
 // Delete implements Store: durable like Write (a delete record is
@@ -344,10 +347,7 @@ func (w *WAL) Read(key string) ([]byte, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	v, ok := w.index[key]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), v...), true
+	return v, ok
 }
 
 // Keys implements Store.

@@ -1,0 +1,133 @@
+package rpcv
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"rpcv/internal/coordinator"
+	"rpcv/internal/db"
+	"rpcv/internal/proto"
+)
+
+const largePayload = 64 << 10
+
+// largeCallGrid is a coordinator on a hand-driven env (pollround_test.go)
+// taking 64 KiB calls end to end. The payload slices are made once,
+// outside anything measured: on the real runtime they are what the wire
+// decoder allocated, and every call sharing them is exactly what the
+// node.Disk ownership contract allows.
+type largeCallGrid struct {
+	co             *coordinator.Coordinator
+	env            *handEnv
+	params, output []byte
+	seq            proto.RPCSeq
+}
+
+func newLargeCallGrid() *largeCallGrid {
+	g := &largeCallGrid{env: newHandEnv("co"), params: make([]byte, largePayload), output: make([]byte, largePayload)}
+	for i := range g.params {
+		g.params[i], g.output[i] = byte(i), byte(i>>3)
+	}
+	g.co = coordinator.New(coordinator.Config{
+		Coordinators:    []proto.NodeID{"co"},
+		DBCost:          db.CostModel{PerOp: time.Nanosecond},
+		HeartbeatPeriod: time.Hour, HeartbeatTimeout: 24 * time.Hour,
+	})
+	g.co.Start(g.env)
+	return g
+}
+
+// call pushes one call through the coordinator's handlers: submit,
+// assign, 64 KiB result, and the poll that collects it.
+func (g *largeCallGrid) call(tb testing.TB) proto.CallID {
+	g.seq++
+	id := proto.CallID{User: "u0", Session: 1, Seq: g.seq}
+	g.co.Receive("client-u0-1", &proto.Submit{Call: id, Service: "echo", Params: g.params})
+	g.co.Receive("sv0", &proto.Heartbeat{From: "sv0", Role: proto.RoleServer, Capacity: 1, WantWork: true})
+	g.env.advance(time.Millisecond)
+	var task *proto.TaskAssignment
+	for _, m := range g.env.take() {
+		if ack, ok := m.(*proto.HeartbeatAck); ok && len(ack.Tasks) == 1 {
+			task = &ack.Tasks[0]
+		}
+	}
+	if task == nil || task.Task.Call != id {
+		tb.Fatalf("call %s was not assigned", id)
+	}
+	g.co.Receive("sv0", &proto.TaskResult{From: "sv0", Task: task.Task, Output: g.output})
+	g.co.Receive("client-u0-1", &proto.Poll{User: "u0", Session: 1, Ack: g.seq - 1})
+	g.env.advance(time.Millisecond)
+	for _, m := range g.env.take() {
+		if res, ok := m.(*proto.Results); ok {
+			if len(res.Results) != 1 || &res.Results[0].Output[0] != &g.output[0] {
+				tb.Fatalf("poll for %s returned %d results", id, len(res.Results))
+			}
+			return id
+		}
+	}
+	tb.Fatalf("poll for %s was not answered", id)
+	return id
+}
+
+// TestLargeCallPersistCost guards the split layout and the stores'
+// ownership contract together. A 64 KiB call through the coordinator's
+// handlers — three persists, one poll — used to allocate about eight
+// payloads (the whole record re-encoded on each persist, the store's
+// copy of each encoding); now it allocates three small headers and the
+// messages it sends: well under half a payload. And the job table and
+// the disk hold one slice per payload between them, the caller's.
+func TestLargeCallPersistCost(t *testing.T) {
+	g := newLargeCallGrid()
+	g.call(t) // warm: maps, the scheduler's queue, the encoder's scratch buffer
+	const calls = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var last proto.CallID
+	for i := 0; i < calls; i++ {
+		last = g.call(t)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("coordinator allocates %.0f B per 64 KiB call (payloads: 2 x %d B)", perCall, largePayload)
+	if limit := 0.5 * largePayload; perCall > limit {
+		t.Fatalf("a 64 KiB call allocates %.0f B in the coordinator, over %.0f: a payload is being copied or re-encoded on persist", perCall, limit)
+	}
+
+	rec, ok := g.co.DB().Peek(last)
+	if !ok || rec.State != proto.TaskFinished {
+		t.Fatalf("call %s not finished in the job table", last)
+	}
+	for suffix, want := range map[string][]byte{"/p": g.params, "/o": g.output} {
+		stored, ok := g.env.disk.Read("coord/blob/" + last.String() + suffix)
+		if !ok || len(stored) != len(want) || &stored[0] != &want[0] {
+			t.Fatalf("blob %s: present %v, %d bytes, shares the caller's array %v", suffix, ok, len(stored), ok && &stored[0] == &want[0])
+		}
+	}
+	if &rec.Params[0] != &g.params[0] || &rec.Output[0] != &g.output[0] {
+		t.Fatal("the job table holds copies of the payloads, not the slices the disk holds")
+	}
+	if header, ok := g.env.disk.Read("coord/job/" + last.String()); !ok || len(header) > 256 {
+		t.Fatalf("header present %v, %d bytes: a payload is inline", ok, len(header))
+	}
+}
+
+// BenchmarkLargeCallPersist is TestLargeCallPersistCost's path as a
+// benchmark: run with -benchmem; B/op is what the coordinator allocates
+// for one 64 KiB call, payload-independent once each payload is written
+// once. The 64 B row is the inline path the split leaves alone.
+func BenchmarkLargeCallPersist(b *testing.B) {
+	for _, size := range []int{64, largePayload} {
+		b.Run(fmt.Sprintf("payload=%d", size), func(b *testing.B) {
+			g := newLargeCallGrid()
+			g.params, g.output = g.params[:size], g.output[:size]
+			g.call(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.call(b)
+			}
+		})
+	}
+}
