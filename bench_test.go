@@ -379,3 +379,16 @@ func BenchmarkPollRound(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIdleCall measures one blocking echo call on an idle
+// loopback-TCP grid whose server pull and result poll beat every 200 ms
+// (idlecall_test.go), reported as ms/call: the work and four loopback
+// hops, not the periods.
+func BenchmarkIdleCall(b *testing.B) {
+	s := idleGrid(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idleCall(b, s)
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/call")
+}

@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"runtime"
 	"strings"
 	"time"
 
@@ -61,7 +60,6 @@ func main() {
 	legacyTransport := flag.Bool("legacy-transport", false, "use the paper's connection-per-message transport instead of pooled connections")
 	wire := flag.String("wire", "binary", "wire/storage codec: binary | gob (send gob to pre-binary coordinators; receiving auto-detects)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
-	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "per-core event loops (a client session owns one (user, session) pair, so the runtime clamps this to 1; the flag exists for fleet-wide symmetry)")
 	flag.Parse()
 
 	dirMap, _, err := shared.ParseDirectory(*coords)
@@ -110,7 +108,6 @@ func main() {
 		Shard:           smap,
 		LegacyTransport: *legacyTransport,
 		Wire:            *wire,
-		Loops:           *loops,
 		Obs:             ob,
 	})
 	if err != nil {

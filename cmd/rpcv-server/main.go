@@ -35,7 +35,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -63,7 +62,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "pooled transport connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
-	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "per-core event loops (the worker handler is not partitioned, so the runtime clamps this to 1; the flag exists for fleet-wide symmetry)")
 	flag.Parse()
 
 	wireCodec, err := proto.ParseWire(*wire)
@@ -106,7 +104,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		IdleTimeout:     *idleTimeout,
 		MaxInboundConns: *maxInbound,
-		Loops:           *loops,
 		Obs:             ob,
 	})
 	if err != nil {

@@ -63,17 +63,18 @@
 // Poisson server kill/restart load.
 //
 // The runtime also scales past the paper's one-loop-per-node model:
-// rt.Config.Loops (-loops on every daemon, default GOMAXPROCS) runs M
-// per-core event loops with sessions hash-pinned to a loop by
-// shard.LoopMap, preserving per-session ordering while partitioned
-// handlers (node.PartitionedHandler — the coordinator) split their
-// state, epoch and store lane per loop; non-partitioned handlers are
-// clamped to one loop. Cross-loop and WAL-committer traffic rides a
-// lock-free MPSC handoff ring per loop; store lanes stage into the
-// shared WAL group commit so one fsync covers all loops; -loops=1 is
-// byte-identical on the wire to the pre-loops runtime. Loop-targeted
-// API: DoOn, DoAsyncOn, PingLoop, LoopFor, LoopStats. Measured by the
-// cores dimension of transport-compare.
+// rt.Config.Loops (-loops on rpcv-coordinator only, default
+// GOMAXPROCS) runs M per-core event loops with sessions hash-pinned to
+// a loop by shard.LoopMap, preserving per-session ordering while
+// partitioned handlers (node.PartitionedHandler — the coordinator)
+// split their state, epoch and store lane per loop; the worker and
+// client handlers do not partition and always run on one loop.
+// Cross-loop and WAL-committer traffic rides a lock-free MPSC handoff
+// ring per loop; store lanes stage into the shared WAL group commit so
+// one fsync covers all loops; -loops=1 is byte-identical on the wire to
+// the pre-loops runtime. Loop-targeted API: DoOn, DoAsyncOn, PingLoop,
+// LoopFor, LoopStats. Measured by the cores dimension of
+// transport-compare.
 //
 // internal/proto owns the wire format itself: a hand-written binary
 // codec (the default) with explicit encodings for all 24 message

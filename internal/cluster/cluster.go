@@ -253,6 +253,9 @@ func New(cfg Config) *Cluster {
 				cl.FinishedPerCoord[id]++
 			},
 			Obs: cl.obsFor(id, cfg.Obs),
+			// The simulated figures reproduce the protocol the paper
+			// measured, in which a pull is answered once.
+			PullOnly: true,
 		})
 		cl.Coordinators[id] = co
 		cl.World.AddNode(id, co)

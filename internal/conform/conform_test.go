@@ -23,8 +23,8 @@ func TestParseDefaultSuite(t *testing.T) {
 	if len(s.Cells) != 10 {
 		t.Fatalf("default suite has %d cells, want 10", len(s.Cells))
 	}
-	if len(s.Scenarios) != 6 {
-		t.Fatalf("default suite has %d scenarios, want 6", len(s.Scenarios))
+	if len(s.Scenarios) != 9 {
+		t.Fatalf("default suite has %d scenarios, want 9", len(s.Scenarios))
 	}
 	if got := s.Cells[0].Label(); got != "wire=binary store=wal transport=pooled policy=fcfs loops=1" {
 		t.Fatalf("first cell label = %q", got)
@@ -250,6 +250,55 @@ scenario stale-map
   shards 2
   staleclients
   calls 16
+end
+`)
+}
+
+// The three ways a fault can strand a late reply (internal/coordinator:
+// standing work offers, result subscriptions), at reduced scale.
+
+// TestFrozenPushedIntoPartition: sv0 keeps pulling and so keeps a
+// standing offer, but nothing the coordinator sends reaches it. Calls
+// pushed into the hole must complete on sv1 after a requeue.
+func TestFrozenPushedIntoPartition(t *testing.T) {
+	runFrozen(t, `suite frozen
+cell store=wal
+cell store=memory policy=fastest-first
+scenario pushed-into-partition
+  servers 2
+  calls 24
+  at 100ms block co0 -> sv0
+  at 700ms heal co0 -> sv0
+end
+`)
+}
+
+// TestFrozenStalledWithOffers: the coordinator stalls past the
+// suspicion timeout holding offers and subscriptions, with calls queued
+// behind the stall. On resume the offers are stale and must not be
+// spent; the servers' next pulls carry the backlog.
+func TestFrozenStalledWithOffers(t *testing.T) {
+	runFrozen(t, `suite frozen
+cell store=wal
+scenario stalled-with-offers
+  calls 24
+  gap 20ms
+  at 150ms stall co0 500ms
+end
+`)
+}
+
+// TestFrozenPushedToDeafClient: cli0 is subscribed but stops hearing
+// the coordinator. Pushed results are lost like any reply; the first
+// poll after the heal delivers them, and the application sees each
+// once.
+func TestFrozenPushedToDeafClient(t *testing.T) {
+	runFrozen(t, `suite frozen
+cell store=wal
+scenario pushed-to-deaf-client
+  calls 24
+  at 100ms block co0 -> cli0
+  at 600ms heal co0 -> cli0
 end
 `)
 }

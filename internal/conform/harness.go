@@ -257,12 +257,15 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	var (
 		resMu     sync.Mutex
 		delivered = map[proto.CallID]string{}
+		twice     int // results handed to the application a second time
 		done      = make(chan struct{})
 		once      sync.Once
 	)
 	record := func(res proto.Result, _ time.Time) {
 		resMu.Lock()
-		if _, ok := delivered[res.Call]; !ok {
+		if _, ok := delivered[res.Call]; ok {
+			twice++
+		} else {
 			delivered[res.Call] = resultLine(res.Call, res.Output, res.Err)
 		}
 		n := len(delivered)
@@ -436,6 +439,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	for k, l := range delivered {
 		got[k] = l
 	}
+	dupes := twice
 	resMu.Unlock()
 	lines := make([]string, 0, len(got))
 	for _, l := range got {
@@ -464,6 +468,12 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				break
 			}
 		}
+	}
+	if v.Verdict == "pass" && dupes > 0 {
+		// The coordinator may send a result more than once (a late reply
+		// and a poll's reply can cross); the application sees it once.
+		v.Verdict = "divergent"
+		v.Detail = fmt.Sprintf("%d results delivered to the application twice", dupes)
 	}
 	if v.Verdict == "pass" && missing > 0 {
 		v.Verdict = "lost-results"

@@ -592,7 +592,8 @@ func (sc *Scenario) LastEventAt() time.Duration {
 // DefaultSuite is the embedded conformance + chaos suite rpcv-sim runs
 // when no file is given: ten configuration cells crossing every wire
 // codec, store engine, transport, scheduling policy and a multi-loop
-// coordinator, against scenarios covering the full fault taxonomy.
+// coordinator, against scenarios covering the full fault taxonomy and
+// the three ways a fault can strand a late reply.
 const DefaultSuite = `suite default
 
 # The config matrix. Every cell must deliver the identical result set.
@@ -650,5 +651,38 @@ scenario stale-shard-map
   shards 2
   staleclients
   calls 30
+end
+
+# Late replies (standing work offers, result subscriptions) under the
+# faults that can strand one. New scenarios go below this line: -quick
+# runs the first two that inject faults.
+
+# A late assignment into a one-way partition: sv0 keeps pulling, so it
+# keeps a standing offer while nothing the coordinator sends reaches it,
+# and calls keep arriving. What is pushed into the hole must complete
+# through suspicion and ServerSync requeue, on sv1.
+scenario pushed-into-partition
+  servers 2
+  calls 40
+  at 120ms block co0 -> sv0
+  at 900ms heal co0 -> sv0
+end
+
+# A coordinator stalled past the suspicion timeout while it holds offers
+# and subscriptions: when it resumes they are as old as silence gets and
+# must not be spent on the calls queued behind the stall.
+scenario stalled-with-offers
+  calls 40
+  gap 20ms
+  at 200ms stall co0 600ms
+end
+
+# A subscribed client that stops hearing the coordinator: pushed results
+# are lost like any reply; the first poll after the heal delivers them,
+# none twice.
+scenario pushed-to-deaf-client
+  calls 40
+  at 150ms block co0 -> cli0
+  at 700ms heal co0 -> cli0
 end
 `

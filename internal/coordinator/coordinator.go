@@ -19,6 +19,26 @@
 //   - synchronizes state with reconnecting clients (timestamp
 //     comparison) and servers (peer-wise log comparison).
 //
+// # Late replies
+//
+// The paper makes the volatile side initiate everything — servers pull
+// work with their heartbeats, clients pull results with their polls —
+// because its connections were per message and its nodes firewalled. A
+// call's latency is then two timers: half a heartbeat period queued,
+// half a poll period finished but uncollected. The pulls stay, and
+// stay initiated by the volatile node, but the coordinator may answer
+// one late: a Heartbeat that leaves capacity unused stands as the
+// server's offer, and a job queued while it stands goes out at once in
+// an ordinary HeartbeatAck; a session's last Poll stands as its
+// subscription, and a result finished while it stands goes out at once
+// in an ordinary Results. Same messages, same handlers on the far side
+// (a server backlogs what exceeds its capacity, a client drops what it
+// already holds), same answers — sooner. The timers keep beating: they
+// are the liveness signal, and the retry for a late reply the network
+// loses. late.go has the two tables and their rules; Config.PullOnly
+// turns them off for the simulator, whose figures measure the protocol
+// as the paper ran it.
+//
 // All methods run on the node's event loop (see internal/node); the
 // type has no internal locking and must not be shared across loops.
 package coordinator
@@ -133,6 +153,18 @@ type Config struct {
 	// redirect) on the observer's ring. All instruments are written
 	// from the event loop with plain atomic stores; nil costs nothing.
 	Obs *obs.Observer
+
+	// PullOnly restores the paper's pure-timer protocol: every pull is
+	// answered once, at once, and work or a result that turns up later
+	// waits for the peer's next pull. The zero value answers late (see
+	// the package comment): a call's latency is then the work, not two
+	// timers. Only the simulator builder (internal/cluster) sets it, so
+	// that the simulated figures keep reproducing the protocol the paper
+	// measured. It cannot be inferred: a node.Env looks the same to a
+	// coordinator reproducing a figure and to one serving calls — a late
+	// reply is an ordinary Send in both — and it is not a deployment
+	// choice, which is why no flag or environment variable reaches it.
+	PullOnly bool
 }
 
 func (c *Config) applyDefaults() {
@@ -253,6 +285,12 @@ type Coordinator struct {
 	// that would reference them.
 	unwritten map[proto.CallID]jobParts
 
+	// Late replies (late.go): the standing work offers and the result
+	// subscriptions. Soft state of this incarnation, never persisted or
+	// replicated, and always empty under Config.PullOnly.
+	offers offerBook
+	subs   map[sessionKey]subscription
+
 	stopped bool
 
 	// Metrics.
@@ -268,6 +306,8 @@ type Coordinator struct {
 	stolenIn        int // tasks this coordinator stole and ran locally
 	stolenOutTotal  int // pending tasks granted away to a thief shard
 	stolenHome      int // stolen tasks whose result came home via ShardSync
+	pushedTasks     int // assignments sent as late replies to a standing offer
+	pushedResults   int // results sent as late replies to a subscription
 
 	// cm mirrors the counters above into Config.Obs (every instrument
 	// is a nil-safe no-op when observability is off).
@@ -280,7 +320,10 @@ type coordMetrics struct {
 	redirects, adoptions, speculated, specWins  *obs.Counter
 	stolenIn, stolenOut, stolenHome             *obs.Counter
 	persistErrs                                 [len(persistPartNames)]*obs.Counter
+	assignedPull, assignedPush                  *obs.Counter
+	resultsPoll, resultsPush, offersExpired     *obs.Counter
 	sessions, inflight, specInflight, shardIdx  *obs.Gauge
+	idleSlots                                   *obs.Gauge
 	dispatchLat                                 *obs.Histogram
 }
 
@@ -407,6 +450,8 @@ func (c *Coordinator) Start(env node.Env) {
 	c.dirty = make(map[proto.CallID]bool)
 	c.stolenOut = make(map[proto.CallID]stolenOutInfo)
 	c.unwritten = make(map[proto.CallID]jobParts)
+	c.offers = newOfferBook()
+	c.subs = make(map[sessionKey]subscription)
 	c.stealPending = false
 	c.dbEng = node.SerialResource{}
 	c.replPending = false
@@ -503,14 +548,26 @@ func (c *Coordinator) initObs(env node.Env) {
 		inflight:     reg.Gauge("rpcv_coord_inflight", ls...),
 		specInflight: reg.Gauge("rpcv_coord_spec_inflight", ls...),
 		shardIdx:     reg.Gauge("rpcv_coord_shard_index", ls...),
+
+		assignedPull:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "pull")...),
+		assignedPush:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "push")...),
+		resultsPoll:   reg.Counter("rpcv_coord_results_sent_total", with(ls, "via", "poll")...),
+		resultsPush:   reg.Counter("rpcv_coord_results_sent_total", with(ls, "via", "push")...),
+		offersExpired: reg.Counter("rpcv_coord_offers_expired_total", ls...),
+		idleSlots:     reg.Gauge("rpcv_coord_idle_slots", ls...),
 	}
 	if reg != nil {
 		c.cm.dispatchLat = reg.Histogram("rpcv_coord_dispatch_latency_ns", ls...)
 	}
 	for part, name := range persistPartNames {
-		c.cm.persistErrs[part] = reg.Counter("rpcv_coord_persist_errors_total",
-			append(slices.Clone(ls), obs.L("part", name))...)
+		c.cm.persistErrs[part] = reg.Counter("rpcv_coord_persist_errors_total", with(ls, "part", name)...)
 	}
+}
+
+// with returns ls plus one more label, for the series that split a
+// counter by path.
+func with(ls []obs.Label, key, value string) []obs.Label {
+	return append(slices.Clone(ls), obs.L(key, value))
 }
 
 // trace stamps one span for call on this coordinator's ring (no-op
@@ -852,6 +909,10 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 	default:
 		c.env.Logf("coordinator: unexpected %s from %s", msg.Kind(), from)
 	}
+	// Whatever the message queued — a submission, a requeue after a
+	// server sync, a steal grant, a replica's update — goes out now if a
+	// server's pull is still waiting for it.
+	c.dispatch()
 }
 
 // afterDBCost schedules fn after the virtual latency accumulated by
@@ -918,6 +979,12 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 	})
 }
 
+// resultOf is a finished job's result as a client receives it, in a
+// poll's reply, a late reply or a fetch.
+func resultOf(rec *proto.JobRecord) proto.Result {
+	return proto.Result{Call: rec.Call, Output: rec.Output, Err: rec.ResultErr, Server: rec.Server}
+}
+
 // maxSeq returns the indexed maximum timestamp known for a session.
 func (c *Coordinator) maxSeq(user proto.UserID, session proto.SessionID) proto.RPCSeq {
 	return c.store.MaxSeq(user, session)
@@ -943,13 +1010,10 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 		if rec.State != proto.TaskFinished || (len(have) > 0 && have[0] == rec.Call.Seq) {
 			continue
 		}
-		out = append(out, proto.Result{
-			Call:   rec.Call,
-			Output: rec.Output,
-			Err:    rec.ResultErr,
-			Server: rec.Server,
-		})
+		out = append(out, resultOf(rec))
 	}
+	c.cm.resultsPoll.Add(uint64(len(out)))
+	c.subscribe(from, m)
 	c.afterDBCost(func() {
 		c.env.Send(from, &proto.Results{User: m.User, Session: m.Session, Results: out})
 	})
@@ -969,12 +1033,7 @@ func (c *Coordinator) handleFetchResult(from proto.NodeID, m *proto.FetchResult)
 	reply := &proto.FetchReply{Call: call, Known: ok}
 	if ok && rec.State == proto.TaskFinished {
 		reply.Finished = true
-		reply.Result = proto.Result{
-			Call:   call,
-			Output: rec.Output,
-			Err:    rec.ResultErr,
-			Server: rec.Server,
-		}
+		reply.Result = resultOf(rec)
 	}
 	c.afterDBCost(func() { c.env.Send(from, reply) })
 }
@@ -1021,12 +1080,21 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 		}
 	}
 	ack := &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords}
+	idle := 0
 	if m.WantWork && m.Capacity > 0 {
-		limit := m.Capacity
-		if limit > c.cfg.MaxTasksPerAck {
-			limit = c.cfg.MaxTasksPerAck
+		ack.Tasks = c.assign(from, min(m.Capacity, c.cfg.MaxTasksPerAck))
+		c.cm.assignedPull.Add(uint64(len(ack.Tasks)))
+		if len(ack.Tasks) == 0 && c.eng.Len() == 0 {
+			// An idle server and an empty queue: a sharded coordinator may
+			// try to steal work from its successor shard.
+			c.maybeSteal()
 		}
-		ack.Tasks = c.assign(from, limit)
+		idle = m.Capacity - len(ack.Tasks)
+	}
+	if m.Role == proto.RoleServer {
+		// What this pull leaves unused stands as the server's offer until
+		// its next pull says otherwise.
+		c.standingOffer(from, idle)
 	}
 	c.afterDBCost(func() { c.env.Send(from, ack) })
 }
@@ -1070,9 +1138,8 @@ func (c *Coordinator) ringOnly(ids []proto.NodeID) []proto.NodeID {
 
 // assign pops up to limit schedulable jobs from the engine (policy
 // order, admission gate, speculative duplicates first) and binds them
-// to server. When the queue yields nothing for an idle server, a
-// sharded coordinator may instead try to steal work from its successor
-// shard.
+// to server. It serves a pull (handleHeartbeat) and a late reply to one
+// (dispatch) alike.
 func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignment {
 	var out []proto.TaskAssignment
 	now := c.env.Now()
@@ -1145,9 +1212,6 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 		})
 		limit--
 	}
-	if len(out) == 0 && limit > 0 && c.eng.Len() == 0 {
-		c.maybeSteal()
-	}
 	c.noteInflight()
 	return out
 }
@@ -1200,7 +1264,18 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	if c.cfg.OnJobFinished != nil {
 		c.cfg.OnJobFinished(m.Task.Call, c.env.Now())
 	}
+	// A session that polled lately gets the result now, as one more
+	// reply to that poll, rather than at its next one.
+	client, push := c.subscriber(rec.Call)
+	if push {
+		c.pushedResults++
+		c.cm.resultsPush.Inc()
+	}
 	c.afterDBCost(func() {
+		if push {
+			c.env.Send(client, &proto.Results{User: rec.Call.User, Session: rec.Call.Session,
+				Results: []proto.Result{resultOf(rec)}})
+		}
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
 	})
 }
@@ -1287,6 +1362,10 @@ func (c *Coordinator) onServerSuspected(server proto.NodeID) {
 	// A suspect no longer counts as drain capacity in the admission
 	// gate; it re-earns its speed estimate if it returns.
 	c.eng.ForgetServer(server)
+	if c.offers.drop(server) {
+		c.cm.offersExpired.Inc()
+		c.noteIdleSlots()
+	}
 	calls := c.byServer[server]
 	if len(calls) == 0 {
 		return
@@ -1308,6 +1387,7 @@ func (c *Coordinator) onServerSuspected(server proto.NodeID) {
 		c.requeue(call)
 	}
 	delete(c.byServer, server)
+	c.dispatch()
 }
 
 // promoteSpeculative upgrades a call's speculative duplicate to the
@@ -1570,6 +1650,7 @@ func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
 		if released > 0 {
 			c.env.Logf("coordinator: released %d tasks of suspected predecessor %s", released, id)
 		}
+		c.dispatch()
 	}
 }
 
@@ -1696,6 +1777,7 @@ func (c *Coordinator) onGuardSuspected(proto.NodeID) {
 			c.adopt(s)
 		}
 	}
+	c.dispatch()
 }
 
 // adopt takes over a lost shard: the records previously learned through
@@ -2159,6 +2241,7 @@ func (c *Coordinator) reclaimStolen() {
 		delete(c.stolenOut, call)
 		c.requeue(call)
 	}
+	c.dispatch()
 }
 
 // handleStealGrant (thief side) queues the granted foreign jobs
@@ -2236,6 +2319,10 @@ type Stats struct {
 	StolenIn        int // tasks stolen from the successor shard and run here
 	StolenOut       int // pending tasks granted away to an idle thief shard
 	StolenHome      int // granted tasks whose result came home via ShardSync
+	PushedTasks     int // assignments sent as late replies to a standing offer
+	PushedResults   int // results sent as late replies to a subscription
+	IdleSlots       int // task slots servers have on offer right now
+	Subscriptions   int // sessions whose last poll stands as a subscription
 }
 
 // StatsNow returns the current counters. Event-loop only.
@@ -2270,6 +2357,10 @@ func (c *Coordinator) StatsNow() Stats {
 		StolenIn:        c.stolenIn,
 		StolenOut:       c.stolenOutTotal,
 		StolenHome:      c.stolenHome,
+		PushedTasks:     c.pushedTasks,
+		PushedResults:   c.pushedResults,
+		IdleSlots:       c.offers.slots,
+		Subscriptions:   len(c.subs),
 	}
 }
 

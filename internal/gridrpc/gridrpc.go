@@ -94,12 +94,6 @@ type Config struct {
 	// observability plane (metrics registry + lifecycle tracer; see
 	// internal/obs). Nil disables instrumentation.
 	Obs *obs.Observer
-	// Loops is the number of per-core event loops for the session's
-	// runtime (see rt.Config.Loops). A client handler serves a single
-	// (user, session) pair, so it is not partitioned and the runtime
-	// clamps multi-loop requests to 1; the knob exists so deployments
-	// can pass one fleet-wide value through every component.
-	Loops int
 }
 
 // ErrCancelled is returned by Wait when the context ends first.
@@ -214,7 +208,6 @@ func Dial(cfg Config) (*Session, error) {
 		Logf:            logf,
 		LegacyTransport: cfg.LegacyTransport,
 		Wire:            wire,
-		Loops:           cfg.Loops,
 		Obs:             cfg.Obs,
 	})
 	if err != nil {

@@ -12,6 +12,13 @@
 // forget; replies are just messages in the other direction), there is no
 // reliable delivery, and there are no connection-break fault signals —
 // failure information only ever comes from heartbeat timeouts.
+//
+// Because a reply is only a message, nothing ties it to one request: it
+// may arrive late, and more than once. The coordinator uses that — it
+// answers a server's work pull again when work turns up, and a client's
+// poll again when a result does (internal/coordinator, "Late replies")
+// — so a handler must take a reply whenever it comes: an assignment
+// beyond the capacity last advertised, a result already held.
 package node
 
 import (

@@ -140,6 +140,13 @@ type ShardVerdict struct {
 	RequeueRate float64        `json:"requeue_rate"`
 	DispatchP99 time.Duration  `json:"dispatch_p99"`
 	Burn        float64        `json:"burn"` // window fraction above DispatchP99 target
+
+	// Late replies (see internal/coordinator): the task slots servers
+	// have on offer, and how many assignments and results have gone out
+	// ahead of the peer's next pull since the members booted.
+	IdleSlots     float64 `json:"idle_slots"`
+	PushedTasks   float64 `json:"pushed_tasks"`
+	PushedResults float64 `json:"pushed_results"`
 }
 
 // FleetVerdict is one whole-fleet evaluation.
@@ -378,6 +385,8 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 		requeue float64
 		p99     float64
 		burn    float64
+
+		idle, pushedTasks, pushedResults float64
 	}
 	shards := map[int]*shardAgg{}
 
@@ -456,9 +465,16 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 				shards[idx] = agg
 			}
 			agg.members = append(agg.members, id)
-			if d, ok := st.lastValue("rpcv_sched_queue_depth", nil); ok {
-				agg.depth += d
+			sum := func(into *float64, name string, labels map[string]string) {
+				if v, ok := st.lastValue(name, labels); ok {
+					*into += v
+				}
 			}
+			viaPush := map[string]string{"via": "push"}
+			sum(&agg.depth, "rpcv_sched_queue_depth", nil)
+			sum(&agg.idle, "rpcv_coord_idle_slots", nil)
+			sum(&agg.pushedTasks, "rpcv_coord_assigned_total", viaPush)
+			sum(&agg.pushedResults, "rpcv_coord_results_sent_total", viaPush)
 			if e := st.find("rpcv_coord_requeues_total", nil); e != nil {
 				if r, ok := e.S.Rate(win); ok {
 					agg.requeue += r
@@ -493,6 +509,7 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 			Shard: i, Members: agg.members,
 			QueueDepth: agg.depth, RequeueRate: agg.requeue,
 			DispatchP99: time.Duration(int64(agg.p99)), Burn: agg.burn,
+			IdleSlots: agg.idle, PushedTasks: agg.pushedTasks, PushedResults: agg.pushedResults,
 		}
 		flag := func(l Level, format string, args ...any) {
 			if l > sv.Level {
