@@ -5,23 +5,22 @@
 #                   loop discipline, proto codec completeness, atomic
 #                   hygiene, disk-error hygiene — standalone (cross-
 #                   package call-graph walk) and as go vet -vettool
-#                   (covers _test.go files)
+#                   (covers _test.go files); then a grep that fails if
+#                   a name of the removed gob codec, per-message
+#                   transport or files store is back in Go sources or CI
 #   make bench      full benchmark run (regenerates every figure)
 #   make smoke      1-iteration benchmark smoke (fast CI signal)
 #   make shard      print the shard-scaling table (quick sweep)
 #   make sched      print the scheduling-policy + work-stealing tables
-#   make transport  print the pooled-vs-legacy transport table
-#   make store      print the durable-store (wal vs files) table
-#   make wire       run the codec micro-benchmark (binary vs gob)
 #   make bench-check
 #                   vet + test the repo's benchmark (bench/ is its own
 #                   Go module: the root's ./... does not reach it, yet
 #                   it compiles against a dozen internal packages)
 #   make sim        conformance + chaos smoke: 2 config cells x 2 fault
 #                   scenarios on real loopback clusters (rpcv-sim -quick)
-#   make sim-full   the full conformance matrix: every wire codec, store
-#                   engine, transport, scheduling policy and a multi-
-#                   loop coordinator, each under the full fault taxonomy
+#   make sim-full   the full conformance matrix: both stores, every
+#                   scheduling policy and a multi-loop coordinator, each
+#                   under the full fault taxonomy
 #   make race       race-detect the whole tree
 #   make loops      race-detect the runtime + store lanes at 1 and 4
 #                   event loops (RPCV_LOOPS drives internal/rt's
@@ -34,7 +33,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke shard sched transport store wire sim sim-full race loops obs mon ci
+.PHONY: all vet lint build test bench bench-check smoke shard sched sim sim-full race loops obs mon ci
 
 all: vet lint build test
 
@@ -45,6 +44,7 @@ lint:
 	$(GO) run ./cmd/rpcv-lint ./...
 	$(GO) build -o $(or $(TMPDIR),/tmp)/rpcv-lint ./cmd/rpcv-lint
 	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/rpcv-lint ./...
+	! git grep -nE 'encoding/gob|LegacyTransport|legacy-transport|WireGob|CodecGob|CodecForWire|ParseWire|OpenFiles' -- '*.go' .github
 
 build:
 	$(GO) build ./...
@@ -72,22 +72,13 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkTransportCompare|BenchmarkLogStoreCompare|BenchmarkCodec|BenchmarkIdleCall' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkLoopsScale|BenchmarkIdleCall' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick
 
 sched:
 	$(GO) run ./cmd/rpcv-bench -fig sched-compare -quick
-
-transport:
-	$(GO) run ./cmd/rpcv-bench -fig transport-compare -quick
-
-store:
-	$(GO) run ./cmd/rpcv-bench -fig log-store-compare -quick
-
-wire:
-	$(GO) test -run '^$$' -bench BenchmarkCodec -benchmem .
 
 sim:
 	$(GO) run ./cmd/rpcv-sim -quick

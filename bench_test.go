@@ -1,6 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation
 // (figures 4-11) plus the ablation studies, the shard-scaling
-// experiment and the scheduling-policy comparison (see README.md). Each
+// experiment, the scheduling-policy comparison and the event-loop
+// scaling run (see README.md). Each
 // benchmark runs the corresponding experiment driver in quick mode and
 // reports the headline measurement as custom metrics, so
 //
@@ -23,7 +24,6 @@ import (
 	"rpcv/internal/experiments"
 	"rpcv/internal/metrics"
 	"rpcv/internal/msglog"
-	"rpcv/internal/proto"
 )
 
 const benchSeed = 2004
@@ -247,108 +247,25 @@ func BenchmarkSchedCompare(b *testing.B) {
 	b.ReportMetric(cellDur(b, steal, 1, 1)/1000, "s-steal-on")
 }
 
-// BenchmarkTransportCompare runs the transport experiment on real
-// loopback TCP: the pooled persistent-connection transport vs the
-// paper's connection-per-message transport, both under a Poisson
-// server kill/restart load. Reported metrics: sustained submit
-// throughput (acks/s) and p99 submit latency (ms) per transport — the
-// pooled numbers must dominate.
-func BenchmarkTransportCompare(b *testing.B) {
+// BenchmarkLoopsScale runs the loops-scale experiment on real loopback
+// TCP: sustained submit throughput against a DB-bound coordinator at 1,
+// 2 and 4 event loops. Reported metrics: submits/s and p99 submit
+// latency (ms) per loop count.
+func BenchmarkLoopsScale(b *testing.B) {
 	var res experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.TransportCompare(opts())
+		res = experiments.LoopsScale(opts())
 	}
 	t := res.Tables[0]
 	for row := 0; row < t.Rows(); row++ {
-		name := t.Cell(row, 0) + "-" + t.Cell(row, 1)
-		tp, err := strconv.ParseFloat(t.Cell(row, 2), 64)
+		name := t.Cell(row, 0) + "loop"
+		tp, err := strconv.ParseFloat(t.Cell(row, 1), 64)
 		if err != nil {
-			b.Fatalf("bad throughput cell %q: %v", t.Cell(row, 2), err)
+			b.Fatalf("bad throughput cell %q: %v", t.Cell(row, 1), err)
 		}
 		b.ReportMetric(tp, "submits/s-"+name)
 		b.ReportMetric(cellDur(b, t, row, 4), "ms-p99-"+name)
 	}
-}
-
-// BenchmarkLogStoreCompare regenerates the durable-store comparison:
-// blocking-pessimistic submission throughput per store engine and
-// storage codec on a real loopback grid with real disks under the
-// fig-7 fault load. The wal engine's group commit must show up as a
-// multiple of the files engine's per-key-fsync throughput.
-func BenchmarkLogStoreCompare(b *testing.B) {
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.LogStoreCompare(opts())
-	}
-	t := res.Tables[0]
-	for row := 0; row < t.Rows(); row++ {
-		name := t.Cell(row, 0) + "-" + t.Cell(row, 1)
-		tp, err := strconv.ParseFloat(t.Cell(row, 2), 64)
-		if err != nil {
-			b.Fatalf("bad throughput cell %q: %v", t.Cell(row, 2), err)
-		}
-		b.ReportMetric(tp, "submits/s-"+name)
-		b.ReportMetric(cellDur(b, t, row, 4), "ms-p99-"+name)
-	}
-}
-
-// BenchmarkCodec measures the serialization hot path itself: encode
-// and decode of a small Submit — the message the figures 4-7 axes all
-// stand on — under the legacy gob codec (one encoder allocation and a
-// reflective walk per record, exactly what the retired hot paths paid)
-// and the hand-written binary codec. The binary rows must show ≤1
-// allocation per operation (the returned blob on encode, the decoded
-// message on decode) and a multiple of gob's speed.
-func BenchmarkCodec(b *testing.B) {
-	sub := &proto.Submit{
-		Call:    proto.CallID{User: "u0", Session: 1, Seq: 42},
-		Service: "noop",
-	}
-	b.Run("encode/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = proto.CodecGob.EncodeMessage(sub)
-		}
-	})
-	b.Run("encode/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = proto.CodecBinary.EncodeMessage(sub)
-		}
-	})
-	rawGob := proto.CodecGob.EncodeMessage(sub)
-	rawBin := proto.CodecBinary.EncodeMessage(sub)
-	b.Run("decode/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := proto.DecodeMessage(rawGob); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		var dec proto.Decoder // reused: strings intern across records
-		for i := 0; i < b.N; i++ {
-			if _, err := dec.DecodeMessage(rawBin); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("encode-job/gob", func(b *testing.B) {
-		b.ReportAllocs()
-		rec := &proto.JobRecord{Call: sub.Call, Service: "noop", State: proto.TaskPending}
-		for i := 0; i < b.N; i++ {
-			_ = proto.CodecGob.EncodeJob(rec)
-		}
-	})
-	b.Run("encode-job/binary", func(b *testing.B) {
-		b.ReportAllocs()
-		rec := &proto.JobRecord{Call: sub.Call, Service: "noop", State: proto.TaskPending}
-		for i := 0; i < b.N; i++ {
-			_ = proto.CodecBinary.EncodeJob(rec)
-		}
-	})
 }
 
 // BenchmarkSubmissionThroughput is a micro-benchmark of the simulated

@@ -6,13 +6,14 @@
 //	rpcv-bench -fig all            # every figure, paper-faithful scale
 //	rpcv-bench -fig 7 -quick       # one figure, reduced sweep
 //	rpcv-bench -fig 9 -seed 42     # different randomness
-//	rpcv-bench -fig transport-compare -json   # + BENCH_<name>.json
+//	rpcv-bench -fig shard-scale -json   # + BENCH_<name>.json
 //
 // -json additionally writes each experiment's tables and series to
 // BENCH_<experiment>.json in the current directory, for dashboards and
 // regression tooling that should not scrape text tables.
 //
-// -loops caps the cores dimension of the transport-compare experiment
+// -loops caps the event-loop sweep of the loops-scale experiment — the
+// one figure that runs a real loopback-TCP grid on the wall clock
 // (default: this machine's GOMAXPROCS); sweep points above the cap are
 // skipped so small boxes do not oversubscribe themselves.
 //
@@ -34,15 +35,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, shard-scale, sched-compare, transport-compare, log-store-compare, sim, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, shard-scale, sched-compare, loops-scale, sim, or all")
 	quick := flag.Bool("quick", false, "reduced sweeps and populations")
 	seed := flag.Int64("seed", 2004, "random seed")
-	bundles := flag.String("bundles", "", "flight-bundle directory for the wall-clock compare experiments' fleet watcher (empty: no bundles)")
 	jsonOut := flag.Bool("json", false, "also write each experiment to BENCH_<experiment>.json")
-	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "cap on the per-core event-loop sweep of transport-compare's cores dimension")
+	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "cap on the per-core event-loop sweep of loops-scale")
 	flag.Parse()
 
-	opts := experiments.Options{Seed: *seed, Quick: *quick, BundleDir: *bundles, Loops: *loops}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Loops: *loops}
 	runners := map[string]func(experiments.Options) experiments.Result{
 		"4": experiments.Fig4, "5": experiments.Fig5, "6": experiments.Fig6,
 		"7": experiments.Fig7, "8": experiments.Fig8, "9": experiments.Fig9,
@@ -52,13 +52,12 @@ func main() {
 		"ablation-recovery":    experiments.AblationRecovery,
 		"shard-scale":          experiments.ShardScale,
 		"sched-compare":        experiments.SchedCompare,
-		"transport-compare":    experiments.TransportCompare,
-		"log-store-compare":    experiments.LogStoreCompare,
+		"loops-scale":          experiments.LoopsScale,
 		"sim":                  experiments.Sim,
 	}
 	order := []string{"4", "5", "6", "7", "8", "9", "10", "11",
 		"ablation-heartbeat", "ablation-replication", "ablation-recovery",
-		"shard-scale", "sched-compare", "transport-compare", "log-store-compare", "sim"}
+		"shard-scale", "sched-compare", "loops-scale", "sim"}
 
 	var selected []string
 	if *fig == "all" {
@@ -67,7 +66,7 @@ func main() {
 		for _, f := range strings.Split(*fig, ",") {
 			f = strings.TrimSpace(f)
 			if _, ok := runners[f]; !ok {
-				fmt.Fprintf(os.Stderr, "rpcv-bench: unknown figure %q (want 4..11, ablation-*, shard-scale, sched-compare, transport-compare, log-store-compare, sim, or all)\n", f)
+				fmt.Fprintf(os.Stderr, "rpcv-bench: unknown figure %q (want 4..11, ablation-*, shard-scale, sched-compare, loops-scale, sim, or all)\n", f)
 				os.Exit(2)
 			}
 			selected = append(selected, f)

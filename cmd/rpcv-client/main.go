@@ -6,14 +6,9 @@
 //	rpcv-client -coordinators coord-a=host1:7000 \
 //	    -service upper -data "hello grid" -n 4
 //
-// With -disk, -store selects the durable engine backing the message
-// log ("files", the legacy per-key layout and default, or "wal", the
-// group-commit write-ahead log that batches concurrent submissions'
-// log entries into shared fsyncs).
-//
-// -wire selects the codec for connections and the message log:
-// "binary" (default) or "gob" when talking to pre-binary
-// coordinators. Receiving and log recovery auto-detect either codec.
+// -disk names the directory of the message log, a group-commit
+// write-ahead log that batches concurrent submissions' log entries into
+// shared fsyncs. Without it the log is volatile.
 //
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics, /statusz, /healthz, /tracez and
@@ -31,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"rpcv/internal/gridrpc"
@@ -39,7 +33,6 @@ import (
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/shared"
-	"rpcv/internal/store"
 )
 
 func main() {
@@ -48,7 +41,6 @@ func main() {
 	coords := flag.String("coordinators", "", "comma-separated id=addr coordinator list (required)")
 	listen := flag.String("listen", "127.0.0.1:0", "reply listen address")
 	disk := flag.String("disk", "", "message log directory (empty: volatile)")
-	storeEngine := flag.String("store", store.Default, "durable store engine backing -disk: "+strings.Join(store.Engines(), " | "))
 	service := flag.String("service", "echo", "service name to call")
 	data := flag.String("data", "", "call parameters (string payload)")
 	n := flag.Int("n", 1, "number of concurrent non-blocking calls")
@@ -57,8 +49,6 @@ func main() {
 	wait := flag.Duration("wait", 5*time.Minute, "overall deadline")
 	shardMap := flag.String("shardmap", "", "consistent-hash shard topology (same syntax as rpcv-coordinator); empty: unsharded")
 	shardVersion := flag.Uint64("shardversion", 1, "cached shard map version")
-	legacyTransport := flag.Bool("legacy-transport", false, "use the paper's connection-per-message transport instead of pooled connections")
-	wire := flag.String("wire", "binary", "wire/storage codec: binary | gob (send gob to pre-binary coordinators; receiving auto-detects)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
 	flag.Parse()
 
@@ -98,17 +88,14 @@ func main() {
 	}
 
 	sess, err := gridrpc.Dial(gridrpc.Config{
-		User:            *user,
-		Session:         *session,
-		Coordinators:    coordAddrs,
-		ListenAddr:      *listen,
-		DiskDir:         *disk,
-		Store:           *storeEngine,
-		Logging:         strat,
-		Shard:           smap,
-		LegacyTransport: *legacyTransport,
-		Wire:            *wire,
-		Obs:             ob,
+		User:         *user,
+		Session:      *session,
+		Coordinators: coordAddrs,
+		ListenAddr:   *listen,
+		DiskDir:      *disk,
+		Logging:      strat,
+		Shard:        smap,
+		Obs:          ob,
 	})
 	if err != nil {
 		log.Fatalf("rpcv-client: %v", err)

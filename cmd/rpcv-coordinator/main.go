@@ -5,20 +5,12 @@
 //
 //	rpcv-coordinator -id coord-a -listen :7000 \
 //	    -peers coord-b=host2:7000,coord-c=host3:7000 \
-//	    -disk /var/lib/rpcv/coord-a -store wal -replication 60s
+//	    -disk /var/lib/rpcv/coord-a -replication 60s
 //
-// -store selects the durable engine backing -disk: "files" (legacy
-// one-fsynced-file-per-key layout, the default) or "wal" (group-commit
-// write-ahead log with snapshots and compaction — amortizes the fsync
-// per job record across concurrent submissions). An engine never opens
-// the other engine's directory.
-//
-// -wire selects the codec for outgoing connections and persisted job
-// records: "binary" (default, the zero-allocation length-prefixed
-// codec) or "gob" when this coordinator must send to pre-binary peers.
-// Receiving and database recovery auto-detect either codec, so a
-// mixed cluster interoperates and a WAL written by a gob build
-// recovers under the binary default.
+// -disk names the directory of the coordinator's durable store, a
+// group-commit write-ahead log with snapshots and compaction
+// (internal/store) that amortizes the fsync per job record across
+// concurrent submissions. Without it the job table is volatile.
 //
 // -loops selects the number of per-core event loops (default: the
 // machine's GOMAXPROCS). Sessions are hash-pinned to a loop, and the
@@ -59,7 +51,6 @@ import (
 	"rpcv/internal/rt"
 	"rpcv/internal/sched"
 	"rpcv/internal/shared"
-	"rpcv/internal/store"
 )
 
 func main() {
@@ -68,7 +59,6 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated id=addr fellow coordinators")
 	clients := flag.String("nodes", "", "comma-separated id=addr known clients/servers (static directory)")
 	disk := flag.String("disk", "", "stable storage directory (empty: volatile)")
-	storeEngine := flag.String("store", store.Default, "durable store engine backing -disk: "+strings.Join(store.Engines(), " | "))
 	replication := flag.Duration("replication", 60*time.Second, "passive replication period")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "fault suspicion timeout")
@@ -78,10 +68,8 @@ func main() {
 	policy := flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(sched.Policies(), ", "))
 	speculate := flag.Float64("speculate", 0, "speculative policy's straggler threshold factor k (0: default)")
 	steal := flag.Bool("steal", false, "enable cross-shard work stealing (sharded deployments)")
-	legacyTransport := flag.Bool("legacy-transport", false, "use the paper's connection-per-message transport instead of pooled connections")
-	wire := flag.String("wire", proto.WireBinary, "wire/storage codec: binary | gob (send gob to pre-binary peers; receiving auto-detects)")
-	queueDepth := flag.Int("send-queue", 0, "pooled transport per-peer send queue depth (0: default 128)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "pooled transport connection idle timeout (0: default 30s)")
+	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
+	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
 	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "per-core event loops; sessions are hash-pinned to a loop, so submit throughput scales with cores (1: classic single loop; ring members should share the value)")
@@ -89,10 +77,6 @@ func main() {
 
 	if _, err := sched.New(sched.Config{Policy: *policy}); err != nil {
 		log.Fatalf("rpcv-coordinator: -policy: %v", err)
-	}
-	wireCodec, err := proto.ParseWire(*wire)
-	if err != nil {
-		log.Fatalf("rpcv-coordinator: -wire: %v", err)
 	}
 
 	dir, coordIDs, err := shared.ParseDirectory(*peers)
@@ -155,8 +139,7 @@ func main() {
 		OnJobFinished: func(call proto.CallID, at time.Time) {
 			log.Printf("finished %s at %s", call, at.Format(time.RFC3339))
 		},
-		Codec: proto.CodecForWire(wireCodec),
-		Obs:   ob,
+		Obs: ob,
 	})
 
 	rtm, err := rt.Start(rt.Config{
@@ -164,10 +147,7 @@ func main() {
 		ListenAddr:      *listen,
 		Directory:       dir,
 		DiskDir:         *disk,
-		Store:           *storeEngine,
 		Handler:         co,
-		LegacyTransport: *legacyTransport,
-		Wire:            wireCodec,
 		QueueDepth:      *queueDepth,
 		IdleTimeout:     *idleTimeout,
 		MaxInboundConns: *maxInbound,

@@ -4,17 +4,11 @@
 //
 //	rpcv-server -id worker-7 -listen :7100 \
 //	    -coordinators coord-a=host1:7000,coord-b=host2:7000 \
-//	    -disk /var/lib/rpcv/worker-7 -store wal -parallel 2
+//	    -disk /var/lib/rpcv/worker-7 -parallel 2
 //
-// -store selects the durable engine backing -disk ("files", the
-// legacy per-key layout and default, or "wal", the group-commit
-// write-ahead log); an engine never opens the other's directory.
-//
-// -wire selects the codec for outgoing connections and the result log:
-// "binary" (default, the zero-allocation length-prefixed codec) or
-// "gob" when this worker must send to pre-binary peers. Receiving and
-// log recovery auto-detect either codec, so mixed clusters and old
-// logs just work.
+// -disk names the directory of the worker's durable result log, a
+// group-commit write-ahead log (internal/store). Without it the log is
+// volatile.
 //
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics, /statusz, /healthz, /tracez and
@@ -35,7 +29,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,7 +37,6 @@ import (
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
 	"rpcv/internal/shared"
-	"rpcv/internal/store"
 )
 
 func main() {
@@ -52,22 +44,14 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
 	coords := flag.String("coordinators", "", "comma-separated id=addr coordinator list (required)")
 	disk := flag.String("disk", "", "stable storage directory (empty: volatile)")
-	storeEngine := flag.String("store", store.Default, "durable store engine backing -disk: "+strings.Join(store.Engines(), " | "))
 	parallel := flag.Int("parallel", 1, "concurrent task capacity")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "coordinator suspicion timeout")
-	legacyTransport := flag.Bool("legacy-transport", false, "use the paper's connection-per-message transport instead of pooled connections")
-	wire := flag.String("wire", proto.WireBinary, "wire/storage codec: binary | gob (send gob to pre-binary peers; receiving auto-detects)")
-	queueDepth := flag.Int("send-queue", 0, "pooled transport per-peer send queue depth (0: default 128)")
-	idleTimeout := flag.Duration("idle-timeout", 0, "pooled transport connection idle timeout (0: default 30s)")
+	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
+	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
 	flag.Parse()
-
-	wireCodec, err := proto.ParseWire(*wire)
-	if err != nil {
-		log.Fatalf("rpcv-server: -wire: %v", err)
-	}
 
 	dir, coordIDs, err := shared.ParseDirectory(*coords)
 	if err != nil || len(coordIDs) == 0 {
@@ -88,8 +72,7 @@ func main() {
 		OnTaskDone: func(task proto.TaskID, at time.Time) {
 			log.Printf("executed %s", task)
 		},
-		Codec: proto.CodecForWire(wireCodec),
-		Obs:   ob,
+		Obs: ob,
 	})
 
 	rtm, err := rt.Start(rt.Config{
@@ -97,10 +80,7 @@ func main() {
 		ListenAddr:      *listen,
 		Directory:       dir,
 		DiskDir:         *disk,
-		Store:           *storeEngine,
 		Handler:         sv,
-		LegacyTransport: *legacyTransport,
-		Wire:            wireCodec,
 		QueueDepth:      *queueDepth,
 		IdleTimeout:     *idleTimeout,
 		MaxInboundConns: *maxInbound,

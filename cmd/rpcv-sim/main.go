@@ -1,11 +1,11 @@
 // Command rpcv-sim runs the conformance + chaos matrix: it boots a
-// real loopback cluster per configuration cell (wire codec x store
-// engine x transport x scheduling policy x event-loop count), drives
-// the same deterministic workload through every cell while injecting
-// the fault taxonomy — asymmetric one-way partitions, slow/failing/
-// torn disks mid-group-commit, stalled-not-dead coordinators, clock
-// skew, stale shard maps, crash/restart — and proves every
-// configuration agrees on the identical result set.
+// real loopback cluster per configuration cell (store x scheduling
+// policy x event-loop count), drives the same deterministic workload
+// through every cell while injecting the fault taxonomy — asymmetric
+// one-way partitions, slow/failing/torn disks mid-group-commit,
+// stalled-not-dead coordinators, clock skew, stale shard maps,
+// crash/restart — and proves every configuration agrees on the
+// identical result set.
 //
 // Usage:
 //

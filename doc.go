@@ -32,22 +32,20 @@
 // through cmd/rpcv-coordinator's -policy, -speculate and -steal flags;
 // measured by the sched-compare experiment.
 //
-// internal/store makes stable storage a pluggable durable-store layer
-// behind node.Disk, mapping engines to the paper's three logging
-// strategies (figure 4): "files" keeps the legacy one-fsynced-file-
-// per-key layout whose per-entry disk access is the measured ~30%
-// blocking-pessimistic overhead; "wal" — a segmented group-commit
+// internal/store is the durable-store layer behind node.Disk. A node
+// given a directory (-disk) gets the WAL — a segmented group-commit
 // write-ahead log with CRC-framed records, snapshots, compaction and
-// torn-tail-tolerant recovery — batches concurrent log entries into
-// shared fsyncs, making blocking-pessimistic logging nearly as cheap
-// as optimistic while keeping durability-before-send; "memory" is the
-// volatile stand-in. internal/msglog routes every strategy's
-// durability wait through the store's batch commit (node.BatchDisk),
-// and msglog.Config.Batched models the same amortization on the
-// simulator's virtual clock (node.BatchResource). Selected with
-// -store on every daemon; measured by the log-store-compare
-// experiment; crash recovery proven by the kill-and-restart
-// coordinator test in internal/rt.
+// torn-tail-tolerant recovery — which batches concurrent log entries
+// into shared fsyncs, making blocking-pessimistic logging nearly as
+// cheap as optimistic while keeping durability-before-send; a node
+// without one gets the volatile in-memory store. internal/msglog routes
+// every strategy's durability wait through the store's batch commit
+// (node.BatchDisk), and msglog.Config.Batched models the same
+// amortization on the simulator's virtual clock (node.BatchResource);
+// the per-entry disk access behind the paper's ~30%
+// blocking-pessimistic overhead (figure 4) is the simulator's disk
+// model, not an engine. Crash recovery is proven by the
+// kill-and-restart coordinator tests in internal/rt.
 //
 // internal/rt's transport pools connections beyond the paper's
 // connection-per-message model: one long-lived connection per peer
@@ -57,10 +55,7 @@
 // accept-side shedding (MaxInboundConns) against fd exhaustion. The
 // paper's fault semantics are untouched — sends never block or fail
 // loudly, and connection breaks are never fault signals; heartbeat
-// timeouts remain the only suspicion source. The -legacy-transport
-// flag (rt.Config.LegacyTransport) restores one-message-per-connection
-// wire behaviour. Measured by the transport-compare experiment under a
-// Poisson server kill/restart load.
+// timeouts remain the only suspicion source.
 //
 // The runtime also scales past the paper's one-loop-per-node model:
 // rt.Config.Loops (-loops on rpcv-coordinator only, default
@@ -73,20 +68,16 @@
 // ring per loop; store lanes stage into the shared WAL group commit so
 // one fsync covers all loops; -loops=1 is byte-identical on the wire to
 // the pre-loops runtime. Loop-targeted API: DoOn, DoAsyncOn, PingLoop,
-// LoopFor, LoopStats. Measured by the cores dimension of
-// transport-compare.
+// LoopFor, LoopStats. Measured by the loops-scale experiment.
 //
-// internal/proto owns the wire format itself: a hand-written binary
-// codec (the default) with explicit encodings for all 24 message
-// kinds plus JobRecord — length-prefixed frames behind a magic
-// version preface, pooled encode buffers sized by the WireSize hints,
-// a reusable in-place frame decoder with string interning, ≤1
-// allocation per encode or decode (BenchmarkCodec; make wire). The
-// -wire flag (rt.Config.Wire, gridrpc.Config.Wire) selects what a
-// node sends ("binary" or "gob" for pre-binary peers); receivers
-// auto-detect per connection, and storage decoding auto-detects per
-// blob, so mixed clusters interoperate and gob-era WALs and logs
-// recover under the binary build.
+// internal/proto owns the wire format itself: one hand-written binary
+// codec with explicit encodings for all 26 message kinds plus JobRecord
+// — length-prefixed frames behind a magic version preface, pooled
+// encode buffers sized by the WireSize hints, a reusable in-place frame
+// decoder with string interning, ≤1 allocation per encode or decode
+// (TestBinaryCodecAllocations). The same encoding frames connections
+// and storage blobs; input that does not open with the magic is refused
+// on the wire and decodes to proto.ErrCorrupt from the disk.
 //
 // internal/obs is the live observability plane: a concurrency-safe
 // labeled metrics registry (atomic counters/gauges and a lock-cheap
@@ -100,8 +91,7 @@
 // 0.0.4 text), /statusz (JSON snapshot of the event-loop state),
 // /healthz, /tracez (span-ring dump) and /debug/pprof/. The
 // transport, store, scheduler, coordinator, server and client all
-// register into it, and the comparison experiments read their numbers
-// from the registry instead of ad-hoc counters.
+// register into it.
 //
 // internal/obs/fleet closes the loop with a cluster monitor and flight
 // recorder, run as the fourth daemon cmd/rpcv-mon: it scrapes every
@@ -117,8 +107,8 @@
 // Chrome trace JSON, every node's metric history rings, raw
 // expositions, statusz snapshots and pprof profiles, all in one
 // timestamped directory. The simulated cluster harness and the
-// wall-clock comparison experiments wire into the same monitor, so
-// chaos runs get fleet grading and post-mortems for free.
+// conformance matrix wire into the same monitor, so chaos runs get
+// fleet grading and post-mortems for free.
 //
 // internal/lint turns the codebase's hand-policed invariants into
 // machine-checked ones: a suite of project-specific static analyzers
@@ -127,20 +117,19 @@
 // annotations and reports blocking primitives reachable on the event
 // loop, plus off-loop touches of //rpcv:loop-owned handler state;
 // protocomplete cross-checks that every proto message kind is wired
-// into the kind constants, kindOf, the binary encoder and decoder and
-// the gob registry simultaneously; atomicfield reports mixed
-// atomic/plain access to the same field; diskerr reports discarded
-// errors from node.Disk/store calls. `make lint` runs all four and is
-// part of the default verify path and CI.
+// into the kind constants, kindOf and the binary encoder and decoder
+// simultaneously; atomicfield reports mixed atomic/plain access to the
+// same field; diskerr reports discarded errors from node.Disk/store
+// calls. `make lint` runs all four and is part of the default verify
+// path and CI.
 //
 // internal/conform is the conformance + chaos matrix harness behind
 // cmd/rpcv-sim: it boots a real loopback cluster per cell of the
-// configuration matrix (wire codec x store engine x transport x
-// scheduling policy x event-loop count), drives one deterministic
-// workload through every cell, and injects the fault taxonomy from a
+// configuration matrix (store x scheduling policy x event-loop
+// count), drives one deterministic workload through every cell, and injects the fault taxonomy from a
 // declarative scenario timeline — asymmetric one-way partitions (a
 // per-directed-link TCP proxy over netmodel.Rules), slow, failing and
-// torn disks mid-group-commit (store.FaultPlan wrapping any engine),
+// torn disks mid-group-commit (store.FaultPlan wrapping the store),
 // stalled-not-dead coordinators (frozen event loops behind a live TCP
 // listener), clock skew (rt.SetClockOffset behind node.Env.Now),
 // stale shard maps and crash/restart. Because the workload output is

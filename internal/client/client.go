@@ -83,11 +83,6 @@ type Config struct {
 	// count).
 	OnSyncReply func(rtt time.Duration)
 
-	// Codec selects the encoding of durably logged submissions. The
-	// zero value is the binary codec; recovery auto-detects, so a log
-	// written under either codec replays under either.
-	Codec proto.Codec
-
 	// Obs, when non-nil, receives labeled metrics (submissions,
 	// completions, failovers, syncs, redirects, pending calls,
 	// submit-to-result latency) and per-call lifecycle trace spans
@@ -438,7 +433,7 @@ func (c *Client) sendSubmit(cl *call) {
 	seq := cl.submit.Call.Seq
 	entry := msglog.Entry{
 		Key:  fmt.Sprintf("%020d", seq),
-		Data: c.cfg.Codec.EncodeMessage(cl.submit),
+		Data: proto.EncodeMessage(cl.submit),
 	}
 	c.log.LogAndSend(c.pref, cl.submit, entry, func() {
 		cl.logDone = true

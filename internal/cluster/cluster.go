@@ -9,8 +9,8 @@
 // the real-time runtime, where wall-clock parallelism exists to win.
 // Under the virtual clock the sequential executor is already
 // deterministic and "instant", so this harness never partitions a
-// handler; the cores dimension of the transport-compare experiment
-// measures the loops on the TCP runtime instead.
+// handler; the loops-scale experiment measures the loops on the TCP
+// runtime instead.
 package cluster
 
 import (

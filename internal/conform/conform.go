@@ -1,10 +1,9 @@
 // Package conform is the conformance + chaos matrix harness behind
 // rpcv-sim: it boots real loopback clusters — one per cell of the
-// configuration matrix (wire codec x store engine x transport x
-// scheduling policy x event-loop count) — drives the same
-// deterministic workload through each, injects the fault taxonomy
-// from a declarative scenario timeline (asymmetric one-way
-// partitions, slow/failing/torn disks mid-group-commit,
+// configuration matrix (store x scheduling policy x event-loop count) —
+// drives the same deterministic workload through each, injects the
+// fault taxonomy from a declarative scenario timeline (asymmetric
+// one-way partitions, slow/failing/torn disks mid-group-commit,
 // stalled-not-dead coordinators, clock skew, stale shard maps,
 // crash/restart), and asserts every configuration agrees: the
 // identical (CallID -> result) set, zero lost completed results, one

@@ -20,14 +20,24 @@ func TestParseDefaultSuite(t *testing.T) {
 	if s.Name != "default" {
 		t.Fatalf("suite name = %q", s.Name)
 	}
-	if len(s.Cells) != 10 {
-		t.Fatalf("default suite has %d cells, want 10", len(s.Cells))
+	wantCells := []string{
+		"store=wal policy=fcfs loops=1",
+		"store=wal policy=fcfs loops=2", // -quick's second cell: the multi-loop coordinator
+		"store=memory policy=fcfs loops=1",
+		"store=wal policy=fastest-first loops=1",
+		"store=wal policy=deadline loops=1",
+		"store=wal policy=speculative loops=1",
+	}
+	if len(s.Cells) != len(wantCells) {
+		t.Fatalf("default suite has %d cells, want %d", len(s.Cells), len(wantCells))
+	}
+	for i, want := range wantCells {
+		if got := s.Cells[i].Label(); got != want {
+			t.Errorf("cell %d = %q, want %q", i, got, want)
+		}
 	}
 	if len(s.Scenarios) != 9 {
 		t.Fatalf("default suite has %d scenarios, want 9", len(s.Scenarios))
-	}
-	if got := s.Cells[0].Label(); got != "wire=binary store=wal transport=pooled policy=fcfs loops=1" {
-		t.Fatalf("first cell label = %q", got)
 	}
 	// Every fault kind of the taxonomy appears somewhere in the suite.
 	kinds := map[string]bool{}
@@ -64,6 +74,9 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 		"unknown directive":  "suite x\nbogus\n",
 		"unknown cell key":   "suite x\ncell color=red\n",
 		"unknown store":      "suite x\ncell store=floppy\n",
+		"removed store":      "suite x\ncell store=files\nscenario a\nend\n",
+		"removed wire key":   "suite x\ncell wire=binary\nscenario a\nend\n",
+		"removed transport":  "suite x\nmatrix transport=pooled\nscenario a\nend\n",
 		"loops out of range": "suite x\ncell loops=99\n",
 		"unclosed scenario":  "suite x\ncell store=wal\nscenario a\n",
 		"bad event node":     "suite x\ncell store=wal\nscenario a\nat 1ms crash xx9\nend\n",
@@ -75,7 +88,7 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 		"stale no shards":    "suite x\ncell store=wal\nscenario a\nstaleclients\nend\n",
 		"dup scenario":       "suite x\ncell store=wal\nscenario a\nend\nscenario a\nend\n",
 		"calls below grid":   "suite x\ncell store=wal\nscenario a\nclients 4\ncalls 2\nend\n",
-		"matrix no values":   "suite x\nmatrix wire=\n",
+		"matrix no values":   "suite x\nmatrix store=\n",
 		"giant input":        "suite x\n" + strings.Repeat("# pad\n", 200_000),
 	}
 	for name, src := range cases {
@@ -86,7 +99,7 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 }
 
 func TestParseMatrixCrossProduct(t *testing.T) {
-	s, err := ParseSuite("suite x\nmatrix wire=binary,gob store=wal,files,memory\nscenario a\nend\n")
+	s, err := ParseSuite("suite x\nmatrix store=wal,memory policy=fcfs,deadline,speculative\nscenario a\nend\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +108,7 @@ func TestParseMatrixCrossProduct(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range s.Cells {
-		seen[c.Wire+"/"+c.Store] = true
+		seen[c.Store+"/"+c.Policy] = true
 	}
 	if len(seen) != 6 {
 		t.Fatalf("matrix cells not distinct: %v", seen)
@@ -304,12 +317,12 @@ end
 }
 
 // TestFrozenCrossConfigAgreement is the conformance core at smoke
-// scale: two cells differing in wire codec and store engine run the
-// same faulted workload and must land on one digest.
+// scale: two cells differing in store and loop count run the same
+// faulted workload and must land on one digest.
 func TestFrozenCrossConfigAgreement(t *testing.T) {
 	rep := runFrozen(t, `suite frozen
-cell wire=binary store=wal
-cell wire=gob store=memory
+cell store=wal loops=2
+cell store=memory
 scenario faulted
   calls 20
   at 100ms block co0 -> sv0
@@ -355,10 +368,10 @@ func TestSelectMatrixFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells, scenarios := selectMatrix(suite, Options{
-		Cells:     []string{"store=files"},
+		Cells:     []string{"store=memory"},
 		Scenarios: []string{"disk-fault"},
 	})
-	if len(cells) != 1 || cells[0].Store != "files" {
+	if len(cells) != 1 || cells[0].Store != "memory" {
 		t.Fatalf("cell filter selected %v", cells)
 	}
 	if len(scenarios) != 1 || scenarios[0].Name != "disk-fault" {

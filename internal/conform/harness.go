@@ -138,7 +138,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		reg = obs.NewRegistry()
 	}
 
-	codec := proto.CodecForWire(cell.Wire)
 	slots := map[string]*nodeSlot{}
 	plans := map[string]*store.FaultPlan{}
 	var slotsMu sync.Mutex
@@ -166,9 +165,9 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		}
 	}()
 
-	// Coordinators: the cell's store engine under a fault-injection
-	// wrapper (interposed after the engine's own dir-refusal checks),
-	// the cell's codec, transport, policy and loop count.
+	// Coordinators: the cell's store under a fault-injection wrapper
+	// (interposed after the WAL's own dir-refusal check), the cell's
+	// policy and loop count.
 	diskRoot, err := os.MkdirTemp("", "rpcv-sim-*")
 	if err != nil {
 		return fail("mkdir: %v", err)
@@ -195,16 +194,14 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				HeartbeatPeriod:   beat,
 				HeartbeatTimeout:  suspect,
 				ReplicationPeriod: 150 * time.Millisecond,
-				Codec:             codec,
 				Policy:            cell.Policy,
 				Shard:             truth,
 				Obs:               observer(id),
 			})
 			return rt.Start(rt.Config{
 				ID: id, ListenAddr: "127.0.0.1:0", Handler: co,
-				Directory: dir, DiskDir: diskDir, Store: cell.Store,
+				Directory: dir, DiskDir: diskDir,
 				Loops: cell.Loops, Seed: opts.Seed + int64(i),
-				LegacyTransport: cell.Transport == "legacy", Wire: cell.Wire,
 				Logf:      logf,
 				WrapStore: func(s store.Store) store.Store { return store.WithFaults(s, plan) },
 			})
@@ -234,12 +231,10 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				HeartbeatPeriod:  beat,
 				SuspicionTimeout: suspect,
 				Services:         services,
-				Codec:            codec,
 			})
 			return rt.Start(rt.Config{
 				ID: id, ListenAddr: "127.0.0.1:0", Handler: sv,
 				Directory: dir, Seed: opts.Seed + 100 + int64(i),
-				LegacyTransport: cell.Transport == "legacy", Wire: cell.Wire,
 				Logf: logf, Obs: observer(id),
 			})
 		}
@@ -295,7 +290,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			SuspicionTimeout: suspect,
 			Logging:          msglog.NonBlockingPessimistic,
 			Disk:             msglog.InstantDisk(),
-			Codec:            codec,
 			Shard:            cliShard,
 			OnResult:         record,
 			Obs:              observer(id),
@@ -306,7 +300,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			return rt.Start(rt.Config{
 				ID: id, ListenAddr: "127.0.0.1:0", Handler: cli,
 				Directory: dir, Seed: opts.Seed + 200 + int64(i),
-				LegacyTransport: cell.Transport == "legacy", Wire: cell.Wire,
 				Logf: logf,
 			})
 		}

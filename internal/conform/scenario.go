@@ -11,23 +11,20 @@ import (
 // Cell is one configuration of the daemon matrix: the knobs every
 // deployment can turn, all of which must agree on delivered results.
 type Cell struct {
-	Wire      string // "binary" | "gob"
-	Store     string // "wal" | "files" | "memory"
-	Transport string // "pooled" | "legacy"
-	Policy    string // "fcfs" | "fastest-first" | "deadline" | "speculative"
-	Loops     int    // coordinator event loops
+	Store  string // "wal" | "memory"
+	Policy string // "fcfs" | "fastest-first" | "deadline" | "speculative"
+	Loops  int    // coordinator event loops
 }
 
 // DefaultCell is the cell every omitted key resolves to.
 func DefaultCell() Cell {
-	return Cell{Wire: "binary", Store: "wal", Transport: "pooled", Policy: "fcfs", Loops: 1}
+	return Cell{Store: "wal", Policy: "fcfs", Loops: 1}
 }
 
 // Label renders the cell canonically (fixed key order), used as its
 // identity in verdicts and artifacts.
 func (c Cell) Label() string {
-	return fmt.Sprintf("wire=%s store=%s transport=%s policy=%s loops=%d",
-		c.Wire, c.Store, c.Transport, c.Policy, c.Loops)
+	return fmt.Sprintf("store=%s policy=%s loops=%d", c.Store, c.Policy, c.Loops)
 }
 
 // Event is one timed fault injection in a scenario.
@@ -89,17 +86,15 @@ const (
 )
 
 var (
-	validWire      = map[string]bool{"binary": true, "gob": true}
-	validStore     = map[string]bool{"wal": true, "files": true, "memory": true}
-	validTransport = map[string]bool{"pooled": true, "legacy": true}
-	validPolicy    = map[string]bool{"fcfs": true, "fastest-first": true, "deadline": true, "speculative": true}
+	validStore  = map[string]bool{"wal": true, "memory": true}
+	validPolicy = map[string]bool{"fcfs": true, "fastest-first": true, "deadline": true, "speculative": true}
 )
 
 // ParseSuite parses the declarative scenario-file format:
 //
 //	suite <name>
-//	matrix wire=binary,gob store=wal,memory ...   # cross product
-//	cell wire=binary store=files ...              # one explicit cell
+//	matrix store=wal,memory loops=1,2 ...   # cross product
+//	cell store=wal policy=deadline ...      # one explicit cell
 //	scenario <name>
 //	  clients 2
 //	  servers 3
@@ -265,21 +260,11 @@ func parseCell(kvs []string) (Cell, error) {
 
 func setCellKey(c *Cell, key, val string) error {
 	switch key {
-	case "wire":
-		if !validWire[val] {
-			return fmt.Errorf("unknown wire %q", val)
-		}
-		c.Wire = val
 	case "store":
 		if !validStore[val] {
 			return fmt.Errorf("unknown store %q", val)
 		}
 		c.Store = val
-	case "transport":
-		if !validTransport[val] {
-			return fmt.Errorf("unknown transport %q", val)
-		}
-		c.Transport = val
 	case "policy":
 		if !validPolicy[val] {
 			return fmt.Errorf("unknown policy %q", val)
@@ -590,20 +575,21 @@ func (sc *Scenario) LastEventAt() time.Duration {
 }
 
 // DefaultSuite is the embedded conformance + chaos suite rpcv-sim runs
-// when no file is given: ten configuration cells crossing every wire
-// codec, store engine, transport, scheduling policy and a multi-loop
-// coordinator, against scenarios covering the full fault taxonomy and
-// the three ways a fault can strand a late reply.
+// when no file is given: six configuration cells — both stores, a
+// multi-loop coordinator and every scheduling policy — against
+// scenarios covering the full fault taxonomy and the three ways a fault
+// can strand a late reply.
 const DefaultSuite = `suite default
 
 # The config matrix. Every cell must deliver the identical result set.
-matrix wire=binary,gob store=wal,memory
-cell store=files
-cell store=wal transport=legacy
+# -quick runs the first two cells: the default and the multi-loop
+# coordinator.
+cell store=wal
+cell store=wal loops=2
+cell store=memory
 cell store=wal policy=fastest-first
 cell store=wal policy=deadline
 cell store=wal policy=speculative
-cell store=wal loops=2
 
 # No faults: the conformance baseline.
 scenario baseline

@@ -102,14 +102,6 @@ type Config struct {
 	// figures 9-11 plot exactly this counter over time).
 	OnJobFinished func(call proto.CallID, at time.Time)
 
-	// Codec selects the encoding of persisted job headers (payload
-	// blobs are raw bytes under either). The zero value is the binary
-	// codec; loadStore auto-detects, so a database written under either
-	// codec — or by a build that persisted whole records, payloads
-	// inside — recovers under either, and holds only headers and blobs
-	// once it has.
-	Codec proto.Codec
-
 	// Shard, when non-nil and describing more than one ring, places
 	// this coordinator in the sharded coordination layer: sessions
 	// hashing to a foreign shard are redirected (ShardRedirect) instead
@@ -826,7 +818,7 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
 	}
 	// Encode before staging anything: the less time between a staged
 	// blob and its header, the surer one group commit takes both.
-	header := c.cfg.Codec.EncodeJobHeader(rec, external)
+	header := proto.EncodeJobHeader(rec, external)
 	for _, b := range blobs {
 		if external&fresh&b.part == 0 {
 			continue

@@ -411,7 +411,7 @@ func gridTrace(t *testing.T, cfg Config) string {
 	w := sim.NewWorld(sim.Config{Seed: 2004})
 	record := func(id proto.NodeID, inner node.Handler) {
 		w.AddNode(id, &recorder{Handler: inner, note: func(from proto.NodeID, m proto.Message) {
-			fmt.Fprintf(h, "%d %s>%s %x\n", w.Elapsed(), from, id, proto.CodecBinary.EncodeMessage(m))
+			fmt.Fprintf(h, "%d %s>%s %x\n", w.Elapsed(), from, id, proto.EncodeMessage(m))
 		}})
 	}
 	cfg.Coordinators = []proto.NodeID{"co"}

@@ -1,5 +1,7 @@
 // Package experiments regenerates every figure of the paper's
 // evaluation section (figures 4 through 11) on the simulated testbed.
+// Two entries run on real loopback TCP instead: LoopsScale (the
+// multi-loop coordinator's speedup) and Sim (the conformance matrix).
 //
 // Each FigN function runs the corresponding experiment and returns its
 // data as metrics tables/series, which cmd/rpcv-bench prints and
@@ -21,14 +23,10 @@ type Options struct {
 	Seed int64
 	// Quick shrinks sweeps and populations for fast runs (tests).
 	Quick bool
-	// BundleDir, when set, arms the wall-clock compare experiments'
-	// fleet watcher: the first server death in each run captures a
-	// post-mortem flight bundle there (rpcv-bench -bundles).
-	BundleDir string
-	// Loops caps the cores dimension of TransportCompare (rpcv-bench
-	// -loops). 0 means uncapped: the full 1/2/4 sweep runs. Sweep
-	// points above the cap are dropped, so a 2-core box can pass
-	// -loops 2 and skip the oversubscribed 4-loop row.
+	// Loops caps LoopsScale's sweep (rpcv-bench -loops). 0 means
+	// uncapped: the full 1/2/4 sweep runs. Sweep points above the cap
+	// are dropped, so a 2-core box can pass -loops 2 and skip the
+	// oversubscribed 4-loop row.
 	Loops int
 }
 

@@ -12,9 +12,8 @@ import (
 // an experiment result, so rpcv-bench -fig sim -json lands the grid's
 // agreement evidence in BENCH_sim.json next to the performance
 // figures. Quick trims to the CI smoke matrix; the full run is the
-// embedded default suite — every wire codec, store engine, transport,
-// scheduling policy and a multi-loop coordinator, each under the full
-// fault taxonomy.
+// embedded default suite — both stores, every scheduling policy and a
+// multi-loop coordinator, each under the full fault taxonomy.
 func Sim(opts Options) Result {
 	opts.applyDefaults()
 	suite, err := conform.ParseSuite(conform.DefaultSuite)
@@ -23,11 +22,7 @@ func Sim(opts Options) Result {
 		// parse it is a build defect, not a runtime condition.
 		panic(fmt.Sprintf("sim: embedded suite: %v", err))
 	}
-	rep, err := conform.Run(suite, conform.Options{
-		Seed:        opts.Seed,
-		Quick:       opts.Quick,
-		ArtifactDir: opts.BundleDir,
-	})
+	rep, err := conform.Run(suite, conform.Options{Seed: opts.Seed, Quick: opts.Quick})
 	if err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
 	}

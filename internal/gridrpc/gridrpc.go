@@ -59,13 +59,10 @@ type Config struct {
 	// ListenAddr is this client's address for coordinator replies.
 	// Default "127.0.0.1:0".
 	ListenAddr string
-	// DiskDir backs the client's message log; empty means volatile.
+	// DiskDir backs the client's message log with a write-ahead log
+	// (internal/store): concurrent CallAsync submissions' log entries
+	// share group-commit fsyncs. Empty means volatile.
 	DiskDir string
-	// Store selects the durable-store engine backing DiskDir ("files",
-	// the default, or "wal"; see internal/store). With "wal",
-	// concurrent CallAsync submissions' log entries share group-commit
-	// fsyncs, cutting pessimistic-logging overhead.
-	Store string
 	// Logging selects the message-logging strategy. The paper
 	// recommends non-blocking pessimistic: submission time close to
 	// optimistic, shorter re-submission after a double crash.
@@ -77,15 +74,6 @@ type Config struct {
 	SuspicionTimeout time.Duration
 	// Logf receives trace output; nil silences it.
 	Logf func(format string, args ...any)
-	// LegacyTransport reverts the session's runtime to the paper's
-	// connection-per-message transport (see rt.Config.LegacyTransport)
-	// — the escape hatch when talking to pre-pooling binaries.
-	LegacyTransport bool
-	// Wire selects the codec the session's connections and message log
-	// use: "binary" (default) or "gob" (interop with pre-binary
-	// coordinators; see rt.Config.Wire). Receiving and log recovery
-	// auto-detect either codec regardless.
-	Wire string
 	// Shard is the cached consistent-hash shard map of a sharded
 	// deployment (nil: unsharded). The session routes to its owner ring
 	// and follows redirects carrying newer maps automatically.
@@ -179,11 +167,6 @@ func Dial(cfg Config) (*Session, error) {
 		dir[proto.NodeID(id)] = addr
 	}
 
-	wire, err := proto.ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, fmt.Errorf("gridrpc: %w", err)
-	}
-
 	s.cli = client.New(client.Config{
 		User:             proto.UserID(cfg.User),
 		Session:          proto.SessionID(cfg.Session),
@@ -193,22 +176,18 @@ func Dial(cfg Config) (*Session, error) {
 		Logging:          cfg.Logging,
 		Shard:            cfg.Shard,
 		OnResult:         s.onResult,
-		Codec:            proto.CodecForWire(wire),
 		Obs:              cfg.Obs,
 	})
 
 	id := proto.NodeID(fmt.Sprintf("client-%s-%d", cfg.User, cfg.Session))
 	rtm, err := rt.Start(rt.Config{
-		ID:              id,
-		ListenAddr:      cfg.ListenAddr,
-		Directory:       dir,
-		DiskDir:         cfg.DiskDir,
-		Store:           cfg.Store,
-		Handler:         s.cli,
-		Logf:            logf,
-		LegacyTransport: cfg.LegacyTransport,
-		Wire:            wire,
-		Obs:             cfg.Obs,
+		ID:         id,
+		ListenAddr: cfg.ListenAddr,
+		Directory:  dir,
+		DiskDir:    cfg.DiskDir,
+		Handler:    s.cli,
+		Logf:       logf,
+		Obs:        cfg.Obs,
 	})
 	if err != nil {
 		return nil, err

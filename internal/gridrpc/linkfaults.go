@@ -233,8 +233,8 @@ func (p *linkProxy) pump(up net.Conn) {
 	defer func() { _ = down.Close() }() // deliberate: pump teardown
 
 	// Reverse direction (the runtime's pooled connections are
-	// unidirectional, but the legacy transport and TCP itself may move
-	// bytes back): plain copy, ending when either side closes.
+	// unidirectional, but TCP itself may move bytes back): plain copy,
+	// ending when either side closes.
 	go func() {
 		_, _ = io.Copy(up, down) // deliberate: reverse-path close is the signal
 		_ = up.Close()           // deliberate: unblock the forward read

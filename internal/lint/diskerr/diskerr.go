@@ -12,7 +12,7 @@
 // any method on a receiver whose method set contains the Disk quartet
 // (Write, Read, Delete, Keys) — which covers node.Disk, node.BatchDisk,
 // store.Store, every engine, and test fakes — plus any function
-// returning such a type alongside an error (store.Open, OpenWAL, ...).
+// returning such a type alongside an error (store.OpenWAL, ...).
 //
 // An explicit blank assignment (`_ = d.Write(...)`) is the documented
 // opt-out: it states the discard is deliberate, survives review, and

@@ -13,7 +13,7 @@ func (fakeDisk) Keys() ([]string, error)            { return nil, nil }
 
 func (fakeDisk) WriteAsync(key string, val []byte, done func(err error)) {}
 
-// open mimics store.Open: a constructor whose results include a
+// open mimics store.OpenWAL: a constructor whose results include a
 // disk-shaped type alongside an error.
 func open(name string) (fakeDisk, error) { return fakeDisk{}, nil }
 

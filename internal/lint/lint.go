@@ -6,7 +6,7 @@
 //     reachable from rpcv:loop-only code; rpcv:loop-owned state only
 //     touched on the loop).
 //   - protocomplete: every proto message kind wired into the binary
-//     encoder, decoder, kind table and gob registry simultaneously.
+//     encoder, decoder and kind table simultaneously.
 //   - atomicfield: no plain reads/writes of fields that are elsewhere
 //     updated through sync/atomic.
 //   - diskerr: no silently discarded errors from node.Disk / store

@@ -1,17 +1,16 @@
 // Package protocomplete cross-checks the wire-message registry of a
 // codec package like internal/proto. Adding a message kind to rpcv
-// requires wiring it in five places simultaneously:
+// requires wiring it in four places simultaneously:
 //
 //  1. a wire kind-byte constant named kind<Type> (binary.go),
 //  2. a case in the kindOf type switch (encode dispatch),
 //  3. a case in the appendMessageBody type switch (the encoder),
-//  4. a case in the readMessageBody kind switch (the decoder),
-//  5. a gob.Register call (the legacy codec's registry).
+//  4. a case in the readMessageBody kind switch (the decoder).
 //
 // Missing any one of them compiles fine and fails at runtime — as a
-// decode error on a live connection, or a silent legacy-interop hole.
-// This analyzer turns each missing arm into a lint failure at the
-// message type's declaration.
+// panic at send or a decode error on a live connection. This analyzer
+// turns each missing arm into a lint failure at the message type's
+// declaration.
 //
 // The analyzer engages on any package that declares both an interface
 // named Message (with a Kind method) and a function named kindOf; all
@@ -29,12 +28,11 @@ import (
 	"go/types"
 
 	"rpcv/internal/lint/analysis"
-	"rpcv/internal/lint/astutil"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "protocomplete",
-	Doc:  "check that every proto message kind is wired into kindOf, the binary encoder and decoder, and the gob registry",
+	Doc:  "check that every proto message kind is wired into kindOf and the binary encoder and decoder",
 	Run:  run,
 }
 
@@ -69,7 +67,6 @@ func run(pass *analysis.Pass) error {
 	kindOfCases := typeSwitchCases(pass, kindOfDecl)
 	appendCases := typeSwitchCases(pass, appendDecl)
 	readCases := kindSwitchCases(pass, readDecl)
-	gobRegistered := gobRegistrations(pass)
 
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
@@ -99,9 +96,6 @@ func run(pass *analysis.Pass) error {
 		}
 		if readDecl != nil && !readCases[kindConst] {
 			pass.Reportf(pos, "message %s missing from readMessageBody: peers decoding %s will fail with a corrupt-frame error", name, kindConst)
-		}
-		if !gobRegistered[tn] {
-			pass.Reportf(pos, "message %s is not gob.Register'ed: legacy-wire peers cannot decode it", name)
 		}
 	}
 	return nil
@@ -181,36 +175,4 @@ func kindSwitchCases(pass *analysis.Pass, fn *ast.FuncDecl) map[string]bool {
 		return true
 	})
 	return cases
-}
-
-// gobRegistrations collects the named types whose pointers are passed
-// to encoding/gob.Register anywhere in the package.
-func gobRegistrations(pass *analysis.Pass) map[*types.TypeName]bool {
-	regs := make(map[*types.TypeName]bool)
-	for _, file := range pass.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			callee := astutil.Callee(pass.TypesInfo, call)
-			if callee == nil || callee.Name() != "Register" || !astutil.PkgPathIs(callee.Pkg(), "encoding/gob") {
-				return true
-			}
-			for _, arg := range call.Args {
-				t := pass.TypesInfo.TypeOf(arg)
-				if t == nil {
-					continue
-				}
-				if p, ok := t.(*types.Pointer); ok {
-					t = p.Elem()
-				}
-				if named, ok := t.(*types.Named); ok {
-					regs[named.Obj()] = true
-				}
-			}
-			return true
-		})
-	}
-	return regs
 }

@@ -1,12 +1,9 @@
 // Package proto is a miniature of rpcv/internal/proto with every
-// message kind fully wired: kind constant, kindOf case, append case,
-// read case and gob registration. protocomplete must stay silent here.
+// message kind fully wired: kind constant, kindOf case, append case
+// and read case. protocomplete must stay silent here.
 package proto
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 type Message interface {
 	Kind() string
@@ -55,9 +52,4 @@ func readMessageBody(kind byte, buf []byte) (Message, error) {
 		return &Pong{Seq: uint64(buf[0])}, nil
 	}
 	return nil, fmt.Errorf("unknown kind %d", kind)
-}
-
-func init() {
-	gob.Register(&Ping{})
-	gob.Register(&Pong{})
 }

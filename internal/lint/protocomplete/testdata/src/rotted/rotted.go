@@ -1,13 +1,10 @@
 // Package rotted is protocomplete's rot regression: Steal was added to
-// the encoder but never grew a readMessageBody decode arm or a gob
-// registration, and Orphan was declared with no wiring at all — the
-// exact drift the analyzer exists to catch.
+// the encoder but never grew a readMessageBody decode arm, and Orphan
+// was declared with no wiring at all — the exact drift the analyzer
+// exists to catch.
 package rotted
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 type Message interface {
 	Kind() string
@@ -24,13 +21,13 @@ type Ping struct{ Seq uint64 }
 func (*Ping) Kind() string { return "ping" }
 
 // Steal made it into kindOf and the encoder, but whoever added it
-// forgot the decode arm and the gob registry.
-type Steal struct{ Victim string } // want `message Steal missing from readMessageBody` `message Steal is not gob.Register'ed`
+// forgot the decode arm.
+type Steal struct{ Victim string } // want `message Steal missing from readMessageBody`
 
 func (*Steal) Kind() string { return "steal" }
 
 // Orphan implements Message but was never wired anywhere.
-type Orphan struct{} // want `message Orphan has no wire kind constant kindOrphan` `message Orphan missing from the kindOf type switch` `message Orphan missing from appendMessageBody` `message Orphan missing from readMessageBody` `message Orphan is not gob.Register'ed`
+type Orphan struct{} // want `message Orphan has no wire kind constant kindOrphan` `message Orphan missing from the kindOf type switch` `message Orphan missing from appendMessageBody` `message Orphan missing from readMessageBody`
 
 func (*Orphan) Kind() string { return "orphan" }
 
@@ -61,8 +58,4 @@ func readMessageBody(kind byte, buf []byte) (Message, error) {
 		return &Ping{Seq: uint64(buf[0])}, nil
 	}
 	return nil, fmt.Errorf("unknown kind %d", kind)
-}
-
-func init() {
-	gob.Register(&Ping{})
 }

@@ -6,13 +6,13 @@ package proto
 // strings and byte slices (with a +1 count scheme that preserves the
 // nil/empty distinction through a round trip), and a compact instant
 // encoding for time.Time (locations normalize to UTC; only the instant
-// is protocol-relevant). Unlike gob there is no reflection, no
-// per-stream type descriptor and no per-encode allocation: encoders
-// append into caller-supplied or pooled buffers sized by the WireSize
-// hints, and the reader decodes frames in place — byte slices are
-// copied out (the frame buffer is reused), strings are interned so the
-// small, endlessly repeated identifiers (node IDs, users, service
-// names) are allocated once per decoder, not once per message.
+// is protocol-relevant). There is no reflection and no per-encode
+// allocation: encoders append into caller-supplied or pooled buffers
+// sized by the WireSize hints, and the reader decodes frames in place —
+// byte slices are copied out (the frame buffer is reused), strings are
+// interned so the small, endlessly repeated identifiers (node IDs,
+// users, service names) are allocated once per decoder, not once per
+// message.
 //
 // Decoding is hardened for the fuzzer and for torn frames: every read
 // is bounds-checked against the remaining input through a sticky
@@ -29,12 +29,10 @@ import (
 	"time"
 )
 
-// binMagic opens every binary encoding: the version preface of a
-// binary-framed connection, and the first byte of every binary storage
-// blob. The value is chosen from the range a gob stream can never start
-// with — gob's leading byte-count varint begins with 0x00..0x7F (small
-// counts) or 0xF8..0xFF (multi-byte counts) — so one byte suffices to
-// tell the two codecs apart on both the wire and the disk.
+// binMagic opens every encoding: the version preface of a connection,
+// and the first byte of every storage blob. Input that does not start
+// with it is refused on the wire and corrupt on the disk. Like the kind
+// bytes it is wire- and disk-stable.
 const (
 	binMagic   = 0xBC
 	binVersion = 0x01
@@ -555,8 +553,8 @@ func readJobBody(r *binReader) JobRecord {
 }
 
 // appendMessageBody appends msg's binary body (no kind byte, no magic).
-// It panics on an unregistered message type, exactly as the gob path
-// panics on a type missing its gob.Register: a programming error.
+// It panics on an unregistered message type: a programming error,
+// which the protocomplete analyzer reports at build time.
 func appendMessageBody(dst []byte, msg Message) []byte {
 	switch m := msg.(type) {
 	case *Submit:

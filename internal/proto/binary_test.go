@@ -11,16 +11,66 @@ import (
 	"time"
 )
 
+// allMessages returns one populated instance of every protocol message.
+// Every type kindOf knows must appear here (and vice versa): the round
+// trips below turn a message missing its encoder or decoder arm into a
+// test failure instead of a panic or a corrupt frame on a live
+// connection.
+func allMessages() []Message {
+	call := CallID{User: "user-01", Session: 7, Seq: 42}
+	task := TaskID{Call: call, Instance: 3}
+	st := ShardMapState{
+		Version: 9,
+		VNodes:  64,
+		Rings:   [][]NodeID{{"coord-00", "coord-01"}, {"coord-02", "coord-03"}},
+	}
+	deadline := time.Unix(1_000_000_600, 0).UTC()
+	return []Message{
+		&Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
+		&SubmitAck{Call: call, MaxSeq: 42},
+		&Poll{User: "user-01", Session: 7, Ack: 40, Have: []RPCSeq{42, 43, 47}},
+		&Results{User: "user-01", Session: 7, Results: []Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
+		&SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
+		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []RPCSeq{1, 2}},
+		&FetchResult{User: "user-01", Session: 7, Seq: 42},
+		&FetchReply{Call: call, Known: true, Finished: true, Result: Result{Call: call, Output: []byte{4}}},
+		&Heartbeat{From: "server-000", Role: RoleServer, Capacity: 2, WantWork: true},
+		&HeartbeatAck{From: "coord-00", Tasks: []TaskAssignment{{Task: task, Service: "svc", Params: []byte{5}}}, Coordinators: []NodeID{"coord-00"}},
+		&TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x", Exec: time.Second},
+		&TaskResultAck{Task: task},
+		&TaskCancel{Task: task},
+		&ServerSync{From: "server-000", Tasks: []TaskID{task}, Running: []TaskID{task}},
+		&ServerSyncReply{Resend: []TaskID{task}, Drop: []TaskID{task}},
+		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
+		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
+		&ShardMapRequest{From: "client-00"},
+		&ShardMapReply{Map: st},
+		&ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
+		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, State: TaskFinished}}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Seqs: []RPCSeq{1, 42}}}},
+		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
+		&StealRequest{From: "coord-02", Shard: 1, Epoch: 2, Round: 3, Capacity: 4},
+		&StealGrant{From: "coord-00", Shard: 0, Epoch: 2, Round: 3, Jobs: []JobRecord{
+			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: TaskOngoing, Instance: 2},
+		}},
+		&SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
+			Fault: "partition", Node: "coord-00", Peer: "server-000",
+			At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
+		&SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
+			Verdict: "pass", Digest: "sha256:00ff", Delivered: 40, Expected: 40,
+			Faults: 2, Elapsed: 3 * time.Second},
+	}
+}
+
 // TestBinaryRoundTripEveryMessage pushes every message kind through
-// the default binary storage encoding and requires a structurally
-// identical value back — including the nil/empty slice distinction,
-// which the +1 count scheme preserves.
+// the storage encoding and requires a structurally identical value
+// back — including the nil/empty slice distinction, which the +1 count
+// scheme preserves.
 func TestBinaryRoundTripEveryMessage(t *testing.T) {
 	var dec Decoder // reused: the interning path must not corrupt values
 	for _, msg := range allMessages() {
-		raw := CodecBinary.EncodeMessage(msg)
-		if !IsBinaryPreface(raw[0]) {
-			t.Fatalf("%s: binary blob does not start with the magic byte", msg.Kind())
+		raw := EncodeMessage(msg)
+		if raw[0] != binMagic {
+			t.Fatalf("%s: blob does not start with the magic byte", msg.Kind())
 		}
 		back, err := dec.DecodeMessage(raw)
 		if err != nil {
@@ -32,13 +82,43 @@ func TestBinaryRoundTripEveryMessage(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTripCoversEveryMessageType holds the allMessages
+// sample the round trips run over to the decoder's own list of kinds:
+// no two entries share a type, so a copy-paste duplicate cannot mask a
+// missing one, and every kind byte readMessageBody accepts decodes to
+// a type the sample contains.
+func TestBinaryRoundTripCoversEveryMessageType(t *testing.T) {
+	seen := make(map[reflect.Type]bool)
+	for _, msg := range allMessages() {
+		typ := reflect.TypeOf(msg)
+		if seen[typ] {
+			t.Fatalf("duplicate sample for %v", typ)
+		}
+		seen[typ] = true
+	}
+	decodable := 0
+	for kind := 0; kind <= 0xFF; kind++ {
+		msg := readMessageBody(&binReader{}, uint8(kind)) // empty body: the type is all that is wanted
+		if msg == nil {
+			continue
+		}
+		decodable++
+		if !seen[reflect.TypeOf(msg)] {
+			t.Errorf("kind %d decodes to %T, which allMessages does not sample — update the sample list when adding messages", kind, msg)
+		}
+	}
+	if decodable != len(seen) {
+		t.Fatalf("the decoder knows %d kinds, allMessages samples %d types", decodable, len(seen))
+	}
+}
+
 // TestBinaryRoundTripNilVersusEmpty pins the +1 count scheme: a nil
 // Params and an empty-but-allocated Params are different values and
 // must both survive.
 func TestBinaryRoundTripNilVersusEmpty(t *testing.T) {
 	for _, params := range [][]byte{nil, {}} {
 		m := &Submit{Call: CallID{User: "u", Session: 1, Seq: 2}, Params: params}
-		back, err := DecodeMessage(CodecBinary.EncodeMessage(m))
+		back, err := DecodeMessage(EncodeMessage(m))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,12 +177,12 @@ func TestBinaryJobRecordRoundTrip(t *testing.T) {
 // churn when records are rewritten.
 func TestBinaryEncodingStable(t *testing.T) {
 	for _, msg := range allMessages() {
-		raw := CodecBinary.EncodeMessage(msg)
+		raw := EncodeMessage(msg)
 		back, err := DecodeMessage(raw)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", msg.Kind(), err)
 		}
-		if again := CodecBinary.EncodeMessage(back); !bytes.Equal(raw, again) {
+		if again := EncodeMessage(back); !bytes.Equal(raw, again) {
 			t.Errorf("%s: re-encode differs:\n first  %x\n second %x", msg.Kind(), raw, again)
 		}
 	}
@@ -198,7 +278,7 @@ func TestWireSizeMatchesCodec(t *testing.T) {
 	// watermark must fit in the header hint.
 	bigAck := &Poll{User: "user-01", Session: 7, Ack: 1 << 63}
 	for _, msg := range append(allMessages(), bigAck) {
-		actual := len(CodecBinary.EncodeMessage(msg)) - 3 // strip magic/version/kind
+		actual := len(EncodeMessage(msg)) - 3 // strip magic/version/kind
 		ws := msg.WireSize()
 		if actual > ws {
 			t.Errorf("%s: marshalled length %d exceeds WireSize %d — a field was added without updating WireSize",
@@ -222,8 +302,8 @@ func TestWireSizeTracksPayload(t *testing.T) {
 	if d := big.WireSize() - small.WireSize(); d != n {
 		t.Errorf("WireSize delta %d for %d payload bytes", d, n)
 	}
-	encSmall := len(CodecBinary.EncodeMessage(small))
-	encBig := len(CodecBinary.EncodeMessage(big))
+	encSmall := len(EncodeMessage(small))
+	encBig := len(EncodeMessage(big))
 	// The +1 count scheme and the length varint add a few bytes, never
 	// proportional ones.
 	if d := encBig - encSmall; d < n || d > n+4 {
@@ -316,15 +396,14 @@ func TestWireDecoderRejectsGarbage(t *testing.T) {
 	if _, err := DecodeMessage([]byte{binMagic, 99, kindSubmit}); err == nil {
 		t.Error("DecodeMessage accepted an unknown version")
 	}
-	// A blob torn inside the 3-byte header is still reported as
-	// corrupt *binary*, never handed to the gob decoder whose error
-	// would misdirect the triage.
+	// A blob torn inside the 3-byte header is corrupt like one torn
+	// anywhere else.
 	for _, torn := range [][]byte{{binMagic}, {binMagic, binVersion}} {
 		if _, err := DecodeMessage(torn); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("torn binary header (%d bytes): err = %v, want ErrCorrupt", len(torn), err)
+			t.Errorf("torn header (%d bytes): err = %v, want ErrCorrupt", len(torn), err)
 		}
 		if _, err := DecodeJob(torn); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("torn binary job header (%d bytes): err = %v, want ErrCorrupt", len(torn), err)
+			t.Errorf("torn job header (%d bytes): err = %v, want ErrCorrupt", len(torn), err)
 		}
 	}
 	if _, err := DecodeJob([]byte{binMagic, binVersion, kindSubmit}); err == nil {
@@ -387,45 +466,49 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 	}
 }
 
-// TestDecodeAutoDetectsGobBlobs proves the storage compatibility
-// guarantee the -wire flag rests on: blobs written by the gob codec —
-// a WAL full of gob job records, a pre-binary message log — decode
-// under the binary-default build, and vice versa.
-func TestDecodeAutoDetectsGobBlobs(t *testing.T) {
-	for _, msg := range allMessages() {
-		for _, c := range []Codec{CodecGob, CodecBinary} {
-			back, err := DecodeMessage(c.EncodeMessage(msg))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", msg.Kind(), c, err)
-			}
-			if !reflect.DeepEqual(msg, back) {
-				t.Errorf("%s/%s: round trip mismatch", msg.Kind(), c)
-			}
-		}
+// TestDecodersRejectBlobsWithoutTheMagic pins what replaced the codec
+// auto-detect: a storage blob that does not open with the magic — random
+// bytes, another program's file, the body of a valid blob with its
+// header cut off, what a gob stream starts like — is corrupt to every
+// storage decoder: an error wrapping ErrCorrupt, never a panic, never a
+// value.
+func TestDecodersRejectBlobsWithoutTheMagic(t *testing.T) {
+	msgBlob := EncodeMessage(allMessages()[0])
+	jobBlob := EncodeJob(&JobRecord{Call: CallID{User: "u", Session: 1, Seq: 2}, Service: "svc", Params: []byte{1}})
+	cases := map[string][]byte{
+		"nil":                     nil,
+		"empty":                   {},
+		"text":                    []byte("not a blob"),
+		"zeroes":                  make([]byte, 64),
+		"gob-like stream":         {0x2c, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'J', 'o', 'b', 'R', 'e', 'c', 'o', 'r', 'd', 0x01, 0xff, 0x82, 0x00},
+		"gob multi-byte count":    {0xfe, 0x01, 0x2c, 0xff, 0x81},
+		"message body, no header": msgBlob[3:],
+		"job body, no header":     jobBlob[3:],
+		"magic in second place":   append([]byte{0x00}, msgBlob...),
 	}
-	rec := &JobRecord{Call: CallID{User: "u", Session: 1, Seq: 2}, Service: "svc",
-		Params: []byte{1}, State: TaskFinished, Output: []byte{2}, Server: "server-000"}
-	for _, c := range []Codec{CodecGob, CodecBinary} {
-		back, err := DecodeJob(c.EncodeJob(rec))
-		if err != nil {
-			t.Fatalf("job/%s: %v", c, err)
+	for name, raw := range cases {
+		var dec Decoder
+		if msg, err := dec.DecodeMessage(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeMessage = %v, %v; want ErrCorrupt", name, msg, err)
 		}
-		if !reflect.DeepEqual(rec, back) {
-			t.Errorf("job/%s: round trip mismatch:\n sent %#v\n got  %#v", c, rec, back)
+		if rec, err := dec.DecodeJob(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeJob = %v, %v; want ErrCorrupt", name, rec, err)
+		}
+		if sj, err := dec.DecodeStoredJob(raw); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeStoredJob = %v, %v; want ErrCorrupt", name, sj.Rec, err)
 		}
 	}
 }
 
-// TestBinaryCodecAllocations is the perf contract behind the
-// BenchmarkCodec acceptance numbers, enforced deterministically:
-// encoding a small Submit allocates exactly the returned blob, and a
+// TestBinaryCodecAllocations is the codec's allocation contract,
+// enforced deterministically: encoding a small Submit allocates exactly the returned blob, and a
 // warmed reusable decoder allocates exactly the message.
 func TestBinaryCodecAllocations(t *testing.T) {
 	sub := &Submit{Call: CallID{User: "u0", Session: 1, Seq: 42}, Service: "noop"}
-	if n := testing.AllocsPerRun(200, func() { _ = CodecBinary.EncodeMessage(sub) }); n > 1 {
+	if n := testing.AllocsPerRun(200, func() { _ = EncodeMessage(sub) }); n > 1 {
 		t.Errorf("encode allocates %.1f times per op, want <= 1", n)
 	}
-	raw := CodecBinary.EncodeMessage(sub)
+	raw := EncodeMessage(sub)
 	var dec Decoder
 	if _, err := dec.DecodeMessage(raw); err != nil { // warm the intern table
 		t.Fatal(err)

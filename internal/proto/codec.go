@@ -1,128 +1,34 @@
 package proto
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 )
 
 // Wire framing of the real TCP transport.
 //
-// The default binary framing opens every connection with a two-byte
-// preface — the magic byte 0xBC and a codec version — followed by
-// length-prefixed frames: a big-endian uint32 frame length, then a
-// kind byte, the sender's node ID and the message body in the
-// hand-written binary encoding (binary.go). The legacy framing is a
-// gob stream of envelopes decoded until EOF. A receiver tells the two
-// apart from the first byte alone (a gob stream can never start with
-// 0xBC, see binMagic), so nodes on either codec interoperate: the
-// -wire flag only chooses what a node *sends*.
+// Every connection opens with a two-byte preface — the magic byte 0xBC
+// and a codec version — followed by length-prefixed frames: a
+// big-endian uint32 frame length, then a kind byte, the sender's node ID
+// and the message body in the hand-written binary encoding (binary.go).
+// A connection that opens with anything else is refused (ReadPreface).
 //
-// Storage blobs (EncodeJob/EncodeMessage) use the same magic: binary
-// blobs are [magic, version, kind, body]; anything else is decoded as
-// gob, so logs and WALs written by pre-binary builds recover under the
-// binary default. A job header (EncodeJobHeader) is the one blob that
-// nests: a binary prefix naming the payloads stored outside it, then
-// the record itself as either codec's EncodeJob wrote it.
+// Storage blobs (EncodeJob/EncodeMessage) carry the same magic: a blob
+// is [magic, version, kind, body], and one that does not start that way
+// decodes to an error wrapping ErrCorrupt, which recovery logs and
+// skips like any other corrupt record. A job header (EncodeJobHeader)
+// is the one blob that nests: a prefix naming the payloads stored
+// outside it, then the record itself as EncodeJob writes it.
 //
 // Stores keep the very slice an encoder returns (node.Disk's ownership
 // contract), so every storage encoder sizes its result: capacity a
 // generous hint reserved and the encoding did not use would otherwise
 // be retained for as long as the entry is.
-//
-// init registers every concrete message type so that gob can move them
-// through the legacy transport's envelope (whose payload is a Message
-// interface value) and through gob storage blobs.
-func init() {
-	gob.Register(&Submit{})
-	gob.Register(&SubmitAck{})
-	gob.Register(&Poll{})
-	gob.Register(&Results{})
-	gob.Register(&SyncRequest{})
-	gob.Register(&SyncReply{})
-	gob.Register(&FetchResult{})
-	gob.Register(&FetchReply{})
-	gob.Register(&Heartbeat{})
-	gob.Register(&HeartbeatAck{})
-	gob.Register(&TaskResult{})
-	gob.Register(&TaskResultAck{})
-	gob.Register(&TaskCancel{})
-	gob.Register(&ServerSync{})
-	gob.Register(&ServerSyncReply{})
-	gob.Register(&ReplicaUpdate{})
-	gob.Register(&ReplicaAck{})
-	gob.Register(&ShardMapRequest{})
-	gob.Register(&ShardMapReply{})
-	gob.Register(&ShardRedirect{})
-	gob.Register(&ShardSync{})
-	gob.Register(&ShardSyncAck{})
-	gob.Register(&StealRequest{})
-	gob.Register(&StealGrant{})
-	gob.Register(&SimFault{})
-	gob.Register(&SimVerdict{})
-}
-
-// Wire codec names, shared by the -wire flags, rt.Config.Wire and
-// gridrpc.Config.Wire.
-const (
-	// WireBinary is the default: length-prefixed hand-written binary
-	// frames behind a magic version preface.
-	WireBinary = "binary"
-	// WireGob is the legacy gob stream — what every pre-binary build
-	// speaks. Receivers understand both regardless of this setting.
-	WireGob = "gob"
-)
-
-// ParseWire normalizes a -wire flag value ("" means the default).
-func ParseWire(s string) (string, error) {
-	switch s {
-	case "", WireBinary:
-		return WireBinary, nil
-	case WireGob:
-		return WireGob, nil
-	}
-	return "", fmt.Errorf("proto: unknown wire codec %q (want %s or %s)", s, WireBinary, WireGob)
-}
-
-// Codec selects a storage encoding for job records and logged
-// messages. The zero value is the binary codec — the default
-// everywhere; CodecGob remains for mixed deployments and comparisons.
-// Decoding always auto-detects, whatever the Codec.
-type Codec uint8
-
-const (
-	// CodecBinary is the hand-written binary encoding (the default).
-	CodecBinary Codec = iota
-	// CodecGob is the reflection-based legacy encoding.
-	CodecGob
-)
-
-// CodecForWire maps a wire codec name to the matching storage codec,
-// so one -wire flag keeps a daemon's connections and its durable blobs
-// on the same encoding.
-func CodecForWire(wire string) Codec {
-	if wire == WireGob {
-		return CodecGob
-	}
-	return CodecBinary
-}
-
-// String returns the codec name used in flags and experiment tables.
-func (c Codec) String() string {
-	if c == CodecGob {
-		return "gob"
-	}
-	return "binary"
-}
 
 // EncodeJob serializes a job record, payloads included, for durable
 // storage.
-func (c Codec) EncodeJob(rec *JobRecord) []byte {
-	return c.EncodeJobHeader(rec, 0)
-}
+func EncodeJob(rec *JobRecord) []byte { return EncodeJobHeader(rec, 0) }
 
 // JobPayloads is a set of a job record's two payloads.
 type JobPayloads uint8
@@ -137,7 +43,7 @@ const (
 // the caller keeps the bytes elsewhere — written once, while the header
 // is rewritten on every state transition of the job. With nothing
 // external the result is EncodeJob's whole record, byte for byte.
-func (c Codec) EncodeJobHeader(rec *JobRecord, external JobPayloads) []byte {
+func EncodeJobHeader(rec *JobRecord, external JobPayloads) []byte {
 	inline := *rec
 	var scratch [4 + 2*binary.MaxVarintLen64]byte
 	prefix := scratch[:0]
@@ -152,28 +58,11 @@ func (c Codec) EncodeJobHeader(rec *JobRecord, external JobPayloads) []byte {
 			inline.Output = nil
 		}
 	}
-	if c == CodecGob {
-		return gobJob(prefix, inline)
-	}
 	return encodeSized(len(prefix)+3+inline.wireSize(), func(dst []byte) []byte {
 		dst = append(dst, prefix...)
 		dst = append(dst, binMagic, binVersion, kindJobRecord)
 		return appendJobBody(dst, &inline)
 	})
-}
-
-// gobJob is EncodeJobHeader's legacy arm, apart and by value so that
-// what gob's reflection makes escape is its own copy, not the binary
-// arm's stack.
-func gobJob(prefix []byte, rec JobRecord) []byte {
-	var buf bytes.Buffer
-	buf.Write(prefix)
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		// A JobRecord contains only gob-encodable fields; failure
-		// here is a programming error, not an I/O condition.
-		panic(fmt.Sprintf("proto: encode job record: %v", err))
-	}
-	return rightSized(buf.Bytes())
 }
 
 // scratchMax is the largest size hint encoded through a pooled scratch
@@ -198,8 +87,7 @@ func encodeSized(hint int, enc func(dst []byte) []byte) []byte {
 
 // rightSized returns b, or a copy of it when b's spare capacity exceeds
 // what the allocator's own size classes would round up to anyway (an
-// eighth): a hint that fell short made append double the buffer, and
-// gob's bytes.Buffer grows by doubling always.
+// eighth): a hint that fell short made append double the buffer.
 func rightSized(b []byte) []byte {
 	if cap(b)-len(b) <= len(b)/8 {
 		return b
@@ -209,15 +97,7 @@ func rightSized(b []byte) []byte {
 
 // EncodeMessage serializes any registered protocol message with a kind
 // tag, for message logs and result logs.
-func (c Codec) EncodeMessage(msg Message) []byte {
-	if c == CodecGob {
-		var buf bytes.Buffer
-		env := wireEnvelope{Msg: msg}
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			panic(fmt.Sprintf("proto: encode %s: %v", msg.Kind(), err))
-		}
-		return rightSized(buf.Bytes())
-	}
+func EncodeMessage(msg Message) []byte {
 	kind := kindOf(msg)
 	if kind == kindInvalid {
 		panic("proto: encode unregistered message type " + msg.Kind())
@@ -229,14 +109,6 @@ func (c Codec) EncodeMessage(msg Message) []byte {
 		return appendMessageBody(dst, msg)
 	})
 }
-
-// EncodeJob serializes a job record for durable storage with the
-// default binary codec.
-func EncodeJob(rec *JobRecord) []byte { return CodecBinary.EncodeJob(rec) }
-
-// EncodeMessage serializes any registered protocol message with the
-// default binary codec.
-func EncodeMessage(msg Message) []byte { return CodecBinary.EncodeMessage(msg) }
 
 // Decoder decodes storage blobs. The zero value is ready; a decoder
 // that is reused across records interns repeated strings (node IDs,
@@ -250,35 +122,37 @@ type Decoder struct {
 	rd binReader
 }
 
-// DecodeJob parses a job record previously produced by any codec's
-// EncodeJob (binary blobs self-identify by magic; anything else is
-// gob, so WALs written by pre-binary builds recover).
-func (d *Decoder) DecodeJob(raw []byte) (*JobRecord, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		if len(raw) < 3 {
-			// Unambiguously a torn binary blob — do not fall through
-			// to gob, whose error would misdirect the triage.
-			return nil, fmt.Errorf("proto: decode job record: %w (truncated header)", ErrCorrupt)
-		}
-		if raw[1] != binVersion {
-			return nil, fmt.Errorf("proto: decode job record: unknown codec version %d", raw[1])
-		}
-		if raw[2] != kindJobRecord {
-			return nil, fmt.Errorf("proto: decode job record: kind %d is not a job record", raw[2])
-		}
-		d.rd = binReader{buf: raw[3:], intern: &d.intern}
-		rec := readJobBody(&d.rd)
-		if d.rd.err != nil {
-			return nil, fmt.Errorf("proto: decode job record: %w", d.rd.err)
-		}
-		if d.rd.remaining() != 0 {
-			return nil, fmt.Errorf("proto: decode job record: %w (trailing bytes)", ErrCorrupt)
-		}
-		return &rec, nil
+// blobKind checks a storage blob's three-byte header and returns its
+// kind byte. A blob that does not open with the magic is not one of
+// ours at all — random bytes, or a store some other program wrote.
+func blobKind(raw []byte) (uint8, error) {
+	switch {
+	case len(raw) == 0 || raw[0] != binMagic:
+		return 0, fmt.Errorf("%w (no magic byte)", ErrCorrupt)
+	case len(raw) < 3:
+		return 0, fmt.Errorf("%w (truncated header)", ErrCorrupt)
+	case raw[1] != binVersion:
+		return 0, fmt.Errorf("unknown codec version %d", raw[1])
 	}
-	var rec JobRecord
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&rec); err != nil {
+	return raw[2], nil
+}
+
+// DecodeJob parses a job record previously produced by EncodeJob.
+func (d *Decoder) DecodeJob(raw []byte) (*JobRecord, error) {
+	kind, err := blobKind(raw)
+	if err != nil {
 		return nil, fmt.Errorf("proto: decode job record: %w", err)
+	}
+	if kind != kindJobRecord {
+		return nil, fmt.Errorf("proto: decode job record: kind %d is not a job record", kind)
+	}
+	d.rd = binReader{buf: raw[3:], intern: &d.intern}
+	rec := readJobBody(&d.rd)
+	if d.rd.err != nil {
+		return nil, fmt.Errorf("proto: decode job record: %w", d.rd.err)
+	}
+	if d.rd.remaining() != 0 {
+		return nil, fmt.Errorf("proto: decode job record: %w (trailing bytes)", ErrCorrupt)
 	}
 	return &rec, nil
 }
@@ -302,8 +176,8 @@ func (s StoredJob) Len(p JobPayloads) int {
 	return s.OutputLen
 }
 
-// DecodeStoredJob parses what any codec's EncodeJobHeader or EncodeJob
-// produced (a whole record is a header with nothing external).
+// DecodeStoredJob parses what EncodeJobHeader or EncodeJob produced (a
+// whole record is a header with nothing external).
 func (d *Decoder) DecodeStoredJob(raw []byte) (StoredJob, error) {
 	var sj StoredJob
 	if len(raw) >= 3 && raw[0] == binMagic && raw[1] == binVersion && raw[2] == kindJobHeader {
@@ -335,36 +209,21 @@ func (d *Decoder) DecodeStoredJob(raw []byte) (StoredJob, error) {
 	return sj, nil
 }
 
-// DecodeMessage parses a message previously produced by any codec's
-// EncodeMessage, auto-detecting the encoding like DecodeJob.
+// DecodeMessage parses a message previously produced by EncodeMessage.
 func (d *Decoder) DecodeMessage(raw []byte) (Message, error) {
-	if len(raw) > 0 && raw[0] == binMagic {
-		if len(raw) < 3 {
-			// Unambiguously a torn binary blob — do not fall through
-			// to gob, whose error would misdirect the triage.
-			return nil, fmt.Errorf("proto: decode message: %w (truncated header)", ErrCorrupt)
-		}
-		if raw[1] != binVersion {
-			return nil, fmt.Errorf("proto: decode message: unknown codec version %d", raw[1])
-		}
-		d.rd = binReader{buf: raw[3:], intern: &d.intern}
-		msg := readMessageBody(&d.rd, raw[2])
-		if d.rd.err != nil {
-			return nil, fmt.Errorf("proto: decode message kind %d: %w", raw[2], d.rd.err)
-		}
-		if d.rd.remaining() != 0 {
-			return nil, fmt.Errorf("proto: decode message: %w (trailing bytes)", ErrCorrupt)
-		}
-		return msg, nil
-	}
-	var env wireEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&env); err != nil {
+	kind, err := blobKind(raw)
+	if err != nil {
 		return nil, fmt.Errorf("proto: decode message: %w", err)
 	}
-	if env.Msg == nil {
-		return nil, fmt.Errorf("proto: decode message: empty envelope")
+	d.rd = binReader{buf: raw[3:], intern: &d.intern}
+	msg := readMessageBody(&d.rd, kind)
+	if d.rd.err != nil {
+		return nil, fmt.Errorf("proto: decode message kind %d: %w", kind, d.rd.err)
 	}
-	return env.Msg, nil
+	if d.rd.remaining() != 0 {
+		return nil, fmt.Errorf("proto: decode message: %w (trailing bytes)", ErrCorrupt)
+	}
+	return msg, nil
 }
 
 // DecodeJob parses a job record with a one-shot decoder.
@@ -379,31 +238,13 @@ func DecodeMessage(raw []byte) (Message, error) {
 	return d.DecodeMessage(raw)
 }
 
-// wireEnvelope is the gob storage envelope (legacy EncodeMessage).
-type wireEnvelope struct {
-	Msg Message
-}
-
 // ---------------------------------------------------------------------
-// Binary wire framing
+// Wire framing
 // ---------------------------------------------------------------------
 
-// FramePreface is written once at the start of every binary-framed
-// connection: magic + codec version. Receivers dispatch on the first
-// byte (IsBinaryPreface) and verify the second (CheckPrefaceVersion).
+// FramePreface is written once at the start of every connection:
+// magic + codec version. Receivers verify both (ReadPreface).
 var FramePreface = [2]byte{binMagic, binVersion}
-
-// IsBinaryPreface reports whether a connection's first byte announces
-// binary framing; any other value is the start of a legacy gob stream.
-func IsBinaryPreface(b byte) bool { return b == binMagic }
-
-// CheckPrefaceVersion validates a binary preface's version byte.
-func CheckPrefaceVersion(v byte) error {
-	if v != binVersion {
-		return fmt.Errorf("proto: unknown wire codec version %d", v)
-	}
-	return nil
-}
 
 // AppendFrame appends one length-prefixed wire frame carrying (from,
 // msg) to dst and returns the extended slice. Zero allocation when dst
@@ -482,15 +323,18 @@ func (d *WireDecoder) Next() (NodeID, Message, error) {
 	return from, msg, nil
 }
 
-// ReadPreface consumes and verifies a binary connection preface from a
-// buffered reader whose next byte is known (via Peek) to be the magic.
-func ReadPreface(br *bufio.Reader) error {
+// ReadPreface consumes and verifies a connection's preface. It returns
+// io.EOF only for a connection closed before its first byte.
+func ReadPreface(r io.Reader) error {
 	var pre [2]byte
-	if _, err := io.ReadFull(br, pre[:]); err != nil {
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return err
 	}
-	if !IsBinaryPreface(pre[0]) {
+	if pre[0] != binMagic {
 		return fmt.Errorf("proto: not a binary preface: 0x%02x", pre[0])
 	}
-	return CheckPrefaceVersion(pre[1])
+	if pre[1] != binVersion {
+		return fmt.Errorf("proto: unknown wire codec version %d", pre[1])
+	}
+	return nil
 }

@@ -2,20 +2,22 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
 // FuzzCodecRoundTrip throws arbitrary bytes at the binary decoders —
 // storage blobs (message and job record) and the framed wire stream —
-// and checks the two properties the hardening promises: garbage never
-// panics (it errors), and anything that does decode re-encodes to a
-// stable fixed point (decode(encode(decode(x))) is byte-identical to
+// and checks the properties the hardening promises: garbage never
+// panics (it errors), a blob without the magic is ErrCorrupt to every
+// storage decoder, and anything that does decode re-encodes to a stable
+// fixed point (decode(encode(decode(x))) is byte-identical to
 // encode(decode(x)), so rewritten logs never churn). The seed corpus
 // covers every message kind, a job record and a wire frame, so `go
 // test` alone exercises every decode path through this harness.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, msg := range allMessages() {
-		f.Add(CodecBinary.EncodeMessage(msg))
+		f.Add(EncodeMessage(msg))
 	}
 	f.Add(EncodeJob(&JobRecord{
 		Call: CallID{User: "user-01", Session: 7, Seq: 42}, Service: "svc",
@@ -28,7 +30,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(hbFrame)
-	f.Add(CodecBinary.EncodeJobHeader(&JobRecord{
+	f.Add(EncodeJobHeader(&JobRecord{
 		Call: CallID{User: "user-01", Session: 7, Seq: 43}, Service: "svc",
 		Params: make([]byte, 9), State: TaskFinished, Output: []byte{3}, Server: "server-000",
 	}, JobParams))
@@ -41,13 +43,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			return // bound fuzz memory; MaxFrame guards the real paths
 		}
 		var dec Decoder
+		// The input as it came, before any steering: the wire frame, the
+		// zero-length-prefixed seed and most of what the fuzzer invents
+		// do not open with the magic.
+		_, errMsg := dec.DecodeMessage(data)
+		_, errJob := dec.DecodeJob(data)
+		_, errStored := dec.DecodeStoredJob(data)
+		if len(data) == 0 || data[0] != binMagic {
+			for _, err := range []error{errMsg, errJob, errStored} {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("a blob without the magic decoded to %v, want ErrCorrupt", err)
+				}
+			}
+		}
 		if msg, err := dec.DecodeMessage(withMagic(data)); err == nil {
-			raw := CodecBinary.EncodeMessage(msg)
+			raw := EncodeMessage(msg)
 			again, err := dec.DecodeMessage(raw)
 			if err != nil {
 				t.Fatalf("re-decode of valid message failed: %v", err)
 			}
-			if !bytes.Equal(raw, CodecBinary.EncodeMessage(again)) {
+			if !bytes.Equal(raw, EncodeMessage(again)) {
 				t.Fatalf("message encoding is not a fixed point")
 			}
 		}
@@ -71,7 +86,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if sj.External&JobOutput != 0 {
 				sj.Rec.Output = make([]byte, sj.OutputLen)
 			}
-			raw := CodecBinary.EncodeJobHeader(sj.Rec, sj.External)
+			raw := EncodeJobHeader(sj.Rec, sj.External)
 			again, err := dec.DecodeStoredJob(raw)
 			if err != nil || again.External != sj.External ||
 				again.ParamsLen != sj.ParamsLen || again.OutputLen != sj.OutputLen {
@@ -105,10 +120,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-// withMagic steers fuzz data into the binary message decoder without
-// ever reaching the gob fallback (gob is not under test here): data
-// already carrying the magic passes through, anything else gets a
-// valid blob header prepended.
+// withMagic steers fuzz data past the header check into the message
+// decoder: data already carrying the magic passes through, anything
+// else gets a valid blob header prepended.
 func withMagic(data []byte) []byte {
 	if len(data) >= 3 && data[0] == binMagic {
 		return data

@@ -23,44 +23,42 @@ func headerFixture(params, output int) *JobRecord {
 	return rec
 }
 
-// A header round-trips under both codecs for every choice of external
-// payloads: the external ones come back nil with their length beside
-// them, everything else is the record.
+// A header round-trips for every choice of external payloads: the
+// external ones come back nil with their length beside them, everything
+// else is the record.
 func TestJobHeaderRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		for _, ext := range []JobPayloads{0, JobParams, JobOutput, JobParams | JobOutput} {
-			rec := headerFixture(5000, 70000)
-			raw := codec.EncodeJobHeader(rec, ext)
-			var dec Decoder
-			sj, err := dec.DecodeStoredJob(raw)
-			if err != nil {
-				t.Fatalf("%s ext %b: %v", codec, ext, err)
+	for _, ext := range []JobPayloads{0, JobParams, JobOutput, JobParams | JobOutput} {
+		rec := headerFixture(5000, 70000)
+		raw := EncodeJobHeader(rec, ext)
+		var dec Decoder
+		sj, err := dec.DecodeStoredJob(raw)
+		if err != nil {
+			t.Fatalf("ext %b: %v", ext, err)
+		}
+		if sj.External != ext {
+			t.Fatalf("external %b, want %b", sj.External, ext)
+		}
+		want := *rec
+		if ext&JobParams != 0 {
+			want.Params = nil
+			if sj.ParamsLen != 5000 {
+				t.Fatalf("ext %b: params length %d, want 5000", ext, sj.ParamsLen)
 			}
-			if sj.External != ext {
-				t.Fatalf("%s: external %b, want %b", codec, sj.External, ext)
+		}
+		if ext&JobOutput != 0 {
+			want.Output = nil
+			if sj.OutputLen != 70000 {
+				t.Fatalf("ext %b: output length %d, want 70000", ext, sj.OutputLen)
 			}
-			want := *rec
-			if ext&JobParams != 0 {
-				want.Params = nil
-				if sj.ParamsLen != 5000 {
-					t.Fatalf("%s ext %b: params length %d, want 5000", codec, ext, sj.ParamsLen)
-				}
-			}
-			if ext&JobOutput != 0 {
-				want.Output = nil
-				if sj.OutputLen != 70000 {
-					t.Fatalf("%s ext %b: output length %d, want 70000", codec, ext, sj.OutputLen)
-				}
-			}
-			if !reflect.DeepEqual(*sj.Rec, want) {
-				t.Fatalf("%s ext %b: record\n got %+v\nwant %+v", codec, ext, *sj.Rec, want)
-			}
-			if ext == JobParams|JobOutput && len(raw) > 512 { // gob spends ~300 on its type descriptor
-				t.Fatalf("%s ext %b: header is %d bytes — a payload leaked into it", codec, ext, len(raw))
-			}
-			if rec.Params == nil || rec.Output == nil {
-				t.Fatalf("%s ext %b: encoding stripped the caller's record", codec, ext)
-			}
+		}
+		if !reflect.DeepEqual(*sj.Rec, want) {
+			t.Fatalf("ext %b: record\n got %+v\nwant %+v", ext, *sj.Rec, want)
+		}
+		if ext == JobParams|JobOutput && len(raw) > 128 {
+			t.Fatalf("ext %b: header is %d bytes — a payload leaked into it", ext, len(raw))
+		}
+		if rec.Params == nil || rec.Output == nil {
+			t.Fatalf("ext %b: encoding stripped the caller's record", ext)
 		}
 	}
 }
@@ -71,19 +69,17 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 func TestJobHeaderWithoutExternalsIsTheWholeRecord(t *testing.T) {
 	rec := headerFixture(64, 64)
 	want := append([]byte{binMagic, binVersion, kindJobRecord}, appendJobBody(nil, rec)...)
-	if got := CodecBinary.EncodeJobHeader(rec, 0); !bytes.Equal(got, want) {
-		t.Fatalf("binary header without externals differs from the whole-record encoding")
+	if got := EncodeJobHeader(rec, 0); !bytes.Equal(got, want) {
+		t.Fatalf("header without externals differs from the whole-record encoding")
 	}
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		back, err := DecodeJob(codec.EncodeJobHeader(rec, 0))
-		if err != nil || !reflect.DeepEqual(back, rec) {
-			t.Fatalf("%s: DecodeJob of an all-inline header: %v, %+v", codec, err, back)
-		}
+	back, err := DecodeJob(want)
+	if err != nil || !reflect.DeepEqual(back, rec) {
+		t.Fatalf("DecodeJob of an all-inline header: %v, %+v", err, back)
 	}
 }
 
 func TestDecodeStoredJobRejectsMalformedHeaders(t *testing.T) {
-	good := CodecBinary.EncodeJobHeader(headerFixture(5000, 5000), JobParams|JobOutput)
+	good := EncodeJobHeader(headerFixture(5000, 5000), JobParams|JobOutput)
 	whole := EncodeJob(headerFixture(8, -1))
 	cases := map[string][]byte{
 		"no payloads named":      append([]byte{binMagic, binVersion, kindJobHeader, 0}, whole...),
@@ -111,13 +107,12 @@ func TestDecodeStoredJobRejectsMalformedHeaders(t *testing.T) {
 func TestStoredEncodingsCarryNoSlack(t *testing.T) {
 	small := &Submit{Call: CallID{User: "u0", Session: 1, Seq: 9}, Service: "echo", Params: make([]byte, 64)}
 	large := &TaskResult{From: "sv0", Task: TaskID{Call: small.Call, Instance: 1}, Output: make([]byte, 64<<10)}
-	encodings := map[string][]byte{}
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		encodings[codec.String()+" small message"] = codec.EncodeMessage(small)
-		encodings[codec.String()+" large message"] = codec.EncodeMessage(large)
-		encodings[codec.String()+" small job"] = codec.EncodeJob(headerFixture(64, 64))
-		encodings[codec.String()+" large job"] = codec.EncodeJob(headerFixture(64<<10, 64<<10))
-		encodings[codec.String()+" header"] = codec.EncodeJobHeader(headerFixture(64<<10, 64<<10), JobParams|JobOutput)
+	encodings := map[string][]byte{
+		"small message": EncodeMessage(small),
+		"large message": EncodeMessage(large),
+		"small job":     EncodeJob(headerFixture(64, 64)),
+		"large job":     EncodeJob(headerFixture(64<<10, 64<<10)),
+		"header":        EncodeJobHeader(headerFixture(64<<10, 64<<10), JobParams|JobOutput),
 	}
 	for name, raw := range encodings {
 		slack := cap(raw) - len(raw)

@@ -87,7 +87,7 @@ func TestJobRecordCodecRoundTrip(t *testing.T) {
 }
 
 func TestDecodeJobRejectsGarbage(t *testing.T) {
-	if _, err := DecodeJob([]byte("not gob")); err == nil {
+	if _, err := DecodeJob([]byte("not a job")); err == nil {
 		t.Fatal("DecodeJob accepted garbage")
 	}
 	if _, err := DecodeJob(nil); err == nil {

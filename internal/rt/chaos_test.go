@@ -9,13 +9,13 @@ import (
 	"rpcv/internal/store"
 )
 
-// WrapStore must interpose after the engine opens (directory-refusal
+// WrapStore must interpose after the store opens (directory-refusal
 // already run) and the injected faults must surface to loop code.
 func TestWrapStoreInjectsFaults(t *testing.T) {
 	plan := &store.FaultPlan{}
 	a := &echo{}
 	ra, err := Start(Config{
-		ID: "a", Handler: a, DiskDir: t.TempDir(), Store: "wal",
+		ID: "a", Handler: a, DiskDir: t.TempDir(),
 		Logf:      quietLogf,
 		WrapStore: func(s store.Store) store.Store { return store.WithFaults(s, plan) },
 	})
@@ -42,28 +42,22 @@ func TestWrapStoreInjectsFaults(t *testing.T) {
 	}
 }
 
-// A runtime opening a wal directory through WrapStore must still refuse
-// the files engine: the wrapper attaches after the refusal check.
+// A runtime with WrapStore set must still refuse a files-engine
+// directory: the wrapper attaches after the refusal check.
 func TestWrapStorePreservesEngineRefusal(t *testing.T) {
-	dir := t.TempDir()
-	a := &echo{}
-	ra, err := Start(Config{ID: "a", Handler: a, DiskDir: dir, Store: "wal", Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra.Do(func() {
-		if err := a.env.Disk().Write("k", []byte("v")); err != nil {
-			t.Errorf("write: %v", err)
-		}
-	})
-	ra.Close()
-
-	_, err = Start(Config{
-		ID: "a2", Handler: &echo{}, DiskDir: dir, Store: "files", Logf: quietLogf,
-		WrapStore: func(s store.Store) store.Store { return store.WithFaults(s, &store.FaultPlan{}) },
+	wrapped := false
+	_, err := Start(Config{
+		ID: "a", Handler: &echo{}, DiskDir: filesEngineDir(t), Logf: quietLogf,
+		WrapStore: func(s store.Store) store.Store {
+			wrapped = true
+			return store.WithFaults(s, &store.FaultPlan{})
+		},
 	})
 	if err == nil {
-		t.Fatal("files engine over a wal dir must refuse even with WrapStore set")
+		t.Fatal("a files-engine directory must be refused even with WrapStore set")
+	}
+	if wrapped {
+		t.Fatal("WrapStore ran over a directory the wal refused")
 	}
 }
 

@@ -361,7 +361,7 @@ func TestMultiLoopDiskRecovery(t *testing.T) {
 	const perLoop = 25
 
 	h := &partRecorder{}
-	ra, err := Start(Config{ID: "a", Handler: h, Loops: loops, DiskDir: dir, Store: "wal", Logf: quietLogf})
+	ra, err := Start(Config{ID: "a", Handler: h, Loops: loops, DiskDir: dir, Logf: quietLogf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestMultiLoopDiskRecovery(t *testing.T) {
 	ra.Close()
 
 	h2 := &partRecorder{}
-	rb, err := Start(Config{ID: "a", Handler: h2, Loops: loops, DiskDir: dir, Store: "wal", Logf: quietLogf})
+	rb, err := Start(Config{ID: "a", Handler: h2, Loops: loops, DiskDir: dir, Logf: quietLogf})
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -1,27 +1,22 @@
 // Package rt is the real-time runtime: it hosts the same protocol
 // handlers that run in the simulator (client, coordinator, server) on a
-// real machine, with TCP sockets, the wall clock and a pluggable
-// durable store (internal/store; Config.Store selects the engine —
-// the legacy per-key "files" layout by default, or the group-commit
-// "wal" log). The cmd/ daemons and the quickstart example are built on
-// it.
+// real machine, with TCP sockets, the wall clock and a durable store
+// (internal/store): the group-commit WAL when Config.DiskDir names a
+// directory, the volatile in-memory store when it does not. The cmd/
+// daemons and the quickstart example are built on it.
 //
-// The default transport pools connections (see transport.go): each
-// peer gets one long-lived connection owned by a sender goroutine with
-// a bounded send queue, and queued envelopes are coalesced into a
-// single flush. Semantically it is still the paper's best-effort,
-// connection-less channel: sends never block, overflow and broken
-// connections silently drop messages, and connection breaks are never
-// used as fault signals — only heartbeat timeouts are. A quiet peer's
-// connection closes after Config.IdleTimeout, returning it to the
-// paper's "open, write one message, close" behaviour, which
-// Config.LegacyTransport restores entirely. Connections speak the
-// hand-written binary codec by default — a two-byte magic/version
-// preface, then length-prefixed frames — and Config.Wire ("gob")
-// reverts to the legacy gob envelope stream. All combinations
-// interoperate: the read side auto-detects the codec from the first
-// byte, decodes until EOF, and a single-envelope (or single-frame)
-// stream is simply the shortest case.
+// The transport pools connections (see transport.go): each peer gets
+// one long-lived connection owned by a sender goroutine with a bounded
+// send queue, and queued envelopes are coalesced into a single flush.
+// Semantically it is still the paper's best-effort, connection-less
+// channel: sends never block, overflow and broken connections silently
+// drop messages, and connection breaks are never used as fault signals
+// — only heartbeat timeouts are. A quiet peer's connection closes after
+// Config.IdleTimeout, returning it to the paper's "open, write one
+// message, close" behaviour. Connections speak the hand-written binary
+// codec (internal/proto): a two-byte magic/version preface, then
+// length-prefixed frames until EOF. An inbound connection that opens
+// with anything else is logged and closed.
 //
 // A runtime runs its handler on Config.Loops per-core event loops
 // (default 1). Handlers implementing node.PartitionedHandler are split
@@ -34,7 +29,6 @@ package rt
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"log"
@@ -66,14 +60,17 @@ type Config struct {
 	ListenAddr string
 	// Directory maps peer IDs to addresses.
 	Directory Directory
-	// DiskDir is the directory backing the node's stable store. Empty
-	// means an in-memory store (volatile across process restarts —
-	// fine for tests, wrong for production).
+	// DiskDir is the directory backing the node's stable store, a
+	// group-commit write-ahead log (store.OpenWAL). Empty means an
+	// in-memory store (volatile across process restarts — fine for
+	// tests, wrong for production).
 	DiskDir string
-	// Store selects the durable-store engine backing DiskDir: one of
-	// store.Engines() — "files" (legacy per-key file layout, the
-	// default), "wal" (group-commit write-ahead log with snapshots
-	// and compaction) or "memory". Ignored when DiskDir is empty.
+	// Store is a vestige of the time DiskDir could be backed by one of
+	// several engines: "" and "wal" both mean the WAL, any other value
+	// fails Start, and it is ignored when DiskDir is empty. It stays
+	// only because bench/grid.go assigns it and bench/ may not change
+	// in the PR that removed the engines; the next benchmark PR deletes
+	// that assignment and this field together.
 	Store string
 	// Handler is the protocol state machine to host.
 	Handler node.Handler
@@ -94,23 +91,9 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// DialTimeout bounds connection attempts. Default 2 s.
 	DialTimeout time.Duration
-	// LegacyTransport reverts to the paper's literal connection-per-
-	// message behaviour: every send dials, writes one envelope and
-	// closes. The escape hatch for mixed deployments whose pre-pooling
-	// binaries stop reading after the first envelope of a connection.
-	LegacyTransport bool
-	// Wire selects the codec this node's outgoing connections speak:
-	// proto.WireBinary (default; length-prefixed hand-written frames
-	// behind a magic version preface) or proto.WireGob (the legacy gob
-	// envelope stream — what pre-binary builds both speak and expect).
-	// Inbound connections auto-detect either codec from the first
-	// byte, so a mixed cluster interoperates; set gob only when this
-	// node must talk TO peers that predate the binary codec.
-	Wire string
-	// QueueDepth bounds each peer's send queue on the pooled
-	// transport. When full, the oldest queued envelope is dropped —
-	// best-effort semantics, indistinguishable from network loss.
-	// Default 128.
+	// QueueDepth bounds each peer's send queue. When full, the oldest
+	// queued envelope is dropped — best-effort semantics,
+	// indistinguishable from network loss. Default 128.
 	QueueDepth int
 	// IdleTimeout closes a pooled connection with no outbound traffic
 	// and retires its sender goroutine; the next send re-establishes
@@ -123,7 +106,7 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Obs, when non-nil, receives runtime metrics: the transport
 	// counters and batch sizes, the store's write-to-durable latency,
-	// (on the wal engine) the group-commit and snapshot counters, all
+	// (with a DiskDir) the WAL's group-commit and snapshot counters, all
 	// labeled node="<ID>", and per-loop counters (tasks, handoffs,
 	// mailbox depth, pending timers) labeled node + loop. Counters the
 	// hot path already maintains are exposed as scrape-time funcs, so
@@ -139,20 +122,14 @@ type Config struct {
 	// active peers outnumber the cap for long, lost heartbeats turn
 	// into false fault suspicions. Default 256.
 	MaxInboundConns int
-	// WrapStore, when non-nil, interposes on the store after the engine
-	// opens it (so engine directory-refusal checks have already run)
+	// WrapStore, when non-nil, interposes on the store after it is
+	// opened (so the WAL's directory-refusal check has already run)
 	// and before any loop sees it. The chaos harness uses it to inject
 	// disk faults (store.WithFaults); the wrapper must preserve the
 	// Store contract. Note: a wrapper hides optional interfaces
 	// (store.Laner, WALStats), so multi-loop store lanes degrade to
 	// the shared path under a wrapped store.
 	WrapStore func(store.Store) store.Store
-}
-
-// envelope frames one message on the wire.
-type envelope struct {
-	From proto.NodeID
-	Msg  proto.Message
 }
 
 // Runtime hosts one handler across one or more event loops.
@@ -209,11 +186,6 @@ func Start(cfg Config) (*Runtime, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	wire, err := proto.ParseWire(cfg.Wire)
-	if err != nil {
-		return nil, fmt.Errorf("rt: %w", err)
-	}
-	cfg.Wire = wire
 	seed := cfg.Seed
 	if seed == 0 {
 		for _, c := range cfg.ID {
@@ -271,7 +243,10 @@ func Start(cfg Config) (*Runtime, error) {
 	}
 
 	if cfg.DiskDir != "" {
-		st, err := store.Open(cfg.Store, cfg.DiskDir)
+		if cfg.Store != "" && cfg.Store != "wal" {
+			return nil, fmt.Errorf("rt: unknown store %q: the wal is the only durable engine", cfg.Store)
+		}
+		st, err := store.OpenWAL(cfg.DiskDir, store.WALOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("rt: disk: %w", err)
 		}
@@ -284,9 +259,9 @@ func Start(cfg Config) (*Runtime, error) {
 		r.store = cfg.WrapStore(r.store)
 	}
 
-	// Build the loops: per-loop RNG stream, store lane (when the
-	// engine supports per-loop staging; mutex-guarded engines are
-	// shared directly), env and disk adapter.
+	// Build the loops: per-loop RNG stream, store lane (the WAL stages
+	// per loop; the memory store and wrapped stores are shared
+	// directly), env and disk adapter.
 	laner, _ := r.store.(store.Laner)
 	r.loops = make([]*loop, nloops)
 	for i := 0; i < nloops; i++ {
@@ -627,14 +602,11 @@ func (r *Runtime) acceptLoop() {
 	}
 }
 
-// handleConn drains one inbound connection, auto-detecting the codec
-// from its first byte: the binary magic preface opens a stream of
-// length-prefixed frames; anything else is a gob stream of envelopes,
-// decoded until EOF (length-of-stream framing). The legacy connection-
-// per-message transport produces the degenerate one-envelope (or
-// one-frame) stream, so every transport/codec combination shares this
-// read path — which is what lets a mixed cluster interoperate. Each
-// message is routed to its owning loop by deliver (route.go).
+// handleConn drains one inbound connection: the two-byte preface, then
+// length-prefixed frames until EOF, each message routed to its owning
+// loop by deliver (route.go). A connection that does not open with the
+// preface — a port scan, a peer on another protocol or codec version —
+// is logged and closed without delivering anything.
 func (r *Runtime) handleConn(conn net.Conn) {
 	defer r.wg.Done()
 	defer r.inbound.Add(-1)
@@ -647,45 +619,23 @@ func (r *Runtime) handleConn(conn net.Conn) {
 	}
 	deadline()
 	br := bufio.NewReader(conn)
-	first, err := br.Peek(1)
-	if err != nil {
+	if err := proto.ReadPreface(br); err != nil {
 		if err != io.EOF {
-			r.cfg.Logf("rt(%s): read: %v", r.cfg.ID, err)
+			r.cfg.Logf("rt(%s): preface from %s: %v", r.cfg.ID, conn.RemoteAddr(), err)
 		}
 		return
 	}
-	if proto.IsBinaryPreface(first[0]) {
-		if err := proto.ReadPreface(br); err != nil {
-			r.cfg.Logf("rt(%s): preface: %v", r.cfg.ID, err)
-			return
-		}
-		dec := proto.NewWireDecoder(br)
-		for {
-			deadline()
-			from, msg, err := dec.Next()
-			if err != nil {
-				if err != io.EOF {
-					r.cfg.Logf("rt(%s): decode frame: %v", r.cfg.ID, err)
-				}
-				return
-			}
-			r.deliver(from, msg)
-		}
-	}
-	dec := gob.NewDecoder(br)
+	dec := proto.NewWireDecoder(br)
 	for {
 		deadline()
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		from, msg, err := dec.Next()
+		if err != nil {
 			if err != io.EOF {
-				r.cfg.Logf("rt(%s): decode: %v", r.cfg.ID, err)
+				r.cfg.Logf("rt(%s): decode frame: %v", r.cfg.ID, err)
 			}
 			return
 		}
-		if env.Msg == nil {
-			continue
-		}
-		r.deliver(env.From, env.Msg)
+		r.deliver(from, msg)
 	}
 }
 
@@ -697,67 +647,16 @@ func (r *Runtime) lookup(to proto.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// send hands msg to the peer's transport, stamped with the originating
-// loop's wire From. On the pooled transport (default) it enqueues on
-// the peer's sender: never blocking, dropping the oldest queued
-// envelope on overflow. With LegacyTransport it keeps the paper's
-// literal behaviour: one goroutine dials, writes one envelope and
-// closes. Failures are silent either way (best-effort network): the
+// send enqueues msg on the peer's sender, stamped with the originating
+// loop's wire From: never blocking, dropping the oldest queued envelope
+// on overflow. Failures are silent (best-effort network): the
 // protocol's heartbeats and resends own all recovery.
 func (r *Runtime) send(to proto.NodeID, msg proto.Message, loopIdx int) {
 	if _, ok := r.lookup(to); !ok {
 		r.cfg.Logf("rt(%s): no address for %s, dropping %s", r.cfg.ID, to, msg.Kind())
 		return
 	}
-	from := r.taggedFrom(loopIdx)
-	if r.cfg.LegacyTransport {
-		// wg-tracked so Close waits even for these; worst case is one
-		// DialTimeout for an in-flight dial to an unreachable peer.
-		r.wg.Add(1)
-		go r.sendLegacy(to, msg, from)
-		return
-	}
-	r.senderFor(to).enqueue(outMsg{msg: msg, from: from})
-}
-
-// sendLegacy performs one paper-style connection-per-message send:
-// dial, write one envelope (or preface + one frame on the binary
-// codec), close.
-func (r *Runtime) sendLegacy(to proto.NodeID, msg proto.Message, from proto.NodeID) {
-	defer r.wg.Done()
-	addr, ok := r.lookup(to)
-	if !ok {
-		return
-	}
-	conn, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
-	if err != nil {
-		r.stats.dropped.Add(1)
-		return // unreachable peers are a normal event
-	}
-	defer conn.Close()
-	if !r.track(conn) {
-		return
-	}
-	defer r.untrack(conn)
-	_ = conn.SetWriteDeadline(time.Now().Add(time.Minute))
-	if r.cfg.Wire == proto.WireBinary {
-		buf := proto.GetBuffer()
-		buf.B = append(buf.B, proto.FramePreface[:]...)
-		if buf.B, err = proto.AppendFrame(buf.B, from, msg); err == nil {
-			_, err = conn.Write(buf.B)
-		}
-		proto.PutBuffer(buf)
-	} else {
-		env := envelope{From: from, Msg: msg}
-		err = gob.NewEncoder(conn).Encode(&env)
-	}
-	if err != nil {
-		r.stats.dropped.Add(1)
-		r.cfg.Logf("rt(%s): send %s to %s: %v", r.cfg.ID, msg.Kind(), to, err)
-		return
-	}
-	r.stats.sent.Add(1)
-	r.stats.flushes.Add(1)
+	r.senderFor(to).enqueue(outMsg{msg: msg, from: r.taggedFrom(loopIdx)})
 }
 
 // ---------------------------------------------------------------------
@@ -791,10 +690,10 @@ func (e *rtEnv) Logf(format string, args ...any) {
 	e.l.r.cfg.Logf("%s: %s", e.l.r.cfg.ID, fmt.Sprintf(format, args...))
 }
 
-// Send hands msg to the transport without ever blocking the loop: the
-// pooled transport enqueues (dropping oldest on overflow) and the
-// legacy transport dials on its own goroutine. The frame carries this
-// loop's From tag so a multi-loop peer routes it loop-symmetrically.
+// Send hands msg to the transport without ever blocking the loop: it
+// enqueues, dropping the oldest envelope on overflow. The frame carries
+// this loop's From tag so a multi-loop peer routes it
+// loop-symmetrically.
 //
 //rpcv:loop-only
 func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.l.r.send(to, msg, e.l.idx) }
@@ -847,7 +746,7 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		d.l.store.WriteAsync(key, value, nil)
 		return
 	}
-	// Engines without real batching (files, memory) complete the write
+	// A store without real batching (memory) completes the write
 	// synchronously, invoking the callback on this goroutine — the
 	// owning event loop. Routing that through the handoff ring would
 	// defer it behind unrelated work; detect completion-before-return

@@ -16,7 +16,7 @@ import (
 // real TCP runtime and hands the client a stale shard map whose ring
 // assignment is swapped: the first submission hits the wrong ring, the
 // ShardRedirect carries the newer map, and the call completes on the
-// right one. This covers the gob path of every shard message end to
+// right one. This covers the wire path of every shard message end to
 // end.
 func TestShardRedirectOverTCP(t *testing.T) {
 	rings := [][]proto.NodeID{{"coord-00"}, {"coord-01"}}

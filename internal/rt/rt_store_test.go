@@ -2,7 +2,10 @@ package rt
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +19,10 @@ import (
 	"rpcv/internal/store"
 )
 
-// TestWALStorePersistsAcrossRuntimes mirrors the files-engine
-// persistence test on the wal engine: a value written by one runtime
-// incarnation must be readable by the next over the same directory.
+// TestWALStorePersistsAcrossRuntimes: a value written by one runtime
+// incarnation must be readable by the next over the same directory —
+// here with the vestigial Store: "wal" spelled out, as bench/ does;
+// TestFileDiskPersistsAcrossRuntimes leaves it empty.
 func TestWALStorePersistsAcrossRuntimes(t *testing.T) {
 	dir := t.TempDir()
 	a := &echo{}
@@ -50,24 +54,44 @@ func TestWALStorePersistsAcrossRuntimes(t *testing.T) {
 	})
 }
 
-// TestStoreEngineMismatchRefused: a runtime pointed at the other
-// engine's directory must fail Start instead of presenting an empty
-// store to a recovering handler.
-func TestStoreEngineMismatchRefused(t *testing.T) {
+// filesEngineDir returns a directory as the removed files engine left
+// one: a single <hex of the key>.log per key.
+func filesEngineDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	a := &echo{}
-	ra, err := Start(Config{ID: "a", Handler: a, DiskDir: dir, Store: "wal", Logf: quietLogf})
-	if err != nil {
+	name := hex.EncodeToString([]byte("coord/job/1")) + ".log"
+	if err := os.WriteFile(filepath.Join(dir, name), []byte("rec"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ra.Do(func() {
-		if err := a.env.Disk().Write("k", []byte("v")); err != nil {
-			t.Errorf("write: %v", err)
+	return dir
+}
+
+// TestStoreEngineMismatchRefused: a runtime pointed at a directory the
+// removed files engine wrote must fail Start instead of presenting an
+// empty store to a recovering handler.
+func TestStoreEngineMismatchRefused(t *testing.T) {
+	if _, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: filesEngineDir(t), Logf: quietLogf}); err == nil {
+		t.Fatal("the wal opened a files-engine directory")
+	}
+}
+
+// TestStartRejectsUnknownStore: the vestigial Config.Store names the
+// WAL or nothing. The removed engine, or a typo, fails Start rather
+// than silently getting the WAL — and only matters with a DiskDir.
+func TestStartRejectsUnknownStore(t *testing.T) {
+	for _, name := range []string{"files", "memory", "wall"} {
+		dir := filepath.Join(t.TempDir(), "disk")
+		if _, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: dir, Store: name, Logf: quietLogf}); err == nil {
+			t.Fatalf("Start accepted Store %q", name)
 		}
-	})
-	ra.Close()
-	if _, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: dir, Store: "files", Logf: quietLogf}); err == nil {
-		t.Fatal("files engine opened a wal directory")
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("Store %q: the refused Start created %s", name, dir)
+		}
+		r, err := Start(Config{ID: "a", Handler: &echo{}, Store: name, Logf: quietLogf})
+		if err != nil {
+			t.Fatalf("Store %q without a DiskDir: %v", name, err)
+		}
+		r.Close()
 	}
 }
 
@@ -127,7 +151,7 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	}
 	coordCfg := func(h *coordinator.Coordinator) Config {
 		return Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: h,
-			DiskDir: coordDir, Store: "wal", Loops: loops, Logf: quietLogf}
+			DiskDir: coordDir, Loops: loops, Logf: quietLogf}
 	}
 	rco, err := Start(coordCfg(newCoord()))
 	if err != nil {

@@ -1,13 +1,12 @@
 package rt
 
-// The pooled transport: one sender goroutine per peer owns a single
-// long-lived TCP connection, so sustained traffic pays the dial (and,
-// on the gob codec, the type-descriptor handshake) once per connection
-// instead of once per message. With the default binary wire codec the
-// sender opens the connection with the two-byte magic/version preface
-// and appends length-prefixed frames into one pooled buffer per batch
-// — zero allocations on the steady-state send path. Semantics stay the
-// paper's best-effort channel:
+// The transport: one sender goroutine per peer owns a single
+// long-lived TCP connection, so sustained traffic pays the dial once per
+// connection instead of once per message. The sender opens the
+// connection with the two-byte magic/version preface and appends
+// length-prefixed frames into one pooled buffer per batch — zero
+// allocations on the steady-state send path. Semantics stay the paper's
+// best-effort channel:
 //
 //   - enqueue never blocks the caller; a full queue drops the oldest
 //     envelope (indistinguishable from network loss, which the
@@ -20,15 +19,10 @@ package rt
 //     connection and retires, returning a quiet peer to the paper's
 //     connection-less behaviour.
 //
-// The read side (Runtime.handleConn) auto-detects the codec from the
-// connection's first byte, then decodes frames (binary) or envelopes
-// (gob) until EOF, so nodes on either -wire setting and the legacy
-// one-envelope-per-connection transport (Config.LegacyTransport) all
-// interoperate.
+// The read side is Runtime.handleConn.
 
 import (
 	"bufio"
-	"encoding/gob"
 	"math/rand"
 	"net"
 	"sync"
@@ -52,8 +46,8 @@ const (
 type TransportStats struct {
 	// Sent counts envelopes handed to the OS.
 	Sent uint64
-	// Flushes counts connection writes; Sent/Flushes is the achieved
-	// coalescing factor (always 1 on the legacy transport).
+	// Flushes counts connection writes that carried at least one
+	// envelope; Sent/Flushes is the achieved coalescing factor.
 	Flushes uint64
 	// Dropped counts envelopes lost locally: queue overflow, dial
 	// failure, or a connection that broke mid-batch.
@@ -171,16 +165,14 @@ func (s *sender) tryRetire() bool {
 func (s *sender) run() {
 	defer s.rt.wg.Done()
 
-	binaryWire := s.rt.cfg.Wire == proto.WireBinary
 	var conn net.Conn
 	var bw *bufio.Writer
-	var enc *gob.Encoder
 	var dialedAddr string
 	closeConn := func() {
 		if conn != nil {
 			s.rt.untrack(conn)
 			conn.Close()
-			conn, bw, enc = nil, nil, nil
+			conn, bw = nil, nil
 		}
 	}
 	defer closeConn()
@@ -217,9 +209,8 @@ func (s *sender) run() {
 			}
 			if conn != nil && addr != dialedAddr {
 				// The directory moved the peer (SetPeer): abandon the
-				// connection to the old endpoint — the legacy
-				// transport re-resolved on every send, and a live-but-
-				// wrong connection must not pin traffic there forever.
+				// connection to the old endpoint — a live-but-wrong
+				// connection must not pin traffic there forever.
 				closeConn()
 			}
 			if conn == nil {
@@ -248,54 +239,44 @@ func (s *sender) run() {
 					return // shutting down; track closed c
 				}
 				conn, bw = c, bufio.NewWriter(c)
-				if binaryWire {
-					// The preface rides the first batch's flush: one
-					// write announces the codec version for the whole
-					// connection.
-					_, _ = bw.Write(proto.FramePreface[:])
-				} else {
-					enc = gob.NewEncoder(bw)
-				}
+				// The preface rides the first batch's flush: one write
+				// announces the codec version for the whole connection.
+				_, _ = bw.Write(proto.FramePreface[:])
 				dialedAddr = addr
 				backoff = backoffMin
 			}
-			// One deadline and one envelope serve the whole batch: the
-			// per-message work inside the loop is encoding only.
+			// One deadline serves the whole batch: the per-message work
+			// inside the loop is encoding only.
 			_ = conn.SetWriteDeadline(time.Now().Add(time.Minute))
-			var werr error
 			framed := len(batch)
-			if binaryWire {
-				buf := proto.GetBuffer()
-				for _, m := range batch {
-					var ferr error
-					if buf.B, ferr = proto.AppendFrame(buf.B, m.from, m.msg); ferr != nil {
-						// Over the frame cap: drop this message alone
-						// (best effort) instead of poisoning the
-						// connection for the whole batch.
-						framed--
-						s.rt.stats.dropped.Add(1)
-						s.rt.cfg.Logf("rt(%s): %v", s.rt.cfg.ID, ferr)
-					}
-				}
-				_, werr = bw.Write(buf.B)
-				proto.PutBuffer(buf)
-			} else {
-				var env envelope
-				for _, m := range batch {
-					env.From, env.Msg = m.from, m.msg
-					if werr = enc.Encode(&env); werr != nil {
-						break
-					}
+			buf := proto.GetBuffer()
+			for _, m := range batch {
+				var ferr error
+				if buf.B, ferr = proto.AppendFrame(buf.B, m.from, m.msg); ferr != nil {
+					// Over the frame cap: drop this message alone (best
+					// effort) instead of poisoning the connection for
+					// the whole batch.
+					framed--
+					s.rt.stats.dropped.Add(1)
+					s.rt.cfg.Logf("rt(%s): %v", s.rt.cfg.ID, ferr)
 				}
 			}
+			if framed == 0 {
+				// Nothing was framed, so nothing is written, flushed or
+				// counted; a fresh connection's preface stays buffered
+				// for the next batch.
+				proto.PutBuffer(buf)
+				continue
+			}
+			_, werr := bw.Write(buf.B)
+			proto.PutBuffer(buf)
 			if werr == nil {
 				werr = bw.Flush()
 			}
 			if werr != nil {
 				// Broken connection: delivery of the whole batch is
-				// unknown (Encode lands in the bufio buffer, so a
-				// flush error loses envelopes that "encoded fine"),
-				// and the encoder's stream state is unrecoverable —
+				// unknown (the frames land in the bufio buffer, so a
+				// flush error loses envelopes that "wrote fine") —
 				// count everything dropped, close, redial on the next
 				// batch. Never a fault signal.
 				s.rt.stats.dropped.Add(uint64(framed))

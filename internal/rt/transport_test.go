@@ -1,12 +1,12 @@
 package rt
 
 import (
-	"encoding/gob"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 )
 
@@ -23,10 +23,9 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
-// TestPooledDeliveryAndCoalescing sends a burst through the pooled
-// transport: every message must arrive, and the burst must ride far
-// fewer connection flushes than messages (the coalescing the legacy
-// transport cannot do, where flushes == messages by construction).
+// TestPooledDeliveryAndCoalescing sends a burst through the transport:
+// every message must arrive, and the burst must ride far fewer
+// connection flushes than messages.
 func TestPooledDeliveryAndCoalescing(t *testing.T) {
 	const burst = 64
 	a := &echo{}
@@ -61,10 +60,9 @@ func TestPooledDeliveryAndCoalescing(t *testing.T) {
 }
 
 // TestSendQueueBoundedNoGoroutineLeak floods a sender whose peer is
-// unreachable. The legacy transport spawned one goroutine per message
-// (each holding a dial for up to DialTimeout); the pooled transport
-// must keep a single sender goroutine and bound the queue by dropping
-// the oldest envelopes.
+// unreachable: the transport must keep a single sender goroutine — not
+// one per message, each holding a dial for up to DialTimeout — and
+// bound the queue by dropping the oldest envelopes.
 func TestSendQueueBoundedNoGoroutineLeak(t *testing.T) {
 	const flood = 500
 	a := &echo{}
@@ -145,8 +143,8 @@ func TestIdleTimeoutRetiresSenderAndRevives(t *testing.T) {
 // TestSetPeerRedirectsLiveSender checks a pooled sender follows
 // directory updates: after SetPeer moves a peer, traffic must land at
 // the new endpoint even though the connection to the old one is still
-// perfectly alive (the legacy transport re-resolved on every send; a
-// live-but-wrong connection must not pin messages to a stale address).
+// perfectly alive (a live-but-wrong connection must not pin messages to
+// a stale address).
 func TestSetPeerRedirectsLiveSender(t *testing.T) {
 	a := &echo{}
 	old := &echo{}
@@ -179,11 +177,109 @@ func TestSetPeerRedirectsLiveSender(t *testing.T) {
 	}
 }
 
-// TestLegacyTransportInterop proves wire compatibility both ways: a
-// LegacyTransport sender delivers to a pooled read side, and a raw
-// one-envelope-then-close connection (what a pre-pooling binary
-// writes) is accepted as the shortest envelope stream.
-func TestLegacyTransportInterop(t *testing.T) {
+// oversized is a message whose frame exceeds proto.MaxFrame.
+func oversized() proto.Message {
+	return &proto.Submit{Call: proto.CallID{User: "u", Session: 1, Seq: 99},
+		Params: make([]byte, proto.MaxFrame+1)}
+}
+
+// TestOversizedBatchSendsAndCountsNothing: a batch in which every
+// message is over the frame cap used to write an empty buffer, flush,
+// and count a flush that carried nothing plus a zero in the batch-size
+// histogram. It must count only the drop — and leave the connection,
+// preface still unsent, good for the next message.
+func TestOversizedBatchSendsAndCountsNothing(t *testing.T) {
+	a, b := &echo{}, &echo{}
+	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf, Obs: obs.New("a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	ra.SetPeer("b", rb.Addr())
+
+	ra.Do(func() { a.env.Send("b", oversized()) })
+	if !waitFor(t, 10*time.Second, func() bool { return ra.TransportStats().Dropped == 1 }) {
+		t.Fatalf("stats = %+v, want the oversized message dropped", ra.TransportStats())
+	}
+	if st := ra.TransportStats(); st.Sent != 0 || st.Flushes != 0 {
+		t.Fatalf("stats = %+v: a batch that framed nothing was counted as sent or flushed", st)
+	}
+	if n := ra.obsBatch.Snapshot().N; n != 0 {
+		t.Fatalf("batch-size histogram holds %d observation(s) of a batch that sent nothing", n)
+	}
+
+	ra.Do(func() { a.env.Send("b", &proto.Poll{User: "u", Session: 1}) })
+	if !waitFor(t, 5*time.Second, func() bool { return b.count() == 1 }) {
+		t.Fatal("a message after the dropped one never arrived")
+	}
+	// The sender counts a flush after it returns and the receiver may
+	// deliver before that: wait for the last thing it counts.
+	if !waitFor(t, 5*time.Second, func() bool { return ra.obsBatch.Snapshot().N > 0 }) {
+		t.Fatalf("stats = %+v: the flush that delivered was never counted", ra.TransportStats())
+	}
+	if st := ra.TransportStats(); st.Sent != 1 || st.Flushes != 1 || st.Dropped != 1 || st.Redials != 0 {
+		t.Fatalf("stats = %+v, want 1 sent in 1 flush on the first connection", st)
+	}
+	if h := ra.obsBatch.Snapshot(); h.N != 1 || h.Min != 1 {
+		t.Fatalf("batch-size histogram = %+v, want the one batch of one", h)
+	}
+}
+
+// TestOversizedMessageCostsOnlyItself: queued between two small
+// messages, the oversized one is dropped alone — both neighbours arrive,
+// in order, over a connection that is never torn down.
+func TestOversizedMessageCostsOnlyItself(t *testing.T) {
+	a, b := &echo{}, &echo{}
+	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	ra.SetPeer("b", rb.Addr())
+
+	big := oversized()
+	ra.Do(func() {
+		a.env.Send("b", &proto.Poll{User: "u", Session: 1})
+		a.env.Send("b", big)
+		a.env.Send("b", &proto.Poll{User: "u", Session: 2})
+	})
+	if !waitFor(t, 10*time.Second, func() bool { return b.count() == 2 }) {
+		t.Fatalf("delivered %d/2 small messages around the oversized one", b.count())
+	}
+	b.mu.Lock()
+	first, second := b.seen[0].(*proto.Poll), b.seen[1].(*proto.Poll)
+	b.mu.Unlock()
+	if first.Session != 1 || second.Session != 2 {
+		t.Fatalf("small messages arrived as sessions %d, %d; want 1, 2", first.Session, second.Session)
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return ra.TransportStats().Sent == 2 }) { // counted after the flush returns
+		t.Fatalf("stats = %+v, want 2 sent", ra.TransportStats())
+	}
+	if st := ra.TransportStats(); st.Dropped != 1 || st.Redials != 0 {
+		t.Fatalf("stats = %+v, want 2 sent, 1 dropped, no redial", st)
+	}
+	if n := rb.inbound.Load(); n != 1 {
+		t.Fatalf("receiver holds %d inbound connections, want the one the sender opened", n)
+	}
+}
+
+// TestInboundWithoutPrefaceIsClosedUndelivered dials a live runtime over
+// raw TCP with everything that is not this protocol — garbage, a
+// preface cut short, a preface of another version, bytes that open like
+// a gob stream — followed each time by what would be a valid frame.
+// Every such connection is closed without a delivery, the accept loop
+// keeps serving, and a proper connection opened afterwards delivers.
+func TestInboundWithoutPrefaceIsClosedUndelivered(t *testing.T) {
 	b := &echo{}
 	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
 	if err != nil {
@@ -191,34 +287,58 @@ func TestLegacyTransportInterop(t *testing.T) {
 	}
 	defer rb.Close()
 
-	a := &echo{}
-	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf, LegacyTransport: true,
-		Directory: Directory{"b": rb.Addr()}})
+	frame, err := proto.AppendFrame(nil, "raw", &proto.Poll{User: "u", Session: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ra.Close()
-
-	ra.Do(func() { a.env.Send("b", &proto.Poll{User: "u", Session: 1}) })
-	if !waitFor(t, 5*time.Second, func() bool { return b.count() == 1 }) {
-		t.Fatal("legacy send never arrived at pooled reader")
+	magic, version := proto.FramePreface[0], proto.FramePreface[1]
+	streams := map[string][]byte{
+		"garbage":           append([]byte("GET / HTTP/1.1\r\n\r\n"), frame...),
+		"lone magic":        {magic}, // a preface torn by the peer going away
+		"wrong version":     append([]byte{magic, version + 1}, frame...),
+		"gob-like stream":   append([]byte{0x2c, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08, 'e', 'n', 'v', 'e', 'l', 'o', 'p', 'e'}, frame...),
+		"frame, no preface": frame,
 	}
-	if st := ra.TransportStats(); st.Sent != 1 || st.Flushes != 1 {
-		t.Fatalf("legacy stats = %+v, want one envelope per flush", st)
+	for name, stream := range streams {
+		conn, err := net.Dial("tcp", rb.Addr())
+		if err != nil {
+			t.Fatalf("%s: the accept loop stopped serving: %v", name, err)
+		}
+		_, _ = conn.Write(stream) // the runtime may close on us before the last byte
+		_ = conn.(*net.TCPConn).CloseWrite()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err == nil || n != 0 {
+			t.Errorf("%s: read %d bytes, err %v; want the connection closed on us", name, n, err)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Errorf("%s: the connection was left open", name)
+		}
+		conn.Close()
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return rb.inbound.Load() == 0 }) {
+		t.Fatalf("%d refused connections are still held", rb.inbound.Load())
+	}
+	if n := b.count(); n != 0 {
+		t.Fatalf("%d message(s) delivered from connections without a valid preface", n)
 	}
 
-	// Raw legacy wire: dial, write exactly one envelope, close.
+	// The same frame behind a preface, and through a real sender.
 	conn, err := net.Dial("tcp", rb.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := envelope{From: "raw", Msg: &proto.Poll{User: "u", Session: 9}}
-	if err := gob.NewEncoder(conn).Encode(&env); err != nil {
+	defer conn.Close()
+	if _, err := conn.Write(append(proto.FramePreface[:], frame...)); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	a := &echo{}
+	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf, Directory: Directory{"b": rb.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	ra.Do(func() { a.env.Send("b", &proto.Poll{User: "u", Session: 1}) })
 	if !waitFor(t, 5*time.Second, func() bool { return b.count() == 2 }) {
-		t.Fatal("raw one-envelope connection never decoded")
+		t.Fatalf("delivered %d/2 messages over proper connections after the refused ones", b.count())
 	}
 }
 

@@ -1,25 +1,13 @@
 package rt
 
-// Mixed-cluster interoperability tests for the binary wire codec: a
-// node sends with the codec its -wire flag picked, and every receiver
-// auto-detects per connection — so binary and gob nodes must exchange
-// every message kind losslessly in both directions, and a WAL written
-// by a gob build must recover under the binary default.
-
 import (
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"rpcv/internal/client"
-	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
-	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
-	"rpcv/internal/server"
-	"rpcv/internal/store"
 )
 
 // wireSampleMessages returns one populated instance of every protocol
@@ -57,6 +45,10 @@ func wireSampleMessages() []proto.Message {
 		&proto.StealGrant{From: "coord-00", Shard: 0, Epoch: 2, Round: 3, Jobs: []proto.JobRecord{
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: proto.TaskOngoing, Instance: 2},
 		}},
+		&proto.SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Fault: "partition",
+			Node: "coord-00", Peer: "server-000", At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
+		&proto.SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Verdict: "pass",
+			Digest: "sha256:00ff", Delivered: 40, Expected: 40, Faults: 2, Elapsed: 3 * time.Second},
 	}
 }
 
@@ -85,37 +77,34 @@ func (r *recorder) count() int {
 	return len(r.seen)
 }
 
-// TestMixedWireEveryMessageKindLossless runs a binary-codec node
-// against a gob-codec node and streams every message kind in both
-// directions over real TCP: each side must receive structurally
-// identical values, whatever codec the sender picked.
-func TestMixedWireEveryMessageKindLossless(t *testing.T) {
-	bin := &recorder{}
-	rbin, err := Start(Config{ID: "bin", ListenAddr: "127.0.0.1:0", Handler: bin,
-		Logf: quietLogf, Wire: proto.WireBinary})
+// TestEveryMessageKindArrivesIntactOverTCP streams every message kind
+// between two runtimes over real TCP, in both directions: each side
+// must receive structurally identical values, in order, each stamped
+// with its sender's ID.
+func TestEveryMessageKindArrivesIntactOverTCP(t *testing.T) {
+	a, b := &recorder{}, &recorder{}
+	ra, err := Start(Config{ID: "a", ListenAddr: "127.0.0.1:0", Handler: a, Logf: quietLogf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rbin.Close()
-	gb := &recorder{}
-	rgob, err := Start(Config{ID: "gob", ListenAddr: "127.0.0.1:0", Handler: gb,
-		Logf: quietLogf, Wire: proto.WireGob})
+	defer ra.Close()
+	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rgob.Close()
-	rbin.SetPeer("gob", rgob.Addr())
-	rgob.SetPeer("bin", rbin.Addr())
+	defer rb.Close()
+	ra.SetPeer("b", rb.Addr())
+	rb.SetPeer("a", ra.Addr())
 
 	msgs := wireSampleMessages()
-	rbin.Do(func() {
+	ra.Do(func() {
 		for _, m := range msgs {
-			bin.env.Send("gob", m)
+			a.env.Send("b", m)
 		}
 	})
-	rgob.Do(func() {
+	rb.Do(func() {
 		for _, m := range msgs {
-			gb.env.Send("bin", m)
+			b.env.Send("a", m)
 		}
 	})
 
@@ -135,224 +124,6 @@ func TestMixedWireEveryMessageKindLossless(t *testing.T) {
 			}
 		}
 	}
-	check("gob node", gb, "bin")     // binary sender -> gob-configured receiver
-	check("binary node", bin, "gob") // gob sender -> binary-configured receiver
-}
-
-// TestMixedWireGridCompletes is the cluster-level interop proof: a
-// binary-codec coordinator drives a gob-codec server and a gob-codec
-// client (the exact upgrade scenario: coordinator first) and every
-// call completes — delivery, scheduling and result upload all cross
-// the codec boundary.
-func TestMixedWireGridCompletes(t *testing.T) {
-	const (
-		total   = 20
-		beat    = 25 * time.Millisecond
-		suspect = 250 * time.Millisecond
-	)
-	co := coordinator.New(coordinator.Config{
-		Coordinators:     []proto.NodeID{"co"},
-		HeartbeatPeriod:  beat,
-		HeartbeatTimeout: suspect,
-		DBCost:           db.CostModel{PerOp: 10 * time.Microsecond},
-	})
-	rco, err := Start(Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co,
-		Logf: quietLogf, Wire: proto.WireBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rco.Close()
-	dir := Directory{"co": rco.Addr()}
-
-	sv := server.New(server.Config{
-		Coordinators:     []proto.NodeID{"co"},
-		HeartbeatPeriod:  beat,
-		SuspicionTimeout: suspect,
-		Services: map[string]server.Service{
-			"noop": func([]byte) ([]byte, error) { return []byte("ok"), nil },
-		},
-		Codec: proto.CodecGob,
-	})
-	rsv, err := Start(Config{ID: "sv0", ListenAddr: "127.0.0.1:0", Handler: sv,
-		Directory: dir, Logf: quietLogf, Wire: proto.WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsv.Close()
-	rco.SetPeer("sv0", rsv.Addr())
-
-	var (
-		mu      sync.Mutex
-		results int
-	)
-	cli := client.New(client.Config{
-		User:             "u",
-		Session:          1,
-		Coordinators:     []proto.NodeID{"co"},
-		PollPeriod:       beat,
-		SuspicionTimeout: suspect,
-		Logging:          msglog.NonBlockingPessimistic,
-		Disk:             msglog.InstantDisk(),
-		Codec:            proto.CodecGob,
-		OnResult: func(proto.Result, time.Time) {
-			mu.Lock()
-			results++
-			mu.Unlock()
-		},
-	})
-	rcli, err := Start(Config{ID: "cli", ListenAddr: "127.0.0.1:0", Handler: cli,
-		Directory: dir, Logf: quietLogf, Wire: proto.WireGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcli.Close()
-	rco.SetPeer("cli", rcli.Addr())
-
-	rcli.Do(func() {
-		for i := 0; i < total; i++ {
-			cli.Submit("noop", nil, 0, 0)
-		}
-	})
-	if !waitFor(t, 30*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return results >= total
-	}) {
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("mixed grid completed %d/%d calls", results, total)
-	}
-}
-
-// TestWALGobRecordsRecoverUnderBinary is the storage half of the
-// interop matrix: a coordinator on the gob codec fills a wal store
-// with gob-encoded job records and crashes mid-load; the binary-
-// default build restarts over the same directory, recovers every
-// record, finishes the run, and re-persists going forward in binary —
-// the upgrade path for durable state.
-func TestWALGobRecordsRecoverUnderBinary(t *testing.T) {
-	const (
-		total   = 40
-		beat    = 25 * time.Millisecond
-		suspect = 250 * time.Millisecond
-	)
-	coordDir := t.TempDir()
-	newCoord := func(codec proto.Codec) *coordinator.Coordinator {
-		return coordinator.New(coordinator.Config{
-			Coordinators:     []proto.NodeID{"co"},
-			HeartbeatPeriod:  beat,
-			HeartbeatTimeout: suspect,
-			DBCost:           db.CostModel{PerOp: 10 * time.Microsecond},
-			Codec:            codec,
-		})
-	}
-	coordCfg := func(h *coordinator.Coordinator, wire string) Config {
-		return Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: h,
-			DiskDir: coordDir, Store: "wal", Logf: quietLogf, Wire: wire}
-	}
-	rco, err := Start(coordCfg(newCoord(proto.CodecGob), proto.WireGob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := Directory{"co": rco.Addr()}
-
-	sv := server.New(server.Config{
-		Coordinators:     []proto.NodeID{"co"},
-		HeartbeatPeriod:  beat,
-		SuspicionTimeout: suspect,
-		Services: map[string]server.Service{
-			"noop": func([]byte) ([]byte, error) { return []byte("ok"), nil },
-		},
-	})
-	rsv, err := Start(Config{ID: "sv0", ListenAddr: "127.0.0.1:0", Handler: sv,
-		Directory: dir, Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsv.Close()
-	rco.SetPeer("sv0", rsv.Addr())
-
-	var (
-		mu      sync.Mutex
-		results = map[proto.RPCSeq]bool{}
-	)
-	cli := client.New(client.Config{
-		User:             "u",
-		Session:          1,
-		Coordinators:     []proto.NodeID{"co"},
-		PollPeriod:       beat,
-		SuspicionTimeout: suspect,
-		Logging:          msglog.NonBlockingPessimistic,
-		Disk:             msglog.InstantDisk(),
-		OnResult: func(res proto.Result, _ time.Time) {
-			mu.Lock()
-			results[res.Call.Seq] = true
-			mu.Unlock()
-		},
-	})
-	rcli, err := Start(Config{ID: "cli", ListenAddr: "127.0.0.1:0", Handler: cli,
-		Directory: dir, Logf: quietLogf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcli.Close()
-	rco.SetPeer("cli", rcli.Addr())
-
-	rcli.Do(func() {
-		for i := 0; i < total; i++ {
-			cli.Submit("noop", nil, 0, 0)
-		}
-	})
-	resultCount := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(results)
-	}
-	// Let the gob incarnation persist part of the load, then crash it.
-	if !waitFor(t, 20*time.Second, func() bool { return resultCount() >= total/4 }) {
-		t.Fatalf("gob incarnation never warmed up: %d results", resultCount())
-	}
-	rco.Close()
-
-	// Binary-default incarnation over the same WAL.
-	rco2, err := Start(coordCfg(newCoord(proto.CodecBinary), proto.WireBinary))
-	if err != nil {
-		t.Fatalf("binary restart over gob WAL: %v", err)
-	}
-	rco2.SetPeer("cli", rcli.Addr())
-	rco2.SetPeer("sv0", rsv.Addr())
-	rsv.SetPeer("co", rco2.Addr())
-	rcli.SetPeer("co", rco2.Addr())
-
-	if !waitFor(t, 60*time.Second, func() bool { return resultCount() >= total }) {
-		t.Fatalf("after binary restart: %d/%d results — gob-encoded records were lost",
-			resultCount(), total)
-	}
-	rco2.Close()
-
-	// Every record in the reopened store — whichever codec wrote it —
-	// must decode, and all calls must be finished.
-	st, err := store.OpenWAL(coordDir, store.WALOptions{})
-	if err != nil {
-		t.Fatalf("reopen coordinator store: %v", err)
-	}
-	defer func() { _ = st.Close() }() // read-only reopen; nothing to flush
-	finished := 0
-	var dec proto.Decoder
-	for _, key := range st.Keys("coord/job/") {
-		raw, ok := st.Read(key)
-		if !ok {
-			continue
-		}
-		rec, err := dec.DecodeJob(raw)
-		if err != nil {
-			t.Fatalf("corrupt job record %s after mixed-codec recovery: %v", key, err)
-		}
-		if rec.State == proto.TaskFinished {
-			finished++
-		}
-	}
-	if finished != total {
-		t.Fatalf("store holds %d finished records, want %d", finished, total)
-	}
+	check("b", b, "a")
+	check("a", a, "b")
 }

@@ -69,12 +69,6 @@ type Config struct {
 	// completes locally (before upload) — an experiment hook.
 	OnTaskDone func(task proto.TaskID, at time.Time)
 
-	// Codec selects the encoding of the durable result log (the
-	// server-side pessimistic log). The zero value is the binary
-	// codec; recovery auto-detects, so logs written under either codec
-	// replay under either.
-	Codec proto.Codec
-
 	// Obs, when non-nil, receives the server's live metrics (labeled
 	// node="<self>") and span events: exec when a task's service body
 	// finishes, logged-durable when its result hits the durable log.
@@ -614,7 +608,7 @@ func (s *Server) completeTask(t *proto.TaskAssignment) {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
 	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: output, Err: errStr, Exec: exec}
-	if err := s.env.Disk().Write(s.resultKey(t.Task), s.cfg.Codec.EncodeMessage(res)); err != nil {
+	if err := s.env.Disk().Write(s.resultKey(t.Task), proto.EncodeMessage(res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
 		s.trace(t.Task.Call, obs.StageDurable, "result log")

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// engines opens every engine that keeps values in memory, plus a wal
-// staging lane: the four places a defensive copy used to sit.
+// engines opens both engines plus a wal staging lane: every place that
+// holds a caller's value.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
 	w := openTestWAL(t, t.TempDir(), WALOptions{})

@@ -41,7 +41,7 @@ type FaultStats struct {
 //     slow-disk-under-live-load regime the harness wants.
 //
 // Reads are never faulted: the taxonomy targets durability, and the
-// in-memory indexes all engines keep would mask read faults anyway.
+// in-memory index both engines keep would mask read faults anyway.
 type FaultPlan struct {
 	mu        sync.Mutex
 	failAfter int // countdown to sticky failure; 0 = disarmed
@@ -147,11 +147,10 @@ func (p *FaultPlan) next() (faultAction, time.Duration) {
 //
 // Ordering matters and is the reason this wrapper takes a Store rather
 // than opening one itself: the inner engine must run its own
-// directory-refusal check (engines refuse each other's directories)
-// before any fault plumbing attaches. Open the engine first — through
-// store.Open or OpenFaulty — and wrap what it returns; a directory
-// holding foreign data then fails at Open exactly as it would without
-// the wrapper.
+// directory-refusal check (OpenWAL refuses a files-engine directory)
+// before any fault plumbing attaches. Open the engine first and wrap
+// what it returns; a directory holding foreign data then fails at open
+// exactly as it would without the wrapper.
 //
 // The wrapper passes reads through untouched and does not forward
 // optional interfaces (Laner, WALStats): a faulted store presents the
@@ -165,16 +164,6 @@ func WithFaults(inner Store, plan *FaultPlan) Store {
 		plan = &FaultPlan{}
 	}
 	return &faulty{inner: inner, plan: plan}
-}
-
-// OpenFaulty opens the named engine rooted at dir — running the
-// engine's own refusal checks first — and wraps it with plan.
-func OpenFaulty(engine, dir string, plan *FaultPlan) (Store, error) {
-	inner, err := Open(engine, dir)
-	if err != nil {
-		return nil, err
-	}
-	return WithFaults(inner, plan), nil
 }
 
 type faulty struct {

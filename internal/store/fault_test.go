@@ -8,16 +8,31 @@ import (
 	"time"
 )
 
-// The fault wrapper must interpose *after* the engine's own
-// directory-refusal check: a wal-engine directory opened through the
-// fault path with the files engine must still be refused, and vice
-// versa. (This is the wrapper-ordering bug class: a wrapper that opens
-// the directory itself, or that swallows Open errors, would silently
-// present an empty store over foreign data.)
-func TestFaultWrapperPreservesEngineRefusal(t *testing.T) {
-	dir := t.TempDir()
+// openFaulty opens the WAL rooted at dir and wraps it with plan, the
+// order every user of WithFaults follows.
+func openFaulty(dir string, plan *FaultPlan) (Store, error) {
+	inner, err := OpenWAL(dir, WALOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return WithFaults(inner, plan), nil
+}
 
-	w, err := OpenFaulty("wal", dir, &FaultPlan{})
+// The fault wrapper must interpose *after* the engine's own
+// directory-refusal check: a files-engine directory opened through the
+// fault path must still be refused. (This is the wrapper-ordering bug
+// class: a wrapper that opens the directory itself, or that swallows
+// open errors, would silently present an empty store over foreign
+// data.)
+func TestFaultWrapperPreservesEngineRefusal(t *testing.T) {
+	if _, err := openFaulty(filesEngineDir(t), &FaultPlan{}); err == nil {
+		t.Fatal("a files-engine directory must be refused even when fault-wrapped")
+	}
+
+	// The refusal is about the directory, not the wrapper: a wal
+	// directory opens under the same wrapper, and reopens recovered.
+	dir := t.TempDir()
+	w, err := openFaulty(dir, &FaultPlan{})
 	if err != nil {
 		t.Fatalf("open wal with faults: %v", err)
 	}
@@ -27,14 +42,7 @@ func TestFaultWrapperPreservesEngineRefusal(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-
-	if _, err := OpenFaulty("files", dir, &FaultPlan{}); err == nil {
-		t.Fatal("files engine must refuse a wal directory even when fault-wrapped")
-	}
-
-	// The refusal is about the directory, not the wrapper: reopening
-	// with the right engine under the same wrapper works and recovers.
-	w2, err := OpenFaulty("wal", dir, &FaultPlan{})
+	w2, err := openFaulty(dir, &FaultPlan{})
 	if err != nil {
 		t.Fatalf("reopen wal with faults: %v", err)
 	}
@@ -142,7 +150,7 @@ func TestFaultPlanStallCommits(t *testing.T) {
 func TestFaultWrapperStallsWALCommitterAndRecovers(t *testing.T) {
 	dir := t.TempDir()
 	plan := &FaultPlan{}
-	s, err := OpenFaulty("wal", dir, plan)
+	s, err := openFaulty(dir, plan)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -180,7 +188,7 @@ func TestFaultWrapperStallsWALCommitterAndRecovers(t *testing.T) {
 
 	// Crash-restart without the wrapper: every acknowledged write is
 	// there, the failed one is not.
-	r, err := Open("wal", dir)
+	r, err := OpenWAL(dir, WALOptions{})
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

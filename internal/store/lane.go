@@ -14,9 +14,9 @@ import (
 // one committer fsync covers everything staged across every lane.
 //
 // The multi-loop runtime (internal/rt) discovers the interface by type
-// assertion and gives each loop its own lane; engines without lanes
-// (files, memory) are shared across loops directly — they serialize
-// internally.
+// assertion and gives each loop its own lane; a store without lanes
+// (memory, or a wrapper that hides them) is shared across loops
+// directly — it serializes internally.
 type Laner interface {
 	// Lane returns a new staging lane over the same key space. Lanes
 	// observe their own staged writes immediately (read-your-writes)

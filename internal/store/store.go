@@ -1,45 +1,38 @@
-// Package store is the pluggable durable-store layer backing every
-// node's stable storage (node.Disk) on the real runtime.
+// Package store is the durable-store layer backing every node's stable
+// storage (node.Disk) on the real runtime.
 //
-// Three engines ship, selected by name through a registry (the cmd/
-// daemons expose it as -store):
+// There is one durable engine and one volatile one; which a node gets
+// follows from whether it was given a directory (rt.Config.DiskDir):
 //
-//   - "files": the legacy layout — one fsynced file per key, renamed
-//     into place, with a parent-directory fsync after every rename and
-//     remove. Durability is per-operation, which reproduces the
-//     paper's ~30% blocking-pessimistic submission overhead
-//     "dominated by disk access" (§4.1, figure 4): every log entry is
-//     an independent seek + multiple fsyncs.
-//   - "wal": a segmented append-only write-ahead log with group
-//     commit. A committer goroutine batches every Write/Delete staged
-//     while the previous commit was in flight into one write+fsync;
-//     callers block (or, via WriteAsync, are called back) only when
-//     their batch's fsync completes. An in-memory index serves reads;
-//     periodic snapshots plus segment compaction bound recovery
-//     replay; every record is CRC-checked and a torn final record is
-//     truncated on re-open. This is the engine that makes pessimistic
-//     logging nearly as cheap as optimistic without weakening its
-//     guarantee.
-//   - "memory": volatile, for tests and throwaway clients.
+//   - the WAL (OpenWAL): a segmented append-only write-ahead log with
+//     group commit. A committer goroutine batches every Write/Delete
+//     staged while the previous commit was in flight into one
+//     write+fsync; callers block (or, via WriteAsync, are called back)
+//     only when their batch's fsync completes. An in-memory index
+//     serves reads; periodic snapshots plus segment compaction bound
+//     recovery replay; every record is CRC-checked and a torn final
+//     record is truncated on re-open. Group commit is what makes
+//     pessimistic logging nearly as cheap as optimistic without
+//     weakening its guarantee.
+//   - Memory (NewMemory): volatile, for a node without a directory —
+//     the simulator, most tests, throwaway clients.
 //
-// Engines refuse to open a directory holding another engine's data:
-// silently reinterpreting a files-engine directory as wal (or vice
-// versa) would present an empty store to a recovering node, which is
-// indistinguishable from data loss.
+// The one-fsynced-file-per-key "files" engine that preceded the WAL was
+// removed once the conformance matrix had shown the two equivalent
+// under every fault scenario; its per-operation disk cost — the paper's
+// ~30% blocking-pessimistic overhead "dominated by disk access" (§4.1,
+// figure 4) — is reproduced by the simulator's disk model
+// (internal/msglog), not by an engine. OpenWAL still recognizes such a
+// directory and refuses it: opening it as an empty WAL would look like
+// data loss to a recovering node.
 package store
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"rpcv/internal/node"
-)
+import "rpcv/internal/node"
 
 // Store is a durable key-value store: node.Disk plus the batch-aware
 // contract (WriteAsync/Sync) and a lifecycle. Write and Delete are
 // durable when they return; WriteAsync is durable when its callback
-// runs. Engines without real batching implement WriteAsync as a
+// runs. Memory, which has nothing to batch, implements WriteAsync as a
 // synchronous Write followed by the callback.
 //
 // Store callbacks (WriteAsync done) may run on an engine-internal
@@ -52,61 +45,4 @@ type Store interface {
 	// Close flushes staged writes and releases the store. The
 	// directory's contents survive, as a crash-stop would leave them.
 	Close() error
-}
-
-// Factory opens (creating if needed) an engine's store rooted at dir.
-type Factory func(dir string) (Store, error)
-
-var (
-	registryMu sync.Mutex
-	registry   = map[string]Factory{}
-)
-
-// Register installs an engine factory under name. Registering a
-// duplicate name panics: it is always a wiring bug.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("store: duplicate engine %q", name))
-	}
-	registry[name] = f
-}
-
-// Engines returns the registered engine names, sorted.
-func Engines() []string {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Default is the engine Open falls back to when the name is empty: the
-// legacy per-key file layout, so existing deployments reopen their
-// directories unchanged.
-const Default = "files"
-
-// Open creates a store with the named engine rooted at dir. An empty
-// name selects Default.
-func Open(engine, dir string) (Store, error) {
-	if engine == "" {
-		engine = Default
-	}
-	registryMu.Lock()
-	f, ok := registry[engine]
-	registryMu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: unknown engine %q (have %v)", engine, Engines())
-	}
-	return f(dir)
-}
-
-func init() {
-	Register("files", func(dir string) (Store, error) { return OpenFiles(dir) })
-	Register("memory", func(string) (Store, error) { return NewMemory(), nil })
-	Register("wal", func(dir string) (Store, error) { return OpenWAL(dir, WALOptions{}) })
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -163,13 +164,14 @@ func (w *WAL) Stats() WALStats {
 // rebuilding the in-memory index from the newest valid snapshot plus
 // every later segment. A torn final record — the signature of a crash
 // mid-commit — is truncated away; corruption anywhere else fails Open.
-// It refuses a directory holding files-engine data.
+// It refuses a directory holding the removed files engine's data, and
+// creates nothing in it.
 func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 	opt.applyDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if err := refuseForeign(dir, "wal", isFilesFile); err != nil {
+	if err := refuseForeign(dir); err != nil {
 		return nil, err
 	}
 	w := &WAL{
@@ -185,6 +187,43 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 	w.wg.Add(1)
 	go w.committer()
 	return w, nil
+}
+
+// isFilesFile recognizes the per-key layout of the files engine this
+// build no longer has: <hex of the key>.log.
+func isFilesFile(name string) bool {
+	if !strings.HasSuffix(name, ".log") {
+		return false
+	}
+	_, err := hex.DecodeString(strings.TrimSuffix(name, ".log"))
+	return err == nil
+}
+
+// refuseForeign errors when dir holds files-engine data: opened as a
+// WAL it would present an empty store to a recovering node, which is
+// indistinguishable from data loss.
+func refuseForeign(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if isFilesFile(e.Name()) {
+			return fmt.Errorf("store: %s holds data of the files engine (%s), which was removed; refusing to open it as a wal", dir, e.Name())
+		}
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making a preceding rename or remove
+// inside it crash-durable.
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
 }
 
 // ---------------------------------------------------------------------

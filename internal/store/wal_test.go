@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -351,23 +352,44 @@ func TestWALRefusesUnreadableSnapshots(t *testing.T) {
 	}
 }
 
-// TestWALRefusesFilesDirectory is the other half of the mixed-
-// directory guard: wal must not open a legacy files-engine directory.
-func TestWALRefusesFilesDirectory(t *testing.T) {
+// filesEngineDir returns a directory as the removed files engine left
+// one: a single <hex of the key>.log per key.
+func filesEngineDir(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
-	f, err := OpenFiles(dir)
+	name := hex.EncodeToString([]byte("coord/job/1")) + ".log"
+	if err := os.WriteFile(filepath.Join(dir, name), []byte("rec"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestWALRefusesFilesDirectory: a directory of per-key files is data
+// this build cannot read. Opening it as a wal would present an empty
+// store to a recovering node, so OpenWAL fails — saying why — and
+// leaves the directory exactly as it found it.
+func TestWALRefusesFilesDirectory(t *testing.T) {
+	dir := filesEngineDir(t)
+	_, err := OpenWAL(dir, WALOptions{})
+	if err == nil {
+		t.Fatal("OpenWAL accepted a files-engine directory")
+	}
+	if !strings.Contains(err.Error(), "files engine") || !strings.Contains(err.Error(), "removed") {
+		t.Fatalf("the refusal does not say the files engine was removed: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Write("coord/job/1", []byte("rec")); err != nil {
+	if len(entries) != 1 {
+		t.Fatalf("the refused open left %d entries in the directory, want the one it found", len(entries))
+	}
+	// A stray .log that is not hex is not the engine's: no refusal.
+	stray := t.TempDir()
+	if err := os.WriteFile(filepath.Join(stray, "server.log"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenWAL(dir, WALOptions{}); err == nil {
-		t.Fatal("OpenWAL accepted a files-engine directory")
-	}
+	openTestWAL(t, stray, WALOptions{})
 }
 
 // TestWALClosedStoreFails: operations after Close fail loudly instead

@@ -108,7 +108,7 @@ func newPollGrid() *pollGrid {
 // runtime. toClient delivers the coordinator's replies.
 func (g *pollGrid) toCoordinator(tb testing.TB) {
 	for _, m := range g.cenv.take() {
-		got, err := g.dec.DecodeMessage(proto.CodecBinary.EncodeMessage(m))
+		got, err := g.dec.DecodeMessage(proto.EncodeMessage(m))
 		if err != nil {
 			tb.Fatal(err)
 		}
