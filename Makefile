@@ -72,7 +72,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkLoopsScale|BenchmarkIdleCall' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkLoopsScale|BenchmarkIdleCall|BenchmarkBusyServers' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick

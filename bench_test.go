@@ -24,6 +24,7 @@ import (
 	"rpcv/internal/experiments"
 	"rpcv/internal/metrics"
 	"rpcv/internal/msglog"
+	"rpcv/internal/shared"
 )
 
 const benchSeed = 2004
@@ -308,4 +309,24 @@ func BenchmarkIdleCall(b *testing.B) {
 		idleCall(b, s)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/call")
+}
+
+// BenchmarkBusyServers keeps four one-at-a-time servers saturated with
+// 20 ms sleep calls, 32 in flight, on loopback TCP at the benchmark's
+// 20 ms beat and 250 ms suspicion timeout (busyserver_test.go), with no
+// fault anywhere. Reported: calls/s — four bodies at a time is 200 —
+// and executions/call, which is 1 when busy servers are read as busy.
+func BenchmarkBusyServers(b *testing.B) {
+	g := bootTCPGrid(b, tcpGridSpec{user: "busybench", period: busyBeat, timeout: busyTimeout,
+		servers: 4, parallelism: 1, services: shared.BuiltinServices()})
+	b.Cleanup(g.close)
+	const calls = 320
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.callAll(b, calls, 32, "sleep", "20ms")
+	}
+	b.StopTimer()
+	total := float64(calls * b.N)
+	b.ReportMetric(total/b.Elapsed().Seconds(), "calls/s")
+	b.ReportMetric(float64(g.serverStats().Executed)/total, "executions/call")
 }

@@ -10,6 +10,11 @@
 // group-commit write-ahead log (internal/store). Without it the log is
 // volatile.
 //
+// -parallel is the number of service bodies the worker runs at once,
+// each off its event loop: while they execute, the worker keeps
+// beating, advertises only the slots really free and reports what it
+// is running, however long a service takes.
+//
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics, /statusz, /healthz, /tracez and
 // /debug/pprof/. Empty disables it. On shutdown the daemon prints a
@@ -44,7 +49,7 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "TCP listen address")
 	coords := flag.String("coordinators", "", "comma-separated id=addr coordinator list (required)")
 	disk := flag.String("disk", "", "stable storage directory (empty: volatile)")
-	parallel := flag.Int("parallel", 1, "concurrent task capacity")
+	parallel := flag.Int("parallel", 1, "service bodies executed at once (each off the event loop: a busy worker keeps beating); further assignments wait in a local backlog")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "coordinator suspicion timeout")
 	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")

@@ -6,12 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/gridrpc"
-	"rpcv/internal/proto"
-	"rpcv/internal/rt"
-	"rpcv/internal/server"
 	"rpcv/internal/shared"
 )
 
@@ -25,44 +20,11 @@ const idlePeriod = 200 * time.Millisecond
 // the session has polled at least once.
 func idleGrid(tb testing.TB) *gridrpc.Session {
 	tb.Helper()
-	quiet := func(string, ...any) {}
-	co := coordinator.New(coordinator.Config{
-		Coordinators:     []proto.NodeID{"co"},
-		HeartbeatPeriod:  idlePeriod,
-		HeartbeatTimeout: 10 * idlePeriod,
-		DBCost:           db.CostModel{PerOp: time.Nanosecond},
-	})
-	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co, Logf: quiet})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(rco.Close)
-	sv := server.New(server.Config{
-		Coordinators:     []proto.NodeID{"co"},
-		HeartbeatPeriod:  idlePeriod,
-		SuspicionTimeout: 10 * idlePeriod,
-		Services:         shared.BuiltinServices(),
-	})
-	rsv, err := rt.Start(rt.Config{ID: "sv0", ListenAddr: "127.0.0.1:0", Handler: sv,
-		Directory: rt.Directory{"co": rco.Addr()}, Logf: quiet})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(rsv.Close)
-	rco.SetPeer("sv0", rsv.Addr())
-	s, err := gridrpc.Dial(gridrpc.Config{
-		User: "idle", Session: 1,
-		Coordinators:     map[string]string{"co": rco.Addr()},
-		PollPeriod:       idlePeriod,
-		SuspicionTimeout: 10 * idlePeriod,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(s.Close)
-	rco.SetPeer("client-idle-1", s.Addr())
-	idleCall(tb, s)
-	return s
+	g := bootTCPGrid(tb, tcpGridSpec{user: "idle", period: idlePeriod, timeout: 10 * idlePeriod,
+		servers: 1, parallelism: 1, services: shared.BuiltinServices()})
+	tb.Cleanup(g.close)
+	idleCall(tb, g.session)
+	return g.session
 }
 
 // idleCall makes one blocking echo call and returns how long it took.

@@ -308,15 +308,16 @@ type Coordinator struct {
 
 // coordMetrics holds the coordinator's obs instruments.
 type coordMetrics struct {
-	submits, accepted, finished, dups, requeues *obs.Counter
-	redirects, adoptions, speculated, specWins  *obs.Counter
-	stolenIn, stolenOut, stolenHome             *obs.Counter
-	persistErrs                                 [len(persistPartNames)]*obs.Counter
-	assignedPull, assignedPush                  *obs.Counter
-	resultsPoll, resultsPush, offersExpired     *obs.Counter
-	sessions, inflight, specInflight, shardIdx  *obs.Gauge
-	idleSlots                                   *obs.Gauge
-	dispatchLat                                 *obs.Histogram
+	submits, accepted, finished, dups          *obs.Counter
+	redirects, adoptions, speculated, specWins *obs.Counter
+	stolenIn, stolenOut, stolenHome            *obs.Counter
+	requeues                                   [len(requeueReasonNames)]*obs.Counter
+	persistErrs                                [len(persistPartNames)]*obs.Counter
+	assignedPull, assignedPush                 *obs.Counter
+	resultsPoll, resultsPush, offersExpired    *obs.Counter
+	sessions, inflight, specInflight, shardIdx *obs.Gauge
+	idleSlots                                  *obs.Gauge
+	dispatchLat                                *obs.Histogram
 }
 
 type ongoingInfo struct {
@@ -528,7 +529,6 @@ func (c *Coordinator) initObs(env node.Env) {
 		accepted:     reg.Counter("rpcv_coord_jobs_accepted_total", ls...),
 		finished:     reg.Counter("rpcv_coord_finished_total", ls...),
 		dups:         reg.Counter("rpcv_coord_dup_results_total", ls...),
-		requeues:     reg.Counter("rpcv_coord_requeues_total", ls...),
 		redirects:    reg.Counter("rpcv_coord_redirects_total", ls...),
 		adoptions:    reg.Counter("rpcv_coord_adoptions_total", ls...),
 		speculated:   reg.Counter("rpcv_coord_speculated_total", ls...),
@@ -553,6 +553,9 @@ func (c *Coordinator) initObs(env node.Env) {
 	}
 	for part, name := range persistPartNames {
 		c.cm.persistErrs[part] = reg.Counter("rpcv_coord_persist_errors_total", with(ls, "part", name)...)
+	}
+	for reason, name := range requeueReasonNames {
+		c.cm.requeues[reason] = reg.Counter("rpcv_coord_requeues_total", with(ls, "reason", name)...)
 	}
 }
 
@@ -1337,7 +1340,7 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		if c.promoteSpeculative(call) {
 			continue
 		}
-		c.requeue(call)
+		c.requeue(call, requeueServerSync)
 	}
 
 	c.afterDBCost(func() {
@@ -1376,7 +1379,7 @@ func (c *Coordinator) onServerSuspected(server proto.NodeID) {
 		if c.promoteSpeculative(call) {
 			continue
 		}
-		c.requeue(call)
+		c.requeue(call, requeueServerSuspected)
 	}
 	delete(c.byServer, server)
 	c.dispatch()
@@ -1449,13 +1452,35 @@ func (c *Coordinator) unqueue(call proto.CallID) {
 	delete(c.queuedAt, call)
 }
 
+// requeueReason says which of the five paths re-issued a call.
+type requeueReason int
+
+const (
+	requeueServerSync           requeueReason = iota // peer-wise sync: the server does not hold the assignment
+	requeueServerSuspected                           // the assigned server went silent
+	requeueCoordinatorSuspected                      // held for a ring predecessor that went silent
+	requeueAdopted                                   // held for a shard whose whole ring went silent
+	requeueStealReclaim                              // granted to a thief shard, result never came home
+)
+
+// requeueReasonNames is the reason as operators read it: the requeue
+// span's detail and the reason label of rpcv_coord_requeues_total.
+var requeueReasonNames = [...]string{
+	requeueServerSync:           "server-sync",
+	requeueServerSuspected:      "server-suspected",
+	requeueCoordinatorSuspected: "coordinator-suspected",
+	requeueAdopted:              "adopted",
+	requeueStealReclaim:         "steal-reclaim",
+}
+
 // requeue is the single re-insertion path for every reissue of a lost,
 // dying or withdrawn assignment (server suspicion, peer-wise sync,
 // predecessor release, shard adoption, steal reclaim): it resets the
 // record to pending, re-queues it and counts the reissue in the
-// rescheduled stat, so no path can bypass the duplicate check or the
-// accounting. It reports whether the call is schedulable again.
-func (c *Coordinator) requeue(call proto.CallID) bool {
+// rescheduled stat and under its reason, so no path can bypass the
+// duplicate check or the accounting. It reports whether the call is
+// schedulable again.
+func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	rec, ok := c.store.Peek(call)
 	if !ok || rec.State == proto.TaskFinished {
 		return false
@@ -1468,8 +1493,8 @@ func (c *Coordinator) requeue(call proto.CallID) bool {
 	c.persistJob(rec, headerOnly)
 	if c.enqueue(call) {
 		c.rescheduled++
-		c.cm.requeues.Inc()
-		c.trace(call, obs.StageRequeue, "")
+		c.cm.requeues[reason].Inc()
+		c.trace(call, obs.StageRequeue, requeueReasonNames[reason])
 	}
 	c.markDirty(call)
 	return true
@@ -1635,7 +1660,7 @@ func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
 		released := 0
 		for _, call := range sortedCalls(c.fromPredecessor) {
 			delete(c.fromPredecessor, call)
-			if c.requeue(call) {
+			if c.requeue(call, requeueCoordinatorSuspected) {
 				released++
 			}
 		}
@@ -1793,7 +1818,7 @@ func (c *Coordinator) adopt(s int) {
 			continue
 		}
 		delete(c.fromShard, call)
-		if c.requeue(call) {
+		if c.requeue(call, requeueAdopted) {
 			released++
 		}
 	}
@@ -2231,7 +2256,7 @@ func (c *Coordinator) reclaimStolen() {
 			continue
 		}
 		delete(c.stolenOut, call)
-		c.requeue(call)
+		c.requeue(call, requeueStealReclaim)
 	}
 	c.dispatch()
 }

@@ -44,10 +44,18 @@
 //   - "//rpcv:loop-safe" on a function asserts it was audited by hand
 //     (e.g. it only performs bounded non-blocking channel work); the
 //     walk stops there without descending.
+//   - "//rpcv:blocking" on a named function type declares that its
+//     values are code the loop does not control and cannot bound (the
+//     server's Service). The static walk cannot see through a function
+//     value, so calling one from loop code is itself the finding; such
+//     a body belongs in the work closure of Offload.
 //
 // Function literals are walked inline — a closure built on the loop
 // usually runs on the loop — except arguments of `go` statements and
-// time.AfterFunc, which are new goroutines by definition.
+// time.AfterFunc, which are new goroutines by definition, and the work
+// closure of Offload (node.Offload, or an Env's own), which runs off the
+// loop: it may block, and must not touch loop-owned state. Offload's
+// last argument, the completion, is loop code like After's.
 package loopexclusive
 
 import (
@@ -66,6 +74,7 @@ const (
 	dirLoopOnly  = "rpcv:loop-only"
 	dirLoopSafe  = "rpcv:loop-safe"
 	dirLoopOwned = "rpcv:loop-owned"
+	dirBlocking  = "rpcv:blocking"
 )
 
 var Analyzer = &analysis.Analyzer{
@@ -86,6 +95,9 @@ type checker struct {
 	// ownedTypes: "pkgpath.TypeName" of every rpcv:loop-owned struct in
 	// the loaded program.
 	ownedTypes map[string]bool
+	// blockingTypes: "pkgpath.TypeName" of every rpcv:blocking function
+	// type in the loaded program.
+	blockingTypes map[string]bool
 	// loopSafe: FullNames the walk must not descend into.
 	loopSafe map[string]bool
 	// loopFuncs: FullNames established to run on the event loop
@@ -97,12 +109,13 @@ type checker struct {
 
 func run(pass *analysis.Pass) error {
 	c := &checker{
-		pass:       pass,
-		ownedTypes: make(map[string]bool),
-		loopSafe:   make(map[string]bool),
-		loopFuncs:  make(map[string]bool),
-		visited:    make(map[string]bool),
-		reported:   make(map[token.Pos]bool),
+		pass:          pass,
+		ownedTypes:    make(map[string]bool),
+		blockingTypes: make(map[string]bool),
+		loopSafe:      make(map[string]bool),
+		loopFuncs:     make(map[string]bool),
+		visited:       make(map[string]bool),
+		reported:      make(map[token.Pos]bool),
 	}
 
 	var roots []root
@@ -116,8 +129,12 @@ func run(pass *analysis.Pass) error {
 					}
 					for _, spec := range d.Specs {
 						ts := spec.(*ast.TypeSpec)
+						key := pkg.Types.Path() + "." + ts.Name.Name
 						if astutil.HasDirective(d.Doc, dirLoopOwned) || astutil.HasDirective(ts.Doc, dirLoopOwned) {
-							c.ownedTypes[pkg.Types.Path()+"."+ts.Name.Name] = true
+							c.ownedTypes[key] = true
+						}
+						if astutil.HasDirective(d.Doc, dirBlocking) || astutil.HasDirective(ts.Doc, dirBlocking) {
+							c.blockingTypes[key] = true
 						}
 					}
 				case *ast.FuncDecl:
@@ -156,8 +173,9 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Function literals handed to Do/DoAsync/After run on the loop no
-	// matter where they are built: they are roots too.
+	// Function literals handed to Do/DoAsync/After, and Offload's
+	// completion, run on the loop no matter where they are built: they
+	// are roots too.
 	for _, pkg := range pass.Program.Packages {
 		for _, file := range pkg.Files {
 			p := pkg
@@ -254,6 +272,10 @@ func (c *checker) checkBody(pkg *analysis.Package, body *ast.BlockStmt, rootName
 		case *ast.CallExpr:
 			callee := astutil.Callee(info, n)
 			if callee == nil {
+				if t := namedOf(info.TypeOf(n.Fun)); t != nil && c.blockingTypes[typeKey(t)] {
+					c.report(pkg, n.Pos(), fmt.Sprintf("calling a %s value may block the event loop (the type is %s); run it in the work closure of Offload",
+						t.Obj().Name(), dirBlocking), rootName, e)
+				}
 				return true
 			}
 			if why := bannedCall(callee); why != "" {
@@ -279,7 +301,7 @@ func (c *checker) checkBody(pkg *analysis.Package, body *ast.BlockStmt, rootName
 
 // offLoopLiteral reports whether the function literal is handed to a
 // context that runs it on another goroutine: a `go` statement (handled
-// separately) or time.AfterFunc.
+// separately), time.AfterFunc, or Offload as its work closure.
 func offLoopLiteral(info *types.Info, lit *ast.FuncLit, stack []ast.Node) bool {
 	if len(stack) == 0 {
 		return false
@@ -292,9 +314,10 @@ func offLoopLiteral(info *types.Info, lit *ast.FuncLit, stack []ast.Node) bool {
 	if callee == nil {
 		return false
 	}
-	for _, arg := range call.Args {
+	for i, arg := range call.Args {
 		if arg == lit {
-			return callee.Name() == "AfterFunc" && astutil.PkgPathIs(callee.Pkg(), "time")
+			return callee.Name() == "AfterFunc" && astutil.PkgPathIs(callee.Pkg(), "time") ||
+				callee.Name() == "Offload" && i == len(call.Args)-2
 		}
 	}
 	return false
@@ -378,7 +401,9 @@ func (c *checker) report(pkg *analysis.Package, pos token.Pos, msg, rootName str
 
 // checkOwnedAccess flags field accesses of loop-owned structs outside
 // the loop: not in a loop-only function, not inside a literal passed to
-// Do/DoAsync/After, and not in a constructor.
+// Do/DoAsync/After or Offload's completion, and not in a constructor —
+// or anywhere at all inside a literal that runs off the loop, whatever
+// encloses it.
 func (c *checker) checkOwnedAccess() {
 	if len(c.ownedTypes) == 0 {
 		return
@@ -419,6 +444,9 @@ func (c *checker) allowedContext(owner *types.Named, stack []ast.Node) bool {
 				return true
 			}
 		case *ast.FuncLit:
+			if offLoopLiteral(c.pass.TypesInfo, n, stack[:i]) {
+				return false
+			}
 			if i > 0 {
 				if call, ok := stack[i-1].(*ast.CallExpr); ok && marshalsOntoLoop(c.pass.TypesInfo, call, n) {
 					return true
@@ -442,7 +470,8 @@ func (c *checker) allowedContext(owner *types.Named, stack []ast.Node) bool {
 // the event loop: a method named Do / DoAsync (rt.Runtime and the
 // gridrpc facades) or their loop-targeted forms DoOn / DoAsyncOn (the
 // closure runs on the named loop — still an event loop, so still a
-// loop context), or After on an Env/Runtime (loop timers).
+// loop context), After on an Env/Runtime (loop timers), or Offload,
+// whose last argument is the completion it runs back on the loop.
 func marshalsOntoLoop(info *types.Info, call *ast.CallExpr, lit *ast.FuncLit) bool {
 	callee := astutil.Callee(info, call)
 	if callee == nil {
@@ -463,6 +492,8 @@ func marshalsOntoLoop(info *types.Info, call *ast.CallExpr, lit *ast.FuncLit) bo
 	case "After":
 		recv := astutil.ReceiverTypeName(callee)
 		return recv == "Env" || recv == "Runtime"
+	case "Offload":
+		return call.Args[len(call.Args)-1] == lit
 	}
 	return false
 }
@@ -487,10 +518,10 @@ func namedOf(t types.Type) *types.Named {
 	if t == nil {
 		return nil
 	}
-	if p, ok := t.(*types.Pointer); ok {
+	if p, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	n, _ := t.(*types.Named)
+	n, _ := types.Unalias(t).(*types.Named)
 	return n
 }
 

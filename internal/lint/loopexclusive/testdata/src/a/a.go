@@ -1,7 +1,7 @@
 // Package a seeds loopexclusive's analysistest suite: every banned
 // primitive flagged inside rpcv:loop-only code, every sanctioned idiom
 // (go statements, select with default, loop-safe escapes, Do-wrapped
-// closures, constructors) proven silent.
+// closures, constructors, offloaded blocking bodies) proven silent.
 package a
 
 import (
@@ -165,4 +165,53 @@ func marshalled(s *State, r *rt.Runtime) {
 //rpcv:loop-only
 func onLoopTouch(s *State) {
 	s.count++ // ok: loop-only function
+}
+
+// ---------------------------------------------------------------------
+// Blocking function values and Offload
+// ---------------------------------------------------------------------
+
+// Body is code the loop neither controls nor can bound. The walk cannot
+// see through a function value, so the type carries the warning.
+//
+//rpcv:blocking
+type Body func(p []byte) []byte
+
+//rpcv:loop-only
+func callsBlockingValue(b Body, registry map[string]Body) {
+	b(nil)             // want `calling a Body value may block the event loop`
+	registry["x"](nil) // want `calling a Body value may block the event loop`
+	plain := func() {}
+	plain() // ok: an ordinary function value
+}
+
+// offloaded hands the body to Offload: the first closure is off the
+// loop (blocking is its purpose; loop-owned state is out of bounds even
+// though a loop-only function built it), the second is the completion,
+// back on the loop.
+//
+//rpcv:loop-only
+func offloaded(s *State, r *rt.Runtime, b Body, done chan struct{}) {
+	var out []byte
+	r.Offload(func() {
+		out = b(nil)                 // ok: off the loop
+		time.Sleep(time.Millisecond) // ok
+		<-done                       // ok
+		s.count++                    // want `field count of rpcv:loop-owned State accessed off the event loop`
+	}, func() {
+		_ = out
+		s.count++                    // ok: the completion runs on the loop
+		time.Sleep(time.Millisecond) // want `time.Sleep blocks the event loop`
+	})
+}
+
+// offloadedFromOffLoop: the completion is loop code wherever the call
+// is made from.
+func offloadedFromOffLoop(s *State, r *rt.Runtime, done chan struct{}) {
+	r.Offload(func() {
+		<-done // ok
+	}, func() {
+		s.count++ // ok
+		<-done    // want `channel receive blocks the event loop`
+	})
 }

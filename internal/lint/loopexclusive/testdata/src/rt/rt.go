@@ -1,5 +1,5 @@
 // Package rt is a miniature stand-in for rpcv/internal/rt: just enough
-// surface (Runtime with Do/DoAsync/Ping/Close/After plus the
+// surface (Runtime with Do/DoAsync/Ping/Close/After/Offload plus the
 // loop-targeted DoOn/DoAsyncOn/PingLoop) for the loopexclusive
 // testdata to exercise the analyzer's rt-specific rules.
 // The analyzer matches the runtime by package-path tail, so "rt" here
@@ -47,6 +47,15 @@ func (r *Runtime) PingLoop(loop int, d time.Duration) error { return nil }
 func (r *Runtime) Close() {}
 
 func (r *Runtime) After(d time.Duration, fn func()) {}
+
+// Offload stands in for node.Offload and rt's Env: work runs on a
+// goroutine of its own, done back on the loop.
+func (r *Runtime) Offload(work, done func()) {
+	go func() {
+		work()
+		r.DoAsync(done)
+	}()
+}
 
 // SleepyHelper blocks; loop-only code in other packages must not reach
 // it. The analyzer reports the cross-package chain at the caller's

@@ -158,6 +158,47 @@ type LoopInfo interface {
 	Loop() (index, total int)
 }
 
+// Offloader is optionally implemented by Envs that can run blocking
+// work somewhere other than the node's event loop. Handler code may
+// never block — every message, timer and heartbeat queues behind it,
+// and heartbeat silence is the system's only failure signal — so code
+// the handler does not control and cannot bound (the server's service
+// bodies) goes through Offload.
+//
+// internal/rt implements it: work runs on a goroutine of its own and
+// done is then handed to the owning loop. The simulator does not: on
+// the virtual clock nothing blocks, a task's duration is charged by a
+// timer, and running the body inline keeps every simulated figure
+// reproducible. That is why the capability is optional, and why callers
+// go through the Offload function below rather than asserting the
+// interface themselves.
+type Offloader interface {
+	// Offload runs work off the event loop and, once it returns, done
+	// on the loop. work must not touch the handler's state (it shares
+	// no goroutine with it); whatever it produces crosses back through
+	// variables the two closures share, which done may read because
+	// work has returned. Offload itself never blocks.
+	//
+	// done runs at most once and may never run at all: an Env that is
+	// shut down does not wait for work in flight — a body may run for an
+	// hour, and a stopping node is a crashed node — so its done is
+	// dropped with the loop. A handler that can be Stopped and Started
+	// again on the same value must still make a done of an earlier
+	// incarnation a no-op, since not every Env has a loop to drop.
+	Offload(work, done func())
+}
+
+// Offload runs work through env's Offloader when it has one; otherwise
+// it runs work and then done inline, on the caller's loop.
+func Offload(env Env, work, done func()) {
+	if o, ok := env.(Offloader); ok {
+		o.Offload(work, done)
+		return
+	}
+	work()
+	done()
+}
+
 // Handler is the protocol state machine interface implemented by the
 // client, coordinator and server nodes.
 type Handler interface {

@@ -231,6 +231,22 @@ func (n *nodeState) find(name string, labels map[string]string) *seriesEntry {
 	return nil
 }
 
+// sumRate adds up the per-second rate over win of every label variant
+// of a counter — one that is split by a label the rule does not care
+// about (rpcv_coord_requeues_total by reason, and by loop on a
+// partitioned coordinator).
+func (n *nodeState) sumRate(name string, win time.Duration) float64 {
+	var sum float64
+	for _, k := range n.order {
+		if e := n.series[k]; e.Name == name {
+			if r, ok := e.S.Rate(win); ok {
+				sum += r
+			}
+		}
+	}
+	return sum
+}
+
 // lastValue returns the latest reading of a metric (ok=false when the
 // metric was never scraped).
 func (n *nodeState) lastValue(name string, labels map[string]string) (float64, bool) {
@@ -475,11 +491,7 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 			sum(&agg.idle, "rpcv_coord_idle_slots", nil)
 			sum(&agg.pushedTasks, "rpcv_coord_assigned_total", viaPush)
 			sum(&agg.pushedResults, "rpcv_coord_results_sent_total", viaPush)
-			if e := st.find("rpcv_coord_requeues_total", nil); e != nil {
-				if r, ok := e.S.Rate(win); ok {
-					agg.requeue += r
-				}
-			}
+			agg.requeue += st.sumRate("rpcv_coord_requeues_total", win)
 			if e := st.find("rpcv_coord_dispatch_latency_ns", map[string]string{"quantile": "0.99"}); e != nil {
 				if p, ok := e.S.Last(); ok && p.V > agg.p99 {
 					agg.p99 = p.V

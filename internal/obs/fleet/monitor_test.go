@@ -181,6 +181,34 @@ func TestMonitorLivenessProbeCritical(t *testing.T) {
 	}
 }
 
+// The coordinator splits rpcv_coord_requeues_total by reason (and a
+// partitioned one by loop as well); the shard's requeue rate and its
+// rule read the sum, as they read the single series before the split.
+func TestRequeueRateSumsOverReasons(t *testing.T) {
+	sync, suspected := 0.0, 0.0
+	m := New(Config{
+		Sources: []Source{staticSource("coord-00", func() []Sample {
+			out := coordSamples("coord-00", 0, 0, 0, 1e6, 1)[:2]
+			for reason, v := range map[string]float64{"server-sync": sync, "server-suspected": suspected, "adopted": 0} {
+				out = append(out, Sample{Name: "rpcv_coord_requeues_total",
+					Labels: map[string]string{"node": "coord-00", "reason": reason}, Value: v})
+			}
+			return out
+		})},
+		Interval: time.Second,
+		SLO:      SLO{MaxRequeueRate: 35},
+	})
+	m.Poll(at(0))
+	sync, suspected = 30, 10
+	v := m.Poll(at(1))
+	if len(v.Shards) != 1 || v.Shards[0].RequeueRate != 40 {
+		t.Fatalf("requeue rate = %+v, want 30/s + 10/s", v.Shards)
+	}
+	if v.Shards[0].Level != LevelWarn || !strings.Contains(strings.Join(v.Shards[0].Reasons, " "), "requeue rate 40.00/s") {
+		t.Fatalf("the rule did not fire on the sum: %+v", v.Shards[0])
+	}
+}
+
 func TestMonitorShardSLO(t *testing.T) {
 	depth, p99 := 2.0, 1e6 // healthy: depth 2, dispatch p99 1ms
 	requeues := 0.0

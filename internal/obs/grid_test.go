@@ -240,6 +240,13 @@ func TestGridObservability(t *testing.T) {
 			t.Errorf("timeline misses %s: %v", stage, slow.Stages())
 		}
 	}
+	// The requeue says why: the server went silent.
+	if sp, ok := slow.Stage(obs.StageRequeue); !ok || sp.Detail != "server-suspected" {
+		t.Errorf("requeue span = %+v, want detail server-suspected", sp)
+	}
+	if want := `rpcv_coord_requeues_total{node="co",reason="server-suspected"} 1`; !strings.Contains(httpGet(t, coURL+"/metrics"), want) {
+		t.Errorf("coordinator /metrics misses %s", want)
+	}
 	// The requeue means two dispatches; the exec must be on a survivor.
 	dispatches := 0
 	for _, s := range slow.Stages() {

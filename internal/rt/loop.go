@@ -17,8 +17,10 @@ package rt
 //     queue) + a 1-buffered wake doorbell, fed by producers that must
 //     NEVER block: the store committer completing per-loop WriteAsync
 //     callbacks (a blocked committer would deadlock a loop waiting in
-//     a synchronous Write) and cross-loop handoffs. post() is the only
-//     way onto it.
+//     a synchronous Write), cross-loop handoffs, and the goroutines of
+//     offloaded work handing back their completion (rtEnv.Offload; one
+//     that finishes after Close must end, not wait on a dead loop).
+//     post() is the only way onto it.
 //   - timers: a per-loop min-heap of deadlines; the loop arms a single
 //     runtime timer to the earliest one. After/Stop run on the owning
 //     loop, so the heap lock is uncontended.
@@ -64,7 +66,8 @@ type loop struct {
 
 // post puts fn on the loop's lock-free handoff ring and rings the
 // doorbell. It never blocks, whatever the loop is doing — the path for
-// producers that must not stall: the store committer and other loops.
+// producers that must not stall: the store committer, other loops and
+// offloaded work.
 func (l *loop) post(fn func()) {
 	l.ring.push(fn)
 	l.handoffs.Add(1)

@@ -666,8 +666,9 @@ func (r *Runtime) send(to proto.NodeID, msg proto.Message, loopIdx int) {
 type rtEnv struct{ l *loop }
 
 var (
-	_ node.Env      = (*rtEnv)(nil)
-	_ node.LoopInfo = (*rtEnv)(nil)
+	_ node.Env       = (*rtEnv)(nil)
+	_ node.LoopInfo  = (*rtEnv)(nil)
+	_ node.Offloader = (*rtEnv)(nil)
 )
 
 func (e *rtEnv) Self() proto.NodeID { return e.l.r.cfg.ID }
@@ -705,6 +706,23 @@ func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.l.r.send(to, msg, e
 //rpcv:loop-only
 func (e *rtEnv) After(d time.Duration, fn func()) node.Timer {
 	return e.l.after(d, fn)
+}
+
+// Offload implements node.Offloader: work gets a goroutine of its own,
+// and done rides the loop's handoff ring back — the never-blocking path,
+// so a finished body is never stuck behind a full mailbox. The goroutine
+// is deliberately not in the runtime's WaitGroup: Close does not wait
+// for a body in flight (the sleep service accepts an hour). A body that
+// outlives its runtime posts to a ring nobody drains, and the goroutine
+// ends there.
+//
+//rpcv:loop-only
+func (e *rtEnv) Offload(work, done func()) {
+	l := e.l
+	go func() {
+		work()
+		l.post(done)
+	}()
 }
 
 // ---------------------------------------------------------------------

@@ -241,3 +241,52 @@ func TestEndToEndGridOverTCP(t *testing.T) {
 		t.Fatal("RPC never completed over the real runtime")
 	}
 }
+
+// TestOffload: work runs off the loop — the loop keeps answering while
+// it blocks — and done runs on it, after work; work still blocked when
+// the runtime closes is not waited for, and its done never runs.
+func TestOffload(t *testing.T) {
+	h := &echo{}
+	r, err := Start(Config{ID: "a", Handler: h, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	offload := func(work, done func()) { r.Do(func() { node.Offload(h.env, work, done) }) }
+
+	release, finished := make(chan struct{}), make(chan struct{})
+	loopState := 0 // written by done, read through Do: both on the loop, or -race says otherwise
+	var produced int
+	offload(func() { <-release; produced = 42 }, func() { loopState = produced; close(finished) })
+	if err := r.Ping(5 * time.Second); err != nil {
+		t.Fatalf("the loop is stuck behind offloaded work: %v", err)
+	}
+	select {
+	case <-finished:
+		t.Fatal("done ran before work returned")
+	default:
+	}
+	close(release)
+	select {
+	case <-finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("done never ran")
+	}
+	var got int
+	r.Do(func() { got = loopState })
+	if got != 42 {
+		t.Fatalf("done saw %d, want what work produced", got)
+	}
+
+	release2, returned := make(chan struct{}), make(chan struct{})
+	offload(func() { <-release2; close(returned) }, func() { t.Error("done ran after Close") })
+	closed := make(chan struct{})
+	go func() { r.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close waits for offloaded work")
+	}
+	close(release2)
+	<-returned // the body ends; its done goes to a ring nobody drains
+}

@@ -14,10 +14,26 @@
 // Off-line computing falls out of this design: a disconnected server
 // keeps executing; results accumulate in the local log and flow to a
 // coordinator whenever connectivity returns.
+//
+// Handler code may not block; service bodies may. A registered Service
+// is code the server neither controls nor can bound, so its body never
+// runs on the event loop: it goes through node.Offload (a goroutine of
+// its own under internal/rt, inline under the simulator, where nothing
+// blocks) and its completion comes back to the loop as a callback. The
+// task stays in the running set from assignment until that callback
+// runs, so while bodies execute the server keeps beating, and what it
+// says is true: Heartbeat.Capacity is the slots really free,
+// ServerSync.Running lists what is really executing or backlogged, and
+// at most Config.Parallelism bodies run at once. Both of the
+// coordinator's fault signals — heartbeat silence and the peer-wise
+// comparison of its "ongoing" set with the server's — read a busy
+// server as busy, not as dead or as having lost its assignments, so a
+// service slower than the suspicion timeout is executed once.
 package server
 
 import (
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -34,6 +50,16 @@ import (
 // Services must be stateless: RPC-V restricts the application scope to
 // stateless services with at-least-once semantics, so a service may be
 // executed more than once for the same call.
+//
+// A service may block for as long as it likes, and up to
+// Config.Parallelism of them run at the same time, each on a goroutine
+// of its own: a body must not share unsynchronized state with another.
+// It may not be called from the event loop (rpcv-lint's loopexclusive
+// reports a call of a value of this type from loop code); the server
+// calls it through node.Offload. A body that panics fails its call, not
+// the server.
+//
+//rpcv:blocking
 type Service func(params []byte) ([]byte, error)
 
 // Config parameterizes a server.
@@ -49,8 +75,11 @@ type Config struct {
 	// preferred coordinator is suspected. Default detector.DefaultTimeout.
 	SuspicionTimeout time.Duration
 
-	// Parallelism is the number of tasks executed concurrently.
-	// Default 1 (a desktop machine donating its idle CPU).
+	// Parallelism is the number of tasks executed concurrently: the
+	// number of service bodies that may be running at one time (timed
+	// synthetic tasks count too), and what an idle server's heartbeat
+	// advertises as Capacity. Assignments beyond it wait in a local
+	// backlog. Default 1 (a desktop machine donating its idle CPU).
 	Parallelism int
 
 	// SpeedFactor scales the virtual execution time of timed tasks,
@@ -105,13 +134,20 @@ type Server struct {
 	monitor   *detector.Monitor
 	beater    *detector.Beater
 
+	// running holds every task that occupies an execution slot, from
+	// assignment until its completion runs on the loop — a service body
+	// executing off the loop included. The value is false once the
+	// instance was cancelled while its body ran: a goroutine cannot be
+	// killed, so the slot stays taken until the body returns (freeing it
+	// early would run Parallelism+1 bodies), and the result is then
+	// thrown away.
 	running map[proto.TaskID]bool
 	// started records when each running task began executing, so the
 	// uploaded result can report the measured execution duration.
 	started map[proto.TaskID]time.Time
-	// timers holds each timed execution's timer so a TaskCancel can
-	// abort it and free the slot immediately instead of letting the
-	// doomed execution occupy capacity to completion.
+	// timers holds each timed execution's timer until it fires, so a
+	// TaskCancel can abort it and free the slot immediately instead of
+	// letting the doomed execution occupy capacity to completion.
 	timers map[proto.TaskID]node.Timer
 	// backlog queues assignments received while at capacity (e.g. two
 	// heartbeat replies in flight both granted work); they run as
@@ -132,6 +168,10 @@ type Server struct {
 	beatCount int  // beats since the last periodic synchronization
 
 	stopped bool
+	// incarnation counts Starts: an offloaded body's completion that
+	// comes back after a Stop and a Start on this same struct belongs to
+	// a crashed incarnation and must not touch the new one's tables.
+	incarnation int
 
 	executed  int
 	uploaded  int
@@ -169,6 +209,7 @@ var _ node.Handler = (*Server)(nil)
 func (s *Server) Start(env node.Env) {
 	s.env = env
 	s.stopped = false
+	s.incarnation++
 	s.running = make(map[proto.TaskID]bool)
 	s.started = make(map[proto.TaskID]time.Time)
 	s.timers = make(map[proto.TaskID]node.Timer)
@@ -337,8 +378,12 @@ func (s *Server) beat() {
 func (s *Server) sendSync() {
 	tasks := sortedTaskIDs(s.unacked)
 	running := make([]proto.TaskID, 0, len(s.running)+len(s.backlog))
-	for t := range s.running {
-		running = append(running, t)
+	for t, wanted := range s.running {
+		// A cancelled instance will never produce a result: claiming it
+		// alive would make a coordinator that still counts on it wait.
+		if wanted {
+			running = append(running, t)
+		}
 	}
 	sortTaskIDs(running)
 	for i := range s.backlog {
@@ -453,9 +498,11 @@ func (s *Server) dropResultLog(t proto.TaskID) {
 // handleCancel withdraws one task instance: the coordinator stored
 // another instance's result (a lost speculative race). Cancellation is
 // idempotent at every stage — a backlogged instance is dropped, a
-// running one is aborted and its slot freed immediately, a completed-
-// but-unacked one has its log entry garbage-collected, and an unknown
-// one is ignored.
+// timed one is aborted and its slot freed immediately, one whose
+// service body is executing off the loop has its result discarded when
+// the body returns (the slot stays taken until then), a completed-but-
+// unacked one has its log entry garbage-collected, and an unknown one
+// is ignored.
 func (s *Server) handleCancel(from proto.NodeID, m *proto.TaskCancel) {
 	s.monitor.Observe(from)
 	for i := range s.backlog {
@@ -468,16 +515,21 @@ func (s *Server) handleCancel(from proto.NodeID, m *proto.TaskCancel) {
 		}
 	}
 	if s.running[m.Task] {
-		// Abort the execution: stop its timer (the completion never
-		// fires) and pull fresh work into the reclaimed slot.
-		if tm := s.timers[m.Task]; tm != nil {
-			tm.Stop()
+		s.discarded++
+		s.sm.discarded.Inc()
+		tm := s.timers[m.Task]
+		if tm == nil {
+			// The service body is executing off the loop; finishTask
+			// throws its result away and frees the slot.
+			s.running[m.Task] = false
+			return
 		}
+		// Abort the timed execution: stop its timer (the completion
+		// never fires) and pull fresh work into the reclaimed slot.
+		tm.Stop()
 		delete(s.timers, m.Task)
 		delete(s.running, m.Task)
 		delete(s.started, m.Task)
-		s.discarded++
-		s.sm.discarded.Inc()
 		s.noteLoad()
 		s.pullMoreWork()
 		return
@@ -517,7 +569,10 @@ func (s *Server) handleSyncReply(from proto.NodeID, m *proto.ServerSyncReply) {
 // ---------------------------------------------------------------------
 
 func (s *Server) startTask(t *proto.TaskAssignment) {
-	if s.running[t.Task] {
+	if _, held := s.running[t.Task]; held {
+		// Running already — or cancelled with its body still executing,
+		// in which case this is a stale copy of the assignment the
+		// cancel withdrew.
 		s.dedup++
 		s.sm.dedup.Inc()
 		return
@@ -552,17 +607,17 @@ func (s *Server) startTask(t *proto.TaskAssignment) {
 		// scaled by this machine's speed. The timer is retained so a
 		// TaskCancel can abort the execution mid-flight.
 		d := time.Duration(float64(ta.ExecTime) * s.cfg.SpeedFactor)
-		s.timers[t.Task] = s.env.After(d, func() { s.completeTask(&ta) })
+		s.timers[t.Task] = s.env.After(d, func() { s.runTask(&ta) })
 		return
 	}
-	s.completeTask(&ta)
+	s.runTask(&ta)
 }
 
-// runningCall reports whether any running or backlogged task executes
-// the given call.
+// runningCall reports whether any running (and not cancelled) or
+// backlogged task executes the given call.
 func (s *Server) runningCall(call proto.CallID) bool {
-	for t := range s.running {
-		if t.Call == call {
+	for t, wanted := range s.running {
+		if wanted && t.Call == call {
 			return true
 		}
 	}
@@ -583,22 +638,79 @@ func (s *Server) haveResultFor(call proto.CallID) (*proto.TaskResult, bool) {
 	return nil, false
 }
 
-// completeTask runs the service body and durably logs then uploads the
-// result. The log write precedes the upload (pessimistic logging).
-func (s *Server) completeTask(t *proto.TaskAssignment) {
+// runTask produces the task's output and hands it to finishTask. A
+// registered service body runs off the event loop (node.Offload): it
+// may block for as long as it likes while the loop keeps beating with
+// the task still in running. The work closure shares nothing with the
+// loop but svc, the parameters and the variable the body's outcome
+// crosses back in, which the completion reads after work has returned.
+func (s *Server) runTask(t *proto.TaskAssignment) {
 	if s.stopped {
 		return
 	}
-	delete(s.running, t.Task)
 	delete(s.timers, t.Task)
-	output, errStr := s.execute(t)
-	// Measure execution only after the service body ran: real
-	// services execute synchronously right here, while timed tasks
+	svc, ok := s.cfg.Services[t.Service]
+	if !ok {
+		s.finishTask(t, synthesize(t))
+		return
+	}
+	var out outcome
+	born, params := s.incarnation, t.Params
+	node.Offload(s.env, func() { out = callService(svc, params) }, func() {
+		if s.stopped || born != s.incarnation {
+			return // the incarnation that started this body is gone
+		}
+		if out.stack != nil {
+			s.env.Logf("server: service %q panicked on %s: %s\n%s", t.Service, t.Task, out.errStr, out.stack)
+		}
+		s.finishTask(t, out)
+	})
+}
+
+// outcome is what a service body produced: its output or its error,
+// and the stack when the error is a recovered panic.
+type outcome struct {
+	output []byte
+	errStr string
+	stack  []byte
+}
+
+// callService runs one service body, off the event loop. A panic is
+// that call's failure, reported like a returned error: letting it
+// unwind would kill the whole server, and at-least-once would then feed
+// the same poison call to the next server, and the next.
+func callService(svc Service, params []byte) (out outcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			out = outcome{errStr: fmt.Sprintf("service panicked: %v", r), stack: debug.Stack()}
+		}
+	}()
+	output, err := svc(params)
+	if err != nil {
+		return outcome{errStr: err.Error()}
+	}
+	return outcome{output: output}
+}
+
+// finishTask frees the task's slot, then durably logs and uploads the
+// result. The log write precedes the upload (pessimistic logging).
+func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
+	wanted := s.running[t.Task]
+	delete(s.running, t.Task)
+	// Measure execution only now that the service body has returned:
+	// real services take wall-clock time in runTask, while timed tasks
 	// already charged their virtual duration through the timer.
 	var exec time.Duration
 	if at, ok := s.started[t.Task]; ok {
 		exec = s.env.Now().Sub(at)
 		delete(s.started, t.Task)
+	}
+	if !wanted {
+		// Cancelled while the body ran (counted then): nothing is
+		// logged or uploaded, the slot is all there is to give back.
+		s.noteLoad()
+		s.pullMoreWork()
+		return
 	}
 	s.executed++
 	s.sm.executed.Inc()
@@ -607,7 +719,7 @@ func (s *Server) completeTask(t *proto.TaskAssignment) {
 	if s.cfg.OnTaskDone != nil {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
-	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: output, Err: errStr, Exec: exec}
+	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr, Exec: exec}
 	if err := s.env.Disk().Write(s.resultKey(t.Task), proto.EncodeMessage(res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
@@ -642,19 +754,13 @@ func (s *Server) pullMoreWork() {
 	}
 }
 
-func (s *Server) execute(t *proto.TaskAssignment) (output []byte, errStr string) {
-	if svc, ok := s.cfg.Services[t.Service]; ok {
-		out, err := svc(t.Params)
-		if err != nil {
-			return nil, err.Error()
-		}
-		return out, ""
-	}
+// synthesize is the output of a task that names no registered service.
+func synthesize(t *proto.TaskAssignment) outcome {
 	if t.ExecTime > 0 || t.ResultSize > 0 {
 		// Synthetic benchmark service: produce the configured payload.
-		return makePayload(t.Task, t.ResultSize), ""
+		return outcome{output: makePayload(t.Task, t.ResultSize)}
 	}
-	return nil, fmt.Sprintf("server: unknown service %q", t.Service)
+	return outcome{errStr: fmt.Sprintf("server: unknown service %q", t.Service)}
 }
 
 // makePayload builds a deterministic pseudo-payload of the given size.
