@@ -5,9 +5,13 @@
 #                   loop discipline, proto codec completeness, atomic
 #                   hygiene, disk-error hygiene — standalone (cross-
 #                   package call-graph walk) and as go vet -vettool
-#                   (covers _test.go files); then a grep that fails if
+#                   (covers _test.go files); then greps that fail if
 #                   a name of the removed gob codec, per-message
-#                   transport or files store is back in Go sources or CI
+#                   transport, files store or modelled-sleep loops
+#                   experiment is back in Go sources, this file or CI,
+#                   or if the simulated-figure side (internal/
+#                   experiments, cmd/rpcv-bench) imports a real-time
+#                   package or grows a JSON writer again
 #   make bench      full benchmark run (regenerates every figure)
 #   make smoke      1-iteration benchmark smoke (fast CI signal)
 #   make shard      print the shard-scaling table (quick sweep)
@@ -45,6 +49,9 @@ lint:
 	$(GO) build -o $(or $(TMPDIR),/tmp)/rpcv-lint ./cmd/rpcv-lint
 	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/rpcv-lint ./...
 	! git grep -nE 'encoding/gob|LegacyTransport|legacy-transport|WireGob|CodecGob|CodecForWire|ParseWire|OpenFiles' -- '*.go' .github
+	! git grep -nE 'Loops[S]cale|loops[-]scale' -- '*.go' Makefile .github
+	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
+	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 
 build:
 	$(GO) build ./...
@@ -72,7 +79,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkLoopsScale|BenchmarkIdleCall|BenchmarkBusyServers' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick

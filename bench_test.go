@@ -16,7 +16,6 @@ package rpcv
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -246,27 +245,6 @@ func BenchmarkSchedCompare(b *testing.B) {
 	steal := res.Tables[1]
 	b.ReportMetric(cellDur(b, steal, 0, 1)/1000, "s-steal-off")
 	b.ReportMetric(cellDur(b, steal, 1, 1)/1000, "s-steal-on")
-}
-
-// BenchmarkLoopsScale runs the loops-scale experiment on real loopback
-// TCP: sustained submit throughput against a DB-bound coordinator at 1,
-// 2 and 4 event loops. Reported metrics: submits/s and p99 submit
-// latency (ms) per loop count.
-func BenchmarkLoopsScale(b *testing.B) {
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.LoopsScale(opts())
-	}
-	t := res.Tables[0]
-	for row := 0; row < t.Rows(); row++ {
-		name := t.Cell(row, 0) + "loop"
-		tp, err := strconv.ParseFloat(t.Cell(row, 1), 64)
-		if err != nil {
-			b.Fatalf("bad throughput cell %q: %v", t.Cell(row, 1), err)
-		}
-		b.ReportMetric(tp, "submits/s-"+name)
-		b.ReportMetric(cellDur(b, t, row, 4), "ms-p99-"+name)
-	}
 }
 
 // BenchmarkSubmissionThroughput is a micro-benchmark of the simulated

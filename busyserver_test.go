@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/gridrpc"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
@@ -78,7 +77,6 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatPeriod:  spec.period,
 		HeartbeatTimeout: spec.timeout,
-		DBCost:           db.CostModel{PerOp: time.Nanosecond},
 	})
 	var err error
 	g.rco, err = rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: g.co, Logf: g.logf})

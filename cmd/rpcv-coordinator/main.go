@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
@@ -130,7 +129,6 @@ func main() {
 		ReplicationPeriod: *replication,
 		HeartbeatPeriod:   *heartbeat,
 		HeartbeatTimeout:  *timeout,
-		DBCost:            db.RealLifeCost(),
 		Shard:             smap,
 		ShardSyncPeriod:   *shardSync,
 		Policy:            *policy,

@@ -68,7 +68,9 @@
 // ring per loop; store lanes stage into the shared WAL group commit so
 // one fsync covers all loops; -loops=1 is byte-identical on the wire to
 // the pre-loops runtime. Loop-targeted API: DoOn, DoAsyncOn, PingLoop,
-// LoopFor, LoopStats. Measured by the loops-scale experiment.
+// LoopFor, LoopStats. Its correctness is tested (make loops, conform's
+// loops=2 cell, the multi-loop kill-and-restart test); its speed-up is
+// unverified — see the README's multi-loop section.
 //
 // internal/proto owns the wire format itself: one hand-written binary
 // codec with explicit encodings for all 26 message kinds plus JobRecord

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/gridrpc"
 	"rpcv/internal/msglog"
 	"rpcv/internal/proto"
@@ -45,7 +44,6 @@ func main() {
 		Coordinators:     []proto.NodeID{"coord"},
 		HeartbeatPeriod:  beat,
 		HeartbeatTimeout: suspect,
-		DBCost:           db.RealLifeCost(),
 	})
 	rco, err := rt.Start(rt.Config{
 		ID: "coord", ListenAddr: "127.0.0.1:0", Handler: co,

@@ -49,9 +49,12 @@ type Config struct {
 	// Logging selects the message-logging strategy (figure 4).
 	Logging msglog.Strategy
 
-	// Disk models log-write latency; nil means msglog.IDEDisk(). On
-	// the real runtime the store's batch commit owns the timing and
-	// the model is ignored (see msglog's node.BatchDisk routing).
+	// Disk is a modelled cost of the paper's testbed — one log write
+	// (nil means msglog.IDEDisk()) — charged as virtual time before the
+	// entry counts as durable. It belongs to the simulator, whose
+	// builder (internal/cluster) leaves it nil. The real runtime
+	// ignores it: the store's group commit owns the timing (msglog's
+	// node.BatchDisk routing).
 	Disk msglog.DiskModel
 
 	// OnResult, when non-nil, is invoked once per completed call when

@@ -9,7 +9,7 @@
 // the real-time runtime, where wall-clock parallelism exists to win.
 // Under the virtual clock the sequential executor is already
 // deterministic and "instant", so this harness never partitions a
-// handler; the loops-scale experiment measures the loops on the TCP
+// handler; internal/rt's own tests exercise the loops on the TCP
 // runtime instead.
 package cluster
 
@@ -49,10 +49,6 @@ type Config struct {
 	// accepts its sessions' submissions but never executes them.
 	Shards int
 
-	// ShardVNodes overrides the virtual nodes per shard on the hash
-	// circle (default shard.DefaultVNodes).
-	ShardVNodes int
-
 	// ShardSyncPeriod is the coordinators' cross-shard replication
 	// period; zero follows ReplicationPeriod.
 	ShardSyncPeriod time.Duration
@@ -62,10 +58,10 @@ type Config struct {
 
 	// Logging is the client message-logging strategy.
 	Logging msglog.Strategy
-	// DiskModel is the client log disk model; nil means msglog.IDEDisk().
-	DiskModel msglog.DiskModel
-	// DBCost is the coordinator database cost model; zero means
-	// db.ConfinedCost().
+	// DBCost is the coordinators' modelled database cost; zero means
+	// db.ConfinedCost(). This builder is where the paper's cost models
+	// enter: coordinator.Config.DBCost has no default of its own, and
+	// the clients' log disk is always msglog.IDEDisk().
 	DBCost db.CostModel
 
 	// HeartbeatPeriod and SuspicionTimeout follow the paper's 5 s/30 s
@@ -95,16 +91,9 @@ type Config struct {
 	// "fcfs" (default), "fastest-first", "deadline" or "speculative".
 	Policy string
 
-	// SpeculateFactor tunes the speculative policy's straggler
-	// threshold (0: sched default).
-	SpeculateFactor float64
-
 	// WorkStealing lets idle shards execute pending tasks of their
 	// successor shard (sharded deployments only).
 	WorkStealing bool
-
-	// StealBatch caps tasks per steal grant (0: MaxTasksPerAck).
-	StealBatch int
 
 	// ServerSpeed, when non-nil, returns server i's execution speed
 	// factor (1 = nominal, 10 = ten times slower) — the heterogeneous
@@ -228,7 +217,7 @@ func New(cfg Config) *Cluster {
 		rings[r] = coordIDs[r*cfg.Coordinators : (r+1)*cfg.Coordinators]
 	}
 	if cfg.Shards > 1 {
-		cl.ShardMap = shard.New(1, rings, cfg.ShardVNodes)
+		cl.ShardMap = shard.New(1, rings, shard.DefaultVNodes)
 	}
 
 	for i := 0; i < total; i++ {
@@ -243,9 +232,7 @@ func New(cfg Config) *Cluster {
 			Shard:                cl.ShardMap,
 			ShardSyncPeriod:      cfg.ShardSyncPeriod,
 			Policy:               cfg.Policy,
-			SpeculateFactor:      cfg.SpeculateFactor,
 			WorkStealing:         cfg.WorkStealing,
-			StealBatch:           cfg.StealBatch,
 			OnJobFinished: func(call proto.CallID, at time.Time) {
 				if _, ok := cl.FinishedAt[call]; !ok {
 					cl.FinishedAt[call] = at
@@ -298,7 +285,6 @@ func New(cfg Config) *Cluster {
 			SuspicionTimeout: cfg.SuspicionTimeout,
 			AckResyncTimeout: cfg.AckResyncTimeout,
 			Logging:          cfg.Logging,
-			Disk:             cfg.DiskModel,
 			Shard:            cl.ShardMap,
 			OnResult: func(res proto.Result, at time.Time) {
 				if _, ok := cl.ResultAt[res.Call]; !ok {
@@ -384,10 +370,6 @@ func (c *Cluster) RunUntilResults(i, n int, timeout time.Duration) bool {
 	deadline := c.World.Now().Add(timeout)
 	return c.World.RunUntil(func() bool { return cli.ResultCount() >= n }, deadline)
 }
-
-// TotalFinished returns the number of distinct calls whose results
-// reached any coordinator.
-func (c *Cluster) TotalFinished() int { return len(c.FinishedAt) }
 
 // ShardRing returns ring r's coordinator IDs (the whole list when
 // unsharded and r == 0).

@@ -27,6 +27,27 @@ func TestEndToEndSingleCall(t *testing.T) {
 	}
 }
 
+// TestBuilderBringsThePaperCostModel is the line between the two worlds,
+// seen from the simulator: coordinator.Config.DBCost has no default, so
+// this builder is what puts db.ConfinedCost() under a deployment that
+// names no model. One replication round of n small jobs then costs the
+// backup n inserts of 3 ms each — figure 5's slope.
+func TestBuilderBringsThePaperCostModel(t *testing.T) {
+	const n = 50
+	cl := New(Config{Seed: 7, Coordinators: 2, Clients: 1, SuspicionTimeout: time.Hour})
+	cl.SubmitBatch(0, n, "synthetic", 100, time.Second, 64)
+	co := cl.Coordinator(0)
+	cl.World.RunFor(time.Minute)
+	if got := co.StatsNow().JobsAccepted; got != n {
+		t.Fatalf("primary accepted %d of %d jobs", got, n)
+	}
+	cl.World.Schedule(0, co.ReplicateNow)
+	cl.World.RunFor(time.Minute)
+	if d := co.LastReplicationDuration(); d < n*3*time.Millisecond {
+		t.Fatalf("replicating %d jobs took %v of virtual time, want at least %v", n, d, n*3*time.Millisecond)
+	}
+}
+
 func TestEndToEndBatchAcrossServers(t *testing.T) {
 	cl := New(Config{Seed: 11, Coordinators: 1, Servers: 4, Clients: 1})
 	const n = 32

@@ -289,7 +289,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			PollPeriod:       beat,
 			SuspicionTimeout: suspect,
 			Logging:          msglog.NonBlockingPessimistic,
-			Disk:             msglog.InstantDisk(),
 			Shard:            cliShard,
 			OnResult:         record,
 			Obs:              observer(id),

@@ -83,12 +83,17 @@ type Config struct {
 	// Default detector.DefaultPeriod.
 	HeartbeatPeriod time.Duration
 
-	// DBCost models task-database operation latency; zero value means
-	// db.ConfinedCost().
+	// DBCost is a modelled cost of the paper's testbed — one
+	// task-database statement (db.ConfinedCost, db.RealLifeCost) —
+	// charged as virtual time before each reply. It belongs to the
+	// simulator, whose builder (internal/cluster) sets it. The real
+	// runtime leaves it zero, which is free: replies leave inline and
+	// only db.Ops counts the statements.
 	DBCost db.CostModel
 
 	// MaxTasksPerAck caps how many task assignments ride on a single
-	// heartbeat reply. Default 4.
+	// heartbeat reply, and how many tasks one steal grant moves.
+	// Default 4.
 	MaxTasksPerAck int
 
 	// ReplicateParamsLimit is the largest Params payload replicated
@@ -134,10 +139,6 @@ type Config struct {
 	// routed home over the existing ShardSync path.
 	WorkStealing bool
 
-	// StealBatch caps the tasks moved per steal grant. Zero means
-	// MaxTasksPerAck.
-	StealBatch int
-
 	// Obs, when non-nil, receives the coordinator's live metrics
 	// (counters and gauges labeled node="<self>", plus the scheduling
 	// engine's queue and speed gauges) and CallID-correlated span
@@ -166,17 +167,11 @@ func (c *Config) applyDefaults() {
 	if c.HeartbeatPeriod <= 0 {
 		c.HeartbeatPeriod = detector.DefaultPeriod
 	}
-	if c.DBCost == (db.CostModel{}) {
-		c.DBCost = db.ConfinedCost()
-	}
 	if c.MaxTasksPerAck <= 0 {
 		c.MaxTasksPerAck = 4
 	}
 	if c.ReplicateParamsLimit <= 0 {
 		c.ReplicateParamsLimit = 64 << 10
-	}
-	if c.StealBatch <= 0 {
-		c.StealBatch = c.MaxTasksPerAck
 	}
 }
 
@@ -391,15 +386,6 @@ func (c *Coordinator) Partitions() []*Coordinator {
 		return []*Coordinator{c}
 	}
 	return c.parts
-}
-
-// LoopIndex locates this instance among its process's partitions:
-// (loop index, loop count). An unpartitioned coordinator is (0, 1).
-func (c *Coordinator) LoopIndex() (int, int) {
-	if c.loopN == 0 {
-		return 0, 1
-	}
-	return c.loopIdx, c.loopN
 }
 
 // ownsLoop reports whether this partition owns a session's calls under
@@ -1526,7 +1512,8 @@ func (c *Coordinator) ReplicateNow() {
 		return
 	}
 	c.replRound++
-	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Round: c.replRound}
+	round := c.replRound
+	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Round: round}
 	sessions := make(map[string]proto.SessionMax)
 	dirtyCalls := sortedCalls(c.dirty)
 	for _, call := range dirtyCalls {
@@ -1571,9 +1558,10 @@ func (c *Coordinator) ReplicateNow() {
 	c.afterDBCost(func() { c.env.Send(succ, update) })
 
 	// A round that never acks must not wedge replication forever: give
-	// up after the suspicion timeout (the ring monitor will also fire).
+	// up on this round after the suspicion timeout (the ring monitor
+	// will also fire). A later round has its own timer.
 	c.env.After(c.cfg.HeartbeatTimeout, func() {
-		if c.replPending && c.successor == succ {
+		if c.replPending && c.replRound == round {
 			c.replPending = false
 		}
 	})
@@ -2166,7 +2154,7 @@ func (c *Coordinator) maybeSteal() {
 		Shard:    c.shardIdx,
 		Epoch:    c.epoch,
 		Round:    round,
-		Capacity: c.cfg.StealBatch,
+		Capacity: c.cfg.MaxTasksPerAck,
 	})
 	// A silent victim must not wedge stealing: give up on this round
 	// after the suspicion timeout and rotate to another ring member.
@@ -2199,10 +2187,7 @@ func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealReques
 		return
 	}
 	grant := &proto.StealGrant{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
-	limit := m.Capacity
-	if limit > c.cfg.StealBatch {
-		limit = c.cfg.StealBatch
-	}
+	limit := min(m.Capacity, c.cfg.MaxTasksPerAck)
 	now := c.env.Now()
 	for limit > 0 {
 		call, ok := c.eng.PopSteal()
@@ -2344,15 +2329,7 @@ type Stats struct {
 
 // StatsNow returns the current counters. Event-loop only.
 func (c *Coordinator) StatsNow() Stats {
-	pending, ongoing := 0, 0
-	for _, rec := range c.store.PeekAll() {
-		switch rec.State {
-		case proto.TaskPending:
-			pending++
-		case proto.TaskOngoing:
-			ongoing++
-		}
-	}
+	pending, ongoing := c.store.CountStates()
 	return Stats{
 		JobsAccepted:    c.jobsAccepted,
 		SubmitsReceived: c.submitsReceived,
@@ -2401,9 +2378,6 @@ func (c *Coordinator) ShardState() proto.ShardMapState {
 	return c.smap.State()
 }
 
-// ShardIndex returns this coordinator's shard, or -1 when unsharded.
-func (c *Coordinator) ShardIndex() int { return c.shardIdx }
-
 // AdoptedShards returns the shards adopted so far, sorted (tests).
 func (c *Coordinator) AdoptedShards() []int {
 	out := make([]int, 0, len(c.adopted))
@@ -2426,8 +2400,3 @@ func (c *Coordinator) ReplicationInFlight() bool { return c.replPending }
 
 // DB exposes the task database (tests only).
 func (c *Coordinator) DB() *db.DB { return c.store }
-
-// KnownCoordinators returns the current merged coordinator list.
-func (c *Coordinator) KnownCoordinators() []proto.NodeID {
-	return append([]proto.NodeID(nil), c.coords...)
-}

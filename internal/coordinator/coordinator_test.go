@@ -72,6 +72,27 @@ func TestSubmitRegistersAndAcks(t *testing.T) {
 	}
 }
 
+// TestZeroDBCostIsFree is the line between the two worlds, seen from
+// the coordinator: with no cost model — every real-runtime boot; only
+// internal/cluster sets one — a reply leaves in the handler run that
+// produced it, and the statements are still counted.
+func TestZeroDBCostIsFree(t *testing.T) {
+	w := sim.NewWorld(sim.Config{Seed: 3}) // nil network: delivery takes no virtual time
+	co, p := New(Config{Coordinators: []proto.NodeID{"co"}}), &peer{}
+	w.AddNode("co", co)
+	w.AddNode("peer", p)
+	w.Start("co")
+	w.Start("peer")
+	p.env.Send("co", submit(1))
+	w.RunFor(0)
+	if _, ok := p.last().(*proto.SubmitAck); !ok || w.Elapsed() != 0 {
+		t.Fatalf("at +%v the submitter holds %T, want the SubmitAck at +0s", w.Elapsed(), p.last())
+	}
+	if co.DB().Ops() == 0 {
+		t.Fatal("a free statement must still be counted")
+	}
+}
+
 func TestDuplicateSubmitIdempotent(t *testing.T) {
 	w, co, p := rig(t, Config{})
 	p.env.Send("co", submit(1))
@@ -462,6 +483,58 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 	}
 }
 
+// TestGiveUpTimerAbandonsOnlyItsOwnRound: with rounds more frequent
+// than the suspicion timeout, round 1's give-up timer falls due while
+// round 2 awaits its ack. It must leave round 2 alone; abandoning it
+// makes the coordinator ignore round 2's ack and send its records again.
+func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
+	const timeout = 10 * time.Second
+	w, co, p := rig(t, Config{Coordinators: []proto.NodeID{"co", "peer"}, HeartbeatTimeout: timeout})
+	update := func() *proto.ReplicaUpdate { // the latest one; ring heartbeats arrive too
+		t.Helper()
+		for i := len(p.inbox) - 1; i >= 0; i-- {
+			if up, ok := p.inbox[i].(*proto.ReplicaUpdate); ok {
+				return up
+			}
+		}
+		t.Fatal("the successor received no ReplicaUpdate")
+		return nil
+	}
+	ack := func(up *proto.ReplicaUpdate) {
+		p.env.Send("co", &proto.ReplicaAck{From: "peer", Epoch: up.Epoch, Round: up.Round})
+	}
+
+	p.env.Send("co", submit(1))
+	w.RunFor(time.Second)
+	w.Schedule(0, co.ReplicateNow) // round 1: gives up at 1 s + timeout
+	w.RunFor(time.Millisecond)
+	ack(update())
+	w.RunFor(timeout - 2*time.Second)
+
+	p.env.Send("co", submit(2))
+	p.env.Send("co", &proto.Heartbeat{From: "peer", Role: proto.RoleCoordinator}) // stay trusted
+	w.RunFor(time.Millisecond)
+	w.Schedule(0, co.ReplicateNow) // round 2, a second before round 1's deadline
+	w.RunFor(3 * time.Second)
+	second := update()
+	if len(second.Jobs) != 1 || second.Jobs[0].Call != call(2) {
+		t.Fatalf("round 2 carries %d jobs, want job 2 alone", len(second.Jobs))
+	}
+	if !co.ReplicationInFlight() {
+		t.Fatal("round 1's give-up timer abandoned round 2")
+	}
+	ack(second)
+	w.RunFor(time.Millisecond)
+	if n := co.StatsNow().ReplRounds; n != 2 {
+		t.Fatalf("completed rounds = %d, want 2: round 2's ack was ignored", n)
+	}
+	w.Schedule(0, co.ReplicateNow)
+	w.RunFor(time.Millisecond)
+	if third := update(); third.Round == second.Round || len(third.Jobs) != 0 {
+		t.Fatalf("round %d re-sent %d acknowledged jobs", third.Round, len(third.Jobs))
+	}
+}
+
 func TestMidRoundStateChangeStaysDirty(t *testing.T) {
 	// A record finishing while its previous state is in a replication
 	// round must survive the round's ack in the dirty set; otherwise
@@ -499,5 +572,27 @@ func TestMidRoundStateChangeStaysDirty(t *testing.T) {
 	w.RunFor(5 * time.Second)
 	if c2.FinishedCount() != 1 {
 		t.Fatalf("backup finished = %d; the mid-round finish was lost", c2.FinishedCount())
+	}
+}
+
+// BenchmarkStatsNow reads the counters over a job table the size the
+// benchmark's heavy workload ends with. Every status scrape pays this
+// on the event loop, and so does each simulated event of a figure whose
+// stop condition reads the stats. Run with -benchmem.
+func BenchmarkStatsNow(b *testing.B) {
+	w := sim.NewWorld(sim.Config{Seed: 3})
+	co := New(Config{Coordinators: []proto.NodeID{"co"}})
+	w.AddNode("co", co)
+	w.Start("co")
+	const jobs = 26_000
+	for i := 1; i <= jobs; i++ {
+		co.DB().Put(&proto.JobRecord{Call: call(i), State: proto.TaskState(i % 3)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if st := co.StatsNow(); st.Pending != jobs/3 {
+			b.Fatalf("%d of %d jobs pending, want a third", st.Pending, jobs)
+		}
 	}
 }

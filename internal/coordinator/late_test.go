@@ -416,6 +416,7 @@ func gridTrace(t *testing.T, cfg Config) string {
 	}
 	cfg.Coordinators = []proto.NodeID{"co"}
 	cfg.HeartbeatPeriod, cfg.HeartbeatTimeout = period, timeout
+	cfg.DBCost = db.ConfinedCost()
 	record("co", New(cfg))
 	for i := 0; i < 3; i++ {
 		record(proto.NodeID(fmt.Sprintf("sv%d", i)), server.New(server.Config{

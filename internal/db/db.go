@@ -169,7 +169,7 @@ func (d *DB) All() []*proto.JobRecord {
 }
 
 // PeekAll returns all records sorted by CallID without charging any
-// operation cost. It exists for introspection (stats, tests, experiment
+// operation cost. It exists for introspection (tests, experiment
 // observers): measurement must not perturb the virtual clock.
 func (d *DB) PeekAll() []*proto.JobRecord {
 	out := make([]*proto.JobRecord, 0, len(d.records))
@@ -178,6 +178,23 @@ func (d *DB) PeekAll() []*proto.JobRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Call.Less(out[j].Call) })
 	return out
+}
+
+// CountStates returns how many records are pending and how many
+// ongoing, in one unsorted pass that allocates nothing and charges
+// nothing: the coordinator's stats are read on its event loop, by
+// every status scrape and after every simulated event of an
+// experiment's stop condition.
+func (d *DB) CountStates() (pending, ongoing int) {
+	for _, rec := range d.records {
+		switch rec.State {
+		case proto.TaskPending:
+			pending++
+		case proto.TaskOngoing:
+			ongoing++
+		}
+	}
+	return pending, ongoing
 }
 
 // Select returns records matching pred, sorted by CallID.

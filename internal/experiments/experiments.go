@@ -1,7 +1,8 @@
 // Package experiments regenerates every figure of the paper's
-// evaluation section (figures 4 through 11) on the simulated testbed.
-// Two entries run on real loopback TCP instead: LoopsScale (the
-// multi-loop coordinator's speedup) and Sim (the conformance matrix).
+// evaluation section (figures 4 through 11) on the simulated testbed,
+// and nothing else: the package imports no real-time runtime (make lint
+// checks the import graph). The real-TCP measurements live in bench/,
+// the conformance matrix in cmd/rpcv-sim.
 //
 // Each FigN function runs the corresponding experiment and returns its
 // data as metrics tables/series, which cmd/rpcv-bench prints and
@@ -23,11 +24,6 @@ type Options struct {
 	Seed int64
 	// Quick shrinks sweeps and populations for fast runs (tests).
 	Quick bool
-	// Loops caps LoopsScale's sweep (rpcv-bench -loops). 0 means
-	// uncapped: the full 1/2/4 sweep runs. Sweep points above the cap
-	// are dropped, so a 2-core box can pass -loops 2 and skip the
-	// oversubscribed 4-loop row.
-	Loops int
 }
 
 func (o *Options) applyDefaults() {

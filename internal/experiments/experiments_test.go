@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,16 +31,6 @@ func parseDur(t *testing.T, s string) time.Duration {
 		t.Fatalf("cannot parse duration %q: %v", s, err)
 	}
 	return d
-}
-
-// parseFloatCell parses a %.3g-formatted numeric cell.
-func parseFloatCell(t *testing.T, cell string) float64 {
-	t.Helper()
-	v, err := strconv.ParseFloat(cell, 64)
-	if err != nil {
-		t.Fatalf("bad numeric cell %q: %v", cell, err)
-	}
-	return v
 }
 
 func TestFig4Shapes(t *testing.T) {
@@ -359,61 +347,4 @@ func TestSchedCompareShapes(t *testing.T) {
 	if dups != 0 {
 		t.Errorf("stealing produced %d duplicate stored results", dups)
 	}
-}
-
-// TestLoopsScaleSpeedup asserts the loops-scale experiment's shape: a
-// 4-loop coordinator must sustain materially higher submit throughput
-// than the single-loop baseline, with every submission acknowledged at
-// every loop count (delivery equality). The
-// bottleneck the loops multiply is the modelled database's serialized
-// virtual latency, so the speedup does not require 4 physical cores —
-// but scheduling noise on a loaded CI machine still warrants a retry,
-// and the full 2.5x acceptance bar only applies where the box has the
-// cores to back it. Under the race detector the bar drops to "scales
-// at all": instrumentation serializes the loops enough to compress the
-// multiplier, and the race build's job is catching races, not perf —
-// the plain-build run holds the perf line.
-func TestLoopsScaleSpeedup(t *testing.T) {
-	want := 2.0
-	if runtime.NumCPU() >= 4 {
-		want = 2.5
-	}
-	if raceEnabled {
-		want = 1.2
-	}
-	var failure string
-	for attempt := 0; attempt < 2; attempt++ {
-		r := LoopsScale(Options{Seed: 2004 + int64(attempt), Quick: true})
-		dump(t, r)
-		tb := r.Tables[0]
-		if tb.Rows() != 3 {
-			t.Fatalf("rows = %d, want loops 1, 2 and 4", tb.Rows())
-		}
-		equal := true
-		for row := 0; row < tb.Rows(); row++ {
-			if cell := tb.Cell(row, 5); !deliveredEqual(cell) {
-				// Watchdog truncation on a loaded machine, not a
-				// protocol bug — retryable like the throughput shape.
-				failure = fmt.Sprintf("loops %s delivered %s", tb.Cell(row, 0), cell)
-				equal = false
-			}
-		}
-		oneTp := parseFloatCell(t, tb.Cell(0, 1))
-		fourTp := parseFloatCell(t, tb.Cell(2, 1))
-		if equal && oneTp > 0 && fourTp >= want*oneTp {
-			return
-		}
-		if equal {
-			failure = fmt.Sprintf("4-loop %.3g submits/s vs 1-loop %.3g submits/s (want >= %.1fx)",
-				fourTp, oneTp, want)
-		}
-	}
-	t.Errorf("event loops did not scale: %s", failure)
-}
-
-// deliveredEqual reports whether an "acked/target" cell shows every
-// submission acknowledged.
-func deliveredEqual(cell string) bool {
-	a, b, ok := strings.Cut(cell, "/")
-	return ok && a == b && a != "0"
 }

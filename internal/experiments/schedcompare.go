@@ -49,7 +49,7 @@ func SchedCompare(opts Options) Result {
 		"policy", "makespan", "p50", "p95", "p99", "speculated", "rescheduled")
 	for _, policy := range policies {
 		r := policyRun(opts.Seed, policy, tasks, servers)
-		policyTable.AddRow(policy, r.makespan, r.lat.P50(), r.lat.P95(), r.lat.P99(),
+		policyTable.AddRow(policy, r.makespan, r.lat.Quantile(0.50), r.lat.Quantile(0.95), r.lat.Quantile(0.99),
 			r.speculated, r.rescheduled)
 	}
 
@@ -71,7 +71,7 @@ func SchedCompare(opts Options) Result {
 // policyRunResult carries one policy configuration's measurements.
 type policyRunResult struct {
 	makespan    time.Duration
-	lat         metrics.Histogram
+	lat         metrics.Sample
 	speculated  int
 	rescheduled int
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
@@ -153,7 +152,6 @@ func gridWithRegistrar(t *testing.T, n int, services map[string]server.Service) 
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatTimeout: suspect,
 		HeartbeatPeriod:  beat,
-		DBCost:           db.CostModel{PerOp: 50 * time.Microsecond},
 	})
 	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co,
 		DiskDir: filepath.Join(t.TempDir(), "co"), Logf: quiet})

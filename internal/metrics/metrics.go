@@ -1,17 +1,14 @@
 // Package metrics provides the small measurement toolkit shared by the
-// experiment drivers: duration samples with summary statistics,
-// constant-memory latency histograms with p50/p95/p99 export (the
-// scheduling experiments' tail-latency axis), counter time series
-// (completed tasks over time, the y-axis of figures 9-11), and
-// fixed-width text tables that render every figure as rows the way the
-// paper reports them.
+// experiment drivers: duration samples with summary statistics and
+// exact quantiles (the live, constant-memory histogram is
+// obs.Histogram), counter time series (completed tasks over time, the
+// y-axis of figures 9-11), and fixed-width text tables that render
+// every figure as rows the way the paper reports them.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"strings"
 	"time"
@@ -105,162 +102,6 @@ func (s *Sample) Sum() time.Duration {
 		total += v
 	}
 	return total
-}
-
-// Histogram accumulates duration observations in logarithmic buckets
-// (8 per factor-of-two, ~9% relative resolution) and exports the
-// latency quantiles the scheduling experiments report. Unlike Sample
-// it never stores individual observations, so it is safe for the
-// millions-of-calls workloads the roadmap aims at: memory stays
-// constant and Add is O(1). Like Sample it is a single-goroutine
-// analysis type (no internal locking); the concurrent variant with the
-// same bucket scheme is obs.Histogram in internal/obs.
-type Histogram struct {
-	counts []uint64
-	n      uint64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
-}
-
-// histSubBuckets is the resolution: buckets per doubling of duration.
-const histSubBuckets = 8
-
-// histBucket maps a duration to its bucket index: a fixed-point log2
-// with histSubBuckets steps per octave above 1 us.
-func histBucket(d time.Duration) int {
-	us := d / time.Microsecond
-	if us < 1 {
-		return 0
-	}
-	// Integer log2 of the microsecond count, refined into
-	// histSubBuckets linear steps within the octave.
-	exp := bits.Len64(uint64(us)) - 1
-	base := time.Duration(1) << exp
-	frac := int((us - base) * histSubBuckets / base)
-	if frac >= histSubBuckets {
-		frac = histSubBuckets - 1
-	}
-	return exp*histSubBuckets + frac
-}
-
-// histBucketMid returns the representative duration of a bucket (its
-// geometric-ish midpoint).
-func histBucketMid(i int) time.Duration {
-	exp := i / histSubBuckets
-	frac := i % histSubBuckets
-	base := time.Duration(1) << exp
-	lo := base + base*time.Duration(frac)/histSubBuckets
-	hi := base + base*time.Duration(frac+1)/histSubBuckets
-	return (lo + hi) / 2 * time.Microsecond
-}
-
-// Add records one observation.
-func (h *Histogram) Add(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	idx := histBucket(d)
-	if idx >= len(h.counts) {
-		grown := make([]uint64, idx+1)
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	h.counts[idx]++
-	h.n++
-	h.sum += d
-	if h.n == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-}
-
-// N returns the number of observations.
-func (h *Histogram) N() int { return int(h.n) }
-
-// Mean returns the exact arithmetic mean (0 when empty).
-func (h *Histogram) Mean() time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.n)
-}
-
-// Min returns the smallest observation (exact; 0 when empty).
-func (h *Histogram) Min() time.Duration { return h.min }
-
-// Max returns the largest observation (exact).
-func (h *Histogram) Max() time.Duration { return h.max }
-
-// Quantile returns the q-quantile (0 <= q <= 1) to bucket resolution,
-// clamped to the exact observed min and max.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(h.n-1))
-	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen > rank {
-			v := histBucketMid(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
-		}
-	}
-	return h.max
-}
-
-// P50 returns the median.
-func (h *Histogram) P50() time.Duration { return h.Quantile(0.50) }
-
-// P95 returns the 95th-percentile latency.
-func (h *Histogram) P95() time.Duration { return h.Quantile(0.95) }
-
-// P99 returns the 99th-percentile latency.
-func (h *Histogram) P99() time.Duration { return h.Quantile(0.99) }
-
-// Merge folds other into h (combining per-shard histograms).
-func (h *Histogram) Merge(other *Histogram) {
-	if other.n == 0 {
-		return
-	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	h.n += other.n
-	h.sum += other.sum
-}
-
-// String summarizes the distribution for log lines and tables.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		h.n, FormatDuration(h.Mean()), FormatDuration(h.P50()),
-		FormatDuration(h.P95()), FormatDuration(h.P99()), FormatDuration(h.max))
 }
 
 // Series is a (time offset, value) sequence: e.g. completed tasks as
@@ -387,22 +228,6 @@ func (t *Table) Write(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.TrimRight(line.String(), " "))
 	}
-}
-
-// MarshalJSON renders the table as a machine-readable object — title,
-// column headers, and the already-formatted cell strings — so tools
-// consuming rpcv-bench -json output parse exactly the values the text
-// tables display.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	rows := t.rows
-	if rows == nil {
-		rows = [][]string{}
-	}
-	return json.Marshal(struct {
-		Title   string     `json:"title"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}{t.Title, t.Columns, rows})
 }
 
 // String renders the table to a string.

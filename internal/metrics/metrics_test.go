@@ -164,177 +164,6 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------
-
-func TestHistogramEmpty(t *testing.T) {
-	var h Histogram
-	if h.N() != 0 || h.Mean() != 0 || h.P50() != 0 || h.P99() != 0 {
-		t.Fatalf("empty histogram not zero: %s", h.String())
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	var h Histogram
-	// 100 observations: 1..100 ms.
-	for i := 1; i <= 100; i++ {
-		h.Add(time.Duration(i) * time.Millisecond)
-	}
-	if h.N() != 100 {
-		t.Fatalf("n = %d", h.N())
-	}
-	// Bucket resolution is ~9%: accept that error margin around the
-	// exact quantiles.
-	checks := []struct {
-		q    float64
-		want time.Duration
-	}{{0.50, 50 * time.Millisecond}, {0.95, 95 * time.Millisecond}, {0.99, 99 * time.Millisecond}}
-	for _, c := range checks {
-		got := h.Quantile(c.q)
-		lo := c.want - c.want/8
-		hi := c.want + c.want/8
-		if got < lo || got > hi {
-			t.Errorf("q%.2f = %v, want within [%v, %v]", c.q, got, lo, hi)
-		}
-	}
-	if got, want := h.Mean(), 50500*time.Microsecond; got != want {
-		t.Errorf("mean = %v, want %v (exact)", got, want)
-	}
-	if h.Max() != 100*time.Millisecond {
-		t.Errorf("max = %v", h.Max())
-	}
-	// Quantiles are clamped to observed extremes.
-	if h.Quantile(0) < time.Millisecond || h.Quantile(1) != 100*time.Millisecond {
-		t.Errorf("extreme quantiles: q0=%v q1=%v", h.Quantile(0), h.Quantile(1))
-	}
-}
-
-func TestHistogramSkewedTail(t *testing.T) {
-	var h Histogram
-	// 95 fast observations and five 10x stragglers: p99 must surface
-	// the tail that a mean hides.
-	for i := 0; i < 95; i++ {
-		h.Add(10 * time.Second)
-	}
-	for i := 0; i < 5; i++ {
-		h.Add(100 * time.Second)
-	}
-	if p99 := h.P99(); p99 < 80*time.Second {
-		t.Fatalf("p99 = %v, straggler invisible", p99)
-	}
-	if p50 := h.P50(); p50 > 12*time.Second {
-		t.Fatalf("p50 = %v, distorted by the tail", p50)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 50; i++ {
-		a.Add(time.Millisecond)
-		b.Add(time.Second)
-	}
-	a.Merge(&b)
-	if a.N() != 100 {
-		t.Fatalf("merged n = %d", a.N())
-	}
-	if a.Max() != time.Second || a.Quantile(0) != time.Millisecond {
-		t.Fatalf("merged extremes: min=%v max=%v", a.Quantile(0), a.Max())
-	}
-	med := a.P50()
-	if med < time.Millisecond || med > time.Second {
-		t.Fatalf("merged median = %v out of range", med)
-	}
-}
-
-func TestHistogramSubMicrosecond(t *testing.T) {
-	var h Histogram
-	h.Add(0)
-	h.Add(500 * time.Nanosecond)
-	h.Add(-time.Second) // clamped to zero, not a panic
-	if h.N() != 3 || h.Max() != 500*time.Nanosecond {
-		t.Fatalf("sub-us handling: n=%d max=%v", h.N(), h.Max())
-	}
-}
-
-func TestHistogramQuantileEmpty(t *testing.T) {
-	var h Histogram
-	// Every quantile of an empty histogram — including out-of-range
-	// inputs — is zero, never a panic or a bucket midpoint.
-	for _, q := range []float64{-1, 0, 0.25, 0.5, 0.99, 1, 2} {
-		if got := h.Quantile(q); got != 0 {
-			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
-		}
-	}
-	// Merging empty into empty stays empty.
-	var other Histogram
-	h.Merge(&other)
-	if h.N() != 0 || h.Quantile(0.5) != 0 || h.Max() != 0 {
-		t.Errorf("empty+empty merge not empty: %s", h.String())
-	}
-}
-
-func TestHistogramSingleSample(t *testing.T) {
-	var h Histogram
-	const v = 7 * time.Millisecond
-	h.Add(v)
-	if h.N() != 1 || h.Mean() != v || h.Max() != v {
-		t.Fatalf("single sample: n=%d mean=%v max=%v", h.N(), h.Mean(), h.Max())
-	}
-	// With one observation every quantile is that observation exactly:
-	// the min/max clamp must hide the bucket midpoint's ~9% error.
-	for _, q := range []float64{-1, 0, 0.5, 0.95, 0.99, 1, 2} {
-		if got := h.Quantile(q); got != v {
-			t.Errorf("Quantile(%v) = %v, want exactly %v", q, got, v)
-		}
-	}
-}
-
-func TestHistogramMergeDisjointRanges(t *testing.T) {
-	// a occupies low buckets only, b high buckets only, so their count
-	// slices have very different lengths; merge must work in both
-	// directions (growing the receiver, and folding a shorter donor).
-	lo, hi := 10*time.Microsecond, 10*time.Second
-	build := func(v time.Duration, n int) *Histogram {
-		var h Histogram
-		for i := 0; i < n; i++ {
-			h.Add(v)
-		}
-		return &h
-	}
-
-	a := build(lo, 100)
-	a.Merge(build(hi, 100)) // longer donor grows the receiver
-	if a.N() != 200 {
-		t.Fatalf("merged n = %d", a.N())
-	}
-	if a.Quantile(0) != lo || a.Max() != hi {
-		t.Fatalf("merged extremes: min=%v max=%v", a.Quantile(0), a.Max())
-	}
-	// Half the mass sits in each disjoint range: the median must come
-	// from one of the two occupied ranges, not the empty gap between.
-	med := a.P50()
-	if med > 2*lo && med < hi/2 {
-		t.Fatalf("median %v landed in the empty gap", med)
-	}
-	if p99 := a.P99(); p99 < hi/2 {
-		t.Fatalf("p99 = %v, upper range invisible", p99)
-	}
-
-	b := build(hi, 100)
-	b.Merge(build(lo, 100)) // shorter donor into longer receiver
-	if b.N() != 200 || b.Quantile(0) != lo || b.Max() != hi {
-		t.Fatalf("reverse merge: n=%d min=%v max=%v", b.N(), b.Quantile(0), b.Max())
-	}
-
-	// Merging into a zero-value histogram adopts the donor wholesale.
-	var empty Histogram
-	empty.Merge(build(hi, 3))
-	if empty.N() != 3 || empty.Quantile(0) != hi || empty.Max() != hi {
-		t.Fatalf("merge into empty: n=%d min=%v max=%v", empty.N(), empty.Quantile(0), empty.Max())
-	}
-}
-
 // TestSampleQuantileCacheInvalidation pins the sorted-slice cache:
 // quantiles computed after an Add must see the new observation (the
 // cache is invalidated), and interleaved quantile calls must agree

@@ -22,7 +22,6 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/msglog"
 	"rpcv/internal/obs"
 	"rpcv/internal/obs/fleet"
@@ -72,7 +71,6 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatPeriod:  beat,
 		HeartbeatTimeout: suspect,
-		DBCost:           db.CostModel{PerOp: 20 * time.Microsecond},
 		Obs:              coObs,
 	})
 	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0",
@@ -113,7 +111,6 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		PollPeriod:       beat,
 		SuspicionTimeout: suspect,
 		Logging:          msglog.NonBlockingPessimistic,
-		Disk:             msglog.InstantDisk(),
 		OnResult:         func(res proto.Result, _ time.Time) { results <- res.Call.Seq },
 		Obs:              cliObs,
 	})

@@ -269,7 +269,6 @@ type Monitor struct {
 	nodes       map[proto.NodeID]*nodeState
 	ids         []proto.NodeID // stable display order
 	last        FleetVerdict
-	rounds      int
 	worst       Level
 	deaths      int // transitions into LevelDown
 	bundles     []string
@@ -369,7 +368,6 @@ func (m *Monitor) Poll(at time.Time) FleetVerdict {
 	}
 	verdict := m.evaluate(at)
 	m.last = verdict
-	m.rounds++
 	if verdict.Level > m.worst {
 		m.worst = verdict.Level
 	}
@@ -633,13 +631,6 @@ func (m *Monitor) WorstSeen() Level {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.worst
-}
-
-// Rounds returns how many Poll rounds have run.
-func (m *Monitor) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rounds
 }
 
 // Bundles lists the flight-bundle directories captured so far.

@@ -20,7 +20,6 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/msglog"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
@@ -83,7 +82,6 @@ func TestGridObservability(t *testing.T) {
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatPeriod:  beat,
 		HeartbeatTimeout: suspect,
-		DBCost:           db.CostModel{PerOp: 20 * time.Microsecond},
 		Obs:              coObs,
 	})
 	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0",
@@ -124,7 +122,6 @@ func TestGridObservability(t *testing.T) {
 		PollPeriod:       beat,
 		SuspicionTimeout: suspect,
 		Logging:          msglog.NonBlockingPessimistic,
-		Disk:             msglog.InstantDisk(),
 		OnResult:         func(res proto.Result, _ time.Time) { results <- res.Call.Seq },
 		Obs:              cliObs,
 	})

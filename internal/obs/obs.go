@@ -28,9 +28,9 @@
 // harnesses share a single Registry across many nodes (metrics are
 // labeled node="<id>") while each node keeps its own span ring.
 //
-// metrics.Histogram remains the single-goroutine analysis type;
-// obs.Histogram is its lock-free concurrent counterpart with the same
-// log-bucket resolution.
+// obs.Histogram is the tree's one histogram: lock-free, constant
+// memory, log-bucketed. Offline analysis that wants exact quantiles
+// keeps every observation in a metrics.Sample instead.
 package obs
 
 import "rpcv/internal/proto"

@@ -78,10 +78,10 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.v.Load())
 }
 
-// Histogram is the concurrent counterpart of metrics.Histogram:
-// logarithmic buckets (histSub sub-buckets per power of two, ~6%
-// resolution) over non-negative int64 values, maintained with atomic
-// adds only — no lock on the observe path. Unlike metrics.Histogram it
+// Histogram is the constant-memory, concurrent counterpart of the
+// exact metrics.Sample: logarithmic buckets (histSub sub-buckets per
+// power of two, ~6% resolution) over non-negative int64 values,
+// maintained with atomic adds only — no lock on the observe path. It
 // is unit-agnostic: callers choose the unit (nanoseconds, messages,
 // bytes) and encode it in the metric name. All methods are safe for
 // concurrent use and no-op on a nil receiver.

@@ -50,28 +50,44 @@ func TestKindMismatchPanics(t *testing.T) {
 }
 
 func TestHistogram(t *testing.T) {
-	var h Histogram
+	seq := []int64{-5} // clamps to 0
 	for i := int64(1); i <= 100; i++ {
-		h.Observe(i)
+		seq = append(seq, i)
 	}
-	h.Observe(-5) // clamps to 0
-	s := h.Snapshot()
-	if s.N != 101 {
-		t.Fatalf("N = %d, want 101", s.N)
-	}
-	if s.Min != 0 || s.Max != 100 {
-		t.Fatalf("min/max = %v/%v, want 0/100", s.Min, s.Max)
-	}
-	if s.Sum != 5050 {
-		t.Fatalf("sum = %v, want 5050", s.Sum)
-	}
-	// Log buckets give ~6% resolution above 8; the median of 1..100
-	// must land near 50.
-	if s.P50 < 40 || s.P50 > 60 {
-		t.Fatalf("p50 = %v, want ~50", s.P50)
-	}
-	if s.P99 < s.P95 || s.P95 < s.P50 {
-		t.Fatalf("quantiles not monotone: %v %v %v", s.P50, s.P95, s.P99)
+	for _, tc := range []struct {
+		name     string
+		values   []int64
+		want     HistogramSnapshot // N, Sum, Min, Max
+		p50, p99 [2]float64        // inclusive bounds
+	}{
+		// An empty histogram is all zeros, never a bucket midpoint.
+		{name: "empty"},
+		// With one observation every quantile is that observation
+		// exactly: the min/max clamp hides the bucket midpoint's error.
+		{name: "single", values: []int64{7e6},
+			want: HistogramSnapshot{N: 1, Sum: 7e6, Min: 7e6, Max: 7e6},
+			p50:  [2]float64{7e6, 7e6}, p99: [2]float64{7e6, 7e6}},
+		// Log buckets give ~6% resolution above 8; the median of 1..100
+		// must land near 50.
+		{name: "1..100", values: seq,
+			want: HistogramSnapshot{N: 101, Sum: 5050, Min: 0, Max: 100},
+			p50:  [2]float64{40, 60}, p99: [2]float64{90, 100}},
+	} {
+		var h Histogram
+		for _, v := range tc.values {
+			h.Observe(v)
+		}
+		s := h.Snapshot()
+		if s.N != tc.want.N || s.Sum != tc.want.Sum || s.Min != tc.want.Min || s.Max != tc.want.Max {
+			t.Errorf("%s: n/sum/min/max = %v/%v/%v/%v, want %v/%v/%v/%v", tc.name,
+				s.N, s.Sum, s.Min, s.Max, tc.want.N, tc.want.Sum, tc.want.Min, tc.want.Max)
+		}
+		if s.P50 < tc.p50[0] || s.P50 > tc.p50[1] || s.P99 < tc.p99[0] || s.P99 > tc.p99[1] {
+			t.Errorf("%s: p50/p99 = %v/%v, want within %v/%v", tc.name, s.P50, s.P99, tc.p50, tc.p99)
+		}
+		if s.P99 < s.P95 || s.P95 < s.P50 {
+			t.Errorf("%s: quantiles not monotone: %v %v %v", tc.name, s.P50, s.P95, s.P99)
+		}
 	}
 }
 

@@ -679,8 +679,7 @@ func (m *SimFault) WireSize() int {
 // different set ("divergent"), or lost completed results
 // ("lost-results"). Digest is the canonical digest of the delivered
 // (CallID -> result) set; cells agreeing on the digest agree on every
-// result. Persisted alongside SimFault records in verdict artifacts
-// and consumed by rpcv-bench's BENCH_sim.json emitter.
+// result. Persisted alongside SimFault records in verdict artifacts.
 type SimVerdict struct {
 	Suite     string
 	Scenario  string

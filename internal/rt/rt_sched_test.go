@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
@@ -47,7 +46,6 @@ func TestDeadlinePolicyOverTCP(t *testing.T) {
 	co := coordinator.New(coordinator.Config{
 		Coordinators: []proto.NodeID{"co"},
 		Policy:       "deadline",
-		DBCost:       db.CostModel{PerOp: time.Microsecond},
 	})
 	rc, err := Start(Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co, Logf: quietLogf})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/msglog"
 	"rpcv/internal/proto"
 	"rpcv/internal/server"
@@ -146,7 +145,6 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 			Coordinators:     []proto.NodeID{"co"},
 			HeartbeatPeriod:  beat,
 			HeartbeatTimeout: suspect,
-			DBCost:           db.CostModel{PerOp: 10 * time.Microsecond},
 		})
 	}
 	coordCfg := func(h *coordinator.Coordinator) Config {
@@ -212,7 +210,6 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 			PollPeriod:       beat,
 			SuspicionTimeout: suspect,
 			Logging:          msglog.NonBlockingPessimistic,
-			Disk:             msglog.InstantDisk(),
 			OnResult: func(res proto.Result, _ time.Time) {
 				if payload > 0 && !bytes.Equal(res.Output, paramsOf(c, res.Call.Seq)) {
 					t.Errorf("%s: result is not the echo of its params (%d bytes)", res.Call, len(res.Output))

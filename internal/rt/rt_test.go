@@ -9,7 +9,6 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
@@ -168,7 +167,6 @@ func TestEndToEndGridOverTCP(t *testing.T) {
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatTimeout: suspect,
 		HeartbeatPeriod:  beat,
-		DBCost:           db.CostModel{PerOp: 100 * time.Microsecond},
 	})
 	rco, err := Start(Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co,
 		DiskDir: dirOf("co"), Logf: quietLogf})
@@ -214,7 +212,6 @@ func TestEndToEndGridOverTCP(t *testing.T) {
 		PollPeriod:       beat,
 		SuspicionTimeout: suspect,
 		Logging:          msglog.NonBlockingPessimistic,
-		Disk:             msglog.InstantDisk(),
 		OnResult: func(res proto.Result, _ time.Time) {
 			select {
 			case gotResult <- res:

@@ -273,16 +273,6 @@ func (w *World) RunUntil(cond func() bool, deadline time.Time) bool {
 	return cond()
 }
 
-// Drain executes every remaining event regardless of time (useful to
-// flush shutdown work in tests). Returns the number of events run.
-func (w *World) Drain() int {
-	steps := 0
-	for w.Step() {
-		steps++
-	}
-	return steps
-}
-
 func (w *World) push(at time.Time, fn func()) {
 	w.seq++
 	heap.Push(&w.queue, &event{at: at, seq: w.seq, fn: fn})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/proto"
 )
 
@@ -32,7 +31,6 @@ func newLargeCallGrid() *largeCallGrid {
 	}
 	g.co = coordinator.New(coordinator.Config{
 		Coordinators:    []proto.NodeID{"co"},
-		DBCost:          db.CostModel{PerOp: time.Nanosecond},
 		HeartbeatPeriod: time.Hour, HeartbeatTimeout: 24 * time.Hour,
 	})
 	g.co.Start(g.env)

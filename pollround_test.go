@@ -10,7 +10,6 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/db"
 	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
@@ -89,7 +88,6 @@ func newPollGrid() *pollGrid {
 	g := &pollGrid{cenv: newHandEnv("client-u0-1"), coenv: newHandEnv("co")}
 	g.co = coordinator.New(coordinator.Config{
 		Coordinators:    []proto.NodeID{"co"},
-		DBCost:          db.CostModel{PerOp: time.Nanosecond},
 		HeartbeatPeriod: time.Hour, HeartbeatTimeout: 24 * time.Hour,
 		MaxTasksPerAck: 1 << 20,
 	})
@@ -97,7 +95,7 @@ func newPollGrid() *pollGrid {
 	g.cli = client.New(client.Config{
 		User: "u0", Session: 1, Coordinators: []proto.NodeID{"co"},
 		PollPeriod: pollRoundPeriod, SuspicionTimeout: 24 * time.Hour,
-		Logging: msglog.Optimistic, Disk: msglog.InstantDisk(),
+		Logging: msglog.Optimistic,
 	})
 	g.cli.Start(g.cenv)
 	return g
