@@ -7,8 +7,10 @@
 #                   package call-graph walk) and as go vet -vettool
 #                   (covers _test.go files); then greps that fail if
 #                   a name of the removed gob codec, per-message
-#                   transport, files store or modelled-sleep loops
-#                   experiment is back in Go sources, this file or CI,
+#                   transport, files store, modelled-sleep loops
+#                   experiment or user-triggered client log GC (the
+#                   log is collected at delivery) is back in Go
+#                   sources, this file or CI,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -50,6 +52,7 @@ lint:
 	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/rpcv-lint ./...
 	! git grep -nE 'encoding/gob|LegacyTransport|legacy-transport|WireGob|CodecGob|CodecForWire|ParseWire|OpenFiles' -- '*.go' .github
 	! git grep -nE 'Loops[S]cale|loops[-]scale' -- '*.go' Makefile .github
+	! git grep -nE 'GC[N]ow' -- '*.go'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 
@@ -79,7 +82,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick

@@ -17,6 +17,7 @@ import (
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
 	"rpcv/internal/shared"
+	"rpcv/internal/store"
 )
 
 // A server runs service bodies off its event loop (internal/server), so
@@ -39,6 +40,7 @@ type tcpGrid struct {
 	servers []*server.Server
 	rsv     []*rt.Runtime
 	session *gridrpc.Session
+	coStore store.Store // the coordinator's engine, for reading its keys
 
 	mu       sync.Mutex
 	suspects []string // every log line of any node that mentions a suspicion
@@ -51,6 +53,11 @@ type tcpGridSpec struct {
 	servers     int
 	parallelism int
 	services    map[string]server.Service
+
+	// The coordinator's store and loops (collect_test.go): coDisk is a
+	// WAL directory, empty for the memory store; loops 0 means one.
+	coDisk string
+	loops  int
 }
 
 // logf keeps the nodes quiet but remembers suspicions.
@@ -79,7 +86,9 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 		HeartbeatTimeout: spec.timeout,
 	})
 	var err error
-	g.rco, err = rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: g.co, Logf: g.logf})
+	g.rco, err = rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: g.co, Logf: g.logf,
+		DiskDir: spec.coDisk, Loops: spec.loops,
+		WrapStore: func(s store.Store) store.Store { g.coStore = s; return s }})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,8 +17,15 @@
 //
 // The client tags every submission with a (user, session, rpc) unique
 // ID and logs it per the chosen strategy; re-running with the same
-// -user and -session retrieves results of a previous (possibly
-// interrupted) run — client disconnection is a normal event.
+// -user and -session resumes a previous (possibly interrupted) run —
+// client disconnection is a normal event. What it can still retrieve
+// are the results that run never acknowledged: a result is
+// acknowledged by the poll after the one that fetched it, and the
+// coordinator then lets it go (proto.Poll). With -disk the sequence
+// counter and the acknowledgements resume where the run stopped;
+// without it the coordinator's reply to the session's synchronization
+// restores both. Either way a run with -session numbers its first call
+// only once a coordinator has answered that synchronization.
 package main
 
 import (

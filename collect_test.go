@@ -1,0 +1,186 @@
+package rpcv
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"rpcv/internal/shared"
+)
+
+// Collection end to end on loopback TCP: a finished call is let go at
+// both ends once the session's Poll.Ack has passed it, so what the grid
+// holds follows the calls in flight, not the calls it has served.
+
+// collectGrid boots the grid these tests and BenchmarkRetainedPerCall
+// share: two servers taking 16 bodies each, a 20 ms beat.
+func collectGrid(tb testing.TB, coDisk string, loops int) *tcpGrid {
+	g := bootTCPGrid(tb, tcpGridSpec{user: "collect", period: busyBeat, timeout: 2 * time.Second,
+		servers: 2, parallelism: 16, services: shared.BuiltinServices(), coDisk: coDisk, loops: loops})
+	tb.Cleanup(g.close)
+	return g
+}
+
+// echoAll makes n echo calls of size bytes, inFlight at a time, and
+// checks every result byte for byte. It keeps no handle and no result.
+func (g *tcpGrid) echoAll(tb testing.TB, n, inFlight, size int) {
+	tb.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, inFlight)
+	for w := 0; w < inFlight; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			params := make([]byte, size)
+			for i := next.Add(1); i <= int64(n); i = next.Add(1) {
+				for j := range params {
+					params[j] = byte(i + int64(j))
+				}
+				// The session keeps the slice until the result is in;
+				// the call is over by the time the loop refills it.
+				out, err := g.session.Call(ctx, "echo", params)
+				if err != nil || !bytes.Equal(out, params) {
+					errs <- fmt.Errorf("echo %d: %d bytes back, %v", i, len(out), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	select {
+	case err := <-errs:
+		tb.Fatal(err)
+	default:
+	}
+}
+
+// held is what the grid still holds for its one session: job records,
+// their keys on the coordinator's store, and the calls the client
+// tracks and logs.
+type held struct{ jobs, keys, tracked, logged int }
+
+func (g *tcpGrid) held() (h held) {
+	for j, part := range g.co.Partitions() {
+		g.rco.DoOn(j, func() { h.jobs += part.DB().Len() })
+	}
+	h.keys = len(g.coStore.Keys("coord/job/")) + len(g.coStore.Keys("coord/blob/"))
+	st := g.session.Stats()
+	h.tracked, h.logged = st.Tracked, st.LoggedSeqs
+	return h
+}
+
+// settled waits — a few poll periods at most — for the idle grid to
+// hold no more than one call's worth of anything, and returns its heap:
+// the lowest of a few readings, so that a reply still crossing the
+// loopback (a slow client is sent what it has not acknowledged again,
+// with every poll) is not taken for something kept.
+func (g *tcpGrid) settled(tb testing.TB, what string) uint64 {
+	tb.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		// Idle means nothing in flight: each count may keep one entry
+		// (the client's log keeps the highest delivered call's).
+		if h := g.held(); h.jobs <= 1 && h.keys <= 1 && h.tracked <= 1 && h.logged <= 1 {
+			break
+		} else if time.Now().After(deadline) {
+			tb.Fatalf("%s: an idle grid still holds %+v", what, h)
+		}
+		time.Sleep(busyBeat)
+	}
+	lowest := ^uint64(0)
+	for range 5 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		lowest = min(lowest, m.HeapAlloc)
+		time.Sleep(2 * busyBeat)
+	}
+	return lowest
+}
+
+// TestGridHoldsTheCallsInFlightNotItsHistory: after 3 000 small calls,
+// 3 000 more and twice 200 of 64 KiB, the job table, the coordinator's
+// store, the client's call map and its log each hold at most one entry,
+// and the heap is where it was after the first batch of its kind. Before collection
+// each call left 1.5 KB behind (330 KB for a 64 KiB one) at each end,
+// for ever. On the memory store and on the WAL, on one loop and on two.
+func TestGridHoldsTheCallsInFlightNotItsHistory(t *testing.T) {
+	small := 3000
+	if testing.Short() {
+		small = 300
+	}
+	for _, cell := range []struct {
+		name  string
+		wal   bool
+		loops int
+	}{{"memory", false, 1}, {"wal", true, 1}, {"memory-2-loops", false, 2}, {"wal-2-loops", true, 2}} {
+		t.Run(cell.name, func(t *testing.T) {
+			dir := ""
+			if cell.wal {
+				dir = t.TempDir()
+			}
+			g := collectGrid(t, dir, cell.loops)
+			g.echoAll(t, small, 32, 64)
+			base := g.settled(t, "first batch")
+			g.echoAll(t, small, 32, 64)
+			after := g.settled(t, "second batch")
+			// Four at a time: a session that falls behind is sent what it
+			// has not acknowledged again with every poll (ROADMAP item 7),
+			// and under the race detector 32 x 64 KiB is enough to fall
+			// behind for good.
+			g.echoAll(t, 200, 4, 64<<10)
+			large := g.settled(t, "64 KiB batch")
+			g.echoAll(t, 200, 4, 64<<10)
+			again := g.settled(t, "second 64 KiB batch")
+			// Large messages grow the working set — pooled and per-connection
+			// buffers that now fit 64 KiB — by a few MB that come and go
+			// with the collector; the history of each batch of 200 would
+			// be 66 MB.
+			const slack, buffers = 512 << 10, 8 << 20
+			if after > base+slack || large > base+buffers || again > base+buffers {
+				t.Fatalf("heap %d KB after the first %d calls, %d KB after as many again, %d KB after 200 of 64 KiB, %d KB after 200 more: it follows the history",
+					base>>10, small, after>>10, large>>10, again>>10)
+			}
+			collected, waiting := 0, 0
+			for j, part := range g.co.Partitions() {
+				g.rco.DoOn(j, func() {
+					st := part.StatsNow()
+					collected, waiting = collected+st.Collected, waiting+st.CollectWaiting
+				})
+			}
+			if collected < 2*small+399 || waiting != 0 {
+				t.Errorf("%d calls collected, %d waiting, after %d calls", collected, waiting, 2*small+400)
+			}
+		})
+	}
+}
+
+// BenchmarkRetainedPerCall runs heavy-shaped traffic — 64 B echo calls,
+// 32 in flight, memory store, 2 000 calls an iteration — and reports
+// what a call leaves behind on the heap of the process that hosts the
+// whole grid: retained-B/call, measured from the end of a warm-up to
+// the end of the run, the final heap beside it. With -benchtime=60s it
+// is the long run whose heap must be flat; before collection it read
+// about 1 500.
+func BenchmarkRetainedPerCall(b *testing.B) {
+	const perIter = 2000
+	g := collectGrid(b, "", 1)
+	g.echoAll(b, perIter, 32, 64) // warm-up: pools, maps and buffers at their working size
+	before := g.settled(b, "warm-up")
+	b.ResetTimer()
+	g.echoAll(b, perIter*b.N, 32, 64)
+	b.StopTimer()
+	after := g.settled(b, "run")
+	b.ReportMetric(float64(int64(after)-int64(before))/float64(perIter*b.N), "retained-B/call")
+	b.ReportMetric(float64(after)/(1<<20), "heap-MB")
+	b.ReportMetric(0, "ns/op") // an iteration is 2 000 calls and the settling; not the point
+}

@@ -14,9 +14,30 @@
 // comparison). On restart after a crash, the client reloads its log,
 // resynchronizes, and resumes exactly after the last RPC call
 // registered on the Coordinator.
+//
+// # What the client keeps
+//
+// Logging capacities are bounded, so the paper distributes garbage
+// collection among all components, triggered locally by conditions.
+// The client's conditions: a call's Submit, parameters and log entry
+// are dropped the moment its result is delivered (the information is
+// safely held by the application and on the coordinator), and the call
+// itself once the result watermark — the Ack of the next Poll — has
+// passed it, at which point the coordinator collects it too (see
+// proto.Poll). The client therefore tracks the calls in flight, not the
+// session's history, and its log holds the calls without a result —
+// plus the entry of the highest call delivered, kept so that the
+// highest entry still says where the sequence counter stands. The
+// watermark is kept beside the log, so a restart resumes it rather
+// than asking again for what the session has acknowledged; a client
+// that lost its store learns it from the coordinator's SyncReply — and
+// has to, before it numbers a call: the coordinator acknowledges a
+// Submit at or below the watermark and never runs it. A caller that
+// cannot rule out such a history submits through AfterSync.
 package client
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -118,7 +139,8 @@ func (c *Config) applyDefaults() {
 // after the durable write for the pessimistic protocols. For blocking
 // pessimistic the write precedes the send, so (b) always precedes (a).
 type call struct {
-	submit     *proto.Submit
+	seq        proto.RPCSeq
+	submit     *proto.Submit // dropped with the log entry at delivery
 	issued     time.Time
 	lastResent time.Time // last (re)transmission, for the ack check
 	logDone    bool      // the strategy's logging gate has cleared
@@ -144,13 +166,23 @@ type Client struct {
 
 	syncSentAt time.Time // pending sync round trip, for OnSyncReply
 
-	// calls holds every call of the session, keyed by seq in 1..nextSeq.
-	// ack is the result watermark — every seq in 1..ack has a result —
-	// advanced lazily by pollNow; pending counts the calls without one.
+	// synced says that this incarnation has heard the coordinator's view
+	// of the session (a SyncReply); waiting is what AfterSync holds back
+	// until then.
+	synced  bool
+	waiting []func()
+
+	// calls holds the session's calls above the result watermark, keyed
+	// by seq in ack+1..nextSeq. ack is that watermark — every seq in
+	// 1..ack had its result delivered, by this incarnation or an earlier
+	// one — advanced lazily by pollNow, which also drops the calls it
+	// passes; pending counts the tracked calls without a result. held
+	// is the delivered call whose log entry stays (see release).
 	nextSeq proto.RPCSeq
 	calls   map[proto.RPCSeq]*call
 	ack     proto.RPCSeq
 	pending int
+	held    proto.RPCSeq
 
 	pollTimer node.Timer
 	ackTimer  node.Timer
@@ -166,6 +198,7 @@ type Client struct {
 
 	submitted int
 	completed int
+	acked     int
 	failovers int
 	syncs     int
 	redirects int
@@ -177,7 +210,7 @@ type Client struct {
 // fields no-op when nil (Config.Obs unset).
 type clientMetrics struct {
 	submitted, completed, results, failovers, syncs, redirects *obs.Counter
-	pending                                                    *obs.Gauge
+	pending, tracked                                           *obs.Gauge
 	callLatency                                                *obs.Histogram
 }
 
@@ -201,6 +234,7 @@ func (c *Client) Start(env node.Env) {
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators)
 	c.smap = c.cfg.Shard
 	c.syncSentAt = time.Time{}
+	c.synced, c.waiting = false, nil
 	c.log = msglog.New(env, msglog.Config{
 		Prefix:   "client/submit/",
 		Strategy: c.cfg.Logging,
@@ -216,10 +250,11 @@ func (c *Client) Start(env node.Env) {
 			syncs:       reg.Counter("rpcv_client_syncs_total", n),
 			redirects:   reg.Counter("rpcv_client_redirects_total", n),
 			pending:     reg.Gauge("rpcv_client_pending_calls", n),
+			tracked:     reg.Gauge("rpcv_client_calls_tracked", n),
 			callLatency: reg.Histogram("rpcv_client_call_latency_ns", n),
 		}
 	}
-	c.nextSeq, c.ack, c.pending = 0, 0, 0
+	c.nextSeq, c.ack, c.pending, c.held, c.acked = 0, 0, 0, 0, 0
 	c.cm.pending.SetInt(0)
 	c.recoverFromLog()
 
@@ -229,10 +264,12 @@ func (c *Client) Start(env node.Env) {
 	})
 	c.pickPreferred()
 	// Synchronize with the coordinator only when there is state to
-	// reconcile (a restart with recovered calls); a pristine client has
-	// nothing to exchange, and an initial sync would race its first
-	// submissions, duplicating them.
-	if c.pref != "" && len(c.calls) > 0 {
+	// reconcile (a restart with recovered calls or a watermark); a
+	// pristine client has nothing to exchange, and an initial sync would
+	// race its first submissions, duplicating them. An empty store does
+	// not tell a pristine session from a relaunched one that lost it: the
+	// caller who knows numbers its calls through AfterSync.
+	if c.pref != "" && (len(c.calls) > 0 || c.ack > 0) {
 		c.sendSync()
 	}
 	c.schedulePoll()
@@ -246,17 +283,77 @@ func (c *Client) trace(call proto.CallID, stage obs.Stage, detail string) {
 
 // track registers a call that has no result yet.
 func (c *Client) track(seq proto.RPCSeq, cl *call) {
+	cl.seq = seq
 	c.calls[seq] = cl
 	if seq > c.nextSeq {
 		c.nextSeq = seq
 	}
+	if cl.acked {
+		c.acked++
+	}
 	c.pending++
 	c.cm.pending.SetInt(c.pending)
+	c.cm.tracked.SetInt(len(c.calls))
+}
+
+// logKey is a call's key in the submission log.
+func logKey(seq proto.RPCSeq) string { return fmt.Sprintf("%020d", seq) }
+
+// release drops what only an undelivered call needs: its Submit, the
+// parameters it holds and its log entry. The entry of the highest
+// call released so far outlives it, until a higher one takes its
+// place: a restart resumes the sequence counter at the highest entry,
+// which must not fall below a seq the session has used.
+func (c *Client) release(cl *call) {
+	if cl.submit == nil {
+		return
+	}
+	cl.submit = nil
+	drop := cl.seq
+	if cl.seq > c.held {
+		drop, c.held = c.held, cl.seq
+	}
+	if drop > 0 {
+		c.log.Drop(logKey(drop))
+	}
+}
+
+// watermarkKey holds the result watermark, so that a restart does not
+// ask again for what the session acknowledged.
+const watermarkKey = "client/watermark"
+
+// passed advances the result watermark to upTo and stops tracking the
+// calls at or below it.
+func (c *Client) passed(upTo proto.RPCSeq) {
+	for seq, cl := range c.calls { // by the map, not by seq: a wiped client learns a watermark far above 0
+		if seq > upTo {
+			continue
+		}
+		if cl.result == nil {
+			c.pending--
+		}
+		c.release(cl)
+		delete(c.calls, seq)
+	}
+	c.ack = upTo
+	if c.nextSeq < upTo {
+		c.nextSeq = upTo
+	}
+	c.cm.pending.SetInt(c.pending)
+	c.cm.tracked.SetInt(len(c.calls))
+	node.WriteAsync(c.env.Disk(), watermarkKey, binary.AppendUvarint(nil, uint64(upTo)), func(err error) {
+		if err != nil {
+			// The record stays behind; the coordinator's reply to the
+			// next incarnation's first sync makes up for it.
+			c.env.Logf("client: persist watermark: %v", err)
+		}
+	})
 }
 
 // deliver stores the first result to arrive for a tracked call.
 func (c *Client) deliver(cl *call, res proto.Result) {
 	cl.result = &res
+	c.release(cl)
 	c.pending--
 	c.cm.pending.SetInt(c.pending)
 	c.cm.results.Inc()
@@ -316,6 +413,13 @@ func (c *Client) Stop() {
 }
 
 func (c *Client) recoverFromLog() {
+	if raw, ok := c.env.Disk().Read(watermarkKey); ok {
+		if ack, n := binary.Uvarint(raw); n > 0 {
+			c.ack, c.nextSeq = proto.RPCSeq(ack), proto.RPCSeq(ack)
+		} else {
+			c.env.Logf("client: corrupt watermark record; the coordinator's reply to the first sync restores it")
+		}
+	}
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
 	for _, key := range c.log.Keys() {
 		raw, ok := c.log.Get(key)
@@ -331,13 +435,17 @@ func (c *Client) recoverFromLog() {
 		if !ok {
 			continue
 		}
+		if sub.Call.Seq <= c.ack {
+			c.log.Drop(key) // delivered and acknowledged; only the drop was lost
+			continue
+		}
 		c.track(sub.Call.Seq, &call{
 			submit: sub, issued: c.env.Now(),
 			logDone: true, acked: true, completed: true,
 		})
 	}
-	if len(c.calls) > 0 {
-		c.env.Logf("client: recovered %d calls from log, resuming at seq %d", len(c.calls), c.nextSeq+1)
+	if len(c.calls) > 0 || c.ack > 0 {
+		c.env.Logf("client: recovered %d calls from log above watermark %d, resuming at seq %d", len(c.calls), c.ack, c.nextSeq+1)
 	}
 }
 
@@ -433,14 +541,14 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 }
 
 func (c *Client) sendSubmit(cl *call) {
-	seq := cl.submit.Call.Seq
+	id := cl.submit.Call // the log gate may clear after the result has dropped the Submit
 	entry := msglog.Entry{
-		Key:  fmt.Sprintf("%020d", seq),
+		Key:  logKey(cl.seq),
 		Data: proto.EncodeMessage(cl.submit),
 	}
 	c.log.LogAndSend(c.pref, cl.submit, entry, func() {
 		cl.logDone = true
-		c.trace(cl.submit.Call, obs.StageDurable, "submit log")
+		c.trace(id, obs.StageDurable, "submit log")
 		c.maybeComplete(cl)
 	})
 }
@@ -455,7 +563,7 @@ func (c *Client) maybeComplete(cl *call) {
 	c.completed++
 	c.cm.completed.Inc()
 	if c.cfg.OnSubmitComplete != nil {
-		c.cfg.OnSubmitComplete(cl.submit.Call.Seq, cl.issued, c.env.Now())
+		c.cfg.OnSubmitComplete(cl.seq, cl.issued, c.env.Now())
 	}
 }
 
@@ -477,7 +585,11 @@ func (c *Client) resendSubmit(seq proto.RPCSeq) {
 
 func (c *Client) schedulePoll() {
 	c.pollTimer = c.env.After(c.cfg.PollPeriod, func() {
-		c.pollNow()
+		if len(c.waiting) > 0 {
+			c.sendSync() // no reply yet: ask again; the reply polls
+		} else {
+			c.pollNow()
+		}
 		if !c.stopped {
 			c.schedulePoll()
 		}
@@ -492,8 +604,12 @@ func (c *Client) pollNow() {
 	if c.pref == "" {
 		return
 	}
-	for c.hasResult(c.ack + 1) {
-		c.ack++
+	upTo := c.ack
+	for c.hasResult(upTo + 1) {
+		upTo++
+	}
+	if upTo > c.ack {
+		c.passed(upTo)
 	}
 	// The watermark stopped at ack+1, which has no result: the window
 	// of results that overtook it starts at ack+2.
@@ -594,10 +710,11 @@ func (c *Client) RequestShardMap() {
 func (c *Client) handleSubmitAck(from proto.NodeID, m *proto.SubmitAck) {
 	c.monitor.Observe(from)
 	if cl, ok := c.calls[m.Call.Seq]; ok {
-		cl.acked = true
-		if cl.submit != nil {
-			c.maybeComplete(cl)
+		if !cl.acked {
+			cl.acked = true
+			c.acked++
 		}
+		c.maybeComplete(cl)
 	}
 }
 
@@ -610,6 +727,9 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 		res := m.Results[i]
 		cl, ok := c.calls[res.Call.Seq]
 		if !ok {
+			if res.Call.Seq <= c.ack {
+				continue // delivered, acknowledged and no longer tracked
+			}
 			// Result for a call from a lost log suffix (optimistic
 			// logging crash): adopt it — the computation is not wasted.
 			cl = &call{issued: c.env.Now(), completed: true}
@@ -638,22 +758,33 @@ func (c *Client) sendSync() {
 	c.env.Send(c.pref, &proto.SyncRequest{
 		User:    c.cfg.User,
 		Session: c.cfg.Session,
-		MaxSeq:  c.maxLoggedSeq(),
-		HaveLog: c.log.Len() > 0,
+		MaxSeq:  c.nextSeq,
+		HaveLog: c.log.Len() > 0 || c.ack > 0,
 	})
 }
 
 // SyncNow triggers a synchronization round (experiment hook, fig. 6).
 func (c *Client) SyncNow() { c.sendSync() }
 
-func (c *Client) maxLoggedSeq() proto.RPCSeq {
-	var max proto.RPCSeq
-	for seq, cl := range c.calls {
-		if cl.submit != nil && seq > max {
-			max = seq
-		}
+// AfterSync runs fn once this incarnation has heard the coordinator's
+// view of the session, at once if it already has. It is for the caller
+// about to number a call in a session that may be older than the
+// client's store shows — the caller chose the session ID, and the store
+// may have gone with the machine. Until a SyncReply has set the
+// watermark and the sequence counter, a new call could take the seq of
+// one the coordinator has collected, and would never run. The request
+// goes out now unless one is on its way, and again every poll period, so
+// a lost one only delays fn. A session that cannot have a history (a
+// fresh ID) numbers its calls without asking. Event-loop only.
+func (c *Client) AfterSync(fn func()) {
+	if c.synced {
+		fn()
+		return
 	}
-	return max
+	c.waiting = append(c.waiting, fn)
+	if c.syncSentAt.IsZero() {
+		c.sendSync()
+	}
 }
 
 func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
@@ -665,28 +796,30 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 		c.cfg.OnSyncReply(c.env.Now().Sub(c.syncSentAt))
 	}
 	c.syncSentAt = time.Time{}
-	// Resend calls the coordinator does not know. Known lists only
-	// arrive when we lost our log; with a log we conservatively resend
-	// everything past the coordinator's max plus any unacked below it.
-	if len(m.Known) > 0 {
-		// Slow direction (coordinator logs only): adopt the
-		// coordinator's view for the calls we lost. Retrieving this
-		// list is the "additional overhead, before the actual logs
-		// exchange begins" of figure 6; the result payloads then flow
-		// back through the bulk pull below.
-		for _, seq := range m.Known {
-			if _, ok := c.calls[seq]; !ok {
-				c.track(seq, &call{
-					issued:  c.env.Now(),
-					logDone: true, acked: true, completed: true,
-				})
-			}
+	// The session's collected watermark: an earlier incarnation held and
+	// acknowledged every result at or below it, and the coordinator has
+	// let them go. Ours is behind it only if we lost our store, or
+	// crashed before the record of a watermark we had sent was durable.
+	if m.Collected > c.ack {
+		c.passed(m.Collected)
+	}
+	// Slow direction (coordinator logs only): adopt the coordinator's
+	// view for the calls we lost. Retrieving this list is the
+	// "additional overhead, before the actual logs exchange begins" of
+	// figure 6; the result payloads then flow back through the bulk pull
+	// below.
+	for _, seq := range m.Known {
+		if _, ok := c.calls[seq]; !ok && seq > c.ack {
+			c.track(seq, &call{
+				issued:  c.env.Now(),
+				logDone: true, acked: true, completed: true,
+			})
 		}
 	}
 	// Resend every locally logged call the coordinator does not know —
 	// including holes below its maximum timestamp (submissions lost on
 	// the wire).
-	for _, seq := range statesync.MissingSeqs(c.maxLoggedSeq(), m.Known) {
+	for _, seq := range statesync.MissingSeqs(c.ack, c.nextSeq, m.Known) {
 		c.resendSubmit(seq)
 	}
 	// Pull results we may have missed while away — unless a fetch chain
@@ -694,6 +827,13 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 	// in one bulk reply would double every transfer).
 	if len(c.fetchQueue) == 0 {
 		c.pollNow()
+	}
+	// The session now knows where it stands: number what waited for that.
+	c.synced = true
+	waiting := c.waiting
+	c.waiting = nil
+	for _, fn := range waiting {
+		fn()
 	}
 }
 
@@ -767,6 +907,8 @@ type Stats struct {
 	Redirects  int
 	Preferred  proto.NodeID
 	LoggedSeqs int
+	Tracked    int          // calls held in memory: those above the watermark
+	Collected  proto.RPCSeq // the result watermark: calls no longer tracked
 }
 
 // StatsNow returns current counters. Event-loop only.
@@ -779,22 +921,20 @@ func (c *Client) StatsNow() Stats {
 		Redirects:  c.redirects,
 		Preferred:  c.pref,
 		LoggedSeqs: c.log.Len(),
-	}
-	for _, cl := range c.calls {
-		if cl.acked {
-			st.Acked++
-		}
-		if cl.result != nil {
-			st.Results++
-		}
+		Acked:      c.acked,
+		Results:    c.ResultCount(),
+		Tracked:    len(c.calls),
+		Collected:  c.ack,
 	}
 	return st
 }
 
-// ResultCount returns the number of distinct completed calls.
-func (c *Client) ResultCount() int { return len(c.calls) - c.pending }
+// ResultCount returns the number of distinct completed calls: those
+// the watermark has passed plus the results held above it.
+func (c *Client) ResultCount() int { return int(c.ack) + len(c.calls) - c.pending }
 
-// Result returns the stored result for seq, if any.
+// Result returns the stored result for seq, if any: a result stays
+// until the watermark passes its call.
 func (c *Client) Result(seq proto.RPCSeq) (*proto.Result, bool) {
 	cl, ok := c.calls[seq]
 	if !ok || cl.result == nil {
@@ -808,20 +948,3 @@ func (c *Client) Preferred() proto.NodeID { return c.pref }
 
 // ShardMap returns the currently cached shard map (nil when unsharded).
 func (c *Client) ShardMap() *shard.Map { return c.smap }
-
-// GCNow garbage-collects the message log: entries whose calls have a
-// delivered result are flushed (their information is safely stored
-// locally and on the coordinator). Logging capacities are bounded, so
-// the paper distributes garbage collection among all components,
-// triggered locally by conditions or explicitly by the user — this is
-// the explicit trigger. It returns the number of entries removed.
-func (c *Client) GCNow() int {
-	return c.log.GC(func(key string) bool {
-		var seq proto.RPCSeq
-		if _, err := fmt.Sscanf(key, "%d", &seq); err != nil {
-			return false // foreign key: leave it alone
-		}
-		cl, ok := c.calls[seq]
-		return ok && cl.result != nil
-	})
-}

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"fmt"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -22,6 +24,11 @@ type fakeCoord struct {
 	fetches int
 
 	polls []*proto.Poll
+
+	// collects makes the stand-in forget what a Poll's Ack has passed,
+	// as the coordinator does: collected is the session's watermark.
+	collects  bool
+	collected proto.RPCSeq
 }
 
 func newFakeCoord() *fakeCoord {
@@ -44,6 +51,15 @@ func (f *fakeCoord) Receive(from proto.NodeID, msg proto.Message) {
 		f.env.Send(from, &proto.SubmitAck{Call: m.Call, MaxSeq: f.maxSeq()})
 	case *proto.Poll:
 		f.polls = append(f.polls, m)
+		if f.collects && m.Ack > f.collected {
+			f.collected = m.Ack
+			for seq := range f.jobs {
+				if seq <= f.collected {
+					delete(f.jobs, seq)
+					delete(f.results, seq)
+				}
+			}
+		}
 		have := make(map[proto.RPCSeq]bool)
 		for _, s := range m.Have {
 			have[s] = true
@@ -56,7 +72,7 @@ func (f *fakeCoord) Receive(from proto.NodeID, msg proto.Message) {
 		}
 		f.env.Send(from, out)
 	case *proto.SyncRequest:
-		rep := &proto.SyncReply{User: m.User, Session: m.Session, MaxSeq: f.maxSeq()}
+		rep := &proto.SyncReply{User: m.User, Session: m.Session, MaxSeq: max(f.maxSeq(), f.collected), Collected: f.collected}
 		if !m.HaveLog {
 			for seq := range f.jobs {
 				rep.Known = append(rep.Known, seq)
@@ -315,35 +331,58 @@ func TestAdoptsResultForUnknownCall(t *testing.T) {
 	}
 }
 
-func TestGCNowDropsDeliveredOnly(t *testing.T) {
+// TestLogHoldsTheUndeliveredCalls: the client's garbage collection is
+// triggered by delivery, not by the user — a call's log entry goes the
+// moment its result arrives — so the log holds exactly the undelivered
+// calls (plus the entry of the highest call delivered, which keeps the
+// sequence counter's place), and they can still be resent.
+func TestLogHoldsTheUndeliveredCalls(t *testing.T) {
 	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second})
 	w.Schedule(0, func() {
-		cli.Submit("svc", []byte("a"), time.Second, 1)
-		cli.Submit("svc", []byte("b"), time.Second, 1)
-		cli.Submit("svc", []byte("c"), time.Second, 1)
+		for _, p := range []string{"a", "b", "c", "d"} {
+			cli.Submit("svc", []byte(p), time.Second, 1)
+		}
 	})
 	w.RunFor(time.Second)
+	logged := func() []string { return w.Disk("cli").Keys("client/submit/") }
+	if got := logged(); len(got) != 4 {
+		t.Fatalf("setup: log holds %v, want 4 entries", got)
+	}
 	fc.finish(1, "r1")
 	fc.finish(3, "r3")
 	w.RunFor(3 * time.Second)
 	if cli.ResultCount() != 2 {
 		t.Fatalf("setup: results = %d", cli.ResultCount())
 	}
-	var removed int
-	w.Schedule(0, func() { removed = cli.GCNow() })
-	w.RunFor(time.Millisecond)
-	if removed != 2 {
-		t.Fatalf("GC removed %d entries, want 2", removed)
+	want := []string{"client/submit/" + logKey(2), "client/submit/" + logKey(3), "client/submit/" + logKey(4)}
+	if got := logged(); !slices.Equal(got, want) {
+		t.Fatalf("log holds %v, want %v: the undelivered calls 2 and 4, and 3 as the highest delivered", got, want)
 	}
-	if n := cli.StatsNow().LoggedSeqs; n != 1 {
-		t.Fatalf("log holds %d entries after GC, want 1 (the undelivered call)", n)
+	if st := cli.StatsNow(); st.LoggedSeqs != 3 || st.Tracked != 3 || st.Collected != 1 {
+		t.Fatalf("stats = %+v, want 3 logged, 3 tracked (2, 3, 4) above watermark 1", st)
 	}
-	// The undelivered call can still be resent from the surviving log.
+	// The undelivered calls can still be resent from the log; the
+	// delivered ones are not.
 	fc.jobs = make(map[proto.RPCSeq]*proto.Submit)
 	w.Schedule(0, cli.SyncNow)
 	w.RunFor(time.Second)
-	if _, ok := fc.jobs[2]; !ok {
-		t.Fatal("undelivered call 2 not resendable after GC")
+	if got := slices.Sorted(maps.Keys(fc.jobs)); !slices.Equal(got, []proto.RPCSeq{2, 4}) {
+		t.Fatalf("resent %v after the coordinator lost everything, want the undelivered calls [2 4]", got)
+	}
+	// Everything delivered: one entry stays, so a restart still knows
+	// which seqs the session has used.
+	fc.finish(2, "r2")
+	fc.finish(4, "r4")
+	w.RunFor(3 * time.Second)
+	if got := logged(); !slices.Equal(got, want[2:]) {
+		t.Fatalf("log holds %v once every call is delivered, want %v alone", got, want[2:])
+	}
+	w.Restart("cli")
+	var seq proto.RPCSeq
+	w.Schedule(0, func() { seq = cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	if seq != 5 {
+		t.Fatalf("seq after restart = %d, want 5 (no reuse of a delivered call's seq)", seq)
 	}
 }
 
@@ -395,15 +434,23 @@ func TestPollCarriesWatermarkAndWindow(t *testing.T) {
 		t.Fatalf("delivered %d, ResultCount %d, want 5 and 5 (each result exactly once)", delivered, cli.ResultCount())
 	}
 
-	// A restart forgets the results, so the watermark starts over and
-	// the coordinator sends everything again.
+	// A restart resumes at the stored watermark: the session has
+	// acknowledged those five results and the coordinator has let them
+	// go, so the new incarnation neither asks for them nor sees them
+	// again, and still counts them.
 	before := len(fc.polls)
 	w.Restart("cli")
 	w.RunFor(3 * time.Second)
-	wantPoll(t, fc.polls[before], 0)
+	wantPoll(t, fc.polls[before], 5)
 	wantPoll(t, fc.lastPoll(t), 5)
-	if cli.ResultCount() != 5 {
-		t.Fatalf("results after restart = %d, want 5", cli.ResultCount())
+	if delivered != 5 || cli.ResultCount() != 5 {
+		t.Fatalf("after restart: delivered %d, ResultCount %d, want 5 and 5", delivered, cli.ResultCount())
+	}
+	var seq proto.RPCSeq
+	w.Schedule(0, func() { seq = cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	if seq != 7 {
+		t.Fatalf("seq after restart = %d, want 7", seq)
 	}
 }
 
@@ -452,5 +499,188 @@ func TestAckCheckIgnoresCallsWithResults(t *testing.T) {
 	w.RunFor(time.Minute)
 	if st := cli.StatsNow(); st.Results != 1 || st.Acked != 0 || st.Syncs != 0 {
 		t.Fatalf("stats = %+v, want 1 result, 0 acks, 0 syncs", st)
+	}
+}
+
+// finishAll gives every registered job a result.
+func (f *fakeCoord) finishAll() {
+	for seq := range f.jobs {
+		f.finish(seq, fmt.Sprintf("r%d", seq))
+	}
+}
+
+// A client that lost its store — the user relaunched the application
+// on another machine — learns the session's collected watermark from
+// the SyncReply it already waits for: it counts the calls below it as
+// delivered (an earlier incarnation held and acknowledged them), does
+// not ask for them, does not reuse their seqs, and its own watermark
+// moves on from there instead of waiting for results that are gone.
+func TestWipedClientLearnsTheWatermarkFromTheCoordinator(t *testing.T) {
+	delivered := map[proto.RPCSeq]int{}
+	w, cli, fc := rig(t, Config{
+		Logging: msglog.BlockingPessimistic, PollPeriod: time.Second,
+		OnResult: func(res proto.Result, _ time.Time) { delivered[res.Call.Seq]++ },
+	})
+	fc.collects = true
+	w.Schedule(0, func() {
+		for i := 0; i < 5; i++ {
+			cli.Submit("svc", nil, time.Second, 1)
+		}
+	})
+	w.RunFor(time.Second)
+	for seq := proto.RPCSeq(1); seq <= 4; seq++ {
+		fc.finish(seq, "r")
+	}
+	w.RunFor(3 * time.Second) // fetched, then acknowledged: 1..4 are collected
+	if fc.collected != 4 || len(fc.jobs) != 1 {
+		t.Fatalf("setup: coordinator watermark %d with %d jobs left, want 4 and 1", fc.collected, len(fc.jobs))
+	}
+
+	w.Crash("cli")
+	w.WipeDisk("cli")
+	w.Start("cli")
+	w.Schedule(0, cli.SyncNow)
+	w.RunFor(3 * time.Second)
+	if st := cli.StatsNow(); st.Collected != 4 || st.Tracked != 1 || cli.ResultCount() != 4 {
+		t.Fatalf("after the sync: %+v, ResultCount %d; want watermark 4, call 5 tracked, 4 results counted", st, cli.ResultCount())
+	}
+	wantPoll(t, fc.lastPoll(t), 4)
+	var seq proto.RPCSeq
+	w.Schedule(0, func() { seq = cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	if seq != 6 {
+		t.Fatalf("seq after the relaunch = %d, want 6 (no reuse below the coordinator's maximum)", seq)
+	}
+	// The watermark is not stalled on the calls it never saw: it passes
+	// 5 and 6 as their results arrive.
+	fc.finishAll()
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 6)
+	if cli.ResultCount() != 6 || delivered[5] != 1 || delivered[6] != 1 {
+		t.Fatalf("ResultCount %d, deliveries %v; want 6 and one each of 5 and 6", cli.ResultCount(), delivered)
+	}
+	for seq := proto.RPCSeq(1); seq <= 4; seq++ {
+		if delivered[seq] != 1 {
+			t.Fatalf("result %d delivered %d times over both incarnations, want once (by the first)", seq, delivered[seq])
+		}
+	}
+}
+
+// A caller that cannot rule out a history (gridrpc, for a session ID it
+// was given) numbers its calls through AfterSync: nothing is numbered
+// before the coordinator's reply, a lost request is repeated every poll
+// period, and the call then takes a seq above the collected watermark —
+// below it the coordinator would acknowledge the Submit and never run it.
+func TestAfterSyncHoldsNumberingUntilTheCoordinatorAnswers(t *testing.T) {
+	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second})
+	fc.collects = true
+	w.Schedule(0, func() {
+		for i := 0; i < 3; i++ {
+			cli.Submit("svc", nil, time.Second, 1)
+		}
+	})
+	w.RunFor(time.Second)
+	fc.finishAll()
+	w.RunFor(3 * time.Second)
+	if fc.collected != 3 || len(fc.jobs) != 0 {
+		t.Fatalf("setup: coordinator watermark %d with %d jobs left, want 3 and 0", fc.collected, len(fc.jobs))
+	}
+
+	w.Crash("cli")
+	w.WipeDisk("cli")
+	w.Start("cli")
+	fc.silent = true // the first request is lost
+	var seqs []proto.RPCSeq
+	submit := func() { seqs = append(seqs, cli.Submit("svc", nil, time.Second, 1)) }
+	w.Schedule(0, func() {
+		cli.AfterSync(submit)
+		cli.AfterSync(submit)
+	})
+	w.RunFor(2500 * time.Millisecond)
+	if len(seqs) != 0 {
+		t.Fatalf("numbered %v before any coordinator answered", seqs)
+	}
+	if st := cli.StatsNow(); st.Syncs < 2 {
+		t.Fatalf("%d sync requests in 2.5 poll periods of silence, want the first and a repeat per period", st.Syncs)
+	}
+	fc.silent = false
+	w.RunFor(1500 * time.Millisecond)
+	if !slices.Equal(seqs, []proto.RPCSeq{4, 5}) {
+		t.Fatalf("numbered %v after the reply, want [4 5] (the coordinator has collected 1..3)", seqs)
+	}
+	syncs := cli.StatsNow().Syncs
+	w.Schedule(0, func() { cli.AfterSync(submit) })
+	w.RunFor(time.Second)
+	if !slices.Equal(seqs, []proto.RPCSeq{4, 5, 6}) || cli.StatsNow().Syncs != syncs {
+		t.Fatalf("once synchronized: numbered %v with %d more syncs, want 6 at once and none", seqs, cli.StatsNow().Syncs-syncs)
+	}
+	fc.finishAll()
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 6)
+}
+
+// A restart with the store intact resumes the watermark, the sequence
+// counter and the result count from it (TestPollCarriesWatermarkAndWindow);
+// a crash between a Poll and the record of the watermark it carried is
+// made up for by the coordinator's reply to the first sync.
+func TestLostWatermarkRecordIsMadeUpForByTheSync(t *testing.T) {
+	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second})
+	fc.collects = true
+	w.Schedule(0, func() {
+		for i := 0; i < 4; i++ {
+			cli.Submit("svc", []byte("p"), time.Second, 1)
+		}
+	})
+	w.RunFor(time.Second)
+	fc.finish(1, "r1")
+	fc.finish(2, "r2")
+	fc.finish(4, "r4")
+	w.RunFor(3 * time.Second)
+	wantPoll(t, fc.lastPoll(t), 2, 4)
+
+	// The record of watermark 2 is lost (the crash beat its write), the
+	// coordinator has collected up to it.
+	if err := w.Disk("cli").Delete(watermarkKey); err != nil {
+		t.Fatal(err)
+	}
+	before := len(fc.polls)
+	w.Restart("cli")
+	w.RunFor(3 * time.Second)
+	if st := cli.StatsNow(); st.Collected != 2 || cli.ResultCount() != 3 {
+		t.Fatalf("after the restart: %+v, ResultCount %d; want watermark 2 from the SyncReply, and result 4 fetched again", st, cli.ResultCount())
+	}
+	for _, p := range fc.polls[before:] {
+		if p.Ack > 2 {
+			t.Fatalf("poll %+v acknowledges more than the session holds", p)
+		}
+	}
+	wantPoll(t, fc.lastPoll(t), 2, 4)
+	var seq proto.RPCSeq
+	w.Schedule(0, func() { seq = cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	if seq != 5 {
+		t.Fatalf("seq after restart = %d, want 5", seq)
+	}
+}
+
+// A result at or below the watermark is one the client delivered,
+// acknowledged and stopped tracking: when the coordinator sends it
+// again (a late reply crossing the Poll that acknowledged it), it is
+// neither delivered a second time nor adopted as the result of a call
+// the client never knew.
+func TestResultBelowTheWatermarkIsNotDeliveredTwice(t *testing.T) {
+	delivered := 0
+	w, cli, fc := rig(t, Config{PollPeriod: time.Second, OnResult: func(proto.Result, time.Time) { delivered++ }})
+	w.Schedule(0, func() { cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	fc.finish(1, "r1")
+	w.RunFor(3 * time.Second) // delivered; the next poll's watermark passes it
+	if st := cli.StatsNow(); delivered != 1 || st.Collected != 1 || st.Tracked != 0 {
+		t.Fatalf("setup: delivered %d, %+v", delivered, st)
+	}
+	fc.env.Send("cli", &proto.Results{User: "u", Session: 1, Results: []proto.Result{fc.results[1]}})
+	w.RunFor(time.Second)
+	if st := cli.StatsNow(); delivered != 1 || cli.ResultCount() != 1 || st.Tracked != 0 {
+		t.Fatalf("after the duplicate: delivered %d, ResultCount %d, %+v", delivered, cli.ResultCount(), st)
 	}
 }

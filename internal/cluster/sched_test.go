@@ -86,15 +86,19 @@ func TestSpeculativeFailoverSingleStoredResult(t *testing.T) {
 	}
 	cl.World.RunFor(3 * time.Minute) // let the straggler's late upload land
 
+	// Every call is accounted for once on the replica: stored finished,
+	// or — its result acknowledged by the client's Poll — collected,
+	// at or below the session's watermark.
 	co1 := cl.Coordinator(1)
-	finished := 0
+	finished := int(co1.Collected("user-00", 1))
 	for _, rec := range co1.DB().PeekAll() {
-		if rec.State == proto.TaskFinished {
+		if rec.State == proto.TaskFinished && rec.Call.Seq > co1.Collected("user-00", 1) {
 			finished++
 		}
 	}
-	if finished != calls {
-		t.Fatalf("replica stores %d finished records, want %d", finished, calls)
+	if finished != calls || co1.DB().Len() > calls {
+		t.Fatalf("replica accounts for %d finished calls in %d records, want %d",
+			finished, co1.DB().Len(), calls)
 	}
 	if got := cl.Client(0).ResultCount(); got != calls {
 		t.Fatalf("client holds %d results, want %d", got, calls)

@@ -164,12 +164,19 @@ func TestWholeRingKillRebalancesToSuccessor(t *testing.T) {
 	}
 
 	// No lost completed results: every phase-A record of the victim's
-	// sessions must be finished, with its payload, on the successor.
+	// sessions must be finished, with its payload, on the successor —
+	// or at or below the watermark the successor holds for the session:
+	// the client acknowledged the result and both rings let it go.
 	for call := range mustSurvive {
 		found := false
 		for _, id := range cl.ShardRing(succ) {
-			if rec, ok := cl.Coordinators[id].DB().Peek(call); ok &&
+			co := cl.Coordinators[id]
+			if rec, ok := co.DB().Peek(call); ok &&
 				rec.State == proto.TaskFinished && len(rec.Output) > 0 {
+				found = true
+				break
+			}
+			if call.Seq <= co.Collected(call.User, call.Session) {
 				found = true
 				break
 			}

@@ -59,7 +59,7 @@ type Options struct {
 type CellVerdict struct {
 	Cell      string
 	Scenario  string
-	Verdict   string // "pass" | "lost-results" | "divergent" | "error"
+	Verdict   string // "pass" | "lost-results" | "divergent" | "uncollected" | "error"
 	Digest    string
 	Delivered int
 	Expected  int

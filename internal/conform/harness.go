@@ -140,6 +140,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 
 	slots := map[string]*nodeSlot{}
 	plans := map[string]*store.FaultPlan{}
+	coords := map[string]*coordinator.Coordinator{} // each coordinator's current incarnation
 	var slotsMu sync.Mutex
 	boot := func(name string, slot *nodeSlot) error {
 		rtm, err := slot.start()
@@ -198,6 +199,9 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				Shard:             truth,
 				Obs:               observer(id),
 			})
+			slotsMu.Lock()
+			coords[name] = co
+			slotsMu.Unlock()
 			return rt.Start(rt.Config{
 				ID: id, ListenAddr: "127.0.0.1:0", Handler: co,
 				Directory: dir, DiskDir: diskDir,
@@ -474,6 +478,54 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	if v.Verdict == "pass" && v.Digest != expectedDigest(sc) {
 		v.Verdict = "divergent"
 		v.Detail = "digest mismatch against analytic expectation"
+	}
+	if v.Verdict == "pass" {
+		// State is bounded, whatever the timeline did: once the clients'
+		// next polls have acknowledged what they hold, no live
+		// coordinator's job table — its own sessions' or the copies it
+		// keeps for another ring — is larger than the number of calls
+		// without an acknowledged result.
+		unacked := func() (n int) {
+			for i, cli := range clis {
+				if rtm := slots[fmt.Sprintf("cli%d", i)].get(); rtm != nil {
+					rtm.Do(func() { n += cli.StatsNow().Tracked })
+				}
+			}
+			return n
+		}
+		held := func() (worst string, n int) {
+			for name := range plans {
+				slotsMu.Lock()
+				co := coords[name]
+				slotsMu.Unlock()
+				rtm := slots[name].get()
+				if rtm == nil {
+					continue
+				}
+				jobs := 0
+				for j, part := range co.Partitions() {
+					rtm.DoOn(j, func() { jobs += part.DB().Len() })
+				}
+				if jobs > n {
+					worst, n = name, jobs
+				}
+			}
+			return worst, n
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		for {
+			limit := unacked()
+			name, jobs := held()
+			if jobs <= limit {
+				break
+			}
+			if time.Now().After(deadline) {
+				v.Verdict = "uncollected"
+				v.Detail = fmt.Sprintf("%s still holds %d job records with %d calls unacknowledged", name, jobs, limit)
+				break
+			}
+			time.Sleep(beat)
+		}
 	}
 
 	// Post-mortem: on any failed verdict with an artifact directory,

@@ -39,6 +39,29 @@
 // turns them off for the simulator, whose figures measure the protocol
 // as the paper ran it.
 //
+// # Collection
+//
+// "Logging capacities are bounded, so components flush logs whose
+// information is safely replicated elsewhere (e.g. acknowledged
+// results)", and the garbage collection is "distributed among all
+// components, triggered locally by conditions". The coordinator's
+// condition is the watermark a session's Poll carries: a call whose
+// seq the session's Poll.Ack has passed is collected. The client has
+// said it holds the result, so the coordinator owes the session nothing
+// more for that call except never to run it again. It keeps one number
+// per session — the collected watermark, durable under coord/w/, the
+// floor of the session's maximum timestamp, told to the ring successor
+// and the successor shard with the session's entries they already
+// receive — and deletes the record, the header and the blobs of every
+// finished call at or below it, once no successor is still owed the
+// call's finish. The job table, the store and a restart's replay then
+// follow the calls in flight, not the grid's history. What a relaunched
+// session can still fetch is every result no Poll has acknowledged; a
+// message about a collected call — a duplicate Submit, a late
+// TaskResult, a replica's copy — is answered exactly as one about a
+// finished call and changes nothing. collect.go has the rule and the
+// lookup that tells a collected call from one never seen.
+//
 // All methods run on the node's event loop (see internal/node); the
 // type has no internal locking and must not be shared across loops.
 package coordinator
@@ -227,8 +250,11 @@ type Coordinator struct {
 
 	successor   proto.NodeID
 	predecessor proto.NodeID // last coordinator we received an update from
-	dirty       map[proto.CallID]bool
-	inFlight    []proto.CallID // calls carried by the round awaiting ack
+	// dirty holds the records the ring successor has not acknowledged
+	// in their current state, wdirty the sessions whose collected
+	// watermark it has not. Both stay empty in a ring of one.
+	dirty       dirtySet[proto.CallID]
+	wdirty      dirtySet[sessionKey]
 	beater      *detector.Beater
 	replTimer   node.Timer
 	replPending bool      // a round is in flight (awaiting ack)
@@ -249,9 +275,9 @@ type Coordinator struct {
 	fromShard map[proto.CallID]int
 
 	// Cross-shard replication round state, mirroring the intra-ring
-	// dirty/inFlight machinery.
-	xdirty    map[proto.CallID]bool
-	xinFlight []proto.CallID
+	// one.
+	xdirty    dirtySet[proto.CallID]
+	xwdirty   dirtySet[sessionKey]
 	xpending  bool
 	xround    uint64
 	xtargetIx int // rotates through successor-ring members on silence
@@ -271,6 +297,13 @@ type Coordinator struct {
 	// the next persist of the call writes them again before any header
 	// that would reference them.
 	unwritten map[proto.CallID]jobParts
+
+	// Collection (collect.go): each session's collected watermark, the
+	// finished calls at or below one that a replication round still has
+	// to carry, and what is gone from the table but not yet from the disk.
+	collected map[sessionKey]proto.RPCSeq
+	waiting   map[proto.CallID]bool
+	gc        garbage
 
 	// Late replies (late.go): the standing work offers and the result
 	// subscriptions. Soft state of this incarnation, never persisted or
@@ -295,6 +328,8 @@ type Coordinator struct {
 	stolenHome      int // stolen tasks whose result came home via ShardSync
 	pushedTasks     int // assignments sent as late replies to a standing offer
 	pushedResults   int // results sent as late replies to a subscription
+	collectedJobs   int // finished calls deleted below their session's watermark
+	staleMsgs       int // messages about a collected call, answered and dropped
 
 	// cm mirrors the counters above into Config.Obs (every instrument
 	// is a nil-safe no-op when observability is off).
@@ -311,7 +346,9 @@ type coordMetrics struct {
 	assignedPull, assignedPush                 *obs.Counter
 	resultsPoll, resultsPush, offersExpired    *obs.Counter
 	sessions, inflight, specInflight, shardIdx *obs.Gauge
-	idleSlots                                  *obs.Gauge
+	idleSlots, jobs, waiting                   *obs.Gauge
+	collected                                  *obs.Counter
+	stale                                      func(kind string) *obs.Counter
 	dispatchLat                                *obs.Histogram
 }
 
@@ -426,7 +463,11 @@ func (c *Coordinator) Start(env node.Env) {
 	c.byServer = make(map[proto.NodeID]map[proto.CallID]bool)
 	c.fromPredecessor = make(map[proto.CallID]bool)
 	c.queuedAt = make(map[proto.CallID]time.Time)
-	c.dirty = make(map[proto.CallID]bool)
+	c.dirty = newDirtySet[proto.CallID]()
+	c.wdirty = newDirtySet[sessionKey]()
+	c.collected = make(map[sessionKey]proto.RPCSeq)
+	c.waiting = make(map[proto.CallID]bool)
+	c.gc = garbage{durable: make(map[sessionKey]proto.RPCSeq)}
 	c.stolenOut = make(map[proto.CallID]stolenOutInfo)
 	c.unwritten = make(map[proto.CallID]jobParts)
 	c.offers = newOfferBook()
@@ -444,8 +485,8 @@ func (c *Coordinator) Start(env node.Env) {
 	c.guarded = nil
 	c.adopted = make(map[int]bool)
 	c.fromShard = make(map[proto.CallID]int)
-	c.xdirty = make(map[proto.CallID]bool)
-	c.xinFlight = nil
+	c.xdirty = newDirtySet[proto.CallID]()
+	c.xwdirty = newDirtySet[sessionKey]()
 	c.xpending = false
 	if m := c.cfg.Shard; m != nil && m.Shards() > 1 {
 		if idx := m.RingOf(env.Self()); idx >= 0 {
@@ -464,6 +505,7 @@ func (c *Coordinator) Start(env node.Env) {
 	c.cm.shardIdx.SetInt(c.shardIdx)
 
 	c.loadEpoch()
+	c.loadMarks()
 	c.loadStore()
 
 	c.servers = detector.NewMonitor(env, detector.MonitorConfig{
@@ -533,6 +575,13 @@ func (c *Coordinator) initObs(env node.Env) {
 		resultsPush:   reg.Counter("rpcv_coord_results_sent_total", with(ls, "via", "push")...),
 		offersExpired: reg.Counter("rpcv_coord_offers_expired_total", ls...),
 		idleSlots:     reg.Gauge("rpcv_coord_idle_slots", ls...),
+
+		collected: reg.Counter("rpcv_coord_collected_total", ls...),
+		jobs:      reg.Gauge("rpcv_coord_jobs", ls...),
+		waiting:   reg.Gauge("rpcv_coord_collect_waiting", ls...),
+		stale: func(kind string) *obs.Counter {
+			return reg.Counter("rpcv_coord_stale_total", with(ls, "kind", kind)...)
+		},
 	}
 	if reg != nil {
 		c.cm.dispatchLat = reg.Histogram("rpcv_coord_dispatch_latency_ns", ls...)
@@ -611,6 +660,9 @@ func (c *Coordinator) Stop() {
 	}
 	if c.specTimer != nil {
 		c.specTimer.Stop()
+	}
+	if c.gc.timer != nil {
+		c.gc.timer.Stop()
 	}
 	if c.beater != nil {
 		c.beater.Close()
@@ -739,8 +791,14 @@ func (c *Coordinator) loadStore() {
 			}
 			payload, ok := disk.Read(blobPrefix + rec.Call.String() + b.suffix)
 			if !ok || len(payload) != sj.Len(b.part) {
-				c.env.Logf("coordinator: corrupt job record %s: blob %s is %d bytes (present %v), header says %d",
-					key, b.suffix, len(payload), ok, sj.Len(b.part))
+				if _, status := c.lookup(rec.Call); status == callCollected {
+					// Not corruption: a collection the crash cut short,
+					// whose blobs go first. Finish it.
+					c.gc.jobs = append(c.gc.jobs, rec.Call)
+				} else {
+					c.env.Logf("coordinator: corrupt job record %s: blob %s is %d bytes (present %v), header says %d",
+						key, b.suffix, len(payload), ok, sj.Len(b.part))
+				}
 				intact = false
 				break
 			}
@@ -768,6 +826,7 @@ func (c *Coordinator) loadStore() {
 		c.markDirty(rec.Call)
 	}
 	c.jobsAccepted = c.store.Len()
+	c.sweep()
 }
 
 // persistJob makes rec's current state durable: always its header, and
@@ -808,6 +867,8 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
 	// Encode before staging anything: the less time between a staged
 	// blob and its header, the surer one group commit takes both.
 	header := proto.EncodeJobHeader(rec, external)
+	// What collection left for the disk rides this header's commit.
+	c.flushGarbage()
 	for _, b := range blobs {
 		if external&fresh&b.part == 0 {
 			continue
@@ -825,18 +886,13 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
 // known to have failed when it returns.
 func (c *Coordinator) writeBlob(call proto.CallID, b blob, key string, payload []byte) bool {
 	ok := true
-	done := func(err error) {
+	node.WriteAsync(c.env.Disk(), key, payload, func(err error) {
 		if err != nil {
 			ok = false
 			c.unwritten[call] |= b.part
 			c.persistFailed(call, b.part, err)
 		}
-	}
-	if bd, batches := c.env.Disk().(node.BatchDisk); batches {
-		bd.WriteAsync(key, payload, done)
-	} else {
-		done(c.env.Disk().Write(key, payload))
-	}
+	})
 	return ok
 }
 
@@ -913,6 +969,7 @@ func (c *Coordinator) afterDBCost(fn func()) {
 func (c *Coordinator) put(rec *proto.JobRecord) {
 	c.store.Put(rec)
 	c.cm.sessions.SetInt(c.store.Sessions())
+	c.cm.jobs.SetInt(c.store.Len())
 }
 
 // ---------------------------------------------------------------------
@@ -926,11 +983,15 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		c.sendRedirect(from, m.Call.User, m.Call.Session, m.Call)
 		return
 	}
-	if _, ok := c.store.Peek(m.Call); ok {
-		// Duplicate submission (client retry or resend after sync):
-		// acknowledge with the current state, do not reset the job.
+	if _, status := c.lookup(m.Call); status != callUnknown {
+		// Duplicate submission (client retry or resend after sync), of a
+		// call still here or of one collected: acknowledge with the
+		// current state, do not reset the job — and never run it again.
 		// Re-reading the stored record is one charged lookup; the
 		// existence check itself rides on the insert's key conflict.
+		if status == callCollected {
+			c.stale(m)
+		}
 		c.store.Get(m.Call)
 		c.afterDBCost(func() {
 			c.env.Send(from, &proto.SubmitAck{Call: m.Call, MaxSeq: c.maxSeq(m.Call.User, m.Call.Session)})
@@ -966,9 +1027,10 @@ func resultOf(rec *proto.JobRecord) proto.Result {
 	return proto.Result{Call: rec.Call, Output: rec.Output, Err: rec.ResultErr, Server: rec.Server}
 }
 
-// maxSeq returns the indexed maximum timestamp known for a session.
+// maxSeq returns the indexed maximum timestamp known for a session. The
+// collected watermark is its floor: the calls below it were here.
 func (c *Coordinator) maxSeq(user proto.UserID, session proto.SessionID) proto.RPCSeq {
-	return c.store.MaxSeq(user, session)
+	return max(c.store.MaxSeq(user, session), c.collected[sessionKey{user, session}])
 }
 
 func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
@@ -976,6 +1038,11 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
 		return
 	}
+	// The watermark first: the client holds every result in 1..Ack, so
+	// the finished calls down there are collected, and no later Poll —
+	// however low its Ack — is answered from below it.
+	key := sessionKey{m.User, m.Session}
+	c.acknowledge(key, m.Ack, true)
 	// The reply is every finished result outside {1..Ack} ∪ Have. Both
 	// the session index and Have ascend, so one merge pass over the
 	// records above the watermark decides membership.
@@ -984,7 +1051,7 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 		have = slices.Sorted(slices.Values(have))
 	}
 	var out []proto.Result
-	for rec := range c.store.SessionAfter(m.User, m.Session, m.Ack) {
+	for rec := range c.store.SessionAfter(m.User, m.Session, c.collected[key]) {
 		for len(have) > 0 && have[0] < rec.Call.Seq {
 			have = have[1:]
 		}
@@ -1012,9 +1079,15 @@ func (c *Coordinator) handleFetchResult(from proto.NodeID, m *proto.FetchResult)
 	call := proto.CallID{User: m.User, Session: m.Session, Seq: m.Seq}
 	rec, ok := c.store.Get(call)
 	reply := &proto.FetchReply{Call: call, Known: ok}
-	if ok && rec.State == proto.TaskFinished {
+	switch {
+	case ok && rec.State == proto.TaskFinished:
 		reply.Finished = true
 		reply.Result = resultOf(rec)
+	case !ok && m.Seq <= c.collected[sessionKey{m.User, m.Session}]:
+		// Known, and finished as far as the session is concerned: it
+		// held the result and said so. There is nothing left to send.
+		reply.Known = true
+		c.stale(m)
 	}
 	c.afterDBCost(func() { c.env.Send(from, reply) })
 }
@@ -1027,12 +1100,18 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 	// The reply always carries the exact list of known sequence
 	// numbers: the client's log may have holes *below* its maximum
 	// (a submission lost on the best-effort network), which a bare
-	// max-timestamp comparison cannot reveal.
+	// max-timestamp comparison cannot reveal. Below the collected
+	// watermark the watermark itself is the list: every call there was
+	// known, finished and acknowledged.
+	w := c.collected[sessionKey{m.User, m.Session}]
+	known := c.store.SessionSeqs(m.User, m.Session)
+	above, _ := slices.BinarySearch(known, w+1)
 	reply := &proto.SyncReply{
-		User:    m.User,
-		Session: m.Session,
-		MaxSeq:  c.maxSeq(m.User, m.Session),
-		Known:   c.store.SessionSeqs(m.User, m.Session),
+		User:      m.User,
+		Session:   m.Session,
+		MaxSeq:    c.maxSeq(m.User, m.Session),
+		Collected: w,
+		Known:     known[above:],
 	}
 	c.afterDBCost(func() { c.env.Send(from, reply) })
 }
@@ -1055,7 +1134,7 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 		// shards).
 		if c.inMyRing(from) {
 			c.ring.Observe(from)
-			c.coords = statesync.MergeNodeLists(c.coords, []proto.NodeID{from})
+			c.mergeCoords([]proto.NodeID{from})
 		} else if c.guard != nil {
 			c.guard.Observe(from)
 		}
@@ -1092,7 +1171,7 @@ func (c *Coordinator) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAc
 	}
 	c.ring.Observe(from)
 	if len(m.Coordinators) > 0 {
-		c.coords = statesync.MergeNodeLists(c.coords, c.ringOnly(m.Coordinators))
+		c.mergeCoords(c.ringOnly(m.Coordinators))
 	}
 }
 
@@ -1209,13 +1288,18 @@ func (c *Coordinator) bindToServer(server proto.NodeID, call proto.CallID) {
 
 func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	c.servers.Observe(from)
-	rec, ok := c.store.Peek(m.Task.Call)
-	if !ok {
+	rec, status := c.lookup(m.Task.Call)
+	switch {
+	case status == callUnknown:
 		// Result for a job we never saw (e.g. we are a fresh replica):
 		// accept it — at-least-once semantics mean results are precious.
 		rec = &proto.JobRecord{Call: m.Task.Call, Instance: m.Task.Instance}
-	}
-	if rec.State == proto.TaskFinished {
+	case status == callCollected:
+		// The client holds this call's result already: a late duplicate.
+		c.stale(m)
+		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
+		return
+	case rec.State == proto.TaskFinished:
 		c.dupResults++
 		c.cm.dups.Inc()
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
@@ -1276,8 +1360,12 @@ func (c *Coordinator) observeCompletion(server proto.NodeID, rec *proto.JobRecor
 func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 	c.servers.Observe(from)
 	resend, drop := statesync.TaskDiff(m.Tasks, func(call proto.CallID) bool {
-		rec, ok := c.store.Peek(call)
-		return !ok || rec.State != proto.TaskFinished
+		rec, status := c.lookup(call)
+		if status == callCollected {
+			c.stale(m)
+			return false // the server may forget it, as it may a stored result
+		}
+		return status == callUnknown || rec.State != proto.TaskFinished
 	})
 
 	// Peer-wise comparison, coordinator side: any assignment we believe
@@ -1514,9 +1602,18 @@ func (c *Coordinator) ReplicateNow() {
 	c.replRound++
 	round := c.replRound
 	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Round: round}
+	// One entry per session the round says something about — a dirty job
+	// or a raised watermark — each with the session's watermark, which
+	// is how the successor learns what it may delete too.
 	sessions := make(map[string]proto.SessionMax)
-	dirtyCalls := sortedCalls(c.dirty)
-	for _, call := range dirtyCalls {
+	note := func(k sessionKey, seq proto.RPCSeq) {
+		key := fmt.Sprintf("%s/%d", k.user, k.session)
+		sm := sessions[key]
+		sm.User, sm.Session, sm.Collected = k.user, k.session, c.collected[k]
+		sm.MaxSeq = max(sm.MaxSeq, seq)
+		sessions[key] = sm
+	}
+	for _, call := range sortedCalls(c.dirty.set) {
 		rec, ok := c.store.Peek(call)
 		if !ok {
 			continue
@@ -1527,13 +1624,10 @@ func (c *Coordinator) ReplicateNow() {
 			clone.Params = nil
 		}
 		update.Jobs = append(update.Jobs, *clone)
-		key := fmt.Sprintf("%s/%d", call.User, call.Session)
-		sm := sessions[key]
-		sm.User, sm.Session = call.User, call.Session
-		if call.Seq > sm.MaxSeq {
-			sm.MaxSeq = call.Seq
-		}
-		sessions[key] = sm
+		note(sessionKey{call.User, call.Session}, call.Seq)
+	}
+	for k := range c.wdirty.set {
+		note(k, c.collected[k])
 	}
 	sessionKeys := make([]string, 0, len(sessions))
 	for k := range sessions {
@@ -1543,15 +1637,10 @@ func (c *Coordinator) ReplicateNow() {
 	for _, k := range sessionKeys {
 		update.MaxSeqs = append(update.MaxSeqs, sessions[k])
 	}
-	if len(update.Jobs) == 0 {
-		// Nothing dirty: send the (tiny) update anyway — it doubles as
-		// the ring heartbeat that keeps successors from suspecting us.
-		// Charge one DB scan.
-	}
-	c.inFlight = c.inFlight[:0]
-	for call := range c.dirty {
-		c.inFlight = append(c.inFlight, call)
-	}
+	// Nothing dirty: the (tiny) update goes anyway — it doubles as the
+	// ring heartbeat that keeps successors from suspecting us.
+	c.dirty.begin()
+	c.wdirty.begin()
 	c.replPending = true
 	c.replStart = c.env.Now()
 	c.successor = succ
@@ -1571,13 +1660,16 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 	c.ring.Observe(from)
 	c.predecessor = from
 	if c.inMyRing(from) {
-		c.coords = statesync.MergeNodeLists(c.coords, []proto.NodeID{from})
+		c.mergeCoords([]proto.NodeID{from})
 	}
 	applied := 0
 	for i := range m.Jobs {
 		incoming := &m.Jobs[i]
-		local, ok := c.store.Peek(incoming.Call)
+		local, status := c.lookup(incoming.Call)
+		ok := status == callLive
 		switch {
+		case status == callCollected:
+			c.stale(m)
 		case ok && local.State == proto.TaskFinished:
 			// Finished tasks are never regressed.
 		case incoming.State == proto.TaskFinished:
@@ -1615,6 +1707,13 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			applied++
 		}
 	}
+	// The watermarks after the jobs: a finish this round carries is
+	// stored (and counted) before the watermark that lets it go. What a
+	// replica learns this way it tells no one — it does not replicate
+	// the jobs of an update either.
+	for _, sm := range m.MaxSeqs {
+		c.acknowledge(sessionKey{sm.User, sm.Session}, sm.Collected, false)
+	}
 	c.afterDBCost(func() {
 		c.env.Send(from, &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round})
 	})
@@ -1629,11 +1728,11 @@ func (c *Coordinator) handleReplicaAck(from proto.NodeID, m *proto.ReplicaAck) {
 	c.lastReplDur = c.env.Now().Sub(c.replStart)
 	c.replRounds++
 	// The successor now holds exactly what the round carried; records
-	// dirtied since the round was sent stay dirty for the next one.
-	for _, call := range c.inFlight {
-		delete(c.dirty, call)
-	}
-	c.inFlight = c.inFlight[:0]
+	// dirtied since the round was sent stay dirty for the next one. A
+	// finished call that waited for this ack below its session's
+	// watermark can go.
+	c.wdirty.acked()
+	c.collectAcked(c.dirty.acked())
 }
 
 // onCoordinatorSuspected recomputes the topology to stay in the same
@@ -1665,34 +1764,31 @@ func (c *Coordinator) Successor() proto.NodeID {
 	return statesync.Successor(c.env.Self(), c.coords, c.ring.Suspected)
 }
 
+// markDirty notes that call's record changed, for each stream that has
+// someone to tell: the ring successor if this coordinator knows of any
+// other (in a ring of one nothing is dirty — there is no round to clean
+// it), the successor shard if the grid is sharded.
 func (c *Coordinator) markDirty(call proto.CallID) {
-	c.dirty[call] = true
-	// If a replication round is in flight and carried this record's
-	// previous state, the coming ack must not clear the new change:
-	// drop the call from the in-flight snapshot so it stays dirty and
-	// rides the next round (otherwise a record finishing mid-round
-	// would never replicate — a lost update).
-	if c.replPending {
-		for i, inflight := range c.inFlight {
-			if inflight == call {
-				c.inFlight[i] = c.inFlight[len(c.inFlight)-1]
-				c.inFlight = c.inFlight[:len(c.inFlight)-1]
-				break
-			}
-		}
+	if len(c.coords) > 1 {
+		c.dirty.mark(call, c.replPending)
 	}
-	// Cross-shard replication tracks its own dirty set with the same
-	// lost-update guard.
 	if c.smap != nil {
-		c.xdirty[call] = true
-		if c.xpending {
-			for i, inflight := range c.xinFlight {
-				if inflight == call {
-					c.xinFlight[i] = c.xinFlight[len(c.xinFlight)-1]
-					c.xinFlight = c.xinFlight[:len(c.xinFlight)-1]
-					break
-				}
-			}
+		c.xdirty.mark(call, c.xpending)
+	}
+}
+
+// mergeCoords merges ids into the coordinator list. The first fellow
+// coordinator a ring of one hears of is owed everything still stored:
+// nothing was marked dirty while there was no one to tell.
+func (c *Coordinator) mergeCoords(ids []proto.NodeID) {
+	alone := len(c.coords) == 1
+	c.coords = statesync.MergeNodeLists(c.coords, ids)
+	if alone && len(c.coords) > 1 {
+		for _, rec := range c.store.PeekAll() {
+			c.dirty.mark(rec.Call, c.replPending)
+		}
+		for k := range c.collected {
+			c.wdirty.mark(k, c.replPending)
 		}
 	}
 }
@@ -1855,7 +1951,7 @@ func (c *Coordinator) ShardSyncNow() {
 		Epoch: c.epoch,
 		Round: round,
 	}
-	for _, call := range sortedCalls(c.xdirty) {
+	for _, call := range sortedCalls(c.xdirty.set) {
 		rec, ok := c.store.Peek(call)
 		if !ok {
 			continue
@@ -1867,10 +1963,8 @@ func (c *Coordinator) ShardSyncNow() {
 		msg.Jobs = append(msg.Jobs, *clone)
 	}
 	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
-	c.xinFlight = c.xinFlight[:0]
-	for call := range c.xdirty {
-		c.xinFlight = append(c.xinFlight, call)
-	}
+	c.xdirty.begin()
+	c.xwdirty.begin()
 	c.xpending = true
 	c.env.Send(target, msg)
 	// A silent target must not wedge cross-shard sync: after the
@@ -1892,11 +1986,17 @@ func (c *Coordinator) ShardSyncNow() {
 // stored) keeps idle rounds O(1) and message size proportional to
 // recent activity; a coordinator restart re-dirties its whole store,
 // so full coverage recurs exactly when histories may have diverged.
+// Each entry also carries the session's collected watermark, and a
+// session whose watermark rose since the last acknowledged round gets
+// an entry for that alone (without a sequence set if it is another
+// shard's session, held here as a copy): the successor shard deletes
+// what this one has deleted.
 func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSeqs {
-	if len(jobs) == 0 {
-		return nil
+	// active maps a session to whether its sequence set is advertised.
+	active := make(map[sessionKey]bool, len(jobs)+len(c.xwdirty.set))
+	for k := range c.xwdirty.set {
+		active[k] = c.smap.Owner(k.user, k.session) == c.shardIdx
 	}
-	active := make(map[sessionKey]bool, len(jobs))
 	for i := range jobs {
 		call := jobs[i].Call
 		if c.smap.Owner(call.User, call.Session) == c.shardIdx {
@@ -1918,7 +2018,11 @@ func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSe
 	})
 	out := make([]proto.SessionSeqs, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, proto.SessionSeqs{User: k.user, Session: k.session, Seqs: c.store.PeekSessionSeqs(k.user, k.session)})
+		ss := proto.SessionSeqs{User: k.user, Session: k.session, Collected: c.collected[k]}
+		if active[k] {
+			ss.Seqs = c.store.PeekSessionSeqs(k.user, k.session)
+		}
+		out = append(out, ss)
 	}
 	return out
 }
@@ -1933,8 +2037,11 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 	}
 	for i := range m.Jobs {
 		incoming := &m.Jobs[i]
-		local, ok := c.store.Peek(incoming.Call)
+		local, status := c.lookup(incoming.Call)
+		ok := status == callLive
 		switch {
+		case status == callCollected:
+			c.stale(m)
 		case ok && local.State == proto.TaskFinished:
 			// Finished tasks are never regressed.
 		case incoming.State == proto.TaskFinished:
@@ -1986,9 +2093,18 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 	}
 	ack := &proto.ShardSyncAck{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
 	for _, ss := range m.Sessions {
+		// The watermark after the jobs, as in handleReplicaUpdate — but
+		// told onward, like the finished records of this very message.
+		k := sessionKey{ss.User, ss.Session}
+		c.acknowledge(k, ss.Collected, true)
+		if ss.Seqs == nil {
+			continue
+		}
 		mine := c.store.SessionSeqs(ss.User, ss.Session)
 		for _, seq := range statesync.SeqSetDiff(ss.Seqs, mine) {
-			ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
+			if seq > c.collected[k] { // below it, missing means collected
+				ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
+			}
 		}
 	}
 	c.afterDBCost(func() { c.env.Send(from, ack) })
@@ -2003,14 +2119,12 @@ func (c *Coordinator) handleShardSyncAck(from proto.NodeID, m *proto.ShardSyncAc
 	}
 	c.xpending = false
 	c.xrounds++
-	for _, call := range c.xinFlight {
-		delete(c.xdirty, call)
-	}
-	c.xinFlight = c.xinFlight[:0]
+	c.xwdirty.acked()
+	c.collectAcked(c.xdirty.acked())
 	wanted := 0
 	for _, call := range m.Want {
 		if _, ok := c.store.Peek(call); ok {
-			c.xdirty[call] = true
+			c.xdirty.set[call] = true
 			wanted++
 		}
 	}
@@ -2265,7 +2379,11 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 	}
 	for i := range m.Jobs {
 		incoming := &m.Jobs[i]
-		local, _ := c.store.Peek(incoming.Call)
+		local, status := c.lookup(incoming.Call)
+		if status == callCollected {
+			c.stale(m)
+			continue // its session has the result; nothing to run or carry
+		}
 		if local != nil && local.State == proto.TaskFinished {
 			continue // result already here; ShardSync will carry it home
 		}
@@ -2325,6 +2443,10 @@ type Stats struct {
 	PushedResults   int // results sent as late replies to a subscription
 	IdleSlots       int // task slots servers have on offer right now
 	Subscriptions   int // sessions whose last poll stands as a subscription
+	Jobs            int // records in the job table right now
+	Collected       int // finished calls deleted below their session's watermark
+	CollectWaiting  int // finished and acknowledged, held until a successor has heard
+	Stale           int // messages about a collected call, answered and dropped
 }
 
 // StatsNow returns the current counters. Event-loop only.
@@ -2355,6 +2477,10 @@ func (c *Coordinator) StatsNow() Stats {
 		PushedResults:   c.pushedResults,
 		IdleSlots:       c.offers.slots,
 		Subscriptions:   len(c.subs),
+		Jobs:            c.store.Len(),
+		Collected:       c.collectedJobs,
+		CollectWaiting:  len(c.waiting),
+		Stale:           c.staleMsgs,
 	}
 }
 

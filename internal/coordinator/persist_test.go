@@ -3,6 +3,7 @@ package coordinator
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -66,10 +67,11 @@ func (e *handEnv) advance(d time.Duration) {
 }
 
 // loopedStore stands in for rt's loopDisk: a group-commit engine runs
-// WriteAsync completions on its committer goroutine, and the runtime
-// posts them to the owning loop. Here they queue until the test — the
-// loop — drains them. A completion that fires before WriteAsync returns
-// (an engine without batching) runs inline, as it does there.
+// the completions of its staged calls on its committer goroutine, and
+// the runtime posts them to the owning loop. Here they queue until the
+// test — the loop — drains them. A completion that fires before the
+// staging call returns (an engine without batching) runs inline, as it
+// does there.
 type loopedStore struct {
 	store.Store
 	mu      sync.Mutex
@@ -77,8 +79,16 @@ type loopedStore struct {
 }
 
 func (l *loopedStore) WriteAsync(key string, value []byte, done func(error)) {
+	l.onLoop(done, func(fromStore func(error)) { l.Store.WriteAsync(key, value, fromStore) })
+}
+
+func (l *loopedStore) DeleteAsync(key string, done func(error)) {
+	l.onLoop(done, func(fromStore func(error)) { l.Store.DeleteAsync(key, fromStore) })
+}
+
+func (l *loopedStore) onLoop(done func(error), stage func(fromStore func(error))) {
 	returned := false
-	l.Store.WriteAsync(key, value, func(err error) {
+	stage(func(err error) {
 		l.mu.Lock()
 		inline := !returned
 		if !inline {
@@ -199,16 +209,19 @@ func (r *persistRig) table() map[proto.CallID]*proto.JobRecord {
 
 // checkLayout asserts the store holds the one layout: every header
 // decodes, carries inline only payloads under blobMin, and measures
-// exactly the blobs beside it.
+// exactly the blobs beside it — and no blob is there without its
+// header.
 func (r *persistRig) checkLayout() {
 	r.t.Helper()
 	var dec proto.Decoder
+	headers := map[string]bool{}
 	for _, key := range r.disk.Keys(jobPrefix) {
 		raw, _ := r.disk.Read(key)
 		sj, err := dec.DecodeStoredJob(raw)
 		if err != nil {
 			r.t.Fatalf("%s: %v", key, err)
 		}
+		headers[sj.Rec.Call.String()] = true
 		if len(sj.Rec.Params) >= blobMin || len(sj.Rec.Output) >= blobMin {
 			r.t.Fatalf("%s holds a whole record: %d B params, %d B output inline", key, len(sj.Rec.Params), len(sj.Rec.Output))
 		}
@@ -221,6 +234,11 @@ func (r *persistRig) checkLayout() {
 			if !ok || len(payload) != want || want < blobMin {
 				r.t.Fatalf("%s: blob %s present %v, %d bytes, header says %d", key, b.suffix, ok, len(payload), want)
 			}
+		}
+	}
+	for _, key := range r.disk.Keys(blobPrefix) {
+		if call := key[len(blobPrefix) : len(key)-len("/p")]; !headers[call] {
+			r.t.Fatalf("blob %s outlived its header", key)
 		}
 	}
 }
@@ -239,6 +257,21 @@ var payloadSizes = []int{0, 1, blobMin - 1, blobMin, 64 << 10}
 // restarting at random points. After every restart
 // the reloaded job table must equal what a store of whole records —
 // the layout this one replaced — would have reloaded.
+//
+// The oracle knows collection: an honest client polls — fetching what
+// is finished, acknowledging on its next Poll what it fetched — so
+// finished calls leave the table, and the restarts come as kills
+// inside a collection as well: with the power going after the first
+// few operations of a flush (between the watermark and the deletes,
+// between two deletes), with the deletes staged and their completions
+// never run (between the blobs and their header), and with a delete
+// failing once (store.WithFaults). After every restart, whatever the
+// kill, no call the session acknowledged is handed to a server or sent
+// to the client again, every result it has not acknowledged is served
+// byte for byte, a call that is gone from the disk is at or below the
+// watermark that survived, what a cut-short collection left behind is
+// collected again by the next Poll, and no blob is left without its
+// header.
 func TestPersistedJobTableMatchesWholeRecordOracle(t *testing.T) {
 	for _, engine := range []string{"memory", "wal"} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -252,9 +285,66 @@ func TestPersistedJobTableMatchesWholeRecordOracle(t *testing.T) {
 	}
 }
 
+// powerCut swallows every operation after the first left ones (armed
+// by setting left >= 0): the process is about to die, and what it
+// staged last never reached the disk.
+type powerCut struct {
+	store.Store
+	left int
+}
+
+func (c *powerCut) gone() bool {
+	if c.left < 0 {
+		return false
+	}
+	if c.left > 0 {
+		c.left--
+		return false
+	}
+	return true
+}
+
+func (c *powerCut) WriteAsync(key string, value []byte, done func(error)) {
+	if !c.gone() {
+		c.Store.WriteAsync(key, value, done)
+	}
+}
+
+func (c *powerCut) DeleteAsync(key string, done func(error)) {
+	if !c.gone() {
+		c.Store.DeleteAsync(key, done)
+	}
+}
+
+// resultsIn returns the results of the one Results message in msgs.
+func resultsIn(t *testing.T, msgs []proto.Message) []proto.Result {
+	t.Helper()
+	var out *proto.Results
+	for _, m := range msgs {
+		if res, ok := m.(*proto.Results); ok {
+			if out != nil {
+				t.Fatalf("two Results in %v", msgs)
+			}
+			out = res
+		}
+	}
+	if out == nil {
+		t.Fatalf("no Results in %v", msgs)
+	}
+	return out.Results
+}
+
 func runPersistProperty(t *testing.T, engine string, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	r := newPersistRig(t, engine, Config{MaxTasksPerAck: 3}, nil)
+	var (
+		plan *store.FaultPlan
+		cut  *powerCut
+	)
+	r := newPersistRig(t, engine, Config{MaxTasksPerAck: 3}, func(s store.Store) store.Store {
+		plan = &store.FaultPlan{}
+		cut = &powerCut{Store: store.WithFaults(s, plan), left: -1}
+		return cut
+	})
 	servers := []proto.NodeID{"sv0", "sv1"}
 	size := func() int { return payloadSizes[rng.Intn(len(payloadSizes))] }
 	type assignment struct {
@@ -265,11 +355,65 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 		nextSeq     = 1
 		outstanding []assignment
 		restarts    int
+
+		// The client: the results it holds, its watermark (every seq in
+		// 1..ack fetched), and the highest Ack it has sent.
+		fetched   = map[proto.RPCSeq][]byte{}
+		ack, sent proto.RPCSeq
+		collected int // calls the coordinator let go, over all incarnations
+		redone    int // of which a kill made it collect again
 	)
 	call := func(seq int) proto.CallID { return proto.CallID{User: "u", Session: 1, Seq: proto.RPCSeq(seq)} }
 
+	// poll is one round of the client's: acknowledge what the last
+	// rounds fetched, take what is new.
+	poll := func() {
+		t.Helper()
+		before := r.co.StatsNow().Collected
+		msgs := r.deliver("cl", &proto.Poll{User: "u", Session: 1, Ack: ack})
+		sent = ack
+		collected += r.co.StatsNow().Collected - before
+		for _, res := range resultsIn(t, msgs) {
+			seq := res.Call.Seq
+			if seq <= sent {
+				t.Fatalf("result %d sent again below the acknowledged watermark %d", seq, sent)
+			}
+			if rec, ok := r.co.DB().Peek(res.Call); !ok || !bytes.Equal(rec.Output, res.Output) {
+				t.Fatalf("result %d: %d bytes sent, the record holds %s", seq, len(res.Output), brief(rec))
+			}
+			if old, ok := fetched[seq]; ok && !bytes.Equal(old, res.Output) {
+				t.Fatalf("result %d changed between two polls", seq)
+			}
+			fetched[seq] = append([]byte{}, res.Output...) // never nil: an empty result is a result
+		}
+		for fetched[ack+1] != nil {
+			ack++
+		}
+	}
+
 	check := func() {
 		t.Helper()
+		if rng.Intn(2) == 0 {
+			poll() // fetch, then acknowledge: the kill finds a collection under way
+			poll()
+		}
+		gone := map[proto.RPCSeq]bool{} // let go by this incarnation, as far as its memory goes
+		for seq := proto.RPCSeq(1); seq <= r.co.Collected("u", 1); seq++ {
+			if _, ok := r.co.DB().Peek(proto.CallID{User: "u", Session: 1, Seq: seq}); !ok && fetched[seq] != nil {
+				gone[seq] = true
+			}
+		}
+		switch kill := rng.Intn(4); kill {
+		case 0: // a clean stop: what is staged gets flushed
+		case 1: // the power goes a few operations into the flush
+			cut.left = rng.Intn(5)
+			r.env.advance(flushBeats * r.cfg.HeartbeatPeriod)
+		case 2: // the flush is staged, its completions never run
+			r.env.advance(flushBeats * r.cfg.HeartbeatPeriod)
+		case 3: // one delete of the flush fails
+			plan.TornWrites(2 + rng.Intn(3)) // past the session's watermark, the flush's first write
+			r.settle()
+		}
 		want := r.table()
 		r.restart()
 		restarts++
@@ -277,13 +421,60 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 		for _, rec := range r.co.DB().PeekAll() {
 			got[rec.Call] = rec
 		}
-		if len(got) != len(want) {
-			t.Fatalf("restart %d: reloaded %d records, the oracle holds %d", restarts, len(got), len(want))
+		w := r.co.Collected("u", 1)
+		if w > sent {
+			t.Fatalf("restart %d: watermark %d, the session never acknowledged more than %d", restarts, w, sent)
 		}
-		for id, w := range want {
-			if g := got[id]; g == nil || !reflect.DeepEqual(g, w) {
-				t.Fatalf("restart %d: %s reloaded as\n %s\noracle\n %s", restarts, id, brief(g), brief(w))
+		for id, rec := range want {
+			if g := got[id]; g == nil || !reflect.DeepEqual(g, rec) {
+				t.Fatalf("restart %d: %s reloaded as\n %s\noracle\n %s", restarts, id, brief(g), brief(rec))
 			}
+		}
+		for id, g := range got {
+			if want[id] != nil {
+				continue
+			}
+			// A collection the kill cut short: the record is back, as it
+			// finished, and the session's next Poll lets it go again.
+			if !gone[id.Seq] || g.State != proto.TaskFinished || !bytes.Equal(g.Output, fetched[id.Seq]) {
+				t.Fatalf("restart %d: %s reloaded as %s, which the oracle does not hold", restarts, id, brief(g))
+			}
+			redone++
+		}
+		for seq := range gone {
+			if got[call(int(seq))] == nil && seq > w {
+				t.Fatalf("restart %d: call %d is gone from the disk above the watermark %d that survived: it reads as never seen", restarts, seq, w)
+			}
+		}
+		// The relaunched client's first poll: everything it had not
+		// acknowledged, byte for byte; nothing it had.
+		served := map[proto.RPCSeq][]byte{}
+		msgs := r.deliver("cl", &proto.Poll{User: "u", Session: 1, Ack: sent})
+		for _, res := range resultsIn(t, msgs) {
+			served[res.Call.Seq] = res.Output
+		}
+		for id, rec := range want {
+			if out, ok := served[id.Seq]; rec.State == proto.TaskFinished && id.Seq > sent && (!ok || !bytes.Equal(out, rec.Output)) {
+				t.Fatalf("restart %d: unacknowledged result %d served as %d bytes (present %v), want %d", restarts, id.Seq, len(out), ok, len(rec.Output))
+			}
+			delete(served, id.Seq)
+		}
+		if len(served) != 0 {
+			t.Fatalf("restart %d: results served that the oracle does not hold unacknowledged: %v", restarts, slices.Collect(maps.Keys(served)))
+		}
+		r.settle()
+		// That poll leaves nothing finished at or below the watermark:
+		// not what the kill brought back, and not what the old
+		// incarnation kept for a successor that had yet to hear of it (a
+		// replica update makes it a ring of two; the new one boots alone).
+		left := 0
+		for id, rec := range want {
+			if rec.State != proto.TaskFinished || id.Seq > sent {
+				left++
+			}
+		}
+		if n := r.co.DB().Len(); n != left {
+			t.Fatalf("restart %d: %d records after the first poll, the oracle holds %d above the watermark or unfinished", restarts, n, left)
 		}
 		for _, line := range r.env.logs {
 			if strings.Contains(line, "corrupt") || strings.Contains(line, "persist job") {
@@ -293,8 +484,8 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 		r.checkLayout()
 	}
 
-	for step := 0; step < 250; step++ {
-		switch op := rng.Intn(100); {
+	for step := 0; step < 400; step++ {
+		switch op := rng.Intn(110); {
 		case op < 25: // submit
 			r.deliver("cl", &proto.Submit{Call: call(nextSeq), Service: "svc", Params: payload(rng, size()),
 				ExecTime: time.Second, ResultSize: 8})
@@ -306,12 +497,18 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 			for _, m := range r.deliver(sv, &proto.Heartbeat{From: sv, Role: proto.RoleServer, Capacity: 1 + rng.Intn(3), WantWork: true}) {
 				if ack, ok := m.(*proto.HeartbeatAck); ok {
 					for _, ta := range ack.Tasks {
+						if fetched[ta.Task.Call.Seq] != nil {
+							t.Fatalf("step %d: call %d handed to %s after the client fetched its result", step, ta.Task.Call.Seq, sv)
+						}
 						outstanding = append(outstanding, assignment{sv, ta.Task})
 					}
 				}
 			}
 		case op < 78 && len(outstanding) > 0: // result (possibly of an assignment a restart forgot)
 			i := rng.Intn(len(outstanding))
+			if rng.Intn(2) == 0 { // mostly in order, so that the client's watermark moves
+				i = 0
+			}
 			o := outstanding[i]
 			outstanding = slices.Delete(outstanding, i, i+1)
 			res := &proto.TaskResult{From: o.server, Task: o.task, Output: payload(rng, size())}
@@ -339,12 +536,29 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 			r.deliver("co2", up)
 		case op < 97:
 			check()
+		case op < 100: // a replication round to the successor a replica update introduced, acknowledged
+			r.co.ReplicateNow()
+			r.env.advance(time.Millisecond)
+			for _, m := range r.env.sent {
+				if up, ok := m.(*proto.ReplicaUpdate); ok {
+					before := r.co.StatsNow().Collected
+					r.deliver("co2", &proto.ReplicaAck{From: "co2", Epoch: up.Epoch, Round: up.Round})
+					collected += r.co.StatsNow().Collected - before // what waited for this ack
+				}
+			}
+			r.env.sent = nil
+		default:
+			poll()
 		}
 	}
 	check()
 	if restarts < 2 {
 		t.Fatalf("only %d restarts: the sequence did not exercise recovery", restarts)
 	}
+	if collected == 0 {
+		t.Fatalf("nothing was collected over %d acknowledged calls: the sequence did not exercise collection", sent)
+	}
+	t.Logf("%d restarts, watermark %d, %d calls collected, %d of them twice", restarts, sent, collected, redone)
 }
 
 func brief(r *proto.JobRecord) string {

@@ -32,16 +32,20 @@ func pollSeqs(t *testing.T, w *sim.World, p *peer, poll *proto.Poll) []proto.RPC
 }
 
 // TestPollAckEquivalentToLegacyHave is the watermark's contract: for
-// any job table and any {Ack, Have}, the coordinator returns exactly
-// the finished results outside {1..Ack} ∪ Have — the same reply as for
-// the legacy-shaped Poll{Have: {1..Ack} ∪ Have}, whatever the order or
+// any job table and the {Ack, Have} of an honest client — one whose Ack
+// never goes back — the coordinator returns exactly the finished
+// results outside {1..Ack} ∪ Have — the same reply as for the
+// legacy-shaped Poll{Have: {1..Ack} ∪ Have}, whatever the order or
 // repetition in Have. Tables have holes (seqs never submitted),
 // unfinished jobs, results arriving in random order and twice, and a
-// second session and user that must never leak into the reply.
+// second session and user that must never leak into the reply. Polls do
+// not stand alone, though: the Ack also collects, so a stale Poll with
+// a lower Ack gets nothing from below the highest one, while Have — the
+// legacy shape included — never collects anything.
 func TestPollAckEquivalentToLegacyHave(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		w, _, p := rig(t, Config{MaxTasksPerAck: 1000})
+		w, co, p := rig(t, Config{MaxTasksPerAck: 1000})
 
 		max := 1 + rng.Intn(60)
 		var submitted []int
@@ -80,12 +84,12 @@ func TestPollAckEquivalentToLegacyHave(t *testing.T) {
 		}
 		w.RunFor(time.Second)
 
+		var ack proto.RPCSeq
 		for trial := 0; trial < 8; trial++ {
-			// trial 0 is the client that restarted and forgot everything.
-			var ack proto.RPCSeq
+			// trial 0 is the client that has no result yet.
 			var have []proto.RPCSeq
 			if trial > 0 {
-				ack = proto.RPCSeq(rng.Intn(max + 3))
+				ack += proto.RPCSeq(rng.Intn(max/4 + 2))
 				for n := rng.Intn(12); n > 0; n-- {
 					have = append(have, proto.RPCSeq(1+rng.Intn(max+3))) // unsorted, repeats, some ≤ ack
 				}
@@ -109,6 +113,25 @@ func TestPollAckEquivalentToLegacyHave(t *testing.T) {
 			}
 			if !slices.Equal(gotLegacy, want) {
 				t.Fatalf("seed %d: legacy Poll{Have: %v} returned %v, want %v", seed, legacy, gotLegacy, want)
+			}
+			if w := co.Collected("u", 1); w != ack {
+				t.Fatalf("seed %d: watermark %d after Poll{Ack: %d}; only Ack moves it, and never back", seed, w, ack)
+			}
+		}
+		// A stale Poll — delayed on the wire, or of an incarnation that
+		// lost its watermark — is answered from above the watermark only.
+		var want []proto.RPCSeq
+		for seq := ack + 1; int(seq) <= max; seq++ {
+			if finished[seq] {
+				want = append(want, seq)
+			}
+		}
+		if got := pollSeqs(t, w, p, &proto.Poll{User: "u", Session: 1}); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: Poll{Ack: 0} after Ack %d returned %v, want %v", seed, ack, got, want)
+		}
+		for _, rec := range co.DB().PeekAll() {
+			if rec.Call.User == "u" && rec.Call.Session == 1 && rec.Call.Seq <= ack && rec.State == proto.TaskFinished {
+				t.Fatalf("seed %d: finished call %s still in the table below watermark %d", seed, rec.Call, ack)
 			}
 		}
 	}

@@ -77,10 +77,10 @@ type DB struct {
 	records map[proto.CallID]*proto.JobRecord
 
 	// sessions indexes records by session: the ascending sequence
-	// numbers stored for each (user, session). Put and Delete maintain
-	// it, so every writer — submissions, replication, shard sync, work
-	// stealing, recovery — feeds it. A session with no record has no
-	// entry.
+	// numbers stored for each (user, session). Put, Delete and Collect
+	// maintain it, so every writer — submissions, replication, shard
+	// sync, work stealing, recovery, collection — feeds it. A session
+	// with no record has no entry.
 	sessions map[sessionKey][]proto.RPCSeq
 
 	// spent accumulates the virtual time consumed by operations; the
@@ -151,6 +151,41 @@ func (d *DB) Delete(id proto.CallID) {
 	}
 	i, _ := slices.BinarySearch(seqs, id.Seq)
 	d.sessions[k] = slices.Delete(seqs, i, i+1)
+}
+
+// Collect removes the records of a session with Seq <= upTo that drop
+// selects, in ascending Seq order, and returns how many went. It
+// charges nothing: garbage collection is no statement on the paper's
+// call path, and a coordinator that collects must spend the same
+// modelled time as one that does not. The session index is compacted
+// once, however many records go.
+func (d *DB) Collect(user proto.UserID, session proto.SessionID, upTo proto.RPCSeq, drop func(*proto.JobRecord) bool) int {
+	k := sessionKey{user, session}
+	seqs := d.sessions[k]
+	end, found := slices.BinarySearch(seqs, upTo)
+	if found {
+		end++
+	}
+	id := proto.CallID{User: user, Session: session}
+	kept := 0
+	for _, seq := range seqs[:end] {
+		id.Seq = seq
+		if drop(d.records[id]) {
+			delete(d.records, id)
+			continue
+		}
+		seqs[kept] = seq
+		kept++
+	}
+	if kept == end {
+		return 0
+	}
+	if seqs = slices.Delete(seqs, kept, end); len(seqs) == 0 {
+		delete(d.sessions, k)
+	} else {
+		d.sessions[k] = seqs
+	}
+	return end - kept
 }
 
 // Len returns the record count (free).

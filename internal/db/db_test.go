@@ -302,3 +302,49 @@ func TestSessionReadsCharging(t *testing.T) {
 		t.Fatalf("index aliased by SessionSeqs: %v", got)
 	}
 }
+
+// Collect is the uncharged prefix delete behind the coordinator's
+// garbage collection: it removes what the predicate selects among a
+// session's records at or below a sequence number, keeps the index and
+// the per-session maximum right for what stays, leaves other sessions
+// alone and costs no modelled time.
+func TestCollectRemovesASessionPrefixUncharged(t *testing.T) {
+	d := New(CostModel{PerOp: time.Millisecond})
+	for _, seq := range []proto.RPCSeq{1, 2, 3, 5, 8, 9} {
+		d.Put(&proto.JobRecord{Call: proto.CallID{User: "u", Session: 1, Seq: seq}, State: proto.TaskState(seq % 3)})
+		d.Put(&proto.JobRecord{Call: proto.CallID{User: "u", Session: 2, Seq: seq}})
+	}
+	d.DrainCost()
+	ops := d.Ops()
+	var visited []proto.RPCSeq
+	n := d.Collect("u", 1, 6, func(rec *proto.JobRecord) bool {
+		visited = append(visited, rec.Call.Seq)
+		return rec.Call.Seq != 2 // 2 stays: unfinished, say
+	})
+	if n != 3 || !slices.Equal(visited, []proto.RPCSeq{1, 2, 3, 5}) {
+		t.Fatalf("collected %d after visiting %v, want 3 of [1 2 3 5]", n, visited)
+	}
+	if got := d.PeekSessionSeqs("u", 1); !slices.Equal(got, []proto.RPCSeq{2, 8, 9}) {
+		t.Fatalf("session 1 holds %v, want [2 8 9]", got)
+	}
+	if got := d.PeekSessionSeqs("u", 2); len(got) != 6 || d.Len() != 9 {
+		t.Fatalf("session 2 holds %v, table %d records", got, d.Len())
+	}
+	if d.Ops() != ops || d.DrainCost() != 0 {
+		t.Fatalf("collection charged %d operations", d.Ops()-ops)
+	}
+	var after []proto.RPCSeq
+	for rec := range d.SessionAfter("u", 1, 2) {
+		after = append(after, rec.Call.Seq)
+	}
+	if !slices.Equal(after, []proto.RPCSeq{8, 9}) || d.MaxSeq("u", 1) != 9 {
+		t.Fatalf("after collection the index reads %v above 2, max %d", after, d.MaxSeq("u", 1))
+	}
+	// Everything goes: the session leaves the index.
+	if n := d.Collect("u", 1, 100, func(*proto.JobRecord) bool { return true }); n != 3 || d.Sessions() != 1 || d.MaxSeq("u", 1) != 0 {
+		t.Fatalf("collected %d, %d sessions left, max %d", n, d.Sessions(), d.MaxSeq("u", 1))
+	}
+	if n := d.Collect("nobody", 7, 100, func(*proto.JobRecord) bool { return true }); n != 0 {
+		t.Fatalf("collected %d records of a session that has none", n)
+	}
+}

@@ -51,7 +51,12 @@ type Config struct {
 	// Session is the session unique ID; 0 derives a fresh one from
 	// crypto/rand entropy (collision-free even for sessions created in
 	// the same clock instant). A relaunched client instance passes the
-	// previous value to retrieve results by (user, session, rpc) IDs.
+	// previous value to resume the session by (user, session, rpc) IDs:
+	// the coordinator still holds every result no poll of the session
+	// has acknowledged (see proto.Poll), and the sequence counter goes
+	// on where the session stood. The session's calls are numbered once a
+	// coordinator has said where that is, whether or not DiskDir kept it
+	// (see CallAsync).
 	Session uint64
 	// Coordinators maps coordinator IDs to TCP addresses — the finite
 	// list of known coordinators.
@@ -103,9 +108,19 @@ type Session struct {
 	rtm *rt.Runtime
 	cli *client.Client
 
+	// resumes: the caller chose the session ID, so the session may have a
+	// history, and calls are numbered through client.AfterSync until the
+	// first one has been (numbering, read and set on the loop).
+	resumes   bool
+	numbering bool
+
+	// pending holds the handles of the calls without a result, queued
+	// those of the calls without a number yet. A result belongs to its
+	// handle: the session keeps none, so a result lives exactly as long
+	// as the application holds the handle.
 	mu      sync.Mutex
-	waiters map[proto.RPCSeq][]chan proto.Result
-	done    map[proto.RPCSeq]proto.Result
+	pending map[proto.RPCSeq]*Handle
+	queued  map[*Handle]struct{}
 	closed  bool
 }
 
@@ -143,7 +158,8 @@ func Dial(cfg Config) (*Session, error) {
 	if cfg.User == "" {
 		cfg.User = "anonymous"
 	}
-	if cfg.Session == 0 {
+	resumes := cfg.Session != 0
+	if !resumes {
 		cfg.Session = newSessionID()
 	}
 	if cfg.ListenAddr == "" {
@@ -154,11 +170,7 @@ func Dial(cfg Config) (*Session, error) {
 		logf = func(string, ...any) {}
 	}
 
-	s := &Session{
-		cfg:     cfg,
-		waiters: make(map[proto.RPCSeq][]chan proto.Result),
-		done:    make(map[proto.RPCSeq]proto.Result),
-	}
+	s := &Session{cfg: cfg, resumes: resumes, pending: make(map[proto.RPCSeq]*Handle), queued: make(map[*Handle]struct{})}
 
 	var coordIDs []proto.NodeID
 	dir := rt.Directory{}
@@ -200,38 +212,113 @@ func Dial(cfg Config) (*Session, error) {
 // in a NATed deployment the coordinator learns it from the connection).
 func (s *Session) Addr() string { return s.rtm.Addr() }
 
+// onResult hands a result to its call's handle. A result no handle
+// waits for — one of an earlier run of the session — has no taker.
 func (s *Session) onResult(res proto.Result, _ time.Time) {
-	s.mu.Lock()
-	s.done[res.Call.Seq] = res
-	waiters := s.waiters[res.Call.Seq]
-	delete(s.waiters, res.Call.Seq)
-	s.mu.Unlock()
-	for _, ch := range waiters {
-		ch <- res
+	if h := s.take(res.Call.Seq); h != nil {
+		h.res = res
+		close(h.ready)
 	}
 }
 
-// Handle tracks one asynchronous call (grpc_sessionid_t).
-type Handle struct {
-	s   *Session
-	seq proto.RPCSeq
+// take removes and returns seq's pending handle, so that exactly one
+// of onResult and Close completes it.
+func (s *Session) take(seq proto.RPCSeq) *Handle {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := s.pending[seq]
+	delete(s.pending, seq)
+	return h
 }
 
-// Seq returns the RPC unique ID of this call within the session.
-func (h *Handle) Seq() uint64 { return uint64(h.seq) }
+// Handle tracks one asynchronous call (grpc_sessionid_t) and owns its
+// result: ready is closed once res, or err for a call the session was
+// closed under, is set. numbered is nil for a call that had its seq
+// when CallAsync returned, and otherwise closed once it has.
+type Handle struct {
+	numbered chan struct{}
+	seq      proto.RPCSeq
+	ready    chan struct{}
+	res      proto.Result
+	err      error
+}
+
+// Seq returns the RPC unique ID of this call within the session, once
+// the call has one (see CallAsync); 0 if the session was closed first.
+func (h *Handle) Seq() uint64 {
+	if h.numbered != nil {
+		<-h.numbered
+	}
+	return uint64(h.seq)
+}
 
 // CallAsync submits a non-blocking call (grpc_call_async). Consecutive
 // CallAsync invocations lead to concurrent executions server-side.
+//
+// In a session with a fresh ID the call is numbered and on its way when
+// CallAsync returns. In a session whose ID the caller chose, calls wait
+// for their numbers, in order, until a coordinator has answered the
+// session's synchronization: an earlier run may have used and
+// acknowledged seqs this one's store no longer shows, and a call
+// numbered among them would never run. Nothing else waits — CallAsync
+// returns, Wait and Probe answer as ever — except Seq.
 func (s *Session) CallAsync(service string, params []byte) (*Handle, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return nil, ErrClosed // and the loop is gone: nothing to hand the call to
+	}
+	h := &Handle{ready: make(chan struct{})}
+	accepted := false
+	s.rtm.Do(func() {
+		if s.resumes && !s.numbering {
+			if accepted = s.queue(h); accepted {
+				s.cli.AfterSync(func() {
+					s.numbering = true
+					s.number(h, service, params)
+				})
+			}
+			return
+		}
+		accepted = s.number(h, service, params)
+	})
+	if !accepted { // closed, before or in between
 		return nil, ErrClosed
 	}
-	s.mu.Unlock()
-	var seq proto.RPCSeq
-	s.rtm.Do(func() { seq = s.cli.Submit(service, params, 0, 0) })
-	return &Handle{s: s, seq: seq}, nil
+	return h, nil
+}
+
+// queue registers a call that waits for its number; false if the
+// session is closed.
+func (s *Session) queue(h *Handle) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	h.numbered = make(chan struct{})
+	s.queued[h] = struct{}{}
+	return true
+}
+
+// number submits h's call and registers the handle, on the loop that
+// delivers results and in one step, so that no result can arrive before
+// the handle is there; false if the session is closed (Close has failed
+// the handle if it was queued).
+func (s *Session) number(h *Handle, service string, params []byte) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	h.seq = s.cli.Submit(service, params, 0, 0)
+	s.pending[h.seq] = h
+	if h.numbered != nil {
+		delete(s.queued, h)
+		close(h.numbered)
+	}
+	return true
 }
 
 // Call submits a blocking call (grpc_call): it returns when the result
@@ -246,42 +333,32 @@ func (s *Session) Call(ctx context.Context, service string, params []byte) ([]by
 
 // Probe reports whether the call has completed (grpc_probe).
 func (h *Handle) Probe() bool {
-	h.s.mu.Lock()
-	defer h.s.mu.Unlock()
-	_, ok := h.s.done[h.seq]
-	return ok
+	select {
+	case <-h.ready:
+		return h.err == nil
+	default:
+		return false
+	}
 }
 
-// Wait blocks until the call completes (grpc_wait) or ctx ends. The
-// result arrives even across coordinator crashes and client failovers,
-// as long as the progress condition holds.
+// Wait blocks until the call completes (grpc_wait), the session is
+// closed (ErrClosed) or ctx ends. The result arrives even across
+// coordinator crashes and client failovers, as long as the progress
+// condition holds; it stays with the handle, so Wait may be called
+// again.
 func (h *Handle) Wait(ctx context.Context) ([]byte, error) {
-	h.s.mu.Lock()
-	if res, ok := h.s.done[h.seq]; ok {
-		h.s.mu.Unlock()
-		return unpack(res)
-	}
-	if h.s.closed {
-		h.s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	ch := make(chan proto.Result, 1)
-	h.s.waiters[h.seq] = append(h.s.waiters[h.seq], ch)
-	h.s.mu.Unlock()
-
 	select {
-	case res := <-ch:
-		return unpack(res)
+	case <-h.ready:
 	case <-ctx.Done():
 		return nil, fmt.Errorf("%w: %v", ErrCancelled, ctx.Err())
 	}
-}
-
-func unpack(res proto.Result) ([]byte, error) {
-	if res.Err != "" {
-		return nil, &RemoteError{Msg: res.Err}
+	switch {
+	case h.err != nil:
+		return nil, h.err
+	case h.res.Err != "":
+		return nil, &RemoteError{Msg: h.res.Err}
 	}
-	return res.Output, nil
+	return h.res.Output, nil
 }
 
 // WaitAll waits for every listed handle (grpc_wait_all).
@@ -310,9 +387,11 @@ func (s *Session) Stats() client.Stats {
 // liveness probe behind rpcv-client's /healthz.
 func (s *Session) Ping(d time.Duration) error { return s.rtm.Ping(d) }
 
-// Close ends the session (grpc_finalize). Ongoing executions continue
-// server-side — client disconnection is a normal event; a later session
-// with the same (user, session) IDs can retrieve the results.
+// Close ends the session (grpc_finalize): every call still without a
+// result fails with ErrClosed, in Wait now or later. Ongoing executions
+// continue server-side — client disconnection is a normal event; a
+// later session with the same (user, session) IDs can retrieve the
+// results this one never acknowledged.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -320,9 +399,17 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	waiters := s.waiters
-	s.waiters = make(map[proto.RPCSeq][]chan proto.Result)
+	pending, queued := s.pending, s.queued
+	s.pending, s.queued = nil, nil // nothing registers after closed is set
 	s.mu.Unlock()
-	_ = waiters // pending waiters unblock via ctx; results stop flowing
+	for _, h := range pending {
+		h.err = ErrClosed
+		close(h.ready)
+	}
+	for h := range queued {
+		h.err = ErrClosed
+		close(h.numbered)
+		close(h.ready)
+	}
 	s.rtm.Close()
 }

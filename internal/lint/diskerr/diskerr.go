@@ -18,14 +18,16 @@
 // opt-out: it states the discard is deliberate, survives review, and
 // should carry a comment saying why.
 //
-// WriteAsync returns nothing: its error arrives through the done
-// callback, and dropping it there is the same bug. A WriteAsync on a
-// disk-shaped receiver is flagged when done is nil or a func literal
-// that never reads its error parameter. A callback passed by name is
-// trusted (its body is checked where it is written, if it is a
-// literal). Packages store and rt are exempt: engines and the loop
-// adapter forward a caller's done, nil included, and their tests stage
-// fire-and-forget fillers.
+// The staged calls, WriteAsync and DeleteAsync, return nothing: their
+// error arrives through the done callback, and dropping it there is the
+// same bug — a lost write, or a store that is not shrinking. One on a
+// disk-shaped receiver, or through a function of that name whose first
+// parameter is disk-shaped (node.WriteAsync, node.DeleteAsync), is
+// flagged when done is nil or a func literal that never reads its error
+// parameter. A callback passed by name is trusted (its body is checked
+// where it is written, if it is a literal). Packages store and rt are
+// exempt: engines and the loop adapter forward a caller's done, nil
+// included, and their tests stage fire-and-forget fillers.
 package diskerr
 
 import (
@@ -47,7 +49,7 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok && checkAsync {
-				checkWriteAsync(pass, call)
+				checkStaged(pass, call)
 			}
 			var call *ast.CallExpr
 			switch stmt := n.(type) {
@@ -96,28 +98,39 @@ func forwardsDone(pkg *types.Package) bool {
 	return false
 }
 
-// checkWriteAsync flags a WriteAsync whose completion error cannot
-// reach anyone.
-func checkWriteAsync(pass *analysis.Pass, call *ast.CallExpr) {
+// checkStaged flags a WriteAsync or DeleteAsync whose completion error
+// cannot reach anyone.
+func checkStaged(pass *analysis.Pass, call *ast.CallExpr) {
 	callee := astutil.Callee(pass.TypesInfo, call)
-	if callee == nil || callee.Name() != "WriteAsync" || len(call.Args) == 0 {
+	if callee == nil || len(call.Args) == 0 {
+		return
+	}
+	op := map[string]string{"WriteAsync": "write", "DeleteAsync": "delete"}[callee.Name()]
+	if op == "" {
 		return
 	}
 	sig, ok := callee.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil || !diskShaped(sig.Recv().Type()) {
+	if !ok {
 		return
 	}
-	what := astutil.ReceiverTypeName(callee) + ".WriteAsync"
+	what := callee.Name()
+	switch recv := sig.Recv(); {
+	case recv != nil && diskShaped(recv.Type()):
+		what = astutil.ReceiverTypeName(callee) + "." + what
+	case recv == nil && sig.Params().Len() > 0 && diskShaped(sig.Params().At(0).Type()):
+	default:
+		return
+	}
 	switch done := ast.Unparen(call.Args[len(call.Args)-1]).(type) {
 	case *ast.Ident:
 		if _, isNil := pass.TypesInfo.Uses[done].(*types.Nil); isNil {
 			pass.Reportf(call.Pos(),
-				"%s with a nil done drops the write's error: pass a callback that handles it", what)
+				"%s with a nil done drops the %s's error: pass a callback that handles it", what, op)
 		}
 	case *ast.FuncLit:
 		if !readsErrorParam(pass.TypesInfo, done) {
 			pass.Reportf(call.Pos(),
-				"%s's done callback never reads its error: a failed durable write must be handled", what)
+				"%s's done callback never reads its error: a failed durable %s must be handled", what, op)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package a seeds diskerr's analysistest suite: discarded durable-store
 // errors flagged, handled and explicitly-ignored ones silent, and
-// non-storage callees never matched; and WriteAsync completions whose
-// error nobody can see.
+// non-storage callees never matched; and staged writes and deletes
+// whose completion error nobody can see.
 package a
 
 type fakeDisk struct{}
@@ -12,6 +12,11 @@ func (fakeDisk) Delete(key string) error            { return nil }
 func (fakeDisk) Keys() ([]string, error)            { return nil, nil }
 
 func (fakeDisk) WriteAsync(key string, val []byte, done func(err error)) {}
+func (fakeDisk) DeleteAsync(key string, done func(err error))            {}
+
+// DeleteAsync mimics node.DeleteAsync: the staged call for a caller
+// that holds only a disk.
+func DeleteAsync(d fakeDisk, key string, done func(err error)) { d.DeleteAsync(key, done) }
 
 // open mimics store.OpenWAL: a constructor whose results include a
 // disk-shaped type alongside an error.
@@ -45,6 +50,7 @@ func handled(d fakeDisk) error {
 type notADisk struct{}
 
 func (notADisk) WriteAsync(key string, val []byte, done func(error)) {}
+func (notADisk) DeleteAsync(key string, done func(error))            {}
 
 func asyncDropped(d fakeDisk, n notADisk) {
 	d.WriteAsync("k", nil, nil)                // want `fakeDisk.WriteAsync with a nil done drops the write's error`
@@ -57,6 +63,13 @@ func asyncDropped(d fakeDisk, n notADisk) {
 		}
 	})
 	n.WriteAsync("k", nil, nil) // ok: not a storage receiver
+
+	d.DeleteAsync("k", nil)                // want `fakeDisk.DeleteAsync with a nil done drops the delete's error`
+	d.DeleteAsync("k", func(error) {})     // want `fakeDisk.DeleteAsync's done callback never reads its error`
+	d.DeleteAsync("k", func(err error) {}) // want `fakeDisk.DeleteAsync's done callback never reads its error: a failed durable delete must be handled`
+	DeleteAsync(d, "k", nil)               // want `DeleteAsync with a nil done drops the delete's error`
+	DeleteAsync(d, "k", func(error) {})    // want `DeleteAsync's done callback never reads its error`
+	n.DeleteAsync("k", nil)                // ok: not a storage receiver
 }
 
 func asyncHandled(d fakeDisk, logged func(error)) {
@@ -67,4 +80,11 @@ func asyncHandled(d fakeDisk, logged func(error)) {
 	})
 	d.WriteAsync("k", nil, func(err error) { logged(err) })
 	d.WriteAsync("k", nil, logged) // a named callback is trusted
+	d.DeleteAsync("k", func(err error) { logged(err) })
+	DeleteAsync(d, "k", func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	})
+	DeleteAsync(d, "k", logged)
 }

@@ -137,6 +137,13 @@ type Log struct {
 	// pending tracks outstanding optimistic flush timers so Close can
 	// cancel them.
 	pending []node.Timer
+
+	// n counts the entries on the disk (a listing at New, kept current
+	// by write and Drop, so Len never lists). unwritten holds the keys
+	// whose modelled write has not fired yet: a Drop that comes first
+	// cancels the write instead of leaving the entry behind.
+	n         int
+	unwritten map[string]bool
 }
 
 // Config parameterizes a Log.
@@ -164,7 +171,8 @@ func New(env node.Env, cfg Config) *Log {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "msglog/"
 	}
-	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk}
+	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
+		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]bool)}
 	if cfg.Batched {
 		// The access floor is the zero-byte write cost; BatchResource
 		// charges it once per batch instead of once per write.
@@ -185,6 +193,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 		l.logAndSendBatched(bd, dst, msg, key, entry.Data, done)
 		return
 	}
+	l.unwritten[key] = true
 	var d time.Duration
 	if l.batchArm != nil {
 		d = l.batchArm.Acquire(l.env.Now(), l.disk(len(entry.Data)))
@@ -239,6 +248,7 @@ func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.M
 			l.env.Logf("msglog: write %s: %v", key, err)
 		}
 	}
+	l.added(key)
 	switch l.strategy {
 	case Optimistic:
 		// Send now; the group commit makes the entry durable shortly
@@ -284,9 +294,23 @@ func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.M
 	}
 }
 
+// write performs a modelled write when its timer fires, unless the
+// entry was dropped while it waited.
 func (l *Log) write(key string, data []byte) {
+	if !l.unwritten[key] {
+		return
+	}
+	delete(l.unwritten, key)
+	l.added(key)
 	if err := l.env.Disk().Write(key, data); err != nil {
 		l.env.Logf("msglog: write %s: %v", key, err)
+	}
+}
+
+// added counts key, about to be written, if the disk does not hold it.
+func (l *Log) added(key string) {
+	if _, ok := l.env.Disk().Read(key); !ok {
+		l.n++
 	}
 }
 
@@ -303,28 +327,32 @@ func (l *Log) Keys() []string {
 	return keys
 }
 
-// Len returns the number of durable entries.
-func (l *Log) Len() int { return len(l.env.Disk().Keys(l.prefix)) }
+// Len returns the number of entries the log holds.
+func (l *Log) Len() int { return l.n }
 
-// GC removes the entries selected by drop, implementing the
-// distributed garbage collection: logging capacities are bounded, so
-// components flush logs whose information is safely replicated
-// elsewhere (e.g. acknowledged results).
-func (l *Log) GC(drop func(key string) bool) int {
-	removed := 0
-	for _, k := range l.Keys() {
-		if drop(k) {
-			if err := l.env.Disk().Delete(l.prefix + k); err != nil {
-				// The entry stays; the next GC pass retries. Resending
-				// a logged message is always safe, so over-retention
-				// costs only space.
-				l.env.Logf("msglog: gc %s: %v", k, err)
-				continue
-			}
-			removed++
-		}
+// Drop removes one entry: the log's share of the distributed garbage
+// collection. Logging capacities are bounded, so components flush logs
+// whose information is safely replicated elsewhere (e.g. acknowledged
+// results); the owner calls Drop at the moment that becomes true of an
+// entry. The delete is staged where the disk batches — nothing waits
+// for its fsync — and an entry whose delete fails stays: resending a
+// logged message is always safe, so over-retention costs only space.
+func (l *Log) Drop(key string) {
+	full := l.prefix + key
+	if l.unwritten[full] {
+		delete(l.unwritten, full)
+		return
 	}
-	return removed
+	if _, ok := l.env.Disk().Read(full); !ok {
+		return
+	}
+	l.n--
+	node.DeleteAsync(l.env.Disk(), full, func(err error) {
+		if err != nil {
+			l.n++
+			l.env.Logf("msglog: drop %s: %v", key, err)
+		}
+	})
 }
 
 // Close cancels pending optimistic flushes (a clean shutdown; a crash

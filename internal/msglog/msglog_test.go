@@ -188,6 +188,10 @@ func (d *fakeBatchDisk) WriteAsync(key string, value []byte, done func(error)) {
 	d.data[key] = append([]byte(nil), value...)
 	d.staged = append(d.staged, done)
 }
+func (d *fakeBatchDisk) DeleteAsync(key string, done func(error)) {
+	delete(d.data, key)
+	d.staged = append(d.staged, done)
+}
 func (d *fakeBatchDisk) Read(key string) ([]byte, bool) { v, ok := d.data[key]; return v, ok }
 func (d *fakeBatchDisk) Delete(key string) error        { delete(d.data, key); return nil }
 func (d *fakeBatchDisk) Keys(prefix string) []string {
@@ -310,9 +314,19 @@ func TestGC(t *testing.T) {
 		l.LogAndSend("dst", &blob{}, Entry{Key: k, Data: []byte(k)}, nil)
 	}
 	w.RunFor(time.Second)
-	removed := l.GC(func(key string) bool { return key < "3" })
-	if removed != 3 || l.Len() != 3 {
-		t.Fatalf("GC removed %d, left %d; want 3,3", removed, l.Len())
+	for _, k := range []string{"0", "1", "2", "2", "never-logged"} {
+		l.Drop(k) // dropping twice, or what was never there, is a no-op
+	}
+	if keys := l.Keys(); l.Len() != 3 || len(keys) != 3 || keys[0] != "3" {
+		t.Fatalf("after dropping 0..2: Len %d, keys %v; want 3 entries from 3 up", l.Len(), keys)
+	}
+	// An entry dropped before its modelled write fires never lands.
+	slow := New(l.env, Config{Prefix: "slow/", Strategy: Optimistic, Disk: fixedDisk(time.Second)})
+	slow.LogAndSend("dst", &blob{}, Entry{Key: "x", Data: []byte("x")}, nil)
+	slow.Drop("x")
+	w.RunFor(2 * time.Second)
+	if slow.Len() != 0 || len(slow.Keys()) != 0 {
+		t.Fatalf("an entry dropped while its write waited is on the disk: Len %d, keys %v", slow.Len(), slow.Keys())
 	}
 }
 

@@ -111,6 +111,12 @@ type Disk interface {
 // values to make durable together stages all but the last with
 // WriteAsync and issues the last with Write: staging order is commit
 // order, so the one group commit the Write waits for covers them all.
+// Garbage collection stages its deletes the same way (DeleteAsync): a
+// log entry or job record whose information is safely held elsewhere
+// is never urgent to remove, so nothing on the loop waits for the
+// fsync that removes it, and the delete rides whatever commit comes
+// next. The WriteAsync and DeleteAsync functions below pick the staged
+// call or the synchronous one for a caller that holds only a Disk.
 type BatchDisk interface {
 	Disk
 
@@ -125,8 +131,37 @@ type BatchDisk interface {
 	// preserved.
 	WriteAsync(key string, value []byte, done func(err error))
 
+	// DeleteAsync stages the removal of key and returns immediately; a
+	// Read issued after it returns no longer finds the key. done has
+	// WriteAsync's contract: exactly once, on the node's event loop,
+	// when the delete is durable (err == nil) or permanently failed —
+	// a failed delete leaves the key for a later pass, and a caller
+	// that drops the error never learns the store is not shrinking.
+	// Staging order is commit order across writes and deletes alike,
+	// so a delete staged behind a write implies that write.
+	DeleteAsync(key string, done func(err error))
+
 	// Sync blocks until every write staged so far is durable.
 	Sync() error
+}
+
+// WriteAsync stages the write when d batches and otherwise performs it
+// synchronously, handing the outcome to done either way.
+func WriteAsync(d Disk, key string, value []byte, done func(err error)) {
+	if bd, ok := d.(BatchDisk); ok {
+		bd.WriteAsync(key, value, done)
+		return
+	}
+	done(d.Write(key, value))
+}
+
+// DeleteAsync is WriteAsync's counterpart for a removal.
+func DeleteAsync(d Disk, key string, done func(err error)) {
+	if bd, ok := d.(BatchDisk); ok {
+		bd.DeleteAsync(key, done)
+		return
+	}
+	done(d.Delete(key))
 }
 
 // PartitionedHandler is optionally implemented by handlers that can

@@ -147,6 +147,13 @@ type ShardVerdict struct {
 	IdleSlots     float64 `json:"idle_slots"`
 	PushedTasks   float64 `json:"pushed_tasks"`
 	PushedResults float64 `json:"pushed_results"`
+
+	// Jobs is the members' job tables added up (rpcv_coord_jobs).
+	// Collection keeps a table at the calls in flight plus the results
+	// no Poll has acknowledged, so one that only grows is a session
+	// that stopped acknowledging — or a successor that stopped acking
+	// replication rounds (rpcv_coord_collect_waiting).
+	Jobs float64 `json:"jobs"`
 }
 
 // FleetVerdict is one whole-fleet evaluation.
@@ -400,7 +407,7 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 		p99     float64
 		burn    float64
 
-		idle, pushedTasks, pushedResults float64
+		idle, pushedTasks, pushedResults, jobs float64
 	}
 	shards := map[int]*shardAgg{}
 
@@ -487,6 +494,7 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 			viaPush := map[string]string{"via": "push"}
 			sum(&agg.depth, "rpcv_sched_queue_depth", nil)
 			sum(&agg.idle, "rpcv_coord_idle_slots", nil)
+			sum(&agg.jobs, "rpcv_coord_jobs", nil)
 			sum(&agg.pushedTasks, "rpcv_coord_assigned_total", viaPush)
 			sum(&agg.pushedResults, "rpcv_coord_results_sent_total", viaPush)
 			agg.requeue += st.sumRate("rpcv_coord_requeues_total", win)
@@ -520,6 +528,7 @@ func (m *Monitor) evaluate(at time.Time) FleetVerdict {
 			QueueDepth: agg.depth, RequeueRate: agg.requeue,
 			DispatchP99: time.Duration(int64(agg.p99)), Burn: agg.burn,
 			IdleSlots: agg.idle, PushedTasks: agg.pushedTasks, PushedResults: agg.pushedResults,
+			Jobs: agg.jobs,
 		}
 		flag := func(l Level, format string, args ...any) {
 			if l > sv.Level {

@@ -100,14 +100,14 @@ func WriteText(w io.Writer, v FleetVerdict) {
 	if len(v.Shards) > 0 {
 		fmt.Fprintln(w)
 		tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "SHARD\tMEMBERS\tLEVEL\tQUEUE\tIDLE\tPUSHED T/R\tREQUEUE/S\tDISPATCH P99\tBURN\tDETAIL")
+		fmt.Fprintln(tw, "SHARD\tMEMBERS\tLEVEL\tJOBS\tQUEUE\tIDLE\tPUSHED T/R\tREQUEUE/S\tDISPATCH P99\tBURN\tDETAIL")
 		for _, s := range v.Shards {
 			members := make([]string, len(s.Members))
 			for i, mID := range s.Members {
 				members[i] = string(mID)
 			}
-			fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.0f/%.0f\t%.2f\t%s\t%d%%\t%s\n",
-				s.Shard, strings.Join(members, ","), s.Level, s.QueueDepth,
+			fmt.Fprintf(tw, "%d\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f/%.0f\t%.2f\t%s\t%d%%\t%s\n",
+				s.Shard, strings.Join(members, ","), s.Level, s.Jobs, s.QueueDepth,
 				s.IdleSlots, s.PushedTasks, s.PushedResults, s.RequeueRate,
 				s.DispatchP99.Round(time.Microsecond), int(s.Burn*100), strings.Join(s.Reasons, "; "))
 		}

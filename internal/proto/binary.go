@@ -485,22 +485,25 @@ func readAssignment(r *binReader) TaskAssignment {
 func appendSessionMax(dst []byte, m SessionMax) []byte {
 	dst = appendString(dst, string(m.User))
 	dst = binary.AppendUvarint(dst, uint64(m.Session))
-	return appendSeq(dst, m.MaxSeq)
+	dst = appendSeq(dst, m.MaxSeq)
+	return appendSeq(dst, m.Collected)
 }
 
 func readSessionMax(r *binReader) SessionMax {
-	return SessionMax{User: UserID(r.str()), Session: SessionID(r.uvarint()), MaxSeq: r.seq()}
+	return SessionMax{User: UserID(r.str()), Session: SessionID(r.uvarint()),
+		MaxSeq: r.seq(), Collected: r.seq()}
 }
 
 func appendSessionSeqs(dst []byte, s SessionSeqs) []byte {
 	dst = appendString(dst, string(s.User))
 	dst = binary.AppendUvarint(dst, uint64(s.Session))
+	dst = appendSeq(dst, s.Collected)
 	return appendSlice(dst, s.Seqs, appendSeq)
 }
 
 func readSessionSeqs(r *binReader) SessionSeqs {
 	return SessionSeqs{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-		Seqs: readSlice(r, (*binReader).seq)}
+		Collected: r.seq(), Seqs: readSlice(r, (*binReader).seq)}
 }
 
 func appendShardMapState(dst []byte, s ShardMapState) []byte {
@@ -585,6 +588,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = appendString(dst, string(m.User))
 		dst = binary.AppendUvarint(dst, uint64(m.Session))
 		dst = appendSeq(dst, m.MaxSeq)
+		dst = appendSeq(dst, m.Collected)
 		return appendSlice(dst, m.Known, appendSeq)
 	case *FetchResult:
 		dst = appendString(dst, string(m.User))
@@ -711,7 +715,7 @@ func readMessageBody(r *binReader, kind uint8) Message {
 			MaxSeq: r.seq(), HaveLog: r.bool()}
 	case kindSyncReply:
 		return &SyncReply{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			MaxSeq: r.seq(), Known: readSlice(r, (*binReader).seq)}
+			MaxSeq: r.seq(), Collected: r.seq(), Known: readSlice(r, (*binReader).seq)}
 	case kindFetchResult:
 		return &FetchResult{User: UserID(r.str()), Session: SessionID(r.uvarint()), Seq: r.seq()}
 	case kindFetchReply:

@@ -31,7 +31,7 @@ func allMessages() []Message {
 		&Poll{User: "user-01", Session: 7, Ack: 40, Have: []RPCSeq{42, 43, 47}},
 		&Results{User: "user-01", Session: 7, Results: []Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
 		&SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
-		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []RPCSeq{1, 2}},
+		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40, Known: []RPCSeq{41, 42}},
 		&FetchResult{User: "user-01", Session: 7, Seq: 42},
 		&FetchReply{Call: call, Known: true, Finished: true, Result: Result{Call: call, Output: []byte{4}}},
 		&Heartbeat{From: "server-000", Role: RoleServer, Capacity: 2, WantWork: true},
@@ -41,12 +41,12 @@ func allMessages() []Message {
 		&TaskCancel{Task: task},
 		&ServerSync{From: "server-000", Tasks: []TaskID{task}, Running: []TaskID{task}},
 		&ServerSyncReply{Resend: []TaskID{task}, Drop: []TaskID{task}},
-		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
+		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
 		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 		&ShardMapRequest{From: "client-00"},
 		&ShardMapReply{Map: st},
 		&ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
-		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, State: TaskFinished}}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Seqs: []RPCSeq{1, 42}}}},
+		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, State: TaskFinished}}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Collected: 40, Seqs: []RPCSeq{41, 42}}}},
 		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
 		&StealRequest{From: "coord-02", Shard: 1, Epoch: 2, Round: 3, Capacity: 4},
 		&StealGrant{From: "coord-00", Shard: 0, Epoch: 2, Round: 3, Jobs: []JobRecord{

@@ -86,14 +86,26 @@ func (m *SubmitAck) WireSize() int { return headerSize }
 // numbers above Ack whose results it also holds — calls that finished
 // ahead of an earlier one still in flight — so its length follows the
 // out-of-order window, not the session's age. The coordinator answers
-// with the finished results for every seq outside {1..Ack} ∪ Have and
-// keeps no memory of what a client holds: each Poll stands alone.
+// with the finished results for every seq outside {1..Ack} ∪ Have.
 //
-// A client that lost its log (or restarted and holds no results yet)
-// polls with Ack = 0 and an empty Have, and receives everything the
-// coordinator has finished for the session. Ack = 0 with a long Have is
-// equally valid; a coordinator also tolerates a Have that is unsorted
-// or repeats entries.
+// Ack is also the session's garbage-collection signal, and the one
+// thing about a client a coordinator remembers: a call whose seq the
+// session's Ack has passed is collected. The client has said it holds
+// the result, so the coordinator owes the session nothing more for that
+// call except never to run it again — it keeps the highest Ack the
+// session has sent (the collected watermark, durable and replicated)
+// and deletes the finished calls at or below it. A later Poll with a
+// lower Ack gets nothing from below the watermark. Have never collects:
+// only the watermark does.
+//
+// What a relaunched session can still fetch is therefore every result
+// no Poll has acknowledged — and the acknowledgement of a result
+// travels on the next Poll, not the one that fetched it. A client that
+// lost its log polls with Ack = 0 and an empty Have and receives
+// everything above the session's watermark, which a SyncReply tells it
+// (Collected). Ack = 0 with a long Have is equally valid; a
+// coordinator also tolerates a Have that is unsorted or repeats
+// entries.
 type Poll struct {
 	User    UserID
 	Session SessionID
@@ -155,19 +167,24 @@ func (*SyncRequest) Kind() string { return "sync-request" }
 func (m *SyncRequest) WireSize() int { return headerSize }
 
 // SyncReply answers a SyncRequest with the coordinator's known maximum
-// timestamp and, when the client lost its log, the full list of logged
-// sequence numbers so the client can rebuild its state.
+// timestamp, the session's collected watermark (see Poll: every call in
+// 1..Collected was acknowledged by an earlier incarnation of the
+// client, and is gone) and the list of logged sequence numbers above
+// it, so a client that lost its log can rebuild its state and one that
+// lost only its watermark resumes where the session stood.
 type SyncReply struct {
-	User    UserID
-	Session SessionID
-	MaxSeq  RPCSeq
-	Known   []RPCSeq // present only when the client asked for the log list
+	User      UserID
+	Session   SessionID
+	MaxSeq    RPCSeq
+	Collected RPCSeq
+	Known     []RPCSeq
 }
 
 // Kind implements Message.
 func (*SyncReply) Kind() string { return "sync-reply" }
 
-// WireSize implements Message.
+// WireSize implements Message. Collected rides in the header, like
+// Poll.Ack.
 func (m *SyncReply) WireSize() int { return headerSize + 8*len(m.Known) }
 
 // FetchResult asks the coordinator for the stored state of one call:
@@ -372,12 +389,15 @@ func (m *ReplicaUpdate) WireSize() int {
 	return n
 }
 
-// SessionMax carries the maximum known RPC timestamp of one session;
-// coordinator-to-coordinator synchronization exchanges these.
+// SessionMax carries the maximum known RPC timestamp of one session
+// and its collected watermark (see Poll), which is how a replica learns
+// what it may delete too; coordinator-to-coordinator synchronization
+// exchanges these.
 type SessionMax struct {
-	User    UserID
-	Session SessionID
-	MaxSeq  RPCSeq
+	User      UserID
+	Session   SessionID
+	MaxSeq    RPCSeq
+	Collected RPCSeq
 }
 
 // ReplicaAck acknowledges a ReplicaUpdate. A missing ack leads the
@@ -540,11 +560,14 @@ func (m *ShardRedirect) WireSize() int { return headerSize + m.Map.wireSize() }
 // SessionSeqs advertises the exact set of sequence numbers one
 // coordinator stores for one session — the cross-shard analogue of
 // SyncReply.Known. The receiver set-differences it against its own
-// store (statesync.SeqSetDiff) and asks for the gap.
+// store (statesync.SeqSetDiff) and asks for the gap above Collected,
+// the session's collected watermark (see Poll), below which it deletes
+// what the sender has deleted.
 type SessionSeqs struct {
-	User    UserID
-	Session SessionID
-	Seqs    []RPCSeq
+	User      UserID
+	Session   SessionID
+	Collected RPCSeq
+	Seqs      []RPCSeq
 }
 
 // ShardSync cross-replicates a coordinator's dirty records to the

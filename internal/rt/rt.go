@@ -733,7 +733,7 @@ func (e *rtEnv) Offload(work, done func()) {
 // staging lane on engines that support one) to the node.BatchDisk
 // contract: synchronous operations pass through — values included,
 // uncopied in both directions, so the ownership rule the handler
-// accepted is the one the engine relies on — and WriteAsync
+// accepted is the one the engine relies on — and the staged calls'
 // completion callbacks — which a group-commit engine runs on its
 // committer goroutine — are marshalled back onto the owning loop,
 // preserving the handlers' no-locking discipline. Completions ride the
@@ -764,13 +764,6 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		d.l.store.WriteAsync(key, value, nil)
 		return
 	}
-	// A store without real batching (memory) completes the write
-	// synchronously, invoking the callback on this goroutine — the
-	// owning event loop. Routing that through the handoff ring would
-	// defer it behind unrelated work; detect completion-before-return
-	// and invoke done inline (still on the owning loop). Only
-	// callbacks arriving later — from a committer goroutine — are
-	// marshalled back through the loop's handoff ring.
 	if h := d.l.r.obsWrite; h != nil {
 		// Completion time includes group-commit queueing: the latency a
 		// handler actually waits for durability, which is the number
@@ -782,8 +775,29 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 			inner(err)
 		}
 	}
+	d.onLoop(done, func(fromStore func(error)) { d.l.store.WriteAsync(key, value, fromStore) })
+}
+
+func (d *loopDisk) DeleteAsync(key string, done func(error)) {
+	if done == nil {
+		d.l.store.DeleteAsync(key, nil)
+		return
+	}
+	d.onLoop(done, func(fromStore func(error)) { d.l.store.DeleteAsync(key, fromStore) })
+}
+
+// onLoop stages one operation whose completion the store may report
+// from any goroutine, and sees that done runs on the owning loop.
+//
+// A store without real batching (memory) completes synchronously,
+// invoking the callback on this goroutine — the owning event loop.
+// Routing that through the handoff ring would defer it behind unrelated
+// work; detect completion-before-return and invoke done inline (still
+// on the owning loop). Only callbacks arriving later — from a committer
+// goroutine — are marshalled back through the loop's handoff ring.
+func (d *loopDisk) onLoop(done func(error), stage func(fromStore func(error))) {
 	st := &asyncWriteState{}
-	d.l.store.WriteAsync(key, value, func(err error) {
+	stage(func(err error) {
 		st.mu.Lock()
 		if !st.returned {
 			st.fired, st.err = true, err
@@ -806,8 +820,8 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 	}
 }
 
-// asyncWriteState tracks whether a store completed a staged write
-// before WriteAsync returned to the event loop.
+// asyncWriteState tracks whether a store completed a staged operation
+// before the staging call returned to the event loop.
 type asyncWriteState struct {
 	mu       sync.Mutex
 	returned bool

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -272,14 +273,25 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	}
 	rco2.Close()
 
-	// The reopened store must hold a durable finished record for every
-	// call — what the next incarnation would recover from.
+	// The reopened store must account durably for every call — what the
+	// next incarnation would recover from: a finished record with its
+	// payloads, or, for a call whose result the session's Poll has
+	// acknowledged, the session's collected watermark at or above it.
 	st, err := store.OpenWAL(coordDir, store.WALOptions{})
 	if err != nil {
 		t.Fatalf("reopen coordinator store: %v", err)
 	}
 	defer func() { _ = st.Close() }() // read-only reopen; nothing to flush
 	finished := 0
+	for c := 0; c < nClients; c++ {
+		raw, _ := st.Read(fmt.Sprintf("coord/w/u%d/%d", c, c+1))
+		w, _ := binary.Uvarint(raw)
+		if w > uint64(perClient) {
+			t.Fatalf("session u%d/%d: watermark %d above the %d calls it made", c, c+1, w, perClient)
+		}
+		finished += int(w)
+	}
+	headers := map[string]bool{}
 	var dec proto.Decoder
 	for _, key := range st.Keys("coord/job/") {
 		raw, ok := st.Read(key)
@@ -293,6 +305,14 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 		if wantExt := proto.JobParams | proto.JobOutput; payload > 0 && sj.External != wantExt {
 			t.Fatalf("%s: payloads external %b, want both in blobs", key, sj.External)
 		}
+		headers[sj.Rec.Call.String()] = true
+		raw, _ = st.Read(fmt.Sprintf("coord/w/%s/%d", sj.Rec.Call.User, sj.Rec.Call.Session))
+		w, _ := binary.Uvarint(raw)
+		if uint64(sj.Rec.Call.Seq) <= w {
+			// A collection the shutdown cut short: the blobs go first, the
+			// header last, and the next boot finishes it off.
+			continue
+		}
 		for suffix, want := range map[string]int{"/p": sj.Len(proto.JobParams), "/o": sj.Len(proto.JobOutput)} {
 			blob, ok := st.Read("coord/blob/" + sj.Rec.Call.String() + suffix)
 			if payload > 0 && (!ok || len(blob) != want || want != payload) {
@@ -304,6 +324,12 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 		}
 	}
 	if finished != total {
-		t.Fatalf("store holds %d finished records, want %d", finished, total)
+		t.Fatalf("store accounts for %d finished calls (records above a watermark, plus the watermarks), want %d", finished, total)
+	}
+	// No blob outlives its header.
+	for _, key := range st.Keys("coord/blob/") {
+		if call := key[len("coord/blob/") : len(key)-len("/p")]; !headers[call] {
+			t.Errorf("blob %s has no header", key)
+		}
 	}
 }

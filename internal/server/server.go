@@ -486,13 +486,17 @@ func (s *Server) handleResultAck(from proto.NodeID, m *proto.TaskResultAck) {
 	s.dropResultLog(m.Task)
 }
 
-// dropResultLog garbage-collects one durable result entry. A failed
-// delete is survivable — the entry is re-offered and re-acked after
-// the next restart — but it means the log is not shrinking, so say so.
+// dropResultLog garbage-collects one durable result entry. The delete
+// is staged where the disk batches: nothing here waits for the fsync
+// that removes an entry the coordinator already holds. A failed delete
+// is survivable — the entry is re-offered and re-acked after the next
+// restart — but it means the log is not shrinking, so say so.
 func (s *Server) dropResultLog(t proto.TaskID) {
-	if err := s.env.Disk().Delete(s.resultKey(t)); err != nil {
-		s.env.Logf("server: gc result log %s: %v", t, err)
-	}
+	node.DeleteAsync(s.env.Disk(), s.resultKey(t), func(err error) {
+		if err != nil {
+			s.env.Logf("server: gc result log %s: %v", t, err)
+		}
+	})
 }
 
 // handleCancel withdraws one task instance: the coordinator stored

@@ -26,18 +26,20 @@ import (
 	"rpcv/internal/proto"
 )
 
-// MissingSeqs returns the sequence numbers in [1, clientMax] absent
-// from known, in increasing order. It is what a coordinator must ask a
-// client to resend (the client log is contiguous by construction).
-func MissingSeqs(clientMax proto.RPCSeq, known []proto.RPCSeq) []proto.RPCSeq {
+// MissingSeqs returns the sequence numbers in (floor, clientMax] absent
+// from known, in increasing order: what the client must resend. floor is
+// the client's result watermark — the calls at or below it had their
+// results delivered and are no longer anyone's to resend — so the cost
+// follows the calls in flight, not the session's age.
+func MissingSeqs(floor, clientMax proto.RPCSeq, known []proto.RPCSeq) []proto.RPCSeq {
 	have := make(map[proto.RPCSeq]bool, len(known))
 	for _, s := range known {
-		if s <= clientMax {
+		if s > floor && s <= clientMax {
 			have[s] = true
 		}
 	}
 	var missing []proto.RPCSeq
-	for s := proto.RPCSeq(1); s <= clientMax; s++ {
+	for s := floor + 1; s <= clientMax; s++ {
 		if !have[s] {
 			missing = append(missing, s)
 		}

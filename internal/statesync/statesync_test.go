@@ -17,19 +17,22 @@ func seqs(vals ...int) []proto.RPCSeq {
 
 func TestMissingSeqs(t *testing.T) {
 	cases := []struct {
-		max   proto.RPCSeq
-		known []proto.RPCSeq
-		want  []proto.RPCSeq
+		floor, max proto.RPCSeq
+		known      []proto.RPCSeq
+		want       []proto.RPCSeq
 	}{
-		{0, nil, nil},
-		{3, nil, seqs(1, 2, 3)},
-		{3, seqs(1, 2, 3), nil},
-		{5, seqs(2, 4), seqs(1, 3, 5)},
-		{2, seqs(1, 2, 7), nil},        // known beyond max is ignored
-		{4, seqs(4, 4, 1), seqs(2, 3)}, // duplicates tolerated
+		{0, 0, nil, nil},
+		{0, 3, nil, seqs(1, 2, 3)},
+		{0, 3, seqs(1, 2, 3), nil},
+		{0, 5, seqs(2, 4), seqs(1, 3, 5)},
+		{0, 2, seqs(1, 2, 7), nil},        // known beyond max is ignored
+		{0, 4, seqs(4, 4, 1), seqs(2, 3)}, // duplicates tolerated
+		{3, 6, seqs(5), seqs(4, 6)},       // nothing at or below the floor
+		{3, 6, seqs(2, 5), seqs(4, 6)},    // known below the floor is ignored
+		{6, 6, nil, nil},
 	}
 	for i, c := range cases {
-		got := MissingSeqs(c.max, c.known)
+		got := MissingSeqs(c.floor, c.max, c.known)
 		if len(got) != len(c.want) {
 			t.Errorf("case %d: got %v want %v", i, got, c.want)
 			continue
@@ -53,7 +56,7 @@ func TestMissingSeqsQuick(t *testing.T) {
 			known[i] = proto.RPCSeq(k % 64)
 			inKnown[known[i]] = true
 		}
-		missing := MissingSeqs(m, known)
+		missing := MissingSeqs(0, m, known)
 		seen := make(map[proto.RPCSeq]bool)
 		for _, s := range missing {
 			if s < 1 || s > m || inKnown[s] || seen[s] {
@@ -230,12 +233,12 @@ func TestSuccessorRingIsPermutation(t *testing.T) {
 func TestMissingSeqsEmptyLogs(t *testing.T) {
 	// A pristine component on either side: nothing known, nothing to
 	// resend.
-	if got := MissingSeqs(0, nil); got != nil {
+	if got := MissingSeqs(0, 0, nil); got != nil {
 		t.Errorf("MissingSeqs(0, nil) = %v, want nil", got)
 	}
 	// The coordinator knows nothing: the whole contiguous prefix must
 	// be resent.
-	if got := MissingSeqs(3, nil); len(got) != 3 || got[0] != 1 || got[2] != 3 {
+	if got := MissingSeqs(0, 3, nil); len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Errorf("MissingSeqs(3, nil) = %v, want [1 2 3]", got)
 	}
 }
@@ -244,7 +247,7 @@ func TestMissingSeqsClientMaxBelowAllKnown(t *testing.T) {
 	// The coordinator knows only seqs above the client's max (e.g. the
 	// client rolled back to an old log): everything in [1, max] is
 	// missing, and the higher known seqs must not leak into the answer.
-	got := MissingSeqs(2, []proto.RPCSeq{5, 6, 7})
+	got := MissingSeqs(0, 2, []proto.RPCSeq{5, 6, 7})
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("MissingSeqs(2, [5 6 7]) = %v, want [1 2]", got)
 	}

@@ -17,8 +17,8 @@ import (
 //
 // The wrapper remembers, per key, the slice it last saw and a checksum
 // of its bytes, and verifies the checksum whenever that slice comes
-// past again: at Read, when a Write or Delete replaces it, and — for
-// every key at once — at Verify and Close. violation receives one line
+// past again: at Read, when a write or a delete — staged or not —
+// replaces it, and, for every key at once, at Verify and Close. violation receives one line
 // per breach; the race-detector builds of internal/rt and internal/sim
 // (diskcheck_race.go) route every node's disk through here with a
 // violation that panics, so `go test -race` checks the contract under
@@ -100,11 +100,16 @@ func (c *checker) Read(key string) ([]byte, bool) {
 }
 
 func (c *checker) Delete(key string) error {
-	c.mu.Lock()
-	c.verifyLocked(key, "Delete")
-	delete(c.seen, key)
-	c.mu.Unlock()
+	c.gone(key, "Delete")
 	return c.inner.Delete(key)
+}
+
+// gone checks key's remembered value on its way out and forgets it.
+func (c *checker) gone(key, at string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.verifyLocked(key, at)
+	delete(c.seen, key)
 }
 
 func (c *checker) Keys(prefix string) []string { return c.inner.Keys(prefix) }
@@ -132,6 +137,11 @@ type checkedStore struct {
 func (c *checkedStore) WriteAsync(key string, value []byte, done func(error)) {
 	c.took(key, value, "WriteAsync")
 	c.st.WriteAsync(key, value, done)
+}
+
+func (c *checkedStore) DeleteAsync(key string, done func(error)) {
+	c.gone(key, "DeleteAsync")
+	c.st.DeleteAsync(key, done)
 }
 
 func (c *checkedStore) Sync() error { return c.st.Sync() }

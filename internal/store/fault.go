@@ -228,6 +228,25 @@ func (f *faulty) WriteAsync(key string, value []byte, done func(error)) {
 	})
 }
 
+// DeleteAsync is Delete on the staged path: a faulted delete never
+// reaches the inner engine — the key stays, as it does when Delete
+// fails — and the stall runs inside the completion callback, as
+// WriteAsync's does.
+func (f *faulty) DeleteAsync(key string, done func(error)) {
+	act, d := f.plan.next()
+	finish := func(err error) {
+		if d > 0 {
+			time.Sleep(d)
+		}
+		done(err)
+	}
+	if act != faultNone {
+		finish(fmt.Errorf("%w: delete %q", ErrInjected, key))
+		return
+	}
+	f.inner.DeleteAsync(key, finish)
+}
+
 func (f *faulty) Sync() error {
 	act, d := f.plan.next()
 	if d > 0 {

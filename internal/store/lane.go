@@ -144,6 +144,11 @@ func (l *walLane) Delete(key string) error {
 	return <-ch
 }
 
+// DeleteAsync implements Store.
+func (l *walLane) DeleteAsync(key string, done func(error)) {
+	l.stage(walOp{kind: recDelete, key: key, done: done})
+}
+
 // Read implements Store: the lane overlay wins (read-your-writes for
 // staged ops), then the shared committed index.
 func (l *walLane) Read(key string) ([]byte, bool) {

@@ -53,6 +53,14 @@ func (m *Memory) Delete(key string) error {
 	return nil
 }
 
+// DeleteAsync implements Store: the delete completes synchronously.
+func (m *Memory) DeleteAsync(key string, done func(error)) {
+	err := m.Delete(key)
+	if done != nil {
+		done(err)
+	}
+}
+
 // Keys implements Store.
 func (m *Memory) Keys(prefix string) []string {
 	m.mu.Lock()

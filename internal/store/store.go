@@ -30,12 +30,12 @@ package store
 import "rpcv/internal/node"
 
 // Store is a durable key-value store: node.Disk plus the batch-aware
-// contract (WriteAsync/Sync) and a lifecycle. Write and Delete are
-// durable when they return; WriteAsync is durable when its callback
-// runs. Memory, which has nothing to batch, implements WriteAsync as a
-// synchronous Write followed by the callback.
+// contract (WriteAsync/DeleteAsync/Sync) and a lifecycle. Write and
+// Delete are durable when they return; WriteAsync and DeleteAsync when
+// their callback runs. Memory, which has nothing to batch, implements
+// the staged calls as the synchronous ones followed by the callback.
 //
-// Store callbacks (WriteAsync done) may run on an engine-internal
+// Store callbacks (the staged calls' done) may run on an engine-internal
 // goroutine; the runtime layer (internal/rt) marshals them back onto
 // the node's event loop before handing the store to a protocol
 // handler.

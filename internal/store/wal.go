@@ -379,6 +379,12 @@ func (w *WAL) Delete(key string) error {
 	return <-ch
 }
 
+// DeleteAsync implements Store: it stages the delete and returns; done
+// runs (possibly on the committer goroutine) after the batch fsync.
+func (w *WAL) DeleteAsync(key string, done func(error)) {
+	w.stage(walOp{kind: recDelete, key: key, done: done})
+}
+
 // Read implements Store, serving from the in-memory index: staged
 // writes are visible immediately (read-your-writes), durability is
 // what the commit guards.
