@@ -10,7 +10,9 @@
 #                   transport, files store, modelled-sleep loops
 #                   experiment or user-triggered client log GC (the
 #                   log is collected at delivery) is back in Go
-#                   sources, this file or CI,
+#                   sources, this file or CI, or if the client or the
+#                   server encodes a whole message for its log again
+#                   (msglog.EntryOf keeps a large payload by reference),
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -53,6 +55,7 @@ lint:
 	! git grep -nE 'encoding/gob|LegacyTransport|legacy-transport|WireGob|CodecGob|CodecForWire|ParseWire|OpenFiles' -- '*.go' .github
 	! git grep -nE 'Loops[S]cale|loops[-]scale' -- '*.go' Makefile .github
 	! git grep -nE 'GC[N]ow' -- '*.go'
+	! git grep -nE 'proto\.Encode[M]essage\(' -- 'internal/client/*.go' 'internal/server/*.go' ':!*_test.go'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 
@@ -82,7 +85,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick

@@ -164,6 +164,32 @@ func TestGridHoldsTheCallsInFlightNotItsHistory(t *testing.T) {
 	}
 }
 
+// TestLargeResultIsAcknowledgedAtOnce: a session handed a result of
+// blob size says so with a Poll of its own, and the coordinator lets
+// the call go — twice the payload — while the session's timer is still
+// far from its next Poll. A small result waits for the timer, as ever.
+func TestLargeResultIsAcknowledgedAtOnce(t *testing.T) {
+	const period = 2 * time.Second
+	g := bootTCPGrid(t, tcpGridSpec{user: "ack", period: period, timeout: time.Minute,
+		servers: 1, parallelism: 1, services: shared.BuiltinServices()})
+	t.Cleanup(g.close)
+	// The session's first call synchronizes it, and the reply polls:
+	// from there the timer's next Poll is a period away.
+	g.echoAll(t, 1, 1, 64)
+	polled := time.Now()
+	g.echoAll(t, 1, 1, 64<<10)
+	for g.session.Stats().Collected != 2 || g.held().jobs != 0 {
+		if time.Since(polled) > period/2 {
+			t.Fatalf("a 64 KiB result was not acknowledged at once: watermark %d, grid holds %+v", g.session.Stats().Collected, g.held())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.echoAll(t, 1, 1, 64)
+	if w, h := g.session.Stats().Collected, g.held(); w != 2 || h.jobs != 1 || time.Since(polled) > period/2 {
+		t.Fatalf("a 64 B result did not wait for the timer: watermark %d, grid holds %+v, %v after the last poll", w, h, time.Since(polled))
+	}
+}
+
 // BenchmarkRetainedPerCall runs heavy-shaped traffic — 64 B echo calls,
 // 32 in flight, memory store, 2 000 calls an iteration — and reports
 // what a call leaves behind on the heap of the process that hosts the

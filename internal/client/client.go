@@ -24,7 +24,8 @@
 // safely held by the application and on the coordinator), and the call
 // itself once the result watermark — the Ack of the next Poll — has
 // passed it, at which point the coordinator collects it too (see
-// proto.Poll). The client therefore tracks the calls in flight, not the
+// proto.Poll; AckSoon brings that Poll forward for whoever asks). The
+// client therefore tracks the calls in flight, not the
 // session's history, and its log holds the calls without a result —
 // plus the entry of the highest call delivered, kept so that the
 // highest entry still says where the sequence counter stands. The
@@ -38,7 +39,9 @@ package client
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"rpcv/internal/detector"
@@ -183,9 +186,11 @@ type Client struct {
 	ack     proto.RPCSeq
 	pending int
 	held    proto.RPCSeq
+	heldKey string // logKey(held); "" while nothing is held
 
 	pollTimer node.Timer
 	ackTimer  node.Timer
+	ackSoon   node.Timer // AckSoon's, until it has fired
 	stopped   bool
 
 	// fetchQueue holds the sequence numbers still to pull one-by-one
@@ -234,7 +239,7 @@ func (c *Client) Start(env node.Env) {
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators)
 	c.smap = c.cfg.Shard
 	c.syncSentAt = time.Time{}
-	c.synced, c.waiting = false, nil
+	c.synced, c.waiting, c.ackSoon = false, nil, nil
 	c.log = msglog.New(env, msglog.Config{
 		Prefix:   "client/submit/",
 		Strategy: c.cfg.Logging,
@@ -254,7 +259,7 @@ func (c *Client) Start(env node.Env) {
 			callLatency: reg.Histogram("rpcv_client_call_latency_ns", n),
 		}
 	}
-	c.nextSeq, c.ack, c.pending, c.held, c.acked = 0, 0, 0, 0, 0
+	c.nextSeq, c.ack, c.pending, c.held, c.heldKey, c.acked = 0, 0, 0, 0, "", 0
 	c.cm.pending.SetInt(0)
 	c.recoverFromLog()
 
@@ -300,21 +305,31 @@ func (c *Client) track(seq proto.RPCSeq, cl *call) {
 func logKey(seq proto.RPCSeq) string { return fmt.Sprintf("%020d", seq) }
 
 // release drops what only an undelivered call needs: its Submit, the
-// parameters it holds and its log entry. The entry of the highest
-// call released so far outlives it, until a higher one takes its
-// place: a restart resumes the sequence counter at the highest entry,
-// which must not fall below a seq the session has used.
+// parameters it holds — the caller's own slice, which the log shared —
+// and its log entry. The entry of the highest call released so far
+// outlives it, until a higher one takes its place: a restart resumes
+// the sequence counter at the highest entry, which must not fall below
+// a seq the session has used.
 func (c *Client) release(cl *call) {
 	if cl.submit == nil {
 		return
 	}
 	cl.submit = nil
-	drop := cl.seq
-	if cl.seq > c.held {
-		drop, c.held = c.held, cl.seq
+	c.hold(cl.seq)
+}
+
+// hold makes seq's log entry the one that outlives its call if it is
+// the highest released so far, and drops the entry it replaces, or
+// seq's own. Only the key matters from here on: the parameters stored
+// beside a held entry go back to the caller now.
+func (c *Client) hold(seq proto.RPCSeq) {
+	drop := logKey(seq)
+	if seq > c.held {
+		c.log.Release(drop)
+		c.held, drop, c.heldKey = seq, c.heldKey, drop
 	}
-	if drop > 0 {
-		c.log.Drop(logKey(drop))
+	if drop != "" {
+		c.log.Drop(drop)
 	}
 }
 
@@ -407,6 +422,9 @@ func (c *Client) Stop() {
 	if c.ackTimer != nil {
 		c.ackTimer.Stop()
 	}
+	if c.ackSoon != nil {
+		c.ackSoon.Stop()
+	}
 	if c.log != nil {
 		c.log.Close()
 	}
@@ -422,13 +440,27 @@ func (c *Client) recoverFromLog() {
 	}
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
 	for _, key := range c.log.Keys() {
-		raw, ok := c.log.Get(key)
+		entry, ok := c.log.Get(key)
 		if !ok {
 			continue
 		}
-		msg, err := dec.DecodeMessage(raw)
+		msg, err := entry.Message(&dec)
 		if err != nil {
-			c.env.Logf("client: corrupt log entry %s: %v", key, err)
+			seq, badKey := strconv.ParseUint(key, 10, 64)
+			if !errors.Is(err, proto.ErrCorrupt) || badKey != nil {
+				c.env.Logf("client: unreadable log entry %s: %v", key, err)
+				continue
+			}
+			// A header whose parameters are gone — the entry a delivered
+			// call left held, a drop the crash cut short — or a torn
+			// write: no message, and nothing can ever be resent from
+			// it. Its key still says the seq was used.
+			if used := proto.RPCSeq(seq); used <= c.ack {
+				c.log.Drop(key)
+			} else {
+				c.nextSeq = max(c.nextSeq, used)
+				c.hold(used)
+			}
 			continue
 		}
 		sub, ok := msg.(*proto.Submit)
@@ -542,11 +574,7 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 
 func (c *Client) sendSubmit(cl *call) {
 	id := cl.submit.Call // the log gate may clear after the result has dropped the Submit
-	entry := msglog.Entry{
-		Key:  logKey(cl.seq),
-		Data: proto.EncodeMessage(cl.submit),
-	}
-	c.log.LogAndSend(c.pref, cl.submit, entry, func() {
+	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(logKey(cl.seq), cl.submit), func() {
 		cl.logDone = true
 		c.trace(id, obs.StageDurable, "submit log")
 		c.maybeComplete(cl)
@@ -620,6 +648,26 @@ func (c *Client) pollNow() {
 		}
 	}
 	c.env.Send(c.pref, &proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Ack: c.ack, Have: have})
+}
+
+// AckSoon sends the next Poll once the message being handled is done
+// with, not with the poll timer, provided the watermark then has a
+// result to pass. It is for whoever is handed a result (Config.OnResult)
+// that the coordinator should not keep for another poll period: until a
+// Poll's Ack has passed a call, the coordinator holds its parameters
+// and its output. Nobody calls it unasked — a client left alone polls on
+// its timer only — and calling it twice before the Poll has left sends
+// one. Event-loop only.
+func (c *Client) AckSoon() {
+	if c.ackSoon != nil {
+		return
+	}
+	c.ackSoon = c.env.After(0, func() {
+		c.ackSoon = nil
+		if !c.stopped && len(c.waiting) == 0 && c.hasResult(c.ack+1) {
+			c.pollNow()
+		}
+	})
 }
 
 func (c *Client) hasResult(seq proto.RPCSeq) bool {

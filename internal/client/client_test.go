@@ -3,12 +3,14 @@ package client
 import (
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"rpcv/internal/msglog"
 	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/sim"
@@ -454,6 +456,58 @@ func TestPollCarriesWatermarkAndWindow(t *testing.T) {
 	}
 }
 
+// AckSoon brings the next Poll forward to the end of the message being
+// handled: one Poll for a Results message however many of its results
+// asked, its Ack past all of them, none when the watermark has nothing
+// to pass — and a client nobody asks polls on its timer only.
+func TestAckSoonPollsOnceTheMessageIsHandled(t *testing.T) {
+	for _, asks := range []bool{true, false} {
+		var cli *Client
+		cfg := Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Minute}
+		if asks {
+			cfg.OnResult = func(proto.Result, time.Time) { cli.AckSoon() }
+		}
+		w, c, fc := rig(t, cfg)
+		cli = c
+		w.Schedule(0, func() {
+			for i := 0; i < 4; i++ {
+				cli.Submit("svc", nil, time.Second, 1)
+			}
+		})
+		w.RunFor(time.Second)
+		push := func(seqs ...proto.RPCSeq) {
+			t.Helper()
+			out := &proto.Results{User: "u", Session: 1}
+			for _, seq := range seqs {
+				fc.finish(seq, "r")
+				out.Results = append(out.Results, fc.results[seq])
+			}
+			w.Schedule(0, func() { fc.env.Send("cli", out) })
+			w.RunFor(time.Second)
+		}
+		push(1, 2)
+		if !asks {
+			if len(fc.polls) != 0 {
+				t.Fatalf("unasked: %d polls before the period", len(fc.polls))
+			}
+			continue
+		}
+		if len(fc.polls) != 1 {
+			t.Fatalf("%d polls for one Results message of two results, want 1", len(fc.polls))
+		}
+		wantPoll(t, fc.lastPoll(t), 2)
+		push(4) // above a hole: the watermark cannot move, the timer will say Have
+		if len(fc.polls) != 1 {
+			t.Fatalf("a result above a hole sent a poll: %d", len(fc.polls))
+		}
+		push(3)
+		if len(fc.polls) != 2 {
+			t.Fatalf("%d polls, want 2", len(fc.polls))
+		}
+		wantPoll(t, fc.lastPoll(t), 4)
+	}
+}
+
 func TestPendingGaugeCountsCallsWithoutResult(t *testing.T) {
 	o := obs.New("cli")
 	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second, Obs: o})
@@ -682,5 +736,172 @@ func TestResultBelowTheWatermarkIsNotDeliveredTwice(t *testing.T) {
 	w.RunFor(time.Second)
 	if st := cli.StatsNow(); delivered != 1 || cli.ResultCount() != 1 || st.Tracked != 0 {
 		t.Fatalf("after the duplicate: delivered %d, ResultCount %d, %+v", delivered, cli.ResultCount(), st)
+	}
+}
+
+// crashCfg is the oracle's client: pessimistic, so a completed
+// submission is a durable one.
+func crashCfg(completed func(proto.RPCSeq)) Config {
+	return Config{User: "u", Session: 1, Coordinators: []proto.NodeID{"co"},
+		Logging: msglog.NonBlockingPessimistic, Disk: msglog.InstantDisk(), AckResyncTimeout: -1,
+		OnSubmitComplete: func(seq proto.RPCSeq, _, _ time.Time) { completed(seq) }}
+}
+
+func crashParams(seq, size int) []byte {
+	p := make([]byte, size)
+	for i := range p {
+		p[i] = byte(i*5 + seq)
+	}
+	return p
+}
+
+// clientCrashRun is one incarnation of the oracle's session: calls of
+// every size class submitted and acknowledged, results delivered out of
+// order (each delivery drops a log entry), the watermark passing them,
+// and one more large call.
+type clientCrashRun struct {
+	submitted map[proto.RPCSeq]*proto.Submit
+	completed map[proto.RPCSeq]bool // submission completed before the cut
+	delivered map[proto.RPCSeq]bool // a result was handed over, cut or no cut
+}
+
+func runClientCrashScenario(d *nodetest.CrashDisk) clientCrashRun {
+	r := clientCrashRun{submitted: map[proto.RPCSeq]*proto.Submit{}, completed: map[proto.RPCSeq]bool{}, delivered: map[proto.RPCSeq]bool{}}
+	env := nodetest.NewEnv("cli", d.Disk)
+	c := New(crashCfg(func(seq proto.RPCSeq) { r.completed[seq] = !d.Cut.Off }))
+	c.Start(env)
+	submit := func(size int) {
+		seq := c.Submit("echo", crashParams(len(r.submitted)+1, size), time.Second, 7)
+		env.Advance(time.Millisecond) // a disk that does not batch writes on a timer
+		r.submitted[seq] = &proto.Submit{Call: proto.CallID{User: "u", Session: 1, Seq: seq}, Service: "echo",
+			Params: crashParams(int(seq), size), ExecTime: time.Second, ResultSize: 7}
+		c.Receive("co", &proto.SubmitAck{Call: r.submitted[seq].Call, MaxSeq: seq})
+	}
+	deliver := func(seq proto.RPCSeq) {
+		r.delivered[seq] = true
+		c.Receive("co", &proto.Results{User: "u", Session: 1, Results: []proto.Result{
+			{Call: proto.CallID{User: "u", Session: 1, Seq: seq}, Output: []byte("out"), Server: "sv"}}})
+	}
+	submit(64)
+	submit(64 << 10)
+	submit(proto.BlobMin)
+	deliver(2)
+	deliver(3)
+	deliver(1)
+	c.pollNow() // the watermark passes 1..3
+	submit(64 << 10)
+	submit(64 << 10)
+	deliver(5)
+	c.Stop()
+	return r
+}
+
+// checkClientRecovered restarts a client over what the crash left and
+// holds it to the oracle: a synchronization with a coordinator that
+// knows nothing resends every call it recovered, each exactly the
+// Submit that was logged; what it lost is absent altogether, for the
+// application to submit again; no
+// payload is left without a header; and — durable — a submission that
+// completed is among the recovered unless its result was delivered, and
+// its seq is not used again either way.
+func checkClientRecovered(t *testing.T, at string, disk node.Disk, r clientCrashRun, durable bool) {
+	t.Helper()
+	env := nodetest.NewEnv("cli", disk)
+	c := New(crashCfg(func(proto.RPCSeq) {}))
+	c.Start(env)
+	tracked := c.StatsNow().Tracked
+	env.Take()
+	c.Receive("co", &proto.SyncReply{User: "u", Session: 1})
+	recovered := map[proto.RPCSeq]bool{}
+	for _, m := range env.Take() {
+		if sub, ok := m.(*proto.Submit); ok {
+			if recovered[sub.Call.Seq] || !reflect.DeepEqual(sub, r.submitted[sub.Call.Seq]) {
+				t.Fatalf("%s: call %d resent twice, or with another Submit than was logged", at, sub.Call.Seq)
+			}
+			recovered[sub.Call.Seq] = true
+		}
+	}
+	if tracked != len(recovered) {
+		t.Fatalf("%s: recovered %d calls, resent %d", at, tracked, len(recovered))
+	}
+	for _, k := range disk.Keys("blob/") {
+		if _, ok := disk.Read(k[len("blob/"):]); !ok {
+			t.Fatalf("%s: payload %s survived recovery without a header", at, k)
+		}
+	}
+	next := c.Submit("echo", nil, 0, 0)
+	for seq, before := range r.completed {
+		if !before || !durable {
+			continue
+		}
+		if !r.delivered[seq] && !recovered[seq] {
+			t.Fatalf("%s: call %d completed before the cut, has no result and is not recovered", at, seq)
+		}
+		if next <= seq {
+			t.Fatalf("%s: the next call takes seq %d; call %d completed before the cut", at, next, seq)
+		}
+	}
+	c.Stop()
+}
+
+// TestCrashOracle restarts the client at every operation index of the
+// session (nodetest.EveryCrash).
+func TestCrashOracle(t *testing.T) {
+	if r := runClientCrashScenario(nodetest.NewCrashDisk(t, "memory")); len(r.completed) != 5 {
+		t.Fatalf("uncut run completed %d submissions of 5", len(r.completed))
+	}
+	nodetest.EveryCrash(t, runClientCrashScenario,
+		func(at string, disk node.Disk, r clientCrashRun, onlyACut bool) {
+			checkClientRecovered(t, at, disk, r, onlyACut)
+		})
+}
+
+// A submission logged whole by a build from before headers existed — a
+// 64 KiB payload inline — is recovered and resent like any other.
+func TestLegacyInlineLogEntryIsRecovered(t *testing.T) {
+	disk := nodetest.NewCrashDisk(t, "memory").Disk
+	old := &proto.Submit{Call: proto.CallID{User: "u", Session: 1, Seq: 1}, Service: "echo", Params: crashParams(1, 64<<10)}
+	if err := disk.Write("client/submit/"+logKey(1), proto.EncodeMessage(old)); err != nil {
+		t.Fatal(err)
+	}
+	checkClientRecovered(t, "legacy entry", disk, clientCrashRun{
+		submitted: map[proto.RPCSeq]*proto.Submit{1: old}, completed: map[proto.RPCSeq]bool{1: true}}, true)
+}
+
+// The session owns a call's parameters until the result is delivered,
+// and no longer: the entry that outlives a delivered call keeps its key
+// — the seq stays used — and none of the caller's bytes.
+func TestDeliveredCallGivesItsParamsBack(t *testing.T) {
+	w, cli, fc := rig(t, Config{Logging: msglog.BlockingPessimistic, PollPeriod: time.Second})
+	params := crashParams(2, 64<<10)
+	w.Schedule(0, func() {
+		cli.Submit("svc", []byte("never finishes"), time.Second, 1) // holds the watermark at 0
+		cli.Submit("svc", params, time.Second, 1)
+	})
+	w.RunFor(time.Second)
+	disk := w.Disk("cli")
+	if blob, ok := disk.Read("blob/client/submit/" + logKey(2)); !ok || &blob[0] != &params[0] {
+		t.Fatalf("before delivery: the log holds the caller's slice %v", ok && &blob[0] == &params[0])
+	}
+	fc.finish(2, "r2")
+	w.RunFor(3 * time.Second)
+	if cli.ResultCount() != 1 {
+		t.Fatalf("setup: results = %d", cli.ResultCount())
+	}
+	if blobs, entries := disk.Keys("blob/"), disk.Keys("client/submit/"); len(blobs) != 0 || len(entries) != 2 {
+		t.Fatalf("after delivery: payloads %v, entries %v; want no payload, call 1's entry and the held one", blobs, entries)
+	}
+	// The caller's again: a race build's checked disk panics if the log
+	// still shares it. And a coordinator that lost the calls has call 1
+	// resent.
+	clear(params)
+	fc.jobs = make(map[proto.RPCSeq]*proto.Submit)
+	w.Restart("cli")
+	w.RunFor(time.Second) // the restart's synchronization
+	var seq proto.RPCSeq
+	w.Schedule(0, func() { seq = cli.Submit("svc", nil, time.Second, 1) })
+	w.RunFor(time.Second)
+	if got := slices.Sorted(maps.Keys(fc.jobs)); seq != 3 || !slices.Equal(got, []proto.RPCSeq{1, 3}) {
+		t.Fatalf("after restart: next seq %d, coordinator was sent %v; want seq 3 and [1 3], call 2 not resent", seq, got)
 	}
 }

@@ -709,9 +709,8 @@ const (
 	jobPrefix  = "coord/job/"
 	blobPrefix = "coord/blob/"
 
-	// blobMin is the description/archive line: below it a payload costs
-	// less to re-encode with its header than a second key costs to keep.
-	blobMin = 4 << 10
+	// blobMin is the tree's one description/archive line.
+	blobMin = proto.BlobMin
 )
 
 // jobParts is a set of a record's payloads.
@@ -1420,6 +1419,13 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 	c.afterDBCost(func() {
 		c.env.Send(from, &proto.ServerSyncReply{Resend: resend, Drop: drop})
 	})
+	if _, offering := c.offers.by[from]; len(m.Running) == 0 && !offering {
+		// A server that synchronizes while running nothing — a fresh
+		// or restarted one — asks for work only on its next beat; what
+		// is queued need not wait a heartbeat period for that. One
+		// slot is all a sync proves; a pull's larger offer stands.
+		c.standingOffer(from, 1)
+	}
 }
 
 // onServerSuspected implements the "on suspicion" replication strategy:

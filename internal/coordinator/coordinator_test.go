@@ -237,13 +237,20 @@ func TestServerSyncReschedulesLostAssignments(t *testing.T) {
 		t.Fatalf("graced assignment rescheduled prematurely: %+v", st)
 	}
 	// Past the grace, the same sync reveals the assignment died with a
-	// previous incarnation: reschedule.
+	// previous incarnation: reschedule. A sync that runs nothing is an
+	// offer too, so the call goes straight back to the server that said
+	// so, as a second instance.
 	w.RunFor(time.Minute)
+	p.inbox = nil
 	p.env.Send("co", &proto.ServerSync{From: "peer"})
 	w.RunFor(time.Second)
 	st := co.StatsNow()
-	if st.Pending != 1 || st.Rescheduled != 1 {
-		t.Fatalf("lost assignment not rescheduled: %+v", st)
+	if st.Rescheduled != 1 || st.Pending != 0 || st.Ongoing != 1 || st.PushedTasks != 1 {
+		t.Fatalf("lost assignment not rescheduled and pushed back: %+v", st)
+	}
+	got := acks(p)
+	if len(got) != 1 || len(got[0].Tasks) != 1 || got[0].Tasks[0].Task != (proto.TaskID{Call: call(1), Instance: 2}) {
+		t.Fatalf("the syncing server was pushed %+v, want call 1 as instance 2", got)
 	}
 }
 
@@ -275,9 +282,16 @@ func TestServerSyncReplyClassifiesResults(t *testing.T) {
 		{Call: call(2), Instance: 1},
 	}})
 	w.RunFor(time.Second)
-	reply, ok := p.last().(*proto.ServerSyncReply)
-	if !ok {
-		t.Fatalf("last = %T", p.last())
+	// Not the last message any more: the sync ran nothing, so pending
+	// call 1 is pushed to the peer behind the reply.
+	var reply *proto.ServerSyncReply
+	for _, m := range p.inbox {
+		if r, ok := m.(*proto.ServerSyncReply); ok {
+			reply = r
+		}
+	}
+	if reply == nil {
+		t.Fatalf("no ServerSyncReply among %d messages, last = %T", len(p.inbox), p.last())
 	}
 	if len(reply.Resend) != 1 || reply.Resend[0].Call != call(1) {
 		t.Fatalf("resend = %v", reply.Resend)

@@ -216,6 +216,63 @@ func TestOfferOlderThanTheTimeoutIsIgnored(t *testing.T) {
 	}
 }
 
+func TestSyncThatRunsNothingIsAnOffer(t *testing.T) {
+	w, co, a, _ := rig2(t, Config{})
+	// A fresh server's first beat is a sync, its first pull a period
+	// later: what is queued meanwhile does not wait for that pull.
+	a.env.Send("co", &proto.ServerSync{From: "sva"})
+	w.RunFor(time.Second)
+	if n := idleSlots(co); n != 1 {
+		t.Fatalf("a sync running nothing left %d idle slots, want 1", n)
+	}
+	a.env.Send("co", submit(1))
+	w.RunFor(10 * time.Millisecond)
+	if got := assigned(a); seqs(got...) != seqs(1) {
+		t.Fatalf("pushed %v to the synchronizing server, want [1]", got)
+	}
+	// A server that says it is running something offers nothing, and a
+	// sync never shrinks what a pull offered.
+	a.env.Send("co", &proto.ServerSync{From: "sva", Running: []proto.TaskID{{Call: call(1), Instance: 1}}})
+	w.RunFor(time.Second)
+	if n := idleSlots(co); n != 0 {
+		t.Fatalf("a busy server's sync left %d idle slots, want none", n)
+	}
+	beat(a, 3)
+	w.RunFor(time.Second)
+	a.env.Send("co", &proto.ServerSync{From: "sva"})
+	w.RunFor(time.Second)
+	if n := idleSlots(co); n != 3 {
+		t.Fatalf("a sync after a pull of 3 left %d idle slots, want the pull's 3", n)
+	}
+
+	// The offer ages like any other (TestOfferOlderThanTheTimeoutIsIgnored
+	// has the timing): as old as the timeout, it is dropped, not spent.
+	w, co, a, _ = rig2(t, Config{HeartbeatTimeout: 10 * time.Second})
+	w.RunFor(time.Second)
+	a.env.Send("co", &proto.ServerSync{From: "sva"})
+	w.RunFor(10*time.Second + 200*time.Millisecond)
+	acks(a)
+	if n, sus := idleSlots(co), co.SuspectedServers(); n != 1 || len(sus) != 0 {
+		t.Fatalf("premise: %d idle slots, suspects %v; want the offer standing and nobody suspected", n, sus)
+	}
+	a.env.Send("co", submit(1))
+	w.RunFor(10 * time.Millisecond)
+	if got := assigned(a); len(got) != 0 {
+		t.Fatalf("pushed %v to a sync's offer as old as the timeout", got)
+	}
+	if st := co.StatsNow(); st.IdleSlots != 0 || st.Pending != 1 {
+		t.Fatalf("stale offer not dropped: %+v", st)
+	}
+
+	// PullOnly: a sync stays a sync.
+	w, co, a, _ = rig2(t, Config{PullOnly: true})
+	a.env.Send("co", &proto.ServerSync{From: "sva"})
+	w.RunFor(time.Second)
+	if n := idleSlots(co); n != 0 {
+		t.Fatalf("pull-only coordinator holds %d idle slots after a sync", n)
+	}
+}
+
 func TestOffersAndSubscriptionsDieWithTheIncarnation(t *testing.T) {
 	w, co, a, b := rig2(t, Config{})
 	beat(a, 2)

@@ -213,11 +213,17 @@ func Dial(cfg Config) (*Session, error) {
 func (s *Session) Addr() string { return s.rtm.Addr() }
 
 // onResult hands a result to its call's handle. A result no handle
-// waits for — one of an earlier run of the session — has no taker.
+// waits for — one of an earlier run of the session — has no taker. A
+// result of blob size is acknowledged at once: what the coordinator
+// keeps of the call until then is twice that, and the poll timer would
+// have it keep every such call of the last period.
 func (s *Session) onResult(res proto.Result, _ time.Time) {
 	if h := s.take(res.Call.Seq); h != nil {
 		h.res = res
 		close(h.ready)
+	}
+	if len(res.Output) >= proto.BlobMin {
+		s.cli.AckSoon()
 	}
 }
 
@@ -262,6 +268,13 @@ func (h *Handle) Seq() uint64 {
 // acknowledged seqs this one's store no longer shows, and a call
 // numbered among them would never run. Nothing else waits — CallAsync
 // returns, Wait and Probe answer as ever — except Seq.
+//
+// params belongs to the session from the call until the call's result
+// is delivered (Wait returns it, or Probe says it is in): the bytes are
+// sent from that slice, resent from it after a failure, and the
+// submission log keeps that very slice rather than a copy of it. The
+// caller must not modify it meanwhile; afterwards it is the caller's
+// again.
 func (s *Session) CallAsync(service string, params []byte) (*Handle, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -322,7 +335,9 @@ func (s *Session) number(h *Handle, service string, params []byte) bool {
 }
 
 // Call submits a blocking call (grpc_call): it returns when the result
-// is available, the service failed, or ctx ends.
+// is available, the service failed, or ctx ends. params is the session's
+// until then (see CallAsync) — when ctx ends first, until the result
+// comes in all the same.
 func (s *Session) Call(ctx context.Context, service string, params []byte) ([]byte, error) {
 	h, err := s.CallAsync(service, params)
 	if err != nil {

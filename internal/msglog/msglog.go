@@ -39,6 +39,37 @@
 // configured DiskModel charges virtual latency, serialized through a
 // disk-arm resource — or, with Config.Batched, through a group-commit
 // resource that models the same amortization on the virtual clock.
+//
+// # What an entry is on the disk
+//
+// An entry (entry.go; the client's submit log and the server's result
+// log both go through it) is one key, or two. A message whose payload
+// is under proto.BlobMin is one value under its key: the whole encoding
+// (proto.EncodeMessage), which is also what every earlier build wrote
+// for every size, and still loads. From BlobMin up it is a header under
+// the key — the encoding with the payload's bytes cut out and only
+// their count left (proto.EncodeLogged) — and, under "blob/"+key, the
+// payload itself: the very slice the message carries, handed to the
+// disk under node.Disk's ownership contract and never copied. Logging
+// costs disk time, as in the paper, not a second copy in memory; header
+// and payload together are the bytes of the whole encoding, so the disk
+// model charges what it always did.
+//
+// The order rules are the coordinator's (its job headers and blobs):
+//
+//   - going in, the payload is staged before the header, in the same
+//     group commit where the disk batches and as two synchronous writes
+//     where it does not; a strategy's completion point is the header's
+//     commit, and an entry whose payload failed is failed;
+//   - a header whose payload is missing or of another length decodes to
+//     no message (Entry.Message): it is not logged, and is never resent
+//     with other bytes;
+//   - going out, the payload is deleted before the header (Remove), so
+//     a crash between the two leaves a header that says so, and Sweep,
+//     which every owner runs over its prefix at recovery, deletes the
+//     payloads a crash left without one;
+//   - Log.Release is the first half of that on purpose: it gives the
+//     sender its bytes back and keeps the key.
 package msglog
 
 import (
@@ -106,12 +137,6 @@ func IDEDisk() DiskModel {
 // InstantDisk returns a zero-latency model (unit tests).
 func InstantDisk() DiskModel { return func(int) time.Duration { return 0 } }
 
-// Entry is one logged outgoing message.
-type Entry struct {
-	Key  string // unique key within the log, also the disk key suffix
-	Data []byte // serialized message payload to resend on synchronization
-}
-
 // Log is a sender-based message log bound to one node environment.
 //
 // LogAndSend is the single operation: it applies the configured
@@ -139,11 +164,11 @@ type Log struct {
 	pending []node.Timer
 
 	// n counts the entries on the disk (a listing at New, kept current
-	// by write and Drop, so Len never lists). unwritten holds the keys
+	// by write and Drop, so Len never lists). unwritten holds the entries
 	// whose modelled write has not fired yet: a Drop that comes first
 	// cancels the write instead of leaving the entry behind.
 	n         int
-	unwritten map[string]bool
+	unwritten map[string]Entry
 }
 
 // Config parameterizes a Log.
@@ -171,8 +196,9 @@ func New(env node.Env, cfg Config) *Log {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "msglog/"
 	}
+	Sweep(env, cfg.Prefix)
 	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
-		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]bool)}
+		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]Entry)}
 	if cfg.Batched {
 		// The access floor is the zero-byte write cost; BatchResource
 		// charges it once per batch instead of once per write.
@@ -188,17 +214,20 @@ func (l *Log) Strategy() Strategy { return l.strategy }
 // done, when non-nil, runs on the node's event loop when the operation
 // completes (see Log's doc for what completion means per strategy).
 func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
-	key := l.prefix + entry.Key
-	if bd, ok := l.env.Disk().(node.BatchDisk); ok {
-		l.logAndSendBatched(bd, dst, msg, key, entry.Data, done)
+	entry.Key = l.prefix + entry.Key
+	if _, ok := l.env.Disk().(node.BatchDisk); ok {
+		l.logAndSendBatched(dst, msg, entry, done)
 		return
 	}
-	l.unwritten[key] = true
+	l.unwritten[entry.Key] = entry
+	// Header and payload are charged as the one write they were when
+	// the entry was one value: together they are its bytes.
+	cost := l.disk(len(entry.Data) + len(entry.Blob))
 	var d time.Duration
 	if l.batchArm != nil {
-		d = l.batchArm.Acquire(l.env.Now(), l.disk(len(entry.Data)))
+		d = l.batchArm.Acquire(l.env.Now(), cost)
 	} else {
-		d = l.diskArm.Acquire(l.env.Now(), l.disk(len(entry.Data)))
+		d = l.diskArm.Acquire(l.env.Now(), cost)
 	}
 	switch l.strategy {
 	case Optimistic:
@@ -206,7 +235,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 		// flush timer fires loses the entry — that is the optimism.
 		l.env.Send(dst, msg)
 		l.pending = append(l.pending, l.env.After(d, func() {
-			l.write(key, entry.Data)
+			l.write(entry.Key)
 		}))
 		if done != nil {
 			done()
@@ -214,7 +243,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 	case BlockingPessimistic:
 		// Durable write first; the communication begins only after.
 		l.env.After(d, func() {
-			l.write(key, entry.Data)
+			l.write(entry.Key)
 			l.env.Send(dst, msg)
 			if done != nil {
 				done()
@@ -227,7 +256,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 		// disk cache management, per the paper).
 		l.env.Send(dst, msg)
 		l.env.After(d, func() {
-			l.write(key, entry.Data)
+			l.write(entry.Key)
 			if done != nil {
 				done()
 			}
@@ -242,20 +271,20 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 // nothing (optimistic), the send (blocking pessimistic) or only the
 // completion callback (non-blocking pessimistic — the commit overlaps
 // the communication exactly as the paper describes).
-func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.Message, key string, data []byte, done func()) {
+func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
 	logged := func(err error) {
 		if err != nil {
-			l.env.Logf("msglog: write %s: %v", key, err)
+			l.env.Logf("msglog: write %s: %v", entry.Key, err)
 		}
 	}
-	l.added(key)
+	l.added(entry.Key)
 	switch l.strategy {
 	case Optimistic:
 		// Send now; the group commit makes the entry durable shortly
 		// after. A crash before that batch's fsync loses the entry —
 		// that is the optimism.
 		l.env.Send(dst, msg)
-		bd.WriteAsync(key, data, logged)
+		Stage(l.env, entry, logged)
 		if done != nil {
 			done()
 		}
@@ -263,7 +292,7 @@ func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.M
 		// The communication begins only after the entry's batch is on
 		// the platter. Concurrent submissions stage into the same
 		// batch, so the per-call cost is a shared fsync.
-		bd.WriteAsync(key, data, func(err error) {
+		Stage(l.env, entry, func(err error) {
 			if err != nil {
 				// The entry never became durable; sending anyway would
 				// silently abandon durability-before-send, the one
@@ -285,7 +314,7 @@ func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.M
 	case NonBlockingPessimistic:
 		// Send immediately; completion waits for the covering batch.
 		l.env.Send(dst, msg)
-		bd.WriteAsync(key, data, func(err error) {
+		Stage(l.env, entry, func(err error) {
 			logged(err)
 			if done != nil {
 				done()
@@ -296,13 +325,14 @@ func (l *Log) logAndSendBatched(bd node.BatchDisk, dst proto.NodeID, msg proto.M
 
 // write performs a modelled write when its timer fires, unless the
 // entry was dropped while it waited.
-func (l *Log) write(key string, data []byte) {
-	if !l.unwritten[key] {
+func (l *Log) write(key string) {
+	entry, ok := l.unwritten[key]
+	if !ok {
 		return
 	}
 	delete(l.unwritten, key)
 	l.added(key)
-	if err := l.env.Disk().Write(key, data); err != nil {
+	if err := Write(l.env, entry); err != nil {
 		l.env.Logf("msglog: write %s: %v", key, err)
 	}
 }
@@ -314,8 +344,12 @@ func (l *Log) added(key string) {
 	}
 }
 
-// Get returns a logged entry's payload.
-func (l *Log) Get(key string) ([]byte, bool) { return l.env.Disk().Read(l.prefix + key) }
+// Get returns a logged entry.
+func (l *Log) Get(key string) (Entry, bool) {
+	e, ok := Load(l.env.Disk(), l.prefix+key)
+	e.Key = key
+	return e, ok
+}
 
 // Keys returns all durably logged entry keys, sorted.
 func (l *Log) Keys() []string {
@@ -339,7 +373,7 @@ func (l *Log) Len() int { return l.n }
 // logged message is always safe, so over-retention costs only space.
 func (l *Log) Drop(key string) {
 	full := l.prefix + key
-	if l.unwritten[full] {
+	if _, ok := l.unwritten[full]; ok {
 		delete(l.unwritten, full)
 		return
 	}
@@ -347,12 +381,29 @@ func (l *Log) Drop(key string) {
 		return
 	}
 	l.n--
-	node.DeleteAsync(l.env.Disk(), full, func(err error) {
+	Remove(l.env, full, func(err error) {
 		if err != nil {
 			l.n++
 			l.env.Logf("msglog: drop %s: %v", key, err)
 		}
 	})
+}
+
+// Release is the first half of a Drop: it gives back the payload stored
+// beside an entry — the sender's own bytes, which the log shared — and
+// keeps the header, for an owner that still needs the key to say it was
+// used. What stays decodes to no message (Entry.Message refuses a header
+// without its payload), can never be resent, and goes with Drop. An
+// entry that carries its payload inline shares nothing and stays whole.
+func (l *Log) Release(key string) {
+	full := l.prefix + key
+	if e, ok := l.unwritten[full]; ok {
+		e.Blob = nil
+		l.unwritten[full] = e
+		return
+	}
+	// A failure is logged there; the payload then goes with the Drop.
+	_ = removeBlob(l.env, full)
 }
 
 // Close cancels pending optimistic flushes (a clean shutdown; a crash

@@ -1,12 +1,15 @@
 package msglog
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/sim"
 )
@@ -176,19 +179,23 @@ func TestBatchedModeAmortizesFloor(t *testing.T) {
 type fakeBatchDisk struct {
 	data   map[string][]byte
 	staged []func(error)
+	ops    []string // every write ("w key") and delete ("d key"), in order
 }
 
 func newFakeBatchDisk() *fakeBatchDisk { return &fakeBatchDisk{data: map[string][]byte{}} }
 
 func (d *fakeBatchDisk) Write(key string, value []byte) error {
+	d.ops = append(d.ops, "w "+key)
 	d.data[key] = append([]byte(nil), value...)
 	return nil
 }
 func (d *fakeBatchDisk) WriteAsync(key string, value []byte, done func(error)) {
+	d.ops = append(d.ops, "w "+key)
 	d.data[key] = append([]byte(nil), value...)
 	d.staged = append(d.staged, done)
 }
 func (d *fakeBatchDisk) DeleteAsync(key string, done func(error)) {
+	d.ops = append(d.ops, "d "+key)
 	delete(d.data, key)
 	d.staged = append(d.staged, done)
 }
@@ -302,8 +309,8 @@ func TestKeysSortedAndGet(t *testing.T) {
 		t.Fatalf("keys = %v", keys)
 	}
 	v, ok := l.Get("b")
-	if !ok || string(v) != "b" {
-		t.Fatalf("Get(b) = %q,%v", v, ok)
+	if !ok || string(v.Data) != "b" {
+		t.Fatalf("Get(b) = %q,%v", v.Data, ok)
 	}
 }
 
@@ -377,5 +384,191 @@ func TestCloseCancelsOptimisticFlushes(t *testing.T) {
 	w.RunFor(time.Second)
 	if l.Len() != 0 {
 		t.Fatal("flush fired after Close")
+	}
+}
+
+// commitOne fires the oldest staged callback alone: a group commit that
+// closed between two staged operations.
+func (d *fakeBatchDisk) commitOne() {
+	f := d.staged[0]
+	d.staged = d.staged[1:]
+	if f != nil {
+		f(nil)
+	}
+}
+
+func submitOf(seq int, size int) *proto.Submit {
+	params := make([]byte, size)
+	for i := range params {
+		params[i] = byte(i*7 + seq)
+	}
+	return &proto.Submit{Call: proto.CallID{User: "u", Session: 1, Seq: proto.RPCSeq(seq)}, Service: "echo",
+		Params: params, ExecTime: time.Second, ResultSize: size}
+}
+
+// A large entry is two staged writes, payload first, and every
+// strategy's completion point is the header's commit: a commit that
+// took the payload alone completes nothing.
+func TestSplitEntryCompletesOnTheHeadersCommit(t *testing.T) {
+	for _, strategy := range []Strategy{BlockingPessimistic, NonBlockingPessimistic} {
+		env := &batchEnv{disk: newFakeBatchDisk()}
+		l := New(env, Config{Strategy: strategy, Disk: InstantDisk()})
+		msg := submitOf(1, 64<<10)
+		completed := false
+		l.LogAndSend("dst", msg, EntryOf("1", msg), func() { completed = true })
+		if len(env.disk.staged) != 2 {
+			t.Fatalf("%v: %d staged writes for a 64 KiB entry, want payload and header", strategy, len(env.disk.staged))
+		}
+		if e, ok := l.Get("1"); !ok || len(e.Data) > 128 || len(e.Blob) != 64<<10 {
+			t.Fatalf("%v: staged entry: present %v, header %d B, payload %d B", strategy, ok, len(e.Data), len(e.Blob))
+		}
+		env.disk.commitOne()
+		if completed || (strategy == BlockingPessimistic && len(env.sent) != 0) {
+			t.Fatalf("%v: acted on the payload's commit, before the header's", strategy)
+		}
+		env.disk.commitOne()
+		if !completed || len(env.sent) != 1 {
+			t.Fatalf("%v: after the header's commit: completed %v, sent %d", strategy, completed, len(env.sent))
+		}
+	}
+}
+
+// The order rules, as the disk sees them: payload before header going
+// in, payload before header going out, and a small entry is one key.
+func TestEntryOrderOnTheDisk(t *testing.T) {
+	env := &batchEnv{disk: newFakeBatchDisk()}
+	big, small := submitOf(1, 64<<10), submitOf(2, 64)
+	Stage(env, EntryOf("log/1", big), func(error) {})
+	if err := Write(env, EntryOf("log/2", big)); err != nil {
+		t.Fatal(err)
+	}
+	Stage(env, EntryOf("log/3", small), func(error) {})
+	for _, key := range []string{"log/1", "log/2", "log/3"} {
+		Remove(env, key, func(error) {})
+	}
+	want := []string{
+		"w blob/log/1", "w log/1", "w blob/log/2", "w log/2", "w log/3",
+		"d blob/log/1", "d log/1", "d blob/log/2", "d log/2", "d log/3",
+	}
+	if !reflect.DeepEqual(env.disk.ops, want) {
+		t.Fatalf("disk saw\n%v\nwant\n%v", env.disk.ops, want)
+	}
+}
+
+// crashRun is one incarnation of the oracle's scenario: entries of every
+// size class logged, two of them dropped, one logged after a drop.
+type crashRun struct {
+	logged    map[string]*proto.Submit
+	completed map[string]bool // the strategy's completion fired: before the cut (true) or after it
+	dropped   map[string]bool // Drop was asked for
+}
+
+func runCrashScenario(d *nodetest.CrashDisk, strategy Strategy) crashRun {
+	env := nodetest.NewEnv("src", d.Disk)
+	l := New(env, Config{Prefix: "log/", Strategy: strategy, Disk: InstantDisk()})
+	r := crashRun{logged: map[string]*proto.Submit{}, completed: map[string]bool{}, dropped: map[string]bool{}}
+	log := func(seq, size int) {
+		key := fmt.Sprint(seq)
+		msg := submitOf(seq, size)
+		r.logged[key] = msg
+		l.LogAndSend("dst", msg, EntryOf(key, msg), func() { r.completed[key] = !d.Cut.Off })
+		env.Advance(time.Millisecond) // a disk that does not batch writes on a timer
+	}
+	drop := func(seq int) {
+		r.dropped[fmt.Sprint(seq)] = true
+		l.Drop(fmt.Sprint(seq))
+	}
+	log(1, 64)
+	log(2, 64<<10)
+	log(3, proto.BlobMin)
+	drop(2)
+	log(4, 64<<10)
+	drop(1)
+	drop(4)
+	return r
+}
+
+// checkRecovered is the oracle: over what a crash left, every entry
+// decodes to exactly the message that was logged under its key or is
+// refused as corrupt — never other bytes — no payload is without its
+// header once a log has been opened, and — durable: a pessimistic
+// strategy with nothing but a power cut gone wrong — an entry whose
+// completion fired and that nobody dropped is there whole.
+func checkRecovered(t *testing.T, at string, disk node.Disk, r crashRun, durable bool) {
+	t.Helper()
+	env := nodetest.NewEnv("src", disk)
+	l := New(env, Config{Prefix: "log/", Disk: InstantDisk()})
+	whole := map[string]bool{}
+	var dec proto.Decoder
+	for _, key := range l.Keys() {
+		e, ok := l.Get(key)
+		if !ok {
+			t.Fatalf("%s: key %s listed and not readable", at, key)
+		}
+		msg, err := e.Message(&dec)
+		switch {
+		case err == nil && !reflect.DeepEqual(msg, proto.Message(r.logged[key])):
+			t.Fatalf("%s: entry %s recovered with other bytes than were logged", at, key)
+		case err != nil && !errors.Is(err, proto.ErrCorrupt):
+			t.Fatalf("%s: entry %s: %v", at, key, err)
+		}
+		whole[key] = err == nil
+	}
+	if l.Len() != len(whole) {
+		t.Fatalf("%s: Len %d, %d keys", at, l.Len(), len(whole))
+	}
+	for _, k := range disk.Keys(blobPrefix) {
+		if _, ok := disk.Read(k[len(blobPrefix):]); !ok {
+			t.Fatalf("%s: payload %s survived recovery without a header", at, k)
+		}
+	}
+	for key, before := range r.completed {
+		if before && durable && !r.dropped[key] && !whole[key] {
+			t.Fatalf("%s: entry %s completed before the cut and is not recovered", at, key)
+		}
+	}
+}
+
+// TestCrashOracle restarts a log at every operation index of the
+// scenario (nodetest.EveryCrash), under each strategy.
+func TestCrashOracle(t *testing.T) {
+	for _, strategy := range []Strategy{Optimistic, NonBlockingPessimistic, BlockingPessimistic} {
+		if r := runCrashScenario(nodetest.NewCrashDisk(t, "memory"), strategy); len(r.completed) != 4 {
+			t.Fatalf("%v: uncut run completed %d entries of 4", strategy, len(r.completed))
+		}
+		pessimistic := strategy != Optimistic // optimistic completion promises nothing
+		nodetest.EveryCrash(t,
+			func(d *nodetest.CrashDisk) crashRun { return runCrashScenario(d, strategy) },
+			func(at string, disk node.Disk, r crashRun, onlyACut bool) {
+				checkRecovered(t, fmt.Sprintf("%v, %s", strategy, at), disk, r, onlyACut && pessimistic)
+			})
+	}
+}
+
+// An entry written whole by a build from before headers existed — a
+// 64 KiB payload inline — still recovers, beside entries of the new
+// layout.
+func TestLegacyInlineEntryStillLoads(t *testing.T) {
+	disk := nodetest.NewCrashDisk(t, "memory").Disk
+	old, fresh := submitOf(1, 64<<10), submitOf(2, 64<<10)
+	if err := disk.Write("log/1", proto.EncodeMessage(old)); err != nil {
+		t.Fatal(err)
+	}
+	l := New(nodetest.NewEnv("src", disk), Config{Prefix: "log/", Strategy: BlockingPessimistic})
+	l.LogAndSend("dst", fresh, EntryOf("2", fresh), nil)
+	var dec proto.Decoder
+	for key, want := range map[string]*proto.Submit{"1": old, "2": fresh} {
+		e, _ := l.Get(key)
+		if msg, err := e.Message(&dec); err != nil || !reflect.DeepEqual(msg, proto.Message(want)) {
+			t.Fatalf("entry %s: %v", key, err)
+		}
+	}
+	if e, _ := l.Get("1"); e.Blob != nil {
+		t.Fatal("a legacy entry has no payload beside it")
+	}
+	l.Drop("1")
+	l.Drop("2")
+	if keys := disk.Keys(""); len(keys) != 0 {
+		t.Fatalf("after dropping both: %v", keys)
 	}
 }

@@ -81,6 +81,12 @@ const (
 	kindJobHeader // storage blobs only: a job record minus its external payloads
 )
 
+// kindBare, set in the kind byte of a storage blob, makes it a log
+// header (EncodeLogged): the message's payload field holds its count
+// and none of its bytes, which are stored beside the header. It never
+// travels: no frame's kind has it.
+const kindBare uint8 = 0x80
+
 // kindOf maps a message to its wire kind byte (0 when unregistered).
 func kindOf(msg Message) uint8 {
 	switch msg.(type) {
@@ -150,19 +156,51 @@ func kindOf(msg Message) uint8 {
 // returns it; steady-state sends therefore allocate nothing.
 type EncodeBuffer struct{ B []byte }
 
-var bufPool = sync.Pool{New: func() any { return &EncodeBuffer{B: make([]byte, 0, 4096)} }}
+// Two pools, split at scratchBuffer by capacity: with one, a heartbeat
+// borrows the buffer a 64 KiB frame grew, the next such frame finds
+// a small one and grows it too, and an idle grid's timers keep whichever
+// they last touched alive — how much depends on who borrowed what last.
+// Apart, the payload-sized buffers are touched by payload-sized batches
+// only: a grid that has gone quiet gives them all back to the collector.
+var smallPool = sync.Pool{New: func() any { return &EncodeBuffer{B: make([]byte, 0, scratchBuffer)} }}
+var largePool sync.Pool
 
-// GetBuffer borrows a pooled encode buffer (len 0).
-func GetBuffer() *EncodeBuffer { return bufPool.Get().(*EncodeBuffer) }
+// scratchBuffer is the capacity of a fresh pooled buffer, and the line
+// between the pools.
+const scratchBuffer = 4096
 
-// PutBuffer returns a buffer to the pool. Oversized buffers (a one-off
-// giant batch) are dropped instead of pinning their memory forever.
+// GetBuffer borrows a pooled encode buffer (len 0) for a small encoding.
+func GetBuffer() *EncodeBuffer { return smallPool.Get().(*EncodeBuffer) }
+
+// GetBufferFor borrows a pooled encode buffer (len 0) for an encoding
+// of about n bytes: one that held as much before, when there is one.
+func GetBufferFor(n int) *EncodeBuffer {
+	if n <= scratchBuffer {
+		return GetBuffer()
+	}
+	if b, ok := largePool.Get().(*EncodeBuffer); ok {
+		return b
+	}
+	return &EncodeBuffer{B: make([]byte, 0, n)}
+}
+
+// maxPooledBuffer is the largest buffer kept for reuse, on the encode
+// side (PutBuffer) and the decode side (WireDecoder) alike.
+const maxPooledBuffer = 1 << 20
+
+// PutBuffer returns a buffer to the pool of its size. Oversized buffers
+// (a one-off giant batch) are dropped instead of pinning their memory
+// forever.
 func PutBuffer(b *EncodeBuffer) {
-	if b == nil || cap(b.B) > 1<<20 {
+	if b == nil || cap(b.B) > maxPooledBuffer {
 		return
 	}
 	b.B = b.B[:0]
-	bufPool.Put(b)
+	if cap(b.B) <= scratchBuffer {
+		smallPool.Put(b)
+	} else {
+		largePool.Put(b)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -183,6 +221,16 @@ func appendBytes(dst []byte, b []byte) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(b))+1)
 	return append(dst, b...)
+}
+
+// appendPayload encodes a message's payload field: appendBytes, or in a
+// log header (bare) the count alone, so that header and payload are,
+// end to end, exactly the bytes of the whole encoding.
+func appendPayload(dst []byte, b []byte, bare bool) []byte {
+	if bare {
+		return binary.AppendUvarint(dst, uint64(len(b))+1)
+	}
+	return appendBytes(dst, b)
 }
 
 func appendBool(dst []byte, v bool) []byte {
@@ -282,6 +330,11 @@ type binReader struct {
 	pos    int
 	err    error
 	intern *internTable
+
+	// bare marks a log header: payload reads a count into payloadLen
+	// and no bytes (see appendPayload).
+	bare       bool
+	payloadLen int
 }
 
 func (r *binReader) fail() {
@@ -366,6 +419,20 @@ func (r *binReader) bytes() []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// payload reads a message's payload field (see appendPayload).
+func (r *binReader) payload() []byte {
+	if !r.bare {
+		return r.bytes()
+	}
+	n := r.uvarint()
+	if n == 0 || n-1 > math.MaxInt32 {
+		r.fail()
+		return nil
+	}
+	r.payloadLen = int(n - 1)
+	return nil
 }
 
 func (r *binReader) bool() bool {
@@ -555,18 +622,43 @@ func readJobBody(r *binReader) JobRecord {
 	}
 }
 
+// The two messages that carry a payload — the one field that can be
+// large — encode through these, whole or bare; payloadOf names the field.
+
+func appendSubmitBody(dst []byte, m *Submit, bare bool) []byte {
+	dst = appendCallID(dst, m.Call)
+	dst = appendString(dst, m.Service)
+	dst = appendPayload(dst, m.Params, bare)
+	dst = appendDur(dst, m.ExecTime)
+	dst = binary.AppendVarint(dst, int64(m.ResultSize))
+	return appendDur(dst, m.Deadline)
+}
+
+func appendTaskResultBody(dst []byte, m *TaskResult, bare bool) []byte {
+	dst = appendNode(dst, m.From)
+	dst = appendTaskID(dst, m.Task)
+	dst = appendPayload(dst, m.Output, bare)
+	dst = appendString(dst, m.Err)
+	return appendDur(dst, m.Exec)
+}
+
+func payloadOf(msg Message) *[]byte {
+	switch m := msg.(type) {
+	case *Submit:
+		return &m.Params
+	case *TaskResult:
+		return &m.Output
+	}
+	return nil
+}
+
 // appendMessageBody appends msg's binary body (no kind byte, no magic).
 // It panics on an unregistered message type: a programming error,
 // which the protocomplete analyzer reports at build time.
 func appendMessageBody(dst []byte, msg Message) []byte {
 	switch m := msg.(type) {
 	case *Submit:
-		dst = appendCallID(dst, m.Call)
-		dst = appendString(dst, m.Service)
-		dst = appendBytes(dst, m.Params)
-		dst = appendDur(dst, m.ExecTime)
-		dst = binary.AppendVarint(dst, int64(m.ResultSize))
-		return appendDur(dst, m.Deadline)
+		return appendSubmitBody(dst, m, false)
 	case *SubmitAck:
 		dst = appendCallID(dst, m.Call)
 		return appendSeq(dst, m.MaxSeq)
@@ -609,11 +701,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = appendSlice(dst, m.Tasks, appendAssignment)
 		return appendSlice(dst, m.Coordinators, appendNode)
 	case *TaskResult:
-		dst = appendNode(dst, m.From)
-		dst = appendTaskID(dst, m.Task)
-		dst = appendBytes(dst, m.Output)
-		dst = appendString(dst, m.Err)
-		return appendDur(dst, m.Exec)
+		return appendTaskResultBody(dst, m, false)
 	case *TaskResultAck:
 		return appendTaskID(dst, m.Task)
 	case *TaskCancel:
@@ -700,7 +788,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 func readMessageBody(r *binReader, kind uint8) Message {
 	switch kind {
 	case kindSubmit:
-		return &Submit{Call: r.call(), Service: r.str(), Params: r.bytes(),
+		return &Submit{Call: r.call(), Service: r.str(), Params: r.payload(),
 			ExecTime: r.dur(), ResultSize: int(r.varint()), Deadline: r.dur()}
 	case kindSubmitAck:
 		return &SubmitAck{Call: r.call(), MaxSeq: r.seq()}
@@ -728,7 +816,7 @@ func readMessageBody(r *binReader, kind uint8) Message {
 		return &HeartbeatAck{From: r.node(), Tasks: readSlice(r, readAssignment),
 			Coordinators: readSlice(r, (*binReader).node)}
 	case kindTaskResult:
-		return &TaskResult{From: r.node(), Task: r.task(), Output: r.bytes(),
+		return &TaskResult{From: r.node(), Task: r.task(), Output: r.payload(),
 			Err: r.str(), Exec: r.dur()}
 	case kindTaskResultAck:
 		return &TaskResultAck{Task: r.task()}

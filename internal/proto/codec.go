@@ -19,7 +19,9 @@ import (
 // decodes to an error wrapping ErrCorrupt, which recovery logs and
 // skips like any other corrupt record. A job header (EncodeJobHeader)
 // is the one blob that nests: a prefix naming the payloads stored
-// outside it, then the record itself as EncodeJob writes it.
+// outside it, then the record itself as EncodeJob writes it. A log
+// header (EncodeLogged) is a message blob with its payload's bytes cut
+// out and kindBare set in the kind byte.
 //
 // Stores keep the very slice an encoder returns (node.Disk's ownership
 // contract), so every storage encoder sizes its result: capacity a
@@ -108,6 +110,44 @@ func EncodeMessage(msg Message) []byte {
 		dst = append(dst, binMagic, binVersion, kind)
 		return appendMessageBody(dst, msg)
 	})
+}
+
+// BlobMin is the description/archive line of every durable layout in
+// the tree (the paper's "job descriptions in a database, file archives
+// in an optimized file system"): a payload of at least this many bytes
+// is stored as a blob of its own — the very slice the message carries,
+// under node.Disk's ownership contract — beside a small header; below
+// it a payload costs less to encode with its header than a second key
+// costs to keep.
+const BlobMin = 4 << 10
+
+// EncodeLogged serializes msg for a message log or result log. With a
+// payload under BlobMin (or none) data is EncodeMessage's whole
+// encoding and blob is nil. Otherwise data is a header — that encoding
+// with the payload's bytes cut out, its count left in place — and blob
+// is the payload itself, not a copy, for the caller to store beside the
+// header: len(data)+len(blob) is the length of the whole encoding, so a
+// model that charges a log write by the byte charges what it did.
+func EncodeLogged(msg Message) (data, blob []byte) {
+	p := payloadOf(msg)
+	if p == nil || len(*p) < BlobMin {
+		return EncodeMessage(msg), nil
+	}
+	data = encodeSized(3+msg.WireSize()-len(*p), func(dst []byte) []byte {
+		dst = append(dst, binMagic, binVersion, kindOf(msg)|kindBare)
+		if m, ok := msg.(*Submit); ok {
+			return appendSubmitBody(dst, m, true)
+		}
+		return appendTaskResultBody(dst, msg.(*TaskResult), true) // payloadOf knows no third
+	})
+	return data, *p
+}
+
+// IsLogHeader reports whether data, an entry of a message log, is a
+// header whose payload EncodeLogged handed back for storing beside it.
+func IsLogHeader(data []byte) bool {
+	kind, err := blobKind(data)
+	return err == nil && kind&kindBare != 0
 }
 
 // Decoder decodes storage blobs. The zero value is ready; a decoder
@@ -226,6 +266,34 @@ func (d *Decoder) DecodeMessage(raw []byte) (Message, error) {
 	return msg, nil
 }
 
+// DecodeLogged parses what EncodeLogged produced; blob is what the
+// caller found stored beside data (nil: nothing). A whole encoding —
+// every entry written before headers existed — decodes as DecodeMessage
+// does. A header takes blob as its payload, shared, provided blob has
+// exactly the length the header recorded: a payload that is missing or
+// of another length was torn, or never became durable, and the entry is
+// corrupt — not logged — rather than a message with other bytes.
+func (d *Decoder) DecodeLogged(data, blob []byte) (Message, error) {
+	if !IsLogHeader(data) {
+		return d.DecodeMessage(data)
+	}
+	kind := data[2] &^ kindBare
+	d.rd = binReader{buf: data[3:], intern: &d.intern, bare: true}
+	msg := readMessageBody(&d.rd, kind)
+	if d.rd.err != nil {
+		return nil, fmt.Errorf("proto: decode log header kind %d: %w", kind, d.rd.err)
+	}
+	p := payloadOf(msg)
+	if p == nil || d.rd.remaining() != 0 {
+		return nil, fmt.Errorf("proto: decode log header: %w (no payload field, or trailing bytes)", ErrCorrupt)
+	}
+	if len(blob) != d.rd.payloadLen {
+		return nil, fmt.Errorf("proto: decode log header: %w (payload is %d bytes, header says %d)", ErrCorrupt, len(blob), d.rd.payloadLen)
+	}
+	*p = blob
+	return msg, nil
+}
+
 // DecodeJob parses a job record with a one-shot decoder.
 func DecodeJob(raw []byte) (*JobRecord, error) {
 	var d Decoder
@@ -273,17 +341,27 @@ func AppendFrame(dst []byte, from NodeID, msg Message) ([]byte, error) {
 
 // WireDecoder reads binary frames from a connection (after the caller
 // consumed and verified the two-byte preface). One frame buffer is
-// reused for the life of the connection and strings are interned
-// across frames, so a sustained stream decodes without per-frame
-// buffer allocations or intermediate copies — bytes go from the socket
-// into the frame buffer and are parsed in place.
+// reused across frames and strings are interned across them, so a
+// sustained stream decodes without per-frame buffer allocations or
+// intermediate copies — bytes go from the socket into the frame buffer
+// and are parsed in place. A connection does not keep its largest frame
+// for life: a buffer a one-off giant frame grew is let go once that
+// frame is decoded (PutBuffer's rule, read side), and one that
+// payload-sized frames have filled under two thirds of roomyFrames
+// times running — an odd reply that carried two payloads grew it —
+// gives way to one of their size.
 type WireDecoder struct {
 	r      io.Reader
 	hdr    [4]byte
 	buf    []byte
+	roomy  int // payload-sized frames in a row that used under two thirds of buf
 	intern internTable
 	rd     binReader // reused per frame; see Decoder.rd
 }
+
+// roomyFrames is how many frames it takes: enough that frames of two
+// sizes taking turns on a connection go on sharing the larger buffer.
+const roomyFrames = 8
 
 // NewWireDecoder creates a frame decoder over r.
 func NewWireDecoder(r io.Reader) *WireDecoder { return &WireDecoder{r: r} }
@@ -300,8 +378,15 @@ func (d *WireDecoder) Next() (NodeID, Message, error) {
 	if n == 0 || n > MaxFrame {
 		return "", nil, fmt.Errorf("proto: frame length %d out of range", n)
 	}
-	if cap(d.buf) < int(n) {
-		d.buf = make([]byte, n)
+	if n >= BlobMin {
+		if cap(d.buf)/3*2 >= int(n) {
+			d.roomy++
+		} else {
+			d.roomy = 0
+		}
+	}
+	if cap(d.buf) < int(n) || d.roomy == roomyFrames {
+		d.buf, d.roomy = make([]byte, n), 0
 	}
 	buf := d.buf[:n]
 	if _, err := io.ReadFull(d.r, buf); err != nil {
@@ -314,10 +399,15 @@ func (d *WireDecoder) Next() (NodeID, Message, error) {
 	kind := d.rd.u8()
 	from := d.rd.node()
 	msg := readMessageBody(&d.rd, kind)
-	if d.rd.err != nil {
-		return "", nil, fmt.Errorf("proto: decode frame kind %d: %w", kind, d.rd.err)
+	err, trailing := d.rd.err, d.rd.remaining() != 0
+	if cap(d.buf) > maxPooledBuffer {
+		// Decoded values are copies: nothing else points into it.
+		d.buf, d.rd = nil, binReader{}
 	}
-	if d.rd.remaining() != 0 {
+	if err != nil {
+		return "", nil, fmt.Errorf("proto: decode frame kind %d: %w", kind, err)
+	}
+	if trailing {
 		return "", nil, fmt.Errorf("proto: decode frame: %w (trailing bytes)", ErrCorrupt)
 	}
 	return from, msg, nil

@@ -34,6 +34,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		Call: CallID{User: "user-01", Session: 7, Seq: 43}, Service: "svc",
 		Params: make([]byte, 9), State: TaskFinished, Output: []byte{3}, Server: "server-000",
 	}, JobParams))
+	logHeader, _ := EncodeLogged(&TaskResult{From: "server-000", Task: TaskID{Call: CallID{User: "user-01", Session: 7, Seq: 44}, Instance: 1},
+		Output: make([]byte, BlobMin), Exec: 5})
+	f.Add(logHeader)
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, binVersion, kindSubmit})
 	f.Add([]byte{0, 0, 0, 5, kindSubmit, 0})
@@ -91,6 +94,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil || again.External != sj.External ||
 				again.ParamsLen != sj.ParamsLen || again.OutputLen != sj.OutputLen {
 				t.Fatalf("re-decode of valid job header: %v, %+v", err, again)
+			}
+		}
+		// A log header beside nothing is refused, never read as a
+		// message without its payload; beside a payload of the length it
+		// names it re-encodes to a fixed point.
+		if msg, err := dec.DecodeLogged(data, nil); err == nil {
+			if p := payloadOf(msg); data[2]&kindBare != 0 && len(*p) != 0 {
+				t.Fatalf("a log header decoded without its payload into one of %d B", len(*p))
+			}
+		} else if len(data) >= 3 && data[2]&kindBare != 0 && dec.rd.err == nil && dec.rd.payloadLen <= 1<<20 {
+			if msg, err := dec.DecodeLogged(data, make([]byte, dec.rd.payloadLen)); err == nil {
+				if again, _ := EncodeLogged(msg); dec.rd.payloadLen >= BlobMin && !bytes.Equal(again, data) {
+					t.Fatalf("log header encoding is not a fixed point")
+				}
 			}
 		}
 		// The framed wire path: drain frames until error or EOF. The

@@ -100,12 +100,12 @@ func (m *SubmitAck) WireSize() int { return headerSize }
 //
 // What a relaunched session can still fetch is therefore every result
 // no Poll has acknowledged — and the acknowledgement of a result
-// travels on the next Poll, not the one that fetched it. A client that
-// lost its log polls with Ack = 0 and an empty Have and receives
+// travels on the next Poll, not the one that fetched it (the poll
+// timer's, or one the session sends at once: client.AckSoon). A client
+// that lost its log polls with Ack = 0 and an empty Have and receives
 // everything above the session's watermark, which a SyncReply tells it
-// (Collected). Ack = 0 with a long Have is equally valid; a
-// coordinator also tolerates a Have that is unsorted or repeats
-// entries.
+// (Collected). Ack = 0 with a long Have is equally valid; a coordinator
+// also tolerates a Have that is unsorted or repeats entries.
 type Poll struct {
 	User    UserID
 	Session SessionID

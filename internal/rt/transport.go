@@ -248,8 +248,11 @@ func (s *sender) run() {
 			// One deadline serves the whole batch: the per-message work
 			// inside the loop is encoding only.
 			_ = conn.SetWriteDeadline(time.Now().Add(time.Minute))
-			framed := len(batch)
-			buf := proto.GetBuffer()
+			framed, size := len(batch), 0
+			for _, m := range batch {
+				size += m.msg.WireSize()
+			}
+			buf := proto.GetBufferFor(size)
 			for _, m := range batch {
 				var ferr error
 				if buf.B, ferr = proto.AppendFrame(buf.B, m.from, m.msg); ferr != nil {

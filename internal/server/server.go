@@ -32,6 +32,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -39,6 +40,7 @@ import (
 	"time"
 
 	"rpcv/internal/detector"
+	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
@@ -49,7 +51,11 @@ import (
 // the raw parameter payload; it returns the result payload or an error.
 // Services must be stateless: RPC-V restricts the application scope to
 // stateless services with at-least-once semantics, so a service may be
-// executed more than once for the same call.
+// executed more than once for the same call. Params is the server's,
+// read-only for the body; the slice a body returns becomes the server's
+// — the result log keeps that very slice until the coordinator has
+// acknowledged the result — so a body returns bytes of its own, never
+// params or a buffer it will write again.
 //
 // A service may block for as long as it likes, and up to
 // Config.Parallelism of them run at the same time, each on a goroutine
@@ -288,16 +294,26 @@ func (s *Server) Stop() {
 	}
 }
 
+// resultPrefix opens the keys of the result log: one msglog entry per
+// unacknowledged result, a large output stored beside its header.
+const resultPrefix = "server/result/"
+
 func (s *Server) loadResultLog() {
+	msglog.Sweep(s.env, resultPrefix)
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
-	for _, key := range s.env.Disk().Keys("server/result/") {
-		raw, ok := s.env.Disk().Read(key)
+	for _, key := range s.env.Disk().Keys(resultPrefix) {
+		entry, ok := msglog.Load(s.env.Disk(), key)
 		if !ok {
 			continue
 		}
-		msg, err := dec.DecodeMessage(raw)
+		msg, err := entry.Message(&dec)
 		if err != nil {
 			s.env.Logf("server: corrupt result log %s: %v", key, err)
+			if errors.Is(err, proto.ErrCorrupt) {
+				// Torn, or a header whose output is missing or short:
+				// not logged. The coordinator re-issues the task.
+				s.dropResultEntry(key)
+			}
 			continue
 		}
 		if res, ok := msg.(*proto.TaskResult); ok {
@@ -307,7 +323,7 @@ func (s *Server) loadResultLog() {
 }
 
 func (s *Server) resultKey(t proto.TaskID) string {
-	return "server/result/" + strings.ReplaceAll(t.String(), "/", "_")
+	return resultPrefix + strings.ReplaceAll(t.String(), "/", "_")
 }
 
 // pickPreferred chooses a preferred coordinator among the non-suspected
@@ -491,10 +507,12 @@ func (s *Server) handleResultAck(from proto.NodeID, m *proto.TaskResultAck) {
 // that removes an entry the coordinator already holds. A failed delete
 // is survivable — the entry is re-offered and re-acked after the next
 // restart — but it means the log is not shrinking, so say so.
-func (s *Server) dropResultLog(t proto.TaskID) {
-	node.DeleteAsync(s.env.Disk(), s.resultKey(t), func(err error) {
+func (s *Server) dropResultLog(t proto.TaskID) { s.dropResultEntry(s.resultKey(t)) }
+
+func (s *Server) dropResultEntry(key string) {
+	msglog.Remove(s.env, key, func(err error) {
 		if err != nil {
-			s.env.Logf("server: gc result log %s: %v", t, err)
+			s.env.Logf("server: gc result log %s: %v", key, err)
 		}
 	})
 }
@@ -724,7 +742,7 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
 	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr, Exec: exec}
-	if err := s.env.Disk().Write(s.resultKey(t.Task), proto.EncodeMessage(res)); err != nil {
+	if err := msglog.Write(s.env, msglog.EntryOf(s.resultKey(t.Task), res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
 		s.trace(t.Task.Call, obs.StageDurable, "result log")

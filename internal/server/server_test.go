@@ -2,10 +2,12 @@ package server
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/sim"
 )
@@ -376,4 +378,126 @@ func TestSpeedFactorScalesExecution(t *testing.T) {
 	if sv.StatsNow().Executed != 1 {
 		t.Fatalf("executed = %d, want 1 after ~100s", sv.StatsNow().Executed)
 	}
+}
+
+func crashServer() *Server {
+	return New(Config{Coordinators: []proto.NodeID{"co"}, Parallelism: 3, HeartbeatPeriod: time.Second})
+}
+
+func crashTask(seq, resultSize int) proto.TaskAssignment {
+	a := task(seq, 1)
+	a.ExecTime, a.ResultSize = time.Second, resultSize
+	return a
+}
+
+// serverCrashRun is one incarnation of the oracle's server: results of
+// every size class logged and uploaded, one acknowledged, one cancelled
+// (each drops a log entry), then another large one.
+type serverCrashRun struct {
+	produced map[proto.TaskID]*proto.TaskResult
+	uploaded map[proto.TaskID]bool // the upload left before the cut
+	dropped  map[proto.TaskID]bool // acknowledged or cancelled, cut or no cut
+}
+
+func runServerCrashScenario(d *nodetest.CrashDisk) serverCrashRun {
+	r := serverCrashRun{produced: map[proto.TaskID]*proto.TaskResult{}, uploaded: map[proto.TaskID]bool{}, dropped: map[proto.TaskID]bool{}}
+	env := nodetest.NewEnv("sv", d.Disk)
+	s := crashServer()
+	s.Start(env)
+	execute := func(tasks ...proto.TaskAssignment) {
+		s.Receive("co", &proto.HeartbeatAck{From: "co", Tasks: tasks})
+		for range tasks {
+			env.Advance(time.Second) // one completion at a time
+			for _, m := range env.Take() {
+				if res, ok := m.(*proto.TaskResult); ok && r.produced[res.Task] == nil {
+					r.produced[res.Task], r.uploaded[res.Task] = res, !d.Cut.Off
+				}
+			}
+		}
+	}
+	stagger := func(a proto.TaskAssignment, by time.Duration) proto.TaskAssignment { a.ExecTime += by; return a }
+	execute(crashTask(1, 8), stagger(crashTask(2, 64<<10), time.Millisecond), stagger(crashTask(3, proto.BlobMin), 2*time.Millisecond))
+	r.dropped[task(2, 1).Task] = true
+	s.Receive("co", &proto.TaskResultAck{Task: task(2, 1).Task})
+	r.dropped[task(3, 1).Task] = true
+	s.Receive("co", &proto.TaskCancel{Task: task(3, 1).Task})
+	execute(crashTask(4, 64<<10))
+	r.dropped[task(1, 1).Task] = true
+	s.Receive("co", &proto.TaskResultAck{Task: task(1, 1).Task})
+	s.Stop()
+	return r
+}
+
+// checkServerRecovered restarts a server over what the crash left and
+// holds it to the oracle: its synchronization offers every result it
+// recovered and resends each exactly as it was logged; what it lost is
+// absent altogether, for
+// the coordinator to have executed again; no output is left without a
+// header; and — durable — a result whose upload left before the cut
+// and that nobody acknowledged is among the recovered.
+func checkServerRecovered(t *testing.T, at string, disk node.Disk, r serverCrashRun, durable bool) {
+	t.Helper()
+	env := nodetest.NewEnv("sv", disk)
+	s := crashServer()
+	s.Start(env)
+	unacked := s.StatsNow().Unacked
+	env.Advance(time.Second)
+	var offered []proto.TaskID
+	for _, m := range env.Take() {
+		if sync, ok := m.(*proto.ServerSync); ok {
+			offered = sync.Tasks
+		}
+	}
+	if len(offered) != unacked {
+		t.Fatalf("%s: recovered %d results, the sync offers %v", at, unacked, offered)
+	}
+	s.Receive("co", &proto.ServerSyncReply{Resend: offered})
+	recovered := map[proto.TaskID]bool{}
+	for _, m := range env.Take() {
+		if res, ok := m.(*proto.TaskResult); ok {
+			if recovered[res.Task] || !reflect.DeepEqual(res, r.produced[res.Task]) {
+				t.Fatalf("%s: result %s resent twice, or with other bytes than were logged", at, res.Task)
+			}
+			recovered[res.Task] = true
+		}
+	}
+	if len(recovered) != len(offered) {
+		t.Fatalf("%s: offered %v, resent %d", at, offered, len(recovered))
+	}
+	for _, k := range disk.Keys("blob/") {
+		if _, ok := disk.Read(k[len("blob/"):]); !ok {
+			t.Fatalf("%s: output %s survived recovery without a header", at, k)
+		}
+	}
+	for id, before := range r.uploaded {
+		if before && durable && !r.dropped[id] && !recovered[id] {
+			t.Fatalf("%s: result %s was uploaded before the cut, never acknowledged, and is not recovered", at, id)
+		}
+	}
+	s.Stop()
+}
+
+// TestCrashOracle restarts the server at every operation index of the
+// scenario (nodetest.EveryCrash).
+func TestCrashOracle(t *testing.T) {
+	if r := runServerCrashScenario(nodetest.NewCrashDisk(t, "memory")); len(r.produced) != 4 {
+		t.Fatalf("uncut run produced %d results of 4", len(r.produced))
+	}
+	nodetest.EveryCrash(t, runServerCrashScenario,
+		func(at string, disk node.Disk, r serverCrashRun, onlyACut bool) {
+			checkServerRecovered(t, at, disk, r, onlyACut)
+		})
+}
+
+// A result logged whole by a build from before headers existed — a
+// 64 KiB output inline — is recovered and offered like any other.
+func TestLegacyInlineResultIsRecovered(t *testing.T) {
+	disk := nodetest.NewCrashDisk(t, "memory").Disk
+	old := &proto.TaskResult{From: "sv", Task: task(1, 1).Task, Output: makePayload(task(1, 1).Task, 64<<10), Exec: time.Second}
+	s := crashServer()
+	if err := disk.Write(s.resultKey(old.Task), proto.EncodeMessage(old)); err != nil {
+		t.Fatal(err)
+	}
+	checkServerRecovered(t, "legacy entry", disk, serverCrashRun{
+		produced: map[proto.TaskID]*proto.TaskResult{old.Task: old}, uploaded: map[proto.TaskID]bool{old.Task: true}}, true)
 }

@@ -1,31 +1,35 @@
 package rpcv
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
+	"rpcv/internal/store"
 )
 
 const largePayload = 64 << 10
 
-// largeCallGrid is a coordinator on a hand-driven env (pollround_test.go)
+// largeCallGrid is a coordinator on a hand-driven env (nodetest)
 // taking 64 KiB calls end to end. The payload slices are made once,
 // outside anything measured: on the real runtime they are what the wire
 // decoder allocated, and every call sharing them is exactly what the
 // node.Disk ownership contract allows.
 type largeCallGrid struct {
 	co             *coordinator.Coordinator
-	env            *handEnv
+	env            *nodetest.Env
 	params, output []byte
 	seq            proto.RPCSeq
 }
 
 func newLargeCallGrid() *largeCallGrid {
-	g := &largeCallGrid{env: newHandEnv("co"), params: make([]byte, largePayload), output: make([]byte, largePayload)}
+	g := &largeCallGrid{env: nodetest.NewEnv("co", store.NewMemory()), params: make([]byte, largePayload), output: make([]byte, largePayload)}
 	for i := range g.params {
 		g.params[i], g.output[i] = byte(i), byte(i>>3)
 	}
@@ -44,9 +48,9 @@ func (g *largeCallGrid) call(tb testing.TB) proto.CallID {
 	id := proto.CallID{User: "u0", Session: 1, Seq: g.seq}
 	g.co.Receive("client-u0-1", &proto.Submit{Call: id, Service: "echo", Params: g.params})
 	g.co.Receive("sv0", &proto.Heartbeat{From: "sv0", Role: proto.RoleServer, Capacity: 1, WantWork: true})
-	g.env.advance(time.Millisecond)
+	g.env.Advance(time.Millisecond)
 	var task *proto.TaskAssignment
-	for _, m := range g.env.take() {
+	for _, m := range g.env.Take() {
 		if ack, ok := m.(*proto.HeartbeatAck); ok && len(ack.Tasks) == 1 {
 			task = &ack.Tasks[0]
 		}
@@ -56,8 +60,8 @@ func (g *largeCallGrid) call(tb testing.TB) proto.CallID {
 	}
 	g.co.Receive("sv0", &proto.TaskResult{From: "sv0", Task: task.Task, Output: g.output})
 	g.co.Receive("client-u0-1", &proto.Poll{User: "u0", Session: 1, Ack: g.seq - 1})
-	g.env.advance(time.Millisecond)
-	for _, m := range g.env.take() {
+	g.env.Advance(time.Millisecond)
+	for _, m := range g.env.Take() {
 		if res, ok := m.(*proto.Results); ok {
 			if len(res.Results) != 1 || &res.Results[0].Output[0] != &g.output[0] {
 				tb.Fatalf("poll for %s returned %d results", id, len(res.Results))
@@ -98,7 +102,7 @@ func TestLargeCallPersistCost(t *testing.T) {
 		t.Fatalf("call %s not finished in the job table", last)
 	}
 	for suffix, want := range map[string][]byte{"/p": g.params, "/o": g.output} {
-		stored, ok := g.env.disk.Read("coord/blob/" + last.String() + suffix)
+		stored, ok := g.env.Disk().Read("coord/blob/" + last.String() + suffix)
 		if !ok || len(stored) != len(want) || &stored[0] != &want[0] {
 			t.Fatalf("blob %s: present %v, %d bytes, shares the caller's array %v", suffix, ok, len(stored), ok && &stored[0] == &want[0])
 		}
@@ -106,7 +110,7 @@ func TestLargeCallPersistCost(t *testing.T) {
 	if &rec.Params[0] != &g.params[0] || &rec.Output[0] != &g.output[0] {
 		t.Fatal("the job table holds copies of the payloads, not the slices the disk holds")
 	}
-	if header, ok := g.env.disk.Read("coord/job/" + last.String()); !ok || len(header) > 256 {
+	if header, ok := g.env.Disk().Read("coord/job/" + last.String()); !ok || len(header) > 256 {
 		t.Fatalf("header present %v, %d bytes: a payload is inline", ok, len(header))
 	}
 }
@@ -128,4 +132,67 @@ func BenchmarkLargeCallPersist(b *testing.B) {
 			}
 		})
 	}
+}
+
+// echoFresh makes n echo calls of largePayload bytes, one at a time
+// (two in flight and a poll racing a pushed result delivers some results
+// twice, a payload each time), each with a payload of its own — as a
+// caller that keeps no buffer does — and checks every result byte for
+// byte.
+func (g *tcpGrid) echoFresh(tb testing.TB, n int) {
+	tb.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for i := 0; i < n; i++ {
+		params := make([]byte, largePayload)
+		for j := range params {
+			params[j] = byte(i + j)
+		}
+		if out, err := g.session.Call(ctx, "echo", params); err != nil || !bytes.Equal(out, params) {
+			tb.Fatalf("echo %d: %d bytes back, %v", i, len(out), err)
+		}
+	}
+}
+
+// allocPerCall is what the whole process — client, coordinator, servers
+// and the caller — allocates for one of n fresh 64 KiB echo calls.
+func (g *tcpGrid) allocPerCall(tb testing.TB, n int) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g.echoFresh(tb, n)
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestLargeCallAllocatesOnePayloadPerHop is the end-to-end guard on
+// real loopback TCP: a 64 KiB echo call costs the payloads it cannot
+// avoid — one read per hop (client to coordinator to server and back:
+// four), echo's own copy of its input, and the caller's fresh slice —
+// and nothing payload-sized besides. Every log on the way keeps a small
+// header and the slice it was handed: when the client's submit log and
+// the server's result log each encoded the whole message this read 8.2.
+func TestLargeCallAllocatesOnePayloadPerHop(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
+	}
+	g := collectGrid(t, "", 1)
+	g.echoFresh(t, 20) // warm: connections, frame buffers, pools, maps
+	perCall := g.allocPerCall(t, 200)
+	t.Logf("a 64 KiB echo call allocates %.0f B end to end = %.2f payloads", perCall, perCall/largePayload)
+	if limit := 6.4 * largePayload; perCall > limit {
+		t.Fatalf("a 64 KiB call allocates %.0f B end to end, over %.0f (6.4 payloads): some layer copies or re-encodes the payload", perCall, limit)
+	}
+}
+
+// BenchmarkLargeCallAllocs is the guard as a figure: payloads/call, 6.0
+// being the floor (see the test).
+func BenchmarkLargeCallAllocs(b *testing.B) {
+	const perIter = 200
+	g := collectGrid(b, "", 1)
+	g.echoFresh(b, 20)
+	b.ResetTimer()
+	perCall := g.allocPerCall(b, perIter*b.N)
+	b.StopTimer()
+	b.ReportMetric(perCall/largePayload, "payloads/call")
+	b.ReportMetric(0, "ns/op") // an iteration is 200 calls; allocation is the point
 }

@@ -1,91 +1,31 @@
 package rpcv
 
 import (
-	"math/rand"
 	"runtime"
-	"slices"
-	"sort"
 	"testing"
 	"time"
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
 	"rpcv/internal/msglog"
-	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/store"
 )
-
-// handEnv is a node.Env for driving one handler by hand, with no event
-// loop and no network: the clock moves only in advance, which fires the
-// timers that fall due in deadline order, and Send is captured.
-type handEnv struct {
-	id     proto.NodeID
-	now    time.Time
-	disk   *store.Memory
-	rng    *rand.Rand
-	timers []*handTimer
-	sent   []proto.Message
-}
-
-type handTimer struct {
-	at      time.Time
-	fn      func()
-	stopped bool
-}
-
-func (t *handTimer) Stop() { t.stopped = true }
-
-func newHandEnv(id proto.NodeID) *handEnv {
-	return &handEnv{id: id, now: time.Unix(1_700_000_000, 0), disk: store.NewMemory(), rng: rand.New(rand.NewSource(1))}
-}
-
-func (e *handEnv) Self() proto.NodeID                   { return e.id }
-func (e *handEnv) Now() time.Time                       { return e.now }
-func (e *handEnv) Disk() node.Disk                      { return e.disk }
-func (e *handEnv) Rand() *rand.Rand                     { return e.rng }
-func (e *handEnv) Logf(string, ...any)                  {}
-func (e *handEnv) Send(_ proto.NodeID, m proto.Message) { e.sent = append(e.sent, m) }
-func (e *handEnv) After(d time.Duration, fn func()) node.Timer {
-	t := &handTimer{at: e.now.Add(d), fn: fn}
-	// Sorted by deadline, first armed first among equals.
-	i := sort.Search(len(e.timers), func(i int) bool { return e.timers[i].at.After(t.at) })
-	e.timers = slices.Insert(e.timers, i, t)
-	return t
-}
-
-func (e *handEnv) advance(d time.Duration) {
-	end := e.now.Add(d)
-	for len(e.timers) > 0 && !e.timers[0].at.After(end) {
-		t := e.timers[0]
-		e.timers = e.timers[1:]
-		if !t.stopped {
-			e.now = t.at
-			t.fn()
-		}
-	}
-	e.now = end
-}
-
-func (e *handEnv) take() []proto.Message {
-	out := e.sent
-	e.sent = nil
-	return out
-}
 
 // pollGrid is one client session and its coordinator on hand-driven
 // envs, with the bench's 20 ms poll period and nanosecond database.
 type pollGrid struct {
 	cli         *client.Client
 	co          *coordinator.Coordinator
-	cenv, coenv *handEnv
+	cenv, coenv *nodetest.Env
 	dec         proto.Decoder
 }
 
 const pollRoundPeriod = 20 * time.Millisecond
 
 func newPollGrid() *pollGrid {
-	g := &pollGrid{cenv: newHandEnv("client-u0-1"), coenv: newHandEnv("co")}
+	g := &pollGrid{cenv: nodetest.NewEnv("client-u0-1", store.NewMemory()), coenv: nodetest.NewEnv("co", store.NewMemory())}
 	g.co = coordinator.New(coordinator.Config{
 		Coordinators:    []proto.NodeID{"co"},
 		HeartbeatPeriod: time.Hour, HeartbeatTimeout: 24 * time.Hour,
@@ -105,18 +45,18 @@ func newPollGrid() *pollGrid {
 // the coordinator pays for decoding a Poll as it does on the real
 // runtime. toClient delivers the coordinator's replies.
 func (g *pollGrid) toCoordinator(tb testing.TB) {
-	for _, m := range g.cenv.take() {
+	for _, m := range g.cenv.Take() {
 		got, err := g.dec.DecodeMessage(proto.EncodeMessage(m))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		g.co.Receive("client-u0-1", got)
 	}
-	g.coenv.advance(time.Millisecond) // the database-cost timers
+	g.coenv.Advance(time.Millisecond) // the database-cost timers
 }
 
 func (g *pollGrid) toClient() {
-	for _, m := range g.coenv.take() {
+	for _, m := range g.coenv.Take() {
 		if _, ok := m.(*proto.HeartbeatAck); !ok {
 			g.cli.Receive("co", m)
 		}
@@ -126,7 +66,7 @@ func (g *pollGrid) toClient() {
 // round is one poll period: the client's timer fires pollNow, the
 // coordinator answers, the client takes the reply.
 func (g *pollGrid) round(tb testing.TB) {
-	g.cenv.advance(pollRoundPeriod)
+	g.cenv.Advance(pollRoundPeriod)
 	g.toCoordinator(tb)
 	g.toClient()
 }
@@ -140,8 +80,8 @@ func (g *pollGrid) submit(tb testing.TB, n int, keep func(proto.RPCSeq) bool) {
 	g.toCoordinator(tb)
 	g.toClient()
 	g.co.Receive("sv0", &proto.Heartbeat{From: "sv0", Role: proto.RoleServer, Capacity: n, WantWork: true})
-	g.coenv.advance(time.Millisecond)
-	for _, m := range g.coenv.take() {
+	g.coenv.Advance(time.Millisecond)
+	for _, m := range g.coenv.Take() {
 		ack, ok := m.(*proto.HeartbeatAck)
 		if !ok {
 			continue
@@ -152,8 +92,8 @@ func (g *pollGrid) submit(tb testing.TB, n int, keep func(proto.RPCSeq) bool) {
 			}
 		}
 	}
-	g.coenv.advance(time.Millisecond)
-	g.coenv.take() // TaskResultAcks
+	g.coenv.Advance(time.Millisecond)
+	g.coenv.Take() // TaskResultAcks
 	g.round(tb)
 }
 
