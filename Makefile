@@ -85,7 +85,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs|BenchmarkSmallCallAllocs' -benchtime 1x .
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick

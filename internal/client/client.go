@@ -40,7 +40,6 @@ package client
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"strconv"
 	"time"
 
@@ -301,8 +300,17 @@ func (c *Client) track(seq proto.RPCSeq, cl *call) {
 	c.cm.tracked.SetInt(len(c.calls))
 }
 
-// logKey is a call's key in the submission log.
-func logKey(seq proto.RPCSeq) string { return fmt.Sprintf("%020d", seq) }
+// logKey is a call's key in the submission log: seq in decimal, zero-
+// padded to 20 digits (fmt's "%020d", which a uint64 never overflows),
+// in one allocation.
+func logKey(seq proto.RPCSeq) string {
+	var key [20]byte
+	for i := len(key) - 1; i >= 0; i-- {
+		key[i] = byte('0' + seq%10)
+		seq /= 10
+	}
+	return string(key[:])
+}
 
 // release drops what only an undelivered call needs: its Submit, the
 // parameters it holds — the caller's own slice, which the log shared —

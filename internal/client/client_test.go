@@ -3,9 +3,11 @@ package client
 import (
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"rpcv/internal/msglog"
@@ -903,5 +905,27 @@ func TestDeliveredCallGivesItsParamsBack(t *testing.T) {
 	w.RunFor(time.Second)
 	if got := slices.Sorted(maps.Keys(fc.jobs)); seq != 3 || !slices.Equal(got, []proto.RPCSeq{1, 3}) {
 		t.Fatalf("after restart: next seq %d, coordinator was sent %v; want seq 3 and [1 3], call 2 not resent", seq, got)
+	}
+}
+
+// TestLogKeyIsTheFmtForm pins logKey to fmt's "%020d": the keys name
+// submission log entries a store written by an earlier build may hold,
+// and their order is the seqs' order.
+func TestLogKeyIsTheFmtForm(t *testing.T) {
+	check := func(seq uint64) bool {
+		got, want := logKey(proto.RPCSeq(seq)), fmt.Sprintf("%020d", seq)
+		if got != want {
+			t.Errorf("logKey(%d) = %q, want %q", seq, got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range []uint64{0, 1, 9, 10, math.MaxUint32, math.MaxUint64 - 1, math.MaxUint64} {
+		check(seq)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = logKey(12345) }); n > 1 {
+		t.Fatalf("logKey allocates %v times, want at most 1", n)
 	}
 }

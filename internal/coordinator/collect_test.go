@@ -37,7 +37,7 @@ func (r *persistRig) finishCalls(n int) []proto.TaskID {
 // the blobs' first, then the header's that their completions stage.
 func (r *persistRig) settle() {
 	for range 3 {
-		r.env.advance(flushBeats * r.cfg.HeartbeatPeriod)
+		r.env.Advance(flushBeats * r.cfg.HeartbeatPeriod)
 		_ = r.disk.Sync() // a barrier only: a broken disk shows in what follows
 		r.disk.drain()
 	}

@@ -305,11 +305,13 @@ type Coordinator struct {
 	waiting   map[proto.CallID]bool
 	gc        garbage
 
-	// Late replies (late.go): the standing work offers and the result
-	// subscriptions. Soft state of this incarnation, never persisted or
-	// replicated, and always empty under Config.PullOnly.
-	offers offerBook
-	subs   map[sessionKey]subscription
+	// Late replies (late.go): the standing work offers, the result
+	// subscriptions and the servers a TaskResultAck has gone to since
+	// their last HeartbeatAck. Soft state of this incarnation, never
+	// persisted or replicated, and always empty under Config.PullOnly.
+	offers      offerBook
+	subs        map[sessionKey]subscription
+	resultAcked map[proto.NodeID]bool
 
 	stopped bool
 
@@ -472,6 +474,7 @@ func (c *Coordinator) Start(env node.Env) {
 	c.unwritten = make(map[proto.CallID]jobParts)
 	c.offers = newOfferBook()
 	c.subs = make(map[sessionKey]subscription)
+	c.resultAcked = make(map[proto.NodeID]bool)
 	c.stealPending = false
 	c.dbEng = node.SerialResource{}
 	c.replPending = false
@@ -1154,7 +1157,11 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 		// What this pull leaves unused stands as the server's offer until
 		// its next pull says otherwise.
 		c.standingOffer(from, idle)
+		if c.quietPull(from, len(ack.Tasks)) {
+			return
+		}
 	}
+	c.noteHeartbeatAck(from)
 	c.afterDBCost(func() { c.env.Send(from, ack) })
 }
 
@@ -1287,6 +1294,7 @@ func (c *Coordinator) bindToServer(server proto.NodeID, call proto.CallID) {
 
 func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	c.servers.Observe(from)
+	c.noteResultAck(from) // every path below acknowledges the result
 	rec, status := c.lookup(m.Task.Call)
 	switch {
 	case status == callUnknown:

@@ -10,9 +10,10 @@ import (
 // The two tables behind late replies (see the package comment): what a
 // pull's answer left open, so that the coordinator can answer again when
 // there is something to say. The late reply is the ordinary reply — a
-// HeartbeatAck with tasks, a Results with one result.
+// HeartbeatAck with tasks, a Results with one result. A third, smaller
+// one saves a reply that would say nothing (quietPull).
 //
-// Both tables are soft state. They are never persisted or replicated,
+// The tables are soft state. They are never persisted or replicated,
 // they are gone with the incarnation, the peer's next pull replaces its
 // entry, and an entry older than HeartbeatTimeout — the coordinator's
 // one notion of silence — is dead. Nothing here arms a timer: the
@@ -108,6 +109,40 @@ func (c *Coordinator) subscribe(from proto.NodeID, m *proto.Poll) {
 	c.subs[sessionKey{m.User, m.Session}] = subscription{to: from, at: c.env.Now()}
 }
 
+// quietPull reports whether a server's pull that was assigned nothing
+// goes unanswered. A server asks for work again right behind each
+// result (server.pullMoreWork), and under late replies that pull gets
+// no empty HeartbeatAck when a TaskResultAck has gone to the server
+// since its last HeartbeatAck: the empty ack would say nothing the
+// server is missing. The TaskResultAck already told it the coordinator
+// is alive, the pull's offer stands either way — work queued later is
+// pushed — and the coordinator list rides the ack to its next periodic
+// beat and every push. One TaskResultAck stands in for one ack: the
+// pull after the quiet one is answered, or an idle server would hear
+// nothing until it suspected the coordinator. Under PullOnly every
+// pull is answered, as the paper's servers expect (resultAcked stays
+// empty).
+func (c *Coordinator) quietPull(server proto.NodeID, assigned int) bool {
+	if assigned > 0 || !c.resultAcked[server] {
+		return false
+	}
+	delete(c.resultAcked, server)
+	return true
+}
+
+// The acks are noted where the reply is decided, which is also the
+// order in which they leave: replies wait out the database cost in turn.
+
+// noteResultAck records that a TaskResultAck goes to server.
+func (c *Coordinator) noteResultAck(server proto.NodeID) {
+	if !c.cfg.PullOnly {
+		c.resultAcked[server] = true
+	}
+}
+
+// noteHeartbeatAck records that a HeartbeatAck goes to server.
+func (c *Coordinator) noteHeartbeatAck(server proto.NodeID) { delete(c.resultAcked, server) }
+
 // dispatch answers standing offers with the jobs now queued: for each
 // live offer, longest idle first, the assignment its server's pull
 // would get, capped like a pull's by MaxTasksPerAck. One pass: a server
@@ -137,6 +172,7 @@ func (c *Coordinator) dispatch() {
 		c.pushedTasks += len(tasks)
 		c.cm.assignedPush.Add(uint64(len(tasks)))
 		ack := &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}
+		c.noteHeartbeatAck(server)
 		c.afterDBCost(func() { c.env.Send(server, ack) })
 	}
 	c.noteIdleSlots()

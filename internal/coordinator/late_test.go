@@ -273,6 +273,63 @@ func TestSyncThatRunsNothingIsAnOffer(t *testing.T) {
 	}
 }
 
+// TestPullBehindAResultGoesUnanswered (quietPull): the pull a server
+// sends right behind its result, with nothing to assign, gets no empty
+// HeartbeatAck — the TaskResultAck says all it would — and its offer
+// stands. The pull after it is answered, and so is a pull behind a
+// result that is assigned work, and every pull under PullOnly.
+func TestPullBehindAResultGoesUnanswered(t *testing.T) {
+	for _, pullOnly := range []bool{false, true} {
+		w, co, a, _ := rig2(t, Config{PullOnly: pullOnly})
+		// finish sends sva's result for task and pulls behind it, as
+		// server.finishTask does; it returns what sva received.
+		finish := func(task proto.TaskID) (resultAcks int, hbAcks []*proto.HeartbeatAck) {
+			a.env.Send("co", &proto.TaskResult{From: "sva", Task: task, Output: []byte("r")})
+			beat(a, 1)
+			w.RunFor(time.Second)
+			for _, m := range a.inbox {
+				if _, ok := m.(*proto.TaskResultAck); ok {
+					resultAcks++
+				}
+			}
+			return resultAcks, acks(a)
+		}
+
+		a.env.Send("co", submit(1))
+		a.env.Send("co", submit(2))
+		w.RunFor(time.Second)
+		beat(a, 1)
+		w.RunFor(time.Second)
+		first := lastAck(t, a).Tasks[0].Task
+		acks(a)
+		// Behind the result for 1, the pull is assigned 2: answered.
+		n, got := finish(first)
+		if n != 1 || len(got) != 1 || len(got[0].Tasks) != 1 {
+			t.Fatalf("PullOnly %v: %d TaskResultAcks and %d HeartbeatAcks behind a result with work queued, want one of each", pullOnly, n, len(got))
+		}
+		// Behind the result for 2 nothing is queued: the pull goes
+		// unanswered and stands as an offer, unless pull-only.
+		wantAcks, wantSlots := 0, 1
+		if pullOnly {
+			wantAcks, wantSlots = 1, 0
+		}
+		if n, got := finish(got[0].Tasks[0].Task); n != 1 || len(got) != wantAcks {
+			t.Fatalf("PullOnly %v: %d TaskResultAcks and %d HeartbeatAcks behind a result with nothing queued, want 1 and %d", pullOnly, n, len(got), wantAcks)
+		}
+		if idleSlots(co) != wantSlots {
+			t.Fatalf("PullOnly %v: %d idle slots after the pull, want %d", pullOnly, idleSlots(co), wantSlots)
+		}
+		// The next pull is answered: an idle server keeps hearing from us.
+		for i := 0; i < 2; i++ {
+			beat(a, 1)
+			w.RunFor(time.Second)
+			if got := acks(a); len(got) != 1 {
+				t.Fatalf("PullOnly %v: periodic pull %d answered with %d acks, want 1", pullOnly, i+1, len(got))
+			}
+		}
+	}
+}
+
 func TestOffersAndSubscriptionsDieWithTheIncarnation(t *testing.T) {
 	w, co, a, b := rig2(t, Config{})
 	beat(a, 2)

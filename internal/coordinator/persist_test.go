@@ -7,64 +7,17 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rpcv/internal/db"
-	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/store"
 )
-
-// handEnv is a node.Env for driving the coordinator by hand over a real
-// store engine: the clock moves only in advance, which fires due timers
-// in deadline order; Send and Logf are captured.
-type handEnv struct {
-	now    time.Time
-	disk   node.Disk
-	rng    *rand.Rand
-	timers []*handTimer
-	sent   []proto.Message
-	logs   []string
-}
-
-type handTimer struct {
-	at      time.Time
-	fn      func()
-	stopped bool
-}
-
-func (t *handTimer) Stop() { t.stopped = true }
-
-func (e *handEnv) Self() proto.NodeID                   { return "co" }
-func (e *handEnv) Now() time.Time                       { return e.now }
-func (e *handEnv) Disk() node.Disk                      { return e.disk }
-func (e *handEnv) Rand() *rand.Rand                     { return e.rng }
-func (e *handEnv) Logf(f string, a ...any)              { e.logs = append(e.logs, fmt.Sprintf(f, a...)) }
-func (e *handEnv) Send(_ proto.NodeID, m proto.Message) { e.sent = append(e.sent, m) }
-func (e *handEnv) After(d time.Duration, fn func()) node.Timer {
-	t := &handTimer{at: e.now.Add(d), fn: fn}
-	i := sort.Search(len(e.timers), func(i int) bool { return e.timers[i].at.After(t.at) })
-	e.timers = slices.Insert(e.timers, i, t)
-	return t
-}
-
-func (e *handEnv) advance(d time.Duration) {
-	end := e.now.Add(d)
-	for len(e.timers) > 0 && !e.timers[0].at.After(end) {
-		t := e.timers[0]
-		e.timers = e.timers[1:]
-		if !t.stopped {
-			e.now = t.at
-			t.fn()
-		}
-	}
-	e.now = end
-}
 
 // loopedStore stands in for rt's loopDisk: a group-commit engine runs
 // the completions of its staged calls on its committer goroutine, and
@@ -119,7 +72,7 @@ func (l *loopedStore) drain() {
 type persistRig struct {
 	t    *testing.T
 	cfg  Config
-	env  *handEnv
+	env  *nodetest.Env
 	co   *Coordinator
 	disk *loopedStore
 	open func() store.Store // opens (or reopens) the engine
@@ -133,7 +86,7 @@ func newPersistRig(t *testing.T, engine string, cfg Config, wrap func(store.Stor
 	cfg.Coordinators = []proto.NodeID{"co"}
 	cfg.DBCost = db.CostModel{PerOp: time.Nanosecond}
 	cfg.HeartbeatPeriod, cfg.HeartbeatTimeout = 100*time.Millisecond, 24*time.Hour
-	r := &persistRig{t: t, cfg: cfg, env: &handEnv{now: time.Unix(1_700_000_000, 0), rng: rand.New(rand.NewSource(1))}}
+	r := &persistRig{t: t, cfg: cfg, env: nodetest.NewEnv("co", nil)}
 	switch engine {
 	case "memory":
 		mem := store.NewMemory()
@@ -161,7 +114,7 @@ func newPersistRig(t *testing.T, engine string, cfg Config, wrap func(store.Stor
 
 func (r *persistRig) start() {
 	r.disk = &loopedStore{Store: r.open()}
-	r.env.disk, r.env.timers, r.env.sent = r.disk, nil, nil
+	r.env.Reboot(r.disk)
 	r.co = New(r.cfg)
 	r.co.Start(r.env)
 }
@@ -182,10 +135,8 @@ func (r *persistRig) restart() {
 func (r *persistRig) deliver(from proto.NodeID, msg proto.Message) []proto.Message {
 	r.co.Receive(from, msg)
 	r.disk.drain()
-	r.env.advance(time.Millisecond)
-	out := r.env.sent
-	r.env.sent = nil
-	return out
+	r.env.Advance(time.Millisecond)
+	return r.env.Take()
 }
 
 // table returns the job table as a whole-record store would reload it:
@@ -407,9 +358,9 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 		case 0: // a clean stop: what is staged gets flushed
 		case 1: // the power goes a few operations into the flush
 			cut.left = rng.Intn(5)
-			r.env.advance(flushBeats * r.cfg.HeartbeatPeriod)
+			r.env.Advance(flushBeats * r.cfg.HeartbeatPeriod)
 		case 2: // the flush is staged, its completions never run
-			r.env.advance(flushBeats * r.cfg.HeartbeatPeriod)
+			r.env.Advance(flushBeats * r.cfg.HeartbeatPeriod)
 		case 3: // one delete of the flush fails
 			plan.TornWrites(2 + rng.Intn(3)) // past the session's watermark, the flush's first write
 			r.settle()
@@ -476,7 +427,7 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 		if n := r.co.DB().Len(); n != left {
 			t.Fatalf("restart %d: %d records after the first poll, the oracle holds %d above the watermark or unfinished", restarts, n, left)
 		}
-		for _, line := range r.env.logs {
+		for _, line := range r.env.Logs() {
 			if strings.Contains(line, "corrupt") || strings.Contains(line, "persist job") {
 				t.Fatalf("restart %d: %s", restarts, line)
 			}
@@ -517,7 +468,7 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 			}
 			r.deliver(o.server, res)
 		case op < 84: // requeue: the server reports holding nothing, past the grace period
-			r.env.advance(time.Second)
+			r.env.Advance(time.Second)
 			sv := servers[rng.Intn(len(servers))]
 			r.deliver(sv, &proto.ServerSync{From: sv})
 		case op < 94: // replica update: new and known calls, any state, params carried or withheld
@@ -538,15 +489,14 @@ func runPersistProperty(t *testing.T, engine string, seed int64) {
 			check()
 		case op < 100: // a replication round to the successor a replica update introduced, acknowledged
 			r.co.ReplicateNow()
-			r.env.advance(time.Millisecond)
-			for _, m := range r.env.sent {
+			r.env.Advance(time.Millisecond)
+			for _, m := range r.env.Take() {
 				if up, ok := m.(*proto.ReplicaUpdate); ok {
 					before := r.co.StatsNow().Collected
 					r.deliver("co2", &proto.ReplicaAck{From: "co2", Epoch: up.Epoch, Round: up.Round})
 					collected += r.co.StatsNow().Collected - before // what waited for this ack
 				}
 			}
-			r.env.sent = nil
 		default:
 			poll()
 		}
@@ -613,7 +563,7 @@ func TestPreSplitRecordsRecoverAndAreRewrittenSplit(t *testing.T) {
 				t.Fatalf("%s, boot %d: poll answered %v", engine, boot, sent)
 			}
 		}
-		for _, line := range r.env.logs {
+		for _, line := range r.env.Logs() {
 			if strings.Contains(line, "corrupt") {
 				t.Fatal(line)
 			}
@@ -623,7 +573,7 @@ func TestPreSplitRecordsRecoverAndAreRewrittenSplit(t *testing.T) {
 
 // submitBig pushes one 64 KiB call through submit and returns it.
 func (r *persistRig) submitBig(seq int) *proto.Submit {
-	sub := &proto.Submit{Call: call(seq), Service: "echo", Params: payload(r.env.rng, 64<<10), ExecTime: time.Second}
+	sub := &proto.Submit{Call: call(seq), Service: "echo", Params: payload(r.env.Rand(), 64<<10), ExecTime: time.Second}
 	r.deliver("cl", sub)
 	return sub
 }
@@ -659,10 +609,10 @@ func TestTornBlobIsSkippedAndTheCallCompletesAfterResync(t *testing.T) {
 	if rec, ok := r.co.DB().Peek(intact.Call); !ok || !bytes.Equal(rec.Params, intact.Params) {
 		t.Fatal("the intact neighbour was not recovered")
 	}
-	if !slices.ContainsFunc(r.env.logs, func(l string) bool {
+	if !slices.ContainsFunc(r.env.Logs(), func(l string) bool {
 		return strings.Contains(l, "corrupt job record") && strings.Contains(l, torn.Call.String())
 	}) {
-		t.Fatalf("the skip was not logged: %q", r.env.logs)
+		t.Fatalf("the skip was not logged: %q", r.env.Logs())
 	}
 
 	// The client's resync: the reply does not know seq 2, so it resends.
@@ -734,7 +684,7 @@ func TestOrphanBlobsAreIgnored(t *testing.T) {
 	r := newPersistRig(t, "wal", Config{}, nil)
 	sub := r.submitBig(1)
 	r.deliver("sv0", &proto.Heartbeat{From: "sv0", Role: proto.RoleServer, Capacity: 1, WantWork: true})
-	orphan := payload(r.env.rng, 64<<10)
+	orphan := payload(r.env.Rand(), 64<<10)
 	for _, key := range []string{
 		blobPrefix + sub.Call.String() + "/o",    // landed; its header did not
 		blobPrefix + call(7).String() + "/p",     // no header at all
@@ -753,7 +703,7 @@ func TestOrphanBlobsAreIgnored(t *testing.T) {
 	if rec.State != proto.TaskPending || rec.Output != nil || !bytes.Equal(rec.Params, sub.Params) {
 		t.Fatalf("recovered %s, want the pending call without an output", brief(rec))
 	}
-	for _, line := range r.env.logs {
+	for _, line := range r.env.Logs() {
 		if strings.Contains(line, "corrupt") {
 			t.Fatal(line)
 		}
@@ -774,7 +724,7 @@ func TestLargeCallWritesEachPayloadOnce(t *testing.T) {
 			task = ack.Tasks[0]
 		}
 	}
-	out := payload(r.env.rng, 64<<10)
+	out := payload(r.env.Rand(), 64<<10)
 	r.deliver("sv0", &proto.TaskResult{From: "sv0", Task: task.Task, Output: out})
 
 	id := sub.Call.String()

@@ -17,11 +17,13 @@ import (
 )
 
 // Env is a node.Env whose clock moves only in Advance, which fires the
-// timers that fall due in deadline order; Send is captured for Take.
+// timers that fall due in deadline order; Send is captured for Take and
+// Logf for Logs.
 type Env struct {
 	id     proto.NodeID
 	disk   node.Disk
 	sent   []proto.Message
+	logs   []string
 	now    time.Time
 	rng    *rand.Rand
 	timers []*timer
@@ -46,7 +48,7 @@ func (e *Env) Self() proto.NodeID                   { return e.id }
 func (e *Env) Now() time.Time                       { return e.now }
 func (e *Env) Disk() node.Disk                      { return e.disk }
 func (e *Env) Rand() *rand.Rand                     { return e.rng }
-func (e *Env) Logf(string, ...any)                  {}
+func (e *Env) Logf(f string, a ...any)              { e.logs = append(e.logs, fmt.Sprintf(f, a...)) }
 func (e *Env) Send(_ proto.NodeID, m proto.Message) { e.sent = append(e.sent, m) }
 func (e *Env) After(d time.Duration, fn func()) node.Timer {
 	t := &timer{at: e.now.Add(d), fn: fn}
@@ -75,6 +77,16 @@ func (e *Env) Take() []proto.Message {
 	out := e.sent
 	e.sent = nil
 	return out
+}
+
+// Logs returns every line logged so far, across Reboots.
+func (e *Env) Logs() []string { return e.logs }
+
+// Reboot starts the node's next incarnation over disk: the timers and
+// the unsent messages of the last one die with it, while the clock, the
+// random stream and the log lines go on.
+func (e *Env) Reboot(disk node.Disk) {
+	e.disk, e.timers, e.sent = disk, nil, nil
 }
 
 // PowerCut is a store that loses power after Left more writes and

@@ -10,7 +10,11 @@
 // using these IDs alone.
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // NodeID identifies a component (client, coordinator or server) in the
 // system. IDs are stable across crashes and restarts of the component:
@@ -66,9 +70,54 @@ type CallID struct {
 	Seq     RPCSeq
 }
 
-// String renders the call ID as user/session/seq.
+// String renders the call ID as user/session/seq. It names records on
+// disk (coord/job/<call>), so its bytes are fixed: those of
+// fmt.Sprintf("%s/%d/%d", ...), built in one allocation.
 func (c CallID) String() string {
-	return fmt.Sprintf("%s/%d/%d", c.User, c.Session, c.Seq)
+	var sb strings.Builder
+	sb.Grow(c.len())
+	c.writeTo(&sb, '/')
+	return sb.String()
+}
+
+// len is the length of c.String().
+func (c CallID) len() int {
+	return len(c.User) + 2 + uintLen(uint64(c.Session)) + uintLen(uint64(c.Seq))
+}
+
+// writeTo appends user/session/seq to sb, with sep for every slash,
+// those inside the user included.
+func (c CallID) writeTo(sb *strings.Builder, sep byte) {
+	if sep == '/' {
+		sb.WriteString(string(c.User))
+	} else {
+		for i := 0; i < len(c.User); i++ {
+			if b := c.User[i]; b == '/' {
+				sb.WriteByte(sep)
+			} else {
+				sb.WriteByte(b)
+			}
+		}
+	}
+	sb.WriteByte(sep)
+	writeUint(sb, uint64(c.Session))
+	sb.WriteByte(sep)
+	writeUint(sb, uint64(c.Seq))
+}
+
+// writeUint appends v in decimal without allocating.
+func writeUint(sb *strings.Builder, v uint64) {
+	var digits [20]byte // math.MaxUint64 has 20
+	sb.Write(strconv.AppendUint(digits[:0], v, 10))
+}
+
+// uintLen is the number of decimal digits of v.
+func uintLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // Less orders call IDs lexicographically by (user, session, seq). The
@@ -94,7 +143,19 @@ type TaskID struct {
 	Instance uint32
 }
 
-// String renders the task ID as call#instance.
-func (t TaskID) String() string {
-	return fmt.Sprintf("%s#%d", t.Call, t.Instance)
+// String renders the task ID as call#instance, in one allocation.
+func (t TaskID) String() string { return t.Key("", '/') }
+
+// Key is prefix followed by the task ID, every '/' of the ID — those
+// of the user included — written as sep: with sep '/' it is prefix +
+// t.String(), with '_' it is prefix + strings.ReplaceAll(t.String(),
+// "/", "_"), a key with no slash below prefix. One allocation.
+func (t TaskID) Key(prefix string, sep byte) string {
+	var sb strings.Builder
+	sb.Grow(len(prefix) + t.Call.len() + 1 + uintLen(uint64(t.Instance)))
+	sb.WriteString(prefix)
+	t.Call.writeTo(&sb, sep)
+	sb.WriteByte('#')
+	writeUint(&sb, uint64(t.Instance))
+	return sb.String()
 }

@@ -1,6 +1,9 @@
 package proto
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +62,48 @@ func TestStringFormats(t *testing.T) {
 	if TaskPending.String() != "pending" || TaskOngoing.String() != "ongoing" ||
 		TaskFinished.String() != "finished" {
 		t.Error("task state names wrong")
+	}
+}
+
+// TestIDKeysAreTheFmtForms pins CallID.String, TaskID.String and
+// TaskID.Key to the fmt.Sprintf forms they replaced: they name records
+// a store written by an earlier build already holds. Random IDs, then
+// users with slashes, zero values and the largest numbers.
+func TestIDKeysAreTheFmtForms(t *testing.T) {
+	check := func(user string, session, seq uint64, instance uint32) bool {
+		c := CallID{User: UserID(user), Session: SessionID(session), Seq: RPCSeq(seq)}
+		tk := TaskID{Call: c, Instance: instance}
+		call := fmt.Sprintf("%s/%d/%d", c.User, c.Session, c.Seq)
+		task := fmt.Sprintf("%s#%d", call, tk.Instance)
+		for _, got := range [][2]string{
+			{c.String(), call},
+			{tk.String(), task},
+			{tk.Key("", '/'), task},
+			{tk.Key("server/result/", '_'), "server/result/" + strings.ReplaceAll(task, "/", "_")},
+		} {
+			if got[0] != got[1] {
+				t.Errorf("%q, want %q", got[0], got[1])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"", "/", "a/b", "/lead", "trail/", "u//v", "ü/ñ"} {
+		for _, n := range []uint64{0, 1, 9, 10, math.MaxUint32, math.MaxUint64} {
+			if !check(user, n, math.MaxUint64-n, uint32(n)) || !check(user, 0, n, math.MaxUint32) {
+				t.Fatalf("user %q, n %d", user, n)
+			}
+		}
+	}
+	tk := TaskID{Call: CallID{User: "u0", Session: 1 << 40, Seq: 12345}, Instance: 2}
+	if n := testing.AllocsPerRun(100, func() { _ = tk.Key("server/result/", '_') }); n > 1 {
+		t.Fatalf("TaskID.Key allocates %v times, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tk.Call.String() }); n > 1 {
+		t.Fatalf("CallID.String allocates %v times, want at most 1", n)
 	}
 }
 

@@ -12,7 +12,11 @@ package rt
 //
 //   - mailbox: a bounded channel fed by external producers — transport
 //     delivery, Do/DoOn/Ping, admin scrapes. External producers may
-//     block briefly when a loop falls behind (backpressure).
+//     block briefly when a loop falls behind (backpressure). Its entries
+//     are typed (mail): a received envelope travels as its sender and
+//     message, not as a closure over them, so delivering a message
+//     allocates nothing; a function to run travels as itself. The
+//     channel holds mailboxBytes of entries, not a count of them.
 //   - ring: an unbounded lock-free MPSC handoff ring (Vyukov intrusive
 //     queue) + a 1-buffered wake doorbell, fed by producers that must
 //     NEVER block: the store committer completing per-loop WriteAsync
@@ -36,9 +40,29 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rpcv/internal/node"
+	"rpcv/internal/proto"
 	"rpcv/internal/store"
+)
+
+// mail is one mailbox entry: a received envelope (msg and its sender)
+// for the handler's Receive, or, with msg nil, a function to run.
+type mail struct {
+	from proto.NodeID
+	msg  proto.Message
+	fn   func()
+}
+
+// mailboxBytes is the size of each loop's mailbox buffer: what 1 024
+// closures took when an entry was one. A process may host several
+// runtimes (a test grid, the benchmark's), each with a buffer per loop
+// for its whole life, so a wider entry buys fewer slots rather than
+// more memory; a full mailbox only makes the connection readers wait.
+const (
+	mailboxBytes = 1024 * 8
+	mailboxSlots = mailboxBytes / int(unsafe.Sizeof(mail{}))
 )
 
 // loop is one per-core event loop.
@@ -47,7 +71,7 @@ type loop struct {
 	r       *Runtime
 	handler node.Handler
 
-	mailbox chan func()
+	mailbox chan mail
 	ring    mpscRing
 	wake    chan struct{} // 1-buffered doorbell for the ring
 
@@ -103,9 +127,8 @@ func (l *loop) run() {
 			armed = false
 		}
 		select {
-		case fn := <-l.mailbox:
-			l.tasks.Add(1)
-			fn()
+		case m := <-l.mailbox:
+			l.handle(m)
 		case <-l.wake:
 			l.drainRing()
 		case <-timerC:
@@ -116,6 +139,16 @@ func (l *loop) run() {
 			return
 		}
 	}
+}
+
+// handle executes one mailbox entry.
+func (l *loop) handle(m mail) {
+	l.tasks.Add(1)
+	if m.msg != nil {
+		l.handler.Receive(m.from, m.msg)
+		return
+	}
+	m.fn()
 }
 
 // drainRing executes everything currently on the handoff ring.
@@ -135,9 +168,8 @@ func (l *loop) drainRing() {
 func (l *loop) drainPending() {
 	for {
 		select {
-		case fn := <-l.mailbox:
-			l.tasks.Add(1)
-			fn()
+		case m := <-l.mailbox:
+			l.handle(m)
 		default:
 			l.drainRing()
 			return

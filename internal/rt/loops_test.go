@@ -308,7 +308,7 @@ func TestPingLoopReportsStalledLoop(t *testing.T) {
 	// probe fails at the accept phase, not the execute phase.
 	for {
 		select {
-		case ra.loops[1].mailbox <- func() {}:
+		case ra.loops[1].mailbox <- mail{fn: func() {}}:
 			continue
 		default:
 		}

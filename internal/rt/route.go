@@ -142,10 +142,11 @@ func (r *Runtime) deliver(from proto.NodeID, msg proto.Message) {
 	r.loops[0].receive(base, msg)
 }
 
-// receive schedules the handler's Receive on this loop.
+// receive schedules the handler's Receive on this loop, as a mailbox
+// entry holding the envelope itself.
 func (l *loop) receive(from proto.NodeID, msg proto.Message) {
 	select {
-	case l.mailbox <- func() { l.handler.Receive(from, msg) }:
+	case l.mailbox <- mail{from: from, msg: msg}:
 	case <-l.r.quit:
 	}
 }

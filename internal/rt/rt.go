@@ -25,6 +25,14 @@
 // handler keeps the no-locking discipline it has under the simulator —
 // per loop. See loop.go and route.go. Loops=1 reproduces the
 // single-loop runtime exactly, including its wire bytes.
+//
+// Moving a message costs nothing of its own beyond the decode: a
+// received envelope reaches its loop as a typed mailbox entry — its
+// sender and message, not a closure over them — a DoOn caller waits on
+// a pooled signal, each sender swaps two queue arrays instead of
+// growing a fresh one per batch, and over the memory store a staged
+// write is simply the synchronous one. What a call allocates is what it
+// keeps and what its messages carry.
 package rt
 
 import (
@@ -269,7 +277,7 @@ func Start(cfg Config) (*Runtime, error) {
 			idx:     i,
 			r:       r,
 			handler: handlers[i],
-			mailbox: make(chan func(), 1024),
+			mailbox: make(chan mail, mailboxSlots),
 			wake:    make(chan struct{}, 1),
 			rng:     rand.New(rand.NewSource(seed + int64(i)*0x9E3779B9)),
 		}
@@ -277,7 +285,8 @@ func Start(cfg Config) (*Runtime, error) {
 		if laner != nil && nloops > 1 {
 			l.store = laner.Lane()
 		}
-		l.disk = &loopDisk{l: l}
+		_, inline := l.store.(*store.Memory)
+		l.disk = &loopDisk{l: l, inline: inline}
 		l.env = &rtEnv{l: l}
 		r.loops[i] = l
 	}
@@ -291,7 +300,7 @@ func Start(cfg Config) (*Runtime, error) {
 	// the sends cannot block.
 	for _, l := range r.loops {
 		l := l
-		l.mailbox <- func() { l.handler.Start(l.env) }
+		l.mailbox <- mail{fn: func() { l.handler.Start(l.env) }}
 	}
 
 	if cfg.ListenAddr != "" {
@@ -327,7 +336,9 @@ func (r *Runtime) registerObs() {
 	nl := obs.L("node", string(r.cfg.ID))
 	reg.CounterFunc("rpcv_transport_sent_total", r.stats.sent.Load, nl)
 	reg.CounterFunc("rpcv_transport_flushes_total", r.stats.flushes.Load, nl)
-	reg.CounterFunc("rpcv_transport_dropped_total", r.stats.dropped.Load, nl)
+	for why, name := range dropReasonNames {
+		reg.CounterFunc("rpcv_transport_dropped_total", r.stats.dropped[why].Load, nl, obs.L("reason", name))
+	}
 	reg.CounterFunc("rpcv_transport_redials_total", r.stats.redials.Load, nl)
 	reg.CounterFunc("rpcv_transport_sheds_total", r.stats.sheds.Load, nl)
 	reg.GaugeFunc("rpcv_transport_inbound_conns", func() float64 { return float64(r.inbound.Load()) }, nl)
@@ -392,14 +403,34 @@ func (r *Runtime) Do(fn func()) { r.DoOn(0, fn) }
 
 // DoOn runs fn on loop i's event loop and returns once it executed.
 func (r *Runtime) DoOn(i int, fn func()) {
-	l := r.loops[i]
-	done := make(chan struct{})
+	w := waiters.Get().(*waiter)
+	w.fn = fn
 	select {
-	case l.mailbox <- func() { fn(); close(done) }:
-		<-done
+	case r.loops[i].mailbox <- mail{fn: w.run}:
+		<-w.done
 	case <-r.quit:
 	}
+	w.fn = nil
+	waiters.Put(w)
 }
+
+// waiter is what DoOn hands a loop and waits on: the loop runs fn, then
+// signals done. Waiters are pooled with run bound once, so a DoOn
+// allocates neither a closure nor a channel.
+type waiter struct {
+	fn   func()
+	run  func()
+	done chan struct{}
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{done: make(chan struct{}, 1)}
+	w.run = func() {
+		w.fn()
+		w.done <- struct{}{}
+	}
+	return w
+}}
 
 // Ping proves loop 0 is live; see PingLoop.
 func (r *Runtime) Ping(d time.Duration) error { return r.PingLoop(0, d) }
@@ -416,7 +447,7 @@ func (r *Runtime) PingLoop(i int, d time.Duration) error {
 	defer timer.Stop()
 	done := make(chan struct{})
 	select {
-	case l.mailbox <- func() { close(done) }:
+	case l.mailbox <- mail{fn: func() { close(done) }}:
 	case <-timer.C:
 		return fmt.Errorf("event loop %d did not accept work within %v (mailbox full)", i, d)
 	case <-r.quit:
@@ -438,7 +469,7 @@ func (r *Runtime) DoAsync(fn func()) { r.DoAsyncOn(0, fn) }
 // DoAsyncOn schedules fn on loop i without waiting.
 func (r *Runtime) DoAsyncOn(i int, fn func()) {
 	select {
-	case r.loops[i].mailbox <- fn:
+	case r.loops[i].mailbox <- mail{fn: fn}:
 	case <-r.quit:
 	}
 }
@@ -740,7 +771,13 @@ func (e *rtEnv) Offload(work, done func()) {
 // loop's lock-free handoff ring, never its bounded mailbox: a
 // committer blocked on a full mailbox would deadlock any loop waiting
 // inside a synchronous Write of the same batch.
-type loopDisk struct{ l *loop }
+type loopDisk struct {
+	l *loop
+	// inline: the store is the memory store, whose staged calls are its
+	// synchronous ones followed by the callback. They are made here as
+	// exactly that, with nothing to marshal and nothing to allocate.
+	inline bool
+}
 
 var _ node.BatchDisk = (*loopDisk)(nil)
 
@@ -764,6 +801,10 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		d.l.store.WriteAsync(key, value, nil)
 		return
 	}
+	if d.inline {
+		done(d.Write(key, value))
+		return
+	}
 	if h := d.l.r.obsWrite; h != nil {
 		// Completion time includes group-commit queueing: the latency a
 		// handler actually waits for durability, which is the number
@@ -783,14 +824,19 @@ func (d *loopDisk) DeleteAsync(key string, done func(error)) {
 		d.l.store.DeleteAsync(key, nil)
 		return
 	}
+	if d.inline {
+		done(d.l.store.Delete(key))
+		return
+	}
 	d.onLoop(done, func(fromStore func(error)) { d.l.store.DeleteAsync(key, fromStore) })
 }
 
 // onLoop stages one operation whose completion the store may report
 // from any goroutine, and sees that done runs on the owning loop.
 //
-// A store without real batching (memory) completes synchronously,
-// invoking the callback on this goroutine — the owning event loop.
+// A store without real batching (memory behind a wrapper, which hides
+// it from the inline path) completes synchronously, invoking the
+// callback on this goroutine — the owning event loop.
 // Routing that through the handoff ring would defer it behind unrelated
 // work; detect completion-before-return and invoke done inline (still
 // on the owning loop). Only callbacks arriving later — from a committer

@@ -49,8 +49,10 @@ type TransportStats struct {
 	// Flushes counts connection writes that carried at least one
 	// envelope; Sent/Flushes is the achieved coalescing factor.
 	Flushes uint64
-	// Dropped counts envelopes lost locally: queue overflow, dial
-	// failure, or a connection that broke mid-batch.
+	// Dropped counts envelopes lost locally, whatever the reason (the
+	// sum of rpcv_transport_dropped_total's series): queue overflow, an
+	// unreachable peer, a connection that broke mid-batch, a frame over
+	// the cap.
 	Dropped uint64
 	// Redials counts dial attempts after a sender's first.
 	Redials uint64
@@ -59,17 +61,37 @@ type TransportStats struct {
 	Sheds uint64
 }
 
+// dropReason says why the transport lost an envelope locally.
+type dropReason int
+
+const (
+	dropOverflow    dropReason = iota // the peer's send queue was full: its oldest envelope went
+	dropUnreachable                   // no address at flush time, or the dial failed
+	dropBroken                        // the connection broke under the batch
+	dropOversize                      // the frame is over proto.MaxFrame
+	numDropReasons
+)
+
+var dropReasonNames = [numDropReasons]string{"overflow", "unreachable", "broken", "oversize"}
+
 // transportCounters is the atomic backing store of TransportStats.
 type transportCounters struct {
-	sent, flushes, dropped, redials, sheds atomic.Uint64
+	sent, flushes, redials, sheds atomic.Uint64
+	dropped                       [numDropReasons]atomic.Uint64
 }
+
+func (c *transportCounters) drop(why dropReason, n int) { c.dropped[why].Add(uint64(n)) }
 
 // TransportStats returns the current transport counters.
 func (r *Runtime) TransportStats() TransportStats {
+	var dropped uint64
+	for i := range r.stats.dropped {
+		dropped += r.stats.dropped[i].Load()
+	}
 	return TransportStats{
 		Sent:    r.stats.sent.Load(),
 		Flushes: r.stats.flushes.Load(),
-		Dropped: r.stats.dropped.Load(),
+		Dropped: dropped,
 		Redials: r.stats.redials.Load(),
 		Sheds:   r.stats.sheds.Load(),
 	}
@@ -84,12 +106,18 @@ type outMsg struct {
 }
 
 // sender owns the pooled connection to one peer.
+//
+// It keeps two queue arrays and swaps them: enqueue appends to queue,
+// drain hands queue to the flush and makes spare the new queue, and the
+// flushed batch, cleared, becomes spare again. Once both have grown to
+// the peer's usual batch, queuing allocates nothing.
 type sender struct {
 	rt *Runtime
 	to proto.NodeID
 
 	mu      sync.Mutex
 	queue   []outMsg
+	spare   []outMsg // nil while drain's batch is out
 	retired bool
 
 	wake chan struct{} // 1-buffered doorbell
@@ -124,7 +152,7 @@ func (s *sender) enqueue(msg outMsg) {
 		if len(s.queue) >= s.rt.cfg.QueueDepth {
 			copy(s.queue, s.queue[1:])
 			s.queue = s.queue[:len(s.queue)-1]
-			s.rt.stats.dropped.Add(1)
+			s.rt.stats.drop(dropOverflow, 1)
 		}
 		s.queue = append(s.queue, msg)
 		s.mu.Unlock()
@@ -136,12 +164,23 @@ func (s *sender) enqueue(msg outMsg) {
 	}
 }
 
-// drain takes the whole queue: one coalesced batch.
-func (s *sender) drain() []outMsg {
+// drain takes the whole queue: one coalesced batch. It takes back the
+// batch drained before, done with — nil the first time — as the spare
+// array, cleared so that it holds on to no message. An empty queue is
+// left where it is: a swap would hand the spare to a batch that never
+// comes back.
+func (s *sender) drain(flushed []outMsg) []outMsg {
+	clear(flushed)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if flushed != nil {
+		s.spare = flushed[:0]
+	}
+	if len(s.queue) == 0 {
+		return nil
+	}
 	batch := s.queue
-	s.queue = nil
-	s.mu.Unlock()
+	s.queue, s.spare = s.spare, nil
 	return batch
 }
 
@@ -197,15 +236,11 @@ func (s *sender) run() {
 			continue
 		}
 
-		for {
-			batch := s.drain()
-			if len(batch) == 0 {
-				break
-			}
+		for batch := s.drain(nil); len(batch) > 0; batch = s.drain(batch) {
 			addr, ok := s.rt.lookup(s.to)
 			if !ok {
-				s.rt.stats.dropped.Add(uint64(len(batch)))
-				break
+				s.rt.stats.drop(dropUnreachable, len(batch))
+				continue
 			}
 			if conn != nil && addr != dialedAddr {
 				// The directory moved the peer (SetPeer): abandon the
@@ -224,7 +259,7 @@ func (s *sender) run() {
 					// effort) and the next attempt waits a jittered
 					// backoff, so a dead peer costs one dial per
 					// window instead of one per message.
-					s.rt.stats.dropped.Add(uint64(len(batch)))
+					s.rt.stats.drop(dropUnreachable, len(batch))
 					select {
 					case <-s.rt.quit:
 						return
@@ -260,7 +295,7 @@ func (s *sender) run() {
 					// effort) instead of poisoning the connection for
 					// the whole batch.
 					framed--
-					s.rt.stats.dropped.Add(1)
+					s.rt.stats.drop(dropOversize, 1)
 					s.rt.cfg.Logf("rt(%s): %v", s.rt.cfg.ID, ferr)
 				}
 			}
@@ -282,7 +317,7 @@ func (s *sender) run() {
 				// flush error loses envelopes that "wrote fine") —
 				// count everything dropped, close, redial on the next
 				// batch. Never a fault signal.
-				s.rt.stats.dropped.Add(uint64(framed))
+				s.rt.stats.drop(dropBroken, framed)
 				closeConn()
 				continue
 			}

@@ -273,6 +273,122 @@ func TestOversizedMessageCostsOnlyItself(t *testing.T) {
 	}
 }
 
+// dropsBy reads rpcv_transport_dropped_total{reason} off r's registry
+// and checks that TransportStats.Dropped is the sum of its series.
+func dropsBy(t *testing.T, r *Runtime) map[string]float64 {
+	t.Helper()
+	out, sum := map[string]float64{}, 0.0
+	for _, name := range dropReasonNames {
+		v, ok := r.cfg.Obs.Registry().Value("rpcv_transport_dropped_total", obs.L("node", string(r.cfg.ID)), obs.L("reason", name))
+		if !ok {
+			t.Fatalf("rpcv_transport_dropped_total{reason=%q} is not registered", name)
+		}
+		out[name] = v
+		sum += v
+	}
+	if d := r.TransportStats().Dropped; float64(d) != sum {
+		t.Fatalf("TransportStats.Dropped = %d, the reason series sum to %v", d, sum)
+	}
+	return out
+}
+
+// TestDropsAreCountedByReason: each way the transport loses an envelope
+// locally has a series of its own, and only that one moves.
+func TestDropsAreCountedByReason(t *testing.T) {
+	// only checks that the named reason, and no other, counted n drops.
+	only := func(t *testing.T, r *Runtime, reason string, n float64) {
+		t.Helper()
+		for name, v := range dropsBy(t, r) {
+			want := 0.0
+			if name == reason {
+				want = n
+			}
+			if v != want {
+				t.Errorf("dropped{reason=%q} = %v, want %v", name, v, want)
+			}
+		}
+	}
+	start := func(t *testing.T, cfg Config) *Runtime {
+		t.Helper()
+		cfg.ID, cfg.Handler, cfg.Logf, cfg.Obs = "a", &echo{}, quietLogf, obs.New("a")
+		r, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+
+	t.Run("overflow", func(t *testing.T) {
+		r := start(t, Config{QueueDepth: 4})
+		// A sender with no goroutine behind it: nothing drains the queue.
+		s := &sender{rt: r, to: "b", wake: make(chan struct{}, 1)}
+		for i := 0; i < 7; i++ {
+			s.enqueue(outMsg{msg: &proto.Poll{User: "u", Session: proto.SessionID(i)}, from: "a"})
+		}
+		only(t, r, "overflow", 3)
+		if first := s.queue[0].msg.(*proto.Poll).Session; len(s.queue) != 4 || first != 3 {
+			t.Fatalf("queue holds %d envelopes from session %d, want the newest 4 from 3", len(s.queue), first)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		// A bound-but-unserved port: the dial is refused.
+		r := start(t, Config{Directory: Directory{"ghost": "127.0.0.1:1"}})
+		r.Do(func() { r.loops[0].env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
+		if !waitFor(t, 5*time.Second, func() bool { return r.TransportStats().Dropped == 1 }) {
+			t.Fatalf("stats = %+v, want the envelope dropped", r.TransportStats())
+		}
+		only(t, r, "unreachable", 1)
+	})
+
+	t.Run("broken", func(t *testing.T) {
+		// A peer that reads the first envelope and resets the connection:
+		// the next write finds it broken.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		reset := make(chan struct{})
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			_, _ = c.Read(make([]byte, 64))
+			_ = c.(*net.TCPConn).SetLinger(0)
+			c.Close()
+			close(reset)
+		}()
+		r := start(t, Config{Directory: Directory{"b": ln.Addr().String()}})
+		send := func() { r.Do(func() { r.loops[0].env.Send("b", &proto.Poll{User: "u", Session: 1}) }) }
+		send()
+		<-reset
+		time.Sleep(50 * time.Millisecond) // the reset reaches the sender's socket
+		send()
+		if !waitFor(t, 5*time.Second, func() bool { return r.TransportStats().Dropped == 1 }) {
+			t.Fatalf("stats = %+v, want the envelope after the reset dropped", r.TransportStats())
+		}
+		only(t, r, "broken", 1)
+	})
+
+	t.Run("oversize", func(t *testing.T) {
+		b := &echo{}
+		rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rb.Close()
+		r := start(t, Config{Directory: Directory{"b": rb.Addr()}})
+		r.Do(func() { r.loops[0].env.Send("b", oversized()) })
+		if !waitFor(t, 10*time.Second, func() bool { return r.TransportStats().Dropped == 1 }) {
+			t.Fatalf("stats = %+v, want the oversized message dropped", r.TransportStats())
+		}
+		only(t, r, "oversize", 1)
+	})
+}
+
 // TestInboundWithoutPrefaceIsClosedUndelivered dials a live runtime over
 // raw TCP with everything that is not this protocol — garbage, a
 // preface cut short, a preface of another version, bytes that open like

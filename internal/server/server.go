@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"strings"
 	"time"
 
 	"rpcv/internal/detector"
@@ -322,9 +321,9 @@ func (s *Server) loadResultLog() {
 	}
 }
 
-func (s *Server) resultKey(t proto.TaskID) string {
-	return resultPrefix + strings.ReplaceAll(t.String(), "/", "_")
-}
+// resultKey names t's entry: resultPrefix + t.String() with every '/'
+// as '_', one allocation.
+func (s *Server) resultKey(t proto.TaskID) string { return t.Key(resultPrefix, '_') }
 
 // pickPreferred chooses a preferred coordinator among the non-suspected
 // ones, deterministically from the merged list.

@@ -2,8 +2,12 @@ package server
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"rpcv/internal/node"
@@ -500,4 +504,27 @@ func TestLegacyInlineResultIsRecovered(t *testing.T) {
 	}
 	checkServerRecovered(t, "legacy entry", disk, serverCrashRun{
 		produced: map[proto.TaskID]*proto.TaskResult{old.Task: old}, uploaded: map[proto.TaskID]bool{old.Task: true}}, true)
+}
+
+// TestResultKeyIsTheFmtForm pins resultKey to the form it had when it
+// was built with fmt and strings.ReplaceAll: the keys name result log
+// entries a store written by an earlier build may still hold.
+func TestResultKeyIsTheFmtForm(t *testing.T) {
+	s := New(Config{})
+	check := func(user string, session, seq uint64, instance uint32) bool {
+		want := resultPrefix + strings.ReplaceAll(fmt.Sprintf("%s/%d/%d#%d", user, session, seq, instance), "/", "_")
+		got := s.resultKey(proto.TaskID{Call: proto.CallID{User: proto.UserID(user), Session: proto.SessionID(session), Seq: proto.RPCSeq(seq)}, Instance: instance})
+		if got != want {
+			t.Errorf("resultKey = %q, want %q", got, want)
+		}
+		return got == want
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"", "/", "a/b", "u//v/"} {
+		if !check(user, 0, 0, 0) || !check(user, math.MaxUint64, math.MaxUint64, math.MaxUint32) {
+			t.Fatalf("user %q", user)
+		}
+	}
 }

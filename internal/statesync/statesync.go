@@ -21,6 +21,7 @@
 package statesync
 
 import (
+	"slices"
 	"sort"
 
 	"rpcv/internal/proto"
@@ -106,7 +107,15 @@ func TaskDiff(offered []proto.TaskID, wanted func(proto.CallID) bool) (resend, d
 // merged list is what every coordinator uses to compute its ring
 // position and successor, so determinism here is what keeps the virtual
 // ring consistent without any agreement protocol.
+//
+// A merge into a list that is already the merged form — sorted,
+// without duplicates, holding every ID of the other lists, as a node's
+// own list is once a peer's adds nothing — returns that first list
+// itself and allocates nothing. Callers treat results as read-only.
 func MergeNodeLists(lists ...[]proto.NodeID) []proto.NodeID {
+	if len(lists) > 1 && coversAll(lists[0], lists[1:]) {
+		return lists[0]
+	}
 	set := make(map[proto.NodeID]bool)
 	for _, l := range lists {
 		for _, id := range l {
@@ -119,6 +128,24 @@ func MergeNodeLists(lists ...[]proto.NodeID) []proto.NodeID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// coversAll reports whether base is strictly increasing and holds every
+// ID of others.
+func coversAll(base []proto.NodeID, others [][]proto.NodeID) bool {
+	for i := 1; i < len(base); i++ {
+		if base[i-1] >= base[i] {
+			return false
+		}
+	}
+	for _, l := range others {
+		for _, id := range l {
+			if _, found := slices.BinarySearch(base, id); !found {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // RemoveNode returns list without id (order preserved).

@@ -1,6 +1,7 @@
 package statesync
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +162,32 @@ func TestMergeNodeLists(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("merge = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestMergeNodeListsAddingNothing: a server merges the list on every ack
+// it gets, and the ack's list is nearly always one it holds already.
+// Then the merge is the server's own list, with no allocation; anything
+// new, or a first list that is not in merged form, takes the full merge.
+func TestMergeNodeListsAddingNothing(t *testing.T) {
+	mine := []proto.NodeID{"co0", "co1", "co2"}
+	for _, theirs := range [][]proto.NodeID{nil, {"co1"}, {"co2", "co0", "co2"}, mine} {
+		if got := MergeNodeLists(mine, theirs); &got[0] != &mine[0] || len(got) != len(mine) {
+			t.Fatalf("merge of %v into %v = %v, not the list itself", theirs, mine, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { MergeNodeLists(mine, theirs) }); n != 0 {
+			t.Fatalf("merge of %v into %v: %v allocations, want 0", theirs, mine, n)
+		}
+	}
+	for _, c := range []struct{ mine, theirs, want []proto.NodeID }{
+		{mine, []proto.NodeID{"co3"}, []proto.NodeID{"co0", "co1", "co2", "co3"}},
+		{[]proto.NodeID{"co1", "co0"}, []proto.NodeID{"co0"}, []proto.NodeID{"co0", "co1"}},
+		{[]proto.NodeID{"co0", "co0"}, nil, []proto.NodeID{"co0"}},
+	} {
+		got := MergeNodeLists(c.mine, c.theirs)
+		if !slices.Equal(got, c.want) || &got[0] == &c.mine[0] {
+			t.Fatalf("merge of %v into %v = %v, want a fresh %v", c.theirs, c.mine, got, c.want)
 		}
 	}
 }

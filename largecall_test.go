@@ -11,6 +11,7 @@ import (
 	"rpcv/internal/coordinator"
 	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
+	"rpcv/internal/shared"
 	"rpcv/internal/store"
 )
 
@@ -134,17 +135,19 @@ func BenchmarkLargeCallPersist(b *testing.B) {
 	}
 }
 
-// echoFresh makes n echo calls of largePayload bytes, one at a time
-// (two in flight and a poll racing a pushed result delivers some results
-// twice, a payload each time), each with a payload of its own — as a
-// caller that keeps no buffer does — and checks every result byte for
-// byte.
-func (g *tcpGrid) echoFresh(tb testing.TB, n int) {
+// echoFresh makes n echo calls of largePayload bytes (see echoEach).
+func (g *tcpGrid) echoFresh(tb testing.TB, n int) { g.echoEach(tb, n, largePayload) }
+
+// echoEach makes n echo calls of size bytes, one at a time (two in
+// flight and a poll racing a pushed result delivers some results twice,
+// a payload each time), each with a payload of its own — as a caller
+// that keeps no buffer does — and checks every result byte for byte.
+func (g *tcpGrid) echoEach(tb testing.TB, n, size int) {
 	tb.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	for i := 0; i < n; i++ {
-		params := make([]byte, largePayload)
+		params := make([]byte, size)
 		for j := range params {
 			params[j] = byte(i + j)
 		}
@@ -154,12 +157,15 @@ func (g *tcpGrid) echoFresh(tb testing.TB, n int) {
 	}
 }
 
-// allocPerCall is what the whole process — client, coordinator, servers
-// and the caller — allocates for one of n fresh 64 KiB echo calls.
-func (g *tcpGrid) allocPerCall(tb testing.TB, n int) float64 {
+// allocPerCall is allocPer for n fresh 64 KiB echo calls.
+func (g *tcpGrid) allocPerCall(tb testing.TB, n int) float64 { return g.allocPer(tb, n, largePayload) }
+
+// allocPer is what the whole process — client, coordinator, servers and
+// the caller — allocates for one of n fresh echo calls of size bytes.
+func (g *tcpGrid) allocPer(tb testing.TB, n, size int) float64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g.echoFresh(tb, n)
+	g.echoEach(tb, n, size)
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
 }
@@ -195,4 +201,51 @@ func BenchmarkLargeCallAllocs(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(perCall/largePayload, "payloads/call")
 	b.ReportMetric(0, "ns/op") // an iteration is 200 calls; allocation is the point
+}
+
+// smallCallGrid is collectGrid with one-second beats and polls: a 64 B
+// call takes about a millisecond, and timers that fire every 20 ms would
+// add a tenth of what the call itself allocates.
+func smallCallGrid(tb testing.TB) *tcpGrid {
+	g := bootTCPGrid(tb, tcpGridSpec{user: "small", period: time.Second, timeout: 10 * time.Second,
+		servers: 2, parallelism: 16, services: shared.BuiltinServices()})
+	tb.Cleanup(g.close)
+	return g
+}
+
+// smallCallLimit is about 10 % over what a 64 B echo call allocated
+// end to end when the guard was set (TestSmallCallAllocations).
+const smallCallLimit = 5100
+
+// TestSmallCallAllocations is the guard for a 64 B call, whose bytes are
+// nearly all per envelope: a call is seven of them and each costs its
+// decode, its encode and what the runtime spends moving it. Moving costs
+// nothing of its own — no closure per received message, send queues
+// that keep their arrays, disk keys without fmt, no closure or channel
+// per DoOn — and the pull a server sends behind each result is not
+// answered with an empty HeartbeatAck when a TaskResultAck has just
+// gone to it. Before, a call read about 6.2 KB here.
+func TestSmallCallAllocations(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
+	}
+	g := smallCallGrid(t)
+	g.echoEach(t, 200, 64) // warm: connections, queue arrays, pools, maps
+	perCall := g.allocPer(t, 2000, 64)
+	t.Logf("a 64 B echo call allocates %.0f B end to end", perCall)
+	if perCall > smallCallLimit {
+		t.Fatalf("a 64 B call allocates %.0f B end to end, over %d: the runtime pays per envelope again, or an envelope came back", perCall, smallCallLimit)
+	}
+}
+
+// BenchmarkSmallCallAllocs is the guard as a figure: B/call end to end.
+func BenchmarkSmallCallAllocs(b *testing.B) {
+	const perIter = 1000
+	g := smallCallGrid(b)
+	g.echoEach(b, 200, 64)
+	b.ResetTimer()
+	perCall := g.allocPer(b, perIter*b.N, 64)
+	b.StopTimer()
+	b.ReportMetric(perCall, "B/call")
+	b.ReportMetric(0, "ns/op") // an iteration is 1000 calls; allocation is the point
 }
