@@ -12,13 +12,12 @@
 // (internal/store) that amortizes the fsync per job record across
 // concurrent submissions. Without it the job table is volatile.
 //
-// -loops selects the number of per-core event loops (default: the
-// machine's GOMAXPROCS). Sessions are hash-pinned to a loop, and the
-// coordinator partitions into one instance per loop, so submit
-// throughput scales with cores. -loops=1 reproduces the classic
-// single-loop runtime exactly (including a byte-identical wire From).
-// Ring members should run the same -loops value so session ownership
-// agrees across the fleet.
+// -loops selects the number of event loops (default 1, the
+// configuration the benchmark measures). Above 1, sessions are
+// hash-pinned to a loop and the coordinator partitions into one
+// instance per loop; no measurement has shown that to be faster. Ring
+// members should run the same -loops value so session ownership agrees
+// across the fleet.
 //
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics (Prometheus text), /statusz (JSON counters,
@@ -39,7 +38,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -71,7 +69,7 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
-	loops := flag.Int("loops", runtime.GOMAXPROCS(0), "per-core event loops; sessions are hash-pinned to a loop, so submit throughput scales with cores (1: classic single loop; ring members should share the value)")
+	loops := flag.Int("loops", 1, "event loops; above 1, sessions are hash-pinned to a loop (ring members should share the value)")
 	flag.Parse()
 
 	if _, err := sched.New(sched.Config{Policy: *policy}); err != nil {

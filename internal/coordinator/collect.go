@@ -211,8 +211,8 @@ func (c *Coordinator) collectAcked(carried []proto.CallID) {
 // garbage is what collection has decided and the disk has not heard:
 // the sessions whose watermark key is behind, the calls gone from the
 // job table whose keys are still there. Collection is never urgent, so
-// it waits here for the next header persistJob writes — where the disk
-// batches, that Write's group commit then carries it for free — or, on
+// it waits here for the next header persistJob stages — where the disk
+// batches, that header's group commit then carries it for free — or, on
 // an idle grid, for the flush timer. Nothing is lost with it in a
 // crash: the records reload, and the session's next Poll collects them
 // again. durable is each session's watermark as the disk is known to

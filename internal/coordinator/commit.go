@@ -1,0 +1,160 @@
+package coordinator
+
+import (
+	"rpcv/internal/node"
+	"rpcv/internal/proto"
+)
+
+// Output commit. The coordinator logs a job before it answers for it —
+// the paper's pessimistic logging — without waiting for the disk on its
+// event loop: a transition changes the job table at once and stages the
+// job's header (persistJob), and what it tells the outside world leaves
+// only once every header staged before it is durable. Meanwhile the
+// loop goes on serving, and one group commit covers whatever it staged
+// while the previous commit was in flight, so an fsync is paid per
+// batch, not per transition, and never by the loop.
+//
+// The gate sits at the coordinator's Send (Start wraps the env once),
+// so every handler decides its replies exactly as before. A reply that
+// tells of a transition — a SubmitAck, a HeartbeatAck carrying tasks, a
+// TaskResultAck, a result, whether polled, pushed or fetched — is held
+// while a header staged before it is not yet durable. Held
+// replies are kept as data, (to, msg, seq) with seq the number of
+// headers staged when the reply was decided, and leave in the order
+// they were decided. Completions arrive in staging order, so the n-th
+// header's completion — one callback, bound once — says the first n
+// are durable, and releases what waited for them. On a disk whose
+// writes complete at once (the memory store, the simulator's disk)
+// nothing is ever held: a reply's headers are durable by the time it is
+// decided, and it leaves as it always did.
+//
+// A failed header or blob withholds every reply still held when the
+// failure arrives, since each of them waited for it: the peer asks again
+// (a client's resync or next poll, a server's next pull or result
+// resend), and the coordinator answers from what it holds then. A
+// failure the disk reports at once is known before the reply is
+// decided, and the reply leaves as it always did.
+//
+// The gate belongs to one coordinator instance, which lives on one
+// event loop: its headers complete on that loop, and its replies wait
+// for nothing staged by another.
+
+// commitGate is the coordinator's env, with Send gated on the commit of
+// the headers staged before each reply.
+type commitGate struct {
+	node.Env
+
+	staged, committed uint64 // headers staged, and completed, so far
+	headers           fifo[proto.CallID]
+	held              fifo[effect]
+
+	// failed reports a header whose write failed; done, bound once, is
+	// the completion every header is staged with.
+	failed func(call proto.CallID, err error)
+	done   func(err error)
+}
+
+// effect is one held reply.
+type effect struct {
+	to  proto.NodeID
+	msg proto.Message
+	seq uint64 // headers staged when it was decided
+}
+
+func newCommitGate(env node.Env, failed func(proto.CallID, error)) *commitGate {
+	g := &commitGate{Env: env, failed: failed}
+	g.done = g.commit
+	return g
+}
+
+// Send implements node.Env: a reply that tells of a transition waits
+// for the headers staged before it, and behind the replies already
+// waiting; any other message leaves at once.
+func (g *commitGate) Send(to proto.NodeID, msg proto.Message) {
+	if !awaitsCommit(msg) || (g.held.len() == 0 && g.committed == g.staged) {
+		g.Env.Send(to, msg)
+		return
+	}
+	g.held.push(effect{to: to, msg: msg, seq: g.staged})
+}
+
+// awaitsCommit reports whether msg tells its receiver of a transition
+// the coordinator must not lose: a call accepted, assigned or finished.
+func awaitsCommit(msg proto.Message) bool {
+	switch m := msg.(type) {
+	case *proto.SubmitAck, *proto.TaskResultAck:
+		return true
+	case *proto.HeartbeatAck:
+		return len(m.Tasks) > 0
+	case *proto.Results:
+		return len(m.Results) > 0
+	case *proto.FetchReply:
+		return m.Finished
+	}
+	return false
+}
+
+// stage notes that call's header is being staged, with done as its
+// completion.
+func (g *commitGate) stage(call proto.CallID) {
+	g.headers.push(call)
+	g.staged++
+}
+
+// commit is the completion of the oldest header still staged: it
+// releases the replies that waited for it, or withholds them.
+func (g *commitGate) commit(err error) {
+	call := g.headers.pop()
+	g.committed++
+	if err != nil {
+		g.failed(call, err)
+		g.withhold()
+		return
+	}
+	for g.held.len() > 0 && g.held.front().seq <= g.committed {
+		e := g.held.pop()
+		g.Env.Send(e.to, e.msg)
+	}
+}
+
+// withhold drops every held reply: a write they waited for failed, or
+// the incarnation ended.
+func (g *commitGate) withhold() { g.held.reset() }
+
+// fifo is a queue on one array, reused: once the array has grown to the
+// deepest the queue gets, pushing and popping allocate nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[:head] is popped
+}
+
+func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
+func (q *fifo[T]) front() *T { return &q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		// Full at the back and at least half popped: slide down rather
+		// than grow. Each slide moves no more than the pushes since the
+		// last one, so a queue that never empties stays on its array.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
+func (q *fifo[T]) reset() {
+	clear(q.buf)
+	q.buf, q.head = q.buf[:0], 0
+}

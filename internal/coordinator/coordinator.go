@@ -62,6 +62,14 @@
 // finished call and changes nothing. collect.go has the rule and the
 // lookup that tells a collected call from one never seen.
 //
+// # Output commit
+//
+// A job is logged before the coordinator answers for it, and its event
+// loop never waits on the disk to do so: a transition stages the job's
+// header, and the replies that tell of it — a SubmitAck, an assignment,
+// a TaskResultAck, a result — wait at a gate in front of Send until the
+// header's group commit has completed. commit.go has the gate.
+//
 // All methods run on the node's event loop (see internal/node); the
 // type has no internal locking and must not be shared across loops.
 package coordinator
@@ -204,8 +212,9 @@ func (c *Config) applyDefaults() {
 //
 //rpcv:loop-owned
 type Coordinator struct {
-	cfg Config
-	env node.Env
+	cfg  Config
+	env  node.Env    // gate, as a node.Env
+	gate *commitGate // output commit (commit.go)
 
 	store  *db.DB
 	dbEng  node.SerialResource // serializes database operation latency
@@ -445,7 +454,8 @@ func (c *Coordinator) ownsLoop(call proto.CallID) bool {
 //
 //rpcv:loop-only
 func (c *Coordinator) Start(env node.Env) {
-	c.env = env
+	c.gate = newCommitGate(env, func(call proto.CallID, err error) { c.persistFailed(call, headerOnly, err) })
+	c.env = c.gate
 	c.stopped = false
 	c.store = db.New(c.cfg.DBCost)
 	c.initObs(env)
@@ -646,6 +656,9 @@ func (c *Coordinator) ringBeat() {
 //rpcv:loop-only
 func (c *Coordinator) Stop() {
 	c.stopped = true
+	if c.gate != nil {
+		c.gate.withhold() // what is held dies with the incarnation
+	}
 	if c.servers != nil {
 		c.servers.Close()
 	}
@@ -831,25 +844,26 @@ func (c *Coordinator) loadStore() {
 	c.sweep()
 }
 
-// persistJob makes rec's current state durable: always its header, and
-// first the blob of each payload in fresh that is large enough to have
-// one. fresh names what this transition changed — the params at submit,
-// the output when the result lands, nothing on assign, speculate,
-// requeue or steal, whatever differs from the replaced record on the
-// replication paths — so each payload is written once, not once per
-// transition. Where the disk batches, blobs are staged with WriteAsync
-// and the header goes by the synchronous Write behind them: staging
-// order is commit order, so the one group commit the Write waits for
-// covers the call's blobs too.
+// persistJob stages rec's current state for the disk: always its
+// header, and first the blob of each payload in fresh that is large
+// enough to have one. fresh names what this transition changed — the
+// params at submit, the output when the result lands, nothing on
+// assign, speculate, requeue or steal, whatever differs from the
+// replaced record on the replication paths — so each payload is written
+// once, not once per transition. Every write is staged (WriteAsync) and
+// nothing here waits for one: staging order is commit order, so the
+// group commit that makes the header durable covers the call's blobs
+// too, and the replies that tell of this transition wait for that
+// commit at the gate (commit.go) while the loop goes on.
 //
-// A failed write is logged and counted, never returned: the handler
-// acks regardless and the protocol's resyncs repair what a crash would
-// then lose. But a header is not written after a blob of its own that
-// is already known to have failed, and a failed blob is retried ahead
-// of the call's next header, so no header written here references a
-// blob this incarnation knows to be bad. (A failure reported only after
-// the header went out — a group commit's callback — leaves a header
-// whose blob loadStore finds missing or short, and skips.)
+// A failed write is logged and counted, never returned; the replies
+// still waiting for it are withheld, and the protocol's resyncs repair
+// what a crash would then lose. A header is not written after a blob of
+// its own that is already known to have failed, and a failed blob is
+// retried ahead of the call's next header, so no header written here
+// references a blob this incarnation knows to be bad. (A failure
+// reported only with the header's commit leaves a header whose blob
+// loadStore finds missing or short, and skips.)
 //
 // The store takes ownership of what it is handed: rec.Params and
 // rec.Output are shared with it from here on, never copied, which is
@@ -879,9 +893,8 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
 			return
 		}
 	}
-	if err := c.env.Disk().Write(jobPrefix+call, header); err != nil {
-		c.persistFailed(rec.Call, headerOnly, err)
-	}
+	c.gate.stage(rec.Call)
+	node.WriteAsync(c.env.Disk(), jobPrefix+call, header, c.gate.done)
 }
 
 // writeBlob stores one payload, reporting false if the write is already
@@ -893,6 +906,7 @@ func (c *Coordinator) writeBlob(call proto.CallID, b blob, key string, payload [
 			ok = false
 			c.unwritten[call] |= b.part
 			c.persistFailed(call, b.part, err)
+			c.gate.withhold()
 		}
 	})
 	return ok
@@ -1632,12 +1646,12 @@ func (c *Coordinator) ReplicateNow() {
 		if !ok {
 			continue
 		}
-		clone := rec.Clone()
-		if len(clone.Params) > c.cfg.ReplicateParamsLimit {
+		job := *rec // the payloads are shared: nothing modifies their bytes
+		if len(job.Params) > c.cfg.ReplicateParamsLimit {
 			// File archives are not replicated.
-			clone.Params = nil
+			job.Params = nil
 		}
-		update.Jobs = append(update.Jobs, *clone)
+		update.Jobs = append(update.Jobs, job)
 		note(sessionKey{call.User, call.Session}, call.Seq)
 	}
 	for k := range c.wdirty.set {
@@ -1687,7 +1701,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 		case ok && local.State == proto.TaskFinished:
 			// Finished tasks are never regressed.
 		case incoming.State == proto.TaskFinished:
-			rec := incoming.Clone()
+			rec := ownCopy(incoming)
 			c.put(rec)
 			c.persistJob(rec, changedParts(local, rec))
 			c.clearOngoing(rec.Call, rec.Server)
@@ -1700,7 +1714,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			applied++
 		case incoming.State == proto.TaskOngoing:
 			// Not scheduled until we suspect the predecessor.
-			rec := incoming.Clone()
+			rec := ownCopy(incoming)
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
@@ -1709,7 +1723,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 			c.fromPredecessor[rec.Call] = true
 			applied++
 		default: // pending
-			rec := incoming.Clone()
+			rec := ownCopy(incoming)
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
@@ -1970,11 +1984,11 @@ func (c *Coordinator) ShardSyncNow() {
 		if !ok {
 			continue
 		}
-		clone := rec.Clone()
-		if len(clone.Params) > c.cfg.ReplicateParamsLimit {
-			clone.Params = nil // file archives are never replicated
+		job := *rec // the payloads are shared, as in ReplicateNow
+		if len(job.Params) > c.cfg.ReplicateParamsLimit {
+			job.Params = nil // file archives are never replicated
 		}
-		msg.Jobs = append(msg.Jobs, *clone)
+		msg.Jobs = append(msg.Jobs, job)
 	}
 	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
 	c.xdirty.begin()
@@ -2064,7 +2078,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 				c.stolenHome++
 				c.cm.stolenHome.Inc()
 			}
-			rec := incoming.Clone()
+			rec := ownCopy(incoming)
 			c.put(rec)
 			c.persistJob(rec, changedParts(local, rec))
 			c.clearOngoing(rec.Call, rec.Server)
@@ -2086,7 +2100,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 				// copy must not clobber the live claim.
 				continue
 			}
-			rec := incoming.Clone()
+			rec := ownCopy(incoming)
 			if ok && local.Params != nil && rec.Params == nil {
 				rec.Params = local.Params
 			}
@@ -2338,7 +2352,7 @@ func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealReques
 		c.cm.stolenOut.Inc()
 		c.trace(call, obs.StageSteal, fmt.Sprintf("granted to shard %d", m.Shard))
 		c.markDirty(call)
-		grant.Jobs = append(grant.Jobs, *rec.Clone())
+		grant.Jobs = append(grant.Jobs, *rec)
 		limit--
 	}
 	if len(grant.Jobs) > 0 {
@@ -2404,7 +2418,7 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 		if c.locallyClaimed(incoming.Call) {
 			continue // a re-grant raced the victim's reclaim
 		}
-		rec := incoming.Clone()
+		rec := ownCopy(incoming)
 		rec.State = proto.TaskPending
 		c.put(rec)
 		c.persistJob(rec, changedParts(local, rec))
@@ -2414,6 +2428,14 @@ func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
 		c.cm.stolenIn.Inc()
 		c.trace(rec.Call, obs.StageSteal, "stolen from "+string(from))
 	}
+}
+
+// ownCopy returns a record of the coordinator's own with the fields of
+// one a peer sent: the message keeps its records, while their payloads,
+// whose bytes nobody modifies, are shared rather than copied.
+func ownCopy(incoming *proto.JobRecord) *proto.JobRecord {
+	rec := *incoming
+	return &rec
 }
 
 // sortedCalls returns the map's keys ordered by CallID, so protocol

@@ -413,6 +413,45 @@ func TestReplicationRoundTrip(t *testing.T) {
 	}
 }
 
+// A replica's record is its own, but its payloads are the primary's:
+// stored payload bytes are never modified, so replication copies a
+// record's fields and shares its params and output. (The simulator hands
+// a message over by pointer, so the sharing is visible here.)
+func TestReplicaSharesThePrimarysPayloads(t *testing.T) {
+	w := sim.NewWorld(sim.Config{Seed: 5})
+	cfg := Config{Coordinators: []proto.NodeID{"c1", "c2"}}
+	c1, c2 := New(cfg), New(cfg)
+	p := &peer{}
+	w.AddNode("c1", c1)
+	w.AddNode("c2", c2)
+	w.AddNode("peer", p)
+	w.Start("c1")
+	w.Start("c2")
+	w.Start("peer")
+
+	sub := submit(1)
+	sub.Params = make([]byte, 1<<10)
+	p.env.Send("c1", sub)
+	w.RunFor(time.Second)
+	p.env.Send("c1", &proto.TaskResult{From: "peer", Task: proto.TaskID{Call: call(1), Instance: 1},
+		Output: []byte("r")})
+	w.RunFor(time.Second)
+	w.Schedule(0, c1.ReplicateNow)
+	w.RunFor(time.Second)
+
+	primary, _ := c1.DB().Peek(call(1))
+	replica, ok := c2.DB().Peek(call(1))
+	if !ok || replica.State != proto.TaskFinished {
+		t.Fatalf("the replica holds %s, want the finished call", brief(replica))
+	}
+	if replica == primary {
+		t.Fatal("the replica stored the primary's record itself")
+	}
+	if &replica.Params[0] != &primary.Params[0] || &replica.Output[0] != &primary.Output[0] {
+		t.Fatal("the replica's payloads are copies of the primary's")
+	}
+}
+
 func TestReplicaHoldsPredecessorOngoingUntilSuspicion(t *testing.T) {
 	w := sim.NewWorld(sim.Config{Seed: 6})
 	cfg := Config{

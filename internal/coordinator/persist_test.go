@@ -23,10 +23,12 @@ import (
 // the completions of its staged calls on its committer goroutine, and
 // the runtime posts them to the owning loop. Here they queue until the
 // test — the loop — drains them. A completion that fires before the
-// staging call returns (an engine without batching) runs inline, as it
-// does there.
+// staging call returns (an engine without batching) runs on the loop as
+// that call returns, or, when completions of earlier calls are still
+// queued, behind them — as it does there.
 type loopedStore struct {
 	store.Store
+	engine  store.Store // beneath any wrapper: drain's barrier
 	mu      sync.Mutex
 	pending []func()
 }
@@ -40,24 +42,35 @@ func (l *loopedStore) DeleteAsync(key string, done func(error)) {
 }
 
 func (l *loopedStore) onLoop(done func(error), stage func(fromStore func(error))) {
-	returned := false
+	var (
+		returned, fired bool
+		firedErr        error
+	)
 	stage(func(err error) {
 		l.mu.Lock()
-		inline := !returned
-		if !inline {
-			l.pending = append(l.pending, func() { done(err) })
+		defer l.mu.Unlock()
+		if !returned {
+			fired, firedErr = true, err // the staging call takes it
+			return
 		}
-		l.mu.Unlock()
-		if inline {
-			done(err)
-		}
+		l.pending = append(l.pending, func() { done(err) })
 	})
 	l.mu.Lock()
 	returned = true
+	inline := fired && len(l.pending) == 0
+	if fired && !inline {
+		l.pending = append(l.pending, func() { done(firedErr) })
+	}
 	l.mu.Unlock()
+	if inline {
+		done(firedErr)
+	}
 }
 
+// drain runs, as the loop would, the completions of everything staged
+// so far, once the engine has committed what reached it.
 func (l *loopedStore) drain() {
+	_ = l.engine.Sync() // a barrier only: a broken engine has completed its ops already
 	l.mu.Lock()
 	run := l.pending
 	l.pending = nil
@@ -75,7 +88,8 @@ type persistRig struct {
 	env  *nodetest.Env
 	co   *Coordinator
 	disk *loopedStore
-	open func() store.Store // opens (or reopens) the engine
+	open func() store.Store            // opens (or reopens) the engine
+	wrap func(store.Store) store.Store // interposes on it, when non-nil
 }
 
 // newPersistRig boots a coordinator over engine ("memory" keeps its
@@ -86,7 +100,7 @@ func newPersistRig(t *testing.T, engine string, cfg Config, wrap func(store.Stor
 	cfg.Coordinators = []proto.NodeID{"co"}
 	cfg.DBCost = db.CostModel{PerOp: time.Nanosecond}
 	cfg.HeartbeatPeriod, cfg.HeartbeatTimeout = 100*time.Millisecond, 24*time.Hour
-	r := &persistRig{t: t, cfg: cfg, env: nodetest.NewEnv("co", nil)}
+	r := &persistRig{t: t, cfg: cfg, env: nodetest.NewEnv("co", nil), wrap: wrap}
 	switch engine {
 	case "memory":
 		mem := store.NewMemory()
@@ -103,17 +117,17 @@ func newPersistRig(t *testing.T, engine string, cfg Config, wrap func(store.Stor
 	default:
 		t.Fatalf("engine %q", engine)
 	}
-	if wrap != nil {
-		inner := r.open
-		r.open = func() store.Store { return wrap(inner()) }
-	}
 	t.Cleanup(func() { _ = r.disk.Close() })
 	r.start()
 	return r
 }
 
 func (r *persistRig) start() {
-	r.disk = &loopedStore{Store: r.open()}
+	engine := r.open()
+	r.disk = &loopedStore{Store: engine, engine: engine}
+	if r.wrap != nil {
+		r.disk.Store = r.wrap(engine)
+	}
 	r.env.Reboot(r.disk)
 	r.co = New(r.cfg)
 	r.co.Start(r.env)

@@ -107,16 +107,21 @@ type Disk interface {
 //
 // Consumers discover it by type assertion on Env.Disk(). When absent,
 // they fall back to synchronous Write calls (per-operation durability,
-// the paper's literal per-entry disk access). A writer with several
-// values to make durable together stages all but the last with
-// WriteAsync and issues the last with Write: staging order is commit
-// order, so the one group commit the Write waits for covers them all.
-// Garbage collection stages its deletes the same way (DeleteAsync): a
-// log entry or job record whose information is safely held elsewhere
-// is never urgent to remove, so nothing on the loop waits for the
-// fsync that removes it, and the delete rides whatever commit comes
-// next. The WriteAsync and DeleteAsync functions below pick the staged
-// call or the synchronous one for a caller that holds only a Disk.
+// the paper's literal per-entry disk access). A writer that must log a
+// change before it tells anyone of it follows the output-commit rule
+// rather than waiting on its loop: it changes its state at once, stages
+// every value with WriteAsync, and holds each externally visible effect
+// of the change until the completion of the last value staged before
+// it has run. Staging order is commit order, so that completion says
+// everything before it is durable too, and one group commit covers
+// whatever the loop staged meanwhile (the coordinator's gate,
+// internal/coordinator/commit.go, is the example). Garbage collection
+// stages its deletes the same way (DeleteAsync): a log entry or job
+// record whose information is safely held elsewhere is never urgent to
+// remove, so nothing waits for the fsync that removes it, and the
+// delete rides whatever commit comes next. The WriteAsync and
+// DeleteAsync functions below pick the staged call or the synchronous
+// one for a caller that holds only a Disk.
 type BatchDisk interface {
 	Disk
 

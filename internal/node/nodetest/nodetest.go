@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -146,7 +148,8 @@ func (c *PowerCut) DeleteAsync(key string, done func(error)) {
 // batching disk whose staged calls complete at once; "wal" is a real
 // log in a temporary directory, shown to the handler as a disk that
 // does not batch (every write its own commit, so no completion needs
-// marshalling onto a loop). The handler's incarnation runs over Disk,
+// marshalling onto a loop); "batch" is that log shown as the group
+// commit it is (see Settle). The handler's incarnation runs over Disk,
 // which passes through Cut and, beneath it, Plan's faults.
 type CrashDisk struct {
 	Disk node.Disk
@@ -156,6 +159,7 @@ type CrashDisk struct {
 	tb     testing.TB
 	inner  store.Store
 	reopen func() store.Store // nil: inner survives as it is
+	batch  *batchDisk         // engine "batch"
 }
 
 // NewCrashDisk opens engine with no fault armed.
@@ -165,7 +169,7 @@ func NewCrashDisk(tb testing.TB, engine string) *CrashDisk {
 	switch engine {
 	case "memory":
 		d.inner = store.NewMemory()
-	case "wal":
+	case "wal", "batch":
 		dir := tb.TempDir()
 		d.reopen = func() store.Store {
 			w, err := store.OpenWAL(dir, store.WALOptions{})
@@ -180,11 +184,34 @@ func NewCrashDisk(tb testing.TB, engine string) *CrashDisk {
 		tb.Fatalf("nodetest: engine %q", engine)
 	}
 	d.Cut = &PowerCut{Store: store.WithFaults(d.inner, d.Plan), Left: -1}
-	d.Disk = d.Cut
-	if d.reopen != nil {
+	switch engine {
+	case "memory":
+		d.Disk = d.Cut
+	case "wal":
 		d.Disk = struct{ node.Disk }{d.Cut}
+	case "batch":
+		d.batch = &batchDisk{cut: d.Cut, log: d.inner, view: map[string]stagedOp{}}
+		d.Disk = d.batch
 	}
 	return d
+}
+
+// Settle is one turn of engine "batch"'s group commit, pipelined as a
+// committer goroutine pipelines it behind a node's loop: first the loop
+// — the test — runs the completions of the batch the previous Settle
+// committed, in staging order, and then what the handler staged since
+// is handed to the log and made durable; its completions wait for the
+// next Settle. Until its commit a staged write or delete is visible to
+// reads and nothing more: a crash before then loses it, as power lost
+// before an fsync loses a batch, and a completion always arrives while
+// the writes staged after it may still be lost. A handler that answers
+// for a write before that write's own completion has run is caught
+// answering for something the recovered disk does not hold. On the
+// other engines Settle does nothing.
+func (d *CrashDisk) Settle() {
+	if d.batch != nil {
+		d.batch.settle()
+	}
 }
 
 // Recover ends the incarnation and returns the disk as the next one
@@ -207,12 +234,15 @@ func (d *CrashDisk) Recover() node.Disk {
 // returns what it saw; check gets the disk as the next incarnation finds
 // it. It runs uncut, then — for each of the uncut run's k writes and
 // deletes — with the power cut before the k-th and with the k-th torn or
-// failed, on the memory store and on a WAL. onlyACut tells check that
-// nothing but the cut went wrong, so what run saw complete before
-// d.Cut.Off is durable.
-func EveryCrash[R any](t *testing.T, run func(d *CrashDisk) R, check func(at string, recovered node.Disk, r R, onlyACut bool)) {
+// failed, on each engine: by default the memory store and a WAL.
+// onlyACut tells check that nothing but the cut went wrong, so what run
+// saw complete before d.Cut.Off is durable.
+func EveryCrash[R any](t *testing.T, run func(d *CrashDisk) R, check func(at string, recovered node.Disk, r R, onlyACut bool), engines ...string) {
 	t.Helper()
-	for _, engine := range []string{"memory", "wal"} {
+	if len(engines) == 0 {
+		engines = []string{"memory", "wal"}
+	}
+	for _, engine := range engines {
 		clean := NewCrashDisk(t, engine)
 		r := run(clean)
 		check(engine+" uncut", clean.Recover(), r, true)
@@ -228,4 +258,115 @@ func EveryCrash[R any](t *testing.T, run func(d *CrashDisk) R, check func(at str
 			check(fmt.Sprintf("%s op %d torn", engine, k+1), d.Recover(), r, false)
 		}
 	}
+}
+
+// batchDisk is engine "batch": a group-commit disk whose batch is handed
+// to the log only at Settle. Everything happens on the test's goroutine
+// except the log's completions, which done collects for the next
+// Settle to run.
+type batchDisk struct {
+	cut  *PowerCut   // where a commit hands its batch
+	log  store.Store // beneath the cut and the faults: the commit's barrier
+	ops  []stagedOp  // staged since the last commit, oldest first
+	view map[string]stagedOp
+
+	mu   sync.Mutex
+	done []func()
+}
+
+// stagedOp is one write (del false) or delete awaiting its commit.
+type stagedOp struct {
+	key  string
+	val  []byte
+	del  bool
+	done func(error)
+}
+
+var _ node.BatchDisk = (*batchDisk)(nil)
+
+func (b *batchDisk) WriteAsync(key string, value []byte, done func(error)) {
+	b.stage(stagedOp{key: key, val: value, done: done})
+}
+
+func (b *batchDisk) DeleteAsync(key string, done func(error)) {
+	b.stage(stagedOp{key: key, del: true, done: done})
+}
+
+func (b *batchDisk) stage(op stagedOp) {
+	b.ops = append(b.ops, op)
+	b.view[op.key] = op
+}
+
+// Write and Delete are durable when they return, so they commit what
+// was staged before them too (its completions wait for Settle).
+func (b *batchDisk) Write(key string, value []byte) error {
+	b.hand()
+	return b.cut.Write(key, value)
+}
+
+func (b *batchDisk) Delete(key string) error {
+	b.hand()
+	return b.cut.Delete(key)
+}
+
+func (b *batchDisk) Sync() error {
+	b.hand()
+	return b.log.Sync()
+}
+
+func (b *batchDisk) Read(key string) ([]byte, bool) {
+	if op, ok := b.view[key]; ok {
+		return op.val, !op.del
+	}
+	return b.cut.Read(key)
+}
+
+func (b *batchDisk) Keys(prefix string) []string {
+	keys := slices.DeleteFunc(b.cut.Keys(prefix), func(k string) bool { _, ok := b.view[k]; return ok })
+	for k, op := range b.view {
+		if !op.del && strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// hand gives the staged operations to the log, in order. Once the power
+// is off the log takes nothing, and reads keep being served what the
+// dead process staged.
+func (b *batchDisk) hand() {
+	for _, op := range b.ops {
+		if op.del {
+			b.cut.DeleteAsync(op.key, b.completion(op.done))
+		} else {
+			b.cut.WriteAsync(op.key, op.val, b.completion(op.done))
+		}
+	}
+	b.ops = b.ops[:0]
+	if !b.cut.Off {
+		clear(b.view)
+	}
+}
+
+// completion collects an operation's outcome, from whichever goroutine
+// the log reports it on, for the next Settle to run.
+func (b *batchDisk) completion(done func(error)) func(error) {
+	return func(err error) {
+		b.mu.Lock()
+		b.done = append(b.done, func() { done(err) })
+		b.mu.Unlock()
+	}
+}
+
+func (b *batchDisk) settle() {
+	b.mu.Lock()
+	run := b.done
+	b.done = nil
+	b.mu.Unlock()
+	for _, fn := range run {
+		fn()
+	}
+	b.hand()
+	_ = b.log.Sync() // a barrier only: a broken log has completed what it failed
 }

@@ -473,19 +473,6 @@ func (j *JobRecord) wireSize() int {
 	return headerSize + len(j.Service) + len(j.Params) + len(j.Output) + len(j.ResultErr)
 }
 
-// Clone returns a deep copy of the record, so that replicas never alias
-// the primary's byte slices.
-func (j *JobRecord) Clone() *JobRecord {
-	c := *j
-	if j.Params != nil {
-		c.Params = append([]byte(nil), j.Params...)
-	}
-	if j.Output != nil {
-		c.Output = append([]byte(nil), j.Output...)
-	}
-	return &c
-}
-
 // ---------------------------------------------------------------------
 // Sharded coordination layer (internal/shard)
 // ---------------------------------------------------------------------

@@ -195,22 +195,3 @@ func TestWireSizeScalesWithPayload(t *testing.T) {
 		t.Fatalf("ack does not account for task payloads: %d vs %d", ack0, ack1)
 	}
 }
-
-func TestJobRecordClone(t *testing.T) {
-	rec := &JobRecord{
-		Call:   CallID{User: "u"},
-		Params: []byte{1, 2},
-		Output: []byte{3},
-	}
-	c := rec.Clone()
-	c.Params[0] = 99
-	c.Output[0] = 99
-	if rec.Params[0] != 1 || rec.Output[0] != 3 {
-		t.Fatal("Clone aliases the original's slices")
-	}
-	// nil slices stay nil.
-	c2 := (&JobRecord{}).Clone()
-	if c2.Params != nil || c2.Output != nil {
-		t.Fatal("Clone materialized nil slices")
-	}
-}

@@ -92,8 +92,12 @@ type loop struct {
 // doorbell. It never blocks, whatever the loop is doing — the path for
 // producers that must not stall: the store committer, other loops and
 // offloaded work.
-func (l *loop) post(fn func()) {
-	l.ring.push(fn)
+func (l *loop) post(fn func()) { l.postNode(&ringNode{fn: fn}) }
+
+// postNode is post for an entry that brings its own ring node: a pooled
+// one (a staged write's completion, asyncOp) costs the ring nothing.
+func (l *loop) postNode(n *ringNode) {
+	l.ring.push(n)
 	l.handoffs.Add(1)
 	select {
 	case l.wake <- struct{}{}:
@@ -153,13 +157,9 @@ func (l *loop) handle(m mail) {
 
 // drainRing executes everything currently on the handoff ring.
 func (l *loop) drainRing() {
-	for {
-		fn, ok := l.ring.pop()
-		if !ok {
-			return
-		}
+	for n := l.ring.pop(); n != nil; n = l.ring.pop() {
 		l.tasks.Add(1)
-		fn()
+		n.fn() // the last touch: a pooled entry may be reused from here on
 	}
 }
 
@@ -265,7 +265,9 @@ func (h *timerHeap) Pop() any {
 // producers do one atomic swap plus one atomic store (wait-free), the
 // single consumer pops without atomics on its own side. Unbounded — a
 // producer can always complete, which is the property the committer
-// needs.
+// needs. The queue links the nodes it is handed, so an entry that
+// embeds its node is queued without an allocation; a popped node is the
+// consumer's, to reuse once it has run.
 type mpscRing struct {
 	head atomic.Pointer[ringNode] // producers swap themselves in here
 	tail *ringNode                // consumer-owned
@@ -285,13 +287,10 @@ func (q *mpscRing) init() {
 	})
 }
 
-// push enqueues fn. Safe from any goroutine, never blocks.
-func (q *mpscRing) push(fn func()) {
+// push enqueues n, which must not be queued already. Safe from any
+// goroutine, never blocks.
+func (q *mpscRing) push(n *ringNode) {
 	q.init()
-	q.pushNode(&ringNode{fn: fn})
-}
-
-func (q *mpscRing) pushNode(n *ringNode) {
 	n.next.Store(nil)
 	prev := q.head.Swap(n)
 	// Between the swap and this store the queue is momentarily
@@ -300,34 +299,33 @@ func (q *mpscRing) pushNode(n *ringNode) {
 	prev.next.Store(n)
 }
 
-// pop dequeues the oldest fn. Consumer-only.
-func (q *mpscRing) pop() (func(), bool) {
+// pop dequeues the oldest node, nil when there is none. Consumer-only.
+func (q *mpscRing) pop() *ringNode {
 	q.init()
 	tail := q.tail
 	next := tail.next.Load()
 	if tail == &q.stub {
 		if next == nil {
-			return nil, false
+			return nil
 		}
+		// No producer writes the stub's link while it is not the head:
+		// cut it, so the stub holds on to no popped node.
+		q.stub.next.Store(nil)
 		q.tail = next
 		tail = next
 		next = tail.next.Load()
 	}
 	if next != nil {
 		q.tail = next
-		fn := tail.fn
-		tail.fn = nil
-		return fn, true
+		return tail
 	}
 	if tail != q.head.Load() {
-		return nil, false // producer mid-push; its doorbell follows
+		return nil // producer mid-push; its doorbell follows
 	}
-	q.pushNode(&q.stub)
+	q.push(&q.stub)
 	if next = tail.next.Load(); next != nil {
 		q.tail = next
-		fn := tail.fn
-		tail.fn = nil
-		return fn, true
+		return tail
 	}
-	return nil, false
+	return nil
 }

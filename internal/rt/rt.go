@@ -30,9 +30,11 @@
 // received envelope reaches its loop as a typed mailbox entry — its
 // sender and message, not a closure over them — a DoOn caller waits on
 // a pooled signal, each sender swaps two queue arrays instead of
-// growing a fresh one per batch, and over the memory store a staged
-// write is simply the synchronous one. What a call allocates is what it
-// keeps and what its messages carry.
+// growing a fresh one per batch, over the memory store a staged write
+// is simply the synchronous one, and over the WAL a staged write's
+// completion travels back to its loop in a pooled entry that is its own
+// ring node. What a call allocates is what it keeps and what its
+// messages carry.
 package rt
 
 import (
@@ -681,9 +683,11 @@ func (r *Runtime) lookup(to proto.NodeID) (string, bool) {
 // send enqueues msg on the peer's sender, stamped with the originating
 // loop's wire From: never blocking, dropping the oldest queued envelope
 // on overflow. Failures are silent (best-effort network): the
-// protocol's heartbeats and resends own all recovery.
+// protocol's heartbeats and resends own all recovery. A peer missing
+// from the directory is dropped at once, counted as unreachable.
 func (r *Runtime) send(to proto.NodeID, msg proto.Message, loopIdx int) {
 	if _, ok := r.lookup(to); !ok {
+		r.stats.drop(dropUnreachable, 1)
 		r.cfg.Logf("rt(%s): no address for %s, dropping %s", r.cfg.ID, to, msg.Kind())
 		return
 	}
@@ -777,6 +781,9 @@ type loopDisk struct {
 	// synchronous ones followed by the callback. They are made here as
 	// exactly that, with nothing to marshal and nothing to allocate.
 	inline bool
+	// staged counts the asyncOps whose completion has yet to run.
+	// Loop-owned.
+	staged int
 }
 
 var _ node.BatchDisk = (*loopDisk)(nil)
@@ -805,18 +812,15 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		done(d.Write(key, value))
 		return
 	}
-	if h := d.l.r.obsWrite; h != nil {
+	op := d.stage(done)
+	if d.l.r.obsWrite != nil {
 		// Completion time includes group-commit queueing: the latency a
 		// handler actually waits for durability, which is the number
 		// the fsync-amortization story must be judged by.
-		start := time.Now()
-		inner := done
-		done = func(err error) {
-			h.Since(start)
-			inner(err)
-		}
+		op.start = time.Now()
 	}
-	d.onLoop(done, func(fromStore func(error)) { d.l.store.WriteAsync(key, value, fromStore) })
+	d.l.store.WriteAsync(key, value, op.stored)
+	op.returned()
 }
 
 func (d *loopDisk) DeleteAsync(key string, done func(error)) {
@@ -828,49 +832,103 @@ func (d *loopDisk) DeleteAsync(key string, done func(error)) {
 		done(d.l.store.Delete(key))
 		return
 	}
-	d.onLoop(done, func(fromStore func(error)) { d.l.store.DeleteAsync(key, fromStore) })
+	op := d.stage(done)
+	d.l.store.DeleteAsync(key, op.stored)
+	op.returned()
 }
 
-// onLoop stages one operation whose completion the store may report
-// from any goroutine, and sees that done runs on the owning loop.
+// stage takes a pooled asyncOp for one operation whose completion the
+// store may report from any goroutine, and which must reach done on the
+// owning loop.
+func (d *loopDisk) stage(done func(error)) *asyncOp {
+	op := asyncOps.Get().(*asyncOp)
+	op.d, op.done = d, done
+	d.staged++
+	return op
+}
+
+// asyncOp carries one staged write or delete of a loopDisk to its
+// completion. It is pooled, its two callbacks are bound once, and it is
+// its own entry on the loop's handoff ring, so staging an operation and
+// marshalling its completion back allocate nothing.
 //
-// A store without real batching (memory behind a wrapper, which hides
-// it from the inline path) completes synchronously, invoking the
-// callback on this goroutine — the owning event loop.
-// Routing that through the handoff ring would defer it behind unrelated
-// work; detect completion-before-return and invoke done inline (still
-// on the owning loop). Only callbacks arriving later — from a committer
-// goroutine — are marshalled back through the loop's handoff ring.
-func (d *loopDisk) onLoop(done func(error), stage func(fromStore func(error))) {
-	st := &asyncWriteState{}
-	stage(func(err error) {
-		st.mu.Lock()
-		if !st.returned {
-			st.fired, st.err = true, err
-			st.mu.Unlock()
-			return
-		}
-		st.mu.Unlock()
-		// The ring survives shutdown draining, so a callback racing
-		// Close still lands; one arriving after the final drain is
-		// dropped with the loop — indistinguishable from the crash it
-		// models.
-		d.l.post(func() { done(err) })
-	})
-	st.mu.Lock()
-	st.returned = true
-	fired, err := st.fired, st.err
-	st.mu.Unlock()
-	if fired {
-		done(err)
+// Completions reach done in staging order, which the stores keep. A
+// store without real batching (memory behind a wrapper, which hides it
+// from the inline path) completes synchronously, calling stored on this
+// goroutine — the owning event loop — before the staging call returns.
+// Routing that through the ring would defer it behind unrelated work, so
+// returned runs it at once instead (still on the owning loop), unless an
+// operation staged before it has yet to complete: a completion arriving
+// from a committer goroutine travels through the ring, and one that
+// beat its staging call queues there behind those of earlier operations.
+type asyncOp struct {
+	node   ringNode // node.fn is complete
+	stored func(error)
+	state  atomic.Uint32
+
+	d     *loopDisk
+	done  func(error)
+	err   error
+	start time.Time // when the write-latency histogram times it
+}
+
+// The states of an asyncOp: the staging call has not returned yet, it
+// has, or the store completed the operation before it did.
+const (
+	opStaging uint32 = iota
+	opReturned
+	opFired
+)
+
+var asyncOps sync.Pool // of *asyncOp
+
+func init() { // not asyncOps' initializer: complete refers to the pool
+	asyncOps.New = func() any {
+		op := &asyncOp{}
+		op.node.fn = op.complete
+		op.stored = op.completed
+		return op
 	}
 }
 
-// asyncWriteState tracks whether a store completed a staged operation
-// before the staging call returned to the event loop.
-type asyncWriteState struct {
-	mu       sync.Mutex
-	returned bool
-	fired    bool
-	err      error
+// completed is the callback the store runs when the operation is
+// durable or has failed, on whatever goroutine completes it.
+func (op *asyncOp) completed(err error) {
+	op.err = err
+	if op.state.CompareAndSwap(opStaging, opFired) {
+		return // the staging call, still on the loop, runs it (returned)
+	}
+	// The ring survives shutdown draining, so a completion racing Close
+	// still lands; one arriving after the final drain is dropped with
+	// the loop — indistinguishable from the crash it models.
+	op.d.l.postNode(&op.node)
+}
+
+// returned runs on the loop once the staging call is back. If the store
+// completed the operation already, every operation staged before it has
+// completed too, and those still to run are on the ring: op runs here
+// when there are none, behind them otherwise.
+func (op *asyncOp) returned() {
+	switch {
+	case op.state.CompareAndSwap(opStaging, opReturned):
+	case op.d.staged == 1:
+		op.complete()
+	default:
+		op.d.l.postNode(&op.node)
+	}
+}
+
+// complete runs on the owning loop: it times the write, recycles op and
+// hands the outcome to done.
+func (op *asyncOp) complete() {
+	done, err := op.done, op.err
+	op.d.staged--
+	if !op.start.IsZero() {
+		op.d.l.r.obsWrite.Since(op.start)
+	}
+	op.node.next.Store(nil) // a pooled node links to nothing
+	op.state.Store(opStaging)
+	op.d, op.done, op.err, op.start = nil, nil, nil, time.Time{}
+	asyncOps.Put(op)
+	done(err)
 }

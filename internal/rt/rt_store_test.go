@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +53,83 @@ func TestWALStorePersistsAcrossRuntimes(t *testing.T) {
 			t.Errorf("delete: %v", err)
 		}
 	})
+}
+
+// A staged write's completion reaches its loop without an allocation:
+// the pooled asyncOp carries it, as its own entry on the loop's handoff
+// ring, from the WAL's committer back to the loop.
+func TestStagedCompletionAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops entries")
+	}
+	r, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: t.TempDir(), Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	disk := r.loops[0].disk.(*loopDisk)
+	val := []byte("a 64-byte value, as the coordinator's job headers roughly are....")
+	errs := make(chan error, 1)
+	done := func(err error) { errs <- err }
+	stage := func() { disk.WriteAsync("coord/job/u/1/1", val, done) }
+	write := func() {
+		r.DoOn(0, stage)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		write()
+	}
+	if n := testing.AllocsPerRun(100, write); n != 0 {
+		t.Fatalf("a staged write through the loop's disk allocates %v times, want 0", n)
+	}
+}
+
+// heldStore keeps staging order but completes a staged write only when
+// the next one is staged: the held one first, then the new one at once,
+// before its staging call returns — a completion that beats its staging
+// call back to the loop while an earlier one is still on its way.
+type heldStore struct {
+	store.Store
+	held func(error)
+}
+
+func (h *heldStore) WriteAsync(key string, value []byte, done func(error)) {
+	err := h.Store.Write(key, value)
+	if h.held == nil {
+		h.held = func(error) { done(err) }
+		return
+	}
+	h.held(nil)
+	h.held = nil
+	done(err)
+}
+
+// Completions reach the handler in staging order, even when the store
+// reports a later one before its staging call has returned and an
+// earlier one is still on the loop's ring.
+func TestStagedCompletionsKeepTheirOrder(t *testing.T) {
+	r, err := Start(Config{ID: "a", Handler: &echo{}, Logf: quietLogf,
+		WrapStore: func(s store.Store) store.Store { return &heldStore{Store: s} }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var order []string
+	r.Do(func() {
+		disk := r.loops[0].disk.(*loopDisk)
+		disk.WriteAsync("first", []byte("1"), func(error) { order = append(order, "first") })
+		disk.WriteAsync("second", []byte("2"), func(error) { order = append(order, "second") })
+	})
+	var got []string
+	waitFor(t, 5*time.Second, func() bool {
+		r.Do(func() { got = slices.Clone(order) })
+		return len(got) == 2
+	})
+	if !slices.Equal(got, []string{"first", "second"}) {
+		t.Fatalf("completions ran in the order %v, want first then second", got)
+	}
 }
 
 // filesEngineDir returns a directory as the removed files engine left
@@ -119,9 +197,9 @@ func TestWALCoordinatorKillAndRestartRecoveryMultiLoop(t *testing.T) {
 // TestWALCoordinatorKillAndRestartRecoveryLargePayloads is the same
 // crash with 16 KiB params echoed as results, on one loop and on four:
 // each job persists as a header plus two blobs, the blobs staged with
-// WriteAsync ahead of the header's synchronous Write — through a store
-// lane when partitioned — so a kill lands between a blob and its header
-// as readily as anywhere else. Recovery must join every header with its
+// WriteAsync ahead of the header — through a store lane when
+// partitioned — so a kill lands between a blob and its header as
+// readily as anywhere else. Recovery must join every header with its
 // blobs, and every result delivered after the restart must be the echo
 // of its call's params.
 func TestWALCoordinatorKillAndRestartRecoveryLargePayloads(t *testing.T) {

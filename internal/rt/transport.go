@@ -66,7 +66,7 @@ type dropReason int
 
 const (
 	dropOverflow    dropReason = iota // the peer's send queue was full: its oldest envelope went
-	dropUnreachable                   // no address at flush time, or the dial failed
+	dropUnreachable                   // no address at send or flush time, or the dial failed
 	dropBroken                        // the connection broke under the batch
 	dropOversize                      // the frame is over proto.MaxFrame
 	numDropReasons

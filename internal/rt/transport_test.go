@@ -342,6 +342,19 @@ func TestDropsAreCountedByReason(t *testing.T) {
 		only(t, r, "unreachable", 1)
 	})
 
+	t.Run("no address", func(t *testing.T) {
+		// A peer missing from the directory: dropped at the send itself,
+		// with no sender started for it.
+		r := start(t, Config{})
+		r.Do(func() { r.loops[0].env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
+		only(t, r, "unreachable", 1)
+		r.sendMu.Lock()
+		defer r.sendMu.Unlock()
+		if len(r.senders) != 0 {
+			t.Fatalf("%d senders started for a peer with no address", len(r.senders))
+		}
+	})
+
 	t.Run("broken", func(t *testing.T) {
 		// A peer that reads the first envelope and resets the connection:
 		// the next write finds it broken.

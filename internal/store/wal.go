@@ -45,6 +45,10 @@ const (
 	// maxRecordSize bounds a single key+value against corrupt length
 	// fields turning into giant allocations during replay.
 	maxRecordSize = 1 << 30
+
+	// maxKeptRecordBuf is the largest record buffer the committer keeps
+	// for the next commit.
+	maxKeptRecordBuf = 1 << 20
 )
 
 var snapMagic = [8]byte{'R', 'P', 'C', 'V', 'S', 'N', 'P', '1'}
@@ -108,6 +112,14 @@ type WAL struct {
 	lanes  []*walLane // per-event-loop staging lanes (see lane.go)
 	closed bool
 	broken error // sticky fatal commit error; fails all later ops
+
+	// Committer-owned arrays, kept across commits so that a commit
+	// allocates nothing once they have grown to the usual batch: spare
+	// becomes staged when a batch is taken and the batch, cleared, the
+	// next spare; buf holds the batch's records on their way to the
+	// segment.
+	spare []walOp
+	buf   []byte
 
 	seg     *os.File // active segment (committer-owned after Open)
 	segID   uint64
@@ -360,10 +372,33 @@ func (w *WAL) replaySegment(id uint64, tolerateTail bool) (int, error) {
 // Write implements Store: it stages the put and blocks until the batch
 // holding it is fsynced.
 func (w *WAL) Write(key string, value []byte) error {
-	ch := make(chan error, 1)
-	w.stage(walOp{kind: recPut, key: key, val: value, done: func(err error) { ch <- err }})
-	return <-ch
+	return w.wait(walOp{kind: recPut, key: key, val: value})
 }
+
+// wait stages op and blocks until the committer completes it, on a
+// pooled waiter: a synchronous operation allocates no channel and no
+// callback of its own.
+func (w *WAL) wait(op walOp) error {
+	s := syncWaiters.Get().(*syncWaiter)
+	op.done = s.done
+	w.stage(op)
+	err := <-s.ch
+	syncWaiters.Put(s)
+	return err
+}
+
+// syncWaiter is what a synchronous operation waits on: done, bound once,
+// hands the commit's outcome to ch.
+type syncWaiter struct {
+	ch   chan error
+	done func(error)
+}
+
+var syncWaiters = sync.Pool{New: func() any {
+	s := &syncWaiter{ch: make(chan error, 1)}
+	s.done = func(err error) { s.ch <- err }
+	return s
+}}
 
 // WriteAsync implements Store: it stages the put and returns; done
 // runs (possibly on the committer goroutine) after the batch fsync.
@@ -374,9 +409,7 @@ func (w *WAL) WriteAsync(key string, value []byte, done func(error)) {
 // Delete implements Store: durable like Write (a delete record is
 // appended and fsynced), so a crash cannot resurrect the key.
 func (w *WAL) Delete(key string) error {
-	ch := make(chan error, 1)
-	w.stage(walOp{kind: recDelete, key: key, done: func(err error) { ch <- err }})
-	return <-ch
+	return w.wait(walOp{kind: recDelete, key: key})
 }
 
 // DeleteAsync implements Store: it stages the delete and returns; done
@@ -412,9 +445,7 @@ func (w *WAL) Keys(prefix string) []string {
 // Sync implements Store: it rides a no-op barrier through the commit
 // pipeline, returning once everything staged before it is durable.
 func (w *WAL) Sync() error {
-	ch := make(chan error, 1)
-	w.stage(walOp{done: func(err error) { ch <- err }})
-	return <-ch
+	return w.wait(walOp{})
 }
 
 // Close implements Store: flushes staged operations, stops the
@@ -444,7 +475,7 @@ func (w *WAL) Close() error {
 // index immediately.
 func (w *WAL) stage(op walOp) {
 	w.mu.Lock()
-	if w.closed || w.broken != nil {
+	if w.closed {
 		err := w.broken
 		if err == nil {
 			err = errors.New("store: wal closed")
@@ -455,11 +486,16 @@ func (w *WAL) stage(op walOp) {
 		}
 		return
 	}
-	switch op.kind {
-	case recPut:
-		w.index[op.key] = op.val
-	case recDelete:
-		delete(w.index, op.key)
+	// A broken log applies nothing, but it still queues the op: the
+	// committer fails it behind the ones staged before it, so that
+	// completions keep their staging order even then.
+	if w.broken == nil {
+		switch op.kind {
+		case recPut:
+			w.index[op.key] = op.val
+		case recDelete:
+			delete(w.index, op.key)
+		}
 	}
 	w.staged = append(w.staged, op)
 	w.mu.Unlock()
@@ -501,7 +537,7 @@ func (w *WAL) committer() {
 func (w *WAL) commitBatch(finalize bool) {
 	w.mu.Lock()
 	batch := w.staged
-	w.staged = nil
+	w.staged, w.spare = w.spare, nil
 	lanes := append([]*walLane(nil), w.lanes...)
 	broken := w.broken
 	w.mu.Unlock()
@@ -541,6 +577,7 @@ func (w *WAL) commitBatch(finalize bool) {
 		}
 	}
 	if len(batch) == 0 {
+		w.spare = batch
 		return
 	}
 	if broken != nil {
@@ -548,15 +585,11 @@ func (w *WAL) commitBatch(finalize bool) {
 		// sticky error must fail too: the segment may end in a partial
 		// record, and anything appended after it would be truncated
 		// away by the next recovery despite a successful fsync.
-		for _, op := range batch {
-			if op.done != nil {
-				op.done(broken)
-			}
-		}
+		w.complete(batch, broken)
 		return
 	}
 
-	var buf []byte
+	buf := w.buf[:0]
 	records := 0
 	for _, op := range batch {
 		if op.kind == 0 {
@@ -564,6 +597,11 @@ func (w *WAL) commitBatch(finalize bool) {
 		}
 		buf = appendRecord(buf, op.kind, op.key, op.val)
 		records++
+	}
+	if cap(buf) <= maxKeptRecordBuf {
+		w.buf = buf
+	} else {
+		w.buf = nil // one bulky batch does not pin its size for good
 	}
 
 	var err error
@@ -588,14 +626,23 @@ func (w *WAL) commitBatch(finalize bool) {
 	}
 	w.mu.Unlock()
 
+	w.complete(batch, err)
+	if err == nil {
+		w.maybeRotate()
+	}
+}
+
+// complete reports err to every operation of batch, in staging order,
+// and keeps the batch's array, cleared of its values and callbacks, as
+// the next spare.
+func (w *WAL) complete(batch []walOp, err error) {
 	for _, op := range batch {
 		if op.done != nil {
 			op.done(err)
 		}
 	}
-	if err == nil {
-		w.maybeRotate()
-	}
+	clear(batch)
+	w.spare = batch[:0]
 }
 
 // maybeRotate seals the active segment once it exceeds SegmentBytes

@@ -129,6 +129,28 @@ func TestWALAsyncWrite(t *testing.T) {
 	}
 }
 
+// A group commit allocates nothing of its own: once the committer's
+// arrays have grown to the usual batch, a staged write and the commit
+// that makes it durable cost the log no allocation.
+func TestWALCommitAllocatesNothing(t *testing.T) {
+	w := openTestWAL(t, t.TempDir(), WALOptions{})
+	val := []byte("a 64-byte value, as the coordinator's job headers roughly are....")
+	errs := make(chan error, 1)
+	done := func(err error) { errs <- err }
+	write := func() {
+		w.WriteAsync("coord/job/u/1/1", val, done)
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		write()
+	}
+	if n := testing.AllocsPerRun(100, write); n != 0 {
+		t.Fatalf("a staged write and its commit allocate %v times, want 0", n)
+	}
+}
+
 // TestWALTornTailTruncated is the crash-window edge: a torn final
 // record (partial write, crc mismatch) is truncated on recovery and
 // every earlier entry survives.
