@@ -54,8 +54,9 @@ type tcpGridSpec struct {
 	parallelism int
 	services    map[string]server.Service
 
-	// The coordinator's store and loops (collect_test.go): coDisk is a
-	// WAL directory, empty for the memory store; loops 0 means one.
+	// The coordinator's store (collect_test.go): coDisk is a WAL
+	// directory, empty for the memory store. loops is its Config.Loops,
+	// the vestige that accepts 0 or 1.
 	coDisk string
 	loops  int
 }

@@ -12,13 +12,6 @@
 // (internal/store) that amortizes the fsync per job record across
 // concurrent submissions. Without it the job table is volatile.
 //
-// -loops selects the number of event loops (default 1, the
-// configuration the benchmark measures). Above 1, sessions are
-// hash-pinned to a loop and the coordinator partitions into one
-// instance per loop; no measurement has shown that to be faster. Ring
-// members should run the same -loops value so session ownership agrees
-// across the fleet.
-//
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics (Prometheus text), /statusz (JSON counters,
 // shard map, suspected nodes), /healthz, /tracez (task-lifecycle span
@@ -69,7 +62,6 @@ func main() {
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
-	loops := flag.Int("loops", 1, "event loops; above 1, sessions are hash-pinned to a loop (ring members should share the value)")
 	flag.Parse()
 
 	if _, err := sched.New(sched.Config{Policy: *policy}); err != nil {
@@ -147,7 +139,6 @@ func main() {
 		QueueDepth:      *queueDepth,
 		IdleTimeout:     *idleTimeout,
 		MaxInboundConns: *maxInbound,
-		Loops:           *loops,
 		Obs:             ob,
 	})
 	if err != nil {
@@ -165,23 +156,13 @@ func main() {
 		// /healthz answers 503 when the event loop stops taking work:
 		// liveness is proven per probe, not assumed from the socket.
 		adm.Health(func() error { return rtm.Ping(500 * time.Millisecond) })
-		// Status sections read event-loop state; marshal each partition's
-		// snapshot onto its owning loop via rtm.DoOn so the HTTP
-		// goroutine never touches handler fields directly.
+		// Status sections read event-loop state; marshal each snapshot
+		// onto the loop via rtm.Do so the HTTP goroutine never touches
+		// handler fields directly.
 		adm.Status("coordinator", func() any {
-			parts := co.Partitions()
-			if len(parts) == 1 {
-				var st coordinator.Stats
-				rtm.Do(func() { st = co.StatsNow() })
-				return st
-			}
-			out := make([]coordinator.Stats, len(parts))
-			for i, p := range parts {
-				var st coordinator.Stats
-				rtm.DoOn(i, func() { st = p.StatsNow() })
-				out[i] = st
-			}
-			return out
+			var st coordinator.Stats
+			rtm.Do(func() { st = co.StatsNow() })
+			return st
 		})
 		adm.Status("loops", func() any { return rtm.LoopStats() })
 		adm.Status("shard_map", func() any {

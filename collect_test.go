@@ -68,9 +68,7 @@ func (g *tcpGrid) echoAll(tb testing.TB, n, inFlight, size int) {
 type held struct{ jobs, keys, tracked, logged int }
 
 func (g *tcpGrid) held() (h held) {
-	for j, part := range g.co.Partitions() {
-		g.rco.DoOn(j, func() { h.jobs += part.DB().Len() })
-	}
+	g.rco.Do(func() { h.jobs = g.co.DB().Len() })
 	h.keys = len(g.coStore.Keys("coord/job/")) + len(g.coStore.Keys("coord/blob/"))
 	st := g.session.Stats()
 	h.tracked, h.logged = st.Tracked, st.LoggedSeqs
@@ -112,23 +110,22 @@ func (g *tcpGrid) settled(tb testing.TB, what string) uint64 {
 // store, the client's call map and its log each hold at most one entry,
 // and the heap is where it was after the first batch of its kind. Before collection
 // each call left 1.5 KB behind (330 KB for a 64 KiB one) at each end,
-// for ever. On the memory store and on the WAL, on one loop and on two.
+// for ever. On the memory store and on the WAL.
 func TestGridHoldsTheCallsInFlightNotItsHistory(t *testing.T) {
 	small := 3000
 	if testing.Short() {
 		small = 300
 	}
 	for _, cell := range []struct {
-		name  string
-		wal   bool
-		loops int
-	}{{"memory", false, 1}, {"wal", true, 1}, {"memory-2-loops", false, 2}, {"wal-2-loops", true, 2}} {
+		name string
+		wal  bool
+	}{{"memory", false}, {"wal", true}} {
 		t.Run(cell.name, func(t *testing.T) {
 			dir := ""
 			if cell.wal {
 				dir = t.TempDir()
 			}
-			g := collectGrid(t, dir, cell.loops)
+			g := collectGrid(t, dir, 1)
 			g.echoAll(t, small, 32, 64)
 			base := g.settled(t, "first batch")
 			g.echoAll(t, small, 32, 64)
@@ -150,13 +147,11 @@ func TestGridHoldsTheCallsInFlightNotItsHistory(t *testing.T) {
 				t.Fatalf("heap %d KB after the first %d calls, %d KB after as many again, %d KB after 200 of 64 KiB, %d KB after 200 more: it follows the history",
 					base>>10, small, after>>10, large>>10, again>>10)
 			}
-			collected, waiting := 0, 0
-			for j, part := range g.co.Partitions() {
-				g.rco.DoOn(j, func() {
-					st := part.StatsNow()
-					collected, waiting = collected+st.Collected, waiting+st.CollectWaiting
-				})
-			}
+			var collected, waiting int
+			g.rco.Do(func() {
+				st := g.co.StatsNow()
+				collected, waiting = st.Collected, st.CollectWaiting
+			})
 			if collected < 2*small+399 || waiting != 0 {
 				t.Errorf("%d calls collected, %d waiting, after %d calls", collected, waiting, 2*small+400)
 			}

@@ -57,20 +57,14 @@
 // loudly, and connection breaks are never fault signals; heartbeat
 // timeouts remain the only suspicion source.
 //
-// The runtime also scales past the paper's one-loop-per-node model:
-// rt.Config.Loops (-loops on rpcv-coordinator only, default
-// GOMAXPROCS) runs M per-core event loops with sessions hash-pinned to
-// a loop by shard.LoopMap, preserving per-session ordering while
-// partitioned handlers (node.PartitionedHandler — the coordinator)
-// split their state, epoch and store lane per loop; the worker and
-// client handlers do not partition and always run on one loop.
-// Cross-loop and WAL-committer traffic rides a lock-free MPSC handoff
-// ring per loop; store lanes stage into the shared WAL group commit so
-// one fsync covers all loops; -loops=1 is byte-identical on the wire to
-// the pre-loops runtime. Loop-targeted API: DoOn, DoAsyncOn, PingLoop,
-// LoopFor, LoopStats. Its correctness is tested (make loops, conform's
-// loops=2 cell, the multi-loop kill-and-restart test); its speed-up is
-// unverified — see the README's multi-loop section.
+// Every runtime hosts its handler on exactly one event loop, the
+// paper's model: Start, each Receive, each timer and each completion
+// run on it in turn, so no handler takes a lock. Producers that must
+// never block — the WAL committer completing a staged write, an
+// offloaded service body handing back its result — reach the loop
+// through a lock-free MPSC handoff ring; everything else (received
+// messages, Do, Ping) through its bounded mailbox. A second loop per
+// coordinator was measured slower on two cores, and deleted.
 //
 // internal/proto owns the wire format itself: one hand-written binary
 // codec with explicit encodings for all 26 message kinds plus JobRecord

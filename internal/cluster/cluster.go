@@ -3,14 +3,6 @@
 // a chosen network model, with uniform or per-node configuration. It is
 // the shared harness of the integration tests, the benchmarks and every
 // figure-regeneration experiment.
-//
-// The simulator executes every handler single-loop: multi-core event
-// loops (rt.Config.Loops, node.PartitionedHandler) are a capability of
-// the real-time runtime, where wall-clock parallelism exists to win.
-// Under the virtual clock the sequential executor is already
-// deterministic and "instant", so this harness never partitions a
-// handler; internal/rt's own tests exercise the loops on the TCP
-// runtime instead.
 package cluster
 
 import (

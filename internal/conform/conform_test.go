@@ -21,12 +21,11 @@ func TestParseDefaultSuite(t *testing.T) {
 		t.Fatalf("suite name = %q", s.Name)
 	}
 	wantCells := []string{
-		"store=wal policy=fcfs loops=1",
-		"store=wal policy=fcfs loops=2", // -quick's second cell: the multi-loop coordinator
-		"store=memory policy=fcfs loops=1",
-		"store=wal policy=fastest-first loops=1",
-		"store=wal policy=deadline loops=1",
-		"store=wal policy=speculative loops=1",
+		"store=wal policy=fcfs",
+		"store=memory policy=fcfs", // -quick's second cell
+		"store=wal policy=fastest-first",
+		"store=wal policy=deadline",
+		"store=wal policy=speculative",
 	}
 	if len(s.Cells) != len(wantCells) {
 		t.Fatalf("default suite has %d cells, want %d", len(s.Cells), len(wantCells))
@@ -68,28 +67,28 @@ func TestParseDefaultSuite(t *testing.T) {
 
 func TestParseSuiteRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"empty":              "",
-		"no cells":           "suite x\nscenario a\nend\n",
-		"no scenarios":       "suite x\ncell store=wal\n",
-		"unknown directive":  "suite x\nbogus\n",
-		"unknown cell key":   "suite x\ncell color=red\n",
-		"unknown store":      "suite x\ncell store=floppy\n",
-		"removed store":      "suite x\ncell store=files\nscenario a\nend\n",
-		"removed wire key":   "suite x\ncell wire=binary\nscenario a\nend\n",
-		"removed transport":  "suite x\nmatrix transport=pooled\nscenario a\nend\n",
-		"loops out of range": "suite x\ncell loops=99\n",
-		"unclosed scenario":  "suite x\ncell store=wal\nscenario a\n",
-		"bad event node":     "suite x\ncell store=wal\nscenario a\nat 1ms crash xx9\nend\n",
-		"node out of range":  "suite x\ncell store=wal\nscenario a\ncoords 1\nat 1ms crash co5\nend\n",
-		"self block":         "suite x\ncell store=wal\nscenario a\nat 1ms block co0 -> co0\nend\n",
-		"bad duration":       "suite x\ncell store=wal\nscenario a\nat soon crash co0\nend\n",
-		"negative at":        "suite x\ncell store=wal\nscenario a\nat -5ms crash co0\nend\n",
-		"disk on client":     "suite x\ncell store=wal\nscenario a\nat 1ms disk cli0 fail 1\nend\n",
-		"stale no shards":    "suite x\ncell store=wal\nscenario a\nstaleclients\nend\n",
-		"dup scenario":       "suite x\ncell store=wal\nscenario a\nend\nscenario a\nend\n",
-		"calls below grid":   "suite x\ncell store=wal\nscenario a\nclients 4\ncalls 2\nend\n",
-		"matrix no values":   "suite x\nmatrix store=\n",
-		"giant input":        "suite x\n" + strings.Repeat("# pad\n", 200_000),
+		"empty":             "",
+		"no cells":          "suite x\nscenario a\nend\n",
+		"no scenarios":      "suite x\ncell store=wal\n",
+		"unknown directive": "suite x\nbogus\n",
+		"unknown cell key":  "suite x\ncell color=red\n",
+		"unknown store":     "suite x\ncell store=floppy\n",
+		"removed store":     "suite x\ncell store=files\nscenario a\nend\n",
+		"removed wire key":  "suite x\ncell wire=binary\nscenario a\nend\n",
+		"removed transport": "suite x\nmatrix transport=pooled\nscenario a\nend\n",
+		"removed loops key": "suite x\ncell loops=2\nscenario a\nend\n",
+		"unclosed scenario": "suite x\ncell store=wal\nscenario a\n",
+		"bad event node":    "suite x\ncell store=wal\nscenario a\nat 1ms crash xx9\nend\n",
+		"node out of range": "suite x\ncell store=wal\nscenario a\ncoords 1\nat 1ms crash co5\nend\n",
+		"self block":        "suite x\ncell store=wal\nscenario a\nat 1ms block co0 -> co0\nend\n",
+		"bad duration":      "suite x\ncell store=wal\nscenario a\nat soon crash co0\nend\n",
+		"negative at":       "suite x\ncell store=wal\nscenario a\nat -5ms crash co0\nend\n",
+		"disk on client":    "suite x\ncell store=wal\nscenario a\nat 1ms disk cli0 fail 1\nend\n",
+		"stale no shards":   "suite x\ncell store=wal\nscenario a\nstaleclients\nend\n",
+		"dup scenario":      "suite x\ncell store=wal\nscenario a\nend\nscenario a\nend\n",
+		"calls below grid":  "suite x\ncell store=wal\nscenario a\nclients 4\ncalls 2\nend\n",
+		"matrix no values":  "suite x\nmatrix store=\n",
+		"giant input":       "suite x\n" + strings.Repeat("# pad\n", 200_000),
 	}
 	for name, src := range cases {
 		if _, err := ParseSuite(src); err == nil {
@@ -226,7 +225,7 @@ end
 }
 
 // TestFrozenStalledCoordinator: the coordinator freezes without dying
-// — TCP accepts, loops do nothing — then resumes. Stalled-not-dead
+// — TCP accepts, the loop does nothing — then resumes. Stalled-not-dead
 // must look exactly like slow, never like split-brain.
 func TestFrozenStalledCoordinator(t *testing.T) {
 	runFrozen(t, `suite frozen
@@ -317,11 +316,11 @@ end
 }
 
 // TestFrozenCrossConfigAgreement is the conformance core at smoke
-// scale: two cells differing in store and loop count run the same
-// faulted workload and must land on one digest.
+// scale: two cells differing in store and scheduling policy run the
+// same faulted workload and must land on one digest.
 func TestFrozenCrossConfigAgreement(t *testing.T) {
 	rep := runFrozen(t, `suite frozen
-cell store=wal loops=2
+cell store=wal policy=fastest-first
 cell store=memory
 scenario faulted
   calls 20

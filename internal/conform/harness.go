@@ -205,8 +205,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			return rt.Start(rt.Config{
 				ID: id, ListenAddr: "127.0.0.1:0", Handler: co,
 				Directory: dir, DiskDir: diskDir,
-				Loops: cell.Loops, Seed: opts.Seed + int64(i),
-				Logf:      logf,
+				Seed: opts.Seed + int64(i), Logf: logf,
 				WrapStore: func(s store.Store) store.Store { return store.WithFaults(s, plan) },
 			})
 		}
@@ -502,10 +501,8 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				if rtm == nil {
 					continue
 				}
-				jobs := 0
-				for j, part := range co.Partitions() {
-					rtm.DoOn(j, func() { jobs += part.DB().Len() })
-				}
+				var jobs int
+				rtm.Do(func() { jobs = co.DB().Len() })
 				if jobs > n {
 					worst, n = name, jobs
 				}
@@ -616,7 +613,7 @@ func applyEvent(ev Event, rules *netmodel.Rules, faults *gridrpc.LinkFaults,
 	case "stall":
 		if rtm := slots[ev.Node].get(); rtm != nil {
 			rtm.StallLoops(ev.Dur)
-			note(ev, fmt.Sprintf("stall %s event loops %v (TCP stays up)", ev.Node, ev.Dur))
+			note(ev, fmt.Sprintf("stall %s event loop %v (TCP stays up)", ev.Node, ev.Dur))
 		} else {
 			note(ev, "stall "+ev.Node+" skipped: node is down")
 		}

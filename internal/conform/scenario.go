@@ -13,18 +13,17 @@ import (
 type Cell struct {
 	Store  string // "wal" | "memory"
 	Policy string // "fcfs" | "fastest-first" | "deadline" | "speculative"
-	Loops  int    // coordinator event loops
 }
 
 // DefaultCell is the cell every omitted key resolves to.
 func DefaultCell() Cell {
-	return Cell{Store: "wal", Policy: "fcfs", Loops: 1}
+	return Cell{Store: "wal", Policy: "fcfs"}
 }
 
 // Label renders the cell canonically (fixed key order), used as its
 // identity in verdicts and artifacts.
 func (c Cell) Label() string {
-	return fmt.Sprintf("store=%s policy=%s loops=%d", c.Store, c.Policy, c.Loops)
+	return fmt.Sprintf("store=%s policy=%s", c.Store, c.Policy)
 }
 
 // Event is one timed fault injection in a scenario.
@@ -81,7 +80,6 @@ const (
 	maxNodes      = 16
 	maxShards     = 8
 	maxCalls      = 100_000
-	maxLoops      = 8
 	maxDur        = 10 * time.Minute
 )
 
@@ -93,8 +91,8 @@ var (
 // ParseSuite parses the declarative scenario-file format:
 //
 //	suite <name>
-//	matrix store=wal,memory loops=1,2 ...   # cross product
-//	cell store=wal policy=deadline ...      # one explicit cell
+//	matrix store=wal,memory policy=fcfs,deadline  # cross product
+//	cell store=wal policy=deadline                # one explicit cell
 //	scenario <name>
 //	  clients 2
 //	  servers 3
@@ -109,7 +107,7 @@ var (
 //	  at 100ms disk co0 stall 40ms  # delay every commit
 //	  at 100ms disk co0 torn 1      # next write persists a prefix, errors
 //	  at 500ms disk co0 heal
-//	  at 150ms stall co0 700ms      # freeze event loops; TCP stays up
+//	  at 150ms stall co0 700ms      # freeze the event loop; TCP stays up
 //	  at 150ms skew co0 2s          # clock jump (negative allowed)
 //	  at 550ms crash co0
 //	  at 700ms restart co0
@@ -270,12 +268,6 @@ func setCellKey(c *Cell, key, val string) error {
 			return fmt.Errorf("unknown policy %q", val)
 		}
 		c.Policy = val
-	case "loops":
-		n, err := strconv.Atoi(val)
-		if err != nil || n < 1 || n > maxLoops {
-			return fmt.Errorf("loops %q out of range 1..%d", val, maxLoops)
-		}
-		c.Loops = n
 	default:
 		return fmt.Errorf("unknown cell key %q", key)
 	}
@@ -575,17 +567,15 @@ func (sc *Scenario) LastEventAt() time.Duration {
 }
 
 // DefaultSuite is the embedded conformance + chaos suite rpcv-sim runs
-// when no file is given: six configuration cells — both stores, a
-// multi-loop coordinator and every scheduling policy — against
+// when no file is given: five configuration cells — both stores and
+// every scheduling policy — against
 // scenarios covering the full fault taxonomy and the three ways a fault
 // can strand a late reply.
 const DefaultSuite = `suite default
 
 # The config matrix. Every cell must deliver the identical result set.
-# -quick runs the first two cells: the default and the multi-loop
-# coordinator.
+# -quick runs the first two cells: the default and the memory store.
 cell store=wal
-cell store=wal loops=2
 cell store=memory
 cell store=wal policy=fastest-first
 cell store=wal policy=deadline
@@ -615,7 +605,7 @@ scenario disk-fault
   at 750ms restart co0
 end
 
-# Stalled, not dead: event loops freeze while TCP stays up, so peers
+# Stalled, not dead: the event loop freezes while TCP stays up, so peers
 # must decide on heartbeat silence alone.
 scenario stalled-coordinator
   calls 30

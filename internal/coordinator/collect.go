@@ -108,7 +108,7 @@ func markKey(k sessionKey) string {
 	return markPrefix + string(k.user) + "/" + strconv.FormatUint(uint64(k.session), 10)
 }
 
-// loadMarks reloads the watermarks of the sessions this partition owns.
+// loadMarks reloads the sessions' watermarks.
 func (c *Coordinator) loadMarks() {
 	disk := c.env.Disk()
 	for _, key := range disk.Keys(markPrefix) {
@@ -124,15 +124,13 @@ func (c *Coordinator) loadMarks() {
 			continue
 		}
 		k := sessionKey{proto.UserID(name[:i]), proto.SessionID(session)}
-		if c.ownsLoop(proto.CallID{User: k.user, Session: k.session}) {
-			c.collected[k] = proto.RPCSeq(w)
-			c.gc.durable[k] = proto.RPCSeq(w)
-			// As loadStore does for the records: the successors may have
-			// missed the round that said so while we were down, and a
-			// session with nothing left in the table has no record to
-			// bring its watermark along.
-			c.tellMark(k)
-		}
+		c.collected[k] = proto.RPCSeq(w)
+		c.gc.durable[k] = proto.RPCSeq(w)
+		// As loadStore does for the records: the successors may have
+		// missed the round that said so while we were down, and a session
+		// with nothing left in the table has no record to bring its
+		// watermark along.
+		c.tellMark(k)
 	}
 }
 

@@ -79,7 +79,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"time"
 
 	"rpcv/internal/db"
@@ -220,19 +219,6 @@ type Coordinator struct {
 	dbEng  node.SerialResource // serializes database operation latency
 	epoch  uint64              // incarnation counter, persisted, stamps replica updates
 	coords []proto.NodeID
-
-	// Multi-loop partitioning (node.PartitionedHandler): loopIdx/loopN
-	// locate this instance among the per-core partitions of one
-	// coordinator process; loopMap is the shared session placement.
-	// loopN == 0 means the classic unpartitioned coordinator. Every
-	// partition is an independent Coordinator over the same durable
-	// store — disjoint session slices, disjoint job keys, per-instance
-	// epoch keys — so each keeps the no-locking discipline on its own
-	// loop. parts (receiver instance only) lists all partitions.
-	loopIdx int
-	loopN   int
-	loopMap *shard.LoopMap
-	parts   []*Coordinator
 
 	// Scheduling state (volatile; rebuilt from the store on restart).
 	// The engine owns the pending queue, policy order, admission gate
@@ -387,60 +373,7 @@ func New(cfg Config) *Coordinator {
 	return &Coordinator{cfg: cfg}
 }
 
-var (
-	_ node.Handler            = (*Coordinator)(nil)
-	_ node.PartitionedHandler = (*Coordinator)(nil)
-)
-
-// Partition implements node.PartitionedHandler: the coordinator splits
-// into n independent instances, one per event loop, each owning the
-// sessions shard.LoopMap pins to its loop. The runtime routes every
-// session-scoped message to the owning partition and broadcasts
-// node-scoped server traffic (heartbeats, server syncs) to all of
-// them, so each partition schedules against the full server pool but
-// only for its own sessions. Critically this multiplies the modeled
-// database: each partition has its own db.DB and SerialResource, so
-// DB-bound submit throughput scales with loops — the same trick the
-// shard layer plays across processes, one level down.
-//
-// Called once, before Start, by rt.Start.
-func (c *Coordinator) Partition(n int) []node.Handler {
-	if n < 1 {
-		n = 1
-	}
-	c.loopIdx, c.loopN = 0, n
-	c.loopMap = shard.NewLoopMap(n)
-	c.parts = make([]*Coordinator, n)
-	c.parts[0] = c
-	out := make([]node.Handler, n)
-	out[0] = c
-	for j := 1; j < n; j++ {
-		p := New(c.cfg)
-		p.loopIdx, p.loopN = j, n
-		p.loopMap = c.loopMap
-		c.parts[j] = p
-		out[j] = p
-	}
-	return out
-}
-
-// Partitions returns every per-loop coordinator instance hosted by the
-// receiver's process: the receiver itself when unpartitioned, else the
-// slice Partition built (index 0 is the receiver). Snapshot accessors
-// (StatsNow & co) on instance j must be marshalled through the j-th
-// loop (rt.DoOn).
-func (c *Coordinator) Partitions() []*Coordinator {
-	if len(c.parts) == 0 {
-		return []*Coordinator{c}
-	}
-	return c.parts
-}
-
-// ownsLoop reports whether this partition owns a session's calls under
-// the loop placement. Unpartitioned coordinators own everything.
-func (c *Coordinator) ownsLoop(call proto.CallID) bool {
-	return c.loopN <= 1 || c.loopMap.OwnerOf(call) == c.loopIdx
-}
+var _ node.Handler = (*Coordinator)(nil)
 
 // ---------------------------------------------------------------------
 // Lifecycle
@@ -559,12 +492,6 @@ func (c *Coordinator) Start(env node.Env) {
 func (c *Coordinator) initObs(env node.Env) {
 	reg := c.cfg.Obs.Registry()
 	ls := []obs.Label{obs.L("node", string(env.Self()))}
-	if c.loopN > 1 {
-		// Partitioned coordinators label per loop so the scrape shows
-		// the per-core split; unpartitioned ones keep the historical
-		// node-only series.
-		ls = append(ls, obs.L("loop", strconv.Itoa(c.loopIdx)))
-	}
 	c.cm = coordMetrics{
 		submits:      reg.Counter("rpcv_coord_submits_total", ls...),
 		accepted:     reg.Counter("rpcv_coord_jobs_accepted_total", ls...),
@@ -685,20 +612,12 @@ func (c *Coordinator) Stop() {
 	}
 }
 
-// epochKey is the durable key holding this instance's incarnation
-// counter. Partition 0 keeps the historical key so single-loop state
-// restarts unchanged under multi-loop (and vice versa); partitions
-// j > 0 use a suffixed key — epochs are per-instance because each
-// partition replicates and stamps updates independently.
-func (c *Coordinator) epochKey() string {
-	if c.loopIdx > 0 {
-		return fmt.Sprintf("coord/epoch.%d", c.loopIdx)
-	}
-	return "coord/epoch"
-}
+// epochKey is the durable key holding the coordinator's incarnation
+// counter.
+const epochKey = "coord/epoch"
 
 func (c *Coordinator) loadEpoch() {
-	if raw, ok := c.env.Disk().Read(c.epochKey()); ok && len(raw) == 8 {
+	if raw, ok := c.env.Disk().Read(epochKey); ok && len(raw) == 8 {
 		for i := 0; i < 8; i++ {
 			c.epoch |= uint64(raw[i]) << (8 * i)
 		}
@@ -708,7 +627,7 @@ func (c *Coordinator) loadEpoch() {
 	for i := 0; i < 8; i++ {
 		raw[i] = byte(c.epoch >> (8 * i))
 	}
-	if err := c.env.Disk().Write(c.epochKey(), raw); err != nil {
+	if err := c.env.Disk().Write(epochKey, raw); err != nil {
 		c.env.Logf("coordinator: persist epoch: %v", err)
 	}
 }
@@ -786,12 +705,6 @@ func (c *Coordinator) loadStore() {
 			continue
 		}
 		rec := sj.Rec
-		if !c.ownsLoop(rec.Call) {
-			// Another partition's session: its owner reloads it. All
-			// partitions share one durable store, so the key space is
-			// split by the same placement the runtime routes with.
-			continue
-		}
 		// Join the blobs the header measured. One that is missing or of
 		// another length was torn or never became durable: the record is
 		// as corrupt as one that fails to decode (the WAL CRCs what it

@@ -13,18 +13,7 @@
 //     disk write is the paper's design, not an accident.)
 //  2. State owned by the loop must only be touched from the loop. Any
 //     other goroutine must marshal access through rt.Do / rt.DoAsync /
-//     Env.After (or their loop-targeted forms DoOn / DoAsyncOn).
-//
-// With the multi-core runtime (rt.Config.Loops > 1) "the loop" is per
-// partition: each event loop owns exactly its partition's handler state
-// and store lane, and the discipline applies loop-by-loop. Cross-loop
-// traffic has exactly one sanctioned path — the runtime's lock-free
-// MPSC handoff ring, reached via (*rt.Runtime).DoAsyncOn or the
-// runtime's own routing. Handing work to a sister loop any other way is
-// a violation the analyzer flags: a blocking DoOn / PingLoop from loop
-// code stalls this loop behind that one (and deadlocks when the target
-// is itself), and pushing straight into another loop's mailbox channel
-// is an unbounded channel send like any other.
+//     Env.After.
 //
 // Both halves are annotation-driven:
 //
@@ -34,8 +23,7 @@
 //     blocking primitive: time.Sleep, WaitGroup/Cond.Wait, channel
 //     sends/receives/range, select without default, raw net dials and
 //     conn I/O, os/exec waits, net/http round trips, and the
-//     self-deadlocking (*rt.Runtime).Do / Ping / Close and the
-//     loop-on-loop blocking DoOn / PingLoop.
+//     self-deadlocking (*rt.Runtime).Do / Ping / Close.
 //   - "//rpcv:loop-owned" on a struct type declares its fields
 //     loop-private. Methods of the type are implicitly loop-only, and
 //     field accesses elsewhere are only legal inside loop-only
@@ -365,8 +353,6 @@ func bannedCall(f *types.Func) string {
 		return "sync." + recv + ".Wait blocks the event loop"
 	case astutil.PkgPathIs(pkg, "rt") && recv == "Runtime" && (name == "Do" || name == "Ping" || name == "Close"):
 		return "(*rt.Runtime)." + name + " called from the event loop deadlocks (the loop would wait on itself); use DoAsync or restructure"
-	case astutil.PkgPathIs(pkg, "rt") && recv == "Runtime" && (name == "DoOn" || name == "PingLoop"):
-		return "(*rt.Runtime)." + name + " called from the event loop deadlocks on its own loop and stalls this loop behind a sister loop otherwise; hand off through the cross-loop ring with DoAsyncOn"
 	case astutil.PkgPathIs(pkg, "net") && (strings.HasPrefix(name, "Dial") || name == "Read" || name == "Write" || name == "Accept"):
 		return "net." + name + " performs raw network I/O on the event loop"
 	case astutil.PkgPathIs(pkg, "os/exec") && (name == "Run" || name == "Wait" || name == "Output" || name == "CombinedOutput"):
@@ -468,9 +454,7 @@ func (c *checker) allowedContext(owner *types.Named, stack []ast.Node) bool {
 
 // marshalsOntoLoop reports whether call runs the literal argument on
 // the event loop: a method named Do / DoAsync (rt.Runtime and the
-// gridrpc facades) or their loop-targeted forms DoOn / DoAsyncOn (the
-// closure runs on the named loop — still an event loop, so still a
-// loop context), After on an Env/Runtime (loop timers), or Offload,
+// gridrpc facades), After on an Env/Runtime (loop timers), or Offload,
 // whose last argument is the completion it runs back on the loop.
 func marshalsOntoLoop(info *types.Info, call *ast.CallExpr, lit *ast.FuncLit) bool {
 	callee := astutil.Callee(info, call)
@@ -487,7 +471,7 @@ func marshalsOntoLoop(info *types.Info, call *ast.CallExpr, lit *ast.FuncLit) bo
 		return false
 	}
 	switch callee.Name() {
-	case "Do", "DoAsync", "DoOn", "DoAsyncOn":
+	case "Do", "DoAsync":
 		return true
 	case "After":
 		recv := astutil.ReceiverTypeName(callee)

@@ -48,20 +48,6 @@ func selfDeadlock(r *rt.Runtime) {
 	})
 }
 
-// crossLoopHandoff is a partitioned handler on one event loop handing
-// work to a sister loop. The only sanctioned path is the runtime's
-// MPSC handoff ring (DoAsyncOn); blocking on the sibling — DoOn,
-// PingLoop, or pushing straight into its mailbox channel — stalls this
-// loop behind that one.
-//
-//rpcv:loop-only
-func crossLoopHandoff(r *rt.Runtime, siblingMailbox chan func()) {
-	r.DoOn(1, func() {})           // want `stalls this loop behind a sister loop`
-	_ = r.PingLoop(1, time.Second) // want `stalls this loop behind a sister loop`
-	siblingMailbox <- func() {}    // want `channel send blocks the event loop`
-	r.DoAsyncOn(1, func() {})      // ok: ring handoff never waits
-}
-
 //rpcv:loop-only
 func sanctioned(ch chan int, done chan struct{}) {
 	// Non-blocking channel work is the loop's bread and butter.
@@ -153,12 +139,6 @@ func marshalled(s *State, r *rt.Runtime) {
 	})
 	r.DoAsync(func() {
 		s.count-- // ok: wrapped in rt.DoAsync
-	})
-	r.DoOn(2, func() {
-		s.count++ // ok: runs on loop 2's goroutine
-	})
-	r.DoAsyncOn(2, func() {
-		s.count-- // ok: rides the cross-loop ring onto loop 2
 	})
 }
 

@@ -1,7 +1,6 @@
 // Package rt is a miniature stand-in for rpcv/internal/rt: just enough
-// surface (Runtime with Do/DoAsync/Ping/Close/After/Offload plus the
-// loop-targeted DoOn/DoAsyncOn/PingLoop) for the loopexclusive
-// testdata to exercise the analyzer's rt-specific rules.
+// surface (Runtime with Do/DoAsync/Ping/Close/After/Offload) for the
+// loopexclusive testdata to exercise the analyzer's rt-specific rules.
 // The analyzer matches the runtime by package-path tail, so "rt" here
 // plays the role of "rpcv/internal/rt" in the real tree.
 package rt
@@ -27,22 +26,7 @@ func (r *Runtime) DoAsync(fn func()) {
 	}
 }
 
-func (r *Runtime) DoOn(loop int, fn func()) {
-	done := make(chan struct{})
-	r.mailbox <- func() { fn(); close(done) }
-	<-done
-}
-
-func (r *Runtime) DoAsyncOn(loop int, fn func()) {
-	select {
-	case r.mailbox <- fn:
-	default:
-	}
-}
-
 func (r *Runtime) Ping(d time.Duration) error { return nil }
-
-func (r *Runtime) PingLoop(loop int, d time.Duration) error { return nil }
 
 func (r *Runtime) Close() {}
 

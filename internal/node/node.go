@@ -169,35 +169,6 @@ func DeleteAsync(d Disk, key string, done func(err error)) {
 	done(d.Delete(key))
 }
 
-// PartitionedHandler is optionally implemented by handlers that can
-// split themselves across M per-core event loops (rt.Config.Loops).
-// Partition is called once, before Start, with the loop count; it
-// returns exactly n handlers, one per loop, where index 0 is the
-// receiver itself. Each partition then lives its whole life — Start,
-// every Receive, Stop — on its own loop, so the per-loop handlers keep
-// the no-locking discipline of the single-loop contract. The runtime
-// routes messages so that all traffic for one (user, session) pair
-// reaches the same partition (shard.LoopMap placement); node-scoped
-// traffic such as server heartbeats is broadcast to every partition.
-//
-// Handlers that do not implement PartitionedHandler are clamped to a
-// single loop regardless of the configured loop count.
-type PartitionedHandler interface {
-	Handler
-
-	// Partition returns the n per-loop handlers. out[0] must be the
-	// receiver. It is called exactly once, before any Start.
-	Partition(n int) []Handler
-}
-
-// LoopInfo is implemented by Envs of multi-loop runtimes. Handlers
-// discover their placement by type assertion — index is the loop the
-// handler is pinned to, total the loop count. Single-loop environments
-// may omit the interface entirely; absence means (0, 1).
-type LoopInfo interface {
-	Loop() (index, total int)
-}
-
 // Offloader is optionally implemented by Envs that can run blocking
 // work somewhere other than the node's event loop. Handler code may
 // never block — every message, timer and heartbeat queues behind it,

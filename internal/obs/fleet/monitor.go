@@ -240,8 +240,7 @@ func (n *nodeState) find(name string, labels map[string]string) *seriesEntry {
 
 // sumRate adds up the per-second rate over win of every label variant
 // of a counter — one that is split by a label the rule does not care
-// about (rpcv_coord_requeues_total by reason, and by loop on a
-// partitioned coordinator).
+// about (rpcv_coord_requeues_total by reason).
 func (n *nodeState) sumRate(name string, win time.Duration) float64 {
 	var sum float64
 	for _, k := range n.order {

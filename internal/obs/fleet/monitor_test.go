@@ -181,9 +181,9 @@ func TestMonitorLivenessProbeCritical(t *testing.T) {
 	}
 }
 
-// The coordinator splits rpcv_coord_requeues_total by reason (and a
-// partitioned one by loop as well); the shard's requeue rate and its
-// rule read the sum, as they read the single series before the split.
+// The coordinator splits rpcv_coord_requeues_total by reason; the
+// shard's requeue rate and its rule read the sum, as they read the
+// single series before the split.
 func TestRequeueRateSumsOverReasons(t *testing.T) {
 	sync, suspected := 0.0, 0.0
 	m := New(Config{

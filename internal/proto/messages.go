@@ -667,7 +667,7 @@ func (m *StealGrant) WireSize() int {
 type SimFault struct {
 	Suite    string
 	Scenario string
-	Cell     string // config-cell label, e.g. "store=wal policy=fcfs loops=1"
+	Cell     string // config-cell label, e.g. "store=wal policy=fcfs"
 	Fault    string // taxonomy name: partition, disk, stall, skew, crash, restart, stale-map, heal
 	Node     NodeID // primary affected node
 	Peer     NodeID // far end, for link faults; empty otherwise

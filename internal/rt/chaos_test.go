@@ -2,6 +2,9 @@ package rt
 
 import (
 	"errors"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -86,7 +89,7 @@ func TestSetClockOffsetSkewsEnvNow(t *testing.T) {
 	}
 }
 
-// StallLoop freezes the loop (posted work waits out the stall) while
+// StallLoops freezes the loop (posted work waits out the stall) while
 // the process and its listener stay up — stalled, not dead.
 func TestStallLoopDelaysWorkButNotTCP(t *testing.T) {
 	a := &echo{}
@@ -123,5 +126,90 @@ func TestStallLoopDelaysWorkButNotTCP(t *testing.T) {
 	}
 	if a.count() == 0 {
 		t.Fatal("message sent during stall never delivered after stall elapsed")
+	}
+}
+
+// wedgeLoop parks the calling goroutine until block closes. Wedging the
+// loop is the entire point of the stalled-probe test, so the block is
+// deliberate, not a latent bug for the loop discipline to flag.
+//
+//rpcv:loop-safe
+func wedgeLoop(started, block chan struct{}) {
+	close(started)
+	<-block
+}
+
+// TestPingReportsStalledLoop: a wedged loop with a full mailbox fails
+// its liveness probe — the probe behind /healthz — saying which half
+// stalled, and the probe recovers once the loop drains.
+func TestPingReportsStalledLoop(t *testing.T) {
+	ra, err := Start(Config{ID: "a", Handler: &echo{}, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+
+	started := make(chan struct{})
+	block := make(chan struct{})
+	ra.DoAsync(func() { wedgeLoop(started, block) })
+	<-started
+	if err := ra.Ping(100 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "did not respond") {
+		t.Fatalf("Ping on a wedged loop = %v, want it not to respond", err)
+	}
+	// Now saturate the mailbox so the probe fails at the accept phase,
+	// not the execute phase.
+	for full := false; !full; {
+		select {
+		case ra.loop.mailbox <- mail{fn: func() {}}:
+		default:
+			full = true
+		}
+	}
+	if err := ra.Ping(100 * time.Millisecond); err == nil || !strings.Contains(err.Error(), "mailbox full") {
+		t.Fatalf("Ping on a wedged loop with a full mailbox = %v, want it not to accept work", err)
+	}
+	close(block)
+	if !waitFor(t, 5*time.Second, func() bool { return ra.Ping(time.Second) == nil }) {
+		t.Error("Ping never recovered after the loop drained")
+	}
+}
+
+// TestRandPerLoop: each runtime's loop owns a private rand.Rand seeded
+// from Config.Seed — two runtimes in one process drawing at once share
+// no generator (the race detector watches), the same seed yields the
+// same stream and another seed another one.
+func TestRandPerLoop(t *testing.T) {
+	draw := func(seeds ...int64) [][]int64 {
+		handlers := make([]*echo, len(seeds))
+		runtimes := make([]*Runtime, len(seeds))
+		for i, seed := range seeds {
+			handlers[i] = &echo{}
+			r, err := Start(Config{ID: "a", Handler: handlers[i], Seed: seed, Logf: quietLogf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			runtimes[i] = r
+		}
+		out := make([][]int64, len(seeds))
+		var wg sync.WaitGroup
+		for i, r := range runtimes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 200 {
+					r.Do(func() { out[i] = append(out[i], handlers[i].env.Rand().Int63()) })
+				}
+			}()
+		}
+		wg.Wait()
+		return out
+	}
+	got := draw(42, 42, 43)
+	if !slices.Equal(got[0], got[1]) {
+		t.Error("two loops seeded alike drew different streams")
+	}
+	if slices.Equal(got[0], got[2]) {
+		t.Error("loops seeded differently drew one stream")
 	}
 }

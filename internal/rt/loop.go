@@ -1,38 +1,29 @@
 package rt
 
-// The multi-core runtime: a Runtime hosts Config.Loops event loops,
-// each a goroutine owning one partition of the handler (see
-// node.PartitionedHandler). Sessions are hash-pinned to a loop with
-// the same consistent-hash construction the shard layer uses for
-// coordinator rings (shard.LoopMap), so every message of one (user,
-// session) pair executes on one loop and the handlers keep their
-// no-locking discipline per loop.
+// The event loop: one goroutine runs everything the hosted handler
+// does — Start, every Receive, every timer and completion, Stop — so
+// the handler needs no locks, as under the simulator.
 //
-// Each loop owns three inbound paths:
+// The loop has three inbound paths:
 //
 //   - mailbox: a bounded channel fed by external producers — transport
-//     delivery, Do/DoOn/Ping, admin scrapes. External producers may
-//     block briefly when a loop falls behind (backpressure). Its entries
+//     delivery, Do/Ping, admin scrapes. External producers may block
+//     briefly when the loop falls behind (backpressure). Its entries
 //     are typed (mail): a received envelope travels as its sender and
 //     message, not as a closure over them, so delivering a message
 //     allocates nothing; a function to run travels as itself. The
 //     channel holds mailboxBytes of entries, not a count of them.
 //   - ring: an unbounded lock-free MPSC handoff ring (Vyukov intrusive
 //     queue) + a 1-buffered wake doorbell, fed by producers that must
-//     NEVER block: the store committer completing per-loop WriteAsync
-//     callbacks (a blocked committer would deadlock a loop waiting in
-//     a synchronous Write), cross-loop handoffs, and the goroutines of
-//     offloaded work handing back their completion (rtEnv.Offload; one
-//     that finishes after Close must end, not wait on a dead loop).
-//     post() is the only way onto it.
-//   - timers: a per-loop min-heap of deadlines; the loop arms a single
-//     runtime timer to the earliest one. After/Stop run on the owning
-//     loop, so the heap lock is uncontended.
-//
-// Each loop also gets its own RNG (seeded per loop — see the
-// rtEnv.Rand race fix) and its own store lane when the engine supports
-// per-loop staging (store.Laner): stage under a lane-private lock, one
-// shared committer fsync covering every loop's batch.
+//     NEVER block: the store committer completing WriteAsync callbacks
+//     (a blocked committer would deadlock a loop waiting in a
+//     synchronous Write), and the goroutines of offloaded work handing
+//     back their completion (rtEnv.Offload; one that finishes after
+//     Close must end, not wait on a dead loop). post() is the only way
+//     onto it.
+//   - timers: a min-heap of deadlines; the loop arms a single runtime
+//     timer to the earliest one. After/Stop run on the loop, so the
+//     heap lock is uncontended.
 
 import (
 	"container/heap"
@@ -44,7 +35,6 @@ import (
 
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
-	"rpcv/internal/store"
 )
 
 // mail is one mailbox entry: a received envelope (msg and its sender)
@@ -55,19 +45,18 @@ type mail struct {
 	fn   func()
 }
 
-// mailboxBytes is the size of each loop's mailbox buffer: what 1 024
+// mailboxBytes is the size of the loop's mailbox buffer: what 1 024
 // closures took when an entry was one. A process may host several
-// runtimes (a test grid, the benchmark's), each with a buffer per loop
-// for its whole life, so a wider entry buys fewer slots rather than
-// more memory; a full mailbox only makes the connection readers wait.
+// runtimes (a test grid, the benchmark's), each with a buffer for its
+// whole life, so a wider entry buys fewer slots rather than more
+// memory; a full mailbox only makes the connection readers wait.
 const (
 	mailboxBytes = 1024 * 8
 	mailboxSlots = mailboxBytes / int(unsafe.Sizeof(mail{}))
 )
 
-// loop is one per-core event loop.
+// loop is a runtime's event loop.
 type loop struct {
-	idx     int
 	r       *Runtime
 	handler node.Handler
 
@@ -75,23 +64,33 @@ type loop struct {
 	ring    mpscRing
 	wake    chan struct{} // 1-buffered doorbell for the ring
 
-	rng   *rand.Rand
-	store store.Store // per-loop lane, or the shared engine
-	disk  node.Disk
-	env   *rtEnv
+	rng  *rand.Rand
+	disk *loopDisk
+	env  *rtEnv
 
 	tmu    sync.Mutex
 	timers timerHeap
 
 	// Scrape-time counters (atomics: read off-loop by obs funcs).
 	tasks    atomic.Uint64 // closures executed on the loop
-	handoffs atomic.Uint64 // ring posts (cross-loop / committer traffic)
+	handoffs atomic.Uint64 // ring posts (committer and offload traffic)
+}
+
+// receive schedules the handler's Receive on the loop, as a mailbox
+// entry holding the envelope itself. Called from connection readers
+// (external producers): the send may block briefly when the loop falls
+// behind, which is the transport's backpressure.
+func (l *loop) receive(from proto.NodeID, msg proto.Message) {
+	select {
+	case l.mailbox <- mail{from: from, msg: msg}:
+	case <-l.r.quit:
+	}
 }
 
 // post puts fn on the loop's lock-free handoff ring and rings the
 // doorbell. It never blocks, whatever the loop is doing — the path for
-// producers that must not stall: the store committer, other loops and
-// offloaded work.
+// producers that must not stall: the store committer and offloaded
+// work.
 func (l *loop) post(fn func()) { l.postNode(&ringNode{fn: fn}) }
 
 // postNode is post for an entry that brings its own ring node: a pooled
@@ -178,10 +177,10 @@ func (l *loop) drainPending() {
 }
 
 // ---------------------------------------------------------------------
-// Per-loop timers
+// Timers
 // ---------------------------------------------------------------------
 
-// loopTimer is one pending After deadline on a loop's heap.
+// loopTimer is one pending After deadline on the loop's heap.
 type loopTimer struct {
 	l       *loop
 	at      time.Time
@@ -208,6 +207,14 @@ func (l *loop) after(d time.Duration, fn func()) node.Timer {
 	heap.Push(&l.timers, t)
 	l.tmu.Unlock()
 	return t
+}
+
+// pendingTimers counts the timers not yet fired or stopped. Safe from
+// any goroutine.
+func (l *loop) pendingTimers() int {
+	l.tmu.Lock()
+	defer l.tmu.Unlock()
+	return len(l.timers)
 }
 
 // nextTimer returns the wait until the earliest pending deadline.

@@ -18,21 +18,18 @@
 // length-prefixed frames until EOF. An inbound connection that opens
 // with anything else is logged and closed.
 //
-// A runtime runs its handler on Config.Loops per-core event loops
-// (default 1). Handlers implementing node.PartitionedHandler are split
-// into one partition per loop; sessions are hash-pinned to loops with
-// the shard layer's consistent hashing (shard.LoopMap), so every
-// handler keeps the no-locking discipline it has under the simulator —
-// per loop. See loop.go and route.go. Loops=1 reproduces the
-// single-loop runtime exactly, including its wire bytes.
+// A runtime hosts its handler on exactly one event loop, as the paper's
+// nodes run: every message, timer and completion executes on it in
+// turn, so a handler keeps the no-locking discipline it has under the
+// simulator (loop.go).
 //
 // Moving a message costs nothing of its own beyond the decode: a
-// received envelope reaches its loop as a typed mailbox entry — its
-// sender and message, not a closure over them — a DoOn caller waits on
+// received envelope reaches the loop as a typed mailbox entry — its
+// sender and message, not a closure over them — a Do caller waits on
 // a pooled signal, each sender swaps two queue arrays instead of
 // growing a fresh one per batch, over the memory store a staged write
 // is simply the synchronous one, and over the WAL a staged write's
-// completion travels back to its loop in a pooled entry that is its own
+// completion travels back to the loop in a pooled entry that is its own
 // ring node. What a call allocates is what it keeps and what its
 // messages carry.
 package rt
@@ -44,7 +41,6 @@ import (
 	"log"
 	"math/rand"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +48,6 @@ import (
 	"rpcv/internal/node"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
-	"rpcv/internal/shard"
 	"rpcv/internal/store"
 )
 
@@ -84,18 +79,14 @@ type Config struct {
 	Store string
 	// Handler is the protocol state machine to host.
 	Handler node.Handler
-	// Loops is the number of per-core event loops hosting the handler.
-	// 0 or 1 means the classic single loop. Values above 1 require the
-	// handler to implement node.PartitionedHandler — otherwise the
-	// runtime clamps to 1 — and pin each session to one loop with the
-	// shard layer's consistent hashing, so submit throughput scales
-	// with cores while handlers stay lock-free per loop. Peers in one
-	// coordinator ring should run the same value (loop-tagged traffic
-	// routes partition j to partition j); a single-loop node is always
-	// wire-compatible with any peer.
+	// Loops is a vestige of the time a runtime could host a partitioned
+	// handler on several event loops: it hosts every handler on exactly
+	// one, so 0 and 1 both mean that loop and any other value fails
+	// Start. It stays only because bench/grid.go assigns it and bench/
+	// may not change in the PR that removed the other loops; the next
+	// benchmark PR deletes that assignment and this field together.
 	Loops int
-	// Seed for the node's RNG; 0 derives one from the ID. Each loop
-	// derives its own stream from this seed.
+	// Seed for the node's RNG; 0 derives one from the ID.
 	Seed int64
 	// Logf, when non-nil, receives trace output (default: log.Printf).
 	Logf func(format string, args ...any)
@@ -116,13 +107,12 @@ type Config struct {
 	IdleTimeout time.Duration
 	// Obs, when non-nil, receives runtime metrics: the transport
 	// counters and batch sizes, the store's write-to-durable latency,
-	// (with a DiskDir) the WAL's group-commit and snapshot counters, all
-	// labeled node="<ID>", and per-loop counters (tasks, handoffs,
-	// mailbox depth, pending timers) labeled node + loop. Counters the
-	// hot path already maintains are exposed as scrape-time funcs, so
-	// observability costs nothing per message; the write-latency
-	// histogram adds a few atomic adds per durable write. Nil disables
-	// everything.
+	// (with a DiskDir) the WAL's group-commit and snapshot counters and
+	// the event loop's counters (tasks, handoffs, mailbox depth, pending
+	// timers), all labeled node="<ID>". Counters the hot path already
+	// maintains are exposed as scrape-time funcs, so observability costs
+	// nothing per message; the write-latency histogram adds a few atomic
+	// adds per durable write. Nil disables everything.
 	Obs *obs.Observer
 	// MaxInboundConns caps concurrent inbound connections; beyond it,
 	// new connections are shed (accepted, immediately closed, counted
@@ -134,23 +124,19 @@ type Config struct {
 	MaxInboundConns int
 	// WrapStore, when non-nil, interposes on the store after it is
 	// opened (so the WAL's directory-refusal check has already run)
-	// and before any loop sees it. The chaos harness uses it to inject
+	// and before the loop sees it. The chaos harness uses it to inject
 	// disk faults (store.WithFaults); the wrapper must preserve the
-	// Store contract. Note: a wrapper hides optional interfaces
-	// (store.Laner, WALStats), so multi-loop store lanes degrade to
-	// the shared path under a wrapped store.
+	// Store contract. Note: a wrapper hides the WAL's optional Stats, so
+	// its commit counters go unexported under a wrapped store.
 	WrapStore func(store.Store) store.Store
 }
 
-// Runtime hosts one handler across one or more event loops.
+// Runtime hosts one handler on one event loop.
 type Runtime struct {
 	cfg   Config
 	ln    net.Listener
 	store store.Store
-
-	loops   []*loop
-	loopMap *shard.LoopMap
-	fromIDs []proto.NodeID // wire From per loop (tagged when len(loops)>1)
+	loop  *loop
 
 	mu     sync.Mutex
 	dir    Directory
@@ -181,6 +167,9 @@ func Start(cfg Config) (*Runtime, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("rt: nil handler")
 	}
+	if cfg.Loops < 0 || cfg.Loops > 1 {
+		return nil, fmt.Errorf("rt: Loops = %d: a runtime hosts its handler on exactly one event loop (0 or 1)", cfg.Loops)
+	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
@@ -204,52 +193,15 @@ func Start(cfg Config) (*Runtime, error) {
 		seed ^= time.Now().UnixNano()
 	}
 
-	// Resolve the loop count and partition the handler. A handler that
-	// cannot partition is clamped to one loop: correctness first, the
-	// flag is a capability request, not a promise.
-	nloops := cfg.Loops
-	if nloops < 1 {
-		nloops = 1
-	}
-	var handlers []node.Handler
-	if nloops > 1 {
-		if ph, ok := cfg.Handler.(node.PartitionedHandler); ok {
-			handlers = ph.Partition(nloops)
-			if len(handlers) != nloops || handlers[0] == nil {
-				return nil, fmt.Errorf("rt: handler partitioned into %d of %d loops", len(handlers), nloops)
-			}
-		} else {
-			cfg.Logf("rt(%s): handler %T cannot partition; clamping %d loops to 1", cfg.ID, cfg.Handler, nloops)
-			nloops = 1
-		}
-	}
-	if nloops == 1 {
-		handlers = []node.Handler{cfg.Handler}
-	}
-
 	r := &Runtime{
 		cfg:     cfg,
 		dir:     make(Directory, len(cfg.Directory)),
 		conns:   make(map[net.Conn]struct{}),
 		senders: make(map[proto.NodeID]*sender),
-		loopMap: shard.NewLoopMap(nloops),
 		quit:    make(chan struct{}),
 	}
 	for id, addr := range cfg.Directory {
 		r.dir[id] = addr
-	}
-
-	// The wire From per loop: a single-loop runtime sends the bare ID
-	// (byte-identical to the pre-multi-core wire); a multi-loop one
-	// tags every frame with its originating loop so a multi-loop peer
-	// can route loop-symmetric traffic j -> j.
-	r.fromIDs = make([]proto.NodeID, nloops)
-	for i := range r.fromIDs {
-		if nloops == 1 {
-			r.fromIDs[i] = cfg.ID
-		} else {
-			r.fromIDs[i] = cfg.ID + proto.NodeID(loopTagSep+strconv.Itoa(i))
-		}
 	}
 
 	if cfg.DiskDir != "" {
@@ -269,41 +221,26 @@ func Start(cfg Config) (*Runtime, error) {
 		r.store = cfg.WrapStore(r.store)
 	}
 
-	// Build the loops: per-loop RNG stream, store lane (the WAL stages
-	// per loop; the memory store and wrapped stores are shared
-	// directly), env and disk adapter.
-	laner, _ := r.store.(store.Laner)
-	r.loops = make([]*loop, nloops)
-	for i := 0; i < nloops; i++ {
-		l := &loop{
-			idx:     i,
-			r:       r,
-			handler: handlers[i],
-			mailbox: make(chan mail, mailboxSlots),
-			wake:    make(chan struct{}, 1),
-			rng:     rand.New(rand.NewSource(seed + int64(i)*0x9E3779B9)),
-		}
-		l.store = r.store
-		if laner != nil && nloops > 1 {
-			l.store = laner.Lane()
-		}
-		_, inline := l.store.(*store.Memory)
-		l.disk = &loopDisk{l: l, inline: inline}
-		l.env = &rtEnv{l: l}
-		r.loops[i] = l
+	l := &loop{
+		r:       r,
+		handler: cfg.Handler,
+		mailbox: make(chan mail, mailboxSlots),
+		wake:    make(chan struct{}, 1),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
+	_, inline := r.store.(*store.Memory)
+	l.disk = &loopDisk{l: l, st: r.store, inline: inline}
+	l.env = &rtEnv{l: l}
+	r.loop = l
 	r.registerObs()
 
-	// Seed each mailbox with the handler's Start BEFORE any goroutine
+	// Seed the mailbox with the handler's Start BEFORE any goroutine
 	// that could deliver traffic exists: a peer connecting in the
 	// window between the accept loop spawning and Start being posted
 	// would otherwise have its message Received by an un-Started
-	// handler. The mailboxes are empty and loops not yet running, so
-	// the sends cannot block.
-	for _, l := range r.loops {
-		l := l
-		l.mailbox <- mail{fn: func() { l.handler.Start(l.env) }}
-	}
+	// handler. The mailbox is empty and the loop not yet running, so
+	// the send cannot block.
+	l.mailbox <- mail{fn: func() { l.handler.Start(l.env) }}
 
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -319,10 +256,8 @@ func Start(cfg Config) (*Runtime, error) {
 		go r.acceptLoop()
 	}
 
-	for _, l := range r.loops {
-		r.wg.Add(1)
-		go l.run()
-	}
+	r.wg.Add(1)
+	go l.run()
 	return r, nil
 }
 
@@ -346,18 +281,11 @@ func (r *Runtime) registerObs() {
 	reg.GaugeFunc("rpcv_transport_inbound_conns", func() float64 { return float64(r.inbound.Load()) }, nl)
 	r.obsBatch = reg.Histogram("rpcv_transport_batch_msgs", nl)
 	r.obsWrite = reg.Histogram("rpcv_store_write_latency_ns", nl)
-	for _, l := range r.loops {
-		l := l
-		ll := obs.L("loop", strconv.Itoa(l.idx))
-		reg.CounterFunc("rpcv_loop_tasks_total", l.tasks.Load, nl, ll)
-		reg.CounterFunc("rpcv_loop_handoffs_total", l.handoffs.Load, nl, ll)
-		reg.GaugeFunc("rpcv_loop_mailbox_depth", func() float64 { return float64(len(l.mailbox)) }, nl, ll)
-		reg.GaugeFunc("rpcv_loop_timers", func() float64 {
-			l.tmu.Lock()
-			defer l.tmu.Unlock()
-			return float64(len(l.timers))
-		}, nl, ll)
-	}
+	l := r.loop
+	reg.CounterFunc("rpcv_loop_tasks_total", l.tasks.Load, nl)
+	reg.CounterFunc("rpcv_loop_handoffs_total", l.handoffs.Load, nl)
+	reg.GaugeFunc("rpcv_loop_mailbox_depth", func() float64 { return float64(len(l.mailbox)) }, nl)
+	reg.GaugeFunc("rpcv_loop_timers", func() float64 { return float64(l.pendingTimers()) }, nl)
 	if w, ok := r.store.(interface{ Stats() store.WALStats }); ok {
 		reg.CounterFunc("rpcv_store_wal_commits_total", func() uint64 { return w.Stats().Commits }, nl)
 		reg.CounterFunc("rpcv_store_wal_committed_ops_total", func() uint64 { return w.Stats().CommittedOps }, nl)
@@ -378,17 +306,6 @@ func (r *Runtime) Addr() string {
 // ID returns the hosted node's identifier.
 func (r *Runtime) ID() proto.NodeID { return r.cfg.ID }
 
-// Loops returns the number of event loops hosting the handler.
-func (r *Runtime) Loops() int { return len(r.loops) }
-
-// LoopFor returns the loop index owning a session under this runtime's
-// placement — the same consistent hashing the delivery path uses, so
-// callers (experiments, tests, statusz) can predict or balance
-// placement.
-func (r *Runtime) LoopFor(user proto.UserID, session proto.SessionID) int {
-	return r.loopMap.Owner(user, session)
-}
-
 // SetPeer updates the directory entry for a peer (e.g. after a
 // coordinator-list merge carried addresses out of band).
 func (r *Runtime) SetPeer(id proto.NodeID, addr string) {
@@ -397,18 +314,14 @@ func (r *Runtime) SetPeer(id proto.NodeID, addr string) {
 	r.dir[id] = addr
 }
 
-// Do runs fn on loop 0 and returns once it executed. It is how
+// Do runs fn on the event loop and returns once it executed. It is how
 // application code (the GridRPC facade) calls into the hosted handler
-// safely. On a partitioned handler it reaches partition 0 only; use
-// DoOn for a specific partition.
-func (r *Runtime) Do(fn func()) { r.DoOn(0, fn) }
-
-// DoOn runs fn on loop i's event loop and returns once it executed.
-func (r *Runtime) DoOn(i int, fn func()) {
+// safely.
+func (r *Runtime) Do(fn func()) {
 	w := waiters.Get().(*waiter)
 	w.fn = fn
 	select {
-	case r.loops[i].mailbox <- mail{fn: w.run}:
+	case r.loop.mailbox <- mail{fn: w.run}:
 		<-w.done
 	case <-r.quit:
 	}
@@ -416,8 +329,8 @@ func (r *Runtime) DoOn(i int, fn func()) {
 	waiters.Put(w)
 }
 
-// waiter is what DoOn hands a loop and waits on: the loop runs fn, then
-// signals done. Waiters are pooled with run bound once, so a DoOn
+// waiter is what Do hands the loop and waits on: the loop runs fn, then
+// signals done. Waiters are pooled with run bound once, so a Do
 // allocates neither a closure nor a channel.
 type waiter struct {
 	fn   func()
@@ -434,24 +347,20 @@ var waiters = sync.Pool{New: func() any {
 	return w
 }}
 
-// Ping proves loop 0 is live; see PingLoop.
-func (r *Runtime) Ping(d time.Duration) error { return r.PingLoop(0, d) }
-
-// PingLoop proves event loop i is live: it schedules a no-op and
-// waits at most d for the loop to run it. A nil return means the loop
-// both accepted and executed work within the budget; the error
-// otherwise says which half stalled. It is the liveness probe behind
-// the daemons' /healthz — safe to call from any goroutine, including
-// after Close (which reports the runtime as stopped).
-func (r *Runtime) PingLoop(i int, d time.Duration) error {
-	l := r.loops[i]
+// Ping proves the event loop is live: it schedules a no-op and waits at
+// most d for the loop to run it. A nil return means the loop both
+// accepted and executed work within the budget; the error otherwise
+// says which half stalled. It is the liveness probe behind the daemons'
+// /healthz — safe to call from any goroutine, including after Close
+// (which reports the runtime as stopped).
+func (r *Runtime) Ping(d time.Duration) error {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	done := make(chan struct{})
 	select {
-	case l.mailbox <- mail{fn: func() { close(done) }}:
+	case r.loop.mailbox <- mail{fn: func() { close(done) }}:
 	case <-timer.C:
-		return fmt.Errorf("event loop %d did not accept work within %v (mailbox full)", i, d)
+		return fmt.Errorf("event loop did not accept work within %v (mailbox full)", d)
 	case <-r.quit:
 		return fmt.Errorf("runtime stopped")
 	}
@@ -459,19 +368,16 @@ func (r *Runtime) PingLoop(i int, d time.Duration) error {
 	case <-done:
 		return nil
 	case <-timer.C:
-		return fmt.Errorf("event loop %d did not respond within %v", i, d)
+		return fmt.Errorf("event loop did not respond within %v", d)
 	case <-r.quit:
 		return fmt.Errorf("runtime stopped")
 	}
 }
 
-// DoAsync schedules fn on loop 0 without waiting.
-func (r *Runtime) DoAsync(fn func()) { r.DoAsyncOn(0, fn) }
-
-// DoAsyncOn schedules fn on loop i without waiting.
-func (r *Runtime) DoAsyncOn(i int, fn func()) {
+// DoAsync schedules fn on the event loop without waiting.
+func (r *Runtime) DoAsync(fn func()) {
 	select {
-	case r.loops[i].mailbox <- mail{fn: fn}:
+	case r.loop.mailbox <- mail{fn: fn}:
 	case <-r.quit:
 	}
 }
@@ -486,56 +392,44 @@ func (r *Runtime) SetClockOffset(d time.Duration) { r.clockOff.Store(int64(d)) }
 // ClockOffset returns the current injected clock skew.
 func (r *Runtime) ClockOffset() time.Duration { return time.Duration(r.clockOff.Load()) }
 
-// StallLoop blocks event loop i for d: timers do not fire, messages
-// queue in the mailbox, heartbeats lapse — but the process, its
-// listener and its pooled connections stay up. This is the
-// stalled-not-dead fault (GC pause, noisy neighbor, swap storm): peers
-// must decide on heartbeat silence alone, with TCP still open. Returns
-// without waiting for the stall to elapse.
-func (r *Runtime) StallLoop(i int, d time.Duration) {
-	r.DoAsyncOn(i, func() { stallLoopBody(d) })
-}
-
-// StallLoops stalls every event loop for d, freezing the whole node.
+// StallLoops blocks the event loop for d, freezing the whole node:
+// timers do not fire, messages queue in the mailbox, heartbeats lapse —
+// but the process, its listener and its pooled connections stay up.
+// This is the stalled-not-dead fault (GC pause, noisy neighbor, swap
+// storm): peers must decide on heartbeat silence alone, with TCP still
+// open. Returns without waiting for the stall to elapse.
 func (r *Runtime) StallLoops(d time.Duration) {
-	for i := range r.loops {
-		r.StallLoop(i, d)
-	}
+	r.DoAsync(func() { stallLoopBody(d) })
 }
 
 // stallLoopBody deliberately blocks the calling event loop — the one
 // thing loop code must never do, injected on purpose by the chaos
-// harness through StallLoop. The loop-safe annotation is the audited
+// harness through StallLoops. The loop-safe annotation is the audited
 // escape hatch: the blocking is the fault under test.
 //
 //rpcv:loop-safe
 func stallLoopBody(d time.Duration) { time.Sleep(d) }
 
-// LoopStat is a point-in-time snapshot of one event loop, for statusz.
+// LoopStat is a point-in-time snapshot of the event loop, for statusz.
 type LoopStat struct {
-	Loop         int    `json:"loop"`
 	Tasks        uint64 `json:"tasks"`
 	Handoffs     uint64 `json:"handoffs"`
 	MailboxDepth int    `json:"mailbox_depth"`
 	Timers       int    `json:"timers"`
 }
 
-// LoopStats snapshots every loop's counters. Safe from any goroutine.
+// LoopStats snapshots the event loop's counters. Safe from any
+// goroutine. It returns a slice of one, a shape kept from the
+// multi-loop runtime only because bench/grid.go ranges over it; the
+// next benchmark PR changes that with Config.Loops.
 func (r *Runtime) LoopStats() []LoopStat {
-	out := make([]LoopStat, len(r.loops))
-	for i, l := range r.loops {
-		l.tmu.Lock()
-		timers := len(l.timers)
-		l.tmu.Unlock()
-		out[i] = LoopStat{
-			Loop:         i,
-			Tasks:        l.tasks.Load(),
-			Handoffs:     l.handoffs.Load(),
-			MailboxDepth: len(l.mailbox),
-			Timers:       timers,
-		}
-	}
-	return out
+	l := r.loop
+	return []LoopStat{{
+		Tasks:        l.tasks.Load(),
+		Handoffs:     l.handoffs.Load(),
+		MailboxDepth: len(l.mailbox),
+		Timers:       l.pendingTimers(),
+	}}
 }
 
 // Close stops the handler and releases the listener. It does not
@@ -550,10 +444,7 @@ func (r *Runtime) Close() {
 	r.closed = true
 	r.mu.Unlock()
 
-	for _, l := range r.loops {
-		l := l
-		r.DoOn(l.idx, func() { l.handler.Stop() })
-	}
+	r.Do(r.loop.handler.Stop)
 	close(r.quit)
 	if r.ln != nil {
 		r.ln.Close()
@@ -597,8 +488,17 @@ func (r *Runtime) untrack(conn net.Conn) {
 	r.mu.Unlock()
 }
 
+// Accept backoff bounds: after a failed Accept — out of file
+// descriptors, say — the accept loop waits before it tries again,
+// doubling from the first bound to the second, as net/http.Server does.
+const (
+	acceptBackoffMin = 5 * time.Millisecond
+	acceptBackoffMax = time.Second
+)
+
 func (r *Runtime) acceptLoop() {
 	defer r.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := r.ln.Accept()
 		if err != nil {
@@ -607,9 +507,18 @@ func (r *Runtime) acceptLoop() {
 				return
 			default:
 			}
-			r.cfg.Logf("rt(%s): accept: %v", r.cfg.ID, err)
+			// A persistent error (EMFILE) would otherwise spin a core
+			// and flood the log until it clears.
+			backoff = min(max(2*backoff, acceptBackoffMin), acceptBackoffMax)
+			r.cfg.Logf("rt(%s): accept: %v; retrying in %v", r.cfg.ID, err, backoff)
+			select {
+			case <-r.quit:
+				return
+			case <-time.After(backoff):
+			}
 			continue
 		}
+		backoff = 0
 		if n := r.inbound.Add(1); n > int64(r.cfg.MaxInboundConns) {
 			// Accept-side shedding: beyond the cap a connection is
 			// closed on the spot, costing the peer a reconnect instead
@@ -636,8 +545,8 @@ func (r *Runtime) acceptLoop() {
 }
 
 // handleConn drains one inbound connection: the two-byte preface, then
-// length-prefixed frames until EOF, each message routed to its owning
-// loop by deliver (route.go). A connection that does not open with the
+// length-prefixed frames until EOF, each message handed to the event
+// loop by receive (loop.go). A connection that does not open with the
 // preface — a port scan, a peer on another protocol or codec version —
 // is logged and closed without delivering anything.
 func (r *Runtime) handleConn(conn net.Conn) {
@@ -668,7 +577,7 @@ func (r *Runtime) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		r.deliver(from, msg)
+		r.loop.receive(from, msg)
 	}
 }
 
@@ -680,18 +589,18 @@ func (r *Runtime) lookup(to proto.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// send enqueues msg on the peer's sender, stamped with the originating
-// loop's wire From: never blocking, dropping the oldest queued envelope
-// on overflow. Failures are silent (best-effort network): the
-// protocol's heartbeats and resends own all recovery. A peer missing
-// from the directory is dropped at once, counted as unreachable.
-func (r *Runtime) send(to proto.NodeID, msg proto.Message, loopIdx int) {
+// send enqueues msg on the peer's sender: never blocking, dropping the
+// oldest queued envelope on overflow. Failures are silent (best-effort
+// network): the protocol's heartbeats and resends own all recovery. A
+// peer missing from the directory is dropped at once, counted as
+// unreachable.
+func (r *Runtime) send(to proto.NodeID, msg proto.Message) {
 	if _, ok := r.lookup(to); !ok {
 		r.stats.drop(dropUnreachable, 1)
 		r.cfg.Logf("rt(%s): no address for %s, dropping %s", r.cfg.ID, to, msg.Kind())
 		return
 	}
-	r.senderFor(to).enqueue(outMsg{msg: msg, from: r.taggedFrom(loopIdx)})
+	r.senderFor(to).enqueue(msg)
 }
 
 // ---------------------------------------------------------------------
@@ -702,7 +611,6 @@ type rtEnv struct{ l *loop }
 
 var (
 	_ node.Env       = (*rtEnv)(nil)
-	_ node.LoopInfo  = (*rtEnv)(nil)
 	_ node.Offloader = (*rtEnv)(nil)
 )
 
@@ -715,28 +623,22 @@ func (e *rtEnv) Now() time.Time {
 }
 func (e *rtEnv) Disk() node.Disk { return e.l.disk }
 
-// Rand returns the loop-private RNG: each loop seeds its own stream,
-// so concurrent loops never share (and never race on) one rand.Rand.
+// Rand returns the loop's private RNG: runtimes sharing a process never
+// share (and never race on) one rand.Rand.
 func (e *rtEnv) Rand() *rand.Rand { return e.l.rng }
-
-// Loop implements node.LoopInfo: the partition's placement.
-func (e *rtEnv) Loop() (int, int) { return e.l.idx, len(e.l.r.loops) }
 
 func (e *rtEnv) Logf(format string, args ...any) {
 	e.l.r.cfg.Logf("%s: %s", e.l.r.cfg.ID, fmt.Sprintf(format, args...))
 }
 
 // Send hands msg to the transport without ever blocking the loop: it
-// enqueues, dropping the oldest envelope on overflow. The frame carries
-// this loop's From tag so a multi-loop peer routes it
-// loop-symmetrically.
+// enqueues, dropping the oldest envelope on overflow.
 //
 //rpcv:loop-only
-func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.l.r.send(to, msg, e.l.idx) }
+func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.l.r.send(to, msg) }
 
-// After registers a timer on this loop's timer heap: fn fires on the
-// owning loop when the deadline passes, and Stop removes it from the
-// heap.
+// After registers a timer on the loop's timer heap: fn fires on the
+// loop when the deadline passes, and Stop removes it from the heap.
 //
 //rpcv:loop-only
 func (e *rtEnv) After(d time.Duration, fn func()) node.Timer {
@@ -764,19 +666,19 @@ func (e *rtEnv) Offload(work, done func()) {
 // Stable storage
 // ---------------------------------------------------------------------
 
-// loopDisk adapts a loop's durable store (internal/store; a per-loop
-// staging lane on engines that support one) to the node.BatchDisk
-// contract: synchronous operations pass through — values included,
-// uncopied in both directions, so the ownership rule the handler
-// accepted is the one the engine relies on — and the staged calls'
-// completion callbacks — which a group-commit engine runs on its
-// committer goroutine — are marshalled back onto the owning loop,
-// preserving the handlers' no-locking discipline. Completions ride the
+// loopDisk adapts the runtime's durable store (internal/store) to the
+// node.BatchDisk contract: synchronous operations pass through — values
+// included, uncopied in both directions, so the ownership rule the
+// handler accepted is the one the engine relies on — and the staged
+// calls' completion callbacks — which a group-commit engine runs on its
+// committer goroutine — are marshalled back onto the event loop,
+// preserving the handler's no-locking discipline. Completions ride the
 // loop's lock-free handoff ring, never its bounded mailbox: a
-// committer blocked on a full mailbox would deadlock any loop waiting
+// committer blocked on a full mailbox would deadlock a loop waiting
 // inside a synchronous Write of the same batch.
 type loopDisk struct {
-	l *loop
+	l  *loop
+	st store.Store
 	// inline: the store is the memory store, whose staged calls are its
 	// synchronous ones followed by the callback. They are made here as
 	// exactly that, with nothing to marshal and nothing to allocate.
@@ -791,21 +693,21 @@ var _ node.BatchDisk = (*loopDisk)(nil)
 func (d *loopDisk) Write(key string, value []byte) error {
 	if h := d.l.r.obsWrite; h != nil {
 		start := time.Now()
-		err := d.l.store.Write(key, value)
+		err := d.st.Write(key, value)
 		h.Since(start)
 		return err
 	}
-	return d.l.store.Write(key, value)
+	return d.st.Write(key, value)
 }
 
-func (d *loopDisk) Read(key string) ([]byte, bool) { return d.l.store.Read(key) }
-func (d *loopDisk) Delete(key string) error        { return d.l.store.Delete(key) }
-func (d *loopDisk) Keys(prefix string) []string    { return d.l.store.Keys(prefix) }
-func (d *loopDisk) Sync() error                    { return d.l.store.Sync() }
+func (d *loopDisk) Read(key string) ([]byte, bool) { return d.st.Read(key) }
+func (d *loopDisk) Delete(key string) error        { return d.st.Delete(key) }
+func (d *loopDisk) Keys(prefix string) []string    { return d.st.Keys(prefix) }
+func (d *loopDisk) Sync() error                    { return d.st.Sync() }
 
 func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 	if done == nil {
-		d.l.store.WriteAsync(key, value, nil)
+		d.st.WriteAsync(key, value, nil)
 		return
 	}
 	if d.inline {
@@ -819,21 +721,21 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		// the fsync-amortization story must be judged by.
 		op.start = time.Now()
 	}
-	d.l.store.WriteAsync(key, value, op.stored)
+	d.st.WriteAsync(key, value, op.stored)
 	op.returned()
 }
 
 func (d *loopDisk) DeleteAsync(key string, done func(error)) {
 	if done == nil {
-		d.l.store.DeleteAsync(key, nil)
+		d.st.DeleteAsync(key, nil)
 		return
 	}
 	if d.inline {
-		done(d.l.store.Delete(key))
+		done(d.st.Delete(key))
 		return
 	}
 	op := d.stage(done)
-	d.l.store.DeleteAsync(key, op.stored)
+	d.st.DeleteAsync(key, op.stored)
 	op.returned()
 }
 

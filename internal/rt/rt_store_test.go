@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -67,13 +68,13 @@ func TestStagedCompletionAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	disk := r.loops[0].disk.(*loopDisk)
+	disk := r.loop.disk
 	val := []byte("a 64-byte value, as the coordinator's job headers roughly are....")
 	errs := make(chan error, 1)
 	done := func(err error) { errs <- err }
 	stage := func() { disk.WriteAsync("coord/job/u/1/1", val, done) }
 	write := func() {
-		r.DoOn(0, stage)
+		r.Do(stage)
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +119,7 @@ func TestStagedCompletionsKeepTheirOrder(t *testing.T) {
 	defer r.Close()
 	var order []string
 	r.Do(func() {
-		disk := r.loops[0].disk.(*loopDisk)
+		disk := r.loop.disk
 		disk.WriteAsync("first", []byte("1"), func(error) { order = append(order, "first") })
 		disk.WriteAsync("second", []byte("2"), func(error) { order = append(order, "second") })
 	})
@@ -173,6 +174,33 @@ func TestStartRejectsUnknownStore(t *testing.T) {
 	}
 }
 
+// TestStartRejectsLoopsAboveOne: the vestigial Config.Loops names the
+// one event loop or nothing. A request for more — which once
+// partitioned the handler — fails Start rather than silently getting
+// one loop, before a DiskDir is touched.
+func TestStartRejectsLoopsAboveOne(t *testing.T) {
+	for _, n := range []int{2, 8, -1} {
+		dir := filepath.Join(t.TempDir(), "disk")
+		_, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: dir, Loops: n, Logf: quietLogf})
+		if err == nil || !strings.Contains(err.Error(), "exactly one event loop") {
+			t.Fatalf("Start with Loops %d = %v, want a refusal that says why", n, err)
+		}
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Fatalf("Loops %d: the refused Start created %s", n, dir)
+		}
+	}
+	for _, n := range []int{0, 1} {
+		r, err := Start(Config{ID: "a", Handler: &echo{}, Loops: n, Logf: quietLogf})
+		if err != nil {
+			t.Fatalf("Loops %d: %v", n, err)
+		}
+		if got := len(r.LoopStats()); got != 1 {
+			t.Fatalf("Loops %d: %d loop stats, want one", n, got)
+		}
+		r.Close()
+	}
+}
+
 // TestWALCoordinatorKillAndRestartRecovery is the crash-recovery
 // cluster test: a wal-backed coordinator is killed abruptly mid-load
 // and restarted over the same store directory. No completed result may
@@ -183,34 +211,22 @@ func TestWALCoordinatorKillAndRestartRecovery(t *testing.T) {
 	runWALKillRestart(t, 1, 1, 0)
 }
 
-// TestWALCoordinatorKillAndRestartRecoveryMultiLoop is the same crash
-// over a partitioned coordinator: four event loops, four client
-// sessions hash-pinned across them, each partition writing job records
-// through its own store lane and its own epoch key. The restarted
-// incarnation must hand every partition exactly its session slice
-// back, with no record lost to a lane whose staging missed the final
-// group commit.
-func TestWALCoordinatorKillAndRestartRecoveryMultiLoop(t *testing.T) {
-	runWALKillRestart(t, 4, 4, 0)
-}
-
 // TestWALCoordinatorKillAndRestartRecoveryLargePayloads is the same
-// crash with 16 KiB params echoed as results, on one loop and on four:
-// each job persists as a header plus two blobs, the blobs staged with
-// WriteAsync ahead of the header — through a store lane when
-// partitioned — so a kill lands between a blob and its header as
-// readily as anywhere else. Recovery must join every header with its
-// blobs, and every result delivered after the restart must be the echo
-// of its call's params.
+// crash with 16 KiB params echoed as results, from one client and from
+// four: each job persists as a header plus two blobs, the blobs staged
+// with WriteAsync ahead of the header, so a kill lands between a blob
+// and its header as readily as anywhere else. Recovery must join every
+// header with its blobs, and every result delivered after the restart
+// must be the echo of its call's params.
 func TestWALCoordinatorKillAndRestartRecoveryLargePayloads(t *testing.T) {
 	runWALKillRestart(t, 1, 1, 16<<10)
-	runWALKillRestart(t, 4, 4, 16<<10)
+	runWALKillRestart(t, 1, 4, 16<<10)
 }
 
 // runWALKillRestart drives one kill-and-restart recovery scenario with
-// the coordinator on the given loop count and nClients one-session
-// clients spread over distinct users, each call carrying payload bytes
-// of params (0: none, and a constant result).
+// nClients one-session clients spread over distinct users, each call
+// carrying payload bytes of params (0: none, and a constant result).
+// loops is the coordinator's Config.Loops, the vestige that accepts 1.
 func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	const (
 		total   = 60
@@ -233,9 +249,6 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	rco, err := Start(coordCfg(newCoord()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rco.Loops() != loops {
-		t.Fatalf("coordinator runs %d loops, want %d", rco.Loops(), loops)
 	}
 	dir := Directory{"co": rco.Addr()}
 
@@ -329,9 +342,8 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	rco.Close()
 
 	// Restart over the same store directory: recovery rebuilds the job
-	// table from snapshot + log tail — each partition loading only its
-	// owned session slice — re-queues interrupted work and keeps
-	// finished records.
+	// table from snapshot + log tail, re-queues interrupted work and
+	// keeps finished records.
 	rco2, err := Start(coordCfg(newCoord()))
 	if err != nil {
 		t.Fatalf("coordinator restart: %v", err)

@@ -2,8 +2,11 @@ package rt
 
 import (
 	"fmt"
+	"net"
 	"path/filepath"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -286,4 +289,72 @@ func TestOffload(t *testing.T) {
 	}
 	close(release2)
 	<-returned // the body ends; its done goes to a ring nobody drains
+}
+
+// flakyListener fails every Accept with the error a process out of file
+// descriptors gets, except the seventh, which hands out one end of a
+// pipe whose other end is already closed; it stamps every call.
+type flakyListener struct {
+	mu     sync.Mutex
+	calls  []time.Time
+	closed chan struct{}
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	select {
+	case <-l.closed:
+		return nil, net.ErrClosed
+	default:
+	}
+	l.mu.Lock()
+	l.calls = append(l.calls, time.Now())
+	n := len(l.calls)
+	l.mu.Unlock()
+	if n == 7 {
+		conn, peer := net.Pipe()
+		peer.Close()
+		return conn, nil
+	}
+	return nil, syscall.EMFILE
+}
+
+func (l *flakyListener) Close() error   { close(l.closed); return nil }
+func (l *flakyListener) Addr() net.Addr { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1)} }
+
+func (l *flakyListener) stamps() []time.Time {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.calls)
+}
+
+// TestAcceptBacksOffOnPersistentError: an Accept that keeps failing is
+// retried after a wait that doubles from 5 ms — six failures take at
+// least 315 ms, not a spin of thousands of calls and log lines — and a
+// successful accept resets the wait.
+func TestAcceptBacksOffOnPersistentError(t *testing.T) {
+	r, err := Start(Config{ID: "a", Handler: &echo{}, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	ln := &flakyListener{closed: make(chan struct{})}
+	r.ln = ln
+	r.wg.Add(1)
+	go r.acceptLoop()
+
+	var calls []time.Time
+	if !waitFor(t, 5*time.Second, func() bool { calls = ln.stamps(); return len(calls) >= 9 }) {
+		t.Fatalf("%d accepts in 5 s", len(calls))
+	}
+	// Calls 1-6 fail and wait 5, 10, 20, 40, 80 and 160 ms; call 7
+	// accepts; call 8 fails and waits 5 ms again before call 9.
+	if span := calls[6].Sub(calls[0]); span < 315*time.Millisecond {
+		t.Fatalf("six failed accepts took %v, want at least 315 ms of backoff", span)
+	}
+	if gap := calls[5].Sub(calls[4]); gap < 80*time.Millisecond {
+		t.Fatalf("the fifth failure was retried after %v, want the wait doubled to 80 ms", gap)
+	}
+	if gap := calls[8].Sub(calls[7]); gap >= 160*time.Millisecond {
+		t.Fatalf("the first failure after an accept was retried after %v, want the wait reset to 5 ms", gap)
+	}
 }

@@ -97,14 +97,6 @@ func (r *Runtime) TransportStats() TransportStats {
 	}
 }
 
-// outMsg is one queued envelope: the message plus the wire From of
-// the loop that sent it (tagged on multi-loop runtimes, the bare node
-// ID on single-loop ones — see route.go).
-type outMsg struct {
-	msg  proto.Message
-	from proto.NodeID
-}
-
 // sender owns the pooled connection to one peer.
 //
 // It keeps two queue arrays and swaps them: enqueue appends to queue,
@@ -116,8 +108,8 @@ type sender struct {
 	to proto.NodeID
 
 	mu      sync.Mutex
-	queue   []outMsg
-	spare   []outMsg // nil while drain's batch is out
+	queue   []proto.Message
+	spare   []proto.Message // nil while drain's batch is out
 	retired bool
 
 	wake chan struct{} // 1-buffered doorbell
@@ -141,7 +133,7 @@ func (r *Runtime) senderFor(to proto.NodeID) *sender {
 // enqueue adds msg to the bounded queue, dropping the oldest envelope
 // when full. It never blocks. If the sender retired concurrently it
 // re-resolves a fresh one.
-func (s *sender) enqueue(msg outMsg) {
+func (s *sender) enqueue(msg proto.Message) {
 	for {
 		s.mu.Lock()
 		if s.retired {
@@ -169,7 +161,7 @@ func (s *sender) enqueue(msg outMsg) {
 // array, cleared so that it holds on to no message. An empty queue is
 // left where it is: a swap would hand the spare to a batch that never
 // comes back.
-func (s *sender) drain(flushed []outMsg) []outMsg {
+func (s *sender) drain(flushed []proto.Message) []proto.Message {
 	clear(flushed)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -285,12 +277,12 @@ func (s *sender) run() {
 			_ = conn.SetWriteDeadline(time.Now().Add(time.Minute))
 			framed, size := len(batch), 0
 			for _, m := range batch {
-				size += m.msg.WireSize()
+				size += m.WireSize()
 			}
 			buf := proto.GetBufferFor(size)
 			for _, m := range batch {
 				var ferr error
-				if buf.B, ferr = proto.AppendFrame(buf.B, m.from, m.msg); ferr != nil {
+				if buf.B, ferr = proto.AppendFrame(buf.B, s.rt.cfg.ID, m); ferr != nil {
 					// Over the frame cap: drop this message alone (best
 					// effort) instead of poisoning the connection for
 					// the whole batch.

@@ -324,10 +324,10 @@ func TestDropsAreCountedByReason(t *testing.T) {
 		// A sender with no goroutine behind it: nothing drains the queue.
 		s := &sender{rt: r, to: "b", wake: make(chan struct{}, 1)}
 		for i := 0; i < 7; i++ {
-			s.enqueue(outMsg{msg: &proto.Poll{User: "u", Session: proto.SessionID(i)}, from: "a"})
+			s.enqueue(&proto.Poll{User: "u", Session: proto.SessionID(i)})
 		}
 		only(t, r, "overflow", 3)
-		if first := s.queue[0].msg.(*proto.Poll).Session; len(s.queue) != 4 || first != 3 {
+		if first := s.queue[0].(*proto.Poll).Session; len(s.queue) != 4 || first != 3 {
 			t.Fatalf("queue holds %d envelopes from session %d, want the newest 4 from 3", len(s.queue), first)
 		}
 	})
@@ -335,7 +335,7 @@ func TestDropsAreCountedByReason(t *testing.T) {
 	t.Run("unreachable", func(t *testing.T) {
 		// A bound-but-unserved port: the dial is refused.
 		r := start(t, Config{Directory: Directory{"ghost": "127.0.0.1:1"}})
-		r.Do(func() { r.loops[0].env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
+		r.Do(func() { r.loop.env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
 		if !waitFor(t, 5*time.Second, func() bool { return r.TransportStats().Dropped == 1 }) {
 			t.Fatalf("stats = %+v, want the envelope dropped", r.TransportStats())
 		}
@@ -346,7 +346,7 @@ func TestDropsAreCountedByReason(t *testing.T) {
 		// A peer missing from the directory: dropped at the send itself,
 		// with no sender started for it.
 		r := start(t, Config{})
-		r.Do(func() { r.loops[0].env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
+		r.Do(func() { r.loop.env.Send("ghost", &proto.Poll{User: "u", Session: 1}) })
 		only(t, r, "unreachable", 1)
 		r.sendMu.Lock()
 		defer r.sendMu.Unlock()
@@ -375,7 +375,7 @@ func TestDropsAreCountedByReason(t *testing.T) {
 			close(reset)
 		}()
 		r := start(t, Config{Directory: Directory{"b": ln.Addr().String()}})
-		send := func() { r.Do(func() { r.loops[0].env.Send("b", &proto.Poll{User: "u", Session: 1}) }) }
+		send := func() { r.Do(func() { r.loop.env.Send("b", &proto.Poll{User: "u", Session: 1}) }) }
 		send()
 		<-reset
 		time.Sleep(50 * time.Millisecond) // the reset reaches the sender's socket
@@ -394,7 +394,7 @@ func TestDropsAreCountedByReason(t *testing.T) {
 		}
 		defer rb.Close()
 		r := start(t, Config{Directory: Directory{"b": rb.Addr()}})
-		r.Do(func() { r.loops[0].env.Send("b", oversized()) })
+		r.Do(func() { r.loop.env.Send("b", oversized()) })
 		if !waitFor(t, 10*time.Second, func() bool { return r.TransportStats().Dropped == 1 }) {
 			t.Fatalf("stats = %+v, want the oversized message dropped", r.TransportStats())
 		}

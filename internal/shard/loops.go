@@ -12,9 +12,12 @@ import (
 // level down: every loop contributes DefaultVNodes virtual points on
 // the hash circle, and a session lands on the loop owning the first
 // point at or after its (user, session) hash. The map depends only on
-// the loop count, so every component that knows a node's loop count
-// computes the same placement without agreement — exactly the property
-// hash64 gives the shard layer.
+// the loop count.
+//
+// It is a vestige of the multi-loop runtime, which routed sessions with
+// it: a runtime now hosts its handler on one event loop, and nothing
+// but bench/probes.go's shard.loop_owner_ns probe uses the map. The next
+// benchmark PR deletes the probe and this file together.
 //
 // A LoopMap is immutable after construction and safe for concurrent
 // use.
@@ -51,9 +54,6 @@ func NewLoopMap(n int) *LoopMap {
 	return m
 }
 
-// Loops returns the loop count the map was built for.
-func (m *LoopMap) Loops() int { return m.loops }
-
 // Owner returns the loop index owning a session. A single-loop map
 // owns everything at index 0.
 func (m *LoopMap) Owner(user proto.UserID, session proto.SessionID) int {
@@ -83,9 +83,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// OwnerOf returns the loop index owning a call (by its session).
-func (m *LoopMap) OwnerOf(call proto.CallID) int {
-	return m.Owner(call.User, call.Session)
 }

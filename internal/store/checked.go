@@ -24,15 +24,15 @@ import (
 // violation that panics, so `go test -race` checks the contract under
 // every suite that boots a node.
 //
-// A value that reached the key some other way (another staging lane, a
-// reopened directory) is a different slice: it is adopted, not flagged.
+// A value that reached the key some other way (another writer of the
+// engine, a reopened directory) is a different slice: it is adopted, not
+// flagged.
 func CheckedDisk(inner node.Disk, violation func(msg string)) node.Disk {
 	return newChecker(inner, violation)
 }
 
 // Checked is CheckedDisk for a Store. The result forwards the optional
-// interfaces of inner that the runtime looks for (Laner, WAL stats),
-// each lane wrapped in a checker of its own.
+// interface of inner that the runtime looks for (WAL stats).
 func Checked(inner Store, violation func(msg string)) Store {
 	cs := &checkedStore{checker: newChecker(inner, violation), st: inner}
 	if _, ok := inner.(walStore); ok {
@@ -154,35 +154,9 @@ func (c *checkedStore) Close() error {
 // walStore is what the runtime discovers on the wal engine.
 type walStore interface {
 	Store
-	Laner
 	Stats() WALStats
 }
 
-type checkedWAL struct {
-	*checkedStore
-
-	// lanes (guarded by mu) are verified when the engine closes: the
-	// runtime closes only the engine.
-	lanes []*checker
-}
-
-func (c *checkedWAL) Lane() Store {
-	st := c.st.(Laner).Lane()
-	lane := &checkedStore{checker: newChecker(st, c.violation), st: st}
-	c.mu.Lock()
-	c.lanes = append(c.lanes, lane.checker)
-	c.mu.Unlock()
-	return lane
-}
+type checkedWAL struct{ *checkedStore }
 
 func (c *checkedWAL) Stats() WALStats { return c.st.(walStore).Stats() }
-
-func (c *checkedWAL) Close() error {
-	c.mu.Lock()
-	lanes := c.lanes
-	c.mu.Unlock()
-	for _, lane := range lanes {
-		lane.Verify("Close")
-	}
-	return c.checkedStore.Close()
-}

@@ -5,12 +5,10 @@ import (
 	"testing"
 )
 
-// engines opens both engines plus a wal staging lane: every place that
-// holds a caller's value.
+// engines opens both engines: every place that holds a caller's value.
 func engines(t *testing.T) map[string]Store {
 	t.Helper()
-	w := openTestWAL(t, t.TempDir(), WALOptions{})
-	return map[string]Store{"memory": NewMemory(), "wal": w, "wal lane": w.Lane()}
+	return map[string]Store{"memory": NewMemory(), "wal": openTestWAL(t, t.TempDir(), WALOptions{})}
 }
 
 // The ownership contract, engine side: Write and WriteAsync keep the
@@ -115,40 +113,35 @@ func TestCheckedReportsModifiedValues(t *testing.T) {
 	}
 }
 
-// Close verifies everything still remembered, on the engine and on
-// every lane it handed out (the runtime closes only the engine).
+// Close verifies everything still remembered.
 func TestCheckedVerifiesAtClose(t *testing.T) {
 	st, got := checkedOver(openTestWAL(t, t.TempDir(), WALOptions{}))
-	lane := st.(Laner).Lane()
-	onEngine, onLane := []byte("engine"), []byte("lane")
-	_ = st.Write("e", onEngine)
-	_ = lane.Write("l", onLane)
-	onEngine[0], onLane[0] = 'E', 'L'
+	first, second := []byte("first"), []byte("second")
+	_ = st.Write("f", first)
+	_ = st.Write("s", second)
+	first[0], second[0] = 'F', 'S'
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if joined := strings.Join(*got, "\n"); len(*got) != 2 ||
-		!strings.Contains(joined, `"e"`) || !strings.Contains(joined, `"l"`) || !strings.Contains(joined, "Close") {
-		t.Fatalf("violations at Close: %q, want e and l", *got)
+		!strings.Contains(joined, `"f"`) || !strings.Contains(joined, `"s"`) || !strings.Contains(joined, "Close") {
+		t.Fatalf("violations at Close: %q, want f and s", *got)
 	}
 }
 
-// A value that reached the key behind the wrapper's back — written
-// through another lane, or recovered from disk by a reopen — is a
+// A value that reached the key behind the wrapper's back — written to
+// the engine directly, or recovered from disk by a reopen — is a
 // different slice, adopted at its first Read rather than flagged; and
 // the wrapper forwards what the runtime looks for on the wal engine.
-func TestCheckedAdoptsForeignValuesAndForwardsLanes(t *testing.T) {
+func TestCheckedAdoptsForeignValuesAndForwardsStats(t *testing.T) {
 	dir := t.TempDir()
 	w := openTestWAL(t, dir, WALOptions{})
 	st, got := checkedOver(w)
-	if _, ok := st.(Laner); !ok {
-		t.Fatal("checked wal lost Laner: multi-loop runtimes would stop using lanes under -race")
-	}
 	if _, ok := st.(interface{ Stats() WALStats }); !ok {
 		t.Fatal("checked wal lost Stats")
 	}
-	if _, ok := Checked(NewMemory(), nil).(Laner); ok {
-		t.Fatal("checked memory store grew lanes")
+	if _, ok := Checked(NewMemory(), nil).(interface{ Stats() WALStats }); ok {
+		t.Fatal("checked memory store grew WAL stats")
 	}
 	_ = st.Write("k", []byte("via the wrapper"))
 	st.Read("k")

@@ -153,7 +153,7 @@ func (p *FaultPlan) next() (faultAction, time.Duration) {
 // exactly as it would without the wrapper.
 //
 // The wrapper passes reads through untouched and does not forward
-// optional interfaces (Laner, WALStats): a faulted store presents the
+// optional interface (WALStats): a faulted store presents the
 // minimal Store surface, and the runtime's type assertions degrade
 // gracefully. A restart that reopens the directory without the wrapper
 // (or with a fresh plan) heals all injected faults — only real damage

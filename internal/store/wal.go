@@ -86,7 +86,6 @@ type walOp struct {
 	key  string
 	val  []byte
 	done func(error)
-	seq  uint64 // lane sequence (lane-staged ops only); guards overlay clearing
 }
 
 // WAL is the group-commit write-ahead-log engine.
@@ -109,7 +108,6 @@ type WAL struct {
 	mu     sync.Mutex
 	index  map[string][]byte
 	staged []walOp
-	lanes  []*walLane // per-event-loop staging lanes (see lane.go)
 	closed bool
 	broken error // sticky fatal commit error; fails all later ops
 
@@ -519,63 +517,25 @@ func (w *WAL) committer() {
 	for {
 		select {
 		case <-w.kick:
-			w.commitBatch(false)
+			w.commitBatch()
 		case <-w.quit:
-			// Drain whatever was staged before Close — including every
-			// lane, which is retired so late stages fail fast instead
-			// of hanging — then stop.
-			w.commitBatch(true)
+			// Drain whatever was staged before Close, then stop.
+			w.commitBatch()
 			return
 		}
 	}
 }
 
-// commitBatch drains the staged queue and every lane, appends every
-// record in one write, fsyncs once and completes the operations. It
-// then rotates and/or snapshots when thresholds are crossed. finalize
-// is the engine-close drain: it retires the lanes.
-func (w *WAL) commitBatch(finalize bool) {
+// commitBatch drains the staged queue, appends every record in one
+// write, fsyncs once and completes the operations. It then rotates
+// and/or snapshots when thresholds are crossed.
+func (w *WAL) commitBatch() {
 	w.mu.Lock()
 	batch := w.staged
 	w.staged, w.spare = w.spare, nil
-	lanes := append([]*walLane(nil), w.lanes...)
 	broken := w.broken
 	w.mu.Unlock()
 
-	// Drain the lanes, preserving per-lane order. Lane ops were not
-	// applied to the shared index at stage time (lane readers saw them
-	// through their overlay), so apply them here — one amortized w.mu
-	// hold per batch instead of one per operation — then clear the
-	// overlays: between apply and clear a lane read sees the overlay
-	// value, which equals the index value, so no window is visible.
-	type laneTake struct {
-		l   *walLane
-		ops []walOp
-	}
-	var takes []laneTake
-	for _, l := range lanes {
-		if ops := l.take(finalize); len(ops) > 0 {
-			takes = append(takes, laneTake{l, ops})
-		}
-	}
-	if len(takes) > 0 {
-		w.mu.Lock()
-		for _, t := range takes {
-			for _, op := range t.ops {
-				switch op.kind {
-				case recPut:
-					w.index[op.key] = op.val
-				case recDelete:
-					delete(w.index, op.key)
-				}
-			}
-		}
-		w.mu.Unlock()
-		for _, t := range takes {
-			t.l.clearPending(t.ops)
-			batch = append(batch, t.ops...)
-		}
-	}
 	if len(batch) == 0 {
 		w.spare = batch
 		return
