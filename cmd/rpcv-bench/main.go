@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -26,14 +27,8 @@ import (
 	"rpcv/internal/experiments"
 )
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, shard-scale, sched-compare, or all")
-	quick := flag.Bool("quick", false, "reduced sweeps and populations")
-	seed := flag.Int64("seed", 2004, "random seed")
-	flag.Parse()
-
-	opts := experiments.Options{Seed: *seed, Quick: *quick}
-	runners := map[string]func(experiments.Options) experiments.Result{
+var (
+	runners = map[string]func(experiments.Options) experiments.Result{
 		"4": experiments.Fig4, "5": experiments.Fig5, "6": experiments.Fig6,
 		"7": experiments.Fig7, "8": experiments.Fig8, "9": experiments.Fig9,
 		"10": experiments.Fig10, "11": experiments.Fig11,
@@ -43,9 +38,16 @@ func main() {
 		"shard-scale":          experiments.ShardScale,
 		"sched-compare":        experiments.SchedCompare,
 	}
-	order := []string{"4", "5", "6", "7", "8", "9", "10", "11",
+	order = []string{"4", "5", "6", "7", "8", "9", "10", "11",
 		"ablation-heartbeat", "ablation-replication", "ablation-recovery",
 		"shard-scale", "sched-compare"}
+)
+
+func main() {
+	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, shard-scale, sched-compare, or all")
+	quick := flag.Bool("quick", false, "reduced sweeps and populations")
+	seed := flag.Int64("seed", 2004, "random seed")
+	flag.Parse()
 
 	var selected []string
 	if *fig == "all" {
@@ -61,12 +63,19 @@ func main() {
 		}
 	}
 
+	run(os.Stdout, selected, experiments.Options{Seed: *seed, Quick: *quick})
+}
+
+// run regenerates the figures named in selected and writes their tables
+// to w; how long each took on the wall clock goes to stderr, the one
+// line of the output that changes from run to run.
+func run(w io.Writer, selected []string, opts experiments.Options) {
 	for _, f := range selected {
 		start := time.Now()
 		res := runners[f](opts)
 		for _, tb := range res.Tables {
-			tb.Write(os.Stdout)
-			fmt.Println()
+			tb.Write(w)
+			fmt.Fprintln(w)
 		}
 		fmt.Fprintf(os.Stderr, "rpcv-bench: %s done in %v (wall clock)\n", res.Name, time.Since(start).Round(time.Millisecond))
 	}

@@ -35,8 +35,8 @@ func TestParseDefaultSuite(t *testing.T) {
 			t.Errorf("cell %d = %q, want %q", i, got, want)
 		}
 	}
-	if len(s.Scenarios) != 9 {
-		t.Fatalf("default suite has %d scenarios, want 9", len(s.Scenarios))
+	if len(s.Scenarios) != 10 {
+		t.Fatalf("default suite has %d scenarios, want 10", len(s.Scenarios))
 	}
 	// Every fault kind of the taxonomy appears somewhere in the suite.
 	kinds := map[string]bool{}

@@ -661,4 +661,15 @@ scenario pushed-to-deaf-client
   at 150ms block co0 -> cli0
   at 700ms heal co0 -> cli0
 end
+
+# A ring of two whose replica crashes mid-run and comes back: the
+# primary's replication rounds to it are given up while it is down and
+# resume once it answers again, with every call completed once.
+scenario ring-secondary-restart
+  coords 2
+  servers 2
+  calls 40
+  at 150ms crash co1
+  at 500ms restart co1
+end
 `

@@ -138,10 +138,10 @@ func (c *Coordinator) loadMarks() {
 // successor shard, where there is one.
 func (c *Coordinator) tellMark(k sessionKey) {
 	if len(c.coords) > 1 {
-		c.wdirty.mark(k, c.replPending)
+		c.repl.marks.mark(k, c.repl.pending)
 	}
 	if c.smap != nil {
-		c.xwdirty.mark(k, c.xpending)
+		c.xsync.marks.mark(k, c.xsync.pending)
 	}
 }
 
@@ -175,7 +175,7 @@ func (c *Coordinator) collect(k sessionKey) {
 		if rec.State != proto.TaskFinished {
 			return false
 		}
-		if c.dirty.set[rec.Call] || c.xdirty.set[rec.Call] {
+		if c.repl.jobs.set[rec.Call] || c.xsync.jobs.set[rec.Call] {
 			c.waiting[rec.Call] = true
 			return false
 		}

@@ -19,6 +19,25 @@
 //   - synchronizes state with reconnecting clients (timestamp
 //     comparison) and servers (peer-wise log comparison).
 //
+// # Peers
+//
+// A coordinator runs three streams to its fellows, each one round at a
+// time (peers.go): a ReplicaUpdate to its ring successor (the paper's
+// passive replication), a ShardSync to a member of the successor shard's
+// ring, and a StealRequest to one when its queue is empty while a server
+// idles. A round unanswered for the suspicion timeout is given up, and a
+// shard stream then tries the next member of that ring. A record stream
+// carries the records and watermarks changed since its peer's last
+// answer. One rule merges a record a peer sent, whichever message
+// brought it: a collected or finished call stays so, a finish is stored
+// as a server's result is, and only how an unfinished record is kept
+// depends on where it came from — held for the ring predecessor until it
+// is suspected, held for another shard until that shard is adopted, or
+// queued as stolen. What is held for a peer is requeued once the peer is
+// gone. A ReplicaUpdate, the acks of updates and syncs, and a StealGrant
+// wait out DBCost as any reply does; a ShardSync and a StealRequest
+// leave at once.
+//
 // # Late replies
 //
 // The paper makes the volatile side initiate everything — servers pull
@@ -231,9 +250,6 @@ type Coordinator struct {
 	spec      map[proto.CallID]ongoingInfo
 	specTimer node.Timer
 	byServer  map[proto.NodeID]map[proto.CallID]bool // reverse index
-	// fromPredecessor marks calls learned as "ongoing" via replication:
-	// they are not scheduled until the predecessor is suspected.
-	fromPredecessor map[proto.CallID]bool
 	// queuedAt stamps each pending call's (re)queue time so the
 	// dispatch-latency histogram — queue wait, the fleet monitor's
 	// per-shard SLO signal — can be observed at assignment. Maintained
@@ -243,20 +259,8 @@ type Coordinator struct {
 	servers *detector.Monitor // suspicion of servers
 	ring    *detector.Monitor // suspicion of fellow coordinators
 
-	successor   proto.NodeID
 	predecessor proto.NodeID // last coordinator we received an update from
-	// dirty holds the records the ring successor has not acknowledged
-	// in their current state, wdirty the sessions whose collected
-	// watermark it has not. Both stay empty in a ring of one.
-	dirty       dirtySet[proto.CallID]
-	wdirty      dirtySet[sessionKey]
 	beater      *detector.Beater
-	replTimer   node.Timer
-	replPending bool      // a round is in flight (awaiting ack)
-	replRound   uint64    // monotonic round counter (stamps updates)
-	replStart   time.Time // measurement of the in-flight round
-	lastReplDur time.Duration
-	replRounds  uint64
 
 	// Sharded coordination layer (nil/empty when unsharded).
 	smap     *shard.Map
@@ -264,29 +268,16 @@ type Coordinator struct {
 	guarded  []int // shards whose hash-circle successor is this shard
 	guard    *detector.Monitor
 	adopted  map[int]bool
-	// fromShard maps calls learned via cross-shard sync to their source
-	// shard; they are held passively (never scheduled) until the source
-	// shard is adopted.
-	fromShard map[proto.CallID]int
 
-	// Cross-shard replication round state, mirroring the intra-ring
-	// one.
-	xdirty    dirtySet[proto.CallID]
-	xwdirty   dirtySet[sessionKey]
-	xpending  bool
-	xround    uint64
-	xtargetIx int // rotates through successor-ring members on silence
-	xtimer    node.Timer
-	xrounds   uint64
-
-	// Cross-shard work stealing state (thief and victim sides).
-	stealPending bool
-	stealRound   uint64
-	stealIx      int       // rotates through successor-ring members
-	lastStealAt  time.Time // throttles request bursts
-	// stolenOut tracks pending jobs granted away to an idle
-	// predecessor shard, for timeout reclaim.
-	stolenOut map[proto.CallID]stolenOutInfo
+	// The peer streams (peers.go): replication to the ring successor,
+	// sync to the successor shard and steals from it; and what is held
+	// for a peer — the calls the ring predecessor said ongoing, those a
+	// shard synced unfinished (with that shard), those granted to a thief
+	// shard (with when).
+	repl, xsync, steal round
+	fromPredecessor    map[proto.CallID]bool
+	fromShard          map[proto.CallID]int
+	stolenOut          map[proto.CallID]time.Time
 
 	// unwritten holds, per call, the payloads whose blob write failed:
 	// the next persist of the call writes them again before any header
@@ -355,12 +346,6 @@ type ongoingInfo struct {
 	assignedAt time.Time
 }
 
-// stolenOutInfo records one job granted to a thief shard.
-type stolenOutInfo struct {
-	shard     int
-	grantedAt time.Time
-}
-
 // sessionKey identifies one (user, session) pair.
 type sessionKey struct {
 	user    proto.UserID
@@ -406,23 +391,22 @@ func (c *Coordinator) Start(env node.Env) {
 	c.ongoing = make(map[proto.CallID]ongoingInfo)
 	c.spec = make(map[proto.CallID]ongoingInfo)
 	c.byServer = make(map[proto.NodeID]map[proto.CallID]bool)
-	c.fromPredecessor = make(map[proto.CallID]bool)
 	c.queuedAt = make(map[proto.CallID]time.Time)
-	c.dirty = newDirtySet[proto.CallID]()
-	c.wdirty = newDirtySet[sessionKey]()
 	c.collected = make(map[sessionKey]proto.RPCSeq)
 	c.waiting = make(map[proto.CallID]bool)
 	c.gc = garbage{durable: make(map[sessionKey]proto.RPCSeq)}
-	c.stolenOut = make(map[proto.CallID]stolenOutInfo)
 	c.unwritten = make(map[proto.CallID]jobParts)
 	c.offers = newOfferBook()
 	c.subs = make(map[sessionKey]subscription)
 	c.resultAcked = make(map[proto.NodeID]bool)
-	c.stealPending = false
 	c.dbEng = node.SerialResource{}
-	c.replPending = false
-	c.successor = ""
 	c.predecessor = ""
+	c.repl.restart()
+	c.xsync.restart()
+	c.steal.restart()
+	c.fromPredecessor = make(map[proto.CallID]bool)
+	c.fromShard = make(map[proto.CallID]int)
+	c.stolenOut = make(map[proto.CallID]time.Time)
 
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators, []proto.NodeID{env.Self()})
 
@@ -430,10 +414,6 @@ func (c *Coordinator) Start(env node.Env) {
 	c.shardIdx = -1
 	c.guarded = nil
 	c.adopted = make(map[int]bool)
-	c.fromShard = make(map[proto.CallID]int)
-	c.xdirty = newDirtySet[proto.CallID]()
-	c.xwdirty = newDirtySet[sessionKey]()
-	c.xpending = false
 	if m := c.cfg.Shard; m != nil && m.Shards() > 1 {
 		if idx := m.RingOf(env.Self()); idx >= 0 {
 			c.smap = m
@@ -477,8 +457,10 @@ func (c *Coordinator) Start(env node.Env) {
 		}
 	}
 
-	c.scheduleReplication()
-	c.scheduleShardSync()
+	c.repl.every(c.env, c.cfg.ReplicationPeriod, c.ReplicateNow)
+	if c.smap != nil {
+		c.xsync.every(c.env, c.syncPeriod(), c.ShardSyncNow)
+	}
 	c.scheduleSpeculation()
 	// Ring heartbeats: probe fellow coordinators every period so that
 	// ring suspicion (and recovery from wrong suspicion) works on the
@@ -595,17 +577,10 @@ func (c *Coordinator) Stop() {
 	if c.guard != nil {
 		c.guard.Close()
 	}
-	if c.replTimer != nil {
-		c.replTimer.Stop()
-	}
-	if c.xtimer != nil {
-		c.xtimer.Stop()
-	}
-	if c.specTimer != nil {
-		c.specTimer.Stop()
-	}
-	if c.gc.timer != nil {
-		c.gc.timer.Stop()
+	for _, t := range []node.Timer{c.repl.timer, c.xsync.timer, c.specTimer, c.gc.timer} {
+		if t != nil {
+			t.Stop()
+		}
 	}
 	if c.beater != nil {
 		c.beater.Close()
@@ -857,7 +832,7 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 	case *proto.ServerSync:
 		c.handleServerSync(from, m)
 	case *proto.HeartbeatAck:
-		c.handleHeartbeatAck(from, m)
+		c.heard(from, m.Coordinators)
 	case *proto.ReplicaUpdate:
 		c.handleReplicaUpdate(from, m)
 	case *proto.ReplicaAck:
@@ -1057,16 +1032,7 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 		// capacity: in-flight here plus what this heartbeat offers.
 		c.eng.NoteSlots(from, len(c.byServer[from])+m.Capacity)
 	case proto.RoleCoordinator:
-		// Only ring-mates join the intra-ring membership list; a
-		// cross-shard probe is a guard sign of life, never a merge
-		// (merging it would re-route the replication ring across
-		// shards).
-		if c.inMyRing(from) {
-			c.ring.Observe(from)
-			c.mergeCoords([]proto.NodeID{from})
-		} else if c.guard != nil {
-			c.guard.Observe(from)
-		}
+		c.heard(from, []proto.NodeID{from})
 	}
 	ack := &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords}
 	idle := 0
@@ -1092,10 +1058,13 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 	c.afterDBCost(func() { c.env.Send(from, ack) })
 }
 
-// handleHeartbeatAck processes a fellow coordinator's answer to a ring
-// heartbeat: a sign of life and a coordinator-list merge. Acks from a
-// guarded shard's coordinator feed the guard monitor instead.
-func (c *Coordinator) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAck) {
+// heard takes a message from a fellow coordinator — a ring heartbeat or
+// its ack, a replica update or a shard sync — as its sign of life: a
+// ring-mate's feeds the ring monitor, and the ring-mates among members
+// join the ring's membership list; another shard's feeds the guard
+// monitor and is never a merge (that would route the replication ring
+// across shards).
+func (c *Coordinator) heard(from proto.NodeID, members []proto.NodeID) {
 	if !c.inMyRing(from) {
 		if c.guard != nil {
 			c.guard.Observe(from)
@@ -1103,30 +1072,19 @@ func (c *Coordinator) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAc
 		return
 	}
 	c.ring.Observe(from)
-	if len(m.Coordinators) > 0 {
-		c.mergeCoords(c.ringOnly(m.Coordinators))
+	if len(members) == 0 {
+		return
 	}
+	if c.smap != nil {
+		members = slices.DeleteFunc(slices.Clone(members), func(id proto.NodeID) bool { return !c.inMyRing(id) })
+	}
+	c.mergeCoords(members)
 }
 
 // inMyRing reports whether a fellow coordinator shares this ring. When
 // unsharded every coordinator does.
 func (c *Coordinator) inMyRing(id proto.NodeID) bool {
 	return c.smap == nil || c.smap.RingOf(id) == c.shardIdx
-}
-
-// ringOnly filters a merged coordinator list down to this ring's
-// members (plus unknown IDs when unsharded).
-func (c *Coordinator) ringOnly(ids []proto.NodeID) []proto.NodeID {
-	if c.smap == nil {
-		return ids
-	}
-	out := make([]proto.NodeID, 0, len(ids))
-	for _, id := range ids {
-		if c.smap.RingOf(id) == c.shardIdx {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // assign pops up to limit schedulable jobs from the engine (policy
@@ -1252,17 +1210,8 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	rec.Output = m.Output
 	rec.ResultErr = m.Err
 	rec.Server = from
-	c.put(rec)
-	c.persistJob(rec, partOutput)
-	c.clearOngoing(m.Task.Call, from)
-	c.unqueue(m.Task.Call)
-	c.markDirty(m.Task.Call)
-	c.finished++
-	c.cm.finished.Inc()
+	c.finish(rec, partOutput, true)
 	c.trace(m.Task.Call, obs.StageResult, string(from))
-	if c.cfg.OnJobFinished != nil {
-		c.cfg.OnJobFinished(m.Task.Call, c.env.Now())
-	}
 	// A session that polled lately gets the result now, as one more
 	// reply to that poll, rather than at its next one.
 	client, push := c.subscriber(rec.Call)
@@ -1277,6 +1226,42 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 		}
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
 	})
+}
+
+// finish stores rec, finished, as its call's record — a server's result,
+// or a finish a peer sent — writing the payloads in fresh, and ends what
+// else the call had going here: its instances, its place in the queue,
+// what was held of it for a peer. tell says whether the ring successor
+// and the successor shard are to hear of it.
+func (c *Coordinator) finish(rec *proto.JobRecord, fresh jobParts, tell bool) {
+	call := rec.Call
+	c.put(rec)
+	c.persistJob(rec, fresh)
+	// A server running an instance that did not win is sent a best-effort
+	// TaskCancel, so a losing speculative copy stops wasting cycles; one
+	// that already ran it has its duplicate result deduplicated here.
+	for _, running := range [...]map[proto.CallID]ongoingInfo{c.ongoing, c.spec} {
+		if info, ok := running[call]; ok {
+			delete(running, call)
+			delete(c.byServer[info.server], call)
+			if info.server != rec.Server {
+				c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
+			}
+		}
+	}
+	delete(c.fromPredecessor, call)
+	delete(c.fromShard, call)
+	delete(c.stolenOut, call)
+	c.noteInflight()
+	c.unqueue(call)
+	if tell {
+		c.markDirty(call)
+	}
+	c.finished++
+	c.cm.finished.Inc()
+	if c.cfg.OnJobFinished != nil {
+		c.cfg.OnJobFinished(call, c.env.Now())
+	}
 }
 
 // observeCompletion feeds one finished execution into the speed
@@ -1414,36 +1399,6 @@ func (c *Coordinator) promoteSpeculative(call proto.CallID) bool {
 	return true
 }
 
-// clearOngoing drops every live assignment of the call once a result
-// is stored. winner names the server whose result won ("" when the
-// result arrived via replication or shard sync); every other holder of
-// an instance is sent a best-effort TaskCancel so losing speculative
-// copies stop wasting cycles — idempotently: a server that already
-// executed just has its duplicate result deduplicated here later.
-func (c *Coordinator) clearOngoing(call proto.CallID, winner proto.NodeID) {
-	if info, ok := c.ongoing[call]; ok {
-		delete(c.ongoing, call)
-		if set := c.byServer[info.server]; set != nil {
-			delete(set, call)
-		}
-		if info.server != winner {
-			c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
-		}
-	}
-	if info, ok := c.spec[call]; ok {
-		delete(c.spec, call)
-		if set := c.byServer[info.server]; set != nil {
-			delete(set, call)
-		}
-		if info.server != winner {
-			c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
-		}
-	}
-	delete(c.fromPredecessor, call)
-	delete(c.stolenOut, call)
-	c.noteInflight()
-}
-
 // enqueue inserts one pending call into the scheduling engine with its
 // record's metadata; the engine's membership check makes every
 // insertion path duplicate-safe. It reports whether the call was newly
@@ -1513,225 +1468,6 @@ func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	}
 	c.markDirty(call)
 	return true
-}
-
-// ---------------------------------------------------------------------
-// Passive replication (virtual ring)
-// ---------------------------------------------------------------------
-
-func (c *Coordinator) scheduleReplication() {
-	if c.cfg.ReplicationPeriod <= 0 {
-		return
-	}
-	c.replTimer = c.env.After(c.cfg.ReplicationPeriod, func() {
-		c.ReplicateNow()
-		c.scheduleReplication()
-	})
-}
-
-// ReplicateNow starts one replication round to the current ring
-// successor, if any and if no round is in flight. Exported so
-// experiment drivers can measure single rounds (figure 5).
-func (c *Coordinator) ReplicateNow() {
-	if c.replPending || c.stopped {
-		return
-	}
-	succ := c.Successor()
-	if succ == "" {
-		return
-	}
-	c.replRound++
-	round := c.replRound
-	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Round: round}
-	// One entry per session the round says something about — a dirty job
-	// or a raised watermark — each with the session's watermark, which
-	// is how the successor learns what it may delete too.
-	sessions := make(map[string]proto.SessionMax)
-	note := func(k sessionKey, seq proto.RPCSeq) {
-		key := fmt.Sprintf("%s/%d", k.user, k.session)
-		sm := sessions[key]
-		sm.User, sm.Session, sm.Collected = k.user, k.session, c.collected[k]
-		sm.MaxSeq = max(sm.MaxSeq, seq)
-		sessions[key] = sm
-	}
-	for _, call := range sortedCalls(c.dirty.set) {
-		rec, ok := c.store.Peek(call)
-		if !ok {
-			continue
-		}
-		job := *rec // the payloads are shared: nothing modifies their bytes
-		if len(job.Params) > c.cfg.ReplicateParamsLimit {
-			// File archives are not replicated.
-			job.Params = nil
-		}
-		update.Jobs = append(update.Jobs, job)
-		note(sessionKey{call.User, call.Session}, call.Seq)
-	}
-	for k := range c.wdirty.set {
-		note(k, c.collected[k])
-	}
-	sessionKeys := make([]string, 0, len(sessions))
-	for k := range sessions {
-		sessionKeys = append(sessionKeys, k)
-	}
-	sort.Strings(sessionKeys)
-	for _, k := range sessionKeys {
-		update.MaxSeqs = append(update.MaxSeqs, sessions[k])
-	}
-	// Nothing dirty: the (tiny) update goes anyway — it doubles as the
-	// ring heartbeat that keeps successors from suspecting us.
-	c.dirty.begin()
-	c.wdirty.begin()
-	c.replPending = true
-	c.replStart = c.env.Now()
-	c.successor = succ
-	c.afterDBCost(func() { c.env.Send(succ, update) })
-
-	// A round that never acks must not wedge replication forever: give
-	// up on this round after the suspicion timeout (the ring monitor
-	// will also fire). A later round has its own timer.
-	c.env.After(c.cfg.HeartbeatTimeout, func() {
-		if c.replPending && c.replRound == round {
-			c.replPending = false
-		}
-	})
-}
-
-func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpdate) {
-	c.ring.Observe(from)
-	c.predecessor = from
-	if c.inMyRing(from) {
-		c.mergeCoords([]proto.NodeID{from})
-	}
-	applied := 0
-	for i := range m.Jobs {
-		incoming := &m.Jobs[i]
-		local, status := c.lookup(incoming.Call)
-		ok := status == callLive
-		switch {
-		case status == callCollected:
-			c.stale(m)
-		case ok && local.State == proto.TaskFinished:
-			// Finished tasks are never regressed.
-		case incoming.State == proto.TaskFinished:
-			rec := ownCopy(incoming)
-			c.put(rec)
-			c.persistJob(rec, changedParts(local, rec))
-			c.clearOngoing(rec.Call, rec.Server)
-			c.unqueue(rec.Call)
-			c.finished++
-			c.cm.finished.Inc()
-			if c.cfg.OnJobFinished != nil {
-				c.cfg.OnJobFinished(rec.Call, c.env.Now())
-			}
-			applied++
-		case incoming.State == proto.TaskOngoing:
-			// Not scheduled until we suspect the predecessor.
-			rec := ownCopy(incoming)
-			if ok && local.Params != nil && rec.Params == nil {
-				rec.Params = local.Params
-			}
-			c.put(rec)
-			c.persistJob(rec, changedParts(local, rec))
-			c.fromPredecessor[rec.Call] = true
-			applied++
-		default: // pending
-			rec := ownCopy(incoming)
-			if ok && local.Params != nil && rec.Params == nil {
-				rec.Params = local.Params
-			}
-			c.put(rec)
-			c.persistJob(rec, changedParts(local, rec))
-			if !ok || local.State != proto.TaskOngoing {
-				c.enqueue(rec.Call)
-			}
-			applied++
-		}
-	}
-	// The watermarks after the jobs: a finish this round carries is
-	// stored (and counted) before the watermark that lets it go. What a
-	// replica learns this way it tells no one — it does not replicate
-	// the jobs of an update either.
-	for _, sm := range m.MaxSeqs {
-		c.acknowledge(sessionKey{sm.User, sm.Session}, sm.Collected, false)
-	}
-	c.afterDBCost(func() {
-		c.env.Send(from, &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round})
-	})
-}
-
-func (c *Coordinator) handleReplicaAck(from proto.NodeID, m *proto.ReplicaAck) {
-	c.ring.Observe(from)
-	if !c.replPending || from != c.successor || m.Epoch != c.epoch || m.Round != c.replRound {
-		return
-	}
-	c.replPending = false
-	c.lastReplDur = c.env.Now().Sub(c.replStart)
-	c.replRounds++
-	// The successor now holds exactly what the round carried; records
-	// dirtied since the round was sent stay dirty for the next one. A
-	// finished call that waited for this ack below its session's
-	// watermark can go.
-	c.wdirty.acked()
-	c.collectAcked(c.dirty.acked())
-}
-
-// onCoordinatorSuspected recomputes the topology to stay in the same
-// connected component: drop the suspect from the ring view and, if its
-// tasks were held back as "ongoing at predecessor", release them.
-func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
-	c.env.Logf("coordinator: suspect coordinator %s", id)
-	if c.replPending && id == c.successor {
-		c.replPending = false // the round is lost; next tick re-routes
-	}
-	if id == c.predecessor {
-		released := 0
-		for _, call := range sortedCalls(c.fromPredecessor) {
-			delete(c.fromPredecessor, call)
-			if c.requeue(call, requeueCoordinatorSuspected) {
-				released++
-			}
-		}
-		if released > 0 {
-			c.env.Logf("coordinator: released %d tasks of suspected predecessor %s", released, id)
-		}
-		c.dispatch()
-	}
-}
-
-// Successor returns this coordinator's current ring successor, skipping
-// suspected coordinators. Exported for tests and the topology ablation.
-func (c *Coordinator) Successor() proto.NodeID {
-	return statesync.Successor(c.env.Self(), c.coords, c.ring.Suspected)
-}
-
-// markDirty notes that call's record changed, for each stream that has
-// someone to tell: the ring successor if this coordinator knows of any
-// other (in a ring of one nothing is dirty — there is no round to clean
-// it), the successor shard if the grid is sharded.
-func (c *Coordinator) markDirty(call proto.CallID) {
-	if len(c.coords) > 1 {
-		c.dirty.mark(call, c.replPending)
-	}
-	if c.smap != nil {
-		c.xdirty.mark(call, c.xpending)
-	}
-}
-
-// mergeCoords merges ids into the coordinator list. The first fellow
-// coordinator a ring of one hears of is owed everything still stored:
-// nothing was marked dirty while there was no one to tell.
-func (c *Coordinator) mergeCoords(ids []proto.NodeID) {
-	alone := len(c.coords) == 1
-	c.coords = statesync.MergeNodeLists(c.coords, ids)
-	if alone && len(c.coords) > 1 {
-		for _, rec := range c.store.PeekAll() {
-			c.dirty.mark(rec.Call, c.replPending)
-		}
-		for k := range c.collected {
-			c.wdirty.mark(k, c.replPending)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------
@@ -1837,272 +1573,8 @@ func (c *Coordinator) adopt(s int) {
 	c.adopted[s] = true
 	c.adoptions++
 	c.cm.adoptions.Inc()
-	released := 0
-	for _, call := range sortedCalls(c.fromShard) {
-		if c.fromShard[call] != s {
-			continue
-		}
-		delete(c.fromShard, call)
-		if c.requeue(call, requeueAdopted) {
-			released++
-		}
-	}
+	released := release(c, c.fromShard, requeueAdopted, func(from int) bool { return from == s })
 	c.env.Logf("coordinator: adopted shard %d (%d held tasks released)", s, released)
-}
-
-func (c *Coordinator) scheduleShardSync() {
-	if c.smap == nil {
-		return
-	}
-	period := c.cfg.ShardSyncPeriod
-	if period <= 0 {
-		period = c.cfg.ReplicationPeriod
-	}
-	if period <= 0 {
-		return
-	}
-	c.xtimer = c.env.After(period, func() {
-		c.ShardSyncNow()
-		c.scheduleShardSync()
-	})
-}
-
-// ShardSyncNow starts one cross-shard replication round: dirty records
-// plus the full per-session sequence sets of owned sessions go to one
-// member of the successor shard's ring. Exported for tests and manual
-// drivers (like ReplicateNow).
-func (c *Coordinator) ShardSyncNow() {
-	if c.smap == nil || c.xpending || c.stopped {
-		return
-	}
-	succ := c.smap.SuccessorShard(c.shardIdx)
-	if succ == c.shardIdx {
-		return
-	}
-	ring := c.smap.Ring(succ)
-	if len(ring) == 0 {
-		return
-	}
-	target := ring[c.xtargetIx%len(ring)]
-	c.xround++
-	round := c.xround
-	msg := &proto.ShardSync{
-		From:  c.env.Self(),
-		Shard: c.shardIdx,
-		Epoch: c.epoch,
-		Round: round,
-	}
-	for _, call := range sortedCalls(c.xdirty.set) {
-		rec, ok := c.store.Peek(call)
-		if !ok {
-			continue
-		}
-		job := *rec // the payloads are shared, as in ReplicateNow
-		if len(job.Params) > c.cfg.ReplicateParamsLimit {
-			job.Params = nil // file archives are never replicated
-		}
-		msg.Jobs = append(msg.Jobs, job)
-	}
-	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
-	c.xdirty.begin()
-	c.xwdirty.begin()
-	c.xpending = true
-	c.env.Send(target, msg)
-	// A silent target must not wedge cross-shard sync: after the
-	// suspicion timeout, give up on this round and rotate to another
-	// successor-ring member.
-	c.env.After(c.cfg.HeartbeatTimeout, func() {
-		if c.xpending && c.xround == round {
-			c.xpending = false
-			c.xtargetIx++
-		}
-	})
-}
-
-// dirtySessionSeqs advertises the exact sequence sets this coordinator
-// stores for the owned sessions carried by the current round — the
-// input of the receiver's set-difference (statesync.SeqSetDiff), which
-// detects records an earlier lost round never delivered. Advertising
-// only the round's active sessions (rather than every session ever
-// stored) keeps idle rounds O(1) and message size proportional to
-// recent activity; a coordinator restart re-dirties its whole store,
-// so full coverage recurs exactly when histories may have diverged.
-// Each entry also carries the session's collected watermark, and a
-// session whose watermark rose since the last acknowledged round gets
-// an entry for that alone (without a sequence set if it is another
-// shard's session, held here as a copy): the successor shard deletes
-// what this one has deleted.
-func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSeqs {
-	// active maps a session to whether its sequence set is advertised.
-	active := make(map[sessionKey]bool, len(jobs)+len(c.xwdirty.set))
-	for k := range c.xwdirty.set {
-		active[k] = c.smap.Owner(k.user, k.session) == c.shardIdx
-	}
-	for i := range jobs {
-		call := jobs[i].Call
-		if c.smap.Owner(call.User, call.Session) == c.shardIdx {
-			active[sessionKey{call.User, call.Session}] = true
-		}
-	}
-	if len(active) == 0 {
-		return nil
-	}
-	keys := make([]sessionKey, 0, len(active))
-	for k := range active {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].user != keys[j].user {
-			return keys[i].user < keys[j].user
-		}
-		return keys[i].session < keys[j].session
-	})
-	out := make([]proto.SessionSeqs, 0, len(keys))
-	for _, k := range keys {
-		ss := proto.SessionSeqs{User: k.user, Session: k.session, Collected: c.collected[k]}
-		if active[k] {
-			ss.Seqs = c.store.PeekSessionSeqs(k.user, k.session)
-		}
-		out = append(out, ss)
-	}
-	return out
-}
-
-// handleShardSync applies a predecessor shard's cross-replication:
-// finished records are stored (and propagated intra-ring), unfinished
-// ones are held passively until adoption. The ack reports, via set
-// difference, the calls this coordinator is missing entirely.
-func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
-	if c.guard != nil {
-		c.guard.Observe(from)
-	}
-	for i := range m.Jobs {
-		incoming := &m.Jobs[i]
-		local, status := c.lookup(incoming.Call)
-		ok := status == callLive
-		switch {
-		case status == callCollected:
-			c.stale(m)
-		case ok && local.State == proto.TaskFinished:
-			// Finished tasks are never regressed.
-		case incoming.State == proto.TaskFinished:
-			if _, stolen := c.stolenOut[incoming.Call]; stolen {
-				// A job we granted to an idle thief shard came home.
-				c.stolenHome++
-				c.cm.stolenHome.Inc()
-			}
-			rec := ownCopy(incoming)
-			c.put(rec)
-			c.persistJob(rec, changedParts(local, rec))
-			c.clearOngoing(rec.Call, rec.Server)
-			c.unqueue(rec.Call)
-			delete(c.fromShard, rec.Call)
-			c.finished++
-			c.cm.finished.Inc()
-			if c.cfg.OnJobFinished != nil {
-				c.cfg.OnJobFinished(rec.Call, c.env.Now())
-			}
-			// Propagate within this ring (and onward around the shard
-			// circle) so the copy survives our own faults too.
-			c.markDirty(rec.Call)
-		default:
-			if c.locallyClaimed(incoming.Call) {
-				// We are scheduling or executing this call ourselves —
-				// typically work stolen from the sync's sender, whose
-				// ongoing-marked copy echoes back here. The passive
-				// copy must not clobber the live claim.
-				continue
-			}
-			rec := ownCopy(incoming)
-			if ok && local.Params != nil && rec.Params == nil {
-				rec.Params = local.Params
-			}
-			c.put(rec)
-			c.persistJob(rec, changedParts(local, rec))
-			if c.adopted[m.Shard] {
-				// Already adopted the source shard: schedule right away.
-				rec.State = proto.TaskPending
-				c.put(rec)
-				c.enqueue(rec.Call)
-				c.markDirty(rec.Call)
-			} else {
-				// Held passively: NOT dirty (ring-mates would schedule
-				// it) and not queued until the source shard is adopted.
-				c.fromShard[rec.Call] = m.Shard
-			}
-		}
-	}
-	ack := &proto.ShardSyncAck{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
-	for _, ss := range m.Sessions {
-		// The watermark after the jobs, as in handleReplicaUpdate — but
-		// told onward, like the finished records of this very message.
-		k := sessionKey{ss.User, ss.Session}
-		c.acknowledge(k, ss.Collected, true)
-		if ss.Seqs == nil {
-			continue
-		}
-		mine := c.store.SessionSeqs(ss.User, ss.Session)
-		for _, seq := range statesync.SeqSetDiff(ss.Seqs, mine) {
-			if seq > c.collected[k] { // below it, missing means collected
-				ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
-			}
-		}
-	}
-	c.afterDBCost(func() { c.env.Send(from, ack) })
-}
-
-// handleShardSyncAck completes a cross-shard round: records carried by
-// the round are clean, records the receiver asked for are re-marked
-// dirty and shipped in an immediate follow-up round.
-func (c *Coordinator) handleShardSyncAck(from proto.NodeID, m *proto.ShardSyncAck) {
-	if !c.xpending || m.Epoch != c.epoch || m.Round != c.xround {
-		return
-	}
-	c.xpending = false
-	c.xrounds++
-	c.xwdirty.acked()
-	c.collectAcked(c.xdirty.acked())
-	wanted := 0
-	for _, call := range m.Want {
-		if _, ok := c.store.Peek(call); ok {
-			c.xdirty.set[call] = true
-			wanted++
-		}
-	}
-	if wanted > 0 {
-		c.env.After(0, c.ShardSyncNow)
-	}
-}
-
-// ringPrimary reports whether this coordinator is the member of its
-// ring that clients and servers currently prefer (the first
-// non-suspected coordinator in the common sorted order they all use).
-func (c *Coordinator) ringPrimary() bool {
-	for _, id := range c.coords {
-		if id == c.env.Self() {
-			return true
-		}
-		if !c.ring.Suspected(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// locallyClaimed reports whether this coordinator is actively
-// scheduling or executing the call (pending in the engine, assigned,
-// or speculatively duplicated) — e.g. work stolen from another shard.
-func (c *Coordinator) locallyClaimed(call proto.CallID) bool {
-	if c.eng.Queued(call) {
-		return true
-	}
-	if _, ok := c.ongoing[call]; ok {
-		return true
-	}
-	if _, ok := c.spec[call]; ok {
-		return true
-	}
-	return false
 }
 
 // ---------------------------------------------------------------------
@@ -2128,7 +1600,7 @@ func (c *Coordinator) scheduleSpeculation() {
 // sweep additionally issues redundant instances of stragglers: when an
 // assignment's age exceeds the engine's threshold, a duplicate is
 // queued for any fast server but the one running the original. The
-// first stored result wins; the loser is cancelled by clearOngoing
+// first stored result wins; the loser is cancelled by finish
 // and, should its result arrive anyway, deduplicated by CallID — the
 // same mechanism that already makes re-execution safe across
 // replication, shard sync and coordinator failover.
@@ -2173,184 +1645,6 @@ func (c *Coordinator) schedSweep() {
 	}
 }
 
-// ---------------------------------------------------------------------
-// Cross-shard work stealing
-// ---------------------------------------------------------------------
-
-// maybeSteal (thief side) asks the successor shard for work when the
-// local queue is empty while a server is idle. The successor direction
-// is deliberate: this coordinator's ShardSync already flows to that
-// shard, so the stolen tasks' results are routed home by the existing
-// cross-replication path. At most one request is outstanding and
-// requests are throttled to the heartbeat period.
-func (c *Coordinator) maybeSteal() {
-	if !c.cfg.WorkStealing || c.smap == nil || c.stealPending || c.stopped {
-		return
-	}
-	now := c.env.Now()
-	if !c.lastStealAt.IsZero() && now.Sub(c.lastStealAt) < c.cfg.HeartbeatPeriod {
-		return
-	}
-	succ := c.smap.SuccessorShard(c.shardIdx)
-	if succ == c.shardIdx || c.adopted[succ] {
-		return
-	}
-	ring := c.smap.Ring(succ)
-	if len(ring) == 0 {
-		return
-	}
-	target := ring[c.stealIx%len(ring)]
-	c.stealRound++
-	round := c.stealRound
-	c.stealPending = true
-	c.lastStealAt = now
-	c.env.Send(target, &proto.StealRequest{
-		From:     c.env.Self(),
-		Shard:    c.shardIdx,
-		Epoch:    c.epoch,
-		Round:    round,
-		Capacity: c.cfg.MaxTasksPerAck,
-	})
-	// A silent victim must not wedge stealing: give up on this round
-	// after the suspicion timeout and rotate to another ring member.
-	c.env.After(c.cfg.HeartbeatTimeout, func() {
-		if c.stealPending && c.stealRound == round {
-			c.stealPending = false
-			c.stealIx++
-		}
-	})
-}
-
-// handleStealRequest (victim side) grants up to Capacity pending jobs
-// to an idle predecessor shard. Granted jobs are marked ongoing (so
-// local servers do not also execute them), tracked for timeout reclaim
-// and — unlike replication — shipped with their full parameter
-// payloads, which the thief needs to execute.
-func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealRequest) {
-	if !c.cfg.WorkStealing || c.smap == nil {
-		return
-	}
-	if c.smap.SuccessorShard(m.Shard) != c.shardIdx {
-		// Only a shard we cross-replicate from may steal here: any
-		// other thief could not route results home over ShardSync.
-		return
-	}
-	if !c.ringPrimary() {
-		// A replica's queue mirrors pending records learned via
-		// ReplicaUpdate; granting from the mirror would double-execute
-		// work the ring's serving member still schedules locally.
-		return
-	}
-	grant := &proto.StealGrant{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
-	limit := min(m.Capacity, c.cfg.MaxTasksPerAck)
-	now := c.env.Now()
-	for limit > 0 {
-		call, ok := c.eng.PopSteal()
-		if !ok {
-			break
-		}
-		rec, have := c.store.Peek(call)
-		if !have || rec.State != proto.TaskPending {
-			continue
-		}
-		if rec.Service == "" && rec.Params == nil {
-			continue // placeholder without data
-		}
-		rec.State = proto.TaskOngoing
-		rec.Instance++
-		c.put(rec)
-		c.persistJob(rec, headerOnly)
-		c.stolenOut[call] = stolenOutInfo{shard: m.Shard, grantedAt: now}
-		c.stolenOutTotal++
-		c.cm.stolenOut.Inc()
-		c.trace(call, obs.StageSteal, fmt.Sprintf("granted to shard %d", m.Shard))
-		c.markDirty(call)
-		grant.Jobs = append(grant.Jobs, *rec)
-		limit--
-	}
-	if len(grant.Jobs) > 0 {
-		c.env.After(c.stealReclaimAfter(), c.reclaimStolen)
-	}
-	c.afterDBCost(func() { c.env.Send(from, grant) })
-}
-
-// stealReclaimAfter bounds how long a granted job may stay out before
-// the victim re-queues it: long enough for the thief to execute and
-// for a ShardSync round to bring the result home, short enough that a
-// dying thief does not stall the batch. A late duplicate execution is
-// ordinary at-least-once behaviour.
-func (c *Coordinator) stealReclaimAfter() time.Duration {
-	d := 2 * c.cfg.HeartbeatTimeout
-	if p := c.cfg.ShardSyncPeriod; p > 0 && 2*p > d {
-		d = 2 * p
-	}
-	return d
-}
-
-// reclaimStolen re-queues granted jobs whose results never came home.
-func (c *Coordinator) reclaimStolen() {
-	now := c.env.Now()
-	deadline := c.stealReclaimAfter()
-	for _, call := range sortedCalls(c.stolenOut) {
-		if now.Sub(c.stolenOut[call].grantedAt) < deadline {
-			continue
-		}
-		delete(c.stolenOut, call)
-		c.requeue(call, requeueStealReclaim)
-	}
-	c.dispatch()
-}
-
-// handleStealGrant (thief side) queues the granted foreign jobs
-// locally. Results will flow home through the regular ShardSync round
-// because handleTaskResult marks every finished record cross-shard
-// dirty; the CallID-keyed store keeps a racing home-side re-execution
-// harmless.
-func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
-	if m.Epoch != c.epoch || m.Round != c.stealRound {
-		return // stale grant from a previous round or incarnation
-	}
-	c.stealPending = false
-	if len(m.Jobs) == 0 {
-		// Nothing to take from this member; rotate so the next request
-		// reaches another victim-ring coordinator (work submitted to a
-		// ring-mate only mirrors here after a replication round).
-		c.stealIx++
-		return
-	}
-	for i := range m.Jobs {
-		incoming := &m.Jobs[i]
-		local, status := c.lookup(incoming.Call)
-		if status == callCollected {
-			c.stale(m)
-			continue // its session has the result; nothing to run or carry
-		}
-		if local != nil && local.State == proto.TaskFinished {
-			continue // result already here; ShardSync will carry it home
-		}
-		if c.locallyClaimed(incoming.Call) {
-			continue // a re-grant raced the victim's reclaim
-		}
-		rec := ownCopy(incoming)
-		rec.State = proto.TaskPending
-		c.put(rec)
-		c.persistJob(rec, changedParts(local, rec))
-		delete(c.fromShard, rec.Call) // now actively ours, not passive
-		c.enqueue(rec.Call)
-		c.stolenIn++
-		c.cm.stolenIn.Inc()
-		c.trace(rec.Call, obs.StageSteal, "stolen from "+string(from))
-	}
-}
-
-// ownCopy returns a record of the coordinator's own with the fields of
-// one a peer sent: the message keeps its records, while their payloads,
-// whose bytes nobody modifies, are shared rather than copied.
-func ownCopy(incoming *proto.JobRecord) *proto.JobRecord {
-	rec := *incoming
-	return &rec
-}
-
 // sortedCalls returns the map's keys ordered by CallID, so protocol
 // actions never depend on Go's randomized map iteration (determinism).
 func sortedCalls[V any](m map[proto.CallID]V) []proto.CallID {
@@ -2387,7 +1681,7 @@ type Stats struct {
 	SpecWins        int // results won by the speculative copy
 	StolenIn        int // tasks stolen from the successor shard and run here
 	StolenOut       int // pending tasks granted away to an idle thief shard
-	StolenHome      int // granted tasks whose result came home via ShardSync
+	StolenHome      int // granted tasks whose result came home from a peer
 	PushedTasks     int // assignments sent as late replies to a standing offer
 	PushedResults   int // results sent as late replies to a subscription
 	IdleSlots       int // task slots servers have on offer right now
@@ -2409,13 +1703,13 @@ func (c *Coordinator) StatsNow() Stats {
 		Ongoing:         ongoing,
 		DupResults:      c.dupResults,
 		Rescheduled:     c.rescheduled,
-		ReplRounds:      c.replRounds,
-		LastReplication: c.lastReplDur,
+		ReplRounds:      c.repl.done,
+		LastReplication: c.repl.took,
 		Coordinators:    len(c.coords),
 		KnownServers:    c.servers.Tracked(),
 		Redirects:       c.redirects,
 		Adoptions:       c.adoptions,
-		ShardSyncRounds: c.xrounds,
+		ShardSyncRounds: c.xsync.done,
 		Policy:          c.eng.PolicyName(),
 		Speculated:      c.speculated,
 		SpecWins:        c.specWins,
@@ -2468,10 +1762,10 @@ func (c *Coordinator) FinishedCount() int { return c.finished }
 
 // LastReplicationDuration returns the duration of the last completed
 // replication round (figure 5's measured quantity).
-func (c *Coordinator) LastReplicationDuration() time.Duration { return c.lastReplDur }
+func (c *Coordinator) LastReplicationDuration() time.Duration { return c.repl.took }
 
 // ReplicationInFlight reports whether a round is awaiting its ack.
-func (c *Coordinator) ReplicationInFlight() bool { return c.replPending }
+func (c *Coordinator) ReplicationInFlight() bool { return c.repl.pending }
 
 // DB exposes the task database (tests only).
 func (c *Coordinator) DB() *db.DB { return c.store }

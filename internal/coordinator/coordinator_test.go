@@ -7,6 +7,7 @@ import (
 	"rpcv/internal/db"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
+	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
@@ -536,55 +537,189 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 	}
 }
 
-// TestGiveUpTimerAbandonsOnlyItsOwnRound: with rounds more frequent
-// than the suspicion timeout, round 1's give-up timer falls due while
-// round 2 awaits its ack. It must leave round 2 alone; abandoning it
-// makes the coordinator ignore round 2's ack and send its records again.
-func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
-	const timeout = 10 * time.Second
-	w, co, p := rig(t, Config{Coordinators: []proto.NodeID{"co", "peer"}, HeartbeatTimeout: timeout})
-	update := func() *proto.ReplicaUpdate { // the latest one; ring heartbeats arrive too
-		t.Helper()
-		for i := len(p.inbox) - 1; i >= 0; i-- {
-			if up, ok := p.inbox[i].(*proto.ReplicaUpdate); ok {
-				return up
+// roundRig drives one of a coordinator's three outgoing rounds by hand:
+// "ring" replicates to its ring successor pa; "shard" syncs to, and
+// "steal" steals from, the successor shard's ring {pa, pb}.
+type roundRig struct {
+	t      *testing.T
+	stream string
+	w      *sim.World
+	co     *Coordinator
+	ids    []proto.NodeID // the peers, in order
+	peers  map[proto.NodeID]*peer
+	sv, cl *peer
+	seq    int
+}
+
+// request is a round's request as its target received it.
+type request struct {
+	to           proto.NodeID
+	epoch, round uint64
+	jobs         int
+}
+
+func newRoundRig(t *testing.T, stream string, timeout time.Duration) *roundRig {
+	m := shard.New(1, [][]proto.NodeID{{"co"}, {"pa", "pb"}}, 0)
+	cfg := Config{
+		Coordinators:     []proto.NodeID{"co"},
+		DBCost:           db.CostModel{PerOp: time.Microsecond},
+		HeartbeatTimeout: timeout,
+		HeartbeatPeriod:  time.Second,
+		PullOnly:         true,
+	}
+	r := &roundRig{t: t, stream: stream, w: sim.NewWorld(sim.Config{Seed: 3}), sv: &peer{}, cl: &peer{},
+		ids: m.Ring(1), peers: map[proto.NodeID]*peer{}}
+	if stream == "ring" {
+		cfg.Coordinators = []proto.NodeID{"co", "pa"}
+		r.ids = []proto.NodeID{"pa"}
+	} else {
+		cfg.Shard, cfg.WorkStealing = m, true
+	}
+	r.co = New(cfg)
+	r.w.AddNode("co", r.co)
+	r.w.AddNode("sv", r.sv)
+	r.w.AddNode("cl", r.cl)
+	for _, id := range r.ids {
+		r.peers[id] = &peer{}
+		r.w.AddNode(id, r.peers[id])
+	}
+	for _, id := range append([]proto.NodeID{"co", "sv", "cl"}, r.ids...) {
+		r.w.Start(id)
+	}
+	return r
+}
+
+// start begins a round: a record stream's carries one new call; a steal
+// follows a server's pull that leaves the queue empty.
+func (r *roundRig) start() {
+	switch r.stream {
+	case "ring", "shard":
+		r.seq++
+		r.cl.env.Send("co", submit(r.seq))
+		r.w.RunFor(time.Millisecond)
+		if r.stream == "ring" {
+			r.w.Schedule(0, r.co.ReplicateNow)
+		} else {
+			r.w.Schedule(0, r.co.ShardSyncNow)
+		}
+	case "steal":
+		for range 2 { // the first pull takes what an earlier grant queued
+			r.sv.env.Send("co", &proto.Heartbeat{From: "sv", Role: proto.RoleServer, Capacity: 8, WantWork: true})
+			r.w.RunFor(time.Millisecond)
+		}
+	}
+	r.w.RunFor(time.Millisecond)
+}
+
+// request returns the round's request the peers received since the
+// last call, and clears their inboxes.
+func (r *roundRig) request() request {
+	r.t.Helper()
+	var got []request
+	for _, id := range r.ids {
+		p := r.peers[id]
+		for _, msg := range p.inbox {
+			switch m := msg.(type) {
+			case *proto.ReplicaUpdate:
+				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
+			case *proto.ShardSync:
+				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
+			case *proto.StealRequest:
+				got = append(got, request{id, m.Epoch, m.Round, 0})
 			}
 		}
-		t.Fatal("the successor received no ReplicaUpdate")
-		return nil
+		p.inbox = nil
 	}
-	ack := func(up *proto.ReplicaUpdate) {
-		p.env.Send("co", &proto.ReplicaAck{From: "peer", Epoch: up.Epoch, Round: up.Round})
+	if len(got) != 1 {
+		r.t.Fatalf("%s: the peers received %d requests, want 1: %+v", r.stream, len(got), got)
 	}
+	return got[0]
+}
 
-	p.env.Send("co", submit(1))
-	w.RunFor(time.Second)
-	w.Schedule(0, co.ReplicateNow) // round 1: gives up at 1 s + timeout
-	w.RunFor(time.Millisecond)
-	ack(update())
-	w.RunFor(timeout - 2*time.Second)
+// answer has the target answer req; a grant hands over one call.
+func (r *roundRig) answer(req request) {
+	var msg proto.Message
+	switch r.stream {
+	case "ring":
+		msg = &proto.ReplicaAck{From: req.to, Epoch: req.epoch, Round: req.round}
+	case "shard":
+		msg = &proto.ShardSyncAck{From: req.to, Shard: 1, Epoch: req.epoch, Round: req.round}
+	case "steal":
+		stolen := proto.CallID{User: "v", Session: 1, Seq: proto.RPCSeq(req.round)}
+		msg = &proto.StealGrant{From: req.to, Shard: 1, Epoch: req.epoch, Round: req.round, Jobs: []proto.JobRecord{{
+			Call: stolen, Service: "synthetic", Params: []byte("p"), ExecTime: time.Second, State: proto.TaskOngoing, Instance: 1}}}
+	}
+	r.peers[req.to].env.Send("co", msg)
+	r.w.RunFor(time.Millisecond)
+}
 
-	p.env.Send("co", submit(2))
-	p.env.Send("co", &proto.Heartbeat{From: "peer", Role: proto.RoleCoordinator}) // stay trusted
-	w.RunFor(time.Millisecond)
-	w.Schedule(0, co.ReplicateNow) // round 2, a second before round 1's deadline
-	w.RunFor(3 * time.Second)
-	second := update()
-	if len(second.Jobs) != 1 || second.Jobs[0].Call != call(2) {
-		t.Fatalf("round 2 carries %d jobs, want job 2 alone", len(second.Jobs))
+// answered counts the rounds whose answer the coordinator took.
+func (r *roundRig) answered() int {
+	st := r.co.StatsNow()
+	switch r.stream {
+	case "ring":
+		return int(st.ReplRounds)
+	case "shard":
+		return int(st.ShardSyncRounds)
 	}
-	if !co.ReplicationInFlight() {
-		t.Fatal("round 1's give-up timer abandoned round 2")
+	return st.StolenIn
+}
+
+// wait lets d pass with every peer and the server beating, so that
+// nothing is suspected and no shard adopted.
+func (r *roundRig) wait(d time.Duration) {
+	for ; d > 0; d -= time.Second {
+		for _, id := range r.ids {
+			r.peers[id].env.Send("co", &proto.Heartbeat{From: id, Role: proto.RoleCoordinator})
+		}
+		r.sv.env.Send("co", &proto.Heartbeat{From: "sv", Role: proto.RoleServer})
+		r.w.RunFor(min(d, time.Second))
 	}
-	ack(second)
-	w.RunFor(time.Millisecond)
-	if n := co.StatsNow().ReplRounds; n != 2 {
-		t.Fatalf("completed rounds = %d, want 2: round 2's ack was ignored", n)
-	}
-	w.Schedule(0, co.ReplicateNow)
-	w.RunFor(time.Millisecond)
-	if third := update(); third.Round == second.Round || len(third.Jobs) != 0 {
-		t.Fatalf("round %d re-sent %d acknowledged jobs", third.Round, len(third.Jobs))
+}
+
+// TestGiveUpTimerAbandonsOnlyItsOwnRound: with rounds more frequent
+// than the suspicion timeout, round 1's give-up timer falls due while
+// round 2 awaits its answer. It must leave round 2 alone: abandoning it
+// makes the coordinator ignore round 2's answer (and a record stream
+// send its records again). A round that is given up moves the stream
+// on: ring replication stays on its successor, shard sync and stealing
+// go to the next member of the successor shard's ring.
+func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
+	const timeout = 10 * time.Second
+	for _, tc := range []struct {
+		stream  string
+		rotates bool
+	}{{"ring", false}, {"shard", true}, {"steal", true}} {
+		t.Run(tc.stream, func(t *testing.T) {
+			r := newRoundRig(t, tc.stream, timeout)
+			r.start() // round 1: gives up at its start + timeout
+			r.answer(r.request())
+			r.wait(timeout - 2*time.Second)
+			r.start() // round 2, a second or two before round 1's deadline
+			second := r.request()
+			r.wait(3 * time.Second)
+			r.answer(second)
+			if n := r.answered(); n != 2 {
+				t.Fatalf("answered rounds = %d, want 2: round 1's give-up timer abandoned round 2", n)
+			}
+
+			r.start() // round 3: never answered
+			third := r.request()
+			if want := map[string]int{"ring": 1, "shard": 1}[tc.stream]; third.jobs != want {
+				t.Fatalf("round 3 carries %d jobs, want its own %d: round 2's were sent again", third.jobs, want)
+			}
+			r.wait(timeout + time.Second)
+			r.start() // round 4, after round 3 was given up
+			fourth := r.request()
+			want := third.to
+			if tc.rotates {
+				want = map[proto.NodeID]proto.NodeID{"pa": "pb", "pb": "pa"}[third.to]
+			}
+			if fourth.to != want || fourth.round != third.round+1 {
+				t.Fatalf("round %d went to %s after round %d to %s was given up, want round %d to %s",
+					fourth.round, fourth.to, third.round, third.to, third.round+1, want)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,605 @@
+package coordinator
+
+import (
+	"cmp"
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
+	"time"
+
+	"rpcv/internal/node"
+	"rpcv/internal/obs"
+	"rpcv/internal/proto"
+	"rpcv/internal/statesync"
+)
+
+// round is one outgoing peer stream: at most one request in flight; one
+// left unanswered for the suspicion timeout is given up, and the next
+// goes to the next member of the target ring. jobs and marks are the
+// calls and session watermarks a record stream's peer has yet to hear
+// of in their current state; a steal carries none.
+type round struct {
+	pending bool
+	n       uint64        // the latest request's number, which its answer echoes
+	to      proto.NodeID  // where the latest request went
+	next    int           // the member of the target ring the next request goes to
+	start   time.Time     // when the latest request left
+	took    time.Duration // how long the last answered round took (figure 5)
+	done    uint64        // rounds answered
+	timer   node.Timer    // the next periodic round, on a stream with a period
+	jobs    dirtySet[proto.CallID]
+	marks   dirtySet[sessionKey]
+}
+
+// restart forgets, at a coordinator's start, the round in flight and
+// what the peer was owed: loadStore and loadMarks owe it again what the
+// disk holds. The counters go on.
+func (r *round) restart() {
+	r.pending = false
+	r.jobs, r.marks = newDirtySet[proto.CallID](), newDirtySet[sessionKey]()
+}
+
+// begin opens the next round, to peer, carrying everything dirty now,
+// and returns its number.
+func (r *round) begin(peer proto.NodeID, now time.Time) uint64 {
+	r.jobs.begin()
+	r.marks.begin()
+	r.n++
+	r.pending, r.to, r.start = true, peer, now
+	return r.n
+}
+
+// giveUpAfter abandons the round just begun if it is still unanswered
+// after d. A later round has its own timer: this one leaves it alone.
+func (r *round) giveUpAfter(env node.Env, d time.Duration) {
+	n := r.n
+	env.After(d, func() {
+		if r.pending && r.n == n {
+			r.pending = false
+			r.next++
+		}
+	})
+}
+
+// every calls fn once a period; never when period is not positive.
+func (r *round) every(env node.Env, period time.Duration, fn func()) {
+	if period <= 0 {
+		return
+	}
+	r.timer = env.After(period, func() {
+		fn()
+		r.every(env, period, fn)
+	})
+}
+
+// settle closes r's round if an answer echoing epoch and n answers it —
+// the round is pending, and they are this incarnation's epoch and the
+// round's number — and reports whether it did. The peer now holds
+// exactly what the round carried; what was dirtied since stays dirty,
+// and a finished call that waited for this below its session's
+// watermark can go.
+func (c *Coordinator) settle(r *round, epoch, n uint64) bool {
+	if !r.pending || epoch != c.epoch || n != r.n {
+		return false
+	}
+	r.pending = false
+	r.done++
+	r.took = c.env.Now().Sub(r.start)
+	r.marks.acked()
+	c.collectAcked(r.jobs.acked())
+	return true
+}
+
+// roundJobs is a round's job list: every record r owes its peer, in call
+// order, sharing its payloads (nothing modifies their bytes) but without
+// params over ReplicateParamsLimit — file archives are not replicated.
+func (c *Coordinator) roundJobs(r *round) []proto.JobRecord {
+	var jobs []proto.JobRecord
+	for _, call := range sortedCalls(r.jobs.set) {
+		rec, ok := c.store.Peek(call)
+		if !ok {
+			continue
+		}
+		job := *rec
+		if len(job.Params) > c.cfg.ReplicateParamsLimit {
+			job.Params = nil
+		}
+		jobs = append(jobs, job)
+	}
+	return jobs
+}
+
+// markDirty notes that call's record changed, for each stream that has
+// someone to tell: the ring successor if this coordinator knows of any
+// other (in a ring of one nothing is dirty — there is no round to clean
+// it), the successor shard if the grid is sharded.
+func (c *Coordinator) markDirty(call proto.CallID) {
+	if len(c.coords) > 1 {
+		c.repl.jobs.mark(call, c.repl.pending)
+	}
+	if c.smap != nil {
+		c.xsync.jobs.mark(call, c.xsync.pending)
+	}
+}
+
+// mergeCoords merges ids into the coordinator list. The first fellow
+// coordinator a ring of one hears of is owed everything still stored:
+// nothing was marked dirty while there was no one to tell.
+func (c *Coordinator) mergeCoords(ids []proto.NodeID) {
+	alone := len(c.coords) == 1
+	c.coords = statesync.MergeNodeLists(c.coords, ids)
+	if alone && len(c.coords) > 1 {
+		for _, rec := range c.store.PeekAll() {
+			c.repl.jobs.mark(rec.Call, c.repl.pending)
+		}
+		for k := range c.collected {
+			c.repl.marks.mark(k, c.repl.pending)
+		}
+	}
+}
+
+// origin is the stream a record came by.
+type origin int
+
+const (
+	ringUpdate origin = iota // a ReplicaUpdate from the ring predecessor
+	shardSync                // a ShardSync from the predecessor shard
+	stealGrant               // a StealGrant from the successor shard
+)
+
+// apply merges one record a peer sent by the rule of the package
+// comment, and reports whether it queued the call. A shard's or a
+// grant's copy of a call this coordinator runs itself changes nothing:
+// typically the sender's echo of work stolen from it. What a shard sent
+// and is not held is told onward, to survive this ring's faults too; a
+// replica tells no one the jobs of an update, and a thief tells of
+// stolen work once it assigns it.
+func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shard int) bool {
+	local, status := c.lookup(in.Call)
+	if status == callCollected {
+		c.stale(m)
+		return false
+	}
+	if local != nil && local.State == proto.TaskFinished {
+		return false // finished tasks are never regressed
+	}
+	// A record of our own: the message keeps its records, and the
+	// payloads, whose bytes nobody modifies, are shared, not copied.
+	cp := *in
+	rec := &cp
+	if o == stealGrant {
+		rec.State = proto.TaskPending
+	}
+	tell := o == shardSync
+	if rec.State == proto.TaskFinished {
+		if _, granted := c.stolenOut[rec.Call]; granted {
+			c.stolenHome++
+			c.cm.stolenHome.Inc()
+		}
+		c.finish(rec, changedParts(local, rec), tell)
+		return false
+	}
+	_, assigned := c.ongoing[rec.Call]
+	_, duplicated := c.spec[rec.Call]
+	if o != ringUpdate && (assigned || duplicated || c.eng.Queued(rec.Call)) {
+		return false
+	}
+	if local != nil && local.Params != nil && rec.Params == nil {
+		rec.Params = local.Params // sent without its archive: keep ours
+	}
+	// Held for a peer, a call is kept without being scheduled until the
+	// peer is gone (release).
+	held := true
+	switch {
+	case o == ringUpdate && rec.State == proto.TaskOngoing:
+		c.fromPredecessor[rec.Call] = true
+	case o == shardSync && !c.adopted[shard]:
+		c.fromShard[rec.Call] = shard
+	default:
+		held = false
+		rec.State = proto.TaskPending
+	}
+	c.put(rec)
+	c.persistJob(rec, changedParts(local, rec))
+	if held {
+		return false
+	}
+	// The predecessor's pending copy of a call ongoing here queues nothing.
+	queued := o != ringUpdate || local == nil || local.State != proto.TaskOngoing
+	if queued {
+		c.enqueue(rec.Call)
+	}
+	if tell {
+		c.markDirty(rec.Call)
+	}
+	return queued
+}
+
+// release requeues, in call order, each call in held whose peer gone
+// says is lost — the ring predecessor suspected, a shard adopted, a grant
+// out too long — and reports how many are schedulable again.
+func release[V any](c *Coordinator, held map[proto.CallID]V, reason requeueReason, gone func(V) bool) int {
+	released := 0
+	for _, call := range sortedCalls(held) {
+		if !gone(held[call]) {
+			continue
+		}
+		delete(held, call)
+		if c.requeue(call, reason) {
+			released++
+		}
+	}
+	return released
+}
+
+// ---------------------------------------------------------------------
+// Passive replication (virtual ring)
+// ---------------------------------------------------------------------
+
+// ReplicateNow starts one replication round to the current ring
+// successor, if any and if no round is in flight. Exported so
+// experiment drivers can measure single rounds (figure 5).
+func (c *Coordinator) ReplicateNow() {
+	if c.repl.pending || c.stopped {
+		return
+	}
+	succ := c.Successor()
+	if succ == "" {
+		return
+	}
+	// Nothing dirty: the (tiny) update goes anyway — it doubles as the
+	// ring heartbeat that keeps successors from suspecting us.
+	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Jobs: c.roundJobs(&c.repl)}
+	update.MaxSeqs = c.sessionMaxes(update.Jobs)
+	update.Round = c.repl.begin(succ, c.env.Now())
+	c.afterDBCost(func() { c.env.Send(succ, update) })
+	// Given up, the round stays on the successor: the ring monitor
+	// decides when it is another.
+	c.repl.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
+}
+
+// sessionMaxes is a ReplicaUpdate's session list: one entry per session
+// the round says something about — a job it carries or a watermark the
+// successor has yet to hear — each with the session's watermark, which
+// is how the successor learns what it may delete too. The entries are
+// sorted by "user/session".
+func (c *Coordinator) sessionMaxes(jobs []proto.JobRecord) []proto.SessionMax {
+	byLabel := make(map[string]proto.SessionMax)
+	note := func(k sessionKey, seq proto.RPCSeq) {
+		label := fmt.Sprintf("%s/%d", k.user, k.session)
+		sm := byLabel[label]
+		sm.User, sm.Session, sm.Collected = k.user, k.session, c.collected[k]
+		sm.MaxSeq = max(sm.MaxSeq, seq)
+		byLabel[label] = sm
+	}
+	for i := range jobs {
+		call := jobs[i].Call
+		note(sessionKey{call.User, call.Session}, call.Seq)
+	}
+	for k := range c.repl.marks.set {
+		note(k, c.collected[k])
+	}
+	var out []proto.SessionMax
+	for _, label := range slices.Sorted(maps.Keys(byLabel)) {
+		out = append(out, byLabel[label])
+	}
+	return out
+}
+
+func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpdate) {
+	c.heard(from, []proto.NodeID{from})
+	c.predecessor = from
+	for i := range m.Jobs {
+		c.apply(m, &m.Jobs[i], ringUpdate, 0)
+	}
+	// The watermarks after the jobs: a finish this round carries is
+	// stored (and counted) before the watermark that lets it go. What a
+	// replica learns this way it tells no one — it does not replicate
+	// the jobs of an update either.
+	for _, sm := range m.MaxSeqs {
+		c.acknowledge(sessionKey{sm.User, sm.Session}, sm.Collected, false)
+	}
+	c.afterDBCost(func() {
+		c.env.Send(from, &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round})
+	})
+}
+
+func (c *Coordinator) handleReplicaAck(from proto.NodeID, m *proto.ReplicaAck) {
+	c.ring.Observe(from)
+	if from == c.repl.to {
+		c.settle(&c.repl, m.Epoch, m.Round)
+	}
+}
+
+// onCoordinatorSuspected recomputes the topology to stay in the same
+// connected component: drop the suspect from the ring view and, if its
+// tasks were held back as "ongoing at predecessor", release them.
+func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
+	c.env.Logf("coordinator: suspect coordinator %s", id)
+	if c.repl.pending && id == c.repl.to {
+		c.repl.pending = false // the round is lost; next tick re-routes
+	}
+	if id == c.predecessor {
+		released := release(c, c.fromPredecessor, requeueCoordinatorSuspected, func(bool) bool { return true })
+		if released > 0 {
+			c.env.Logf("coordinator: released %d tasks of suspected predecessor %s", released, id)
+		}
+		c.dispatch()
+	}
+}
+
+// Successor returns this coordinator's current ring successor, skipping
+// suspected coordinators. Exported for tests and the topology ablation.
+func (c *Coordinator) Successor() proto.NodeID {
+	return statesync.Successor(c.env.Self(), c.coords, c.ring.Suspected)
+}
+
+// ---------------------------------------------------------------------
+// Cross-shard sync
+// ---------------------------------------------------------------------
+
+// syncPeriod is the period of cross-shard sync: ShardSyncPeriod, or
+// the replication period when that is zero.
+func (c *Coordinator) syncPeriod() time.Duration {
+	if c.cfg.ShardSyncPeriod > 0 {
+		return c.cfg.ShardSyncPeriod
+	}
+	return c.cfg.ReplicationPeriod
+}
+
+// successorMember is the member of the successor shard's ring that r's
+// next request goes to ("" when the grid has no other shard for it),
+// and that shard.
+func (c *Coordinator) successorMember(r *round) (proto.NodeID, int) {
+	succ := c.smap.SuccessorShard(c.shardIdx)
+	ring := c.smap.Ring(succ)
+	if succ == c.shardIdx || len(ring) == 0 {
+		return "", succ
+	}
+	return ring[r.next%len(ring)], succ
+}
+
+// ShardSyncNow starts one cross-shard replication round: dirty records
+// plus the full per-session sequence sets of owned sessions go to one
+// member of the successor shard's ring. Exported for tests and manual
+// drivers (like ReplicateNow).
+func (c *Coordinator) ShardSyncNow() {
+	if c.smap == nil || c.xsync.pending || c.stopped {
+		return
+	}
+	target, _ := c.successorMember(&c.xsync)
+	if target == "" {
+		return
+	}
+	msg := &proto.ShardSync{From: c.env.Self(), Shard: c.shardIdx, Epoch: c.epoch, Jobs: c.roundJobs(&c.xsync)}
+	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
+	msg.Round = c.xsync.begin(target, c.env.Now())
+	c.env.Send(target, msg)
+	c.xsync.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
+}
+
+// dirtySessionSeqs advertises the exact sequence sets this coordinator
+// stores for the owned sessions carried by the current round — the
+// input of the receiver's set-difference (statesync.SeqSetDiff), which
+// detects records an earlier lost round never delivered. Advertising
+// only the round's active sessions (rather than every session ever
+// stored) keeps idle rounds O(1) and message size proportional to
+// recent activity; a coordinator restart re-dirties its whole store,
+// so full coverage recurs exactly when histories may have diverged.
+// Each entry also carries the session's collected watermark, and a
+// session whose watermark rose since the last acknowledged round gets
+// an entry for that alone (without a sequence set if it is another
+// shard's session, held here as a copy): the successor shard deletes
+// what this one has deleted.
+func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSeqs {
+	// active maps a session to whether its sequence set is advertised.
+	active := make(map[sessionKey]bool, len(jobs)+len(c.xsync.marks.set))
+	for k := range c.xsync.marks.set {
+		active[k] = c.smap.Owner(k.user, k.session) == c.shardIdx
+	}
+	for i := range jobs {
+		call := jobs[i].Call
+		if c.smap.Owner(call.User, call.Session) == c.shardIdx {
+			active[sessionKey{call.User, call.Session}] = true
+		}
+	}
+	var out []proto.SessionSeqs
+	for k, advertised := range active {
+		ss := proto.SessionSeqs{User: k.user, Session: k.session, Collected: c.collected[k]}
+		if advertised {
+			ss.Seqs = c.store.PeekSessionSeqs(k.user, k.session)
+		}
+		out = append(out, ss)
+	}
+	slices.SortFunc(out, func(a, b proto.SessionSeqs) int {
+		return cmp.Or(strings.Compare(string(a.User), string(b.User)), cmp.Compare(a.Session, b.Session))
+	})
+	return out
+}
+
+// handleShardSync applies a predecessor shard's cross-replication (see
+// apply). The ack reports, via set difference, the calls this
+// coordinator is missing entirely.
+func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
+	c.heard(from, nil)
+	for i := range m.Jobs {
+		c.apply(m, &m.Jobs[i], shardSync, m.Shard)
+	}
+	ack := &proto.ShardSyncAck{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
+	for _, ss := range m.Sessions {
+		// The watermark after the jobs, as in handleReplicaUpdate — but
+		// told onward, like the finished records of this very message.
+		k := sessionKey{ss.User, ss.Session}
+		c.acknowledge(k, ss.Collected, true)
+		if ss.Seqs == nil {
+			continue
+		}
+		mine := c.store.SessionSeqs(ss.User, ss.Session)
+		for _, seq := range statesync.SeqSetDiff(ss.Seqs, mine) {
+			if seq > c.collected[k] { // below it, missing means collected
+				ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
+			}
+		}
+	}
+	c.afterDBCost(func() { c.env.Send(from, ack) })
+}
+
+// handleShardSyncAck completes a cross-shard round: records carried by
+// the round are clean, records the receiver asked for are re-marked
+// dirty and shipped in an immediate follow-up round.
+func (c *Coordinator) handleShardSyncAck(from proto.NodeID, m *proto.ShardSyncAck) {
+	if !c.settle(&c.xsync, m.Epoch, m.Round) {
+		return
+	}
+	wanted := 0
+	for _, call := range m.Want {
+		if _, ok := c.store.Peek(call); ok {
+			c.xsync.jobs.set[call] = true
+			wanted++
+		}
+	}
+	if wanted > 0 {
+		c.env.After(0, c.ShardSyncNow)
+	}
+}
+
+// ---------------------------------------------------------------------
+// Cross-shard work stealing
+// ---------------------------------------------------------------------
+
+// maybeSteal (thief side) asks the successor shard for work when the
+// local queue is empty while a server is idle. The successor direction
+// is deliberate: this coordinator's ShardSync already flows to that
+// shard, so the stolen tasks' results are routed home by the existing
+// cross-replication path. At most one request is outstanding and
+// requests are throttled to the heartbeat period.
+func (c *Coordinator) maybeSteal() {
+	if !c.cfg.WorkStealing || c.smap == nil || c.steal.pending || c.stopped {
+		return
+	}
+	now := c.env.Now()
+	if !c.steal.start.IsZero() && now.Sub(c.steal.start) < c.cfg.HeartbeatPeriod {
+		return
+	}
+	target, succ := c.successorMember(&c.steal)
+	if target == "" || c.adopted[succ] {
+		return
+	}
+	c.env.Send(target, &proto.StealRequest{
+		From:     c.env.Self(),
+		Shard:    c.shardIdx,
+		Epoch:    c.epoch,
+		Round:    c.steal.begin(target, now),
+		Capacity: c.cfg.MaxTasksPerAck,
+	})
+	c.steal.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
+}
+
+// handleStealRequest (victim side) grants up to Capacity pending jobs
+// to an idle predecessor shard. Granted jobs are marked ongoing (so
+// local servers do not also execute them), tracked for timeout reclaim
+// and — unlike replication — shipped with their full parameter
+// payloads, which the thief needs to execute.
+func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealRequest) {
+	if !c.cfg.WorkStealing || c.smap == nil {
+		return
+	}
+	if c.smap.SuccessorShard(m.Shard) != c.shardIdx {
+		// Only a shard we cross-replicate from may steal here: any
+		// other thief could not route results home over ShardSync.
+		return
+	}
+	if !c.ringPrimary() {
+		// A replica's queue mirrors pending records learned via
+		// ReplicaUpdate; granting from the mirror would double-execute
+		// work the ring's serving member still schedules locally.
+		return
+	}
+	grant := &proto.StealGrant{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
+	limit := min(m.Capacity, c.cfg.MaxTasksPerAck)
+	now := c.env.Now()
+	for limit > 0 {
+		call, ok := c.eng.PopSteal()
+		if !ok {
+			break
+		}
+		rec, have := c.store.Peek(call)
+		if !have || rec.State != proto.TaskPending {
+			continue
+		}
+		if rec.Service == "" && rec.Params == nil {
+			continue // placeholder without data
+		}
+		rec.State = proto.TaskOngoing
+		rec.Instance++
+		c.put(rec)
+		c.persistJob(rec, headerOnly)
+		c.stolenOut[call] = now
+		c.stolenOutTotal++
+		c.cm.stolenOut.Inc()
+		c.trace(call, obs.StageSteal, fmt.Sprintf("granted to shard %d", m.Shard))
+		c.markDirty(call)
+		grant.Jobs = append(grant.Jobs, *rec)
+		limit--
+	}
+	if len(grant.Jobs) > 0 {
+		// Long enough for the thief to execute and for a sync round — at
+		// the period sync actually runs at — to bring the result home,
+		// short enough that a dying thief does not stall the batch. A late
+		// duplicate execution is ordinary at-least-once behaviour.
+		after := max(2*c.cfg.HeartbeatTimeout, 2*c.syncPeriod())
+		c.env.After(after, func() {
+			now := c.env.Now()
+			release(c, c.stolenOut, requeueStealReclaim, func(since time.Time) bool { return now.Sub(since) >= after })
+			c.dispatch()
+		})
+	}
+	c.afterDBCost(func() { c.env.Send(from, grant) })
+}
+
+// ringPrimary reports whether this coordinator is the member of its
+// ring that clients and servers currently prefer (the first
+// non-suspected coordinator in the common sorted order they all use).
+func (c *Coordinator) ringPrimary() bool {
+	for _, id := range c.coords {
+		if id == c.env.Self() {
+			return true
+		}
+		if !c.ring.Suspected(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// handleStealGrant (thief side) queues the granted foreign jobs
+// locally (see apply). Results will flow home through the regular
+// ShardSync round because handleTaskResult marks every finished record
+// cross-shard dirty; the CallID-keyed store keeps a racing home-side
+// re-execution harmless.
+func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
+	if m.Epoch != c.epoch || m.Round != c.steal.n {
+		return // stale grant from a previous round or incarnation
+	}
+	// Taken even after its round was given up: the victim has marked the
+	// granted calls ongoing and would otherwise only reclaim them.
+	c.steal.pending = false
+	if len(m.Jobs) == 0 {
+		// Nothing to take from this member; rotate so the next request
+		// reaches another victim-ring coordinator (work submitted to a
+		// ring-mate only mirrors here after a replication round).
+		c.steal.next++
+		return
+	}
+	for i := range m.Jobs {
+		if !c.apply(m, &m.Jobs[i], stealGrant, m.Shard) {
+			continue
+		}
+		call := m.Jobs[i].Call
+		delete(c.fromShard, call) // now actively ours, not passive
+		c.stolenIn++
+		c.cm.stolenIn.Inc()
+		c.trace(call, obs.StageSteal, "stolen from "+string(from))
+	}
+}
