@@ -14,6 +14,9 @@
 #                   client or the server encodes a whole message for its
 #                   log again
 #                   (msglog.EntryOf keeps a large payload by reference),
+#                   or if the coordinator keeps its job blobs by hand
+#                   again instead of on its msglog.Shelf (deleteInTurn,
+#                   writeBlob, StoredJob, changedParts, unwritten),
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -55,6 +58,8 @@ lint:
 	! git grep -nE 'Partitioned[H]andler|Loop[I]nfo|Lane[r]|Do[O]n\(|DoAsync[O]n\(|Ping[L]oop|Loop[F]or\(|loop[T]agSep|RPCV_[L]OOPS' -- '*.go' Makefile .github
 	! git grep -nE 'GC[N]ow' -- '*.go'
 	! git grep -nE 'proto\.Encode[M]essage\(' -- 'internal/client/*.go' 'internal/server/*.go' ':!*_test.go'
+	! git grep -nE 'deleteIn[T]urn|writeB[l]ob|Stored[J]ob\b|changedP[a]rts' -- '*.go'
+	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 

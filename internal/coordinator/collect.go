@@ -180,7 +180,6 @@ func (c *Coordinator) collect(k sessionKey) {
 			return false
 		}
 		delete(c.waiting, rec.Call)
-		delete(c.unwritten, rec.Call)
 		c.gc.jobs = append(c.gc.jobs, rec.Call)
 		return true
 	})
@@ -267,7 +266,7 @@ func (c *Coordinator) flushGarbage() {
 		w := c.collected[k]
 		node.WriteAsync(disk, markKey(k), binary.AppendUvarint(nil, uint64(w)), func(err error) {
 			if err != nil {
-				c.persistFailed(proto.CallID{User: k.user, Session: k.session}, headerOnly, err)
+				c.persistFailed(proto.CallID{User: k.user, Session: k.session}, err)
 				c.gc.marks = append(c.gc.marks, k)
 			} else if w > c.gc.durable[k] {
 				c.gc.durable[k] = w
@@ -285,39 +284,18 @@ func (c *Coordinator) flushGarbage() {
 	c.sweep()
 }
 
-// deleteJob removes a collected call's keys, blobs first and the header
-// only once they are gone: a crash or a failed delete in between
-// leaves a header — which reloads as a record the next pass collects
-// again, or, short of a blob, is finished off by loadStore — never a
-// blob that nothing references. The blobs are those the disk holds,
-// not those the record would have: a header rewritten without a
-// payload (a replica's finished copy over a local pending one) leaves
-// the old blob behind, and this is its last chance to go. Whatever
-// fails puts the call back with the garbage; the retry is as
-// idempotent as the pass.
+// deleteJob removes a collected call's keys: its blobs and then its
+// header, staged at once (msglog's Remove). A crash in between leaves a
+// header, which reloads as a record the next pass collects again, or,
+// short of a blob, is finished off by loadStore; never a blob that a
+// header names. Whatever fails puts the call back with the garbage; the
+// retry is as idempotent as the pass.
 func (c *Coordinator) deleteJob(id proto.CallID) {
-	call := id.String()
-	keys := make([]string, 0, len(blobs)+1)
-	for _, b := range blobs {
-		key := blobPrefix + call + b.suffix
-		if _, ok := c.env.Disk().Read(key); ok {
-			keys = append(keys, key)
-		}
-	}
-	c.deleteInTurn(id, append(keys, jobPrefix+call))
-}
-
-// deleteInTurn stages the delete of keys[0] and, from its completion,
-// of the rest: each key goes only once the one before it is gone.
-func (c *Coordinator) deleteInTurn(id proto.CallID, keys []string) {
-	node.DeleteAsync(c.env.Disk(), keys[0], func(err error) {
-		switch {
-		case err != nil:
+	jobs.Remove(c.env, id.String(), func(err error) {
+		if err != nil {
 			c.env.Logf("coordinator: collect job %s: %v", id, err)
 			c.gc.jobs = append(c.gc.jobs, id)
 			c.sweep()
-		case len(keys) > 1:
-			c.deleteInTurn(id, keys[1:])
 		}
 	})
 }

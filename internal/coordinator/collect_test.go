@@ -1,10 +1,13 @@
 package coordinator
 
 import (
+	"bytes"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/store"
 )
@@ -33,8 +36,8 @@ func (r *persistRig) finishCalls(n int) []proto.TaskID {
 	return tasks
 }
 
-// settle lets the flush timer run and the staged deletes complete:
-// the blobs' first, then the header's that their completions stage.
+// settle lets the flush timer run and what it stages complete: the
+// watermark first, then the deletes that wait for it to be durable.
 func (r *persistRig) settle() {
 	for range 3 {
 		r.env.Advance(flushBeats * r.cfg.HeartbeatPeriod)
@@ -295,6 +298,86 @@ func TestCollectionRidesTheNextPersist(t *testing.T) {
 	}
 }
 
+// A collected 64 KiB call leaves the disk in one group commit: its two
+// blobs and its header are staged together, blobs first, and the commit
+// that takes the first takes them all.
+func TestCollectionDeletesALargeCallInOneCommit(t *testing.T) {
+	d := nodetest.NewCrashDisk(t, "batch")
+	env := nodetest.NewEnv("co", d.Disk)
+	co := New(commitConfig())
+	co.Start(env)
+	step := func(from proto.NodeID, msg proto.Message) {
+		co.Receive(from, msg)
+		d.Settle()
+		d.Settle()
+	}
+	big := bytes.Repeat([]byte{7}, 64<<10)
+	step("cl", &proto.Submit{Call: call(1), Service: "echo", Params: big})
+	step("sv0", pull(1))
+	step("sv0", &proto.TaskResult{From: "sv0", Task: proto.TaskID{Call: call(1), Instance: 1}, Output: big})
+	step("cl", &proto.Poll{User: "u", Session: 1})
+	step("cl", &proto.Poll{User: "u", Session: 1, Ack: 1})
+	if co.DB().Len() != 0 {
+		t.Fatal("the acknowledged call is still in the job table")
+	}
+	// The first flush makes the watermark durable, the second stages the
+	// deletes; one commit after that, nothing of the call is left.
+	env.Advance(flushBeats * commitConfig().HeartbeatPeriod)
+	d.Settle()
+	d.Settle()
+	env.Advance(flushBeats * commitConfig().HeartbeatPeriod)
+	d.Settle()
+	disk := d.Recover()
+	if left := append(disk.Keys("coord/job/"), disk.Keys("coord/blob/")...); len(left) != 0 {
+		t.Fatalf("one commit after the collection's deletes were staged, the disk holds %v", left)
+	}
+	if raw, _ := disk.Read(markKey(sessionKey{"u", 1})); len(raw) != 1 || raw[0] != 1 {
+		t.Fatalf("watermark on the disk: %v, want 1", raw)
+	}
+}
+
+// A collection the power cuts short between a 64 KiB call's blob deletes
+// and its header's leaves a header short of its blobs. That is not
+// corruption: the next boot knows the call collected, loads nothing of
+// it, logs nothing corrupt, and its next flush finishes the collection.
+func TestCutShortCollectionIsFinishedAtTheNextBoot(t *testing.T) {
+	for blobsGone := 1; blobsGone <= 2; blobsGone++ {
+		d := nodetest.NewCrashDisk(t, "memory")
+		env := nodetest.NewEnv("co", d.Disk)
+		co := New(commitConfig())
+		co.Start(env)
+		big := bytes.Repeat([]byte{7}, 64<<10)
+		co.Receive("cl", &proto.Submit{Call: call(1), Service: "echo", Params: big})
+		co.Receive("sv0", pull(1))
+		co.Receive("sv0", &proto.TaskResult{From: "sv0", Task: proto.TaskID{Call: call(1), Instance: 1}, Output: big})
+		co.Receive("cl", &proto.Poll{User: "u", Session: 1})
+		co.Receive("cl", &proto.Poll{User: "u", Session: 1, Ack: 1})
+		d.Cut.Left = 1 + blobsGone // the watermark, then the first blob deletes
+		env.Advance(flushBeats * commitConfig().HeartbeatPeriod)
+		co.Stop()
+
+		disk := d.Recover()
+		if _, ok := disk.Read(jobs.Headers + call(1).String()); !ok {
+			t.Fatalf("%d blobs gone: the cut left no header; the test cuts in the wrong place", blobsGone)
+		}
+		env = nodetest.NewEnv("co", disk)
+		co = New(commitConfig())
+		co.Start(env)
+		if n := co.DB().Len(); n != 0 {
+			t.Fatalf("%d blobs gone: the next boot loaded %d records", blobsGone, n)
+		}
+		env.Advance(flushBeats * commitConfig().HeartbeatPeriod)
+		if left := append(disk.Keys(jobs.Headers), disk.Keys(jobs.Blobs)...); len(left) != 0 {
+			t.Fatalf("%d blobs gone: after the next boot's flush the disk holds %v", blobsGone, left)
+		}
+		for _, line := range env.Logs() {
+			if strings.Contains(line, "corrupt") {
+				t.Fatalf("%d blobs gone: %s", blobsGone, line)
+			}
+		}
+	}
+}
+
 // A watermark whose write failed allows no delete: the session's
 // records stay on the disk until a retry has made the watermark
 // durable. A restart in between reloads them — the next Poll collects
@@ -310,7 +393,7 @@ func TestFailedWatermarkWriteWithholdsTheDeletes(t *testing.T) {
 			r.deliver("cl", &proto.Poll{User: "u", Session: 1, Ack: 2})
 			plan.TornWrites(1) // the next flush's first write: the watermark
 			r.deliver("cl", submit(3))
-			if got := r.disk.Keys(jobPrefix); len(got) != 3 {
+			if got := r.disk.Keys(jobs.Headers); len(got) != 3 {
 				t.Fatalf("headers on the disk after the watermark's write failed: %v, want those of all three calls", got)
 			}
 
@@ -330,7 +413,7 @@ func TestFailedWatermarkWriteWithholdsTheDeletes(t *testing.T) {
 			}
 			r.deliver("cl", &proto.Poll{User: "u", Session: 1, Ack: 2})
 			r.settle()
-			got := append(r.disk.Keys(jobPrefix), r.disk.Keys(markPrefix)...)
+			got := append(r.disk.Keys(jobs.Headers), r.disk.Keys(markPrefix)...)
 			if want := []string{"coord/job/u/1/3", "coord/w/u/1"}; !slices.Equal(got, want) {
 				t.Fatalf("keys once the retry went through: %v, want %v", got, want)
 			}

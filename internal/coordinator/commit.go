@@ -101,6 +101,14 @@ func (g *commitGate) stage(call proto.CallID) {
 	g.staged++
 }
 
+// unstage takes back the last stage: a blob of its header's had failed
+// already, and the header was never written.
+func (g *commitGate) unstage(err error) {
+	g.staged--
+	g.failed(g.headers.unpush(), err)
+	g.withhold()
+}
+
 // commit is the completion of the oldest header still staged: it
 // releases the replies that waited for it, or withholds them.
 func (g *commitGate) commit(err error) {
@@ -151,6 +159,15 @@ func (q *fifo[T]) pop() T {
 	if q.head == len(q.buf) {
 		q.buf, q.head = q.buf[:0], 0
 	}
+	return v
+}
+
+// unpush takes back the value pushed last.
+func (q *fifo[T]) unpush() T {
+	last := len(q.buf) - 1
+	v := q.buf[last]
+	clear(q.buf[last:])
+	q.buf = q.buf[:last]
 	return v
 }
 

@@ -156,12 +156,12 @@ func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMs
 		if c.Seq <= w {
 			return true
 		}
-		raw, ok := disk.Read(jobPrefix + c.String())
+		e, ok := jobs.Load(disk, c.String())
 		if !ok {
 			return false
 		}
-		sj, err := dec.DecodeStoredJob(raw)
-		return err == nil && holds(sj.Rec)
+		rec, err := dec.DecodeJobHeader(e.Data, e.Blobs[0], e.Blobs[1])
+		return err == nil && holds(rec)
 	}
 	known := func(*proto.JobRecord) bool { return true }
 	finished := func(rec *proto.JobRecord) bool { return rec.State == proto.TaskFinished }
@@ -232,7 +232,7 @@ func TestOutputCommitCrashOracle(t *testing.T) {
 		t.Fatalf("the uncut scenario's replies that wait for a commit: %v, want %v", replies, want)
 	}
 	disk := d.Recover()
-	if keys := append(disk.Keys(jobPrefix), disk.Keys(markPrefix)...); !slices.Equal(keys, []string{"coord/job/u/1/4", "coord/w/u/1"}) {
+	if keys := append(disk.Keys(jobs.Headers), disk.Keys(markPrefix)...); !slices.Equal(keys, []string{"coord/job/u/1/4", "coord/w/u/1"}) {
 		t.Fatalf("the uncut scenario left %v: the collection of calls 1-3 did not reach the disk", keys)
 	}
 	nodetest.EveryCrash(t, runCommitScenario,

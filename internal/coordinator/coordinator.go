@@ -94,7 +94,7 @@
 package coordinator
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -102,6 +102,7 @@ import (
 
 	"rpcv/internal/db"
 	"rpcv/internal/detector"
+	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
@@ -279,11 +280,6 @@ type Coordinator struct {
 	fromShard          map[proto.CallID]int
 	stolenOut          map[proto.CallID]time.Time
 
-	// unwritten holds, per call, the payloads whose blob write failed:
-	// the next persist of the call writes them again before any header
-	// that would reference them.
-	unwritten map[proto.CallID]jobParts
-
 	// Collection (collect.go): each session's collected watermark, the
 	// finished calls at or below one that a replication round still has
 	// to carry, and what is gone from the table but not yet from the disk.
@@ -372,7 +368,7 @@ var _ node.Handler = (*Coordinator)(nil)
 //
 //rpcv:loop-only
 func (c *Coordinator) Start(env node.Env) {
-	c.gate = newCommitGate(env, func(call proto.CallID, err error) { c.persistFailed(call, headerOnly, err) })
+	c.gate = newCommitGate(env, c.persistFailed)
 	c.env = c.gate
 	c.stopped = false
 	c.store = db.New(c.cfg.DBCost)
@@ -395,7 +391,6 @@ func (c *Coordinator) Start(env node.Env) {
 	c.collected = make(map[sessionKey]proto.RPCSeq)
 	c.waiting = make(map[proto.CallID]bool)
 	c.gc = garbage{durable: make(map[sessionKey]proto.RPCSeq)}
-	c.unwritten = make(map[proto.CallID]jobParts)
 	c.offers = newOfferBook()
 	c.subs = make(map[sessionKey]subscription)
 	c.resultAcked = make(map[proto.NodeID]bool)
@@ -607,113 +602,48 @@ func (c *Coordinator) loadEpoch() {
 	}
 }
 
-// The persisted layout of one job, after the paper's "job descriptions
-// in a database, for fast management, and file archives in an optimized
-// file system": a small mutable header under coord/job/<call>,
-// rewritten on every state transition, and for each payload of at least
-// blobMin bytes an immutable blob of the raw bytes under
-// coord/blob/<call>/p (params) or /o (output), written once. A smaller
-// payload stays inline in the header, which is then byte for byte the
-// whole record earlier builds persisted.
-const (
-	jobPrefix  = "coord/job/"
-	blobPrefix = "coord/blob/"
-
-	// blobMin is the tree's one description/archive line.
-	blobMin = proto.BlobMin
-)
-
-// jobParts is a set of a record's payloads.
-type jobParts = proto.JobPayloads
-
-const (
-	headerOnly jobParts = 0
-	partParams          = proto.JobParams
-	partOutput          = proto.JobOutput
-	allParts            = partParams | partOutput
-)
+// jobs is where the job table is kept, after the paper's "job
+// descriptions in a database, for fast management, and file archives in
+// an optimized file system": a small mutable header per job, named by
+// its call and rewritten on every state transition, and each payload of
+// at least proto.BlobMin bytes beside it as a blob of its own, written
+// once — the params with suffix /p, the output with /o. A smaller
+// payload stays in the header, which is then byte for byte the whole
+// record earlier builds persisted. msglog has the order rules.
+var jobs = msglog.Shelf{Headers: "coord/job/", Blobs: "coord/blob/", Suffixes: []string{"/p", "/o"}}
 
 // persistPartNames labels the persist-error counters by the write that
-// failed: a payload's blob, or the header (the write that is no part).
-var persistPartNames = [...]string{headerOnly: "header", partParams: "params", partOutput: "output"}
-
-// blob describes one payload's place in the layout.
-type blob struct {
-	part   jobParts
-	suffix string
-	of     func(*proto.JobRecord) *[]byte
-}
-
-var blobs = [...]blob{
-	{partParams, "/p", func(r *proto.JobRecord) *[]byte { return &r.Params }},
-	{partOutput, "/o", func(r *proto.JobRecord) *[]byte { return &r.Output }},
-}
-
-// changedParts names the payloads of rec that differ from those of the
-// record it replaces (nil: none did), which is what a persist of rec
-// must write. A payload carried over from old shares its backing array,
-// so the comparison is a pointer check.
-func changedParts(old, rec *proto.JobRecord) jobParts {
-	if old == nil {
-		return allParts
-	}
-	var parts jobParts
-	for _, b := range blobs {
-		if !bytes.Equal(*b.of(old), *b.of(rec)) {
-			parts |= b.part
-		}
-	}
-	return parts
-}
+// failed: the header, or the blob of a payload (its index on the shelf,
+// plus one).
+var persistPartNames = [...]string{"header", "params", "output"}
 
 func (c *Coordinator) loadStore() {
+	jobs.Sweep(c.env, "") // the blobs a crash left that no header names
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
 	disk := c.env.Disk()
-	for _, key := range disk.Keys(jobPrefix) {
-		raw, ok := disk.Read(key)
+	for _, key := range disk.Keys(jobs.Headers) {
+		e, ok := jobs.Load(disk, key[len(jobs.Headers):])
 		if !ok {
 			continue
 		}
-		sj, err := dec.DecodeStoredJob(raw)
-		if err != nil {
+		rec, err := dec.DecodeJobHeader(e.Data, e.Blobs[0], e.Blobs[1])
+		switch {
+		case err == nil:
+		case rec != nil && rec.Call.Seq <= c.collected[sessionKey{rec.Call.User, rec.Call.Session}]:
+			// Short of a blob, and not corrupt: a collection the crash cut
+			// short, whose blobs go first. Finish it.
+			c.gc.jobs = append(c.gc.jobs, rec.Call)
+			continue
+		default:
+			// Undecodable, or short of a blob: torn, or never durable.
+			// The client's resync resends the call.
 			c.env.Logf("coordinator: corrupt job record %s: %v", key, err)
 			continue
 		}
-		rec := sj.Rec
-		// Join the blobs the header measured. One that is missing or of
-		// another length was torn or never became durable: the record is
-		// as corrupt as one that fails to decode (the WAL CRCs what it
-		// replays; the length is the header's own check), and the
-		// client's resync resends the call. A blob no header references
-		// — an output that landed before a header saying so — is never
-		// read.
-		intact := true
-		for _, b := range blobs {
-			if sj.External&b.part == 0 {
-				continue
-			}
-			payload, ok := disk.Read(blobPrefix + rec.Call.String() + b.suffix)
-			if !ok || len(payload) != sj.Len(b.part) {
-				if _, status := c.lookup(rec.Call); status == callCollected {
-					// Not corruption: a collection the crash cut short,
-					// whose blobs go first. Finish it.
-					c.gc.jobs = append(c.gc.jobs, rec.Call)
-				} else {
-					c.env.Logf("coordinator: corrupt job record %s: blob %s is %d bytes (present %v), header says %d",
-						key, b.suffix, len(payload), ok, sj.Len(b.part))
-				}
-				intact = false
-				break
-			}
-			*b.of(rec) = payload
-		}
-		if !intact {
-			continue
-		}
-		if sj.External == 0 && (len(rec.Params) >= blobMin || len(rec.Output) >= blobMin) {
+		if proto.NamedPayloads(e.Data) == 0 && (len(rec.Params) >= proto.BlobMin || len(rec.Output) >= proto.BlobMin) {
 			// A whole record from before the split: rewrite it in the
 			// one layout, so nothing but this branch ever reads the old.
-			c.persistJob(rec, allParts)
+			c.persistJob(rec)
 		}
 		if rec.State == proto.TaskOngoing {
 			// The assignment did not survive the crash; schedule anew.
@@ -732,75 +662,48 @@ func (c *Coordinator) loadStore() {
 	c.sweep()
 }
 
-// persistJob stages rec's current state for the disk: always its
-// header, and first the blob of each payload in fresh that is large
-// enough to have one. fresh names what this transition changed — the
-// params at submit, the output when the result lands, nothing on
-// assign, speculate, requeue or steal, whatever differs from the
-// replaced record on the replication paths — so each payload is written
-// once, not once per transition. Every write is staged (WriteAsync) and
-// nothing here waits for one: staging order is commit order, so the
-// group commit that makes the header durable covers the call's blobs
-// too, and the replies that tell of this transition wait for that
-// commit at the gate (commit.go) while the loop goes on.
+// persistJob stages rec's current state for the disk: its header, and
+// ahead of it the blob of each payload large enough to have one that the
+// disk does not hold yet — the params at submit, the output when the
+// result lands, nothing on assign, speculate, requeue or steal, what a
+// peer's copy changed on the replication paths. Nothing here waits for a
+// write: staging order is commit order, so the group commit that makes
+// the header durable covers the call's blobs too, and the replies that
+// tell of this transition wait for that commit at the gate (commit.go)
+// while the loop goes on.
 //
-// A failed write is logged and counted, never returned; the replies
-// still waiting for it are withheld, and the protocol's resyncs repair
-// what a crash would then lose. A header is not written after a blob of
-// its own that is already known to have failed, and a failed blob is
-// retried ahead of the call's next header, so no header written here
-// references a blob this incarnation knows to be bad. (A failure
-// reported only with the header's commit leaves a header whose blob
-// loadStore finds missing or short, and skips.)
+// A failed write is logged and counted by part, never returned; the
+// replies still waiting for it are withheld, and the protocol's resyncs
+// repair what a crash would then lose. A header is not written after a
+// blob of its own that is already known to have failed, and the call's
+// next persist writes the blob again if the disk does not hold it. (A
+// failure reported only with the header's commit leaves a header whose
+// blob loadStore finds missing or short, and skips.)
 //
 // The store takes ownership of what it is handed: rec.Params and
 // rec.Output are shared with it from here on, never copied, which is
 // why nothing may modify a stored record's payload bytes in place.
-func (c *Coordinator) persistJob(rec *proto.JobRecord, fresh jobParts) {
-	if retry, ok := c.unwritten[rec.Call]; ok {
-		fresh |= retry
-		delete(c.unwritten, rec.Call)
-	}
-	call := rec.Call.String()
-	var external jobParts
-	for _, b := range blobs {
-		if len(*b.of(rec)) >= blobMin {
-			external |= b.part
-		}
-	}
+func (c *Coordinator) persistJob(rec *proto.JobRecord) {
 	// Encode before staging anything: the less time between a staged
 	// blob and its header, the surer one group commit takes both.
-	header := proto.EncodeJobHeader(rec, external)
+	header, params, output := proto.EncodeJobHeader(rec)
 	// What collection left for the disk rides this header's commit.
 	c.flushGarbage()
-	for _, b := range blobs {
-		if external&fresh&b.part == 0 {
-			continue
-		}
-		if !c.writeBlob(rec.Call, b, blobPrefix+call+b.suffix, *b.of(rec)) {
-			return
-		}
-	}
 	c.gate.stage(rec.Call)
-	node.WriteAsync(c.env.Disk(), jobPrefix+call, header, c.gate.done)
+	e := msglog.Entry{Key: rec.Call.String(), Data: header, Blobs: [2][]byte{params, output}}
+	if err := jobs.Stage(c.env, e, c.gate.done); err != nil {
+		c.gate.unstage(err)
+	}
 }
 
-// writeBlob stores one payload, reporting false if the write is already
-// known to have failed when it returns.
-func (c *Coordinator) writeBlob(call proto.CallID, b blob, key string, payload []byte) bool {
-	ok := true
-	node.WriteAsync(c.env.Disk(), key, payload, func(err error) {
-		if err != nil {
-			ok = false
-			c.unwritten[call] |= b.part
-			c.persistFailed(call, b.part, err)
-			c.gate.withhold()
-		}
-	})
-	return ok
-}
-
-func (c *Coordinator) persistFailed(call proto.CallID, part jobParts, err error) {
+// persistFailed counts and logs a failed write of call's: a blob's
+// (msglog.PayloadError) or its header's.
+func (c *Coordinator) persistFailed(call proto.CallID, err error) {
+	part := 0
+	var pe *msglog.PayloadError
+	if errors.As(err, &pe) {
+		part = pe.Index + 1
+	}
 	c.cm.persistErrs[part].Inc()
 	c.env.Logf("coordinator: persist job %s (%s): %v", call, persistPartNames[part], err)
 }
@@ -914,7 +817,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		rec.Deadline = c.env.Now().Add(m.Deadline)
 	}
 	c.put(rec)
-	c.persistJob(rec, partParams)
+	c.persistJob(rec)
 	c.enqueue(m.Call)
 	c.trace(m.Call, obs.StageEnqueue, string(from))
 	c.markDirty(m.Call)
@@ -1116,7 +1019,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 			}
 			rec.Instance++
 			c.put(rec)
-			c.persistJob(rec, headerOnly)
+			c.persistJob(rec)
 			task := proto.TaskID{Call: call, Instance: rec.Instance}
 			c.spec[call] = ongoingInfo{server: server, task: task, assignedAt: now}
 			c.bindToServer(server, call)
@@ -1144,7 +1047,7 @@ func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignm
 		rec.Instance++
 		rec.Server = server
 		c.put(rec)
-		c.persistJob(rec, headerOnly)
+		c.persistJob(rec)
 		task := proto.TaskID{Call: call, Instance: rec.Instance}
 		c.ongoing[call] = ongoingInfo{server: server, task: task, assignedAt: now}
 		c.bindToServer(server, call)
@@ -1210,7 +1113,7 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	rec.Output = m.Output
 	rec.ResultErr = m.Err
 	rec.Server = from
-	c.finish(rec, partOutput, true)
+	c.finish(rec, true)
 	c.trace(m.Task.Call, obs.StageResult, string(from))
 	// A session that polled lately gets the result now, as one more
 	// reply to that poll, rather than at its next one.
@@ -1229,14 +1132,14 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 }
 
 // finish stores rec, finished, as its call's record — a server's result,
-// or a finish a peer sent — writing the payloads in fresh, and ends what
+// or a finish a peer sent — and ends what
 // else the call had going here: its instances, its place in the queue,
 // what was held of it for a peer. tell says whether the ring successor
 // and the successor shard are to hear of it.
-func (c *Coordinator) finish(rec *proto.JobRecord, fresh jobParts, tell bool) {
+func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 	call := rec.Call
 	c.put(rec)
-	c.persistJob(rec, fresh)
+	c.persistJob(rec)
 	// A server running an instance that did not win is sent a best-effort
 	// TaskCancel, so a losing speculative copy stops wasting cycles; one
 	// that already ran it has its duplicate result deduplicated here.
@@ -1460,7 +1363,7 @@ func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	}
 	rec.State = proto.TaskPending
 	c.put(rec)
-	c.persistJob(rec, headerOnly)
+	c.persistJob(rec)
 	if c.enqueue(call) {
 		c.rescheduled++
 		c.cm.requeues[reason].Inc()

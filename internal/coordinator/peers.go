@@ -177,7 +177,7 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 			c.stolenHome++
 			c.cm.stolenHome.Inc()
 		}
-		c.finish(rec, changedParts(local, rec), tell)
+		c.finish(rec, tell)
 		return false
 	}
 	_, assigned := c.ongoing[rec.Call]
@@ -201,7 +201,7 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 		rec.State = proto.TaskPending
 	}
 	c.put(rec)
-	c.persistJob(rec, changedParts(local, rec))
+	c.persistJob(rec)
 	if held {
 		return false
 	}
@@ -534,7 +534,7 @@ func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealReques
 		rec.State = proto.TaskOngoing
 		rec.Instance++
 		c.put(rec)
-		c.persistJob(rec, headerOnly)
+		c.persistJob(rec)
 		c.stolenOut[call] = now
 		c.stolenOutTotal++
 		c.cm.stolenOut.Inc()

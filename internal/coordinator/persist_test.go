@@ -173,38 +173,28 @@ func (r *persistRig) table() map[proto.CallID]*proto.JobRecord {
 }
 
 // checkLayout asserts the store holds the one layout: every header
-// decodes, carries inline only payloads under blobMin, and measures
-// exactly the blobs beside it — and no blob is there without its
-// header.
+// loads beside the blobs it names and decodes, with exactly the
+// payloads under proto.BlobMin inline — and Sweep finds no blob that no
+// header names.
 func (r *persistRig) checkLayout() {
 	r.t.Helper()
 	var dec proto.Decoder
-	headers := map[string]bool{}
-	for _, key := range r.disk.Keys(jobPrefix) {
-		raw, _ := r.disk.Read(key)
-		sj, err := dec.DecodeStoredJob(raw)
+	for _, key := range r.disk.Keys(jobs.Headers) {
+		e, _ := jobs.Load(r.disk, key[len(jobs.Headers):])
+		rec, err := dec.DecodeJobHeader(e.Data, e.Blobs[0], e.Blobs[1])
 		if err != nil {
 			r.t.Fatalf("%s: %v", key, err)
 		}
-		headers[sj.Rec.Call.String()] = true
-		if len(sj.Rec.Params) >= blobMin || len(sj.Rec.Output) >= blobMin {
-			r.t.Fatalf("%s holds a whole record: %d B params, %d B output inline", key, len(sj.Rec.Params), len(sj.Rec.Output))
-		}
-		for _, b := range blobs {
-			if sj.External&b.part == 0 {
-				continue
-			}
-			want := sj.Len(b.part)
-			payload, ok := r.disk.Read(blobPrefix + sj.Rec.Call.String() + b.suffix)
-			if !ok || len(payload) != want || want < blobMin {
-				r.t.Fatalf("%s: blob %s present %v, %d bytes, header says %d", key, b.suffix, ok, len(payload), want)
+		for i, p := range [][]byte{rec.Params, rec.Output} {
+			if (len(p) >= proto.BlobMin) != (e.Blobs[i] != nil) {
+				r.t.Fatalf("%s: a %d B payload %s", key, len(p), map[bool]string{true: "in a blob", false: "inline"}[e.Blobs[i] != nil])
 			}
 		}
 	}
-	for _, key := range r.disk.Keys(blobPrefix) {
-		if call := key[len(blobPrefix) : len(key)-len("/p")]; !headers[call] {
-			r.t.Fatalf("blob %s outlived its header", key)
-		}
+	blobs := r.disk.Keys(jobs.Blobs)
+	jobs.Sweep(r.env, "")
+	if left := r.disk.Keys(jobs.Blobs); len(left) != len(blobs) {
+		r.t.Fatalf("blobs no header names: %v of %v", len(blobs)-len(left), blobs)
 	}
 }
 
@@ -214,7 +204,7 @@ func payload(rng *rand.Rand, size int) []byte {
 	return p
 }
 
-var payloadSizes = []int{0, 1, blobMin - 1, blobMin, 64 << 10}
+var payloadSizes = []int{0, 1, proto.BlobMin - 1, proto.BlobMin, 64 << 10}
 
 // The split layout against its oracle: random submit / duplicate submit
 // / assign / result / requeue / replica-update sequences over payloads
@@ -555,7 +545,7 @@ func TestPreSplitRecordsRecoverAndAreRewrittenSplit(t *testing.T) {
 		}}
 		r := newPersistRig(t, engine, Config{}, nil)
 		for _, rec := range fixture {
-			if err := r.disk.Write(jobPrefix+rec.Call.String(), proto.EncodeJob(rec)); err != nil {
+			if err := r.disk.Write(jobs.Headers+rec.Call.String(), proto.EncodeJob(rec)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -612,7 +602,7 @@ func TestTornBlobIsSkippedAndTheCallCompletesAfterResync(t *testing.T) {
 	if got := r.persistErrors("params"); got != 1 {
 		t.Fatalf("persist errors{part=params} = %v, want 1", got)
 	}
-	if blob, _ := r.disk.Read(blobPrefix + torn.Call.String() + "/p"); len(blob) != 32<<10 {
+	if blob, _ := r.disk.Read(jobs.Blobs + torn.Call.String() + "/p"); len(blob) != 32<<10 {
 		t.Fatalf("the torn blob is %d bytes, want half of 64 KiB", len(blob))
 	}
 
@@ -665,7 +655,7 @@ func TestFailedBlobWriteWithholdsTheHeader(t *testing.T) {
 	r := newPersistRig(t, "memory", Config{Obs: obs.New("co")}, func(s store.Store) store.Store { return store.WithFaults(s, plan) })
 	plan.TornWrites(1) // the params blob; the memory engine reports it at once
 	sub := r.submitBig(1)
-	if _, ok := r.disk.Read(jobPrefix + sub.Call.String()); ok {
+	if _, ok := r.disk.Read(jobs.Headers + sub.Call.String()); ok {
 		t.Fatal("a header was written after its params blob failed")
 	}
 	if p, h := r.persistErrors("params"), r.persistErrors("header"); p != 1 || h != 0 {
@@ -691,37 +681,64 @@ func TestFailedBlobWriteWithholdsTheHeader(t *testing.T) {
 	}
 }
 
-// Blobs no header vouches for are never read: a blob without a header,
-// and an output blob that became durable before the header saying the
-// job finished (the header on disk still says ongoing).
-func TestOrphanBlobsAreIgnored(t *testing.T) {
+// Blobs no header names are never read, and recovery deletes them: a
+// blob without a header, an output blob that became durable before the
+// header saying the job finished (the header on disk still says
+// ongoing), and a key beside a call's blobs that is no payload of the
+// layout. The params blob its header names stays.
+func TestOrphanBlobsAreSwept(t *testing.T) {
 	r := newPersistRig(t, "wal", Config{}, nil)
 	sub := r.submitBig(1)
 	r.deliver("sv0", &proto.Heartbeat{From: "sv0", Role: proto.RoleServer, Capacity: 1, WantWork: true})
 	orphan := payload(r.env.Rand(), 64<<10)
-	for _, key := range []string{
-		blobPrefix + sub.Call.String() + "/o",    // landed; its header did not
-		blobPrefix + call(7).String() + "/p",     // no header at all
-		blobPrefix + call(7).String() + "/o",     //
-		blobPrefix + sub.Call.String() + "/junk", // not a payload of the layout
-	} {
+	orphans := []string{
+		jobs.Blobs + sub.Call.String() + "/o",    // landed; its header did not
+		jobs.Blobs + call(7).String() + "/p",     // no header at all
+		jobs.Blobs + call(7).String() + "/o",     //
+		jobs.Blobs + sub.Call.String() + "/junk", // not a payload of the layout
+	}
+	for _, key := range orphans {
 		if err := r.disk.Write(key, orphan); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.restart()
-	if n := r.co.DB().Len(); n != 1 {
-		t.Fatalf("loaded %d records, want the one with a header", n)
-	}
-	rec, _ := r.co.DB().Peek(sub.Call)
-	if rec.State != proto.TaskPending || rec.Output != nil || !bytes.Equal(rec.Params, sub.Params) {
-		t.Fatalf("recovered %s, want the pending call without an output", brief(rec))
+	for range 2 { // the second boot reads what the first one's deletes left
+		r.restart()
+		r.disk.drain()
+		if n := r.co.DB().Len(); n != 1 {
+			t.Fatalf("loaded %d records, want the one with a header", n)
+		}
+		rec, _ := r.co.DB().Peek(sub.Call)
+		if rec.State != proto.TaskPending || rec.Output != nil || !bytes.Equal(rec.Params, sub.Params) {
+			t.Fatalf("recovered %s, want the pending call without an output", brief(rec))
+		}
+		if got, want := r.disk.Keys(jobs.Blobs), []string{jobs.Blobs + sub.Call.String() + "/p"}; !slices.Equal(got, want) {
+			t.Fatalf("blobs after recovery: %v, want %v", got, want)
+		}
 	}
 	for _, line := range r.env.Logs() {
 		if strings.Contains(line, "corrupt") {
 			t.Fatal(line)
 		}
 	}
+}
+
+// A header rewritten without a blob it named — a replica's finished
+// copy, sent without its params, over a pending 64 KiB call — takes the
+// blob with it at once: the disk holds no blob that nothing names, and
+// none is left for a restart to sweep.
+func TestRewrittenHeaderTakesTheBlobItNoLongerNames(t *testing.T) {
+	r := newPersistRig(t, "memory", Config{}, nil)
+	sub := r.submitBig(1)
+	finished := proto.JobRecord{Call: sub.Call, Service: "echo", State: proto.TaskFinished, Instance: 1, Output: []byte("r"), Server: "sv9"}
+	r.deliver("co2", &proto.ReplicaUpdate{From: "co2", Epoch: 1, Round: 1, Jobs: []proto.JobRecord{finished}})
+	if rec, _ := r.co.DB().Peek(sub.Call); rec.State != proto.TaskFinished || rec.Params != nil {
+		t.Fatalf("stored %s, want the replica's finished copy without params", brief(rec))
+	}
+	if blobs := r.disk.Keys(jobs.Blobs); len(blobs) != 0 {
+		t.Fatalf("blobs left beside a header that names none: %v", blobs)
+	}
+	r.checkLayout()
 }
 
 // What the split is for: the header written on each transition of a
@@ -742,18 +759,18 @@ func TestLargeCallWritesEachPayloadOnce(t *testing.T) {
 	r.deliver("sv0", &proto.TaskResult{From: "sv0", Task: task.Task, Output: out})
 
 	id := sub.Call.String()
-	if p, o := writes[blobPrefix+id+"/p"], writes[blobPrefix+id+"/o"]; p != 64<<10 || o != 64<<10 {
+	if p, o := writes[jobs.Blobs+id+"/p"], writes[jobs.Blobs+id+"/o"]; p != 64<<10 || o != 64<<10 {
 		t.Fatalf("blob bytes written: params %d, output %d, want 64 KiB once each", p, o)
 	}
-	if h := writes[jobPrefix+id]; h == 0 || h > 3*200 {
+	if h := writes[jobs.Headers+id]; h == 0 || h > 3*200 {
 		t.Fatalf("three header writes took %d bytes, want a few hundred", h)
 	}
 	rec, _ := r.co.DB().Peek(sub.Call)
-	stored, _ := r.disk.Read(blobPrefix + id + "/p")
+	stored, _ := r.disk.Read(jobs.Blobs + id + "/p")
 	if &stored[0] != &rec.Params[0] || &rec.Params[0] != &sub.Params[0] {
 		t.Fatal("the store, the job table and the message do not share one params slice")
 	}
-	stored, _ = r.disk.Read(blobPrefix + id + "/o")
+	stored, _ = r.disk.Read(jobs.Blobs + id + "/o")
 	if &stored[0] != &rec.Output[0] || &rec.Output[0] != &out[0] {
 		t.Fatal("the store, the job table and the message do not share one output slice")
 	}

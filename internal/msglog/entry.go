@@ -1,147 +1,209 @@
 package msglog
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
 
-// Entry is one logged message as a disk holds it.
-type Entry struct {
-	// Key is the entry's disk key — for a Log, the part after its prefix.
-	Key string
-	// Data is the serialized message to resend on synchronization, or
-	// its header when the payload is in Blob (proto.EncodeLogged).
-	Data []byte
-	// Blob is the message's payload when it is large enough to be
-	// stored beside the header, under blobPrefix+key: the slice the
-	// message itself carries, shared with the disk and never copied.
-	Blob []byte
+// Shelf is where one owner keeps its entries on a disk: an entry's
+// header under Headers+key, and the i-th payload it names (bit i of
+// proto.NamedPayloads) under Blobs+key+Suffixes[i].
+type Shelf struct {
+	Headers, Blobs string
+	Suffixes       []string // at most len(Entry{}.Blobs)
 }
 
-// blobPrefix opens the key of every payload blob: the entry's own key
-// follows, so listing a log's prefix never lists a blob.
-const blobPrefix = "blob/"
+// Messages is the shelf of every message log: an entry's key is its
+// whole disk key, and its one payload is under "blob/"+key, so listing
+// a log's prefix never lists a blob.
+var Messages = Shelf{Blobs: "blob/", Suffixes: []string{""}}
+
+// Entry is one entry as a disk holds it.
+type Entry struct {
+	// Key names the entry on its shelf — for a Log, the part after its
+	// prefix.
+	Key string
+	// Data is the serialized message or job record, or its header when
+	// it names payloads (proto.EncodeLogged, proto.EncodeJobHeader).
+	Data []byte
+	// Blobs are the payloads the header names, in the shelf's order (nil:
+	// not named): the slices the message or record itself carries, shared
+	// with the disk and never copied.
+	Blobs [2][]byte
+}
 
 // EntryOf encodes msg as the entry to log under key.
 func EntryOf(key string, msg proto.Message) Entry {
 	data, blob := proto.EncodeLogged(msg)
-	return Entry{Key: key, Data: data, Blob: blob}
+	return Entry{Key: key, Data: data, Blobs: [2][]byte{blob}}
 }
 
 // Message decodes the logged message, its payload joined and shared. An
 // entry whose payload is missing or short fails with proto.ErrCorrupt:
 // it was not logged.
 func (e Entry) Message(dec *proto.Decoder) (proto.Message, error) {
-	return dec.DecodeLogged(e.Data, e.Blob)
+	return dec.DecodeLogged(e.Data, e.Blobs[0])
 }
 
-// stageBlob stages e's payload ahead of the header. *failed is set once
-// the write is known to have failed: by the time stageBlob returns on a
-// disk that does not batch, and before the header's own outcome is
-// known on one that does (staging order is commit order and callback
-// order).
-func stageBlob(env node.Env, e Entry, failed *error) {
-	node.WriteAsync(env.Disk(), blobPrefix+e.Key, e.Blob, func(err error) {
-		if err != nil {
-			*failed = err
-			env.Logf("msglog: write payload of %s: %v", e.Key, err)
-		}
-	})
+// PayloadError is the failure of the write or the delete of an entry's
+// Index-th payload, as distinct from its header's.
+type PayloadError struct {
+	Index int
+	Err   error
 }
 
-// Stage logs e under e.Key on env's disk without waiting: payload
-// first, header behind it — one group commit where the disk batches,
-// two synchronous writes where it does not — and done gets the outcome
-// when the header's commit returns. A payload already known to have
-// failed gets no header, and one that fails later fails the entry: a
-// header without its payload is not logged.
-func Stage(env node.Env, e Entry, done func(error)) {
-	if e.Blob == nil {
-		node.WriteAsync(env.Disk(), e.Key, e.Data, done)
-		return
+func (e *PayloadError) Error() string { return fmt.Sprintf("payload %d: %v", e.Index, e.Err) }
+func (e *PayloadError) Unwrap() error { return e.Err }
+
+// Stage stores e on env's disk without waiting: each payload whose key
+// does not hold those bytes yet — once, however often the header is
+// rewritten — then the header, then the deletes of the payloads the
+// header it replaces named and it does not. A payload write already
+// known to have failed stages no header: Stage returns that
+// *PayloadError and never calls done. Otherwise done gets the header's
+// outcome, or a payload's failure — a header without its payload is not
+// stored.
+func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
+	failed, err := s.stageBlobs(env, e)
+	if err != nil {
+		return err
 	}
-	var blobErr error
-	stageBlob(env, e, &blobErr)
-	if blobErr != nil {
-		done(blobErr)
-		return
+	disk := env.Disk()
+	header := s.Headers + e.Key
+	old, _ := disk.Read(header)
+	if failed == nil {
+		node.WriteAsync(disk, header, e.Data, done)
+	} else {
+		node.WriteAsync(disk, header, e.Data, func(err error) {
+			if err == nil {
+				err = *failed
+			}
+			done(err)
+		})
 	}
-	node.WriteAsync(env.Disk(), e.Key, e.Data, func(err error) {
-		if err == nil {
-			err = blobErr
-		}
-		done(err)
-	})
+	// A failure is logged there; Sweep makes up for it.
+	_ = s.removeBlobs(env, e.Key, proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
+	return nil
 }
 
-// Write is Stage for a caller that waits: it returns when the header is
-// durable, and the commit a batching disk makes it wait for is the one
-// that takes the payload staged ahead of it.
-func Write(env node.Env, e Entry) error {
-	if e.Blob != nil {
-		var blobErr error
-		stageBlob(env, e, &blobErr)
-		if blobErr != nil {
-			return blobErr
-		}
+// Write is Stage for a caller that waits, and for an entry its key does
+// not hold yet: it returns when the header is durable, and the commit a
+// batching disk makes it wait for is the one that takes the payloads
+// staged ahead of it.
+func (s Shelf) Write(env node.Env, e Entry) error {
+	if _, err := s.stageBlobs(env, e); err != nil {
+		return err
 	}
-	return env.Disk().Write(e.Key, e.Data)
+	return env.Disk().Write(s.Headers+e.Key, e.Data)
 }
 
-// Load reads the entry under key, with its payload if one is stored
-// beside it. Only a header has one: an entry that is whole costs no
-// second key.
-func Load(disk node.Disk, key string) (Entry, bool) {
-	data, ok := disk.Read(key)
+// stageBlobs stages the payloads of e whose keys do not hold them. It
+// returns where the first of their failures is recorded when reported
+// (nil: it staged none), and one reported already.
+func (s Shelf) stageBlobs(env node.Env, e Entry) (failed *error, err error) {
+	for i, blob := range e.Blobs {
+		if blob == nil {
+			continue
+		}
+		key := s.Blobs + e.Key + s.Suffixes[i]
+		if held, ok := env.Disk().Read(key); ok && bytes.Equal(held, blob) {
+			continue
+		}
+		if failed == nil {
+			failed = new(error)
+		}
+		f := failed
+		node.WriteAsync(env.Disk(), key, blob, func(err error) {
+			if err != nil && *f == nil {
+				*f = &PayloadError{Index: i, Err: err}
+			}
+		})
+		if *f != nil {
+			return nil, *f
+		}
+	}
+	return failed, nil
+}
+
+// Load reads the entry under key with the payloads its header names; a
+// payload that is missing is nil, and the entry's decoder refuses it.
+func (s Shelf) Load(disk node.Disk, key string) (Entry, bool) {
+	data, ok := disk.Read(s.Headers + key)
 	if !ok {
 		return Entry{}, false
 	}
 	e := Entry{Key: key, Data: data}
-	if proto.IsLogHeader(data) {
-		e.Blob, _ = disk.Read(blobPrefix + key)
+	named := proto.NamedPayloads(data)
+	for i, suffix := range s.Suffixes {
+		if named&(1<<i) != 0 {
+			e.Blobs[i], _ = disk.Read(s.Blobs + key + suffix)
+		}
 	}
 	return e, true
 }
 
-// Remove deletes the entry under key, staged where the disk batches:
-// the payload and then the header, so that a crash between the two
-// leaves a header Message refuses, never a payload nothing names. done
-// gets the header's outcome; a payload whose delete is already known to
-// have failed keeps its header, and the entry stays whole.
-func Remove(env node.Env, key string, done func(error)) {
-	if err := removeBlob(env, key); err != nil {
+// Remove deletes the entry under key, staged where the disk batches: the
+// payloads its header names and then the header, all at once — staging
+// order is commit order, so a crash in between leaves a header its
+// decoder refuses, never a payload nothing names. done gets the header's
+// outcome; a payload whose delete is already known to have failed keeps
+// the header, and done gets that failure.
+func (s Shelf) Remove(env node.Env, key string, done func(error)) {
+	header := s.Headers + key
+	data, _ := env.Disk().Read(header)
+	if err := s.removeBlobs(env, key, proto.NamedPayloads(data)); err != nil {
 		done(err)
 		return
 	}
-	node.DeleteAsync(env.Disk(), key, done)
+	node.DeleteAsync(env.Disk(), header, done)
 }
 
-// removeBlob deletes the payload stored beside the entry under key, if
-// there is one, and reports a failure already known when it returns; a
-// later one is logged, and Sweep makes up for it.
-func removeBlob(env node.Env, key string) error {
-	e, _ := Load(env.Disk(), key)
-	if e.Blob == nil {
+// removeBlobs deletes, of the payloads in named, those the disk holds
+// for key, and reports a failure already known when it returns; a later
+// one is logged, and Sweep makes up for it.
+func (s Shelf) removeBlobs(env node.Env, key string, named uint8) error {
+	if named == 0 {
 		return nil
 	}
 	var failed error
-	node.DeleteAsync(env.Disk(), blobPrefix+key, func(err error) {
-		if err != nil {
-			failed = err
-			env.Logf("msglog: delete payload of %s: %v", key, err)
+	for i, suffix := range s.Suffixes {
+		if named&(1<<i) == 0 {
+			continue
 		}
-	})
-	return failed
+		blob := s.Blobs + key + suffix
+		if _, ok := env.Disk().Read(blob); !ok {
+			continue
+		}
+		node.DeleteAsync(env.Disk(), blob, func(err error) {
+			if err != nil {
+				failed = &PayloadError{Index: i, Err: err}
+				env.Logf("msglog: delete payload %s: %v", blob, err)
+			}
+		})
+		if failed != nil {
+			return failed
+		}
+	}
+	return nil
 }
 
-// Sweep deletes the payloads under prefix that no header names: what a
-// crash between a payload's write and its header's left behind. Every
-// owner of logged entries runs it over its prefix when it recovers.
-func Sweep(env node.Env, prefix string) {
+// Sweep deletes the payloads under Blobs+prefix that no header names —
+// what a crash left before a header, or after one that stopped naming
+// them. Every owner runs it over its entries when it recovers.
+func (s Shelf) Sweep(env node.Env, prefix string) {
 	disk := env.Disk()
-	for _, k := range disk.Keys(blobPrefix + prefix) {
-		if _, ok := disk.Read(k[len(blobPrefix):]); ok {
-			continue
+blobs:
+	for _, k := range disk.Keys(s.Blobs + prefix) {
+		for i, suffix := range s.Suffixes {
+			if key, ok := strings.CutSuffix(k[len(s.Blobs):], suffix); ok {
+				if data, _ := disk.Read(s.Headers + key); proto.NamedPayloads(data)&(1<<i) != 0 {
+					continue blobs
+				}
+			}
 		}
 		node.DeleteAsync(disk, k, func(err error) {
 			if err != nil {

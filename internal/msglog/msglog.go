@@ -42,33 +42,37 @@
 //
 // # What an entry is on the disk
 //
-// An entry (entry.go; the client's submit log and the server's result
-// log both go through it) is one key, or two. A message whose payload
-// is under proto.BlobMin is one value under its key: the whole encoding
-// (proto.EncodeMessage), which is also what every earlier build wrote
-// for every size, and still loads. From BlobMin up it is a header under
-// the key — the encoding with the payload's bytes cut out and only
-// their count left (proto.EncodeLogged) — and, under "blob/"+key, the
-// payload itself: the very slice the message carries, handed to the
+// An entry (entry.go) is a header plus the payloads it names, kept on a
+// Shelf by three owners: the client's submit log and the server's result
+// log on Messages (a payload under "blob/"+key), the coordinator's job
+// table on a shelf of its own (params and output under
+// coord/blob/<call>/p and /o). A payload under proto.BlobMin stays in
+// the header, which is then the whole encoding — what every earlier
+// build wrote for every size, and still loads. From BlobMin up the
+// header is that encoding with the payload's bytes cut out and their
+// count left (proto.EncodeLogged, proto.EncodeJobHeader), and the
+// payload is the very slice the message or record carries, handed to the
 // disk under node.Disk's ownership contract and never copied. Logging
 // costs disk time, as in the paper, not a second copy in memory; header
 // and payload together are the bytes of the whole encoding, so the disk
 // model charges what it always did.
 //
-// The order rules are the coordinator's (its job headers and blobs):
+// The order rules, stated once for the three owners:
 //
-//   - going in, the payload is staged before the header, in the same
-//     group commit where the disk batches and as two synchronous writes
-//     where it does not; a strategy's completion point is the header's
-//     commit, and an entry whose payload failed is failed;
+//   - going in (Shelf.Stage), the payloads a key does not hold yet are
+//     staged before the header, in the same group commit where the disk
+//     batches and as synchronous writes where it does not; a payload
+//     known to have failed gets no header, and the owner learns which
+//     write failed; a strategy's completion point is the header's commit;
 //   - a header whose payload is missing or of another length decodes to
-//     no message (Entry.Message): it is not logged, and is never resent
-//     with other bytes;
-//   - going out, the payload is deleted before the header (Remove), so
-//     a crash between the two leaves a header that says so, and Sweep,
-//     which every owner runs over its prefix at recovery, deletes the
-//     payloads a crash left without one;
-//   - Log.Release is the first half of that on purpose: it gives the
+//     nothing (proto's DecodeLogged, DecodeJobHeader): it is not logged,
+//     and is never resent with other bytes;
+//   - going out (Shelf.Remove), the payloads' deletes are staged before
+//     the header's, at once — staging order is commit order — so a crash
+//     between them leaves a header that says so;
+//   - Shelf.Sweep, which every owner runs at recovery, deletes the
+//     payloads no header names;
+//   - Log.Release is the first half of a Remove on purpose: it gives the
 //     sender its bytes back and keeps the key.
 package msglog
 
@@ -196,7 +200,7 @@ func New(env node.Env, cfg Config) *Log {
 	if cfg.Prefix == "" {
 		cfg.Prefix = "msglog/"
 	}
-	Sweep(env, cfg.Prefix)
+	Messages.Sweep(env, cfg.Prefix)
 	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
 		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]Entry)}
 	if cfg.Batched {
@@ -222,7 +226,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 	l.unwritten[entry.Key] = entry
 	// Header and payload are charged as the one write they were when
 	// the entry was one value: together they are its bytes.
-	cost := l.disk(len(entry.Data) + len(entry.Blob))
+	cost := l.disk(len(entry.Data) + len(entry.Blobs[0]))
 	var d time.Duration
 	if l.batchArm != nil {
 		d = l.batchArm.Acquire(l.env.Now(), cost)
@@ -272,27 +276,25 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 // completion callback (non-blocking pessimistic — the commit overlaps
 // the communication exactly as the paper describes).
 func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
+	key := entry.Key
 	logged := func(err error) {
 		if err != nil {
-			l.env.Logf("msglog: write %s: %v", entry.Key, err)
+			l.env.Logf("msglog: write %s: %v", key, err)
 		}
 	}
-	l.added(entry.Key)
+	l.added(key)
+	completion := logged
 	switch l.strategy {
 	case Optimistic:
 		// Send now; the group commit makes the entry durable shortly
 		// after. A crash before that batch's fsync loses the entry —
 		// that is the optimism.
 		l.env.Send(dst, msg)
-		Stage(l.env, entry, logged)
-		if done != nil {
-			done()
-		}
 	case BlockingPessimistic:
 		// The communication begins only after the entry's batch is on
 		// the platter. Concurrent submissions stage into the same
 		// batch, so the per-call cost is a shared fsync.
-		Stage(l.env, entry, func(err error) {
+		completion = func(err error) {
 			if err != nil {
 				// The entry never became durable; sending anyway would
 				// silently abandon durability-before-send, the one
@@ -301,25 +303,28 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 				// but still complete, so the submission pipeline does
 				// not wedge on a broken disk.
 				logged(err)
-				if done != nil {
-					done()
-				}
-				return
+			} else {
+				l.env.Send(dst, msg)
 			}
-			l.env.Send(dst, msg)
 			if done != nil {
 				done()
 			}
-		})
+		}
 	case NonBlockingPessimistic:
 		// Send immediately; completion waits for the covering batch.
 		l.env.Send(dst, msg)
-		Stage(l.env, entry, func(err error) {
+		completion = func(err error) {
 			logged(err)
 			if done != nil {
 				done()
 			}
-		})
+		}
+	}
+	if err := Messages.Stage(l.env, entry, completion); err != nil {
+		completion(err)
+	}
+	if l.strategy == Optimistic && done != nil {
+		done()
 	}
 }
 
@@ -332,7 +337,7 @@ func (l *Log) write(key string) {
 	}
 	delete(l.unwritten, key)
 	l.added(key)
-	if err := Write(l.env, entry); err != nil {
+	if err := Messages.Write(l.env, entry); err != nil {
 		l.env.Logf("msglog: write %s: %v", key, err)
 	}
 }
@@ -346,7 +351,7 @@ func (l *Log) added(key string) {
 
 // Get returns a logged entry.
 func (l *Log) Get(key string) (Entry, bool) {
-	e, ok := Load(l.env.Disk(), l.prefix+key)
+	e, ok := Messages.Load(l.env.Disk(), l.prefix+key)
 	e.Key = key
 	return e, ok
 }
@@ -381,7 +386,7 @@ func (l *Log) Drop(key string) {
 		return
 	}
 	l.n--
-	Remove(l.env, full, func(err error) {
+	Messages.Remove(l.env, full, func(err error) {
 		if err != nil {
 			l.n++
 			l.env.Logf("msglog: drop %s: %v", key, err)
@@ -398,12 +403,13 @@ func (l *Log) Drop(key string) {
 func (l *Log) Release(key string) {
 	full := l.prefix + key
 	if e, ok := l.unwritten[full]; ok {
-		e.Blob = nil
+		e.Blobs = [2][]byte{}
 		l.unwritten[full] = e
 		return
 	}
 	// A failure is logged there; the payload then goes with the Drop.
-	_ = removeBlob(l.env, full)
+	data, _ := l.env.Disk().Read(full)
+	_ = Messages.removeBlobs(l.env, full, proto.NamedPayloads(data))
 }
 
 // Close cancels pending optimistic flushes (a clean shutdown; a crash

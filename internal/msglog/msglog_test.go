@@ -419,8 +419,8 @@ func TestSplitEntryCompletesOnTheHeadersCommit(t *testing.T) {
 		if len(env.disk.staged) != 2 {
 			t.Fatalf("%v: %d staged writes for a 64 KiB entry, want payload and header", strategy, len(env.disk.staged))
 		}
-		if e, ok := l.Get("1"); !ok || len(e.Data) > 128 || len(e.Blob) != 64<<10 {
-			t.Fatalf("%v: staged entry: present %v, header %d B, payload %d B", strategy, ok, len(e.Data), len(e.Blob))
+		if e, ok := l.Get("1"); !ok || len(e.Data) > 128 || len(e.Blobs[0]) != 64<<10 {
+			t.Fatalf("%v: staged entry: present %v, header %d B, payload %d B", strategy, ok, len(e.Data), len(e.Blobs[0]))
 		}
 		env.disk.commitOne()
 		if completed || (strategy == BlockingPessimistic && len(env.sent) != 0) {
@@ -438,13 +438,17 @@ func TestSplitEntryCompletesOnTheHeadersCommit(t *testing.T) {
 func TestEntryOrderOnTheDisk(t *testing.T) {
 	env := &batchEnv{disk: newFakeBatchDisk()}
 	big, small := submitOf(1, 64<<10), submitOf(2, 64)
-	Stage(env, EntryOf("log/1", big), func(error) {})
-	if err := Write(env, EntryOf("log/2", big)); err != nil {
+	if err := Messages.Stage(env, EntryOf("log/1", big), func(error) {}); err != nil {
 		t.Fatal(err)
 	}
-	Stage(env, EntryOf("log/3", small), func(error) {})
+	if err := Messages.Write(env, EntryOf("log/2", big)); err != nil {
+		t.Fatal(err)
+	}
+	if err := Messages.Stage(env, EntryOf("log/3", small), func(error) {}); err != nil {
+		t.Fatal(err)
+	}
 	for _, key := range []string{"log/1", "log/2", "log/3"} {
-		Remove(env, key, func(error) {})
+		Messages.Remove(env, key, func(error) {})
 	}
 	want := []string{
 		"w blob/log/1", "w log/1", "w blob/log/2", "w log/2", "w log/3",
@@ -517,8 +521,8 @@ func checkRecovered(t *testing.T, at string, disk node.Disk, r crashRun, durable
 	if l.Len() != len(whole) {
 		t.Fatalf("%s: Len %d, %d keys", at, l.Len(), len(whole))
 	}
-	for _, k := range disk.Keys(blobPrefix) {
-		if _, ok := disk.Read(k[len(blobPrefix):]); !ok {
+	for _, k := range disk.Keys(Messages.Blobs) {
+		if _, ok := disk.Read(k[len(Messages.Blobs):]); !ok {
 			t.Fatalf("%s: payload %s survived recovery without a header", at, k)
 		}
 	}
@@ -563,7 +567,7 @@ func TestLegacyInlineEntryStillLoads(t *testing.T) {
 			t.Fatalf("entry %s: %v", key, err)
 		}
 	}
-	if e, _ := l.Get("1"); e.Blob != nil {
+	if e, _ := l.Get("1"); e.Blobs[0] != nil {
 		t.Fatal("a legacy entry has no payload beside it")
 	}
 	l.Drop("1")

@@ -494,8 +494,8 @@ func TestDecodersRejectBlobsWithoutTheMagic(t *testing.T) {
 		if rec, err := dec.DecodeJob(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeJob = %v, %v; want ErrCorrupt", name, rec, err)
 		}
-		if sj, err := dec.DecodeStoredJob(raw); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: DecodeStoredJob = %v, %v; want ErrCorrupt", name, sj.Rec, err)
+		if rec, err := dec.DecodeJobHeader(raw, nil, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeJobHeader = %v, %v; want ErrCorrupt", name, rec, err)
 		}
 	}
 }

@@ -30,32 +30,43 @@ import (
 
 // EncodeJob serializes a job record, payloads included, for durable
 // storage.
-func EncodeJob(rec *JobRecord) []byte { return EncodeJobHeader(rec, 0) }
+func EncodeJob(rec *JobRecord) []byte { return encodeJobHeader(rec, 0) }
 
-// JobPayloads is a set of a job record's two payloads.
-type JobPayloads uint8
-
+// Bits of a job header's prefix, each naming a payload cut out of it.
 const (
-	JobParams JobPayloads = 1 << iota
-	JobOutput
+	jobParams = 1 << iota
+	jobOutput
 )
 
-// EncodeJobHeader serializes rec for durable storage without the
-// payloads in external: the header records only the length of each, and
-// the caller keeps the bytes elsewhere — written once, while the header
-// is rewritten on every state transition of the job. With nothing
-// external the result is EncodeJob's whole record, byte for byte.
-func EncodeJobHeader(rec *JobRecord, external JobPayloads) []byte {
+// EncodeJobHeader serializes rec for durable storage as EncodeLogged does
+// a message: a payload of BlobMin bytes or more is cut out, its length
+// left in the header, and returned as is for the caller to store beside
+// it (nil: the payload stayed inline) — written once, while the header
+// is rewritten on every state transition of the job. With both inline
+// the header is EncodeJob's whole record, byte for byte.
+func EncodeJobHeader(rec *JobRecord) (header, params, output []byte) {
+	var cut byte
+	if len(rec.Params) >= BlobMin {
+		cut, params = jobParams, rec.Params
+	}
+	if len(rec.Output) >= BlobMin {
+		cut, output = cut|jobOutput, rec.Output
+	}
+	return encodeJobHeader(rec, cut), params, output
+}
+
+// encodeJobHeader encodes rec without the payloads in external.
+func encodeJobHeader(rec *JobRecord, external byte) []byte {
 	inline := *rec
 	var scratch [4 + 2*binary.MaxVarintLen64]byte
 	prefix := scratch[:0]
 	if external != 0 {
-		prefix = append(prefix, binMagic, binVersion, kindJobHeader, byte(external))
-		if external&JobParams != 0 {
+		prefix = append(prefix, binMagic, binVersion, kindJobHeader, external)
+		if external&jobParams != 0 {
 			prefix = binary.AppendUvarint(prefix, uint64(len(rec.Params)))
 			inline.Params = nil
 		}
-		if external&JobOutput != 0 {
+		if external&jobOutput != 0 {
 			prefix = binary.AppendUvarint(prefix, uint64(len(rec.Output)))
 			inline.Output = nil
 		}
@@ -143,11 +154,20 @@ func EncodeLogged(msg Message) (data, blob []byte) {
 	return data, *p
 }
 
-// IsLogHeader reports whether data, an entry of a message log, is a
-// header whose payload EncodeLogged handed back for storing beside it.
-func IsLogHeader(data []byte) bool {
-	kind, err := blobKind(data)
-	return err == nil && kind&kindBare != 0
+// NamedPayloads reports which payloads a stored header names — cut out
+// by its encoder for the caller to store beside it — a bit each: bit 0
+// for a log header's (EncodeLogged), bits 0 and 1 for a job header's
+// params and output (EncodeJobHeader). A whole encoding names none.
+func NamedPayloads(data []byte) byte {
+	switch {
+	case len(data) < 3 || data[0] != binMagic || data[1] != binVersion:
+		return 0 // no header of ours (and no error built to say so)
+	case data[2] == kindJobHeader && len(data) > 3:
+		return data[3] & (jobParams | jobOutput)
+	case data[2]&kindBare != 0:
+		return 1
+	}
+	return 0
 }
 
 // Decoder decodes storage blobs. The zero value is ready; a decoder
@@ -197,56 +217,57 @@ func (d *Decoder) DecodeJob(raw []byte) (*JobRecord, error) {
 	return &rec, nil
 }
 
-// StoredJob is a decoded job header: the record, and which of its
-// payloads the header only measured. Those are nil in Rec; the reader
-// joins them from wherever the writer kept them and checks the lengths.
-type StoredJob struct {
-	Rec       *JobRecord
-	External  JobPayloads
-	ParamsLen int // meaningful when External has JobParams
-	OutputLen int // meaningful when External has JobOutput
-}
-
-// Len returns the length the header recorded for external payload p
-// (JobParams or JobOutput).
-func (s StoredJob) Len(p JobPayloads) int {
-	if p == JobParams {
-		return s.ParamsLen
+// splitJobHeader parses a job header's prefix: the payloads it names,
+// the length recorded for each, and the record after them. A whole
+// record names nothing.
+func splitJobHeader(raw []byte) (named byte, lens [2]int, rec []byte, err error) {
+	if len(raw) < 3 || raw[0] != binMagic || raw[1] != binVersion || raw[2] != kindJobHeader {
+		return 0, lens, raw, nil
 	}
-	return s.OutputLen
+	rd := binReader{buf: raw[3:]}
+	if named = rd.u8(); named == 0 || named&^(jobParams|jobOutput) != 0 {
+		rd.fail()
+	}
+	for i := range lens {
+		if named&(1<<i) != 0 {
+			lens[i] = rd.length()
+		}
+	}
+	if rd.err != nil {
+		return 0, lens, nil, fmt.Errorf("proto: decode job header: %w", rd.err)
+	}
+	return named, lens, raw[3+rd.pos:], nil
 }
 
-// DecodeStoredJob parses what EncodeJobHeader or EncodeJob produced (a
-// whole record is a header with nothing external).
-func (d *Decoder) DecodeStoredJob(raw []byte) (StoredJob, error) {
-	var sj StoredJob
-	if len(raw) >= 3 && raw[0] == binMagic && raw[1] == binVersion && raw[2] == kindJobHeader {
-		rd := binReader{buf: raw[3:]}
-		sj.External = JobPayloads(rd.u8())
-		if sj.External == 0 || sj.External&^(JobParams|JobOutput) != 0 {
-			rd.fail()
-		}
-		if sj.External&JobParams != 0 {
-			sj.ParamsLen = rd.length()
-		}
-		if sj.External&JobOutput != 0 {
-			sj.OutputLen = rd.length()
-		}
-		if rd.err != nil {
-			return StoredJob{}, fmt.Errorf("proto: decode job header: %w", rd.err)
-		}
-		raw = raw[3+rd.pos:]
+// DecodeJobHeader parses what EncodeJobHeader or EncodeJob produced,
+// joining each payload the header names to its blob — params or output,
+// what the caller found stored beside it — shared. A blob that is
+// missing or not the length the header recorded was torn or never
+// became durable: the error wraps ErrCorrupt, as DecodeLogged's does,
+// and the record comes back beside it, short of that payload, so that
+// the caller can tell whose it was.
+func (d *Decoder) DecodeJobHeader(raw, params, output []byte) (*JobRecord, error) {
+	named, lens, raw, err := splitJobHeader(raw)
+	if err != nil {
+		return nil, err
 	}
 	rec, err := d.DecodeJob(raw)
 	if err != nil {
-		return StoredJob{}, err
+		return nil, err
 	}
-	// A payload is measured or carried, never both.
-	if (sj.External&JobParams != 0 && rec.Params != nil) || (sj.External&JobOutput != 0 && rec.Output != nil) {
-		return StoredJob{}, fmt.Errorf("proto: decode job header: %w (external payload also inline)", ErrCorrupt)
+	for i, blob := range [2][]byte{params, output} {
+		p, name := [2]*[]byte{&rec.Params, &rec.Output}[i], [2]string{"params", "output"}[i]
+		switch {
+		case named&(1<<i) == 0:
+		case *p != nil:
+			return nil, fmt.Errorf("proto: decode job header: %w (%s named and inline)", ErrCorrupt, name)
+		case blob == nil || len(blob) != lens[i]:
+			return rec, fmt.Errorf("proto: decode job header: %w (%s is %d bytes, header says %d)", ErrCorrupt, name, len(blob), lens[i])
+		default:
+			*p = blob
+		}
 	}
-	sj.Rec = rec
-	return sj, nil
+	return rec, nil
 }
 
 // DecodeMessage parses a message previously produced by EncodeMessage.
@@ -274,7 +295,7 @@ func (d *Decoder) DecodeMessage(raw []byte) (Message, error) {
 // of another length was torn, or never became durable, and the entry is
 // corrupt — not logged — rather than a message with other bytes.
 func (d *Decoder) DecodeLogged(data, blob []byte) (Message, error) {
-	if !IsLogHeader(data) {
+	if NamedPayloads(data) == 0 {
 		return d.DecodeMessage(data)
 	}
 	kind := data[2] &^ kindBare

@@ -30,10 +30,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(hbFrame)
-	f.Add(EncodeJobHeader(&JobRecord{
+	f.Add(encodeJobHeader(&JobRecord{
 		Call: CallID{User: "user-01", Session: 7, Seq: 43}, Service: "svc",
 		Params: make([]byte, 9), State: TaskFinished, Output: []byte{3}, Server: "server-000",
-	}, JobParams))
+	}, jobParams))
 	logHeader, _ := EncodeLogged(&TaskResult{From: "server-000", Task: TaskID{Call: CallID{User: "user-01", Session: 7, Seq: 44}, Instance: 1},
 		Output: make([]byte, BlobMin), Exec: 5})
 	f.Add(logHeader)
@@ -51,7 +51,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		// do not open with the magic.
 		_, errMsg := dec.DecodeMessage(data)
 		_, errJob := dec.DecodeJob(data)
-		_, errStored := dec.DecodeStoredJob(data)
+		_, errStored := dec.DecodeJobHeader(data, nil, nil)
 		if len(data) == 0 || data[0] != binMagic {
 			for _, err := range []error{errMsg, errJob, errStored} {
 				if !errors.Is(err, ErrCorrupt) {
@@ -79,21 +79,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				t.Fatalf("job encoding is not a fixed point")
 			}
 		}
-		if sj, err := dec.DecodeStoredJob(data); err == nil && sj.External != 0 &&
-			sj.ParamsLen <= 1<<20 && sj.OutputLen <= 1<<20 { // bound fuzz memory
-			// Put payloads of the measured lengths back, and the header
+		if named, lens, _, err := splitJobHeader(data); err == nil && named != 0 &&
+			lens[0] <= 1<<20 && lens[1] <= 1<<20 { // bound fuzz memory
+			// Beside payloads of the measured lengths a header decodes, and
 			// must re-encode to a fixed point like everything else.
-			if sj.External&JobParams != 0 {
-				sj.Rec.Params = make([]byte, sj.ParamsLen)
-			}
-			if sj.External&JobOutput != 0 {
-				sj.Rec.Output = make([]byte, sj.OutputLen)
-			}
-			raw := EncodeJobHeader(sj.Rec, sj.External)
-			again, err := dec.DecodeStoredJob(raw)
-			if err != nil || again.External != sj.External ||
-				again.ParamsLen != sj.ParamsLen || again.OutputLen != sj.OutputLen {
-				t.Fatalf("re-decode of valid job header: %v, %+v", err, again)
+			if rec, err := dec.DecodeJobHeader(data, make([]byte, lens[0]), make([]byte, lens[1])); err == nil {
+				raw := encodeJobHeader(rec, named)
+				again, err := dec.DecodeJobHeader(raw, rec.Params, rec.Output)
+				if err != nil || !bytes.Equal(raw, encodeJobHeader(again, named)) {
+					t.Fatalf("job header encoding is not a fixed point (err %v)", err)
+				}
 			}
 		}
 		// A log header beside nothing is refused, never read as a

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -23,53 +24,49 @@ func headerFixture(params, output int) *JobRecord {
 	return rec
 }
 
-// A header round-trips for every choice of external payloads: the
-// external ones come back nil with their length beside them, everything
-// else is the record.
+// A header round-trips for every size of either payload: what reaches
+// BlobMin comes back beside the header — the record's own slice, named
+// by it — and everything else is the record.
 func TestJobHeaderRoundTrip(t *testing.T) {
-	for _, ext := range []JobPayloads{0, JobParams, JobOutput, JobParams | JobOutput} {
-		rec := headerFixture(5000, 70000)
-		raw := EncodeJobHeader(rec, ext)
+	for _, sizes := range [][2]int{{100, 100}, {5000, 100}, {100, 70000}, {5000, 70000}} {
+		rec := headerFixture(sizes[0], sizes[1])
+		raw, params, output := EncodeJobHeader(rec)
+		var named uint8
+		for i, blob := range [][]byte{params, output} {
+			payload := [][]byte{rec.Params, rec.Output}[i]
+			switch {
+			case len(payload) < BlobMin && blob != nil:
+				t.Fatalf("sizes %v: payload %d of %d B cut out", sizes, i, len(payload))
+			case len(payload) >= BlobMin && (len(blob) != len(payload) || &blob[0] != &payload[0]):
+				t.Fatalf("sizes %v: payload %d of %d B not returned as is", sizes, i, len(payload))
+			case blob != nil:
+				named |= 1 << i
+			}
+		}
+		if got := NamedPayloads(raw); got != named {
+			t.Fatalf("sizes %v: header names %b, want %b", sizes, got, named)
+		}
 		var dec Decoder
-		sj, err := dec.DecodeStoredJob(raw)
+		back, err := dec.DecodeJobHeader(raw, params, output)
 		if err != nil {
-			t.Fatalf("ext %b: %v", ext, err)
+			t.Fatalf("sizes %v: %v", sizes, err)
 		}
-		if sj.External != ext {
-			t.Fatalf("external %b, want %b", sj.External, ext)
+		if !reflect.DeepEqual(back, rec) {
+			t.Fatalf("sizes %v: record\n got %+v\nwant %+v", sizes, *back, *rec)
 		}
-		want := *rec
-		if ext&JobParams != 0 {
-			want.Params = nil
-			if sj.ParamsLen != 5000 {
-				t.Fatalf("ext %b: params length %d, want 5000", ext, sj.ParamsLen)
-			}
-		}
-		if ext&JobOutput != 0 {
-			want.Output = nil
-			if sj.OutputLen != 70000 {
-				t.Fatalf("ext %b: output length %d, want 70000", ext, sj.OutputLen)
-			}
-		}
-		if !reflect.DeepEqual(*sj.Rec, want) {
-			t.Fatalf("ext %b: record\n got %+v\nwant %+v", ext, *sj.Rec, want)
-		}
-		if ext == JobParams|JobOutput && len(raw) > 128 {
-			t.Fatalf("ext %b: header is %d bytes — a payload leaked into it", ext, len(raw))
-		}
-		if rec.Params == nil || rec.Output == nil {
-			t.Fatalf("ext %b: encoding stripped the caller's record", ext)
+		if named == 3 && len(raw) > 128 {
+			t.Fatalf("sizes %v: header is %d bytes — a payload leaked into it", sizes, len(raw))
 		}
 	}
 }
 
-// With nothing external a header is the whole record earlier builds
+// With nothing cut out a header is the whole record earlier builds
 // persisted, byte for byte — small jobs keep their stored size, and
 // DecodeJob (which every pre-split reader uses) still reads it.
 func TestJobHeaderWithoutExternalsIsTheWholeRecord(t *testing.T) {
 	rec := headerFixture(64, 64)
 	want := append([]byte{binMagic, binVersion, kindJobRecord}, appendJobBody(nil, rec)...)
-	if got := EncodeJobHeader(rec, 0); !bytes.Equal(got, want) {
+	if got, params, output := EncodeJobHeader(rec); !bytes.Equal(got, want) || params != nil || output != nil {
 		t.Fatalf("header without externals differs from the whole-record encoding")
 	}
 	back, err := DecodeJob(want)
@@ -78,21 +75,37 @@ func TestJobHeaderWithoutExternalsIsTheWholeRecord(t *testing.T) {
 	}
 }
 
-func TestDecodeStoredJobRejectsMalformedHeaders(t *testing.T) {
-	good := EncodeJobHeader(headerFixture(5000, 5000), JobParams|JobOutput)
+// A header that is malformed decodes to no record; one whose named
+// payloads are missing or of another length is corrupt too, and says
+// whose record it was.
+func TestDecodeJobHeaderRejectsMalformedHeaders(t *testing.T) {
+	p := bytes.Repeat([]byte{1}, 5000)
+	good := encodeJobHeader(headerFixture(5000, 5000), jobParams|jobOutput)
 	whole := EncodeJob(headerFixture(8, -1))
 	cases := map[string][]byte{
 		"no payloads named":      append([]byte{binMagic, binVersion, kindJobHeader, 0}, whole...),
 		"unknown payload bit":    append([]byte{binMagic, binVersion, kindJobHeader, 4, 1}, whole...),
-		"truncated length":       {binMagic, binVersion, kindJobHeader, byte(JobParams), 0x80},
+		"truncated length":       {binMagic, binVersion, kindJobHeader, byte(jobParams), 0x80},
 		"no record after prefix": good[:6],
-		"external and inline":    append([]byte{binMagic, binVersion, kindJobHeader, byte(JobParams), 8}, whole...),
+		"external and inline":    append([]byte{binMagic, binVersion, kindJobHeader, byte(jobParams), 8}, whole...),
 		"trailing garbage":       append(bytes.Clone(good), 0),
 	}
 	for name, raw := range cases {
-		if _, err := new(Decoder).DecodeStoredJob(raw); err == nil {
+		if _, err := new(Decoder).DecodeJobHeader(raw, p[:8], p); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
+	}
+	for name, blobs := range map[string][2][]byte{"params missing": {nil, p}, "output short": {p, p[1:]}} {
+		rec, err := new(Decoder).DecodeJobHeader(good, blobs[0], blobs[1])
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+		if rec == nil || rec.Call != headerFixture(0, 0).Call {
+			t.Errorf("%s: no record beside the error to tell whose it was", name)
+		}
+	}
+	if _, err := new(Decoder).DecodeJobHeader(good, p, p); err != nil {
+		t.Errorf("the intact header: %v", err)
 	}
 	if _, err := DecodeJob(good); err == nil {
 		t.Error("DecodeJob accepted a header with external payloads as a whole record")
@@ -112,7 +125,7 @@ func TestStoredEncodingsCarryNoSlack(t *testing.T) {
 		"large message": EncodeMessage(large),
 		"small job":     EncodeJob(headerFixture(64, 64)),
 		"large job":     EncodeJob(headerFixture(64<<10, 64<<10)),
-		"header":        EncodeJobHeader(headerFixture(64<<10, 64<<10), JobParams|JobOutput),
+		"header":        encodeJobHeader(headerFixture(64<<10, 64<<10), jobParams|jobOutput),
 	}
 	for name, raw := range encodings {
 		slack := cap(raw) - len(raw)

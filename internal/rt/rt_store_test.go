@@ -16,6 +16,7 @@ import (
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
 	"rpcv/internal/msglog"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/server"
 	"rpcv/internal/store"
@@ -371,7 +372,7 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	if err != nil {
 		t.Fatalf("reopen coordinator store: %v", err)
 	}
-	defer func() { _ = st.Close() }() // read-only reopen; nothing to flush
+	defer func() { _ = st.Close() }() // the sweep below stages a delete only on a failure; nothing to flush
 	finished := 0
 	for c := 0; c < nClients; c++ {
 		raw, _ := st.Read(fmt.Sprintf("coord/w/u%d/%d", c, c+1))
@@ -381,45 +382,40 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 		}
 		finished += int(w)
 	}
-	headers := map[string]bool{}
+	jobs := msglog.Shelf{Headers: "coord/job/", Blobs: "coord/blob/", Suffixes: []string{"/p", "/o"}}
 	var dec proto.Decoder
-	for _, key := range st.Keys("coord/job/") {
-		raw, ok := st.Read(key)
+	for _, key := range st.Keys(jobs.Headers) {
+		e, ok := jobs.Load(st, key[len(jobs.Headers):])
 		if !ok {
 			continue
 		}
-		sj, err := dec.DecodeStoredJob(raw)
-		if err != nil {
+		rec, err := dec.DecodeJobHeader(e.Data, e.Blobs[0], e.Blobs[1])
+		if rec == nil {
 			t.Fatalf("corrupt job record %s after recovery: %v", key, err)
 		}
-		if wantExt := proto.JobParams | proto.JobOutput; payload > 0 && sj.External != wantExt {
-			t.Fatalf("%s: payloads external %b, want both in blobs", key, sj.External)
-		}
-		headers[sj.Rec.Call.String()] = true
-		raw, _ = st.Read(fmt.Sprintf("coord/w/%s/%d", sj.Rec.Call.User, sj.Rec.Call.Session))
-		w, _ := binary.Uvarint(raw)
-		if uint64(sj.Rec.Call.Seq) <= w {
+		raw, _ := st.Read(fmt.Sprintf("coord/w/%s/%d", rec.Call.User, rec.Call.Session))
+		if w, _ := binary.Uvarint(raw); uint64(rec.Call.Seq) <= w {
 			// A collection the shutdown cut short: the blobs go first, the
 			// header last, and the next boot finishes it off.
 			continue
 		}
-		for suffix, want := range map[string]int{"/p": sj.Len(proto.JobParams), "/o": sj.Len(proto.JobOutput)} {
-			blob, ok := st.Read("coord/blob/" + sj.Rec.Call.String() + suffix)
-			if payload > 0 && (!ok || len(blob) != want || want != payload) {
-				t.Fatalf("%s: blob %s present %v, %d bytes, header says %d", key, suffix, ok, len(blob), want)
-			}
+		if err != nil {
+			t.Fatalf("corrupt job record %s after recovery: %v", key, err)
 		}
-		if sj.Rec.State == proto.TaskFinished {
+		if payload > 0 && (len(e.Blobs[0]) != payload || len(e.Blobs[1]) != payload) {
+			t.Fatalf("%s: blobs of %d and %d B beside the header, want both payloads (%d B)", key, len(e.Blobs[0]), len(e.Blobs[1]), payload)
+		}
+		if rec.State == proto.TaskFinished {
 			finished++
 		}
 	}
 	if finished != total {
 		t.Fatalf("store accounts for %d finished calls (records above a watermark, plus the watermarks), want %d", finished, total)
 	}
-	// No blob outlives its header.
-	for _, key := range st.Keys("coord/blob/") {
-		if call := key[len("coord/blob/") : len(key)-len("/p")]; !headers[call] {
-			t.Errorf("blob %s has no header", key)
-		}
+	// No blob outlives its header: a sweep finds none to delete.
+	blobs := len(st.Keys(jobs.Blobs))
+	jobs.Sweep(nodetest.NewEnv("co", st), "")
+	if n := len(st.Keys(jobs.Blobs)); n != blobs {
+		t.Errorf("%d blobs have no header", blobs-n)
 	}
 }

@@ -298,10 +298,10 @@ func (s *Server) Stop() {
 const resultPrefix = "server/result/"
 
 func (s *Server) loadResultLog() {
-	msglog.Sweep(s.env, resultPrefix)
+	msglog.Messages.Sweep(s.env, resultPrefix)
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
 	for _, key := range s.env.Disk().Keys(resultPrefix) {
-		entry, ok := msglog.Load(s.env.Disk(), key)
+		entry, ok := msglog.Messages.Load(s.env.Disk(), key)
 		if !ok {
 			continue
 		}
@@ -509,7 +509,7 @@ func (s *Server) handleResultAck(from proto.NodeID, m *proto.TaskResultAck) {
 func (s *Server) dropResultLog(t proto.TaskID) { s.dropResultEntry(s.resultKey(t)) }
 
 func (s *Server) dropResultEntry(key string) {
-	msglog.Remove(s.env, key, func(err error) {
+	msglog.Messages.Remove(s.env, key, func(err error) {
 		if err != nil {
 			s.env.Logf("server: gc result log %s: %v", key, err)
 		}
@@ -741,7 +741,7 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
 	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr, Exec: exec}
-	if err := msglog.Write(s.env, msglog.EntryOf(s.resultKey(t.Task), res)); err != nil {
+	if err := msglog.Messages.Write(s.env, msglog.EntryOf(s.resultKey(t.Task), res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
 		s.trace(t.Task.Call, obs.StageDurable, "result log")
