@@ -17,6 +17,10 @@
 #                   or if the coordinator keeps its job blobs by hand
 #                   again instead of on its msglog.Shelf (deleteInTurn,
 #                   writeBlob, StoredJob, changedParts, unwritten),
+#                   or if a retired message kind (the per-call fetch,
+#                   the shard-map request), the simulator's batched
+#                   disk model, sched's policy registry or the
+#                   coordinator's speculation-factor knob is back,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -60,6 +64,7 @@ lint:
 	! git grep -nE 'proto\.Encode[M]essage\(' -- 'internal/client/*.go' 'internal/server/*.go' ':!*_test.go'
 	! git grep -nE 'deleteIn[T]urn|writeB[l]ob|Stored[J]ob\b|changedP[a]rts' -- '*.go'
 	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'
+	! git grep -nE 'Fetch[R]esult|Fetch[R]eply|FetchC[a]ll|ShardMap[R]equest|ShardMap[R]eply|BatchR[e]source|sched\.R[e]gister|Speculate[F]actor|-specul[a]te' -- '*.go' Makefile .github
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 
@@ -76,7 +81,7 @@ obs:
 	$(GO) test -race ./internal/obs/...
 
 mon:
-	$(GO) test -race ./internal/obs/fleet/... ./internal/cluster/...
+	$(GO) test -race ./internal/obs/fleet/...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

@@ -17,8 +17,8 @@
 // independent coordinator rings, with cross-shard replication and
 // whole-ring failover.
 //
-// internal/sched adds a pluggable scheduling subsystem the coordinator
-// delegates to. Four policies ship: "fcfs" (the paper's behaviour,
+// internal/sched adds a scheduling subsystem the coordinator delegates
+// to. Four policies ship: "fcfs" (the paper's behaviour,
 // default), "fastest-first" (matchmaking on per-server EWMA speed
 // estimates: slow machines are refused work the fast pool would finish
 // sooner), "deadline" (earliest-deadline-first over soft per-call
@@ -29,8 +29,8 @@
 // Sharded deployments can additionally enable cross-shard work
 // stealing: an idle shard drains its successor shard's pending queue
 // and routes the results home over the existing ShardSync path. Wired
-// through cmd/rpcv-coordinator's -policy, -speculate and -steal flags;
-// measured by the sched-compare experiment.
+// through cmd/rpcv-coordinator's -policy and -steal flags; measured by
+// the sched-compare experiment.
 //
 // internal/store is the durable-store layer behind node.Disk. A node
 // given a directory (-disk) gets the WAL — a segmented group-commit
@@ -40,9 +40,7 @@
 // cheap as optimistic while keeping durability-before-send; a node
 // without one gets the volatile in-memory store. internal/msglog routes
 // every strategy's durability wait through the store's batch commit
-// (node.BatchDisk), and msglog.Config.Batched models the same
-// amortization on the simulator's virtual clock (node.BatchResource);
-// the per-entry disk access behind the paper's ~30%
+// (node.BatchDisk); the per-entry disk access behind the paper's ~30%
 // blocking-pessimistic overhead (figure 4) is the simulator's disk
 // model, not an engine. Crash recovery is proven by the
 // kill-and-restart coordinator tests in internal/rt.
@@ -67,7 +65,7 @@
 // coordinator was measured slower on two cores, and deleted.
 //
 // internal/proto owns the wire format itself: one hand-written binary
-// codec with explicit encodings for all 26 message kinds plus JobRecord
+// codec with explicit encodings for all 22 message kinds plus JobRecord
 // — length-prefixed frames behind a magic version preface, pooled
 // encode buffers sized by the WireSize hints, a reusable in-place frame
 // decoder with string interning, ≤1 allocation per encode or decode
@@ -102,9 +100,8 @@
 // bundle: assembled cross-node timelines (via /tracez + Assemble),
 // Chrome trace JSON, every node's metric history rings, raw
 // expositions, statusz snapshots and pprof profiles, all in one
-// timestamped directory. The simulated cluster harness and the
-// conformance matrix wire into the same monitor, so chaos runs get
-// fleet grading and post-mortems for free.
+// timestamped directory. The conformance matrix wires into the same
+// monitor, so chaos runs get fleet grading and post-mortems for free.
 //
 // internal/lint turns the codebase's hand-policed invariants into
 // machine-checked ones: a suite of project-specific static analyzers

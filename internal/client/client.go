@@ -192,14 +192,6 @@ type Client struct {
 	ackSoon   node.Timer // AckSoon's, until it has fired
 	stopped   bool
 
-	// fetchQueue holds the sequence numbers still to pull one-by-one
-	// after a lost-log synchronization; fetchRetry re-asks for the head
-	// if the reply is lost, with exponential backoff so that a slow
-	// (large) reply in transit is not re-requested forever.
-	fetchQueue    []proto.RPCSeq
-	fetchRetry    node.Timer
-	fetchAttempts int
-
 	submitted int
 	completed int
 	acked     int
@@ -697,12 +689,8 @@ func (c *Client) Receive(from proto.NodeID, msg proto.Message) {
 		c.handleResults(from, m)
 	case *proto.SyncReply:
 		c.handleSyncReply(from, m)
-	case *proto.FetchReply:
-		c.handleFetchReply(from, m)
 	case *proto.ShardRedirect:
 		c.handleShardRedirect(from, m)
-	case *proto.ShardMapReply:
-		c.handleShardMapReply(from, m)
 	default:
 		c.env.Logf("client: unexpected %s from %s", msg.Kind(), from)
 	}
@@ -739,28 +727,6 @@ func (c *Client) handleShardRedirect(from proto.NodeID, m *proto.ShardRedirect) 
 	if moved {
 		c.sendSync()
 	}
-}
-
-// handleShardMapReply caches a newer topology from an explicit
-// ShardMapRequest.
-func (c *Client) handleShardMapReply(from proto.NodeID, m *proto.ShardMapReply) {
-	c.monitor.Observe(from)
-	if m.Map.Empty() {
-		return
-	}
-	if c.smap == nil || m.Map.Version > c.smap.Version() {
-		c.smap = shard.FromState(m.Map)
-		c.pickPreferred()
-	}
-}
-
-// RequestShardMap asks the preferred coordinator for the current shard
-// topology (a client booting without a cached map).
-func (c *Client) RequestShardMap() {
-	if c.pref == "" {
-		return
-	}
-	c.env.Send(c.pref, &proto.ShardMapRequest{From: c.env.Self()})
 }
 
 func (c *Client) handleSubmitAck(from proto.NodeID, m *proto.SubmitAck) {
@@ -878,12 +844,8 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 	for _, seq := range statesync.MissingSeqs(c.ack, c.nextSeq, m.Known) {
 		c.resendSubmit(seq)
 	}
-	// Pull results we may have missed while away — unless a fetch chain
-	// is rebuilding them one by one already (pulling everything again
-	// in one bulk reply would double every transfer).
-	if len(c.fetchQueue) == 0 {
-		c.pollNow()
-	}
+	// Pull results we may have missed while away.
+	c.pollNow()
 	// The session now knows where it stands: number what waited for that.
 	c.synced = true
 	waiting := c.waiting
@@ -891,61 +853,6 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 	for _, fn := range waiting {
 		fn()
 	}
-}
-
-// FetchCall pulls one specific call's stored state from the preferred
-// coordinator (a targeted, connection-less recovery interaction). The
-// bulk poll covers normal recovery; FetchCall serves tooling that wants
-// a single result without transferring the whole session.
-func (c *Client) FetchCall(seq proto.RPCSeq) {
-	c.fetchQueue = append(c.fetchQueue, seq)
-	if len(c.fetchQueue) == 1 {
-		c.fetchNext()
-	}
-}
-
-// fetchNext pulls the head of the fetch queue, with a backoff retry
-// timer in case the request or reply is lost. Large replies may take
-// longer than the base retry to cross the network, so the delay doubles
-// per attempt (capped), avoiding cascades of duplicate transfers.
-func (c *Client) fetchNext() {
-	if c.fetchRetry != nil {
-		c.fetchRetry.Stop()
-		c.fetchRetry = nil
-	}
-	if len(c.fetchQueue) == 0 || c.pref == "" {
-		c.fetchAttempts = 0
-		return
-	}
-	seq := c.fetchQueue[0]
-	c.env.Send(c.pref, &proto.FetchResult{
-		User:    c.cfg.User,
-		Session: c.cfg.Session,
-		Seq:     seq,
-	})
-	delay := 15 * time.Second << c.fetchAttempts
-	if delay > 10*time.Minute {
-		delay = 10 * time.Minute
-	}
-	c.fetchAttempts++
-	c.fetchRetry = c.env.After(delay, c.fetchNext)
-}
-
-func (c *Client) handleFetchReply(from proto.NodeID, m *proto.FetchReply) {
-	c.monitor.Observe(from)
-	if m.Call.User != c.cfg.User || m.Call.Session != c.cfg.Session {
-		return
-	}
-	if len(c.fetchQueue) > 0 && c.fetchQueue[0] == m.Call.Seq {
-		c.fetchQueue = c.fetchQueue[1:]
-		c.fetchAttempts = 0 // the head advanced: fresh backoff
-	}
-	if m.Finished {
-		if cl, ok := c.calls[m.Call.Seq]; ok && cl.result == nil {
-			c.deliver(cl, m.Result)
-		}
-	}
-	c.fetchNext()
 }
 
 // ---------------------------------------------------------------------

@@ -25,7 +25,6 @@ type fakeCoord struct {
 	results map[proto.RPCSeq]proto.Result
 	silent  bool
 	submits int
-	fetches int
 
 	polls []*proto.Poll
 
@@ -81,17 +80,6 @@ func (f *fakeCoord) Receive(from proto.NodeID, msg proto.Message) {
 			for seq := range f.jobs {
 				rep.Known = append(rep.Known, seq)
 			}
-		}
-		f.env.Send(from, rep)
-	case *proto.FetchResult:
-		f.fetches++
-		rep := &proto.FetchReply{Call: proto.CallID{User: m.User, Session: m.Session, Seq: m.Seq}}
-		if _, ok := f.jobs[m.Seq]; ok {
-			rep.Known = true
-		}
-		if res, ok := f.results[m.Seq]; ok {
-			rep.Finished = true
-			rep.Result = res
 		}
 		f.env.Send(from, rep)
 	}
@@ -301,21 +289,6 @@ func TestForcePreferred(t *testing.T) {
 	w.RunFor(time.Millisecond)
 	if cli.Preferred() != "elsewhere" {
 		t.Fatal("ForcePreferred ignored")
-	}
-}
-
-func TestFetchCall(t *testing.T) {
-	w, cli, fc := rig(t, Config{PollPeriod: time.Hour})
-	w.Schedule(0, func() { cli.Submit("svc", []byte("a"), time.Second, 4) })
-	w.RunFor(time.Second)
-	fc.finish(1, "r1")
-	w.Schedule(0, func() { cli.FetchCall(1) })
-	w.RunFor(time.Second)
-	if cli.ResultCount() != 1 {
-		t.Fatal("targeted fetch did not deliver the result")
-	}
-	if fc.fetches != 1 {
-		t.Fatalf("fetches = %d, want 1", fc.fetches)
 	}
 }
 

@@ -136,11 +136,8 @@ type Cluster struct {
 	Clients      map[proto.NodeID]*client.Client
 
 	// Obs is the deployment's shared metrics registry (nil when the
-	// deployment runs without observability), and Observers the
-	// per-node handles built on it — the cluster-side feed of the fleet
-	// monitor (see FleetSources).
-	Obs       *obs.Registry
-	Observers map[proto.NodeID]*obs.Observer
+	// deployment runs without observability).
+	Obs *obs.Registry
 
 	// FinishedAt records, per call, the virtual time its result first
 	// reached any coordinator (for completed-task time series).
@@ -185,7 +182,6 @@ func New(cfg Config) *Cluster {
 	cl := &Cluster{
 		Net:              cfg.Net,
 		Obs:              cfg.Obs,
-		Observers:        make(map[proto.NodeID]*obs.Observer),
 		Coordinators:     make(map[proto.NodeID]*coordinator.Coordinator),
 		Servers:          make(map[proto.NodeID]*server.Server),
 		Clients:          make(map[proto.NodeID]*client.Client),
@@ -231,7 +227,7 @@ func New(cfg Config) *Cluster {
 				}
 				cl.FinishedPerCoord[id]++
 			},
-			Obs: cl.obsFor(id, cfg.Obs),
+			Obs: obsFor(id, cfg.Obs),
 			// The simulated figures reproduce the protocol the paper
 			// measured, in which a pull is answered once.
 			PullOnly: true,
@@ -260,7 +256,7 @@ func New(cfg Config) *Cluster {
 			Parallelism:      cfg.Parallelism,
 			SpeedFactor:      speed,
 			Services:         cfg.Services,
-			Obs:              cl.obsFor(id, cfg.Obs),
+			Obs:              obsFor(id, cfg.Obs),
 		})
 		cl.ServerIDs = append(cl.ServerIDs, id)
 		cl.Servers[id] = sv
@@ -283,7 +279,7 @@ func New(cfg Config) *Cluster {
 					cl.ResultAt[res.Call] = at
 				}
 			},
-			Obs: cl.obsFor(id, cfg.Obs),
+			Obs: obsFor(id, cfg.Obs),
 		}
 		if hook := cfg.OnSubmitComplete; hook != nil {
 			cid := id
@@ -315,16 +311,13 @@ func New(cfg Config) *Cluster {
 	return cl
 }
 
-// obsFor wraps the shared registry into a per-node Observer and
-// retains it on the cluster (the fleet monitor reads span rings from
-// there); nil registry keeps instrumentation off.
-func (c *Cluster) obsFor(id proto.NodeID, reg *obs.Registry) *obs.Observer {
+// obsFor wraps the shared registry into a per-node Observer; nil
+// registry keeps instrumentation off.
+func obsFor(id proto.NodeID, reg *obs.Registry) *obs.Observer {
 	if reg == nil {
 		return nil
 	}
-	ob := obs.NewWith(id, reg)
-	c.Observers[id] = ob
-	return ob
+	return obs.NewWith(id, reg)
 }
 
 // Client returns the i-th client handle.

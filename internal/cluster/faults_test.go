@@ -85,7 +85,7 @@ func TestWrongSuspicionIsHarmless(t *testing.T) {
 	if cl.Client(0).Preferred() != CoordinatorID(1) {
 		t.Fatalf("client did not fail over; preferred %s", cl.Client(0).Preferred())
 	}
-	cl.Net.UnblockBoth(ClientID(0), CoordinatorID(0))
+	cl.Net.HealBoth(ClientID(0), CoordinatorID(0))
 	if !cl.RunUntilResults(0, n, 2*time.Hour) {
 		t.Fatalf("only %d/%d results after wrong suspicion healed",
 			cl.Client(0).ResultCount(), n)

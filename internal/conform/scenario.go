@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"rpcv/internal/sched"
 )
 
 // Cell is one configuration of the daemon matrix: the knobs every
@@ -84,8 +86,16 @@ const (
 )
 
 var (
-	validStore  = map[string]bool{"wal": true, "memory": true}
-	validPolicy = map[string]bool{"fcfs": true, "fastest-first": true, "deadline": true, "speculative": true}
+	validStore = map[string]bool{"wal": true, "memory": true}
+	// validPolicy is read off the engine's own table, so the matrix
+	// parser and the scheduler cannot drift apart.
+	validPolicy = func() map[string]bool {
+		m := make(map[string]bool)
+		for _, name := range sched.Policies() {
+			m[name] = true
+		}
+		return m
+	}()
 )
 
 // ParseSuite parses the declarative scenario-file format:

@@ -102,8 +102,6 @@ func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 					// the grant the coordinator would accept.
 					return &proto.StealGrant{From: "co9", Shard: 1, Epoch: epoch, Jobs: []proto.JobRecord{pending}}
 				}, nil},
-				{"FetchResult", "cl", func() proto.Message { return &proto.FetchResult{User: "u", Session: 1, Seq: 2} },
-					func(m proto.Message) bool { a, ok := m.(*proto.FetchReply); return ok && a.Known && !a.Finished }},
 			}
 			for _, when := range []string{"before a restart", "after a restart"} {
 				for _, g := range guards {

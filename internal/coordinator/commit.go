@@ -17,7 +17,7 @@ import (
 // The gate sits at the coordinator's Send (Start wraps the env once),
 // so every handler decides its replies exactly as before. A reply that
 // tells of a transition — a SubmitAck, a HeartbeatAck carrying tasks, a
-// TaskResultAck, a result, whether polled, pushed or fetched — is held
+// TaskResultAck, a result, whether polled or pushed — is held
 // while a header staged before it is not yet durable. Held
 // replies are kept as data, (to, msg, seq) with seq the number of
 // headers staged when the reply was decided, and leave in the order
@@ -88,8 +88,6 @@ func awaitsCommit(msg proto.Message) bool {
 		return len(m.Tasks) > 0
 	case *proto.Results:
 		return len(m.Results) > 0
-	case *proto.FetchReply:
-		return m.Finished
 	}
 	return false
 }

@@ -102,8 +102,8 @@ func (e *sentEnv) Send(to proto.NodeID, msg proto.Message) {
 }
 
 // runCommitScenario takes four calls through submit, assignment,
-// result, a poll that fetches them, one pushed and fetched result and a
-// poll that acknowledges — and so collects — the first three. Each window is what
+// result, a poll that fetches them, one pushed result and a poll that
+// acknowledges — and so collects — the first three. Each window is what
 // the loop handles while one group commit is in flight; on engine
 // "batch" the next one settles it.
 func runCommitScenario(d *nodetest.CrashDisk) []sentMsg {
@@ -118,7 +118,7 @@ func runCommitScenario(d *nodetest.CrashDisk) []sentMsg {
 		{{"cl", submit(1)}, {"cl", submit(2)}},
 		{{"sv0", pull(2)}, {"cl", submit(3)}},
 		{{"sv0", taskResult(1)}, {"sv0", taskResult(2)}, {"sv0", pull(1)}},
-		{{"cl", &proto.Poll{User: "u", Session: 1}}, {"sv0", taskResult(3)}, {"cl", &proto.FetchResult{User: "u", Session: 1, Seq: 3}}},
+		{{"cl", &proto.Poll{User: "u", Session: 1}}, {"sv0", taskResult(3)}},
 		{{"cl", &proto.Poll{User: "u", Session: 1, Ack: 3}}, {"cl", submit(4)}},
 		{{"sv0", pull(1)}},
 	}
@@ -196,10 +196,6 @@ func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMs
 					fail("result", res.Call)
 				}
 			}
-		case *proto.FetchReply:
-			if m.Finished && !backed(m.Call, finished) {
-				fail("fetched result", m.Call)
-			}
 		}
 	}
 	env := nodetest.NewEnv("co", disk)
@@ -227,7 +223,7 @@ func TestOutputCommitCrashOracle(t *testing.T) {
 		}
 	}
 	want := []string{"submit-ack", "submit-ack", "heartbeat-ack", "submit-ack", "task-result-ack", "task-result-ack",
-		"heartbeat-ack", "results", "results", "task-result-ack", "fetch-reply", "submit-ack", "heartbeat-ack"}
+		"heartbeat-ack", "results", "results", "task-result-ack", "submit-ack", "heartbeat-ack"}
 	if !slices.Equal(replies, want) {
 		t.Fatalf("the uncut scenario's replies that wait for a commit: %v, want %v", replies, want)
 	}

@@ -7,7 +7,7 @@
 //     database and acknowledges them;
 //   - schedules pending jobs onto servers that pull work with their
 //     heartbeats, delegating queue order, admission and straggler
-//     speculation to a pluggable scheduling engine (internal/sched;
+//     speculation to a scheduling engine (internal/sched;
 //     the default "fcfs" policy is the paper's behaviour);
 //   - suspects silent servers (heartbeat timeout) and re-schedules new
 //     instances of all RPC calls forwarded to the suspect ("on
@@ -175,12 +175,6 @@ type Config struct {
 	// (default, the paper's behaviour), "fastest-first", "deadline" or
 	// "speculative". An unknown name logs and falls back to FCFS.
 	Policy string
-
-	// SpeculateFactor is the speculative policy's straggler threshold
-	// k: an in-flight task is duplicated onto a different server once
-	// its age exceeds k x the completion estimate. Zero means the
-	// sched default (2).
-	SpeculateFactor float64
 
 	// WorkStealing, on a sharded coordinator, lets an idle shard
 	// execute pending tasks of its successor shard: when the local
@@ -374,10 +368,9 @@ func (c *Coordinator) Start(env node.Env) {
 	c.store = db.New(c.cfg.DBCost)
 	c.initObs(env)
 	eng, err := sched.New(sched.Config{
-		Policy:          c.cfg.Policy,
-		SpeculateFactor: c.cfg.SpeculateFactor,
-		Obs:             c.cfg.Obs.Registry(),
-		Node:            env.Self(),
+		Policy: c.cfg.Policy,
+		Obs:    c.cfg.Obs.Registry(),
+		Node:   env.Self(),
 	})
 	if err != nil {
 		env.Logf("coordinator: %v; falling back to fcfs", err)
@@ -726,8 +719,6 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 		c.handlePoll(from, m)
 	case *proto.SyncRequest:
 		c.handleSyncRequest(from, m)
-	case *proto.FetchResult:
-		c.handleFetchResult(from, m)
 	case *proto.Heartbeat:
 		c.handleHeartbeat(from, m)
 	case *proto.TaskResult:
@@ -740,8 +731,6 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 		c.handleReplicaUpdate(from, m)
 	case *proto.ReplicaAck:
 		c.handleReplicaAck(from, m)
-	case *proto.ShardMapRequest:
-		c.handleShardMapRequest(from, m)
 	case *proto.ShardSync:
 		c.handleShardSync(from, m)
 	case *proto.ShardSyncAck:
@@ -829,7 +818,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 }
 
 // resultOf is a finished job's result as a client receives it, in a
-// poll's reply, a late reply or a fetch.
+// poll's reply or a late reply.
 func resultOf(rec *proto.JobRecord) proto.Result {
 	return proto.Result{Call: rec.Call, Output: rec.Output, Err: rec.ResultErr, Server: rec.Server}
 }
@@ -872,31 +861,6 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 	c.afterDBCost(func() {
 		c.env.Send(from, &proto.Results{User: m.User, Session: m.Session, Results: out})
 	})
-}
-
-// handleFetchResult serves one per-entry pull of a client rebuilding
-// its state from the coordinator's logs. Each fetch is a charged
-// database read: the per-entry cost (plus the round trip) is what makes
-// this direction of figure 6 slower than the push direction.
-func (c *Coordinator) handleFetchResult(from proto.NodeID, m *proto.FetchResult) {
-	if !c.ownsSession(m.User, m.Session) {
-		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
-		return
-	}
-	call := proto.CallID{User: m.User, Session: m.Session, Seq: m.Seq}
-	rec, ok := c.store.Get(call)
-	reply := &proto.FetchReply{Call: call, Known: ok}
-	switch {
-	case ok && rec.State == proto.TaskFinished:
-		reply.Finished = true
-		reply.Result = resultOf(rec)
-	case !ok && m.Seq <= c.collected[sessionKey{m.User, m.Session}]:
-		// Known, and finished as far as the session is concerned: it
-		// held the result and said so. There is nothing left to send.
-		reply.Known = true
-		c.stale(m)
-	}
-	c.afterDBCost(func() { c.env.Send(from, reply) })
 }
 
 func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest) {
@@ -1416,14 +1380,6 @@ func (c *Coordinator) sendRedirect(to proto.NodeID, user proto.UserID, session p
 		Shard:   c.smap.Owner(user, session),
 		Map:     c.smap.State(),
 	})
-}
-
-func (c *Coordinator) handleShardMapRequest(from proto.NodeID, _ *proto.ShardMapRequest) {
-	reply := &proto.ShardMapReply{}
-	if c.smap != nil {
-		reply.Map = c.smap.State()
-	}
-	c.env.Send(from, reply)
 }
 
 func (c *Coordinator) isGuarded(s int) bool {

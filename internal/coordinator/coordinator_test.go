@@ -328,28 +328,6 @@ func TestSyncRequestReplies(t *testing.T) {
 	}
 }
 
-func TestFetchResult(t *testing.T) {
-	w, _, p := rig(t, Config{})
-	p.env.Send("co", submit(1))
-	w.RunFor(time.Second)
-	p.env.Send("co", &proto.TaskResult{From: "x", Task: proto.TaskID{Call: call(1), Instance: 1},
-		Output: []byte("out")})
-	w.RunFor(time.Second)
-	p.env.Send("co", &proto.FetchResult{User: "u", Session: 1, Seq: 1})
-	w.RunFor(time.Second)
-	rep, ok := p.last().(*proto.FetchReply)
-	if !ok || !rep.Known || !rep.Finished || string(rep.Result.Output) != "out" {
-		t.Fatalf("fetch reply = %+v", p.last())
-	}
-	// Unknown call.
-	p.env.Send("co", &proto.FetchResult{User: "u", Session: 1, Seq: 99})
-	w.RunFor(time.Second)
-	rep = p.last().(*proto.FetchReply)
-	if rep.Known || rep.Finished {
-		t.Fatalf("unknown fetch reply = %+v", rep)
-	}
-}
-
 func TestRestartReloadsJobsFromDisk(t *testing.T) {
 	w, co, p := rig(t, Config{})
 	p.env.Send("co", submit(1))

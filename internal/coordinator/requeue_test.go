@@ -105,7 +105,7 @@ func TestRequeueSaysWhy(t *testing.T) {
 	// succeeds the peer's, which it guards and which steals from it.
 	twoShards := func() (*shard.Map, int) {
 		m := shard.New(1, [][]proto.NodeID{{"co"}, {"peer"}}, 0)
-		if m.OwnerOf(call(1)) != m.RingOf("co") {
+		if m.Owner(call(1).User, call(1).Session) != m.RingOf("co") {
 			m = shard.New(1, [][]proto.NodeID{{"peer"}, {"co"}}, 0)
 		}
 		return m, m.RingOf("peer")

@@ -37,10 +37,9 @@ const DefaultTimeout = 30 * time.Second
 // Monitor tracks last-seen times for a set of components and suspects
 // those silent for longer than the timeout.
 type Monitor struct {
-	env      node.Env
-	timeout  time.Duration
-	interval time.Duration
-	onSusp   func(id proto.NodeID)
+	env     node.Env
+	timeout time.Duration
+	onSusp  func(id proto.NodeID)
 
 	lastSeen  map[proto.NodeID]time.Time
 	suspected map[proto.NodeID]bool
@@ -51,11 +50,9 @@ type Monitor struct {
 // MonitorConfig parameterizes a Monitor.
 type MonitorConfig struct {
 	// Timeout is the silence duration after which a component is
-	// suspected. Default DefaultTimeout.
+	// suspected. Default DefaultTimeout. Silence is evaluated every
+	// Timeout/6: the heartbeat period, with the paper's values.
 	Timeout time.Duration
-	// CheckInterval is how often silence is evaluated. Default
-	// Timeout/6 (i.e. the heartbeat period when using defaults).
-	CheckInterval time.Duration
 	// OnSuspect is invoked (on the node's event loop) once per
 	// transition from trusted to suspected.
 	OnSuspect func(id proto.NodeID)
@@ -66,13 +63,9 @@ func NewMonitor(env node.Env, cfg MonitorConfig) *Monitor {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	if cfg.CheckInterval <= 0 {
-		cfg.CheckInterval = cfg.Timeout / 6
-	}
 	m := &Monitor{
 		env:       env,
 		timeout:   cfg.Timeout,
-		interval:  cfg.CheckInterval,
 		onSusp:    cfg.OnSuspect,
 		lastSeen:  make(map[proto.NodeID]time.Time),
 		suspected: make(map[proto.NodeID]bool),
@@ -82,7 +75,7 @@ func NewMonitor(env node.Env, cfg MonitorConfig) *Monitor {
 }
 
 func (m *Monitor) schedule() {
-	m.timer = m.env.After(m.interval, func() {
+	m.timer = m.env.After(m.timeout/6, func() {
 		m.sweep()
 		if !m.closed {
 			m.schedule()
@@ -130,12 +123,6 @@ func (m *Monitor) Watch(id proto.NodeID) {
 func (m *Monitor) ObservedWithin(id proto.NodeID, d time.Duration) bool {
 	seen, ok := m.lastSeen[id]
 	return ok && m.env.Now().Sub(seen) <= d
-}
-
-// Forget stops tracking id entirely.
-func (m *Monitor) Forget(id proto.NodeID) {
-	delete(m.lastSeen, id)
-	delete(m.suspected, id)
 }
 
 // Suspected reports whether id is currently suspected.

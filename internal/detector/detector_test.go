@@ -100,17 +100,6 @@ func TestWatchStartsClockWithoutObservation(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	w, env := newEnv(t)
-	m := NewMonitor(env, MonitorConfig{Timeout: 10 * time.Second})
-	m.Observe("peer")
-	m.Forget("peer")
-	w.RunFor(time.Minute)
-	if m.Suspected("peer") || m.Tracked() != 0 {
-		t.Fatal("forgotten component still tracked")
-	}
-}
-
 func TestSuspects(t *testing.T) {
 	w, env := newEnv(t)
 	m := NewMonitor(env, MonitorConfig{Timeout: 10 * time.Second})

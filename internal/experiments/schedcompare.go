@@ -10,7 +10,7 @@ import (
 	"rpcv/internal/proto"
 )
 
-// SchedCompare measures the pluggable scheduling subsystem beyond the
+// SchedCompare measures the scheduling subsystem beyond the
 // paper: batch makespan and per-call latency quantiles for each policy
 // of internal/sched on a heterogeneous population (every fourth server
 // 10x slow, 4 concurrent slots each) under a figure-7-style per-server

@@ -37,8 +37,7 @@
 // makes blocking-pessimistic logging nearly as cheap as optimistic
 // without weakening the guarantee. Otherwise (the simulator) the
 // configured DiskModel charges virtual latency, serialized through a
-// disk-arm resource — or, with Config.Batched, through a group-commit
-// resource that models the same amortization on the virtual clock.
+// disk-arm resource.
 //
 // # What an entry is on the disk
 //
@@ -158,10 +157,8 @@ type Log struct {
 	disk     DiskModel
 
 	// diskArm serializes log writes: concurrent writes queue behind
-	// one another, as on a real disk. With Config.Batched, batchArm
-	// replaces it, modelling a group-commit device instead.
-	diskArm  node.SerialResource
-	batchArm *node.BatchResource
+	// one another, as on a real disk.
+	diskArm node.SerialResource
 
 	// pending tracks outstanding optimistic flush timers so Close can
 	// cancel them.
@@ -183,13 +180,6 @@ type Config struct {
 	Strategy Strategy
 	// Disk is the write latency model; nil means IDEDisk().
 	Disk DiskModel
-	// Batched models a group-commit store on the virtual clock:
-	// concurrent writes share the disk's access floor (node.
-	// BatchResource) instead of queueing serially behind it. It is the
-	// simulator-side counterpart of internal/store's wal engine and is
-	// ignored when the node's store implements node.BatchDisk (real
-	// group commit owns the timing there).
-	Batched bool
 }
 
 // New creates a log on env's disk.
@@ -201,14 +191,8 @@ func New(env node.Env, cfg Config) *Log {
 		cfg.Prefix = "msglog/"
 	}
 	Messages.Sweep(env, cfg.Prefix)
-	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
+	return &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
 		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]Entry)}
-	if cfg.Batched {
-		// The access floor is the zero-byte write cost; BatchResource
-		// charges it once per batch instead of once per write.
-		l.batchArm = &node.BatchResource{Floor: cfg.Disk(0)}
-	}
-	return l
 }
 
 // Strategy returns the configured strategy.
@@ -226,13 +210,7 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 	l.unwritten[entry.Key] = entry
 	// Header and payload are charged as the one write they were when
 	// the entry was one value: together they are its bytes.
-	cost := l.disk(len(entry.Data) + len(entry.Blobs[0]))
-	var d time.Duration
-	if l.batchArm != nil {
-		d = l.batchArm.Acquire(l.env.Now(), cost)
-	} else {
-		d = l.diskArm.Acquire(l.env.Now(), cost)
-	}
+	d := l.diskArm.Acquire(l.env.Now(), l.disk(len(entry.Data)+len(entry.Blobs[0])))
 	switch l.strategy {
 	case Optimistic:
 		// Send now; flush later at low priority. A crash before the

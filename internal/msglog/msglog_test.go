@@ -137,42 +137,6 @@ func TestDiskWritesSerialize(t *testing.T) {
 	}
 }
 
-func TestBatchedModeAmortizesFloor(t *testing.T) {
-	// The sim-side group-commit model: with Batched, N simultaneous
-	// blocking-pessimistic writes complete in one solo commit plus one
-	// shared-floor batch, not N serial commits.
-	model := func(size int) time.Duration {
-		return 10*time.Millisecond + time.Duration(size)*time.Millisecond
-	}
-	w := sim.NewWorld(sim.Config{Seed: 1})
-	src, dst := &host{}, &host{}
-	w.AddNode("src", src)
-	w.AddNode("dst", dst)
-	w.Start("src")
-	w.Start("dst")
-	l := New(src.env, Config{Strategy: BlockingPessimistic, Disk: model, Batched: true})
-
-	var completions []time.Duration
-	for i := 0; i < 4; i++ {
-		l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: fmt.Sprintf("%d", i), Data: []byte("x")},
-			func() { completions = append(completions, w.Elapsed()) })
-	}
-	w.RunFor(time.Second)
-	if len(completions) != 4 {
-		t.Fatalf("%d completions, want 4", len(completions))
-	}
-	// Solo commit at 11ms; joiners share one floor: 22, 23, 24ms.
-	want := []time.Duration{11, 22, 23, 24}
-	for i, c := range completions {
-		if c != want[i]*time.Millisecond {
-			t.Fatalf("completion %d at %v, want %vms", i, c, want[i])
-		}
-	}
-	if l.Len() != 4 {
-		t.Fatalf("durable entries = %d, want 4", l.Len())
-	}
-}
-
 // fakeBatchDisk implements node.BatchDisk with manual commit control:
 // staged callbacks fire only when the test calls commit, modelling the
 // group-commit store's fsync boundary.

@@ -93,25 +93,19 @@ func (n *Net) Class(id proto.NodeID) LinkClass {
 	return n.defaultClass
 }
 
-// Block drops all messages from -> to (one-way), until Unblock. This
-// implements the paper's "hide the existence of the Lille coordinator to
-// the servers" style of forced inconsistent views.
-func (n *Net) Block(from, to proto.NodeID) { n.rules.BlockLink(from, to) }
-
-// BlockLink is Block under the fault-plane's canonical name.
+// BlockLink drops all messages from -> to (one-way), until HealLink.
+// This implements the paper's "hide the existence of the Lille
+// coordinator to the servers" style of forced inconsistent views.
 func (n *Net) BlockLink(from, to proto.NodeID) { n.rules.BlockLink(from, to) }
 
-// Unblock re-enables the link.
-func (n *Net) Unblock(from, to proto.NodeID) { n.rules.HealLink(from, to) }
-
-// HealLink is Unblock under the fault-plane's canonical name.
+// HealLink re-enables the link.
 func (n *Net) HealLink(from, to proto.NodeID) { n.rules.HealLink(from, to) }
 
 // BlockBoth drops messages in both directions between a and b.
 func (n *Net) BlockBoth(a, b proto.NodeID) { n.rules.BlockBoth(a, b) }
 
-// UnblockBoth re-enables both directions.
-func (n *Net) UnblockBoth(a, b proto.NodeID) { n.rules.HealBoth(a, b) }
+// HealBoth re-enables both directions.
+func (n *Net) HealBoth(a, b proto.NodeID) { n.rules.HealBoth(a, b) }
 
 // Partition assigns nodes to groups; nodes in different groups cannot
 // communicate. Call with nil to clear. Nodes absent from the map are in

@@ -59,7 +59,7 @@ func TestLoopbackFree(t *testing.T) {
 
 func TestBlockAndUnblock(t *testing.T) {
 	n := Confined(1)
-	n.Block("a", "b")
+	n.BlockLink("a", "b")
 	if _, ok := n.Transfer("a", "b", 10, t0); ok {
 		t.Fatal("blocked link delivered")
 	}
@@ -67,7 +67,7 @@ func TestBlockAndUnblock(t *testing.T) {
 	if _, ok := n.Transfer("b", "a", 10, t0); !ok {
 		t.Fatal("reverse of one-way block dropped")
 	}
-	n.Unblock("a", "b")
+	n.HealLink("a", "b")
 	if _, ok := n.Transfer("a", "b", 10, t0); !ok {
 		t.Fatal("unblocked link still dropping")
 	}
@@ -82,7 +82,7 @@ func TestBlockBoth(t *testing.T) {
 	if _, ok := n.Transfer("b", "a", 10, t0); ok {
 		t.Fatal("b->a delivered")
 	}
-	n.UnblockBoth("a", "b")
+	n.HealBoth("a", "b")
 	if _, ok := n.Transfer("a", "b", 10, t0); !ok {
 		t.Fatal("a->b still dropped after unblock")
 	}

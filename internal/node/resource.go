@@ -31,56 +31,3 @@ func (r *SerialResource) Busy(now time.Time) bool { return r.free.After(now) }
 
 // FreeAt returns when the resource becomes idle.
 func (r *SerialResource) FreeAt() time.Time { return r.free }
-
-// BatchResource models a group-commit device — a write-ahead log whose
-// committer batches every operation staged while the previous commit
-// was in flight into one write+fsync. An idle device serves a lone
-// operation at full cost (access floor + streaming), but operations
-// arriving during a commit join the next batch and share a single
-// floor, paying only their streaming part on top.
-//
-// It is the simulator-side model of internal/store's wal engine, so
-// experiments comparing per-operation and batched durability keep the
-// same shape on the virtual clock as on real hardware.
-type BatchResource struct {
-	// Floor is the fixed cost of one commit (seek/rotation + fsync),
-	// paid once per batch regardless of how many operations it holds.
-	Floor time.Duration
-
-	commitEnd time.Time // completion of the commit currently in flight
-	nextEnd   time.Time // completion of the batch currently forming
-}
-
-// Acquire reserves the device at time now for an operation whose
-// standalone cost is cost (floor + streaming, as a DiskModel computes
-// it) and returns the delay until the operation is durable. Operations
-// overlapping an in-flight commit are charged only their streaming
-// share of the following batch.
-func (r *BatchResource) Acquire(now time.Time, cost time.Duration) time.Duration {
-	stream := cost - r.Floor
-	if stream < 0 {
-		stream = 0
-	}
-	if !now.Before(r.nextEnd) {
-		// Device idle: a solo commit at full standalone cost.
-		r.commitEnd = now.Add(cost)
-		r.nextEnd = r.commitEnd
-		return cost
-	}
-	if !now.Before(r.commitEnd) {
-		// The batch that was forming has since started committing.
-		r.commitEnd = r.nextEnd
-	}
-	if r.nextEnd.Equal(r.commitEnd) {
-		// First member of a fresh batch pays the shared floor.
-		r.nextEnd = r.commitEnd.Add(r.Floor)
-	}
-	r.nextEnd = r.nextEnd.Add(stream)
-	return r.nextEnd.Sub(now)
-}
-
-// Busy reports whether the device is occupied at time now.
-func (r *BatchResource) Busy(now time.Time) bool { return r.nextEnd.After(now) }
-
-// FreeAt returns when the device becomes idle.
-func (r *BatchResource) FreeAt() time.Time { return r.nextEnd }

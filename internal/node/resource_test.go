@@ -47,65 +47,6 @@ func TestSerialResourceBusy(t *testing.T) {
 	}
 }
 
-func TestBatchResourceAmortizesFloor(t *testing.T) {
-	// floor 10ms, stream 1ms per op: a solo op costs 11ms; everyone
-	// arriving during that commit joins ONE next batch sharing a
-	// single floor.
-	r := BatchResource{Floor: 10 * time.Millisecond}
-	cost := 11 * time.Millisecond
-	if got := r.Acquire(base, cost); got != cost {
-		t.Fatalf("solo op delay = %v, want %v", got, cost)
-	}
-	want := []time.Duration{
-		22 * time.Millisecond, // 11 (commit) + 10 (shared floor) + 1
-		23 * time.Millisecond, // + 1 stream only
-		24 * time.Millisecond, // + 1 stream only
-	}
-	for i, w := range want {
-		if got := r.Acquire(base, cost); got != w {
-			t.Fatalf("joiner %d delay = %v, want %v", i, got, w)
-		}
-	}
-	// Serial would have been 44ms for the same four ops.
-	var s SerialResource
-	var serial time.Duration
-	for i := 0; i < 4; i++ {
-		serial = s.Acquire(base, cost)
-	}
-	if last := 24 * time.Millisecond; serial <= last {
-		t.Fatalf("serial %v not worse than batched %v — model broken", serial, last)
-	}
-}
-
-func TestBatchResourceIdleGap(t *testing.T) {
-	r := BatchResource{Floor: 10 * time.Millisecond}
-	r.Acquire(base, 11*time.Millisecond)
-	// After everything drains, a new op is a solo commit again.
-	later := base.Add(time.Second)
-	if got := r.Acquire(later, 11*time.Millisecond); got != 11*time.Millisecond {
-		t.Fatalf("idle acquire delay = %v, want 11ms", got)
-	}
-	if r.Busy(later) != true {
-		t.Fatal("not busy mid-commit")
-	}
-	if r.Busy(later.Add(time.Second)) {
-		t.Fatal("busy after drain")
-	}
-}
-
-func TestBatchResourceRollsBatches(t *testing.T) {
-	// An op arriving after the first commit ended but while the second
-	// batch is committing joins a THIRD batch.
-	r := BatchResource{Floor: 10 * time.Millisecond}
-	r.Acquire(base, 11*time.Millisecond)          // commit 1: ends 11ms
-	first := r.Acquire(base, 11*time.Millisecond) // batch 2: ends 22ms
-	mid := base.Add(15 * time.Millisecond)        // commit 1 done, batch 2 in flight
-	got := r.Acquire(mid, 11*time.Millisecond)    // batch 3: 22 + 10 + 1 = 33ms
-	if want := 33*time.Millisecond - 15*time.Millisecond; got != want {
-		t.Fatalf("third-batch delay = %v, want %v (first joiner ended at %v)", got, want, first)
-	}
-}
-
 func TestSerialResourceConservation(t *testing.T) {
 	// Property: for any sequence of same-time acquisitions, total busy
 	// time equals the sum of costs (no work lost, none invented), and

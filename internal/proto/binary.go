@@ -57,8 +57,8 @@ const (
 	kindResults
 	kindSyncRequest
 	kindSyncReply
-	kindFetchResult
-	kindFetchReply
+	_ // 7, retired: a per-call fetch request no node sent
+	_ // 8, retired: its reply
 	kindHeartbeat
 	kindHeartbeatAck
 	kindTaskResult
@@ -68,8 +68,8 @@ const (
 	kindServerSyncReply
 	kindReplicaUpdate
 	kindReplicaAck
-	kindShardMapRequest
-	kindShardMapReply
+	_ // 18, retired: a shard-map request no node sent
+	_ // 19, retired: its reply
 	kindShardRedirect
 	kindShardSync
 	kindShardSyncAck
@@ -102,10 +102,6 @@ func kindOf(msg Message) uint8 {
 		return kindSyncRequest
 	case *SyncReply:
 		return kindSyncReply
-	case *FetchResult:
-		return kindFetchResult
-	case *FetchReply:
-		return kindFetchReply
 	case *Heartbeat:
 		return kindHeartbeat
 	case *HeartbeatAck:
@@ -124,10 +120,6 @@ func kindOf(msg Message) uint8 {
 		return kindReplicaUpdate
 	case *ReplicaAck:
 		return kindReplicaAck
-	case *ShardMapRequest:
-		return kindShardMapRequest
-	case *ShardMapReply:
-		return kindShardMapReply
 	case *ShardRedirect:
 		return kindShardRedirect
 	case *ShardSync:
@@ -682,15 +674,6 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = appendSeq(dst, m.MaxSeq)
 		dst = appendSeq(dst, m.Collected)
 		return appendSlice(dst, m.Known, appendSeq)
-	case *FetchResult:
-		dst = appendString(dst, string(m.User))
-		dst = binary.AppendUvarint(dst, uint64(m.Session))
-		return appendSeq(dst, m.Seq)
-	case *FetchReply:
-		dst = appendCallID(dst, m.Call)
-		dst = appendBool(dst, m.Known)
-		dst = appendBool(dst, m.Finished)
-		return appendResult(dst, m.Result)
 	case *Heartbeat:
 		dst = appendNode(dst, m.From)
 		dst = append(dst, byte(m.Role))
@@ -723,10 +706,6 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = appendNode(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		return binary.AppendUvarint(dst, m.Round)
-	case *ShardMapRequest:
-		return appendNode(dst, m.From)
-	case *ShardMapReply:
-		return appendShardMapState(dst, m.Map)
 	case *ShardRedirect:
 		dst = appendNode(dst, m.From)
 		dst = appendString(dst, string(m.User))
@@ -804,11 +783,6 @@ func readMessageBody(r *binReader, kind uint8) Message {
 	case kindSyncReply:
 		return &SyncReply{User: UserID(r.str()), Session: SessionID(r.uvarint()),
 			MaxSeq: r.seq(), Collected: r.seq(), Known: readSlice(r, (*binReader).seq)}
-	case kindFetchResult:
-		return &FetchResult{User: UserID(r.str()), Session: SessionID(r.uvarint()), Seq: r.seq()}
-	case kindFetchReply:
-		return &FetchReply{Call: r.call(), Known: r.bool(), Finished: r.bool(),
-			Result: readResult(r)}
 	case kindHeartbeat:
 		return &Heartbeat{From: r.node(), Role: Role(r.u8()),
 			Capacity: int(r.varint()), WantWork: r.bool()}
@@ -833,10 +807,6 @@ func readMessageBody(r *binReader, kind uint8) Message {
 			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)}
 	case kindReplicaAck:
 		return &ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()}
-	case kindShardMapRequest:
-		return &ShardMapRequest{From: r.node()}
-	case kindShardMapReply:
-		return &ShardMapReply{Map: readShardMapState(r)}
 	case kindShardRedirect:
 		return &ShardRedirect{From: r.node(), User: UserID(r.str()),
 			Session: SessionID(r.uvarint()), Call: r.call(),

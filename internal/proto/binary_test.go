@@ -3,6 +3,7 @@ package proto
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"reflect"
@@ -32,8 +33,6 @@ func allMessages() []Message {
 		&Results{User: "user-01", Session: 7, Results: []Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
 		&SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
 		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40, Known: []RPCSeq{41, 42}},
-		&FetchResult{User: "user-01", Session: 7, Seq: 42},
-		&FetchReply{Call: call, Known: true, Finished: true, Result: Result{Call: call, Output: []byte{4}}},
 		&Heartbeat{From: "server-000", Role: RoleServer, Capacity: 2, WantWork: true},
 		&HeartbeatAck{From: "coord-00", Tasks: []TaskAssignment{{Task: task, Service: "svc", Params: []byte{5}}}, Coordinators: []NodeID{"coord-00"}},
 		&TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x", Exec: time.Second},
@@ -43,8 +42,6 @@ func allMessages() []Message {
 		&ServerSyncReply{Resend: []TaskID{task}, Drop: []TaskID{task}},
 		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
 		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&ShardMapRequest{From: "client-00"},
-		&ShardMapReply{Map: st},
 		&ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
 		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, State: TaskFinished}}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Collected: 40, Seqs: []RPCSeq{41, 42}}}},
 		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
@@ -194,11 +191,11 @@ func TestBinaryEncodingStable(t *testing.T) {
 func TestKindBytesStable(t *testing.T) {
 	want := map[string]uint8{
 		"submit": 1, "submit-ack": 2, "poll": 3, "results": 4,
-		"sync-request": 5, "sync-reply": 6, "fetch-result": 7, "fetch-reply": 8,
+		"sync-request": 5, "sync-reply": 6,
 		"heartbeat": 9, "heartbeat-ack": 10, "task-result": 11, "task-result-ack": 12,
 		"task-cancel": 13, "server-sync": 14, "server-sync-reply": 15,
-		"replica-update": 16, "replica-ack": 17, "shard-map-request": 18,
-		"shard-map-reply": 19, "shard-redirect": 20, "shard-sync": 21,
+		"replica-update": 16, "replica-ack": 17,
+		"shard-redirect": 20, "shard-sync": 21,
 		"shard-sync-ack": 22, "steal-request": 23, "steal-grant": 24,
 		"sim-fault": 26, "sim-verdict": 27,
 	}
@@ -212,6 +209,43 @@ func TestKindBytesStable(t *testing.T) {
 	}
 	if kindJobHeader != 28 {
 		t.Errorf("job header kind byte %d, want 28", kindJobHeader)
+	}
+}
+
+// retiredKinds are kind bytes no message has any more: a per-call
+// fetch and its reply (7, 8), a shard-map request and its reply (18,
+// 19). No node sent them; their numbers stay unused so that no other
+// kind shifts.
+var retiredKinds = []uint8{7, 8, 18, 19}
+
+// TestRetiredKindsDoNotDecode feeds every decoder a retired kind byte in
+// front of bodies that would decode under a live kind — each surviving
+// message's, an empty one and the fetch request's old layout — and
+// wants an error: never a message, never a panic.
+func TestRetiredKindsDoNotDecode(t *testing.T) {
+	var bodies [][]byte
+	for _, msg := range allMessages() {
+		bodies = append(bodies, appendMessageBody(nil, msg))
+	}
+	fetch := appendString(nil, "user-01")
+	fetch = binary.AppendUvarint(fetch, 7)
+	bodies = append(bodies, nil, appendSeq(fetch, 42))
+	for _, kind := range retiredKinds {
+		for i, body := range bodies {
+			blob := append([]byte{binMagic, binVersion, kind}, body...)
+			if msg, err := DecodeMessage(blob); err == nil || msg != nil {
+				t.Errorf("kind %d, body %d: stored blob decoded to %v (err %v)", kind, i, msg, err)
+			}
+			var dec Decoder
+			if msg, err := dec.DecodeLogged(append([]byte{binMagic, binVersion, kind | kindBare}, body...), nil); err == nil || msg != nil {
+				t.Errorf("kind %d, body %d: log header decoded to %v (err %v)", kind, i, msg, err)
+			}
+			frame := append(appendString([]byte{0, 0, 0, 0, kind}, "node-a"), body...)
+			binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+			if _, msg, err := NewWireDecoder(bytes.NewReader(frame)).Next(); err == nil || msg != nil {
+				t.Errorf("kind %d, body %d: wire frame decoded to %v (err %v)", kind, i, msg, err)
+			}
+		}
 	}
 }
 
@@ -235,8 +269,6 @@ func wireSizeHints(msg Message) (records int, hintBytes int) {
 	switch m := msg.(type) {
 	case *Results:
 		return 1 + len(m.Results), 0
-	case *FetchReply:
-		return 2, 0
 	case *Poll:
 		return 1, 8 * len(m.Have)
 	case *SyncReply:
@@ -249,8 +281,6 @@ func wireSizeHints(msg Message) (records int, hintBytes int) {
 		return 1, 40 * (len(m.Resend) + len(m.Drop))
 	case *ReplicaUpdate:
 		return 1 + len(m.Jobs), 24 * len(m.MaxSeqs)
-	case *ShardMapReply:
-		return 1, mapHint(m.Map)
 	case *ShardRedirect:
 		return 1, mapHint(m.Map)
 	case *ShardSync:

@@ -40,6 +40,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{binMagic})
 	f.Add([]byte{binMagic, binVersion, kindSubmit})
 	f.Add([]byte{0, 0, 0, 5, kindSubmit, 0})
+	for _, kind := range retiredKinds { // openers that must stay errors
+		f.Add([]byte{binMagic, binVersion, kind})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

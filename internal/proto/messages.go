@@ -187,37 +187,6 @@ func (*SyncReply) Kind() string { return "sync-reply" }
 // Poll.Ack.
 func (m *SyncReply) WireSize() int { return headerSize + 8*len(m.Known) }
 
-// FetchResult asks the coordinator for the stored state of one call:
-// a targeted, connection-less recovery interaction used by tooling that
-// wants a single result without pulling the whole session (bulk
-// recovery after a log loss goes through SyncRequest + Poll instead).
-type FetchResult struct {
-	User    UserID
-	Session SessionID
-	Seq     RPCSeq
-}
-
-// Kind implements Message.
-func (*FetchResult) Kind() string { return "fetch-result" }
-
-// WireSize implements Message.
-func (m *FetchResult) WireSize() int { return headerSize }
-
-// FetchReply returns one call's stored state: whether it is known,
-// whether it is finished, and the result payload when finished.
-type FetchReply struct {
-	Call     CallID
-	Known    bool
-	Finished bool
-	Result   Result
-}
-
-// Kind implements Message.
-func (*FetchReply) Kind() string { return "fetch-reply" }
-
-// WireSize implements Message.
-func (m *FetchReply) WireSize() int { return headerSize + m.Result.wireSize() }
-
 // ---------------------------------------------------------------------
 // Server <-> Coordinator
 // ---------------------------------------------------------------------
@@ -498,30 +467,6 @@ func (s *ShardMapState) wireSize() int {
 
 // Empty reports whether the state describes no topology at all.
 func (s *ShardMapState) Empty() bool { return len(s.Rings) == 0 }
-
-// ShardMapRequest asks any coordinator for the current shard map (a
-// client booting without a cached map, or refreshing after redirects).
-type ShardMapRequest struct {
-	From NodeID
-}
-
-// Kind implements Message.
-func (*ShardMapRequest) Kind() string { return "shard-map-request" }
-
-// WireSize implements Message.
-func (m *ShardMapRequest) WireSize() int { return headerSize }
-
-// ShardMapReply answers a ShardMapRequest with the coordinator's
-// current shard map.
-type ShardMapReply struct {
-	Map ShardMapState
-}
-
-// Kind implements Message.
-func (*ShardMapReply) Kind() string { return "shard-map-reply" }
-
-// WireSize implements Message.
-func (m *ShardMapReply) WireSize() int { return headerSize + m.Map.wireSize() }
 
 // ShardRedirect tells a client its request reached a coordinator that
 // does not own the session: the session hashes to shard Shard, and Map

@@ -148,8 +148,6 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		&Results{User: "u", Session: 1, Results: []Result{{Output: []byte("r")}}},
 		&SyncRequest{User: "u", Session: 1, MaxSeq: 3, HaveLog: true},
 		&SyncReply{User: "u", Session: 1, MaxSeq: 3, Known: []RPCSeq{1}},
-		&FetchResult{User: "u", Session: 1, Seq: 2},
-		&FetchReply{Call: CallID{User: "u"}, Known: true, Finished: true},
 		&Heartbeat{From: "server-001", Role: RoleServer, Capacity: 1, WantWork: true},
 		&HeartbeatAck{From: "coord-00", Coordinators: []NodeID{"coord-00"}},
 		&TaskResult{From: "server-001", Task: TaskID{Instance: 1}, Output: []byte("o")},

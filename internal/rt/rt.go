@@ -90,8 +90,6 @@ type Config struct {
 	Seed int64
 	// Logf, when non-nil, receives trace output (default: log.Printf).
 	Logf func(format string, args ...any)
-	// DialTimeout bounds connection attempts. Default 2 s.
-	DialTimeout time.Duration
 	// QueueDepth bounds each peer's send queue. When full, the oldest
 	// queued envelope is dropped — best-effort semantics,
 	// indistinguishable from network loss. Default 128.
@@ -169,9 +167,6 @@ func Start(cfg Config) (*Runtime, error) {
 	}
 	if cfg.Loops < 0 || cfg.Loops > 1 {
 		return nil, fmt.Errorf("rt: Loops = %d: a runtime hosts its handler on exactly one event loop (0 or 1)", cfg.Loops)
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = defaultQueueDepth

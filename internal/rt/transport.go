@@ -37,6 +37,9 @@ const (
 	defaultIdleTimeout     = 30 * time.Second
 	defaultMaxInboundConns = 256
 
+	// dialTimeout bounds a connection attempt.
+	dialTimeout = 2 * time.Second
+
 	// Redial backoff bounds (jittered exponential).
 	backoffMin = 50 * time.Millisecond
 	backoffMax = 2 * time.Second
@@ -241,7 +244,7 @@ func (s *sender) run() {
 				closeConn()
 			}
 			if conn == nil {
-				c, err := net.DialTimeout("tcp", addr, s.rt.cfg.DialTimeout)
+				c, err := net.DialTimeout("tcp", addr, dialTimeout)
 				if dialed {
 					s.rt.stats.redials.Add(1)
 				}

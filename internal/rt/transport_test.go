@@ -61,7 +61,7 @@ func TestPooledDeliveryAndCoalescing(t *testing.T) {
 
 // TestSendQueueBoundedNoGoroutineLeak floods a sender whose peer is
 // unreachable: the transport must keep a single sender goroutine — not
-// one per message, each holding a dial for up to DialTimeout — and
+// one per message, each holding a dial for up to dialTimeout — and
 // bound the queue by dropping the oldest envelopes.
 func TestSendQueueBoundedNoGoroutineLeak(t *testing.T) {
 	const flood = 500

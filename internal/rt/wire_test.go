@@ -25,8 +25,6 @@ func wireSampleMessages() []proto.Message {
 		&proto.Results{User: "user-01", Session: 7, Results: []proto.Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
 		&proto.SyncRequest{User: "user-01", Session: 7, MaxSeq: 42, HaveLog: true},
 		&proto.SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []proto.RPCSeq{1, 2}},
-		&proto.FetchResult{User: "user-01", Session: 7, Seq: 42},
-		&proto.FetchReply{Call: call, Known: true, Finished: true, Result: proto.Result{Call: call, Output: []byte{4}}},
 		&proto.Heartbeat{From: "server-000", Role: proto.RoleServer, Capacity: 2, WantWork: true},
 		&proto.HeartbeatAck{From: "coord-00", Tasks: []proto.TaskAssignment{{Task: task, Service: "svc", Params: []byte{5}}}, Coordinators: []proto.NodeID{"coord-00"}},
 		&proto.TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x", Exec: time.Second},
@@ -36,8 +34,6 @@ func wireSampleMessages() []proto.Message {
 		&proto.ServerSyncReply{Resend: []proto.TaskID{task}, Drop: []proto.TaskID{task}},
 		&proto.ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []proto.JobRecord{{Call: call, Service: "svc", State: proto.TaskFinished, Output: []byte{7}}}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
 		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&proto.ShardMapRequest{From: "client-00"},
-		&proto.ShardMapReply{Map: st},
 		&proto.ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
 		&proto.ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []proto.JobRecord{{Call: call, State: proto.TaskFinished}}, Sessions: []proto.SessionSeqs{{User: "user-01", Session: 7, Seqs: []proto.RPCSeq{1, 42}}}},
 		&proto.ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []proto.CallID{call}},

@@ -1,4 +1,4 @@
-// Package sched is the coordinator's pluggable scheduling subsystem.
+// Package sched is the coordinator's scheduling subsystem.
 //
 // The paper's coordinator schedules strictly first-come-first-served
 // and only re-issues a task after a heartbeat suspicion, so one slow or
@@ -18,7 +18,7 @@
 //     soft per-call deadlines carried by proto.Submit (calls without a
 //     deadline keep FCFS order behind all deadlined ones);
 //   - "speculative" keeps FCFS order but flags stragglers: when a
-//     task's in-flight time exceeds SpeculateFactor times the engine's
+//     task's in-flight time exceeds speculateFactor times the engine's
 //     completion estimate, the coordinator queues a redundant instance
 //     for a *different* server; the first result wins and the loser is
 //     cancelled. Deduplication is the store's CallID keying, which
@@ -28,9 +28,8 @@
 // shard drains another shard's queue without consulting the admission
 // gate, since stolen work executes on a different server population.
 //
-// Policies register themselves by name (Register), so deployments can
-// plug their own without touching the coordinator. All methods are
-// event-loop only, like the coordinator that owns the engine.
+// The four policies are a fixed table (Policies lists it). All methods
+// are event-loop only, like the coordinator that owns the engine.
 package sched
 
 import (
@@ -45,36 +44,8 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Policy is the registered policy name. Empty means "fcfs".
+	// Policy is one of Policies(). Empty means "fcfs".
 	Policy string
-
-	// SpeculateFactor is the straggler threshold k of the speculative
-	// policy: a task is duplicated when its in-flight time exceeds
-	// k x max(expected execution time, observed mean completion).
-	// Zero means 2.
-	SpeculateFactor float64
-
-	// SpeculateMin floors the speculation threshold so sub-second tasks
-	// are not duplicated on scheduling jitter. Zero means 2 s.
-	SpeculateMin time.Duration
-
-	// FastFactor classifies servers: one whose slowdown estimate is
-	// within FastFactor x the best server's counts as fast and is
-	// always admitted; slower ones face the matchmaking gate (and are
-	// never handed speculative duplicates). Zero means 2.
-	FastFactor float64
-
-	// StarveAfter bounds how long the admission gate may park the
-	// whole queue: when no task has been handed out for this long
-	// while the head keeps waiting, the gate is bypassed and whoever
-	// asks is served — wrong speed estimates must not stall the batch.
-	// (A queue that is draining through fast servers is not starving,
-	// however old its head.) Zero means 1 min.
-	StarveAfter time.Duration
-
-	// Alpha is the estimator's EWMA smoothing factor in (0, 1].
-	// Zero means 0.3.
-	Alpha float64
 
 	// Obs, when non-nil, receives scheduling gauges labeled
 	// node="<Node>": rpcv_sched_queue_depth, rpcv_sched_spec_queue_depth
@@ -86,32 +57,37 @@ type Config struct {
 	Node proto.NodeID
 }
 
-func (c *Config) applyDefaults() {
-	if c.Policy == "" {
-		c.Policy = "fcfs"
-	}
-	if c.SpeculateFactor <= 0 {
-		c.SpeculateFactor = 2
-	}
-	if c.SpeculateMin <= 0 {
-		c.SpeculateMin = 2 * time.Second
-	}
-	if c.FastFactor <= 0 {
-		c.FastFactor = 2
-	}
-	if c.StarveAfter <= 0 {
-		c.StarveAfter = time.Minute
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-}
+const (
+	// speculateFactor is the straggler threshold k of the speculative
+	// policy: a task is duplicated when its in-flight time exceeds
+	// k x max(expected execution time, observed mean completion).
+	speculateFactor = 2
+
+	// speculateMin floors the speculation threshold so sub-second tasks
+	// are not duplicated on scheduling jitter.
+	speculateMin = 2 * time.Second
+
+	// fastFactor classifies servers: one whose slowdown estimate is
+	// within fastFactor x the best server's counts as fast and is
+	// always admitted; slower ones face the matchmaking gate (and are
+	// never handed speculative duplicates).
+	fastFactor = 2
+
+	// starveAfter bounds how long the admission gate may park the
+	// whole queue: when no task has been handed out for this long
+	// while the head keeps waiting, the gate is bypassed and whoever
+	// asks is served — wrong speed estimates must not stall the batch.
+	// (A queue that is draining through fast servers is not starving,
+	// however old its head.)
+	starveAfter = time.Minute
+
+	// alpha is the estimator's EWMA smoothing factor.
+	alpha = 0.3
+)
 
 // Policy decides queue order, admission and speculation for an Engine.
-// Implementations must be stateless or share-nothing per Engine.
+// Every implementation is stateless, so engines share one value.
 type Policy interface {
-	// Name returns the registered policy name.
-	Name() string
 	// Less orders the pending queue; the engine breaks ties by arrival
 	// sequence, so returning always-false yields pure FCFS.
 	Less(a, b *Task) bool
@@ -137,36 +113,22 @@ type Task struct {
 	index int    // heap position
 }
 
-// ---------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------
-
-var registry = map[string]func() Policy{}
-
-// Register installs a policy factory under its name. Registering a
-// duplicate name panics: it is always a wiring bug.
-func Register(name string, factory func() Policy) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("sched: duplicate policy %q", name))
-	}
-	registry[name] = factory
+// policies is every policy by name.
+var policies = map[string]Policy{
+	"fcfs":          fcfs{},
+	"fastest-first": fastestFirst{},
+	"deadline":      edf{},
+	"speculative":   speculative{},
 }
 
-// Policies returns the registered policy names, sorted.
+// Policies returns the policy names, sorted.
 func Policies() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
+	out := make([]string, 0, len(policies))
+	for name := range policies {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func init() {
-	Register("fcfs", func() Policy { return fcfs{} })
-	Register("fastest-first", func() Policy { return fastestFirst{} })
-	Register("deadline", func() Policy { return edf{} })
-	Register("speculative", func() Policy { return speculative{} })
 }
 
 // ---------------------------------------------------------------------
@@ -213,17 +175,19 @@ type specEntry struct {
 // New builds an engine for the configured policy; unknown policy names
 // are an error (the caller decides whether to fall back to FCFS).
 func New(cfg Config) (*Engine, error) {
-	cfg.applyDefaults()
-	factory, ok := registry[cfg.Policy]
+	if cfg.Policy == "" {
+		cfg.Policy = "fcfs"
+	}
+	policy, ok := policies[cfg.Policy]
 	if !ok {
 		return nil, fmt.Errorf("sched: unknown policy %q (have %v)", cfg.Policy, Policies())
 	}
 	e := &Engine{
 		cfg:    cfg,
-		policy: factory(),
+		policy: policy,
 		queued: make(map[proto.CallID]*Task),
 		inSpec: make(map[proto.CallID]bool),
-		est:    newEstimator(cfg.Alpha),
+		est:    estimator{factor: make(map[proto.NodeID]float64)},
 		slots:  make(map[proto.NodeID]int),
 	}
 	e.pending.engine = e
@@ -269,7 +233,7 @@ func (e *Engine) noteSpeed(server proto.NodeID) {
 }
 
 // PolicyName returns the active policy's name.
-func (e *Engine) PolicyName() string { return e.policy.Name() }
+func (e *Engine) PolicyName() string { return e.cfg.Policy }
 
 // Speculative reports whether the active policy duplicates stragglers.
 func (e *Engine) Speculative() bool { return e.policy.Speculative() }
@@ -338,7 +302,7 @@ func (e *Engine) Pop(server proto.NodeID, now time.Time) (call proto.CallID, spe
 		if entry.exclude == server {
 			continue
 		}
-		if f, ok := e.est.factorOf(server); ok && f > e.cfg.FastFactor*e.est.best() {
+		if f, ok := e.est.factorOf(server); ok && f > fastFactor*e.est.best() {
 			// A duplicate exists to outrun a straggler; handing it to
 			// another slow machine defeats the point.
 			continue
@@ -367,13 +331,13 @@ func (e *Engine) Pop(server proto.NodeID, now time.Time) (call proto.CallID, spe
 }
 
 // starving reports whether the admission gate has parked the queue:
-// the head has waited past StarveAfter and nothing was handed out in
+// the head has waited past starveAfter and nothing was handed out in
 // that long either. Then the gate yields to whoever asks.
 func (e *Engine) starving(head *Task, now time.Time) bool {
-	if now.Sub(head.Enqueued) < e.cfg.StarveAfter {
+	if now.Sub(head.Enqueued) < starveAfter {
 		return false
 	}
-	return e.lastPop.IsZero() || now.Sub(e.lastPop) >= e.cfg.StarveAfter
+	return e.lastPop.IsZero() || now.Sub(e.lastPop) >= starveAfter
 }
 
 // PopSteal pops the pending head for a cross-shard steal grant,
@@ -448,10 +412,6 @@ func (e *Engine) ServerFactor(server proto.NodeID) (float64, bool) {
 // KnownServers returns how many servers the estimator has observed.
 func (e *Engine) KnownServers() int { return len(e.est.factor) }
 
-// MeanCompletion returns the EWMA of observed completion times across
-// all servers (0 before the first completion).
-func (e *Engine) MeanCompletion() time.Duration { return e.est.mean }
-
 // SpeculateThreshold returns the in-flight duration beyond which a
 // task with the given execution hint counts as a straggler.
 func (e *Engine) SpeculateThreshold(exec time.Duration) time.Duration {
@@ -459,10 +419,10 @@ func (e *Engine) SpeculateThreshold(exec time.Duration) time.Duration {
 	if e.est.mean > base {
 		base = e.est.mean
 	}
-	if base < e.cfg.SpeculateMin {
-		base = e.cfg.SpeculateMin
+	if base < speculateMin {
+		base = speculateMin
 	}
-	return time.Duration(e.cfg.SpeculateFactor * float64(base))
+	return time.Duration(speculateFactor * float64(base))
 }
 
 // ---------------------------------------------------------------------
@@ -513,13 +473,8 @@ func (h *pendingHeap) Pop() any {
 // nominal speed; a machine 10x slower than its tasks' hints converges
 // to ~10.
 type estimator struct {
-	alpha  float64
 	factor map[proto.NodeID]float64
 	mean   time.Duration
-}
-
-func newEstimator(alpha float64) estimator {
-	return estimator{alpha: alpha, factor: make(map[proto.NodeID]float64)}
 }
 
 func (e *estimator) observe(server proto.NodeID, expected, actual time.Duration) {
@@ -529,7 +484,7 @@ func (e *estimator) observe(server proto.NodeID, expected, actual time.Duration)
 	if e.mean == 0 {
 		e.mean = actual
 	} else {
-		e.mean = time.Duration((1-e.alpha)*float64(e.mean) + e.alpha*float64(actual))
+		e.mean = time.Duration((1-alpha)*float64(e.mean) + alpha*float64(actual))
 	}
 	ref := expected
 	if ref <= 0 {
@@ -540,7 +495,7 @@ func (e *estimator) observe(server proto.NodeID, expected, actual time.Duration)
 	}
 	ratio := float64(actual) / float64(ref)
 	if old, ok := e.factor[server]; ok {
-		e.factor[server] = (1-e.alpha)*old + e.alpha*ratio
+		e.factor[server] = (1-alpha)*old + alpha*ratio
 	} else {
 		e.factor[server] = ratio
 	}
@@ -591,7 +546,6 @@ func (e *estimator) best() float64 {
 // fcfs is the paper's strict arrival-order scheduling.
 type fcfs struct{}
 
-func (fcfs) Name() string                                { return "fcfs" }
 func (fcfs) Less(a, b *Task) bool                        { return false }
 func (fcfs) Admit(*Engine, proto.NodeID, time.Time) bool { return true }
 func (fcfs) Speculative() bool                           { return false }
@@ -605,7 +559,6 @@ func (fcfs) WantsEstimates() bool                        { return false }
 // makespan-critical tail.
 type fastestFirst struct{}
 
-func (fastestFirst) Name() string         { return "fastest-first" }
 func (fastestFirst) Less(a, b *Task) bool { return false }
 func (fastestFirst) Speculative() bool    { return false }
 func (fastestFirst) WantsEstimates() bool { return true }
@@ -615,7 +568,7 @@ func (fastestFirst) Admit(e *Engine, server proto.NodeID, _ time.Time) bool {
 	if !ok {
 		return true // unseen server: let it prove itself
 	}
-	if f <= e.cfg.FastFactor*e.est.best() {
+	if f <= fastFactor*e.est.best() {
 		return true // fast enough: always admitted
 	}
 	// While this f-times-slow machine executes one task, server i
@@ -641,7 +594,6 @@ func (fastestFirst) Admit(e *Engine, server proto.NodeID, _ time.Time) bool {
 // deadline queue FCFS behind every deadlined one.
 type edf struct{}
 
-func (edf) Name() string { return "deadline" }
 func (edf) Less(a, b *Task) bool {
 	switch {
 	case a.Deadline.IsZero() && b.Deadline.IsZero():
@@ -665,5 +617,4 @@ func (edf) WantsEstimates() bool                        { return false }
 // tail work would just create the next straggler to rescue.
 type speculative struct{ fastestFirst }
 
-func (speculative) Name() string      { return "speculative" }
 func (speculative) Speculative() bool { return true }

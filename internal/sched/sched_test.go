@@ -109,7 +109,7 @@ func TestEstimatorTracksSlowServer(t *testing.T) {
 	if e.KnownServers() != 2 {
 		t.Fatalf("known servers = %d", e.KnownServers())
 	}
-	if e.MeanCompletion() <= 0 {
+	if e.est.mean <= 0 {
 		t.Fatal("mean completion not tracked")
 	}
 }
@@ -148,7 +148,7 @@ func TestFastestFirstGatesSlowServer(t *testing.T) {
 }
 
 func TestFastestFirstStarvationGuard(t *testing.T) {
-	e := mustNew(t, Config{Policy: "fastest-first", StarveAfter: 30 * time.Second})
+	e := mustNew(t, Config{Policy: "fastest-first"})
 	for i := 0; i < 8; i++ {
 		e.ObserveCompletion("fast", 10*time.Second, 10*time.Second)
 		e.ObserveCompletion("slow", 10*time.Second, 100*time.Second)
@@ -157,9 +157,9 @@ func TestFastestFirstStarvationGuard(t *testing.T) {
 	if _, _, ok := e.Pop("slow", t0); ok {
 		t.Fatal("slow server admitted at the tail before starvation")
 	}
-	// Once the head has waited past StarveAfter, anyone may take it:
-	// a wrong estimate must not park the queue forever.
-	if _, _, ok := e.Pop("slow", t0.Add(time.Minute)); !ok {
+	// Once the head has waited starveAfter, anyone may take it: a
+	// wrong estimate must not park the queue forever.
+	if _, _, ok := e.Pop("slow", t0.Add(starveAfter)); !ok {
 		t.Fatal("starving head still gated")
 	}
 }
@@ -216,18 +216,18 @@ func TestUnqueueDropsSpeculativeEntry(t *testing.T) {
 }
 
 func TestSpeculateThreshold(t *testing.T) {
-	e := mustNew(t, Config{Policy: "speculative", SpeculateFactor: 3, SpeculateMin: time.Second})
-	if got, want := e.SpeculateThreshold(10*time.Second), 30*time.Second; got != want {
+	e := mustNew(t, Config{Policy: "speculative"})
+	if got, want := e.SpeculateThreshold(10*time.Second), speculateFactor*10*time.Second; got != want {
 		t.Fatalf("threshold = %v, want %v", got, want)
 	}
-	// Unknown exec time: floored at SpeculateMin until completions teach
+	// Unknown exec time: floored at speculateMin until completions teach
 	// the engine a mean.
-	if got := e.SpeculateThreshold(0); got != 3*time.Second {
-		t.Fatalf("floored threshold = %v, want 3s", got)
+	if got, want := e.SpeculateThreshold(0), speculateFactor*speculateMin; got != want {
+		t.Fatalf("floored threshold = %v, want %v", got, want)
 	}
 	e.ObserveCompletion("sv", 0, 20*time.Second)
-	if got := e.SpeculateThreshold(0); got != 60*time.Second {
-		t.Fatalf("mean-based threshold = %v, want 60s", got)
+	if got, want := e.SpeculateThreshold(0), speculateFactor*20*time.Second; got != want {
+		t.Fatalf("mean-based threshold = %v, want %v", got, want)
 	}
 }
 

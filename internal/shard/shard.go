@@ -105,8 +105,7 @@ func FromState(st proto.ShardMapState) *Map {
 	return New(st.Version, st.Rings, st.VNodes)
 }
 
-// State returns the wire representation carried by ShardRedirect and
-// ShardMapReply messages.
+// State returns the wire representation a ShardRedirect carries.
 func (m *Map) State() proto.ShardMapState {
 	st := proto.ShardMapState{
 		Version: m.version,
@@ -150,11 +149,6 @@ func (m *Map) Owner(user proto.UserID, session proto.SessionID) int {
 		return 0
 	}
 	return m.owner(hash64(fmt.Sprintf("%s/%d", user, session)))
-}
-
-// OwnerOf returns the shard index owning a call (by its session).
-func (m *Map) OwnerOf(call proto.CallID) int {
-	return m.Owner(call.User, call.Session)
 }
 
 // owner finds the ring of the first virtual node at or after h,

@@ -148,17 +148,6 @@ func coversAll(base []proto.NodeID, others [][]proto.NodeID) bool {
 	return true
 }
 
-// RemoveNode returns list without id (order preserved).
-func RemoveNode(list []proto.NodeID, id proto.NodeID) []proto.NodeID {
-	out := make([]proto.NodeID, 0, len(list))
-	for _, n := range list {
-		if n != id {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Successor computes self's successor on the virtual ring defined by
 // the common sorted order of members, skipping suspected nodes. It
 // returns "" when no eligible successor exists (self alone, or all

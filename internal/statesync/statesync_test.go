@@ -192,16 +192,6 @@ func TestMergeNodeListsAddingNothing(t *testing.T) {
 	}
 }
 
-func TestRemoveNode(t *testing.T) {
-	got := RemoveNode([]proto.NodeID{"a", "b", "c"}, "b")
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Fatalf("remove = %v", got)
-	}
-	if got := RemoveNode(nil, "x"); len(got) != 0 {
-		t.Fatalf("remove from nil = %v", got)
-	}
-}
-
 func TestSuccessorRing(t *testing.T) {
 	members := []proto.NodeID{"a", "b", "c"}
 	none := func(proto.NodeID) bool { return false }

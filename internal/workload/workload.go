@@ -1,12 +1,9 @@
-// Package workload generates the two workloads of the paper's
-// evaluation:
-//
-//   - the synthetic benchmark of the confined experiments: a set of
-//     non-blocking RPC calls with configurable execution time,
-//     parameter size and result size (§5.1); and
-//   - the real-life Alcatel application: a commutation-network
-//     validation tool split into 1000 parallel tasks whose durations
-//     vary "in a wide range" (figure 8 shows the distribution).
+// Package workload generates the real-life workload of the paper's
+// evaluation, the Alcatel application: a commutation-network validation
+// tool split into 1000 parallel tasks whose durations vary "in a wide
+// range" (figure 8 shows the distribution). The synthetic benchmark of
+// the confined experiments (§5.1) needs no generator: its calls are
+// identical, and the experiments submit them directly.
 //
 // The Alcatel binary is proprietary; we substitute a deterministic
 // sampler whose histogram reproduces figure 8's shape: a dominant mass
@@ -27,21 +24,6 @@ type Call struct {
 	ParamSize  int
 	ExecTime   time.Duration
 	ResultSize int
-}
-
-// Synthetic returns n identical benchmark calls, matching the confined
-// experiments' configuration knobs.
-func Synthetic(n int, execTime time.Duration, paramSize, resultSize int) []Call {
-	calls := make([]Call, n)
-	for i := range calls {
-		calls[i] = Call{
-			Service:    "synthetic",
-			ParamSize:  paramSize,
-			ExecTime:   execTime,
-			ResultSize: resultSize,
-		}
-	}
-	return calls
 }
 
 // AlcatelConfig parameterizes the Alcatel-like task mix.

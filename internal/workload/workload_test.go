@@ -5,21 +5,6 @@ import (
 	"time"
 )
 
-func TestSynthetic(t *testing.T) {
-	calls := Synthetic(16, 10*time.Second, 300, 64)
-	if len(calls) != 16 {
-		t.Fatalf("len = %d, want 16", len(calls))
-	}
-	for _, c := range calls {
-		if c.ExecTime != 10*time.Second || c.ParamSize != 300 || c.ResultSize != 64 {
-			t.Fatalf("unexpected call %+v", c)
-		}
-		if c.Service != "synthetic" {
-			t.Fatalf("service = %q", c.Service)
-		}
-	}
-}
-
 func TestAlcatelDeterministic(t *testing.T) {
 	a := Alcatel(AlcatelConfig{Tasks: 100, Seed: 5})
 	b := Alcatel(AlcatelConfig{Tasks: 100, Seed: 5})
