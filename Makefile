@@ -19,8 +19,9 @@
 #                   writeBlob, StoredJob, changedParts, unwritten),
 #                   or if a retired message kind (the per-call fetch,
 #                   the shard-map request), the simulator's batched
-#                   disk model, sched's policy registry or the
-#                   coordinator's speculation-factor knob is back,
+#                   disk model, sched's policy registry, the
+#                   coordinator's speculation-factor knob or the
+#                   transport's redial backoff is back,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -65,6 +66,7 @@ lint:
 	! git grep -nE 'deleteIn[T]urn|writeB[l]ob|Stored[J]ob\b|changedP[a]rts' -- '*.go'
 	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'
 	! git grep -nE 'Fetch[R]esult|Fetch[R]eply|FetchC[a]ll|ShardMap[R]equest|ShardMap[R]eply|BatchR[e]source|sched\.R[e]gister|Speculate[F]actor|-specul[a]te' -- '*.go' Makefile .github
+	! git grep -nE 'backoff[M]in|backoff[M]ax|jitter\(back[o]ff' -- 'internal/rt/*.go'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 

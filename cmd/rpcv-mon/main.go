@@ -61,7 +61,7 @@ func main() {
 	sloWAL := flag.Duration("slo-wal-p99", 0, "per-node durable-write p99 target (0: rule off)")
 	sloQueue := flag.Float64("slo-queue-depth", 0, "per-shard max summed queue depth (0: rule off)")
 	sloRequeue := flag.Float64("slo-requeue-rate", 0, "per-shard max requeues/s (0: rule off)")
-	sloRedial := flag.Float64("slo-redial-rate", 0, "per-node max transport redials/s (0: rule off)")
+	sloRedial := flag.Float64("slo-redial-rate", 0, "per-node max transport redials/s; a redial is one per batch sent to an unreachable peer, about one per heartbeat or poll period per down peer (0: rule off)")
 	sloShed := flag.Float64("slo-shed-rate", 0, "per-node max transport sheds/s (0: rule off)")
 	flag.Parse()
 

@@ -48,9 +48,12 @@
 // internal/rt's transport pools connections beyond the paper's
 // connection-per-message model: one long-lived connection per peer
 // owned by a sender goroutine, a bounded send queue with drop-oldest
-// overflow, coalesced flushes, jittered redial backoff, an idle
-// timeout that returns quiet peers to connection-less behaviour, and
-// accept-side shedding (MaxInboundConns) against fd exhaustion. The
+// overflow, coalesced flushes, an idle timeout that returns quiet peers
+// to connection-less behaviour, and accept-side shedding
+// (MaxInboundConns) against fd exhaustion. A failed dial drops its
+// batch and the next batch dials again, so a down peer is knocked on at
+// the rate the protocol sends to it, and a peer back at its address is
+// reached by the next message. The
 // paper's fault semantics are untouched — sends never block or fail
 // loudly, and connection breaks are never fault signals; heartbeat
 // timeouts remain the only suspicion source.

@@ -77,8 +77,10 @@ type SLO struct {
 	// requeue storm means servers are dying under dispatched work.
 	MaxRequeueRate float64 `json:"max_requeue_rate,omitempty"`
 	// MaxRedialRate bounds a node's transport redial rate
-	// (rpcv_transport_redials_total per second): churn here means peers
-	// keep vanishing mid-connection.
+	// (rpcv_transport_redials_total per second). A redial is one per
+	// batch sent to an unreachable peer, so the rate reads how often a
+	// node knocks on down peers (about one per heartbeat or poll period
+	// per down peer), not only connections that broke.
 	MaxRedialRate float64 `json:"max_redial_rate,omitempty"`
 	// MaxShedRate bounds a node's transport shed rate
 	// (rpcv_transport_sheds_total per second): sheds mean outbound

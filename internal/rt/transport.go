@@ -12,9 +12,11 @@ package rt
 //     envelope (indistinguishable from network loss, which the
 //     protocol absorbs by design);
 //   - everything queued at flush time is coalesced into one write;
-//   - a broken or unreachable connection silently drops the batch and
-//     redials with jittered exponential backoff — connection breaks
-//     are NEVER fault signals, only heartbeat timeouts are;
+//   - a broken connection or a failed dial drops its batch and the next
+//     batch dials again, so a down peer is knocked on at the rate the
+//     protocol sends to it, and a peer back at its address is reached
+//     by the next message — connection breaks are NEVER fault signals,
+//     only heartbeat timeouts are;
 //   - after IdleTimeout without traffic the sender closes the
 //     connection and retires, returning a quiet peer to the paper's
 //     connection-less behaviour.
@@ -23,7 +25,6 @@ package rt
 
 import (
 	"bufio"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -39,10 +40,6 @@ const (
 
 	// dialTimeout bounds a connection attempt.
 	dialTimeout = 2 * time.Second
-
-	// Redial backoff bounds (jittered exponential).
-	backoffMin = 50 * time.Millisecond
-	backoffMax = 2 * time.Second
 )
 
 // TransportStats is a snapshot of a runtime's transport counters.
@@ -195,7 +192,7 @@ func (s *sender) tryRetire() bool {
 }
 
 // run is the sender goroutine: wait for work, flush it coalesced,
-// redial with backoff on failure, retire at idle.
+// dial again for the next batch after a failure, retire at idle.
 func (s *sender) run() {
 	defer s.rt.wg.Done()
 
@@ -211,7 +208,6 @@ func (s *sender) run() {
 	}
 	defer closeConn()
 
-	backoff := backoffMin
 	dialed := false
 	idle := time.NewTimer(s.rt.cfg.IdleTimeout)
 	defer idle.Stop()
@@ -251,18 +247,11 @@ func (s *sender) run() {
 				dialed = true
 				if err != nil {
 					// Unreachable peer: the batch is lost (best
-					// effort) and the next attempt waits a jittered
-					// backoff, so a dead peer costs one dial per
-					// window instead of one per message.
+					// effort) and the next batch dials again, so a
+					// down peer is knocked on at the rate the protocol
+					// sends to it, and a peer back at its address is
+					// reached by the next message.
 					s.rt.stats.drop(dropUnreachable, len(batch))
-					select {
-					case <-s.rt.quit:
-						return
-					case <-time.After(jitter(backoff)):
-					}
-					if backoff *= 2; backoff > backoffMax {
-						backoff = backoffMax
-					}
 					continue
 				}
 				if !s.rt.track(c) {
@@ -273,7 +262,6 @@ func (s *sender) run() {
 				// announces the codec version for the whole connection.
 				_, _ = bw.Write(proto.FramePreface[:])
 				dialedAddr = addr
-				backoff = backoffMin
 			}
 			// One deadline serves the whole batch: the per-message work
 			// inside the loop is encoding only.
@@ -334,10 +322,4 @@ func resetTimer(t *time.Timer, d time.Duration) {
 		}
 	}
 	t.Reset(d)
-}
-
-// jitter spreads d uniformly over [d/2, 3d/2) so reconnecting peers do
-// not synchronize their dials.
-func jitter(d time.Duration) time.Duration {
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }

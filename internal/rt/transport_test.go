@@ -99,6 +99,49 @@ func TestSendQueueBoundedNoGoroutineLeak(t *testing.T) {
 	}
 }
 
+// TestSenderRedialsOnItsNextBatch: a failed dial costs its batch and
+// nothing else — the sender does not wait before the next batch dials
+// again, however many dials failed before it, so a peer back at its
+// address is reached by the next message the protocol sends it.
+func TestSenderRedialsOnItsNextBatch(t *testing.T) {
+	const failures = 6
+	a, b := &echo{}, &echo{}
+	ra, err := Start(Config{
+		ID: "a", Handler: a, Logf: quietLogf, Obs: obs.New("a"),
+		// A bound-but-unserved port: dials fail fast with refused.
+		Directory: Directory{"b": "127.0.0.1:1"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+
+	send := func(i int) { ra.Do(func() { a.env.Send("b", &proto.Poll{User: "u", Session: proto.SessionID(i)}) }) }
+	for i := 1; i <= failures; i++ {
+		send(i)
+		if !waitFor(t, 5*time.Second, func() bool { return ra.TransportStats().Dropped == uint64(i) }) {
+			t.Fatalf("send %d: stats = %+v, want its envelope dropped", i, ra.TransportStats())
+		}
+	}
+	if n := dropsBy(t, ra)["unreachable"]; n != failures {
+		t.Fatalf("dropped{reason=unreachable} = %v, want %d", n, failures)
+	}
+	if st := ra.TransportStats(); st.Redials != failures-1 {
+		t.Fatalf("redials = %d, want %d: one dial per batch", st.Redials, failures-1)
+	}
+
+	ra.SetPeer("b", rb.Addr())
+	send(failures + 1)
+	if !waitFor(t, 300*time.Millisecond, func() bool { return b.count() == 1 }) {
+		t.Fatal("the peer, back at its address, was not reached within 300 ms of the next send")
+	}
+}
+
 // TestIdleTimeoutRetiresSenderAndRevives checks the pool returns to
 // the paper's connection-less behaviour for quiet peers: after
 // IdleTimeout the sender goroutine and its connection go away, and a
