@@ -22,6 +22,7 @@
 #                   disk model, sched's policy registry, the
 #                   coordinator's speculation-factor knob or the
 #                   transport's redial backoff is back,
+#                   or if rt.Start boots a node outside internal/grid,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
 #                   package or grows a JSON writer again
@@ -67,6 +68,7 @@ lint:
 	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'
 	! git grep -nE 'Fetch[R]esult|Fetch[R]eply|FetchC[a]ll|ShardMap[R]equest|ShardMap[R]eply|BatchR[e]source|sched\.R[e]gister|Speculate[F]actor|-specul[a]te' -- '*.go' Makefile .github
 	! git grep -nE 'backoff[M]in|backoff[M]ax|jitter\(back[o]ff' -- 'internal/rt/*.go'
+	! git grep -nE 'rt\.Start\(' -- '*.go' ':!internal/rt/' ':!internal/grid/' ':!internal/gridrpc/gridrpc.go' ':!cmd/' ':!bench/'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/grid"
 	"rpcv/internal/gridrpc"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
@@ -35,10 +36,10 @@ const (
 // tcpGrid is one coordinator, some servers and one gridrpc session on
 // loopback TCP.
 type tcpGrid struct {
+	grid    *grid.Grid
 	co      *coordinator.Coordinator
 	rco     *rt.Runtime
-	servers []*server.Server
-	rsv     []*rt.Runtime
+	servers []*server.Server // servers[i] runs as serverID(i)
 	session *gridrpc.Session
 	coStore store.Store // the coordinator's engine, for reading its keys
 
@@ -81,20 +82,21 @@ func (g *tcpGrid) suspicions() []string {
 func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 	tb.Helper()
 	g := &tcpGrid{}
+	g.grid = grid.New(grid.Options{Logf: g.logf})
 	g.co = coordinator.New(coordinator.Config{
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatPeriod:  spec.period,
 		HeartbeatTimeout: spec.timeout,
 	})
 	var err error
-	g.rco, err = rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: g.co, Logf: g.logf,
-		DiskDir: spec.coDisk, Loops: spec.loops,
-		WrapStore: func(s store.Store) store.Store { g.coStore = s; return s }})
+	g.rco, err = g.grid.Start("co", func() rt.Config {
+		return rt.Config{Handler: g.co, DiskDir: spec.coDisk, Loops: spec.loops,
+			WrapStore: func(s store.Store) store.Store { g.coStore = s; return s }}
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < spec.servers; i++ {
-		id := proto.NodeID(fmt.Sprintf("sv%d", i))
 		sv := server.New(server.Config{
 			Coordinators:     []proto.NodeID{"co"},
 			HeartbeatPeriod:  spec.period,
@@ -102,14 +104,11 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 			Parallelism:      spec.parallelism,
 			Services:         spec.services,
 		})
-		rsv, err := rt.Start(rt.Config{ID: id, ListenAddr: "127.0.0.1:0", Handler: sv,
-			Directory: rt.Directory{"co": g.rco.Addr()}, Logf: g.logf})
-		if err != nil {
+		if _, err := g.grid.Start(serverID(i), func() rt.Config { return rt.Config{Handler: sv} }); err != nil {
 			g.close()
 			tb.Fatal(err)
 		}
-		g.servers, g.rsv = append(g.servers, sv), append(g.rsv, rsv)
-		g.rco.SetPeer(id, rsv.Addr())
+		g.servers = append(g.servers, sv)
 	}
 	g.session, err = gridrpc.Dial(gridrpc.Config{
 		User: spec.user, Session: 1,
@@ -117,28 +116,29 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 		PollPeriod:       spec.period,
 		SuspicionTimeout: spec.timeout,
 	})
+	if err == nil {
+		err = g.grid.Attach(g.session.ID(), g.session.Addr())
+	}
 	if err != nil {
 		g.close()
 		tb.Fatal(err)
 	}
-	g.rco.SetPeer(proto.NodeID("client-"+spec.user+"-1"), g.session.Addr())
 	return g
 }
+
+func serverID(i int) proto.NodeID { return proto.NodeID(fmt.Sprintf("sv%d", i)) }
 
 func (g *tcpGrid) close() {
 	if g.session != nil {
 		g.session.Close()
 	}
-	for _, r := range g.rsv {
-		r.Close() // idempotent: a test may have closed one already
-	}
-	g.rco.Close()
+	g.grid.Close()
 }
 
 // serverStats sums the servers' counters.
 func (g *tcpGrid) serverStats() (st server.Stats) {
 	for i, sv := range g.servers {
-		g.rsv[i].Do(func() {
+		g.grid.Node(serverID(i)).Do(func() {
 			one := sv.StatsNow()
 			st.Executed += one.Executed
 			st.Dedup += one.Dedup
@@ -278,7 +278,7 @@ func TestCloseDoesNotWaitForARunningBody(t *testing.T) {
 
 	closed := make(chan struct{})
 	start := time.Now()
-	go func() { g.rsv[0].Close(); close(closed) }()
+	go func() { g.grid.Kill(serverID(0)); close(closed) }()
 	select {
 	case <-closed:
 		t.Logf("Close returned in %v with the body still running", time.Since(start))
@@ -326,7 +326,7 @@ func TestPanickingServiceFailsItsCallNotItsServer(t *testing.T) {
 	// one-at-a-time servers take one each.
 	executed := func() (n [2]int) {
 		for i, sv := range g.servers {
-			g.rsv[i].Do(func() { n[i] = sv.StatsNow().Executed })
+			g.grid.Node(serverID(i)).Do(func() { n[i] = sv.StatsNow().Executed })
 		}
 		return n
 	}

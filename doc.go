@@ -138,6 +138,12 @@
 // sim-full` runs the full matrix; the frozen regression scenarios
 // live in internal/conform's tests.
 //
+// internal/grid is the one way a real cluster is booted: named nodes on
+// loopback TCP, each from a per-node boot func returning its rt.Config,
+// with one address book (direct, or through per-directed-link fault
+// proxies) and Kill, Restart and Attach. The conformance harness, the
+// quickstart example and the real-TCP tests boot through it.
+//
 // See README.md for the package tour and the shard/sched subsystem
 // overviews. The benchmarks in bench_test.go regenerate each figure;
 // cmd/rpcv-bench prints them as tables.

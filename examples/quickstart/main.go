@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/grid"
 	"rpcv/internal/gridrpc"
 	"rpcv/internal/msglog"
 	"rpcv/internal/proto"
@@ -32,12 +33,13 @@ func main() {
 		beat    = 50 * time.Millisecond
 		suspect = 500 * time.Millisecond
 	)
-	quiet := func(string, ...any) {}
 	tmp, err := os.MkdirTemp("", "rpcv-quickstart-*")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(tmp)
+	g := grid.New(grid.Options{})
+	defer g.Close()
 
 	// --- Middle tier: the coordinator ---------------------------------
 	co := coordinator.New(coordinator.Config{
@@ -45,18 +47,15 @@ func main() {
 		HeartbeatPeriod:  beat,
 		HeartbeatTimeout: suspect,
 	})
-	rco, err := rt.Start(rt.Config{
-		ID: "coord", ListenAddr: "127.0.0.1:0", Handler: co,
-		DiskDir: filepath.Join(tmp, "coord"), Logf: quiet,
+	rco, err := g.Start("coord", func() rt.Config {
+		return rt.Config{Handler: co, DiskDir: filepath.Join(tmp, "coord")}
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer rco.Close()
 	fmt.Printf("coordinator up at %s\n", rco.Addr())
 
 	// --- Third tier: three workers ------------------------------------
-	dir := rt.Directory{"coord": rco.Addr()}
 	services := shared.BuiltinServices()
 	// A file service: count lines per input file (the paper's
 	// file-transport mode: directories travel as compressed archives).
@@ -73,7 +72,6 @@ func main() {
 		}
 		return out, nil
 	})
-	var workers []*rt.Runtime
 	for i := 0; i < 3; i++ {
 		sv := server.New(server.Config{
 			Coordinators:     []proto.NodeID{"coord"},
@@ -82,16 +80,11 @@ func main() {
 			Services:         services,
 		})
 		id := proto.NodeID(fmt.Sprintf("worker-%d", i))
-		rsv, err := rt.Start(rt.Config{
-			ID: id, ListenAddr: "127.0.0.1:0", Handler: sv,
-			Directory: dir, DiskDir: filepath.Join(tmp, string(id)), Logf: quiet,
-		})
-		if err != nil {
+		if _, err := g.Start(id, func() rt.Config {
+			return rt.Config{Handler: sv, DiskDir: filepath.Join(tmp, string(id))}
+		}); err != nil {
 			log.Fatal(err)
 		}
-		defer rsv.Close()
-		rco.SetPeer(id, rsv.Addr())
-		workers = append(workers, rsv)
 	}
 	fmt.Println("3 workers pulling tasks")
 
@@ -111,7 +104,9 @@ func main() {
 	defer sess.Close()
 	// Loopback has no address learning: tell the coordinator where the
 	// client listens.
-	rco.SetPeer("client-demo-1", sess.Addr())
+	if err := g.Attach(sess.ID(), sess.Addr()); err != nil {
+		log.Fatal(err)
+	}
 
 	// Blocking call.
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -132,7 +127,7 @@ func main() {
 		handles = append(handles, h)
 	}
 	fmt.Println("submitted 12 sleep(100ms) calls; killing worker-0 abruptly...")
-	workers[0].Close() // crash-stop: no goodbye message
+	g.Kill("worker-0") // crash-stop: no goodbye message
 
 	if err := sess.WaitAll(ctx, handles); err != nil {
 		log.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
-	"rpcv/internal/gridrpc"
+	"rpcv/internal/grid"
 	"rpcv/internal/msglog"
 	"rpcv/internal/netmodel"
 	"rpcv/internal/obs"
@@ -30,19 +30,6 @@ const (
 	suspect = 250 * time.Millisecond
 )
 
-// nodeSlot owns one grid node's runtime across crash/restart cycles.
-type nodeSlot struct {
-	mu    sync.Mutex
-	rtm   *rt.Runtime
-	start func() (*rt.Runtime, error)
-}
-
-func (s *nodeSlot) get() *rt.Runtime {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rtm
-}
-
 // runCell boots one real loopback cluster configured as cell, drives
 // the scenario's deterministic workload through the fault timeline,
 // and grades the delivered result set against the analytic
@@ -54,45 +41,25 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		logf = func(string, ...any) {}
 	}
 	start := time.Now()
-
-	// Every inter-node byte crosses a per-directed-link TCP proxy so
-	// the timeline can sever and black-hole each direction
-	// independently. Proxy addresses are stable across node restarts.
-	rules := netmodel.NewRules()
-	faults := gridrpc.NewLinkFaults(rules, logf)
-	defer faults.Close()
-
-	nCoords, nServers, nClients := sc.Coords, sc.Servers, sc.Clients
-	var all []proto.NodeID
-	for i := 0; i < nCoords; i++ {
-		all = append(all, proto.NodeID(fmt.Sprintf("co%d", i)))
-	}
-	for i := 0; i < nServers; i++ {
-		all = append(all, proto.NodeID(fmt.Sprintf("sv%d", i)))
-	}
-	for i := 0; i < nClients; i++ {
-		all = append(all, proto.NodeID(fmt.Sprintf("cli%d", i)))
-	}
-	dirFor := func(self proto.NodeID) (rt.Directory, error) {
-		d := rt.Directory{}
-		for _, id := range all {
-			if id == self {
-				continue
-			}
-			addr, err := faults.Addr(self, id)
-			if err != nil {
-				return nil, err
-			}
-			d[id] = addr
-		}
-		return d, nil
-	}
 	fail := func(format string, args ...any) CellVerdict {
 		v.Verdict = "error"
 		v.Detail = fmt.Sprintf(format, args...)
 		v.Elapsed = time.Since(start)
 		return v
 	}
+	diskRoot, err := os.MkdirTemp("", "rpcv-sim-*")
+	if err != nil {
+		return fail("mkdir: %v", err)
+	}
+	defer os.RemoveAll(diskRoot)
+
+	// Every inter-node byte crosses a per-directed-link TCP proxy so
+	// the timeline can sever and black-hole each direction
+	// independently.
+	rules := netmodel.NewRules()
+	g := grid.New(grid.Options{Rules: rules, Logf: logf})
+	defer g.Close()
+	nCoords, nServers, nClients := sc.Coords, sc.Servers, sc.Clients
 
 	// Shard topology: one single-coordinator ring per shard, extra
 	// coordinators joining rings round-robin. Unsharded: one ring.
@@ -138,58 +105,23 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		reg = obs.NewRegistry()
 	}
 
-	slots := map[string]*nodeSlot{}
 	plans := map[string]*store.FaultPlan{}
 	coords := map[string]*coordinator.Coordinator{} // each coordinator's current incarnation
-	var slotsMu sync.Mutex
-	boot := func(name string, slot *nodeSlot) error {
-		rtm, err := slot.start()
-		if err != nil {
-			return err
-		}
-		slot.mu.Lock()
-		slot.rtm = rtm
-		slot.mu.Unlock()
-		faults.SetTarget(proto.NodeID(name), rtm.Addr())
-		slotsMu.Lock()
-		slots[name] = slot
-		slotsMu.Unlock()
-		return nil
-	}
-	defer func() {
-		slotsMu.Lock()
-		defer slotsMu.Unlock()
-		for _, slot := range slots {
-			if rtm := slot.get(); rtm != nil {
-				rtm.Close()
-			}
-		}
-	}()
+	var coordsMu sync.Mutex
 
 	// Coordinators: the cell's store under a fault-injection wrapper
-	// (interposed after the WAL's own dir-refusal check), the cell's
-	// policy and loop count.
-	diskRoot, err := os.MkdirTemp("", "rpcv-sim-*")
-	if err != nil {
-		return fail("mkdir: %v", err)
-	}
-	defer os.RemoveAll(diskRoot)
+	// (interposed after the WAL's own dir-refusal check) and the cell's
+	// policy.
 	for i := 0; i < nCoords; i++ {
-		i := i
 		name := fmt.Sprintf("co%d", i)
 		id := proto.NodeID(name)
 		plan := &store.FaultPlan{}
 		plans[name] = plan
-		dir, err := dirFor(id)
-		if err != nil {
-			return fail("directory %s: %v", name, err)
-		}
 		diskDir := ""
 		if cell.Store != "memory" {
 			diskDir = filepath.Join(diskRoot, name)
 		}
-		slot := &nodeSlot{}
-		slot.start = func() (*rt.Runtime, error) {
+		if _, err := g.Start(id, func() rt.Config {
 			co := coordinator.New(coordinator.Config{
 				Coordinators:      ringOf(i),
 				HeartbeatPeriod:   beat,
@@ -199,17 +131,15 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				Shard:             truth,
 				Obs:               observer(id),
 			})
-			slotsMu.Lock()
+			coordsMu.Lock()
 			coords[name] = co
-			slotsMu.Unlock()
-			return rt.Start(rt.Config{
-				ID: id, ListenAddr: "127.0.0.1:0", Handler: co,
-				Directory: dir, DiskDir: diskDir,
-				Seed: opts.Seed + int64(i), Logf: logf,
+			coordsMu.Unlock()
+			plan.Heal() // a restarted node's disk comes back healthy
+			return rt.Config{
+				Handler: co, DiskDir: diskDir, Seed: opts.Seed + int64(i),
 				WrapStore: func(s store.Store) store.Store { return store.WithFaults(s, plan) },
-			})
-		}
-		if err := boot(name, slot); err != nil {
+			}
+		}); err != nil {
 			return fail("boot %s: %v", name, err)
 		}
 	}
@@ -220,29 +150,17 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		"conform": func(p []byte) ([]byte, error) { return workOutput(p), nil },
 	}
 	for i := 0; i < nServers; i++ {
-		i := i
-		name := fmt.Sprintf("sv%d", i)
-		id := proto.NodeID(name)
-		dir, err := dirFor(id)
-		if err != nil {
-			return fail("directory %s: %v", name, err)
-		}
-		slot := &nodeSlot{}
-		slot.start = func() (*rt.Runtime, error) {
+		id := proto.NodeID(fmt.Sprintf("sv%d", i))
+		if _, err := g.Start(id, func() rt.Config {
 			sv := server.New(server.Config{
 				Coordinators:     ringOf(i),
 				HeartbeatPeriod:  beat,
 				SuspicionTimeout: suspect,
 				Services:         services,
 			})
-			return rt.Start(rt.Config{
-				ID: id, ListenAddr: "127.0.0.1:0", Handler: sv,
-				Directory: dir, Seed: opts.Seed + 100 + int64(i),
-				Logf: logf, Obs: observer(id),
-			})
-		}
-		if err := boot(name, slot); err != nil {
-			return fail("boot %s: %v", name, err)
+			return rt.Config{Handler: sv, Seed: opts.Seed + 100 + int64(i), Obs: observer(id)}
+		}); err != nil {
+			return fail("boot %s: %v", id, err)
 		}
 	}
 
@@ -274,13 +192,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	}
 	clis := make([]*client.Client, nClients)
 	for i := 0; i < nClients; i++ {
-		i := i
-		name := fmt.Sprintf("cli%d", i)
-		id := proto.NodeID(name)
-		dir, err := dirFor(id)
-		if err != nil {
-			return fail("directory %s: %v", name, err)
-		}
+		id := proto.NodeID(fmt.Sprintf("cli%d", i))
 		cliShard := truth
 		if sc.StaleClients {
 			cliShard = stale
@@ -297,16 +209,10 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			Obs:              observer(id),
 		})
 		clis[i] = cli
-		slot := &nodeSlot{}
-		slot.start = func() (*rt.Runtime, error) {
-			return rt.Start(rt.Config{
-				ID: id, ListenAddr: "127.0.0.1:0", Handler: cli,
-				Directory: dir, Seed: opts.Seed + 200 + int64(i),
-				Logf: logf,
-			})
-		}
-		if err := boot(name, slot); err != nil {
-			return fail("boot %s: %v", name, err)
+		if _, err := g.Start(id, func() rt.Config {
+			return rt.Config{Handler: cli, Seed: opts.Seed + 200 + int64(i)}
+		}); err != nil {
+			return fail("boot %s: %v", id, err)
 		}
 	}
 
@@ -321,10 +227,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			sources = append(sources, &fleet.FuncSource{
 				Node: id,
 				Fetch: func() ([]fleet.Sample, error) {
-					slotsMu.Lock()
-					slot := slots[string(id)]
-					slotsMu.Unlock()
-					if slot != nil && slot.get() == nil {
+					if g.Node(id) == nil {
 						return nil, fmt.Errorf("node %s is down", id)
 					}
 					return fleet.SamplesFromRegistry(reg, id), nil
@@ -377,7 +280,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				return
 			case <-time.After(time.Until(t0.Add(ev.At))):
 			}
-			applyEvent(ev, rules, faults, slots, plans, noteFault)
+			applyEvent(ev, rules, g, plans, noteFault)
 		}
 	}()
 
@@ -389,11 +292,10 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	var driverWG sync.WaitGroup
 	stopDrivers := make(chan struct{})
 	for i := 0; i < nClients; i++ {
-		i := i
 		cli := clis[i]
 		user := proto.UserID(fmt.Sprintf("u%d", i))
 		session := proto.SessionID(i + 1)
-		slot := slots[fmt.Sprintf("cli%d", i)]
+		id := proto.NodeID(fmt.Sprintf("cli%d", i))
 		driverWG.Add(1)
 		go func() {
 			defer driverWG.Done()
@@ -403,7 +305,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 					return
 				default:
 				}
-				if rtm := slot.get(); rtm != nil {
+				if rtm := g.Node(id); rtm != nil {
 					params := workParams(user, session, proto.RPCSeq(s+1))
 					rtm.Do(func() {
 						cli.SubmitWithDeadline("conform", params, 0, 0, 2*time.Second)
@@ -486,7 +388,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		// without an acknowledged result.
 		unacked := func() (n int) {
 			for i, cli := range clis {
-				if rtm := slots[fmt.Sprintf("cli%d", i)].get(); rtm != nil {
+				if rtm := g.Node(proto.NodeID(fmt.Sprintf("cli%d", i))); rtm != nil {
 					rtm.Do(func() { n += cli.StatsNow().Tracked })
 				}
 			}
@@ -494,10 +396,10 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		}
 		held := func() (worst string, n int) {
 			for name := range plans {
-				slotsMu.Lock()
+				coordsMu.Lock()
 				co := coords[name]
-				slotsMu.Unlock()
-				rtm := slots[name].get()
+				coordsMu.Unlock()
+				rtm := g.Node(proto.NodeID(name))
 				if rtm == nil {
 					continue
 				}
@@ -556,39 +458,24 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 }
 
 // applyEvent injects one timeline fault into the running grid.
-func applyEvent(ev Event, rules *netmodel.Rules, faults *gridrpc.LinkFaults,
-	slots map[string]*nodeSlot, plans map[string]*store.FaultPlan,
-	note func(Event, string)) {
+func applyEvent(ev Event, rules *netmodel.Rules, g *grid.Grid,
+	plans map[string]*store.FaultPlan, note func(Event, string)) {
+	id := proto.NodeID(ev.Node)
 	switch ev.Kind {
 	case "block":
-		rules.BlockLink(proto.NodeID(ev.Node), proto.NodeID(ev.Peer))
+		rules.BlockLink(id, proto.NodeID(ev.Peer))
 		note(ev, fmt.Sprintf("partition %s -> %s", ev.Node, ev.Peer))
 	case "heal":
-		rules.HealLink(proto.NodeID(ev.Node), proto.NodeID(ev.Peer))
+		rules.HealLink(id, proto.NodeID(ev.Peer))
 		note(ev, fmt.Sprintf("heal %s -> %s", ev.Node, ev.Peer))
 	case "crash":
-		slot := slots[ev.Node]
-		slot.mu.Lock()
-		if slot.rtm != nil {
-			slot.rtm.Close()
-			slot.rtm = nil
-		}
-		slot.mu.Unlock()
+		g.Kill(id)
 		note(ev, "crash "+ev.Node)
 	case "restart":
-		slot := slots[ev.Node]
-		if plan := plans[ev.Node]; plan != nil {
-			plan.Heal() // a replaced disk comes back healthy
-		}
-		rtm, err := slot.start()
-		if err != nil {
+		if err := g.Restart(id); err != nil {
 			note(ev, fmt.Sprintf("restart %s FAILED: %v", ev.Node, err))
 			return
 		}
-		slot.mu.Lock()
-		slot.rtm = rtm
-		slot.mu.Unlock()
-		faults.SetTarget(proto.NodeID(ev.Node), rtm.Addr())
 		note(ev, "restart "+ev.Node)
 	case "disk":
 		plan := plans[ev.Node]
@@ -611,14 +498,14 @@ func applyEvent(ev Event, rules *netmodel.Rules, faults *gridrpc.LinkFaults,
 			note(ev, "disk "+ev.Node+": healed")
 		}
 	case "stall":
-		if rtm := slots[ev.Node].get(); rtm != nil {
+		if rtm := g.Node(id); rtm != nil {
 			rtm.StallLoops(ev.Dur)
 			note(ev, fmt.Sprintf("stall %s event loop %v (TCP stays up)", ev.Node, ev.Dur))
 		} else {
 			note(ev, "stall "+ev.Node+" skipped: node is down")
 		}
 	case "skew":
-		if rtm := slots[ev.Node].get(); rtm != nil {
+		if rtm := g.Node(id); rtm != nil {
 			rtm.SetClockOffset(ev.Dur)
 			note(ev, fmt.Sprintf("skew %s clock by %v", ev.Node, ev.Dur))
 		} else {

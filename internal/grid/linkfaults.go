@@ -1,4 +1,4 @@
-package gridrpc
+package grid
 
 import (
 	"fmt"
@@ -63,9 +63,6 @@ func NewLinkFaults(rules *netmodel.Rules, logf func(string, ...any)) *LinkFaults
 	}
 }
 
-// Rules returns the shared rule set (block/heal through it).
-func (f *LinkFaults) Rules() *netmodel.Rules { return f.rules }
-
 // SetTarget registers (or repoints, after a restart) node id's real
 // listen address. Existing proxied connections to a stale address die
 // on their next write and the sender's redial lands on the new one.
@@ -83,7 +80,7 @@ func (f *LinkFaults) Addr(from, to proto.NodeID) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return "", fmt.Errorf("gridrpc: link faults closed")
+		return "", fmt.Errorf("grid: link faults closed")
 	}
 	k := linkKey{from, to}
 	if p, ok := f.links[k]; ok {
@@ -91,7 +88,7 @@ func (f *LinkFaults) Addr(from, to proto.NodeID) (string, error) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return "", fmt.Errorf("gridrpc: link proxy %s->%s: %w", from, to, err)
+		return "", fmt.Errorf("grid: link proxy %s->%s: %w", from, to, err)
 	}
 	p := &linkProxy{f: f, from: from, to: to, ln: ln, conns: make(map[net.Conn]struct{})}
 	f.links[k] = p
@@ -101,7 +98,8 @@ func (f *LinkFaults) Addr(from, to proto.NodeID) (string, error) {
 
 // Directory rewrites a real directory into the one node from should
 // use: every entry routed through this fault plane's (from, to) proxy,
-// with the real addresses registered as targets.
+// with the real addresses registered as targets. It is a proxied
+// grid's address book (Grid.route).
 func (f *LinkFaults) Directory(from proto.NodeID, real rt.Directory) (rt.Directory, error) {
 	out := make(rt.Directory, len(real))
 	for to, addr := range real {

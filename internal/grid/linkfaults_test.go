@@ -1,4 +1,4 @@
-package gridrpc
+package grid
 
 import (
 	"net"

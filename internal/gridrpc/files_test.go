@@ -38,11 +38,10 @@ func intToString(n int) string {
 }
 
 func TestCallFilesRoundTrip(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 2, map[string]server.Service{
+	g := testGrid(t, 2, map[string]server.Service{
 		"wordcount": FileService(wordcount),
 	})
-	s := dialTest(t, coords, Config{User: "files", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "files", Session: 1})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -62,11 +61,10 @@ func TestCallFilesRoundTrip(t *testing.T) {
 }
 
 func TestCallFilesLargePayload(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 1, map[string]server.Service{
+	g := testGrid(t, 1, map[string]server.Service{
 		"identity": FileService(func(in Files) (Files, error) { return in, nil }),
 	})
-	s := dialTest(t, coords, Config{User: "big", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "big", Session: 1})
 
 	blob := bytes.Repeat([]byte{0xAB, 0x00, 0xCD}, 100_000)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -88,13 +86,12 @@ func TestFileServiceRejectsGarbageParams(t *testing.T) {
 }
 
 func TestFileServiceErrorPropagates(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 1, map[string]server.Service{
+	g := testGrid(t, 1, map[string]server.Service{
 		"angry": FileService(func(Files) (Files, error) {
 			return nil, errors.New("bad input files")
 		}),
 	})
-	s := dialTest(t, coords, Config{User: "err", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "err", Session: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	_, err := s.CallFiles(ctx, "angry", Files{"x": nil})

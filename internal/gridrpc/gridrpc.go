@@ -191,9 +191,8 @@ func Dial(cfg Config) (*Session, error) {
 		Obs:              cfg.Obs,
 	})
 
-	id := proto.NodeID(fmt.Sprintf("client-%s-%d", cfg.User, cfg.Session))
 	rtm, err := rt.Start(rt.Config{
-		ID:         id,
+		ID:         s.ID(),
 		ListenAddr: cfg.ListenAddr,
 		Directory:  dir,
 		DiskDir:    cfg.DiskDir,
@@ -211,6 +210,12 @@ func Dial(cfg Config) (*Session, error) {
 // Addr returns the session's listen address (coordinators reply here;
 // in a NATed deployment the coordinator learns it from the connection).
 func (s *Session) Addr() string { return s.rtm.Addr() }
+
+// ID returns the session's node ID, client-<user>-<session>: the name
+// coordinators reply to, which their directories must map to Addr.
+func (s *Session) ID() proto.NodeID {
+	return proto.NodeID(fmt.Sprintf("client-%s-%d", s.cfg.User, s.cfg.Session))
+}
 
 // onResult hands a result to its call's handle. A result no handle
 // waits for — one of an earlier run of the session — has no taker. A

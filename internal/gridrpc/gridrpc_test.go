@@ -10,18 +10,17 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/grid"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
 )
 
-func quiet(string, ...any) {}
-
-// dialTest dials a session and registers its address with the
-// coordinator runtime (loopback has no NAT learning).
-func dialTest(t *testing.T, coords map[string]string, cfg Config) *Session {
+// dialTest dials a session to g's coordinator and attaches it to g
+// (loopback has no NAT learning).
+func dialTest(t *testing.T, g *grid.Grid, cfg Config) *Session {
 	t.Helper()
-	cfg.Coordinators = coords
+	cfg.Coordinators = map[string]string{"co": g.Node("co").Addr()}
 	cfg.PollPeriod = 50 * time.Millisecond
 	cfg.SuspicionTimeout = 500 * time.Millisecond
 	s, err := Dial(cfg)
@@ -29,11 +28,14 @@ func dialTest(t *testing.T, coords map[string]string, cfg Config) *Session {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	if err := g.Attach(s.ID(), s.Addr()); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 
 func TestCallBlocking(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 2, map[string]server.Service{
+	g := testGrid(t, 2, map[string]server.Service{
 		"rev": func(p []byte) ([]byte, error) {
 			out := make([]byte, len(p))
 			for i := range p {
@@ -42,8 +44,7 @@ func TestCallBlocking(t *testing.T) {
 			return out, nil
 		},
 	})
-	s := dialTest(t, coords, Config{User: "alice", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "alice", Session: 1})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -57,11 +58,10 @@ func TestCallBlocking(t *testing.T) {
 }
 
 func TestCallAsyncProbeWait(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 2, map[string]server.Service{
+	g := testGrid(t, 2, map[string]server.Service{
 		"id": func(p []byte) ([]byte, error) { return p, nil },
 	})
-	s := dialTest(t, coords, Config{User: "bob", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "bob", Session: 1})
 
 	var handles []*Handle
 	for i := 0; i < 5; i++ {
@@ -96,11 +96,10 @@ func TestCallAsyncProbeWait(t *testing.T) {
 }
 
 func TestRemoteErrorSurfaced(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 1, map[string]server.Service{
+	g := testGrid(t, 1, map[string]server.Service{
 		"fail": func([]byte) ([]byte, error) { return nil, errors.New("service exploded") },
 	})
-	s := dialTest(t, coords, Config{User: "carol", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "carol", Session: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	_, err := s.Call(ctx, "fail", nil)
@@ -111,9 +110,8 @@ func TestRemoteErrorSurfaced(t *testing.T) {
 }
 
 func TestWaitHonoursContext(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 0, nil) // no servers: never completes
-	s := dialTest(t, coords, Config{User: "dave", Session: 1})
-	register(s)
+	g := testGrid(t, 0, nil) // no servers: never completes
+	s := dialTest(t, g, Config{User: "dave", Session: 1})
 	h, err := s.CallAsync("noone", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -126,9 +124,8 @@ func TestWaitHonoursContext(t *testing.T) {
 }
 
 func TestClosedSessionRejectsCalls(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 0, nil)
-	s := dialTest(t, coords, Config{User: "erin", Session: 1})
-	register(s)
+	g := testGrid(t, 0, nil)
+	s := dialTest(t, g, Config{User: "erin", Session: 1})
 	s.Close()
 	if _, err := s.CallAsync("x", nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -141,26 +138,24 @@ func TestDialValidation(t *testing.T) {
 	}
 }
 
-// gridWithRegistrar is grid() plus a callback registering a session's
-// listen address with the coordinator runtime.
-func gridWithRegistrar(t *testing.T, n int, services map[string]server.Service) (map[string]string, func(*Session)) {
+// testGrid boots coordinator "co" and n servers of services, each on a
+// WAL; dialTest adds sessions.
+func testGrid(t *testing.T, n int, services map[string]server.Service) *grid.Grid {
 	t.Helper()
 	const beat = 50 * time.Millisecond
 	const suspect = 500 * time.Millisecond
 
+	g := grid.New(grid.Options{})
+	t.Cleanup(g.Close)
 	co := coordinator.New(coordinator.Config{
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatTimeout: suspect,
 		HeartbeatPeriod:  beat,
 	})
-	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: co,
-		DiskDir: filepath.Join(t.TempDir(), "co"), Logf: quiet})
-	if err != nil {
+	coDisk := filepath.Join(t.TempDir(), "co")
+	if _, err := g.Start("co", func() rt.Config { return rt.Config{Handler: co, DiskDir: coDisk} }); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(rco.Close)
-
-	dir := rt.Directory{"co": rco.Addr()}
 	for i := 0; i < n; i++ {
 		sv := server.New(server.Config{
 			Coordinators:     []proto.NodeID{"co"},
@@ -169,18 +164,12 @@ func gridWithRegistrar(t *testing.T, n int, services map[string]server.Service) 
 			Services:         services,
 		})
 		id := proto.NodeID(fmt.Sprintf("sv%d", i))
-		rsv, err := rt.Start(rt.Config{ID: id, ListenAddr: "127.0.0.1:0", Handler: sv,
-			Directory: dir, DiskDir: filepath.Join(t.TempDir(), string(id)), Logf: quiet})
-		if err != nil {
+		svDisk := filepath.Join(t.TempDir(), string(id))
+		if _, err := g.Start(id, func() rt.Config { return rt.Config{Handler: sv, DiskDir: svDisk} }); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(rsv.Close)
-		rco.SetPeer(id, rsv.Addr())
 	}
-	register := func(s *Session) {
-		rco.SetPeer(proto.NodeID(fmt.Sprintf("client-%s-%d", s.cfg.User, s.cfg.Session)), s.Addr())
-	}
-	return map[string]string{"co": rco.Addr()}, register
+	return g
 }
 
 // TestSessionIDCollisionRegression guards the session unique ID

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcv/internal/grid"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
@@ -18,9 +19,8 @@ import (
 // Close — on a context that never ends — returns ErrClosed instead of
 // hanging, and so does one made after it.
 func TestCloseFailsPendingHandles(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 0, nil) // no servers: never completes
-	s := dialTest(t, coords, Config{User: "frank", Session: 1})
-	register(s)
+	g := testGrid(t, 0, nil) // no servers: never completes
+	s := dialTest(t, g, Config{User: "frank", Session: 1})
 	h, err := s.CallAsync("noone", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +52,10 @@ func TestCloseFailsPendingHandles(t *testing.T) {
 // Probe after Wait still says yes, and the session keeps no result
 // once the application lets the handle go.
 func TestHandleOwnsItsResult(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 1, map[string]server.Service{
+	g := testGrid(t, 1, map[string]server.Service{
 		"big": func(p []byte) ([]byte, error) { return make([]byte, 1<<20), nil },
 	})
-	s := dialTest(t, coords, Config{User: "grace", Session: 1})
-	register(s)
+	s := dialTest(t, g, Config{User: "grace", Session: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 
@@ -96,7 +95,7 @@ func TestHandleOwnsItsResult(t *testing.T) {
 // numbered, and runs: it neither gets an earlier call's stored result
 // nor vanishes into a collected seq.
 func TestRelaunchedSessionWithoutStoreNumbersAboveTheWatermark(t *testing.T) {
-	coords, register := gridWithRegistrar(t, 1, map[string]server.Service{
+	g := testGrid(t, 1, map[string]server.Service{
 		"echo": func(p []byte) ([]byte, error) { return p, nil },
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -113,8 +112,7 @@ func TestRelaunchedSessionWithoutStoreNumbersAboveTheWatermark(t *testing.T) {
 		return h.Seq()
 	}
 
-	first := dialTest(t, coords, Config{User: "heidi", Session: 7})
-	register(first)
+	first := dialTest(t, g, Config{User: "heidi", Session: 7})
 	for i := range 3 {
 		call(first, fmt.Sprint("first-", i))
 	}
@@ -128,8 +126,7 @@ func TestRelaunchedSessionWithoutStoreNumbersAboveTheWatermark(t *testing.T) {
 	call(first, "first-unacknowledged") // 4: closed under before its ack, or just after
 	first.Close()
 
-	second := dialTest(t, coords, Config{User: "heidi", Session: 7})
-	register(second)
+	second := dialTest(t, g, Config{User: "heidi", Session: 7})
 	if seq := call(second, "second-0"); seq != 5 {
 		t.Fatalf("the relaunched session numbered its first call %d, want 5 (the session had used 1..4)", seq)
 	}
@@ -149,12 +146,12 @@ func (mute) Receive(proto.NodeID, proto.Message) {}
 // the caller chose have no number — and CallAsync returns all the same,
 // Probe says no, and Close fails them like any call without a result.
 func TestCallAsyncDoesNotWaitForTheNumber(t *testing.T) {
-	co, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: mute{}, Logf: quiet})
-	if err != nil {
+	g := grid.New(grid.Options{})
+	t.Cleanup(g.Close)
+	if _, err := g.Start("co", func() rt.Config { return rt.Config{Handler: mute{}} }); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(co.Close)
-	s := dialTest(t, map[string]string{"co": co.Addr()}, Config{User: "ivan", Session: 3})
+	s := dialTest(t, g, Config{User: "ivan", Session: 3})
 	returned := make(chan []*Handle, 1)
 	go func() {
 		var hs []*Handle

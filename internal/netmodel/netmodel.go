@@ -50,7 +50,7 @@ type Net struct {
 	rng          *rand.Rand
 
 	// rules holds the directed block rules and group partition. It is
-	// shared — the same Rules can drive a real-TCP gridrpc.LinkFaults
+	// shared — the same Rules can drive a real-TCP grid.LinkFaults
 	// proxy so simulated and live grids see identical fault schedules.
 	rules *Rules
 }
@@ -78,7 +78,7 @@ func New(def LinkClass, seed int64) *Net {
 }
 
 // Rules exposes the fault-rule set so the same directed blocks and
-// partitions can be shared with a real-TCP grid (gridrpc.LinkFaults).
+// partitions can be shared with a real-TCP grid (grid.LinkFaults).
 func (n *Net) Rules() *Rules { return n.rules }
 
 // SetClass overrides the link class of one node (e.g. a well-provisioned

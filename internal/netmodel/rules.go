@@ -11,7 +11,7 @@ import (
 // (nodes in different groups cannot talk). The simulator's Net consults
 // a Rules through its single-threaded Transfer path, and the real-TCP
 // grid consults the same Rules from per-connection proxy goroutines
-// (gridrpc.LinkFaults) — so unlike the rest of this package, Rules is
+// (grid.LinkFaults) — so unlike the rest of this package, Rules is
 // safe for concurrent use.
 //
 // A one-way block of from -> to drops (or, on the real grid,

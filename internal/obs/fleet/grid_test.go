@@ -22,6 +22,7 @@ import (
 
 	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
+	"rpcv/internal/grid"
 	"rpcv/internal/msglog"
 	"rpcv/internal/obs"
 	"rpcv/internal/obs/fleet"
@@ -52,7 +53,8 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		beat    = 25 * time.Millisecond
 		suspect = 250 * time.Millisecond
 	)
-	quiet := func(string, ...any) {}
+	g := grid.New(grid.Options{})
+	defer g.Close()
 	bundleDir := t.TempDir()
 
 	var sources []fleet.Source
@@ -73,14 +75,11 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		HeartbeatTimeout: suspect,
 		Obs:              coObs,
 	})
-	rco, err := rt.Start(rt.Config{ID: "co", ListenAddr: "127.0.0.1:0",
-		Handler: co, Logf: quiet, Obs: coObs})
+	rco, err := g.Start("co", func() rt.Config { return rt.Config{Handler: co, Obs: coObs} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rco.Close()
 	serve("co", coObs, rco)
-	dir := rt.Directory{"co": rco.Addr()}
 
 	servers := map[proto.NodeID]*rt.Runtime{}
 	for i := 0; i < 2; i++ {
@@ -92,13 +91,10 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 			SuspicionTimeout: suspect,
 			Obs:              svObs,
 		})
-		rsv, err := rt.Start(rt.Config{ID: id, ListenAddr: "127.0.0.1:0",
-			Handler: sv, Directory: dir, Logf: quiet, Obs: svObs})
+		rsv, err := g.Start(id, func() rt.Config { return rt.Config{Handler: sv, Obs: svObs} })
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() { rsv.Close() }()
-		rco.SetPeer(id, rsv.Addr())
 		servers[id] = rsv
 		serve(id, svObs, rsv)
 	}
@@ -114,13 +110,10 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		OnResult:         func(res proto.Result, _ time.Time) { results <- res.Call.Seq },
 		Obs:              cliObs,
 	})
-	rcli, err := rt.Start(rt.Config{ID: "cli", ListenAddr: "127.0.0.1:0",
-		Handler: cli, Directory: dir, Logf: quiet, Obs: cliObs})
+	rcli, err := g.Start("cli", func() rt.Config { return rt.Config{Handler: cli, Obs: cliObs} })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rcli.Close()
-	rco.SetPeer("cli", rcli.Addr())
 	serve("cli", cliObs, rcli)
 
 	// The monitor over HTTP sources, poll-driven for determinism: one
