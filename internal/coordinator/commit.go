@@ -14,11 +14,23 @@ import (
 // while the previous commit was in flight, so an fsync is paid per
 // batch, not per transition, and never by the loop.
 //
+// A reply waits for the disk only if recovery could not repair its
+// loss. A SubmitAck completes the submission for the application, which
+// sends the call no more; a TaskResultAck lets the server drop its
+// result log; a result, polled or pushed, lets the client's next
+// Poll.Ack move the collected watermark past the call. An assignment is
+// none of these: a crash that takes its header away leaves the call
+// pending on the disk — or unknown, and then its SubmitAck was held too
+// and the client resends it — so the restarted coordinator queues it
+// and hands it out again (loadStore), and a server still running it
+// counts the second copy as a duplicate. So an assignment, pulled or
+// pushed, leaves in the handler run that decided it, as does every
+// message but the three above, while its header is committed behind it.
+//
 // The gate sits at the coordinator's Send (Start wraps the env once),
 // so every handler decides its replies exactly as before. A reply that
-// tells of a transition — a SubmitAck, a HeartbeatAck carrying tasks, a
-// TaskResultAck, a result, whether polled or pushed — is held
-// while a header staged before it is not yet durable. Held
+// waits is held while a header staged before it is not yet durable,
+// and counted by kind (rpcv_coord_replies_held_total). Held
 // replies are kept as data, (to, msg, seq) with seq the number of
 // headers staged when the reply was decided, and leave in the order
 // they were decided. Completions arrive in staging order, so the n-th
@@ -52,6 +64,8 @@ type commitGate struct {
 	// the completion every header is staged with.
 	failed func(call proto.CallID, err error)
 	done   func(err error)
+
+	m *coordMetrics // the coordinator's, where the held replies are counted
 }
 
 // effect is one held reply.
@@ -61,36 +75,48 @@ type effect struct {
 	seq uint64 // headers staged when it was decided
 }
 
-func newCommitGate(env node.Env, failed func(proto.CallID, error)) *commitGate {
-	g := &commitGate{Env: env, failed: failed}
+func newCommitGate(env node.Env, failed func(proto.CallID, error), m *coordMetrics) *commitGate {
+	g := &commitGate{Env: env, failed: failed, m: m}
 	g.done = g.commit
 	return g
 }
 
-// Send implements node.Env: a reply that tells of a transition waits
-// for the headers staged before it, and behind the replies already
-// waiting; any other message leaves at once.
+// Send implements node.Env: a reply that awaits a commit waits for the
+// headers staged before it, and behind the replies already waiting; any
+// other message leaves at once.
 func (g *commitGate) Send(to proto.NodeID, msg proto.Message) {
-	if !awaitsCommit(msg) || (g.held.len() == 0 && g.committed == g.staged) {
+	kind, wait := awaitsCommit(msg)
+	if !wait || (g.held.len() == 0 && g.committed == g.staged) {
 		g.Env.Send(to, msg)
 		return
 	}
 	g.held.push(effect{to: to, msg: msg, seq: g.staged})
+	g.m.repliesHeld[kind].Inc()
+	g.noteHeld()
 }
 
-// awaitsCommit reports whether msg tells its receiver of a transition
-// the coordinator must not lose: a call accepted, assigned or finished.
-func awaitsCommit(msg proto.Message) bool {
+// heldKindNames labels rpcv_coord_replies_held_total by the kind of the
+// reply held, in awaitsCommit's order.
+var heldKindNames = [...]string{"submit-ack", "task-result-ack", "results"}
+
+// awaitsCommit reports whether msg waits for the headers staged before
+// it, and its index in heldKindNames. A reply waits for the disk only if
+// recovery could not repair its loss: one that tells of a call accepted
+// or finished, never one that assigns it.
+func awaitsCommit(msg proto.Message) (kind int, wait bool) {
 	switch m := msg.(type) {
-	case *proto.SubmitAck, *proto.TaskResultAck:
-		return true
-	case *proto.HeartbeatAck:
-		return len(m.Tasks) > 0
+	case *proto.SubmitAck:
+		return 0, true
+	case *proto.TaskResultAck:
+		return 1, true
 	case *proto.Results:
-		return len(m.Results) > 0
+		return 2, len(m.Results) > 0
 	}
-	return false
+	return 0, false
 }
+
+// noteHeld refreshes the gauge of the replies held.
+func (g *commitGate) noteHeld() { g.m.repliesHeldNow.SetInt(g.held.len()) }
 
 // stage notes that call's header is being staged, with done as its
 // completion.
@@ -121,11 +147,15 @@ func (g *commitGate) commit(err error) {
 		e := g.held.pop()
 		g.Env.Send(e.to, e.msg)
 	}
+	g.noteHeld()
 }
 
 // withhold drops every held reply: a write they waited for failed, or
 // the incarnation ended.
-func (g *commitGate) withhold() { g.held.reset() }
+func (g *commitGate) withhold() {
+	g.held.reset()
+	g.noteHeld()
+}
 
 // fifo is a queue on one array, reused: once the array has grown to the
 // deepest the queue gets, pushing and popping allocate nothing.

@@ -2,7 +2,6 @@ package coordinator
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 
 	"rpcv/internal/node"
 	"rpcv/internal/node/nodetest"
+	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 )
 
@@ -35,10 +35,10 @@ func kinds(msgs []proto.Message) []string {
 	return out
 }
 
-// A reply that tells of a transition leaves once the transition's
-// header is durable, and no sooner; replies leave in the order they
-// were decided; a message that tells of no transition does not wait;
-// and a reply whose header failed is withheld.
+// A reply that waits for the disk leaves once the transition's header
+// is durable, and no sooner; replies that wait leave in the order they
+// were decided; an assignment, like any message whose loss recovery
+// repairs, does not wait; and a reply whose header failed is withheld.
 func TestRepliesWaitForTheirCommit(t *testing.T) {
 	d := nodetest.NewCrashDisk(t, "batch")
 	env := nodetest.NewEnv("co", d.Disk)
@@ -53,16 +53,16 @@ func TestRepliesWaitForTheirCommit(t *testing.T) {
 	co.Receive("cl", submit(2))
 	d.Settle() // commits the headers of calls 1 and 2
 	co.Receive("sv0", pull(2))
-	if msgs := env.Take(); len(msgs) != 0 {
-		t.Fatalf("sent %v while the commit was in flight", kinds(msgs))
+	if got := kinds(env.Take()); !slices.Equal(got, []string{"heartbeat-ack"}) {
+		t.Fatalf("while the commit was in flight: sent %v, want the assignment alone", got)
 	}
 	d.Settle() // completes them, and commits the assignments
 	if got := kinds(env.Take()); !slices.Equal(got, []string{"submit-ack", "submit-ack"}) {
-		t.Fatalf("after the first commit: sent %v, want the two SubmitAcks and not the assignment", got)
+		t.Fatalf("after the first commit: sent %v, want the two SubmitAcks", got)
 	}
 	d.Settle()
-	if got := kinds(env.Take()); !slices.Equal(got, []string{"heartbeat-ack"}) {
-		t.Fatalf("after the second commit: sent %v, want the assignment", got)
+	if msgs := env.Take(); len(msgs) != 0 {
+		t.Fatalf("after the assignments' commit: sent %v, want nothing", kinds(msgs))
 	}
 
 	d.Plan.TornWrites(1) // call 3's header; the writes after it go through
@@ -78,6 +78,97 @@ func TestRepliesWaitForTheirCommit(t *testing.T) {
 	}
 	if !slices.ContainsFunc(env.Logs(), func(l string) bool { return strings.Contains(l, "persist job "+call(3).String()) }) {
 		t.Fatalf("the failed header was not logged: %q", env.Logs())
+	}
+}
+
+// A server's result and its next pull in one window: the next task
+// leaves in the pull's handler run, while the TaskResultAck waits for
+// the finished header, and the gate counts what it held by kind.
+func TestAssignmentLeavesBeforeItsHeaderIsDurable(t *testing.T) {
+	d := nodetest.NewCrashDisk(t, "batch")
+	env := nodetest.NewEnv("co", d.Disk)
+	cfg := commitConfig()
+	cfg.Obs = obs.New("co")
+	co := New(cfg)
+	co.Start(env)
+	reg := cfg.Obs.Registry()
+	held := func(kind string) float64 {
+		v, _ := reg.Value("rpcv_coord_replies_held_total", obs.L("node", "co"), obs.L("kind", kind))
+		return v
+	}
+	heldNow := func() float64 {
+		v, _ := reg.Value("rpcv_coord_replies_held", obs.L("node", "co"))
+		return v
+	}
+
+	co.Receive("cl", submit(1))
+	co.Receive("cl", submit(2))
+	co.Receive("sv0", pull(1))
+	d.Settle()
+	d.Settle()
+	env.Take() // the SubmitAcks and call 1's assignment
+
+	co.Receive("sv0", taskResult(1))
+	co.Receive("sv0", pull(1))
+	sent := env.Take()
+	if got := kinds(sent); !slices.Equal(got, []string{"heartbeat-ack"}) {
+		t.Fatalf("before the commit: sent %v, want the assignment alone", got)
+	}
+	if tasks := sent[0].(*proto.HeartbeatAck).Tasks; len(tasks) != 1 || tasks[0].Task.Call != call(2) {
+		t.Fatalf("the pull was assigned %v, want call 2", tasks)
+	}
+	if heldNow() != 1 {
+		t.Fatalf("rpcv_coord_replies_held = %v while the TaskResultAck waits, want 1", heldNow())
+	}
+	d.Settle()
+	d.Settle()
+	if got := kinds(env.Take()); !slices.Equal(got, []string{"task-result-ack"}) {
+		t.Fatalf("after the commit: sent %v, want the TaskResultAck", got)
+	}
+	if s, r, h := held("submit-ack"), held("task-result-ack"), heldNow(); s != 2 || r != 1 || h != 0 {
+		t.Fatalf("held submit-acks %v, task-result-acks %v, held now %v; want 2, 1 and 0", s, r, h)
+	}
+	if _, ok := reg.Value("rpcv_coord_replies_held_total", obs.L("node", "co"), obs.L("kind", "heartbeat-ack")); ok {
+		t.Fatal("a series counts held assignments: an assignment is never held")
+	}
+}
+
+// An assignment the power cut takes away before its header's commit is
+// not lost: the coordinator that boots over the disk holds the call
+// pending and hands it to the next pull.
+func TestLostAssignmentIsHandedOutAgain(t *testing.T) {
+	d := nodetest.NewCrashDisk(t, "batch")
+	env := nodetest.NewEnv("co", d.Disk)
+	co := New(commitConfig())
+	co.Start(env)
+	co.Receive("cl", submit(1))
+	d.Settle()
+	d.Settle()
+	if got := kinds(env.Take()); !slices.Equal(got, []string{"submit-ack"}) {
+		t.Fatalf("sent %v, want the SubmitAck", got)
+	}
+
+	co.Receive("sv0", pull(1))
+	if got := kinds(env.Take()); !slices.Equal(got, []string{"heartbeat-ack"}) {
+		t.Fatalf("sent %v, want the assignment before its commit", got)
+	}
+	d.Cut.Left = 0 // the power goes before the assignment's header reaches the log
+	d.Settle()
+	co.Stop()
+	if !d.Cut.Off {
+		t.Fatal("the commit staged nothing for the cut to take")
+	}
+
+	env = nodetest.NewEnv("co", d.Recover())
+	co = New(commitConfig())
+	co.Start(env)
+	co.Receive("sv1", &proto.Heartbeat{From: "sv1", Role: proto.RoleServer, Capacity: 1, WantWork: true})
+	sent := env.Take()
+	if len(sent) != 1 {
+		t.Fatalf("the recovered coordinator sent %v to the next pull, want one assignment", kinds(sent))
+	}
+	if ack, ok := sent[0].(*proto.HeartbeatAck); !ok || len(ack.Tasks) != 1 || ack.Tasks[0].Task.Call != call(1) {
+		t.Fatalf("the recovered coordinator answered the next pull with %v, want call 1's assignment", sent[0])
 	}
 }
 
@@ -138,12 +229,15 @@ func runCommitScenario(d *nodetest.CrashDisk) []sentMsg {
 }
 
 // checkCommitRecovered holds the recovered disk to every reply that
-// left before the power went: a SubmitAck is backed by the call's
-// header, an assignment by a header at that instance that is no longer
-// pending (or at a later one), a TaskResultAck or a result by a
-// finished header — or, for each, by a durable watermark at or above
-// the call, which makes it collected. A coordinator then boots over
-// the disk without finding anything corrupt.
+// left before the power went. A TaskResultAck or a result is backed by
+// a finished header, or by a durable watermark at or above the call,
+// which makes it collected. A coordinator then boots over the disk
+// without finding anything corrupt, and holds every call whose
+// SubmitAck left as pending and queued, finished or collected: what an
+// assignment relies on, since one the cut took away is handed out
+// again. The coordinator is driven by hand: the test is its loop.
+//
+//rpcv:loop-only
 func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMsg, onlyACut bool) {
 	t.Helper()
 	var w proto.RPCSeq
@@ -163,8 +257,8 @@ func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMs
 		rec, err := dec.DecodeJobHeader(e.Data, e.Blobs[0], e.Blobs[1])
 		return err == nil && holds(rec)
 	}
-	known := func(*proto.JobRecord) bool { return true }
 	finished := func(rec *proto.JobRecord) bool { return rec.State == proto.TaskFinished }
+	var accepted []proto.CallID
 	for i, s := range sent {
 		if s.off || !onlyACut {
 			continue // the process did not live to send it, or a write failed under it
@@ -174,18 +268,7 @@ func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMs
 		}
 		switch m := s.msg.(type) {
 		case *proto.SubmitAck:
-			if !backed(m.Call, known) {
-				fail("SubmitAck", m.Call)
-			}
-		case *proto.HeartbeatAck:
-			for _, ta := range m.Tasks {
-				assigned := func(rec *proto.JobRecord) bool {
-					return rec.Instance > ta.Task.Instance || rec.Instance == ta.Task.Instance && rec.State != proto.TaskPending
-				}
-				if !backed(ta.Task.Call, assigned) {
-					fail(fmt.Sprintf("assignment of instance %d", ta.Task.Instance), ta.Task.Call)
-				}
-			}
+			accepted = append(accepted, m.Call)
 		case *proto.TaskResultAck:
 			if !backed(m.Task.Call, finished) {
 				fail("TaskResultAck", m.Task.Call)
@@ -201,6 +284,18 @@ func checkCommitRecovered(t *testing.T, at string, disk node.Disk, sent []sentMs
 	env := nodetest.NewEnv("co", disk)
 	co := New(commitConfig())
 	co.Start(env)
+	for _, c := range accepted {
+		rec, status := co.lookup(c)
+		switch {
+		case status == callCollected:
+		case status == callUnknown:
+			t.Fatalf("%s: the SubmitAck for %s left before the cut; the recovered coordinator does not know the call", at, c)
+		case rec.State == proto.TaskFinished:
+		case rec.State != proto.TaskPending || !co.eng.Queued(c):
+			t.Fatalf("%s: the SubmitAck for %s left before the cut; the recovered coordinator holds it %v, queued %v, so no pull gets it",
+				at, c, rec.State, co.eng.Queued(c))
+		}
+	}
 	co.Stop()
 	for _, line := range env.Logs() {
 		if onlyACut && strings.Contains(line, "corrupt") {
@@ -218,12 +313,12 @@ func TestOutputCommitCrashOracle(t *testing.T) {
 	d := nodetest.NewCrashDisk(t, "batch")
 	var replies []string
 	for _, s := range runCommitScenario(d) {
-		if awaitsCommit(s.msg) {
+		if _, wait := awaitsCommit(s.msg); wait {
 			replies = append(replies, s.msg.Kind())
 		}
 	}
-	want := []string{"submit-ack", "submit-ack", "heartbeat-ack", "submit-ack", "task-result-ack", "task-result-ack",
-		"heartbeat-ack", "results", "results", "task-result-ack", "submit-ack", "heartbeat-ack"}
+	want := []string{"submit-ack", "submit-ack", "submit-ack", "task-result-ack", "task-result-ack",
+		"results", "results", "task-result-ack", "submit-ack"}
 	if !slices.Equal(replies, want) {
 		t.Fatalf("the uncut scenario's replies that wait for a commit: %v, want %v", replies, want)
 	}

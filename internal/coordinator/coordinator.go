@@ -85,9 +85,11 @@
 //
 // A job is logged before the coordinator answers for it, and its event
 // loop never waits on the disk to do so: a transition stages the job's
-// header, and the replies that tell of it — a SubmitAck, an assignment,
-// a TaskResultAck, a result — wait at a gate in front of Send until the
-// header's group commit has completed. commit.go has the gate.
+// header, and a reply waits for the disk only if recovery could not
+// repair its loss. A SubmitAck, a TaskResultAck and a result wait at a
+// gate in front of Send until the header's group commit has completed;
+// an assignment leaves at once, since a restart reloads an ongoing call
+// as pending and hands it out again. commit.go has the gate.
 //
 // All methods run on the node's event loop (see internal/node); the
 // type has no internal locking and must not be shared across loops.
@@ -325,6 +327,8 @@ type coordMetrics struct {
 	resultsPoll, resultsPush, offersExpired    *obs.Counter
 	sessions, inflight, specInflight, shardIdx *obs.Gauge
 	idleSlots, jobs, waiting                   *obs.Gauge
+	repliesHeld                                [len(heldKindNames)]*obs.Counter
+	repliesHeldNow                             *obs.Gauge
 	collected                                  *obs.Counter
 	stale                                      func(kind string) *obs.Counter
 	dispatchLat                                *obs.Histogram
@@ -362,7 +366,7 @@ var _ node.Handler = (*Coordinator)(nil)
 //
 //rpcv:loop-only
 func (c *Coordinator) Start(env node.Env) {
-	c.gate = newCommitGate(env, c.persistFailed)
+	c.gate = newCommitGate(env, c.persistFailed, &c.cm)
 	c.env = c.gate
 	c.stopped = false
 	c.store = db.New(c.cfg.DBCost)
@@ -486,6 +490,8 @@ func (c *Coordinator) initObs(env node.Env) {
 		offersExpired: reg.Counter("rpcv_coord_offers_expired_total", ls...),
 		idleSlots:     reg.Gauge("rpcv_coord_idle_slots", ls...),
 
+		repliesHeldNow: reg.Gauge("rpcv_coord_replies_held", ls...),
+
 		collected: reg.Counter("rpcv_coord_collected_total", ls...),
 		jobs:      reg.Gauge("rpcv_coord_jobs", ls...),
 		waiting:   reg.Gauge("rpcv_coord_collect_waiting", ls...),
@@ -501,6 +507,9 @@ func (c *Coordinator) initObs(env node.Env) {
 	}
 	for reason, name := range requeueReasonNames {
 		c.cm.requeues[reason] = reg.Counter("rpcv_coord_requeues_total", with(ls, "reason", name)...)
+	}
+	for kind, name := range heldKindNames {
+		c.cm.repliesHeld[kind] = reg.Counter("rpcv_coord_replies_held_total", with(ls, "kind", name)...)
 	}
 }
 
@@ -661,9 +670,9 @@ func (c *Coordinator) loadStore() {
 // result lands, nothing on assign, speculate, requeue or steal, what a
 // peer's copy changed on the replication paths. Nothing here waits for a
 // write: staging order is commit order, so the group commit that makes
-// the header durable covers the call's blobs too, and the replies that
-// tell of this transition wait for that commit at the gate (commit.go)
-// while the loop goes on.
+// the header durable covers the call's blobs too, and the replies of
+// this transition that wait for the disk wait for that commit at the
+// gate (commit.go) while the loop goes on.
 //
 // A failed write is logged and counted by part, never returned; the
 // replies still waiting for it are withheld, and the protocol's resyncs

@@ -130,8 +130,9 @@ func (c *Coordinator) quietPull(server proto.NodeID, assigned int) bool {
 	return true
 }
 
-// The acks are noted where the reply is decided, which is also the
-// order in which they leave: replies wait out the database cost in turn.
+// The acks are noted where the reply is decided. They may leave in
+// another order — the commit gate holds a TaskResultAck and lets a
+// HeartbeatAck decided after it go first — but the server hears both.
 
 // noteResultAck records that a TaskResultAck goes to server.
 func (c *Coordinator) noteResultAck(server proto.NodeID) {

@@ -232,6 +232,28 @@ func TestDedupSameCall(t *testing.T) {
 	}
 }
 
+// A coordinator that crashed before an assignment's header was durable
+// hands the call out again, at the same instance or a later one, while
+// the first copy still runs here: both copies are duplicates, and the
+// call runs once.
+func TestReissuedAssignmentWhileRunningExecutesOnce(t *testing.T) {
+	w, sv, fc := rig(t, Config{Parallelism: 2, HeartbeatPeriod: time.Second})
+	fc.grant = []proto.TaskAssignment{task(1, 1)}
+	w.RunFor(3 * time.Second) // running: ten seconds of execution
+	if st := sv.StatsNow(); st.Running != 1 {
+		t.Fatalf("running %d, want the first copy", st.Running)
+	}
+	fc.grant = []proto.TaskAssignment{task(1, 1), task(1, 2)} // one a pull, as one slot is free
+	w.RunFor(4 * time.Second)
+	if st := sv.StatsNow(); len(fc.grant) != 0 || st.Dedup != 2 || st.Executed != 0 {
+		t.Fatalf("after the re-grants: %d left to grant, dedup %d, executed %d; want 0, 2 and 0", len(fc.grant), st.Dedup, st.Executed)
+	}
+	w.RunFor(time.Minute)
+	if st := sv.StatsNow(); st.Executed != 1 || st.Dedup != 2 {
+		t.Fatalf("executed %d, dedup %d; want 1 and 2", st.Executed, st.Dedup)
+	}
+}
+
 func TestBacklogQueuesOverAssignment(t *testing.T) {
 	w, sv, fc := rig(t, Config{Parallelism: 1})
 	fc.grant = []proto.TaskAssignment{task(1, 1), task(2, 1), task(3, 1)}
