@@ -20,8 +20,9 @@
 #                   or if a retired message kind (the per-call fetch,
 #                   the shard-map request), the simulator's batched
 #                   disk model, sched's policy registry, the
-#                   coordinator's speculation-factor knob or the
-#                   transport's redial backoff is back,
+#                   coordinator's speculation-factor knob, the
+#                   transport's redial backoff or cross-shard work
+#                   stealing is back,
 #                   or if rt.Start boots a node outside internal/grid,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
@@ -30,7 +31,7 @@
 #   make smoke      1-iteration benchmark smoke (fast CI signal), then
 #                   every examples/ program, failing on a non-zero exit
 #   make shard      print the shard-scaling table (quick sweep)
-#   make sched      print the scheduling-policy + work-stealing tables
+#   make sched      print the scheduling-policy table
 #   make bench-check
 #                   vet + test the repo's benchmark (bench/ is its own
 #                   Go module: the root's ./... does not reach it, yet
@@ -68,6 +69,7 @@ lint:
 	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'
 	! git grep -nE 'Fetch[R]esult|Fetch[R]eply|FetchC[a]ll|ShardMap[R]equest|ShardMap[R]eply|BatchR[e]source|sched\.R[e]gister|Speculate[F]actor|-specul[a]te' -- '*.go' Makefile .github
 	! git grep -nE 'backoff[M]in|backoff[M]ax|jitter\(back[o]ff' -- 'internal/rt/*.go'
+	! git grep -nE 'Steal[R]equest|Steal[G]rant|Work[S]tealing|PopS[t]eal|stolen[O]ut|steal-r[e]claim|ringP[r]imary' -- '*.go' Makefile .github
 	! git grep -nE 'rt\.Start\(' -- '*.go' ':!internal/rt/' ':!internal/grid/' ':!internal/gridrpc/gridrpc.go' ':!cmd/' ':!bench/'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'

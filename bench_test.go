@@ -230,9 +230,8 @@ func BenchmarkShardScale(b *testing.B) {
 
 // BenchmarkSchedCompare runs the scheduling-policy experiment:
 // makespan per policy on heterogeneous-speed servers under the fault
-// load, plus the work-stealing comparison. Reported metrics: seconds
-// of makespan for fcfs vs the straggler-aware policies, and with work
-// stealing off vs on.
+// load. Reported metrics: seconds of makespan for fcfs vs the
+// straggler-aware policies.
 func BenchmarkSchedCompare(b *testing.B) {
 	var res experiments.Result
 	for i := 0; i < b.N; i++ {
@@ -242,9 +241,6 @@ func BenchmarkSchedCompare(b *testing.B) {
 	for row := 0; row < t.Rows(); row++ {
 		b.ReportMetric(cellDur(b, t, row, 1)/1000, "s-"+t.Cell(row, 0))
 	}
-	steal := res.Tables[1]
-	b.ReportMetric(cellDur(b, steal, 0, 1)/1000, "s-steal-off")
-	b.ReportMetric(cellDur(b, steal, 1, 1)/1000, "s-steal-on")
 }
 
 // BenchmarkSubmissionThroughput is a micro-benchmark of the simulated

@@ -56,7 +56,6 @@ func main() {
 	shardVersion := flag.Uint64("shardversion", 1, "shard map version (bump when redeploying a changed topology)")
 	shardSync := flag.Duration("shardsync", 0, "cross-shard replication period (0: same as -replication)")
 	policy := flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(sched.Policies(), ", "))
-	steal := flag.Bool("steal", false, "enable cross-shard work stealing (sharded deployments)")
 	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
@@ -121,7 +120,6 @@ func main() {
 		Shard:             smap,
 		ShardSyncPeriod:   *shardSync,
 		Policy:            *policy,
-		WorkStealing:      *steal,
 		OnJobFinished: func(call proto.CallID, at time.Time) {
 			log.Printf("finished %s at %s", call, at.Format(time.RFC3339))
 		},

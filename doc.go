@@ -26,11 +26,8 @@
 // tasks are raced against a redundant instance on a different server;
 // first result wins, the loser is cancelled idempotently and
 // deduplicated by CallID across replication, shard sync and failover).
-// Sharded deployments can additionally enable cross-shard work
-// stealing: an idle shard drains its successor shard's pending queue
-// and routes the results home over the existing ShardSync path. Wired
-// through cmd/rpcv-coordinator's -policy and -steal flags; measured by
-// the sched-compare experiment.
+// Wired through cmd/rpcv-coordinator's -policy flag; measured by the
+// sched-compare experiment.
 //
 // internal/store is the durable-store layer behind node.Disk. A node
 // given a directory (-disk) gets the WAL — a segmented group-commit
@@ -81,7 +78,7 @@
 // log-bucketed histogram, all nil-safe so instrumentation costs
 // nothing when disabled), task-lifecycle tracing — every call leaves
 // CallID-correlated span events (submit, enqueue, dispatch, exec,
-// result, durable, ack, plus requeue/steal/speculate/redirect hops) in
+// result, durable, ack, plus requeue/speculate/redirect hops) in
 // a fixed-size per-node ring, and an assembler joins per-node dumps
 // into end-to-end timelines and Chrome trace_event JSON — and an admin
 // HTTP endpoint every daemon exposes with -admin: /metrics (Prometheus

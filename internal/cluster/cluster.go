@@ -41,10 +41,6 @@ type Config struct {
 	// accepts its sessions' submissions but never executes them.
 	Shards int
 
-	// ShardSyncPeriod is the coordinators' cross-shard replication
-	// period; zero follows ReplicationPeriod.
-	ShardSyncPeriod time.Duration
-
 	// Net selects the network model; nil means netmodel.Confined(Seed).
 	Net *netmodel.Net
 
@@ -82,10 +78,6 @@ type Config struct {
 	// Policy is the coordinators' scheduling policy (internal/sched):
 	// "fcfs" (default), "fastest-first", "deadline" or "speculative".
 	Policy string
-
-	// WorkStealing lets idle shards execute pending tasks of their
-	// successor shard (sharded deployments only).
-	WorkStealing bool
 
 	// ServerSpeed, when non-nil, returns server i's execution speed
 	// factor (1 = nominal, 10 = ten times slower) — the heterogeneous
@@ -218,9 +210,7 @@ func New(cfg Config) *Cluster {
 			MaxTasksPerAck:       cfg.MaxTasksPerAck,
 			ReplicateParamsLimit: cfg.ReplicateParamsLimit,
 			Shard:                cl.ShardMap,
-			ShardSyncPeriod:      cfg.ShardSyncPeriod,
 			Policy:               cfg.Policy,
-			WorkStealing:         cfg.WorkStealing,
 			OnJobFinished: func(call proto.CallID, at time.Time) {
 				if _, ok := cl.FinishedAt[call]; !ok {
 					cl.FinishedAt[call] = at

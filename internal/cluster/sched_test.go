@@ -120,75 +120,3 @@ func TestSpeculativeFailoverSingleStoredResult(t *testing.T) {
 		t.Fatalf("%d results still unacked; the loser's copy was never discarded", unacked)
 	}
 }
-
-// TestWorkStealingDrainsHotShard submits a batch to one shard of a
-// two-shard deployment and requires the idle shard to steal and
-// execute part of it — faster than the no-stealing baseline and
-// without a single duplicate execution or stored result.
-func TestWorkStealingDrainsHotShard(t *testing.T) {
-	const calls = 40
-	run := func(stealing bool, replication, shardSync time.Duration) (time.Duration, *Cluster) {
-		cl := New(Config{
-			Seed:              23,
-			Shards:            2,
-			Coordinators:      1,
-			Servers:           8, // 4 per shard, round-robin
-			Clients:           1,
-			WorkStealing:      stealing,
-			ReplicationPeriod: replication,
-			ShardSyncPeriod:   shardSync,
-		})
-		start := cl.World.Now()
-		cl.SubmitBatch(0, calls, "synthetic", 256, 5*time.Second, 16)
-		if !cl.RunUntilResults(0, calls, 30*time.Minute) {
-			t.Fatalf("stealing=%v: batch never completed (%d results)",
-				stealing, cl.Client(0).ResultCount())
-		}
-		return cl.World.Now().Sub(start), cl
-	}
-	// stoleOnce requires that the thief shard ran part of the batch, the
-	// victim granted it, and every call executed exactly once: no
-	// coordinator had to deduplicate a second result.
-	stoleOnce := func(t *testing.T, cl *Cluster) {
-		t.Helper()
-		hot := cl.ShardMap.Owner("user-00", 1)
-		thief := 1 - hot
-		var hotOut, thiefIn int
-		for _, id := range cl.ShardRing(hot) {
-			hotOut += cl.Coordinators[id].StatsNow().StolenOut
-		}
-		for _, id := range cl.ShardRing(thief) {
-			thiefIn += cl.Coordinators[id].StatsNow().StolenIn
-		}
-		if hotOut == 0 || thiefIn == 0 {
-			t.Fatalf("no stealing happened: hot granted %d, thief took %d", hotOut, thiefIn)
-		}
-		executed := 0
-		for _, sv := range cl.Servers {
-			executed += sv.StatsNow().Executed
-		}
-		if executed != calls {
-			t.Fatalf("executed %d task instances, want exactly %d (no duplicates)", executed, calls)
-		}
-		for id, co := range cl.Coordinators {
-			if d := co.StatsNow().DupResults; d != 0 {
-				t.Fatalf("%s deduplicated %d results; stealing must not duplicate", id, d)
-			}
-		}
-	}
-
-	baseline, _ := run(false, 5*time.Second, 2*time.Second)
-	stolenTime, cl := run(true, 5*time.Second, 2*time.Second)
-	if stolenTime >= baseline {
-		t.Fatalf("work stealing (%v) not faster than baseline (%v)", stolenTime, baseline)
-	}
-	stoleOnce(t, cl)
-
-	// With no shard sync period of its own, sync runs at the replication
-	// period, and a stolen call's result comes home no sooner: the victim
-	// must not take the call back before then.
-	t.Run("sync-at-replication-period", func(t *testing.T) {
-		_, cl := run(true, 2*time.Minute, 0)
-		stoleOnce(t, cl)
-	})
-}

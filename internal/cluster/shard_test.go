@@ -104,7 +104,6 @@ func TestWholeRingKillRebalancesToSuccessor(t *testing.T) {
 		Servers:           6,
 		Clients:           6,
 		ReplicationPeriod: 10 * time.Second,
-		ShardSyncPeriod:   10 * time.Second,
 	})
 
 	// Phase A: complete a first batch everywhere and let cross-shard

@@ -50,9 +50,8 @@ func (r *persistRig) settle() {
 // once a session's Poll has acknowledged a call and the coordinator has
 // let it go, every message that used to take an absent record for a
 // call never seen — a duplicate Submit, a late TaskResult, a ServerSync
-// offering its result, a replica's or another shard's copy, a steal
-// grant, a fetch — is answered as for a finished call and changes
-// nothing: no record comes back, nothing is handed to a server. Before
+// offering its result, a replica's or another shard's copy — is
+// answered as for a finished call and changes nothing: no record comes back, nothing is handed to a server. Before
 // a restart and after one, on the watermark the store kept.
 func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 	for _, engine := range []string{"memory", "wal"} {
@@ -69,7 +68,6 @@ func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 				t.Fatalf("headers left on the disk: %v", keys)
 			}
 			pending := proto.JobRecord{Call: call(2), Service: "synthetic", Params: []byte("p"), State: proto.TaskPending}
-			epoch := uint64(1) // one more with every boot over the same store
 			guards := []struct {
 				name  string
 				from  proto.NodeID
@@ -97,11 +95,6 @@ func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 					return &proto.ShardSync{From: "co9", Shard: 1, Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending},
 						Sessions: []proto.SessionSeqs{{User: "u", Session: 1, Seqs: []proto.RPCSeq{2}}}}
 				}, func(m proto.Message) bool { a, ok := m.(*proto.ShardSyncAck); return ok && len(a.Want) == 0 }},
-				{"StealGrant", "co9", func() proto.Message {
-					// This incarnation's epoch and its (never used) steal round:
-					// the grant the coordinator would accept.
-					return &proto.StealGrant{From: "co9", Shard: 1, Epoch: epoch, Jobs: []proto.JobRecord{pending}}
-				}, nil},
 			}
 			for _, when := range []string{"before a restart", "after a restart"} {
 				for _, g := range guards {
@@ -127,7 +120,6 @@ func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 					t.Errorf("%s: headers on the disk: %v", when, keys)
 				}
 				r.restart()
-				epoch++
 				if w := r.co.Collected("u", 1); w != 3 {
 					t.Fatalf("watermark after a restart = %d, want 3", w)
 				}

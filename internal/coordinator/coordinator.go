@@ -21,22 +21,20 @@
 //
 // # Peers
 //
-// A coordinator runs three streams to its fellows, each one round at a
+// A coordinator runs two streams to its fellows, each one round at a
 // time (peers.go): a ReplicaUpdate to its ring successor (the paper's
-// passive replication), a ShardSync to a member of the successor shard's
-// ring, and a StealRequest to one when its queue is empty while a server
-// idles. A round unanswered for the suspicion timeout is given up, and a
-// shard stream then tries the next member of that ring. A record stream
-// carries the records and watermarks changed since its peer's last
-// answer. One rule merges a record a peer sent, whichever message
+// passive replication) and a ShardSync to a member of the successor
+// shard's ring. A round unanswered for the suspicion timeout is given
+// up, and the shard stream then tries the next member of that ring. A
+// round carries the records and watermarks changed since its peer's
+// last answer. One rule merges a record a peer sent, whichever message
 // brought it: a collected or finished call stays so, a finish is stored
 // as a server's result is, and only how an unfinished record is kept
 // depends on where it came from — held for the ring predecessor until it
-// is suspected, held for another shard until that shard is adopted, or
-// queued as stolen. What is held for a peer is requeued once the peer is
-// gone. A ReplicaUpdate, the acks of updates and syncs, and a StealGrant
-// wait out DBCost as any reply does; a ShardSync and a StealRequest
-// leave at once.
+// is suspected, or held for another shard until that shard is adopted.
+// What is held for a peer is requeued once the peer is gone. A
+// ReplicaUpdate and the acks of updates and syncs wait out DBCost as any
+// reply does; a ShardSync leaves at once.
 //
 // # Late replies
 //
@@ -144,8 +142,7 @@ type Config struct {
 	DBCost db.CostModel
 
 	// MaxTasksPerAck caps how many task assignments ride on a single
-	// heartbeat reply, and how many tasks one steal grant moves.
-	// Default 4.
+	// heartbeat reply. Default 4.
 	MaxTasksPerAck int
 
 	// ReplicateParamsLimit is the largest Params payload replicated
@@ -178,19 +175,12 @@ type Config struct {
 	// "speculative". An unknown name logs and falls back to FCFS.
 	Policy string
 
-	// WorkStealing, on a sharded coordinator, lets an idle shard
-	// execute pending tasks of its successor shard: when the local
-	// queue is empty while servers keep asking for work, a
-	// StealRequest is sent and granted jobs run here, their results
-	// routed home over the existing ShardSync path.
-	WorkStealing bool
-
 	// Obs, when non-nil, receives the coordinator's live metrics
 	// (counters and gauges labeled node="<self>", plus the scheduling
 	// engine's queue and speed gauges) and CallID-correlated span
-	// events (enqueue, dispatch, result, requeue, speculate, steal,
-	// redirect) on the observer's ring. All instruments are written
-	// from the event loop with plain atomic stores; nil costs nothing.
+	// events (enqueue, dispatch, result, requeue, speculate, redirect)
+	// on the observer's ring. All instruments are written from the
+	// event loop with plain atomic stores; nil costs nothing.
 	Obs *obs.Observer
 
 	// PullOnly restores the paper's pure-timer protocol: every pull is
@@ -266,15 +256,13 @@ type Coordinator struct {
 	guard    *detector.Monitor
 	adopted  map[int]bool
 
-	// The peer streams (peers.go): replication to the ring successor,
-	// sync to the successor shard and steals from it; and what is held
-	// for a peer — the calls the ring predecessor said ongoing, those a
-	// shard synced unfinished (with that shard), those granted to a thief
-	// shard (with when).
-	repl, xsync, steal round
-	fromPredecessor    map[proto.CallID]bool
-	fromShard          map[proto.CallID]int
-	stolenOut          map[proto.CallID]time.Time
+	// The peer streams (peers.go): replication to the ring successor and
+	// sync to the successor shard; and what is held for a peer — the
+	// calls the ring predecessor said ongoing, and those a shard synced
+	// unfinished (with that shard).
+	repl, xsync     round
+	fromPredecessor map[proto.CallID]bool
+	fromShard       map[proto.CallID]int
 
 	// Collection (collect.go): each session's collected watermark, the
 	// finished calls at or below one that a replication round still has
@@ -303,9 +291,6 @@ type Coordinator struct {
 	adoptions       int
 	speculated      int // redundant instances issued
 	specWins        int // results won by the speculative copy
-	stolenIn        int // tasks this coordinator stole and ran locally
-	stolenOutTotal  int // pending tasks granted away to a thief shard
-	stolenHome      int // stolen tasks whose result came home via ShardSync
 	pushedTasks     int // assignments sent as late replies to a standing offer
 	pushedResults   int // results sent as late replies to a subscription
 	collectedJobs   int // finished calls deleted below their session's watermark
@@ -320,7 +305,6 @@ type Coordinator struct {
 type coordMetrics struct {
 	submits, accepted, finished, dups          *obs.Counter
 	redirects, adoptions, speculated, specWins *obs.Counter
-	stolenIn, stolenOut, stolenHome            *obs.Counter
 	requeues                                   [len(requeueReasonNames)]*obs.Counter
 	persistErrs                                [len(persistPartNames)]*obs.Counter
 	assignedPull, assignedPush                 *obs.Counter
@@ -395,10 +379,8 @@ func (c *Coordinator) Start(env node.Env) {
 	c.predecessor = ""
 	c.repl.restart()
 	c.xsync.restart()
-	c.steal.restart()
 	c.fromPredecessor = make(map[proto.CallID]bool)
 	c.fromShard = make(map[proto.CallID]int)
-	c.stolenOut = make(map[proto.CallID]time.Time)
 
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators, []proto.NodeID{env.Self()})
 
@@ -475,9 +457,6 @@ func (c *Coordinator) initObs(env node.Env) {
 		adoptions:    reg.Counter("rpcv_coord_adoptions_total", ls...),
 		speculated:   reg.Counter("rpcv_coord_speculated_total", ls...),
 		specWins:     reg.Counter("rpcv_coord_spec_wins_total", ls...),
-		stolenIn:     reg.Counter("rpcv_coord_steals_in_total", ls...),
-		stolenOut:    reg.Counter("rpcv_coord_steals_out_total", ls...),
-		stolenHome:   reg.Counter("rpcv_coord_steals_home_total", ls...),
 		sessions:     reg.Gauge("rpcv_coord_sessions", ls...),
 		inflight:     reg.Gauge("rpcv_coord_inflight", ls...),
 		specInflight: reg.Gauge("rpcv_coord_spec_inflight", ls...),
@@ -667,7 +646,7 @@ func (c *Coordinator) loadStore() {
 // persistJob stages rec's current state for the disk: its header, and
 // ahead of it the blob of each payload large enough to have one that the
 // disk does not hold yet — the params at submit, the output when the
-// result lands, nothing on assign, speculate, requeue or steal, what a
+// result lands, nothing on assign, speculate or requeue, what a
 // peer's copy changed on the replication paths. Nothing here waits for a
 // write: staging order is commit order, so the group commit that makes
 // the header durable covers the call's blobs too, and the replies of
@@ -744,16 +723,12 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 		c.handleShardSync(from, m)
 	case *proto.ShardSyncAck:
 		c.handleShardSyncAck(from, m)
-	case *proto.StealRequest:
-		c.handleStealRequest(from, m)
-	case *proto.StealGrant:
-		c.handleStealGrant(from, m)
 	default:
 		c.env.Logf("coordinator: unexpected %s from %s", msg.Kind(), from)
 	}
 	// Whatever the message queued — a submission, a requeue after a
-	// server sync, a steal grant, a replica's update — goes out now if a
-	// server's pull is still waiting for it.
+	// server sync, a replica's update — goes out now if a server's pull
+	// is still waiting for it.
 	c.dispatch()
 }
 
@@ -915,11 +890,6 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 	if m.WantWork && m.Capacity > 0 {
 		ack.Tasks = c.assign(from, min(m.Capacity, c.cfg.MaxTasksPerAck))
 		c.cm.assignedPull.Add(uint64(len(ack.Tasks)))
-		if len(ack.Tasks) == 0 && c.eng.Len() == 0 {
-			// An idle server and an empty queue: a sharded coordinator may
-			// try to steal work from its successor shard.
-			c.maybeSteal()
-		}
 		idle = m.Capacity - len(ack.Tasks)
 	}
 	if m.Role == proto.RoleServer {
@@ -1127,7 +1097,6 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 	}
 	delete(c.fromPredecessor, call)
 	delete(c.fromShard, call)
-	delete(c.stolenOut, call)
 	c.noteInflight()
 	c.unqueue(call)
 	if tell {
@@ -1298,7 +1267,7 @@ func (c *Coordinator) unqueue(call proto.CallID) {
 	delete(c.queuedAt, call)
 }
 
-// requeueReason says which of the five paths re-issued a call.
+// requeueReason says which of the four paths re-issued a call.
 type requeueReason int
 
 const (
@@ -1306,7 +1275,6 @@ const (
 	requeueServerSuspected                           // the assigned server went silent
 	requeueCoordinatorSuspected                      // held for a ring predecessor that went silent
 	requeueAdopted                                   // held for a shard whose whole ring went silent
-	requeueStealReclaim                              // granted to a thief shard, result never came home
 )
 
 // requeueReasonNames is the reason as operators read it: the requeue
@@ -1316,12 +1284,11 @@ var requeueReasonNames = [...]string{
 	requeueServerSuspected:      "server-suspected",
 	requeueCoordinatorSuspected: "coordinator-suspected",
 	requeueAdopted:              "adopted",
-	requeueStealReclaim:         "steal-reclaim",
 }
 
 // requeue is the single re-insertion path for every reissue of a lost,
 // dying or withdrawn assignment (server suspicion, peer-wise sync,
-// predecessor release, shard adoption, steal reclaim): it resets the
+// predecessor release, shard adoption): it resets the
 // record to pending, re-queues it and counts the reissue in the
 // rescheduled stat and under its reason, so no path can bypass the
 // duplicate check or the accounting. It reports whether the call is
@@ -1547,9 +1514,6 @@ type Stats struct {
 	Policy          string
 	Speculated      int // redundant task instances issued
 	SpecWins        int // results won by the speculative copy
-	StolenIn        int // tasks stolen from the successor shard and run here
-	StolenOut       int // pending tasks granted away to an idle thief shard
-	StolenHome      int // granted tasks whose result came home from a peer
 	PushedTasks     int // assignments sent as late replies to a standing offer
 	PushedResults   int // results sent as late replies to a subscription
 	IdleSlots       int // task slots servers have on offer right now
@@ -1581,9 +1545,6 @@ func (c *Coordinator) StatsNow() Stats {
 		Policy:          c.eng.PolicyName(),
 		Speculated:      c.speculated,
 		SpecWins:        c.specWins,
-		StolenIn:        c.stolenIn,
-		StolenOut:       c.stolenOutTotal,
-		StolenHome:      c.stolenHome,
 		PushedTasks:     c.pushedTasks,
 		PushedResults:   c.pushedResults,
 		IdleSlots:       c.offers.slots,

@@ -515,9 +515,9 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 	}
 }
 
-// roundRig drives one of a coordinator's three outgoing rounds by hand:
-// "ring" replicates to its ring successor pa; "shard" syncs to, and
-// "steal" steals from, the successor shard's ring {pa, pb}.
+// roundRig drives one of a coordinator's two outgoing rounds by hand:
+// "ring" replicates to its ring successor pa; "shard" syncs to the
+// successor shard's ring {pa, pb}.
 type roundRig struct {
 	t      *testing.T
 	stream string
@@ -551,7 +551,7 @@ func newRoundRig(t *testing.T, stream string, timeout time.Duration) *roundRig {
 		cfg.Coordinators = []proto.NodeID{"co", "pa"}
 		r.ids = []proto.NodeID{"pa"}
 	} else {
-		cfg.Shard, cfg.WorkStealing = m, true
+		cfg.Shard = m
 	}
 	r.co = New(cfg)
 	r.w.AddNode("co", r.co)
@@ -567,24 +567,15 @@ func newRoundRig(t *testing.T, stream string, timeout time.Duration) *roundRig {
 	return r
 }
 
-// start begins a round: a record stream's carries one new call; a steal
-// follows a server's pull that leaves the queue empty.
+// start begins a round, which carries one new call.
 func (r *roundRig) start() {
-	switch r.stream {
-	case "ring", "shard":
-		r.seq++
-		r.cl.env.Send("co", submit(r.seq))
-		r.w.RunFor(time.Millisecond)
-		if r.stream == "ring" {
-			r.w.Schedule(0, r.co.ReplicateNow)
-		} else {
-			r.w.Schedule(0, r.co.ShardSyncNow)
-		}
-	case "steal":
-		for range 2 { // the first pull takes what an earlier grant queued
-			r.sv.env.Send("co", &proto.Heartbeat{From: "sv", Role: proto.RoleServer, Capacity: 8, WantWork: true})
-			r.w.RunFor(time.Millisecond)
-		}
+	r.seq++
+	r.cl.env.Send("co", submit(r.seq))
+	r.w.RunFor(time.Millisecond)
+	if r.stream == "ring" {
+		r.w.Schedule(0, r.co.ReplicateNow)
+	} else {
+		r.w.Schedule(0, r.co.ShardSyncNow)
 	}
 	r.w.RunFor(time.Millisecond)
 }
@@ -602,8 +593,6 @@ func (r *roundRig) request() request {
 				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
 			case *proto.ShardSync:
 				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
-			case *proto.StealRequest:
-				got = append(got, request{id, m.Epoch, m.Round, 0})
 			}
 		}
 		p.inbox = nil
@@ -614,18 +603,11 @@ func (r *roundRig) request() request {
 	return got[0]
 }
 
-// answer has the target answer req; a grant hands over one call.
+// answer has the target answer req.
 func (r *roundRig) answer(req request) {
-	var msg proto.Message
-	switch r.stream {
-	case "ring":
-		msg = &proto.ReplicaAck{From: req.to, Epoch: req.epoch, Round: req.round}
-	case "shard":
+	var msg proto.Message = &proto.ReplicaAck{From: req.to, Epoch: req.epoch, Round: req.round}
+	if r.stream == "shard" {
 		msg = &proto.ShardSyncAck{From: req.to, Shard: 1, Epoch: req.epoch, Round: req.round}
-	case "steal":
-		stolen := proto.CallID{User: "v", Session: 1, Seq: proto.RPCSeq(req.round)}
-		msg = &proto.StealGrant{From: req.to, Shard: 1, Epoch: req.epoch, Round: req.round, Jobs: []proto.JobRecord{{
-			Call: stolen, Service: "synthetic", Params: []byte("p"), ExecTime: time.Second, State: proto.TaskOngoing, Instance: 1}}}
 	}
 	r.peers[req.to].env.Send("co", msg)
 	r.w.RunFor(time.Millisecond)
@@ -634,13 +616,10 @@ func (r *roundRig) answer(req request) {
 // answered counts the rounds whose answer the coordinator took.
 func (r *roundRig) answered() int {
 	st := r.co.StatsNow()
-	switch r.stream {
-	case "ring":
+	if r.stream == "ring" {
 		return int(st.ReplRounds)
-	case "shard":
-		return int(st.ShardSyncRounds)
 	}
-	return st.StolenIn
+	return int(st.ShardSyncRounds)
 }
 
 // wait lets d pass with every peer and the server beating, so that
@@ -660,14 +639,14 @@ func (r *roundRig) wait(d time.Duration) {
 // round 2 awaits its answer. It must leave round 2 alone: abandoning it
 // makes the coordinator ignore round 2's answer (and a record stream
 // send its records again). A round that is given up moves the stream
-// on: ring replication stays on its successor, shard sync and stealing
-// go to the next member of the successor shard's ring.
+// on: ring replication stays on its successor, shard sync goes to the
+// next member of the successor shard's ring.
 func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
 	const timeout = 10 * time.Second
 	for _, tc := range []struct {
 		stream  string
 		rotates bool
-	}{{"ring", false}, {"shard", true}, {"steal", true}} {
+	}{{"ring", false}, {"shard", true}} {
 		t.Run(tc.stream, func(t *testing.T) {
 			r := newRoundRig(t, tc.stream, timeout)
 			r.start() // round 1: gives up at its start + timeout
@@ -683,8 +662,8 @@ func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
 
 			r.start() // round 3: never answered
 			third := r.request()
-			if want := map[string]int{"ring": 1, "shard": 1}[tc.stream]; third.jobs != want {
-				t.Fatalf("round 3 carries %d jobs, want its own %d: round 2's were sent again", third.jobs, want)
+			if third.jobs != 1 {
+				t.Fatalf("round 3 carries %d jobs, want its own 1: round 2's were sent again", third.jobs)
 			}
 			r.wait(timeout + time.Second)
 			r.start() // round 4, after round 3 was given up

@@ -149,7 +149,7 @@ func (c *Coordinator) noteHeartbeatAck(server proto.NodeID) { delete(c.resultAck
 // would get, capped like a pull's by MaxTasksPerAck. One pass: a server
 // the policy's admission gate refuses keeps its offer, and what a pass
 // leaves queued goes to the next pull or the next pass, whichever comes
-// first. It never steals — an empty queue is not news to push.
+// first.
 func (c *Coordinator) dispatch() {
 	if c.offers.order.Len() == 0 || c.eng.Len() == 0 {
 		return // every message ends here: the usual case costs two loads

@@ -13,9 +13,9 @@ import (
 
 // The merge of a record a peer sent, characterised: every state the call
 // can be in here, against every state the record can carry, for each of
-// the three messages that carry records — a ReplicaUpdate from the ring
-// predecessor, a ShardSync from a shard this coordinator has adopted or
-// not, and a StealGrant answering its own StealRequest.
+// the two messages that carry records — a ReplicaUpdate from the ring
+// predecessor and a ShardSync from a shard this coordinator has adopted
+// or not.
 
 // mergeCell is one coordinator under test with the nodes that give a
 // call its local state and send it the record: a peer coordinator, a
@@ -25,7 +25,6 @@ type mergeCell struct {
 	co              *Coordinator
 	pc, sv, cl      *peer
 	x               proto.CallID
-	steal           *proto.StealRequest
 	finished, stale int
 }
 
@@ -33,8 +32,7 @@ const mergeTimeout = 10 * time.Second
 
 // newMergeCell boots the cell for origin: "ring" is a ring of two, the
 // peer its other member; the others are two shards of one coordinator
-// each, the peer's shard the one this coordinator's succeeds and steals
-// from.
+// each, the peer's shard the one this coordinator's succeeds.
 func newMergeCell(t *testing.T, origin string) *mergeCell {
 	t.Helper()
 	m := shard.New(1, [][]proto.NodeID{{"co"}, {"pc"}}, 0)
@@ -48,7 +46,6 @@ func newMergeCell(t *testing.T, origin string) *mergeCell {
 		cfg.Coordinators = []proto.NodeID{"co", "pc"}
 	} else {
 		cfg.Shard = m
-		cfg.WorkStealing = origin == "steal"
 	}
 	c := &mergeCell{w: sim.NewWorld(sim.Config{Seed: 3}), co: New(cfg), pc: &peer{}, sv: &peer{}, cl: &peer{}}
 	for i := 0; ; i++ { // a session this coordinator's shard owns
@@ -70,19 +67,9 @@ func newMergeCell(t *testing.T, origin string) *mergeCell {
 			t.Fatalf("adopted shards %s, want [1]", got)
 		}
 	}
-	// An idle server's pull on an empty queue: a thief asks the peer for
-	// work, and the grant answers this request.
+	// An idle server's pull on an empty queue: the server is known before
+	// the call is.
 	c.pull()
-	if origin == "steal" {
-		for _, msg := range c.pc.inbox {
-			if req, ok := msg.(*proto.StealRequest); ok {
-				c.steal = req
-			}
-		}
-		if c.steal == nil {
-			t.Fatal("the idle pull sent no StealRequest")
-		}
-	}
 	return c
 }
 
@@ -126,8 +113,6 @@ func (c *mergeCell) send(origin string, in proto.TaskState) {
 		msg = &proto.ReplicaUpdate{From: "pc", Epoch: 1, Round: 1, Jobs: jobs}
 	case "shard-held", "shard-adopted":
 		msg = &proto.ShardSync{From: "pc", Shard: 1, Epoch: 1, Round: 1, Jobs: jobs}
-	case "steal":
-		msg = &proto.StealGrant{From: "pc", Shard: 1, Epoch: c.steal.Epoch, Round: c.steal.Round, Jobs: jobs}
 	}
 	c.pc.env.Send("co", msg)
 	c.w.RunFor(time.Second)
@@ -188,15 +173,8 @@ func TestPeerRecordMerge(t *testing.T) {
 			"ongoing":   {"ongoing#1", "ongoing#1", "finished#5 finished+1"},
 			"finished":  {"finished#0", "finished#0", "finished#0"},
 		},
-		"steal": {
-			"unknown":   {"pending#5 queued", "pending#5 queued", "pending#5 queued"},
-			"collected": {"absent stale+1", "absent stale+1", "absent stale+1"},
-			"pending":   {"pending#0 queued", "pending#0 queued", "pending#0 queued"},
-			"ongoing":   {"ongoing#1", "ongoing#1", "ongoing#1"},
-			"finished":  {"finished#0", "finished#0", "finished#0"},
-		},
 	}
-	for _, origin := range []string{"ring", "shard-held", "shard-adopted", "steal"} {
+	for _, origin := range []string{"ring", "shard-held", "shard-adopted"} {
 		for _, local := range []string{"unknown", "collected", "pending", "ongoing", "finished"} {
 			for i, in := range []proto.TaskState{proto.TaskPending, proto.TaskOngoing, proto.TaskFinished} {
 				t.Run(fmt.Sprintf("%s/%s/%s", origin, local, in), func(t *testing.T) {

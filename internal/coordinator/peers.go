@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rpcv/internal/node"
-	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/statesync"
 )
@@ -17,8 +16,8 @@ import (
 // round is one outgoing peer stream: at most one request in flight; one
 // left unanswered for the suspicion timeout is given up, and the next
 // goes to the next member of the target ring. jobs and marks are the
-// calls and session watermarks a record stream's peer has yet to hear
-// of in their current state; a steal carries none.
+// calls and session watermarks the peer has yet to hear of in their
+// current state.
 type round struct {
 	pending bool
 	n       uint64        // the latest request's number, which its answer echoes
@@ -145,16 +144,13 @@ type origin int
 const (
 	ringUpdate origin = iota // a ReplicaUpdate from the ring predecessor
 	shardSync                // a ShardSync from the predecessor shard
-	stealGrant               // a StealGrant from the successor shard
 )
 
 // apply merges one record a peer sent by the rule of the package
-// comment, and reports whether it queued the call. A shard's or a
-// grant's copy of a call this coordinator runs itself changes nothing:
-// typically the sender's echo of work stolen from it. What a shard sent
-// and is not held is told onward, to survive this ring's faults too; a
-// replica tells no one the jobs of an update, and a thief tells of
-// stolen work once it assigns it.
+// comment, and reports whether it queued the call. A shard's copy of a
+// call this coordinator runs or queues itself changes nothing. What a
+// shard sent and is not held is told onward, to survive this ring's
+// faults too; a replica tells no one the jobs of an update.
 func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shard int) bool {
 	local, status := c.lookup(in.Call)
 	if status == callCollected {
@@ -168,15 +164,8 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 	// payloads, whose bytes nobody modifies, are shared, not copied.
 	cp := *in
 	rec := &cp
-	if o == stealGrant {
-		rec.State = proto.TaskPending
-	}
 	tell := o == shardSync
 	if rec.State == proto.TaskFinished {
-		if _, granted := c.stolenOut[rec.Call]; granted {
-			c.stolenHome++
-			c.cm.stolenHome.Inc()
-		}
 		c.finish(rec, tell)
 		return false
 	}
@@ -217,8 +206,8 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 }
 
 // release requeues, in call order, each call in held whose peer gone
-// says is lost — the ring predecessor suspected, a shard adopted, a grant
-// out too long — and reports how many are schedulable again.
+// says is lost — the ring predecessor suspected, a shard adopted — and
+// reports how many are schedulable again.
 func release[V any](c *Coordinator, held map[proto.CallID]V, reason requeueReason, gone func(V) bool) int {
 	released := 0
 	for _, call := range sortedCalls(held) {
@@ -348,18 +337,6 @@ func (c *Coordinator) syncPeriod() time.Duration {
 	return c.cfg.ReplicationPeriod
 }
 
-// successorMember is the member of the successor shard's ring that r's
-// next request goes to ("" when the grid has no other shard for it),
-// and that shard.
-func (c *Coordinator) successorMember(r *round) (proto.NodeID, int) {
-	succ := c.smap.SuccessorShard(c.shardIdx)
-	ring := c.smap.Ring(succ)
-	if succ == c.shardIdx || len(ring) == 0 {
-		return "", succ
-	}
-	return ring[r.next%len(ring)], succ
-}
-
 // ShardSyncNow starts one cross-shard replication round: dirty records
 // plus the full per-session sequence sets of owned sessions go to one
 // member of the successor shard's ring. Exported for tests and manual
@@ -368,10 +345,12 @@ func (c *Coordinator) ShardSyncNow() {
 	if c.smap == nil || c.xsync.pending || c.stopped {
 		return
 	}
-	target, _ := c.successorMember(&c.xsync)
-	if target == "" {
-		return
+	succ := c.smap.SuccessorShard(c.shardIdx)
+	ring := c.smap.Ring(succ)
+	if succ == c.shardIdx || len(ring) == 0 {
+		return // the grid has no other shard to sync to
 	}
+	target := ring[c.xsync.next%len(ring)]
 	msg := &proto.ShardSync{From: c.env.Self(), Shard: c.shardIdx, Epoch: c.epoch, Jobs: c.roundJobs(&c.xsync)}
 	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
 	msg.Round = c.xsync.begin(target, c.env.Now())
@@ -461,145 +440,5 @@ func (c *Coordinator) handleShardSyncAck(from proto.NodeID, m *proto.ShardSyncAc
 	}
 	if wanted > 0 {
 		c.env.After(0, c.ShardSyncNow)
-	}
-}
-
-// ---------------------------------------------------------------------
-// Cross-shard work stealing
-// ---------------------------------------------------------------------
-
-// maybeSteal (thief side) asks the successor shard for work when the
-// local queue is empty while a server is idle. The successor direction
-// is deliberate: this coordinator's ShardSync already flows to that
-// shard, so the stolen tasks' results are routed home by the existing
-// cross-replication path. At most one request is outstanding and
-// requests are throttled to the heartbeat period.
-func (c *Coordinator) maybeSteal() {
-	if !c.cfg.WorkStealing || c.smap == nil || c.steal.pending || c.stopped {
-		return
-	}
-	now := c.env.Now()
-	if !c.steal.start.IsZero() && now.Sub(c.steal.start) < c.cfg.HeartbeatPeriod {
-		return
-	}
-	target, succ := c.successorMember(&c.steal)
-	if target == "" || c.adopted[succ] {
-		return
-	}
-	c.env.Send(target, &proto.StealRequest{
-		From:     c.env.Self(),
-		Shard:    c.shardIdx,
-		Epoch:    c.epoch,
-		Round:    c.steal.begin(target, now),
-		Capacity: c.cfg.MaxTasksPerAck,
-	})
-	c.steal.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
-}
-
-// handleStealRequest (victim side) grants up to Capacity pending jobs
-// to an idle predecessor shard. Granted jobs are marked ongoing (so
-// local servers do not also execute them), tracked for timeout reclaim
-// and — unlike replication — shipped with their full parameter
-// payloads, which the thief needs to execute.
-func (c *Coordinator) handleStealRequest(from proto.NodeID, m *proto.StealRequest) {
-	if !c.cfg.WorkStealing || c.smap == nil {
-		return
-	}
-	if c.smap.SuccessorShard(m.Shard) != c.shardIdx {
-		// Only a shard we cross-replicate from may steal here: any
-		// other thief could not route results home over ShardSync.
-		return
-	}
-	if !c.ringPrimary() {
-		// A replica's queue mirrors pending records learned via
-		// ReplicaUpdate; granting from the mirror would double-execute
-		// work the ring's serving member still schedules locally.
-		return
-	}
-	grant := &proto.StealGrant{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
-	limit := min(m.Capacity, c.cfg.MaxTasksPerAck)
-	now := c.env.Now()
-	for limit > 0 {
-		call, ok := c.eng.PopSteal()
-		if !ok {
-			break
-		}
-		rec, have := c.store.Peek(call)
-		if !have || rec.State != proto.TaskPending {
-			continue
-		}
-		if rec.Service == "" && rec.Params == nil {
-			continue // placeholder without data
-		}
-		rec.State = proto.TaskOngoing
-		rec.Instance++
-		c.put(rec)
-		c.persistJob(rec)
-		c.stolenOut[call] = now
-		c.stolenOutTotal++
-		c.cm.stolenOut.Inc()
-		c.trace(call, obs.StageSteal, fmt.Sprintf("granted to shard %d", m.Shard))
-		c.markDirty(call)
-		grant.Jobs = append(grant.Jobs, *rec)
-		limit--
-	}
-	if len(grant.Jobs) > 0 {
-		// Long enough for the thief to execute and for a sync round — at
-		// the period sync actually runs at — to bring the result home,
-		// short enough that a dying thief does not stall the batch. A late
-		// duplicate execution is ordinary at-least-once behaviour.
-		after := max(2*c.cfg.HeartbeatTimeout, 2*c.syncPeriod())
-		c.env.After(after, func() {
-			now := c.env.Now()
-			release(c, c.stolenOut, requeueStealReclaim, func(since time.Time) bool { return now.Sub(since) >= after })
-			c.dispatch()
-		})
-	}
-	c.afterDBCost(func() { c.env.Send(from, grant) })
-}
-
-// ringPrimary reports whether this coordinator is the member of its
-// ring that clients and servers currently prefer (the first
-// non-suspected coordinator in the common sorted order they all use).
-func (c *Coordinator) ringPrimary() bool {
-	for _, id := range c.coords {
-		if id == c.env.Self() {
-			return true
-		}
-		if !c.ring.Suspected(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// handleStealGrant (thief side) queues the granted foreign jobs
-// locally (see apply). Results will flow home through the regular
-// ShardSync round because handleTaskResult marks every finished record
-// cross-shard dirty; the CallID-keyed store keeps a racing home-side
-// re-execution harmless.
-func (c *Coordinator) handleStealGrant(from proto.NodeID, m *proto.StealGrant) {
-	if m.Epoch != c.epoch || m.Round != c.steal.n {
-		return // stale grant from a previous round or incarnation
-	}
-	// Taken even after its round was given up: the victim has marked the
-	// granted calls ongoing and would otherwise only reclaim them.
-	c.steal.pending = false
-	if len(m.Jobs) == 0 {
-		// Nothing to take from this member; rotate so the next request
-		// reaches another victim-ring coordinator (work submitted to a
-		// ring-mate only mirrors here after a replication round).
-		c.steal.next++
-		return
-	}
-	for i := range m.Jobs {
-		if !c.apply(m, &m.Jobs[i], stealGrant, m.Shard) {
-			continue
-		}
-		call := m.Jobs[i].Call
-		delete(c.fromShard, call) // now actively ours, not passive
-		c.stolenIn++
-		c.cm.stolenIn.Inc()
-		c.trace(call, obs.StageSteal, "stolen from "+string(from))
 	}
 }

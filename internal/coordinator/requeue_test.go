@@ -101,38 +101,18 @@ func TestRequeueSaysWhy(t *testing.T) {
 		wantRequeue(t, c2, o, "coordinator-suspected")
 	})
 
-	// Two shards of one coordinator each: co's owns call(1)'s session and
-	// succeeds the peer's, which it guards and which steals from it.
-	twoShards := func() (*shard.Map, int) {
+	t.Run("adopted", func(t *testing.T) {
+		o := obs.New("co")
+		// Two shards of one coordinator each: co's owns call(1)'s session
+		// and succeeds the peer's, which it guards.
 		m := shard.New(1, [][]proto.NodeID{{"co"}, {"peer"}}, 0)
 		if m.Owner(call(1).User, call(1).Session) != m.RingOf("co") {
 			m = shard.New(1, [][]proto.NodeID{{"peer"}, {"co"}}, 0)
 		}
-		return m, m.RingOf("peer")
-	}
-
-	t.Run("adopted", func(t *testing.T) {
-		o := obs.New("co")
-		m, peerShard := twoShards()
 		w, co, p := rig(t, Config{Obs: o, Shard: m, HeartbeatTimeout: 10 * time.Second})
 		pending := proto.JobRecord{Call: call(1), Service: "synthetic", Params: []byte("p"), State: proto.TaskPending}
-		p.env.Send("co", &proto.ShardSync{From: "peer", Shard: peerShard, Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending}})
+		p.env.Send("co", &proto.ShardSync{From: "peer", Shard: m.RingOf("peer"), Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending}})
 		w.RunFor(time.Minute) // the peer's whole ring goes silent: co adopts its shard
 		wantRequeue(t, co, o, "adopted")
-	})
-
-	t.Run("steal-reclaim", func(t *testing.T) {
-		o := obs.New("co")
-		m, peerShard := twoShards()
-		w, co, p := rig(t, Config{Obs: o, Shard: m, WorkStealing: true, HeartbeatTimeout: 10 * time.Second})
-		p.env.Send("co", submit(1))
-		w.RunFor(time.Second)
-		p.env.Send("co", &proto.StealRequest{From: "peer", Shard: peerShard, Epoch: 1, Round: 1, Capacity: 1})
-		w.RunFor(time.Second)
-		if g, ok := p.last().(*proto.StealGrant); !ok || len(g.Jobs) != 1 {
-			t.Fatalf("the steal was answered with %+v, want a grant of call 1", p.last())
-		}
-		w.RunFor(time.Minute) // no result comes home
-		wantRequeue(t, co, o, "steal-reclaim")
 	})
 }

@@ -79,7 +79,7 @@ type DB struct {
 	// sessions indexes records by session: the ascending sequence
 	// numbers stored for each (user, session). Put, Delete and Collect
 	// maintain it, so every writer — submissions, replication, shard
-	// sync, work stealing, recovery, collection — feeds it. A session
+	// sync, recovery, collection — feeds it. A session
 	// with no record has no entry.
 	sessions map[sessionKey][]proto.RPCSeq
 

@@ -298,9 +298,7 @@ func TestShardScaleMonotonicThroughput(t *testing.T) {
 // TestSchedCompareShapes asserts the scheduling subsystem's headline
 // comparisons: under the heterogeneous-straggler fault workload,
 // speculative execution and fastest-first matchmaking both beat FCFS
-// on makespan and p95 latency; work stealing recruits the idle shard,
-// cuts the makespan and never duplicates an execution or a stored
-// result.
+// on makespan and p95 latency.
 func TestSchedCompareShapes(t *testing.T) {
 	r := SchedCompare(quick())
 	dump(t, r)
@@ -325,26 +323,5 @@ func TestSchedCompareShapes(t *testing.T) {
 	fmt.Sscanf(policies.Cell(row["speculative"], 5), "%d", &specIssued)
 	if specIssued == 0 {
 		t.Error("speculative policy never issued a duplicate")
-	}
-
-	steal := r.Tables[1]
-	offMk := parseDur(t, steal.Cell(0, 1))
-	onMk := parseDur(t, steal.Cell(1, 1))
-	if onMk >= offMk {
-		t.Errorf("work stealing makespan %v not below no-stealing %v", onMk, offMk)
-	}
-	var stolen, execOff, execOn, dups int
-	fmt.Sscanf(steal.Cell(1, 2), "%d", &stolen)
-	fmt.Sscanf(steal.Cell(0, 3), "%d", &execOff)
-	fmt.Sscanf(steal.Cell(1, 3), "%d", &execOn)
-	fmt.Sscanf(steal.Cell(1, 4), "%d", &dups)
-	if stolen == 0 {
-		t.Error("idle shard never stole work")
-	}
-	if execOn != execOff {
-		t.Errorf("stealing changed total executions: %d vs %d (duplicates?)", execOn, execOff)
-	}
-	if dups != 0 {
-		t.Errorf("stealing produced %d duplicate stored results", dups)
 	}
 }

@@ -27,11 +27,6 @@ import (
 // speculative races duplicates against them. "deadline" reorders the
 // queue by the calls' soft deadlines and tracks fcfs on aggregate
 // numbers here (the deadlines follow submission order).
-//
-// A second table shows cross-shard work stealing: the same batch
-// submitted to one shard of a two-shard deployment, with the idle
-// shard either watching (off) or stealing (on). Stealing must cut the
-// makespan without a single duplicate execution or stored result.
 func SchedCompare(opts Options) Result {
 	opts.applyDefaults()
 
@@ -52,20 +47,7 @@ func SchedCompare(opts Options) Result {
 		policyTable.AddRow(policy, r.makespan, r.lat.Quantile(0.50), r.lat.Quantile(0.95), r.lat.Quantile(0.99),
 			r.speculated, r.rescheduled)
 	}
-
-	stealTable := metrics.NewTable(
-		"Cross-shard work stealing: one hot shard, one idle shard (2 shards, 5s tasks, no faults)",
-		"stealing", "makespan", "stolen", "executed", "dup-results")
-	for _, stealing := range []bool{false, true} {
-		r := stealRun(opts.Seed, stealing, tasks/2)
-		mode := "off"
-		if stealing {
-			mode = "on"
-		}
-		stealTable.AddRow(mode, r.makespan, r.stolen, r.executed, r.dupResults)
-	}
-
-	return Result{Name: "sched-compare", Tables: []*metrics.Table{policyTable, stealTable}}
+	return Result{Name: "sched-compare", Tables: []*metrics.Table{policyTable}}
 }
 
 // policyRunResult carries one policy configuration's measurements.
@@ -152,45 +134,5 @@ func policyRun(seed int64, policy string, tasks, servers int) policyRunResult {
 	}
 	r.speculated = int(reg.Sum("rpcv_coord_speculated_total"))
 	r.rescheduled = int(reg.Sum("rpcv_coord_requeues_total"))
-	return r
-}
-
-// stealRunResult carries one work-stealing configuration's numbers.
-type stealRunResult struct {
-	makespan   time.Duration
-	stolen     int
-	executed   int
-	dupResults int
-}
-
-// stealRun submits the whole batch to one shard of a two-shard
-// deployment (the client's session hashes to a single owner ring) and
-// measures how the idle shard's capacity is — or is not — recruited.
-func stealRun(seed int64, stealing bool, tasks int) stealRunResult {
-	reg := obs.NewRegistry()
-	cl := cluster.New(cluster.Config{
-		Seed:              seed,
-		Shards:            2,
-		Coordinators:      1,
-		Servers:           8, // 4 per shard
-		Clients:           1,
-		WorkStealing:      stealing,
-		ReplicationPeriod: 5 * time.Second,
-		ShardSyncPeriod:   2 * time.Second,
-		Obs:               reg,
-	})
-	start := cl.World.Now()
-	cl.SubmitBatch(0, tasks, "synthetic", 256, 5*time.Second, 64)
-
-	var r stealRunResult
-	const cap = 2 * time.Hour
-	if !cl.RunUntilResults(0, tasks, cap) {
-		r.makespan = cap
-	} else {
-		r.makespan = cl.World.Now().Sub(start)
-	}
-	r.stolen = int(reg.Sum("rpcv_coord_steals_in_total"))
-	r.dupResults = int(reg.Sum("rpcv_coord_dup_results_total"))
-	r.executed = int(reg.Sum("rpcv_server_executed_total"))
 	return r
 }

@@ -15,7 +15,7 @@
 //     protocol code and free when observability is off.
 //   - Tracer is a fixed-size per-node ring buffer of Span events. A
 //     call's life — submit, enqueue, dispatch, exec, result,
-//     logged-durable, ack, plus requeue/steal/speculate/redirect hops
+//     logged-durable, ack, plus requeue/speculate/redirect hops
 //     — is stamped on whichever node observes each stage; Assemble
 //     joins per-node dumps into end-to-end timelines, and ChromeTrace
 //     renders them as Chrome trace_event JSON (chrome://tracing,

@@ -9,8 +9,8 @@ import (
 
 // Stage names one step of a call's life. The happy path is
 // submit → enqueue → dispatch → exec → result → logged-durable → ack;
-// fault handling and scheduling add requeue, steal, speculate, and
-// redirect hops. Stages are stamped on whichever node observes them:
+// fault handling and scheduling add requeue, speculate and redirect
+// hops. Stages are stamped on whichever node observes them:
 // submit/ack on the client, enqueue/dispatch/result and the hop stages
 // on a coordinator, exec and the server-side logged-durable on a
 // server.
@@ -25,7 +25,6 @@ const (
 	StageDurable   Stage = "logged-durable" // a message-log write for it reached disk
 	StageAck       Stage = "ack"            // client received the result
 	StageRequeue   Stage = "requeue"        // coordinator re-issued it after a fault
-	StageSteal     Stage = "steal"          // another shard stole it
 	StageSpeculate Stage = "speculate"      // a duplicate instance was issued
 	StageRedirect  Stage = "redirect"       // a non-owner bounced it to the owner shard
 )
@@ -34,8 +33,8 @@ const (
 // timelines read causally even at coarse clock resolution.
 var stageRank = map[Stage]int{
 	StageSubmit: 0, StageDurable: 1, StageRedirect: 2, StageEnqueue: 3,
-	StageDispatch: 4, StageSpeculate: 5, StageSteal: 6, StageRequeue: 7,
-	StageExec: 8, StageResult: 9, StageAck: 10,
+	StageDispatch: 4, StageSpeculate: 5, StageRequeue: 6,
+	StageExec: 7, StageResult: 8, StageAck: 9,
 }
 
 // Span is one stage observation for one call on one node.

@@ -62,7 +62,7 @@ func TestTracerConcurrency(t *testing.T) {
 // TestAssemble proves per-node dumps join into one causal timeline:
 // the client saw submit/durable/ack, one coordinator saw
 // enqueue/dispatch/requeue (a server died), another shard's
-// coordinator saw the steal, the server saw exec. The assembled
+// coordinator saw the redirect, the server saw exec. The assembled
 // timeline must be complete and time-ordered with both hops intact.
 func TestAssemble(t *testing.T) {
 	base := time.Unix(1000, 0)
@@ -78,10 +78,9 @@ func TestAssemble(t *testing.T) {
 	co.EventAt(at(2), call, StageEnqueue, "from client")
 	co.EventAt(at(3), call, StageDispatch, "sv0")
 	co.EventAt(at(40), call, StageRequeue, "")
-	co.EventAt(at(50), call, StageSteal, "granted to shard 1")
 
 	co2 := NewTracer("coord-b", 16)
-	co2.EventAt(at(51), call, StageSteal, "stolen from coord-a")
+	co2.EventAt(at(51), call, StageRedirect, "to shard 0")
 	co2.EventAt(at(52), call, StageDispatch, "sv1")
 	co2.EventAt(at(90), call, StageResult, "from sv1")
 
@@ -101,7 +100,7 @@ func TestAssemble(t *testing.T) {
 		t.Fatalf("first timeline call = %v, want %v", tl.Call, call)
 	}
 	want := []Stage{StageSubmit, StageDurable, StageEnqueue, StageDispatch,
-		StageRequeue, StageSteal, StageSteal, StageDispatch, StageExec,
+		StageRequeue, StageRedirect, StageDispatch, StageExec,
 		StageResult, StageAck}
 	got := tl.Stages()
 	if len(got) != len(want) {
@@ -112,8 +111,8 @@ func TestAssemble(t *testing.T) {
 			t.Fatalf("stage[%d] = %s, want %s (full: %v)", i, got[i], want[i], got)
 		}
 	}
-	if !tl.Has(StageRequeue) || !tl.Has(StageSteal) {
-		t.Fatal("requeue and steal hops must survive assembly")
+	if !tl.Has(StageRequeue) || !tl.Has(StageRedirect) {
+		t.Fatal("requeue and redirect hops must survive assembly")
 	}
 	if sp, ok := tl.Stage(StageExec); !ok || sp.Node != "sv1" {
 		t.Fatalf("exec span = %+v, %v", sp, ok)

@@ -73,8 +73,8 @@ const (
 	kindShardRedirect
 	kindShardSync
 	kindShardSyncAck
-	kindStealRequest
-	kindStealGrant
+	_             // 23, retired: a cross-shard steal request
+	_             // 24, retired: its grant
 	kindJobRecord // storage blobs only; JobRecord is not a Message
 	kindSimFault
 	kindSimVerdict
@@ -126,10 +126,6 @@ func kindOf(msg Message) uint8 {
 		return kindShardSync
 	case *ShardSyncAck:
 		return kindShardSyncAck
-	case *StealRequest:
-		return kindStealRequest
-	case *StealGrant:
-		return kindStealGrant
 	case *SimFault:
 		return kindSimFault
 	case *SimVerdict:
@@ -726,18 +722,6 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		dst = binary.AppendUvarint(dst, m.Round)
 		return appendSlice(dst, m.Want, appendCall)
-	case *StealRequest:
-		dst = appendNode(dst, m.From)
-		dst = binary.AppendVarint(dst, int64(m.Shard))
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = binary.AppendUvarint(dst, m.Round)
-		return binary.AppendVarint(dst, int64(m.Capacity))
-	case *StealGrant:
-		dst = appendNode(dst, m.From)
-		dst = binary.AppendVarint(dst, int64(m.Shard))
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = binary.AppendUvarint(dst, m.Round)
-		return appendSlice(dst, m.Jobs, appendJob)
 	case *SimFault:
 		dst = appendString(dst, m.Suite)
 		dst = appendString(dst, m.Scenario)
@@ -819,13 +803,6 @@ func readMessageBody(r *binReader, kind uint8) Message {
 		return &ShardSyncAck{From: r.node(), Shard: int(r.varint()),
 			Epoch: r.uvarint(), Round: r.uvarint(),
 			Want: readSlice(r, (*binReader).call)}
-	case kindStealRequest:
-		return &StealRequest{From: r.node(), Shard: int(r.varint()),
-			Epoch: r.uvarint(), Round: r.uvarint(), Capacity: int(r.varint())}
-	case kindStealGrant:
-		return &StealGrant{From: r.node(), Shard: int(r.varint()),
-			Epoch: r.uvarint(), Round: r.uvarint(),
-			Jobs: readSlice(r, readJobBody)}
 	case kindSimFault:
 		return &SimFault{Suite: r.str(), Scenario: r.str(), Cell: r.str(),
 			Fault: r.str(), Node: r.node(), Peer: r.node(),

@@ -43,12 +43,11 @@ func allMessages() []Message {
 		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
 		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 		&ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
-		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, State: TaskFinished}}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Collected: 40, Seqs: []RPCSeq{41, 42}}}},
-		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
-		&StealRequest{From: "coord-02", Shard: 1, Epoch: 2, Round: 3, Capacity: 4},
-		&StealGrant{From: "coord-00", Shard: 0, Epoch: 2, Round: 3, Jobs: []JobRecord{
+		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{
+			{Call: call, State: TaskFinished},
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: TaskOngoing, Instance: 2},
-		}},
+		}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Collected: 40, Seqs: []RPCSeq{41, 42}}}},
+		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
 		&SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
 			Fault: "partition", Node: "coord-00", Peer: "server-000",
 			At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
@@ -195,8 +194,7 @@ func TestKindBytesStable(t *testing.T) {
 		"heartbeat": 9, "heartbeat-ack": 10, "task-result": 11, "task-result-ack": 12,
 		"task-cancel": 13, "server-sync": 14, "server-sync-reply": 15,
 		"replica-update": 16, "replica-ack": 17,
-		"shard-redirect": 20, "shard-sync": 21,
-		"shard-sync-ack": 22, "steal-request": 23, "steal-grant": 24,
+		"shard-redirect": 20, "shard-sync": 21, "shard-sync-ack": 22,
 		"sim-fault": 26, "sim-verdict": 27,
 	}
 	for _, msg := range allMessages() {
@@ -214,14 +212,14 @@ func TestKindBytesStable(t *testing.T) {
 
 // retiredKinds are kind bytes no message has any more: a per-call
 // fetch and its reply (7, 8), a shard-map request and its reply (18,
-// 19). No node sent them; their numbers stay unused so that no other
-// kind shifts.
-var retiredKinds = []uint8{7, 8, 18, 19}
+// 19), a cross-shard steal request and its grant (23, 24). Their
+// numbers stay unused so that no other kind shifts.
+var retiredKinds = []uint8{7, 8, 18, 19, 23, 24}
 
 // TestRetiredKindsDoNotDecode feeds every decoder a retired kind byte in
 // front of bodies that would decode under a live kind — each surviving
-// message's, an empty one and the fetch request's old layout — and
-// wants an error: never a message, never a panic.
+// message's, an empty one and the fetch and steal requests' old
+// layouts — and wants an error: never a message, never a panic.
 func TestRetiredKindsDoNotDecode(t *testing.T) {
 	var bodies [][]byte
 	for _, msg := range allMessages() {
@@ -229,7 +227,11 @@ func TestRetiredKindsDoNotDecode(t *testing.T) {
 	}
 	fetch := appendString(nil, "user-01")
 	fetch = binary.AppendUvarint(fetch, 7)
-	bodies = append(bodies, nil, appendSeq(fetch, 42))
+	steal := appendNode(nil, "coord-02")
+	for _, v := range []uint64{2, 2, 3, 8} { // shard, epoch, round, capacity
+		steal = binary.AppendUvarint(steal, v)
+	}
+	bodies = append(bodies, nil, appendSeq(fetch, 42), steal)
 	for _, kind := range retiredKinds {
 		for i, body := range bodies {
 			blob := append([]byte{binMagic, binVersion, kind}, body...)
@@ -291,8 +293,6 @@ func wireSizeHints(msg Message) (records int, hintBytes int) {
 		return 1 + len(m.Jobs), n
 	case *ShardSyncAck:
 		return 1, 40 * len(m.Want)
-	case *StealGrant:
-		return 1 + len(m.Jobs), 0
 	default:
 		return 1, 0
 	}

@@ -551,58 +551,6 @@ func (*ShardSyncAck) Kind() string { return "shard-sync-ack" }
 // WireSize implements Message.
 func (m *ShardSyncAck) WireSize() int { return headerSize + 40*len(m.Want) }
 
-// ---------------------------------------------------------------------
-// Cross-shard work stealing (internal/sched + sharded coordinators)
-// ---------------------------------------------------------------------
-
-// StealRequest advertises idle capacity: a coordinator whose pending
-// queue is empty while its servers keep asking for work offers to
-// execute up to Capacity tasks on behalf of its successor shard. The
-// steal direction follows the shard successor relation on purpose —
-// the thief's ShardSync already flows to its successor, so stolen
-// results are routed home by the existing cross-replication path with
-// no new machinery.
-type StealRequest struct {
-	From     NodeID
-	Shard    int // thief's shard index
-	Epoch    uint64
-	Round    uint64 // thief's steal round; the grant echoes it
-	Capacity int    // maximum number of tasks wanted
-}
-
-// Kind implements Message.
-func (*StealRequest) Kind() string { return "steal-request" }
-
-// WireSize implements Message.
-func (m *StealRequest) WireSize() int { return headerSize }
-
-// StealGrant moves up to the requested number of pending jobs to the
-// thief shard. Unlike replication, a grant carries the full parameter
-// payloads — the thief needs them to execute. The victim marks the
-// granted jobs ongoing and reclaims (re-queues) any whose result has
-// not come home within a timeout, so a dying thief cannot strand work;
-// a late duplicate execution is ordinary at-least-once behaviour and
-// deduplicates by CallID at the store.
-type StealGrant struct {
-	From  NodeID
-	Shard int // victim's shard index
-	Epoch uint64
-	Round uint64 // echoes StealRequest.Round
-	Jobs  []JobRecord
-}
-
-// Kind implements Message.
-func (*StealGrant) Kind() string { return "steal-grant" }
-
-// WireSize implements Message.
-func (m *StealGrant) WireSize() int {
-	n := headerSize
-	for i := range m.Jobs {
-		n += m.Jobs[i].wireSize()
-	}
-	return n
-}
-
 // SimFault records one fault injected by the conformance + chaos
 // harness (cmd/rpcv-sim): what was broken, where, and when relative to
 // scenario start. The harness encodes these into its post-mortem

@@ -35,12 +35,11 @@ func wireSampleMessages() []proto.Message {
 		&proto.ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []proto.JobRecord{{Call: call, Service: "svc", State: proto.TaskFinished, Output: []byte{7}}}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
 		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 		&proto.ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
-		&proto.ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []proto.JobRecord{{Call: call, State: proto.TaskFinished}}, Sessions: []proto.SessionSeqs{{User: "user-01", Session: 7, Seqs: []proto.RPCSeq{1, 42}}}},
-		&proto.ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []proto.CallID{call}},
-		&proto.StealRequest{From: "coord-02", Shard: 1, Epoch: 2, Round: 3, Capacity: 4},
-		&proto.StealGrant{From: "coord-00", Shard: 0, Epoch: 2, Round: 3, Jobs: []proto.JobRecord{
+		&proto.ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []proto.JobRecord{
+			{Call: call, State: proto.TaskFinished},
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: proto.TaskOngoing, Instance: 2},
-		}},
+		}, Sessions: []proto.SessionSeqs{{User: "user-01", Session: 7, Seqs: []proto.RPCSeq{1, 42}}}},
+		&proto.ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []proto.CallID{call}},
 		&proto.SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Fault: "partition",
 			Node: "coord-00", Peer: "server-000", At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
 		&proto.SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Verdict: "pass",

@@ -24,10 +24,6 @@
 //     cancelled. Deduplication is the store's CallID keying, which
 //     already survives replication, shard sync and failover.
 //
-// The Engine also feeds cross-shard work stealing (PopSteal): an idle
-// shard drains another shard's queue without consulting the admission
-// gate, since stolen work executes on a different server population.
-//
 // The four policies are a fixed table (Policies lists it). All methods
 // are event-loop only, like the coordinator that owns the engine.
 package sched
@@ -338,25 +334,6 @@ func (e *Engine) starving(head *Task, now time.Time) bool {
 		return false
 	}
 	return e.lastPop.IsZero() || now.Sub(e.lastPop) >= starveAfter
-}
-
-// PopSteal pops the pending head for a cross-shard steal grant,
-// bypassing the admission gate (the thief's server population is not
-// the one the gate reasons about). Speculative duplicates never move
-// across shards.
-func (e *Engine) PopSteal() (proto.CallID, bool) {
-	for e.pending.Len() > 0 {
-		head := heap.Pop(&e.pending).(*Task)
-		if e.queued[head.Call] != head {
-			continue
-		}
-		delete(e.queued, head.Call)
-		// Steals deliberately do not touch lastPop: feeding another
-		// shard must not mask local starvation.
-		e.noteDepths()
-		return head.Call, true
-	}
-	return proto.CallID{}, false
 }
 
 // ObserveCompletion feeds one finished execution into the estimator:

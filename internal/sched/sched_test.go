@@ -230,21 +230,3 @@ func TestSpeculateThreshold(t *testing.T) {
 		t.Fatalf("mean-based threshold = %v, want %v", got, want)
 	}
 }
-
-func TestPopStealBypassesGate(t *testing.T) {
-	e := mustNew(t, Config{Policy: "fastest-first"})
-	for i := 0; i < 4; i++ {
-		e.ObserveCompletion("fast", 10*time.Second, 10*time.Second)
-	}
-	e.Enqueue(call(1), 10*time.Second, time.Time{}, t0)
-	got, ok := e.PopSteal()
-	if !ok || got != call(1) {
-		t.Fatalf("PopSteal: got %v ok=%v", got, ok)
-	}
-	if e.Len() != 0 {
-		t.Fatalf("len after steal = %d", e.Len())
-	}
-	if _, ok := e.PopSteal(); ok {
-		t.Fatal("steal from empty queue succeeded")
-	}
-}
