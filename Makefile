@@ -22,7 +22,8 @@
 #                   disk model, sched's policy registry, the
 #                   coordinator's speculation-factor knob, the
 #                   transport's redial backoff or cross-shard work
-#                   stealing is back,
+#                   stealing is back, or the fleet monitor's grader,
+#                   parser, cluster view or shard-sync knob is back,
 #                   or if rt.Start boots a node outside internal/grid,
 #                   or if the simulated-figure side (internal/
 #                   experiments, cmd/rpcv-bench) imports a real-time
@@ -42,14 +43,12 @@
 #                   scheduling policy, each under the full fault taxonomy
 #   make race       race-detect the whole tree
 #   make obs        race-detect the observability plane (registry,
-#                   tracer, admin endpoints, live-grid acceptance)
-#   make mon        race-detect the fleet monitor + flight recorder
-#                   (parser golden tests, SLO grading, kill-and-bundle
-#                   grid acceptance)
+#                   tracer, admin endpoints, flight recorder, live-grid
+#                   acceptance)
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke shard sched sim sim-full race obs mon ci
+.PHONY: all vet lint build test bench bench-check smoke shard sched sim sim-full race obs ci
 
 all: vet lint build test
 
@@ -70,6 +69,7 @@ lint:
 	! git grep -nE 'Fetch[R]esult|Fetch[R]eply|FetchC[a]ll|ShardMap[R]equest|ShardMap[R]eply|BatchR[e]source|sched\.R[e]gister|Speculate[F]actor|-specul[a]te' -- '*.go' Makefile .github
 	! git grep -nE 'backoff[M]in|backoff[M]ax|jitter\(back[o]ff' -- 'internal/rt/*.go'
 	! git grep -nE 'Steal[R]equest|Steal[G]rant|Work[S]tealing|PopS[t]eal|stolen[O]ut|steal-r[e]claim|ringP[r]imary' -- '*.go' Makefile .github
+	! git grep -nE 'Fleet[V]erdict|Shard[V]erdict|cluster[z]|history[z]|Parse[M]etrics|Top[V]iew|slo-[d]ispatch|-shard[s]ync|ShardSync[P]eriod' -- '*.go' Makefile .github
 	! git grep -nE 'rt\.Start\(' -- '*.go' ':!internal/rt/' ':!internal/grid/' ':!internal/gridrpc/gridrpc.go' ':!cmd/' ':!bench/'
 	! git grep -nE 'write[J]SON|encoding/json' -- cmd/rpcv-bench internal/experiments internal/metrics
 	! $(GO) list -deps ./internal/experiments ./cmd/rpcv-bench | grep -E '^rpcv/internal/(rt|conform|gridrpc|store)$$'
@@ -85,9 +85,6 @@ race:
 
 obs:
 	$(GO) test -race ./internal/obs/...
-
-mon:
-	$(GO) test -race ./internal/obs/fleet/...
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .

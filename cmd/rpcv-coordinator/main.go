@@ -49,12 +49,11 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated id=addr fellow coordinators")
 	clients := flag.String("nodes", "", "comma-separated id=addr known clients/servers (static directory)")
 	disk := flag.String("disk", "", "stable storage directory (empty: volatile)")
-	replication := flag.Duration("replication", 60*time.Second, "passive replication period")
+	replication := flag.Duration("replication", 60*time.Second, "passive replication period, and the cross-shard sync period when sharded")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "fault suspicion timeout")
 	shardMap := flag.String("shardmap", "", "consistent-hash shard topology: rings separated by ';', members by ',' (e.g. \"coord-a,coord-b;coord-c,coord-d\"); empty: unsharded")
 	shardVersion := flag.Uint64("shardversion", 1, "shard map version (bump when redeploying a changed topology)")
-	shardSync := flag.Duration("shardsync", 0, "cross-shard replication period (0: same as -replication)")
 	policy := flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(sched.Policies(), ", "))
 	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
@@ -118,7 +117,6 @@ func main() {
 		HeartbeatPeriod:   *heartbeat,
 		HeartbeatTimeout:  *timeout,
 		Shard:             smap,
-		ShardSyncPeriod:   *shardSync,
 		Policy:            *policy,
 		OnJobFinished: func(call proto.CallID, at time.Time) {
 			log.Printf("finished %s at %s", call, at.Format(time.RFC3339))

@@ -87,21 +87,15 @@
 // transport, store, scheduler, coordinator, server and client all
 // register into it.
 //
-// internal/obs/fleet closes the loop with a cluster monitor and flight
-// recorder, run as the fourth daemon cmd/rpcv-mon: it scrapes every
-// node's admin endpoint (/metrics + /healthz) on an interval, keeps
-// fixed-capacity rolling time series per metric with counter-reset-
-// tolerant rate derivation, and grades the fleet against a declarative
-// health/SLO model — per-node event-loop liveness, redial/shed rates
-// and WAL commit p99; per-shard queue depth, requeue rate and dispatch
-// p99 burn. Verdicts serve at /clusterz (JSON or a human text table)
-// and a live terminal top view. On a node death, a new critical
-// breach, or SIGQUIT, the flight recorder captures a post-mortem
-// bundle: assembled cross-node timelines (via /tracez + Assemble),
-// Chrome trace JSON, every node's metric history rings, raw
-// expositions, statusz snapshots and pprof profiles, all in one
-// timestamped directory. The conformance matrix wires into the same
-// monitor, so chaos runs get fleet grading and post-mortems for free.
+// internal/obs/fleet is the flight recorder, run as the fourth daemon
+// cmd/rpcv-mon: it polls every node's /healthz, keeps each node's raw
+// /metrics text, and when a node fails its probe or stops answering
+// two rounds in a row — or on SIGQUIT — captures a post-mortem bundle:
+// assembled cross-node timelines (via /tracez + Assemble), Chrome trace
+// JSON, each node's metrics text (a dead node's from before it died),
+// statusz snapshots and pprof profiles, all in one timestamped
+// directory. The conformance matrix captures the same bundle, over an
+// in-process source, for a cell that fails.
 //
 // internal/lint turns the codebase's hand-policed invariants into
 // machine-checked ones: a suite of project-specific static analyzers
@@ -118,8 +112,9 @@
 //
 // internal/conform is the conformance + chaos matrix harness behind
 // cmd/rpcv-sim: it boots a real loopback cluster per cell of the
-// configuration matrix (store x scheduling policy x event-loop
-// count), drives one deterministic workload through every cell, and injects the fault taxonomy from a
+// configuration matrix (store x scheduling policy), drives one
+// deterministic workload through every cell, and injects the fault
+// taxonomy from a
 // declarative scenario timeline — asymmetric one-way partitions (a
 // per-directed-link TCP proxy over netmodel.Rules), slow, failing and
 // torn disks mid-group-commit (store.FaultPlan wrapping the store),
@@ -129,8 +124,8 @@
 // a pure function of call identity, the expected result set is
 // computed analytically and every cell must land on the identical
 // (CallID -> result) digest — zero lost completed results under every
-// fault, on every configuration. Failed verdicts capture fleet flight
-// bundles and framed SimFault/SimVerdict artifacts. `make sim` is the
+// fault, on every configuration. Failed verdicts capture flight
+// bundles, and every run writes framed SimFault/SimVerdict artifacts. `make sim` is the
 // CI smoke (2 cells x 2 fault scenarios, race-enabled); `make
 // sim-full` runs the full matrix; the frozen regression scenarios
 // live in internal/conform's tests.

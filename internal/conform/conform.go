@@ -1,6 +1,6 @@
 // Package conform is the conformance + chaos matrix harness behind
 // rpcv-sim: it boots real loopback clusters — one per cell of the
-// configuration matrix (store x scheduling policy x event-loop count) —
+// configuration matrix (store x scheduling policy) —
 // drives the same deterministic workload through each, injects the
 // fault taxonomy from a declarative scenario timeline (asymmetric
 // one-way partitions, slow/failing/torn disks mid-group-commit,
@@ -12,10 +12,11 @@
 // The workload is a pure function of call identity, so the expected
 // result set is computed analytically — no reference run, no blessed
 // config. A cell that loses a result, delivers a diverging output, or
-// lands on a different digest fails its cell verdict; with an
-// artifact directory set, the fleet flight recorder captures a
-// post-mortem bundle and the fault/verdict timeline is persisted as
-// framed protocol messages readable by proto.NewWireDecoder.
+// lands on a different digest fails its cell verdict. With an
+// artifact directory set, every run's fault/verdict timeline is
+// persisted as framed protocol messages readable by
+// proto.NewWireDecoder, and a failed cell also leaves one flight
+// bundle (internal/obs/fleet) for the post-mortem.
 package conform
 
 import (
@@ -38,8 +39,8 @@ type Options struct {
 	Quick bool
 
 	// ArtifactDir, when set, enables the observability plane: framed
-	// SimFault/SimVerdict artifacts per cell, plus a fleet flight
-	// bundle captured on every failed verdict.
+	// SimFault/SimVerdict artifacts per cell, plus a flight bundle
+	// captured on every failed verdict.
 	ArtifactDir string
 
 	// Parallel caps concurrently running cells. Zero picks a small

@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,18 +87,18 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	ringOf := func(i int) []proto.NodeID { return rings[i%len(rings)] }
 
 	// Observability plane: only assembled when a post-mortem artifact
-	// directory is wanted — the flight recorder needs live scrape
-	// sources and span rings to capture anything useful.
+	// directory is wanted — the flight recorder reads the shared
+	// registry and every incarnation's span ring.
 	var reg *obs.Registry
 	var obsMu sync.Mutex
-	observers := map[proto.NodeID][]*obs.Observer{}
+	var observers []*obs.Observer
 	observer := func(id proto.NodeID) *obs.Observer {
 		if reg == nil {
 			return nil
 		}
 		ob := obs.NewWith(id, reg)
 		obsMu.Lock()
-		observers[id] = append(observers[id], ob)
+		observers = append(observers, ob)
 		obsMu.Unlock()
 		return ob
 	}
@@ -214,43 +215,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		}); err != nil {
 			return fail("boot %s: %v", id, err)
 		}
-	}
-
-	// Fleet watcher: the same in-process scrape sources rpcv-mon uses,
-	// feeding the flight recorder that captures the post-mortem bundle
-	// on a failed verdict.
-	var mon *fleet.Monitor
-	if reg != nil {
-		var sources []fleet.Source
-		for _, id := range fleet.RegistryNodes(reg) {
-			id := id
-			sources = append(sources, &fleet.FuncSource{
-				Node: id,
-				Fetch: func() ([]fleet.Sample, error) {
-					if g.Node(id) == nil {
-						return nil, fmt.Errorf("node %s is down", id)
-					}
-					return fleet.SamplesFromRegistry(reg, id), nil
-				},
-				Trace: func() []obs.Span {
-					obsMu.Lock()
-					list := append([]*obs.Observer(nil), observers[id]...)
-					obsMu.Unlock()
-					var out []obs.Span
-					for _, ob := range list {
-						out = append(out, ob.Tracer().Dump()...)
-					}
-					return out
-				},
-			})
-		}
-		mon = fleet.New(fleet.Config{
-			Sources:   sources,
-			Interval:  50 * time.Millisecond,
-			DownAfter: 2,
-			BundleDir: opts.ArtifactDir,
-		})
-		mon.Start()
 	}
 
 	// The fault timeline, on its own clock from workload start.
@@ -428,14 +392,33 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	}
 
 	// Post-mortem: on any failed verdict with an artifact directory,
-	// freeze the fleet's state the way rpcv-mon's flight recorder
-	// would, and always persist the framed fault/verdict artifact.
-	if mon != nil {
-		mon.Close()
-		if v.Verdict != "pass" {
-			if path, err := mon.CaptureBundle("sim " + sc.Name + ": " + v.Verdict); err == nil {
-				v.Bundle = path
-			}
+	// capture one flight bundle of the cell — every node's span ring and
+	// the shared registry's metrics — and always persist the framed
+	// fault/verdict artifact.
+	if reg != nil && v.Verdict != "pass" {
+		cellSource := &fleet.FuncSource{
+			Node: "cell",
+			Metrics: func() ([]byte, error) {
+				var b bytes.Buffer
+				err := reg.WritePrometheus(&b)
+				return b.Bytes(), err
+			},
+			Trace: func() []obs.Span {
+				obsMu.Lock()
+				defer obsMu.Unlock()
+				var out []obs.Span
+				for _, ob := range observers {
+					out = append(out, ob.Tracer().Dump()...)
+				}
+				return out
+			},
+		}
+		rec := fleet.New(fleet.Config{Sources: []fleet.Source{cellSource}, BundleDir: opts.ArtifactDir, Logf: logf})
+		reason := fmt.Sprintf("sim %s %s %s", sc.Name, sanitizeLabel(cell.Label()), v.Verdict)
+		if path, err := rec.CaptureBundle(reason); err == nil {
+			v.Bundle = path
+		} else {
+			logf("sim: bundle capture failed: %v", err)
 		}
 	}
 	if opts.ArtifactDir != "" {

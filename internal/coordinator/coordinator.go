@@ -119,8 +119,9 @@ type Config struct {
 	Coordinators []proto.NodeID
 
 	// ReplicationPeriod is the delay between passive-replication rounds
-	// to the ring successor. The paper's real-life experiments use 60 s.
-	// Zero disables periodic replication (unit tests drive it manually).
+	// to the ring successor, and between cross-shard sync rounds to the
+	// successor shard. The paper's real-life experiments use 60 s. Zero
+	// disables both (unit tests drive them manually).
 	ReplicationPeriod time.Duration
 
 	// HeartbeatTimeout is the silence duration after which servers and
@@ -165,10 +166,6 @@ type Config struct {
 	// ring goes silent. Coordinators is then this ring's member list
 	// only; the paper's protocol runs unchanged inside the ring.
 	Shard *shard.Map
-
-	// ShardSyncPeriod is the period of cross-shard state propagation to
-	// the successor shard. Zero means ReplicationPeriod.
-	ShardSyncPeriod time.Duration
 
 	// Policy names the scheduling policy (internal/sched): "fcfs"
 	// (default, the paper's behaviour), "fastest-first", "deadline" or
@@ -238,9 +235,9 @@ type Coordinator struct {
 	specTimer node.Timer
 	byServer  map[proto.NodeID]map[proto.CallID]bool // reverse index
 	// queuedAt stamps each pending call's (re)queue time so the
-	// dispatch-latency histogram — queue wait, the fleet monitor's
-	// per-shard SLO signal — can be observed at assignment. Maintained
-	// only when observability is on.
+	// dispatch-latency histogram (rpcv_coord_dispatch_latency_ns, the
+	// queue wait) can be observed at assignment. Maintained only when
+	// observability is on.
 	queuedAt map[proto.CallID]time.Time
 
 	servers *detector.Monitor // suspicion of servers
@@ -433,7 +430,7 @@ func (c *Coordinator) Start(env node.Env) {
 
 	c.repl.every(c.env, c.cfg.ReplicationPeriod, c.ReplicateNow)
 	if c.smap != nil {
-		c.xsync.every(c.env, c.syncPeriod(), c.ShardSyncNow)
+		c.xsync.every(c.env, c.cfg.ReplicationPeriod, c.ShardSyncNow)
 	}
 	c.scheduleSpeculation()
 	// Ring heartbeats: probe fellow coordinators every period so that

@@ -328,15 +328,6 @@ func (c *Coordinator) Successor() proto.NodeID {
 // Cross-shard sync
 // ---------------------------------------------------------------------
 
-// syncPeriod is the period of cross-shard sync: ShardSyncPeriod, or
-// the replication period when that is zero.
-func (c *Coordinator) syncPeriod() time.Duration {
-	if c.cfg.ShardSyncPeriod > 0 {
-		return c.cfg.ShardSyncPeriod
-	}
-	return c.cfg.ReplicationPeriod
-}
-
 // ShardSyncNow starts one cross-shard replication round: dirty records
 // plus the full per-session sequence sets of owned sessions go to one
 // member of the successor shard's ring. Exported for tests and manual

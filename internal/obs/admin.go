@@ -85,7 +85,7 @@ func (a *Admin) Status(name string, fn func() any) {
 // request from the HTTP goroutine and must itself bound how long it
 // blocks (the daemons probe the event loop via rt's Ping with a short
 // timeout). A nil error means alive; an error turns /healthz into a
-// 503 carrying the reason, so the fleet monitor — or any external
+// 503 carrying the reason, so the flight recorder — or any external
 // prober — learns a stalled event loop is not "ok".
 func (a *Admin) Health(fn func() error) {
 	a.mu.Lock()

@@ -9,14 +9,13 @@ import (
 )
 
 // processStart anchors rpcv_uptime_seconds. Package-level (not per
-// Admin) so the gauge measures the process, and a monitor watching it
-// can tell a restart (uptime drop) from a long-lived node regardless
-// of when the admin endpoint was mounted.
+// Admin) so the gauge measures the process: a drop is a restart,
+// whenever the admin endpoint was mounted.
 var processStart = time.Now()
 
 // RegisterBuildInfo publishes the two identity metrics every daemon's
-// registry carries so a fleet monitor can tell versions and restarts
-// apart:
+// registry carries, so whatever scrapes /metrics can tell versions and
+// restarts apart:
 //
 //	rpcv_build_info{node,go,path,version[,revision][,modified]} 1
 //	rpcv_uptime_seconds{node}

@@ -2,14 +2,12 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"rpcv/internal/obs"
-	"rpcv/internal/proto"
 )
 
 // profiles captured into every bundle. The debug=1 text forms need no
@@ -20,136 +18,74 @@ var bundleProfiles = []string{"goroutine", "heap"}
 // "what was the fleet doing when it broke" — into a fresh timestamped
 // subdirectory of Config.BundleDir and returns its path:
 //
-//	verdict.json        the fleet verdict at capture time
-//	history.json        every node's metric rings (node → metric → points)
 //	timelines.json      all nodes' span rings assembled into per-call
 //	                    submit→…→ack timelines (obs.Assemble)
 //	trace.chrome.json   the same timelines as Chrome trace_event JSON
 //	                    (load in chrome://tracing or Perfetto)
-//	metrics/<node>.txt  each node's last raw /metrics exposition
+//	metrics/<node>.txt  each node's raw metrics exposition, as served
 //	statusz/<node>.json each node's /statusz snapshot (HTTP sources)
 //	pprof/<node>-<profile>.txt  goroutine and heap profiles (HTTP sources)
 //
-// Dead nodes naturally contribute their last successful scrape's
-// history but no fresh dumps — that is the point of keeping rings in
-// the monitor rather than only querying live nodes.
-//
-// The monitor calls this automatically on death/breach transitions
-// when BundleDir is set; rpcv-mon also triggers it on SIGQUIT and via
-// POST /capture.
+// A node that answers its probe now contributes a fresh exposition; a
+// dead one its last from before it died. A node that fails a request
+// is logged and left out of that file; a failed write stops the
+// capture.
 func (m *Monitor) CaptureBundle(reason string) (string, error) {
-	if m.cfg.BundleDir == "" {
-		return "", fmt.Errorf("fleet: no bundle directory configured")
-	}
 	stamp := time.Now().Format("20060102-150405.000")
 	dir := filepath.Join(m.cfg.BundleDir, stamp+"-"+sanitize(reason))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-
-	m.mu.Lock()
-	verdict := m.last
-	ids := append([]proto.NodeID(nil), m.ids...)
-	srcs := make(map[proto.NodeID]Source, len(ids))
-	raws := make(map[proto.NodeID][]byte, len(ids))
-	for _, id := range ids {
-		st := m.nodes[id]
-		srcs[id] = st.src
-		if st.last != nil && len(st.last.Raw) > 0 {
-			raws[id] = st.last.Raw
-		}
-	}
-	timeout := m.cfg.Timeout
-	m.mu.Unlock()
-
-	writeJSON := func(name string, v any) error {
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
+	put := func(name string, b []byte) error {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		return os.WriteFile(filepath.Join(dir, name), append(b, '\n'), 0o644)
-	}
-	if err := writeJSON("verdict.json", verdict); err != nil {
-		return dir, err
-	}
-	if err := writeJSON("history.json", m.History()); err != nil {
-		return dir, err
+		return os.WriteFile(path, b, 0o644)
 	}
 
-	// Span rings from every node that still answers, assembled into
-	// end-to-end call timelines.
 	var dumps [][]obs.Span
-	for _, id := range ids {
-		ts, ok := srcs[id].(TraceSource)
-		if !ok {
-			continue
-		}
-		spans, err := ts.Spans(timeout)
+	for _, st := range m.nodes {
+		id := sanitize(string(st.src.ID()))
+		raw, err := st.src.Scrape(m.timeout)
 		if err != nil {
-			m.cfg.Logf("fleet: bundle: spans from %s: %v", id, err)
-			continue
+			raw = m.lastHealthy(st)
 		}
-		if len(spans) > 0 {
+		if len(raw) > 0 {
+			if err := put(filepath.Join("metrics", id+".txt"), raw); err != nil {
+				return dir, err
+			}
+		}
+		// A dead node's admin endpoint may still serve its span ring.
+		if spans, err := st.src.Spans(m.timeout); err != nil {
+			m.cfg.Logf("fleet: bundle: spans from %s: %v", id, err)
+		} else if len(spans) > 0 {
 			dumps = append(dumps, spans)
 		}
-	}
-	timelines := obs.Assemble(dumps...)
-	if err := writeJSON("timelines.json", timelines); err != nil {
-		return dir, err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "trace.chrome.json"), obs.ChromeTrace(timelines), 0o644); err != nil {
-		return dir, err
-	}
-
-	if len(raws) > 0 {
-		mdir := filepath.Join(dir, "metrics")
-		if err := os.MkdirAll(mdir, 0o755); err != nil {
-			return dir, err
-		}
-		for id, raw := range raws {
-			if err := os.WriteFile(filepath.Join(mdir, sanitize(string(id))+".txt"), raw, 0o644); err != nil {
-				return dir, err
-			}
-		}
-	}
-
-	for _, id := range ids {
-		ds, ok := srcs[id].(DumpSource)
+		h, ok := st.src.(*HTTPSource)
 		if !ok {
 			continue
 		}
-		if body, err := ds.Statusz(timeout); err == nil {
-			sdir := filepath.Join(dir, "statusz")
-			if err := os.MkdirAll(sdir, 0o755); err != nil {
-				return dir, err
-			}
-			if err := os.WriteFile(filepath.Join(sdir, sanitize(string(id))+".json"), body, 0o644); err != nil {
-				return dir, err
-			}
-		} else {
+		if body, err := h.fetch("/statusz", m.timeout); err != nil {
 			m.cfg.Logf("fleet: bundle: statusz from %s: %v", id, err)
+		} else if err := put(filepath.Join("statusz", id+".json"), body); err != nil {
+			return dir, err
 		}
 		for _, prof := range bundleProfiles {
-			body, err := ds.Profile(prof, timeout)
-			if err != nil {
+			if body, err := h.fetch("/debug/pprof/"+prof+"?debug=1", m.timeout); err != nil {
 				m.cfg.Logf("fleet: bundle: pprof/%s from %s: %v", prof, id, err)
-				continue
-			}
-			pdir := filepath.Join(dir, "pprof")
-			if err := os.MkdirAll(pdir, 0o755); err != nil {
-				return dir, err
-			}
-			name := fmt.Sprintf("%s-%s.txt", sanitize(string(id)), prof)
-			if err := os.WriteFile(filepath.Join(pdir, name), body, 0o644); err != nil {
+			} else if err := put(filepath.Join("pprof", id+"-"+prof+".txt"), body); err != nil {
 				return dir, err
 			}
 		}
 	}
 
-	m.mu.Lock()
-	m.bundles = append(m.bundles, dir)
-	m.mu.Unlock()
-	return dir, nil
+	timelines := obs.Assemble(dumps...)
+	b, err := json.MarshalIndent(timelines, "", "  ")
+	if err != nil {
+		return dir, err
+	}
+	if err := put("timelines.json", append(b, '\n')); err != nil {
+		return dir, err
+	}
+	return dir, put("trace.chrome.json", obs.ChromeTrace(timelines))
 }
 
 // sanitize makes a reason or node ID safe as a path component.

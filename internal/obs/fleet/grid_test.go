@@ -1,22 +1,23 @@
 package fleet_test
 
-// The fleet acceptance test, the PR's headline scenario: a real TCP
-// loopback grid (one coordinator, two servers, one client) under
-// submission load, each node serving its admin endpoint, watched by a
-// Monitor over HTTP sources exactly as cmd/rpcv-mon would. Killing the
-// server that holds a dispatched task must flip that node unhealthy
-// within two scrape rounds, fire an automatic flight bundle, and the
-// post-mortem bundle must contain the assembled submit→ack timeline —
-// requeue hop included — plus metrics history covering the kill.
+// The flight recorder's acceptance test: a real TCP loopback grid (one
+// coordinator, two servers, one client) under submission load, each
+// node serving its admin endpoint, watched by a Monitor over HTTP
+// sources exactly as cmd/rpcv-mon would. Closing the runtime of the
+// server that holds a dispatched task must capture a bundle within two
+// rounds, and the post-mortem bundle must hold the assembled submit→ack
+// timeline — requeue hop included — plus the victim's exposition from
+// before the kill.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +46,22 @@ func getBody(t *testing.T, url string) string {
 	return string(body)
 }
 
+// uptime reads rpcv_uptime_seconds out of an exposition.
+func uptime(t *testing.T, exposition string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "rpcv_uptime_seconds{") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no rpcv_uptime_seconds in:\n%s", exposition)
+	return 0
+}
+
 func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-TCP grid test")
@@ -58,6 +75,7 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 	bundleDir := t.TempDir()
 
 	var sources []fleet.Source
+	admins := map[proto.NodeID]string{}
 	serve := func(id proto.NodeID, o *obs.Observer, rtm *rt.Runtime) {
 		adm, err := obs.ServeAdmin("127.0.0.1:0", o)
 		if err != nil {
@@ -66,6 +84,7 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		t.Cleanup(func() { adm.Close() })
 		adm.Health(func() error { return rtm.Ping(500 * time.Millisecond) })
 		sources = append(sources, fleet.NewHTTPSource(id, adm.Addr()))
+		admins[id] = adm.Addr()
 	}
 
 	coObs := obs.New("co")
@@ -116,20 +135,17 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 	}
 	serve("cli", cliObs, rcli)
 
-	// The monitor over HTTP sources, poll-driven for determinism: one
-	// Poll is one scrape round of every node.
+	// The recorder over HTTP sources, poll-driven for determinism: one
+	// Poll is one round over every node.
 	mon := fleet.New(fleet.Config{
 		Sources:   sources,
-		Interval:  100 * time.Millisecond,
-		Timeout:   2 * time.Second,
-		DownAfter: 2,
+		Interval:  4 * time.Second, // requests time out after 2s
 		BundleDir: bundleDir,
 	})
-	if v := mon.Poll(time.Now()); len(v.Nodes) != 4 {
-		t.Fatalf("verdict covers %d nodes, want 4", len(v.Nodes))
-	}
-	if v := mon.Poll(time.Now()); v.Level != fleet.LevelOK {
-		t.Fatalf("healthy grid graded %v: %+v", v.Level, v)
+	for i := 0; i < 2; i++ {
+		if dir := mon.Poll(time.Now()); dir != "" {
+			t.Fatalf("healthy grid captured %s", dir)
+		}
 	}
 
 	// Load: a burst of instant calls plus one slow timed call whose
@@ -163,36 +179,21 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 	if !ok {
 		t.Fatalf("dispatch names unknown server %q", victim)
 	}
-	mon.Poll(time.Now()) // one more healthy round: pre-kill history
-	killedAt := time.Now()
+	mon.Poll(time.Now()) // one more healthy round: the pre-kill exposition
 	rvictim.Close()
+	// The victim's admin endpoint outlives its runtime; its uptime now
+	// is later than any exposition scraped before the kill.
+	killedUptime := uptime(t, getBody(t, "http://"+admins[victim]+"/metrics"))
 
-	// Within two scrape rounds the victim must grade unhealthy: its
-	// admin endpoint still answers, but /healthz reports the stopped
-	// event loop — the liveness probe doing its one job.
-	mon.Poll(time.Now())
-	v := mon.Poll(time.Now())
-	nv, ok := v.Node(victim)
-	if !ok || nv.Level < fleet.LevelCritical {
-		t.Fatalf("victim %s graded %v after two rounds, want >= critical: %+v", victim, nv.Level, v)
+	// Within two rounds the recorder must capture: the victim's admin
+	// endpoint still answers, but /healthz reports the stopped event
+	// loop — the liveness probe doing its one job.
+	captured := mon.Poll(time.Now())
+	if captured == "" {
+		captured = mon.Poll(time.Now())
 	}
-	if v.Level < fleet.LevelCritical {
-		t.Fatalf("fleet level %v, want >= critical", v.Level)
-	}
-	// The unhealthy transition must have auto-captured a bundle.
-	if len(mon.Bundles()) == 0 {
-		t.Fatal("no automatic flight bundle after the kill")
-	}
-
-	// /clusterz reflects the verdict over HTTP.
-	srv := httptest.NewServer(mon.Handler())
-	defer srv.Close()
-	var served fleet.FleetVerdict
-	if err := json.Unmarshal([]byte(getBody(t, srv.URL+"/clusterz")), &served); err != nil {
-		t.Fatal(err)
-	}
-	if sn, ok := served.Node(victim); !ok || sn.Level < fleet.LevelCritical {
-		t.Fatalf("/clusterz victim verdict = %+v", sn)
+	if !strings.Contains(captured, "node-"+string(victim)+"-down") {
+		t.Fatalf("two rounds after the kill captured %q, want a node-%s-down bundle", captured, victim)
 	}
 
 	// All calls, including the requeued one, complete on the survivor.
@@ -213,7 +214,6 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 	// Final post-mortem: the bundle assembled after completion holds
 	// the slow call's whole story. The dead server's admin still serves
 	// its span ring — exactly why bundles join every node's /tracez.
-	mon.Poll(time.Now())
 	final, err := mon.CaptureBundle("test-final")
 	if err != nil {
 		t.Fatal(err)
@@ -245,31 +245,15 @@ func TestFleetGridKillAndFlightRecorder(t *testing.T) {
 		}
 	}
 
-	// Metrics history must cover the kill: the victim's rings hold
-	// points from before it died.
-	var hist map[string]map[string][]fleet.Point
-	b, err = os.ReadFile(filepath.Join(final, "history.json"))
+	// The victim's exposition is the one scraped before the kill.
+	b, err = os.ReadFile(filepath.Join(final, "metrics", string(victim)+".txt"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("bundle missing victim metrics: %v", err)
 	}
-	if err := json.Unmarshal(b, &hist); err != nil {
-		t.Fatal(err)
+	if got := uptime(t, string(b)); got >= killedUptime {
+		t.Errorf("victim metrics scraped at uptime %.3fs, not before the kill (%.3fs)", got, killedUptime)
 	}
-	preKill := false
-	for _, pts := range hist[string(victim)] {
-		for _, p := range pts {
-			if p.At.Before(killedAt) {
-				preKill = true
-			}
-		}
-	}
-	if !preKill {
-		t.Fatal("victim's metric history holds no pre-kill points")
-	}
-	// And the raw exposition plus statusz/pprof dumps rode along.
-	if _, err := os.Stat(filepath.Join(final, "metrics", string(victim)+".txt")); err != nil {
-		t.Errorf("bundle missing victim metrics: %v", err)
-	}
+	// And the statusz/pprof dumps rode along.
 	if _, err := os.Stat(filepath.Join(final, "statusz", "co.json")); err != nil {
 		t.Errorf("bundle missing coordinator statusz: %v", err)
 	}

@@ -3,12 +3,12 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,367 +16,167 @@ import (
 	"rpcv/internal/proto"
 )
 
-func httpGetBody(t *testing.T, url string) string {
+var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+
+func at(sec int) time.Time { return epoch.Add(time.Duration(sec) * time.Second) }
+
+func readFile(t *testing.T, path string) string {
 	t.Helper()
-	resp, err := http.Get(url)
+	b, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
-	}
-	return string(body)
+	return string(b)
 }
 
-// coordSamples fabricates one coordinator's scrape: shard index, queue
-// depth, requeue counter, dispatch p99 and uptime.
-func coordSamples(node string, shard int, depth, requeues, p99ns, uptime float64) []Sample {
-	nl := map[string]string{"node": node}
-	ql := map[string]string{"node": node, "quantile": "0.99"}
-	return []Sample{
-		{Name: "rpcv_coord_shard_index", Labels: nl, Value: float64(shard)},
-		{Name: "rpcv_sched_queue_depth", Labels: nl, Value: depth},
-		{Name: "rpcv_coord_requeues_total", Labels: nl, Value: requeues},
-		{Name: "rpcv_coord_dispatch_latency_ns", Labels: ql, Value: p99ns},
-		{Name: "rpcv_uptime_seconds", Labels: nl, Value: uptime},
-	}
-}
-
-func staticSource(id string, samples func() []Sample) *FuncSource {
-	return &FuncSource{Node: proto.NodeID(id), Fetch: func() ([]Sample, error) { return samples(), nil }}
-}
-
-func TestMonitorGradesHealthyFleetOK(t *testing.T) {
-	up := 0.0
-	m := New(Config{
-		Sources: []Source{staticSource("coord-00", func() []Sample {
-			up++
-			return coordSamples("coord-00", 0, 3, 0, 1e6, up)
-		})},
-		Interval: time.Second,
-	})
-	var v FleetVerdict
-	for i := 0; i < 3; i++ {
-		v = m.Poll(at(i))
-	}
-	if v.Level != LevelOK {
-		t.Fatalf("level = %v, want ok: %+v", v.Level, v)
-	}
-	nv, ok := v.Node("coord-00")
-	if !ok || nv.Role != "coordinator" || len(nv.Reasons) != 0 {
-		t.Fatalf("node verdict = %+v ok=%v", nv, ok)
-	}
-	if len(v.Shards) != 1 || v.Shards[0].QueueDepth != 3 {
-		t.Fatalf("shards = %+v", v.Shards)
-	}
-}
-
+// A node is down after downAfter failed rounds in a row, and that
+// transition captures one bundle; a blip does not, a node that stays
+// down does not capture again, and a second transition within
+// captureSpacing of the last capture is skipped.
 func TestMonitorDownAfterConsecutiveFailuresAndBundle(t *testing.T) {
 	dir := t.TempDir()
-	dead := false
+	var mu sync.Mutex
+	down := map[proto.NodeID]bool{}
+	round := 0
 	tracer := obs.NewTracer("sv0", 16)
 	tracer.EventAt(at(0), proto.CallID{Seq: 1}, obs.StageExec, "")
-	src := &FuncSource{
-		Node: "sv0",
-		Fetch: func() ([]Sample, error) {
-			if dead {
-				return nil, fmt.Errorf("connection refused")
-			}
-			return []Sample{{Name: "rpcv_server_executed_total",
-				Labels: map[string]string{"node": "sv0"}, Value: 7}}, nil
-		},
-		Trace: func() []obs.Span { return tracer.Dump() },
-	}
-	m := New(Config{Sources: []Source{src}, Interval: time.Second, DownAfter: 2, BundleDir: dir})
-
-	if v := m.Poll(at(0)); v.Level != LevelOK {
-		t.Fatalf("healthy round level = %v", v.Level)
-	}
-	dead = true
-	if v := m.Poll(at(1)); v.Level != LevelWarn {
-		t.Fatalf("first failure should be warn, got %v", v.Level)
-	}
-	v := m.Poll(at(2))
-	if v.Level != LevelDown {
-		t.Fatalf("second failure should be down, got %+v", v)
-	}
-	nv, _ := v.Node("sv0")
-	if nv.ScrapeFailures != 2 || !strings.Contains(strings.Join(nv.Reasons, " "), "unreachable") {
-		t.Fatalf("node verdict = %+v", nv)
-	}
-
-	// The down transition must have fired the flight recorder.
-	bundles := m.Bundles()
-	if len(bundles) != 1 {
-		t.Fatalf("bundles = %v, want exactly one", bundles)
-	}
-	for _, name := range []string{"verdict.json", "history.json", "timelines.json", "trace.chrome.json"} {
-		if _, err := os.Stat(filepath.Join(bundles[0], name)); err != nil {
-			t.Errorf("bundle missing %s: %v", name, err)
+	src := func(id proto.NodeID) Source {
+		return &FuncSource{
+			Node: id,
+			Metrics: func() ([]byte, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				if down[id] {
+					return nil, fmt.Errorf("connection refused")
+				}
+				return []byte(fmt.Sprintf("rpcv_round{node=%q} %d\n", id, round)), nil
+			},
+			Trace: func() []obs.Span {
+				if id == "sv0" {
+					return tracer.Dump()
+				}
+				return nil
+			},
 		}
 	}
-	// History must cover the healthy rounds (the dead node's last
-	// samples survive in the rings).
-	var hist map[string]map[string][]Point
-	b, err := os.ReadFile(filepath.Join(bundles[0], "history.json"))
-	if err != nil {
-		t.Fatal(err)
+	m := New(Config{Sources: []Source{src("sv1"), src("sv0")}, BundleDir: dir})
+	step := func(sec int, state map[proto.NodeID]bool) string {
+		mu.Lock()
+		round = sec
+		for id, d := range state {
+			down[id] = d
+		}
+		mu.Unlock()
+		return m.Poll(at(sec))
 	}
-	if err := json.Unmarshal(b, &hist); err != nil {
-		t.Fatal(err)
+
+	if got := step(0, nil); got != "" {
+		t.Fatalf("healthy round captured %s", got)
 	}
-	if len(hist["sv0"]) == 0 {
-		t.Fatalf("history.json has no sv0 series: %v", hist)
+	if got := step(1, map[proto.NodeID]bool{"sv0": true, "sv1": true}); got != "" {
+		t.Fatalf("first failure captured %s", got)
 	}
-	// The bundle's timeline carries the span ring.
+	// sv1 comes back: a blip. sv0's second failure is a death.
+	first := step(2, map[proto.NodeID]bool{"sv1": false})
+	if !strings.HasSuffix(first, "-node-sv0-down") {
+		t.Fatalf("second failure captured %q, want a node-sv0-down bundle", first)
+	}
+	// The dead node's exposition is its last healthy one (round 0); the
+	// live node's is fresh at capture time.
+	if got := readFile(t, filepath.Join(first, "metrics", "sv0.txt")); !strings.Contains(got, "} 0") {
+		t.Errorf("sv0 metrics = %q, want round 0's", got)
+	}
+	if got := readFile(t, filepath.Join(first, "metrics", "sv1.txt")); !strings.Contains(got, "} 2") {
+		t.Errorf("sv1 metrics = %q, want round 2's", got)
+	}
 	var timelines []obs.Timeline
-	b, err = os.ReadFile(filepath.Join(bundles[0], "timelines.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(b, &timelines); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, filepath.Join(first, "timelines.json"))), &timelines); err != nil {
 		t.Fatal(err)
 	}
 	if len(timelines) != 1 || !timelines[0].Has(obs.StageExec) {
 		t.Fatalf("timelines = %+v", timelines)
 	}
-
-	// Cooldown: an immediate second death-level round must not capture
-	// another bundle.
-	m.Poll(at(3))
-	if got := m.Bundles(); len(got) != 1 {
-		t.Fatalf("cooldown violated: %v", got)
+	if _, err := os.Stat(filepath.Join(first, "trace.chrome.json")); err != nil {
+		t.Error(err)
 	}
-	if m.WorstSeen() != LevelDown {
-		t.Fatalf("worst seen = %v", m.WorstSeen())
+
+	// sv0 stays down: no new transition. sv1 dies 2s after the capture:
+	// a transition inside the spacing, skipped.
+	for sec := 3; sec <= 5; sec++ {
+		if got := step(sec, map[proto.NodeID]bool{"sv1": true}); got != "" {
+			t.Fatalf("round at %ds captured %s", sec, got)
+		}
+	}
+	// sv1 recovers; sv0, still down past the spacing, is no new
+	// transition either.
+	if got := step(35, map[proto.NodeID]bool{"sv1": false}); got != "" {
+		t.Fatalf("a node that stayed down captured %s", got)
+	}
+	// sv0 recovers, then dies again.
+	step(36, map[proto.NodeID]bool{"sv0": false})
+	step(40, map[proto.NodeID]bool{"sv0": true})
+	if second := step(41, nil); !strings.HasSuffix(second, "-node-sv0-down") {
+		t.Fatalf("second death captured %q", second)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Fatalf("%d bundles, want 2: %v", len(entries), entries)
 	}
 }
 
+// A node whose admin endpoint answers but whose liveness probe fails
+// is down too; its bundle keeps the exposition from before the probe
+// failed.
 func TestMonitorLivenessProbeCritical(t *testing.T) {
+	var mu sync.Mutex
 	stalled := false
-	src := &FuncSource{
-		Node:  "co",
-		Fetch: func() ([]Sample, error) { return coordSamples("co", 0, 0, 0, 1e6, 1), nil },
-		Health: func() error {
-			if stalled {
-				return fmt.Errorf("event loop did not respond within 500ms")
-			}
-			return nil
-		},
-	}
-	m := New(Config{Sources: []Source{src}, Interval: time.Second})
-	if v := m.Poll(at(0)); v.Level != LevelOK {
-		t.Fatalf("level = %v", v.Level)
-	}
-	stalled = true
-	v := m.Poll(at(1))
-	if v.Level != LevelCritical {
-		t.Fatalf("stalled node level = %v, want critical", v.Level)
-	}
-	nv, _ := v.Node("co")
-	if !strings.Contains(strings.Join(nv.Reasons, " "), "event loop") {
-		t.Fatalf("reasons = %v", nv.Reasons)
-	}
-}
-
-// The coordinator splits rpcv_coord_requeues_total by reason; the
-// shard's requeue rate and its rule read the sum, as they read the
-// single series before the split.
-func TestRequeueRateSumsOverReasons(t *testing.T) {
-	sync, suspected := 0.0, 0.0
-	m := New(Config{
-		Sources: []Source{staticSource("coord-00", func() []Sample {
-			out := coordSamples("coord-00", 0, 0, 0, 1e6, 1)[:2]
-			for reason, v := range map[string]float64{"server-sync": sync, "server-suspected": suspected, "adopted": 0} {
-				out = append(out, Sample{Name: "rpcv_coord_requeues_total",
-					Labels: map[string]string{"node": "coord-00", "reason": reason}, Value: v})
-			}
-			return out
-		})},
-		Interval: time.Second,
-		SLO:      SLO{MaxRequeueRate: 35},
-	})
-	m.Poll(at(0))
-	sync, suspected = 30, 10
-	v := m.Poll(at(1))
-	if len(v.Shards) != 1 || v.Shards[0].RequeueRate != 40 {
-		t.Fatalf("requeue rate = %+v, want 30/s + 10/s", v.Shards)
-	}
-	if v.Shards[0].Level != LevelWarn || !strings.Contains(strings.Join(v.Shards[0].Reasons, " "), "requeue rate 40.00/s") {
-		t.Fatalf("the rule did not fire on the sum: %+v", v.Shards[0])
-	}
-}
-
-func TestMonitorShardSLO(t *testing.T) {
-	depth, p99 := 2.0, 1e6 // healthy: depth 2, dispatch p99 1ms
-	requeues := 0.0
-	mk := func(node string, shard int) Source {
-		return staticSource(node, func() []Sample {
-			return coordSamples(node, shard, depth, requeues, p99, 1)
-		})
-	}
-	m := New(Config{
-		Sources:  []Source{mk("coord-00", 0), mk("coord-01", 0), mk("coord-02", 1)},
-		Interval: time.Second,
-		SLO: SLO{
-			DispatchP99:    10 * time.Millisecond,
-			MaxQueueDepth:  10,
-			MaxRequeueRate: 1,
-		},
-	})
-	v := m.Poll(at(0))
-	if v.Level != LevelOK || len(v.Shards) != 2 {
-		t.Fatalf("healthy verdict = %+v", v)
-	}
-	if v.Shards[0].QueueDepth != 4 || v.Shards[1].QueueDepth != 2 {
-		t.Fatalf("shard depths = %+v", v.Shards)
-	}
-
-	// Queue depth past the limit: warn; past double: critical.
-	depth = 6 // shard 0 sums to 12 > 10
-	if v = m.Poll(at(1)); v.Shards[0].Level != LevelWarn {
-		t.Fatalf("depth breach = %+v", v.Shards[0])
-	}
-	depth = 11 // shard 0 sums to 22 > 20
-	if v = m.Poll(at(2)); v.Shards[0].Level != LevelCritical {
-		t.Fatalf("depth double breach = %+v", v.Shards[0])
-	}
-	depth = 2
-
-	// A requeue storm: 10 requeues/s against a 1/s objective.
-	requeues = 100
-	m.Poll(at(3))
-	requeues = 110
-	v = m.Poll(at(4))
-	found := false
-	for _, s := range v.Shards {
-		if s.Shard == 0 && strings.Contains(strings.Join(s.Reasons, " "), "requeue rate") {
-			found = true
-			if s.RequeueRate <= 1 {
-				t.Errorf("requeue rate = %v", s.RequeueRate)
-			}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		if stalled {
+			http.Error(w, "unhealthy: event loop did not respond within 500ms", http.StatusServiceUnavailable)
+			return
 		}
-	}
-	if !found {
-		t.Fatalf("no requeue-rate breach in %+v", v.Shards)
-	}
-
-	// Dispatch p99 burn: hold the quantile above target long enough
-	// that more than half the window burns → critical.
-	requeues = 0
-	p99 = 50e6 // 50ms against a 10ms target
-	var last FleetVerdict
-	for i := 5; i < 40; i++ {
-		last = m.Poll(at(i))
-	}
-	var s0 ShardVerdict
-	for _, s := range last.Shards {
-		if s.Shard == 0 {
-			s0 = s
-		}
-	}
-	if s0.Level != LevelCritical || s0.Burn < 0.5 {
-		t.Fatalf("burn verdict = %+v", s0)
-	}
-	if s0.DispatchP99 != 50*time.Millisecond {
-		t.Fatalf("dispatch p99 = %v", s0.DispatchP99)
-	}
-}
-
-func TestMonitorNodeSLORules(t *testing.T) {
-	redials, walP99 := 0.0, 1e6
-	src := staticSource("sv0", func() []Sample {
-		nl := map[string]string{"node": "sv0"}
-		return []Sample{
-			{Name: "rpcv_server_running", Labels: nl, Value: 1},
-			{Name: "rpcv_transport_redials_total", Labels: nl, Value: redials},
-			{Name: "rpcv_store_write_latency_ns",
-				Labels: map[string]string{"node": "sv0", "quantile": "0.99"}, Value: walP99},
-		}
+		fmt.Fprintln(w, "ok")
 	})
-	m := New(Config{
-		Sources:  []Source{src},
-		Interval: time.Second,
-		SLO:      SLO{MaxRedialRate: 1, WALCommitP99: 5 * time.Millisecond},
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, "rpcv_stalled %v\n", stalled)
 	})
-	m.Poll(at(0))
-	if v := m.Poll(at(1)); v.Level != LevelOK {
-		t.Fatalf("healthy = %+v", v)
-	}
-	redials = 20 // 10/s vs limit 1/s
-	v := m.Poll(at(3))
-	nv, _ := v.Node("sv0")
-	if nv.Level != LevelWarn || !strings.Contains(strings.Join(nv.Reasons, " "), "redial") {
-		t.Fatalf("redial verdict = %+v", nv)
-	}
-	// WAL p99 above target for most of the window → critical.
-	walP99 = 50e6
-	for i := 4; i < 40; i++ {
-		v = m.Poll(at(i))
-	}
-	nv, _ = v.Node("sv0")
-	if nv.Level != LevelCritical || !strings.Contains(strings.Join(nv.Reasons, " "), "wal commit") {
-		t.Fatalf("wal burn verdict = %+v", nv)
-	}
-}
-
-func TestMonitorDetectsRestart(t *testing.T) {
-	up := 100.0
-	m := New(Config{
-		Sources: []Source{staticSource("sv0", func() []Sample {
-			return []Sample{
-				{Name: "rpcv_server_running", Labels: map[string]string{"node": "sv0"}, Value: 0},
-				{Name: "rpcv_uptime_seconds", Labels: map[string]string{"node": "sv0"}, Value: up},
-			}
-		})},
-		Interval: time.Second,
-	})
-	m.Poll(at(0))
-	up = 2 // process came back young
-	v := m.Poll(at(1))
-	nv, _ := v.Node("sv0")
-	if nv.Restarts != 1 || nv.Level != LevelWarn {
-		t.Fatalf("restart verdict = %+v", nv)
-	}
-}
-
-func TestHandlerServesClusterz(t *testing.T) {
-	m := New(Config{
-		Sources: []Source{staticSource("coord-00", func() []Sample {
-			return coordSamples("coord-00", 0, 1, 0, 1e6, 1)
-		})},
-		Interval: time.Second,
-	})
-	m.Poll(at(0))
-	srv := httptest.NewServer(m.Handler())
+	mux.HandleFunc("/tracez", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprintln(w, "[]") })
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	body := httpGetBody(t, srv.URL+"/clusterz")
-	var v FleetVerdict
-	if err := json.Unmarshal([]byte(body), &v); err != nil {
-		t.Fatalf("/clusterz JSON: %v\n%s", err, body)
+	var logs []string
+	m := New(Config{
+		Sources:   []Source{NewHTTPSource("co", srv.URL)},
+		BundleDir: t.TempDir(),
+		Logf:      func(f string, a ...any) { logs = append(logs, fmt.Sprintf(f, a...)) },
+	})
+	if got := m.Poll(at(0)); got != "" {
+		t.Fatalf("healthy round captured %s", got)
 	}
-	if len(v.Nodes) != 1 || v.Nodes[0].Node != "coord-00" {
-		t.Fatalf("verdict = %+v", v)
+	mu.Lock()
+	stalled = true
+	mu.Unlock()
+	m.Poll(at(1))
+	dir := m.Poll(at(2))
+	if dir == "" {
+		t.Fatal("two failed probes captured nothing")
 	}
-
-	text := httpGetBody(t, srv.URL+"/clusterz?format=text")
-	for _, want := range []string{"fleet OK", "coord-00", "coordinator", "SHARD"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("text view missing %q:\n%s", want, text)
-		}
+	if !strings.Contains(strings.Join(logs, "\n"), "event loop did not respond") {
+		t.Errorf("the probe's reason is not logged: %q", logs)
 	}
-	if !strings.Contains(httpGetBody(t, srv.URL+"/healthz"), "ok") {
-		t.Error("/healthz not ok for a healthy fleet")
+	if got := readFile(t, filepath.Join(dir, "metrics", "co.txt")); got != "rpcv_stalled false\n" {
+		t.Errorf("metrics = %q, want the last healthy exposition", got)
 	}
-	var hist map[string]map[string][]Point
-	if err := json.Unmarshal([]byte(httpGetBody(t, srv.URL+"/historyz")), &hist); err != nil {
-		t.Fatalf("/historyz: %v", err)
-	}
-	if len(hist["coord-00"]) == 0 {
-		t.Fatal("/historyz empty")
+	if _, err := os.Stat(filepath.Join(dir, "statusz")); !os.IsNotExist(err) {
+		t.Errorf("a failed /statusz left a file: %v", err)
 	}
 }
 

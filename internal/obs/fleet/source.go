@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,45 +12,19 @@ import (
 	"rpcv/internal/proto"
 )
 
-// Scrape is one round's reading of one node.
-type Scrape struct {
-	At      time.Time
-	Samples []Sample
-	Raw     []byte // the exposition text as served (bundles keep it verbatim)
-	// Healthy mirrors the node's liveness probe (/healthz, or an
-	// in-process check): false means the node answered but declared
-	// itself stalled. A node that does not answer at all is a scrape
-	// error, not an unhealthy scrape.
-	Healthy      bool
-	HealthDetail string
-}
-
-// Source is one node as the monitor sees it. Scrape must complete (or
-// fail) within the given timeout.
+// Source is one node as the recorder sees it. Every call must
+// complete (or fail) within the given timeout.
 type Source interface {
 	ID() proto.NodeID
-	Scrape(timeout time.Duration) (*Scrape, error)
-}
-
-// TraceSource is the optional span-ring face of a Source; the flight
-// recorder assembles timelines from every source that has one.
-type TraceSource interface {
+	// Scrape returns the node's raw metrics exposition. It fails when
+	// the node does not answer or fails its liveness probe.
+	Scrape(timeout time.Duration) ([]byte, error)
+	// Spans returns the node's span ring.
 	Spans(timeout time.Duration) ([]obs.Span, error)
 }
 
-// DumpSource is the optional deep-dump face of a Source: raw /statusz
-// and pprof profiles for flight bundles.
-type DumpSource interface {
-	Statusz(timeout time.Duration) ([]byte, error)
-	Profile(name string, timeout time.Duration) ([]byte, error)
-}
-
-// ---------------------------------------------------------------------
-// HTTP source: a node's -admin endpoint
-// ---------------------------------------------------------------------
-
-// HTTPSource scrapes one daemon's admin endpoint ("host:port" or a
-// full "http://host:port" base).
+// HTTPSource reads one daemon's admin endpoint ("host:port" or a full
+// "http://host:port" base).
 type HTTPSource struct {
 	Node proto.NodeID
 	Base string
@@ -67,54 +40,37 @@ func NewHTTPSource(node proto.NodeID, addr string) *HTTPSource {
 
 func (h *HTTPSource) ID() proto.NodeID { return h.Node }
 
-func (h *HTTPSource) get(path string, timeout time.Duration) (int, []byte, error) {
+// fetch GETs path and fails on any status but 200, quoting the body.
+func (h *HTTPSource) fetch(path string, timeout time.Duration) ([]byte, error) {
 	cl := &http.Client{Timeout: timeout}
 	resp, err := cl.Get(h.Base + path)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return resp.StatusCode, nil, err
+		return nil, err
 	}
-	return resp.StatusCode, body, nil
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s status %d: %s", path, resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	return body, nil
 }
 
-// Scrape fetches /metrics and /healthz. An unreachable or malformed
-// /metrics fails the scrape; a 503 /healthz succeeds but reports the
-// node unhealthy with the server's reason.
-func (h *HTTPSource) Scrape(timeout time.Duration) (*Scrape, error) {
-	code, body, err := h.get("/metrics", timeout)
-	if err != nil {
+// Scrape checks /healthz, then fetches /metrics.
+func (h *HTTPSource) Scrape(timeout time.Duration) ([]byte, error) {
+	if _, err := h.fetch("/healthz", timeout); err != nil {
 		return nil, err
 	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("/metrics status %d", code)
-	}
-	samples, _, err := ParseMetrics(strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	sc := &Scrape{At: time.Now(), Samples: samples, Raw: body, Healthy: true}
-	hcode, hbody, herr := h.get("/healthz", timeout)
-	switch {
-	case herr != nil:
-		sc.Healthy, sc.HealthDetail = false, herr.Error()
-	case hcode != http.StatusOK:
-		sc.Healthy, sc.HealthDetail = false, strings.TrimSpace(string(hbody))
-	}
-	return sc, nil
+	return h.fetch("/metrics", timeout)
 }
 
 // Spans fetches and decodes /tracez.
 func (h *HTTPSource) Spans(timeout time.Duration) ([]obs.Span, error) {
-	code, body, err := h.get("/tracez", timeout)
+	body, err := h.fetch("/tracez", timeout)
 	if err != nil {
 		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("/tracez status %d", code)
 	}
 	var spans []obs.Span
 	if err := json.Unmarshal(body, &spans); err != nil {
@@ -123,128 +79,21 @@ func (h *HTTPSource) Spans(timeout time.Duration) ([]obs.Span, error) {
 	return spans, nil
 }
 
-// Statusz fetches the raw /statusz JSON.
-func (h *HTTPSource) Statusz(timeout time.Duration) ([]byte, error) {
-	code, body, err := h.get("/statusz", timeout)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("/statusz status %d", code)
-	}
-	return body, nil
-}
-
-// Profile fetches one pprof profile in its debug text form.
-func (h *HTTPSource) Profile(name string, timeout time.Duration) ([]byte, error) {
-	code, body, err := h.get("/debug/pprof/"+name+"?debug=1", timeout)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("/debug/pprof/%s status %d", name, code)
-	}
-	return body, nil
-}
-
-// ---------------------------------------------------------------------
-// In-process sources: shared registries, simulated clusters
-// ---------------------------------------------------------------------
-
-// FuncSource adapts in-process state to the Source contract: the
-// cluster harness and the wall-clock experiments monitor their nodes
-// without HTTP by fetching samples straight from a shared registry and
-// answering liveness from the harness's own knowledge (a crashed sim
-// node, a closed runtime).
+// FuncSource is an in-process source: the conform harness hands the
+// recorder its cell's shared registry and span rings without HTTP.
 type FuncSource struct {
 	Node proto.NodeID
-	// Fetch returns the node's current samples (histograms expanded as
-	// by SamplesFromRegistry).
-	Fetch func() ([]Sample, error)
-	// Health reports liveness; nil means always healthy.
-	Health func() error
-	// Trace returns the node's span dump for flight bundles; nil means
-	// no spans.
+	// Metrics returns the exposition; an error counts as a failed round.
+	Metrics func() ([]byte, error)
+	// Trace returns the span dump.
 	Trace func() []obs.Span
 }
 
 func (f *FuncSource) ID() proto.NodeID { return f.Node }
 
-func (f *FuncSource) Scrape(time.Duration) (*Scrape, error) {
-	samples, err := f.Fetch()
-	if err != nil {
-		return nil, err
-	}
-	sc := &Scrape{At: time.Now(), Samples: samples, Healthy: true}
-	if f.Health != nil {
-		if err := f.Health(); err != nil {
-			sc.Healthy, sc.HealthDetail = false, err.Error()
-		}
-	}
-	return sc, nil
-}
+func (f *FuncSource) Scrape(time.Duration) ([]byte, error) { return f.Metrics() }
 
-func (f *FuncSource) Spans(time.Duration) ([]obs.Span, error) {
-	if f.Trace == nil {
-		return nil, nil
-	}
-	return f.Trace(), nil
-}
-
-// SamplesFromRegistry reads one node's samples out of a shared
-// registry (metrics labeled node="<id>", the experiment-harness
-// convention). Histograms expand into the same series the text
-// exposition carries — quantile samples plus _sum and _count — so the
-// health rules see identical shapes from HTTP and in-process sources.
-func SamplesFromRegistry(reg *obs.Registry, node proto.NodeID) []Sample {
-	var out []Sample
-	for _, s := range reg.Snapshot() {
-		if s.Labels["node"] != string(node) {
-			continue
-		}
-		if s.Hist != nil {
-			for _, q := range []struct {
-				q string
-				v float64
-			}{{"0.5", s.Hist.P50}, {"0.95", s.Hist.P95}, {"0.99", s.Hist.P99}} {
-				lb := cloneLabels(s.Labels)
-				lb["quantile"] = q.q
-				out = append(out, Sample{Name: s.Name, Labels: lb, Value: q.v})
-			}
-			out = append(out,
-				Sample{Name: s.Name + "_sum", Labels: cloneLabels(s.Labels), Value: s.Hist.Sum},
-				Sample{Name: s.Name + "_count", Labels: cloneLabels(s.Labels), Value: float64(s.Hist.N)})
-			continue
-		}
-		out = append(out, Sample{Name: s.Name, Labels: cloneLabels(s.Labels), Value: s.Value})
-	}
-	return out
-}
-
-// RegistryNodes lists the distinct node labels present in a shared
-// registry, sorted — the discovery step for in-process fleets.
-func RegistryNodes(reg *obs.Registry) []proto.NodeID {
-	seen := map[string]bool{}
-	for _, s := range reg.Snapshot() {
-		if n := s.Labels["node"]; n != "" && !seen[n] {
-			seen[n] = true
-		}
-	}
-	out := make([]proto.NodeID, 0, len(seen))
-	for n := range seen {
-		out = append(out, proto.NodeID(n))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func cloneLabels(m map[string]string) map[string]string {
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
+func (f *FuncSource) Spans(time.Duration) ([]obs.Span, error) { return f.Trace(), nil }
 
 // ParseTargets parses the rpcv-mon -nodes syntax "id=admin-addr,..."
 // into HTTP sources.

@@ -147,6 +147,9 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("rpcv_test_total", L("node", "a")).Add(3)
 	r.Counter("rpcv_test_total", L("node", "b")).Add(4)
 	r.Gauge("rpcv_test_depth", L("node", `quo"te`)).SetInt(2)
+	// Every escape the format defines: a newline, a backslash, and a
+	// backslash before a letter that must not read as an escape.
+	r.Gauge("rpcv_test_depth", L("node", "new\nline back\\slash lit\\d")).SetInt(3)
 	h := r.Histogram("rpcv_test_lat_ns", L("node", "a"))
 	h.Observe(100)
 	h.Observe(200)
@@ -166,6 +169,7 @@ func TestWritePrometheus(t *testing.T) {
 		`rpcv_test_lat_ns_count{node="a"} 2`,
 		`rpcv_test_lat_ns_sum{node="a"} 300`,
 		`node="quo\"te"`,
+		`rpcv_test_depth{node="new\nline back\\slash lit\\d"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
