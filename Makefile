@@ -2,15 +2,17 @@
 #
 #   make            vet + lint + build + test (the tier-1 gate)
 #   make lint       project-specific analyzers (cmd/rpcv-lint): event-
-#                   loop discipline, proto codec completeness, atomic
-#                   hygiene, disk-error hygiene — standalone (cross-
-#                   package call-graph walk) and as go vet -vettool
-#                   (covers _test.go files); then greps that fail if
-#                   a name of the removed gob codec, per-message
-#                   transport, files store, modelled-sleep loops
-#                   experiment, multi-loop runtime or user-triggered
-#                   client log GC (the log is collected at delivery) is
-#                   back in Go sources, this file or CI, or if the
+#                   loop discipline, proto codec completeness, disk-
+#                   error hygiene — standalone (cross-package call-
+#                   graph walk) and as go vet -vettool (covers _test.go
+#                   files); then greps that fail if a name of the
+#                   removed gob codec, per-message transport, files
+#                   store, modelled-sleep loops experiment, multi-loop
+#                   runtime, user-triggered client log GC (the log is
+#                   collected at delivery) or the transport's payload-
+#                   sized buffers (the decoder's roomy rule, the large
+#                   encode pool) is back in Go sources, this file or
+#                   CI, or if the
 #                   client or the server encodes a whole message for its
 #                   log again
 #                   (msglog.EntryOf keeps a large payload by reference),
@@ -63,6 +65,7 @@ lint:
 	! git grep -nE 'Loops[S]cale|loops[-]scale' -- '*.go' Makefile .github
 	! git grep -nE 'Partitioned[H]andler|Loop[I]nfo|Lane[r]|Do[O]n\(|DoAsync[O]n\(|Ping[L]oop|Loop[F]or\(|loop[T]agSep|RPCV_[L]OOPS' -- '*.go' Makefile .github
 	! git grep -nE 'GC[N]ow' -- '*.go'
+	! git grep -nE 'roomy[F]rames|large[P]ool|GetBuffer[F]or' -- '*.go' Makefile .github
 	! git grep -nE 'proto\.Encode[M]essage\(' -- 'internal/client/*.go' 'internal/server/*.go' ':!*_test.go'
 	! git grep -nE 'deleteIn[T]urn|writeB[l]ob|Stored[J]ob\b|changedP[a]rts' -- '*.go'
 	! git grep -nE 'unwr[i]tten' -- 'internal/coordinator/*.go'

@@ -1,6 +1,5 @@
 // Command rpcv-lint runs rpcv's project-specific static analyzers
-// (internal/lint): loopexclusive, protocomplete, atomicfield and
-// diskerr. It is both a standalone multichecker and a vet tool.
+// (internal/lint): loopexclusive, protocomplete and diskerr. It is both a standalone multichecker and a vet tool.
 //
 // Standalone, over package patterns (what `make lint` runs):
 //

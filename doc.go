@@ -105,9 +105,8 @@
 // loop, plus off-loop touches of //rpcv:loop-owned handler state;
 // protocomplete cross-checks that every proto message kind is wired
 // into the kind constants, kindOf and the binary encoder and decoder
-// simultaneously; atomicfield reports mixed atomic/plain access to the
-// same field; diskerr reports discarded errors from node.Disk/store
-// calls. `make lint` runs all four and is part of the default verify
+// simultaneously; diskerr reports discarded errors from node.Disk/store
+// calls. `make lint` runs all three and is part of the default verify
 // path and CI.
 //
 // internal/conform is the conformance + chaos matrix harness behind

@@ -7,8 +7,6 @@
 //     touched on the loop).
 //   - protocomplete: every proto message kind wired into the binary
 //     encoder, decoder and kind table simultaneously.
-//   - atomicfield: no plain reads/writes of fields that are elsewhere
-//     updated through sync/atomic.
 //   - diskerr: no silently discarded errors from node.Disk / store
 //     engine calls.
 //
@@ -21,7 +19,6 @@ import (
 	"sort"
 
 	"rpcv/internal/lint/analysis"
-	"rpcv/internal/lint/atomicfield"
 	"rpcv/internal/lint/diskerr"
 	"rpcv/internal/lint/loopexclusive"
 	"rpcv/internal/lint/protocomplete"
@@ -30,7 +27,6 @@ import (
 // Suite returns rpcv's analyzers in deterministic order.
 func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		atomicfield.Analyzer,
 		diskerr.Analyzer,
 		loopexclusive.Analyzer,
 		protocomplete.Analyzer,

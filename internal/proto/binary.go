@@ -8,11 +8,13 @@ package proto
 // encoding for time.Time (locations normalize to UTC; only the instant
 // is protocol-relevant). There is no reflection and no per-encode
 // allocation: encoders append into caller-supplied or pooled buffers
-// sized by the WireSize hints, and the reader decodes frames in place —
-// byte slices are copied out (the frame buffer is reused), strings are
-// interned so the small, endlessly repeated identifiers (node IDs,
-// users, service names) are allocated once per decoder, not once per
-// message.
+// sized by the WireSize hints, or — on the wire (Frames) — leave each
+// large payload out of the buffer for the write to take where it lies.
+// The reader decodes a blob in place and a frame through a window of
+// at most BlobMin bytes: every byte slice is read or copied into one of
+// its own, and strings are interned so the small, endlessly repeated
+// identifiers (node IDs, users, service names) are allocated once per
+// decoder, not once per message.
 //
 // Decoding is hardened for the fuzzer and for torn frames: every read
 // is bounds-checked against the remaining input through a sticky
@@ -24,6 +26,7 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"sync"
 	"time"
@@ -139,56 +142,33 @@ func kindOf(msg Message) uint8 {
 // Pooled encode buffers
 // ---------------------------------------------------------------------
 
-// EncodeBuffer is a pooled scratch buffer for frame encoding. The
-// transport borrows one per batch flush, appends frames into B and
-// returns it; steady-state sends therefore allocate nothing.
+// EncodeBuffer is a pooled scratch buffer for a small encoding: a
+// storage encoder borrows one, appends into B and copies the result out
+// at its exact length (encodeSized), so steady-state encodes allocate
+// only what they return. Wire frames do not come from the pool: each
+// sender keeps its own Frames.
 type EncodeBuffer struct{ B []byte }
 
-// Two pools, split at scratchBuffer by capacity: with one, a heartbeat
-// borrows the buffer a 64 KiB frame grew, the next such frame finds
-// a small one and grows it too, and an idle grid's timers keep whichever
-// they last touched alive — how much depends on who borrowed what last.
-// Apart, the payload-sized buffers are touched by payload-sized batches
-// only: a grid that has gone quiet gives them all back to the collector.
-var smallPool = sync.Pool{New: func() any { return &EncodeBuffer{B: make([]byte, 0, scratchBuffer)} }}
-var largePool sync.Pool
+var bufferPool = sync.Pool{New: func() any { return &EncodeBuffer{B: make([]byte, 0, scratchBuffer)} }}
 
-// scratchBuffer is the capacity of a fresh pooled buffer, and the line
-// between the pools.
+// scratchBuffer is the capacity of a fresh pooled buffer.
 const scratchBuffer = 4096
 
-// GetBuffer borrows a pooled encode buffer (len 0) for a small encoding.
-func GetBuffer() *EncodeBuffer { return smallPool.Get().(*EncodeBuffer) }
+// GetBuffer borrows a pooled encode buffer (len 0).
+func GetBuffer() *EncodeBuffer { return bufferPool.Get().(*EncodeBuffer) }
 
-// GetBufferFor borrows a pooled encode buffer (len 0) for an encoding
-// of about n bytes: one that held as much before, when there is one.
-func GetBufferFor(n int) *EncodeBuffer {
-	if n <= scratchBuffer {
-		return GetBuffer()
-	}
-	if b, ok := largePool.Get().(*EncodeBuffer); ok {
-		return b
-	}
-	return &EncodeBuffer{B: make([]byte, 0, n)}
-}
-
-// maxPooledBuffer is the largest buffer kept for reuse, on the encode
-// side (PutBuffer) and the decode side (WireDecoder) alike.
+// maxPooledBuffer is the largest buffer kept for reuse: by the pool
+// (PutBuffer) and by a Frames between batches.
 const maxPooledBuffer = 1 << 20
 
-// PutBuffer returns a buffer to the pool of its size. Oversized buffers
-// (a one-off giant batch) are dropped instead of pinning their memory
-// forever.
+// PutBuffer returns a buffer to the pool. Oversized buffers (a one-off
+// giant encoding) are dropped instead of pinning their memory forever.
 func PutBuffer(b *EncodeBuffer) {
 	if b == nil || cap(b.B) > maxPooledBuffer {
 		return
 	}
 	b.B = b.B[:0]
-	if cap(b.B) <= scratchBuffer {
-		smallPool.Put(b)
-	} else {
-		largePool.Put(b)
-	}
+	bufferPool.Put(b)
 }
 
 // ---------------------------------------------------------------------
@@ -211,14 +191,26 @@ func appendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// appendPayload encodes a message's payload field: appendBytes, or in a
-// log header (bare) the count alone, so that header and payload are,
-// end to end, exactly the bytes of the whole encoding.
-func appendPayload(dst []byte, b []byte, bare bool) []byte {
-	if bare {
-		return binary.AppendUvarint(dst, uint64(len(b))+1)
+// cut is a payload an encoding left out: its bytes belong at offset at
+// of the encoding, right after the count appendPayload wrote.
+type cut struct {
+	at int
+	b  []byte
+}
+
+// appendPayload encodes a byte field that can be large: appendBytes, or
+// — for an encoding that leaves large payloads out (cuts non-nil) — from
+// BlobMin bytes up the count alone, the payload itself noted in *cuts,
+// so that the encoding with each cut spliced back in is, byte for byte,
+// the whole encoding. A log header (EncodeLogged) is such an encoding;
+// so is a batch of wire frames (Frames).
+func appendPayload(dst []byte, b []byte, cuts *[]cut) []byte {
+	if cuts == nil || len(b) < BlobMin {
+		return appendBytes(dst, b)
 	}
-	return appendBytes(dst, b)
+	dst = binary.AppendUvarint(dst, uint64(len(b))+1)
+	*cuts = append(*cuts, cut{at: len(dst), b: b})
+	return dst
 }
 
 func appendBool(dst []byte, v bool) []byte {
@@ -260,6 +252,19 @@ func appendSlice[T any](dst []byte, xs []T, app func([]byte, T) []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(xs))+1)
 	for i := range xs {
 		dst = app(dst, xs[i])
+	}
+	return dst
+}
+
+// appendEach is appendSlice for the elements that carry a payload
+// field, handed on to app with the encoding's cuts (appendPayload).
+func appendEach[T any](dst []byte, xs []T, cuts *[]cut, app func([]byte, *T, *[]cut) []byte) []byte {
+	if xs == nil {
+		return append(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(xs))+1)
+	for i := range xs {
+		dst = app(dst, &xs[i], cuts)
 	}
 	return dst
 }
@@ -310,14 +315,23 @@ func (t *internTable) get(b []byte) string {
 	return s
 }
 
-// binReader decodes one frame or blob in place. Errors are sticky:
-// after the first malformed field every further read is a no-op
-// returning zero values, and the caller checks err once at the end.
+// binReader decodes one blob in place, or one wire frame through a
+// window (WireDecoder): buf then holds the part of the frame read so
+// far and not yet parsed, up to the window's size, and the left bytes
+// after it are still in src, read on demand — a field that is not all
+// in buf is read on into the window (fill), or, when its caller wants
+// the bytes in a slice of its own (read), straight into that slice.
+// Errors are sticky: after the first malformed field or failed read
+// every further read is a no-op returning zero values, and the caller
+// checks err once at the end — ErrCorrupt, or what src returned.
 type binReader struct {
 	buf    []byte
 	pos    int
 	err    error
 	intern *internTable
+
+	src  io.Reader // nil (and left 0) for a blob
+	left int
 
 	// bare marks a log header: payload reads a count into payloadLen
 	// and no bytes (see appendPayload).
@@ -331,9 +345,52 @@ func (r *binReader) fail() {
 	}
 }
 
-func (r *binReader) remaining() int { return len(r.buf) - r.pos }
+// remaining is what is left of the blob or frame, window and stream.
+func (r *binReader) remaining() int { return len(r.buf) - r.pos + r.left }
+
+// fill moves the window's unparsed bytes to its front and reads the
+// frame on into the rest of it: after it buf holds a window's worth of
+// the frame, or all the frame has left.
+func (r *binReader) fill() {
+	have := copy(r.buf[:cap(r.buf)], r.buf[r.pos:])
+	n := min(cap(r.buf)-have, r.left)
+	buf := r.buf[:have+n]
+	if _, err := io.ReadFull(r.src, buf[have:]); err != nil {
+		r.tear(err)
+		return
+	}
+	r.buf, r.pos, r.left = buf, 0, r.left-n
+}
+
+// read fills p with the next len(p) bytes, which the caller has checked
+// remain: those in buf, then the rest straight from the stream.
+func (r *binReader) read(p []byte) {
+	n := copy(p, r.buf[r.pos:])
+	r.pos += n
+	if n == len(p) {
+		return
+	}
+	if _, err := io.ReadFull(r.src, p[n:]); err != nil {
+		r.tear(err)
+		return
+	}
+	r.left -= len(p) - n
+}
+
+// tear records a failed read: the stream ended or broke inside a frame.
+func (r *binReader) tear(err error) {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 func (r *binReader) u8() byte {
+	if r.left > 0 && r.pos >= len(r.buf) && r.err == nil {
+		r.fill()
+	}
 	if r.err != nil || r.pos >= len(r.buf) {
 		r.fail()
 		return 0
@@ -343,7 +400,16 @@ func (r *binReader) u8() byte {
 	return b
 }
 
+// varintFill makes sure a varint is all in the window when the frame
+// has one that long.
+func (r *binReader) varintFill() {
+	if r.left > 0 && len(r.buf)-r.pos < binary.MaxVarintLen64 && r.err == nil {
+		r.fill()
+	}
+}
+
 func (r *binReader) uvarint() uint64 {
+	r.varintFill()
 	if r.err != nil {
 		return 0
 	}
@@ -357,6 +423,7 @@ func (r *binReader) uvarint() uint64 {
 }
 
 func (r *binReader) varint() int64 {
+	r.varintFill()
 	if r.err != nil {
 		return 0
 	}
@@ -369,9 +436,10 @@ func (r *binReader) varint() int64 {
 	return v
 }
 
-// take returns n bytes of the frame without copying; the caller must
-// copy before the frame buffer is reused. A length beyond the bytes
-// actually present is corruption, detected before any allocation.
+// take returns the next n bytes, valid until the next read: in place
+// in the blob or the window, or — wider than the window — read into a
+// slice of their own. A length beyond the bytes that remain is
+// corruption, detected before any allocation.
 func (r *binReader) take(n uint64) []byte {
 	if r.err != nil {
 		return nil
@@ -379,6 +447,16 @@ func (r *binReader) take(n uint64) []byte {
 	if n > uint64(r.remaining()) {
 		r.fail()
 		return nil
+	}
+	if int(n) > len(r.buf)-r.pos {
+		if int(n) > cap(r.buf) {
+			b := make([]byte, n)
+			r.read(b)
+			return b
+		}
+		if r.fill(); r.err != nil {
+			return nil
+		}
 	}
 	b := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
@@ -393,23 +471,29 @@ func (r *binReader) str() string {
 	return r.intern.get(b)
 }
 
+// bytes reads a byte slice into one of its own, exactly as long as the
+// field: a payload of a frame comes straight from the stream, save what
+// the window already held of it.
 func (r *binReader) bytes() []byte {
 	n := r.uvarint()
-	if n == 0 {
+	if r.err != nil || n == 0 {
 		return nil
 	}
-	b := r.take(n - 1)
-	if r.err != nil {
+	if n-1 > uint64(r.remaining()) {
+		r.fail()
 		return nil
 	}
-	// make+copy, not append: append of zero elements onto nil would
-	// turn an encoded empty slice back into nil.
-	out := make([]byte, len(b))
-	copy(out, b)
+	// make, not append: append of zero elements onto nil would turn an
+	// encoded empty slice back into nil.
+	out := make([]byte, n-1)
+	if r.read(out); r.err != nil {
+		return nil
+	}
 	return out
 }
 
-// payload reads a message's payload field (see appendPayload).
+// payload reads a message's payload field: bytes, or in a log header
+// the count alone (see appendPayload).
 func (r *binReader) payload() []byte {
 	if !r.bare {
 		return r.bytes()
@@ -513,9 +597,9 @@ func readSlice[T any](r *binReader, rd func(*binReader) T) []T {
 // Per-type bodies
 // ---------------------------------------------------------------------
 
-func appendResult(dst []byte, res Result) []byte {
+func appendResult(dst []byte, res *Result, cuts *[]cut) []byte {
 	dst = appendCallID(dst, res.Call)
-	dst = appendBytes(dst, res.Output)
+	dst = appendPayload(dst, res.Output, cuts)
 	dst = appendString(dst, res.Err)
 	return appendNode(dst, res.Server)
 }
@@ -524,10 +608,10 @@ func readResult(r *binReader) Result {
 	return Result{Call: r.call(), Output: r.bytes(), Err: r.str(), Server: r.node()}
 }
 
-func appendAssignment(dst []byte, t TaskAssignment) []byte {
+func appendAssignment(dst []byte, t *TaskAssignment, cuts *[]cut) []byte {
 	dst = appendTaskID(dst, t.Task)
 	dst = appendString(dst, t.Service)
-	dst = appendBytes(dst, t.Params)
+	dst = appendPayload(dst, t.Params, cuts)
 	dst = appendDur(dst, t.ExecTime)
 	return binary.AppendVarint(dst, int64(t.ResultSize))
 }
@@ -576,20 +660,16 @@ func readShardMapState(r *binReader) ShardMapState {
 		})}
 }
 
-// appendJob adapts appendJobBody to appendSlice's by-value element
-// signature (the one place job records are encoded from a slice).
-func appendJob(dst []byte, j JobRecord) []byte { return appendJobBody(dst, &j) }
-
-func appendJobBody(dst []byte, j *JobRecord) []byte {
+func appendJobBody(dst []byte, j *JobRecord, cuts *[]cut) []byte {
 	dst = appendCallID(dst, j.Call)
 	dst = appendString(dst, j.Service)
-	dst = appendBytes(dst, j.Params)
+	dst = appendPayload(dst, j.Params, cuts)
 	dst = appendDur(dst, j.ExecTime)
 	dst = binary.AppendVarint(dst, int64(j.ResultSize))
 	dst = appendTime(dst, j.Deadline)
 	dst = append(dst, byte(j.State))
 	dst = binary.AppendUvarint(dst, uint64(j.Instance))
-	dst = appendBytes(dst, j.Output)
+	dst = appendPayload(dst, j.Output, cuts)
 	dst = appendString(dst, j.ResultErr)
 	return appendNode(dst, j.Server)
 }
@@ -610,22 +690,22 @@ func readJobBody(r *binReader) JobRecord {
 	}
 }
 
-// The two messages that carry a payload — the one field that can be
-// large — encode through these, whole or bare; payloadOf names the field.
+// The two messages that carry a payload as a field of their own encode
+// through these; payloadOf names the field, the one a log header cuts.
 
-func appendSubmitBody(dst []byte, m *Submit, bare bool) []byte {
+func appendSubmitBody(dst []byte, m *Submit, cuts *[]cut) []byte {
 	dst = appendCallID(dst, m.Call)
 	dst = appendString(dst, m.Service)
-	dst = appendPayload(dst, m.Params, bare)
+	dst = appendPayload(dst, m.Params, cuts)
 	dst = appendDur(dst, m.ExecTime)
 	dst = binary.AppendVarint(dst, int64(m.ResultSize))
 	return appendDur(dst, m.Deadline)
 }
 
-func appendTaskResultBody(dst []byte, m *TaskResult, bare bool) []byte {
+func appendTaskResultBody(dst []byte, m *TaskResult, cuts *[]cut) []byte {
 	dst = appendNode(dst, m.From)
 	dst = appendTaskID(dst, m.Task)
-	dst = appendPayload(dst, m.Output, bare)
+	dst = appendPayload(dst, m.Output, cuts)
 	dst = appendString(dst, m.Err)
 	return appendDur(dst, m.Exec)
 }
@@ -640,13 +720,15 @@ func payloadOf(msg Message) *[]byte {
 	return nil
 }
 
-// appendMessageBody appends msg's binary body (no kind byte, no magic).
-// It panics on an unregistered message type: a programming error,
-// which the protocomplete analyzer reports at build time.
-func appendMessageBody(dst []byte, msg Message) []byte {
+// appendMessageBody appends msg's binary body (no kind byte, no magic),
+// its large payloads left out into cuts unless cuts is nil (see
+// appendPayload). It panics on an unregistered message type: a
+// programming error, which the protocomplete analyzer reports at build
+// time.
+func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 	switch m := msg.(type) {
 	case *Submit:
-		return appendSubmitBody(dst, m, false)
+		return appendSubmitBody(dst, m, cuts)
 	case *SubmitAck:
 		dst = appendCallID(dst, m.Call)
 		return appendSeq(dst, m.MaxSeq)
@@ -658,7 +740,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 	case *Results:
 		dst = appendString(dst, string(m.User))
 		dst = binary.AppendUvarint(dst, uint64(m.Session))
-		return appendSlice(dst, m.Results, appendResult)
+		return appendEach(dst, m.Results, cuts, appendResult)
 	case *SyncRequest:
 		dst = appendString(dst, string(m.User))
 		dst = binary.AppendUvarint(dst, uint64(m.Session))
@@ -677,10 +759,10 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		return appendBool(dst, m.WantWork)
 	case *HeartbeatAck:
 		dst = appendNode(dst, m.From)
-		dst = appendSlice(dst, m.Tasks, appendAssignment)
+		dst = appendEach(dst, m.Tasks, cuts, appendAssignment)
 		return appendSlice(dst, m.Coordinators, appendNode)
 	case *TaskResult:
-		return appendTaskResultBody(dst, m, false)
+		return appendTaskResultBody(dst, m, cuts)
 	case *TaskResultAck:
 		return appendTaskID(dst, m.Task)
 	case *TaskCancel:
@@ -696,7 +778,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = appendNode(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		dst = binary.AppendUvarint(dst, m.Round)
-		dst = appendSlice(dst, m.Jobs, appendJob)
+		dst = appendEach(dst, m.Jobs, cuts, appendJobBody)
 		return appendSlice(dst, m.MaxSeqs, appendSessionMax)
 	case *ReplicaAck:
 		dst = appendNode(dst, m.From)
@@ -714,7 +796,7 @@ func appendMessageBody(dst []byte, msg Message) []byte {
 		dst = binary.AppendVarint(dst, int64(m.Shard))
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		dst = binary.AppendUvarint(dst, m.Round)
-		dst = appendSlice(dst, m.Jobs, appendJob)
+		dst = appendEach(dst, m.Jobs, cuts, appendJobBody)
 		return appendSlice(dst, m.Sessions, appendSessionSeqs)
 	case *ShardSyncAck:
 		dst = appendNode(dst, m.From)

@@ -223,7 +223,7 @@ var retiredKinds = []uint8{7, 8, 18, 19, 23, 24}
 func TestRetiredKindsDoNotDecode(t *testing.T) {
 	var bodies [][]byte
 	for _, msg := range allMessages() {
-		bodies = append(bodies, appendMessageBody(nil, msg))
+		bodies = append(bodies, appendMessageBody(nil, msg, nil))
 	}
 	fetch := appendString(nil, "user-01")
 	fetch = binary.AppendUvarint(fetch, 7)
@@ -565,28 +565,6 @@ func TestEncodeBufferPool(t *testing.T) {
 	PutBuffer(c)
 	huge := &EncodeBuffer{B: make([]byte, 0, 1<<21)}
 	PutBuffer(huge) // must not panic; must not be pinned (unobservable, but covered)
-}
-
-// A small encoding never borrows the buffer a payload-sized frame grew
-// (it would keep it alive on an idle grid, and leave the next such frame
-// to grow another), and a payload-sized one gets room for its size.
-func TestEncodeBufferPoolsSplitBySize(t *testing.T) {
-	grown := GetBuffer()
-	grown.B = append(grown.B, make([]byte, 64<<10)...)
-	PutBuffer(grown)
-	for i := 0; i < 64; i++ { // a sync.Pool may hand anything back; it must not be that one
-		if b := GetBuffer(); cap(b.B) > scratchBuffer {
-			t.Fatalf("GetBuffer handed out a %d B buffer", cap(b.B))
-		}
-		if b := GetBufferFor(scratchBuffer); cap(b.B) > scratchBuffer {
-			t.Fatalf("GetBufferFor(%d) handed out a %d B buffer", scratchBuffer, cap(b.B))
-		}
-	}
-	b := GetBufferFor(64 << 10)
-	if len(b.B) != 0 || cap(b.B) <= scratchBuffer {
-		t.Fatalf("GetBufferFor(64 KiB): len %d cap %d", len(b.B), cap(b.B))
-	}
-	PutBuffer(b)
 }
 
 // TestInternTableCaps bounds the string cache: entries beyond the cap

@@ -2,8 +2,10 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 )
 
 // Wire framing of the real TCP transport.
@@ -74,7 +76,7 @@ func encodeJobHeader(rec *JobRecord, external byte) []byte {
 	return encodeSized(len(prefix)+3+inline.wireSize(), func(dst []byte) []byte {
 		dst = append(dst, prefix...)
 		dst = append(dst, binMagic, binVersion, kindJobRecord)
-		return appendJobBody(dst, &inline)
+		return appendJobBody(dst, &inline, nil)
 	})
 }
 
@@ -119,7 +121,7 @@ func EncodeMessage(msg Message) []byte {
 	// record), so a direct allocation almost never regrows.
 	return encodeSized(3+msg.WireSize(), func(dst []byte) []byte {
 		dst = append(dst, binMagic, binVersion, kind)
-		return appendMessageBody(dst, msg)
+		return appendMessageBody(dst, msg, nil)
 	})
 }
 
@@ -144,12 +146,13 @@ func EncodeLogged(msg Message) (data, blob []byte) {
 	if p == nil || len(*p) < BlobMin {
 		return EncodeMessage(msg), nil
 	}
+	var cuts []cut // the payload, which payloadOf has named already
 	data = encodeSized(3+msg.WireSize()-len(*p), func(dst []byte) []byte {
 		dst = append(dst, binMagic, binVersion, kindOf(msg)|kindBare)
 		if m, ok := msg.(*Submit); ok {
-			return appendSubmitBody(dst, m, true)
+			return appendSubmitBody(dst, m, &cuts)
 		}
-		return appendTaskResultBody(dst, msg.(*TaskResult), true) // payloadOf knows no third
+		return appendTaskResultBody(dst, msg.(*TaskResult), &cuts) // payloadOf knows no third
 	})
 	return data, *p
 }
@@ -337,101 +340,165 @@ var FramePreface = [2]byte{binMagic, binVersion}
 
 // AppendFrame appends one length-prefixed wire frame carrying (from,
 // msg) to dst and returns the extended slice. Zero allocation when dst
-// has capacity — the transport reuses pooled buffers across batches.
-// A message whose encoding exceeds MaxFrame is refused: dst comes back
-// truncated to its original length with a non-nil error, because every
-// receiver would reject the oversized length prefix and tear down the
-// connection — taking the rest of the batch with it. The sender drops
-// just that message instead (ordinary best-effort loss).
+// has capacity. A message whose encoding exceeds MaxFrame is refused:
+// dst comes back truncated to its original length with a non-nil error,
+// because every receiver would reject the oversized length prefix and
+// tear down the connection — taking the rest of the batch with it. The
+// sender drops just that message instead (ordinary best-effort loss).
 func AppendFrame(dst []byte, from NodeID, msg Message) ([]byte, error) {
+	return appendFrame(dst, from, msg, nil)
+}
+
+// appendFrame is AppendFrame, leaving large payloads out into cuts when
+// it is non-nil: the length prefix counts them all the same.
+func appendFrame(dst []byte, from NodeID, msg Message, cuts *[]cut) ([]byte, error) {
 	kind := kindOf(msg)
 	if kind == kindInvalid {
 		panic("proto: frame unregistered message type " + msg.Kind())
 	}
-	start := len(dst)
+	start, cut0 := len(dst), 0
+	if cuts != nil {
+		cut0 = len(*cuts)
+	}
 	dst = append(dst, 0, 0, 0, 0, kind)
 	dst = appendString(dst, string(from))
-	dst = appendMessageBody(dst, msg)
+	dst = appendMessageBody(dst, msg, cuts)
 	n := len(dst) - start - 4
+	if cuts != nil {
+		for _, c := range (*cuts)[cut0:] {
+			n += len(c.b)
+		}
+	}
 	if n > MaxFrame {
+		if cuts != nil {
+			clear((*cuts)[cut0:])
+			*cuts = (*cuts)[:cut0]
+		}
 		return dst[:start], fmt.Errorf("proto: %s encodes to %d bytes, over the %d frame cap", msg.Kind(), n, MaxFrame)
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(n))
 	return dst, nil
 }
 
+// Frames gathers a batch of wire frames for one vectored write: the
+// small fields of every frame packed into one scratch buffer, and each
+// payload of BlobMin bytes or more left where it lies, referenced, so
+// that it goes from the message to the socket with no copy in user
+// space. The bytes written are AppendFrame's, frame after frame. The
+// zero value is ready; kept across batches (a sender keeps one per
+// connection), it allocates nothing once its arrays have grown to the
+// usual batch, and between batches it holds no payload.
+type Frames struct {
+	scratch []byte
+	cuts    []cut       // the payloads left out of scratch, in order
+	vec     [][]byte    // the write's buffers: scratch and payloads, interleaved
+	out     net.Buffers // vec as WriteTo consumes it
+}
+
+// AppendPreface starts a connection's first batch with its preface.
+func (f *Frames) AppendPreface() { f.scratch = append(f.scratch, FramePreface[:]...) }
+
+// Append adds one frame carrying (from, msg). A message over MaxFrame is
+// refused as AppendFrame refuses it, leaving the batch as it was.
+func (f *Frames) Append(from NodeID, msg Message) error {
+	var err error
+	f.scratch, err = appendFrame(f.scratch, from, msg, &f.cuts)
+	return err
+}
+
+// WriteTo writes the batch to w: a batch without a large payload with
+// one Write, any other with one writev when w takes one (a TCP
+// connection does; see net.Buffers), else buffer by buffer.
+func (f *Frames) WriteTo(w io.Writer) (int64, error) {
+	if len(f.cuts) == 0 {
+		n, err := w.Write(f.scratch)
+		return int64(n), err
+	}
+	f.vec = f.vec[:0]
+	at := 0
+	for _, c := range f.cuts {
+		f.vec = append(f.vec, f.scratch[at:c.at], c.b)
+		at = c.at
+	}
+	f.vec = append(f.vec, f.scratch[at:])
+	f.out = f.vec
+	return f.out.WriteTo(w)
+}
+
+// Reset empties the batch and lets go of every payload it referenced.
+// The scratch buffer is kept for the next batch, unless a giant one grew
+// it past maxPooledBuffer.
+func (f *Frames) Reset() {
+	clear(f.cuts)
+	clear(f.vec)
+	f.cuts, f.vec, f.out = f.cuts[:0], f.vec[:0], nil
+	f.scratch = f.scratch[:0]
+	if cap(f.scratch) > maxPooledBuffer {
+		f.scratch = nil
+	}
+}
+
 // WireDecoder reads binary frames from a connection (after the caller
-// consumed and verified the two-byte preface). One frame buffer is
-// reused across frames and strings are interned across them, so a
-// sustained stream decodes without per-frame buffer allocations or
-// intermediate copies — bytes go from the socket into the frame buffer
-// and are parsed in place. A connection does not keep its largest frame
-// for life: a buffer a one-off giant frame grew is let go once that
-// frame is decoded (PutBuffer's rule, read side), and one that
-// payload-sized frames have filled under two thirds of roomyFrames
-// times running — an odd reply that carried two payloads grew it —
-// gives way to one of their size.
+// consumed and verified the two-byte preface). It parses each frame
+// through a window of at most BlobMin bytes: a frame under BlobMin is
+// read into it whole and parsed in place; of a larger one the window
+// holds a part at a time, and every byte slice is read into a slice of
+// its own, exactly its length — a payload straight from the connection,
+// save the little of it the window had already read. So a connection
+// keeps no buffer larger than its usual small frame, or BlobMin, and no
+// payload shares an array with another or with the decoder. Strings are
+// interned across frames, so a sustained stream decodes without
+// per-frame buffer allocations.
 type WireDecoder struct {
 	r      io.Reader
 	hdr    [4]byte
-	buf    []byte
-	roomy  int // payload-sized frames in a row that used under two thirds of buf
+	win    []byte
 	intern internTable
 	rd     binReader // reused per frame; see Decoder.rd
 }
 
-// roomyFrames is how many frames it takes: enough that frames of two
-// sizes taking turns on a connection go on sharing the larger buffer.
-const roomyFrames = 8
-
 // NewWireDecoder creates a frame decoder over r.
-func NewWireDecoder(r io.Reader) *WireDecoder { return &WireDecoder{r: r} }
+func NewWireDecoder(r io.Reader) *WireDecoder {
+	d := &WireDecoder{r: r}
+	d.rd = binReader{intern: &d.intern, src: r}
+	return d
+}
 
 // Next reads one frame. It returns io.EOF exactly at a clean frame
 // boundary (connection closed between frames) and ErrUnexpectedEOF on
 // a torn frame; any malformed length or body is an error, never a
-// panic or an unbounded allocation.
+// panic or an allocation beyond the frame's declared length. After an
+// error the stream is out of step: the caller closes it.
 func (d *WireDecoder) Next() (NodeID, Message, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		return "", nil, err // io.EOF only at a clean boundary
 	}
-	n := binary.BigEndian.Uint32(d.hdr[:])
+	n := int(binary.BigEndian.Uint32(d.hdr[:]))
 	if n == 0 || n > MaxFrame {
 		return "", nil, fmt.Errorf("proto: frame length %d out of range", n)
 	}
-	if n >= BlobMin {
-		if cap(d.buf)/3*2 >= int(n) {
-			d.roomy++
-		} else {
-			d.roomy = 0
-		}
+	first := min(n, BlobMin)
+	if cap(d.win) < first {
+		d.win = make([]byte, first)
 	}
-	if cap(d.buf) < int(n) || d.roomy == roomyFrames {
-		d.buf, d.roomy = make([]byte, n), 0
+	// Field by field: the reader's source and intern table stay.
+	d.rd.buf, d.rd.pos, d.rd.err, d.rd.left = d.win[:first], 0, nil, n-first
+	if _, err := io.ReadFull(d.r, d.rd.buf); err != nil {
+		d.rd.tear(err)
 	}
-	buf := d.buf[:n]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", nil, err
-	}
-	d.rd = binReader{buf: buf, intern: &d.intern}
 	kind := d.rd.u8()
 	from := d.rd.node()
 	msg := readMessageBody(&d.rd, kind)
-	err, trailing := d.rd.err, d.rd.remaining() != 0
-	if cap(d.buf) > maxPooledBuffer {
-		// Decoded values are copies: nothing else points into it.
-		d.buf, d.rd = nil, binReader{}
-	}
-	if err != nil {
+	switch err := d.rd.err; {
+	case err == nil && d.rd.remaining() != 0:
+		return "", nil, fmt.Errorf("proto: decode frame: %w (trailing bytes)", ErrCorrupt)
+	case err == nil:
+		return from, msg, nil
+	case !errors.Is(err, ErrCorrupt):
+		return "", nil, err // the connection failed under the frame
+	default:
 		return "", nil, fmt.Errorf("proto: decode frame kind %d: %w", kind, err)
 	}
-	if trailing {
-		return "", nil, fmt.Errorf("proto: decode frame: %w (trailing bytes)", ErrCorrupt)
-	}
-	return from, msg, nil
 }
 
 // ReadPreface consumes and verifies a connection's preface. It returns

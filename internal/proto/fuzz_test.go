@@ -2,8 +2,13 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"reflect"
+	"runtime/metrics"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzCodecRoundTrip throws arbitrary bytes at the binary decoders —
@@ -12,9 +17,13 @@ import (
 // panics (it errors), a blob without the magic is ErrCorrupt to every
 // storage decoder, and anything that does decode re-encodes to a stable
 // fixed point (decode(encode(decode(x))) is byte-identical to
-// encode(decode(x)), so rewritten logs never churn). The seed corpus
-// covers every message kind, a job record and a wire frame, so `go
-// test` alone exercises every decode path through this harness.
+// encode(decode(x)), so rewritten logs never churn). Every input is also
+// framed and read through WireDecoder's window, from a whole reader and
+// a byte at a time: it must decode to what DecodeMessage makes of the
+// same body, or fail where that fails. The seed corpus covers every
+// message kind, a job record, wire frames, and messages with payloads
+// past BlobMin whole and torn mid-payload, so `go test` alone exercises
+// every decode path through this harness.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(EncodeMessage(msg))
@@ -30,6 +39,20 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(hbFrame)
+	// A 64 KiB Submit, a HeartbeatAck with two 64 KiB tasks and a Results
+	// with two outputs: as blobs and as frames, whole and torn inside the
+	// first payload, which the window reads straight into its slice.
+	for _, msg := range payloadMessages(64 << 10)[:3] {
+		blob := EncodeMessage(msg)
+		frame, err := AppendFrame(nil, "node-a", msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		f.Add(blob[:len(blob)/4])
+		f.Add(frame)
+		f.Add(frame[:len(frame)/4])
+	}
 	f.Add(encodeJobHeader(&JobRecord{
 		Call: CallID{User: "user-01", Session: 7, Seq: 43}, Service: "svc",
 		Params: make([]byte, 9), State: TaskFinished, Output: []byte{3}, Server: "server-000",
@@ -108,14 +131,36 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 		}
-		// The framed wire path: drain frames until error or EOF. The
-		// decoder must terminate without panicking whatever the bytes.
-		wd := NewWireDecoder(bytes.NewReader(data))
-		for {
-			from, msg, err := wd.Next()
-			if err != nil {
-				break
+		// The input framed: the body a blob of it carries, behind a
+		// frame's length, kind and sender.
+		blob := withMagic(data)
+		want, wantErr := dec.DecodeMessage(append([]byte{binMagic, binVersion}, blob[2:]...))
+		frame := append(binary.BigEndian.AppendUint32(nil, 0), blob[2])
+		frame = append(appendString(frame, "node-a"), blob[3:]...)
+		binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+		for _, r := range readers(frame) {
+			before := allocated()
+			from, got, err := NewWireDecoder(r).Next()
+			if grew := allocated() - before; grew > decodeAllocBound(len(frame)-4) {
+				t.Fatalf("decoding a %d B frame allocated %d B", len(frame)-4, grew)
 			}
+			switch {
+			case (err == nil) != (wantErr == nil):
+				t.Fatalf("the frame decoded with error %v, the blob with %v", err, wantErr)
+			case err == nil && (from != "node-a" || !reflect.DeepEqual(got, want)):
+				t.Fatalf("the frame decoded to other values than the blob")
+			}
+		}
+
+		// The input as a wire stream: drain frames until error or EOF,
+		// from a whole reader and a byte at a time, which must agree. The
+		// decoder must terminate without panicking whatever the bytes.
+		whole, bytewise := drain(bytes.NewReader(data)), drain(iotest.OneByteReader(bytes.NewReader(data)))
+		if !reflect.DeepEqual(whole, bytewise) {
+			t.Fatalf("a stream decodes to %d frames read whole, %d read a byte at a time", len(whole), len(bytewise))
+		}
+		for _, fr := range whole {
+			from, msg := fr.from, fr.msg
 			// A frame that decoded was under MaxFrame, so re-framing
 			// it cannot exceed the cap.
 			raw, err := AppendFrame(nil, from, msg)
@@ -134,6 +179,46 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// readers reads b whole and a byte at a time: the window then fills at
+// every offset a read can stop at.
+func readers(b []byte) []io.Reader {
+	return []io.Reader{bytes.NewReader(b), iotest.OneByteReader(bytes.NewReader(b))}
+}
+
+type wireFrame struct {
+	from NodeID
+	msg  Message
+}
+
+// drain decodes frames from r until the first error or EOF.
+func drain(r io.Reader) []wireFrame {
+	var out []wireFrame
+	wd := NewWireDecoder(r)
+	for {
+		from, msg, err := wd.Next()
+		if err != nil {
+			return out
+		}
+		out = append(out, wireFrame{from, msg})
+	}
+}
+
+// allocated reads how many bytes this process has allocated so far.
+func allocated() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// decodeAllocBound is the most decoding an n-byte frame may allocate:
+// no length read inside a frame may size an allocation past the bytes
+// the frame declared. Decoded elements outweigh their encodings — an
+// empty shard ring encodes to one byte and takes 24, twice over while
+// its slice doubles — and the allocator counts by the span, so the
+// bound is generous; an allocation sized by a corrupt length goes far
+// past it.
+func decodeAllocBound(n int) uint64 { return 128*uint64(n) + 256<<10 }
 
 // withMagic steers fuzz data past the header check into the message
 // decoder: data already carrying the magic passes through, anything

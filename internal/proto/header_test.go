@@ -65,7 +65,7 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 // DecodeJob (which every pre-split reader uses) still reads it.
 func TestJobHeaderWithoutExternalsIsTheWholeRecord(t *testing.T) {
 	rec := headerFixture(64, 64)
-	want := append([]byte{binMagic, binVersion, kindJobRecord}, appendJobBody(nil, rec)...)
+	want := append([]byte{binMagic, binVersion, kindJobRecord}, appendJobBody(nil, rec, nil)...)
 	if got, params, output := EncodeJobHeader(rec); !bytes.Equal(got, want) || params != nil || output != nil {
 		t.Fatalf("header without externals differs from the whole-record encoding")
 	}

@@ -77,7 +77,7 @@ func TestDecodeLoggedRefusesAHeaderWithoutItsPayload(t *testing.T) {
 			"torn header":      {data[:len(data)/2], blob},
 			"trailing garbage": {append(bytes.Clone(data), 0), blob},
 			"kind with no payload": {
-				append([]byte{binMagic, binVersion, kindTaskCancel | kindBare}, appendMessageBody(nil, &TaskCancel{})...), blob},
+				append([]byte{binMagic, binVersion, kindTaskCancel | kindBare}, appendMessageBody(nil, &TaskCancel{}, nil)...), blob},
 			"unknown kind": {[]byte{binMagic, binVersion, 0x7F | kindBare, 0}, blob},
 		}
 		for name, in := range bad {
@@ -90,105 +90,5 @@ func TestDecodeLoggedRefusesAHeaderWithoutItsPayload(t *testing.T) {
 	small := loggedFixtures(8)[0]
 	if back, err := new(Decoder).DecodeLogged(EncodeMessage(small), []byte("stray")); err != nil || !reflect.DeepEqual(back, small) {
 		t.Fatalf("whole encoding beside a stray blob: %+v, %v", back, err)
-	}
-}
-
-// frames returns a stream of Submit frames with params of the given sizes.
-func frames(t *testing.T, sizes ...int) *bytes.Reader {
-	t.Helper()
-	var stream []byte
-	for i, size := range sizes {
-		stream = mustFrame(t, stream, "n", &Submit{Call: CallID{User: "u", Session: 1, Seq: RPCSeq(i + 1)}, Params: make([]byte, size)})
-	}
-	return bytes.NewReader(stream)
-}
-
-// A connection keeps its frame buffer across frames — unless one giant
-// frame grew it past what PutBuffer would pool: then it lets go, and
-// the next frame gets a buffer of its own size.
-func TestWireDecoderLetsAGiantFrameBufferGo(t *testing.T) {
-	dec := NewWireDecoder(frames(t, 2<<20, 64))
-	for i := 0; i < 2; i++ {
-		if _, _, err := dec.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if c := cap(dec.buf); c > maxPooledBuffer {
-			t.Fatalf("after frame %d the decoder holds a %d B buffer", i+1, c)
-		}
-	}
-	if c := cap(dec.buf); c == 0 || c > 4096 {
-		t.Fatalf("buffer after the small frame: %d B", c)
-	}
-
-	dec = NewWireDecoder(frames(t, 64<<10, 64<<10, 64))
-	if _, _, err := dec.Next(); err != nil {
-		t.Fatal(err)
-	}
-	first := &dec.buf[0]
-	for i := 0; i < 2; i++ {
-		if _, _, err := dec.Next(); err != nil {
-			t.Fatal(err)
-		}
-		if &dec.buf[:1][0] != first {
-			t.Fatalf("frame %d did not reuse the 64 KiB frames' buffer", i+2)
-		}
-	}
-}
-
-// A buffer an odd frame out grew — a reply that carried two payloads —
-// gives way once roomyFrames payload-sized frames in a row have used
-// under two thirds of it: which connections of a grid sit on a double
-// buffer must not depend on when the odd frames came. Frames of two
-// sizes taking turns go on sharing the larger one, and small frames in
-// between (polls, heartbeats) count for nothing.
-func TestWireDecoderSettlesAtItsUsualFrame(t *testing.T) {
-	const one, two = 64 << 10, 128 << 10
-	sizes := []int{one, two}
-	for i := 0; i < roomyFrames; i++ {
-		sizes = append(sizes, one, 64)
-	}
-	sizes = append(sizes, one)
-	dec := NewWireDecoder(frames(t, sizes...))
-	next := func() {
-		t.Helper()
-		if _, _, err := dec.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next()
-	next()
-	grown := &dec.buf[0]
-	if cap(dec.buf) < two {
-		t.Fatalf("buffer after the double frame: %d B", cap(dec.buf))
-	}
-	for i := 0; i < 2*(roomyFrames-1); i++ {
-		next()
-		if &dec.buf[:1][0] != grown {
-			t.Fatalf("let go after %d single frames, want %d", i/2+1, roomyFrames)
-		}
-	}
-	next()
-	if c := cap(dec.buf); c < one || c >= one+one/2 {
-		t.Fatalf("buffer after %d single frames: %d B", roomyFrames, c)
-	}
-	settled := &dec.buf[0]
-	next()
-	next()
-	if &dec.buf[:1][0] != settled {
-		t.Fatal("the settled buffer was not reused")
-	}
-
-	sizes = sizes[:0]
-	for i := 0; i < 2*roomyFrames; i++ {
-		sizes = append(sizes, two, one, one)
-	}
-	dec = NewWireDecoder(frames(t, sizes...))
-	next()
-	grown = &dec.buf[0]
-	for i := 1; i < len(sizes); i++ {
-		next()
-		if &dec.buf[:1][0] != grown {
-			t.Fatalf("frame %d: frames of two sizes taking turns lost the larger buffer", i+1)
-		}
 	}
 }

@@ -551,10 +551,8 @@ func (r *Runtime) handleConn(conn net.Conn) {
 	defer conn.Close()
 	// The deadline outlives the sender's idle timeout so the sender,
 	// not the receiver, decides when a quiet connection dies.
-	deadline := func() {
-		_ = conn.SetReadDeadline(time.Now().Add(r.cfg.IdleTimeout + 30*time.Second))
-	}
-	deadline()
+	rd := deadline{set: conn.SetReadDeadline, span: r.cfg.IdleTimeout + 30*time.Second}
+	rd.push()
 	br := bufio.NewReader(conn)
 	if err := proto.ReadPreface(br); err != nil {
 		if err != io.EOF {
@@ -564,7 +562,7 @@ func (r *Runtime) handleConn(conn net.Conn) {
 	}
 	dec := proto.NewWireDecoder(br)
 	for {
-		deadline()
+		rd.push()
 		from, msg, err := dec.Next()
 		if err != nil {
 			if err != io.EOF {

@@ -3,10 +3,12 @@ package rt
 // The transport: one sender goroutine per peer owns a single
 // long-lived TCP connection, so sustained traffic pays the dial once per
 // connection instead of once per message. The sender opens the
-// connection with the two-byte magic/version preface and appends
-// length-prefixed frames into one pooled buffer per batch — zero
-// allocations on the steady-state send path. Semantics stay the paper's
-// best-effort channel:
+// connection with the two-byte magic/version preface and gathers each
+// batch in a proto.Frames it keeps: the frames' small fields packed into
+// one scratch buffer, every large payload referenced where the message
+// holds it, the whole written with one writev — no payload is copied in
+// user space, and the steady-state send path allocates nothing.
+// Semantics stay the paper's best-effort channel:
 //
 //   - enqueue never blocks the caller; a full queue drops the oldest
 //     envelope (indistinguishable from network loss, which the
@@ -24,7 +26,6 @@ package rt
 // The read side is Runtime.handleConn.
 
 import (
-	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -40,7 +41,32 @@ const (
 
 	// dialTimeout bounds a connection attempt.
 	dialTimeout = 2 * time.Second
+
+	// writeTimeout bounds a batch's write; the deadline is re-armed at
+	// most once per deadlineStep (see deadline).
+	writeTimeout = time.Minute
 )
+
+// deadlineStep is how often a connection's deadline is pushed on: each
+// push modifies a runtime timer, so a busy connection pushes once per
+// step rather than once per frame or batch, and its deadline stays at
+// least its timeout less a step ahead.
+const deadlineStep = time.Second
+
+// deadline keeps a connection deadline at least span - deadlineStep
+// ahead, re-arming it through set at most once per deadlineStep.
+type deadline struct {
+	set   func(time.Time) error
+	span  time.Duration
+	armed time.Time
+}
+
+func (d *deadline) push() {
+	if now := time.Now(); now.Sub(d.armed) >= deadlineStep {
+		d.armed = now
+		_ = d.set(now.Add(d.span)) // fails only on a closed connection, which the read or write reports
+	}
+}
 
 // TransportStats is a snapshot of a runtime's transport counters.
 type TransportStats struct {
@@ -197,13 +223,17 @@ func (s *sender) run() {
 	defer s.rt.wg.Done()
 
 	var conn net.Conn
-	var bw *bufio.Writer
 	var dialedAddr string
+	var wd deadline
+	// The batch being written. Between batches it holds no payload; on a
+	// fresh connection it may hold the preface alone.
+	var frames proto.Frames
 	closeConn := func() {
 		if conn != nil {
 			s.rt.untrack(conn)
 			conn.Close()
-			conn, bw = nil, nil
+			conn = nil
+			frames.Reset()
 		}
 	}
 	defer closeConn()
@@ -257,23 +287,16 @@ func (s *sender) run() {
 				if !s.rt.track(c) {
 					return // shutting down; track closed c
 				}
-				conn, bw = c, bufio.NewWriter(c)
-				// The preface rides the first batch's flush: one write
+				conn = c
+				wd = deadline{set: c.SetWriteDeadline, span: writeTimeout}
+				// The preface rides the first batch's write: one write
 				// announces the codec version for the whole connection.
-				_, _ = bw.Write(proto.FramePreface[:])
+				frames.AppendPreface()
 				dialedAddr = addr
 			}
-			// One deadline serves the whole batch: the per-message work
-			// inside the loop is encoding only.
-			_ = conn.SetWriteDeadline(time.Now().Add(time.Minute))
-			framed, size := len(batch), 0
+			framed := len(batch)
 			for _, m := range batch {
-				size += m.WireSize()
-			}
-			buf := proto.GetBufferFor(size)
-			for _, m := range batch {
-				var ferr error
-				if buf.B, ferr = proto.AppendFrame(buf.B, s.rt.cfg.ID, m); ferr != nil {
+				if ferr := frames.Append(s.rt.cfg.ID, m); ferr != nil {
 					// Over the frame cap: drop this message alone (best
 					// effort) instead of poisoning the connection for
 					// the whole batch.
@@ -283,21 +306,17 @@ func (s *sender) run() {
 				}
 			}
 			if framed == 0 {
-				// Nothing was framed, so nothing is written, flushed or
-				// counted; a fresh connection's preface stays buffered
-				// for the next batch.
-				proto.PutBuffer(buf)
+				// Nothing was framed, so nothing is written or counted;
+				// a fresh connection's preface waits for the next batch.
 				continue
 			}
-			_, werr := bw.Write(buf.B)
-			proto.PutBuffer(buf)
-			if werr == nil {
-				werr = bw.Flush()
-			}
+			// One deadline serves the whole batch.
+			wd.push()
+			_, werr := frames.WriteTo(conn)
+			frames.Reset()
 			if werr != nil {
 				// Broken connection: delivery of the whole batch is
-				// unknown (the frames land in the bufio buffer, so a
-				// flush error loses envelopes that "wrote fine") —
+				// unknown (part of it may have reached the kernel) —
 				// count everything dropped, close, redial on the next
 				// batch. Never a fault signal.
 				s.rt.stats.drop(dropBroken, framed)
