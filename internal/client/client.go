@@ -142,6 +142,7 @@ func (c *Config) applyDefaults() {
 // pessimistic the write precedes the send, so (b) always precedes (a).
 type call struct {
 	seq        proto.RPCSeq
+	key        string        // its entry's key in the submission log, made once
 	submit     *proto.Submit // dropped with the log entry at delivery
 	issued     time.Time
 	lastResent time.Time // last (re)transmission, for the ack check
@@ -185,7 +186,12 @@ type Client struct {
 	ack     proto.RPCSeq
 	pending int
 	held    proto.RPCSeq
-	heldKey string // logKey(held); "" while nothing is held
+	heldKey string // held's key in the log; "" while nothing is held
+
+	// Callbacks bound once: the completion of each watermark write, and
+	// AckSoon's timer.
+	watermarkWritten func(error)
+	ackSoonFired     func()
 
 	pollTimer node.Timer
 	ackTimer  node.Timer
@@ -213,7 +219,9 @@ type clientMetrics struct {
 // New creates a client handler.
 func New(cfg Config) *Client {
 	cfg.applyDefaults()
-	return &Client{cfg: cfg}
+	c := &Client{cfg: cfg}
+	c.watermarkWritten, c.ackSoonFired = c.watermarkDone, c.ackNow
+	return c
 }
 
 var _ node.Handler = (*Client)(nil)
@@ -315,18 +323,18 @@ func (c *Client) release(cl *call) {
 		return
 	}
 	cl.submit = nil
-	c.hold(cl.seq)
+	c.hold(cl.seq, cl.key)
 }
 
-// hold makes seq's log entry the one that outlives its call if it is
-// the highest released so far, and drops the entry it replaces, or
-// seq's own. Only the key matters from here on: the parameters stored
-// beside a held entry go back to the caller now.
-func (c *Client) hold(seq proto.RPCSeq) {
-	drop := logKey(seq)
+// hold makes seq's log entry, under key, the one that outlives its call
+// if it is the highest released so far, and drops the entry it
+// replaces, or seq's own. Only the key matters from here on: the
+// parameters stored beside a held entry go back to the caller now.
+func (c *Client) hold(seq proto.RPCSeq, key string) {
+	drop := key
 	if seq > c.held {
-		c.log.Release(drop)
-		c.held, drop, c.heldKey = seq, c.heldKey, drop
+		c.log.Release(key)
+		c.held, drop, c.heldKey = seq, c.heldKey, key
 	}
 	if drop != "" {
 		c.log.Drop(drop)
@@ -356,13 +364,15 @@ func (c *Client) passed(upTo proto.RPCSeq) {
 	}
 	c.cm.pending.SetInt(c.pending)
 	c.cm.tracked.SetInt(len(c.calls))
-	node.WriteAsync(c.env.Disk(), watermarkKey, binary.AppendUvarint(nil, uint64(upTo)), func(err error) {
-		if err != nil {
-			// The record stays behind; the coordinator's reply to the
-			// next incarnation's first sync makes up for it.
-			c.env.Logf("client: persist watermark: %v", err)
-		}
-	})
+	node.WriteAsync(c.env.Disk(), watermarkKey, binary.AppendUvarint(nil, uint64(upTo)), c.watermarkWritten)
+}
+
+func (c *Client) watermarkDone(err error) {
+	if err != nil {
+		// The record stays behind; the coordinator's reply to the next
+		// incarnation's first sync makes up for it.
+		c.env.Logf("client: persist watermark: %v", err)
+	}
 }
 
 // deliver stores the first result to arrive for a tracked call.
@@ -456,10 +466,10 @@ func (c *Client) recoverFromLog() {
 			// write: no message, and nothing can ever be resent from
 			// it. Its key still says the seq was used.
 			if used := proto.RPCSeq(seq); used <= c.ack {
-				c.log.Drop(key)
+				c.log.Drop(entry.Key)
 			} else {
 				c.nextSeq = max(c.nextSeq, used)
-				c.hold(used)
+				c.hold(used, entry.Key)
 			}
 			continue
 		}
@@ -468,11 +478,11 @@ func (c *Client) recoverFromLog() {
 			continue
 		}
 		if sub.Call.Seq <= c.ack {
-			c.log.Drop(key) // delivered and acknowledged; only the drop was lost
+			c.log.Drop(entry.Key) // delivered and acknowledged; only the drop was lost
 			continue
 		}
 		c.track(sub.Call.Seq, &call{
-			submit: sub, issued: c.env.Now(),
+			key: entry.Key, submit: sub, issued: c.env.Now(),
 			logDone: true, acked: true, completed: true,
 		})
 	}
@@ -563,7 +573,7 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 		ResultSize: resultSize,
 		Deadline:   deadline,
 	}
-	cl := &call{submit: sub, issued: c.env.Now(), lastResent: c.env.Now()}
+	cl := &call{key: c.log.Key(logKey(seq)), submit: sub, issued: c.env.Now(), lastResent: c.env.Now()}
 	c.track(seq, cl)
 	c.submitted++
 	c.cm.submitted.Inc()
@@ -574,7 +584,7 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 
 func (c *Client) sendSubmit(cl *call) {
 	id := cl.submit.Call // the log gate may clear after the result has dropped the Submit
-	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(logKey(cl.seq), cl.submit), func() {
+	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(cl.key, cl.submit), func() {
 		cl.logDone = true
 		c.trace(id, obs.StageDurable, "submit log")
 		c.maybeComplete(cl)
@@ -662,12 +672,14 @@ func (c *Client) AckSoon() {
 	if c.ackSoon != nil {
 		return
 	}
-	c.ackSoon = c.env.After(0, func() {
-		c.ackSoon = nil
-		if !c.stopped && len(c.waiting) == 0 && c.hasResult(c.ack+1) {
-			c.pollNow()
-		}
-	})
+	c.ackSoon = c.env.After(0, c.ackSoonFired)
+}
+
+func (c *Client) ackNow() {
+	c.ackSoon = nil
+	if !c.stopped && len(c.waiting) == 0 && c.hasResult(c.ack+1) {
+		c.pollNow()
+	}
 }
 
 func (c *Client) hasResult(seq proto.RPCSeq) bool {

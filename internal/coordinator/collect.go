@@ -125,7 +125,7 @@ func (c *Coordinator) loadMarks() {
 		}
 		k := sessionKey{proto.UserID(name[:i]), proto.SessionID(session)}
 		c.collected[k] = proto.RPCSeq(w)
-		c.gc.durable[k] = proto.RPCSeq(w)
+		c.gc.durable[k] = mark{w: proto.RPCSeq(w), key: key}
 		// As loadStore does for the records: the successors may have
 		// missed the round that said so while we were down, and a session
 		// with nothing left in the table has no record to bring its
@@ -180,7 +180,7 @@ func (c *Coordinator) collect(k sessionKey) {
 			return false
 		}
 		delete(c.waiting, rec.Call)
-		c.gc.jobs = append(c.gc.jobs, rec.Call)
+		c.gc.jobs = append(c.gc.jobs, gone{call: rec.Call, key: c.store.Key(rec.Call, jobKey)})
 		return true
 	})
 	c.collectedJobs += n
@@ -213,13 +213,51 @@ func (c *Coordinator) collectAcked(carried []proto.CallID) {
 // an idle grid, for the flush timer. Nothing is lost with it in a
 // crash: the records reload, and the session's next Poll collects them
 // again. durable is each session's watermark as the disk is known to
-// hold it, which is what allows a delete.
+// hold it, which is what allows a delete, and the key it is held under.
+//
+// What a flush stages completes as the gate's headers do: in staging
+// order, through a callback bound once (written, deleted) over a queue
+// of what it completes. And a flush keeps the arrays it swaps out, so
+// collecting a call allocates nothing but the call's own writes.
 type garbage struct {
 	marks   []sessionKey
-	jobs    []proto.CallID
-	durable map[sessionKey]proto.RPCSeq
+	jobs    []gone
+	durable map[sessionKey]mark
 	timer   node.Timer
 	flushed time.Time // the last flush, by a header or by the timer
+
+	spareMarks []sessionKey
+	spareJobs  []gone
+	writing    fifo[markWrite]
+	deleting   fifo[gone]
+	written    func(error)
+	deleted    func(error)
+}
+
+// mark is a session's watermark as the disk holds it, and its key there,
+// made once per session.
+type mark struct {
+	w   proto.RPCSeq
+	key string
+}
+
+// gone is a call gone from the job table, with the key it has on the
+// disk until its delete has gone through.
+type gone struct {
+	call proto.CallID
+	key  string
+}
+
+// markWrite is a watermark write staged: the session, and the watermark
+// it makes durable.
+type markWrite struct {
+	k sessionKey
+	w proto.RPCSeq
+}
+
+// newGarbage is an incarnation's empty garbage, its callbacks bound to c.
+func newGarbage(c *Coordinator) garbage {
+	return garbage{durable: make(map[sessionKey]mark), written: c.markWritten, deleted: c.jobDeleted}
 }
 
 // flushBeats is how long, in heartbeat periods, garbage waits for a
@@ -256,30 +294,43 @@ func (c *Coordinator) sweep() {
 // the disk until a retry has gone through.
 func (c *Coordinator) flushGarbage() {
 	marks, jobs := c.gc.marks, c.gc.jobs
-	c.gc.marks, c.gc.jobs = nil, nil
+	c.gc.marks, c.gc.jobs = c.gc.spareMarks, c.gc.spareJobs
 	c.gc.flushed = c.env.Now()
 	disk := c.env.Disk()
 	for i, k := range marks {
 		if slices.Contains(marks[:i], k) {
 			continue // raised more than once since the last flush: one write says it
 		}
-		w := c.collected[k]
-		node.WriteAsync(disk, markKey(k), binary.AppendUvarint(nil, uint64(w)), func(err error) {
-			if err != nil {
-				c.persistFailed(proto.CallID{User: k.user, Session: k.session}, err)
-				c.gc.marks = append(c.gc.marks, k)
-			} else if w > c.gc.durable[k] {
-				c.gc.durable[k] = w
-			}
-			c.sweep()
-		})
-	}
-	for _, call := range jobs {
-		if call.Seq <= c.gc.durable[sessionKey{call.User, call.Session}] {
-			c.deleteJob(call)
-		} else {
-			c.gc.jobs = append(c.gc.jobs, call)
+		d, ok := c.gc.durable[k]
+		if !ok {
+			d.key = markKey(k)
+			c.gc.durable[k] = d
 		}
+		w := c.collected[k]
+		c.gc.writing.push(markWrite{k, w})
+		node.WriteAsync(disk, d.key, binary.AppendUvarint(nil, uint64(w)), c.gc.written)
+	}
+	for _, g := range jobs {
+		if g.call.Seq <= c.gc.durable[sessionKey{g.call.User, g.call.Session}].w {
+			c.deleteJob(g)
+		} else {
+			c.gc.jobs = append(c.gc.jobs, g)
+		}
+	}
+	clear(jobs)
+	c.gc.spareMarks, c.gc.spareJobs = marks[:0], jobs[:0]
+	c.sweep()
+}
+
+// markWritten completes the oldest watermark write staged.
+func (c *Coordinator) markWritten(err error) {
+	m := c.gc.writing.pop()
+	if err != nil {
+		c.persistFailed(proto.CallID{User: m.k.user, Session: m.k.session}, err)
+		c.gc.marks = append(c.gc.marks, m.k)
+	} else if d := c.gc.durable[m.k]; m.w > d.w {
+		d.w = m.w
+		c.gc.durable[m.k] = d
 	}
 	c.sweep()
 }
@@ -290,14 +341,24 @@ func (c *Coordinator) flushGarbage() {
 // short of a blob, is finished off by loadStore; never a blob that a
 // header names. Whatever fails puts the call back with the garbage; the
 // retry is as idempotent as the pass.
-func (c *Coordinator) deleteJob(id proto.CallID) {
-	jobs.Remove(c.env, id.String(), func(err error) {
-		if err != nil {
-			c.env.Logf("coordinator: collect job %s: %v", id, err)
-			c.gc.jobs = append(c.gc.jobs, id)
-			c.sweep()
-		}
-	})
+func (c *Coordinator) deleteJob(g gone) {
+	c.gc.deleting.push(g)
+	if err := jobs.Remove(c.env, g.key, c.gc.deleted); err != nil {
+		c.deleteFailed(c.gc.deleting.unpush(), err)
+	}
+}
+
+// jobDeleted completes the oldest delete staged.
+func (c *Coordinator) jobDeleted(err error) {
+	if g := c.gc.deleting.pop(); err != nil {
+		c.deleteFailed(g, err)
+	}
+}
+
+func (c *Coordinator) deleteFailed(g gone, err error) {
+	c.env.Logf("coordinator: collect job %s: %v", g.call, err)
+	c.gc.jobs = append(c.gc.jobs, g)
+	c.sweep()
 }
 
 // Collected returns a session's collected watermark: every call of the

@@ -278,6 +278,10 @@ type Coordinator struct {
 
 	stopped bool
 
+	// idleReplies are the pendingReplies not waiting, for afterDBCost to
+	// reuse.
+	idleReplies []*pendingReply
+
 	// Metrics.
 	finished        int
 	jobsAccepted    int
@@ -368,7 +372,7 @@ func (c *Coordinator) Start(env node.Env) {
 	c.queuedAt = make(map[proto.CallID]time.Time)
 	c.collected = make(map[sessionKey]proto.RPCSeq)
 	c.waiting = make(map[proto.CallID]bool)
-	c.gc = garbage{durable: make(map[sessionKey]proto.RPCSeq)}
+	c.gc = newGarbage(c)
 	c.offers = newOfferBook()
 	c.subs = make(map[sessionKey]subscription)
 	c.resultAcked = make(map[proto.NodeID]bool)
@@ -590,6 +594,11 @@ func (c *Coordinator) loadEpoch() {
 // record earlier builds persisted. msglog has the order rules.
 var jobs = msglog.Shelf{Headers: "coord/job/", Blobs: "coord/blob/", Suffixes: []string{"/p", "/o"}}
 
+// jobKey is call's key on the jobs shelf, coord/job/<call>. It is made
+// once per call and kept with the call's record in the job table
+// (db.DB.Key), which every stage of the call and its delete reuse.
+func jobKey(call proto.CallID) string { return call.Key(jobs.Headers) }
+
 // persistPartNames labels the persist-error counters by the write that
 // failed: the header, or the blob of a payload (its index on the shelf,
 // plus one).
@@ -610,7 +619,7 @@ func (c *Coordinator) loadStore() {
 		case rec != nil && rec.Call.Seq <= c.collected[sessionKey{rec.Call.User, rec.Call.Session}]:
 			// Short of a blob, and not corrupt: a collection the crash cut
 			// short, whose blobs go first. Finish it.
-			c.gc.jobs = append(c.gc.jobs, rec.Call)
+			c.gc.jobs = append(c.gc.jobs, gone{call: rec.Call, key: key})
 			continue
 		default:
 			// Undecodable, or short of a blob: torn, or never durable.
@@ -618,6 +627,7 @@ func (c *Coordinator) loadStore() {
 			c.env.Logf("coordinator: corrupt job record %s: %v", key, err)
 			continue
 		}
+		c.put(rec)
 		if proto.NamedPayloads(e.Data) == 0 && (len(rec.Params) >= proto.BlobMin || len(rec.Output) >= proto.BlobMin) {
 			// A whole record from before the split: rewrite it in the
 			// one layout, so nothing but this branch ever reads the old.
@@ -627,7 +637,6 @@ func (c *Coordinator) loadStore() {
 			// The assignment did not survive the crash; schedule anew.
 			rec.State = proto.TaskPending
 		}
-		c.put(rec)
 		if rec.State == proto.TaskPending {
 			c.enqueue(rec.Call)
 		}
@@ -668,7 +677,7 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord) {
 	// What collection left for the disk rides this header's commit.
 	c.flushGarbage()
 	c.gate.stage(rec.Call)
-	e := msglog.Entry{Key: rec.Call.String(), Data: header, Blobs: [2][]byte{params, output}}
+	e := msglog.Entry{Key: c.store.Key(rec.Call, jobKey), Data: header, Blobs: [2][]byte{params, output}}
 	if err := jobs.Stage(c.env, e, c.gate.done); err != nil {
 		c.gate.unstage(err)
 	}
@@ -729,16 +738,73 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 	c.dispatch()
 }
 
-// afterDBCost schedules fn after the virtual latency accumulated by
-// database operations, so DB time is visible on the clock (this is the
-// effect that makes figure 5's replication DB-bound). The database is a
-// serial resource: concurrent batches queue behind one another.
-func (c *Coordinator) afterDBCost(fn func()) {
-	if cost := c.store.DrainCost(); cost > 0 {
-		c.env.After(c.dbEng.Acquire(c.env.Now(), cost), fn)
+// reply is what a handler decided to send once the database work it
+// charged is done: msg to to, behind push to pushTo when a late reply
+// rides the same decision (a result pushed to its session as the
+// server's TaskResultAck goes), and whether it accepts a new job. It is
+// a value: a reply that waits out a modelled cost waits in a pooled
+// pendingReply, and one that does not goes straight to the commit gate.
+type reply struct {
+	to, pushTo proto.NodeID
+	msg, push  proto.Message
+	accepted   bool
+}
+
+// afterDBCost sends r after the virtual latency accumulated by database
+// operations, so DB time is visible on the clock (this is the effect
+// that makes figure 5's replication DB-bound). The database is a serial
+// resource: concurrent batches queue behind one another. One timer per
+// decision, armed where the handler decides, as long as the cost is; at
+// zero cost — the shipped daemon's — r leaves at once.
+func (c *Coordinator) afterDBCost(r reply) {
+	cost := c.store.DrainCost()
+	if cost <= 0 {
+		c.send(&r)
 		return
 	}
-	fn()
+	var p *pendingReply
+	if n := len(c.idleReplies); n > 0 {
+		p, c.idleReplies = c.idleReplies[n-1], c.idleReplies[:n-1]
+	} else {
+		p = &pendingReply{c: c}
+		p.fire = p.send
+	}
+	p.r = r
+	c.env.After(c.dbEng.Acquire(c.env.Now(), cost), p.fire)
+}
+
+// send hands r to the commit gate. What a reply says of the table as it
+// leaves is read now: a SubmitAck's MaxSeq, and the accepted counter.
+func (c *Coordinator) send(r *reply) {
+	if r.push != nil {
+		c.env.Send(r.pushTo, r.push)
+	}
+	if r.accepted {
+		c.jobsAccepted++
+		c.cm.accepted.Inc()
+	}
+	if ack, ok := r.msg.(*proto.SubmitAck); ok {
+		ack.MaxSeq = c.maxSeq(ack.Call.User, ack.Call.Session)
+	}
+	c.env.Send(r.to, r.msg)
+}
+
+// pendingReply is a reply waiting out its database cost. It is pooled on
+// the coordinator, and fire, bound once, is the timer's callback.
+type pendingReply struct {
+	c    *Coordinator
+	r    reply
+	fire func()
+}
+
+// send is the timer's callback, on the loop.
+//
+//rpcv:loop-only
+func (p *pendingReply) send() {
+	r := p.r
+	p.r = reply{}
+	p.c.idleReplies = append(p.c.idleReplies, p)
+	p.c.send(&r)
 }
 
 // put writes rec to the job table (whose session index also answers
@@ -770,9 +836,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 			c.stale(m)
 		}
 		c.store.Get(m.Call)
-		c.afterDBCost(func() {
-			c.env.Send(from, &proto.SubmitAck{Call: m.Call, MaxSeq: c.maxSeq(m.Call.User, m.Call.Session)})
-		})
+		c.afterDBCost(reply{to: from, msg: &proto.SubmitAck{Call: m.Call}})
 		return
 	}
 	rec := &proto.JobRecord{
@@ -791,11 +855,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 	c.enqueue(m.Call)
 	c.trace(m.Call, obs.StageEnqueue, string(from))
 	c.markDirty(m.Call)
-	c.afterDBCost(func() {
-		c.jobsAccepted++
-		c.cm.accepted.Inc()
-		c.env.Send(from, &proto.SubmitAck{Call: m.Call, MaxSeq: c.maxSeq(m.Call.User, m.Call.Session)})
-	})
+	c.afterDBCost(reply{to: from, msg: &proto.SubmitAck{Call: m.Call}, accepted: true})
 }
 
 // resultOf is a finished job's result as a client receives it, in a
@@ -839,9 +899,7 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 	}
 	c.cm.resultsPoll.Add(uint64(len(out)))
 	c.subscribe(from, m)
-	c.afterDBCost(func() {
-		c.env.Send(from, &proto.Results{User: m.User, Session: m.Session, Results: out})
-	})
+	c.afterDBCost(reply{to: from, msg: &proto.Results{User: m.User, Session: m.Session, Results: out}})
 }
 
 func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest) {
@@ -858,14 +916,14 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 	w := c.collected[sessionKey{m.User, m.Session}]
 	known := c.store.SessionSeqs(m.User, m.Session)
 	above, _ := slices.BinarySearch(known, w+1)
-	reply := &proto.SyncReply{
+	sync := &proto.SyncReply{
 		User:      m.User,
 		Session:   m.Session,
 		MaxSeq:    c.maxSeq(m.User, m.Session),
 		Collected: w,
 		Known:     known[above:],
 	}
-	c.afterDBCost(func() { c.env.Send(from, reply) })
+	c.afterDBCost(reply{to: from, msg: sync})
 }
 
 // ---------------------------------------------------------------------
@@ -882,23 +940,23 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 	case proto.RoleCoordinator:
 		c.heard(from, []proto.NodeID{from})
 	}
-	ack := &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords}
+	var tasks []proto.TaskAssignment
 	idle := 0
 	if m.WantWork && m.Capacity > 0 {
-		ack.Tasks = c.assign(from, min(m.Capacity, c.cfg.MaxTasksPerAck))
-		c.cm.assignedPull.Add(uint64(len(ack.Tasks)))
-		idle = m.Capacity - len(ack.Tasks)
+		tasks = c.assign(from, min(m.Capacity, c.cfg.MaxTasksPerAck))
+		c.cm.assignedPull.Add(uint64(len(tasks)))
+		idle = m.Capacity - len(tasks)
 	}
 	if m.Role == proto.RoleServer {
 		// What this pull leaves unused stands as the server's offer until
 		// its next pull says otherwise.
 		c.standingOffer(from, idle)
-		if c.quietPull(from, len(ack.Tasks)) {
+		if c.quietPull(from, len(tasks)) {
 			return
 		}
 	}
 	c.noteHeartbeatAck(from)
-	c.afterDBCost(func() { c.env.Send(from, ack) })
+	c.afterDBCost(reply{to: from, msg: &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}})
 }
 
 // heard takes a message from a fellow coordinator — a ring heartbeat or
@@ -1057,18 +1115,14 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	c.trace(m.Task.Call, obs.StageResult, string(from))
 	// A session that polled lately gets the result now, as one more
 	// reply to that poll, rather than at its next one.
-	client, push := c.subscriber(rec.Call)
-	if push {
+	r := reply{to: from, msg: &proto.TaskResultAck{Task: m.Task}}
+	if client, push := c.subscriber(rec.Call); push {
 		c.pushedResults++
 		c.cm.resultsPush.Inc()
+		r.pushTo, r.push = client, &proto.Results{User: rec.Call.User, Session: rec.Call.Session,
+			Results: []proto.Result{resultOf(rec)}}
 	}
-	c.afterDBCost(func() {
-		if push {
-			c.env.Send(client, &proto.Results{User: rec.Call.User, Session: rec.Call.Session,
-				Results: []proto.Result{resultOf(rec)}})
-		}
-		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
-	})
+	c.afterDBCost(r)
 }
 
 // finish stores rec, finished, as its call's record — a server's result,
@@ -1178,9 +1232,7 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		c.requeue(call, requeueServerSync)
 	}
 
-	c.afterDBCost(func() {
-		c.env.Send(from, &proto.ServerSyncReply{Resend: resend, Drop: drop})
-	})
+	c.afterDBCost(reply{to: from, msg: &proto.ServerSyncReply{Resend: resend, Drop: drop}})
 	if _, offering := c.offers.by[from]; len(m.Running) == 0 && !offering {
 		// A server that synchronizes while running nothing — a fresh
 		// or restarted one — asks for work only on its next beat; what

@@ -172,9 +172,8 @@ func (c *Coordinator) dispatch() {
 		}
 		c.pushedTasks += len(tasks)
 		c.cm.assignedPush.Add(uint64(len(tasks)))
-		ack := &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}
 		c.noteHeartbeatAck(server)
-		c.afterDBCost(func() { c.env.Send(server, ack) })
+		c.afterDBCost(reply{to: server, msg: &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}})
 	}
 	c.noteIdleSlots()
 }

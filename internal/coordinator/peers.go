@@ -242,7 +242,7 @@ func (c *Coordinator) ReplicateNow() {
 	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Jobs: c.roundJobs(&c.repl)}
 	update.MaxSeqs = c.sessionMaxes(update.Jobs)
 	update.Round = c.repl.begin(succ, c.env.Now())
-	c.afterDBCost(func() { c.env.Send(succ, update) })
+	c.afterDBCost(reply{to: succ, msg: update})
 	// Given up, the round stays on the successor: the ring monitor
 	// decides when it is another.
 	c.repl.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
@@ -289,9 +289,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 	for _, sm := range m.MaxSeqs {
 		c.acknowledge(sessionKey{sm.User, sm.Session}, sm.Collected, false)
 	}
-	c.afterDBCost(func() {
-		c.env.Send(from, &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round})
-	})
+	c.afterDBCost(reply{to: from, msg: &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round}})
 }
 
 func (c *Coordinator) handleReplicaAck(from proto.NodeID, m *proto.ReplicaAck) {
@@ -412,7 +410,7 @@ func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
 			}
 		}
 	}
-	c.afterDBCost(func() { c.env.Send(from, ack) })
+	c.afterDBCost(reply{to: from, msg: ack})
 }
 
 // handleShardSyncAck completes a cross-shard round: records carried by

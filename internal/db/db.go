@@ -74,7 +74,7 @@ type sessionKey struct {
 // DB stores job records for one coordinator.
 type DB struct {
 	cost    CostModel
-	records map[proto.CallID]*proto.JobRecord
+	records map[proto.CallID]row
 
 	// sessions indexes records by session: the ascending sequence
 	// numbers stored for each (user, session). Put, Delete and Collect
@@ -90,23 +90,33 @@ type DB struct {
 	ops   uint64
 }
 
+// row is one record, and the key its owner stores it under on a disk,
+// which the table keeps for it: built once per call (Key), and kept
+// across every Put that replaces the record.
+type row struct {
+	rec *proto.JobRecord
+	key string
+}
+
 // New creates an empty database with the given cost model.
 func New(cost CostModel) *DB {
 	return &DB{
 		cost:     cost,
-		records:  make(map[proto.CallID]*proto.JobRecord),
+		records:  make(map[proto.CallID]row),
 		sessions: make(map[sessionKey][]proto.RPCSeq),
 	}
 }
 
-// Put inserts or replaces a record, charging one operation.
+// Put inserts or replaces a record, charging one operation. A replaced
+// record's key stays.
 func (d *DB) Put(rec *proto.JobRecord) {
 	d.charge(len(rec.Params) + len(rec.Output))
-	n := len(d.records)
-	d.records[rec.Call] = rec
-	if len(d.records) == n {
+	if r, ok := d.records[rec.Call]; ok {
+		r.rec = rec
+		d.records[rec.Call] = r
 		return // replaced: already indexed
 	}
+	d.records[rec.Call] = row{rec: rec}
 	k := sessionKey{rec.Call.User, rec.Call.Session}
 	seqs := d.sessions[k]
 	// Sessions count upward, so the new seq almost always belongs at
@@ -120,20 +130,35 @@ func (d *DB) Put(rec *proto.JobRecord) {
 
 // Get returns the record for id, charging one operation.
 func (d *DB) Get(id proto.CallID) (*proto.JobRecord, bool) {
-	rec, ok := d.records[id]
+	r, ok := d.records[id]
 	if ok {
-		d.charge(len(rec.Params) + len(rec.Output))
+		d.charge(len(r.rec.Params) + len(r.rec.Output))
 	} else {
 		d.charge(0)
 	}
-	return rec, ok
+	return r.rec, ok
 }
 
 // Peek returns the record without charging (internal bookkeeping reads
 // that would not be SQL statements).
 func (d *DB) Peek(id proto.CallID) (*proto.JobRecord, bool) {
-	rec, ok := d.records[id]
-	return rec, ok
+	r, ok := d.records[id]
+	return r.rec, ok
+}
+
+// Key returns the key kept with id's record, making it with build the
+// first time it is asked for (uncharged: it is no statement). A call
+// without a record gets build's key, kept nowhere.
+func (d *DB) Key(id proto.CallID, build func(proto.CallID) string) string {
+	r, ok := d.records[id]
+	if r.key != "" {
+		return r.key
+	}
+	r.key = build(id)
+	if ok {
+		d.records[id] = r
+	}
+	return r.key
 }
 
 // Delete removes a record, charging one operation.
@@ -170,7 +195,7 @@ func (d *DB) Collect(user proto.UserID, session proto.SessionID, upTo proto.RPCS
 	kept := 0
 	for _, seq := range seqs[:end] {
 		id.Seq = seq
-		if drop(d.records[id]) {
+		if drop(d.records[id].rec) {
 			delete(d.records, id)
 			continue
 		}
@@ -196,8 +221,8 @@ func (d *DB) Len() int { return len(d.records) }
 func (d *DB) All() []*proto.JobRecord {
 	d.charge(0)
 	out := make([]*proto.JobRecord, 0, len(d.records))
-	for _, rec := range d.records {
-		out = append(out, rec)
+	for _, r := range d.records {
+		out = append(out, r.rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Call.Less(out[j].Call) })
 	return out
@@ -208,8 +233,8 @@ func (d *DB) All() []*proto.JobRecord {
 // observers): measurement must not perturb the virtual clock.
 func (d *DB) PeekAll() []*proto.JobRecord {
 	out := make([]*proto.JobRecord, 0, len(d.records))
-	for _, rec := range d.records {
-		out = append(out, rec)
+	for _, r := range d.records {
+		out = append(out, r.rec)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Call.Less(out[j].Call) })
 	return out
@@ -221,8 +246,8 @@ func (d *DB) PeekAll() []*proto.JobRecord {
 // every status scrape and after every simulated event of an
 // experiment's stop condition.
 func (d *DB) CountStates() (pending, ongoing int) {
-	for _, rec := range d.records {
-		switch rec.State {
+	for _, r := range d.records {
+		switch r.rec.State {
 		case proto.TaskPending:
 			pending++
 		case proto.TaskOngoing:
@@ -236,9 +261,9 @@ func (d *DB) CountStates() (pending, ongoing int) {
 func (d *DB) Select(pred func(*proto.JobRecord) bool) []*proto.JobRecord {
 	d.charge(0)
 	var out []*proto.JobRecord
-	for _, rec := range d.records {
-		if pred(rec) {
-			out = append(out, rec)
+	for _, r := range d.records {
+		if pred(r.rec) {
+			out = append(out, r.rec)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Call.Less(out[j].Call) })
@@ -273,7 +298,7 @@ func (d *DB) SessionAfter(user proto.UserID, session proto.SessionID, after prot
 		id := proto.CallID{User: user, Session: session}
 		for _, seq := range seqs[first:] {
 			id.Seq = seq
-			if !yield(d.records[id]) {
+			if !yield(d.records[id].rec) {
 				return
 			}
 		}

@@ -9,13 +9,20 @@ import (
 	"rpcv/internal/proto"
 )
 
-// Shelf is where one owner keeps its entries on a disk: an entry's
-// header under Headers+key, and the i-th payload it names (bit i of
-// proto.NamedPayloads) under Blobs+key+Suffixes[i].
+// Shelf is where one owner keeps its entries on a disk: an entry named
+// name has its header under Headers+name — the entry's key — and the
+// i-th payload it names (bit i of proto.NamedPayloads) under
+// Blobs+name+Suffixes[i].
 type Shelf struct {
 	Headers, Blobs string
 	Suffixes       []string // at most len(Entry{}.Blobs)
 }
+
+// Key is the key of the entry named name: its header's.
+func (s Shelf) Key(name string) string { return s.Headers + name }
+
+// name is the name of the entry under key.
+func (s Shelf) name(key string) string { return key[len(s.Headers):] }
 
 // Messages is the shelf of every message log: an entry's key is its
 // whole disk key, and its one payload is under "blob/"+key, so listing
@@ -24,8 +31,10 @@ var Messages = Shelf{Blobs: "blob/", Suffixes: []string{""}}
 
 // Entry is one entry as a disk holds it.
 type Entry struct {
-	// Key names the entry on its shelf — for a Log, the part after its
-	// prefix.
+	// Key is the entry's key: its header's on the disk (Shelf.Key,
+	// Log.Key). The owner builds it once per entry and keeps it with the
+	// entry's state in memory, so writing, rewriting and removing the
+	// entry never build it again.
 	Key string
 	// Data is the serialized message or job record, or its header when
 	// it names payloads (proto.EncodeLogged, proto.EncodeJobHeader).
@@ -36,7 +45,7 @@ type Entry struct {
 	Blobs [2][]byte
 }
 
-// EntryOf encodes msg as the entry to log under key.
+// EntryOf encodes msg as the entry to log under key, a key of its shelf.
 func EntryOf(key string, msg proto.Message) Entry {
 	data, blob := proto.EncodeLogged(msg)
 	return Entry{Key: key, Data: data, Blobs: [2][]byte{blob}}
@@ -73,12 +82,11 @@ func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
 		return err
 	}
 	disk := env.Disk()
-	header := s.Headers + e.Key
-	old, _ := disk.Read(header)
+	old, _ := disk.Read(e.Key)
 	if failed == nil {
-		node.WriteAsync(disk, header, e.Data, done)
+		node.WriteAsync(disk, e.Key, e.Data, done)
 	} else {
-		node.WriteAsync(disk, header, e.Data, func(err error) {
+		node.WriteAsync(disk, e.Key, e.Data, func(err error) {
 			if err == nil {
 				err = *failed
 			}
@@ -86,7 +94,7 @@ func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
 		})
 	}
 	// A failure is logged there; Sweep makes up for it.
-	_ = s.removeBlobs(env, e.Key, proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
+	_ = s.removeBlobs(env, s.name(e.Key), proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
 	return nil
 }
 
@@ -98,7 +106,7 @@ func (s Shelf) Write(env node.Env, e Entry) error {
 	if _, err := s.stageBlobs(env, e); err != nil {
 		return err
 	}
-	return env.Disk().Write(s.Headers+e.Key, e.Data)
+	return env.Disk().Write(e.Key, e.Data)
 }
 
 // stageBlobs stages the payloads of e whose keys do not hold them. It
@@ -109,7 +117,7 @@ func (s Shelf) stageBlobs(env node.Env, e Entry) (failed *error, err error) {
 		if blob == nil {
 			continue
 		}
-		key := s.Blobs + e.Key + s.Suffixes[i]
+		key := s.Blobs + s.name(e.Key) + s.Suffixes[i]
 		if held, ok := env.Disk().Read(key); ok && bytes.Equal(held, blob) {
 			continue
 		}
@@ -129,10 +137,12 @@ func (s Shelf) stageBlobs(env node.Env, e Entry) (failed *error, err error) {
 	return failed, nil
 }
 
-// Load reads the entry under key with the payloads its header names; a
-// payload that is missing is nil, and the entry's decoder refuses it.
-func (s Shelf) Load(disk node.Disk, key string) (Entry, bool) {
-	data, ok := disk.Read(s.Headers + key)
+// Load reads the entry named name with the payloads its header names —
+// a recovery read, which builds the entry's key; a payload that is
+// missing is nil, and the entry's decoder refuses it.
+func (s Shelf) Load(disk node.Disk, name string) (Entry, bool) {
+	key := s.Key(name)
+	data, ok := disk.Read(key)
 	if !ok {
 		return Entry{}, false
 	}
@@ -140,7 +150,7 @@ func (s Shelf) Load(disk node.Disk, key string) (Entry, bool) {
 	named := proto.NamedPayloads(data)
 	for i, suffix := range s.Suffixes {
 		if named&(1<<i) != 0 {
-			e.Blobs[i], _ = disk.Read(s.Blobs + key + suffix)
+			e.Blobs[i], _ = disk.Read(s.Blobs + name + suffix)
 		}
 	}
 	return e, true
@@ -150,22 +160,93 @@ func (s Shelf) Load(disk node.Disk, key string) (Entry, bool) {
 // payloads its header names and then the header, all at once — staging
 // order is commit order, so a crash in between leaves a header its
 // decoder refuses, never a payload nothing names. done gets the header's
-// outcome; a payload whose delete is already known to have failed keeps
-// the header, and done gets that failure.
-func (s Shelf) Remove(env node.Env, key string, done func(error)) {
-	header := s.Headers + key
-	data, _ := env.Disk().Read(header)
-	if err := s.removeBlobs(env, key, proto.NamedPayloads(data)); err != nil {
-		done(err)
-		return
+// outcome. A payload whose delete is already known to have failed keeps
+// the header: Remove returns that failure and never calls done, so that
+// done, bound once by an owner that removes many entries, completes them
+// in the order they were removed.
+func (s Shelf) Remove(env node.Env, key string, done func(error)) error {
+	data, _ := env.Disk().Read(key)
+	if err := s.removeBlobs(env, s.name(key), proto.NamedPayloads(data)); err != nil {
+		return err
 	}
-	node.DeleteAsync(env.Disk(), header, done)
+	node.DeleteAsync(env.Disk(), key, done)
+	return nil
+}
+
+// Remover removes entries from a shelf with no callback per entry: the
+// completion of every delete it stages is one callback, bound once, over
+// a queue of the keys staged — a disk completes its writes and deletes
+// in the order they were staged. failed hears of each entry whose delete
+// failed, which stays on the disk.
+type Remover struct {
+	env    node.Env
+	shelf  Shelf
+	failed func(key string, err error)
+	keys   fifo[string]
+	done   func(error)
+}
+
+// NewRemover returns a Remover of shelf's entries on env's disk.
+func NewRemover(env node.Env, shelf Shelf, failed func(key string, err error)) *Remover {
+	r := &Remover{env: env, shelf: shelf, failed: failed}
+	r.done = r.removed
+	return r
+}
+
+// Remove stages the removal of the entry under key (Shelf.Remove).
+func (r *Remover) Remove(key string) {
+	r.keys.push(key)
+	if err := r.shelf.Remove(r.env, key, r.done); err != nil {
+		r.failed(r.keys.unpush(), err)
+	}
+}
+
+// removed completes the oldest delete staged.
+func (r *Remover) removed(err error) {
+	if key := r.keys.pop(); err != nil {
+		r.failed(key, err)
+	}
+}
+
+// fifo is a queue on one array, as the coordinator's commit gate keeps
+// one: once the array has grown to the deepest the queue gets, pushing
+// and popping allocate nothing.
+type fifo[T any] struct {
+	buf  []T
+	head int // buf[:head] is popped
+}
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
+		n := copy(q.buf, q.buf[q.head:]) // slide down rather than grow
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}
+
+func (q *fifo[T]) unpush() T {
+	last := len(q.buf) - 1
+	v := q.buf[last]
+	clear(q.buf[last:])
+	q.buf = q.buf[:last]
+	return v
 }
 
 // removeBlobs deletes, of the payloads in named, those the disk holds
-// for key, and reports a failure already known when it returns; a later
-// one is logged, and Sweep makes up for it.
-func (s Shelf) removeBlobs(env node.Env, key string, named uint8) error {
+// for the entry named name, and reports a failure already known when it
+// returns; a later one is logged, and Sweep makes up for it.
+func (s Shelf) removeBlobs(env node.Env, name string, named uint8) error {
 	if named == 0 {
 		return nil
 	}
@@ -174,7 +255,7 @@ func (s Shelf) removeBlobs(env node.Env, key string, named uint8) error {
 		if named&(1<<i) == 0 {
 			continue
 		}
-		blob := s.Blobs + key + suffix
+		blob := s.Blobs + name + suffix
 		if _, ok := env.Disk().Read(blob); !ok {
 			continue
 		}

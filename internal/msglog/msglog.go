@@ -170,6 +170,12 @@ type Log struct {
 	// cancels the write instead of leaving the entry behind.
 	n         int
 	unwritten map[string]Entry
+
+	// writing holds the batched writes staged, in staging order; written,
+	// bound once, is the completion of the oldest. drops removes entries.
+	writing fifo[pendingWrite]
+	written func(error)
+	drops   *Remover
 }
 
 // Config parameterizes a Log.
@@ -191,18 +197,26 @@ func New(env node.Env, cfg Config) *Log {
 		cfg.Prefix = "msglog/"
 	}
 	Messages.Sweep(env, cfg.Prefix)
-	return &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
+	l := &Log{env: env, prefix: cfg.Prefix, strategy: cfg.Strategy, disk: cfg.Disk,
 		n: len(env.Disk().Keys(cfg.Prefix)), unwritten: make(map[string]Entry)}
+	l.written = l.writeDone
+	l.drops = NewRemover(env, Messages, l.dropFailed)
+	return l
 }
+
+// Key is the key of the entry named name: the log's prefix and name.
+// The owner builds it once per entry, keeps it, and hands it to
+// LogAndSend (as the entry's Key), Release and Drop.
+func (l *Log) Key(name string) string { return l.prefix + name }
 
 // Strategy returns the configured strategy.
 func (l *Log) Strategy() Strategy { return l.strategy }
 
-// LogAndSend logs entry and transmits msg to dst per the strategy.
-// done, when non-nil, runs on the node's event loop when the operation
-// completes (see Log's doc for what completion means per strategy).
+// LogAndSend logs entry, whose Key is one of this log's (Key), and
+// transmits msg to dst per the strategy. done, when non-nil, runs on the
+// node's event loop when the operation completes (see Log's doc for what
+// completion means per strategy).
 func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
-	entry.Key = l.prefix + entry.Key
 	if _, ok := l.env.Disk().(node.BatchDisk); ok {
 		l.logAndSendBatched(dst, msg, entry, done)
 		return
@@ -254,14 +268,8 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 // completion callback (non-blocking pessimistic — the commit overlaps
 // the communication exactly as the paper describes).
 func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
-	key := entry.Key
-	logged := func(err error) {
-		if err != nil {
-			l.env.Logf("msglog: write %s: %v", key, err)
-		}
-	}
-	l.added(key)
-	completion := logged
+	l.added(entry.Key)
+	p := pendingWrite{key: entry.Key}
 	switch l.strategy {
 	case Optimistic:
 		// Send now; the group commit makes the entry durable shortly
@@ -272,37 +280,48 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 		// The communication begins only after the entry's batch is on
 		// the platter. Concurrent submissions stage into the same
 		// batch, so the per-call cost is a shared fsync.
-		completion = func(err error) {
-			if err != nil {
-				// The entry never became durable; sending anyway would
-				// silently abandon durability-before-send, the one
-				// property this strategy exists for. Withhold the send
-				// — the ack-resync machinery retries the operation —
-				// but still complete, so the submission pipeline does
-				// not wedge on a broken disk.
-				logged(err)
-			} else {
-				l.env.Send(dst, msg)
-			}
-			if done != nil {
-				done()
-			}
-		}
+		p.dst, p.msg, p.done = dst, msg, done
 	case NonBlockingPessimistic:
 		// Send immediately; completion waits for the covering batch.
 		l.env.Send(dst, msg)
-		completion = func(err error) {
-			logged(err)
-			if done != nil {
-				done()
-			}
-		}
+		p.done = done
 	}
-	if err := Messages.Stage(l.env, entry, completion); err != nil {
-		completion(err)
+	l.writing.push(p)
+	if err := Messages.Stage(l.env, entry, l.written); err != nil {
+		l.complete(l.writing.unpush(), err)
 	}
 	if l.strategy == Optimistic && done != nil {
 		done()
+	}
+}
+
+// pendingWrite is an entry whose batched write has yet to complete, and
+// what its strategy does then: send msg to dst (blocking pessimistic),
+// and complete the operation (both pessimistic strategies).
+type pendingWrite struct {
+	key  string
+	dst  proto.NodeID
+	msg  proto.Message
+	done func()
+}
+
+// writeDone completes the oldest write staged.
+func (l *Log) writeDone(err error) { l.complete(l.writing.pop(), err) }
+
+func (l *Log) complete(p pendingWrite, err error) {
+	if err != nil {
+		l.env.Logf("msglog: write %s: %v", p.key, err)
+	}
+	// An entry that never became durable withholds a blocking send:
+	// sending anyway would silently abandon durability-before-send, the
+	// one property that strategy exists for — the ack-resync machinery
+	// retries the operation. It still completes, so the submission
+	// pipeline does not wedge on a broken disk.
+	if p.msg != nil && err == nil {
+		l.env.Send(p.dst, p.msg)
+	}
+	if p.done != nil {
+		p.done()
 	}
 }
 
@@ -327,14 +346,12 @@ func (l *Log) added(key string) {
 	}
 }
 
-// Get returns a logged entry.
-func (l *Log) Get(key string) (Entry, bool) {
-	e, ok := Messages.Load(l.env.Disk(), l.prefix+key)
-	e.Key = key
-	return e, ok
+// Get returns the logged entry named name, a recovery read.
+func (l *Log) Get(name string) (Entry, bool) {
+	return Messages.Load(l.env.Disk(), l.Key(name))
 }
 
-// Keys returns all durably logged entry keys, sorted.
+// Keys returns the names of all durably logged entries, sorted.
 func (l *Log) Keys() []string {
 	raw := l.env.Disk().Keys(l.prefix)
 	keys := make([]string, len(raw))
@@ -347,29 +364,29 @@ func (l *Log) Keys() []string {
 // Len returns the number of entries the log holds.
 func (l *Log) Len() int { return l.n }
 
-// Drop removes one entry: the log's share of the distributed garbage
-// collection. Logging capacities are bounded, so components flush logs
-// whose information is safely replicated elsewhere (e.g. acknowledged
-// results); the owner calls Drop at the moment that becomes true of an
-// entry. The delete is staged where the disk batches — nothing waits
-// for its fsync — and an entry whose delete fails stays: resending a
-// logged message is always safe, so over-retention costs only space.
+// Drop removes the entry under key: the log's share of the distributed
+// garbage collection. Logging capacities are bounded, so components
+// flush logs whose information is safely replicated elsewhere (e.g.
+// acknowledged results); the owner calls Drop at the moment that becomes
+// true of an entry. The delete is staged where the disk batches —
+// nothing waits for its fsync — and an entry whose delete fails stays:
+// resending a logged message is always safe, so over-retention costs
+// only space.
 func (l *Log) Drop(key string) {
-	full := l.prefix + key
-	if _, ok := l.unwritten[full]; ok {
-		delete(l.unwritten, full)
+	if _, ok := l.unwritten[key]; ok {
+		delete(l.unwritten, key)
 		return
 	}
-	if _, ok := l.env.Disk().Read(full); !ok {
+	if _, ok := l.env.Disk().Read(key); !ok {
 		return
 	}
 	l.n--
-	Messages.Remove(l.env, full, func(err error) {
-		if err != nil {
-			l.n++
-			l.env.Logf("msglog: drop %s: %v", key, err)
-		}
-	})
+	l.drops.Remove(key)
+}
+
+func (l *Log) dropFailed(key string, err error) {
+	l.n++
+	l.env.Logf("msglog: drop %s: %v", key, err)
 }
 
 // Release is the first half of a Drop: it gives back the payload stored
@@ -379,15 +396,14 @@ func (l *Log) Drop(key string) {
 // without its payload), can never be resent, and goes with Drop. An
 // entry that carries its payload inline shares nothing and stays whole.
 func (l *Log) Release(key string) {
-	full := l.prefix + key
-	if e, ok := l.unwritten[full]; ok {
+	if e, ok := l.unwritten[key]; ok {
 		e.Blobs = [2][]byte{}
-		l.unwritten[full] = e
+		l.unwritten[key] = e
 		return
 	}
 	// A failure is logged there; the payload then goes with the Drop.
-	data, _ := l.env.Disk().Read(full)
-	_ = Messages.removeBlobs(l.env, full, proto.NamedPayloads(data))
+	data, _ := l.env.Disk().Read(key)
+	_ = Messages.removeBlobs(l.env, key, proto.NamedPayloads(data))
 }
 
 // Close cancels pending optimistic flushes (a clean shutdown; a crash

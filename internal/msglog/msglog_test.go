@@ -48,7 +48,7 @@ func fixedDisk(d time.Duration) DiskModel { return func(int) time.Duration { ret
 func TestOptimisticSendsImmediately(t *testing.T) {
 	w, _, dst, l := rig(t, Optimistic, fixedDisk(10*time.Millisecond))
 	doneAt := time.Time{}
-	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: "1", Data: []byte("x")},
+	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: l.Key("1"), Data: []byte("x")},
 		func() { doneAt = w.Now() })
 	if !doneAt.Equal(w.Now()) {
 		t.Fatal("optimistic completion not immediate")
@@ -68,7 +68,7 @@ func TestOptimisticSendsImmediately(t *testing.T) {
 
 func TestOptimisticCrashLosesUnflushed(t *testing.T) {
 	w, src, _, l := rig(t, Optimistic, fixedDisk(10*time.Millisecond))
-	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: "1", Data: []byte("x")}, nil)
+	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: l.Key("1"), Data: []byte("x")}, nil)
 	w.Crash("src")
 	w.RunFor(time.Second)
 	if n := len(src.env.Disk().Keys("msglog/")); n != 0 {
@@ -79,7 +79,7 @@ func TestOptimisticCrashLosesUnflushed(t *testing.T) {
 func TestBlockingPessimisticWritesBeforeSend(t *testing.T) {
 	w, _, dst, l := rig(t, BlockingPessimistic, fixedDisk(10*time.Millisecond))
 	var doneAt time.Time
-	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: "1", Data: []byte("x")},
+	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: l.Key("1"), Data: []byte("x")},
 		func() { doneAt = w.Now() })
 	// Nothing sent or written yet.
 	if len(dst.inbox) != 0 || l.Len() != 0 {
@@ -101,7 +101,7 @@ func TestBlockingPessimisticWritesBeforeSend(t *testing.T) {
 func TestNonBlockingPessimisticOverlaps(t *testing.T) {
 	w, _, dst, l := rig(t, NonBlockingPessimistic, fixedDisk(10*time.Millisecond))
 	var doneAt time.Time
-	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: "1", Data: []byte("x")},
+	l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: l.Key("1"), Data: []byte("x")},
 		func() { doneAt = w.Now() })
 	w.RunFor(time.Millisecond)
 	// The send must already be out (instant network here).
@@ -122,7 +122,7 @@ func TestDiskWritesSerialize(t *testing.T) {
 	var completions []time.Duration
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("%d", i)
-		l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: key, Data: []byte("x")},
+		l.LogAndSend("dst", &blob{Data: []byte("x")}, Entry{Key: l.Key(key), Data: []byte("x")},
 			func() { completions = append(completions, w.Elapsed()) })
 	}
 	w.RunFor(time.Second)
@@ -207,13 +207,12 @@ func (noopTimer) Stop() {}
 // strategy stages through WriteAsync and ties its completion point to
 // the batch fsync, not the DiskModel.
 func TestBatchDiskRoutesDurabilityWaits(t *testing.T) {
-	entry := Entry{Key: "1", Data: []byte("x")}
 
 	t.Run("blocking-pessimistic", func(t *testing.T) {
 		env := &batchEnv{disk: newFakeBatchDisk()}
 		l := New(env, Config{Strategy: BlockingPessimistic, Disk: InstantDisk()})
 		completed := false
-		l.LogAndSend("dst", &blob{}, entry, func() { completed = true })
+		l.LogAndSend("dst", &blob{}, Entry{Key: l.Key("1"), Data: []byte("x")}, func() { completed = true })
 		// Staged (read-your-writes) but the communication must not
 		// have begun: the batch has not fsynced.
 		if _, ok := l.Get("1"); !ok {
@@ -232,7 +231,7 @@ func TestBatchDiskRoutesDurabilityWaits(t *testing.T) {
 		env := &batchEnv{disk: newFakeBatchDisk()}
 		l := New(env, Config{Strategy: NonBlockingPessimistic, Disk: InstantDisk()})
 		completed := false
-		l.LogAndSend("dst", &blob{}, entry, func() { completed = true })
+		l.LogAndSend("dst", &blob{}, Entry{Key: l.Key("1"), Data: []byte("x")}, func() { completed = true })
 		// The send overlaps the commit; completion waits for it.
 		if len(env.sent) != 1 {
 			t.Fatal("non-blocking send did not start immediately")
@@ -250,7 +249,7 @@ func TestBatchDiskRoutesDurabilityWaits(t *testing.T) {
 		env := &batchEnv{disk: newFakeBatchDisk()}
 		l := New(env, Config{Strategy: Optimistic, Disk: InstantDisk()})
 		completed := false
-		l.LogAndSend("dst", &blob{}, entry, func() { completed = true })
+		l.LogAndSend("dst", &blob{}, Entry{Key: l.Key("1"), Data: []byte("x")}, func() { completed = true })
 		// Everything immediate; durability rides the next commit.
 		if len(env.sent) != 1 || !completed {
 			t.Fatal("optimistic did not complete at send")
@@ -265,7 +264,7 @@ func TestBatchDiskRoutesDurabilityWaits(t *testing.T) {
 func TestKeysSortedAndGet(t *testing.T) {
 	w, _, _, l := rig(t, BlockingPessimistic, fixedDisk(0))
 	for _, k := range []string{"b", "a", "c"} {
-		l.LogAndSend("dst", &blob{Data: []byte(k)}, Entry{Key: k, Data: []byte(k)}, nil)
+		l.LogAndSend("dst", &blob{Data: []byte(k)}, Entry{Key: l.Key(k), Data: []byte(k)}, nil)
 	}
 	w.RunFor(time.Second)
 	keys := l.Keys()
@@ -282,19 +281,19 @@ func TestGC(t *testing.T) {
 	w, _, _, l := rig(t, BlockingPessimistic, fixedDisk(0))
 	for i := 0; i < 6; i++ {
 		k := fmt.Sprintf("%d", i)
-		l.LogAndSend("dst", &blob{}, Entry{Key: k, Data: []byte(k)}, nil)
+		l.LogAndSend("dst", &blob{}, Entry{Key: l.Key(k), Data: []byte(k)}, nil)
 	}
 	w.RunFor(time.Second)
 	for _, k := range []string{"0", "1", "2", "2", "never-logged"} {
-		l.Drop(k) // dropping twice, or what was never there, is a no-op
+		l.Drop(l.Key(k)) // dropping twice, or what was never there, is a no-op
 	}
 	if keys := l.Keys(); l.Len() != 3 || len(keys) != 3 || keys[0] != "3" {
 		t.Fatalf("after dropping 0..2: Len %d, keys %v; want 3 entries from 3 up", l.Len(), keys)
 	}
 	// An entry dropped before its modelled write fires never lands.
 	slow := New(l.env, Config{Prefix: "slow/", Strategy: Optimistic, Disk: fixedDisk(time.Second)})
-	slow.LogAndSend("dst", &blob{}, Entry{Key: "x", Data: []byte("x")}, nil)
-	slow.Drop("x")
+	slow.LogAndSend("dst", &blob{}, Entry{Key: slow.Key("x"), Data: []byte("x")}, nil)
+	slow.Drop(slow.Key("x"))
 	w.RunFor(2 * time.Second)
 	if slow.Len() != 0 || len(slow.Keys()) != 0 {
 		t.Fatalf("an entry dropped while its write waited is on the disk: Len %d, keys %v", slow.Len(), slow.Keys())
@@ -343,7 +342,7 @@ func TestIDEDiskScalesWithSize(t *testing.T) {
 
 func TestCloseCancelsOptimisticFlushes(t *testing.T) {
 	w, _, _, l := rig(t, Optimistic, fixedDisk(10*time.Millisecond))
-	l.LogAndSend("dst", &blob{}, Entry{Key: "1", Data: []byte("x")}, nil)
+	l.LogAndSend("dst", &blob{}, Entry{Key: l.Key("1"), Data: []byte("x")}, nil)
 	l.Close()
 	w.RunFor(time.Second)
 	if l.Len() != 0 {
@@ -379,7 +378,7 @@ func TestSplitEntryCompletesOnTheHeadersCommit(t *testing.T) {
 		l := New(env, Config{Strategy: strategy, Disk: InstantDisk()})
 		msg := submitOf(1, 64<<10)
 		completed := false
-		l.LogAndSend("dst", msg, EntryOf("1", msg), func() { completed = true })
+		l.LogAndSend("dst", msg, EntryOf(l.Key("1"), msg), func() { completed = true })
 		if len(env.disk.staged) != 2 {
 			t.Fatalf("%v: %d staged writes for a 64 KiB entry, want payload and header", strategy, len(env.disk.staged))
 		}
@@ -439,12 +438,12 @@ func runCrashScenario(d *nodetest.CrashDisk, strategy Strategy) crashRun {
 		key := fmt.Sprint(seq)
 		msg := submitOf(seq, size)
 		r.logged[key] = msg
-		l.LogAndSend("dst", msg, EntryOf(key, msg), func() { r.completed[key] = !d.Cut.Off })
+		l.LogAndSend("dst", msg, EntryOf(l.Key(key), msg), func() { r.completed[key] = !d.Cut.Off })
 		env.Advance(time.Millisecond) // a disk that does not batch writes on a timer
 	}
 	drop := func(seq int) {
 		r.dropped[fmt.Sprint(seq)] = true
-		l.Drop(fmt.Sprint(seq))
+		l.Drop(l.Key(fmt.Sprint(seq)))
 	}
 	log(1, 64)
 	log(2, 64<<10)
@@ -523,7 +522,7 @@ func TestLegacyInlineEntryStillLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := New(nodetest.NewEnv("src", disk), Config{Prefix: "log/", Strategy: BlockingPessimistic})
-	l.LogAndSend("dst", fresh, EntryOf("2", fresh), nil)
+	l.LogAndSend("dst", fresh, EntryOf(l.Key("2"), fresh), nil)
 	var dec proto.Decoder
 	for key, want := range map[string]*proto.Submit{"1": old, "2": fresh} {
 		e, _ := l.Get(key)
@@ -534,8 +533,8 @@ func TestLegacyInlineEntryStillLoads(t *testing.T) {
 	if e, _ := l.Get("1"); e.Blobs[0] != nil {
 		t.Fatal("a legacy entry has no payload beside it")
 	}
-	l.Drop("1")
-	l.Drop("2")
+	l.Drop(l.Key("1"))
+	l.Drop(l.Key("2"))
 	if keys := disk.Keys(""); len(keys) != 0 {
 		t.Fatalf("after dropping both: %v", keys)
 	}

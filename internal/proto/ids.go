@@ -80,6 +80,16 @@ func (c CallID) String() string {
 	return sb.String()
 }
 
+// Key is prefix followed by c.String(), in one allocation: a key that
+// names the call on a disk.
+func (c CallID) Key(prefix string) string {
+	var sb strings.Builder
+	sb.Grow(len(prefix) + c.len())
+	sb.WriteString(prefix)
+	c.writeTo(&sb, '/')
+	return sb.String()
+}
+
 // len is the length of c.String().
 func (c CallID) len() int {
 	return len(c.User) + 2 + uintLen(uint64(c.Session)) + uintLen(uint64(c.Seq))

@@ -113,15 +113,21 @@ func (l *loop) run() {
 	if !timer.Stop() {
 		<-timer.C
 	}
+	// The runtime timer waits for the earliest deadline, armedFor, and is
+	// re-armed only when that deadline moves: re-arming modifies it under
+	// its P's timer lock, and most mailbox entries move nothing.
 	armed := false
+	var armedFor time.Time
 	for {
 		var timerC <-chan time.Time
-		if wait, ok := l.nextTimer(); ok {
-			if armed && !timer.Stop() {
-				<-timer.C
+		if at, ok := l.nextDeadline(); ok {
+			if !armed || !at.Equal(armedFor) {
+				if armed && !timer.Stop() {
+					<-timer.C
+				}
+				timer.Reset(max(time.Until(at), 0))
+				armed, armedFor = true, at
 			}
-			timer.Reset(wait)
-			armed = true
 			timerC = timer.C
 		} else if armed {
 			if !timer.Stop() {
@@ -217,18 +223,14 @@ func (l *loop) pendingTimers() int {
 	return len(l.timers)
 }
 
-// nextTimer returns the wait until the earliest pending deadline.
-func (l *loop) nextTimer() (time.Duration, bool) {
+// nextDeadline returns the earliest pending deadline.
+func (l *loop) nextDeadline() (time.Time, bool) {
 	l.tmu.Lock()
 	defer l.tmu.Unlock()
 	if len(l.timers) == 0 {
-		return 0, false
+		return time.Time{}, false
 	}
-	wait := time.Until(l.timers[0].at)
-	if wait < 0 {
-		wait = 0
-	}
-	return wait, true
+	return l.timers[0].at, true
 }
 
 // fireDue pops and runs every timer whose deadline has passed.

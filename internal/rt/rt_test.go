@@ -115,6 +115,63 @@ func TestTimers(t *testing.T) {
 	}
 }
 
+// TestTimersNeverFireEarly arms timers out of deadline order, stops the
+// earliest, and keeps the mailbox busy meanwhile: the loop re-arms its
+// runtime timer only when the earliest deadline moves, and every timer
+// must still fire, none before its deadline and none stopped.
+func TestTimersNeverFireEarly(t *testing.T) {
+	a := &echo{}
+	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	type firing struct{ due, at time.Time }
+	fired := make(chan firing, 16) // room for every timer: the loop never waits
+	stopped := make(chan struct{}, 1)
+	arm := func(d time.Duration) node.Timer {
+		due := time.Now().Add(d)
+		return a.env.After(d, func() {
+			select {
+			case fired <- firing{due, time.Now()}:
+			default:
+			}
+		})
+	}
+	ra.Do(func() {
+		arm(60 * time.Millisecond)
+		arm(20 * time.Millisecond)
+		arm(40 * time.Millisecond)
+		a.env.After(10*time.Millisecond, func() {
+			select {
+			case stopped <- struct{}{}:
+			default:
+			}
+		}).Stop()
+		arm(20 * time.Millisecond)
+	})
+	for i := 0; i < 20; i++ { // mailbox entries that move no deadline
+		ra.Do(func() {})
+		time.Sleep(2 * time.Millisecond)
+	}
+	ra.Do(func() { arm(5 * time.Millisecond) })
+	for i := 0; i < 5; i++ {
+		select {
+		case f := <-fired:
+			if f.at.Before(f.due) {
+				t.Fatalf("a timer fired %v before its deadline", f.due.Sub(f.at))
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of 5 timers fired", i)
+		}
+	}
+	select {
+	case <-stopped:
+		t.Fatal("a stopped timer fired")
+	default:
+	}
+}
+
 func TestFileDiskPersistsAcrossRuntimes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "disk")
 	a := &echo{}

@@ -239,8 +239,12 @@ func (s *sender) run() {
 	defer closeConn()
 
 	dialed := false
+	// The idle timer is armed once per IdleTimeout, not per batch: when
+	// it fires it looks at the last batch's time, and re-arms for what is
+	// left of the timeout if there was one since.
 	idle := time.NewTimer(s.rt.cfg.IdleTimeout)
 	defer idle.Stop()
+	last := time.Now()
 
 	for {
 		select {
@@ -248,6 +252,10 @@ func (s *sender) run() {
 			return
 		case <-s.wake:
 		case <-idle.C:
+			if quiet := time.Since(last); quiet < s.rt.cfg.IdleTimeout {
+				idle.Reset(s.rt.cfg.IdleTimeout - quiet)
+				continue
+			}
 			// Quiet peer: close the pooled connection and retire —
 			// back to the paper's connection-less behaviour.
 			if s.tryRetire() {
@@ -327,18 +335,6 @@ func (s *sender) run() {
 			s.rt.stats.flushes.Add(1)
 			s.rt.obsBatch.Observe(int64(framed))
 		}
-		resetTimer(idle, s.rt.cfg.IdleTimeout)
+		last = time.Now()
 	}
-}
-
-// resetTimer re-arms t, draining a stale tick first so an expiry that
-// raced the flush loop does not fire immediately.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
 }

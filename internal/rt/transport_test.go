@@ -183,6 +183,55 @@ func TestIdleTimeoutRetiresSenderAndRevives(t *testing.T) {
 	}
 }
 
+// TestSenderRetiresOnlyAfterIdleTimeoutOfSilence keeps a peer busy for
+// several IdleTimeouts: its sender, whose idle timer is armed once per
+// timeout rather than per batch, must stay, and retire no sooner than
+// IdleTimeout after the last batch.
+func TestSenderRetiresOnlyAfterIdleTimeoutOfSilence(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	a := &echo{}
+	b := &echo{}
+	ra, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf, IdleTimeout: idle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	rb, err := Start(Config{ID: "b", ListenAddr: "127.0.0.1:0", Handler: b, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rb.Close()
+	ra.SetPeer("b", rb.Addr())
+	current := func() *sender {
+		ra.sendMu.Lock()
+		defer ra.sendMu.Unlock()
+		return ra.senders["b"]
+	}
+
+	var first *sender
+	var last time.Time
+	for i := 1; i <= 12; i++ {
+		last = time.Now() // the batch that carries it is later
+		ra.Do(func() { a.env.Send("b", &proto.Poll{User: "u", Session: proto.SessionID(i)}) })
+		if !waitFor(t, 2*time.Second, func() bool { return b.count() == i }) {
+			t.Fatalf("message %d never arrived", i)
+		}
+		switch s := current(); {
+		case first == nil:
+			first = s
+		case s != first:
+			t.Fatalf("the sender retired after message %d, sent well within IdleTimeout of the one before", i)
+		}
+		time.Sleep(idle / 3)
+	}
+	if !waitFor(t, 2*time.Second, func() bool { return current() == nil }) {
+		t.Fatal("idle sender never retired")
+	}
+	if quiet := time.Since(last); quiet < idle {
+		t.Fatalf("the sender retired %v after the last batch, before IdleTimeout (%v)", quiet, idle)
+	}
+}
+
 // TestSetPeerRedirectsLiveSender checks a pooled sender follows
 // directory updates: after SetPeer moves a peer, traffic must land at
 // the new endpoint even though the connection to the old one is still

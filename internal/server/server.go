@@ -159,9 +159,9 @@ type Server struct {
 	// capacity frees. Backlogged tasks count as alive for the sync
 	// protocol but are lost on crash like running ones.
 	backlog []proto.TaskAssignment
-	// unacked holds completed results awaiting a TaskResultAck, keyed
-	// by disk key; it mirrors the durable result log.
-	unacked map[proto.TaskID]*proto.TaskResult
+	// unacked holds completed results awaiting a TaskResultAck, each
+	// with the key of its entry; it mirrors the durable result log.
+	unacked map[proto.TaskID]logged
 	// nextRetry throttles re-uploads of unacked results with
 	// exponential backoff: a large archive still crossing the network
 	// must not be re-sent on every heartbeat, or the transfers compound
@@ -171,6 +171,11 @@ type Server struct {
 
 	needSync  bool // run ServerSync before asking for work again
 	beatCount int  // beats since the last periodic synchronization
+
+	// results removes the result log's entries; idle holds the
+	// executions not running, for startTask to reuse.
+	results *msglog.Remover
+	idle    []*execution
 
 	stopped bool
 	// incarnation counts Starts: an offloaded body's completion that
@@ -219,7 +224,10 @@ func (s *Server) Start(env node.Env) {
 	s.started = make(map[proto.TaskID]time.Time)
 	s.timers = make(map[proto.TaskID]node.Timer)
 	s.backlog = nil
-	s.unacked = make(map[proto.TaskID]*proto.TaskResult)
+	s.unacked = make(map[proto.TaskID]logged)
+	s.results = msglog.NewRemover(env, msglog.Messages, func(key string, err error) {
+		s.env.Logf("server: gc result log %s: %v", key, err)
+	})
 	s.nextRetry = make(map[proto.TaskID]time.Time)
 	s.attempts = make(map[proto.TaskID]int)
 	s.coords = statesync.MergeNodeLists(s.cfg.Coordinators)
@@ -297,6 +305,13 @@ func (s *Server) Stop() {
 // unacknowledged result, a large output stored beside its header.
 const resultPrefix = "server/result/"
 
+// logged is an unacknowledged result and the key of its log entry, made
+// once, when the result is logged or recovered.
+type logged struct {
+	res *proto.TaskResult
+	key string
+}
+
 func (s *Server) loadResultLog() {
 	msglog.Messages.Sweep(s.env, resultPrefix)
 	var dec proto.Decoder // one decoder: recovery interns repeated IDs
@@ -311,12 +326,12 @@ func (s *Server) loadResultLog() {
 			if errors.Is(err, proto.ErrCorrupt) {
 				// Torn, or a header whose output is missing or short:
 				// not logged. The coordinator re-issues the task.
-				s.dropResultEntry(key)
+				s.results.Remove(key)
 			}
 			continue
 		}
 		if res, ok := msg.(*proto.TaskResult); ok {
-			s.unacked[res.Task] = res
+			s.unacked[res.Task] = logged{res: res, key: key}
 		}
 	}
 }
@@ -420,7 +435,7 @@ func (s *Server) retryUploads() {
 		if now.Before(s.nextRetry[t]) {
 			continue
 		}
-		s.env.Send(s.preferred, s.unacked[t])
+		s.env.Send(s.preferred, s.unacked[t].res)
 		s.bumpRetry(t, now)
 	}
 }
@@ -489,31 +504,30 @@ func (s *Server) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAck) {
 
 func (s *Server) handleResultAck(from proto.NodeID, m *proto.TaskResultAck) {
 	s.monitor.Observe(from)
-	if _, ok := s.unacked[m.Task]; !ok {
-		return
-	}
-	delete(s.unacked, m.Task)
-	delete(s.nextRetry, m.Task)
-	delete(s.attempts, m.Task)
-	s.noteLoad()
 	// The coordinator holds the result durably: garbage-collect the
 	// local log entry (distributed GC of message logs).
-	s.dropResultLog(m.Task)
+	if s.forget(m.Task) {
+		s.noteLoad()
+	}
 }
 
-// dropResultLog garbage-collects one durable result entry. The delete
-// is staged where the disk batches: nothing here waits for the fsync
-// that removes an entry the coordinator already holds. A failed delete
-// is survivable — the entry is re-offered and re-acked after the next
-// restart — but it means the log is not shrinking, so say so.
-func (s *Server) dropResultLog(t proto.TaskID) { s.dropResultEntry(s.resultKey(t)) }
-
-func (s *Server) dropResultEntry(key string) {
-	msglog.Messages.Remove(s.env, key, func(err error) {
-		if err != nil {
-			s.env.Logf("server: gc result log %s: %v", key, err)
-		}
-	})
+// forget lets an unacknowledged result go, reporting whether t had
+// one: off the retry schedule, and its durable entry garbage-collected.
+// The delete is staged where the disk batches: nothing here waits for
+// the fsync that removes an entry the coordinator already holds. A
+// failed delete is survivable — the entry is re-offered and re-acked
+// after the next restart — but it means the log is not shrinking, so
+// results says so.
+func (s *Server) forget(t proto.TaskID) bool {
+	r, ok := s.unacked[t]
+	if !ok {
+		return false
+	}
+	delete(s.unacked, t)
+	delete(s.nextRetry, t)
+	delete(s.attempts, t)
+	s.results.Remove(r.key)
+	return true
 }
 
 // handleCancel withdraws one task instance: the coordinator stored
@@ -555,13 +569,9 @@ func (s *Server) handleCancel(from proto.NodeID, m *proto.TaskCancel) {
 		s.pullMoreWork()
 		return
 	}
-	if _, ok := s.unacked[m.Task]; ok {
+	if s.forget(m.Task) {
 		// The coordinator holds another result durably; this copy will
 		// never be acked, so drop it like a TaskResultAck would.
-		delete(s.unacked, m.Task)
-		delete(s.nextRetry, m.Task)
-		delete(s.attempts, m.Task)
-		s.dropResultLog(m.Task)
 		s.discarded++
 		s.sm.discarded.Inc()
 		s.noteLoad()
@@ -572,14 +582,11 @@ func (s *Server) handleSyncReply(from proto.NodeID, m *proto.ServerSyncReply) {
 	s.monitor.Observe(from)
 	s.needSync = false
 	for _, t := range m.Drop {
-		delete(s.unacked, t)
-		delete(s.nextRetry, t)
-		delete(s.attempts, t)
-		s.dropResultLog(t)
+		s.forget(t)
 	}
 	for _, t := range m.Resend {
-		if res, ok := s.unacked[t]; ok {
-			s.env.Send(s.preferred, res)
+		if r, ok := s.unacked[t]; ok {
+			s.env.Send(s.preferred, r.res)
 			s.bumpRetry(t, s.env.Now())
 		}
 	}
@@ -622,16 +629,53 @@ func (s *Server) startTask(t *proto.TaskAssignment) {
 	s.running[t.Task] = true
 	s.started[t.Task] = s.env.Now()
 	s.noteLoad()
-	ta := *t // copy: the execution closure must not alias the ack buffer
-	if ta.ExecTime > 0 {
+	x := s.execution(t)
+	if t.ExecTime > 0 {
 		// Synthetic or timed service: charge virtual execution time,
 		// scaled by this machine's speed. The timer is retained so a
-		// TaskCancel can abort the execution mid-flight.
-		d := time.Duration(float64(ta.ExecTime) * s.cfg.SpeedFactor)
-		s.timers[t.Task] = s.env.After(d, func() { s.runTask(&ta) })
+		// TaskCancel can abort the execution mid-flight (an execution
+		// whose timer is stopped is not reused).
+		d := time.Duration(float64(t.ExecTime) * s.cfg.SpeedFactor)
+		s.timers[t.Task] = s.env.After(d, x.run)
 		return
 	}
-	s.runTask(&ta)
+	x.start()
+}
+
+// execution is one task from its start to its result: the assignment,
+// and what the service body produced, with the callbacks that carry it —
+// the timer's, the body's run off the loop, and its completion back on
+// the loop — bound once. An execution is pooled on its server, so
+// running a task allocates nothing of its own.
+type execution struct {
+	s    *Server
+	t    proto.TaskAssignment
+	svc  Service
+	born int // the incarnation that started the body
+	out  outcome
+
+	run, work, done func()
+}
+
+// execution takes an idle execution for t.
+func (s *Server) execution(t *proto.TaskAssignment) *execution {
+	var x *execution
+	if n := len(s.idle); n > 0 {
+		x, s.idle = s.idle[n-1], s.idle[:n-1]
+	} else {
+		x = &execution{s: s}
+		x.run, x.work, x.done = x.start, x.call, x.returned
+	}
+	x.t = *t
+	return x
+}
+
+// finish hands x back and finishes its task with out.
+func (s *Server) finish(x *execution, out outcome) {
+	t := x.t
+	x.t, x.svc, x.out = proto.TaskAssignment{}, nil, outcome{}
+	s.idle = append(s.idle, x)
+	s.finishTask(&t, out)
 }
 
 // runningCall reports whether any running (and not cancelled) or
@@ -651,41 +695,52 @@ func (s *Server) runningCall(call proto.CallID) bool {
 }
 
 func (s *Server) haveResultFor(call proto.CallID) (*proto.TaskResult, bool) {
-	for t, res := range s.unacked {
+	for t, r := range s.unacked {
 		if t.Call == call {
-			return res, true
+			return r.res, true
 		}
 	}
 	return nil, false
 }
 
-// runTask produces the task's output and hands it to finishTask. A
+// start produces the task's output and hands it to finishTask. A
 // registered service body runs off the event loop (node.Offload): it
 // may block for as long as it likes while the loop keeps beating with
-// the task still in running. The work closure shares nothing with the
-// loop but svc, the parameters and the variable the body's outcome
-// crosses back in, which the completion reads after work has returned.
-func (s *Server) runTask(t *proto.TaskAssignment) {
+// the task still in running. The body's run (call) shares nothing with
+// the loop but svc, the parameters and the outcome it crosses back in,
+// which the completion (returned) reads after it has returned.
+//
+//rpcv:loop-only
+func (x *execution) start() {
+	s := x.s
 	if s.stopped {
 		return
 	}
-	delete(s.timers, t.Task)
-	svc, ok := s.cfg.Services[t.Service]
+	delete(s.timers, x.t.Task)
+	svc, ok := s.cfg.Services[x.t.Service]
 	if !ok {
-		s.finishTask(t, synthesize(t))
+		s.finish(x, synthesize(&x.t))
 		return
 	}
-	var out outcome
-	born, params := s.incarnation, t.Params
-	node.Offload(s.env, func() { out = callService(svc, params) }, func() {
-		if s.stopped || born != s.incarnation {
-			return // the incarnation that started this body is gone
-		}
-		if out.stack != nil {
-			s.env.Logf("server: service %q panicked on %s: %s\n%s", t.Service, t.Task, out.errStr, out.stack)
-		}
-		s.finishTask(t, out)
-	})
+	x.svc, x.born = svc, s.incarnation
+	node.Offload(s.env, x.work, x.done)
+}
+
+// call runs the service body, off the event loop.
+func (x *execution) call() { x.out = callService(x.svc, x.t.Params) }
+
+// returned is the body's completion, on the loop.
+//
+//rpcv:loop-only
+func (x *execution) returned() {
+	s := x.s
+	if s.stopped || x.born != s.incarnation {
+		return // the incarnation that started this body is gone
+	}
+	if x.out.stack != nil {
+		s.env.Logf("server: service %q panicked on %s: %s\n%s", x.t.Service, x.t.Task, x.out.errStr, x.out.stack)
+	}
+	s.finish(x, x.out)
 }
 
 // outcome is what a service body produced: its output or its error,
@@ -741,12 +796,13 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
 	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr, Exec: exec}
-	if err := msglog.Messages.Write(s.env, msglog.EntryOf(s.resultKey(t.Task), res)); err != nil {
+	key := s.resultKey(t.Task)
+	if err := msglog.Messages.Write(s.env, msglog.EntryOf(key, res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
 		s.trace(t.Task.Call, obs.StageDurable, "result log")
 	}
-	s.unacked[t.Task] = res
+	s.unacked[t.Task] = logged{res: res, key: key}
 	s.env.Send(s.preferred, res)
 	s.bumpRetry(t.Task, s.env.Now())
 	s.uploaded++

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/db"
 	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/shared"
@@ -29,14 +30,19 @@ type largeCallGrid struct {
 	seq            proto.RPCSeq
 }
 
-func newLargeCallGrid() *largeCallGrid {
-	g := &largeCallGrid{env: nodetest.NewEnv("co", store.NewMemory()), params: make([]byte, largePayload), output: make([]byte, largePayload)}
+func newLargeCallGrid() *largeCallGrid { return newCallGrid(largePayload, db.CostModel{}) }
+
+// newCallGrid is a largeCallGrid whose calls carry size bytes each way,
+// on a coordinator that charges cost per database statement.
+func newCallGrid(size int, cost db.CostModel) *largeCallGrid {
+	g := &largeCallGrid{env: nodetest.NewEnv("co", store.NewMemory()), params: make([]byte, size), output: make([]byte, size)}
 	for i := range g.params {
 		g.params[i], g.output[i] = byte(i), byte(i>>3)
 	}
 	g.co = coordinator.New(coordinator.Config{
 		Coordinators:    []proto.NodeID{"co"},
 		HeartbeatPeriod: time.Hour, HeartbeatTimeout: 24 * time.Hour,
+		DBCost: cost,
 	})
 	g.co.Start(g.env)
 	return g
@@ -214,8 +220,9 @@ func smallCallGrid(tb testing.TB) *tcpGrid {
 }
 
 // smallCallLimit is about 10 % over what a 64 B echo call allocated
-// end to end when the guard was set (TestSmallCallAllocations).
-const smallCallLimit = 5100
+// end to end when the guard was last tightened (TestSmallCallAllocations,
+// 3.8 KB).
+const smallCallLimit = 4200
 
 // TestSmallCallAllocations is the guard for a 64 B call, whose bytes are
 // nearly all per envelope: a call is seven of them and each costs its
@@ -224,7 +231,9 @@ const smallCallLimit = 5100
 // that keep their arrays, disk keys without fmt, no closure or channel
 // per DoOn — and the pull a server sends behind each result is not
 // answered with an empty HeartbeatAck when a TaskResultAck has just
-// gone to it. Before, a call read about 6.2 KB here.
+// gone to it. Nor does a step of the call: a reply, a log completion, a
+// delete or an execution allocates no closure, and each log entry's key
+// is built once. Before, a call read about 6.2 KB here, and then 4.6 KB.
 func TestSmallCallAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
