@@ -317,6 +317,7 @@ func (c *Coordinator) flushGarbage() {
 			c.gc.jobs = append(c.gc.jobs, g)
 		}
 	}
+	clear(marks)
 	clear(jobs)
 	c.gc.spareMarks, c.gc.spareJobs = marks[:0], jobs[:0]
 	c.sweep()

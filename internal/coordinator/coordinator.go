@@ -34,7 +34,7 @@
 // is suspected, or held for another shard until that shard is adopted.
 // What is held for a peer is requeued once the peer is gone. A
 // ReplicaUpdate and the acks of updates and syncs wait out DBCost as any
-// reply does; a ShardSync leaves at once.
+// reply does (see Output commit); a ShardSync leaves at once.
 //
 // # Late replies
 //
@@ -88,6 +88,16 @@
 // gate in front of Send until the header's group commit has completed;
 // an assignment leaves at once, since a restart reloads an ongoing call
 // as pending and hands it out again. commit.go has the gate.
+//
+// A handler hands what it decided to send to the gate as a value, never
+// as a closure: a reply — to, message, and a late result riding the same
+// decision — goes through afterDBCost, straight on at zero DBCost (the
+// shipped daemon), or, while a modelled database cost is due (the
+// simulator), as a pooled value behind one timer per decision. So a call
+// allocates its messages, its record and its log entries, and nothing
+// per step besides: the job table keeps each call's disk key, built
+// once, and the collection's writes and deletes complete through
+// callbacks bound once.
 //
 // All methods run on the node's event loop (see internal/node); the
 // type has no internal locking and must not be shared across loops.
@@ -767,7 +777,7 @@ func (c *Coordinator) afterDBCost(r reply) {
 		p, c.idleReplies = c.idleReplies[n-1], c.idleReplies[:n-1]
 	} else {
 		p = &pendingReply{c: c}
-		p.fire = p.send
+		p.fire = p.fired
 	}
 	p.r = r
 	c.env.After(c.dbEng.Acquire(c.env.Now(), cost), p.fire)
@@ -797,10 +807,11 @@ type pendingReply struct {
 	fire func()
 }
 
-// send is the timer's callback, on the loop.
+// fired is the timer's callback: p goes back to the pool, its reply to
+// the gate.
 //
 //rpcv:loop-only
-func (p *pendingReply) send() {
+func (p *pendingReply) fired() {
 	r := p.r
 	p.r = reply{}
 	p.c.idleReplies = append(p.c.idleReplies, p)

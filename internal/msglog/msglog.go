@@ -56,6 +56,17 @@
 // and payload together are the bytes of the whole encoding, so the disk
 // model charges what it always did.
 //
+// An entry is written and removed by its key, the whole disk key of its
+// header (Shelf.Key, Log.Key): its owner builds the key once per entry
+// and keeps it where the entry's state lives in memory — the
+// coordinator's job table, the server's unacknowledged results, the
+// client's tracked calls — never in an encoded record; every rewrite and
+// the removal reuse it. Loading and listing, at recovery, go by name
+// (the key without the shelf's or log's prefix). The completions of the
+// writes and deletes an owner stages many of are callbacks bound once
+// over a queue of what they complete (Remover, Log's batched writes): a
+// disk completes them in the order they were staged.
+//
 // The order rules, stated once for the three owners:
 //
 //   - going in (Shelf.Stage), the payloads a key does not hold yet are
