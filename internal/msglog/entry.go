@@ -235,6 +235,13 @@ func (q *fifo[T]) pop() T {
 	return v
 }
 
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+
+// peek is the oldest value queued, last the newest: pointers into the
+// queue, valid until the next push or pop.
+func (q *fifo[T]) peek() *T { return &q.buf[q.head] }
+func (q *fifo[T]) last() *T { return &q.buf[len(q.buf)-1] }
+
 func (q *fifo[T]) unpush() T {
 	last := len(q.buf) - 1
 	v := q.buf[last]

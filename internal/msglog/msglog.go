@@ -299,7 +299,14 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 	}
 	l.writing.push(p)
 	if err := Messages.Stage(l.env, entry, l.written); err != nil {
-		l.complete(l.writing.unpush(), err)
+		// A write known to have failed at once still completes in its
+		// turn: behind the writes staged before it, as the disk completes
+		// them, and at once when there are none.
+		if l.writing.len() == 1 {
+			l.complete(l.writing.unpush(), err)
+		} else {
+			l.writing.last().failed = err
+		}
 	}
 	if l.strategy == Optimistic && done != nil {
 		done()
@@ -308,16 +315,32 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 
 // pendingWrite is an entry whose batched write has yet to complete, and
 // what its strategy does then: send msg to dst (blocking pessimistic),
-// and complete the operation (both pessimistic strategies).
+// and complete the operation (both pessimistic strategies). failed is
+// the error of a write that failed at once, which no disk completes.
 type pendingWrite struct {
-	key  string
-	dst  proto.NodeID
-	msg  proto.Message
-	done func()
+	key    string
+	dst    proto.NodeID
+	msg    proto.Message
+	done   func()
+	failed error
 }
 
-// writeDone completes the oldest write staged.
-func (l *Log) writeDone(err error) { l.complete(l.writing.pop(), err) }
+// writeDone completes the oldest write staged, with the failed writes
+// queued around it: those ahead of it first, those behind it next. Each
+// leaves the queue before its completion runs, which may log again.
+func (l *Log) writeDone(err error) {
+	l.completeFailed()
+	l.complete(l.writing.pop(), err)
+	l.completeFailed()
+}
+
+// completeFailed completes the failed writes at the head of the queue.
+func (l *Log) completeFailed() {
+	for l.writing.len() > 0 && l.writing.peek().failed != nil {
+		p := l.writing.pop()
+		l.complete(p, p.failed)
+	}
+}
 
 func (l *Log) complete(p pendingWrite, err error) {
 	if err != nil {

@@ -144,7 +144,12 @@ type fakeBatchDisk struct {
 	data   map[string][]byte
 	staged []func(error)
 	ops    []string // every write ("w key") and delete ("d key"), in order
+	// failNow lists the keys whose staged write fails at once: its
+	// completion runs, with errFailNow, before WriteAsync returns.
+	failNow map[string]bool
 }
+
+var errFailNow = errors.New("write failed at once")
 
 func newFakeBatchDisk() *fakeBatchDisk { return &fakeBatchDisk{data: map[string][]byte{}} }
 
@@ -154,6 +159,10 @@ func (d *fakeBatchDisk) Write(key string, value []byte) error {
 	return nil
 }
 func (d *fakeBatchDisk) WriteAsync(key string, value []byte, done func(error)) {
+	if d.failNow[key] {
+		done(errFailNow)
+		return
+	}
 	d.ops = append(d.ops, "w "+key)
 	d.data[key] = append([]byte(nil), value...)
 	d.staged = append(d.staged, done)
@@ -394,6 +403,45 @@ func TestSplitEntryCompletesOnTheHeadersCommit(t *testing.T) {
 			t.Fatalf("%v: after the header's commit: completed %v, sent %d", strategy, completed, len(env.sent))
 		}
 	}
+}
+
+// A strategy completes its entries in the order they were staged, and
+// an entry whose write fails at once is no exception: it completes in
+// its turn, behind the entries staged before it, and a blocking send
+// it withholds stays withheld.
+func TestCompletionsInStagingOrder(t *testing.T) {
+	for _, strategy := range []Strategy{Optimistic, BlockingPessimistic, NonBlockingPessimistic} {
+		env := &batchEnv{disk: newFakeBatchDisk()}
+		l := New(env, Config{Strategy: strategy, Disk: InstantDisk()})
+		env.disk.failNow = map[string]bool{"blob/" + l.Key("3"): true}
+		var order []int
+		for seq := 1; seq <= 5; seq++ {
+			size := 64
+			if seq == 3 {
+				size = 64 << 10 // its payload is the write that fails
+			}
+			msg := submitOf(seq, size)
+			l.LogAndSend("dst", msg, EntryOf(l.Key(fmt.Sprint(seq)), msg), func() { order = append(order, seq) })
+		}
+		env.disk.commitOne() // entry 1's header
+		env.disk.commit()
+		if want := []int{1, 2, 3, 4, 5}; !reflect.DeepEqual(order, want) {
+			t.Errorf("%v: entries completed in the order %v, want %v", strategy, order, want)
+		}
+		if want := 4 + btoi(strategy != BlockingPessimistic); len(env.sent) != want {
+			t.Errorf("%v: %d messages sent, want %d", strategy, len(env.sent), want)
+		}
+		if _, ok := l.Get("3"); ok {
+			t.Errorf("%v: the entry whose payload failed has a header", strategy)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // The order rules, as the disk sees them: payload before header going
