@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"rpcv/internal/fifo"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
@@ -228,8 +229,8 @@ type garbage struct {
 
 	spareMarks []sessionKey
 	spareJobs  []gone
-	writing    fifo[markWrite]
-	deleting   fifo[gone]
+	writing    fifo.Queue[markWrite]
+	deleting   fifo.Queue[gone]
 	written    func(error)
 	deleted    func(error)
 }
@@ -307,7 +308,7 @@ func (c *Coordinator) flushGarbage() {
 			c.gc.durable[k] = d
 		}
 		w := c.collected[k]
-		c.gc.writing.push(markWrite{k, w})
+		c.gc.writing.Push(markWrite{k, w})
 		node.WriteAsync(disk, d.key, binary.AppendUvarint(nil, uint64(w)), c.gc.written)
 	}
 	for _, g := range jobs {
@@ -325,7 +326,7 @@ func (c *Coordinator) flushGarbage() {
 
 // markWritten completes the oldest watermark write staged.
 func (c *Coordinator) markWritten(err error) {
-	m := c.gc.writing.pop()
+	m := c.gc.writing.Pop()
 	if err != nil {
 		c.persistFailed(proto.CallID{User: m.k.user, Session: m.k.session}, err)
 		c.gc.marks = append(c.gc.marks, m.k)
@@ -343,15 +344,15 @@ func (c *Coordinator) markWritten(err error) {
 // header names. Whatever fails puts the call back with the garbage; the
 // retry is as idempotent as the pass.
 func (c *Coordinator) deleteJob(g gone) {
-	c.gc.deleting.push(g)
+	c.gc.deleting.Push(g)
 	if err := jobs.Remove(c.env, g.key, c.gc.deleted); err != nil {
-		c.deleteFailed(c.gc.deleting.unpush(), err)
+		c.deleteFailed(c.gc.deleting.Unpush(), err)
 	}
 }
 
 // jobDeleted completes the oldest delete staged.
 func (c *Coordinator) jobDeleted(err error) {
-	if g := c.gc.deleting.pop(); err != nil {
+	if g := c.gc.deleting.Pop(); err != nil {
 		c.deleteFailed(g, err)
 	}
 }

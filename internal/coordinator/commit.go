@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"rpcv/internal/fifo"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
@@ -57,8 +58,8 @@ type commitGate struct {
 	node.Env
 
 	staged, committed uint64 // headers staged, and completed, so far
-	headers           fifo[proto.CallID]
-	held              fifo[effect]
+	headers           fifo.Queue[proto.CallID]
+	held              fifo.Queue[effect]
 
 	// failed reports a header whose write failed; done, bound once, is
 	// the completion every header is staged with.
@@ -86,11 +87,11 @@ func newCommitGate(env node.Env, failed func(proto.CallID, error), m *coordMetri
 // other message leaves at once.
 func (g *commitGate) Send(to proto.NodeID, msg proto.Message) {
 	kind, wait := awaitsCommit(msg)
-	if !wait || (g.held.len() == 0 && g.committed == g.staged) {
+	if !wait || (g.held.Len() == 0 && g.committed == g.staged) {
 		g.Env.Send(to, msg)
 		return
 	}
-	g.held.push(effect{to: to, msg: msg, seq: g.staged})
+	g.held.Push(effect{to: to, msg: msg, seq: g.staged})
 	g.m.repliesHeld[kind].Inc()
 	g.noteHeld()
 }
@@ -116,12 +117,12 @@ func awaitsCommit(msg proto.Message) (kind int, wait bool) {
 }
 
 // noteHeld refreshes the gauge of the replies held.
-func (g *commitGate) noteHeld() { g.m.repliesHeldNow.SetInt(g.held.len()) }
+func (g *commitGate) noteHeld() { g.m.repliesHeldNow.SetInt(g.held.Len()) }
 
 // stage notes that call's header is being staged, with done as its
 // completion.
 func (g *commitGate) stage(call proto.CallID) {
-	g.headers.push(call)
+	g.headers.Push(call)
 	g.staged++
 }
 
@@ -129,22 +130,22 @@ func (g *commitGate) stage(call proto.CallID) {
 // already, and the header was never written.
 func (g *commitGate) unstage(err error) {
 	g.staged--
-	g.failed(g.headers.unpush(), err)
+	g.failed(g.headers.Unpush(), err)
 	g.withhold()
 }
 
 // commit is the completion of the oldest header still staged: it
 // releases the replies that waited for it, or withholds them.
 func (g *commitGate) commit(err error) {
-	call := g.headers.pop()
+	call := g.headers.Pop()
 	g.committed++
 	if err != nil {
 		g.failed(call, err)
 		g.withhold()
 		return
 	}
-	for g.held.len() > 0 && g.held.front().seq <= g.committed {
-		e := g.held.pop()
+	for g.held.Len() > 0 && g.held.Front().seq <= g.committed {
+		e := g.held.Pop()
 		g.Env.Send(e.to, e.msg)
 	}
 	g.noteHeld()
@@ -153,53 +154,6 @@ func (g *commitGate) commit(err error) {
 // withhold drops every held reply: a write they waited for failed, or
 // the incarnation ended.
 func (g *commitGate) withhold() {
-	g.held.reset()
+	g.held.Reset()
 	g.noteHeld()
-}
-
-// fifo is a queue on one array, reused: once the array has grown to the
-// deepest the queue gets, pushing and popping allocate nothing.
-type fifo[T any] struct {
-	buf  []T
-	head int // buf[:head] is popped
-}
-
-func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
-func (q *fifo[T]) front() *T { return &q.buf[q.head] }
-
-func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
-		// Full at the back and at least half popped: slide down rather
-		// than grow. Each slide moves no more than the pushes since the
-		// last one, so a queue that never empties stays on its array.
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return v
-}
-
-// unpush takes back the value pushed last.
-func (q *fifo[T]) unpush() T {
-	last := len(q.buf) - 1
-	v := q.buf[last]
-	clear(q.buf[last:])
-	q.buf = q.buf[:last]
-	return v
-}
-
-func (q *fifo[T]) reset() {
-	clear(q.buf)
-	q.buf, q.head = q.buf[:0], 0
 }

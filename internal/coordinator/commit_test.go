@@ -331,25 +331,3 @@ func TestOutputCommitCrashOracle(t *testing.T) {
 			checkCommitRecovered(t, at, disk, sent, onlyACut)
 		}, "memory", "wal", "batch")
 }
-
-// A queue that never empties — a commit always in flight behind the
-// one completing — stays on its array and in order.
-func TestFifoThatNeverEmptiesStaysOnItsArray(t *testing.T) {
-	var q fifo[int]
-	next, want := 0, 0
-	for range 10 {
-		q.push(next)
-		next++
-	}
-	for range 10_000 {
-		q.push(next)
-		next++
-		if got := q.pop(); got != want {
-			t.Fatalf("popped %d, want %d", got, want)
-		}
-		want++
-	}
-	if q.len() != 10 || cap(q.buf) > 32 {
-		t.Fatalf("%d queued on an array of %d, want 10 on one of a few dozen at most", q.len(), cap(q.buf))
-	}
-}

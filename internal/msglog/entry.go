@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rpcv/internal/fifo"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
@@ -182,7 +183,7 @@ type Remover struct {
 	env    node.Env
 	shelf  Shelf
 	failed func(key string, err error)
-	keys   fifo[string]
+	keys   fifo.Queue[string]
 	done   func(error)
 }
 
@@ -195,59 +196,17 @@ func NewRemover(env node.Env, shelf Shelf, failed func(key string, err error)) *
 
 // Remove stages the removal of the entry under key (Shelf.Remove).
 func (r *Remover) Remove(key string) {
-	r.keys.push(key)
+	r.keys.Push(key)
 	if err := r.shelf.Remove(r.env, key, r.done); err != nil {
-		r.failed(r.keys.unpush(), err)
+		r.failed(r.keys.Unpush(), err)
 	}
 }
 
 // removed completes the oldest delete staged.
 func (r *Remover) removed(err error) {
-	if key := r.keys.pop(); err != nil {
+	if key := r.keys.Pop(); err != nil {
 		r.failed(key, err)
 	}
-}
-
-// fifo is a queue on one array, as the coordinator's commit gate keeps
-// one: once the array has grown to the deepest the queue gets, pushing
-// and popping allocate nothing.
-type fifo[T any] struct {
-	buf  []T
-	head int // buf[:head] is popped
-}
-
-func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)/2 {
-		n := copy(q.buf, q.buf[q.head:]) // slide down rather than grow
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	q.buf = append(q.buf, v)
-}
-
-func (q *fifo[T]) pop() T {
-	v := q.buf[q.head]
-	var zero T
-	q.buf[q.head] = zero
-	if q.head++; q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return v
-}
-
-func (q *fifo[T]) len() int { return len(q.buf) - q.head }
-
-// peek is the oldest value queued, last the newest: pointers into the
-// queue, valid until the next push or pop.
-func (q *fifo[T]) peek() *T { return &q.buf[q.head] }
-func (q *fifo[T]) last() *T { return &q.buf[len(q.buf)-1] }
-
-func (q *fifo[T]) unpush() T {
-	last := len(q.buf) - 1
-	v := q.buf[last]
-	clear(q.buf[last:])
-	q.buf = q.buf[:last]
-	return v
 }
 
 // removeBlobs deletes, of the payloads in named, those the disk holds

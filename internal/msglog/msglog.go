@@ -90,6 +90,7 @@ import (
 	"fmt"
 	"time"
 
+	"rpcv/internal/fifo"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 )
@@ -184,7 +185,7 @@ type Log struct {
 
 	// writing holds the batched writes staged, in staging order; written,
 	// bound once, is the completion of the oldest. drops removes entries.
-	writing fifo[pendingWrite]
+	writing fifo.Queue[pendingWrite]
 	written func(error)
 	drops   *Remover
 }
@@ -297,15 +298,15 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 		l.env.Send(dst, msg)
 		p.done = done
 	}
-	l.writing.push(p)
+	l.writing.Push(p)
 	if err := Messages.Stage(l.env, entry, l.written); err != nil {
 		// A write known to have failed at once still completes in its
 		// turn: behind the writes staged before it, as the disk completes
 		// them, and at once when there are none.
-		if l.writing.len() == 1 {
-			l.complete(l.writing.unpush(), err)
+		if l.writing.Len() == 1 {
+			l.complete(l.writing.Unpush(), err)
 		} else {
-			l.writing.last().failed = err
+			l.writing.Back().failed = err
 		}
 	}
 	if l.strategy == Optimistic && done != nil {
@@ -330,14 +331,14 @@ type pendingWrite struct {
 // leaves the queue before its completion runs, which may log again.
 func (l *Log) writeDone(err error) {
 	l.completeFailed()
-	l.complete(l.writing.pop(), err)
+	l.complete(l.writing.Pop(), err)
 	l.completeFailed()
 }
 
 // completeFailed completes the failed writes at the head of the queue.
 func (l *Log) completeFailed() {
-	for l.writing.len() > 0 && l.writing.peek().failed != nil {
-		p := l.writing.pop()
+	for l.writing.Len() > 0 && l.writing.Front().failed != nil {
+		p := l.writing.Pop()
 		l.complete(p, p.failed)
 	}
 }
