@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"rpcv/internal/detector"
+	"rpcv/internal/fifo"
 	"rpcv/internal/msglog"
 	"rpcv/internal/node"
 	"rpcv/internal/obs"
@@ -149,7 +150,9 @@ type call struct {
 	logDone    bool      // the strategy's logging gate has cleared
 	acked      bool      // coordinator acknowledged registration
 	completed  bool      // both conditions met; callback fired
-	result     *proto.Result
+	// result is the call's result where it arrived: inside the Results
+	// message that delivered it, which the client keeps rather than copy.
+	result *proto.Result
 }
 
 // Client is the application-side node handler. Its fields are
@@ -188,8 +191,12 @@ type Client struct {
 	held    proto.RPCSeq
 	heldKey string // held's key in the log; "" while nothing is held
 
-	// Callbacks bound once: the completion of each watermark write, and
-	// AckSoon's timer.
+	// Callbacks bound once: the completion of each submission's log
+	// gate, over logging, the calls whose gate has yet to clear in the
+	// order they were logged — the log completes them in that order —;
+	// the completion of each watermark write; and AckSoon's timer.
+	logged           func()
+	logging          fifo.Queue[*call]
 	watermarkWritten func(error)
 	ackSoonFired     func()
 
@@ -220,7 +227,7 @@ type clientMetrics struct {
 func New(cfg Config) *Client {
 	cfg.applyDefaults()
 	c := &Client{cfg: cfg}
-	c.watermarkWritten, c.ackSoonFired = c.watermarkDone, c.ackNow
+	c.logged, c.watermarkWritten, c.ackSoonFired = c.submitLogged, c.watermarkDone, c.ackNow
 	return c
 }
 
@@ -239,6 +246,7 @@ func (c *Client) Start(env node.Env) {
 	c.smap = c.cfg.Shard
 	c.syncSentAt = time.Time{}
 	c.synced, c.waiting, c.ackSoon = false, nil, nil
+	c.logging.Reset() // the last incarnation's log completes nothing more
 	c.log = msglog.New(env, msglog.Config{
 		Prefix:   "client/submit/",
 		Strategy: c.cfg.Logging,
@@ -375,9 +383,10 @@ func (c *Client) watermarkDone(err error) {
 	}
 }
 
-// deliver stores the first result to arrive for a tracked call.
-func (c *Client) deliver(cl *call, res proto.Result) {
-	cl.result = &res
+// deliver stores the first result to arrive for a tracked call: res
+// points into the message that brought it.
+func (c *Client) deliver(cl *call, res *proto.Result) {
+	cl.result = res
 	c.release(cl)
 	c.pending--
 	c.cm.pending.SetInt(c.pending)
@@ -387,7 +396,7 @@ func (c *Client) deliver(cl *call, res proto.Result) {
 	}
 	c.trace(res.Call, obs.StageAck, "result delivered")
 	if c.cfg.OnResult != nil {
-		c.cfg.OnResult(res, c.env.Now())
+		c.cfg.OnResult(*res, c.env.Now())
 	}
 }
 
@@ -583,12 +592,17 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 }
 
 func (c *Client) sendSubmit(cl *call) {
-	id := cl.submit.Call // the log gate may clear after the result has dropped the Submit
-	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(cl.key, cl.submit), func() {
-		cl.logDone = true
-		c.trace(id, obs.StageDurable, "submit log")
-		c.maybeComplete(cl)
-	})
+	c.logging.Push(cl)
+	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(cl.key, cl.submit), c.logged)
+}
+
+// submitLogged clears the log gate of the oldest submission logged.
+func (c *Client) submitLogged() {
+	cl := c.logging.Pop()
+	cl.logDone = true
+	// From the seq: the gate may clear after the result has dropped the Submit.
+	c.trace(proto.CallID{User: c.cfg.User, Session: c.cfg.Session, Seq: cl.seq}, obs.StageDurable, "submit log")
+	c.maybeComplete(cl)
 }
 
 // maybeComplete fires the submission-complete callback once both the
@@ -758,7 +772,7 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 		return
 	}
 	for i := range m.Results {
-		res := m.Results[i]
+		res := &m.Results[i]
 		cl, ok := c.calls[res.Call.Seq]
 		if !ok {
 			if res.Call.Seq <= c.ack {

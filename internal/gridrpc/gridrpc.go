@@ -280,6 +280,12 @@ func (h *Handle) Seq() uint64 {
 // submission log keeps that very slice rather than a copy of it. The
 // caller must not modify it meanwhile; afterwards it is the caller's
 // again.
+//
+// A call allocates its Handle and what the call itself keeps: the call
+// reaches the loop in a pooled request whose run is bound once, as
+// rt.Runtime.Do's waiter is. Only a call that waits for its number —
+// before a resumed session's first SyncReply — allocates the closure it
+// waits in.
 func (s *Session) CallAsync(service string, params []byte) (*Handle, error) {
 	s.mu.Lock()
 	closed := s.closed
@@ -288,23 +294,50 @@ func (s *Session) CallAsync(service string, params []byte) (*Handle, error) {
 		return nil, ErrClosed // and the loop is gone: nothing to hand the call to
 	}
 	h := &Handle{ready: make(chan struct{})}
-	accepted := false
-	s.rtm.Do(func() {
-		if s.resumes && !s.numbering {
-			if accepted = s.queue(h); accepted {
-				s.cli.AfterSync(func() {
-					s.numbering = true
-					s.number(h, service, params)
-				})
-			}
-			return
-		}
-		accepted = s.number(h, service, params)
-	})
+	q := requests.Get().(*request)
+	q.s, q.h, q.service, q.params = s, h, service, params
+	s.rtm.Do(q.run)
+	accepted := q.accepted
+	*q = request{run: q.run}
+	requests.Put(q)
 	if !accepted { // closed, before or in between
 		return nil, ErrClosed
 	}
 	return h, nil
+}
+
+// request is one CallAsync on its way to the loop; accepted is its
+// outcome, false if the session was closed.
+type request struct {
+	s        *Session
+	h        *Handle
+	service  string
+	params   []byte
+	accepted bool
+	run      func() // submit, bound once
+}
+
+var requests = sync.Pool{New: func() any {
+	q := &request{}
+	q.run = q.submit
+	return q
+}}
+
+// submit numbers the call on the loop, or queues it until the session
+// may number calls.
+func (q *request) submit() {
+	s := q.s
+	if s.resumes && !s.numbering {
+		if q.accepted = s.queue(q.h); q.accepted {
+			h, service, params := q.h, q.service, q.params
+			s.cli.AfterSync(func() {
+				s.numbering = true
+				s.number(h, service, params)
+			})
+		}
+		return
+	}
+	q.accepted = s.number(q.h, q.service, q.params)
 }
 
 // queue registers a call that waits for its number; false if the

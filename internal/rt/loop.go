@@ -19,8 +19,8 @@ package rt
 //     (a blocked committer would deadlock a loop waiting in a
 //     synchronous Write), and the goroutines of offloaded work handing
 //     back their completion (rtEnv.Offload; one that finishes after
-//     Close must end, not wait on a dead loop). post() is the only way
-//     onto it.
+//     Close must end, not wait on a dead loop). postNode is the only way
+//     onto it, and every entry brings its own node.
 //   - timers: a min-heap of deadlines; the loop arms a single runtime
 //     timer to the earliest one. After/Stop run on the loop, so the
 //     heap lock is uncontended.
@@ -87,14 +87,11 @@ func (l *loop) receive(from proto.NodeID, msg proto.Message) {
 	}
 }
 
-// post puts fn on the loop's lock-free handoff ring and rings the
+// postNode puts n on the loop's lock-free handoff ring and rings the
 // doorbell. It never blocks, whatever the loop is doing — the path for
 // producers that must not stall: the store committer and offloaded
-// work.
-func (l *loop) post(fn func()) { l.postNode(&ringNode{fn: fn}) }
-
-// postNode is post for an entry that brings its own ring node: a pooled
-// one (a staged write's completion, asyncOp) costs the ring nothing.
+// work. Each brings a pooled entry that is its own node (asyncOp,
+// offload), so the ring costs them nothing.
 func (l *loop) postNode(n *ringNode) {
 	l.ring.push(n)
 	l.handoffs.Add(1)

@@ -640,19 +640,56 @@ func (e *rtEnv) After(d time.Duration, fn func()) node.Timer {
 
 // Offload implements node.Offloader: work gets a goroutine of its own,
 // and done rides the loop's handoff ring back — the never-blocking path,
-// so a finished body is never stuck behind a full mailbox. The goroutine
-// is deliberately not in the runtime's WaitGroup: Close does not wait
-// for a body in flight (the sleep service accepts an hour). A body that
-// outlives its runtime posts to a ring nobody drains, and the goroutine
-// ends there.
+// so a finished body is never stuck behind a full mailbox. The two
+// travel in a pooled offload record that is its own ring node, so an
+// offload allocates nothing but what the goroutine itself costs. The
+// goroutine is deliberately not in the runtime's WaitGroup: Close does
+// not wait for a body in flight (the sleep service accepts an hour). A
+// body that outlives its runtime posts to a ring nobody drains, and the
+// goroutine ends there.
 //
 //rpcv:loop-only
 func (e *rtEnv) Offload(work, done func()) {
-	l := e.l
-	go func() {
-		work()
-		l.post(done)
-	}()
+	o := offloads.Get().(*offload)
+	o.l, o.work, o.done = e.l, work, done
+	go o.run()
+}
+
+// offload carries one offloaded body to its goroutine and its completion
+// back to the loop. It is pooled, its two callbacks are bound once, and
+// it is its own entry on the handoff ring, as a staged write's asyncOp
+// is.
+type offload struct {
+	node ringNode // node.fn is complete
+	run  func()   // the goroutine: work, then post the node
+
+	l          *loop
+	work, done func()
+}
+
+var offloads sync.Pool // of *offload
+
+func init() { // not offloads' initializer: complete refers to the pool
+	offloads.New = func() any {
+		o := &offload{}
+		o.node.fn = o.complete
+		o.run = o.execute
+		return o
+	}
+}
+
+func (o *offload) execute() {
+	o.work()
+	o.l.postNode(&o.node)
+}
+
+// complete runs on the loop: it recycles o and runs done.
+func (o *offload) complete() {
+	done := o.done
+	o.node.next.Store(nil) // a pooled node links to nothing
+	o.l, o.work, o.done = nil, nil, nil
+	offloads.Put(o)
+	done()
 }
 
 // ---------------------------------------------------------------------

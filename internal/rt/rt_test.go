@@ -348,6 +348,36 @@ func TestOffload(t *testing.T) {
 	<-returned // the body ends; its done goes to a ring nobody drains
 }
 
+// An Offload round trip — the body on a goroutine of its own, done back
+// on the loop — allocates at most what the goroutine itself costs: the
+// pooled offload record carries both and is its own ring node.
+func TestOffloadAllocatesOnlyItsGoroutine(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops entries")
+	}
+	h := &echo{}
+	r, err := Start(Config{ID: "a", Handler: h, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	finished := make(chan struct{}, 1)
+	work, done := func() {}, func() { finished <- struct{}{} }
+	offload := func() { node.Offload(h.env, work, done) }
+	roundTrip := func() {
+		r.Do(offload)
+		<-finished
+	}
+	for range 10 {
+		roundTrip()
+	}
+	// A goroutine comes off the scheduler's free list once warm, and a
+	// new one's stack and g are reused from there: under one allocation.
+	if n := testing.AllocsPerRun(200, roundTrip); n >= 1 {
+		t.Fatalf("an Offload round trip allocates %v times, want under 1 (its goroutine's own)", n)
+	}
+}
+
 // flakyListener fails every Accept with the error a process out of file
 // descriptors gets, except the seventh, which hands out one end of a
 // pipe whose other end is already closed; it stamps every call.

@@ -134,12 +134,20 @@ func Policies() []string {
 // Engine is the scheduling state the coordinator delegates to: the
 // pending queue (policy-ordered), the speculative-duplicate queue and
 // the per-server speed estimator.
+//
+// A queued call allocates no entry of its own once the queue has been
+// as deep: an entry that leaves the heap — popped for a server, or
+// skipped at pop time as stale — goes on a free list, and Enqueue takes
+// its entry from there. Only an entry out of the heap is reused: Pop
+// tells a live entry from a stale copy of it by pointer, so an entry
+// must not be handed out again while a stale copy may still be queued.
 type Engine struct {
 	cfg    Config
 	policy Policy
 
 	pending pendingHeap
 	queued  map[proto.CallID]*Task // live pending entries by call
+	free    []*Task                // entries out of the heap, for reuse
 
 	// spec is the FIFO of speculative duplicates awaiting a server
 	// other than the one running the original instance.
@@ -252,7 +260,13 @@ func (e *Engine) Enqueue(call proto.CallID, exec time.Duration, deadline time.Ti
 		return false
 	}
 	e.seq++
-	t := &Task{Call: call, Exec: exec, Deadline: deadline, Enqueued: now, seq: e.seq}
+	var t *Task
+	if n := len(e.free); n > 0 {
+		t, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		t = new(Task)
+	}
+	*t = Task{Call: call, Exec: exec, Deadline: deadline, Enqueued: now, seq: e.seq}
 	e.queued[call] = t
 	heap.Push(&e.pending, t)
 	e.noteDepths()
@@ -311,19 +325,27 @@ func (e *Engine) Pop(server proto.NodeID, now time.Time) (call proto.CallID, spe
 	for e.pending.Len() > 0 {
 		head := e.pending.tasks[0]
 		if e.queued[head.Call] != head { // unqueued or re-enqueued since
-			heap.Pop(&e.pending)
+			e.release(heap.Pop(&e.pending).(*Task))
 			continue
 		}
 		if !e.policy.Admit(e, server, now) && !e.starving(head, now) {
 			return proto.CallID{}, false, false
 		}
 		heap.Pop(&e.pending)
-		delete(e.queued, head.Call)
+		call := head.Call
+		delete(e.queued, call)
 		e.lastPop = now
 		e.noteDepths()
-		return head.Call, false, true
+		e.release(head)
+		return call, false, true
 	}
 	return proto.CallID{}, false, false
+}
+
+// release puts an entry that has left the heap on the free list.
+func (e *Engine) release(t *Task) {
+	*t = Task{}
+	e.free = append(e.free, t)
 }
 
 // starving reports whether the admission gate has parked the queue:

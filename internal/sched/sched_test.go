@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -74,6 +75,53 @@ func TestUnqueueDropsLazily(t *testing.T) {
 	got, _, ok = e.Pop("sv", t0)
 	if !ok || got != call(1) {
 		t.Fatalf("pop re-enqueued: got %v ok=%v", got, ok)
+	}
+}
+
+// A queued call's entry is reused once it has left the heap: an
+// enqueue→pop cycle allocates nothing once warm. A call unqueued and
+// enqueued again leaves a stale copy of its entry in the heap, which is
+// never handed out again while it is there: the call is popped exactly
+// once, in its new place, and arrival order holds around it.
+func TestQueueReusesEntriesOnlyOffTheHeap(t *testing.T) {
+	e := mustNew(t, Config{})
+	for i := 1; i <= 3; i++ {
+		e.Enqueue(call(i), 0, time.Time{}, t0)
+	}
+	e.Unqueue(call(2))
+	e.Enqueue(call(2), 0, time.Time{}, t0) // behind 3 now
+	pop := func() proto.CallID {
+		got, _, ok := e.Pop("sv", t0)
+		if !ok {
+			return proto.CallID{}
+		}
+		return got
+	}
+	var order []proto.RPCSeq
+	order = append(order, pop().Seq)       // 1, whose entry is free from here on
+	e.Enqueue(call(4), 0, time.Time{}, t0) // takes it
+	e.Unqueue(call(4))
+	e.Enqueue(call(4), 0, time.Time{}, t0)
+	for got := pop(); got.Seq != 0; got = pop() {
+		order = append(order, got.Seq)
+	}
+	if want := []proto.RPCSeq{1, 3, 2, 4}; !slices.Equal(order, want) {
+		t.Fatalf("popped %v, want %v", order, want)
+	}
+
+	seq := 4
+	cycle := func() {
+		seq++
+		e.Enqueue(call(seq), 0, time.Time{}, t0)
+		if got := pop(); got != call(seq) {
+			t.Fatalf("popped %v, want %v", got, call(seq))
+		}
+	}
+	for range 10 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("an enqueue and its pop allocate %v times, want 0", n)
 	}
 }
 
