@@ -14,6 +14,12 @@
 #   make bench      full benchmark run (regenerates every figure)
 #   make smoke      1-iteration benchmark smoke (fast CI signal), then
 #                   every examples/ program, failing on a non-zero exit
+#   make allocs     where a 64 B call's bytes go: BenchmarkSmallCallAllocs
+#                   profiled (-memprofile) at 2 and at 12 iterations, and
+#                   the difference — 10 000 calls, set-up and warm-up
+#                   cancelled out — printed by allocation site in B per
+#                   call (go tool pprof -top -sample_index=alloc_space);
+#                   the profiles and test binary stay under $TMPDIR
 #   make shard      print the shard-scaling table (quick sweep)
 #   make sched      print the scheduling-policy table
 #   make bench-check
@@ -31,7 +37,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke shard sched sim sim-full race obs ci
+.PHONY: all vet lint build test bench bench-check smoke allocs shard sched sim sim-full race obs ci
 
 all: vet lint build test
 
@@ -72,6 +78,16 @@ bench-check:
 smoke:
 	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs|BenchmarkSmallCallAllocs' -benchtime 1x .
 	for ex in examples/*/; do echo "== $$ex"; $(GO) run ./$$ex || exit 1; done
+
+ALLOCS_DIR = $(or $(TMPDIR),/tmp)/rpcv-allocs
+ALLOCS_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSmallCallAllocs$$' -memprofilerate 512 -o $(ALLOCS_DIR)/rpcv.test
+
+allocs:
+	mkdir -p $(ALLOCS_DIR)
+	$(ALLOCS_RUN) -benchtime 2x -memprofile $(ALLOCS_DIR)/base.prof .
+	$(ALLOCS_RUN) -benchtime 12x -memprofile $(ALLOCS_DIR)/calls.prof .
+	$(GO) tool pprof -top -sample_index=alloc_space -unit B -divide_by 10000 \
+		-base $(ALLOCS_DIR)/base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/calls.prof
 
 shard:
 	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick
