@@ -192,9 +192,10 @@ type Client struct {
 	heldKey string // held's key in the log; "" while nothing is held
 
 	// Callbacks bound once: the completion of each submission's log
-	// gate, over logging, the calls whose gate has yet to clear in the
-	// order they were logged — the log completes them in that order —;
-	// the completion of each watermark write; and AckSoon's timer.
+	// gate, and of each watermark write, and AckSoon's timer. The log
+	// completes its entries in the order they were staged, so logged
+	// takes the oldest call from logging, the calls whose gate has yet to
+	// clear in the order they were logged.
 	logged           func()
 	logging          fifo.Queue[*call]
 	watermarkWritten func(error)
