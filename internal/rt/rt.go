@@ -30,8 +30,8 @@
 // growing a fresh one per batch, over the memory store a staged write
 // is simply the synchronous one, and over the WAL a staged write's
 // completion travels back to the loop in a pooled entry that is its own
-// ring node. What a call allocates is what it keeps and what its
-// messages carry.
+// ring node, as an offloaded body's does. What a call allocates is what
+// it keeps and what its messages carry.
 package rt
 
 import (
