@@ -2,6 +2,9 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,8 +34,10 @@ var bundleProfiles = []string{"goroutine", "heap"}
 // is logged and left out of that file; a failed write stops the
 // capture.
 func (m *Monitor) CaptureBundle(reason string) (string, error) {
-	stamp := time.Now().Format("20060102-150405.000")
-	dir := filepath.Join(m.cfg.BundleDir, stamp+"-"+sanitize(reason))
+	dir, err := m.bundleDir(reason)
+	if err != nil {
+		return dir, err
+	}
 	put := func(name string, b []byte) error {
 		path := filepath.Join(dir, name)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -86,6 +91,27 @@ func (m *Monitor) CaptureBundle(reason string) (string, error) {
 		return dir, err
 	}
 	return dir, put("trace.chrome.json", obs.ChromeTrace(timelines))
+}
+
+// bundleDir creates a directory no earlier capture has used and returns
+// its path, <stamp>-<reason>. Two captures within one millisecond share
+// a stamp; the second takes <stamp>_2-<reason> rather than write into
+// the first's bundle.
+func (m *Monitor) bundleDir(reason string) (string, error) {
+	if err := os.MkdirAll(m.cfg.BundleDir, 0o755); err != nil {
+		return "", err
+	}
+	stamp := time.Now().Format("20060102-150405.000")
+	for n := 1; ; n++ {
+		name := stamp
+		if n > 1 {
+			name = fmt.Sprintf("%s_%d", stamp, n)
+		}
+		dir := filepath.Join(m.cfg.BundleDir, name+"-"+sanitize(reason))
+		if err := os.Mkdir(dir, 0o755); !errors.Is(err, fs.ErrExist) {
+			return dir, err
+		}
+	}
 }
 
 // sanitize makes a reason or node ID safe as a path component.
