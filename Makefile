@@ -20,7 +20,6 @@
 #                   cancelled out — printed by allocation site in B per
 #                   call (go tool pprof -top -sample_index=alloc_space);
 #                   the profiles and test binary stay under $TMPDIR
-#   make shard      print the shard-scaling table (quick sweep)
 #   make sched      print the scheduling-policy table
 #   make bench-check
 #                   vet + test the repo's benchmark (bench/ is its own
@@ -37,7 +36,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke allocs shard sched sim sim-full race obs ci
+.PHONY: all vet lint build test bench bench-check smoke allocs sched sim sim-full race obs ci
 
 all: vet lint build test
 
@@ -76,7 +75,7 @@ bench-check:
 	cd bench && $(GO) vet . && $(GO) test .
 
 smoke:
-	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkShardScale|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs|BenchmarkSmallCallAllocs' -benchtime 1x .
+	$(GO) test -short -run '^$$' -bench 'BenchmarkFig4MessageLogging|BenchmarkIdleCall|BenchmarkBusyServers|BenchmarkRetainedPerCall|BenchmarkLargeCallAllocs|BenchmarkSmallCallAllocs' -benchtime 1x .
 	for ex in examples/*/; do echo "== $$ex"; $(GO) run ./$$ex || exit 1; done
 
 ALLOCS_DIR = $(or $(TMPDIR),/tmp)/rpcv-allocs
@@ -88,9 +87,6 @@ allocs:
 	$(ALLOCS_RUN) -benchtime 12x -memprofile $(ALLOCS_DIR)/calls.prof .
 	$(GO) tool pprof -top -sample_index=alloc_space -unit B -divide_by 10000 \
 		-base $(ALLOCS_DIR)/base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/calls.prof
-
-shard:
-	$(GO) run ./cmd/rpcv-bench -fig shard-scale -quick
 
 sched:
 	$(GO) run ./cmd/rpcv-bench -fig sched-compare -quick

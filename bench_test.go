@@ -1,7 +1,6 @@
 // Benchmarks regenerating every figure of the paper's evaluation
-// (figures 4-11) plus the ablation studies, the shard-scaling
-// experiment, the scheduling-policy comparison and the event-loop
-// scaling run (see README.md). Each
+// (figures 4-11) plus the ablation studies, the scheduling-policy
+// comparison and the event-loop scaling run (see README.md). Each
 // benchmark runs the corresponding experiment driver in quick mode and
 // reports the headline measurement as custom metrics, so
 //
@@ -207,26 +206,6 @@ var errBadCell = errorString("bad int cell")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
-
-// BenchmarkShardScale runs the shard-scaling experiment: aggregate
-// submission throughput vs shard count under the fig-7 fault load.
-// Reported metrics: submissions per virtual second at 1, 4 and 16
-// shards (the sharded coordination layer's headline numbers).
-func BenchmarkShardScale(b *testing.B) {
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.ShardScale(opts())
-	}
-	t := res.Tables[0]
-	for row := 0; row < t.Rows(); row++ {
-		var tp float64
-		cell := strings.ReplaceAll(t.Cell(row, 2), "e+", "e")
-		if _, err := fmt.Sscanf(cell, "%g", &tp); err != nil {
-			b.Fatalf("bad throughput cell %q: %v", t.Cell(row, 2), err)
-		}
-		b.ReportMetric(tp, "submits/s-"+t.Cell(row, 0)+"shard")
-	}
-}
 
 // BenchmarkSchedCompare runs the scheduling-policy experiment:
 // makespan per policy on heterogeneous-speed servers under the fault

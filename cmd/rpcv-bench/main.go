@@ -35,16 +35,15 @@ var (
 		"ablation-heartbeat":   experiments.AblationHeartbeat,
 		"ablation-replication": experiments.AblationReplicationPeriod,
 		"ablation-recovery":    experiments.AblationRecovery,
-		"shard-scale":          experiments.ShardScale,
 		"sched-compare":        experiments.SchedCompare,
 	}
 	order = []string{"4", "5", "6", "7", "8", "9", "10", "11",
 		"ablation-heartbeat", "ablation-replication", "ablation-recovery",
-		"shard-scale", "sched-compare"}
+		"sched-compare"}
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, shard-scale, sched-compare, or all")
+	fig := flag.String("fig", "all", "figure to regenerate: 4,5,6,7,8,9,10,11, ablation-*, sched-compare, or all")
 	quick := flag.Bool("quick", false, "reduced sweeps and populations")
 	seed := flag.Int64("seed", 2004, "random seed")
 	flag.Parse()
@@ -56,7 +55,7 @@ func main() {
 		for _, f := range strings.Split(*fig, ",") {
 			f = strings.TrimSpace(f)
 			if _, ok := runners[f]; !ok {
-				fmt.Fprintf(os.Stderr, "rpcv-bench: unknown figure %q (want 4..11, ablation-*, shard-scale, sched-compare, or all)\n", f)
+				fmt.Fprintf(os.Stderr, "rpcv-bench: unknown figure %q (want 4..11, ablation-*, sched-compare, or all)\n", f)
 				os.Exit(2)
 			}
 			selected = append(selected, f)

@@ -54,8 +54,6 @@ func main() {
 	logging := flag.String("logging", "non-blocking-pessimistic",
 		"message logging strategy: optimistic | blocking | non-blocking")
 	wait := flag.Duration("wait", 5*time.Minute, "overall deadline")
-	shardMap := flag.String("shardmap", "", "consistent-hash shard topology (same syntax as rpcv-coordinator); empty: unsharded")
-	shardVersion := flag.Uint64("shardversion", 1, "cached shard map version")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
 	flag.Parse()
 
@@ -73,22 +71,6 @@ func main() {
 		coordAddrs[string(id)] = addr
 	}
 
-	smap, err := shared.ParseShardMap(*shardMap, *shardVersion, 0)
-	if err != nil {
-		log.Fatalf("rpcv-client: -shardmap: %v", err)
-	}
-	if smap != nil {
-		// Every map member must be dialable, or routing to its shard
-		// silently drops submissions until the deadline expires.
-		for s := 0; s < smap.Shards(); s++ {
-			for _, member := range smap.Ring(s) {
-				if _, ok := dirMap[member]; !ok {
-					log.Fatalf("rpcv-client: -shardmap member %s has no address in -coordinators", member)
-				}
-			}
-		}
-	}
-
 	var ob *obs.Observer
 	if *admin != "" {
 		ob = obs.New(proto.NodeID("client-" + *user))
@@ -101,7 +83,6 @@ func main() {
 		ListenAddr:   *listen,
 		DiskDir:      *disk,
 		Logging:      strat,
-		Shard:        smap,
 		Obs:          ob,
 	})
 	if err != nil {

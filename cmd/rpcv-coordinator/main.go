@@ -14,7 +14,7 @@
 //
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics (Prometheus text), /statusz (JSON counters,
-// shard map, suspected nodes), /healthz, /tracez (task-lifecycle span
+// suspected nodes), /healthz, /tracez (task-lifecycle span
 // ring), and /debug/pprof/. Empty disables it. On shutdown the daemon
 // prints a one-line metrics summary.
 //
@@ -49,11 +49,9 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated id=addr fellow coordinators")
 	clients := flag.String("nodes", "", "comma-separated id=addr known clients/servers (static directory)")
 	disk := flag.String("disk", "", "stable storage directory (empty: volatile)")
-	replication := flag.Duration("replication", 60*time.Second, "passive replication period, and the cross-shard sync period when sharded")
+	replication := flag.Duration("replication", 60*time.Second, "passive replication period")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "fault suspicion timeout")
-	shardMap := flag.String("shardmap", "", "consistent-hash shard topology: rings separated by ';', members by ',' (e.g. \"coord-a,coord-b;coord-c,coord-d\"); empty: unsharded")
-	shardVersion := flag.Uint64("shardversion", 1, "shard map version (bump when redeploying a changed topology)")
 	policy := flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(sched.Policies(), ", "))
 	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
@@ -78,34 +76,6 @@ func main() {
 	}
 	coordIDs = append(coordIDs, proto.NodeID(*id))
 
-	smap, err := shared.ParseShardMap(*shardMap, *shardVersion, 0)
-	if err != nil {
-		log.Fatalf("rpcv-coordinator: -shardmap: %v", err)
-	}
-	if smap != nil {
-		ring := smap.RingOf(proto.NodeID(*id))
-		if ring < 0 {
-			log.Fatalf("rpcv-coordinator: %s is not a member of -shardmap", *id)
-		}
-		// Every other map member must be dialable: ring-mates for
-		// replication, cross-shard coordinators for guard probes and
-		// ShardSync. A missing address would silently drop those sends.
-		for s := 0; s < smap.Shards(); s++ {
-			for _, member := range smap.Ring(s) {
-				if member == proto.NodeID(*id) {
-					continue
-				}
-				if _, ok := dir[member]; !ok {
-					log.Fatalf("rpcv-coordinator: -shardmap member %s has no address in -peers", member)
-				}
-			}
-		}
-		// Sharded: the replication ring is this shard's member list, not
-		// the full -peers set (which still provides the addresses of
-		// cross-shard coordinators for guard probes and ShardSync).
-		coordIDs = smap.Ring(ring)
-	}
-
 	var ob *obs.Observer
 	if *admin != "" {
 		ob = obs.New(proto.NodeID(*id))
@@ -116,7 +86,6 @@ func main() {
 		ReplicationPeriod: *replication,
 		HeartbeatPeriod:   *heartbeat,
 		HeartbeatTimeout:  *timeout,
-		Shard:             smap,
 		Policy:            *policy,
 		OnJobFinished: func(call proto.CallID, at time.Time) {
 			log.Printf("finished %s at %s", call, at.Format(time.RFC3339))
@@ -159,11 +128,6 @@ func main() {
 			return st
 		})
 		adm.Status("loops", func() any { return rtm.LoopStats() })
-		adm.Status("shard_map", func() any {
-			var sm proto.ShardMapState
-			rtm.Do(func() { sm = co.ShardState() })
-			return sm
-		})
 		adm.Status("suspected", func() any {
 			var servers, coords []proto.NodeID
 			rtm.Do(func() {

@@ -3,9 +3,8 @@
 // policy x event-loop count), drives the same deterministic workload
 // through every cell while injecting the fault taxonomy — asymmetric
 // one-way partitions, slow/failing/torn disks mid-group-commit,
-// stalled-not-dead coordinators, clock skew, stale shard maps,
-// crash/restart — and proves every configuration agrees on the
-// identical result set.
+// stalled-not-dead coordinators, clock skew, crash/restart — and
+// proves every configuration agrees on the identical result set.
 //
 // Usage:
 //

@@ -12,11 +12,6 @@
 // models, a real-time TCP runtime, a GridRPC-style API, a fault
 // generator, and the synthetic + Alcatel-like workloads.
 //
-// Beyond the paper, internal/shard adds a sharded coordination layer:
-// consistent-hash routing of client sessions across multiple
-// independent coordinator rings, with cross-shard replication and
-// whole-ring failover.
-//
 // internal/sched adds a scheduling subsystem the coordinator delegates
 // to. Four policies ship: "fcfs" (the paper's behaviour,
 // default), "fastest-first" (matchmaking on per-server EWMA speed
@@ -25,7 +20,7 @@
 // deadlines carried in Submit), and "speculative" (straggling in-flight
 // tasks are raced against a redundant instance on a different server;
 // first result wins, the loser is cancelled idempotently and
-// deduplicated by CallID across replication, shard sync and failover).
+// deduplicated by CallID across replication and failover).
 // Wired through cmd/rpcv-coordinator's -policy flag; measured by the
 // sched-compare experiment.
 //
@@ -65,7 +60,7 @@
 // coordinator was measured slower on two cores, and deleted.
 //
 // internal/proto owns the wire format itself: one hand-written binary
-// codec with explicit encodings for all 22 message kinds plus JobRecord
+// codec with explicit encodings for all 17 message kinds plus JobRecord
 // — length-prefixed frames behind a magic version preface, pooled
 // encode buffers sized by the WireSize hints, a reusable in-place frame
 // decoder with string interning, ≤1 allocation per encode or decode
@@ -78,7 +73,7 @@
 // log-bucketed histogram, all nil-safe so instrumentation costs
 // nothing when disabled), task-lifecycle tracing — every call leaves
 // CallID-correlated span events (submit, enqueue, dispatch, exec,
-// result, durable, ack, plus requeue/speculate/redirect hops) in
+// result, durable, ack, plus requeue/speculate hops) in
 // a fixed-size per-node ring, and an assembler joins per-node dumps
 // into end-to-end timelines and Chrome trace_event JSON — and an admin
 // HTTP endpoint every daemon exposes with -admin: /metrics (Prometheus
@@ -119,7 +114,7 @@
 // torn disks mid-group-commit (store.FaultPlan wrapping the store),
 // stalled-not-dead coordinators (frozen event loops behind a live TCP
 // listener), clock skew (rt.SetClockOffset behind node.Env.Now),
-// stale shard maps and crash/restart. Because the workload output is
+// and crash/restart. Because the workload output is
 // a pure function of call identity, the expected result set is
 // computed analytically and every cell must land on the identical
 // (CallID -> result) digest — zero lost completed results under every
@@ -135,7 +130,7 @@
 // proxies) and Kill, Restart and Attach. The conformance harness, the
 // quickstart example and the real-TCP tests boot through it.
 //
-// See README.md for the package tour and the shard/sched subsystem
-// overviews. The benchmarks in bench_test.go regenerate each figure;
+// See README.md for the package tour and the sched subsystem
+// overview. The benchmarks in bench_test.go regenerate each figure;
 // cmd/rpcv-bench prints them as tables.
 package rpcv

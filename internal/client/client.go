@@ -49,7 +49,6 @@ import (
 	"rpcv/internal/node"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
-	"rpcv/internal/shard"
 	"rpcv/internal/statesync"
 )
 
@@ -97,21 +96,8 @@ type Config struct {
 	// the check (benchmarks measuring raw submission cost).
 	AckResyncTimeout time.Duration
 
-	// Shard is the cached consistent-hash shard map. When it describes
-	// more than one ring, the client routes to its session's owner ring
-	// first and walks the successor-shard chain on suspicion; a
-	// ShardRedirect carrying a newer map replaces the cache. Nil means
-	// unsharded routing over Coordinators.
-	Shard *shard.Map
-
-	// OnSyncReply, when non-nil, receives the round-trip time of each
-	// completed client/coordinator synchronization (experiment hook:
-	// the shard-scaling experiment reports sync latency per shard
-	// count).
-	OnSyncReply func(rtt time.Duration)
-
 	// Obs, when non-nil, receives labeled metrics (submissions,
-	// completions, failovers, syncs, redirects, pending calls,
+	// completions, failovers, syncs, pending calls,
 	// submit-to-result latency) and per-call lifecycle trace spans
 	// (submit, logged-durable, ack). Nil disables instrumentation at
 	// zero cost.
@@ -168,9 +154,8 @@ type Client struct {
 	coords  []proto.NodeID
 	pref    proto.NodeID
 	monitor *detector.Monitor
-	smap    *shard.Map
 
-	syncSentAt time.Time // pending sync round trip, for OnSyncReply
+	syncSentAt time.Time // when the pending sync request left; zero when none is pending
 
 	// synced says that this incarnation has heard the coordinator's view
 	// of the session (a SyncReply); waiting is what AfterSync holds back
@@ -211,7 +196,6 @@ type Client struct {
 	acked     int
 	failovers int
 	syncs     int
-	redirects int
 
 	cm clientMetrics
 }
@@ -219,9 +203,9 @@ type Client struct {
 // clientMetrics holds the client's registered obs instruments. All
 // fields no-op when nil (Config.Obs unset).
 type clientMetrics struct {
-	submitted, completed, results, failovers, syncs, redirects *obs.Counter
-	pending, tracked                                           *obs.Gauge
-	callLatency                                                *obs.Histogram
+	submitted, completed, results, failovers, syncs *obs.Counter
+	pending, tracked                                *obs.Gauge
+	callLatency                                     *obs.Histogram
 }
 
 // New creates a client handler.
@@ -244,7 +228,6 @@ func (c *Client) Start(env node.Env) {
 	c.stopped = false
 	c.calls = make(map[proto.RPCSeq]*call)
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators)
-	c.smap = c.cfg.Shard
 	c.syncSentAt = time.Time{}
 	c.synced, c.waiting, c.ackSoon = false, nil, nil
 	c.logging.Reset() // the last incarnation's log completes nothing more
@@ -261,7 +244,6 @@ func (c *Client) Start(env node.Env) {
 			results:     reg.Counter("rpcv_client_results_total", n),
 			failovers:   reg.Counter("rpcv_client_failovers_total", n),
 			syncs:       reg.Counter("rpcv_client_syncs_total", n),
-			redirects:   reg.Counter("rpcv_client_redirects_total", n),
 			pending:     reg.Gauge("rpcv_client_pending_calls", n),
 			tracked:     reg.Gauge("rpcv_client_calls_tracked", n),
 			callLatency: reg.Histogram("rpcv_client_call_latency_ns", n),
@@ -501,9 +483,10 @@ func (c *Client) recoverFromLog() {
 	}
 }
 
+// pickPreferred prefers the first unsuspected coordinator in the merged
+// list's common sorted order, the client's failover order.
 func (c *Client) pickPreferred() {
-	order := c.routeOrder()
-	for _, id := range order {
+	for _, id := range c.coords {
 		if !c.monitor.Suspected(id) {
 			if c.pref != id {
 				c.pref = id
@@ -512,31 +495,9 @@ func (c *Client) pickPreferred() {
 			return
 		}
 	}
-	if len(order) > 0 {
-		c.pref = order[0]
+	if len(c.coords) > 0 {
+		c.pref = c.coords[0]
 	}
-}
-
-// routeOrder returns the coordinators in failover preference order.
-// Unsharded: the merged list's common sorted order. Sharded: the
-// session's owner ring first, then the successor-shard chain — so a
-// whole-ring loss steers the client to exactly the ring that adopted
-// its sessions — plus any coordinators learned outside the map, last.
-func (c *Client) routeOrder() []proto.NodeID {
-	if c.smap == nil || c.smap.Shards() <= 1 {
-		return c.coords
-	}
-	order := c.smap.RouteOrder(c.cfg.User, c.cfg.Session)
-	seen := make(map[proto.NodeID]bool, len(order))
-	for _, id := range order {
-		seen[id] = true
-	}
-	for _, id := range c.coords {
-		if !seen[id] {
-			order = append(order, id)
-		}
-	}
-	return order
 }
 
 func (c *Client) onCoordinatorSuspected(id proto.NodeID) {
@@ -716,43 +677,8 @@ func (c *Client) Receive(from proto.NodeID, msg proto.Message) {
 		c.handleResults(from, m)
 	case *proto.SyncReply:
 		c.handleSyncReply(from, m)
-	case *proto.ShardRedirect:
-		c.handleShardRedirect(from, m)
 	default:
 		c.env.Logf("client: unexpected %s from %s", msg.Kind(), from)
-	}
-}
-
-// handleShardRedirect processes a "wrong ring" answer: adopt the newer
-// map if the coordinator sent one, re-route, and retransmit the bounced
-// submission. When the map is already current the redirect means our
-// suspicion-driven failover outran the owner ring's adoption by its
-// successor; the preferred pick stands and the periodic poll/ack-resync
-// machinery retries until the successor starts accepting.
-func (c *Client) handleShardRedirect(from proto.NodeID, m *proto.ShardRedirect) {
-	c.monitor.Observe(from)
-	if m.User != c.cfg.User || m.Session != c.cfg.Session {
-		return
-	}
-	c.redirects++
-	c.cm.redirects.Inc()
-	updated := false
-	if !m.Map.Empty() && (c.smap == nil || m.Map.Version > c.smap.Version()) {
-		c.smap = shard.FromState(m.Map)
-		updated = true
-		c.env.Logf("client: shard map updated to version %d (%d shards)", c.smap.Version(), c.smap.Shards())
-	}
-	prev := c.pref
-	c.pickPreferred()
-	moved := c.pref != prev
-	// Resend the bounced call only when the routing actually changed;
-	// an unconditional resend to an unchanged preferred would bounce
-	// straight back, a redirect/resend loop paced only by the network.
-	if m.Call.Seq != 0 && (updated || moved) {
-		c.resendSubmit(m.Call.Seq)
-	}
-	if moved {
-		c.sendSync()
 	}
 }
 
@@ -841,9 +767,6 @@ func (c *Client) handleSyncReply(from proto.NodeID, m *proto.SyncReply) {
 	if m.User != c.cfg.User || m.Session != c.cfg.Session {
 		return
 	}
-	if c.cfg.OnSyncReply != nil && !c.syncSentAt.IsZero() {
-		c.cfg.OnSyncReply(c.env.Now().Sub(c.syncSentAt))
-	}
 	c.syncSentAt = time.Time{}
 	// The session's collected watermark: an earlier incarnation held and
 	// acknowledged every result at or below it, and the coordinator has
@@ -894,7 +817,6 @@ type Stats struct {
 	Results    int
 	Failovers  int
 	Syncs      int
-	Redirects  int
 	Preferred  proto.NodeID
 	LoggedSeqs int
 	Tracked    int          // calls held in memory: those above the watermark
@@ -908,7 +830,6 @@ func (c *Client) StatsNow() Stats {
 		Completed:  c.completed,
 		Failovers:  c.failovers,
 		Syncs:      c.syncs,
-		Redirects:  c.redirects,
 		Preferred:  c.pref,
 		LoggedSeqs: c.log.Len(),
 		Acked:      c.acked,
@@ -935,6 +856,3 @@ func (c *Client) Result(seq proto.RPCSeq) (*proto.Result, bool) {
 
 // Preferred returns the current preferred coordinator.
 func (c *Client) Preferred() proto.NodeID { return c.pref }
-
-// ShardMap returns the currently cached shard map (nil when unsharded).
-func (c *Client) ShardMap() *shard.Map { return c.smap }

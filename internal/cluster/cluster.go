@@ -18,28 +18,16 @@ import (
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/server"
-	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
 // Config describes a deployment.
 type Config struct {
 	Seed int64
-	// Coordinators is the number of coordinators per ring: the whole
-	// deployment when Shards <= 1 (the paper's topology), or each
-	// shard's ring size when sharded.
+	// Coordinators is the number of coordinators on the ring.
 	Coordinators int
 	Servers      int
 	Clients      int
-
-	// Shards is the number of independent coordinator rings. Zero or
-	// one reproduces the paper's single-ring deployment; more builds
-	// the sharded coordination layer: Shards * Coordinators
-	// coordinators in total, sessions partitioned by consistent
-	// hashing, servers attached round-robin to rings. Provision
-	// Servers >= Shards: a ring without at least one attached server
-	// accepts its sessions' submissions but never executes them.
-	Shards int
 
 	// Net selects the network model; nil means netmodel.Confined(Seed).
 	Net *netmodel.Net
@@ -95,10 +83,6 @@ type Config struct {
 	// completion (figure 4's measured quantity).
 	OnSubmitComplete func(clientID proto.NodeID, seq proto.RPCSeq, issued, completed time.Time)
 
-	// OnSyncReply, when non-nil, receives every client synchronization
-	// round-trip time (the shard-scaling experiment's sync latency).
-	OnSyncReply func(clientID proto.NodeID, rtt time.Duration)
-
 	// Trace receives simulator trace output when non-nil.
 	Trace sim.TraceFunc
 
@@ -113,11 +97,6 @@ type Config struct {
 type Cluster struct {
 	World *sim.World
 	Net   *netmodel.Net
-
-	// ShardMap is the deployment's consistent-hash topology (nil when
-	// single-ring); Shards is its ring count (1 when unsharded).
-	ShardMap *shard.Map
-	Shards   int
 
 	CoordinatorIDs []proto.NodeID
 	ServerIDs      []proto.NodeID
@@ -155,9 +134,6 @@ func New(cfg Config) *Cluster {
 	if cfg.Coordinators <= 0 {
 		cfg.Coordinators = 1
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	if cfg.Net == nil {
 		cfg.Net = netmodel.Confined(cfg.Seed)
 	}
@@ -182,34 +158,22 @@ func New(cfg Config) *Cluster {
 		FinishedPerCoord: make(map[proto.NodeID]int),
 	}
 	cl.World = sim.NewWorld(sim.Config{Seed: cfg.Seed, Net: cfg.Net, Trace: cfg.Trace})
-	cl.Shards = cfg.Shards
 
-	total := cfg.Shards * cfg.Coordinators
 	var coordIDs []proto.NodeID
-	for i := 0; i < total; i++ {
+	for i := 0; i < cfg.Coordinators; i++ {
 		coordIDs = append(coordIDs, CoordinatorID(i))
 	}
 	cl.CoordinatorIDs = coordIDs
 
-	// Ring r owns the contiguous ID block [r*perRing, (r+1)*perRing).
-	rings := make([][]proto.NodeID, cfg.Shards)
-	for r := 0; r < cfg.Shards; r++ {
-		rings[r] = coordIDs[r*cfg.Coordinators : (r+1)*cfg.Coordinators]
-	}
-	if cfg.Shards > 1 {
-		cl.ShardMap = shard.New(1, rings, shard.DefaultVNodes)
-	}
-
-	for i := 0; i < total; i++ {
+	for i := 0; i < cfg.Coordinators; i++ {
 		id := CoordinatorID(i)
 		co := coordinator.New(coordinator.Config{
-			Coordinators:         rings[i/cfg.Coordinators],
+			Coordinators:         coordIDs,
 			ReplicationPeriod:    cfg.ReplicationPeriod,
 			HeartbeatTimeout:     cfg.SuspicionTimeout,
 			DBCost:               cfg.DBCost,
 			MaxTasksPerAck:       cfg.MaxTasksPerAck,
 			ReplicateParamsLimit: cfg.ReplicateParamsLimit,
-			Shard:                cl.ShardMap,
 			Policy:               cfg.Policy,
 			OnJobFinished: func(call proto.CallID, at time.Time) {
 				if _, ok := cl.FinishedAt[call]; !ok {
@@ -228,19 +192,12 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		id := ServerID(i)
-		// Sharded deployments attach servers round-robin to the rings:
-		// each ring needs its own worker pool, since coordinators only
-		// assign work to servers heartbeating them.
-		serverCoords := coordIDs
-		if cfg.Shards > 1 {
-			serverCoords = rings[i%cfg.Shards]
-		}
 		speed := 1.0
 		if cfg.ServerSpeed != nil {
 			speed = cfg.ServerSpeed(i)
 		}
 		sv := server.New(server.Config{
-			Coordinators:     serverCoords,
+			Coordinators:     coordIDs,
 			HeartbeatPeriod:  cfg.HeartbeatPeriod,
 			SuspicionTimeout: cfg.SuspicionTimeout,
 			Parallelism:      cfg.Parallelism,
@@ -263,7 +220,6 @@ func New(cfg Config) *Cluster {
 			SuspicionTimeout: cfg.SuspicionTimeout,
 			AckResyncTimeout: cfg.AckResyncTimeout,
 			Logging:          cfg.Logging,
-			Shard:            cl.ShardMap,
 			OnResult: func(res proto.Result, at time.Time) {
 				if _, ok := cl.ResultAt[res.Call]; !ok {
 					cl.ResultAt[res.Call] = at
@@ -276,10 +232,6 @@ func New(cfg Config) *Cluster {
 			ccfg.OnSubmitComplete = func(seq proto.RPCSeq, issued, completed time.Time) {
 				hook(cid, seq, issued, completed)
 			}
-		}
-		if hook := cfg.OnSyncReply; hook != nil {
-			cid := id
-			ccfg.OnSyncReply = func(rtt time.Duration) { hook(cid, rtt) }
 		}
 		ci := client.New(ccfg)
 		cl.ClientIDs = append(cl.ClientIDs, id)
@@ -344,24 +296,4 @@ func (c *Cluster) RunUntilResults(i, n int, timeout time.Duration) bool {
 	cli := c.Client(i)
 	deadline := c.World.Now().Add(timeout)
 	return c.World.RunUntil(func() bool { return cli.ResultCount() >= n }, deadline)
-}
-
-// ShardRing returns ring r's coordinator IDs (the whole list when
-// unsharded and r == 0).
-func (c *Cluster) ShardRing(r int) []proto.NodeID {
-	if c.ShardMap == nil {
-		if r == 0 {
-			return append([]proto.NodeID(nil), c.CoordinatorIDs...)
-		}
-		return nil
-	}
-	return append([]proto.NodeID(nil), c.ShardMap.Ring(r)...)
-}
-
-// CrashRing crashes every coordinator of ring r — the whole-ring fault
-// the shard layer's guard/adoption protocol exists for.
-func (c *Cluster) CrashRing(r int) {
-	for _, id := range c.ShardRing(r) {
-		c.World.Crash(id)
-	}
 }

@@ -4,8 +4,8 @@
 // drives the same deterministic workload through each, injects the
 // fault taxonomy from a declarative scenario timeline (asymmetric
 // one-way partitions, slow/failing/torn disks mid-group-commit,
-// stalled-not-dead coordinators, clock skew, stale shard maps,
-// crash/restart), and asserts every configuration agrees: the
+// stalled-not-dead coordinators, clock skew, crash/restart), and
+// asserts every configuration agrees: the
 // identical (CallID -> result) set, zero lost completed results, one
 // canonical digest.
 //
@@ -206,7 +206,7 @@ func selectMatrix(suite *Suite, opts Options) ([]Cell, []*Scenario) {
 		// exists to prove the chaos plane, not just the happy path.
 		var faulty, calm []*Scenario
 		for _, sc := range scenarios {
-			if len(sc.Events) > 0 || sc.StaleClients {
+			if len(sc.Events) > 0 {
 				faulty = append(faulty, sc)
 			} else {
 				calm = append(calm, sc)

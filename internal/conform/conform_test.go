@@ -35,8 +35,8 @@ func TestParseDefaultSuite(t *testing.T) {
 			t.Errorf("cell %d = %q, want %q", i, got, want)
 		}
 	}
-	if len(s.Scenarios) != 10 {
-		t.Fatalf("default suite has %d scenarios, want 10", len(s.Scenarios))
+	if len(s.Scenarios) != 9 {
+		t.Fatalf("default suite has %d scenarios, want 9", len(s.Scenarios))
 	}
 	// Every fault kind of the taxonomy appears somewhere in the suite.
 	kinds := map[string]bool{}
@@ -44,11 +44,8 @@ func TestParseDefaultSuite(t *testing.T) {
 		for _, ev := range sc.Events {
 			kinds[ev.Kind] = true
 		}
-		if sc.StaleClients {
-			kinds["stale-map"] = true
-		}
 	}
-	for _, want := range []string{"block", "heal", "disk", "crash", "restart", "stall", "skew", "stale-map"} {
+	for _, want := range []string{"block", "heal", "disk", "crash", "restart", "stall", "skew"} {
 		if !kinds[want] {
 			t.Errorf("default suite exercises no %q fault", want)
 		}
@@ -84,7 +81,7 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 		"bad duration":      "suite x\ncell store=wal\nscenario a\nat soon crash co0\nend\n",
 		"negative at":       "suite x\ncell store=wal\nscenario a\nat -5ms crash co0\nend\n",
 		"disk on client":    "suite x\ncell store=wal\nscenario a\nat 1ms disk cli0 fail 1\nend\n",
-		"stale no shards":   "suite x\ncell store=wal\nscenario a\nstaleclients\nend\n",
+		"retired shards":    "suite x\ncell store=wal\nscenario a\nshards 2\nend\n",
 		"dup scenario":      "suite x\ncell store=wal\nscenario a\nend\nscenario a\nend\n",
 		"calls below grid":  "suite x\ncell store=wal\nscenario a\nclients 4\ncalls 2\nend\n",
 		"matrix no values":  "suite x\nmatrix store=\n",
@@ -163,8 +160,8 @@ func TestExpectedSetMatchesWorkload(t *testing.T) {
 // Frozen fault regressions: each pins one chaos scenario the matrix
 // uncovered development bugs in, at reduced scale so the whole set
 // stays test-suite friendly. A regression in partition handling, WAL
-// fault recovery, stall tolerance, skew tolerance or shard-map repair
-// turns exactly one of these red.
+// fault recovery, stall tolerance or skew tolerance turns exactly one
+// of these red.
 // ---------------------------------------------------------------------
 
 // runFrozen parses an inline suite and requires every cell to pass.
@@ -248,20 +245,6 @@ scenario skew
   at 100ms skew co0 2s
   at 600ms skew co0 0s
   timeout 20s
-end
-`)
-}
-
-// TestFrozenStaleShardMap: two shards, clients pinned to an older map
-// with rotated ring assignment. Every session initially misroutes and
-// must be repaired by ShardRedirect without losing a call.
-func TestFrozenStaleShardMap(t *testing.T) {
-	runFrozen(t, `suite frozen
-cell store=wal
-scenario stale-map
-  shards 2
-  staleclients
-  calls 16
 end
 `)
 }
@@ -355,7 +338,7 @@ func TestQuickSelectionPrefersFaultScenarios(t *testing.T) {
 		t.Fatalf("quick selects %d scenarios, want %d", len(scenarios), quickScenarioCount)
 	}
 	for _, sc := range scenarios {
-		if len(sc.Events) == 0 && !sc.StaleClients {
+		if len(sc.Events) == 0 {
 			t.Errorf("quick picked faultless scenario %q", sc.Name)
 		}
 	}

@@ -14,7 +14,7 @@ func FuzzParseSuite(f *testing.F) {
 	f.Add(DefaultSuite)
 	f.Add("suite x\ncell store=wal\nscenario a\nend\n")
 	f.Add("suite x\nmatrix store=wal,memory policy=fcfs,deadline\nscenario a\n  calls 10\n  at 5ms block co0 -> sv0\nend\n")
-	f.Add("suite x\ncell store=wal\nscenario a\n  shards 2\n  staleclients\n  at 1ms disk co0 fail 3\nend\n")
+	f.Add("suite x\ncell store=wal\nscenario a\n  coords 2\n  at 1ms disk co1 fail 3\nend\n")
 	f.Add("suite \ncell\nscenario\nat\nend")
 	f.Add("matrix =,=,=")
 	f.Add("suite x\ncell store=wal\nscenario a\nat 1ms skew co0 -3s\nend\n")

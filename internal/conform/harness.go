@@ -19,7 +19,6 @@ import (
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
-	"rpcv/internal/shard"
 	"rpcv/internal/store"
 )
 
@@ -62,29 +61,11 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	defer g.Close()
 	nCoords, nServers, nClients := sc.Coords, sc.Servers, sc.Clients
 
-	// Shard topology: one single-coordinator ring per shard, extra
-	// coordinators joining rings round-robin. Unsharded: one ring.
-	rings := make([][]proto.NodeID, 1)
-	if sc.Shards > 1 {
-		rings = make([][]proto.NodeID, sc.Shards)
-	}
+	// The coordinators form one ring.
+	var ring []proto.NodeID
 	for i := 0; i < nCoords; i++ {
-		r := i % len(rings)
-		rings[r] = append(rings[r], proto.NodeID(fmt.Sprintf("co%d", i)))
+		ring = append(ring, proto.NodeID(fmt.Sprintf("co%d", i)))
 	}
-	var truth, stale *shard.Map
-	if sc.Shards > 1 {
-		truth = shard.New(2, rings, 0)
-		// The stale map clients may be pinned to: an older version with
-		// the ring assignment rotated, so session hashes point at the
-		// wrong shard until a ShardRedirect repairs the cache.
-		rotated := make([][]proto.NodeID, len(rings))
-		for i := range rings {
-			rotated[i] = rings[(i+1)%len(rings)]
-		}
-		stale = shard.New(1, rotated, 0)
-	}
-	ringOf := func(i int) []proto.NodeID { return rings[i%len(rings)] }
 
 	// Observability plane: only assembled when a post-mortem artifact
 	// directory is wanted — the flight recorder reads the shared
@@ -124,12 +105,11 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		}
 		if _, err := g.Start(id, func() rt.Config {
 			co := coordinator.New(coordinator.Config{
-				Coordinators:      ringOf(i),
+				Coordinators:      ring,
 				HeartbeatPeriod:   beat,
 				HeartbeatTimeout:  suspect,
 				ReplicationPeriod: 150 * time.Millisecond,
 				Policy:            cell.Policy,
-				Shard:             truth,
 				Obs:               observer(id),
 			})
 			coordsMu.Lock()
@@ -146,7 +126,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	}
 
 	// Servers: in-memory state (the paper's servers are stateless
-	// executors), attached round-robin to the rings.
+	// executors), attached to the whole ring.
 	services := map[string]server.Service{
 		"conform": func(p []byte) ([]byte, error) { return workOutput(p), nil },
 	}
@@ -154,7 +134,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 		id := proto.NodeID(fmt.Sprintf("sv%d", i))
 		if _, err := g.Start(id, func() rt.Config {
 			sv := server.New(server.Config{
-				Coordinators:     ringOf(i),
+				Coordinators:     ring,
 				HeartbeatPeriod:  beat,
 				SuspicionTimeout: suspect,
 				Services:         services,
@@ -194,18 +174,13 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	clis := make([]*client.Client, nClients)
 	for i := 0; i < nClients; i++ {
 		id := proto.NodeID(fmt.Sprintf("cli%d", i))
-		cliShard := truth
-		if sc.StaleClients {
-			cliShard = stale
-		}
 		cli := client.New(client.Config{
 			User:             proto.UserID(fmt.Sprintf("u%d", i)),
 			Session:          proto.SessionID(i + 1),
-			Coordinators:     rings[0],
+			Coordinators:     ring,
 			PollPeriod:       beat,
 			SuspicionTimeout: suspect,
 			Logging:          msglog.NonBlockingPessimistic,
-			Shard:            cliShard,
 			OnResult:         record,
 			Obs:              observer(id),
 		})

@@ -42,16 +42,14 @@ type Event struct {
 // Scenario is one deterministic workload plus a fault timeline, run
 // identically against every cell of the matrix.
 type Scenario struct {
-	Name         string
-	Clients      int           // default 2
-	Servers      int           // default 3
-	Coords       int           // coordinators; >= Shards, default max(1, Shards)
-	Shards       int           // >1 boots one single-coordinator ring per shard
-	StaleClients bool          // boot clients with an outdated shard map
-	Calls        int           // total workload calls, default 40
-	Gap          time.Duration // per-client pacing; 0 derives from the timeline
-	Timeout      time.Duration // per-cell watchdog, default 30s
-	Events       []Event
+	Name    string
+	Clients int           // default 2
+	Servers int           // default 3
+	Coords  int           // coordinators on the ring, default 1
+	Calls   int           // total workload calls, default 40
+	Gap     time.Duration // per-client pacing; 0 derives from the timeline
+	Timeout time.Duration // per-cell watchdog, default 30s
+	Events  []Event
 }
 
 // Suite is a parsed scenario file: the config matrix crossed with the
@@ -80,7 +78,6 @@ const (
 	maxScenarios  = 64
 	maxEvents     = 256
 	maxNodes      = 16
-	maxShards     = 8
 	maxCalls      = 100_000
 	maxDur        = 10 * time.Minute
 )
@@ -107,8 +104,7 @@ var (
 //	  clients 2
 //	  servers 3
 //	  calls 40
-//	  shards 2            # >1: one single-coordinator ring per shard
-//	  staleclients        # boot clients with an outdated shard map
+//	  coords 2            # coordinators on the ring
 //	  gap 25ms            # per-client submit pacing
 //	  timeout 30s
 //	  at 150ms block co0 -> sv0     # one-way partition
@@ -324,23 +320,12 @@ func parseScenarioLine(sc *Scenario, f []string) error {
 			return err
 		}
 		sc.Coords = n
-	case "shards":
-		n, err := count("shards", maxShards)
-		if err != nil {
-			return err
-		}
-		sc.Shards = n
 	case "calls":
 		n, err := count("calls", maxCalls)
 		if err != nil {
 			return err
 		}
 		sc.Calls = n
-	case "staleclients":
-		if len(f) != 1 {
-			return fmt.Errorf("staleclients takes no arguments")
-		}
-		sc.StaleClients = true
 	case "gap":
 		if len(f) != 2 {
 			return fmt.Errorf("gap wants one duration")
@@ -501,14 +486,8 @@ func (sc *Scenario) normalize() error {
 	if sc.Servers == 0 {
 		sc.Servers = 3
 	}
-	if sc.Shards == 0 {
-		sc.Shards = 1
-	}
 	if sc.Coords == 0 {
-		sc.Coords = sc.Shards
-	}
-	if sc.Coords < sc.Shards {
-		return fmt.Errorf("coords %d < shards %d", sc.Coords, sc.Shards)
+		sc.Coords = 1
 	}
 	if sc.Calls == 0 {
 		sc.Calls = 40
@@ -518,9 +497,6 @@ func (sc *Scenario) normalize() error {
 	}
 	if sc.Timeout == 0 {
 		sc.Timeout = 30 * time.Second
-	}
-	if sc.StaleClients && sc.Shards < 2 {
-		return fmt.Errorf("staleclients needs shards >= 2")
 	}
 	sort.SliceStable(sc.Events, func(i, j int) bool { return sc.Events[i].At < sc.Events[j].At })
 	for _, ev := range sc.Events {
@@ -628,15 +604,6 @@ scenario clock-skew
   calls 30
   at 150ms skew co0 2s
   at 800ms skew co0 0s
-end
-
-# Shard-map staleness: two rings, clients pinned to an outdated map
-# with swapped ring assignment; every first submit misroutes and must
-# be repaired by ShardRedirect.
-scenario stale-shard-map
-  shards 2
-  staleclients
-  calls 30
 end
 
 # Late replies (standing work offers, result subscriptions) under the

@@ -51,10 +51,10 @@ func (c *Coordinator) stale(msg proto.Message) {
 	c.cm.stale(msg.Kind()).Inc()
 }
 
-// dirtySet is what one replication stream — to the ring successor or to
-// the successor shard, of job records or of session watermarks — has
-// yet to tell its peer: the dirty keys, and those among them that the
-// round awaiting its ack carried.
+// dirtySet is what the replication stream to the ring successor — of
+// job records or of session watermarks — has yet to tell its peer: the
+// dirty keys, and those among them that the round awaiting its ack
+// carried.
 type dirtySet[K comparable] struct {
 	set      map[K]bool
 	inFlight []K
@@ -127,7 +127,7 @@ func (c *Coordinator) loadMarks() {
 		k := sessionKey{proto.UserID(name[:i]), proto.SessionID(session)}
 		c.collected[k] = proto.RPCSeq(w)
 		c.gc.durable[k] = mark{w: proto.RPCSeq(w), key: key}
-		// As loadStore does for the records: the successors may have
+		// As loadStore does for the records: the successor may have
 		// missed the round that said so while we were down, and a session
 		// with nothing left in the table has no record to bring its
 		// watermark along.
@@ -135,14 +135,11 @@ func (c *Coordinator) loadMarks() {
 	}
 }
 
-// tellMark owes a session's watermark to the ring successor and to the
-// successor shard, where there is one.
+// tellMark owes a session's watermark to the ring successor, where
+// there is one.
 func (c *Coordinator) tellMark(k sessionKey) {
 	if len(c.coords) > 1 {
 		c.repl.marks.mark(k, c.repl.pending)
-	}
-	if c.smap != nil {
-		c.xsync.marks.mark(k, c.xsync.pending)
 	}
 }
 
@@ -150,7 +147,7 @@ func (c *Coordinator) tellMark(k sessionKey) {
 // a Poll, or what a peer says the session has acknowledged — and
 // collects what it has passed. A watermark never goes back: a lower w
 // (a stale Poll, a replica that heard less) only triggers the pass.
-// tell says whether our own successors must hear of a raise, which
+// tell says whether our own successor must hear of a raise, which
 // mirrors what becomes of the jobs of the message that brought it.
 func (c *Coordinator) acknowledge(k sessionKey, w proto.RPCSeq, tell bool) {
 	if w > c.collected[k] {
@@ -164,7 +161,7 @@ func (c *Coordinator) acknowledge(k sessionKey, w proto.RPCSeq, tell bool) {
 }
 
 // collect removes from the job table every call of the session that is
-// finished, at or below the watermark and known to our successors: a
+// finished, at or below the watermark and known to our successor: a
 // record that is still dirty waits for the ack of the round that
 // carries it (collectAcked), so that no replica is left believing a
 // collected call unfinished. An unfinished record at or below the
@@ -176,7 +173,7 @@ func (c *Coordinator) collect(k sessionKey) {
 		if rec.State != proto.TaskFinished {
 			return false
 		}
-		if c.repl.jobs.set[rec.Call] || c.xsync.jobs.set[rec.Call] {
+		if c.repl.jobs.set[rec.Call] {
 			c.waiting[rec.Call] = true
 			return false
 		}
@@ -199,7 +196,7 @@ func (c *Coordinator) collectAcked(carried []proto.CallID) {
 		if c.waiting[call] {
 			// Off the waiting list first, so a session is swept once
 			// however many of its calls the round carried; collect puts
-			// back what the other stream still holds dirty.
+			// back what is dirty again.
 			delete(c.waiting, call)
 			c.collect(sessionKey{call.User, call.Session})
 		}

@@ -50,9 +50,10 @@ func (r *persistRig) settle() {
 // once a session's Poll has acknowledged a call and the coordinator has
 // let it go, every message that used to take an absent record for a
 // call never seen — a duplicate Submit, a late TaskResult, a ServerSync
-// offering its result, a replica's or another shard's copy — is
-// answered as for a finished call and changes nothing: no record comes back, nothing is handed to a server. Before
-// a restart and after one, on the watermark the store kept.
+// offering its result, a replica's copy — is answered as for a finished
+// call and changes nothing: no record comes back, nothing is handed to a
+// server. Before a restart and after one, on the watermark the store
+// kept.
 func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 	for _, engine := range []string{"memory", "wal"} {
 		t.Run(engine, func(t *testing.T) {
@@ -91,10 +92,6 @@ func TestCollectedCallIsNeverKnownAgain(t *testing.T) {
 				{"ReplicaUpdate", "co2", func() proto.Message {
 					return &proto.ReplicaUpdate{From: "co2", Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending}}
 				}, func(m proto.Message) bool { _, ok := m.(*proto.ReplicaAck); return ok }},
-				{"ShardSync job", "co9", func() proto.Message {
-					return &proto.ShardSync{From: "co9", Shard: 1, Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending},
-						Sessions: []proto.SessionSeqs{{User: "u", Session: 1, Seqs: []proto.RPCSeq{2}}}}
-				}, func(m proto.Message) bool { a, ok := m.(*proto.ShardSyncAck); return ok && len(a.Want) == 0 }},
 			}
 			for _, when := range []string{"before a restart", "after a restart"} {
 				for _, g := range guards {

@@ -21,20 +21,16 @@
 //
 // # Peers
 //
-// A coordinator runs two streams to its fellows, each one round at a
-// time (peers.go): a ReplicaUpdate to its ring successor (the paper's
-// passive replication) and a ShardSync to a member of the successor
-// shard's ring. A round unanswered for the suspicion timeout is given
-// up, and the shard stream then tries the next member of that ring. A
-// round carries the records and watermarks changed since its peer's
-// last answer. One rule merges a record a peer sent, whichever message
-// brought it: a collected or finished call stays so, a finish is stored
-// as a server's result is, and only how an unfinished record is kept
-// depends on where it came from — held for the ring predecessor until it
-// is suspected, or held for another shard until that shard is adopted.
-// What is held for a peer is requeued once the peer is gone. A
-// ReplicaUpdate and the acks of updates and syncs wait out DBCost as any
-// reply does (see Output commit); a ShardSync leaves at once.
+// A coordinator runs one stream to its fellows, one round at a time
+// (peers.go): a ReplicaUpdate to its ring successor (the paper's passive
+// replication). A round unanswered for the suspicion timeout is given
+// up. A round carries the records and watermarks changed since the
+// successor's last answer. One rule merges a record the predecessor
+// sent: a collected or finished call stays so, a finish is stored as a
+// server's result is, a pending record is queued, and an ongoing one is
+// held for the predecessor and requeued once the predecessor is
+// suspected. A ReplicaUpdate and its ack wait out DBCost as any reply
+// does (see Output commit).
 //
 // # Late replies
 //
@@ -68,10 +64,9 @@
 // more for that call except never to run it again. It keeps one number
 // per session — the collected watermark, durable under coord/w/, the
 // floor of the session's maximum timestamp, told to the ring successor
-// and the successor shard with the session's entries they already
-// receive — and deletes the record, the header and the blobs of every
-// finished call at or below it, once no successor is still owed the
-// call's finish. The job table, the store and a restart's replay then
+// with the session's entries it already receives — and deletes the
+// record, the header and the blobs of every finished call at or below
+// it, once the successor is no longer owed the call's finish. The job table, the store and a restart's replay then
 // follow the calls in flight, not the grid's history. What a relaunched
 // session can still fetch is every result no Poll has acknowledged; a
 // message about a collected call — a duplicate Submit, a late
@@ -105,7 +100,6 @@ package coordinator
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"time"
@@ -117,7 +111,6 @@ import (
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/sched"
-	"rpcv/internal/shard"
 	"rpcv/internal/statesync"
 )
 
@@ -129,9 +122,8 @@ type Config struct {
 	Coordinators []proto.NodeID
 
 	// ReplicationPeriod is the delay between passive-replication rounds
-	// to the ring successor, and between cross-shard sync rounds to the
-	// successor shard. The paper's real-life experiments use 60 s. Zero
-	// disables both (unit tests drive them manually).
+	// to the ring successor. The paper's real-life experiments use 60 s.
+	// Zero disables them (unit tests drive them manually).
 	ReplicationPeriod time.Duration
 
 	// HeartbeatTimeout is the silence duration after which servers and
@@ -167,16 +159,6 @@ type Config struct {
 	// figures 9-11 plot exactly this counter over time).
 	OnJobFinished func(call proto.CallID, at time.Time)
 
-	// Shard, when non-nil and describing more than one ring, places
-	// this coordinator in the sharded coordination layer: sessions
-	// hashing to a foreign shard are redirected (ShardRedirect) instead
-	// of served, dirty records are cross-replicated to the successor
-	// shard, and the shards this coordinator's ring succeeds on the hash
-	// circle are guarded — their sessions are adopted when their whole
-	// ring goes silent. Coordinators is then this ring's member list
-	// only; the paper's protocol runs unchanged inside the ring.
-	Shard *shard.Map
-
 	// Policy names the scheduling policy (internal/sched): "fcfs"
 	// (default, the paper's behaviour), "fastest-first", "deadline" or
 	// "speculative". An unknown name logs and falls back to FCFS.
@@ -185,7 +167,7 @@ type Config struct {
 	// Obs, when non-nil, receives the coordinator's live metrics
 	// (counters and gauges labeled node="<self>", plus the scheduling
 	// engine's queue and speed gauges) and CallID-correlated span
-	// events (enqueue, dispatch, result, requeue, speculate, redirect)
+	// events (enqueue, dispatch, result, requeue, speculate)
 	// on the observer's ring. All instruments are written from the
 	// event loop with plain atomic stores; nil costs nothing.
 	Obs *obs.Observer
@@ -256,20 +238,10 @@ type Coordinator struct {
 	predecessor proto.NodeID // last coordinator we received an update from
 	beater      *detector.Beater
 
-	// Sharded coordination layer (nil/empty when unsharded).
-	smap     *shard.Map
-	shardIdx int   // this coordinator's shard; -1 when unsharded
-	guarded  []int // shards whose hash-circle successor is this shard
-	guard    *detector.Monitor
-	adopted  map[int]bool
-
-	// The peer streams (peers.go): replication to the ring successor and
-	// sync to the successor shard; and what is held for a peer — the
-	// calls the ring predecessor said ongoing, and those a shard synced
-	// unfinished (with that shard).
-	repl, xsync     round
+	// The peer stream (peers.go): replication to the ring successor; and
+	// what is held for the predecessor — the calls it said ongoing.
+	repl            round
 	fromPredecessor map[proto.CallID]bool
-	fromShard       map[proto.CallID]int
 
 	// Collection (collect.go): each session's collected watermark, the
 	// finished calls at or below one that a replication round still has
@@ -298,8 +270,6 @@ type Coordinator struct {
 	submitsReceived int
 	dupResults      int
 	rescheduled     int
-	redirects       int
-	adoptions       int
 	speculated      int // redundant instances issued
 	specWins        int // results won by the speculative copy
 	pushedTasks     int // assignments sent as late replies to a standing offer
@@ -314,19 +284,19 @@ type Coordinator struct {
 
 // coordMetrics holds the coordinator's obs instruments.
 type coordMetrics struct {
-	submits, accepted, finished, dups          *obs.Counter
-	redirects, adoptions, speculated, specWins *obs.Counter
-	requeues                                   [len(requeueReasonNames)]*obs.Counter
-	persistErrs                                [len(persistPartNames)]*obs.Counter
-	assignedPull, assignedPush                 *obs.Counter
-	resultsPoll, resultsPush, offersExpired    *obs.Counter
-	sessions, inflight, specInflight, shardIdx *obs.Gauge
-	idleSlots, jobs, waiting                   *obs.Gauge
-	repliesHeld                                [len(heldKindNames)]*obs.Counter
-	repliesHeldNow                             *obs.Gauge
-	collected                                  *obs.Counter
-	stale                                      func(kind string) *obs.Counter
-	dispatchLat                                *obs.Histogram
+	submits, accepted, finished, dups       *obs.Counter
+	speculated, specWins                    *obs.Counter
+	requeues                                [len(requeueReasonNames)]*obs.Counter
+	persistErrs                             [len(persistPartNames)]*obs.Counter
+	assignedPull, assignedPush              *obs.Counter
+	resultsPoll, resultsPush, offersExpired *obs.Counter
+	sessions, inflight, specInflight        *obs.Gauge
+	idleSlots, jobs, waiting                *obs.Gauge
+	repliesHeld                             [len(heldKindNames)]*obs.Counter
+	repliesHeldNow                          *obs.Gauge
+	collected                               *obs.Counter
+	stale                                   func(kind string) *obs.Counter
+	dispatchLat                             *obs.Histogram
 }
 
 type ongoingInfo struct {
@@ -389,31 +359,9 @@ func (c *Coordinator) Start(env node.Env) {
 	c.dbEng = node.SerialResource{}
 	c.predecessor = ""
 	c.repl.restart()
-	c.xsync.restart()
 	c.fromPredecessor = make(map[proto.CallID]bool)
-	c.fromShard = make(map[proto.CallID]int)
 
 	c.coords = statesync.MergeNodeLists(c.cfg.Coordinators, []proto.NodeID{env.Self()})
-
-	c.smap = nil
-	c.shardIdx = -1
-	c.guarded = nil
-	c.adopted = make(map[int]bool)
-	if m := c.cfg.Shard; m != nil && m.Shards() > 1 {
-		if idx := m.RingOf(env.Self()); idx >= 0 {
-			c.smap = m
-			c.shardIdx = idx
-			for s := 0; s < m.Shards(); s++ {
-				if s != idx && m.SuccessorShard(s) == idx {
-					c.guarded = append(c.guarded, s)
-				}
-			}
-		} else {
-			env.Logf("coordinator: not a member of the shard map, running unsharded")
-		}
-	}
-
-	c.cm.shardIdx.SetInt(c.shardIdx)
 
 	c.loadEpoch()
 	c.loadMarks()
@@ -427,25 +375,7 @@ func (c *Coordinator) Start(env node.Env) {
 		Timeout:   c.cfg.HeartbeatTimeout,
 		OnSuspect: c.onCoordinatorSuspected,
 	})
-	if len(c.guarded) > 0 {
-		// Guard the predecessor shards from boot: a ring that is already
-		// dead (or dies before ever speaking to us) must still be
-		// adopted once the suspicion timeout elapses.
-		c.guard = detector.NewMonitor(env, detector.MonitorConfig{
-			Timeout:   c.cfg.HeartbeatTimeout,
-			OnSuspect: c.onGuardSuspected,
-		})
-		for _, s := range c.guarded {
-			for _, id := range c.smap.Ring(s) {
-				c.guard.Watch(id)
-			}
-		}
-	}
-
 	c.repl.every(c.env, c.cfg.ReplicationPeriod, c.ReplicateNow)
-	if c.smap != nil {
-		c.xsync.every(c.env, c.cfg.ReplicationPeriod, c.ShardSyncNow)
-	}
 	c.scheduleSpeculation()
 	// Ring heartbeats: probe fellow coordinators every period so that
 	// ring suspicion (and recovery from wrong suspicion) works on the
@@ -464,14 +394,11 @@ func (c *Coordinator) initObs(env node.Env) {
 		accepted:     reg.Counter("rpcv_coord_jobs_accepted_total", ls...),
 		finished:     reg.Counter("rpcv_coord_finished_total", ls...),
 		dups:         reg.Counter("rpcv_coord_dup_results_total", ls...),
-		redirects:    reg.Counter("rpcv_coord_redirects_total", ls...),
-		adoptions:    reg.Counter("rpcv_coord_adoptions_total", ls...),
 		speculated:   reg.Counter("rpcv_coord_speculated_total", ls...),
 		specWins:     reg.Counter("rpcv_coord_spec_wins_total", ls...),
 		sessions:     reg.Gauge("rpcv_coord_sessions", ls...),
 		inflight:     reg.Gauge("rpcv_coord_inflight", ls...),
 		specInflight: reg.Gauge("rpcv_coord_spec_inflight", ls...),
-		shardIdx:     reg.Gauge("rpcv_coord_shard_index", ls...),
 
 		assignedPull:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "pull")...),
 		assignedPush:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "push")...),
@@ -537,14 +464,6 @@ func (c *Coordinator) ringBeat() {
 			c.env.Send(eff, hb)
 		}
 	}
-	// Probe the guarded shards' coordinators too: their acks feed the
-	// guard monitor, so a wrongly suspected ring is re-trusted and a
-	// truly dead one is adopted on the heartbeat timescale.
-	for _, s := range c.guarded {
-		for _, id := range c.smap.Ring(s) {
-			c.env.Send(id, hb)
-		}
-	}
 }
 
 // Stop implements node.Handler.
@@ -561,10 +480,7 @@ func (c *Coordinator) Stop() {
 	if c.ring != nil {
 		c.ring.Close()
 	}
-	if c.guard != nil {
-		c.guard.Close()
-	}
-	for _, t := range []node.Timer{c.repl.timer, c.xsync.timer, c.specTimer, c.gc.timer} {
+	for _, t := range []node.Timer{c.repl.timer, c.specTimer, c.gc.timer} {
 		if t != nil {
 			t.Stop()
 		}
@@ -650,9 +566,9 @@ func (c *Coordinator) loadStore() {
 		if rec.State == proto.TaskPending {
 			c.enqueue(rec.Call)
 		}
-		// markDirty (not a bare assignment) so a restart also re-feeds
-		// the cross-shard dirty set: the successor shard may have missed
-		// rounds while we were down.
+		// markDirty (not a bare assignment) so a restart re-feeds the
+		// dirty set: the successor may have missed rounds while we were
+		// down.
 		c.markDirty(rec.Call)
 	}
 	c.jobsAccepted = c.store.Len()
@@ -735,10 +651,6 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 		c.handleReplicaUpdate(from, m)
 	case *proto.ReplicaAck:
 		c.handleReplicaAck(from, m)
-	case *proto.ShardSync:
-		c.handleShardSync(from, m)
-	case *proto.ShardSyncAck:
-		c.handleShardSyncAck(from, m)
 	default:
 		c.env.Logf("coordinator: unexpected %s from %s", msg.Kind(), from)
 	}
@@ -833,10 +745,6 @@ func (c *Coordinator) put(rec *proto.JobRecord) {
 func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 	c.submitsReceived++
 	c.cm.submits.Inc()
-	if !c.ownsSession(m.Call.User, m.Call.Session) {
-		c.sendRedirect(from, m.Call.User, m.Call.Session, m.Call)
-		return
-	}
 	if _, status := c.lookup(m.Call); status != callUnknown {
 		// Duplicate submission (client retry or resend after sync), of a
 		// call still here or of one collected: acknowledge with the
@@ -882,10 +790,6 @@ func (c *Coordinator) maxSeq(user proto.UserID, session proto.SessionID) proto.R
 }
 
 func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
-	if !c.ownsSession(m.User, m.Session) {
-		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
-		return
-	}
 	// The watermark first: the client holds every result in 1..Ack, so
 	// the finished calls down there are collected, and no later Poll —
 	// however low its Ack — is answered from below it.
@@ -914,10 +818,6 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 }
 
 func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest) {
-	if !c.ownsSession(m.User, m.Session) {
-		c.sendRedirect(from, m.User, m.Session, proto.CallID{})
-		return
-	}
 	// The reply always carries the exact list of known sequence
 	// numbers: the client's log may have holes *below* its maximum
 	// (a submission lost on the best-effort network), which a bare
@@ -971,32 +871,14 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 }
 
 // heard takes a message from a fellow coordinator — a ring heartbeat or
-// its ack, a replica update or a shard sync — as its sign of life: a
-// ring-mate's feeds the ring monitor, and the ring-mates among members
-// join the ring's membership list; another shard's feeds the guard
-// monitor and is never a merge (that would route the replication ring
-// across shards).
+// its ack, or a replica update — as its sign of life: it feeds the ring
+// monitor, and members join the ring's membership list.
 func (c *Coordinator) heard(from proto.NodeID, members []proto.NodeID) {
-	if !c.inMyRing(from) {
-		if c.guard != nil {
-			c.guard.Observe(from)
-		}
-		return
-	}
 	c.ring.Observe(from)
 	if len(members) == 0 {
 		return
 	}
-	if c.smap != nil {
-		members = slices.DeleteFunc(slices.Clone(members), func(id proto.NodeID) bool { return !c.inMyRing(id) })
-	}
 	c.mergeCoords(members)
-}
-
-// inMyRing reports whether a fellow coordinator shares this ring. When
-// unsharded every coordinator does.
-func (c *Coordinator) inMyRing(id proto.NodeID) bool {
-	return c.smap == nil || c.smap.RingOf(id) == c.shardIdx
 }
 
 // assign pops up to limit schedulable jobs from the engine (policy
@@ -1139,8 +1021,8 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 // finish stores rec, finished, as its call's record — a server's result,
 // or a finish a peer sent — and ends what
 // else the call had going here: its instances, its place in the queue,
-// what was held of it for a peer. tell says whether the ring successor
-// and the successor shard are to hear of it.
+// what was held of it for the predecessor. tell says whether the ring
+// successor is to hear of it.
 func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 	call := rec.Call
 	c.put(rec)
@@ -1158,7 +1040,6 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 		}
 	}
 	delete(c.fromPredecessor, call)
-	delete(c.fromShard, call)
 	c.noteInflight()
 	c.unqueue(call)
 	if tell {
@@ -1327,14 +1208,13 @@ func (c *Coordinator) unqueue(call proto.CallID) {
 	delete(c.queuedAt, call)
 }
 
-// requeueReason says which of the four paths re-issued a call.
+// requeueReason says which of the three paths re-issued a call.
 type requeueReason int
 
 const (
 	requeueServerSync           requeueReason = iota // peer-wise sync: the server does not hold the assignment
 	requeueServerSuspected                           // the assigned server went silent
 	requeueCoordinatorSuspected                      // held for a ring predecessor that went silent
-	requeueAdopted                                   // held for a shard whose whole ring went silent
 )
 
 // requeueReasonNames is the reason as operators read it: the requeue
@@ -1343,16 +1223,14 @@ var requeueReasonNames = [...]string{
 	requeueServerSync:           "server-sync",
 	requeueServerSuspected:      "server-suspected",
 	requeueCoordinatorSuspected: "coordinator-suspected",
-	requeueAdopted:              "adopted",
 }
 
 // requeue is the single re-insertion path for every reissue of a lost,
 // dying or withdrawn assignment (server suspicion, peer-wise sync,
-// predecessor release, shard adoption): it resets the
-// record to pending, re-queues it and counts the reissue in the
-// rescheduled stat and under its reason, so no path can bypass the
-// duplicate check or the accounting. It reports whether the call is
-// schedulable again.
+// predecessor release): it resets the record to pending, re-queues it
+// and counts the reissue in the rescheduled stat and under its reason,
+// so no path can bypass the duplicate check or the accounting. It
+// reports whether the call is schedulable again.
 func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	rec, ok := c.store.Peek(call)
 	if !ok || rec.State == proto.TaskFinished {
@@ -1371,105 +1249,6 @@ func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	}
 	c.markDirty(call)
 	return true
-}
-
-// ---------------------------------------------------------------------
-// Sharded coordination layer
-// ---------------------------------------------------------------------
-
-// ownsSession decides whether this coordinator serves a session: always
-// when unsharded; when sharded, if the session hashes to this shard or
-// to a shard this coordinator has adopted. A guarded shard whose entire
-// ring is currently suspected is adopted lazily here, so a client that
-// failed over faster than the guard sweep is not bounced back to a dead
-// ring.
-func (c *Coordinator) ownsSession(user proto.UserID, session proto.SessionID) bool {
-	if c.smap == nil {
-		return true
-	}
-	owner := c.smap.Owner(user, session)
-	if owner == c.shardIdx || c.adopted[owner] {
-		return true
-	}
-	if c.isGuarded(owner) && c.ringAllSuspected(owner) {
-		c.adopt(owner)
-		return true
-	}
-	return false
-}
-
-// sendRedirect answers a misrouted client request with the owner shard
-// and the current topology, repairing a stale cached map in one round
-// trip. Redirects are free of database cost: the request never reaches
-// the store.
-func (c *Coordinator) sendRedirect(to proto.NodeID, user proto.UserID, session proto.SessionID, call proto.CallID) {
-	c.redirects++
-	c.cm.redirects.Inc()
-	if call != (proto.CallID{}) {
-		c.trace(call, obs.StageRedirect, fmt.Sprintf("to shard %d", c.smap.Owner(user, session)))
-	}
-	c.env.Send(to, &proto.ShardRedirect{
-		From:    c.env.Self(),
-		User:    user,
-		Session: session,
-		Call:    call,
-		Shard:   c.smap.Owner(user, session),
-		Map:     c.smap.State(),
-	})
-}
-
-func (c *Coordinator) isGuarded(s int) bool {
-	for _, g := range c.guarded {
-		if g == s {
-			return true
-		}
-	}
-	return false
-}
-
-// ringAllSuspected reports whether every coordinator of shard s is
-// currently suspected by the guard monitor.
-func (c *Coordinator) ringAllSuspected(s int) bool {
-	if c.guard == nil {
-		return false
-	}
-	for _, id := range c.smap.Ring(s) {
-		if !c.guard.Suspected(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// onGuardSuspected fires on each new suspicion of a guarded shard's
-// coordinator; when a whole guarded ring is silent, its sessions are
-// adopted.
-func (c *Coordinator) onGuardSuspected(proto.NodeID) {
-	for _, s := range c.guarded {
-		if !c.adopted[s] && c.ringAllSuspected(s) {
-			c.adopt(s)
-		}
-	}
-	c.dispatch()
-}
-
-// adopt takes over a lost shard: the records previously learned through
-// cross-shard sync are released into the scheduling queue (finished
-// ones are already served from the store), and the session ownership
-// check starts accepting the shard's clients — which land here anyway,
-// since the client failover order follows the same successor relation.
-// Adoption is sticky for this incarnation: if the lost ring later
-// revives, both shards serve the sessions (duplicate execution is
-// at-least-once semantics, and results deduplicate by CallID).
-func (c *Coordinator) adopt(s int) {
-	if c.adopted[s] {
-		return
-	}
-	c.adopted[s] = true
-	c.adoptions++
-	c.cm.adoptions.Inc()
-	released := release(c, c.fromShard, requeueAdopted, func(from int) bool { return from == s })
-	c.env.Logf("coordinator: adopted shard %d (%d held tasks released)", s, released)
 }
 
 // ---------------------------------------------------------------------
@@ -1498,7 +1277,7 @@ func (c *Coordinator) scheduleSpeculation() {
 // first stored result wins; the loser is cancelled by finish
 // and, should its result arrive anyway, deduplicated by CallID — the
 // same mechanism that already makes re-execution safe across
-// replication, shard sync and coordinator failover.
+// replication and coordinator failover.
 func (c *Coordinator) schedSweep() {
 	now := c.env.Now()
 	speculate := c.eng.Speculative()
@@ -1568,9 +1347,6 @@ type Stats struct {
 	LastReplication time.Duration
 	Coordinators    int
 	KnownServers    int
-	Redirects       int
-	Adoptions       int
-	ShardSyncRounds uint64
 	Policy          string
 	Speculated      int // redundant task instances issued
 	SpecWins        int // results won by the speculative copy
@@ -1599,9 +1375,6 @@ func (c *Coordinator) StatsNow() Stats {
 		LastReplication: c.repl.took,
 		Coordinators:    len(c.coords),
 		KnownServers:    c.servers.Tracked(),
-		Redirects:       c.redirects,
-		Adoptions:       c.adoptions,
-		ShardSyncRounds: c.xsync.done,
 		Policy:          c.eng.PolicyName(),
 		Speculated:      c.speculated,
 		SpecWins:        c.specWins,
@@ -1626,25 +1399,6 @@ func (c *Coordinator) SuspectedServers() []proto.NodeID { return c.servers.Suspe
 // SuspectedCoordinators returns the ring members currently under
 // suspicion. Event-loop only.
 func (c *Coordinator) SuspectedCoordinators() []proto.NodeID { return c.ring.Suspects() }
-
-// ShardState returns the shard map's wire state (zero value when
-// unsharded). Event-loop only.
-func (c *Coordinator) ShardState() proto.ShardMapState {
-	if c.smap == nil {
-		return proto.ShardMapState{}
-	}
-	return c.smap.State()
-}
-
-// AdoptedShards returns the shards adopted so far, sorted (tests).
-func (c *Coordinator) AdoptedShards() []int {
-	out := make([]int, 0, len(c.adopted))
-	for s := range c.adopted {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // FinishedCount returns the number of jobs first seen finished here.
 func (c *Coordinator) FinishedCount() int { return c.finished }

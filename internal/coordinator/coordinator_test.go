@@ -7,7 +7,6 @@ import (
 	"rpcv/internal/db"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
-	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
@@ -515,16 +514,13 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 	}
 }
 
-// roundRig drives one of a coordinator's two outgoing rounds by hand:
-// "ring" replicates to its ring successor pa; "shard" syncs to the
-// successor shard's ring {pa, pb}.
+// roundRig drives a coordinator's replication rounds to its ring
+// successor pa by hand.
 type roundRig struct {
 	t      *testing.T
-	stream string
 	w      *sim.World
 	co     *Coordinator
-	ids    []proto.NodeID // the peers, in order
-	peers  map[proto.NodeID]*peer
+	pa     *peer
 	sv, cl *peer
 	seq    int
 }
@@ -536,32 +532,20 @@ type request struct {
 	jobs         int
 }
 
-func newRoundRig(t *testing.T, stream string, timeout time.Duration) *roundRig {
-	m := shard.New(1, [][]proto.NodeID{{"co"}, {"pa", "pb"}}, 0)
-	cfg := Config{
-		Coordinators:     []proto.NodeID{"co"},
+func newRoundRig(t *testing.T, timeout time.Duration) *roundRig {
+	r := &roundRig{t: t, w: sim.NewWorld(sim.Config{Seed: 3}), pa: &peer{}, sv: &peer{}, cl: &peer{}}
+	r.co = New(Config{
+		Coordinators:     []proto.NodeID{"co", "pa"},
 		DBCost:           db.CostModel{PerOp: time.Microsecond},
 		HeartbeatTimeout: timeout,
 		HeartbeatPeriod:  time.Second,
 		PullOnly:         true,
-	}
-	r := &roundRig{t: t, stream: stream, w: sim.NewWorld(sim.Config{Seed: 3}), sv: &peer{}, cl: &peer{},
-		ids: m.Ring(1), peers: map[proto.NodeID]*peer{}}
-	if stream == "ring" {
-		cfg.Coordinators = []proto.NodeID{"co", "pa"}
-		r.ids = []proto.NodeID{"pa"}
-	} else {
-		cfg.Shard = m
-	}
-	r.co = New(cfg)
+	})
 	r.w.AddNode("co", r.co)
 	r.w.AddNode("sv", r.sv)
 	r.w.AddNode("cl", r.cl)
-	for _, id := range r.ids {
-		r.peers[id] = &peer{}
-		r.w.AddNode(id, r.peers[id])
-	}
-	for _, id := range append([]proto.NodeID{"co", "sv", "cl"}, r.ids...) {
+	r.w.AddNode("pa", r.pa)
+	for _, id := range []proto.NodeID{"co", "sv", "cl", "pa"} {
 		r.w.Start(id)
 	}
 	return r
@@ -572,63 +556,41 @@ func (r *roundRig) start() {
 	r.seq++
 	r.cl.env.Send("co", submit(r.seq))
 	r.w.RunFor(time.Millisecond)
-	if r.stream == "ring" {
-		r.w.Schedule(0, r.co.ReplicateNow)
-	} else {
-		r.w.Schedule(0, r.co.ShardSyncNow)
-	}
+	r.w.Schedule(0, r.co.ReplicateNow)
 	r.w.RunFor(time.Millisecond)
 }
 
-// request returns the round's request the peers received since the
-// last call, and clears their inboxes.
+// request returns the round's request the successor received since the
+// last call, and clears its inbox.
 func (r *roundRig) request() request {
 	r.t.Helper()
 	var got []request
-	for _, id := range r.ids {
-		p := r.peers[id]
-		for _, msg := range p.inbox {
-			switch m := msg.(type) {
-			case *proto.ReplicaUpdate:
-				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
-			case *proto.ShardSync:
-				got = append(got, request{id, m.Epoch, m.Round, len(m.Jobs)})
-			}
+	for _, msg := range r.pa.inbox {
+		if m, ok := msg.(*proto.ReplicaUpdate); ok {
+			got = append(got, request{"pa", m.Epoch, m.Round, len(m.Jobs)})
 		}
-		p.inbox = nil
 	}
+	r.pa.inbox = nil
 	if len(got) != 1 {
-		r.t.Fatalf("%s: the peers received %d requests, want 1: %+v", r.stream, len(got), got)
+		r.t.Fatalf("the successor received %d requests, want 1: %+v", len(got), got)
 	}
 	return got[0]
 }
 
 // answer has the target answer req.
 func (r *roundRig) answer(req request) {
-	var msg proto.Message = &proto.ReplicaAck{From: req.to, Epoch: req.epoch, Round: req.round}
-	if r.stream == "shard" {
-		msg = &proto.ShardSyncAck{From: req.to, Shard: 1, Epoch: req.epoch, Round: req.round}
-	}
-	r.peers[req.to].env.Send("co", msg)
+	r.pa.env.Send("co", &proto.ReplicaAck{From: req.to, Epoch: req.epoch, Round: req.round})
 	r.w.RunFor(time.Millisecond)
 }
 
 // answered counts the rounds whose answer the coordinator took.
-func (r *roundRig) answered() int {
-	st := r.co.StatsNow()
-	if r.stream == "ring" {
-		return int(st.ReplRounds)
-	}
-	return int(st.ShardSyncRounds)
-}
+func (r *roundRig) answered() int { return int(r.co.StatsNow().ReplRounds) }
 
-// wait lets d pass with every peer and the server beating, so that
-// nothing is suspected and no shard adopted.
+// wait lets d pass with the successor and the server beating, so that
+// nothing is suspected.
 func (r *roundRig) wait(d time.Duration) {
 	for ; d > 0; d -= time.Second {
-		for _, id := range r.ids {
-			r.peers[id].env.Send("co", &proto.Heartbeat{From: id, Role: proto.RoleCoordinator})
-		}
+		r.pa.env.Send("co", &proto.Heartbeat{From: "pa", Role: proto.RoleCoordinator})
 		r.sv.env.Send("co", &proto.Heartbeat{From: "sv", Role: proto.RoleServer})
 		r.w.RunFor(min(d, time.Second))
 	}
@@ -638,46 +600,36 @@ func (r *roundRig) wait(d time.Duration) {
 // than the suspicion timeout, round 1's give-up timer falls due while
 // round 2 awaits its answer. It must leave round 2 alone: abandoning it
 // makes the coordinator ignore round 2's answer (and a record stream
-// send its records again). A round that is given up moves the stream
-// on: ring replication stays on its successor, shard sync goes to the
-// next member of the successor shard's ring.
+// send its records again). A round that is given up leaves the stream on
+// its successor.
 func TestGiveUpTimerAbandonsOnlyItsOwnRound(t *testing.T) {
 	const timeout = 10 * time.Second
-	for _, tc := range []struct {
-		stream  string
-		rotates bool
-	}{{"ring", false}, {"shard", true}} {
-		t.Run(tc.stream, func(t *testing.T) {
-			r := newRoundRig(t, tc.stream, timeout)
-			r.start() // round 1: gives up at its start + timeout
-			r.answer(r.request())
-			r.wait(timeout - 2*time.Second)
-			r.start() // round 2, a second or two before round 1's deadline
-			second := r.request()
-			r.wait(3 * time.Second)
-			r.answer(second)
-			if n := r.answered(); n != 2 {
-				t.Fatalf("answered rounds = %d, want 2: round 1's give-up timer abandoned round 2", n)
-			}
+	t.Run("ring", func(t *testing.T) {
+		r := newRoundRig(t, timeout)
+		r.start() // round 1: gives up at its start + timeout
+		r.answer(r.request())
+		r.wait(timeout - 2*time.Second)
+		r.start() // round 2, a second or two before round 1's deadline
+		second := r.request()
+		r.wait(3 * time.Second)
+		r.answer(second)
+		if n := r.answered(); n != 2 {
+			t.Fatalf("answered rounds = %d, want 2: round 1's give-up timer abandoned round 2", n)
+		}
 
-			r.start() // round 3: never answered
-			third := r.request()
-			if third.jobs != 1 {
-				t.Fatalf("round 3 carries %d jobs, want its own 1: round 2's were sent again", third.jobs)
-			}
-			r.wait(timeout + time.Second)
-			r.start() // round 4, after round 3 was given up
-			fourth := r.request()
-			want := third.to
-			if tc.rotates {
-				want = map[proto.NodeID]proto.NodeID{"pa": "pb", "pb": "pa"}[third.to]
-			}
-			if fourth.to != want || fourth.round != third.round+1 {
-				t.Fatalf("round %d went to %s after round %d to %s was given up, want round %d to %s",
-					fourth.round, fourth.to, third.round, third.to, third.round+1, want)
-			}
-		})
-	}
+		r.start() // round 3: never answered
+		third := r.request()
+		if third.jobs != 1 {
+			t.Fatalf("round 3 carries %d jobs, want its own 1: round 2's were sent again", third.jobs)
+		}
+		r.wait(timeout + time.Second)
+		r.start() // round 4, after round 3 was given up
+		fourth := r.request()
+		if fourth.to != third.to || fourth.round != third.round+1 {
+			t.Fatalf("round %d went to %s after round %d to %s was given up, want round %d to %s",
+				fourth.round, fourth.to, third.round, third.to, third.round+1, third.to)
+		}
+	})
 }
 
 func TestMidRoundStateChangeStaysDirty(t *testing.T) {

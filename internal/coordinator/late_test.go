@@ -12,7 +12,6 @@ import (
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
 	"rpcv/internal/server"
-	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
@@ -397,26 +396,6 @@ func TestRequeueAfterServerSyncIsPushedElsewhere(t *testing.T) {
 	}
 	if st := co.StatsNow(); st.Rescheduled != 1 || st.PushedTasks != 2 {
 		t.Fatalf("after sync: %+v", st)
-	}
-}
-
-func TestRedirectedSessionRecordsNoSubscription(t *testing.T) {
-	m := shard.New(1, [][]proto.NodeID{{"co"}, {"elsewhere"}}, 0)
-	var foreign proto.UserID
-	for i := 0; ; i++ {
-		if u := proto.UserID(fmt.Sprintf("u%d", i)); m.Owner(u, 1) != m.RingOf("co") {
-			foreign = u
-			break
-		}
-	}
-	w, co, p := rig(t, Config{Shard: m})
-	p.env.Send("co", &proto.Poll{User: foreign, Session: 1})
-	w.RunFor(time.Second)
-	if _, ok := p.last().(*proto.ShardRedirect); !ok {
-		t.Fatalf("poll for a foreign session answered with %T, want ShardRedirect", p.last())
-	}
-	if n := subscriptions(co); n != 0 {
-		t.Fatalf("a redirected poll left %d subscriptions", n)
 	}
 }
 

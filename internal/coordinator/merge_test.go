@@ -7,15 +7,12 @@ import (
 
 	"rpcv/internal/db"
 	"rpcv/internal/proto"
-	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
 // The merge of a record a peer sent, characterised: every state the call
-// can be in here, against every state the record can carry, for each of
-// the two messages that carry records — a ReplicaUpdate from the ring
-// predecessor and a ShardSync from a shard this coordinator has adopted
-// or not.
+// can be in here, against every state the record can carry in a
+// ReplicaUpdate from the ring predecessor.
 
 // mergeCell is one coordinator under test with the nodes that give a
 // call its local state and send it the record: a peer coordinator, a
@@ -30,42 +27,23 @@ type mergeCell struct {
 
 const mergeTimeout = 10 * time.Second
 
-// newMergeCell boots the cell for origin: "ring" is a ring of two, the
-// peer its other member; the others are two shards of one coordinator
-// each, the peer's shard the one this coordinator's succeeds.
-func newMergeCell(t *testing.T, origin string) *mergeCell {
+// newMergeCell boots a ring of two, the peer its other member.
+func newMergeCell(t *testing.T) *mergeCell {
 	t.Helper()
-	m := shard.New(1, [][]proto.NodeID{{"co"}, {"pc"}}, 0)
 	cfg := Config{
-		Coordinators:     []proto.NodeID{"co"},
+		Coordinators:     []proto.NodeID{"co", "pc"},
 		DBCost:           db.CostModel{PerOp: time.Microsecond},
 		HeartbeatTimeout: mergeTimeout,
 		PullOnly:         true, // what is queued stays queued until a pull
 	}
-	if origin == "ring" {
-		cfg.Coordinators = []proto.NodeID{"co", "pc"}
-	} else {
-		cfg.Shard = m
-	}
 	c := &mergeCell{w: sim.NewWorld(sim.Config{Seed: 3}), co: New(cfg), pc: &peer{}, sv: &peer{}, cl: &peer{}}
-	for i := 0; ; i++ { // a session this coordinator's shard owns
-		if u := proto.UserID(fmt.Sprintf("u%d", i)); m.Owner(u, 1) == m.RingOf("co") {
-			c.x = proto.CallID{User: u, Session: 1, Seq: 1}
-			break
-		}
-	}
+	c.x = proto.CallID{User: "u0", Session: 1, Seq: 1}
 	c.w.AddNode("co", c.co)
 	c.w.AddNode("pc", c.pc)
 	c.w.AddNode("sv", c.sv)
 	c.w.AddNode("cl", c.cl)
 	for _, id := range []proto.NodeID{"co", "pc", "sv", "cl"} {
 		c.w.Start(id)
-	}
-	if origin == "shard-adopted" {
-		c.w.RunFor(3 * mergeTimeout) // the peer's whole ring goes silent
-		if got := fmt.Sprint(c.co.AdoptedShards()); got != "[1]" {
-			t.Fatalf("adopted shards %s, want [1]", got)
-		}
 	}
 	// An idle server's pull on an empty queue: the server is known before
 	// the call is.
@@ -100,21 +78,13 @@ func (c *mergeCell) give(local string) {
 }
 
 // send has the peer send one record of the call in state in.
-func (c *mergeCell) send(origin string, in proto.TaskState) {
+func (c *mergeCell) send(in proto.TaskState) {
 	rec := proto.JobRecord{Call: c.x, Service: "synthetic", Params: []byte("q"),
 		ExecTime: time.Second, ResultSize: 4, State: in, Instance: 5}
 	if in == proto.TaskFinished {
 		rec.Output, rec.Server = []byte("o"), "far"
 	}
-	jobs := []proto.JobRecord{rec}
-	var msg proto.Message
-	switch origin {
-	case "ring":
-		msg = &proto.ReplicaUpdate{From: "pc", Epoch: 1, Round: 1, Jobs: jobs}
-	case "shard-held", "shard-adopted":
-		msg = &proto.ShardSync{From: "pc", Shard: 1, Epoch: 1, Round: 1, Jobs: jobs}
-	}
-	c.pc.env.Send("co", msg)
+	c.pc.env.Send("co", &proto.ReplicaUpdate{From: "pc", Epoch: 1, Round: 1, Jobs: []proto.JobRecord{rec}})
 	c.w.RunFor(time.Second)
 }
 
@@ -136,9 +106,6 @@ func (c *mergeCell) outcome() string {
 	if _, ok := c.co.fromPredecessor[c.x]; ok {
 		out += " held:predecessor"
 	}
-	if _, ok := c.co.fromShard[c.x]; ok {
-		out += " held:shard"
-	}
 	if d := c.co.FinishedCount() - c.finished; d != 0 {
 		out += fmt.Sprintf(" finished%+d", d)
 	}
@@ -149,43 +116,25 @@ func (c *mergeCell) outcome() string {
 }
 
 func TestPeerRecordMerge(t *testing.T) {
-	// want[origin][local] lists the outcome for an incoming record that
-	// is pending, ongoing and finished, in that order.
-	want := map[string]map[string][3]string{
-		"ring": {
-			"unknown":   {"pending#5 queued", "ongoing#5 held:predecessor", "finished#5 finished+1"},
-			"collected": {"absent stale+1", "absent stale+1", "absent stale+1"},
-			"pending":   {"pending#5 queued", "ongoing#5 queued held:predecessor", "finished#5 finished+1"},
-			"ongoing":   {"pending#5", "ongoing#5 held:predecessor", "finished#5 finished+1"},
-			"finished":  {"finished#0", "finished#0", "finished#0"},
-		},
-		"shard-held": {
-			"unknown":   {"pending#5 held:shard", "ongoing#5 held:shard", "finished#5 finished+1"},
-			"collected": {"absent stale+1", "absent stale+1", "absent stale+1"},
-			"pending":   {"pending#0 queued", "pending#0 queued", "finished#5 finished+1"},
-			"ongoing":   {"ongoing#1", "ongoing#1", "finished#5 finished+1"},
-			"finished":  {"finished#0", "finished#0", "finished#0"},
-		},
-		"shard-adopted": {
-			"unknown":   {"pending#5 queued", "pending#5 queued", "finished#5 finished+1"},
-			"collected": {"absent stale+1", "absent stale+1", "absent stale+1"},
-			"pending":   {"pending#0 queued", "pending#0 queued", "finished#5 finished+1"},
-			"ongoing":   {"ongoing#1", "ongoing#1", "finished#5 finished+1"},
-			"finished":  {"finished#0", "finished#0", "finished#0"},
-		},
+	// want[local] lists the outcome for an incoming record that is
+	// pending, ongoing and finished, in that order.
+	want := map[string][3]string{
+		"unknown":   {"pending#5 queued", "ongoing#5 held:predecessor", "finished#5 finished+1"},
+		"collected": {"absent stale+1", "absent stale+1", "absent stale+1"},
+		"pending":   {"pending#5 queued", "ongoing#5 queued held:predecessor", "finished#5 finished+1"},
+		"ongoing":   {"pending#5", "ongoing#5 held:predecessor", "finished#5 finished+1"},
+		"finished":  {"finished#0", "finished#0", "finished#0"},
 	}
-	for _, origin := range []string{"ring", "shard-held", "shard-adopted"} {
-		for _, local := range []string{"unknown", "collected", "pending", "ongoing", "finished"} {
-			for i, in := range []proto.TaskState{proto.TaskPending, proto.TaskOngoing, proto.TaskFinished} {
-				t.Run(fmt.Sprintf("%s/%s/%s", origin, local, in), func(t *testing.T) {
-					c := newMergeCell(t, origin)
-					c.give(local)
-					c.send(origin, in)
-					if got := c.outcome(); got != want[origin][local][i] {
-						t.Errorf("got  %q\nwant %q", got, want[origin][local][i])
-					}
-				})
-			}
+	for _, local := range []string{"unknown", "collected", "pending", "ongoing", "finished"} {
+		for i, in := range []proto.TaskState{proto.TaskPending, proto.TaskOngoing, proto.TaskFinished} {
+			t.Run(fmt.Sprintf("ring/%s/%s", local, in), func(t *testing.T) {
+				c := newMergeCell(t)
+				c.give(local)
+				c.send(in)
+				if got := c.outcome(); got != want[local][i] {
+					t.Errorf("got  %q\nwant %q", got, want[local][i])
+				}
+			})
 		}
 	}
 }

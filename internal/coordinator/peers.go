@@ -1,11 +1,9 @@
 package coordinator
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"strings"
 	"time"
 
 	"rpcv/internal/node"
@@ -13,16 +11,14 @@ import (
 	"rpcv/internal/statesync"
 )
 
-// round is one outgoing peer stream: at most one request in flight; one
-// left unanswered for the suspicion timeout is given up, and the next
-// goes to the next member of the target ring. jobs and marks are the
-// calls and session watermarks the peer has yet to hear of in their
-// current state.
+// round is the outgoing peer stream: at most one request in flight; one
+// left unanswered for the suspicion timeout is given up. jobs and marks
+// are the calls and session watermarks the peer has yet to hear of in
+// their current state.
 type round struct {
 	pending bool
 	n       uint64        // the latest request's number, which its answer echoes
 	to      proto.NodeID  // where the latest request went
-	next    int           // the member of the target ring the next request goes to
 	start   time.Time     // when the latest request left
 	took    time.Duration // how long the last answered round took (figure 5)
 	done    uint64        // rounds answered
@@ -56,7 +52,6 @@ func (r *round) giveUpAfter(env node.Env, d time.Duration) {
 	env.After(d, func() {
 		if r.pending && r.n == n {
 			r.pending = false
-			r.next++
 		}
 	})
 }
@@ -109,16 +104,12 @@ func (c *Coordinator) roundJobs(r *round) []proto.JobRecord {
 	return jobs
 }
 
-// markDirty notes that call's record changed, for each stream that has
-// someone to tell: the ring successor if this coordinator knows of any
-// other (in a ring of one nothing is dirty — there is no round to clean
-// it), the successor shard if the grid is sharded.
+// markDirty notes that call's record changed, for the ring successor if
+// this coordinator knows of any other coordinator (in a ring of one
+// nothing is dirty — there is no round to clean it).
 func (c *Coordinator) markDirty(call proto.CallID) {
 	if len(c.coords) > 1 {
 		c.repl.jobs.mark(call, c.repl.pending)
-	}
-	if c.smap != nil {
-		c.xsync.jobs.mark(call, c.xsync.pending)
 	}
 }
 
@@ -138,20 +129,10 @@ func (c *Coordinator) mergeCoords(ids []proto.NodeID) {
 	}
 }
 
-// origin is the stream a record came by.
-type origin int
-
-const (
-	ringUpdate origin = iota // a ReplicaUpdate from the ring predecessor
-	shardSync                // a ShardSync from the predecessor shard
-)
-
-// apply merges one record a peer sent by the rule of the package
-// comment, and reports whether it queued the call. A shard's copy of a
-// call this coordinator runs or queues itself changes nothing. What a
-// shard sent and is not held is told onward, to survive this ring's
-// faults too; a replica tells no one the jobs of an update.
-func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shard int) bool {
+// apply merges one record the ring predecessor sent by the rule of the
+// package comment, and reports whether it queued the call. A replica
+// tells no one the jobs of an update.
+func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord) bool {
 	local, status := c.lookup(in.Call)
 	if status == callCollected {
 		c.stale(m)
@@ -164,29 +145,19 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 	// payloads, whose bytes nobody modifies, are shared, not copied.
 	cp := *in
 	rec := &cp
-	tell := o == shardSync
 	if rec.State == proto.TaskFinished {
-		c.finish(rec, tell)
-		return false
-	}
-	_, assigned := c.ongoing[rec.Call]
-	_, duplicated := c.spec[rec.Call]
-	if o != ringUpdate && (assigned || duplicated || c.eng.Queued(rec.Call)) {
+		c.finish(rec, false)
 		return false
 	}
 	if local != nil && local.Params != nil && rec.Params == nil {
 		rec.Params = local.Params // sent without its archive: keep ours
 	}
-	// Held for a peer, a call is kept without being scheduled until the
-	// peer is gone (release).
-	held := true
-	switch {
-	case o == ringUpdate && rec.State == proto.TaskOngoing:
+	// Held for the predecessor, an ongoing call is kept without being
+	// scheduled until the predecessor is suspected (release).
+	held := rec.State == proto.TaskOngoing
+	if held {
 		c.fromPredecessor[rec.Call] = true
-	case o == shardSync && !c.adopted[shard]:
-		c.fromShard[rec.Call] = shard
-	default:
-		held = false
+	} else {
 		rec.State = proto.TaskPending
 	}
 	c.put(rec)
@@ -195,27 +166,20 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord, o origin, shar
 		return false
 	}
 	// The predecessor's pending copy of a call ongoing here queues nothing.
-	queued := o != ringUpdate || local == nil || local.State != proto.TaskOngoing
+	queued := local == nil || local.State != proto.TaskOngoing
 	if queued {
 		c.enqueue(rec.Call)
-	}
-	if tell {
-		c.markDirty(rec.Call)
 	}
 	return queued
 }
 
-// release requeues, in call order, each call in held whose peer gone
-// says is lost — the ring predecessor suspected, a shard adopted — and
-// reports how many are schedulable again.
-func release[V any](c *Coordinator, held map[proto.CallID]V, reason requeueReason, gone func(V) bool) int {
+// release requeues, in call order, each call held for the predecessor,
+// and reports how many are schedulable again.
+func (c *Coordinator) release() int {
 	released := 0
-	for _, call := range sortedCalls(held) {
-		if !gone(held[call]) {
-			continue
-		}
-		delete(held, call)
-		if c.requeue(call, reason) {
+	for _, call := range sortedCalls(c.fromPredecessor) {
+		delete(c.fromPredecessor, call)
+		if c.requeue(call, requeueCoordinatorSuspected) {
 			released++
 		}
 	}
@@ -280,7 +244,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 	c.heard(from, []proto.NodeID{from})
 	c.predecessor = from
 	for i := range m.Jobs {
-		c.apply(m, &m.Jobs[i], ringUpdate, 0)
+		c.apply(m, &m.Jobs[i])
 	}
 	// The watermarks after the jobs: a finish this round carries is
 	// stored (and counted) before the watermark that lets it go. What a
@@ -308,7 +272,7 @@ func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
 		c.repl.pending = false // the round is lost; next tick re-routes
 	}
 	if id == c.predecessor {
-		released := release(c, c.fromPredecessor, requeueCoordinatorSuspected, func(bool) bool { return true })
+		released := c.release()
 		if released > 0 {
 			c.env.Logf("coordinator: released %d tasks of suspected predecessor %s", released, id)
 		}
@@ -320,114 +284,4 @@ func (c *Coordinator) onCoordinatorSuspected(id proto.NodeID) {
 // suspected coordinators. Exported for tests and the topology ablation.
 func (c *Coordinator) Successor() proto.NodeID {
 	return statesync.Successor(c.env.Self(), c.coords, c.ring.Suspected)
-}
-
-// ---------------------------------------------------------------------
-// Cross-shard sync
-// ---------------------------------------------------------------------
-
-// ShardSyncNow starts one cross-shard replication round: dirty records
-// plus the full per-session sequence sets of owned sessions go to one
-// member of the successor shard's ring. Exported for tests and manual
-// drivers (like ReplicateNow).
-func (c *Coordinator) ShardSyncNow() {
-	if c.smap == nil || c.xsync.pending || c.stopped {
-		return
-	}
-	succ := c.smap.SuccessorShard(c.shardIdx)
-	ring := c.smap.Ring(succ)
-	if succ == c.shardIdx || len(ring) == 0 {
-		return // the grid has no other shard to sync to
-	}
-	target := ring[c.xsync.next%len(ring)]
-	msg := &proto.ShardSync{From: c.env.Self(), Shard: c.shardIdx, Epoch: c.epoch, Jobs: c.roundJobs(&c.xsync)}
-	msg.Sessions = c.dirtySessionSeqs(msg.Jobs)
-	msg.Round = c.xsync.begin(target, c.env.Now())
-	c.env.Send(target, msg)
-	c.xsync.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
-}
-
-// dirtySessionSeqs advertises the exact sequence sets this coordinator
-// stores for the owned sessions carried by the current round — the
-// input of the receiver's set-difference (statesync.SeqSetDiff), which
-// detects records an earlier lost round never delivered. Advertising
-// only the round's active sessions (rather than every session ever
-// stored) keeps idle rounds O(1) and message size proportional to
-// recent activity; a coordinator restart re-dirties its whole store,
-// so full coverage recurs exactly when histories may have diverged.
-// Each entry also carries the session's collected watermark, and a
-// session whose watermark rose since the last acknowledged round gets
-// an entry for that alone (without a sequence set if it is another
-// shard's session, held here as a copy): the successor shard deletes
-// what this one has deleted.
-func (c *Coordinator) dirtySessionSeqs(jobs []proto.JobRecord) []proto.SessionSeqs {
-	// active maps a session to whether its sequence set is advertised.
-	active := make(map[sessionKey]bool, len(jobs)+len(c.xsync.marks.set))
-	for k := range c.xsync.marks.set {
-		active[k] = c.smap.Owner(k.user, k.session) == c.shardIdx
-	}
-	for i := range jobs {
-		call := jobs[i].Call
-		if c.smap.Owner(call.User, call.Session) == c.shardIdx {
-			active[sessionKey{call.User, call.Session}] = true
-		}
-	}
-	var out []proto.SessionSeqs
-	for k, advertised := range active {
-		ss := proto.SessionSeqs{User: k.user, Session: k.session, Collected: c.collected[k]}
-		if advertised {
-			ss.Seqs = c.store.PeekSessionSeqs(k.user, k.session)
-		}
-		out = append(out, ss)
-	}
-	slices.SortFunc(out, func(a, b proto.SessionSeqs) int {
-		return cmp.Or(strings.Compare(string(a.User), string(b.User)), cmp.Compare(a.Session, b.Session))
-	})
-	return out
-}
-
-// handleShardSync applies a predecessor shard's cross-replication (see
-// apply). The ack reports, via set difference, the calls this
-// coordinator is missing entirely.
-func (c *Coordinator) handleShardSync(from proto.NodeID, m *proto.ShardSync) {
-	c.heard(from, nil)
-	for i := range m.Jobs {
-		c.apply(m, &m.Jobs[i], shardSync, m.Shard)
-	}
-	ack := &proto.ShardSyncAck{From: c.env.Self(), Shard: c.shardIdx, Epoch: m.Epoch, Round: m.Round}
-	for _, ss := range m.Sessions {
-		// The watermark after the jobs, as in handleReplicaUpdate — but
-		// told onward, like the finished records of this very message.
-		k := sessionKey{ss.User, ss.Session}
-		c.acknowledge(k, ss.Collected, true)
-		if ss.Seqs == nil {
-			continue
-		}
-		mine := c.store.SessionSeqs(ss.User, ss.Session)
-		for _, seq := range statesync.SeqSetDiff(ss.Seqs, mine) {
-			if seq > c.collected[k] { // below it, missing means collected
-				ack.Want = append(ack.Want, proto.CallID{User: ss.User, Session: ss.Session, Seq: seq})
-			}
-		}
-	}
-	c.afterDBCost(reply{to: from, msg: ack})
-}
-
-// handleShardSyncAck completes a cross-shard round: records carried by
-// the round are clean, records the receiver asked for are re-marked
-// dirty and shipped in an immediate follow-up round.
-func (c *Coordinator) handleShardSyncAck(from proto.NodeID, m *proto.ShardSyncAck) {
-	if !c.settle(&c.xsync, m.Epoch, m.Round) {
-		return
-	}
-	wanted := 0
-	for _, call := range m.Want {
-		if _, ok := c.store.Peek(call); ok {
-			c.xsync.jobs.set[call] = true
-			wanted++
-		}
-	}
-	if wanted > 0 {
-		c.env.After(0, c.ShardSyncNow)
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"rpcv/internal/db"
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
-	"rpcv/internal/shard"
 	"rpcv/internal/sim"
 )
 
@@ -99,20 +98,5 @@ func TestRequeueSaysWhy(t *testing.T) {
 		w.Crash("c1")
 		w.RunFor(time.Minute)
 		wantRequeue(t, c2, o, "coordinator-suspected")
-	})
-
-	t.Run("adopted", func(t *testing.T) {
-		o := obs.New("co")
-		// Two shards of one coordinator each: co's owns call(1)'s session
-		// and succeeds the peer's, which it guards.
-		m := shard.New(1, [][]proto.NodeID{{"co"}, {"peer"}}, 0)
-		if m.Owner(call(1).User, call(1).Session) != m.RingOf("co") {
-			m = shard.New(1, [][]proto.NodeID{{"peer"}, {"co"}}, 0)
-		}
-		w, co, p := rig(t, Config{Obs: o, Shard: m, HeartbeatTimeout: 10 * time.Second})
-		pending := proto.JobRecord{Call: call(1), Service: "synthetic", Params: []byte("p"), State: proto.TaskPending}
-		p.env.Send("co", &proto.ShardSync{From: "peer", Shard: m.RingOf("peer"), Epoch: 1, Round: 1, Jobs: []proto.JobRecord{pending}})
-		w.RunFor(time.Minute) // the peer's whole ring goes silent: co adopts its shard
-		wantRequeue(t, co, o, "adopted")
 	})
 }

@@ -78,9 +78,9 @@ type DB struct {
 
 	// sessions indexes records by session: the ascending sequence
 	// numbers stored for each (user, session). Put, Delete and Collect
-	// maintain it, so every writer — submissions, replication, shard
-	// sync, recovery, collection — feeds it. A session
-	// with no record has no entry.
+	// maintain it, so every writer — submissions, replication,
+	// recovery, collection — feeds it. A session with no record has no
+	// entry.
 	sessions map[sessionKey][]proto.RPCSeq
 
 	// spent accumulates the virtual time consumed by operations; the
@@ -275,11 +275,6 @@ func (d *DB) Select(pred func(*proto.JobRecord) bool) []*proto.JobRecord {
 // caller's own.
 func (d *DB) SessionSeqs(user proto.UserID, session proto.SessionID) []proto.RPCSeq {
 	d.charge(0)
-	return d.PeekSessionSeqs(user, session)
-}
-
-// PeekSessionSeqs is SessionSeqs without the charge.
-func (d *DB) PeekSessionSeqs(user proto.UserID, session proto.SessionID) []proto.RPCSeq {
 	return slices.Clone(d.sessions[sessionKey{user, session}])
 }
 

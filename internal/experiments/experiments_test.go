@@ -259,42 +259,6 @@ func TestAblationHeartbeatShapes(t *testing.T) {
 	}
 }
 
-// TestShardScaleMonotonicThroughput is the shard layer's acceptance
-// check: under the figure-7 fault load, aggregate submission throughput
-// must rise monotonically from 1 to 4 to 16 shards.
-func TestShardScaleMonotonicThroughput(t *testing.T) {
-	r := ShardScale(quick())
-	dump(t, r)
-	tb := r.Tables[0]
-	if tb.Rows() != 3 {
-		t.Fatalf("want rows for 1/4/16 shards, got %d", tb.Rows())
-	}
-	var prev float64
-	for row := 0; row < tb.Rows(); row++ {
-		cell := tb.Cell(row, 2)
-		var tp float64
-		if _, err := fmt.Sscanf(strings.ReplaceAll(cell, "e+", "e"), "%g", &tp); err != nil {
-			t.Fatalf("bad throughput cell %q: %v", cell, err)
-		}
-		if tp <= prev {
-			t.Errorf("row %d (shards %s): throughput %.1f did not rise above %.1f",
-				row, tb.Cell(row, 0), tp, prev)
-		}
-		prev = tp
-	}
-	// Sync latency must not grow with shard count (less contention per
-	// ring): compare the first and last rows' means.
-	first, last := tb.Cell(0, 3), tb.Cell(tb.Rows()-1, 3)
-	df, err1 := time.ParseDuration(strings.ReplaceAll(first, "us", "µs"))
-	dl, err2 := time.ParseDuration(strings.ReplaceAll(last, "us", "µs"))
-	if err1 != nil || err2 != nil {
-		t.Fatalf("bad sync cells %q %q", first, last)
-	}
-	if dl > df {
-		t.Errorf("mean sync latency grew with shards: %v -> %v", df, dl)
-	}
-}
-
 // TestSchedCompareShapes asserts the scheduling subsystem's headline
 // comparisons: under the heterogeneous-straggler fault workload,
 // speculative execution and fastest-first matchmaking both beat FCFS

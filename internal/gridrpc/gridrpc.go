@@ -40,7 +40,6 @@ import (
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
-	"rpcv/internal/shard"
 )
 
 // Config parameterizes a Session.
@@ -79,10 +78,6 @@ type Config struct {
 	SuspicionTimeout time.Duration
 	// Logf receives trace output; nil silences it.
 	Logf func(format string, args ...any)
-	// Shard is the cached consistent-hash shard map of a sharded
-	// deployment (nil: unsharded). The session routes to its owner ring
-	// and follows redirects carrying newer maps automatically.
-	Shard *shard.Map
 	// Obs, when non-nil, wires the session's client and runtime into an
 	// observability plane (metrics registry + lifecycle tracer; see
 	// internal/obs). Nil disables instrumentation.
@@ -186,7 +181,6 @@ func Dial(cfg Config) (*Session, error) {
 		PollPeriod:       cfg.PollPeriod,
 		SuspicionTimeout: cfg.SuspicionTimeout,
 		Logging:          cfg.Logging,
-		Shard:            cfg.Shard,
 		OnResult:         s.onResult,
 		Obs:              cfg.Obs,
 	})

@@ -9,8 +9,7 @@ import (
 
 // Stage names one step of a call's life. The happy path is
 // submit → enqueue → dispatch → exec → result → logged-durable → ack;
-// fault handling and scheduling add requeue, speculate and redirect
-// hops. Stages are stamped on whichever node observes them:
+// fault handling and scheduling add requeue and speculate hops. Stages are stamped on whichever node observes them:
 // submit/ack on the client, enqueue/dispatch/result and the hop stages
 // on a coordinator, exec and the server-side logged-durable on a
 // server.
@@ -26,15 +25,14 @@ const (
 	StageAck       Stage = "ack"            // client received the result
 	StageRequeue   Stage = "requeue"        // coordinator re-issued it after a fault
 	StageSpeculate Stage = "speculate"      // a duplicate instance was issued
-	StageRedirect  Stage = "redirect"       // a non-owner bounced it to the owner shard
 )
 
 // stageRank orders stages that share a timestamp so assembled
 // timelines read causally even at coarse clock resolution.
 var stageRank = map[Stage]int{
-	StageSubmit: 0, StageDurable: 1, StageRedirect: 2, StageEnqueue: 3,
-	StageDispatch: 4, StageSpeculate: 5, StageRequeue: 6,
-	StageExec: 7, StageResult: 8, StageAck: 9,
+	StageSubmit: 0, StageDurable: 1, StageEnqueue: 2,
+	StageDispatch: 3, StageSpeculate: 4, StageRequeue: 5,
+	StageExec: 6, StageResult: 7, StageAck: 8,
 }
 
 // Span is one stage observation for one call on one node.

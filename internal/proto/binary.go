@@ -71,11 +71,11 @@ const (
 	kindServerSyncReply
 	kindReplicaUpdate
 	kindReplicaAck
-	_ // 18, retired: a shard-map request no node sent
-	_ // 19, retired: its reply
-	kindShardRedirect
-	kindShardSync
-	kindShardSyncAck
+	_             // 18, retired: a shard-map request no node sent
+	_             // 19, retired: its reply
+	_             // 20, retired: a redirect to a session's shard
+	_             // 21, retired: a cross-shard sync
+	_             // 22, retired: its ack
 	_             // 23, retired: a cross-shard steal request
 	_             // 24, retired: its grant
 	kindJobRecord // storage blobs only; JobRecord is not a Message
@@ -123,12 +123,6 @@ func kindOf(msg Message) uint8 {
 		return kindReplicaUpdate
 	case *ReplicaAck:
 		return kindReplicaAck
-	case *ShardRedirect:
-		return kindShardRedirect
-	case *ShardSync:
-		return kindShardSync
-	case *ShardSyncAck:
-		return kindShardSyncAck
 	case *SimFault:
 		return kindSimFault
 	case *SimVerdict:
@@ -271,7 +265,6 @@ func appendEach[T any](dst []byte, xs []T, cuts *[]cut, app func([]byte, *T, *[]
 
 func appendSeq(dst []byte, s RPCSeq) []byte  { return binary.AppendUvarint(dst, uint64(s)) }
 func appendNode(dst []byte, n NodeID) []byte { return appendString(dst, string(n)) }
-func appendCall(dst []byte, c CallID) []byte { return appendCallID(dst, c) }
 func appendTask(dst []byte, t TaskID) []byte { return appendTaskID(dst, t) }
 func appendDur(dst []byte, d time.Duration) []byte {
 	return binary.AppendVarint(dst, int64(d))
@@ -633,33 +626,6 @@ func readSessionMax(r *binReader) SessionMax {
 		MaxSeq: r.seq(), Collected: r.seq()}
 }
 
-func appendSessionSeqs(dst []byte, s SessionSeqs) []byte {
-	dst = appendString(dst, string(s.User))
-	dst = binary.AppendUvarint(dst, uint64(s.Session))
-	dst = appendSeq(dst, s.Collected)
-	return appendSlice(dst, s.Seqs, appendSeq)
-}
-
-func readSessionSeqs(r *binReader) SessionSeqs {
-	return SessionSeqs{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-		Collected: r.seq(), Seqs: readSlice(r, (*binReader).seq)}
-}
-
-func appendShardMapState(dst []byte, s ShardMapState) []byte {
-	dst = binary.AppendUvarint(dst, s.Version)
-	dst = binary.AppendVarint(dst, int64(s.VNodes))
-	return appendSlice(dst, s.Rings, func(dst []byte, ring []NodeID) []byte {
-		return appendSlice(dst, ring, appendNode)
-	})
-}
-
-func readShardMapState(r *binReader) ShardMapState {
-	return ShardMapState{Version: r.uvarint(), VNodes: int(r.varint()),
-		Rings: readSlice(r, func(r *binReader) []NodeID {
-			return readSlice(r, (*binReader).node)
-		})}
-}
-
 func appendJobBody(dst []byte, j *JobRecord, cuts *[]cut) []byte {
 	dst = appendCallID(dst, j.Call)
 	dst = appendString(dst, j.Service)
@@ -784,26 +750,6 @@ func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 		dst = appendNode(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		return binary.AppendUvarint(dst, m.Round)
-	case *ShardRedirect:
-		dst = appendNode(dst, m.From)
-		dst = appendString(dst, string(m.User))
-		dst = binary.AppendUvarint(dst, uint64(m.Session))
-		dst = appendCallID(dst, m.Call)
-		dst = binary.AppendVarint(dst, int64(m.Shard))
-		return appendShardMapState(dst, m.Map)
-	case *ShardSync:
-		dst = appendNode(dst, m.From)
-		dst = binary.AppendVarint(dst, int64(m.Shard))
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = binary.AppendUvarint(dst, m.Round)
-		dst = appendEach(dst, m.Jobs, cuts, appendJobBody)
-		return appendSlice(dst, m.Sessions, appendSessionSeqs)
-	case *ShardSyncAck:
-		dst = appendNode(dst, m.From)
-		dst = binary.AppendVarint(dst, int64(m.Shard))
-		dst = binary.AppendUvarint(dst, m.Epoch)
-		dst = binary.AppendUvarint(dst, m.Round)
-		return appendSlice(dst, m.Want, appendCall)
 	case *SimFault:
 		dst = appendString(dst, m.Suite)
 		dst = appendString(dst, m.Scenario)
@@ -873,18 +819,6 @@ func readMessageBody(r *binReader, kind uint8) Message {
 			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)}
 	case kindReplicaAck:
 		return &ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()}
-	case kindShardRedirect:
-		return &ShardRedirect{From: r.node(), User: UserID(r.str()),
-			Session: SessionID(r.uvarint()), Call: r.call(),
-			Shard: int(r.varint()), Map: readShardMapState(r)}
-	case kindShardSync:
-		return &ShardSync{From: r.node(), Shard: int(r.varint()),
-			Epoch: r.uvarint(), Round: r.uvarint(),
-			Jobs: readSlice(r, readJobBody), Sessions: readSlice(r, readSessionSeqs)}
-	case kindShardSyncAck:
-		return &ShardSyncAck{From: r.node(), Shard: int(r.varint()),
-			Epoch: r.uvarint(), Round: r.uvarint(),
-			Want: readSlice(r, (*binReader).call)}
 	case kindSimFault:
 		return &SimFault{Suite: r.str(), Scenario: r.str(), Cell: r.str(),
 			Fault: r.str(), Node: r.node(), Peer: r.node(),

@@ -20,11 +20,6 @@ import (
 func allMessages() []Message {
 	call := CallID{User: "user-01", Session: 7, Seq: 42}
 	task := TaskID{Call: call, Instance: 3}
-	st := ShardMapState{
-		Version: 9,
-		VNodes:  64,
-		Rings:   [][]NodeID{{"coord-00", "coord-01"}, {"coord-02", "coord-03"}},
-	}
 	deadline := time.Unix(1_000_000_600, 0).UTC()
 	return []Message{
 		&Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
@@ -40,14 +35,11 @@ func allMessages() []Message {
 		&TaskCancel{Task: task},
 		&ServerSync{From: "server-000", Tasks: []TaskID{task}, Running: []TaskID{task}},
 		&ServerSyncReply{Resend: []TaskID{task}, Drop: []TaskID{task}},
-		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}}}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
-		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
-		&ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []JobRecord{
-			{Call: call, State: TaskFinished},
+		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{
+			{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}},
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: TaskOngoing, Instance: 2},
-		}, Sessions: []SessionSeqs{{User: "user-01", Session: 7, Collected: 40, Seqs: []RPCSeq{41, 42}}}},
-		&ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []CallID{call}},
+		}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
+		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 		&SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
 			Fault: "partition", Node: "coord-00", Peer: "server-000",
 			At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
@@ -194,7 +186,6 @@ func TestKindBytesStable(t *testing.T) {
 		"heartbeat": 9, "heartbeat-ack": 10, "task-result": 11, "task-result-ack": 12,
 		"task-cancel": 13, "server-sync": 14, "server-sync-reply": 15,
 		"replica-update": 16, "replica-ack": 17,
-		"shard-redirect": 20, "shard-sync": 21, "shard-sync-ack": 22,
 		"sim-fault": 26, "sim-verdict": 27,
 	}
 	for _, msg := range allMessages() {
@@ -212,14 +203,16 @@ func TestKindBytesStable(t *testing.T) {
 
 // retiredKinds are kind bytes no message has any more: a per-call
 // fetch and its reply (7, 8), a shard-map request and its reply (18,
-// 19), a cross-shard steal request and its grant (23, 24). Their
-// numbers stay unused so that no other kind shifts.
-var retiredKinds = []uint8{7, 8, 18, 19, 23, 24}
+// 19), a shard redirect, a cross-shard sync and its ack (20, 21, 22),
+// a cross-shard steal request and its grant (23, 24). Their numbers
+// stay unused so that no other kind shifts.
+var retiredKinds = []uint8{7, 8, 18, 19, 20, 21, 22, 23, 24}
 
 // TestRetiredKindsDoNotDecode feeds every decoder a retired kind byte in
 // front of bodies that would decode under a live kind — each surviving
-// message's, an empty one and the fetch and steal requests' old
-// layouts — and wants an error: never a message, never a panic.
+// message's, an empty one and the fetch request's, the steal request's
+// and the shard sync's old layouts — and wants an error: never a
+// message, never a panic.
 func TestRetiredKindsDoNotDecode(t *testing.T) {
 	var bodies [][]byte
 	for _, msg := range allMessages() {
@@ -231,7 +224,20 @@ func TestRetiredKindsDoNotDecode(t *testing.T) {
 	for _, v := range []uint64{2, 2, 3, 8} { // shard, epoch, round, capacity
 		steal = binary.AppendUvarint(steal, v)
 	}
-	bodies = append(bodies, nil, appendSeq(fetch, 42), steal)
+	// A shard sync: from, shard, epoch, round, one job, one session's
+	// watermark and sequence set.
+	sync := appendNode(nil, "coord-00")
+	for _, v := range []uint64{0, 2, 5} { // shard, epoch, round
+		sync = binary.AppendUvarint(sync, v)
+	}
+	job := JobRecord{Call: CallID{User: "user-01", Session: 7, Seq: 42}, Service: "svc", State: TaskFinished}
+	sync = appendEach(sync, []JobRecord{job}, nil, appendJobBody)
+	sync = binary.AppendUvarint(sync, 2) // one session
+	sync = appendString(sync, "user-01")
+	sync = binary.AppendUvarint(sync, 7)
+	sync = appendSeq(sync, 40)
+	sync = appendSlice(sync, []RPCSeq{41, 42}, appendSeq)
+	bodies = append(bodies, nil, appendSeq(fetch, 42), steal, sync)
 	for _, kind := range retiredKinds {
 		for i, body := range bodies {
 			blob := append([]byte{binMagic, binVersion, kind}, body...)
@@ -261,13 +267,6 @@ func TestRetiredKindsDoNotDecode(t *testing.T) {
 // without touching WireSize now fails this test instead of silently
 // skewing the simulator's netmodel cost accounting.
 func wireSizeHints(msg Message) (records int, hintBytes int) {
-	mapHint := func(s ShardMapState) int {
-		n := 16
-		for _, ring := range s.Rings {
-			n += 16 * len(ring)
-		}
-		return n
-	}
 	switch m := msg.(type) {
 	case *Results:
 		return 1 + len(m.Results), 0
@@ -283,16 +282,6 @@ func wireSizeHints(msg Message) (records int, hintBytes int) {
 		return 1, 40 * (len(m.Resend) + len(m.Drop))
 	case *ReplicaUpdate:
 		return 1 + len(m.Jobs), 24 * len(m.MaxSeqs)
-	case *ShardRedirect:
-		return 1, mapHint(m.Map)
-	case *ShardSync:
-		n := 0
-		for i := range m.Sessions {
-			n += 24 + 8*len(m.Sessions[i].Seqs)
-		}
-		return 1 + len(m.Jobs), n
-	case *ShardSyncAck:
-		return 1, 40 * len(m.Want)
 	default:
 		return 1, 0
 	}

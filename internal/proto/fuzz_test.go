@@ -214,7 +214,7 @@ func allocated() uint64 {
 // decodeAllocBound is the most decoding an n-byte frame may allocate:
 // no length read inside a frame may size an allocation past the bytes
 // the frame declared. Decoded elements outweigh their encodings — an
-// empty shard ring encodes to one byte and takes 24, twice over while
+// empty node ID encodes to one byte and takes 16, twice over while
 // its slice doubles — and the allocator counts by the span, so the
 // bound is generous; an allocation sized by a corrupt length goes far
 // past it.

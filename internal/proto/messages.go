@@ -442,115 +442,6 @@ func (j *JobRecord) wireSize() int {
 	return headerSize + len(j.Service) + len(j.Params) + len(j.Output) + len(j.ResultErr)
 }
 
-// ---------------------------------------------------------------------
-// Sharded coordination layer (internal/shard)
-// ---------------------------------------------------------------------
-
-// ShardMapState is the wire representation of the consistent-hash shard
-// topology: a versioned list of coordinator rings. Components rebuild a
-// shard.Map from it; the version lets a coordinator detect a client
-// routing on a stale cached map.
-type ShardMapState struct {
-	Version uint64
-	VNodes  int // virtual nodes per shard on the hash circle
-	Rings   [][]NodeID
-}
-
-// wireSize approximates the serialized topology size.
-func (s *ShardMapState) wireSize() int {
-	n := 16
-	for _, ring := range s.Rings {
-		n += 16 * len(ring)
-	}
-	return n
-}
-
-// Empty reports whether the state describes no topology at all.
-func (s *ShardMapState) Empty() bool { return len(s.Rings) == 0 }
-
-// ShardRedirect tells a client its request reached a coordinator that
-// does not own the session: the session hashes to shard Shard, and Map
-// carries the coordinator's current topology so a stale cached map is
-// repaired in one round trip. Call echoes the misrouted submission's ID
-// when the redirect answers a Submit (zero otherwise), so the client
-// can retransmit exactly that call to the right ring.
-type ShardRedirect struct {
-	From    NodeID
-	User    UserID
-	Session SessionID
-	Call    CallID // zero unless redirecting a Submit
-	Shard   int    // owner shard index under Map
-	Map     ShardMapState
-}
-
-// Kind implements Message.
-func (*ShardRedirect) Kind() string { return "shard-redirect" }
-
-// WireSize implements Message.
-func (m *ShardRedirect) WireSize() int { return headerSize + m.Map.wireSize() }
-
-// SessionSeqs advertises the exact set of sequence numbers one
-// coordinator stores for one session — the cross-shard analogue of
-// SyncReply.Known. The receiver set-differences it against its own
-// store (statesync.SeqSetDiff) and asks for the gap above Collected,
-// the session's collected watermark (see Poll), below which it deletes
-// what the sender has deleted.
-type SessionSeqs struct {
-	User      UserID
-	Session   SessionID
-	Collected RPCSeq
-	Seqs      []RPCSeq
-}
-
-// ShardSync cross-replicates a coordinator's dirty records to the
-// successor shard so that a whole-ring loss cannot destroy completed
-// results: the successor holds them passively (tasks are not scheduled
-// there) until it suspects the entire source ring and adopts the
-// sessions. Sessions advertises full per-session sequence sets so the
-// receiver can request records it is missing beyond the dirty batch.
-type ShardSync struct {
-	From     NodeID
-	Shard    int // sender's shard index
-	Epoch    uint64
-	Round    uint64
-	Jobs     []JobRecord
-	Sessions []SessionSeqs
-}
-
-// Kind implements Message.
-func (*ShardSync) Kind() string { return "shard-sync" }
-
-// WireSize implements Message.
-func (m *ShardSync) WireSize() int {
-	n := headerSize
-	for i := range m.Jobs {
-		n += m.Jobs[i].wireSize()
-	}
-	for i := range m.Sessions {
-		n += 24 + 8*len(m.Sessions[i].Seqs)
-	}
-	return n
-}
-
-// ShardSyncAck acknowledges a ShardSync. Want lists calls the receiver
-// lacks (computed by set difference from the advertised sessions); the
-// sender marks them dirty so the next cross-shard round carries them —
-// the same resend-what-the-log-comparison-found mechanism the paper
-// uses between clients and coordinators, lifted to shard level.
-type ShardSyncAck struct {
-	From  NodeID
-	Shard int // acknowledging shard's index
-	Epoch uint64
-	Round uint64 // echoes ShardSync.Round
-	Want  []CallID
-}
-
-// Kind implements Message.
-func (*ShardSyncAck) Kind() string { return "shard-sync-ack" }
-
-// WireSize implements Message.
-func (m *ShardSyncAck) WireSize() int { return headerSize + 40*len(m.Want) }
-
 // SimFault records one fault injected by the conformance + chaos
 // harness (cmd/rpcv-sim): what was broken, where, and when relative to
 // scenario start. The harness encodes these into its post-mortem

@@ -15,8 +15,6 @@ import (
 func wireSampleMessages() []proto.Message {
 	call := proto.CallID{User: "user-01", Session: 7, Seq: 42}
 	task := proto.TaskID{Call: call, Instance: 3}
-	st := proto.ShardMapState{Version: 9, VNodes: 64,
-		Rings: [][]proto.NodeID{{"coord-00", "coord-01"}, {"coord-02"}}}
 	deadline := time.Unix(1_000_000_600, 0).UTC()
 	return []proto.Message{
 		&proto.Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
@@ -32,14 +30,11 @@ func wireSampleMessages() []proto.Message {
 		&proto.TaskCancel{Task: task},
 		&proto.ServerSync{From: "server-000", Tasks: []proto.TaskID{task}, Running: []proto.TaskID{task}},
 		&proto.ServerSyncReply{Resend: []proto.TaskID{task}, Drop: []proto.TaskID{task}},
-		&proto.ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []proto.JobRecord{{Call: call, Service: "svc", State: proto.TaskFinished, Output: []byte{7}}}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
-		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&proto.ShardRedirect{From: "coord-00", User: "user-01", Session: 7, Call: call, Shard: 1, Map: st},
-		&proto.ShardSync{From: "coord-00", Shard: 0, Epoch: 2, Round: 5, Jobs: []proto.JobRecord{
-			{Call: call, State: proto.TaskFinished},
+		&proto.ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []proto.JobRecord{
+			{Call: call, Service: "svc", State: proto.TaskFinished, Output: []byte{7}},
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: proto.TaskOngoing, Instance: 2},
-		}, Sessions: []proto.SessionSeqs{{User: "user-01", Session: 7, Seqs: []proto.RPCSeq{1, 42}}}},
-		&proto.ShardSyncAck{From: "coord-02", Shard: 1, Epoch: 2, Round: 5, Want: []proto.CallID{call}},
+		}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
+		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 		&proto.SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Fault: "partition",
 			Node: "coord-00", Peer: "server-000", At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
 		&proto.SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Verdict: "pass",

@@ -22,7 +22,7 @@
 //     completion estimate, the coordinator queues a redundant instance
 //     for a *different* server; the first result wins and the loser is
 //     cancelled. Deduplication is the store's CallID keying, which
-//     already survives replication, shard sync and failover.
+//     already survives replication and failover.
 //
 // The four policies are a fixed table (Policies lists it). All methods
 // are event-loop only, like the coordinator that owns the engine.

@@ -1,23 +1,29 @@
+// Package shard holds LoopMap, the consistent-hash placement of
+// sessions onto in-process event loops. It is all that is left of the
+// sharded coordination layer, which hashed sessions onto several
+// coordinator rings; the grid now runs the paper's single ring, and a
+// runtime hosts its handler on one event loop. Nothing but
+// bench/probes.go's shard.loop_owner_ns probe uses the map, and ROADMAP
+// item 1a deletes the probe and this package together.
 package shard
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"rpcv/internal/proto"
 )
 
-// LoopMap pins sessions to in-process event loops with the same
-// consistent-hash construction Map uses to pin sessions to shards, one
-// level down: every loop contributes DefaultVNodes virtual points on
-// the hash circle, and a session lands on the loop owning the first
-// point at or after its (user, session) hash. The map depends only on
-// the loop count.
-//
-// It is a vestige of the multi-loop runtime, which routed sessions with
-// it: a runtime now hosts its handler on one event loop, and nothing
-// but bench/probes.go's shard.loop_owner_ns probe uses the map. The next
-// benchmark PR deletes the probe and this file together.
+// vnodes is the number of virtual points each loop places on the hash
+// circle. More points smooth the key distribution at the cost of a
+// larger (static) table.
+const vnodes = 64
+
+// LoopMap pins sessions to in-process event loops by consistent hashing:
+// every loop contributes vnodes virtual points on the hash circle, and a
+// session lands on the loop owning the first point at or after its
+// (user, session) hash. The map depends only on the loop count.
 //
 // A LoopMap is immutable after construction and safe for concurrent
 // use.
@@ -41,9 +47,9 @@ func NewLoopMap(n int) *LoopMap {
 	if n == 1 {
 		return m
 	}
-	m.points = make([]loopPoint, 0, n*DefaultVNodes)
+	m.points = make([]loopPoint, 0, n*vnodes)
 	for l := 0; l < n; l++ {
-		for v := 0; v < DefaultVNodes; v++ {
+		for v := 0; v < vnodes; v++ {
 			m.points = append(m.points, loopPoint{
 				hash: mix64(hash64(fmt.Sprintf("loop/%d/%d", l, v))),
 				loop: l,
@@ -83,4 +89,10 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
+}
+
+func hash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
 }

@@ -11,7 +11,6 @@ import (
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
-	"rpcv/internal/shard"
 )
 
 // ParseDirectory parses "id=addr,id=addr" into a runtime directory and
@@ -36,43 +35,6 @@ func ParseDirectory(s string) (rt.Directory, []proto.NodeID, error) {
 		ids = append(ids, nid)
 	}
 	return dir, ids, nil
-}
-
-// ParseShardMap parses the -shardmap flag syntax
-// "coordA,coordB;coordC,coordD" — rings separated by ';', ring members
-// by ',' — into a versioned consistent-hash shard map. The empty string
-// yields nil (unsharded). A version tags the topology so redirects can
-// repair stale client caches; vnodes <= 0 uses shard.DefaultVNodes.
-func ParseShardMap(s string, version uint64, vnodes int) (*shard.Map, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var rings [][]proto.NodeID
-	seen := make(map[proto.NodeID]bool)
-	for _, ringSpec := range strings.Split(s, ";") {
-		ringSpec = strings.TrimSpace(ringSpec)
-		if ringSpec == "" {
-			continue
-		}
-		var ring []proto.NodeID
-		for _, member := range strings.Split(ringSpec, ",") {
-			member = strings.TrimSpace(member)
-			if member == "" {
-				return nil, fmt.Errorf("shard map: empty member in ring %q", ringSpec)
-			}
-			id := proto.NodeID(member)
-			if seen[id] {
-				return nil, fmt.Errorf("shard map: %s appears twice", id)
-			}
-			seen[id] = true
-			ring = append(ring, id)
-		}
-		rings = append(rings, ring)
-	}
-	if len(rings) == 0 {
-		return nil, nil
-	}
-	return shard.New(version, rings, vnodes), nil
 }
 
 // BuiltinServices returns the demo service registry shipped with

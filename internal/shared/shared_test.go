@@ -84,32 +84,3 @@ func TestEchoCopiesInput(t *testing.T) {
 		t.Error("echo aliased its input")
 	}
 }
-
-func TestParseShardMap(t *testing.T) {
-	m, err := ParseShardMap("coord-a,coord-b; coord-c,coord-d", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Shards() != 2 || m.Version() != 3 {
-		t.Fatalf("got %d shards version %d, want 2 shards version 3", m.Shards(), m.Version())
-	}
-	if m.RingOf("coord-a") != 0 || m.RingOf("coord-d") != 1 {
-		t.Fatalf("ring assignment wrong: a=%d d=%d", m.RingOf("coord-a"), m.RingOf("coord-d"))
-	}
-}
-
-func TestParseShardMapEmpty(t *testing.T) {
-	m, err := ParseShardMap("  ", 1, 0)
-	if err != nil || m != nil {
-		t.Fatalf("blank spec: map=%v err=%v, want nil/nil", m, err)
-	}
-}
-
-func TestParseShardMapRejectsDuplicates(t *testing.T) {
-	if _, err := ParseShardMap("coord-a,coord-b;coord-a", 1, 0); err == nil {
-		t.Fatal("duplicate member across rings accepted")
-	}
-	if _, err := ParseShardMap("coord-a,,coord-b", 1, 0); err == nil {
-		t.Fatal("empty member accepted")
-	}
-}

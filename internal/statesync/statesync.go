@@ -48,29 +48,6 @@ func MissingSeqs(floor, clientMax proto.RPCSeq, known []proto.RPCSeq) []proto.RP
 	return missing
 }
 
-// SeqSetDiff returns the elements of a not present in b, deduplicated
-// and sorted — a true set difference: duplicates on either side (e.g.
-// the same record advertised by two cross-shard rounds) change nothing.
-// It is the generic building block for catch-up synchronization: a =
-// what the peer knows, b = what the local component holds, result =
-// what must move.
-func SeqSetDiff(a, b []proto.RPCSeq) []proto.RPCSeq {
-	inB := make(map[proto.RPCSeq]bool, len(b))
-	for _, s := range b {
-		inB[s] = true
-	}
-	seen := make(map[proto.RPCSeq]bool, len(a))
-	var out []proto.RPCSeq
-	for _, s := range a {
-		if !inB[s] && !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // TaskDiff computes the server↔coordinator peer-wise log comparison.
 // offered is the set of task results the server still holds; wanted
 // reports, for each offered task, whether the coordinator lacks a

@@ -77,16 +77,6 @@ func TestMissingSeqsQuick(t *testing.T) {
 	}
 }
 
-func TestSeqSetDiff(t *testing.T) {
-	got := SeqSetDiff(seqs(5, 1, 3), seqs(3))
-	if len(got) != 2 || got[0] != 1 || got[1] != 5 {
-		t.Fatalf("diff = %v, want [1 5]", got)
-	}
-	if d := SeqSetDiff(nil, seqs(1)); len(d) != 0 {
-		t.Fatalf("diff of empty = %v", d)
-	}
-}
-
 func call(u string, s, q int) proto.CallID {
 	return proto.CallID{User: proto.UserID(u), Session: proto.SessionID(s), Seq: proto.RPCSeq(q)}
 }
@@ -245,7 +235,7 @@ func TestSuccessorRingIsPermutation(t *testing.T) {
 	}
 }
 
-// --- Edge cases exercised by the shard layer's rebalance path ---
+// --- Edge cases of the client/coordinator comparison ---
 
 func TestMissingSeqsEmptyLogs(t *testing.T) {
 	// A pristine component on either side: nothing known, nothing to
@@ -267,24 +257,5 @@ func TestMissingSeqsClientMaxBelowAllKnown(t *testing.T) {
 	got := MissingSeqs(0, 2, []proto.RPCSeq{5, 6, 7})
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("MissingSeqs(2, [5 6 7]) = %v, want [1 2]", got)
-	}
-}
-
-func TestSeqSetDiffDuplicateInputs(t *testing.T) {
-	// Cross-shard advertisements can repeat a seq (the same record
-	// dirtied twice across rounds); the diff must stay a set.
-	got := SeqSetDiff([]proto.RPCSeq{3, 1, 3, 2, 1}, []proto.RPCSeq{2, 2})
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("SeqSetDiff = %v, want the deduplicated sorted set [1 3]", got)
-	}
-}
-
-func TestSeqSetDiffEmptySides(t *testing.T) {
-	if got := SeqSetDiff(nil, []proto.RPCSeq{1, 2}); got != nil {
-		t.Errorf("diff of empty a = %v, want nil", got)
-	}
-	got := SeqSetDiff([]proto.RPCSeq{2, 1}, nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("diff against empty b = %v, want [1 2]", got)
 	}
 }
