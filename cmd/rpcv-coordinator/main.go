@@ -14,9 +14,9 @@
 //
 // -admin mounts the observability HTTP server (internal/obs) on the
 // given address: /metrics (Prometheus text), /statusz (JSON counters,
-// suspected nodes), /healthz, /tracez (task-lifecycle span
-// ring), and /debug/pprof/. Empty disables it. On shutdown the daemon
-// prints a one-line metrics summary.
+// suspected nodes), /healthz, /tracez (task-lifecycle span ring), and
+// /debug/pprof/. Empty disables it. On shutdown the daemon prints a
+// one-line metrics summary.
 //
 // Peers are fellow coordinators forming the passive-replication ring.
 // Clients and servers reach this coordinator at the listen address; the

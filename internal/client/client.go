@@ -97,8 +97,8 @@ type Config struct {
 	AckResyncTimeout time.Duration
 
 	// Obs, when non-nil, receives labeled metrics (submissions,
-	// completions, failovers, syncs, pending calls,
-	// submit-to-result latency) and per-call lifecycle trace spans
+	// completions, failovers, syncs, pending calls, submit-to-result
+	// latency) and per-call lifecycle trace spans
 	// (submit, logged-durable, ack). Nil disables instrumentation at
 	// zero cost.
 	Obs *obs.Observer

@@ -195,8 +195,7 @@ func (c *Coordinator) collectAcked(carried []proto.CallID) {
 	for _, call := range carried {
 		if c.waiting[call] {
 			// Off the waiting list first, so a session is swept once
-			// however many of its calls the round carried; collect puts
-			// back what is dirty again.
+			// however many of its calls the round carried.
 			delete(c.waiting, call)
 			c.collect(sessionKey{call.User, call.Session})
 		}

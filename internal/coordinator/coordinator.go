@@ -27,9 +27,9 @@
 // up. A round carries the records and watermarks changed since the
 // successor's last answer. One rule merges a record the predecessor
 // sent: a collected or finished call stays so, a finish is stored as a
-// server's result is, a pending record is queued, and an ongoing one is
-// held for the predecessor and requeued once the predecessor is
-// suspected. A ReplicaUpdate and its ack wait out DBCost as any reply
+// server's result is, a pending record is queued unless the call runs
+// here, and an ongoing one is held for the predecessor and requeued once
+// the predecessor is suspected. A ReplicaUpdate and its ack wait out DBCost as any reply
 // does (see Output commit).
 //
 // # Late replies

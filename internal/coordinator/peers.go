@@ -22,7 +22,7 @@ type round struct {
 	start   time.Time     // when the latest request left
 	took    time.Duration // how long the last answered round took (figure 5)
 	done    uint64        // rounds answered
-	timer   node.Timer    // the next periodic round, on a stream with a period
+	timer   node.Timer    // the next periodic round, when there is a period
 	jobs    dirtySet[proto.CallID]
 	marks   dirtySet[sessionKey]
 }
@@ -130,16 +130,15 @@ func (c *Coordinator) mergeCoords(ids []proto.NodeID) {
 }
 
 // apply merges one record the ring predecessor sent by the rule of the
-// package comment, and reports whether it queued the call. A replica
-// tells no one the jobs of an update.
-func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord) bool {
+// package comment. A replica tells no one the jobs of an update.
+func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord) {
 	local, status := c.lookup(in.Call)
 	if status == callCollected {
 		c.stale(m)
-		return false
+		return
 	}
 	if local != nil && local.State == proto.TaskFinished {
-		return false // finished tasks are never regressed
+		return // finished tasks are never regressed
 	}
 	// A record of our own: the message keeps its records, and the
 	// payloads, whose bytes nobody modifies, are shared, not copied.
@@ -147,7 +146,7 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord) bool {
 	rec := &cp
 	if rec.State == proto.TaskFinished {
 		c.finish(rec, false)
-		return false
+		return
 	}
 	if local != nil && local.Params != nil && rec.Params == nil {
 		rec.Params = local.Params // sent without its archive: keep ours
@@ -162,15 +161,10 @@ func (c *Coordinator) apply(m proto.Message, in *proto.JobRecord) bool {
 	}
 	c.put(rec)
 	c.persistJob(rec)
-	if held {
-		return false
-	}
 	// The predecessor's pending copy of a call ongoing here queues nothing.
-	queued := local == nil || local.State != proto.TaskOngoing
-	if queued {
+	if !held && (local == nil || local.State != proto.TaskOngoing) {
 		c.enqueue(rec.Call)
 	}
-	return queued
 }
 
 // release requeues, in call order, each call held for the predecessor,
