@@ -186,3 +186,68 @@ func TestSpeculativePromotedOnPrimaryLoss(t *testing.T) {
 		t.Fatal("promoted duplicate's result not stored")
 	}
 }
+
+// TestRequeueRaceLoserIsCancelled: a call requeued after its server's
+// suspicion runs twice. The suspect was only slow: its late result
+// finishes the call, the server running the second instance is sent a
+// TaskCancel for it, and that instance's result, should it come anyway,
+// counts as a duplicate.
+func TestRequeueRaceLoserIsCancelled(t *testing.T) {
+	w, co, a, b := rig2(t, Config{HeartbeatTimeout: 20 * time.Second})
+	a.env.Send("co", submit(1))
+	w.RunFor(time.Second)
+	beat(a, 1)
+	w.RunFor(time.Second)
+	first := lastAck(t, a)
+	if len(first.Tasks) != 1 || first.Tasks[0].Task.Instance != 1 {
+		t.Fatalf("first assignment = %+v", first.Tasks)
+	}
+
+	// sva goes silent past the timeout while svb keeps beating: sva is
+	// suspected and the call is queued again.
+	for i := 0; i < 6; i++ {
+		beat(b, 0)
+		w.RunFor(5 * time.Second)
+	}
+	if st := co.StatsNow(); st.Rescheduled != 1 || st.Pending != 1 {
+		t.Fatalf("after suspicion: %+v", st)
+	}
+	beat(b, 1)
+	w.RunFor(time.Second)
+	second := lastAck(t, b)
+	if len(second.Tasks) != 1 || second.Tasks[0].Task.Instance != 2 {
+		t.Fatalf("second assignment = %+v", second.Tasks)
+	}
+
+	// sva was only slow: its result finishes the call, and svb is told
+	// to drop instance 2.
+	a.env.Send("co", &proto.TaskResult{From: "sva", Task: first.Tasks[0].Task, Output: []byte("first")})
+	w.RunFor(time.Second)
+	if st := co.StatsNow(); st.Finished != 1 || st.Ongoing != 0 {
+		t.Fatalf("after the late result: %+v", st)
+	}
+	var cancels []proto.TaskID
+	for _, m := range b.inbox {
+		if c, ok := m.(*proto.TaskCancel); ok {
+			cancels = append(cancels, c.Task)
+		}
+	}
+	if len(cancels) != 1 || cancels[0] != second.Tasks[0].Task {
+		t.Fatalf("svb was sent cancels %v, want one for %v", cancels, second.Tasks[0].Task)
+	}
+	for _, m := range a.inbox {
+		if _, ok := m.(*proto.TaskCancel); ok {
+			t.Fatal("the winner was sent a TaskCancel")
+		}
+	}
+
+	// svb's result comes anyway: a duplicate, and the stored one stays.
+	b.env.Send("co", &proto.TaskResult{From: "svb", Task: second.Tasks[0].Task, Output: []byte("second")})
+	w.RunFor(time.Second)
+	if st := co.StatsNow(); st.Finished != 1 || st.DupResults != 1 {
+		t.Fatalf("the loser's result was not deduplicated: %+v", st)
+	}
+	if rec, _ := co.DB().Peek(call(1)); string(rec.Output) != "first" {
+		t.Fatalf("stored output = %q, want the winner's", rec.Output)
+	}
+}
