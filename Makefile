@@ -20,15 +20,14 @@
 #                   cancelled out — printed by allocation site in B per
 #                   call (go tool pprof -top -sample_index=alloc_space);
 #                   the profiles and test binary stay under $TMPDIR
-#   make sched      print the scheduling-policy table
 #   make bench-check
 #                   vet + test the repo's benchmark (bench/ is its own
 #                   Go module: the root's ./... does not reach it, yet
 #                   it compiles against a dozen internal packages)
 #   make sim        conformance + chaos smoke: 2 config cells x 2 fault
 #                   scenarios on real loopback clusters (rpcv-sim -quick)
-#   make sim-full   the full conformance matrix: both stores and every
-#                   scheduling policy, each under the full fault taxonomy
+#   make sim-full   the full conformance matrix: both stores, each under
+#                   the full fault taxonomy (what CI runs, under -race)
 #   make race       race-detect the whole tree
 #   make obs        race-detect the observability plane (registry,
 #                   tracer, admin endpoints, flight recorder, live-grid
@@ -36,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke allocs sched sim sim-full race obs ci
+.PHONY: all vet lint build test bench bench-check smoke allocs sim sim-full race obs ci
 
 all: vet lint build test
 
@@ -87,9 +86,6 @@ allocs:
 	$(ALLOCS_RUN) -benchtime 12x -memprofile $(ALLOCS_DIR)/calls.prof .
 	$(GO) tool pprof -top -sample_index=alloc_space -unit B -divide_by 10000 \
 		-base $(ALLOCS_DIR)/base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/calls.prof
-
-sched:
-	$(GO) run ./cmd/rpcv-bench -fig sched-compare -quick
 
 sim:
 	$(GO) run ./cmd/rpcv-sim -quick

@@ -1,6 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation
-// (figures 4-11) plus the ablation studies, the scheduling-policy
-// comparison and the event-loop scaling run (see README.md). Each
+// (figures 4-11) plus the ablation studies (see README.md). Each
 // benchmark runs the corresponding experiment driver in quick mode and
 // reports the headline measurement as custom metrics, so
 //
@@ -206,21 +205,6 @@ var errBadCell = errorString("bad int cell")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
-
-// BenchmarkSchedCompare runs the scheduling-policy experiment:
-// makespan per policy on heterogeneous-speed servers under the fault
-// load. Reported metrics: seconds of makespan for fcfs vs the
-// straggler-aware policies.
-func BenchmarkSchedCompare(b *testing.B) {
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.SchedCompare(opts())
-	}
-	t := res.Tables[0]
-	for row := 0; row < t.Rows(); row++ {
-		b.ReportMetric(cellDur(b, t, row, 1)/1000, "s-"+t.Cell(row, 0))
-	}
-}
 
 // BenchmarkSubmissionThroughput is a micro-benchmark of the simulated
 // client/coordinator submission path itself (how many virtual RPC

@@ -31,7 +31,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
-	"rpcv/internal/sched"
 	"rpcv/internal/shared"
 )
 
@@ -52,16 +50,11 @@ func main() {
 	replication := flag.Duration("replication", 60*time.Second, "passive replication period")
 	heartbeat := flag.Duration("heartbeat", 5*time.Second, "heartbeat period")
 	timeout := flag.Duration("timeout", 30*time.Second, "fault suspicion timeout")
-	policy := flag.String("policy", "fcfs", "scheduling policy: "+strings.Join(sched.Policies(), ", "))
 	queueDepth := flag.Int("send-queue", 0, "per-peer send queue depth (0: default 128)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "connection idle timeout (0: default 30s)")
 	maxInbound := flag.Int("max-inbound", 0, "max concurrent inbound connections before shedding (0: default 256)")
 	admin := flag.String("admin", "", "observability HTTP address serving /metrics /statusz /healthz /tracez /debug/pprof/ (empty: disabled)")
 	flag.Parse()
-
-	if _, err := sched.New(sched.Config{Policy: *policy}); err != nil {
-		log.Fatalf("rpcv-coordinator: -policy: %v", err)
-	}
 
 	dir, coordIDs, err := shared.ParseDirectory(*peers)
 	if err != nil {
@@ -86,7 +79,6 @@ func main() {
 		ReplicationPeriod: *replication,
 		HeartbeatPeriod:   *heartbeat,
 		HeartbeatTimeout:  *timeout,
-		Policy:            *policy,
 		OnJobFinished: func(call proto.CallID, at time.Time) {
 			log.Printf("finished %s at %s", call, at.Format(time.RFC3339))
 		},

@@ -1,6 +1,6 @@
 // Command rpcv-sim runs the conformance + chaos matrix: it boots a
-// real loopback cluster per configuration cell (store x scheduling
-// policy x event-loop count), drives the same deterministic workload
+// real loopback cluster per configuration cell (the coordinators'
+// store: wal or memory), drives the same deterministic workload
 // through every cell while injecting the fault taxonomy — asymmetric
 // one-way partitions, slow/failing/torn disks mid-group-commit,
 // stalled-not-dead coordinators, clock skew, crash/restart — and
@@ -9,7 +9,7 @@
 // Usage:
 //
 //	rpcv-sim                       # embedded default suite, full matrix
-//	rpcv-sim -quick                # CI smoke: 2 cells x 2 fault scenarios
+//	rpcv-sim -quick                # smoke: 2 cells x 2 fault scenarios
 //	rpcv-sim -suite chaos.sim      # a custom declarative scenario file
 //	rpcv-sim -list                 # print the selected cells and scenarios
 //	rpcv-sim -scenario disk-fault  # one scenario across every cell
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	suiteFile := flag.String("suite", "", "scenario file to run (empty: the embedded default suite)")
-	quick := flag.Bool("quick", false, "CI smoke: first 2 cells x 2 fault scenarios")
+	quick := flag.Bool("quick", false, "smoke: first 2 cells x 2 fault scenarios")
 	scenario := flag.String("scenario", "", "run only this scenario (comma-separated names)")
 	cell := flag.String("cell", "", "run only cells whose label contains these space-separated tokens")
 	artifacts := flag.String("artifacts", "", "directory for framed fault/verdict artifacts and flight bundles")

@@ -12,17 +12,12 @@
 // models, a real-time TCP runtime, a GridRPC-style API, a fault
 // generator, and the synthetic + Alcatel-like workloads.
 //
-// internal/sched adds a scheduling subsystem the coordinator delegates
-// to. Four policies ship: "fcfs" (the paper's behaviour,
-// default), "fastest-first" (matchmaking on per-server EWMA speed
-// estimates: slow machines are refused work the fast pool would finish
-// sooner), "deadline" (earliest-deadline-first over soft per-call
-// deadlines carried in Submit), and "speculative" (straggling in-flight
-// tasks are raced against a redundant instance on a different server;
-// first result wins, the loser is cancelled idempotently and
-// deduplicated by CallID across replication and failover).
-// Wired through cmd/rpcv-coordinator's -policy flag; measured by the
-// sched-compare experiment.
+// The coordinator schedules first-come-first-served, as in the paper:
+// internal/sched is its pending queue, and a task is re-issued only
+// after a heartbeat suspicion (or a server's sync that shows it lost).
+// When the suspect was only slow, the first result wins; the other
+// instance's server is sent a TaskCancel, and a result that comes
+// anyway is deduplicated by CallID.
 //
 // internal/store is the durable-store layer behind node.Disk. A node
 // given a directory (-disk) gets the WAL — a segmented group-commit
@@ -73,7 +68,7 @@
 // log-bucketed histogram, all nil-safe so instrumentation costs
 // nothing when disabled), task-lifecycle tracing — every call leaves
 // CallID-correlated span events (submit, enqueue, dispatch, exec,
-// result, durable, ack, plus requeue/speculate hops) in
+// result, durable, ack, plus requeue hops) in
 // a fixed-size per-node ring, and an assembler joins per-node dumps
 // into end-to-end timelines and Chrome trace_event JSON — and an admin
 // HTTP endpoint every daemon exposes with -admin: /metrics (Prometheus
@@ -106,7 +101,7 @@
 //
 // internal/conform is the conformance + chaos matrix harness behind
 // cmd/rpcv-sim: it boots a real loopback cluster per cell of the
-// configuration matrix (store x scheduling policy), drives one
+// configuration matrix (the coordinators' store), drives one
 // deterministic workload through every cell, and injects the fault
 // taxonomy from a
 // declarative scenario timeline — asymmetric one-way partitions (a

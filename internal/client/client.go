@@ -525,15 +525,6 @@ func (c *Client) ForcePreferred(id proto.NodeID) {
 // Submit issues one non-blocking RPC call and returns its sequence
 // number. Event-loop only (experiments schedule it onto the loop).
 func (c *Client) Submit(service string, params []byte, execTime time.Duration, resultSize int) proto.RPCSeq {
-	return c.SubmitWithDeadline(service, params, execTime, resultSize, 0)
-}
-
-// SubmitWithDeadline issues one non-blocking RPC call carrying a soft
-// completion deadline (relative to the coordinator's registration of
-// the call). Coordinators running the "deadline" scheduling policy
-// serve pending work earliest-deadline-first; zero means no deadline
-// and other policies ignore it entirely. Event-loop only.
-func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time.Duration, resultSize int, deadline time.Duration) proto.RPCSeq {
 	c.nextSeq++
 	seq := c.nextSeq
 	sub := &proto.Submit{
@@ -542,7 +533,6 @@ func (c *Client) SubmitWithDeadline(service string, params []byte, execTime time
 		Params:     params,
 		ExecTime:   execTime,
 		ResultSize: resultSize,
-		Deadline:   deadline,
 	}
 	cl := &call{key: c.log.Key(logKey(seq)), submit: sub, issued: c.env.Now(), lastResent: c.env.Now()}
 	c.track(seq, cl)

@@ -63,15 +63,6 @@ type Config struct {
 	// Parallelism is each server's concurrent task capacity (default 1).
 	Parallelism int
 
-	// Policy is the coordinators' scheduling policy (internal/sched):
-	// "fcfs" (default), "fastest-first", "deadline" or "speculative".
-	Policy string
-
-	// ServerSpeed, when non-nil, returns server i's execution speed
-	// factor (1 = nominal, 10 = ten times slower) — the heterogeneous
-	// population of the scheduling experiments.
-	ServerSpeed func(i int) float64
-
 	// Services registered on every server.
 	Services map[string]server.Service
 
@@ -174,7 +165,6 @@ func New(cfg Config) *Cluster {
 			DBCost:               cfg.DBCost,
 			MaxTasksPerAck:       cfg.MaxTasksPerAck,
 			ReplicateParamsLimit: cfg.ReplicateParamsLimit,
-			Policy:               cfg.Policy,
 			OnJobFinished: func(call proto.CallID, at time.Time) {
 				if _, ok := cl.FinishedAt[call]; !ok {
 					cl.FinishedAt[call] = at
@@ -192,16 +182,11 @@ func New(cfg Config) *Cluster {
 
 	for i := 0; i < cfg.Servers; i++ {
 		id := ServerID(i)
-		speed := 1.0
-		if cfg.ServerSpeed != nil {
-			speed = cfg.ServerSpeed(i)
-		}
 		sv := server.New(server.Config{
 			Coordinators:     coordIDs,
 			HeartbeatPeriod:  cfg.HeartbeatPeriod,
 			SuspicionTimeout: cfg.SuspicionTimeout,
 			Parallelism:      cfg.Parallelism,
-			SpeedFactor:      speed,
 			Services:         cfg.Services,
 			Obs:              obsFor(id, cfg.Obs),
 		})

@@ -1,6 +1,6 @@
 // Package conform is the conformance + chaos matrix harness behind
 // rpcv-sim: it boots real loopback clusters — one per cell of the
-// configuration matrix (store x scheduling policy) —
+// configuration matrix, which is the coordinators' store —
 // drives the same deterministic workload through each, injects the
 // fault taxonomy from a declarative scenario timeline (asymmetric
 // one-way partitions, slow/failing/torn disks mid-group-commit,

@@ -21,11 +21,8 @@ func TestParseDefaultSuite(t *testing.T) {
 		t.Fatalf("suite name = %q", s.Name)
 	}
 	wantCells := []string{
-		"store=wal policy=fcfs",
-		"store=memory policy=fcfs", // -quick's second cell
-		"store=wal policy=fastest-first",
-		"store=wal policy=deadline",
-		"store=wal policy=speculative",
+		"store=wal",
+		"store=memory", // -quick's second cell
 	}
 	if len(s.Cells) != len(wantCells) {
 		t.Fatalf("default suite has %d cells, want %d", len(s.Cells), len(wantCells))
@@ -82,6 +79,7 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 		"negative at":       "suite x\ncell store=wal\nscenario a\nat -5ms crash co0\nend\n",
 		"disk on client":    "suite x\ncell store=wal\nscenario a\nat 1ms disk cli0 fail 1\nend\n",
 		"retired shards":    "suite x\ncell store=wal\nscenario a\nshards 2\nend\n",
+		"retired policy":    "suite x\nmatrix store=wal policy=fcfs\nscenario a\nend\n",
 		"dup scenario":      "suite x\ncell store=wal\nscenario a\nend\nscenario a\nend\n",
 		"calls below grid":  "suite x\ncell store=wal\nscenario a\nclients 4\ncalls 2\nend\n",
 		"matrix no values":  "suite x\nmatrix store=\n",
@@ -95,18 +93,18 @@ func TestParseSuiteRejectsMalformed(t *testing.T) {
 }
 
 func TestParseMatrixCrossProduct(t *testing.T) {
-	s, err := ParseSuite("suite x\nmatrix store=wal,memory policy=fcfs,deadline,speculative\nscenario a\nend\n")
+	s, err := ParseSuite("suite x\nmatrix store=wal,memory\nscenario a\nend\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Cells) != 6 {
-		t.Fatalf("2x3 matrix expanded to %d cells", len(s.Cells))
+	if len(s.Cells) != 2 {
+		t.Fatalf("2-store matrix expanded to %d cells", len(s.Cells))
 	}
 	seen := map[string]bool{}
 	for _, c := range s.Cells {
-		seen[c.Store+"/"+c.Policy] = true
+		seen[c.Store] = true
 	}
-	if len(seen) != 6 {
+	if len(seen) != 2 {
 		t.Fatalf("matrix cells not distinct: %v", seen)
 	}
 	// Duplicate cells collapse.
@@ -258,7 +256,7 @@ end
 func TestFrozenPushedIntoPartition(t *testing.T) {
 	runFrozen(t, `suite frozen
 cell store=wal
-cell store=memory policy=fastest-first
+cell store=memory
 scenario pushed-into-partition
   servers 2
   calls 24
@@ -299,11 +297,11 @@ end
 }
 
 // TestFrozenCrossConfigAgreement is the conformance core at smoke
-// scale: two cells differing in store and scheduling policy run the
-// same faulted workload and must land on one digest.
+// scale: two cells differing in store run the same faulted workload
+// and must land on one digest.
 func TestFrozenCrossConfigAgreement(t *testing.T) {
 	rep := runFrozen(t, `suite frozen
-cell store=wal policy=fastest-first
+cell store=wal
 cell store=memory
 scenario faulted
   calls 20

@@ -13,7 +13,7 @@ import (
 func FuzzParseSuite(f *testing.F) {
 	f.Add(DefaultSuite)
 	f.Add("suite x\ncell store=wal\nscenario a\nend\n")
-	f.Add("suite x\nmatrix store=wal,memory policy=fcfs,deadline\nscenario a\n  calls 10\n  at 5ms block co0 -> sv0\nend\n")
+	f.Add("suite x\nmatrix store=wal,memory\nscenario a\n  calls 10\n  at 5ms block co0 -> sv0\nend\n")
 	f.Add("suite x\ncell store=wal\nscenario a\n  coords 2\n  at 1ms disk co1 fail 3\nend\n")
 	f.Add("suite \ncell\nscenario\nat\nend")
 	f.Add("matrix =,=,=")
@@ -49,7 +49,7 @@ func FuzzParseSuite(f *testing.F) {
 		// An accepted suite is a fixed point through the parser for
 		// everything the harness consumes.
 		for _, c := range s.Cells {
-			if !validStore[c.Store] || !validPolicy[c.Policy] {
+			if !validStore[c.Store] {
 				t.Fatalf("accepted invalid cell %+v", c)
 			}
 		}

@@ -92,8 +92,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	var coordsMu sync.Mutex
 
 	// Coordinators: the cell's store under a fault-injection wrapper
-	// (interposed after the WAL's own dir-refusal check) and the cell's
-	// policy.
+	// (interposed after the WAL's own dir-refusal check).
 	for i := 0; i < nCoords; i++ {
 		name := fmt.Sprintf("co%d", i)
 		id := proto.NodeID(name)
@@ -109,7 +108,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				HeartbeatPeriod:   beat,
 				HeartbeatTimeout:  suspect,
 				ReplicationPeriod: 150 * time.Millisecond,
-				Policy:            cell.Policy,
 				Obs:               observer(id),
 			})
 			coordsMu.Lock()
@@ -225,8 +223,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 
 	// The workload: each client issues its share on a fixed cadence
 	// chosen so submissions are still in flight when every fault
-	// lands. Submissions carry a soft deadline so the deadline policy
-	// cell exercises earliest-deadline-first ordering.
+	// lands.
 	gap := workGap(sc)
 	var driverWG sync.WaitGroup
 	stopDrivers := make(chan struct{})
@@ -247,7 +244,7 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 				if rtm := g.Node(id); rtm != nil {
 					params := workParams(user, session, proto.RPCSeq(s+1))
 					rtm.Do(func() {
-						cli.SubmitWithDeadline("conform", params, 0, 0, 2*time.Second)
+						cli.Submit("conform", params, 0, 0)
 					})
 				}
 				select {

@@ -6,26 +6,24 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"rpcv/internal/sched"
 )
 
 // Cell is one configuration of the daemon matrix: the knobs every
 // deployment can turn, all of which must agree on delivered results.
+// The one knob left is the coordinators' store.
 type Cell struct {
-	Store  string // "wal" | "memory"
-	Policy string // "fcfs" | "fastest-first" | "deadline" | "speculative"
+	Store string // "wal" | "memory"
 }
 
 // DefaultCell is the cell every omitted key resolves to.
 func DefaultCell() Cell {
-	return Cell{Store: "wal", Policy: "fcfs"}
+	return Cell{Store: "wal"}
 }
 
-// Label renders the cell canonically (fixed key order), used as its
-// identity in verdicts and artifacts.
+// Label renders the cell canonically, used as its identity in verdicts
+// and artifacts.
 func (c Cell) Label() string {
-	return fmt.Sprintf("store=%s policy=%s", c.Store, c.Policy)
+	return "store=" + c.Store
 }
 
 // Event is one timed fault injection in a scenario.
@@ -82,24 +80,13 @@ const (
 	maxDur        = 10 * time.Minute
 )
 
-var (
-	validStore = map[string]bool{"wal": true, "memory": true}
-	// validPolicy is read off the engine's own table, so the matrix
-	// parser and the scheduler cannot drift apart.
-	validPolicy = func() map[string]bool {
-		m := make(map[string]bool)
-		for _, name := range sched.Policies() {
-			m[name] = true
-		}
-		return m
-	}()
-)
+var validStore = map[string]bool{"wal": true, "memory": true}
 
 // ParseSuite parses the declarative scenario-file format:
 //
 //	suite <name>
-//	matrix store=wal,memory policy=fcfs,deadline  # cross product
-//	cell store=wal policy=deadline                # one explicit cell
+//	matrix store=wal,memory  # cross product
+//	cell store=memory        # one explicit cell
 //	scenario <name>
 //	  clients 2
 //	  servers 3
@@ -270,10 +257,7 @@ func setCellKey(c *Cell, key, val string) error {
 		}
 		c.Store = val
 	case "policy":
-		if !validPolicy[val] {
-			return fmt.Errorf("unknown policy %q", val)
-		}
-		c.Policy = val
+		return fmt.Errorf("cell key policy is retired: the schedule is fcfs, the only one")
 	default:
 		return fmt.Errorf("unknown cell key %q", key)
 	}
@@ -553,19 +537,15 @@ func (sc *Scenario) LastEventAt() time.Duration {
 }
 
 // DefaultSuite is the embedded conformance + chaos suite rpcv-sim runs
-// when no file is given: five configuration cells — both stores and
-// every scheduling policy — against
-// scenarios covering the full fault taxonomy and the three ways a fault
-// can strand a late reply.
+// when no file is given: both stores against scenarios covering the
+// full fault taxonomy and the three ways a fault can strand a late
+// reply.
 const DefaultSuite = `suite default
 
 # The config matrix. Every cell must deliver the identical result set.
-# -quick runs the first two cells: the default and the memory store.
+# -quick runs both cells: the default and the memory store.
 cell store=wal
 cell store=memory
-cell store=wal policy=fastest-first
-cell store=wal policy=deadline
-cell store=wal policy=speculative
 
 # No faults: the conformance baseline.
 scenario baseline

@@ -5,10 +5,8 @@
 //
 //   - registers client RPC submissions as job records in its task
 //     database and acknowledges them;
-//   - schedules pending jobs onto servers that pull work with their
-//     heartbeats, delegating queue order, admission and straggler
-//     speculation to a scheduling engine (internal/sched;
-//     the default "fcfs" policy is the paper's behaviour);
+//   - schedules pending jobs first-come-first-served onto servers that
+//     pull work with their heartbeats (the queue is internal/sched);
 //   - suspects silent servers (heartbeat timeout) and re-schedules new
 //     instances of all RPC calls forwarded to the suspect ("on
 //     suspicion" replication);
@@ -159,15 +157,15 @@ type Config struct {
 	// figures 9-11 plot exactly this counter over time).
 	OnJobFinished func(call proto.CallID, at time.Time)
 
-	// Policy names the scheduling policy (internal/sched): "fcfs"
-	// (default, the paper's behaviour), "fastest-first", "deadline" or
-	// "speculative". An unknown name logs and falls back to FCFS.
+	// Policy names the schedule (internal/sched): "fcfs", the paper's
+	// and the only one, or empty for the same. Any other name logs and
+	// serves FCFS.
 	Policy string
 
 	// Obs, when non-nil, receives the coordinator's live metrics
 	// (counters and gauges labeled node="<self>", plus the scheduling
-	// engine's queue and speed gauges) and CallID-correlated span
-	// events (enqueue, dispatch, result, requeue, speculate)
+	// engine's queue gauge) and CallID-correlated span events
+	// (enqueue, dispatch, result, requeue)
 	// on the observer's ring. All instruments are written from the
 	// event loop with plain atomic stores; nil costs nothing.
 	Obs *obs.Observer
@@ -216,16 +214,10 @@ type Coordinator struct {
 	coords []proto.NodeID
 
 	// Scheduling state (volatile; rebuilt from the store on restart).
-	// The engine owns the pending queue, policy order, admission gate
-	// and per-server speed estimates (internal/sched).
-	eng     *sched.Engine
-	ongoing map[proto.CallID]ongoingInfo // assigned, awaiting result
-	// spec tracks the redundant instance of each speculatively
-	// duplicated call (at most one duplicate per call, on a server
-	// other than the primary's).
-	spec      map[proto.CallID]ongoingInfo
-	specTimer node.Timer
-	byServer  map[proto.NodeID]map[proto.CallID]bool // reverse index
+	// The engine owns the pending queue (internal/sched).
+	eng      *sched.Engine
+	ongoing  map[proto.CallID]ongoingInfo           // assigned, awaiting result
+	byServer map[proto.NodeID]map[proto.CallID]bool // reverse index
 	// queuedAt stamps each pending call's (re)queue time so the
 	// dispatch-latency histogram (rpcv_coord_dispatch_latency_ns, the
 	// queue wait) can be observed at assignment. Maintained only when
@@ -270,8 +262,6 @@ type Coordinator struct {
 	submitsReceived int
 	dupResults      int
 	rescheduled     int
-	speculated      int // redundant instances issued
-	specWins        int // results won by the speculative copy
 	pushedTasks     int // assignments sent as late replies to a standing offer
 	pushedResults   int // results sent as late replies to a subscription
 	collectedJobs   int // finished calls deleted below their session's watermark
@@ -285,12 +275,11 @@ type Coordinator struct {
 // coordMetrics holds the coordinator's obs instruments.
 type coordMetrics struct {
 	submits, accepted, finished, dups       *obs.Counter
-	speculated, specWins                    *obs.Counter
 	requeues                                [len(requeueReasonNames)]*obs.Counter
 	persistErrs                             [len(persistPartNames)]*obs.Counter
 	assignedPull, assignedPush              *obs.Counter
 	resultsPoll, resultsPush, offersExpired *obs.Counter
-	sessions, inflight, specInflight        *obs.Gauge
+	sessions, inflight                      *obs.Gauge
 	idleSlots, jobs, waiting                *obs.Gauge
 	repliesHeld                             [len(heldKindNames)]*obs.Counter
 	repliesHeldNow                          *obs.Gauge
@@ -347,7 +336,6 @@ func (c *Coordinator) Start(env node.Env) {
 	}
 	c.eng = eng
 	c.ongoing = make(map[proto.CallID]ongoingInfo)
-	c.spec = make(map[proto.CallID]ongoingInfo)
 	c.byServer = make(map[proto.NodeID]map[proto.CallID]bool)
 	c.queuedAt = make(map[proto.CallID]time.Time)
 	c.collected = make(map[sessionKey]proto.RPCSeq)
@@ -376,7 +364,6 @@ func (c *Coordinator) Start(env node.Env) {
 		OnSuspect: c.onCoordinatorSuspected,
 	})
 	c.repl.every(c.env, c.cfg.ReplicationPeriod, c.ReplicateNow)
-	c.scheduleSpeculation()
 	// Ring heartbeats: probe fellow coordinators every period so that
 	// ring suspicion (and recovery from wrong suspicion) works on the
 	// heartbeat timescale even when the replication period is longer.
@@ -390,15 +377,12 @@ func (c *Coordinator) initObs(env node.Env) {
 	reg := c.cfg.Obs.Registry()
 	ls := []obs.Label{obs.L("node", string(env.Self()))}
 	c.cm = coordMetrics{
-		submits:      reg.Counter("rpcv_coord_submits_total", ls...),
-		accepted:     reg.Counter("rpcv_coord_jobs_accepted_total", ls...),
-		finished:     reg.Counter("rpcv_coord_finished_total", ls...),
-		dups:         reg.Counter("rpcv_coord_dup_results_total", ls...),
-		speculated:   reg.Counter("rpcv_coord_speculated_total", ls...),
-		specWins:     reg.Counter("rpcv_coord_spec_wins_total", ls...),
-		sessions:     reg.Gauge("rpcv_coord_sessions", ls...),
-		inflight:     reg.Gauge("rpcv_coord_inflight", ls...),
-		specInflight: reg.Gauge("rpcv_coord_spec_inflight", ls...),
+		submits:  reg.Counter("rpcv_coord_submits_total", ls...),
+		accepted: reg.Counter("rpcv_coord_jobs_accepted_total", ls...),
+		finished: reg.Counter("rpcv_coord_finished_total", ls...),
+		dups:     reg.Counter("rpcv_coord_dup_results_total", ls...),
+		sessions: reg.Gauge("rpcv_coord_sessions", ls...),
+		inflight: reg.Gauge("rpcv_coord_inflight", ls...),
 
 		assignedPull:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "pull")...),
 		assignedPush:  reg.Counter("rpcv_coord_assigned_total", with(ls, "via", "push")...),
@@ -444,12 +428,9 @@ func (c *Coordinator) trace(call proto.CallID, stage obs.Stage, detail string) {
 	}
 }
 
-// noteInflight refreshes the in-flight gauges after assignment
+// noteInflight refreshes the in-flight gauge after assignment
 // bookkeeping changes.
-func (c *Coordinator) noteInflight() {
-	c.cm.inflight.SetInt(len(c.ongoing))
-	c.cm.specInflight.SetInt(len(c.spec))
-}
+func (c *Coordinator) noteInflight() { c.cm.inflight.SetInt(len(c.ongoing)) }
 
 // ringBeat sends a coordinator-role heartbeat to the raw ring successor
 // (ignoring suspicion, so wrongly suspected coordinators are
@@ -480,7 +461,7 @@ func (c *Coordinator) Stop() {
 	if c.ring != nil {
 		c.ring.Close()
 	}
-	for _, t := range []node.Timer{c.repl.timer, c.specTimer, c.gc.timer} {
+	for _, t := range []node.Timer{c.repl.timer, c.gc.timer} {
 		if t != nil {
 			t.Stop()
 		}
@@ -578,7 +559,7 @@ func (c *Coordinator) loadStore() {
 // persistJob stages rec's current state for the disk: its header, and
 // ahead of it the blob of each payload large enough to have one that the
 // disk does not hold yet — the params at submit, the output when the
-// result lands, nothing on assign, speculate or requeue, what a
+// result lands, nothing on assign or requeue, what a
 // peer's copy changed on the replication paths. Nothing here waits for a
 // write: staging order is commit order, so the group commit that makes
 // the header durable covers the call's blobs too, and the replies of
@@ -766,9 +747,6 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		ResultSize: m.ResultSize,
 		State:      proto.TaskPending,
 	}
-	if m.Deadline > 0 {
-		rec.Deadline = c.env.Now().Add(m.Deadline)
-	}
 	c.put(rec)
 	c.persistJob(rec)
 	c.enqueue(m.Call)
@@ -845,9 +823,6 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 	switch m.Role {
 	case proto.RoleServer:
 		c.servers.Observe(from)
-		// The admission gate weighs pool throughput by concurrent
-		// capacity: in-flight here plus what this heartbeat offers.
-		c.eng.NoteSlots(from, len(c.byServer[from])+m.Capacity)
 	case proto.RoleCoordinator:
 		c.heard(from, []proto.NodeID{from})
 	}
@@ -881,53 +856,18 @@ func (c *Coordinator) heard(from proto.NodeID, members []proto.NodeID) {
 	c.mergeCoords(members)
 }
 
-// assign pops up to limit schedulable jobs from the engine (policy
-// order, admission gate, speculative duplicates first) and binds them
-// to server. It serves a pull (handleHeartbeat) and a late reply to one
-// (dispatch) alike.
+// assign pops up to limit pending jobs from the engine, oldest first,
+// and binds them to server. It serves a pull (handleHeartbeat) and a
+// late reply to one (dispatch) alike.
 func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignment {
 	var out []proto.TaskAssignment
 	now := c.env.Now()
 	for limit > 0 {
-		call, specDup, ok := c.eng.Pop(server, now)
+		call, ok := c.eng.Pop(server, now)
 		if !ok {
 			break
 		}
 		rec, have := c.store.Peek(call)
-		if specDup {
-			// A redundant instance of an in-flight straggler: the
-			// original must still be running on a different server and
-			// no second duplicate may exist.
-			if !have || rec.State != proto.TaskOngoing {
-				continue
-			}
-			info, running := c.ongoing[call]
-			if !running || info.server == server {
-				continue
-			}
-			if _, dup := c.spec[call]; dup {
-				continue
-			}
-			rec.Instance++
-			c.put(rec)
-			c.persistJob(rec)
-			task := proto.TaskID{Call: call, Instance: rec.Instance}
-			c.spec[call] = ongoingInfo{server: server, task: task, assignedAt: now}
-			c.bindToServer(server, call)
-			c.markDirty(call)
-			c.speculated++
-			c.cm.speculated.Inc()
-			c.trace(call, obs.StageSpeculate, string(server))
-			out = append(out, proto.TaskAssignment{
-				Task:       task,
-				Service:    rec.Service,
-				Params:     rec.Params,
-				ExecTime:   rec.ExecTime,
-				ResultSize: rec.ResultSize,
-			})
-			limit--
-			continue
-		}
 		if !have || rec.State != proto.TaskPending {
 			continue // finished or vanished while queued
 		}
@@ -991,15 +931,6 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
 		return
 	}
-	// Feed the speed estimator before the assignment bookkeeping is
-	// cleared.
-	if info, on := c.ongoing[m.Task.Call]; on && info.server == from {
-		c.observeCompletion(from, rec, info, m.Exec)
-	} else if info, on := c.spec[m.Task.Call]; on && info.server == from {
-		c.observeCompletion(from, rec, info, m.Exec)
-		c.specWins++
-		c.cm.specWins.Inc()
-	}
 	rec.State = proto.TaskFinished
 	rec.Output = m.Output
 	rec.ResultErr = m.Err
@@ -1027,16 +958,16 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 	call := rec.Call
 	c.put(rec)
 	c.persistJob(rec)
-	// A server running an instance that did not win is sent a best-effort
-	// TaskCancel, so a losing speculative copy stops wasting cycles; one
-	// that already ran it has its duplicate result deduplicated here.
-	for _, running := range [...]map[proto.CallID]ongoingInfo{c.ongoing, c.spec} {
-		if info, ok := running[call]; ok {
-			delete(running, call)
-			delete(c.byServer[info.server], call)
-			if info.server != rec.Server {
-				c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
-			}
+	// A server running an instance that did not win — the call was
+	// requeued, and an earlier instance's result came first, here or
+	// through replication — is sent a best-effort TaskCancel, so the
+	// loser stops wasting cycles; one that already ran it has its
+	// duplicate result deduplicated here.
+	if info, ok := c.ongoing[call]; ok {
+		delete(c.ongoing, call)
+		delete(c.byServer[info.server], call)
+		if info.server != rec.Server {
+			c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
 		}
 	}
 	delete(c.fromPredecessor, call)
@@ -1050,18 +981,6 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 	if c.cfg.OnJobFinished != nil {
 		c.cfg.OnJobFinished(call, c.env.Now())
 	}
-}
-
-// observeCompletion feeds one finished execution into the speed
-// estimator: prefer the server's measured execution duration; fall
-// back to the assignment-to-result clock (which crash downtimes and
-// upload retries inflate) when the result does not carry one.
-func (c *Coordinator) observeCompletion(server proto.NodeID, rec *proto.JobRecord, info ongoingInfo, measured time.Duration) {
-	actual := measured
-	if actual <= 0 {
-		actual = c.env.Now().Sub(info.assignedAt)
-	}
-	c.eng.ObserveCompletion(server, rec.ExecTime, actual)
 }
 
 func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
@@ -1088,22 +1007,6 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		alive[t] = true
 	}
 	grace := 3 * c.cfg.HeartbeatPeriod
-	for _, call := range sortedCalls(c.spec) {
-		info := c.spec[call]
-		if info.server != from || alive[info.task] {
-			continue
-		}
-		if c.env.Now().Sub(info.assignedAt) < grace {
-			continue
-		}
-		// A speculative duplicate died with the previous incarnation;
-		// the primary instance is still out, so just drop the copy (a
-		// future sweep may re-duplicate).
-		delete(c.spec, call)
-		if set := c.byServer[from]; set != nil {
-			delete(set, call)
-		}
-	}
 	for _, call := range sortedCalls(c.ongoing) {
 		info := c.ongoing[call]
 		if info.server != from || alive[info.task] {
@@ -1117,9 +1020,6 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		delete(c.ongoing, call)
 		if set := c.byServer[from]; set != nil {
 			delete(set, call)
-		}
-		if c.promoteSpeculative(call) {
-			continue
 		}
 		c.requeue(call, requeueServerSync)
 	}
@@ -1135,14 +1035,8 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 }
 
 // onServerSuspected implements the "on suspicion" replication strategy:
-// schedule new instances of all RPC calls forwarded to the suspect. A
-// call whose speculative duplicate survives on another server is
-// promoted instead of re-queued; a duplicate lost with the suspect is
-// simply dropped (the primary is still out).
+// schedule new instances of all RPC calls forwarded to the suspect.
 func (c *Coordinator) onServerSuspected(server proto.NodeID) {
-	// A suspect no longer counts as drain capacity in the admission
-	// gate; it re-earns its speed estimate if it returns.
-	c.eng.ForgetServer(server)
 	if c.offers.drop(server) {
 		c.cm.offersExpired.Inc()
 		c.noteIdleSlots()
@@ -1153,50 +1047,23 @@ func (c *Coordinator) onServerSuspected(server proto.NodeID) {
 	}
 	c.env.Logf("coordinator: suspect server %s, rescheduling %d calls", server, len(calls))
 	for _, call := range sortedCalls(calls) {
-		if info, ok := c.spec[call]; ok && info.server == server {
-			delete(c.spec, call)
-			continue
-		}
 		info, ok := c.ongoing[call]
 		if !ok || info.server != server {
 			continue
 		}
 		delete(c.ongoing, call)
-		if c.promoteSpeculative(call) {
-			continue
-		}
 		c.requeue(call, requeueServerSuspected)
 	}
 	delete(c.byServer, server)
 	c.dispatch()
 }
 
-// promoteSpeculative upgrades a call's speculative duplicate to the
-// primary assignment after the primary's server was lost. Reports
-// whether a duplicate existed.
-func (c *Coordinator) promoteSpeculative(call proto.CallID) bool {
-	info, ok := c.spec[call]
-	if !ok {
-		return false
-	}
-	delete(c.spec, call)
-	c.ongoing[call] = info
-	c.noteInflight()
-	return true
-}
-
-// enqueue inserts one pending call into the scheduling engine with its
-// record's metadata; the engine's membership check makes every
-// insertion path duplicate-safe. It reports whether the call was newly
-// queued.
+// enqueue queues one pending call at the back; the engine's membership
+// check makes every insertion path duplicate-safe. It reports whether
+// the call was newly queued.
 func (c *Coordinator) enqueue(call proto.CallID) bool {
-	var exec time.Duration
-	var deadline time.Time
-	if rec, ok := c.store.Peek(call); ok {
-		exec, deadline = rec.ExecTime, rec.Deadline
-	}
 	now := c.env.Now()
-	queued := c.eng.Enqueue(call, exec, deadline, now)
+	queued := c.eng.Enqueue(call, 0, time.Time{}, now)
 	if queued && c.cm.dispatchLat != nil {
 		c.queuedAt[call] = now
 	}
@@ -1251,74 +1118,6 @@ func (c *Coordinator) requeue(call proto.CallID, reason requeueReason) bool {
 	return true
 }
 
-// ---------------------------------------------------------------------
-// Scheduling sweep: lateness observation + speculative duplication
-// ---------------------------------------------------------------------
-
-func (c *Coordinator) scheduleSpeculation() {
-	if !c.eng.NeedsSweep() {
-		// fcfs/deadline never read the estimator: don't pay an
-		// O(ongoing) walk per heartbeat period on the default path.
-		return
-	}
-	c.specTimer = c.env.After(c.cfg.HeartbeatPeriod, func() {
-		c.schedSweep()
-		c.scheduleSpeculation()
-	})
-}
-
-// schedSweep walks the in-flight assignments once per heartbeat
-// period. Every policy gets the lateness feed (a task running past its
-// expected duration classifies its server as slow without waiting for
-// a completion that may never come). Under the speculative policy the
-// sweep additionally issues redundant instances of stragglers: when an
-// assignment's age exceeds the engine's threshold, a duplicate is
-// queued for any fast server but the one running the original. The
-// first stored result wins; the loser is cancelled by finish
-// and, should its result arrive anyway, deduplicated by CallID — the
-// same mechanism that already makes re-execution safe across
-// replication and coordinator failover.
-func (c *Coordinator) schedSweep() {
-	now := c.env.Now()
-	speculate := c.eng.Speculative()
-	// Per server, only the oldest assignment feeds the lateness
-	// estimate: that is the one actually executing; younger ones may
-	// merely be waiting in the server's backlog, and counting their
-	// queue wait as slowness would brand a busy fast machine slow.
-	// An order-independent reduction: no sort needed for determinism.
-	oldest := make(map[proto.NodeID]time.Time, len(c.byServer))
-	for _, info := range c.ongoing {
-		if at, ok := oldest[info.server]; !ok || info.assignedAt.Before(at) {
-			oldest[info.server] = info.assignedAt
-		}
-	}
-	for _, call := range sortedCalls(c.ongoing) {
-		info := c.ongoing[call]
-		rec, ok := c.store.Peek(call)
-		if !ok || rec.State != proto.TaskOngoing {
-			continue
-		}
-		age := now.Sub(info.assignedAt)
-		// Only a server that is demonstrably alive gets branded slow by
-		// lateness: a crashed one's assignment also ages, but that is
-		// the suspicion machinery's business, not the estimator's.
-		if info.assignedAt.Equal(oldest[info.server]) &&
-			c.servers.ObservedWithin(info.server, 3*c.cfg.HeartbeatPeriod) {
-			c.eng.ObserveLateness(info.server, rec.ExecTime, age)
-		}
-		if !speculate {
-			continue
-		}
-		if _, dup := c.spec[call]; dup {
-			continue // already duplicated once
-		}
-		if age < c.eng.SpeculateThreshold(rec.ExecTime) {
-			continue
-		}
-		c.eng.EnqueueSpec(call, info.server)
-	}
-}
-
 // sortedCalls returns the map's keys ordered by CallID, so protocol
 // actions never depend on Go's randomized map iteration (determinism).
 func sortedCalls[V any](m map[proto.CallID]V) []proto.CallID {
@@ -1347,9 +1146,6 @@ type Stats struct {
 	LastReplication time.Duration
 	Coordinators    int
 	KnownServers    int
-	Policy          string
-	Speculated      int // redundant task instances issued
-	SpecWins        int // results won by the speculative copy
 	PushedTasks     int // assignments sent as late replies to a standing offer
 	PushedResults   int // results sent as late replies to a subscription
 	IdleSlots       int // task slots servers have on offer right now
@@ -1375,9 +1171,6 @@ func (c *Coordinator) StatsNow() Stats {
 		LastReplication: c.repl.took,
 		Coordinators:    len(c.coords),
 		KnownServers:    c.servers.Tracked(),
-		Policy:          c.eng.PolicyName(),
-		Speculated:      c.speculated,
-		SpecWins:        c.specWins,
 		PushedTasks:     c.pushedTasks,
 		PushedResults:   c.pushedResults,
 		IdleSlots:       c.offers.slots,
@@ -1388,9 +1181,6 @@ func (c *Coordinator) StatsNow() Stats {
 		Stale:           c.staleMsgs,
 	}
 }
-
-// PolicyName returns the active scheduling policy. Event-loop only.
-func (c *Coordinator) PolicyName() string { return c.eng.PolicyName() }
 
 // SuspectedServers returns the servers currently under heartbeat
 // suspicion. Event-loop only (statusz sections fetch it via rt.Do).

@@ -146,10 +146,9 @@ func (c *Coordinator) noteHeartbeatAck(server proto.NodeID) { delete(c.resultAck
 
 // dispatch answers standing offers with the jobs now queued: for each
 // live offer, longest idle first, the assignment its server's pull
-// would get, capped like a pull's by MaxTasksPerAck. One pass: a server
-// the policy's admission gate refuses keeps its offer, and what a pass
-// leaves queued goes to the next pull or the next pass, whichever comes
-// first.
+// would get, capped like a pull's by MaxTasksPerAck. One pass: what a
+// pass leaves queued goes to the next pull or the next pass, whichever
+// comes first.
 func (c *Coordinator) dispatch() {
 	if c.offers.order.Len() == 0 || c.eng.Len() == 0 {
 		return // every message ends here: the usual case costs two loads

@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -29,11 +30,6 @@ func rig2(t *testing.T, cfg Config) (*sim.World, *Coordinator, *peer, *peer) {
 	return w, co, a, b
 }
 
-func submitDeadline(seq int, deadline time.Duration) *proto.Submit {
-	return &proto.Submit{Call: call(seq), Service: "synthetic", Params: []byte("p"),
-		ExecTime: time.Second, ResultSize: 4, Deadline: deadline}
-}
-
 func beat(p *peer, capacity int) {
 	p.env.Send("co", &proto.Heartbeat{From: p.env.Self(), Role: proto.RoleServer,
 		Capacity: capacity, WantWork: true})
@@ -48,142 +44,27 @@ func lastAck(t *testing.T, p *peer) *proto.HeartbeatAck {
 	return ack
 }
 
-func TestDeadlinePolicyAssignsEDF(t *testing.T) {
+// TestUnknownPolicyFallsBackToFCFS: a policy name other than fcfs —
+// here one a retired policy had — is logged and the queue is served
+// first-come-first-served: deadlines carried by the submits are not
+// read.
+func TestUnknownPolicyFallsBackToFCFS(t *testing.T) {
 	w, _, a, _ := rig2(t, Config{Policy: "deadline", MaxTasksPerAck: 10})
-	a.env.Send("co", submitDeadline(1, time.Minute))
-	a.env.Send("co", submitDeadline(2, 10*time.Second))
-	a.env.Send("co", submitDeadline(3, 0)) // no deadline: behind all
-	a.env.Send("co", submitDeadline(4, 30*time.Second))
+	for seq, deadline := range []time.Duration{time.Minute, 10 * time.Second, 0, 30 * time.Second} {
+		m := submit(seq + 1)
+		m.Deadline = deadline
+		a.env.Send("co", m)
+	}
 	w.RunFor(time.Second)
 	beat(a, 10)
 	w.RunFor(time.Second)
 	ack := lastAck(t, a)
-	want := []proto.RPCSeq{2, 4, 1, 3}
-	if len(ack.Tasks) != len(want) {
-		t.Fatalf("assigned %d tasks, want %d", len(ack.Tasks), len(want))
+	var got []proto.RPCSeq
+	for _, task := range ack.Tasks {
+		got = append(got, task.Task.Call.Seq)
 	}
-	for i, task := range ack.Tasks {
-		if task.Task.Call.Seq != want[i] {
-			t.Fatalf("EDF order = %v, want %v", ack.Tasks, want)
-		}
-	}
-}
-
-func TestUnknownPolicyFallsBackToFCFS(t *testing.T) {
-	_, co, _, _ := rig2(t, Config{Policy: "no-such-policy"})
-	if got := co.PolicyName(); got != "fcfs" {
-		t.Fatalf("policy = %q, want fcfs fallback", got)
-	}
-}
-
-// TestSpeculativeDuplicateAndCancel walks the full speculative story at
-// the coordinator: a straggling assignment is duplicated onto a second
-// server, the duplicate's result wins, the straggler is cancelled, and
-// its late result deduplicates against the stored one.
-func TestSpeculativeDuplicateAndCancel(t *testing.T) {
-	w, co, slow, fast := rig2(t, Config{Policy: "speculative", MaxTasksPerAck: 4})
-	slow.env.Send("co", &proto.Submit{Call: call(1), Service: "synthetic",
-		Params: []byte("p"), ExecTime: 10 * time.Second, ResultSize: 4})
-	w.RunFor(time.Second)
-	beat(slow, 1)
-	w.RunFor(time.Second)
-	first := lastAck(t, slow)
-	if len(first.Tasks) != 1 || first.Tasks[0].Task.Instance != 1 {
-		t.Fatalf("first assignment = %+v", first.Tasks)
-	}
-
-	// Before the straggler threshold (2 x 10 s) no duplicate exists.
-	w.RunFor(15 * time.Second)
-	beat(fast, 1)
-	w.RunFor(time.Second)
-	if ack := lastAck(t, fast); len(ack.Tasks) != 0 {
-		t.Fatalf("duplicate issued before threshold: %+v", ack.Tasks)
-	}
-
-	// Past the threshold the sweep queues a duplicate — for a server
-	// other than the one running the original.
-	w.RunFor(10 * time.Second)
-	beat(slow, 1)
-	w.RunFor(time.Second)
-	if ack := lastAck(t, slow); len(ack.Tasks) != 0 {
-		t.Fatalf("duplicate offered to the original server: %+v", ack.Tasks)
-	}
-	beat(fast, 1)
-	w.RunFor(time.Second)
-	dup := lastAck(t, fast)
-	if len(dup.Tasks) != 1 || dup.Tasks[0].Task.Instance != 2 {
-		t.Fatalf("duplicate assignment = %+v", dup.Tasks)
-	}
-	if co.StatsNow().Speculated != 1 {
-		t.Fatalf("speculated = %d, want 1", co.StatsNow().Speculated)
-	}
-
-	// The duplicate finishes first: stored, and the straggler receives
-	// a cancel for its instance.
-	fast.env.Send("co", &proto.TaskResult{From: "svb", Task: dup.Tasks[0].Task, Output: []byte("win")})
-	w.RunFor(time.Second)
-	st := co.StatsNow()
-	if st.Finished != 1 || st.SpecWins != 1 {
-		t.Fatalf("after duplicate win: %+v", st)
-	}
-	var cancelled *proto.TaskCancel
-	for _, m := range slow.inbox {
-		if c, ok := m.(*proto.TaskCancel); ok {
-			cancelled = c
-		}
-	}
-	if cancelled == nil || cancelled.Task != first.Tasks[0].Task {
-		t.Fatalf("straggler not cancelled (got %+v)", cancelled)
-	}
-
-	// The straggler's late result deduplicates against the stored one.
-	slow.env.Send("co", &proto.TaskResult{From: "sva", Task: first.Tasks[0].Task, Output: []byte("late")})
-	w.RunFor(time.Second)
-	st = co.StatsNow()
-	if st.Finished != 1 || st.DupResults != 1 {
-		t.Fatalf("late result not deduplicated: %+v", st)
-	}
-	rec, _ := co.DB().Peek(call(1))
-	if string(rec.Output) != "win" {
-		t.Fatalf("stored output = %q, want the winning duplicate's", rec.Output)
-	}
-}
-
-// TestSpeculativePromotedOnPrimaryLoss: when the server running the
-// original instance is suspected while a duplicate is in flight, the
-// duplicate becomes the primary instead of a third instance being
-// queued.
-func TestSpeculativePromotedOnPrimaryLoss(t *testing.T) {
-	w, co, slow, fast := rig2(t, Config{Policy: "speculative", HeartbeatTimeout: 20 * time.Second})
-	slow.env.Send("co", &proto.Submit{Call: call(1), Service: "synthetic",
-		Params: []byte("p"), ExecTime: 5 * time.Second, ResultSize: 4})
-	w.RunFor(time.Second)
-	beat(slow, 1)
-	// Past 2 x 5 s plus a sweep period: the duplicate is queued.
-	w.RunFor(17 * time.Second)
-	beat(fast, 1)
-	w.RunFor(time.Second)
-	if ack := lastAck(t, fast); len(ack.Tasks) != 1 {
-		t.Fatalf("no duplicate issued: %+v", ack.Tasks)
-	}
-	// The straggling server goes silent; the fast one keeps beating.
-	for i := 0; i < 8; i++ {
-		beat(fast, 0)
-		w.RunFor(5 * time.Second)
-	}
-	st := co.StatsNow()
-	if st.Ongoing != 1 || st.Pending != 0 {
-		t.Fatalf("after primary loss: %+v", st)
-	}
-	if st.Rescheduled != 0 {
-		t.Fatalf("promotion counted as reschedule: %+v", st)
-	}
-	// The promoted duplicate's result completes the call.
-	task := proto.TaskID{Call: call(1), Instance: 2}
-	fast.env.Send("co", &proto.TaskResult{From: "svb", Task: task, Output: []byte("r")})
-	w.RunFor(time.Second)
-	if co.StatsNow().Finished != 1 {
-		t.Fatal("promoted duplicate's result not stored")
+	if want := []proto.RPCSeq{1, 2, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("assignment order %v, want arrival order %v", got, want)
 	}
 }
 

@@ -117,14 +117,6 @@ func (m *Monitor) Watch(id proto.NodeID) {
 	}
 }
 
-// ObservedWithin reports whether id produced a sign of life within the
-// last d. A component that is late on a task yet still heartbeating is
-// slow, not crashed — the distinction the scheduling estimator needs.
-func (m *Monitor) ObservedWithin(id proto.NodeID, d time.Duration) bool {
-	seen, ok := m.lastSeen[id]
-	return ok && m.env.Now().Sub(seen) <= d
-}
-
 // Suspected reports whether id is currently suspected.
 func (m *Monitor) Suspected(id proto.NodeID) bool { return m.suspected[id] }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -256,36 +255,5 @@ func TestAblationHeartbeatShapes(t *testing.T) {
 	}
 	if mLast >= mFirst {
 		t.Errorf("message count did not fall with slower heartbeats: %d -> %d", mFirst, mLast)
-	}
-}
-
-// TestSchedCompareShapes asserts the scheduling subsystem's headline
-// comparisons: under the heterogeneous-straggler fault workload,
-// speculative execution and fastest-first matchmaking both beat FCFS
-// on makespan and p95 latency.
-func TestSchedCompareShapes(t *testing.T) {
-	r := SchedCompare(quick())
-	dump(t, r)
-
-	policies := r.Tables[0]
-	row := map[string]int{}
-	for i := 0; i < policies.Rows(); i++ {
-		row[policies.Cell(i, 0)] = i
-	}
-	makespan := func(p string) time.Duration { return parseDur(t, policies.Cell(row[p], 1)) }
-	p95 := func(p string) time.Duration { return parseDur(t, policies.Cell(row[p], 3)) }
-
-	for _, p := range []string{"fastest-first", "speculative"} {
-		if makespan(p) >= makespan("fcfs") {
-			t.Errorf("%s makespan %v not below fcfs %v", p, makespan(p), makespan("fcfs"))
-		}
-		if p95(p) >= p95("fcfs") {
-			t.Errorf("%s p95 %v not below fcfs %v", p, p95(p), p95("fcfs"))
-		}
-	}
-	var specIssued int
-	fmt.Sscanf(policies.Cell(row["speculative"], 5), "%d", &specIssued)
-	if specIssued == 0 {
-		t.Error("speculative policy never issued a duplicate")
 	}
 }

@@ -15,11 +15,10 @@
 //     protocol code and free when observability is off.
 //   - Tracer is a fixed-size per-node ring buffer of Span events. A
 //     call's life — submit, enqueue, dispatch, exec, result,
-//     logged-durable, ack, plus requeue/speculate hops
-//     — is stamped on whichever node observes each stage; Assemble
-//     joins per-node dumps into end-to-end timelines, and ChromeTrace
-//     renders them as Chrome trace_event JSON (chrome://tracing,
-//     Perfetto).
+//     logged-durable, ack, plus requeue hops — is stamped on
+//     whichever node observes each stage; Assemble joins per-node
+//     dumps into end-to-end timelines, and ChromeTrace renders them as
+//     Chrome trace_event JSON (chrome://tracing, Perfetto).
 //   - ServeAdmin mounts /metrics (Prometheus text exposition),
 //     /statusz (JSON snapshot plus registered status sections),
 //     /healthz, /tracez, and net/http/pprof on a private mux.

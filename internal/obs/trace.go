@@ -9,30 +9,29 @@ import (
 
 // Stage names one step of a call's life. The happy path is
 // submit → enqueue → dispatch → exec → result → logged-durable → ack;
-// fault handling and scheduling add requeue and speculate hops. Stages are stamped on whichever node observes them:
-// submit/ack on the client, enqueue/dispatch/result and the hop stages
-// on a coordinator, exec and the server-side logged-durable on a
-// server.
+// fault handling adds requeue hops. Stages are stamped on whichever
+// node observes them: submit/ack on the client, enqueue/dispatch/result
+// and the requeue hops on a coordinator, exec and the server-side
+// logged-durable on a server.
 type Stage string
 
 const (
-	StageSubmit    Stage = "submit"         // client issued the call
-	StageEnqueue   Stage = "enqueue"        // coordinator accepted and queued it
-	StageDispatch  Stage = "dispatch"       // coordinator assigned it to a server
-	StageExec      Stage = "exec"           // server finished executing it
-	StageResult    Stage = "result"         // coordinator stored the result
-	StageDurable   Stage = "logged-durable" // a message-log write for it reached disk
-	StageAck       Stage = "ack"            // client received the result
-	StageRequeue   Stage = "requeue"        // coordinator re-issued it after a fault
-	StageSpeculate Stage = "speculate"      // a duplicate instance was issued
+	StageSubmit   Stage = "submit"         // client issued the call
+	StageEnqueue  Stage = "enqueue"        // coordinator accepted and queued it
+	StageDispatch Stage = "dispatch"       // coordinator assigned it to a server
+	StageExec     Stage = "exec"           // server finished executing it
+	StageResult   Stage = "result"         // coordinator stored the result
+	StageDurable  Stage = "logged-durable" // a message-log write for it reached disk
+	StageAck      Stage = "ack"            // client received the result
+	StageRequeue  Stage = "requeue"        // coordinator re-issued it after a fault
 )
 
 // stageRank orders stages that share a timestamp so assembled
 // timelines read causally even at coarse clock resolution.
 var stageRank = map[Stage]int{
 	StageSubmit: 0, StageDurable: 1, StageEnqueue: 2,
-	StageDispatch: 3, StageSpeculate: 4, StageRequeue: 5,
-	StageExec: 6, StageResult: 7, StageAck: 8,
+	StageDispatch: 3, StageRequeue: 4,
+	StageExec: 5, StageResult: 6, StageAck: 7,
 }
 
 // Span is one stage observation for one call on one node.

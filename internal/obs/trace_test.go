@@ -61,9 +61,10 @@ func TestTracerConcurrency(t *testing.T) {
 
 // TestAssemble proves per-node dumps join into one causal timeline:
 // the client saw submit/durable/ack, one coordinator saw
-// enqueue/dispatch/requeue (a server died), another coordinator issued
-// a speculative duplicate, the server saw exec. The assembled
-// timeline must be complete and time-ordered with both hops intact.
+// enqueue/dispatch/requeue (a server died), another coordinator queued
+// it again and dispatched it, the server saw exec. The assembled
+// timeline must be complete and time-ordered with the requeue hop
+// intact.
 func TestAssemble(t *testing.T) {
 	base := time.Unix(1000, 0)
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
@@ -80,7 +81,7 @@ func TestAssemble(t *testing.T) {
 	co.EventAt(at(40), call, StageRequeue, "")
 
 	co2 := NewTracer("coord-b", 16)
-	co2.EventAt(at(51), call, StageSpeculate, "sv1")
+	co2.EventAt(at(51), call, StageEnqueue, "from replica")
 	co2.EventAt(at(52), call, StageDispatch, "sv1")
 	co2.EventAt(at(90), call, StageResult, "from sv1")
 
@@ -100,7 +101,7 @@ func TestAssemble(t *testing.T) {
 		t.Fatalf("first timeline call = %v, want %v", tl.Call, call)
 	}
 	want := []Stage{StageSubmit, StageDurable, StageEnqueue, StageDispatch,
-		StageRequeue, StageSpeculate, StageDispatch, StageExec,
+		StageRequeue, StageEnqueue, StageDispatch, StageExec,
 		StageResult, StageAck}
 	got := tl.Stages()
 	if len(got) != len(want) {
@@ -111,8 +112,8 @@ func TestAssemble(t *testing.T) {
 			t.Fatalf("stage[%d] = %s, want %s (full: %v)", i, got[i], want[i], got)
 		}
 	}
-	if !tl.Has(StageRequeue) || !tl.Has(StageSpeculate) {
-		t.Fatal("requeue and speculate hops must survive assembly")
+	if !tl.Has(StageRequeue) {
+		t.Fatal("the requeue hop must survive assembly")
 	}
 	if sp, ok := tl.Stage(StageExec); !ok || sp.Node != "sv1" {
 		t.Fatalf("exec span = %+v, %v", sp, ok)

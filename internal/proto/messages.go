@@ -46,12 +46,9 @@ type Submit struct {
 	// ResultSize is the synthetic result payload size produced by the
 	// benchmark services; real services ignore it.
 	ResultSize int
-	// Deadline is a soft completion deadline, relative to the
-	// coordinator's registration of the call. Coordinators running the
-	// "deadline" scheduling policy order pending work
-	// earliest-deadline-first; other policies and a zero value ignore
-	// it. Soft: a missed deadline changes nothing about the at-least-
-	// once execution guarantee.
+	// Deadline is written as zero and read by nothing: the schedule is
+	// first-come-first-served. It stays so that the encoding of a
+	// Submit, on the wire and in a client's log, keeps its layout.
 	Deadline time.Duration
 }
 
@@ -251,9 +248,8 @@ type TaskResult struct {
 	Output []byte
 	Err    string
 	// Exec is the execution duration the server measured for this
-	// instance (0 when unknown). The coordinator's speed estimator
-	// prefers it over its own assignment-to-result clock, which crash
-	// downtimes and upload retries inflate.
+	// instance (0 when unknown). No coordinator reads it; it keeps the
+	// layout of a result on the wire and in a server's log.
 	Exec time.Duration
 }
 
@@ -276,8 +272,9 @@ func (*TaskResultAck) Kind() string { return "task-result-ack" }
 func (m *TaskResultAck) WireSize() int { return headerSize }
 
 // TaskCancel tells a server that a task instance it holds is no longer
-// wanted: another instance's result was already stored (speculative
-// execution lost the race, or the result arrived through replication).
+// wanted: another instance's result was already stored (the call was
+// requeued after a suspicion and an earlier instance finished first, or
+// the result arrived through replication).
 // Cancellation is best-effort and idempotent — a server that already
 // executed or never received the instance just discards the message;
 // an uploaded loser result deduplicates on the coordinator anyway.
@@ -424,10 +421,8 @@ type JobRecord struct {
 	Params     []byte
 	ExecTime   time.Duration
 	ResultSize int
-	// Deadline is the absolute soft completion deadline the accepting
-	// coordinator computed from Submit.Deadline (zero: none). It
-	// replicates with the record so a replica promoting the job keeps
-	// the earliest-deadline-first order.
+	// Deadline is written as zero and read by nothing, like
+	// Submit.Deadline; it keeps the stored and replicated layout.
 	Deadline  time.Time
 	State     TaskState
 	Instance  uint32 // highest task instance created so far
@@ -451,7 +446,7 @@ func (j *JobRecord) wireSize() int {
 type SimFault struct {
 	Suite    string
 	Scenario string
-	Cell     string // config-cell label, e.g. "store=wal policy=fcfs"
+	Cell     string // config-cell label, e.g. "store=wal"
 	Fault    string // taxonomy name: partition, disk, stall, skew, crash, restart, stale-map, heal
 	Node     NodeID // primary affected node
 	Peer     NodeID // far end, for link faults; empty otherwise

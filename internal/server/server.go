@@ -87,12 +87,6 @@ type Config struct {
 	// backlog. Default 1 (a desktop machine donating its idle CPU).
 	Parallelism int
 
-	// SpeedFactor scales the virtual execution time of timed tasks,
-	// modelling heterogeneous machine speeds in the desktop-grid
-	// population (2 = half speed, 10 = the straggler of the scheduling
-	// experiments). Default 1; values <= 0 mean 1.
-	SpeedFactor float64
-
 	// Services maps service names to implementations. Tasks with a
 	// positive ExecTime hint are synthetic: the server charges the
 	// virtual execution time, then produces ResultSize bytes (or calls
@@ -119,9 +113,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = 1
-	}
-	if c.SpeedFactor <= 0 {
-		c.SpeedFactor = 1
 	}
 }
 
@@ -531,7 +522,8 @@ func (s *Server) forget(t proto.TaskID) bool {
 }
 
 // handleCancel withdraws one task instance: the coordinator stored
-// another instance's result (a lost speculative race). Cancellation is
+// another instance's result (a requeued call whose first instance
+// finished after all, the race lost). Cancellation is
 // idempotent at every stage — a backlogged instance is dropped, a
 // timed one is aborted and its slot freed immediately, one whose
 // service body is executing off the loop has its result discarded when
@@ -631,12 +623,10 @@ func (s *Server) startTask(t *proto.TaskAssignment) {
 	s.noteLoad()
 	x := s.execution(t)
 	if t.ExecTime > 0 {
-		// Synthetic or timed service: charge virtual execution time,
-		// scaled by this machine's speed. The timer is retained so a
-		// TaskCancel can abort the execution mid-flight (an execution
-		// whose timer is stopped is not reused).
-		d := time.Duration(float64(t.ExecTime) * s.cfg.SpeedFactor)
-		s.timers[t.Task] = s.env.After(d, x.run)
+		// Synthetic or timed service: charge virtual execution time.
+		// The timer is retained so a TaskCancel can abort the execution
+		// mid-flight (an execution whose timer is stopped is not reused).
+		s.timers[t.Task] = s.env.After(t.ExecTime, x.run)
 		return
 	}
 	x.start()

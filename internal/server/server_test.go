@@ -322,7 +322,7 @@ func TestCoordinatorListMerge(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Task cancellation (speculative-execution loser withdrawal)
+// Task cancellation (withdrawal of a requeue race's loser)
 // ---------------------------------------------------------------------
 
 func TestCancelDiscardsRunningExecution(t *testing.T) {
@@ -390,19 +390,6 @@ func TestCancelGarbageCollectsUnackedResult(t *testing.T) {
 	}
 	if w.Disk("sv").Len() != 0 {
 		t.Fatal("cancel did not garbage-collect the result log entry")
-	}
-}
-
-func TestSpeedFactorScalesExecution(t *testing.T) {
-	w, sv, fc := rig(t, Config{SpeedFactor: 10})
-	fc.grant = []proto.TaskAssignment{task(1, 1)} // 10 s nominal
-	w.RunFor(30 * time.Second)
-	if sv.StatsNow().Executed != 0 {
-		t.Fatal("10x-slow server finished a 10s task within 30s")
-	}
-	w.RunFor(2 * time.Minute)
-	if sv.StatsNow().Executed != 1 {
-		t.Fatalf("executed = %d, want 1 after ~100s", sv.StatsNow().Executed)
 	}
 }
 
