@@ -2,15 +2,14 @@
 #
 #   make            vet + lint + build + test (the tier-1 gate)
 #   make lint       project-specific analyzers (cmd/rpcv-lint): event-
-#                   loop discipline, proto codec completeness, disk-
-#                   error hygiene — standalone (cross-package call-
-#                   graph walk) and as go vet -vettool (covers _test.go
-#                   files); then the tombstones: one git grep per row of
-#                   internal/lint/tombstones.tsv, failing if a name of
-#                   deleted code is back where its row looks; and a
-#                   check that the simulated-figure side (internal/
-#                   experiments, cmd/rpcv-bench) imports no real-time
-#                   package
+#                   loop discipline and disk-error hygiene, in one run
+#                   over ./... that covers _test.go files and walks
+#                   calls across packages; then the tombstones: one
+#                   git grep per row of internal/lint/tombstones.tsv,
+#                   failing if a name of deleted code is back where
+#                   its row looks; and a check that the simulated-
+#                   figure side (internal/experiments, cmd/rpcv-bench)
+#                   imports no real-time package
 #   make bench      full benchmark run (regenerates every figure)
 #   make smoke      1-iteration benchmark smoke (fast CI signal), then
 #                   every examples/ program, failing on a non-zero exit
@@ -44,8 +43,6 @@ vet:
 
 lint:
 	$(GO) run ./cmd/rpcv-lint ./...
-	$(GO) build -o $(or $(TMPDIR),/tmp)/rpcv-lint ./cmd/rpcv-lint
-	$(GO) vet -vettool=$(or $(TMPDIR),/tmp)/rpcv-lint ./...
 	@status=0; while IFS="$$(printf '\t')" read -r pattern paths pr; do \
 		case "$$pattern" in ''|'#'*) continue ;; esac; \
 		set -f; set -- $$paths; set +f; \

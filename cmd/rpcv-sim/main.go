@@ -14,8 +14,7 @@
 //	rpcv-sim -list                 # print the selected cells and scenarios
 //	rpcv-sim -scenario disk-fault  # one scenario across every cell
 //	rpcv-sim -cell store=wal       # cells whose label contains the tokens
-//	rpcv-sim -artifacts out/       # framed fault/verdict artifacts and
-//	                               # flight bundles on failed verdicts
+//	rpcv-sim -artifacts out/       # flight bundles on failed verdicts
 //	rpcv-sim -v                    # stream per-fault injection logs
 //
 // The per-cell verdict table prints on stdout; the exit status is 1
@@ -37,7 +36,7 @@ func main() {
 	quick := flag.Bool("quick", false, "smoke: first 2 cells x 2 fault scenarios")
 	scenario := flag.String("scenario", "", "run only this scenario (comma-separated names)")
 	cell := flag.String("cell", "", "run only cells whose label contains these space-separated tokens")
-	artifacts := flag.String("artifacts", "", "directory for framed fault/verdict artifacts and flight bundles")
+	artifacts := flag.String("artifacts", "", "directory for the flight bundles of failed verdicts")
 	seed := flag.Int64("seed", 2004, "random seed")
 	parallel := flag.Int("parallel", 0, "max concurrently running cells (0: auto)")
 	list := flag.Bool("list", false, "print the selected matrix and exit")

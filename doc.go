@@ -55,7 +55,7 @@
 // coordinator was measured slower on two cores, and deleted.
 //
 // internal/proto owns the wire format itself: one hand-written binary
-// codec with explicit encodings for all 17 message kinds plus JobRecord
+// codec with explicit encodings for all 15 message kinds plus JobRecord
 // — length-prefixed frames behind a magic version preface, pooled
 // encode buffers sized by the WireSize hints, a reusable in-place frame
 // decoder with string interning, ≤1 allocation per encode or decode
@@ -87,17 +87,16 @@
 // directory. The conformance matrix captures the same bundle, over an
 // in-process source, for a cell that fails.
 //
-// internal/lint turns the codebase's hand-policed invariants into
-// machine-checked ones: a suite of project-specific static analyzers
-// run by cmd/rpcv-lint (standalone multichecker or go vet -vettool).
+// internal/lint turns two of the codebase's hand-policed invariants
+// into machine-checked ones: two project-specific static analyzers run
+// by cmd/rpcv-lint in one pass over the tree, test files included.
 // loopexclusive walks the static call graph from //rpcv:loop-only
 // annotations and reports blocking primitives reachable on the event
 // loop, plus off-loop touches of //rpcv:loop-owned handler state;
-// protocomplete cross-checks that every proto message kind is wired
-// into the kind constants, kindOf and the binary encoder and decoder
-// simultaneously; diskerr reports discarded errors from node.Disk/store
-// calls. `make lint` runs all three and is part of the default verify
-// path and CI.
+// diskerr reports discarded errors from node.Disk/store calls. `make
+// lint` runs both and is part of the default verify path and CI. That
+// every message type is wired into the codec is internal/proto's tests'
+// job (TestEveryMessageTypeIsSampled and the round trips).
 //
 // internal/conform is the conformance + chaos matrix harness behind
 // cmd/rpcv-sim: it boots a real loopback cluster per cell of the
@@ -114,10 +113,10 @@
 // computed analytically and every cell must land on the identical
 // (CallID -> result) digest — zero lost completed results under every
 // fault, on every configuration. Failed verdicts capture flight
-// bundles, and every run writes framed SimFault/SimVerdict artifacts. `make sim` is the
-// CI smoke (2 cells x 2 fault scenarios, race-enabled); `make
-// sim-full` runs the full matrix; the frozen regression scenarios
-// live in internal/conform's tests.
+// bundles. `make sim` is the smoke (2 cells x 2 fault scenarios);
+// `make sim-full` runs the full matrix, and CI runs it under the race
+// detector; the frozen regression scenarios live in internal/conform's
+// tests.
 //
 // internal/grid is the one way a real cluster is booted: named nodes on
 // loopback TCP, each from a per-node boot func returning its rt.Config,

@@ -38,9 +38,8 @@ type Options struct {
 	// cells against two fault scenarios.
 	Quick bool
 
-	// ArtifactDir, when set, enables the observability plane: framed
-	// SimFault/SimVerdict artifacts per cell, plus a flight bundle
-	// captured on every failed verdict.
+	// ArtifactDir, when set, enables the observability plane: a flight
+	// bundle captured into it on every failed verdict.
 	ArtifactDir string
 
 	// Parallel caps concurrently running cells. Zero picks a small
@@ -128,7 +127,7 @@ func Run(suite *Suite, opts Options) (*Report, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			verdicts[i] = runCell(suite.Name, runs[i].cell, runs[i].sc, opts)
+			verdicts[i] = runCell(runs[i].cell, runs[i].sc, opts)
 		}()
 	}
 	wg.Wait()

@@ -34,7 +34,7 @@ const (
 // the scenario's deterministic workload through the fault timeline,
 // and grades the delivered result set against the analytic
 // expectation.
-func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdict {
+func runCell(cell Cell, sc *Scenario, opts Options) CellVerdict {
 	v := CellVerdict{Cell: cell.Label(), Scenario: sc.Name, Verdict: "pass"}
 	logf := opts.Logf
 	if logf == nil {
@@ -191,19 +191,9 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 	}
 
 	// The fault timeline, on its own clock from workload start.
-	var frames []byte
-	var frameMu sync.Mutex
 	noteFault := func(ev Event, detail string) {
 		v.Faults++
-		sf := &proto.SimFault{
-			Suite: suiteName, Scenario: sc.Name, Cell: cell.Label(),
-			Fault: ev.Kind, Node: proto.NodeID(ev.Node), Peer: proto.NodeID(ev.Peer),
-			At: ev.At, Detail: detail,
-		}
 		logf("sim: %s/%s: at %v %s %s", sc.Name, cell.Label(), ev.At, ev.Kind, detail)
-		frameMu.Lock()
-		frames, _ = proto.AppendFrame(frames, "rpcv-sim", sf)
-		frameMu.Unlock()
 	}
 	stopTimeline := make(chan struct{})
 	var timelineWG sync.WaitGroup
@@ -391,22 +381,6 @@ func runCell(suiteName string, cell Cell, sc *Scenario, opts Options) CellVerdic
 			v.Bundle = path
 		} else {
 			logf("sim: bundle capture failed: %v", err)
-		}
-	}
-	if opts.ArtifactDir != "" {
-		sv := &proto.SimVerdict{
-			Suite: suiteName, Scenario: sc.Name, Cell: cell.Label(),
-			Verdict: v.Verdict, Digest: v.Digest,
-			Delivered: v.Delivered, Expected: v.Expected,
-			Faults: v.Faults, Elapsed: v.Elapsed,
-		}
-		frameMu.Lock()
-		frames, _ = proto.AppendFrame(frames, "rpcv-sim", sv)
-		data := frames
-		frameMu.Unlock()
-		name := fmt.Sprintf("sim_%s_%s.frames", sc.Name, sanitizeLabel(cell.Label()))
-		if err := os.WriteFile(filepath.Join(opts.ArtifactDir, name), data, 0o644); err != nil {
-			logf("sim: artifact write failed: %v", err)
 		}
 	}
 	return v

@@ -29,7 +29,7 @@ end
 		t.Fatal(err)
 	}
 	baseline := runtime.NumGoroutine()
-	v := runCell(suite.Name, suite.Cells[0], &suite.Scenarios[0], Options{Seed: 7, Logf: t.Logf})
+	v := runCell(suite.Cells[0], &suite.Scenarios[0], Options{Seed: 7, Logf: t.Logf})
 	if v.Verdict != "pass" {
 		t.Errorf("%s (%s) delivered %d/%d", v.Verdict, v.Detail, v.Delivered, v.Expected)
 	}
@@ -44,10 +44,10 @@ end
 	}
 }
 
-// With an artifact directory, a passing cell leaves only its framed
-// fault/verdict file, even when a coordinator crashed on the way; a
-// cell that fails also leaves one flight bundle, named after its cell,
-// holding the assembled call timelines and the cell's metrics.
+// With an artifact directory, a passing cell leaves nothing in it, even
+// when a coordinator crashed on the way; a cell that fails leaves one
+// flight bundle, named after its cell, holding the assembled call
+// timelines and the cell's metrics.
 func TestArtifactsBundleOnlyFailedCells(t *testing.T) {
 	suite, err := ParseSuite(`suite artifacts
 cell store=wal
@@ -68,7 +68,7 @@ end
 	cell := suite.Cells[0]
 
 	dir := t.TempDir()
-	v := runCell(suite.Name, cell, suite.Scenario("crash-restart"), Options{Seed: 7, ArtifactDir: dir, Logf: t.Logf})
+	v := runCell(cell, suite.Scenario("crash-restart"), Options{Seed: 7, ArtifactDir: dir, Logf: t.Logf})
 	if v.Verdict != "pass" || v.Bundle != "" {
 		t.Fatalf("%s (%s) delivered %d/%d, bundle %q", v.Verdict, v.Detail, v.Delivered, v.Expected, v.Bundle)
 	}
@@ -76,12 +76,12 @@ end
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".frames") {
-		t.Fatalf("a passing cell left %v, want only its .frames file", entries)
+	if len(entries) != 0 {
+		t.Fatalf("a passing cell left %v, want an empty directory", entries)
 	}
 
 	dir = t.TempDir()
-	v = runCell(suite.Name, cell, suite.Scenario("coordinator-lost"), Options{Seed: 7, ArtifactDir: dir, Logf: t.Logf})
+	v = runCell(cell, suite.Scenario("coordinator-lost"), Options{Seed: 7, ArtifactDir: dir, Logf: t.Logf})
 	if v.Verdict == "pass" {
 		t.Fatal("a cell whose only coordinator never came back passed")
 	}

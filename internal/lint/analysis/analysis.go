@@ -8,12 +8,9 @@
 // Deviations from upstream, both deliberate:
 //
 //   - There is no Facts mechanism. Cross-package analysis is served by
-//     Pass.Program instead: the standalone driver (cmd/rpcv-lint run
-//     over package patterns) loads every requested package up front and
-//     exposes their typed syntax, so an analyzer can follow a call out
-//     of the current package and keep walking. Under `go vet -vettool`
-//     the driver runs one package at a time and Program holds only that
-//     package; analyzers degrade to package-local checking there.
+//     Pass.Program instead: cmd/rpcv-lint loads every requested
+//     package up front and exposes their typed syntax, so an analyzer
+//     can follow a call out of the current package and keep walking.
 //   - Analyzers run independently; there is no Requires DAG and no
 //     shared ResultOf. None of rpcv's analyzers need either.
 package analysis

@@ -5,13 +5,12 @@
 //   - loopexclusive: event-loop discipline (no blocking primitives
 //     reachable from rpcv:loop-only code; rpcv:loop-owned state only
 //     touched on the loop).
-//   - protocomplete: every proto message kind wired into the binary
-//     encoder, decoder and kind table simultaneously.
 //   - diskerr: no silently discarded errors from node.Disk / store
 //     engine calls.
 //
-// cmd/rpcv-lint is the driver: standalone over package patterns
-// (`make lint`), or as a `go vet -vettool`.
+// cmd/rpcv-lint runs the suite once over package patterns and their
+// tests (`make lint`). That a message type is wired into the proto
+// codec is checked by internal/proto's tests, not here.
 package lint
 
 import (
@@ -21,7 +20,6 @@ import (
 	"rpcv/internal/lint/analysis"
 	"rpcv/internal/lint/diskerr"
 	"rpcv/internal/lint/loopexclusive"
-	"rpcv/internal/lint/protocomplete"
 )
 
 // Suite returns rpcv's analyzers in deterministic order.
@@ -29,7 +27,6 @@ func Suite() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		diskerr.Analyzer,
 		loopexclusive.Analyzer,
-		protocomplete.Analyzer,
 	}
 }
 

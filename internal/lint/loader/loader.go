@@ -1,20 +1,16 @@
 // Package loader turns Go packages into the typed syntax trees the
-// lint analyzers consume. It has two front doors matching the two ways
-// cmd/rpcv-lint is invoked:
+// lint analyzers consume. Its one entry point, Load, shells out to
+// `go list -test -deps -export` over package patterns, so the go
+// command resolves the build (module mode, build tags, compiled export
+// data in the build cache) and this process only parses and
+// type-checks the target packages themselves. A package with tests is
+// checked as its test variant — its own files and its _test.go files
+// together — and its external _test package beside it, so test code is
+// linted in the same run as everything else.
 //
-//   - Load: standalone mode. Shells out to `go list -deps -export`
-//     over package patterns, so the go command resolves the build
-//     (module mode, build tags, compiled export data in the build
-//     cache) and this process only parses and type-checks the target
-//     packages themselves.
-//   - LoadVetConfig: `go vet -vettool` mode. The go command hands the
-//     tool a JSON config naming one package's files and an import map
-//     to pre-built export data; no subprocess is needed.
-//
-// Either way dependencies are imported from compiler export data via
-// the standard library's gc importer — never type-checked from source
-// — which keeps a whole-tree lint run to well under a second of
-// type-checking.
+// Dependencies are imported from compiler export data via the standard
+// library's gc importer — never type-checked from source — which keeps
+// a whole-tree lint run to a few seconds of type-checking.
 package loader
 
 import (
@@ -35,19 +31,6 @@ import (
 	"rpcv/internal/lint/analysis"
 )
 
-// unit is one package to be type-checked from source: the common
-// denominator of a `go list` record and a vet.cfg.
-type unit struct {
-	importPath string
-	dir        string
-	goFiles    []string // absolute
-	// importMap maps source-level import paths to package paths
-	// (identity except under vendoring, which this module never uses).
-	importMap map[string]string
-	// packageFile maps package paths to export-data files.
-	packageFile map[string]string
-}
-
 // listPackage is the subset of `go list -json` output the loader reads.
 type listPackage struct {
 	ImportPath string
@@ -55,18 +38,23 @@ type listPackage struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	DepOnly    bool
-	Standard   bool
-	Incomplete bool
-	Error      *struct{ Err string }
+	// ImportMap maps the import paths of the package's source to the
+	// variants it was compiled against: a test's recompiled
+	// dependencies, "p [p.test]" for "p".
+	ImportMap map[string]string
+	// ForTest names the package whose test build this variant belongs
+	// to: set on "p [p.test]" and on "p_test [p.test]".
+	ForTest string
+	DepOnly bool
+	Error   *struct{ Err string }
 }
 
 // Load lists patterns in dir (module root) and returns the type-checked
-// program of every matched package.
+// program of every matched package and of its tests.
 func Load(dir string, patterns []string) (*analysis.Program, error) {
 	args := append([]string{
-		"list", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Standard,Incomplete,Error",
+		"list", "-test", "-deps", "-export",
+		"-json=ImportPath,Name,Dir,Export,GoFiles,ImportMap,ForTest,DepOnly,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -80,6 +68,7 @@ func Load(dir string, patterns []string) (*analysis.Program, error) {
 
 	exports := make(map[string]string)
 	var targets []*listPackage
+	tested := make(map[string]bool) // packages checked as their test variant
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -94,28 +83,22 @@ func Load(dir string, patterns []string) (*analysis.Program, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly {
-			q := p
-			targets = append(targets, &q)
+		if p.DepOnly || p.Name == "main" && strings.HasSuffix(p.ImportPath, ".test") {
+			continue // dependencies, and the synthesized test mains
 		}
+		if strings.HasPrefix(p.ImportPath, p.ForTest+" [") {
+			tested[p.ForTest] = true
+		}
+		targets = append(targets, &p)
 	}
 
 	fset := token.NewFileSet()
 	var pkgs []*analysis.Package
 	for _, t := range targets {
-		if t.Name == "main" && strings.HasSuffix(t.ImportPath, ".test") {
-			continue // synthesized test binaries
+		if tested[t.ImportPath] {
+			continue // its test variant holds the same files and more
 		}
-		u := &unit{
-			importPath:  t.ImportPath,
-			dir:         t.Dir,
-			importMap:   nil, // identity
-			packageFile: exports,
-		}
-		for _, g := range t.GoFiles {
-			u.goFiles = append(u.goFiles, filepath.Join(t.Dir, g))
-		}
-		pkg, err := check(fset, u)
+		pkg, err := check(fset, t, exports)
 		if err != nil {
 			return nil, err
 		}
@@ -124,69 +107,25 @@ func Load(dir string, patterns []string) (*analysis.Program, error) {
 	return analysis.NewProgram(pkgs), nil
 }
 
-// VetConfig mirrors the JSON the go command writes for a vet tool; see
-// buildVetConfig in cmd/go/internal/work/exec.go. Fields the lint
-// analyzers do not need are accepted and ignored.
-type VetConfig struct {
-	ID          string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	VetxOnly    bool
-	VetxOutput  string
-	GoVersion   string
-
-	SucceedOnTypecheckFailure bool
-}
-
-// ReadVetConfig parses a vet.cfg file.
-func ReadVetConfig(path string) (*VetConfig, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var cfg VetConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		return nil, fmt.Errorf("%s: parsing vet config: %v", path, err)
-	}
-	return &cfg, nil
-}
-
-// LoadVetConfig type-checks the single package a vet.cfg describes.
-func LoadVetConfig(cfg *VetConfig) (*analysis.Program, error) {
-	fset := token.NewFileSet()
-	pkg, err := check(fset, &unit{
-		importPath:  cfg.ImportPath,
-		dir:         cfg.Dir,
-		goFiles:     cfg.GoFiles,
-		importMap:   cfg.ImportMap,
-		packageFile: cfg.PackageFile,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return analysis.NewProgram([]*analysis.Package{pkg}), nil
-}
-
-// check parses and type-checks one unit against export data.
-func check(fset *token.FileSet, u *unit) (*analysis.Package, error) {
+// check parses and type-checks one listed package against the export
+// data of its dependencies. A test variant is checked under its plain
+// path ("p", not "p [p.test]"), so its functions keep the names every
+// other package calls them by.
+func check(fset *token.FileSet, p *listPackage, exports map[string]string) (*analysis.Package, error) {
+	pkgPath, _, _ := strings.Cut(p.ImportPath, " ")
 	var files []*ast.File
-	for _, name := range u.goFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+	for _, name := range p.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
 	}
 	lookup := func(path string) (io.ReadCloser, error) {
-		if u.importMap != nil {
-			if mapped, ok := u.importMap[path]; ok {
-				path = mapped
-			}
+		if mapped, ok := p.ImportMap[path]; ok {
+			path = mapped
 		}
-		file, ok := u.packageFile[path]
+		file, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
@@ -201,12 +140,12 @@ func check(fset *token.FileSet, u *unit) (*analysis.Package, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(u.importPath, fset, files, info)
+	tpkg, err := conf.Check(pkgPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", u.importPath, err)
+		return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 	}
 	return &analysis.Package{
-		PkgPath:   u.importPath,
+		PkgPath:   pkgPath,
 		Fset:      fset,
 		Files:     files,
 		Types:     tpkg,

@@ -79,8 +79,8 @@ const (
 	_             // 23, retired: a cross-shard steal request
 	_             // 24, retired: its grant
 	kindJobRecord // storage blobs only; JobRecord is not a Message
-	kindSimFault
-	kindSimVerdict
+	_             // 26, retired: a conformance run's fault record
+	_             // 27, retired: its verdict record
 	kindJobHeader // storage blobs only: a job record minus its external payloads
 )
 
@@ -123,10 +123,6 @@ func kindOf(msg Message) uint8 {
 		return kindReplicaUpdate
 	case *ReplicaAck:
 		return kindReplicaAck
-	case *SimFault:
-		return kindSimFault
-	case *SimVerdict:
-		return kindSimVerdict
 	default:
 		return kindInvalid
 	}
@@ -689,8 +685,8 @@ func payloadOf(msg Message) *[]byte {
 // appendMessageBody appends msg's binary body (no kind byte, no magic),
 // its large payloads left out into cuts unless cuts is nil (see
 // appendPayload). It panics on an unregistered message type: a
-// programming error, which the protocomplete analyzer reports at build
-// time.
+// programming error, which the package's tests report (every type with
+// a Kind method is sampled, and every sample round-trips).
 func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 	switch m := msg.(type) {
 	case *Submit:
@@ -750,25 +746,6 @@ func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 		dst = appendNode(dst, m.From)
 		dst = binary.AppendUvarint(dst, m.Epoch)
 		return binary.AppendUvarint(dst, m.Round)
-	case *SimFault:
-		dst = appendString(dst, m.Suite)
-		dst = appendString(dst, m.Scenario)
-		dst = appendString(dst, m.Cell)
-		dst = appendString(dst, m.Fault)
-		dst = appendNode(dst, m.Node)
-		dst = appendNode(dst, m.Peer)
-		dst = appendDur(dst, m.At)
-		return appendString(dst, m.Detail)
-	case *SimVerdict:
-		dst = appendString(dst, m.Suite)
-		dst = appendString(dst, m.Scenario)
-		dst = appendString(dst, m.Cell)
-		dst = appendString(dst, m.Verdict)
-		dst = appendString(dst, m.Digest)
-		dst = binary.AppendVarint(dst, int64(m.Delivered))
-		dst = binary.AppendVarint(dst, int64(m.Expected))
-		dst = binary.AppendVarint(dst, int64(m.Faults))
-		return appendDur(dst, m.Elapsed)
 	default:
 		panic("proto: appendMessageBody: unregistered message type " + msg.Kind())
 	}
@@ -819,14 +796,6 @@ func readMessageBody(r *binReader, kind uint8) Message {
 			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)}
 	case kindReplicaAck:
 		return &ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()}
-	case kindSimFault:
-		return &SimFault{Suite: r.str(), Scenario: r.str(), Cell: r.str(),
-			Fault: r.str(), Node: r.node(), Peer: r.node(),
-			At: r.dur(), Detail: r.str()}
-	case kindSimVerdict:
-		return &SimVerdict{Suite: r.str(), Scenario: r.str(), Cell: r.str(),
-			Verdict: r.str(), Digest: r.str(), Delivered: int(r.varint()),
-			Expected: int(r.varint()), Faults: int(r.varint()), Elapsed: r.dur()}
 	default:
 		r.fail()
 		return nil

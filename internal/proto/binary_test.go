@@ -5,7 +5,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -40,12 +44,6 @@ func allMessages() []Message {
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: TaskOngoing, Instance: 2},
 		}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
 		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
-			Fault: "partition", Node: "coord-00", Peer: "server-000",
-			At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
-		&SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1",
-			Verdict: "pass", Digest: "sha256:00ff", Delivered: 40, Expected: 40,
-			Faults: 2, Elapsed: 3 * time.Second},
 	}
 }
 
@@ -97,6 +95,58 @@ func TestBinaryRoundTripCoversEveryMessageType(t *testing.T) {
 	}
 	if decodable != len(seen) {
 		t.Fatalf("the decoder knows %d kinds, allMessages samples %d types", decodable, len(seen))
+	}
+}
+
+// TestEveryMessageTypeIsSampled parses the package's own (non-test)
+// source and requires every type that declares a Kind() string method
+// — every Message — to appear in allMessages, and the counts to agree
+// (a declaration this parse misses fails too). A new message type that
+// nothing wires fails here; the round trips and
+// TestBinaryRoundTripCoversEveryMessageType hold the codec's arms and
+// the decoder's kinds to the same sample.
+func TestEveryMessageTypeIsSampled(t *testing.T) {
+	sampled := make(map[string]bool)
+	for _, msg := range allMessages() {
+		sampled[reflect.TypeOf(msg).Elem().Name()] = true
+	}
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	declared := 0
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Name.Name != "Kind" ||
+				fd.Type.Params.NumFields() != 0 || fd.Type.Results.NumFields() != 1 {
+				continue
+			}
+			if res, ok := fd.Type.Results.List[0].Type.(*ast.Ident); !ok || res.Name != "string" {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			typ := recv.(*ast.Ident).Name
+			declared++
+			if !sampled[typ] {
+				t.Errorf("%s: %s declares Kind() but allMessages does not sample it — wire it into the codec and the sample list",
+					fset.Position(fd.Pos()), typ)
+			}
+		}
+	}
+	if declared != len(sampled) {
+		t.Fatalf("%d types declare Kind(), allMessages samples %d", declared, len(sampled))
 	}
 }
 
@@ -186,7 +236,6 @@ func TestKindBytesStable(t *testing.T) {
 		"heartbeat": 9, "heartbeat-ack": 10, "task-result": 11, "task-result-ack": 12,
 		"task-cancel": 13, "server-sync": 14, "server-sync-reply": 15,
 		"replica-update": 16, "replica-ack": 17,
-		"sim-fault": 26, "sim-verdict": 27,
 	}
 	for _, msg := range allMessages() {
 		if got := kindOf(msg); got != want[msg.Kind()] {
@@ -204,15 +253,16 @@ func TestKindBytesStable(t *testing.T) {
 // retiredKinds are kind bytes no message has any more: a per-call
 // fetch and its reply (7, 8), a shard-map request and its reply (18,
 // 19), a shard redirect, a cross-shard sync and its ack (20, 21, 22),
-// a cross-shard steal request and its grant (23, 24). Their numbers
-// stay unused so that no other kind shifts.
-var retiredKinds = []uint8{7, 8, 18, 19, 20, 21, 22, 23, 24}
+// a cross-shard steal request and its grant (23, 24), a conformance
+// run's fault and verdict records (26, 27). Their numbers stay unused
+// so that no other kind shifts.
+var retiredKinds = []uint8{7, 8, 18, 19, 20, 21, 22, 23, 24, 26, 27}
 
 // TestRetiredKindsDoNotDecode feeds every decoder a retired kind byte in
 // front of bodies that would decode under a live kind — each surviving
-// message's, an empty one and the fetch request's, the steal request's
-// and the shard sync's old layouts — and wants an error: never a
-// message, never a panic.
+// message's, an empty one and the fetch request's, the steal request's,
+// the shard sync's and the fault and verdict records' old layouts — and
+// wants an error: never a message, never a panic.
 func TestRetiredKindsDoNotDecode(t *testing.T) {
 	var bodies [][]byte
 	for _, msg := range allMessages() {
@@ -237,7 +287,23 @@ func TestRetiredKindsDoNotDecode(t *testing.T) {
 	sync = binary.AppendUvarint(sync, 7)
 	sync = appendSeq(sync, 40)
 	sync = appendSlice(sync, []RPCSeq{41, 42}, appendSeq)
-	bodies = append(bodies, nil, appendSeq(fetch, 42), steal, sync)
+	// A fault record: suite, scenario, cell, fault, node, peer, time,
+	// detail; a verdict record: suite, scenario, cell, verdict, digest,
+	// delivered, expected, faults, elapsed.
+	fault := appendString(nil, "default")
+	for _, s := range []string{"oneway", "store=wal", "partition", "coord-00", "server-000"} {
+		fault = appendString(fault, s)
+	}
+	fault = appendString(appendDur(fault, 2*time.Second), "block co-0 -> sv-0")
+	verdict := appendString(nil, "default")
+	for _, s := range []string{"oneway", "store=wal", "pass", "sha256:00ff"} {
+		verdict = appendString(verdict, s)
+	}
+	for _, v := range []int64{40, 40, 2} {
+		verdict = binary.AppendVarint(verdict, v)
+	}
+	verdict = appendDur(verdict, 3*time.Second)
+	bodies = append(bodies, nil, appendSeq(fetch, 42), steal, sync, fault, verdict)
 	for _, kind := range retiredKinds {
 		for i, body := range bodies {
 			blob := append([]byte{binMagic, binVersion, kind}, body...)

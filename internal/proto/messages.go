@@ -436,56 +436,3 @@ func (j *JobRecord) wireSize() int {
 	// when present (finished tasks), file archives are never replicated.
 	return headerSize + len(j.Service) + len(j.Params) + len(j.Output) + len(j.ResultErr)
 }
-
-// SimFault records one fault injected by the conformance + chaos
-// harness (cmd/rpcv-sim): what was broken, where, and when relative to
-// scenario start. The harness encodes these into its post-mortem
-// artifacts so a failing cell's fault timeline survives next to the
-// flight-recorder bundle, in the same self-describing binary framing
-// as every other stored record.
-type SimFault struct {
-	Suite    string
-	Scenario string
-	Cell     string // config-cell label, e.g. "store=wal"
-	Fault    string // taxonomy name: partition, disk, stall, skew, crash, restart, stale-map, heal
-	Node     NodeID // primary affected node
-	Peer     NodeID // far end, for link faults; empty otherwise
-	At       time.Duration
-	Detail   string
-}
-
-// Kind implements Message.
-func (*SimFault) Kind() string { return "sim-fault" }
-
-// WireSize implements Message.
-func (m *SimFault) WireSize() int {
-	return headerSize + len(m.Suite) + len(m.Scenario) + len(m.Cell) +
-		len(m.Fault) + len(m.Detail)
-}
-
-// SimVerdict is one cell's outcome in the conformance matrix: whether
-// the cell delivered the canonical result set ("pass"), delivered a
-// different set ("divergent"), or lost completed results
-// ("lost-results"). Digest is the canonical digest of the delivered
-// (CallID -> result) set; cells agreeing on the digest agree on every
-// result. Persisted alongside SimFault records in verdict artifacts.
-type SimVerdict struct {
-	Suite     string
-	Scenario  string
-	Cell      string
-	Verdict   string // "pass" | "divergent" | "lost-results" | "error"
-	Digest    string
-	Delivered int // results delivered to the client
-	Expected  int // workload calls issued
-	Faults    int // faults injected during the run
-	Elapsed   time.Duration
-}
-
-// Kind implements Message.
-func (*SimVerdict) Kind() string { return "sim-verdict" }
-
-// WireSize implements Message.
-func (m *SimVerdict) WireSize() int {
-	return headerSize + len(m.Suite) + len(m.Scenario) + len(m.Cell) +
-		len(m.Verdict) + len(m.Digest)
-}

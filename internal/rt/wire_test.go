@@ -35,10 +35,6 @@ func wireSampleMessages() []proto.Message {
 			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: proto.TaskOngoing, Instance: 2},
 		}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
 		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
-		&proto.SimFault{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Fault: "partition",
-			Node: "coord-00", Peer: "server-000", At: 2 * time.Second, Detail: "block co-0 -> sv-0"},
-		&proto.SimVerdict{Suite: "default", Scenario: "oneway", Cell: "store=wal policy=fcfs loops=1", Verdict: "pass",
-			Digest: "sha256:00ff", Delivered: 40, Expected: 40, Faults: 2, Elapsed: 3 * time.Second},
 	}
 }
 
