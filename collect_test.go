@@ -30,6 +30,12 @@ func collectGrid(tb testing.TB, coDisk string, loops int) *tcpGrid {
 // checks every result byte for byte. It keeps no handle and no result.
 func (g *tcpGrid) echoAll(tb testing.TB, n, inFlight, size int) {
 	tb.Helper()
+	g.mirrorAll(tb, "echo", n, inFlight, size)
+}
+
+// mirrorAll is echoAll for any service that returns its params' bytes.
+func (g *tcpGrid) mirrorAll(tb testing.TB, service string, n, inFlight, size int) {
+	tb.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	var next atomic.Int64
@@ -46,9 +52,9 @@ func (g *tcpGrid) echoAll(tb testing.TB, n, inFlight, size int) {
 				}
 				// The session keeps the slice until the result is in;
 				// the call is over by the time the loop refills it.
-				out, err := g.session.Call(ctx, "echo", params)
+				out, err := g.session.Call(ctx, service, params)
 				if err != nil || !bytes.Equal(out, params) {
-					errs <- fmt.Errorf("echo %d: %d bytes back, %v", i, len(out), err)
+					errs <- fmt.Errorf("%s %d: %d bytes back, %v", service, i, len(out), err)
 					return
 				}
 			}

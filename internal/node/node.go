@@ -210,6 +210,33 @@ func Offload(env Env, work, done func()) {
 	done()
 }
 
+// Releaser is optionally implemented by Envs whose received payloads
+// are read into buffers the runtime may reuse. A handler that is done
+// with a payload a message brought it — the server, once the service
+// body that read a task's params has returned — hands it back through
+// Release, so the next payload of its size is read into it instead of a
+// fresh allocation.
+//
+// internal/rt implements it: every message it delivers was decoded from
+// the wire into arrays of the receiver's own, which the proto package
+// pools. The simulator and nodetest do not: their messages share
+// payloads by pointer with the sender (the coordinator's job record, a
+// test's slice), which reuse would overwrite. That is why the capability
+// is optional, and why callers go through the Release function below.
+type Releaser interface {
+	// Release gives up b: the caller keeps no slice of its array, and
+	// nothing it handed on (a logged value, a sent message) holds one.
+	Release(b []byte)
+}
+
+// Release hands b to env's Releaser when it has one; otherwise b is
+// left to the garbage collector.
+func Release(env Env, b []byte) {
+	if r, ok := env.(Releaser); ok {
+		r.Release(b)
+	}
+}
+
 // Handler is the protocol state machine interface implemented by the
 // client, coordinator and server nodes.
 type Handler interface {

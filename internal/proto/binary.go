@@ -12,9 +12,10 @@ package proto
 // large payload out of the buffer for the write to take where it lies.
 // The reader decodes a blob in place and a frame through a window of
 // at most BlobMin bytes: every byte slice is read or copied into one of
-// its own, and strings are interned so the small, endlessly repeated
-// identifiers (node IDs, users, service names) are allocated once per
-// decoder, not once per message.
+// its own — a frame's large payload into a pooled buffer its holder may
+// give back (ReleasePayload) — and strings are interned so the small,
+// endlessly repeated identifiers (node IDs, users, service names) are
+// allocated once per decoder, not once per message.
 //
 // Decoding is hardened for the fuzzer and for torn frames: every read
 // is bounds-checked against the remaining input through a sticky
@@ -159,6 +160,102 @@ func PutBuffer(b *EncodeBuffer) {
 	}
 	b.B = b.B[:0]
 	bufferPool.Put(b)
+}
+
+// ---------------------------------------------------------------------
+// Pooled payload buffers
+// ---------------------------------------------------------------------
+
+// A payload the wire decoder reads, from BlobMin bytes up to
+// maxPooledBuffer, is read into a buffer from payloadPools, and
+// ReleasePayload gives one back once its holder is done with it (a
+// server, when the service body that read a task's params has
+// returned). Storage decodes — blobs, log entries, job records — never
+// draw from the pools: what they return is kept.
+//
+// A buffer's capacity is its size class: Go's own size classes up to
+// 32 KiB, whole 8 KiB pages above — exactly what the allocator rounds a
+// make of the same length up to. So a pooled payload that is kept for
+// good (the coordinator's record, a client's result) costs no more than
+// a make would have, and a released one fits every later payload of
+// its class.
+var payloadPools [len(smallPayloadClasses) + (maxPooledBuffer-maxSmallPayload)/payloadPage]sync.Pool // of *payloadBuf
+
+// smallPayloadClasses are the runtime's size classes from BlobMin to
+// maxSmallPayload (runtime/sizeclasses.go).
+var smallPayloadClasses = [...]int{4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240,
+	10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576, 27264, 28672, 32768}
+
+const (
+	maxSmallPayload = 32 << 10 // the runtime's largest small object
+	payloadPage     = 8 << 10  // the runtime's page: a large object is whole pages
+)
+
+// payloadBuf carries a pooled buffer: a pointer, so that pooling one
+// allocates nothing. The carriers of buffers that are out wait in
+// payloadBufs.
+type payloadBuf struct{ b []byte }
+
+var payloadBufs sync.Pool // of *payloadBuf, empty
+
+// payloadClass is the index of the smallest class that holds n bytes,
+// BlobMin <= n <= maxPooledBuffer.
+func payloadClass(n int) int {
+	if n <= maxSmallPayload {
+		i := 0
+		for smallPayloadClasses[i] < n {
+			i++
+		}
+		return i
+	}
+	return len(smallPayloadClasses) + (n-maxSmallPayload+payloadPage-1)/payloadPage - 1
+}
+
+// payloadClassCap is class c's capacity.
+func payloadClassCap(c int) int {
+	if c < len(smallPayloadClasses) {
+		return smallPayloadClasses[c]
+	}
+	return maxSmallPayload + (c-len(smallPayloadClasses)+1)*payloadPage
+}
+
+// pooledPayload reports whether a payload of n bytes is read into a
+// pooled buffer on the wire.
+func pooledPayload(n uint64) bool { return n >= BlobMin && n <= maxPooledBuffer }
+
+// getPayload returns a buffer of n bytes, pooled or fresh, to be
+// overwritten whole.
+func getPayload(n int) []byte {
+	c := payloadClass(n)
+	if pb, _ := payloadPools[c].Get().(*payloadBuf); pb != nil {
+		b := pb.b[:n]
+		pb.b = nil
+		payloadBufs.Put(pb)
+		return b
+	}
+	return make([]byte, n, payloadClassCap(c))
+}
+
+// ReleasePayload hands b, a payload a WireDecoder returned, back for a
+// later frame's payload to be read into. The caller gives up b and
+// every slice of its array: nothing may read or write them after.
+// A slice whose capacity is not a class's — under BlobMin, over
+// maxPooledBuffer, or not from the wire — is left to the collector.
+func ReleasePayload(b []byte) {
+	n := cap(b)
+	if !pooledPayload(uint64(n)) {
+		return
+	}
+	c := payloadClass(n)
+	if payloadClassCap(c) != n {
+		return
+	}
+	pb, _ := payloadBufs.Get().(*payloadBuf)
+	if pb == nil {
+		pb = new(payloadBuf)
+	}
+	pb.b = b[:0]
+	payloadPools[c].Put(pb)
 }
 
 // ---------------------------------------------------------------------
@@ -462,7 +559,9 @@ func (r *binReader) str() string {
 
 // bytes reads a byte slice into one of its own, exactly as long as the
 // field: a payload of a frame comes straight from the stream, save what
-// the window already held of it.
+// the window already held of it, into a pooled buffer when it is one
+// of getPayload's sizes. The read overwrites the whole slice; a torn
+// one drops it.
 func (r *binReader) bytes() []byte {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
@@ -474,7 +573,12 @@ func (r *binReader) bytes() []byte {
 	}
 	// make, not append: append of zero elements onto nil would turn an
 	// encoded empty slice back into nil.
-	out := make([]byte, n-1)
+	var out []byte
+	if r.src != nil && pooledPayload(n-1) {
+		out = getPayload(int(n - 1))
+	} else {
+		out = make([]byte, n-1)
+	}
 	if r.read(out); r.err != nil {
 		return nil
 	}

@@ -444,7 +444,9 @@ func (f *Frames) Reset() {
 // read into it whole and parsed in place; of a larger one the window
 // holds a part at a time, and every byte slice is read into a slice of
 // its own, exactly its length — a payload straight from the connection,
-// save the little of it the window had already read. So a connection
+// save the little of it the window had already read, and from BlobMin
+// up to 1 MiB into a pooled buffer whose capacity is what a make of
+// that length would get (ReleasePayload gives one back). So a connection
 // keeps no buffer larger than its usual small frame, or BlobMin, and no
 // payload shares an array with another or with the decoder. Strings are
 // interned across frames, so a sustained stream decodes without

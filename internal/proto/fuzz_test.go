@@ -23,7 +23,9 @@ import (
 // same body, or fail where that fails. The seed corpus covers every
 // message kind, a job record, wire frames, and messages with payloads
 // past BlobMin whole and torn mid-payload, so `go test` alone exercises
-// every decode path through this harness.
+// every decode path through this harness. Each payload a WireDecoder
+// returned is released once compared, so later decodes, whole and a
+// byte at a time, read into reused buffers.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, msg := range allMessages() {
 		f.Add(EncodeMessage(msg))
@@ -150,6 +152,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			case err == nil && (from != "node-a" || !reflect.DeepEqual(got, want)):
 				t.Fatalf("the frame decoded to other values than the blob")
 			}
+			release(got) // the next reader's decode reads into it
 		}
 
 		// The input as a wire stream: drain frames until error or EOF,
@@ -176,8 +179,23 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil || !bytes.Equal(raw, again) {
 				t.Fatalf("frame encoding is not a fixed point (err %v)", err)
 			}
+			release(msg2)
+		}
+		for _, frames := range [][]wireFrame{whole, bytewise} {
+			for _, fr := range frames {
+				release(fr.msg)
+			}
 		}
 	})
+}
+
+// release gives back the payloads of a message a WireDecoder returned,
+// as a server does with a task's params: the fuzzer's later decodes
+// then read into buffers that held other bytes.
+func release(msg Message) {
+	for _, p := range payloads(msg) {
+		ReleasePayload(p)
+	}
 }
 
 // readers reads b whole and a byte at a time: the window then fills at

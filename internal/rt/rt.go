@@ -32,6 +32,16 @@
 // completion travels back to the loop in a pooled entry that is its own
 // ring node, as an offloaded body's does. What a call allocates is what
 // it keeps and what its messages carry.
+//
+// A payload a message delivers is the receiver's: the wire decoder read
+// it into an array of its own, shared with no other node of the process
+// and with no buffer of the runtime. From 4 KiB up that array comes from
+// proto's pool, at the capacity a make would give it, and a handler that
+// is done with it may give it back (node.Release): the server does with
+// a task's params once the service body has returned, so a large call's
+// params are read into the last call's buffer. Everything a handler
+// keeps — a logged value, a job record, a result — it keeps as it would
+// a made slice.
 package rt
 
 import (
@@ -606,6 +616,7 @@ type rtEnv struct{ l *loop }
 var (
 	_ node.Env       = (*rtEnv)(nil)
 	_ node.Offloader = (*rtEnv)(nil)
+	_ node.Releaser  = (*rtEnv)(nil)
 )
 
 func (e *rtEnv) Self() proto.NodeID { return e.l.r.cfg.ID }
@@ -671,6 +682,11 @@ func (e *rtEnv) Offload(work, done func()) {
 	o.l, o.work, o.done = e.l, work, done
 	go o.run()
 }
+
+// Release implements node.Releaser: every payload this runtime delivers
+// was read off a connection into an array of its own, so a handler done
+// with one gives it back to the wire decoder's pool.
+func (e *rtEnv) Release(b []byte) { proto.ReleasePayload(b) }
 
 // offload carries one offloaded body to its goroutine and its completion
 // back to the loop. It is pooled, its two callbacks are bound once, and

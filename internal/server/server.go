@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -50,11 +51,14 @@ import (
 // the raw parameter payload; it returns the result payload or an error.
 // Services must be stateless: RPC-V restricts the application scope to
 // stateless services with at-least-once semantics, so a service may be
-// executed more than once for the same call. Params is the server's,
-// read-only for the body; the slice a body returns becomes the server's
-// — the result log keeps that very slice until the coordinator has
-// acknowledged the result — so a body returns bytes of its own, never
-// params or a buffer it will write again.
+// executed more than once for the same call. Params is lent for the
+// call: the body may read it, and keeps no reference after returning —
+// the server hands a large one back to the runtime for the next task's
+// params to be read into (node.Release). The slice a body returns
+// becomes the server's — the result log keeps that very slice until the
+// coordinator has acknowledged the result — so a body returns bytes of
+// its own, or params itself, which the server then keeps with the
+// result; never a buffer it will write again.
 //
 // A service may block for as long as it likes, and up to
 // Config.Parallelism of them run at the same time, each on a goroutine
@@ -534,7 +538,7 @@ func (s *Server) handleCancel(from proto.NodeID, m *proto.TaskCancel) {
 	s.monitor.Observe(from)
 	for i := range s.backlog {
 		if s.backlog[i].Task == m.Task {
-			s.backlog = append(s.backlog[:i], s.backlog[i+1:]...)
+			s.backlog = slices.Delete(s.backlog, i, i+1)
 			s.discarded++
 			s.sm.discarded.Inc()
 			s.noteLoad()
@@ -660,12 +664,24 @@ func (s *Server) execution(t *proto.TaskAssignment) *execution {
 	return x
 }
 
-// finish hands x back and finishes its task with out.
+// finish hands x back and finishes its task with out. No body reads
+// the task's params any more, so a large one goes back to the runtime
+// (node.Release) — unless the output is params itself, or a slice of
+// its array: the result log holds that.
 func (s *Server) finish(x *execution, out outcome) {
 	t := x.t
 	x.t, x.svc, x.out = proto.TaskAssignment{}, nil, outcome{}
 	s.idle = append(s.idle, x)
 	s.finishTask(&t, out)
+	if len(t.Params) >= proto.BlobMin && !sameArray(t.Params, out.output) {
+		node.Release(s.env, t.Params)
+	}
+}
+
+// sameArray reports whether a and b are slices of one array: two slices
+// of an array share its last element when extended to their capacity.
+func sameArray(a, b []byte) bool {
+	return cap(a) > 0 && cap(b) > 0 && &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
 }
 
 // runningCall reports whether any running (and not cancelled) or
@@ -808,7 +824,7 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 func (s *Server) pullMoreWork() {
 	for len(s.backlog) > 0 && len(s.running) < s.cfg.Parallelism {
 		next := s.backlog[0]
-		s.backlog = s.backlog[1:]
+		s.backlog = slices.Delete(s.backlog, 0, 1)
 		s.startTask(&next)
 	}
 	if !s.needSync && len(s.running)+len(s.backlog) < s.cfg.Parallelism {
