@@ -55,11 +55,9 @@ type tcpGridSpec struct {
 	parallelism int
 	services    map[string]server.Service
 
-	// The coordinator's store (collect_test.go): coDisk is a WAL
-	// directory, empty for the memory store. loops is its Config.Loops,
-	// the vestige that accepts 0 or 1.
+	// The coordinator's store (collect_test.go): a WAL directory, empty
+	// for the memory store.
 	coDisk string
-	loops  int
 }
 
 // logf keeps the nodes quiet but remembers suspicions.
@@ -90,7 +88,7 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 	})
 	var err error
 	g.rco, err = g.grid.Start("co", func() rt.Config {
-		return rt.Config{Handler: g.co, DiskDir: spec.coDisk, Loops: spec.loops,
+		return rt.Config{Handler: g.co, DiskDir: spec.coDisk,
 			WrapStore: func(s store.Store) store.Store { g.coStore = s; return s }}
 	})
 	if err != nil {

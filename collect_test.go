@@ -19,9 +19,9 @@ import (
 
 // collectGrid boots the grid these tests and BenchmarkRetainedPerCall
 // share: two servers taking 16 bodies each, a 20 ms beat.
-func collectGrid(tb testing.TB, coDisk string, loops int) *tcpGrid {
+func collectGrid(tb testing.TB, coDisk string) *tcpGrid {
 	g := bootTCPGrid(tb, tcpGridSpec{user: "collect", period: busyBeat, timeout: 2 * time.Second,
-		servers: 2, parallelism: 16, services: shared.BuiltinServices(), coDisk: coDisk, loops: loops})
+		servers: 2, parallelism: 16, services: shared.BuiltinServices(), coDisk: coDisk})
 	tb.Cleanup(g.close)
 	return g
 }
@@ -131,7 +131,7 @@ func TestGridHoldsTheCallsInFlightNotItsHistory(t *testing.T) {
 			if cell.wal {
 				dir = t.TempDir()
 			}
-			g := collectGrid(t, dir, 1)
+			g := collectGrid(t, dir)
 			g.echoAll(t, small, 32, 64)
 			base := g.settled(t, "first batch")
 			g.echoAll(t, small, 32, 64)
@@ -200,7 +200,7 @@ func TestLargeResultIsAcknowledgedAtOnce(t *testing.T) {
 // about 1 500.
 func BenchmarkRetainedPerCall(b *testing.B) {
 	const perIter = 2000
-	g := collectGrid(b, "", 1)
+	g := collectGrid(b, "")
 	g.echoAll(b, perIter, 32, 64) // warm-up: pools, maps and buffers at their working size
 	before := g.settled(b, "warm-up")
 	b.ResetTimer()

@@ -50,7 +50,7 @@
 // run on it in turn, so no handler takes a lock. Producers that must
 // never block — the WAL committer completing a staged write, an
 // offloaded service body handing back its result — reach the loop
-// through a lock-free MPSC handoff ring; everything else (received
+// through a plain mutex-guarded handoff queue; everything else (received
 // messages, Do, Ping) through its bounded mailbox. A second loop per
 // coordinator was measured slower on two cores, and deleted.
 //

@@ -13,17 +13,18 @@ package rt
 //     message, not as a closure over them, so delivering a message
 //     allocates nothing; a function to run travels as itself. The
 //     channel holds mailboxBytes of entries, not a count of them.
-//   - ring: an unbounded lock-free MPSC handoff ring (Vyukov intrusive
-//     queue) + a 1-buffered wake doorbell, fed by producers that must
-//     NEVER block: the store committer completing WriteAsync callbacks
-//     (a blocked committer would deadlock a loop waiting in a
-//     synchronous Write), and the goroutines of offloaded work handing
-//     back their completion (rtEnv.Offload; one that finishes after
-//     Close must end, not wait on a dead loop). postNode is the only way
-//     onto it, and every entry brings its own node.
-//   - timers: a min-heap of deadlines; the loop arms a single runtime
-//     timer to the earliest one. After/Stop run on the loop, so the
-//     heap lock is uncontended.
+//   - handoff queue: a mutex-guarded slice of functions + a 1-buffered
+//     wake doorbell, fed by producers that must NEVER block: the store
+//     committer completing WriteAsync callbacks (a committer blocked on
+//     the mailbox would deadlock a loop waiting in a synchronous Write),
+//     and the goroutines of offloaded work handing back their completion
+//     (rtEnv.Offload; one that finishes after Close must end, not wait on
+//     a dead loop). handoff is the only way onto it. The loop takes the
+//     whole slice at once and leaves its spare in its place, so once both
+//     have grown to the peak neither side allocates.
+//   - timers: a min-heap of deadlines that only the loop touches; the
+//     loop arms a single runtime timer to the earliest one. Their count
+//     is an atomic, for scrapes from other goroutines.
 
 import (
 	"container/heap"
@@ -55,57 +56,63 @@ const (
 	mailboxSlots = mailboxBytes / int(unsafe.Sizeof(mail{}))
 )
 
-// loop is a runtime's event loop.
+// loop is the event loop's state, embedded in its Runtime: everything
+// the loop goroutine owns, and the two doors other goroutines reach it
+// by. Its behaviour is the Runtime's methods below.
 type loop struct {
-	r       *Runtime
 	handler node.Handler
 
 	mailbox chan mail
-	ring    mpscRing
-	wake    chan struct{} // 1-buffered doorbell for the ring
+	wake    chan struct{} // 1-buffered doorbell for the handoff queue
+	qmu     sync.Mutex
+	queue   []func() // guarded by qmu
+	spare   []func() // loop-owned: the last drained array, emptied
 
 	rng  *rand.Rand
 	disk *loopDisk
 	env  *rtEnv
 
-	tmu    sync.Mutex
-	timers timerHeap
+	timers  timerHeap    // loop-only
+	nTimers atomic.Int64 // len(timers), for off-loop readers
 
 	// Scrape-time counters (atomics: read off-loop by obs funcs).
 	tasks    atomic.Uint64 // closures executed on the loop
-	handoffs atomic.Uint64 // ring posts (committer and offload traffic)
+	handoffs atomic.Uint64 // functions handed to the queue: store completions and offloads' done
 }
 
 // receive schedules the handler's Receive on the loop, as a mailbox
 // entry holding the envelope itself. Called from connection readers
 // (external producers): the send may block briefly when the loop falls
 // behind, which is the transport's backpressure.
-func (l *loop) receive(from proto.NodeID, msg proto.Message) {
+func (r *Runtime) receive(from proto.NodeID, msg proto.Message) {
 	select {
-	case l.mailbox <- mail{from: from, msg: msg}:
-	case <-l.r.quit:
+	case r.mailbox <- mail{from: from, msg: msg}:
+	case <-r.quit:
 	}
 }
 
-// postNode puts n on the loop's lock-free handoff ring and rings the
-// doorbell. It never blocks, whatever the loop is doing — the path for
-// producers that must not stall: the store committer and offloaded
-// work. Each brings a pooled entry that is its own node (asyncOp,
-// offload), so the ring costs them nothing.
-func (l *loop) postNode(n *ringNode) {
-	l.ring.push(n)
-	l.handoffs.Add(1)
+// handoff appends fn to the loop's handoff queue and rings the doorbell.
+// It never blocks, whatever the loop is doing (the loop holds qmu only
+// to swap the slice) — the path for producers that must not stall: the
+// store committer and offloaded work. Each hands over a function bound
+// once in a pooled record (asyncOp, offload), so the queue costs them
+// nothing.
+func (r *Runtime) handoff(fn func()) {
+	r.qmu.Lock()
+	r.queue = append(r.queue, fn)
+	r.qmu.Unlock()
+	r.handoffs.Add(1)
 	select {
-	case l.wake <- struct{}{}:
+	case r.wake <- struct{}{}:
 	default: // doorbell already rung
 	}
 }
 
-// run is the loop goroutine: execute mailbox work, drain ring
-// handoffs, fire due timers, exit on quit after draining what is
-// already queued.
-func (l *loop) run() {
-	defer l.r.wg.Done()
+// run is the loop goroutine: execute mailbox work, drain the handoff
+// queue, fire due timers, exit on quit after draining what is already
+// queued.
+func (r *Runtime) run() {
+	defer r.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -117,8 +124,8 @@ func (l *loop) run() {
 	var armedFor time.Time
 	for {
 		var timerC <-chan time.Time
-		if at, ok := l.nextDeadline(); ok {
-			if !armed || !at.Equal(armedFor) {
+		if len(r.timers) > 0 {
+			if at := r.timers[0].at; !armed || !at.Equal(armedFor) {
 				if armed && !timer.Stop() {
 					<-timer.C
 				}
@@ -133,47 +140,55 @@ func (l *loop) run() {
 			armed = false
 		}
 		select {
-		case m := <-l.mailbox:
-			l.handle(m)
-		case <-l.wake:
-			l.drainRing()
+		case m := <-r.mailbox:
+			r.handle(m)
+		case <-r.wake:
+			r.drainQueue()
 		case <-timerC:
 			armed = false
-			l.fireDue()
-		case <-l.r.quit:
-			l.drainPending()
+			r.fireDue()
+		case <-r.quit:
+			r.drainPending()
 			return
 		}
 	}
 }
 
 // handle executes one mailbox entry.
-func (l *loop) handle(m mail) {
-	l.tasks.Add(1)
+func (r *Runtime) handle(m mail) {
+	r.tasks.Add(1)
 	if m.msg != nil {
-		l.handler.Receive(m.from, m.msg)
+		r.handler.Receive(m.from, m.msg)
 		return
 	}
 	m.fn()
 }
 
-// drainRing executes everything currently on the handoff ring.
-func (l *loop) drainRing() {
-	for n := l.ring.pop(); n != nil; n = l.ring.pop() {
-		l.tasks.Add(1)
-		n.fn() // the last touch: a pooled entry may be reused from here on
+// drainQueue executes everything on the handoff queue, in the order it
+// was handed off. What is handed off meanwhile goes to the spare and
+// rings the doorbell again.
+func (r *Runtime) drainQueue() {
+	r.qmu.Lock()
+	fns := r.queue
+	r.queue = r.spare
+	r.qmu.Unlock()
+	for i, fn := range fns {
+		r.tasks.Add(1)
+		fns[i] = nil
+		fn()
 	}
+	r.spare = fns[:0]
 }
 
-// drainPending empties the mailbox and ring once quit is closed, so
-// work accepted before shutdown still executes.
-func (l *loop) drainPending() {
+// drainPending empties the mailbox and handoff queue once quit is
+// closed, so work accepted before shutdown still executes.
+func (r *Runtime) drainPending() {
 	for {
 		select {
-		case m := <-l.mailbox:
-			l.handle(m)
+		case m := <-r.mailbox:
+			r.handle(m)
 		default:
-			l.drainRing()
+			r.drainQueue()
 			return
 		}
 	}
@@ -185,64 +200,37 @@ func (l *loop) drainPending() {
 
 // loopTimer is one pending After deadline on the loop's heap.
 type loopTimer struct {
-	l       *loop
+	r       *Runtime
 	at      time.Time
 	fn      func()
 	heapIdx int // -1 once fired or stopped
 }
 
-// Stop implements node.Timer.
+// Stop implements node.Timer. Called on the loop (Env contract).
 func (t *loopTimer) Stop() {
-	t.l.tmu.Lock()
 	if t.heapIdx >= 0 {
-		heap.Remove(&t.l.timers, t.heapIdx)
-		t.heapIdx = -1
+		heap.Remove(&t.r.timers, t.heapIdx)
+		t.r.nTimers.Add(-1)
 	}
-	t.l.tmu.Unlock()
 }
 
-// after registers fn to fire on this loop no earlier than d from now.
-// Called on the owning loop (Env contract), so the loop re-arms its
-// wait on the next select iteration without a cross-goroutine wake.
-func (l *loop) after(d time.Duration, fn func()) node.Timer {
-	t := &loopTimer{l: l, at: time.Now().Add(d), fn: fn}
-	l.tmu.Lock()
-	heap.Push(&l.timers, t)
-	l.tmu.Unlock()
+// after registers fn to fire on the loop no earlier than d from now.
+// Called on the loop (Env contract), so the loop re-arms its wait on the
+// next select iteration without a cross-goroutine wake.
+func (r *Runtime) after(d time.Duration, fn func()) node.Timer {
+	t := &loopTimer{r: r, at: time.Now().Add(d), fn: fn}
+	heap.Push(&r.timers, t)
+	r.nTimers.Add(1)
 	return t
 }
 
-// pendingTimers counts the timers not yet fired or stopped. Safe from
-// any goroutine.
-func (l *loop) pendingTimers() int {
-	l.tmu.Lock()
-	defer l.tmu.Unlock()
-	return len(l.timers)
-}
-
-// nextDeadline returns the earliest pending deadline.
-func (l *loop) nextDeadline() (time.Time, bool) {
-	l.tmu.Lock()
-	defer l.tmu.Unlock()
-	if len(l.timers) == 0 {
-		return time.Time{}, false
-	}
-	return l.timers[0].at, true
-}
-
 // fireDue pops and runs every timer whose deadline has passed.
-func (l *loop) fireDue() {
+func (r *Runtime) fireDue() {
 	now := time.Now()
-	for {
-		l.tmu.Lock()
-		if len(l.timers) == 0 || l.timers[0].at.After(now) {
-			l.tmu.Unlock()
-			return
-		}
-		t := heap.Pop(&l.timers).(*loopTimer)
-		t.heapIdx = -1
-		l.tmu.Unlock()
-		l.tasks.Add(1)
+	for len(r.timers) > 0 && !r.timers[0].at.After(now) {
+		t := heap.Pop(&r.timers).(*loopTimer)
+		r.nTimers.Add(-1)
+		r.tasks.Add(1)
 		t.fn()
 	}
 }
@@ -259,79 +247,7 @@ func (h *timerHeap) Pop() any {
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
+	t.heapIdx = -1
 	*h = old[:n-1]
 	return t
-}
-
-// ---------------------------------------------------------------------
-// Lock-free MPSC handoff ring
-// ---------------------------------------------------------------------
-
-// mpscRing is Vyukov's intrusive multi-producer single-consumer queue:
-// producers do one atomic swap plus one atomic store (wait-free), the
-// single consumer pops without atomics on its own side. Unbounded — a
-// producer can always complete, which is the property the committer
-// needs. The queue links the nodes it is handed, so an entry that
-// embeds its node is queued without an allocation; a popped node is the
-// consumer's, to reuse once it has run.
-type mpscRing struct {
-	head atomic.Pointer[ringNode] // producers swap themselves in here
-	tail *ringNode                // consumer-owned
-	stub ringNode
-	once sync.Once
-}
-
-type ringNode struct {
-	next atomic.Pointer[ringNode]
-	fn   func()
-}
-
-func (q *mpscRing) init() {
-	q.once.Do(func() {
-		q.head.Store(&q.stub)
-		q.tail = &q.stub
-	})
-}
-
-// push enqueues n, which must not be queued already. Safe from any
-// goroutine, never blocks.
-func (q *mpscRing) push(n *ringNode) {
-	q.init()
-	n.next.Store(nil)
-	prev := q.head.Swap(n)
-	// Between the swap and this store the queue is momentarily
-	// disconnected; pop reports empty and the producer's doorbell
-	// (rung after push returns) re-drains.
-	prev.next.Store(n)
-}
-
-// pop dequeues the oldest node, nil when there is none. Consumer-only.
-func (q *mpscRing) pop() *ringNode {
-	q.init()
-	tail := q.tail
-	next := tail.next.Load()
-	if tail == &q.stub {
-		if next == nil {
-			return nil
-		}
-		// No producer writes the stub's link while it is not the head:
-		// cut it, so the stub holds on to no popped node.
-		q.stub.next.Store(nil)
-		q.tail = next
-		tail = next
-		next = tail.next.Load()
-	}
-	if next != nil {
-		q.tail = next
-		return tail
-	}
-	if tail != q.head.Load() {
-		return nil // producer mid-push; its doorbell follows
-	}
-	q.push(&q.stub)
-	if next = tail.next.Load(); next != nil {
-		q.tail = next
-		return tail
-	}
-	return nil
 }

@@ -29,9 +29,9 @@
 // a pooled signal, each sender swaps two queue arrays instead of
 // growing a fresh one per batch, over the memory store a staged write
 // is simply the synchronous one, and over the WAL a staged write's
-// completion travels back to the loop in a pooled entry that is its own
-// ring node, as an offloaded body's does. What a call allocates is what
-// it keeps and what its messages carry.
+// completion travels back to the loop as a function bound once in a
+// pooled record, as an offloaded body's does. What a call allocates is
+// what it keeps and what its messages carry.
 //
 // A payload a message delivers is the receiver's: the wire decoder read
 // it into an array of its own, shared with no other node of the process
@@ -136,7 +136,9 @@ type Config struct {
 	// and before the loop sees it. The chaos harness uses it to inject
 	// disk faults (store.WithFaults); the wrapper must preserve the
 	// Store contract. Note: a wrapper hides the WAL's optional Stats, so
-	// its commit counters go unexported under a wrapped store.
+	// its commit counters go unexported under a wrapped store, and the
+	// staged calls of a wrapped memory store complete through the loop's
+	// handoff queue, as the WAL's do, not inline.
 	WrapStore func(store.Store) store.Store
 }
 
@@ -145,7 +147,7 @@ type Runtime struct {
 	cfg   Config
 	ln    net.Listener
 	store store.Store
-	loop  *loop
+	loop  // the event loop's state (loop.go)
 
 	mu     sync.Mutex
 	dir    Directory
@@ -200,7 +202,13 @@ func Start(cfg Config) (*Runtime, error) {
 	}
 
 	r := &Runtime{
-		cfg:     cfg,
+		cfg: cfg,
+		loop: loop{
+			handler: cfg.Handler,
+			mailbox: make(chan mail, mailboxSlots),
+			wake:    make(chan struct{}, 1),
+			rng:     rand.New(newPCG(seed)),
+		},
 		dir:     make(Directory, len(cfg.Directory)),
 		conns:   make(map[net.Conn]struct{}),
 		senders: make(map[proto.NodeID]*sender),
@@ -222,22 +230,16 @@ func Start(cfg Config) (*Runtime, error) {
 	} else {
 		r.store = store.NewMemory()
 	}
+	// Inline is decided on the engine itself, before the race build's
+	// checker hides it; a test's wrapper may complete however it likes.
+	_, inline := r.store.(*store.Memory)
 	r.store = checkStore(r.store)
 	if cfg.WrapStore != nil {
 		r.store = cfg.WrapStore(r.store)
+		inline = false
 	}
-
-	l := &loop{
-		r:       r,
-		handler: cfg.Handler,
-		mailbox: make(chan mail, mailboxSlots),
-		wake:    make(chan struct{}, 1),
-		rng:     rand.New(newPCG(seed)),
-	}
-	_, inline := r.store.(*store.Memory)
-	l.disk = &loopDisk{l: l, st: r.store, inline: inline}
-	l.env = &rtEnv{l: l}
-	r.loop = l
+	r.disk = &loopDisk{r: r, st: r.store, inline: inline}
+	r.env = &rtEnv{r: r}
 	r.registerObs()
 
 	// Seed the mailbox with the handler's Start BEFORE any goroutine
@@ -246,7 +248,7 @@ func Start(cfg Config) (*Runtime, error) {
 	// would otherwise have its message Received by an un-Started
 	// handler. The mailbox is empty and the loop not yet running, so
 	// the send cannot block.
-	l.mailbox <- mail{fn: func() { l.handler.Start(l.env) }}
+	r.mailbox <- mail{fn: func() { r.handler.Start(r.env) }}
 
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
@@ -263,7 +265,7 @@ func Start(cfg Config) (*Runtime, error) {
 	}
 
 	r.wg.Add(1)
-	go l.run()
+	go r.run()
 	return r, nil
 }
 
@@ -287,11 +289,10 @@ func (r *Runtime) registerObs() {
 	reg.GaugeFunc("rpcv_transport_inbound_conns", func() float64 { return float64(r.inbound.Load()) }, nl)
 	r.obsBatch = reg.Histogram("rpcv_transport_batch_msgs", nl)
 	r.obsWrite = reg.Histogram("rpcv_store_write_latency_ns", nl)
-	l := r.loop
-	reg.CounterFunc("rpcv_loop_tasks_total", l.tasks.Load, nl)
-	reg.CounterFunc("rpcv_loop_handoffs_total", l.handoffs.Load, nl)
-	reg.GaugeFunc("rpcv_loop_mailbox_depth", func() float64 { return float64(len(l.mailbox)) }, nl)
-	reg.GaugeFunc("rpcv_loop_timers", func() float64 { return float64(l.pendingTimers()) }, nl)
+	reg.CounterFunc("rpcv_loop_tasks_total", r.tasks.Load, nl)
+	reg.CounterFunc("rpcv_loop_handoffs_total", r.handoffs.Load, nl)
+	reg.GaugeFunc("rpcv_loop_mailbox_depth", func() float64 { return float64(len(r.mailbox)) }, nl)
+	reg.GaugeFunc("rpcv_loop_timers", func() float64 { return float64(r.nTimers.Load()) }, nl)
 	if w, ok := r.store.(interface{ Stats() store.WALStats }); ok {
 		reg.CounterFunc("rpcv_store_wal_commits_total", func() uint64 { return w.Stats().Commits }, nl)
 		reg.CounterFunc("rpcv_store_wal_committed_ops_total", func() uint64 { return w.Stats().CommittedOps }, nl)
@@ -327,7 +328,7 @@ func (r *Runtime) Do(fn func()) {
 	w := waiters.Get().(*waiter)
 	w.fn = fn
 	select {
-	case r.loop.mailbox <- mail{fn: w.run}:
+	case r.mailbox <- mail{fn: w.run}:
 		<-w.done
 	case <-r.quit:
 	}
@@ -364,7 +365,7 @@ func (r *Runtime) Ping(d time.Duration) error {
 	defer timer.Stop()
 	done := make(chan struct{})
 	select {
-	case r.loop.mailbox <- mail{fn: func() { close(done) }}:
+	case r.mailbox <- mail{fn: func() { close(done) }}:
 	case <-timer.C:
 		return fmt.Errorf("event loop did not accept work within %v (mailbox full)", d)
 	case <-r.quit:
@@ -383,7 +384,7 @@ func (r *Runtime) Ping(d time.Duration) error {
 // DoAsync schedules fn on the event loop without waiting.
 func (r *Runtime) DoAsync(fn func()) {
 	select {
-	case r.loop.mailbox <- mail{fn: fn}:
+	case r.mailbox <- mail{fn: fn}:
 	case <-r.quit:
 	}
 }
@@ -429,12 +430,11 @@ type LoopStat struct {
 // multi-loop runtime only because bench/grid.go ranges over it; the
 // next benchmark PR changes that with Config.Loops.
 func (r *Runtime) LoopStats() []LoopStat {
-	l := r.loop
 	return []LoopStat{{
-		Tasks:        l.tasks.Load(),
-		Handoffs:     l.handoffs.Load(),
-		MailboxDepth: len(l.mailbox),
-		Timers:       l.pendingTimers(),
+		Tasks:        r.tasks.Load(),
+		Handoffs:     r.handoffs.Load(),
+		MailboxDepth: len(r.mailbox),
+		Timers:       int(r.nTimers.Load()),
 	}}
 }
 
@@ -450,7 +450,7 @@ func (r *Runtime) Close() {
 	r.closed = true
 	r.mu.Unlock()
 
-	r.Do(r.loop.handler.Stop)
+	r.Do(r.handler.Stop)
 	close(r.quit)
 	if r.ln != nil {
 		r.ln.Close()
@@ -581,7 +581,7 @@ func (r *Runtime) handleConn(conn net.Conn) {
 			}
 			return
 		}
-		r.loop.receive(from, msg)
+		r.receive(from, msg)
 	}
 }
 
@@ -611,7 +611,7 @@ func (r *Runtime) send(to proto.NodeID, msg proto.Message) {
 // Env implementation
 // ---------------------------------------------------------------------
 
-type rtEnv struct{ l *loop }
+type rtEnv struct{ r *Runtime }
 
 var (
 	_ node.Env       = (*rtEnv)(nil)
@@ -619,18 +619,18 @@ var (
 	_ node.Releaser  = (*rtEnv)(nil)
 )
 
-func (e *rtEnv) Self() proto.NodeID { return e.l.r.cfg.ID }
+func (e *rtEnv) Self() proto.NodeID { return e.r.cfg.ID }
 func (e *rtEnv) Now() time.Time {
-	if off := e.l.r.clockOff.Load(); off != 0 {
+	if off := e.r.clockOff.Load(); off != 0 {
 		return time.Now().Add(time.Duration(off))
 	}
 	return time.Now()
 }
-func (e *rtEnv) Disk() node.Disk { return e.l.disk }
+func (e *rtEnv) Disk() node.Disk { return e.r.disk }
 
 // Rand returns the loop's private RNG: runtimes sharing a process never
 // share (and never race on) one rand.Rand.
-func (e *rtEnv) Rand() *rand.Rand { return e.l.rng }
+func (e *rtEnv) Rand() *rand.Rand { return e.r.rng }
 
 // pcg is math/rand/v2's PCG behind math/rand's Source64: 16 bytes of
 // state where math/rand's own source keeps 4.9 KB, for every runtime of
@@ -649,37 +649,37 @@ func (s *pcg) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 var _ rand.Source64 = (*pcg)(nil)
 
 func (e *rtEnv) Logf(format string, args ...any) {
-	e.l.r.cfg.Logf("%s: %s", e.l.r.cfg.ID, fmt.Sprintf(format, args...))
+	e.r.cfg.Logf("%s: %s", e.r.cfg.ID, fmt.Sprintf(format, args...))
 }
 
 // Send hands msg to the transport without ever blocking the loop: it
 // enqueues, dropping the oldest envelope on overflow.
 //
 //rpcv:loop-only
-func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.l.r.send(to, msg) }
+func (e *rtEnv) Send(to proto.NodeID, msg proto.Message) { e.r.send(to, msg) }
 
 // After registers a timer on the loop's timer heap: fn fires on the
 // loop when the deadline passes, and Stop removes it from the heap.
 //
 //rpcv:loop-only
 func (e *rtEnv) After(d time.Duration, fn func()) node.Timer {
-	return e.l.after(d, fn)
+	return e.r.after(d, fn)
 }
 
 // Offload implements node.Offloader: work gets a goroutine of its own,
-// and done rides the loop's handoff ring back — the never-blocking path,
-// so a finished body is never stuck behind a full mailbox. The two
-// travel in a pooled offload record that is its own ring node, so an
-// offload allocates nothing but what the goroutine itself costs. The
+// and done rides the loop's handoff queue back — the never-blocking
+// path, so a finished body is never stuck behind a full mailbox. The two
+// travel in a pooled offload record with its callbacks bound once, so
+// an offload allocates nothing but what the goroutine itself costs. The
 // goroutine is deliberately not in the runtime's WaitGroup: Close does
 // not wait for a body in flight (the sleep service accepts an hour). A
-// body that outlives its runtime posts to a ring nobody drains, and the
-// goroutine ends there.
+// body that outlives its runtime hands off to a queue nobody drains, and
+// the goroutine ends there.
 //
 //rpcv:loop-only
 func (e *rtEnv) Offload(work, done func()) {
 	o := offloads.Get().(*offload)
-	o.l, o.work, o.done = e.l, work, done
+	o.r, o.work, o.done = e.r, work, done
 	go o.run()
 }
 
@@ -689,14 +689,13 @@ func (e *rtEnv) Offload(work, done func()) {
 func (e *rtEnv) Release(b []byte) { proto.ReleasePayload(b) }
 
 // offload carries one offloaded body to its goroutine and its completion
-// back to the loop. It is pooled, its two callbacks are bound once, and
-// it is its own entry on the handoff ring, as a staged write's asyncOp
-// is.
+// back to the loop. It is pooled and its two callbacks are bound once,
+// as a staged write's asyncOp is.
 type offload struct {
-	node ringNode // node.fn is complete
-	run  func()   // the goroutine: work, then post the node
+	run    func() // execute: the goroutine's work, then the handoff
+	finish func() // complete, on the loop
 
-	l          *loop
+	r          *Runtime
 	work, done func()
 }
 
@@ -705,22 +704,21 @@ var offloads sync.Pool // of *offload
 func init() { // not offloads' initializer: complete refers to the pool
 	offloads.New = func() any {
 		o := &offload{}
-		o.node.fn = o.complete
 		o.run = o.execute
+		o.finish = o.complete
 		return o
 	}
 }
 
 func (o *offload) execute() {
 	o.work()
-	o.l.postNode(&o.node)
+	o.r.handoff(o.finish)
 }
 
 // complete runs on the loop: it recycles o and runs done.
 func (o *offload) complete() {
 	done := o.done
-	o.node.next.Store(nil) // a pooled node links to nothing
-	o.l, o.work, o.done = nil, nil, nil
+	o.r, o.work, o.done = nil, nil, nil
 	offloads.Put(o)
 	done()
 }
@@ -734,27 +732,25 @@ func (o *offload) complete() {
 // included, uncopied in both directions, so the ownership rule the
 // handler accepted is the one the engine relies on — and the staged
 // calls' completion callbacks — which a group-commit engine runs on its
-// committer goroutine — are marshalled back onto the event loop,
-// preserving the handler's no-locking discipline. Completions ride the
-// loop's lock-free handoff ring, never its bounded mailbox: a
-// committer blocked on a full mailbox would deadlock a loop waiting
-// inside a synchronous Write of the same batch.
+// committer goroutine — are handed back to the event loop, preserving
+// the handler's no-locking discipline. Completions ride the loop's
+// handoff queue, never its bounded mailbox: a committer blocked on a
+// full mailbox would deadlock a loop waiting inside a synchronous Write
+// of the same batch.
 type loopDisk struct {
-	l  *loop
+	r  *Runtime
 	st store.Store
-	// inline: the store is the memory store, whose staged calls are its
-	// synchronous ones followed by the callback. They are made here as
-	// exactly that, with nothing to marshal and nothing to allocate.
+	// inline: the engine is the memory store and no test wraps it, so
+	// the staged calls are its synchronous ones followed by the callback.
+	// They are made here as exactly that, with nothing to hand back and
+	// nothing to allocate.
 	inline bool
-	// staged counts the asyncOps whose completion has yet to run.
-	// Loop-owned.
-	staged int
 }
 
 var _ node.BatchDisk = (*loopDisk)(nil)
 
 func (d *loopDisk) Write(key string, value []byte) error {
-	if h := d.l.r.obsWrite; h != nil {
+	if h := d.r.obsWrite; h != nil {
 		start := time.Now()
 		err := d.st.Write(key, value)
 		h.Since(start)
@@ -778,14 +774,13 @@ func (d *loopDisk) WriteAsync(key string, value []byte, done func(error)) {
 		return
 	}
 	op := d.stage(done)
-	if d.l.r.obsWrite != nil {
+	if d.r.obsWrite != nil {
 		// Completion time includes group-commit queueing: the latency a
 		// handler actually waits for durability, which is the number
 		// the fsync-amortization story must be judged by.
 		op.start = time.Now()
 	}
 	d.st.WriteAsync(key, value, op.stored)
-	op.returned()
 }
 
 func (d *loopDisk) DeleteAsync(key string, done func(error)) {
@@ -799,101 +794,66 @@ func (d *loopDisk) DeleteAsync(key string, done func(error)) {
 	}
 	op := d.stage(done)
 	d.st.DeleteAsync(key, op.stored)
-	op.returned()
 }
 
 // stage takes a pooled asyncOp for one operation whose completion the
 // store may report from any goroutine, and which must reach done on the
-// owning loop.
+// loop.
 func (d *loopDisk) stage(done func(error)) *asyncOp {
 	op := asyncOps.Get().(*asyncOp)
-	op.d, op.done = d, done
-	d.staged++
+	op.r, op.done = d.r, done
 	return op
 }
 
 // asyncOp carries one staged write or delete of a loopDisk to its
-// completion. It is pooled, its two callbacks are bound once, and it is
-// its own entry on the loop's handoff ring, so staging an operation and
-// marshalling its completion back allocate nothing.
+// completion. It is pooled and its two callbacks are bound once, so
+// staging an operation and handing its completion back to the loop
+// allocate nothing.
 //
-// Completions reach done in staging order, which the stores keep. A
-// store without real batching (memory behind a wrapper, which hides it
-// from the inline path) completes synchronously, calling stored on this
-// goroutine — the owning event loop — before the staging call returns.
-// Routing that through the ring would defer it behind unrelated work, so
-// returned runs it at once instead (still on the owning loop), unless an
-// operation staged before it has yet to complete: a completion arriving
-// from a committer goroutine travels through the ring, and one that
-// beat its staging call queues there behind those of earlier operations.
+// Every completion travels the handoff queue, whichever goroutine the
+// store reports it on: the WAL's committer, or — for a wrapped store
+// that completes at once — the loop itself, inside the staging call.
+// The stores report completions in staging order, and the queue keeps
+// the order it is handed, so done runs in staging order.
 type asyncOp struct {
-	node   ringNode // node.fn is complete
-	stored func(error)
-	state  atomic.Uint32
+	stored func(error) // completed: the store's callback
+	finish func()      // complete, on the loop
 
-	d     *loopDisk
+	r     *Runtime
 	done  func(error)
 	err   error
 	start time.Time // when the write-latency histogram times it
 }
-
-// The states of an asyncOp: the staging call has not returned yet, it
-// has, or the store completed the operation before it did.
-const (
-	opStaging uint32 = iota
-	opReturned
-	opFired
-)
 
 var asyncOps sync.Pool // of *asyncOp
 
 func init() { // not asyncOps' initializer: complete refers to the pool
 	asyncOps.New = func() any {
 		op := &asyncOp{}
-		op.node.fn = op.complete
 		op.stored = op.completed
+		op.finish = op.complete
 		return op
 	}
 }
 
 // completed is the callback the store runs when the operation is
-// durable or has failed, on whatever goroutine completes it.
+// durable or has failed, on whatever goroutine completes it. The queue
+// survives shutdown draining, so a completion racing Close still lands;
+// one arriving after the final drain is dropped with the loop —
+// indistinguishable from the crash it models.
 func (op *asyncOp) completed(err error) {
 	op.err = err
-	if op.state.CompareAndSwap(opStaging, opFired) {
-		return // the staging call, still on the loop, runs it (returned)
-	}
-	// The ring survives shutdown draining, so a completion racing Close
-	// still lands; one arriving after the final drain is dropped with
-	// the loop — indistinguishable from the crash it models.
-	op.d.l.postNode(&op.node)
+	op.r.handoff(op.finish)
 }
 
-// returned runs on the loop once the staging call is back. If the store
-// completed the operation already, every operation staged before it has
-// completed too, and those still to run are on the ring: op runs here
-// when there are none, behind them otherwise.
-func (op *asyncOp) returned() {
-	switch {
-	case op.state.CompareAndSwap(opStaging, opReturned):
-	case op.d.staged == 1:
-		op.complete()
-	default:
-		op.d.l.postNode(&op.node)
-	}
-}
-
-// complete runs on the owning loop: it times the write, recycles op and
-// hands the outcome to done.
+// complete runs on the loop: it times the write, recycles op and hands
+// the outcome to done.
 func (op *asyncOp) complete() {
 	done, err := op.done, op.err
-	op.d.staged--
 	if !op.start.IsZero() {
-		op.d.l.r.obsWrite.Since(op.start)
+		op.r.obsWrite.Since(op.start)
 	}
-	op.node.next.Store(nil) // a pooled node links to nothing
-	op.state.Store(opStaging)
-	op.d, op.done, op.err, op.start = nil, nil, nil, time.Time{}
+	op.r, op.done, op.err, op.start = nil, nil, nil, time.Time{}
 	asyncOps.Put(op)
 	done(err)
 }

@@ -134,6 +134,67 @@ func TestStagedCompletionsKeepTheirOrder(t *testing.T) {
 	}
 }
 
+// TestStagedCompletionsNeverWaitOnTheMailbox: the loop stages writes on
+// the WAL, then waits inside a synchronous Write while its mailbox is
+// full. The committer completes the staged writes before it reaches the
+// Write, so it must hand their completions back without waiting on the
+// mailbox — the loop would wait for it for ever. A deadlock fails the
+// test after a bounded wait instead of hanging it.
+func TestStagedCompletionsNeverWaitOnTheMailbox(t *testing.T) {
+	r, err := Start(Config{ID: "a", Handler: &echo{}, DiskDir: t.TempDir(), Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const staged = 8
+	completed := 0 // loop-only
+	started, full, wrote := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	r.DoAsync(func() {
+		stageThenWrite(r.disk, started, full, staged, func(error) { completed++ }, wrote)
+	})
+	<-started
+	for filled := false; !filled; {
+		select {
+		case r.mailbox <- mail{fn: func() {}}:
+		default:
+			filled = true
+		}
+	}
+	close(full)
+	select {
+	case err := <-wrote:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		// No Close: it would wait on the full mailbox too.
+		t.Fatal("the loop is still inside Write after 10 s: the committer waits on the full mailbox")
+	}
+	defer r.Close()
+	var got int
+	waitFor(t, 5*time.Second, func() bool {
+		r.Do(func() { got = completed })
+		return got == staged
+	})
+	if got != staged {
+		t.Fatalf("%d of %d staged completions ran", got, staged)
+	}
+}
+
+// stageThenWrite waits until full closes, stages n writes with done as
+// their completion, then writes synchronously and reports the outcome on
+// wrote. Blocking the loop is the point: the test checks what reaches a
+// loop that waits.
+//
+//rpcv:loop-safe
+func stageThenWrite(d *loopDisk, started, full chan struct{}, n int, done func(error), wrote chan<- error) {
+	close(started)
+	<-full
+	for i := range n {
+		d.WriteAsync(fmt.Sprintf("staged/%d", i), []byte("v"), done)
+	}
+	wrote <- d.Write("sync", []byte("v"))
+}
+
 // filesEngineDir returns a directory as the removed files engine left
 // one: a single <hex of the key>.log per key.
 func filesEngineDir(t *testing.T) string {
@@ -209,7 +270,7 @@ func TestStartRejectsLoopsAboveOne(t *testing.T) {
 // and the reopened store holds a finished, durable record for every
 // call.
 func TestWALCoordinatorKillAndRestartRecovery(t *testing.T) {
-	runWALKillRestart(t, 1, 1, 0)
+	runWALKillRestart(t, 1, 0)
 }
 
 // TestWALCoordinatorKillAndRestartRecoveryLargePayloads is the same
@@ -220,15 +281,14 @@ func TestWALCoordinatorKillAndRestartRecovery(t *testing.T) {
 // header with its blobs, and every result delivered after the restart
 // must be the echo of its call's params.
 func TestWALCoordinatorKillAndRestartRecoveryLargePayloads(t *testing.T) {
-	runWALKillRestart(t, 1, 1, 16<<10)
-	runWALKillRestart(t, 1, 4, 16<<10)
+	runWALKillRestart(t, 1, 16<<10)
+	runWALKillRestart(t, 4, 16<<10)
 }
 
 // runWALKillRestart drives one kill-and-restart recovery scenario with
 // nClients one-session clients spread over distinct users, each call
 // carrying payload bytes of params (0: none, and a constant result).
-// loops is the coordinator's Config.Loops, the vestige that accepts 1.
-func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
+func runWALKillRestart(t *testing.T, nClients, payload int) {
 	const (
 		total   = 60
 		beat    = 25 * time.Millisecond
@@ -245,7 +305,7 @@ func runWALKillRestart(t *testing.T, loops, nClients, payload int) {
 	}
 	coordCfg := func(h *coordinator.Coordinator) Config {
 		return Config{ID: "co", ListenAddr: "127.0.0.1:0", Handler: h,
-			DiskDir: coordDir, Loops: loops, Logf: quietLogf}
+			DiskDir: coordDir, Logf: quietLogf}
 	}
 	rco, err := Start(coordCfg(newCoord()))
 	if err != nil {

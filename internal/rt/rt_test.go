@@ -115,6 +115,41 @@ func TestTimers(t *testing.T) {
 	}
 }
 
+// TestLoopStatsCountTimers: LoopStats().Timers, read off the loop,
+// follows After, Stop and firing.
+func TestLoopStatsCountTimers(t *testing.T) {
+	a := &echo{}
+	r, err := Start(Config{ID: "a", Handler: a, Logf: quietLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	timers := func() int { return r.LoopStats()[0].Timers }
+	fired := make(chan struct{})
+	var stopped node.Timer
+	r.Do(func() {
+		a.env.After(time.Hour, func() {})
+		stopped = a.env.After(time.Hour, func() {})
+		a.env.After(10*time.Millisecond, func() { close(fired) })
+	})
+	if got := timers(); got != 3 {
+		t.Fatalf("after three After calls, Timers = %d, want 3", got)
+	}
+	r.Do(stopped.Stop)
+	r.Do(stopped.Stop) // a second Stop removes nothing
+	if got := timers(); got != 2 {
+		t.Fatalf("after a Stop, Timers = %d, want 2", got)
+	}
+	select {
+	case <-fired:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timer never fired")
+	}
+	if got := timers(); got != 1 {
+		t.Fatalf("after one timer fired, Timers = %d, want 1", got)
+	}
+}
+
 // TestTimersNeverFireEarly arms timers out of deadline order, stops the
 // earliest, and keeps the mailbox busy meanwhile: the loop re-arms its
 // runtime timer only when the earliest deadline moves, and every timer

@@ -195,7 +195,7 @@ func TestLargeCallAllocatesOnePayloadPerHop(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
 	}
-	g := collectGrid(t, "", 1)
+	g := collectGrid(t, "")
 	g.echoFresh(t, 20) // warm: connections, frame buffers, pools, maps
 	perCall := g.allocPerCall(t, 200)
 	t.Logf("a 64 KiB echo call allocates %.0f B end to end = %.2f payloads", perCall, perCall/largePayload)
@@ -208,7 +208,7 @@ func TestLargeCallAllocatesOnePayloadPerHop(t *testing.T) {
 // being the floor (see the test).
 func BenchmarkLargeCallAllocs(b *testing.B) {
 	const perIter = 200
-	g := collectGrid(b, "", 1)
+	g := collectGrid(b, "")
 	g.echoFresh(b, 20)
 	b.ResetTimer()
 	perCall := g.allocPerCall(b, perIter*b.N)
