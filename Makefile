@@ -13,12 +13,15 @@
 #   make bench      full benchmark run (regenerates every figure)
 #   make smoke      1-iteration benchmark smoke (fast CI signal), then
 #                   every examples/ program, failing on a non-zero exit
-#   make allocs     where a 64 B call's bytes go: BenchmarkSmallCallAllocs
+#   make allocs     where a call's bytes go, by allocation site (go tool
+#                   pprof -top -sample_index=alloc_space): each benchmark
 #                   profiled (-memprofile) at 2 and at 12 iterations, and
-#                   the difference — 10 000 calls, set-up and warm-up
-#                   cancelled out — printed by allocation site in B per
-#                   call (go tool pprof -top -sample_index=alloc_space);
-#                   the profiles and test binary stay under $TMPDIR
+#                   the difference printed, so that set-up and warm-up
+#                   cancel out — BenchmarkSmallCallAllocs (10 000 64 B
+#                   echo calls) in B per call, then
+#                   BenchmarkLargeCallAllocs (2 000 64 KiB echo calls)
+#                   in KB per call; the profiles and test binary stay
+#                   under $TMPDIR
 #   make bench-check
 #                   vet + test the repo's benchmark (bench/ is its own
 #                   Go module: the root's ./... does not reach it, yet
@@ -75,14 +78,18 @@ smoke:
 	for ex in examples/*/; do echo "== $$ex"; $(GO) run ./$$ex || exit 1; done
 
 ALLOCS_DIR = $(or $(TMPDIR),/tmp)/rpcv-allocs
-ALLOCS_RUN = $(GO) test -run '^$$' -bench '^BenchmarkSmallCallAllocs$$' -memprofilerate 512 -o $(ALLOCS_DIR)/rpcv.test
+ALLOCS_RUN = $(GO) test -run '^$$' -memprofilerate 512 -o $(ALLOCS_DIR)/rpcv.test
 
 allocs:
 	mkdir -p $(ALLOCS_DIR)
-	$(ALLOCS_RUN) -benchtime 2x -memprofile $(ALLOCS_DIR)/base.prof .
-	$(ALLOCS_RUN) -benchtime 12x -memprofile $(ALLOCS_DIR)/calls.prof .
+	$(ALLOCS_RUN) -bench '^BenchmarkSmallCallAllocs$$' -benchtime 2x -memprofile $(ALLOCS_DIR)/base.prof .
+	$(ALLOCS_RUN) -bench '^BenchmarkSmallCallAllocs$$' -benchtime 12x -memprofile $(ALLOCS_DIR)/calls.prof .
 	$(GO) tool pprof -top -sample_index=alloc_space -unit B -divide_by 10000 \
 		-base $(ALLOCS_DIR)/base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/calls.prof
+	$(ALLOCS_RUN) -bench '^BenchmarkLargeCallAllocs$$' -benchtime 2x -memprofile $(ALLOCS_DIR)/large-base.prof .
+	$(ALLOCS_RUN) -bench '^BenchmarkLargeCallAllocs$$' -benchtime 12x -memprofile $(ALLOCS_DIR)/large-calls.prof .
+	$(GO) tool pprof -top -sample_index=alloc_space -unit KB -divide_by 2000 \
+		-base $(ALLOCS_DIR)/large-base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/large-calls.prof
 
 sim:
 	$(GO) run ./cmd/rpcv-sim -quick

@@ -12,8 +12,10 @@ import (
 	"time"
 
 	"rpcv/internal/coordinator"
+	"rpcv/internal/db"
 	"rpcv/internal/grid"
 	"rpcv/internal/gridrpc"
+	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/rt"
 	"rpcv/internal/server"
@@ -58,6 +60,10 @@ type tcpGridSpec struct {
 	// The coordinator's store (collect_test.go): a WAL directory, empty
 	// for the memory store.
 	coDisk string
+	// The coordinator's database cost per statement (zero: free) and
+	// its observer (nil: none).
+	dbCost time.Duration
+	coObs  *obs.Observer
 }
 
 // logf keeps the nodes quiet but remembers suspicions.
@@ -85,6 +91,8 @@ func bootTCPGrid(tb testing.TB, spec tcpGridSpec) *tcpGrid {
 		Coordinators:     []proto.NodeID{"co"},
 		HeartbeatPeriod:  spec.period,
 		HeartbeatTimeout: spec.timeout,
+		DBCost:           db.CostModel{PerOp: spec.dbCost},
+		Obs:              spec.coObs,
 	})
 	var err error
 	g.rco, err = g.grid.Start("co", func() rt.Config {

@@ -693,7 +693,8 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 		cl, ok := c.calls[res.Call.Seq]
 		if !ok {
 			if res.Call.Seq <= c.ack {
-				continue // delivered, acknowledged and no longer tracked
+				c.drop(res) // delivered, acknowledged and no longer tracked
+				continue
 			}
 			// Result for a call from a lost log suffix (optimistic
 			// logging crash): adopt it — the computation is not wasted.
@@ -701,9 +702,19 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 			c.track(res.Call.Seq, cl)
 		}
 		if cl.result != nil {
-			continue // duplicate delivery
+			c.drop(res) // duplicate delivery
+			continue
 		}
 		c.deliver(cl, res)
+	}
+}
+
+// drop gives back the large output of a result the client throws away —
+// a call it has delivered already (node.Release): the delivered result
+// is another entry's, in the message that delivered it.
+func (c *Client) drop(res *proto.Result) {
+	if len(res.Output) >= proto.BlobMin {
+		node.Release(c.env, res.Output)
 	}
 }
 

@@ -902,3 +902,49 @@ func TestLogKeyIsTheFmtForm(t *testing.T) {
 		t.Fatalf("logKey allocates %v times, want at most 1", n)
 	}
 }
+
+// releasingEnv is a hand-driven Env with node.Releaser added: it
+// records what the client gives back.
+type releasingEnv struct {
+	*nodetest.Env
+	released [][]byte
+}
+
+func (e *releasingEnv) Release(b []byte) { e.released = append(e.released, b) }
+
+// A Results entry for a call the client has delivered already — still
+// tracked, or below the watermark and let go — is thrown away, and its
+// large output goes back (node.Release). The delivered output stays
+// with the application, and an output under BlobMin is never handed on.
+func TestDuplicateResultsGiveTheirOutputsBack(t *testing.T) {
+	env := &releasingEnv{Env: nodetest.NewEnv("cli", nodetest.NewCrashDisk(t, "memory").Disk)}
+	c := New(Config{User: "u", Session: 1, Coordinators: []proto.NodeID{"co"}, AckResyncTimeout: -1})
+	c.Start(env)
+	seq := c.Submit("echo", []byte("p"), time.Second, 7)
+	id := proto.CallID{User: "u", Session: 1, Seq: seq}
+	c.Receive("co", &proto.SubmitAck{Call: id, MaxSeq: seq})
+	results := func(out []byte) *proto.Results {
+		return &proto.Results{User: "u", Session: 1, Results: []proto.Result{{Call: id, Output: out, Server: "sv"}}}
+	}
+	delivered, again, small, below := make([]byte, 64<<10), make([]byte, 64<<10), make([]byte, 64), make([]byte, 64<<10)
+	c.Receive("co", results(delivered))
+	if len(env.released) != 0 {
+		t.Fatal("a delivered result's output was given back")
+	}
+	c.Receive("co", results(again))
+	c.Receive("co", results(small))
+	if len(env.released) != 1 || &env.released[0][0] != &again[0] {
+		t.Fatalf("after a duplicate of %d B and one of %d B: gave back %d outputs, want the large one", len(again), len(small), len(env.released))
+	}
+	c.pollNow() // the watermark passes the call
+	if st := c.StatsNow(); st.Collected != seq || st.Tracked != 0 {
+		t.Fatalf("the watermark did not pass the call: %+v", st)
+	}
+	c.Receive("co", results(below))
+	if len(env.released) != 2 || &env.released[1][0] != &below[0] {
+		t.Fatalf("after a duplicate below the watermark: gave back %d outputs, want it too", len(env.released))
+	}
+	if got, ok := c.Result(seq); ok && &got.Output[0] != &delivered[0] {
+		t.Fatal("the delivered result no longer holds its own output")
+	}
+}

@@ -178,7 +178,7 @@ func (c *Coordinator) collect(k sessionKey) {
 			return false
 		}
 		delete(c.waiting, rec.Call)
-		c.gc.jobs = append(c.gc.jobs, gone{call: rec.Call, key: c.store.Key(rec.Call, jobKey)})
+		c.gc.jobs = append(c.gc.jobs, gone{rec: rec, key: c.store.Key(rec.Call, jobKey), give: true})
 		return true
 	})
 	c.collectedJobs += n
@@ -216,12 +216,17 @@ func (c *Coordinator) collectAcked(carried []proto.CallID) {
 // order, through a callback bound once (written, deleted) over a queue
 // of what it completes. And a flush keeps the arrays it swaps out, so
 // collecting a call allocates nothing but the call's own writes.
+//
+// give is what a call leaves behind once its keys are gone from the
+// disk: its large params and output, for the runtime to read later
+// payloads into (giveBackIfQuiet).
 type garbage struct {
 	marks   []sessionKey
 	jobs    []gone
 	durable map[sessionKey]mark
 	timer   node.Timer
 	flushed time.Time // the last flush, by a header or by the timer
+	give    [][]byte
 
 	spareMarks []sessionKey
 	spareJobs  []gone
@@ -238,11 +243,14 @@ type mark struct {
 	key string
 }
 
-// gone is a call gone from the job table, with the key it has on the
-// disk until its delete has gone through.
+// gone is a call gone from the job table: its record, and the key it
+// has on the disk until its delete has gone through. give says that the
+// record's payloads — the disk's blobs too, until then — go back to the
+// runtime once it has.
 type gone struct {
-	call proto.CallID
+	rec  *proto.JobRecord
 	key  string
+	give bool
 }
 
 // markWrite is a watermark write staged: the session, and the watermark
@@ -308,7 +316,7 @@ func (c *Coordinator) flushGarbage() {
 		node.WriteAsync(disk, d.key, binary.AppendUvarint(nil, uint64(w)), c.gc.written)
 	}
 	for _, g := range jobs {
-		if g.call.Seq <= c.gc.durable[sessionKey{g.call.User, g.call.Session}].w {
+		if call := g.rec.Call; call.Seq <= c.gc.durable[sessionKey{call.User, call.Session}].w {
 			c.deleteJob(g)
 		} else {
 			c.gc.jobs = append(c.gc.jobs, g)
@@ -346,17 +354,70 @@ func (c *Coordinator) deleteJob(g gone) {
 	}
 }
 
-// jobDeleted completes the oldest delete staged.
+// jobDeleted completes the oldest delete staged. Its call is gone from
+// the table and now from the disk: its payloads are given back.
 func (c *Coordinator) jobDeleted(err error) {
-	if g := c.gc.deleting.Pop(); err != nil {
+	g := c.gc.deleting.Pop()
+	if err != nil {
 		c.deleteFailed(g, err)
+		return
+	}
+	if g.give {
+		c.giveBack(g.rec.Params)
+		c.giveBack(g.rec.Output)
+		c.giveBackIfQuiet()
 	}
 }
 
+// deleteFailed puts g back with the garbage, its payloads left to the
+// collector: a failed delete may leave one on the disk, which would then
+// share an array the runtime reuses.
 func (c *Coordinator) deleteFailed(g gone, err error) {
-	c.env.Logf("coordinator: collect job %s: %v", g.call, err)
+	c.env.Logf("coordinator: collect job %s: %v", g.rec.Call, err)
+	g.give = false
 	c.gc.jobs = append(c.gc.jobs, g)
 	c.sweep()
+}
+
+// maxGiven bounds the payloads waiting to be given back: one that finds
+// the list full is left to the collector, so that a reply pipeline that
+// is never quiet costs reuse, not memory.
+const maxGiven = 64
+
+// giveBack queues a collected call's payload for the runtime, if it is
+// one the wire decoder could have pooled.
+func (c *Coordinator) giveBack(b []byte) {
+	if len(b) >= proto.BlobMin && len(c.gc.give) < maxGiven {
+		c.gc.give = append(c.gc.give, b)
+	}
+}
+
+// giveBackIfQuiet hands the runtime — the env beneath the gate — the
+// payloads of the collected calls (node.Release) once no reply decided
+// before their collection can still be on its way to the runtime: none
+// waits out its database cost (afterDBCost), and the commit gate holds
+// none. A reply decided while a call was in the table may carry its
+// params or output — a poll reply resends a result that was pushed —
+// and one whose cost runs out after the call's delete was staged is
+// held behind the headers staged since. What is already handed to the
+// runtime, the runtime sees to.
+func (c *Coordinator) giveBackIfQuiet() {
+	if len(c.gc.give) == 0 || c.repliesOut > 0 || c.gate.held.Len() > 0 {
+		return
+	}
+	for _, b := range c.gc.give {
+		node.Release(c.gate.Env, b)
+	}
+	clear(c.gc.give)
+	c.gc.give = c.gc.give[:0]
+}
+
+// drop gives back a payload that a message brought and the coordinator
+// throws away, stored nowhere and sent nowhere: a duplicate's.
+func (c *Coordinator) drop(b []byte) {
+	if len(b) >= proto.BlobMin {
+		node.Release(c.gate.Env, b)
+	}
 }
 
 // Collected returns a session's collected watermark: every call of the

@@ -61,9 +61,11 @@ type commitGate struct {
 	headers           fifo.Queue[proto.CallID]
 	held              fifo.Queue[effect]
 
-	// failed reports a header whose write failed; done, bound once, is
-	// the completion every header is staged with.
+	// failed reports a header whose write failed; idle hears that no
+	// reply is held any more; done, bound once, is the completion every
+	// header is staged with.
 	failed func(call proto.CallID, err error)
+	idle   func()
 	done   func(err error)
 
 	m *coordMetrics // the coordinator's, where the held replies are counted
@@ -76,8 +78,8 @@ type effect struct {
 	seq uint64 // headers staged when it was decided
 }
 
-func newCommitGate(env node.Env, failed func(proto.CallID, error), m *coordMetrics) *commitGate {
-	g := &commitGate{Env: env, failed: failed, m: m}
+func newCommitGate(env node.Env, failed func(proto.CallID, error), idle func(), m *coordMetrics) *commitGate {
+	g := &commitGate{Env: env, failed: failed, idle: idle, m: m}
 	g.done = g.commit
 	return g
 }
@@ -149,6 +151,9 @@ func (g *commitGate) commit(err error) {
 		g.Env.Send(e.to, e.msg)
 	}
 	g.noteHeld()
+	if g.held.Len() == 0 {
+		g.idle()
+	}
 }
 
 // withhold drops every held reply: a write they waited for failed, or
@@ -156,4 +161,5 @@ func (g *commitGate) commit(err error) {
 func (g *commitGate) withhold() {
 	g.held.Reset()
 	g.noteHeld()
+	g.idle()
 }

@@ -253,8 +253,9 @@ type Coordinator struct {
 	stopped bool
 
 	// idleReplies are the pendingReplies not waiting, for afterDBCost to
-	// reuse.
+	// reuse; repliesOut counts those waiting.
 	idleReplies []*pendingReply
+	repliesOut  int
 
 	// Metrics.
 	finished        int
@@ -320,7 +321,7 @@ var _ node.Handler = (*Coordinator)(nil)
 //
 //rpcv:loop-only
 func (c *Coordinator) Start(env node.Env) {
-	c.gate = newCommitGate(env, c.persistFailed, &c.cm)
+	c.gate = newCommitGate(env, c.persistFailed, c.giveBackIfQuiet, &c.cm)
 	c.env = c.gate
 	c.stopped = false
 	c.store = db.New(c.cfg.DBCost)
@@ -341,6 +342,7 @@ func (c *Coordinator) Start(env node.Env) {
 	c.collected = make(map[sessionKey]proto.RPCSeq)
 	c.waiting = make(map[proto.CallID]bool)
 	c.gc = newGarbage(c)
+	c.repliesOut = 0
 	c.offers = newOfferBook()
 	c.subs = make(map[sessionKey]subscription)
 	c.resultAcked = make(map[proto.NodeID]bool)
@@ -526,7 +528,7 @@ func (c *Coordinator) loadStore() {
 		case rec != nil && rec.Call.Seq <= c.collected[sessionKey{rec.Call.User, rec.Call.Session}]:
 			// Short of a blob, and not corrupt: a collection the crash cut
 			// short, whose blobs go first. Finish it.
-			c.gc.jobs = append(c.gc.jobs, gone{call: rec.Call, key: key})
+			c.gc.jobs = append(c.gc.jobs, gone{rec: rec, key: key})
 			continue
 		default:
 			// Undecodable, or short of a blob: torn, or never durable.
@@ -673,6 +675,7 @@ func (c *Coordinator) afterDBCost(r reply) {
 		p.fire = p.fired
 	}
 	p.r = r
+	c.repliesOut++
 	c.env.After(c.dbEng.Acquire(c.env.Now(), cost), p.fire)
 }
 
@@ -705,10 +708,12 @@ type pendingReply struct {
 //
 //rpcv:loop-only
 func (p *pendingReply) fired() {
-	r := p.r
+	c, r := p.c, p.r
 	p.r = reply{}
-	p.c.idleReplies = append(p.c.idleReplies, p)
-	p.c.send(&r)
+	c.idleReplies = append(c.idleReplies, p)
+	c.repliesOut--
+	c.send(&r)
+	c.giveBackIfQuiet()
 }
 
 // put writes rec to the job table (whose session index also answers
@@ -735,6 +740,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		if status == callCollected {
 			c.stale(m)
 		}
+		c.drop(m.Params)
 		c.store.Get(m.Call)
 		c.afterDBCost(reply{to: from, msg: &proto.SubmitAck{Call: m.Call}})
 		return
@@ -923,11 +929,13 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	case status == callCollected:
 		// The client holds this call's result already: a late duplicate.
 		c.stale(m)
+		c.drop(m.Output)
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
 		return
 	case rec.State == proto.TaskFinished:
 		c.dupResults++
 		c.cm.dups.Inc()
+		c.drop(m.Output)
 		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
 		return
 	}

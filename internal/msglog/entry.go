@@ -95,7 +95,7 @@ func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
 		})
 	}
 	// A failure is logged there; Sweep makes up for it.
-	_ = s.removeBlobs(env, s.name(e.Key), proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
+	_, _ = s.removeBlobs(env, s.name(e.Key), proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
 	return nil
 }
 
@@ -161,30 +161,48 @@ func (s Shelf) Load(disk node.Disk, name string) (Entry, bool) {
 // payloads its header names and then the header, all at once — staging
 // order is commit order, so a crash in between leaves a header its
 // decoder refuses, never a payload nothing names. done gets the header's
-// outcome. A payload whose delete is already known to have failed keeps
-// the header: Remove returns that failure and never calls done, so that
-// done, bound once by an owner that removes many entries, completes them
-// in the order they were removed.
+// outcome, or a payload's failure: a nil says the whole entry is gone
+// from the disk. A payload whose delete is already known to have failed
+// keeps the header: Remove returns that failure and never calls done, so
+// that done, bound once by an owner that removes many entries, completes
+// them in the order they were removed.
 func (s Shelf) Remove(env node.Env, key string, done func(error)) error {
 	data, _ := env.Disk().Read(key)
-	if err := s.removeBlobs(env, s.name(key), proto.NamedPayloads(data)); err != nil {
+	failed, err := s.removeBlobs(env, s.name(key), proto.NamedPayloads(data))
+	if err != nil {
 		return err
 	}
-	node.DeleteAsync(env.Disk(), key, done)
+	if failed == nil {
+		node.DeleteAsync(env.Disk(), key, done)
+		return nil
+	}
+	node.DeleteAsync(env.Disk(), key, func(err error) {
+		if err == nil {
+			err = *failed
+		}
+		done(err)
+	})
 	return nil
 }
 
 // Remover removes entries from a shelf with no callback per entry: the
 // completion of every delete it stages is one callback, bound once, over
-// a queue of the keys staged — a disk completes its writes and deletes
-// in the order they were staged. failed hears of each entry whose delete
-// failed, which stays on the disk.
+// a queue of the removals staged — a disk completes its writes and
+// deletes in the order they were staged. failed hears of each entry
+// whose delete failed, which stays on the disk.
 type Remover struct {
 	env    node.Env
 	shelf  Shelf
 	failed func(key string, err error)
-	keys   fifo.Queue[string]
+	staged fifo.Queue[removal]
 	done   func(error)
+}
+
+// removal is one entry's removal staged: its key, and the payload given
+// back once it has gone through.
+type removal struct {
+	key  string
+	give []byte
 }
 
 // NewRemover returns a Remover of shelf's entries on env's disk.
@@ -194,29 +212,39 @@ func NewRemover(env node.Env, shelf Shelf, failed func(key string, err error)) *
 	return r
 }
 
-// Remove stages the removal of the entry under key (Shelf.Remove).
-func (r *Remover) Remove(key string) {
-	r.keys.Push(key)
+// Remove stages the removal of the entry under key (Shelf.Remove). give,
+// unless nil, is a payload the entry held and its owner is done with —
+// the message's own slice, which the disk shares (node.Disk's ownership
+// contract): it goes back to the env (node.Release) once the whole entry
+// is gone from the disk, and never when the removal fails, since the
+// disk may then still hold it.
+func (r *Remover) Remove(key string, give []byte) {
+	r.staged.Push(removal{key: key, give: give})
 	if err := r.shelf.Remove(r.env, key, r.done); err != nil {
-		r.failed(r.keys.Unpush(), err)
+		r.failed(r.staged.Unpush().key, err)
 	}
 }
 
-// removed completes the oldest delete staged.
+// removed completes the oldest removal staged.
 func (r *Remover) removed(err error) {
-	if key := r.keys.Pop(); err != nil {
-		r.failed(key, err)
+	rm := r.staged.Pop()
+	if err != nil {
+		r.failed(rm.key, err)
+		return
+	}
+	if rm.give != nil {
+		node.Release(r.env, rm.give)
 	}
 }
 
 // removeBlobs deletes, of the payloads in named, those the disk holds
-// for the entry named name, and reports a failure already known when it
-// returns; a later one is logged, and Sweep makes up for it.
-func (s Shelf) removeBlobs(env node.Env, name string, named uint8) error {
+// for the entry named name. It returns where a later failure of theirs
+// is recorded when it staged any (nil: none), and a failure already
+// known; every failure is also logged, and Sweep makes up for it.
+func (s Shelf) removeBlobs(env node.Env, name string, named uint8) (failed *error, err error) {
 	if named == 0 {
-		return nil
+		return nil, nil
 	}
-	var failed error
 	for i, suffix := range s.Suffixes {
 		if named&(1<<i) == 0 {
 			continue
@@ -225,17 +253,23 @@ func (s Shelf) removeBlobs(env node.Env, name string, named uint8) error {
 		if _, ok := env.Disk().Read(blob); !ok {
 			continue
 		}
+		if failed == nil {
+			failed = new(error)
+		}
+		f := failed
 		node.DeleteAsync(env.Disk(), blob, func(err error) {
 			if err != nil {
-				failed = &PayloadError{Index: i, Err: err}
+				if *f == nil {
+					*f = &PayloadError{Index: i, Err: err}
+				}
 				env.Logf("msglog: delete payload %s: %v", blob, err)
 			}
 		})
-		if failed != nil {
-			return failed
+		if *f != nil {
+			return nil, *f
 		}
 	}
-	return nil
+	return failed, nil
 }
 
 // Sweep deletes the payloads under Blobs+prefix that no header names —

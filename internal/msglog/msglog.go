@@ -416,7 +416,7 @@ func (l *Log) Drop(key string) {
 		return
 	}
 	l.n--
-	l.drops.Remove(key)
+	l.drops.Remove(key, nil)
 }
 
 func (l *Log) dropFailed(key string, err error) {
@@ -438,7 +438,7 @@ func (l *Log) Release(key string) {
 	}
 	// A failure is logged there; the payload then goes with the Drop.
 	data, _ := l.env.Disk().Read(key)
-	_ = Messages.removeBlobs(l.env, key, proto.NamedPayloads(data))
+	_, _ = Messages.removeBlobs(l.env, key, proto.NamedPayloads(data))
 }
 
 // Close cancels pending optimistic flushes (a clean shutdown; a crash

@@ -212,10 +212,20 @@ func Offload(env Env, work, done func()) {
 
 // Releaser is optionally implemented by Envs whose received payloads
 // are read into buffers the runtime may reuse. A handler that is done
-// with a payload a message brought it — the server, once the service
-// body that read a task's params has returned — hands it back through
-// Release, so the next payload of its size is read into it instead of a
-// fresh allocation.
+// with a payload a message brought it hands it back through Release, so
+// that the next payload of its size is read into it instead of a fresh
+// allocation: the server does with a task's params once the service
+// body has returned and with a result's output once the coordinator has
+// acknowledged it; the coordinator with a collected call's params and
+// output; the coordinator and the client with a duplicate's payload
+// they throw away.
+//
+// The caller vouches for what it kept and what it logged: no slice of
+// the array is left in its state, no reply it decided is still on its
+// way to Send, and no store holds the bytes — a write of them, or a
+// delete that had to commit first, has completed. The runtime vouches
+// for what was sent: an envelope queued before the Release, which may
+// carry the payload, is written or dropped before the array is reused.
 //
 // internal/rt implements it: every message it delivers was decoded from
 // the wire into arrays of the receiver's own, which the proto package
@@ -225,7 +235,8 @@ func Offload(env Env, work, done func()) {
 // is optional, and why callers go through the Release function below.
 type Releaser interface {
 	// Release gives up b: the caller keeps no slice of its array, and
-	// nothing it handed on (a logged value, a sent message) holds one.
+	// nothing it holds or logged holds one; a message it sent may still
+	// be queued.
 	Release(b []byte)
 }
 

@@ -168,9 +168,9 @@ func PutBuffer(b *EncodeBuffer) {
 
 // A payload the wire decoder reads, from BlobMin bytes up to
 // maxPooledBuffer, is read into a buffer from payloadPools, and
-// ReleasePayload gives one back once its holder is done with it (a
-// server, when the service body that read a task's params has
-// returned). Storage decodes — blobs, log entries, job records — never
+// ReleasePayload gives one back once its holder is done with it (the
+// runtime, for a handler that gave it up: node.Releaser says who does
+// and when). Storage decodes — blobs, log entries, job records — never
 // draw from the pools: what they return is kept.
 //
 // A buffer's capacity is its size class: Go's own size classes up to

@@ -38,8 +38,15 @@
 // and with no buffer of the runtime. From 4 KiB up that array comes from
 // proto's pool, at the capacity a make would give it, and a handler that
 // is done with it may give it back (node.Release): the server does with
-// a task's params once the service body has returned, so a large call's
-// params are read into the last call's buffer. Everything a handler
+// a task's params once the service body has returned and with a
+// result's output once it is acknowledged and its log entry deleted,
+// the coordinator with a collected call's params and output, the
+// coordinator and the client with a duplicate's payload. So in one
+// process a large call's four reads go into the buffers of earlier
+// calls. The handler vouches for what it kept and logged; the runtime
+// for what it was asked to send: a given-back payload reaches the pool
+// only once every envelope queued before the release — one of them may
+// carry it — is written or dropped (release.go). Everything a handler
 // keeps — a logged value, a job record, a result — it keeps as it would
 // a made slice.
 package rt
@@ -156,6 +163,12 @@ type Runtime struct {
 
 	sendMu  sync.Mutex
 	senders map[proto.NodeID]*sender
+
+	// Payloads given back while envelopes may still carry them
+	// (release.go); releasing says that releases is not empty.
+	relMu     sync.Mutex
+	releases  []pendingRelease
+	releasing atomic.Bool
 
 	inbound  atomic.Int64
 	stats    transportCounters
@@ -685,8 +698,10 @@ func (e *rtEnv) Offload(work, done func()) {
 
 // Release implements node.Releaser: every payload this runtime delivers
 // was read off a connection into an array of its own, so a handler done
-// with one gives it back to the wire decoder's pool.
-func (e *rtEnv) Release(b []byte) { proto.ReleasePayload(b) }
+// with one gives it back to the wire decoder's pool — once the envelopes
+// queued before the release, which may carry it, are written or dropped
+// (release.go).
+func (e *rtEnv) Release(b []byte) { e.r.release(b) }
 
 // offload carries one offloaded body to its goroutine and its completion
 // back to the loop. It is pooled and its two callbacks are bound once,

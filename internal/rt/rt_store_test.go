@@ -58,8 +58,8 @@ func TestWALStorePersistsAcrossRuntimes(t *testing.T) {
 }
 
 // A staged write's completion reaches its loop without an allocation:
-// the pooled asyncOp carries it, as its own entry on the loop's handoff
-// ring, from the WAL's committer back to the loop.
+// the pooled asyncOp carries it, as a function bound once on the loop's
+// handoff queue, from the WAL's committer back to the loop.
 func TestStagedCompletionAllocatesNothing(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops entries")
@@ -110,7 +110,7 @@ func (h *heldStore) WriteAsync(key string, value []byte, done func(error)) {
 
 // Completions reach the handler in staging order, even when the store
 // reports a later one before its staging call has returned and an
-// earlier one is still on the loop's ring.
+// earlier one is still on the loop's handoff queue.
 func TestStagedCompletionsKeepTheirOrder(t *testing.T) {
 	r, err := Start(Config{ID: "a", Handler: &echo{}, Logf: quietLogf,
 		WrapStore: func(s store.Store) store.Store { return &heldStore{Store: s} }})

@@ -380,12 +380,12 @@ func TestOffload(t *testing.T) {
 		t.Fatal("Close waits for offloaded work")
 	}
 	close(release2)
-	<-returned // the body ends; its done goes to a ring nobody drains
+	<-returned // the body ends; its done goes to a queue nobody drains
 }
 
 // An Offload round trip — the body on a goroutine of its own, done back
 // on the loop — allocates at most what the goroutine itself costs: the
-// pooled offload record carries both and is its own ring node.
+// pooled offload record carries both, its callbacks bound once.
 func TestOffloadAllocatesOnlyItsGoroutine(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops entries")

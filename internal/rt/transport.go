@@ -129,16 +129,35 @@ func (r *Runtime) TransportStats() TransportStats {
 // drain hands queue to the flush and makes spare the new queue, and the
 // flushed batch, cleared, becomes spare again. Once both have grown to
 // the peer's usual batch, queuing allocates nothing.
+//
+// It also counts its envelopes, for the payloads a handler gives back
+// (release.go): queued is how many were ever queued, and the first
+// settled() of them are written or dropped. Envelopes leave in the
+// order they were queued — a batch is the queue's head, an overflow
+// drops the oldest — so a count is all a release needs to remember.
 type sender struct {
 	rt *Runtime
 	to proto.NodeID
 
-	mu      sync.Mutex
-	queue   []proto.Message
-	spare   []proto.Message // nil while drain's batch is out
-	retired bool
+	mu       sync.Mutex
+	queue    []proto.Message
+	spare    []proto.Message // nil while drain's batch is out
+	retired  bool
+	queued   uint64 // envelopes ever queued
+	outFrom  uint64 // while flushing: the count queued before the batch out
+	flushing bool   // a drained batch is being written
 
 	wake chan struct{} // 1-buffered doorbell
+}
+
+// settledLocked is how many of the envelopes queued so far are written
+// or dropped: all but the queue and, while one is out, the batch being
+// written. Caller holds mu.
+func (s *sender) settledLocked() uint64 {
+	if s.flushing {
+		return s.outFrom
+	}
+	return s.queued - uint64(len(s.queue))
 }
 
 // senderFor returns the live sender for a peer, creating it (and its
@@ -173,6 +192,7 @@ func (s *sender) enqueue(msg proto.Message) {
 			s.rt.stats.drop(dropOverflow, 1)
 		}
 		s.queue = append(s.queue, msg)
+		s.queued++
 		s.mu.Unlock()
 		select {
 		case s.wake <- struct{}{}:
@@ -183,22 +203,28 @@ func (s *sender) enqueue(msg proto.Message) {
 }
 
 // drain takes the whole queue: one coalesced batch. It takes back the
-// batch drained before, done with — nil the first time — as the spare
-// array, cleared so that it holds on to no message. An empty queue is
-// left where it is: a swap would hand the spare to a batch that never
-// comes back.
+// batch drained before, done with — written or dropped; nil the first
+// time — as the spare array, cleared so that it holds on to no message,
+// and settles the releases that waited for it. An empty queue is left
+// where it is: a swap would hand the spare to a batch that never comes
+// back.
 func (s *sender) drain(flushed []proto.Message) []proto.Message {
 	clear(flushed)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if flushed != nil {
 		s.spare = flushed[:0]
+		s.flushing = false
 	}
-	if len(s.queue) == 0 {
-		return nil
+	var batch []proto.Message
+	if len(s.queue) > 0 {
+		batch = s.queue
+		s.queue, s.spare = s.spare, nil
+		s.outFrom, s.flushing = s.queued-uint64(len(batch)), true
 	}
-	batch := s.queue
-	s.queue, s.spare = s.spare, nil
+	s.mu.Unlock()
+	if flushed != nil && s.rt.releasing.Load() {
+		s.rt.settleReleases()
+	}
 	return batch
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"rpcv/internal/node"
+	"rpcv/internal/node/nodetest"
 	"rpcv/internal/proto"
 	"rpcv/internal/sim"
 )
@@ -90,7 +91,9 @@ func TestFinishReleasesLargeParamsUnlessTheOutputSharesThem(t *testing.T) {
 		},
 	})}
 	w := sim.NewWorld(sim.Config{Seed: 11})
-	fc := &fakeCoord{ackAll: true}
+	// Nothing is acknowledged, so no output goes back here: what is
+	// released is the params alone (outputs: TestAckedOutputGoesBack…).
+	fc := &fakeCoord{}
 	w.AddNode("co", fc)
 	w.AddNode("sv", h)
 	w.Start("co")
@@ -123,5 +126,100 @@ func TestFinishReleasesLargeParamsUnlessTheOutputSharesThem(t *testing.T) {
 		case tc.released && (len(h.released) != 1 || len(h.released[0]) != tc.size || &h.released[0][0] != &ta.Params[0]):
 			t.Fatalf("%s of %d B: released %d slices, want the task's params once", tc.service, tc.size, len(h.released))
 		}
+	}
+}
+
+// recordingEnv is a hand-driven Env with node.Releaser added: it
+// records what the server gives back.
+type recordingEnv struct {
+	*nodetest.Env
+	released [][]byte
+}
+
+func (e *recordingEnv) Release(b []byte) { e.released = append(e.released, b) }
+
+// gave reports whether the env was given b's array exactly once, and
+// nothing else.
+func (e *recordingEnv) gave(b []byte) bool {
+	return len(e.released) == 1 && &e.released[0][:1][0] == &b[:1][0]
+}
+
+// A result's output goes back to the runtime once, and only once the
+// result is acknowledged and its log entry — header and output — is gone
+// from the disk: not while unacknowledged however often it is resent,
+// not while the delete is staged or committing, never again on a second
+// ack. When the body returned its params, the output is the params
+// array, given back then and only then; a delete that fails gives
+// nothing back, since the disk may still hold the output.
+func TestAckedOutputGoesBackOnceItsLogEntryIsGone(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		service Service
+		fail    bool
+	}{
+		{"copy", func(p []byte) ([]byte, error) { return append([]byte(nil), p...), nil }, false},
+		{"params", func(p []byte) ([]byte, error) { return p, nil }, false},
+		{"failed delete", func(p []byte) ([]byte, error) { return append([]byte(nil), p...), nil }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := nodetest.NewCrashDisk(t, "batch")
+			env := &recordingEnv{Env: nodetest.NewEnv("sv", d.Disk)}
+			sv := New(Config{Coordinators: []proto.NodeID{"co"}, Services: map[string]Service{"svc": tc.service}})
+			sv.Start(env)
+			ta := svcTask(1)
+			ta.Params = make([]byte, 64<<10)
+			sv.Receive("co", &proto.HeartbeatAck{From: "co", Tasks: []proto.TaskAssignment{ta}})
+			var res *proto.TaskResult
+			for _, m := range env.Take() {
+				if r, ok := m.(*proto.TaskResult); ok {
+					res = r
+				}
+			}
+			if res == nil || len(res.Output) != len(ta.Params) {
+				t.Fatal("no 64 KiB result was uploaded")
+			}
+			sameArray := &res.Output[0] == &ta.Params[0]
+			if sameArray != (tc.name == "params") {
+				t.Fatalf("the output shares the params' array: %v", sameArray)
+			}
+			if sameArray && len(env.released) != 0 || !sameArray && !env.gave(ta.Params) {
+				t.Fatalf("the body's return gave back %d slices, want its params unless they are the output", len(env.released))
+			}
+			env.released = nil
+
+			d.Settle()
+			d.Settle()
+			env.Advance(10 * time.Minute) // resent, unacknowledged
+			if len(env.released) != 0 {
+				t.Fatal("an unacknowledged output was given back")
+			}
+			if tc.fail {
+				d.Plan.FailCommits(1)
+			}
+			sv.Receive("co", &proto.TaskResultAck{Task: ta.Task})
+			if len(env.released) != 0 {
+				t.Fatal("the output was given back while its log entry's delete was only staged")
+			}
+			d.Settle() // commits the deletes; their completions run at the next turn
+			if len(env.released) != 0 {
+				t.Fatal("the output was given back before its delete completed")
+			}
+			d.Settle()
+			if tc.fail {
+				if len(env.released) != 0 {
+					t.Fatal("the output was given back though its log entry's delete failed")
+				}
+				return
+			}
+			if !env.gave(res.Output) {
+				t.Fatalf("gave back %d slices, want the output once", len(env.released))
+			}
+			sv.Receive("co", &proto.TaskResultAck{Task: ta.Task})
+			d.Settle()
+			d.Settle()
+			if len(env.released) != 1 {
+				t.Fatalf("a second ack gave back %d slices in all, want the one", len(env.released))
+			}
+		})
 	}
 }

@@ -56,9 +56,10 @@ import (
 // the server hands a large one back to the runtime for the next task's
 // params to be read into (node.Release). The slice a body returns
 // becomes the server's — the result log keeps that very slice until the
-// coordinator has acknowledged the result — so a body returns bytes of
-// its own, or params itself, which the server then keeps with the
-// result; never a buffer it will write again.
+// coordinator has acknowledged the result, and then the server hands a
+// large one back to the runtime too — so a body returns bytes of its
+// own, or params itself, which the server then keeps with the result;
+// never a buffer it will write again or return again.
 //
 // A service may block for as long as it likes, and up to
 // Config.Parallelism of them run at the same time, each on a goroutine
@@ -321,7 +322,7 @@ func (s *Server) loadResultLog() {
 			if errors.Is(err, proto.ErrCorrupt) {
 				// Torn, or a header whose output is missing or short:
 				// not logged. The coordinator re-issues the task.
-				s.results.Remove(key)
+				s.results.Remove(key, nil)
 			}
 			continue
 		}
@@ -512,7 +513,10 @@ func (s *Server) handleResultAck(from proto.NodeID, m *proto.TaskResultAck) {
 // the fsync that removes an entry the coordinator already holds. A
 // failed delete is survivable — the entry is re-offered and re-acked
 // after the next restart — but it means the log is not shrinking, so
-// results says so.
+// results says so. A large output — the service body's, or a task's
+// params the body returned — goes back to the runtime (node.Release)
+// once the entry is gone from the disk: nothing here holds it then, and
+// the runtime sees to the uploads still queued.
 func (s *Server) forget(t proto.TaskID) bool {
 	r, ok := s.unacked[t]
 	if !ok {
@@ -521,7 +525,11 @@ func (s *Server) forget(t proto.TaskID) bool {
 	delete(s.unacked, t)
 	delete(s.nextRetry, t)
 	delete(s.attempts, t)
-	s.results.Remove(r.key)
+	var give []byte
+	if len(r.res.Output) >= proto.BlobMin {
+		give = r.res.Output
+	}
+	s.results.Remove(r.key, give)
 	return true
 }
 
@@ -667,7 +675,8 @@ func (s *Server) execution(t *proto.TaskAssignment) *execution {
 // finish hands x back and finishes its task with out. No body reads
 // the task's params any more, so a large one goes back to the runtime
 // (node.Release) — unless the output is params itself, or a slice of
-// its array: the result log holds that.
+// its array: the result log holds that, and forget gives it back with
+// the output.
 func (s *Server) finish(x *execution, out outcome) {
 	t := x.t
 	x.t, x.svc, x.out = proto.TaskAssignment{}, nil, outcome{}

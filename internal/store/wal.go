@@ -99,8 +99,11 @@ type walOp struct {
 // for the paper's fig-4 blocking-pessimistic overhead.
 //
 // Values are never copied on the way in or out (the node.Disk ownership
-// contract): the staged operation, the index, a snapshot's frozen view
-// and every Read share the one slice the writer handed over.
+// contract): the staged operation, the index and every Read share the
+// one slice the writer handed over, and let go of it once its delete or
+// overwrite has committed. A snapshot's frozen view is the exception:
+// it streams out behind the writers, so it freezes a copy of the
+// values (freezeLocked), and holds no writer's slice.
 type WAL struct {
 	dir string
 	opt WALOptions
@@ -637,16 +640,34 @@ func (w *WAL) maybeRotate() {
 		// snapshot idempotently, so the combined state is consistent.
 		w.snapshotting = true
 		upto = w.segID - 1
-		idx = make(map[string][]byte, len(w.index))
-		for k, v := range w.index {
-			idx[k] = v
-		}
+		idx = w.freezeLocked()
 	}
 	w.mu.Unlock()
 	if due {
 		w.snapWG.Add(1)
 		go w.writeSnapshot(idx, upto)
 	}
+}
+
+// freezeLocked copies the index for a snapshot: the keys, and the
+// values into one array of the view's own. The snapshot streams out on
+// a goroutine of its own, while the writers go on; a value whose delete
+// commits meanwhile is its writer's again, to reuse (node.Release), and
+// the view must not read the bytes the array holds next. Caller holds
+// mu.
+func (w *WAL) freezeLocked() map[string][]byte {
+	total := 0
+	for _, v := range w.index {
+		total += len(v)
+	}
+	vals := make([]byte, 0, total)
+	idx := make(map[string][]byte, len(w.index))
+	for k, v := range w.index {
+		at := len(vals)
+		vals = append(vals, v...)
+		idx[k] = vals[at:len(vals):len(vals)]
+	}
+	return idx
 }
 
 // openSegmentLocked creates and opens segment id as the active one.

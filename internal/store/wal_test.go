@@ -452,3 +452,36 @@ func TestWALSnapshotSurvivesAlone(t *testing.T) {
 		t.Fatalf("Read after snapshot-only recovery = %q, %v", v, ok)
 	}
 }
+
+// A snapshot's view is frozen before a delete commits and streamed out
+// after it. By then the writer has its array back with the delete
+// (node.Release) and has written other bytes into it: the snapshot still
+// holds the bytes the key had when the view was frozen.
+func TestWALSnapshotKeepsItsBytesAfterTheDelete(t *testing.T) {
+	w := openTestWAL(t, t.TempDir(), WALOptions{})
+	val := bytes.Repeat([]byte{0xa5}, 64<<10)
+	want := append([]byte(nil), val...)
+	if err := w.Write("blob/x", val); err != nil {
+		t.Fatal(err)
+	}
+	w.mu.Lock()
+	view := w.freezeLocked()
+	w.mu.Unlock()
+	if err := w.Delete("blob/x"); err != nil {
+		t.Fatal(err)
+	}
+	for i := range val {
+		val[i] = 0x5a
+	}
+	path := filepath.Join(t.TempDir(), "snap")
+	if err := writeSnapshotFile(path, view); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := loadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded["blob/x"]; !bytes.Equal(got, want) {
+		t.Fatalf("the snapshot holds %d bytes starting %x, want the %d frozen bytes of 0xa5", len(got), got[:min(len(got), 4)], len(want))
+	}
+}

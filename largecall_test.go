@@ -12,6 +12,7 @@ import (
 	"rpcv/internal/db"
 	"rpcv/internal/node"
 	"rpcv/internal/node/nodetest"
+	"rpcv/internal/obs"
 	"rpcv/internal/proto"
 	"rpcv/internal/server"
 	"rpcv/internal/shared"
@@ -180,17 +181,20 @@ func (g *tcpGrid) allocPer(tb testing.TB, n, size int) float64 {
 }
 
 // TestLargeCallAllocatesOnePayloadPerHop is the end-to-end guard on
-// real loopback TCP: a 64 KiB echo call costs the payloads it cannot
-// avoid — one read per hop it keeps (client to coordinator, server to
-// coordinator, coordinator to client: three), echo's own copy of its
-// input, and the caller's fresh slice — and nothing payload-sized
-// besides. The fourth hop's read, the task's params at the server, goes
-// into the buffer of a payload given back before it: the server hands
-// params back once the body has returned. Every log on the way keeps a
-// small header and the slice it was handed: when the client's submit
-// log and the server's result log each encoded the whole message this
-// read 8.2, and 6.1 while the server dropped its params to the
-// collector.
+// real loopback TCP: a 64 KiB echo call costs the two payloads no node
+// can give back — the caller's fresh params, and echo's own copy of its
+// input, which the client hands the caller as the result — and nothing
+// payload-sized besides. The call's four reads off the wire (the Submit
+// and the TaskResult at the coordinator, the assignment at the server,
+// the Results at the client) go into buffers earlier calls gave back
+// (node.Release): the server's params once the body has returned and
+// its output once the result is acknowledged and its log entry deleted,
+// the coordinator's params and output once the call is collected. Every
+// log on the way keeps a small header and the slice it was handed. It
+// read 8.2 payloads when the client's submit log and the server's result
+// log each encoded the whole message, 6.1 while every read was a fresh
+// slice, and 5.1 while the server's params were the only payload given
+// back.
 func TestLargeCallAllocatesOnePayloadPerHop(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
@@ -199,12 +203,17 @@ func TestLargeCallAllocatesOnePayloadPerHop(t *testing.T) {
 	g.echoFresh(t, 20) // warm: connections, frame buffers, pools, maps
 	perCall := g.allocPerCall(t, 200)
 	t.Logf("a 64 KiB echo call allocates %.0f B end to end = %.2f payloads", perCall, perCall/largePayload)
-	if limit := 5.4 * largePayload; perCall > limit {
-		t.Fatalf("a 64 KiB call allocates %.0f B end to end, over %.0f (5.4 payloads): some layer copies or re-encodes the payload, or params are no longer given back", perCall, limit)
+	if limit := largeCallLimit * largePayload; perCall > limit {
+		t.Fatalf("a 64 KiB call allocates %.0f B end to end, over %.0f (%.1f payloads): some layer copies or re-encodes the payload, or a node no longer gives its payloads back", perCall, limit, largeCallLimit)
 	}
 }
 
-// BenchmarkLargeCallAllocs is the guard as a figure: payloads/call, 5.0
+// largeCallLimit, in payloads, is about 10 % over what a 64 KiB echo
+// call allocated end to end when the guard was last tightened: 2.22 to
+// 2.33 in six runs. One payload no node gave back would read 3.2.
+const largeCallLimit = 2.5
+
+// BenchmarkLargeCallAllocs is the guard as a figure: payloads/call, 2.0
 // being the floor (see the test).
 func BenchmarkLargeCallAllocs(b *testing.B) {
 	const perIter = 200
@@ -282,6 +291,49 @@ func TestServiceReturningItsParamsKeepsItsResults(t *testing.T) {
 		}})
 	t.Cleanup(g.close)
 	g.mirrorAll(t, "same", 64, 4, largePayload)
+}
+
+// Payloads given back on real TCP, with the benchmark's timing: 64 KiB
+// echo calls, eight in flight, a 5 ms beat — sessions poll while results
+// are pushed to them, so poll replies send results again that a push has
+// sent — and the 1 ns database cost bench/ sets, so every reply waits
+// in a timer. The servers give back params and acknowledged outputs, the
+// coordinator the payloads of collected calls, the client duplicates,
+// and the wire decoders read the next calls' payloads into them: every
+// result must still come back byte for byte. On the memory store and on
+// the WAL, where the commit gate holds replies; under -race it is also
+// the check that no given-back array is written while a sender reads it.
+func TestGivenBackPayloadsNeverReachAnotherCall(t *testing.T) {
+	for _, cell := range []struct {
+		name string
+		wal  bool
+	}{{"memory", false}, {"wal", true}} {
+		t.Run(cell.name, func(t *testing.T) {
+			dir := ""
+			if cell.wal {
+				dir = t.TempDir()
+			}
+			o := obs.New("co")
+			g := bootTCPGrid(t, tcpGridSpec{user: "reuse", period: 5 * time.Millisecond, timeout: 2 * time.Second,
+				servers: 2, parallelism: 4, services: shared.BuiltinServices(), coDisk: dir,
+				dbCost: time.Nanosecond, coObs: o})
+			t.Cleanup(g.close)
+			const calls = 200
+			g.echoAll(t, calls, 8, largePayload)
+			sent := func(via string) float64 {
+				v, _ := o.Registry().Value("rpcv_coord_results_sent_total", obs.L("node", "co"), obs.L("via", via))
+				return v
+			}
+			poll, push := sent("poll"), sent("push")
+			t.Logf("%d calls: %v results sent by poll, %v pushed", calls, poll, push)
+			if push == 0 || poll+push <= calls {
+				t.Fatalf("%v results sent by poll, %v pushed, for %d calls: no poll reply sent a result again", poll, push, calls)
+			}
+			if st := g.coordinatorStats(); st.Collected < calls-8 {
+				t.Fatalf("%d of %d calls collected: their payloads were never given back", st.Collected, calls)
+			}
+		})
+	}
 }
 
 // envProbe is a handler that only keeps its Env.
