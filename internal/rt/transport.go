@@ -132,7 +132,7 @@ func (r *Runtime) TransportStats() TransportStats {
 //
 // It also counts its envelopes, for the payloads a handler gives back
 // (release.go): queued is how many were ever queued, and the first
-// settled() of them are written or dropped. Envelopes leave in the
+// settledLocked() of them are written or dropped. Envelopes leave in the
 // order they were queued — a batch is the queue's head, an overflow
 // drops the oldest — so a count is all a release needs to remember.
 type sender struct {
