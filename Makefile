@@ -34,10 +34,21 @@
 #   make obs        race-detect the observability plane (registry,
 #                   tracer, admin endpoints, flight recorder, live-grid
 #                   acceptance)
+#   make stress     the tier-1 suite under a fixed CPU load, to tell a
+#                   test's verdict from the box's load: STRESS_ROUNDS
+#                   (default 10) rounds of `go test -count=3 ./...`
+#                   beside one fuzzer (FuzzCodecRoundTrip with one
+#                   worker, never more), then the failures per test over
+#                   every round; not part of tier-1 or ci. The fuzzer
+#                   runs on a copy of internal/proto, restarted every
+#                   60 s and after a failure, so the inputs it fails on
+#                   are listed at the end, not added to the tree under
+#                   test; they and the rounds' logs stay under
+#                   $TMPDIR/rpcv-stress
 
 GO ?= go
 
-.PHONY: all vet lint build test bench bench-check smoke allocs sim sim-full race obs ci
+.PHONY: all vet lint build test bench bench-check smoke allocs sim sim-full race obs stress ci
 
 all: vet lint build test
 
@@ -90,6 +101,29 @@ allocs:
 	$(ALLOCS_RUN) -bench '^BenchmarkLargeCallAllocs$$' -benchtime 12x -memprofile $(ALLOCS_DIR)/large-calls.prof .
 	$(GO) tool pprof -top -sample_index=alloc_space -unit KB -divide_by 2000 \
 		-base $(ALLOCS_DIR)/large-base.prof $(ALLOCS_DIR)/rpcv.test $(ALLOCS_DIR)/large-calls.prof
+
+STRESS_ROUNDS ?= 10
+STRESS_DIR = $(or $(TMPDIR),/tmp)/rpcv-stress
+
+stress:
+	rm -rf $(STRESS_DIR)
+	mkdir -p $(STRESS_DIR)/src/internal $(STRESS_DIR)/crashers
+	cp go.mod $(STRESS_DIR)/src/
+	cp -r internal/proto $(STRESS_DIR)/src/internal/
+	@(cd $(STRESS_DIR)/src/internal/proto && while [ ! -e $(STRESS_DIR)/stop ]; do \
+		$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 60s -fuzzminimizetime 1s -parallel 1 . >> $(STRESS_DIR)/fuzz.log 2>&1; \
+		if [ -d testdata/fuzz ]; then mv testdata/fuzz/FuzzCodecRoundTrip/* $(STRESS_DIR)/crashers/; rm -rf testdata/fuzz; fi; \
+	done) & fuzz=$$!; \
+	trap 'touch $(STRESS_DIR)/stop; wait $$fuzz' EXIT; \
+	for i in $$(seq 1 $(STRESS_ROUNDS)); do \
+		echo "== round $$i of $(STRESS_ROUNDS)"; \
+		$(GO) test -count=3 ./... > $(STRESS_DIR)/round-$$i.log 2>&1 || echo "round $$i failed"; \
+	done; \
+	echo "== failures per test over $(STRESS_ROUNDS) rounds of -count=3 (none: no line)"; \
+	cat $(STRESS_DIR)/round-*.log | sed -nE 's/^ *--- FAIL: ([^ ]+).*/\1/p' | sort | uniq -c | sort -rn; \
+	cat $(STRESS_DIR)/round-*.log | sed -nE 's/^FAIL[[:space:]]+([^ ]+).*/package \1/p' | sort | uniq -c | sort -rn; \
+	echo "== inputs the fuzzer failed on (none: no line), in $(STRESS_DIR)/crashers"; \
+	ls $(STRESS_DIR)/crashers
 
 sim:
 	$(GO) run ./cmd/rpcv-sim -quick

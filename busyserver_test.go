@@ -192,7 +192,13 @@ func (g *tcpGrid) callAll(tb testing.TB, n, inFlight int, service, param string)
 // bodies advertised a free slot and an empty running set while
 // assignments sat in the loop's mailbox, and every 12th one, a sync,
 // had the coordinator re-queue them all.
+//
+// A failure also says how long the test's own ticker went without a tick
+// (latenessProbe): whether the process was starved of CPU, or the
+// protocol suspected a server that beat.
 func TestBusyServerIsNeitherSuspectedNorReissued(t *testing.T) {
+	probe := startLatenessProbe(busyBeat)
+	defer probe.close()
 	g := bootTCPGrid(t, tcpGridSpec{user: "busy", period: busyBeat, timeout: busyTimeout,
 		servers: 2, parallelism: 1, services: shared.BuiltinServices()})
 	defer g.close()
@@ -201,16 +207,16 @@ func TestBusyServerIsNeitherSuspectedNorReissued(t *testing.T) {
 		t.Helper()
 		sv, co := g.serverStats(), g.coordinatorStats()
 		if sv.Executed != executed || sv.Dedup != 0 || co.Rescheduled != 0 || co.DupResults != 0 {
-			t.Errorf("%s: executed %d (want %d), server dedups %d, rescheduled %d, duplicate results %d; want none of the last three",
-				what, sv.Executed, executed, sv.Dedup, co.Rescheduled, co.DupResults)
+			t.Errorf("%s: executed %d (want %d), server dedups %d, rescheduled %d, duplicate results %d; want none of the last three; %s",
+				what, sv.Executed, executed, sv.Dedup, co.Rescheduled, co.DupResults, probe)
 		}
 		if s := g.suspicions(); len(s) != 0 {
-			t.Errorf("%s: suspicions on a healthy grid: %q", what, s)
+			t.Errorf("%s: suspicions on a healthy grid: %q; %s", what, s, probe)
 		}
 		var suspected []proto.NodeID
 		g.rco.Do(func() { suspected = g.co.SuspectedServers() })
 		if len(suspected) != 0 {
-			t.Errorf("%s: coordinator suspects %v", what, suspected)
+			t.Errorf("%s: coordinator suspects %v; %s", what, suspected, probe)
 		}
 	}
 
@@ -218,6 +224,56 @@ func TestBusyServerIsNeitherSuspectedNorReissued(t *testing.T) {
 	check("one 600 ms call on a 250 ms timeout", 1)
 	g.callAll(t, 200, 16, "sleep", "20ms")
 	check("200 x 20 ms at 16 in flight", 201)
+}
+
+// latenessProbe is a ticker on a goroutine of the test's own, beside the
+// grid's: it keeps the longest time it went without a tick. A process
+// starved of CPU starves it too, so a suspicion on a grid whose probe
+// went about a suspicion timeout without a tick is the box's doing, and
+// one on a grid whose probe kept time is the protocol's.
+type latenessProbe struct {
+	period  time.Duration
+	longest atomic.Int64 // ns between two ticks
+	stop    chan struct{}
+	done    chan struct{}
+}
+
+func startLatenessProbe(period time.Duration) *latenessProbe {
+	p := &latenessProbe{period: period, stop: make(chan struct{}), done: make(chan struct{})}
+	go func() {
+		defer close(p.done)
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		last := time.Now()
+		for {
+			select {
+			case <-p.stop:
+				return
+			case <-tick.C:
+				now := time.Now()
+				if gap := int64(now.Sub(last)); gap > p.longest.Load() {
+					p.longest.Store(gap)
+				}
+				last = now
+			}
+		}
+	}()
+	return p
+}
+
+func (p *latenessProbe) close() {
+	close(p.stop)
+	<-p.done
+}
+
+// String is the probe's verdict, for a failure message.
+func (p *latenessProbe) String() string {
+	gap := time.Duration(p.longest.Load())
+	verdict := "the process kept time, so the protocol suspected or re-issued on its own"
+	if gap >= busyTimeout/2 {
+		verdict = "the process was starved of CPU"
+	}
+	return fmt.Sprintf("the test's own %v ticker went up to %v without a tick: %s", p.period, gap.Round(time.Millisecond), verdict)
 }
 
 // TestParallelismBoundsConcurrentBodies: Parallelism is the number of

@@ -216,7 +216,10 @@ func New(cfg Config) *Client {
 	return c
 }
 
-var _ node.Handler = (*Client)(nil)
+var (
+	_ node.Handler   = (*Client)(nil)
+	_ node.Forgetter = (*Client)(nil)
+)
 
 // Start implements node.Handler. A restarting client replays its
 // durable submission log: the application rolls back to the point
@@ -671,6 +674,12 @@ func (c *Client) Receive(from proto.NodeID, msg proto.Message) {
 		c.env.Logf("client: unexpected %s from %s", msg.Kind(), from)
 	}
 }
+
+// ForgetsMessages implements node.Forgetter: no handler keeps a message
+// struct. A delivered result is kept by element — the call points into
+// the Results list, which stays the client's — and a SyncReply's Known
+// list is read, not kept.
+func (*Client) ForgetsMessages() {}
 
 func (c *Client) handleSubmitAck(from proto.NodeID, m *proto.SubmitAck) {
 	c.monitor.Observe(from)

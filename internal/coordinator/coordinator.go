@@ -307,7 +307,10 @@ func New(cfg Config) *Coordinator {
 	return &Coordinator{cfg: cfg}
 }
 
-var _ node.Handler = (*Coordinator)(nil)
+var (
+	_ node.Handler   = (*Coordinator)(nil)
+	_ node.Forgetter = (*Coordinator)(nil)
+)
 
 // ---------------------------------------------------------------------
 // Lifecycle
@@ -642,6 +645,13 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 	// is still waiting for it.
 	c.dispatch()
 }
+
+// ForgetsMessages implements node.Forgetter: no handler keeps a message
+// struct, or sends one on. What they keep is what it points to — a
+// Submit's params and a TaskResult's output in the job record, a poll's
+// session in its subscription, a ring member list — and apply copies
+// each record of a ReplicaUpdate before storing it.
+func (*Coordinator) ForgetsMessages() {}
 
 // reply is what a handler decided to send once the database work it
 // charged is done: msg to to, behind push to pushTo when a late reply

@@ -248,6 +248,27 @@ func Release(env Env, b []byte) {
 	}
 }
 
+// Forgetter is optionally implemented by Handlers that keep no pointer
+// to a message struct Receive was handed once Receive returns: not the
+// struct, not a field's address, and not the struct itself as a message
+// sent on. An Env that decoded the struct may then reuse it for a later
+// message (proto.ReleaseMessage). Everything the struct points to stays
+// with the handler, as it always did: its strings, its payloads (given
+// back only through Release) and its lists, such as the Results a
+// client keeps by element. The coordinator, the server and the client
+// implement it.
+//
+// internal/rt honours it: it hands the struct of every message a
+// Forgetter received back to the wire decoder's pool. A handler that
+// keeps or forwards what it receives — an echo that sends the message
+// on, a test that records it — does not implement it, and its messages
+// are never reused. The simulator and nodetest decode nothing, so they
+// ignore it.
+type Forgetter interface {
+	// ForgetsMessages is the promise above; it does nothing.
+	ForgetsMessages()
+}
+
 // Handler is the protocol state machine interface implemented by the
 // client, coordinator and server nodes.
 type Handler interface {
@@ -258,7 +279,9 @@ type Handler interface {
 
 	// Receive delivers one message. from identifies the sender as
 	// claimed by the transport; the protocol never trusts it for more
-	// than addressing replies.
+	// than addressing replies. What msg points to — strings, payloads,
+	// lists — the handler may keep; the struct itself it may keep past
+	// Receive only if it is no Forgetter.
 	Receive(from proto.NodeID, msg proto.Message)
 
 	// Stop tells the node its incarnation is ending (crash or clean

@@ -15,7 +15,9 @@ package proto
 // its own — a frame's large payload into a pooled buffer its holder may
 // give back (ReleasePayload) — and strings are interned so the small,
 // endlessly repeated identifiers (node IDs, users, service names) are
-// allocated once per decoder, not once per message.
+// allocated once per decoder, not once per message. The message itself
+// is a struct from its kind's pool, which its receiver may give back
+// (ReleaseMessage).
 //
 // Decoding is hardened for the fuzzer and for torn frames: every read
 // is bounds-checked against the remaining input through a sticky
@@ -255,7 +257,103 @@ func ReleasePayload(b []byte) {
 		pb = new(payloadBuf)
 	}
 	pb.b = b[:0]
+	clobber(pb.b[:cap(pb.b)])
 	payloadPools[c].Put(pb)
+}
+
+// ---------------------------------------------------------------------
+// Pooled message structs
+// ---------------------------------------------------------------------
+
+// Every message readMessageBody decodes is a struct taken from its
+// kind's pool, and ReleaseMessage gives one back: the runtime does, for
+// a handler that keeps no pointer to the structs it receives
+// (node.Forgetter), once Receive has returned. Only the struct goes
+// back. What it points to — strings, payloads, lists — is not touched:
+// it stays with whoever kept it. Storage decodes draw from the pools too,
+// and keep what they get.
+//
+// A struct goes back zeroed, so the pool pins nothing it pointed to. In
+// race builds it goes back poisoned instead, and so does a payload that
+// ReleasePayload pools (clobber_race.go): a reader that kept either past
+// its give-back reads garbage rather than the next message's fields or
+// bytes.
+var msgPools struct {
+	submit          msgPool[Submit]
+	submitAck       msgPool[SubmitAck]
+	poll            msgPool[Poll]
+	results         msgPool[Results]
+	syncRequest     msgPool[SyncRequest]
+	syncReply       msgPool[SyncReply]
+	heartbeat       msgPool[Heartbeat]
+	heartbeatAck    msgPool[HeartbeatAck]
+	taskResult      msgPool[TaskResult]
+	taskResultAck   msgPool[TaskResultAck]
+	taskCancel      msgPool[TaskCancel]
+	serverSync      msgPool[ServerSync]
+	serverSyncReply msgPool[ServerSyncReply]
+	replicaUpdate   msgPool[ReplicaUpdate]
+	replicaAck      msgPool[ReplicaAck]
+}
+
+// msgPool is one kind's pool of structs.
+type msgPool[T any] struct{ p sync.Pool }
+
+// fill returns a struct from the pool, or a new one, holding v.
+func (p *msgPool[T]) fill(v T) *T {
+	m, _ := p.p.Get().(*T)
+	if m == nil {
+		m = new(T)
+	}
+	*m = v
+	return m
+}
+
+func (p *msgPool[T]) put(m *T) {
+	var zero T
+	*m = zero
+	clobberStruct(m)
+	p.p.Put(m)
+}
+
+// ReleaseMessage hands msg's struct back for a later decode of its kind
+// to fill. The caller gives up the struct: nothing may read or write it
+// after, nor hold a field's address. It keeps everything the struct
+// pointed to. A message of an unregistered type is left to the
+// collector.
+func ReleaseMessage(msg Message) {
+	switch m := msg.(type) {
+	case *Submit:
+		msgPools.submit.put(m)
+	case *SubmitAck:
+		msgPools.submitAck.put(m)
+	case *Poll:
+		msgPools.poll.put(m)
+	case *Results:
+		msgPools.results.put(m)
+	case *SyncRequest:
+		msgPools.syncRequest.put(m)
+	case *SyncReply:
+		msgPools.syncReply.put(m)
+	case *Heartbeat:
+		msgPools.heartbeat.put(m)
+	case *HeartbeatAck:
+		msgPools.heartbeatAck.put(m)
+	case *TaskResult:
+		msgPools.taskResult.put(m)
+	case *TaskResultAck:
+		msgPools.taskResultAck.put(m)
+	case *TaskCancel:
+		msgPools.taskCancel.put(m)
+	case *ServerSync:
+		msgPools.serverSync.put(m)
+	case *ServerSyncReply:
+		msgPools.serverSyncReply.put(m)
+	case *ReplicaUpdate:
+		msgPools.replicaUpdate.put(m)
+	case *ReplicaAck:
+		msgPools.replicaAck.put(m)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -855,51 +953,52 @@ func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 	}
 }
 
-// readMessageBody decodes the body for a kind byte. Unknown kinds set
-// the reader's error (a peer speaking a newer protocol revision).
+// readMessageBody decodes the body for a kind byte, into a struct from
+// the kind's pool. Unknown kinds set the reader's error (a peer speaking
+// a newer protocol revision).
 func readMessageBody(r *binReader, kind uint8) Message {
 	switch kind {
 	case kindSubmit:
-		return &Submit{Call: r.call(), Service: r.str(), Params: r.payload(),
-			ExecTime: r.dur(), ResultSize: int(r.varint()), Deadline: r.dur()}
+		return msgPools.submit.fill(Submit{Call: r.call(), Service: r.str(), Params: r.payload(),
+			ExecTime: r.dur(), ResultSize: int(r.varint()), Deadline: r.dur()})
 	case kindSubmitAck:
-		return &SubmitAck{Call: r.call(), MaxSeq: r.seq()}
+		return msgPools.submitAck.fill(SubmitAck{Call: r.call(), MaxSeq: r.seq()})
 	case kindPoll:
-		return &Poll{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			Ack: r.seq(), Have: readSlice(r, (*binReader).seq)}
+		return msgPools.poll.fill(Poll{User: UserID(r.str()), Session: SessionID(r.uvarint()),
+			Ack: r.seq(), Have: readSlice(r, (*binReader).seq)})
 	case kindResults:
-		return &Results{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			Results: readSlice(r, readResult)}
+		return msgPools.results.fill(Results{User: UserID(r.str()), Session: SessionID(r.uvarint()),
+			Results: readSlice(r, readResult)})
 	case kindSyncRequest:
-		return &SyncRequest{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			MaxSeq: r.seq(), HaveLog: r.bool()}
+		return msgPools.syncRequest.fill(SyncRequest{User: UserID(r.str()), Session: SessionID(r.uvarint()),
+			MaxSeq: r.seq(), HaveLog: r.bool()})
 	case kindSyncReply:
-		return &SyncReply{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			MaxSeq: r.seq(), Collected: r.seq(), Known: readSlice(r, (*binReader).seq)}
+		return msgPools.syncReply.fill(SyncReply{User: UserID(r.str()), Session: SessionID(r.uvarint()),
+			MaxSeq: r.seq(), Collected: r.seq(), Known: readSlice(r, (*binReader).seq)})
 	case kindHeartbeat:
-		return &Heartbeat{From: r.node(), Role: Role(r.u8()),
-			Capacity: int(r.varint()), WantWork: r.bool()}
+		return msgPools.heartbeat.fill(Heartbeat{From: r.node(), Role: Role(r.u8()),
+			Capacity: int(r.varint()), WantWork: r.bool()})
 	case kindHeartbeatAck:
-		return &HeartbeatAck{From: r.node(), Tasks: readSlice(r, readAssignment),
-			Coordinators: readSlice(r, (*binReader).node)}
+		return msgPools.heartbeatAck.fill(HeartbeatAck{From: r.node(), Tasks: readSlice(r, readAssignment),
+			Coordinators: readSlice(r, (*binReader).node)})
 	case kindTaskResult:
-		return &TaskResult{From: r.node(), Task: r.task(), Output: r.payload(),
-			Err: r.str(), Exec: r.dur()}
+		return msgPools.taskResult.fill(TaskResult{From: r.node(), Task: r.task(), Output: r.payload(),
+			Err: r.str(), Exec: r.dur()})
 	case kindTaskResultAck:
-		return &TaskResultAck{Task: r.task()}
+		return msgPools.taskResultAck.fill(TaskResultAck{Task: r.task()})
 	case kindTaskCancel:
-		return &TaskCancel{Task: r.task()}
+		return msgPools.taskCancel.fill(TaskCancel{Task: r.task()})
 	case kindServerSync:
-		return &ServerSync{From: r.node(), Tasks: readSlice(r, (*binReader).task),
-			Running: readSlice(r, (*binReader).task)}
+		return msgPools.serverSync.fill(ServerSync{From: r.node(), Tasks: readSlice(r, (*binReader).task),
+			Running: readSlice(r, (*binReader).task)})
 	case kindServerSyncReply:
-		return &ServerSyncReply{Resend: readSlice(r, (*binReader).task),
-			Drop: readSlice(r, (*binReader).task)}
+		return msgPools.serverSyncReply.fill(ServerSyncReply{Resend: readSlice(r, (*binReader).task),
+			Drop: readSlice(r, (*binReader).task)})
 	case kindReplicaUpdate:
-		return &ReplicaUpdate{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint(),
-			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)}
+		return msgPools.replicaUpdate.fill(ReplicaUpdate{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint(),
+			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)})
 	case kindReplicaAck:
-		return &ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()}
+		return msgPools.replicaAck.fill(ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()})
 	default:
 		r.fail()
 		return nil

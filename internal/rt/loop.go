@@ -61,6 +61,7 @@ const (
 // by. Its behaviour is the Runtime's methods below.
 type loop struct {
 	handler node.Handler
+	forgets bool // the handler is a node.Forgetter: its messages' structs are recycled
 
 	mailbox chan mail
 	wake    chan struct{} // 1-buffered doorbell for the handoff queue
@@ -154,15 +155,24 @@ func (r *Runtime) run() {
 	}
 }
 
-// handle executes one mailbox entry.
+// handle executes one mailbox entry. A received message's struct goes
+// back to the wire decoder once Receive has returned, if the handler
+// promised to keep no pointer to it (node.Forgetter).
 func (r *Runtime) handle(m mail) {
 	r.tasks.Add(1)
 	if m.msg != nil {
 		r.handler.Receive(m.from, m.msg)
+		if r.forgets {
+			recycle(m.msg)
+		}
 		return
 	}
 	m.fn()
 }
+
+// recycle is proto's pool of message structs; a test records what
+// reaches it.
+var recycle = proto.ReleaseMessage
 
 // drainQueue executes everything on the handoff queue, in the order it
 // was handed off. What is handed off meanwhile goes to the spare and

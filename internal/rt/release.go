@@ -24,7 +24,9 @@ package rt
 import "rpcv/internal/proto"
 
 // toPool is proto's pool, where a settled payload goes; a test records
-// what reaches it.
+// what reaches it. In race builds the pool fills the array with poison
+// first (proto's clobber_race.go): a holder that gave it back too early
+// reads garbage at once, not another call's bytes later.
 var toPool = proto.ReleasePayload
 
 // pendingRelease is a released payload waiting for its senders.

@@ -30,8 +30,13 @@
 // growing a fresh one per batch, over the memory store a staged write
 // is simply the synchronous one, and over the WAL a staged write's
 // completion travels back to the loop as a function bound once in a
-// pooled record, as an offloaded body's does. What a call allocates is
-// what it keeps and what its messages carry.
+// pooled record, as an offloaded body's does. Receiving a message costs
+// nothing of its own either: once the handler's Receive has returned,
+// the struct the message was decoded into goes back to the wire
+// decoder's pool for the next message of its kind, if the handler
+// promised to keep no pointer to it (node.Forgetter: the coordinator,
+// the server and the client do). What a call allocates is what it keeps
+// and what its messages carry.
 //
 // A payload a message delivers is the receiver's: the wire decoder read
 // it into an array of its own, shared with no other node of the process
@@ -214,10 +219,12 @@ func Start(cfg Config) (*Runtime, error) {
 		seed ^= time.Now().UnixNano()
 	}
 
+	_, forgets := cfg.Handler.(node.Forgetter)
 	r := &Runtime{
 		cfg: cfg,
 		loop: loop{
 			handler: cfg.Handler,
+			forgets: forgets,
 			mailbox: make(chan mail, mailboxSlots),
 			wake:    make(chan struct{}, 1),
 			rng:     rand.New(newPCG(seed)),

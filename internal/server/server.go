@@ -203,7 +203,10 @@ func New(cfg Config) *Server {
 	return &Server{cfg: cfg}
 }
 
-var _ node.Handler = (*Server)(nil)
+var (
+	_ node.Handler   = (*Server)(nil)
+	_ node.Forgetter = (*Server)(nil)
+)
 
 // Start implements node.Handler. On restart, completed-but-unacked
 // results are recovered from the durable result log and re-offered to
@@ -487,6 +490,12 @@ func (s *Server) Receive(from proto.NodeID, msg proto.Message) {
 		s.env.Logf("server: unexpected %s from %s", msg.Kind(), from)
 	}
 }
+
+// ForgetsMessages implements node.Forgetter: no handler keeps a message
+// struct. An assignment is copied into its execution or the backlog, the
+// coordinator list is merged into the server's own, and what a handler
+// sends is its own logged result, never what it received.
+func (*Server) ForgetsMessages() {}
 
 func (s *Server) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAck) {
 	s.monitor.Observe(from)

@@ -238,22 +238,31 @@ func smallCallGrid(tb testing.TB) *tcpGrid {
 
 // smallCallLimit is about 10 % over what a 64 B echo call allocated
 // end to end when the guard was last tightened (TestSmallCallAllocations,
-// 3.41 KB).
-const smallCallLimit = 3750
+// 2.95 KB, the least of three windows).
+const smallCallLimit = 3250
 
 // TestSmallCallAllocations is the guard for a 64 B call, whose bytes are
-// nearly all per envelope: a call is seven of them and each costs its
-// decode, its encode and what the runtime spends moving it. Moving costs
-// nothing of its own — no closure per received message, send queues
-// that keep their arrays, disk keys without fmt, no closure or channel
-// per DoOn — and the pull a server sends behind each result is not
-// answered with an empty HeartbeatAck when a TaskResultAck has just
-// gone to it. Nor does a step of the call: a reply, a log completion, a
-// delete or an execution allocates no closure, and each log entry's key
-// is built once. Nor does an edge: CallAsync, the scheduler's queue and
-// Offload take pooled or reused entries, and the client keeps a result
-// where it arrived. Before, a call read about 6.2 KB here, then 4.6 KB,
-// then 3.8 KB.
+// nearly all per envelope: a call is seven of them, and each costs its
+// encode and what its decode leaves the handler — the lists and strings
+// it may keep. Moving an envelope costs nothing of its own: no closure
+// per received message, send queues that keep their arrays, disk keys
+// without fmt, no closure or channel per DoOn. Neither does receiving
+// one: the struct a message is decoded into goes back to the decoder
+// once its handler has returned (node.Forgetter). The pull a server
+// sends behind each result is not answered with an empty HeartbeatAck
+// when a TaskResultAck has just gone to it. A step of the call allocates
+// nothing either: a reply, a log completion, a delete or an execution
+// takes no closure, and each log entry's key is built once. Nor does an
+// edge: CallAsync, the scheduler's queue and Offload take pooled or
+// reused entries, and the client keeps a result where it arrived.
+// Before, a call read about 6.2 KB here, then 4.6 KB, 3.8 KB and 3.4 KB.
+//
+// The reading is the least of three windows. With one-second polls the
+// calls of a window pile up between two of them, and the tables that
+// hold them (the job table, the memory store's map, the collection
+// lists) grow; on a loaded box more pile up than the warm-up held, and
+// the window that first takes the tables past their peak pays for the
+// growth.
 func TestSmallCallAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
@@ -261,6 +270,9 @@ func TestSmallCallAllocations(t *testing.T) {
 	g := smallCallGrid(t)
 	g.echoEach(t, 200, 64) // warm: connections, queue arrays, pools, maps
 	perCall := g.allocPer(t, 2000, 64)
+	for range 2 {
+		perCall = min(perCall, g.allocPer(t, 2000, 64))
+	}
 	t.Logf("a 64 B echo call allocates %.0f B end to end", perCall)
 	if perCall > smallCallLimit {
 		t.Fatalf("a 64 B call allocates %.0f B end to end, over %d: the runtime pays per envelope again, or an envelope came back", perCall, smallCallLimit)
