@@ -831,18 +831,6 @@ func TestCrashOracle(t *testing.T) {
 		})
 }
 
-// A submission logged whole by a build from before headers existed — a
-// 64 KiB payload inline — is recovered and resent like any other.
-func TestLegacyInlineLogEntryIsRecovered(t *testing.T) {
-	disk := nodetest.NewCrashDisk(t, "memory").Disk
-	old := &proto.Submit{Call: proto.CallID{User: "u", Session: 1, Seq: 1}, Service: "echo", Params: crashParams(1, 64<<10)}
-	if err := disk.Write("client/submit/"+logKey(1), proto.EncodeMessage(old)); err != nil {
-		t.Fatal(err)
-	}
-	checkClientRecovered(t, "legacy entry", disk, clientCrashRun{
-		submitted: map[proto.RPCSeq]*proto.Submit{1: old}, completed: map[proto.RPCSeq]bool{1: true}}, true)
-}
-
 // The session owns a call's parameters until the result is delivered,
 // and no longer: the entry that outlives a delivered call keeps its key
 // — the seq stays used — and none of the caller's bytes.
@@ -881,9 +869,9 @@ func TestDeliveredCallGivesItsParamsBack(t *testing.T) {
 	}
 }
 
-// TestLogKeyIsTheFmtForm pins logKey to fmt's "%020d": the keys name
-// submission log entries a store written by an earlier build may hold,
-// and their order is the seqs' order.
+// TestLogKeyIsTheFmtForm pins logKey to fmt's "%020d": recovery parses
+// a submission log entry's key back into its seq, and the keys' order is
+// the seqs' order.
 func TestLogKeyIsTheFmtForm(t *testing.T) {
 	check := func(seq uint64) bool {
 		got, want := logKey(proto.RPCSeq(seq)), fmt.Sprintf("%020d", seq)

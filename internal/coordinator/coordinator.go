@@ -503,7 +503,7 @@ func (c *Coordinator) loadEpoch() {
 // at least proto.BlobMin bytes beside it as a blob of its own, written
 // once — the params with suffix /p, the output with /o. A smaller
 // payload stays in the header, which is then byte for byte the whole
-// record earlier builds persisted. msglog has the order rules.
+// record (proto.EncodeJob). msglog has the order rules.
 var jobs = msglog.Shelf{Headers: "coord/job/", Blobs: "coord/blob/", Suffixes: []string{"/p", "/o"}}
 
 // jobKey is call's key on the jobs shelf, coord/job/<call>. It is made
@@ -540,11 +540,6 @@ func (c *Coordinator) loadStore() {
 			continue
 		}
 		c.put(rec)
-		if proto.NamedPayloads(e.Data) == 0 && (len(rec.Params) >= proto.BlobMin || len(rec.Output) >= proto.BlobMin) {
-			// A whole record from before the split: rewrite it in the
-			// one layout, so nothing but this branch ever reads the old.
-			c.persistJob(rec)
-		}
 		if rec.State == proto.TaskOngoing {
 			// The assignment did not survive the crash; schedule anew.
 			rec.State = proto.TaskPending

@@ -523,58 +523,6 @@ func brief(r *proto.JobRecord) string {
 		r.State, r.Instance, r.Server, r.ResultErr, r.Service, len(r.Params), r.Params == nil, len(r.Output), r.Output == nil)
 }
 
-// bigJob is a finished 64 KiB call as the coordinator holds it.
-func bigJob(seq int, rng *rand.Rand) *proto.JobRecord {
-	return &proto.JobRecord{
-		Call: call(seq), Service: "echo", Params: payload(rng, 64<<10), ExecTime: time.Second,
-		State: proto.TaskFinished, Instance: 1, Output: payload(rng, 64<<10), Server: "sv0",
-	}
-}
-
-// A store written before the split — whole records, 64 KiB payloads
-// inside — boots, recovers the same table, serves its finished results,
-// and holds only headers and blobs afterwards; the second boot reads
-// nothing but those.
-func TestPreSplitRecordsRecoverAndAreRewrittenSplit(t *testing.T) {
-	for _, engine := range []string{"memory", "wal"} {
-		rng := rand.New(rand.NewSource(5))
-		fixture := []*proto.JobRecord{bigJob(1, rng), bigJob(2, rng), {
-			Call: call(3), Service: "echo", Params: payload(rng, 64<<10), State: proto.TaskOngoing, Instance: 1, Server: "sv0",
-		}, {
-			Call: call(4), Service: "echo", Params: []byte("small"), State: proto.TaskFinished, Output: []byte("small"), Server: "sv1",
-		}}
-		r := newPersistRig(t, engine, Config{}, nil)
-		for _, rec := range fixture {
-			if err := r.disk.Write(jobs.Headers+rec.Call.String(), proto.EncodeJob(rec)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for boot := 1; boot <= 2; boot++ {
-			r.restart()
-			for _, want := range fixture {
-				w := *want
-				if w.State == proto.TaskOngoing {
-					w.State = proto.TaskPending
-				}
-				if got, ok := r.co.DB().Peek(want.Call); !ok || !reflect.DeepEqual(*got, w) {
-					t.Fatalf("%s, boot %d: %s recovered as %s", engine, boot, want.Call, brief(got))
-				}
-			}
-			r.checkLayout()
-			sent := r.deliver("cl", &proto.Poll{User: "u", Session: 1})
-			res, ok := sent[len(sent)-1].(*proto.Results)
-			if !ok || len(res.Results) != 3 || !bytes.Equal(res.Results[0].Output, fixture[0].Output) {
-				t.Fatalf("%s, boot %d: poll answered %v", engine, boot, sent)
-			}
-		}
-		for _, line := range r.env.Logs() {
-			if strings.Contains(line, "corrupt") {
-				t.Fatal(line)
-			}
-		}
-	}
-}
-
 // submitBig pushes one 64 KiB call through submit and returns it.
 func (r *persistRig) submitBig(seq int) *proto.Submit {
 	sub := &proto.Submit{Call: call(seq), Service: "echo", Params: payload(r.env.Rand(), 64<<10), ExecTime: time.Second}

@@ -46,13 +46,13 @@ func lastAck(t *testing.T, p *peer) *proto.HeartbeatAck {
 
 // TestUnknownPolicyFallsBackToFCFS: a policy name other than fcfs —
 // here one a retired policy had — is logged and the queue is served
-// first-come-first-served: deadlines carried by the submits are not
-// read.
+// first-come-first-served: the execution times carried by the submits
+// do not reorder it.
 func TestUnknownPolicyFallsBackToFCFS(t *testing.T) {
 	w, _, a, _ := rig2(t, Config{Policy: "deadline", MaxTasksPerAck: 10})
-	for seq, deadline := range []time.Duration{time.Minute, 10 * time.Second, 0, 30 * time.Second} {
+	for seq, exec := range []time.Duration{time.Minute, 10 * time.Second, 0, 30 * time.Second} {
 		m := submit(seq + 1)
-		m.Deadline = deadline
+		m.ExecTime = exec
 		a.env.Send("co", m)
 	}
 	w.RunFor(time.Second)

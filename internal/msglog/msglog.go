@@ -46,8 +46,7 @@
 // log on Messages (a payload under "blob/"+key), the coordinator's job
 // table on a shelf of its own (params and output under
 // coord/blob/<call>/p and /o). A payload under proto.BlobMin stays in
-// the header, which is then the whole encoding — what every earlier
-// build wrote for every size, and still loads. From BlobMin up the
+// the header, which is then the whole encoding. From BlobMin up the
 // header is that encoding with the payload's bytes cut out and their
 // count left (proto.EncodeLogged, proto.EncodeJobHeader), and the
 // payload is the very slice the message or record carries, handed to the

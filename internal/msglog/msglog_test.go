@@ -556,31 +556,3 @@ func TestCrashOracle(t *testing.T) {
 			})
 	}
 }
-
-// An entry written whole by a build from before headers existed — a
-// 64 KiB payload inline — still recovers, beside entries of the new
-// layout.
-func TestLegacyInlineEntryStillLoads(t *testing.T) {
-	disk := nodetest.NewCrashDisk(t, "memory").Disk
-	old, fresh := submitOf(1, 64<<10), submitOf(2, 64<<10)
-	if err := disk.Write("log/1", proto.EncodeMessage(old)); err != nil {
-		t.Fatal(err)
-	}
-	l := New(nodetest.NewEnv("src", disk), Config{Prefix: "log/", Strategy: BlockingPessimistic})
-	l.LogAndSend("dst", fresh, EntryOf(l.Key("2"), fresh), nil)
-	var dec proto.Decoder
-	for key, want := range map[string]*proto.Submit{"1": old, "2": fresh} {
-		e, _ := l.Get(key)
-		if msg, err := e.Message(&dec); err != nil || !reflect.DeepEqual(msg, proto.Message(want)) {
-			t.Fatalf("entry %s: %v", key, err)
-		}
-	}
-	if e, _ := l.Get("1"); e.Blobs[0] != nil {
-		t.Fatal("a legacy entry has no payload beside it")
-	}
-	l.Drop(l.Key("1"))
-	l.Drop(l.Key("2"))
-	if keys := disk.Keys(""); len(keys) != 0 {
-		t.Fatalf("after dropping both: %v", keys)
-	}
-}

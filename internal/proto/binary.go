@@ -4,12 +4,11 @@ package proto
 // JobRecord gets an explicit, field-by-field encoding built from a
 // handful of primitives: unsigned/zigzag varints, length-prefixed
 // strings and byte slices (with a +1 count scheme that preserves the
-// nil/empty distinction through a round trip), and a compact instant
-// encoding for time.Time (locations normalize to UTC; only the instant
-// is protocol-relevant). There is no reflection and no per-encode
-// allocation: encoders append into caller-supplied or pooled buffers
-// sized by the WireSize hints, or — on the wire (Frames) — leave each
-// large payload out of the buffer for the write to take where it lies.
+// nil/empty distinction through a round trip). There is no reflection
+// and no per-encode allocation: encoders append into caller-supplied or
+// pooled buffers sized by the WireSize hints, or — on the wire (Frames)
+// — leave each large payload out of the buffer for the write to take
+// where it lies.
 // The reader decodes a blob in place and a frame through a window of
 // at most BlobMin bytes: every byte slice is read or copied into one of
 // its own — a frame's large payload into a pooled buffer its holder may
@@ -41,7 +40,7 @@ import (
 // bytes it is wire- and disk-stable.
 const (
 	binMagic   = 0xBC
-	binVersion = 0x01
+	binVersion = 0x02
 )
 
 // MaxFrame bounds a single wire frame (and with it the decode buffer a
@@ -405,19 +404,6 @@ func appendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
-// appendTime encodes an instant: marker 0 for the zero time, else
-// marker 1 + unix seconds (zigzag) + nanoseconds. The location is not
-// carried — decoding yields the same instant in UTC, which is all the
-// protocol compares (deadline ordering).
-func appendTime(dst []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendVarint(dst, t.Unix())
-	return binary.AppendUvarint(dst, uint64(t.Nanosecond()))
-}
-
 func appendCallID(dst []byte, c CallID) []byte {
 	dst = appendString(dst, string(c.User))
 	dst = binary.AppendUvarint(dst, uint64(c.Session))
@@ -710,24 +696,6 @@ func (r *binReader) bool() bool {
 	}
 }
 
-func (r *binReader) time() time.Time {
-	switch r.u8() {
-	case 0:
-		return time.Time{}
-	case 1:
-		sec := r.varint()
-		nsec := r.uvarint()
-		if nsec >= uint64(time.Second) {
-			r.fail()
-			return time.Time{}
-		}
-		return time.Unix(sec, int64(nsec)).UTC()
-	default:
-		r.fail()
-		return time.Time{}
-	}
-}
-
 // length reads a stored byte count. It sizes a comparison, never an
 // allocation, so the bound only keeps a corrupt one from overflowing
 // int on the way there.
@@ -740,6 +708,18 @@ func (r *binReader) length() int {
 	return int(n)
 }
 
+// u32 reads a varint that a uint32 was encoded as (a task instance):
+// one above math.MaxUint32 is corrupt, not cut down to 32 bits, which
+// would decode as another number than the encoding holds.
+func (r *binReader) u32() uint32 {
+	n := r.uvarint()
+	if n > math.MaxUint32 {
+		r.fail()
+		return 0
+	}
+	return uint32(n)
+}
+
 func (r *binReader) dur() time.Duration { return time.Duration(r.varint()) }
 func (r *binReader) seq() RPCSeq        { return RPCSeq(r.uvarint()) }
 func (r *binReader) node() NodeID       { return NodeID(r.str()) }
@@ -749,7 +729,7 @@ func (r *binReader) call() CallID {
 }
 
 func (r *binReader) task() TaskID {
-	return TaskID{Call: r.call(), Instance: uint32(r.uvarint())}
+	return TaskID{Call: r.call(), Instance: r.u32()}
 }
 
 // readSlice decodes a +1-counted slice. The declared element count is
@@ -830,7 +810,6 @@ func appendJobBody(dst []byte, j *JobRecord, cuts *[]cut) []byte {
 	dst = appendPayload(dst, j.Params, cuts)
 	dst = appendDur(dst, j.ExecTime)
 	dst = binary.AppendVarint(dst, int64(j.ResultSize))
-	dst = appendTime(dst, j.Deadline)
 	dst = append(dst, byte(j.State))
 	dst = binary.AppendUvarint(dst, uint64(j.Instance))
 	dst = appendPayload(dst, j.Output, cuts)
@@ -845,9 +824,8 @@ func readJobBody(r *binReader) JobRecord {
 		Params:     r.bytes(),
 		ExecTime:   r.dur(),
 		ResultSize: int(r.varint()),
-		Deadline:   r.time(),
 		State:      TaskState(r.u8()),
-		Instance:   uint32(r.uvarint()),
+		Instance:   r.u32(),
 		Output:     r.bytes(),
 		ResultErr:  r.str(),
 		Server:     r.node(),
@@ -862,16 +840,14 @@ func appendSubmitBody(dst []byte, m *Submit, cuts *[]cut) []byte {
 	dst = appendString(dst, m.Service)
 	dst = appendPayload(dst, m.Params, cuts)
 	dst = appendDur(dst, m.ExecTime)
-	dst = binary.AppendVarint(dst, int64(m.ResultSize))
-	return appendDur(dst, m.Deadline)
+	return binary.AppendVarint(dst, int64(m.ResultSize))
 }
 
 func appendTaskResultBody(dst []byte, m *TaskResult, cuts *[]cut) []byte {
 	dst = appendNode(dst, m.From)
 	dst = appendTaskID(dst, m.Task)
 	dst = appendPayload(dst, m.Output, cuts)
-	dst = appendString(dst, m.Err)
-	return appendDur(dst, m.Exec)
+	return appendString(dst, m.Err)
 }
 
 func payloadOf(msg Message) *[]byte {
@@ -960,7 +936,7 @@ func readMessageBody(r *binReader, kind uint8) Message {
 	switch kind {
 	case kindSubmit:
 		return msgPools.submit.fill(Submit{Call: r.call(), Service: r.str(), Params: r.payload(),
-			ExecTime: r.dur(), ResultSize: int(r.varint()), Deadline: r.dur()})
+			ExecTime: r.dur(), ResultSize: int(r.varint())})
 	case kindSubmitAck:
 		return msgPools.submitAck.fill(SubmitAck{Call: r.call(), MaxSeq: r.seq()})
 	case kindPoll:
@@ -983,7 +959,7 @@ func readMessageBody(r *binReader, kind uint8) Message {
 			Coordinators: readSlice(r, (*binReader).node)})
 	case kindTaskResult:
 		return msgPools.taskResult.fill(TaskResult{From: r.node(), Task: r.task(), Output: r.payload(),
-			Err: r.str(), Exec: r.dur()})
+			Err: r.str()})
 	case kindTaskResultAck:
 		return msgPools.taskResultAck.fill(TaskResultAck{Task: r.task()})
 	case kindTaskCancel:

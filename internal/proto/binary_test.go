@@ -9,6 +9,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -24,9 +25,8 @@ import (
 func allMessages() []Message {
 	call := CallID{User: "user-01", Session: 7, Seq: 42}
 	task := TaskID{Call: call, Instance: 3}
-	deadline := time.Unix(1_000_000_600, 0).UTC()
 	return []Message{
-		&Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
+		&Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8},
 		&SubmitAck{Call: call, MaxSeq: 42},
 		&Poll{User: "user-01", Session: 7, Ack: 40, Have: []RPCSeq{42, 43, 47}},
 		&Results{User: "user-01", Session: 7, Results: []Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
@@ -34,14 +34,14 @@ func allMessages() []Message {
 		&SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40, Known: []RPCSeq{41, 42}},
 		&Heartbeat{From: "server-000", Role: RoleServer, Capacity: 2, WantWork: true},
 		&HeartbeatAck{From: "coord-00", Tasks: []TaskAssignment{{Task: task, Service: "svc", Params: []byte{5}}}, Coordinators: []NodeID{"coord-00"}},
-		&TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x", Exec: time.Second},
+		&TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x"},
 		&TaskResultAck{Task: task},
 		&TaskCancel{Task: task},
 		&ServerSync{From: "server-000", Tasks: []TaskID{task}, Running: []TaskID{task}},
 		&ServerSyncReply{Resend: []TaskID{task}, Drop: []TaskID{task}},
 		&ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []JobRecord{
 			{Call: call, Service: "svc", State: TaskFinished, Output: []byte{7}},
-			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: TaskOngoing, Instance: 2},
+			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, State: TaskOngoing, Instance: 2},
 		}, MaxSeqs: []SessionMax{{User: "user-01", Session: 7, MaxSeq: 42, Collected: 40}}},
 		&ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 	}
@@ -167,9 +167,8 @@ func TestBinaryRoundTripNilVersusEmpty(t *testing.T) {
 	}
 }
 
-// TestBinaryJobRecordRoundTrip covers JobRecord through EncodeJob,
-// including a populated Deadline (instants survive; the location
-// normalizes to UTC, which is all deadline ordering compares).
+// TestBinaryJobRecordRoundTrip covers JobRecord through EncodeJob, every
+// field populated.
 func TestBinaryJobRecordRoundTrip(t *testing.T) {
 	rec := &JobRecord{
 		Call:       CallID{User: "user-01", Session: 7, Seq: 42},
@@ -177,7 +176,6 @@ func TestBinaryJobRecordRoundTrip(t *testing.T) {
 		Params:     []byte{1, 2, 3},
 		ExecTime:   3 * time.Second,
 		ResultSize: 128,
-		Deadline:   time.Unix(1_000_000_600, 250).In(time.FixedZone("X", 3600)),
 		State:      TaskOngoing,
 		Instance:   5,
 		Output:     []byte{9},
@@ -188,25 +186,8 @@ func TestBinaryJobRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !back.Deadline.Equal(rec.Deadline) {
-		t.Fatalf("deadline instant changed: %v -> %v", rec.Deadline, back.Deadline)
-	}
-	// Compare everything else with the deadline normalized.
-	norm := *rec
-	norm.Deadline = norm.Deadline.UTC()
-	got := *back
-	got.Deadline = got.Deadline.UTC()
-	if !reflect.DeepEqual(&norm, &got) {
-		t.Fatalf("round trip mismatch:\n sent %#v\n got  %#v", norm, got)
-	}
-	// Zero deadline stays the zero time (IsZero survives).
-	zero := &JobRecord{Call: rec.Call}
-	back, err = DecodeJob(EncodeJob(zero))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Deadline.IsZero() {
-		t.Fatalf("zero deadline decoded as %v", back.Deadline)
+	if !reflect.DeepEqual(rec, back) {
+		t.Fatalf("round trip mismatch:\n sent %#v\n got  %#v", rec, back)
 	}
 }
 
@@ -467,6 +448,13 @@ func TestWireDecoderRejectsGarbage(t *testing.T) {
 		"huge length":    {0xFF, 0xFF, 0xFF, 0xFF, 1},
 		"unknown kind":   frameBytes(t, func(b []byte) []byte { b[4] = 200; return b }),
 		"trailing bytes": frameBytes(t, func(b []byte) []byte { return growFrame(b, 3) }),
+		// A task instance is a uint32: a 5-byte varint above it is
+		// corrupt, not cut down to another instance.
+		"instance over 32 bits": frameBytes(t, func(b []byte) []byte {
+			b = binary.AppendUvarint(b[:len(b)-1], math.MaxUint32+1)
+			binary.BigEndian.PutUint32(b, uint32(len(b)-4))
+			return b
+		}),
 	}
 	for name, raw := range cases {
 		dec := NewWireDecoder(bytes.NewReader(raw))
@@ -556,10 +544,19 @@ func TestAppendFrameRefusesOversized(t *testing.T) {
 // bytes, another program's file, the body of a valid blob with its
 // header cut off, what a gob stream starts like — is corrupt to every
 // storage decoder: an error wrapping ErrCorrupt, never a panic, never a
-// value.
+// value. So is a blob of codec version 1, each stored shape as the last
+// build of that version wrote it (a submission and a job record still
+// carried a deadline, a result its execution time): the version alone
+// refuses it, even beside the payload a header names.
 func TestDecodersRejectBlobsWithoutTheMagic(t *testing.T) {
 	msgBlob := EncodeMessage(allMessages()[0])
 	jobBlob := EncodeJob(&JobRecord{Call: CallID{User: "u", Session: 1, Seq: 2}, Service: "svc", Params: []byte{1}})
+	// What a version-1 header was stored with, handed to the decoders
+	// beside it.
+	beside := map[string][]byte{
+		"version 1 log header": make([]byte, BlobMin),
+		"version 1 job header": make([]byte, BlobMin),
+	}
 	cases := map[string][]byte{
 		"nil":                     nil,
 		"empty":                   {},
@@ -570,16 +567,23 @@ func TestDecodersRejectBlobsWithoutTheMagic(t *testing.T) {
 		"message body, no header": msgBlob[3:],
 		"job body, no header":     jobBlob[3:],
 		"magic in second place":   append([]byte{0x00}, msgBlob...),
+		"version 1 message":       []byte("\xbc\x01\x01\x01u\x01\x02\x03svc\x02\x01\x00\x00\x00"),
+		"version 1 log header":    []byte("\xbc\x01\x8b\x02sv\x01u\x01\x02\x01\x81 \x00\x00"),
+		"version 1 job record":    []byte("\xbc\x01\x19\x01u\x01\x02\x03svc\x02\x01\x00\x00\x00\x00\x00\x00\x00\x00"),
+		"version 1 job header":    []byte("\xbc\x01\x1c\x01\x80 \xbc\x01\x19\x01u\x01\x02\x03svc\x00\x00\x00\x00\x00\x00\x00\x00\x00"),
 	}
 	for name, raw := range cases {
 		var dec Decoder
 		if msg, err := dec.DecodeMessage(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeMessage = %v, %v; want ErrCorrupt", name, msg, err)
 		}
+		if msg, err := dec.DecodeLogged(raw, beside[name]); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeLogged = %v, %v; want ErrCorrupt", name, msg, err)
+		}
 		if rec, err := dec.DecodeJob(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeJob = %v, %v; want ErrCorrupt", name, rec, err)
 		}
-		if rec, err := dec.DecodeJobHeader(raw, nil, nil); !errors.Is(err, ErrCorrupt) {
+		if rec, err := dec.DecodeJobHeader(raw, beside[name], nil); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: DecodeJobHeader = %v, %v; want ErrCorrupt", name, rec, err)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 //
 // Storage blobs (EncodeJob/EncodeMessage) carry the same magic: a blob
 // is [magic, version, kind, body], and one that does not start that way
+// — another program's, or an older build's with another version —
 // decodes to an error wrapping ErrCorrupt, which recovery logs and
 // skips like any other corrupt record. A job header (EncodeJobHeader)
 // is the one blob that nests: a prefix naming the payloads stored
@@ -187,7 +188,9 @@ type Decoder struct {
 
 // blobKind checks a storage blob's three-byte header and returns its
 // kind byte. A blob that does not open with the magic is not one of
-// ours at all — random bytes, or a store some other program wrote.
+// ours at all — random bytes, or a store some other program wrote. One
+// of another version (an older build's) is no better: this build reads
+// one layout, so recovery skips it as it skips a torn one.
 func blobKind(raw []byte) (uint8, error) {
 	switch {
 	case len(raw) == 0 || raw[0] != binMagic:
@@ -195,7 +198,7 @@ func blobKind(raw []byte) (uint8, error) {
 	case len(raw) < 3:
 		return 0, fmt.Errorf("%w (truncated header)", ErrCorrupt)
 	case raw[1] != binVersion:
-		return 0, fmt.Errorf("unknown codec version %d", raw[1])
+		return 0, fmt.Errorf("%w (codec version %d, not %d)", ErrCorrupt, raw[1], binVersion)
 	}
 	return raw[2], nil
 }
@@ -292,11 +295,12 @@ func (d *Decoder) DecodeMessage(raw []byte) (Message, error) {
 
 // DecodeLogged parses what EncodeLogged produced; blob is what the
 // caller found stored beside data (nil: nothing). A whole encoding —
-// every entry written before headers existed — decodes as DecodeMessage
-// does. A header takes blob as its payload, shared, provided blob has
-// exactly the length the header recorded: a payload that is missing or
-// of another length was torn, or never became durable, and the entry is
-// corrupt — not logged — rather than a message with other bytes.
+// the entry of a message whose payload is under BlobMin — decodes as
+// DecodeMessage does. A header takes blob as its payload, shared,
+// provided blob has exactly the length the header recorded: a payload
+// that is missing or of another length was torn, or never became
+// durable, and the entry is corrupt — not logged — rather than a
+// message with other bytes.
 func (d *Decoder) DecodeLogged(data, blob []byte) (Message, error) {
 	if NamedPayloads(data) == 0 {
 		return d.DecodeMessage(data)

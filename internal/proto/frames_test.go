@@ -22,7 +22,7 @@ func payloadMessages(sizes ...int) []Message {
 		return b
 	}
 	return []Message{
-		&Submit{Call: call, Service: "echo", Params: payload(0), Deadline: 9},
+		&Submit{Call: call, Service: "echo", Params: payload(0)},
 		&HeartbeatAck{From: "coord-01", Tasks: []TaskAssignment{
 			{Task: TaskID{Call: call, Instance: 1}, Service: "echo", Params: payload(1)},
 			{Task: TaskID{Call: call, Instance: 2}, Service: "echo", Params: payload(2)},
@@ -31,7 +31,7 @@ func payloadMessages(sizes ...int) []Message {
 			{Call: call, Output: payload(3), Server: "server-000"},
 			{Call: call, Output: payload(4), Err: "boom", Server: "server-001"},
 		}},
-		&TaskResult{From: "server-000", Task: TaskID{Call: call, Instance: 1}, Output: payload(5), Exec: 3},
+		&TaskResult{From: "server-000", Task: TaskID{Call: call, Instance: 1}, Output: payload(5)},
 	}
 }
 

@@ -13,7 +13,6 @@ func headerFixture(params, output int) *JobRecord {
 		Call: CallID{User: "user-01", Session: 7, Seq: 42}, Service: "svc",
 		ExecTime: 3 * time.Second, ResultSize: 9, State: TaskFinished, Instance: 2,
 		ResultErr: "boom", Server: "server-000",
-		Deadline: time.Unix(1_700_000_000, 5).UTC(),
 	}
 	if params >= 0 {
 		rec.Params = bytes.Repeat([]byte{0xA5}, params)
@@ -60,9 +59,8 @@ func TestJobHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// With nothing cut out a header is the whole record earlier builds
-// persisted, byte for byte — small jobs keep their stored size, and
-// DecodeJob (which every pre-split reader uses) still reads it.
+// With nothing cut out a header is the whole record EncodeJob writes,
+// byte for byte — a small job costs no prefix, and DecodeJob reads it.
 func TestJobHeaderWithoutExternalsIsTheWholeRecord(t *testing.T) {
 	rec := headerFixture(64, 64)
 	want := append([]byte{binMagic, binVersion, kindJobRecord}, appendJobBody(nil, rec, nil)...)

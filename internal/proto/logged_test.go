@@ -17,13 +17,13 @@ func loggedFixtures(size int) []Message {
 		return bytes.Repeat([]byte{b}, size)
 	}
 	return []Message{
-		&Submit{Call: call, Service: "echo", Params: payload(0xA5), ExecTime: time.Second, ResultSize: 9, Deadline: time.Minute},
-		&TaskResult{From: "server-000", Task: TaskID{Call: call, Instance: 2}, Output: payload(0x5A), Err: "boom", Exec: 3 * time.Millisecond},
+		&Submit{Call: call, Service: "echo", Params: payload(0xA5), ExecTime: time.Second, ResultSize: 9},
+		&TaskResult{From: "server-000", Task: TaskID{Call: call, Instance: 2}, Output: payload(0x5A), Err: "boom"},
 	}
 }
 
-// Under the line an entry is the whole encoding, as every earlier build
-// wrote it. From the line up it is a small header and the message's own
+// Under the line an entry is the whole encoding, as EncodeMessage writes
+// it. From the line up it is a small header and the message's own
 // payload slice, and the two together are byte for byte as long as the
 // whole encoding — what the simulator's disk model charges for.
 func TestLoggedEncodingSplitsAtBlobMin(t *testing.T) {

@@ -46,10 +46,6 @@ type Submit struct {
 	// ResultSize is the synthetic result payload size produced by the
 	// benchmark services; real services ignore it.
 	ResultSize int
-	// Deadline is written as zero and read by nothing: the schedule is
-	// first-come-first-served. It stays so that the encoding of a
-	// Submit, on the wire and in a client's log, keeps its layout.
-	Deadline time.Duration
 }
 
 // Kind implements Message.
@@ -247,10 +243,6 @@ type TaskResult struct {
 	Task   TaskID
 	Output []byte
 	Err    string
-	// Exec is the execution duration the server measured for this
-	// instance (0 when unknown). No coordinator reads it; it keeps the
-	// layout of a result on the wire and in a server's log.
-	Exec time.Duration
 }
 
 // Kind implements Message.
@@ -421,14 +413,11 @@ type JobRecord struct {
 	Params     []byte
 	ExecTime   time.Duration
 	ResultSize int
-	// Deadline is written as zero and read by nothing, like
-	// Submit.Deadline; it keeps the stored and replicated layout.
-	Deadline  time.Time
-	State     TaskState
-	Instance  uint32 // highest task instance created so far
-	Output    []byte // result payload when State == TaskFinished
-	ResultErr string
-	Server    NodeID // worker that produced the stored result
+	State      TaskState
+	Instance   uint32 // highest task instance created so far
+	Output     []byte // result payload when State == TaskFinished
+	ResultErr  string
+	Server     NodeID // worker that produced the stored result
 }
 
 func (j *JobRecord) wireSize() int {

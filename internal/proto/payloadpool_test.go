@@ -110,8 +110,8 @@ func TestOnlyTheWireDrawsPooledPayloads(t *testing.T) {
 		}
 		plain("DecodeMessage", msg.(*Submit).Params, n)
 
-		// A log entry written whole (as before headers) decodes as a
-		// message; a header takes the blob stored beside it.
+		// A whole encoding decodes through DecodeLogged as a message;
+		// a header takes the blob stored beside it.
 		if msg, err = dec.DecodeLogged(EncodeMessage(sub), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -66,9 +66,10 @@ func TestStringFormats(t *testing.T) {
 }
 
 // TestIDKeysAreTheFmtForms pins CallID.String, TaskID.String and
-// TaskID.Key to the fmt.Sprintf forms they replaced: they name records
-// a store written by an earlier build already holds. Random IDs, then
-// users with slashes, zero values and the largest numbers.
+// TaskID.Key to the fmt.Sprintf forms they replaced: the forms the
+// stored layout names records by (TestStoredLayoutIsUnchanged's keys).
+// Random IDs, then users with slashes, zero values and the largest
+// numbers.
 func TestIDKeysAreTheFmtForms(t *testing.T) {
 	check := func(user string, session, seq uint64, instance uint32) bool {
 		c := CallID{User: UserID(user), Session: SessionID(session), Seq: RPCSeq(seq)}

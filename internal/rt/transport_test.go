@@ -517,6 +517,7 @@ func TestInboundWithoutPrefaceIsClosedUndelivered(t *testing.T) {
 		"garbage":           append([]byte("GET / HTTP/1.1\r\n\r\n"), frame...),
 		"lone magic":        {magic}, // a preface torn by the peer going away
 		"wrong version":     append([]byte{magic, version + 1}, frame...),
+		"version 1":         append([]byte{magic, 1}, frame...), // an older build's peer
 		"gob-like stream":   append([]byte{0x2c, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08, 'e', 'n', 'v', 'e', 'l', 'o', 'p', 'e'}, frame...),
 		"frame, no preface": frame,
 	}

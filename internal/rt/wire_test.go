@@ -15,9 +15,8 @@ import (
 func wireSampleMessages() []proto.Message {
 	call := proto.CallID{User: "user-01", Session: 7, Seq: 42}
 	task := proto.TaskID{Call: call, Instance: 3}
-	deadline := time.Unix(1_000_000_600, 0).UTC()
 	return []proto.Message{
-		&proto.Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8, Deadline: time.Minute},
+		&proto.Submit{Call: call, Service: "svc", Params: []byte{1, 2}, ExecTime: time.Second, ResultSize: 8},
 		&proto.SubmitAck{Call: call, MaxSeq: 42},
 		&proto.Poll{User: "user-01", Session: 7, Ack: 40, Have: []proto.RPCSeq{42, 43, 47}},
 		&proto.Results{User: "user-01", Session: 7, Results: []proto.Result{{Call: call, Output: []byte{9}, Err: "e", Server: "server-000"}}},
@@ -25,14 +24,14 @@ func wireSampleMessages() []proto.Message {
 		&proto.SyncReply{User: "user-01", Session: 7, MaxSeq: 42, Known: []proto.RPCSeq{1, 2}},
 		&proto.Heartbeat{From: "server-000", Role: proto.RoleServer, Capacity: 2, WantWork: true},
 		&proto.HeartbeatAck{From: "coord-00", Tasks: []proto.TaskAssignment{{Task: task, Service: "svc", Params: []byte{5}}}, Coordinators: []proto.NodeID{"coord-00"}},
-		&proto.TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x", Exec: time.Second},
+		&proto.TaskResult{From: "server-000", Task: task, Output: []byte{6}, Err: "x"},
 		&proto.TaskResultAck{Task: task},
 		&proto.TaskCancel{Task: task},
 		&proto.ServerSync{From: "server-000", Tasks: []proto.TaskID{task}, Running: []proto.TaskID{task}},
 		&proto.ServerSyncReply{Resend: []proto.TaskID{task}, Drop: []proto.TaskID{task}},
 		&proto.ReplicaUpdate{From: "coord-00", Epoch: 2, Round: 5, Jobs: []proto.JobRecord{
 			{Call: call, Service: "svc", State: proto.TaskFinished, Output: []byte{7}},
-			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, Deadline: deadline, State: proto.TaskOngoing, Instance: 2},
+			{Call: call, Service: "svc", Params: []byte{8}, ExecTime: time.Second, State: proto.TaskOngoing, Instance: 2},
 		}, MaxSeqs: []proto.SessionMax{{User: "user-01", Session: 7, MaxSeq: 42}}},
 		&proto.ReplicaAck{From: "coord-01", Epoch: 2, Round: 5},
 	}

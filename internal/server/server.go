@@ -819,7 +819,7 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 	if s.cfg.OnTaskDone != nil {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
-	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr, Exec: exec}
+	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr}
 	key := s.resultKey(t.Task)
 	if err := msglog.Messages.Write(s.env, msglog.EntryOf(key, res)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)

@@ -502,22 +502,9 @@ func TestCrashOracle(t *testing.T) {
 		})
 }
 
-// A result logged whole by a build from before headers existed — a
-// 64 KiB output inline — is recovered and offered like any other.
-func TestLegacyInlineResultIsRecovered(t *testing.T) {
-	disk := nodetest.NewCrashDisk(t, "memory").Disk
-	old := &proto.TaskResult{From: "sv", Task: task(1, 1).Task, Output: makePayload(task(1, 1).Task, 64<<10), Exec: time.Second}
-	s := crashServer()
-	if err := disk.Write(s.resultKey(old.Task), proto.EncodeMessage(old)); err != nil {
-		t.Fatal(err)
-	}
-	checkServerRecovered(t, "legacy entry", disk, serverCrashRun{
-		produced: map[proto.TaskID]*proto.TaskResult{old.Task: old}, uploaded: map[proto.TaskID]bool{old.Task: true}}, true)
-}
-
 // TestResultKeyIsTheFmtForm pins resultKey to the form it had when it
-// was built with fmt and strings.ReplaceAll: the keys name result log
-// entries a store written by an earlier build may still hold.
+// was built with fmt and strings.ReplaceAll: the form the stored layout
+// names result log entries by (TestStoredLayoutIsUnchanged's keys).
 func TestResultKeyIsTheFmtForm(t *testing.T) {
 	s := New(Config{})
 	check := func(user string, session, seq uint64, instance uint32) bool {
