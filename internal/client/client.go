@@ -129,8 +129,8 @@ func (c *Config) applyDefaults() {
 // pessimistic the write precedes the send, so (b) always precedes (a).
 type call struct {
 	seq        proto.RPCSeq
-	key        string        // its entry's key in the submission log, made once
-	submit     *proto.Submit // dropped with the log entry at delivery
+	key        string       // its entry's key in the submission log, made once
+	submit     proto.Submit // zeroed with the log entry at delivery (undelivered); only copies are sent
 	issued     time.Time
 	lastResent time.Time // last (re)transmission, for the ack check
 	logDone    bool      // the strategy's logging gate has cleared
@@ -313,12 +313,16 @@ func logKey(seq proto.RPCSeq) string {
 // the sequence counter at the highest entry, which must not fall below
 // a seq the session has used.
 func (c *Client) release(cl *call) {
-	if cl.submit == nil {
+	if !cl.undelivered() {
 		return
 	}
-	cl.submit = nil
+	cl.submit = proto.Submit{}
 	c.hold(cl.seq, cl.key)
 }
+
+// undelivered reports whether cl still holds its Submit: a call's seq is
+// never 0, so only a released one reads 0.
+func (cl *call) undelivered() bool { return cl.submit.Call.Seq != 0 }
 
 // hold makes seq's log entry, under key, the one that outlives its call
 // if it is the highest released so far, and drops the entry it
@@ -401,7 +405,7 @@ func (c *Client) scheduleAckCheck() {
 		now := c.env.Now()
 		for seq := c.ack + 1; seq <= c.nextSeq; seq++ {
 			cl := c.calls[seq]
-			if cl != nil && cl.submit != nil && !cl.acked && cl.result == nil &&
+			if cl != nil && cl.undelivered() && !cl.acked && cl.result == nil &&
 				now.Sub(cl.lastResent) >= c.cfg.AckResyncTimeout {
 				c.sendSync()
 				break
@@ -477,7 +481,7 @@ func (c *Client) recoverFromLog() {
 			continue
 		}
 		c.track(sub.Call.Seq, &call{
-			key: entry.Key, submit: sub, issued: c.env.Now(),
+			key: entry.Key, submit: *sub, issued: c.env.Now(),
 			logDone: true, acked: true, completed: true,
 		})
 	}
@@ -530,25 +534,24 @@ func (c *Client) ForcePreferred(id proto.NodeID) {
 func (c *Client) Submit(service string, params []byte, execTime time.Duration, resultSize int) proto.RPCSeq {
 	c.nextSeq++
 	seq := c.nextSeq
-	sub := &proto.Submit{
+	cl := &call{key: c.log.Key(logKey(seq)), issued: c.env.Now(), lastResent: c.env.Now(), submit: proto.Submit{
 		Call:       proto.CallID{User: c.cfg.User, Session: c.cfg.Session, Seq: seq},
 		Service:    service,
 		Params:     params,
 		ExecTime:   execTime,
 		ResultSize: resultSize,
-	}
-	cl := &call{key: c.log.Key(logKey(seq)), submit: sub, issued: c.env.Now(), lastResent: c.env.Now()}
+	}}
 	c.track(seq, cl)
 	c.submitted++
 	c.cm.submitted.Inc()
-	c.trace(sub.Call, obs.StageSubmit, service)
+	c.trace(cl.submit.Call, obs.StageSubmit, service)
 	c.sendSubmit(cl)
 	return seq
 }
 
 func (c *Client) sendSubmit(cl *call) {
 	c.logging.Push(cl)
-	c.log.LogAndSend(c.pref, cl.submit, msglog.EntryOf(cl.key, cl.submit), c.logged)
+	c.log.LogAndSend(c.pref, proto.Pooled(cl.submit), msglog.EntryOf(cl.key, &cl.submit), c.logged)
 }
 
 // submitLogged clears the log gate of the oldest submission logged.
@@ -579,11 +582,11 @@ func (c *Client) maybeComplete(cl *call) {
 // operation already completed from the application's point of view.
 func (c *Client) resendSubmit(seq proto.RPCSeq) {
 	cl, ok := c.calls[seq]
-	if !ok || cl.submit == nil {
+	if !ok || !cl.undelivered() {
 		return
 	}
 	cl.lastResent = c.env.Now()
-	c.env.Send(c.pref, cl.submit)
+	c.env.Send(c.pref, proto.Pooled(cl.submit))
 }
 
 // ---------------------------------------------------------------------
@@ -626,7 +629,7 @@ func (c *Client) pollNow() {
 			have = append(have, seq)
 		}
 	}
-	c.env.Send(c.pref, &proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Ack: c.ack, Have: have})
+	c.env.Send(c.pref, proto.Pooled(proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Ack: c.ack, Have: have}))
 }
 
 // AckSoon sends the next Poll once the message being handled is done
@@ -676,9 +679,11 @@ func (c *Client) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct. A delivered result is kept by element — the call points into
-// the Results list, which stays the client's — and a SyncReply's Known
-// list is read, not kept.
+// struct it received or sent. A delivered result is kept by element —
+// the call points into the Results list, which stays the client's — and
+// a SyncReply's Known list is read, not kept. A call keeps its Submit
+// by value (call.submit) for a resend, and every send of it is a pooled
+// copy.
 func (*Client) ForgetsMessages() {}
 
 func (c *Client) handleSubmitAck(from proto.NodeID, m *proto.SubmitAck) {
@@ -740,12 +745,12 @@ func (c *Client) sendSync() {
 	c.syncs++
 	c.cm.syncs.Inc()
 	c.syncSentAt = c.env.Now()
-	c.env.Send(c.pref, &proto.SyncRequest{
+	c.env.Send(c.pref, proto.Pooled(proto.SyncRequest{
 		User:    c.cfg.User,
 		Session: c.cfg.Session,
 		MaxSeq:  c.nextSeq,
 		HaveLog: c.log.Len() > 0 || c.ack > 0,
-	})
+	}))
 }
 
 // SyncNow triggers a synchronization round (experiment hook, fig. 6).

@@ -440,14 +440,14 @@ func (c *Coordinator) noteInflight() { c.cm.inflight.SetInt(len(c.ongoing)) }
 // ringBeat sends a coordinator-role heartbeat to the raw ring successor
 // (ignoring suspicion, so wrongly suspected coordinators are
 // re-observed when they answer) and to the effective successor when it
-// differs.
+// differs: one struct each, as a struct is sent once.
 func (c *Coordinator) ringBeat() {
-	hb := &proto.Heartbeat{From: c.env.Self(), Role: proto.RoleCoordinator}
+	hb := proto.Heartbeat{From: c.env.Self(), Role: proto.RoleCoordinator}
 	raw := statesync.Successor(c.env.Self(), c.coords, nil)
 	if raw != "" {
-		c.env.Send(raw, hb)
+		c.env.Send(raw, proto.Pooled(hb))
 		if eff := c.Successor(); eff != "" && eff != raw {
-			c.env.Send(eff, hb)
+			c.env.Send(eff, proto.Pooled(hb))
 		}
 	}
 }
@@ -534,9 +534,19 @@ func (c *Coordinator) loadStore() {
 			c.gc.jobs = append(c.gc.jobs, gone{rec: rec, key: key})
 			continue
 		default:
-			// Undecodable, or short of a blob: torn, or never durable.
-			// The client's resync resends the call.
+			// Undecodable, or short of a blob: torn, never durable, or
+			// written by an older build. The client's resync resends the
+			// call; the header goes, with the blobs it names, as the
+			// server's corrupt results do, so no later boot meets it.
 			c.env.Logf("coordinator: corrupt job record %s: %v", key, err)
+			removed := func(err error) {
+				if err != nil {
+					c.env.Logf("coordinator: remove corrupt job record %s: %v", key, err)
+				}
+			}
+			if err := jobs.Remove(c.env, key, removed); err != nil {
+				removed(err)
+			}
 			continue
 		}
 		c.put(rec)
@@ -642,10 +652,13 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct, or sends one on. What they keep is what it points to — a
-// Submit's params and a TaskResult's output in the job record, a poll's
-// session in its subscription, a ring member list — and apply copies
-// each record of a ReplicaUpdate before storing it.
+// struct it received or sent, or sends one on. What they keep is what it
+// points to — a Submit's params and a TaskResult's output in the job
+// record, a poll's session in its subscription, a ring member list — and
+// apply copies each record of a ReplicaUpdate before storing it. Every
+// message sent is a struct of its own from proto.Pooled, a ring beat to
+// two successors two of them; a reply held at the commit gate is sent
+// once, or dropped unsent.
 func (*Coordinator) ForgetsMessages() {}
 
 // reply is what a handler decided to send once the database work it
@@ -747,7 +760,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 		}
 		c.drop(m.Params)
 		c.store.Get(m.Call)
-		c.afterDBCost(reply{to: from, msg: &proto.SubmitAck{Call: m.Call}})
+		c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.SubmitAck{Call: m.Call})})
 		return
 	}
 	rec := &proto.JobRecord{
@@ -763,7 +776,7 @@ func (c *Coordinator) handleSubmit(from proto.NodeID, m *proto.Submit) {
 	c.enqueue(m.Call)
 	c.trace(m.Call, obs.StageEnqueue, string(from))
 	c.markDirty(m.Call)
-	c.afterDBCost(reply{to: from, msg: &proto.SubmitAck{Call: m.Call}, accepted: true})
+	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.SubmitAck{Call: m.Call}), accepted: true})
 }
 
 // resultOf is a finished job's result as a client receives it, in a
@@ -803,7 +816,7 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 	}
 	c.cm.resultsPoll.Add(uint64(len(out)))
 	c.subscribe(from, m)
-	c.afterDBCost(reply{to: from, msg: &proto.Results{User: m.User, Session: m.Session, Results: out}})
+	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.Results{User: m.User, Session: m.Session, Results: out})})
 }
 
 func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest) {
@@ -816,13 +829,13 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 	w := c.collected[sessionKey{m.User, m.Session}]
 	known := c.store.SessionSeqs(m.User, m.Session)
 	above, _ := slices.BinarySearch(known, w+1)
-	sync := &proto.SyncReply{
+	sync := proto.Pooled(proto.SyncReply{
 		User:      m.User,
 		Session:   m.Session,
 		MaxSeq:    c.maxSeq(m.User, m.Session),
 		Collected: w,
 		Known:     known[above:],
-	}
+	})
 	c.afterDBCost(reply{to: from, msg: sync})
 }
 
@@ -853,7 +866,7 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 		}
 	}
 	c.noteHeartbeatAck(from)
-	c.afterDBCost(reply{to: from, msg: &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}})
+	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks})})
 }
 
 // heard takes a message from a fellow coordinator — a ring heartbeat or
@@ -935,13 +948,13 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 		// The client holds this call's result already: a late duplicate.
 		c.stale(m)
 		c.drop(m.Output)
-		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
+		c.env.Send(from, proto.Pooled(proto.TaskResultAck{Task: m.Task}))
 		return
 	case rec.State == proto.TaskFinished:
 		c.dupResults++
 		c.cm.dups.Inc()
 		c.drop(m.Output)
-		c.env.Send(from, &proto.TaskResultAck{Task: m.Task})
+		c.env.Send(from, proto.Pooled(proto.TaskResultAck{Task: m.Task}))
 		return
 	}
 	rec.State = proto.TaskFinished
@@ -952,12 +965,12 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	c.trace(m.Task.Call, obs.StageResult, string(from))
 	// A session that polled lately gets the result now, as one more
 	// reply to that poll, rather than at its next one.
-	r := reply{to: from, msg: &proto.TaskResultAck{Task: m.Task}}
+	r := reply{to: from, msg: proto.Pooled(proto.TaskResultAck{Task: m.Task})}
 	if client, push := c.subscriber(rec.Call); push {
 		c.pushedResults++
 		c.cm.resultsPush.Inc()
-		r.pushTo, r.push = client, &proto.Results{User: rec.Call.User, Session: rec.Call.Session,
-			Results: []proto.Result{resultOf(rec)}}
+		r.pushTo, r.push = client, proto.Pooled(proto.Results{User: rec.Call.User, Session: rec.Call.Session,
+			Results: []proto.Result{resultOf(rec)}})
 	}
 	c.afterDBCost(r)
 }
@@ -980,7 +993,7 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 		delete(c.ongoing, call)
 		delete(c.byServer[info.server], call)
 		if info.server != rec.Server {
-			c.env.Send(info.server, &proto.TaskCancel{Task: info.task})
+			c.env.Send(info.server, proto.Pooled(proto.TaskCancel{Task: info.task}))
 		}
 	}
 	delete(c.fromPredecessor, call)
@@ -1037,7 +1050,7 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		c.requeue(call, requeueServerSync)
 	}
 
-	c.afterDBCost(reply{to: from, msg: &proto.ServerSyncReply{Resend: resend, Drop: drop}})
+	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.ServerSyncReply{Resend: resend, Drop: drop})})
 	if _, offering := c.offers.by[from]; len(m.Running) == 0 && !offering {
 		// A server that synchronizes while running nothing — a fresh
 		// or restarted one — asks for work only on its next beat; what

@@ -172,7 +172,7 @@ func (c *Coordinator) dispatch() {
 		c.pushedTasks += len(tasks)
 		c.cm.assignedPush.Add(uint64(len(tasks)))
 		c.noteHeartbeatAck(server)
-		c.afterDBCost(reply{to: server, msg: &proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks}})
+		c.afterDBCost(reply{to: server, msg: proto.Pooled(proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks})})
 	}
 	c.noteIdleSlots()
 }

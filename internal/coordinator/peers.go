@@ -197,7 +197,7 @@ func (c *Coordinator) ReplicateNow() {
 	}
 	// Nothing dirty: the (tiny) update goes anyway — it doubles as the
 	// ring heartbeat that keeps successors from suspecting us.
-	update := &proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Jobs: c.roundJobs(&c.repl)}
+	update := proto.Pooled(proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Jobs: c.roundJobs(&c.repl)})
 	update.MaxSeqs = c.sessionMaxes(update.Jobs)
 	update.Round = c.repl.begin(succ, c.env.Now())
 	c.afterDBCost(reply{to: succ, msg: update})
@@ -247,7 +247,7 @@ func (c *Coordinator) handleReplicaUpdate(from proto.NodeID, m *proto.ReplicaUpd
 	for _, sm := range m.MaxSeqs {
 		c.acknowledge(sessionKey{sm.User, sm.Session}, sm.Collected, false)
 	}
-	c.afterDBCost(reply{to: from, msg: &proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round}})
+	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.ReplicaAck{From: c.env.Self(), Epoch: m.Epoch, Round: m.Round})})
 }
 
 func (c *Coordinator) handleReplicaAck(from proto.NodeID, m *proto.ReplicaAck) {

@@ -535,6 +535,60 @@ func (r *persistRig) persistErrors(part string) float64 {
 	return v
 }
 
+// A job header the coordinator cannot decode — here one an older build
+// wrote, its version byte 1 — is logged and deleted at boot: the key is
+// gone, and the next boot has nothing to log. The blob it named, which
+// this build cannot read the name of, is swept as an orphan at that
+// next boot.
+func TestUndecodableJobHeaderIsDeletedAtBoot(t *testing.T) {
+	for _, engine := range []string{"memory", "wal"} {
+		t.Run(engine, func(t *testing.T) {
+			r := newPersistRig(t, engine, Config{}, nil)
+			r.submitBig(1)
+			r.deliver("cl", &proto.Submit{Call: call(2), Service: "echo", Params: []byte("p")})
+			key := jobKey(call(1))
+			header, ok := r.disk.Read(key)
+			if !ok || len(r.disk.Keys(jobs.Blobs)) != 1 {
+				t.Fatalf("call 1's header stored %v, %d blobs", ok, len(r.disk.Keys(jobs.Blobs)))
+			}
+			old := append([]byte(nil), header...)
+			old[1] = 1 // the codec version
+			if err := r.disk.Write(key, old); err != nil {
+				t.Fatal(err)
+			}
+
+			corrupt := func() int {
+				n := 0
+				for _, l := range r.env.Logs() {
+					if strings.Contains(l, "corrupt job record") {
+						n++
+					}
+				}
+				return n
+			}
+			r.restart()
+			r.disk.drain()
+			if n := corrupt(); n != 1 {
+				t.Fatalf("%d corrupt job records logged at the first boot, want 1: %q", n, r.env.Logs())
+			}
+			if _, ok := r.disk.Read(key); ok {
+				t.Fatal("the undecodable header is still stored")
+			}
+			if _, ok := r.co.DB().Peek(call(2)); !ok {
+				t.Fatal("the intact neighbour was not recovered")
+			}
+			r.restart()
+			r.disk.drain()
+			if n := corrupt(); n != 1 {
+				t.Fatalf("the second boot logged %d more corrupt job records: %q", n-1, r.env.Logs())
+			}
+			if blobs := r.disk.Keys(jobs.Blobs); len(blobs) != 0 {
+				t.Fatalf("blobs left of the deleted header: %v", blobs)
+			}
+		})
+	}
+}
+
 // A params blob torn on its way into a group-commit engine — half the
 // value reaches the log, the failure is reported only after the header
 // went out with the same commit — is counted, and on the next boot the

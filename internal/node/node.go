@@ -52,7 +52,9 @@ type Env interface {
 	// Send transmits msg to the named node, connection-less and
 	// unreliably: it never blocks, never fails synchronously, and the
 	// message may be lost, delayed arbitrarily, or arrive after the
-	// destination crashed.
+	// destination crashed. A Forgetter hands msg over with the call:
+	// the Env may reuse the struct once the message has left (see
+	// Forgetter).
 	Send(to proto.NodeID, msg proto.Message)
 
 	// Disk returns the node's stable store. Its contents survive
@@ -248,22 +250,30 @@ func Release(env Env, b []byte) {
 	}
 }
 
-// Forgetter is optionally implemented by Handlers that keep no pointer
-// to a message struct Receive was handed once Receive returns: not the
-// struct, not a field's address, and not the struct itself as a message
-// sent on. An Env that decoded the struct may then reuse it for a later
-// message (proto.ReleaseMessage). Everything the struct points to stays
-// with the handler, as it always did: its strings, its payloads (given
-// back only through Release) and its lists, such as the Results a
-// client keeps by element. The coordinator, the server and the client
-// implement it.
+// Forgetter is optionally implemented by Handlers that treat a message
+// struct as a value at the Env boundary, in both directions. A struct
+// Receive was handed they keep no pointer to once Receive returns: not
+// the struct, not a field's address, and not the struct itself as a
+// message sent on. A struct they hand to Send they keep no pointer to
+// either, and they never send one struct twice: a message kept for a
+// later resend stays the handler's, and each send of it is a copy
+// (proto.Pooled builds one). An Env may then reuse a received struct
+// once Receive returns, and a sent one once the message has left —
+// written or dropped (proto.ReleaseMessage). Everything a struct points
+// to stays with whoever holds it, as it always did: its strings, its
+// payloads (given back only through Release) and its lists, such as the
+// Results a client keeps by element or the coordinator list a
+// HeartbeatAck shares with its sender. The coordinator, the server and
+// the client implement it, and build every message they send with
+// proto.Pooled.
 //
 // internal/rt honours it: it hands the struct of every message a
-// Forgetter received back to the wire decoder's pool. A handler that
-// keeps or forwards what it receives — an echo that sends the message
-// on, a test that records it — does not implement it, and its messages
-// are never reused. The simulator and nodetest decode nothing, so they
-// ignore it.
+// Forgetter received, and of every message it sent, back to the wire
+// decoder's pool. A handler that keeps or forwards what it receives, or
+// keeps what it sends — an echo that sends the message on, a test that
+// records it — does not implement it, and its messages are never
+// reused. The simulator and nodetest decode nothing and hand the
+// sender's pointer to the receiver, so they ignore it.
 type Forgetter interface {
 	// ForgetsMessages is the promise above; it does nothing.
 	ForgetsMessages()

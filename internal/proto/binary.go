@@ -265,18 +265,21 @@ func ReleasePayload(b []byte) {
 // ---------------------------------------------------------------------
 
 // Every message readMessageBody decodes is a struct taken from its
-// kind's pool, and ReleaseMessage gives one back: the runtime does, for
-// a handler that keeps no pointer to the structs it receives
-// (node.Forgetter), once Receive has returned. Only the struct goes
-// back. What it points to — strings, payloads, lists — is not touched:
-// it stays with whoever kept it. Storage decodes draw from the pools too,
+// kind's pool, every message a node.Forgetter sends is one it took with
+// Pooled, and ReleaseMessage gives one back: the runtime does, for a
+// handler that keeps no pointer to the structs it receives or sends
+// (node.Forgetter), once Receive has returned or once the batch that
+// carried the struct is written or dropped. Only the struct goes back.
+// What it points to — strings, payloads, lists — is not touched: it
+// stays with whoever kept it. Storage decodes draw from the pools too,
 // and keep what they get.
 //
 // A struct goes back zeroed, so the pool pins nothing it pointed to. In
 // race builds it goes back poisoned instead, and so does a payload that
 // ReleasePayload pools (clobber_race.go): a reader that kept either past
 // its give-back reads garbage rather than the next message's fields or
-// bytes.
+// bytes, and a struct given back twice — sent twice, or sent and also
+// received — panics at its second give-back.
 var msgPools struct {
 	submit          msgPool[Submit]
 	submitAck       msgPool[SubmitAck]
@@ -309,17 +312,70 @@ func (p *msgPool[T]) fill(v T) *T {
 }
 
 func (p *msgPool[T]) put(m *T) {
+	if poisoned(m) {
+		panic("proto: message recycled twice")
+	}
 	var zero T
 	*m = zero
 	clobberStruct(m)
 	p.p.Put(m)
 }
 
-// ReleaseMessage hands msg's struct back for a later decode of its kind
-// to fill. The caller gives up the struct: nothing may read or write it
-// after, nor hold a field's address. It keeps everything the struct
-// pointed to. A message of an unregistered type is left to the
-// collector.
+// Pooled returns a struct of v's kind, holding v, from the pool the
+// wire decoder fills from: the struct a handler that keeps none of the
+// structs it sends (node.Forgetter) builds each message in, for the
+// runtime to give back once the message has left.
+func Pooled[T any, P interface {
+	*T
+	Message
+}](v T) P {
+	return P(poolOf[T]().fill(v))
+}
+
+// poolOf is the pool of T's structs. T is a message kind: any other
+// type panics.
+func poolOf[T any]() *msgPool[T] {
+	var pool any
+	switch any((*T)(nil)).(type) {
+	case *Submit:
+		pool = &msgPools.submit
+	case *SubmitAck:
+		pool = &msgPools.submitAck
+	case *Poll:
+		pool = &msgPools.poll
+	case *Results:
+		pool = &msgPools.results
+	case *SyncRequest:
+		pool = &msgPools.syncRequest
+	case *SyncReply:
+		pool = &msgPools.syncReply
+	case *Heartbeat:
+		pool = &msgPools.heartbeat
+	case *HeartbeatAck:
+		pool = &msgPools.heartbeatAck
+	case *TaskResult:
+		pool = &msgPools.taskResult
+	case *TaskResultAck:
+		pool = &msgPools.taskResultAck
+	case *TaskCancel:
+		pool = &msgPools.taskCancel
+	case *ServerSync:
+		pool = &msgPools.serverSync
+	case *ServerSyncReply:
+		pool = &msgPools.serverSyncReply
+	case *ReplicaUpdate:
+		pool = &msgPools.replicaUpdate
+	case *ReplicaAck:
+		pool = &msgPools.replicaAck
+	}
+	return pool.(*msgPool[T])
+}
+
+// ReleaseMessage hands msg's struct back for a later decode or Pooled
+// of its kind to fill. The caller gives up the struct: nothing may read
+// or write it after, nor hold a field's address, nor give it back
+// again. It keeps everything the struct pointed to. A message of an
+// unregistered type is left to the collector.
 func ReleaseMessage(msg Message) {
 	switch m := msg.(type) {
 	case *Submit:

@@ -9,7 +9,9 @@ import "reflect"
 // ReleasePayload or ReleaseMessage — reads garbage, and reads it at once,
 // rather than another call's bytes once the memory is reused: the idea of
 // the Go runtime's GODEBUG=clobberfree=1. The race detector then also
-// sees that reader beside the next decode's writes.
+// sees that reader beside the next decode's writes. A struct given back
+// while it is poisoned still — twice with no fill between, as a message
+// sent twice or sent and also received is — panics instead.
 
 // poisonByte fills a pooled payload.
 const poisonByte = 0xDB
@@ -30,8 +32,17 @@ func clobber(b []byte) {
 
 // clobberStruct poisons every field of the struct m points to: strings,
 // numbers made of poisonByte, bools true, byte slices poisonBytes, other
-// lists nil.
+// lists one poisoned element. No field keeps a value a message may
+// hold, so a poisoned struct is told from every message (poisoned).
 func clobberStruct(m any) { poison(reflect.ValueOf(m).Elem()) }
+
+// poisoned reports whether the struct m points to is poisoned.
+func poisoned(m any) bool {
+	v := reflect.ValueOf(m).Elem()
+	p := reflect.New(v.Type()).Elem()
+	poison(p)
+	return reflect.DeepEqual(v.Interface(), p.Interface())
+}
 
 func poison(v reflect.Value) {
 	if !v.CanSet() {
@@ -50,7 +61,8 @@ func poison(v reflect.Value) {
 		if v.Type().Elem().Kind() == reflect.Uint8 {
 			v.SetBytes(poisonBytes)
 		} else {
-			v.SetZero()
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			poison(v.Index(0))
 		}
 	case reflect.Struct:
 		for i := range v.NumField() {

@@ -213,3 +213,90 @@ func TestReleasedStructIsTheNextDecodes(t *testing.T) {
 		t.Fatalf("reading a heartbeat into a given-back struct allocates %.1f times", n)
 	}
 }
+
+// pooledCopy is Pooled(*m), for a message of any kind.
+func pooledCopy(m Message) Message {
+	switch m := m.(type) {
+	case *Submit:
+		return Pooled(*m)
+	case *SubmitAck:
+		return Pooled(*m)
+	case *Poll:
+		return Pooled(*m)
+	case *Results:
+		return Pooled(*m)
+	case *SyncRequest:
+		return Pooled(*m)
+	case *SyncReply:
+		return Pooled(*m)
+	case *Heartbeat:
+		return Pooled(*m)
+	case *HeartbeatAck:
+		return Pooled(*m)
+	case *TaskResult:
+		return Pooled(*m)
+	case *TaskResultAck:
+		return Pooled(*m)
+	case *TaskCancel:
+		return Pooled(*m)
+	case *ServerSync:
+		return Pooled(*m)
+	case *ServerSyncReply:
+		return Pooled(*m)
+	case *ReplicaUpdate:
+		return Pooled(*m)
+	case *ReplicaAck:
+		return Pooled(*m)
+	}
+	panic("unregistered message type")
+}
+
+// Pooled builds a message in a struct from its kind's pool — the one
+// given back last, outside race builds, whose pools drop a share — that
+// holds exactly the value asked for, and a warm pool allocates nothing.
+func TestPooledTakesAGivenBackStruct(t *testing.T) {
+	for _, want := range allMessages() {
+		back := pooledCopy(want)
+		ReleaseMessage(back)
+		got := pooledCopy(want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("a pooled %s holds %#v", want.Kind(), got)
+		}
+		if !raceBuild && got != back {
+			t.Errorf("a pooled %s is a new struct, not the one given back", want.Kind())
+		}
+		ReleaseMessage(got)
+	}
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops structs")
+	}
+	ReleaseMessage(&TaskResultAck{})
+	if n := testing.AllocsPerRun(200, func() {
+		ReleaseMessage(Pooled(TaskResultAck{Task: TaskID{Call: CallID{User: "u", Seq: 1}}}))
+	}); n != 0 {
+		t.Fatalf("a pooled TaskResultAck allocates %.1f times", n)
+	}
+}
+
+// In race builds a struct given back twice with no fill between panics
+// at the second give-back: a message sent twice, or sent and also
+// received, fails where it happens. A struct given back while it holds
+// a message — even an empty one, every list nil — does not.
+func TestGivingBackTwicePanicsInRaceBuilds(t *testing.T) {
+	if !raceBuild {
+		t.Skip("the guard is the race build's: elsewhere a struct goes back zeroed, with no mark")
+	}
+	twice := func(m Message) (msg any) {
+		defer func() { msg = recover() }()
+		ReleaseMessage(m)
+		return nil
+	}
+	for _, m := range append(allMessages(), &ServerSyncReply{}, &TaskResultAck{}, &Results{}) {
+		if got := twice(m); got != nil {
+			t.Fatalf("giving back a %s %#v panicked: %v", m.Kind(), m, got)
+		}
+		if got := twice(m); got != "proto: message recycled twice" {
+			t.Fatalf("giving back a %s twice: %v; want the panic", m.Kind(), got)
+		}
+	}
+}

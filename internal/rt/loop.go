@@ -61,7 +61,7 @@ const (
 // by. Its behaviour is the Runtime's methods below.
 type loop struct {
 	handler node.Handler
-	forgets bool // the handler is a node.Forgetter: its messages' structs are recycled
+	forgets bool // the handler is a node.Forgetter: the structs it receives and sends are recycled
 
 	mailbox chan mail
 	wake    chan struct{} // 1-buffered doorbell for the handoff queue
@@ -157,7 +157,8 @@ func (r *Runtime) run() {
 
 // handle executes one mailbox entry. A received message's struct goes
 // back to the wire decoder once Receive has returned, if the handler
-// promised to keep no pointer to it (node.Forgetter).
+// promised to keep no pointer to it (node.Forgetter); a sent one goes
+// back once its envelope has left (Runtime.sent).
 func (r *Runtime) handle(m mail) {
 	r.tasks.Add(1)
 	if m.msg != nil {

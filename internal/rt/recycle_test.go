@@ -1,13 +1,18 @@
 package rt
 
 import (
+	"bytes"
+	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"rpcv/internal/coordinator"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
+	"rpcv/internal/server"
 )
 
 // forgetful is a handler that keeps no message struct (node.Forgetter):
@@ -50,7 +55,9 @@ func (l *eventLog) snapshot() []event {
 // right after its Receive returns; a handler that makes no such promise
 // (the recorder, which keeps what it receives) hands back none.
 // proto's TestReleasedStructIsTheNextDecodes shows that the next decode
-// of the kind then fills that struct instead of allocating one.
+// of the kind then fills that struct instead of allocating one. What the
+// Forgetter sends goes back too (TestForgetterHandsBackWhatItSends): here
+// those events are told apart by their structs, and set aside.
 func TestForgetterHandsItsStructsBack(t *testing.T) {
 	var log eventLog
 	t.Cleanup(func() { recycle = proto.ReleaseMessage })
@@ -76,16 +83,23 @@ func TestForgetterHandsItsStructsBack(t *testing.T) {
 			a.env.Send("b", m)
 		}
 	})
+	sent := wireSampleMessages() // the forgetful handler's own structs, one per send
 	rb.Do(func() {
-		for _, m := range msgs {
+		for _, m := range sent {
 			b.env.Send("a", m)
 		}
 	})
-	if !waitFor(t, 10*time.Second, func() bool { return len(log.snapshot()) == 2*len(msgs) && a.count() == len(msgs) }) {
+	want := 2*len(msgs) + len(sent)
+	if !waitFor(t, 10*time.Second, func() bool { return len(log.snapshot()) == want && a.count() == len(msgs) }) {
 		t.Fatalf("%d events at the forgetful handler and %d messages at the recorder, want %d and %d",
-			len(log.snapshot()), a.count(), 2*len(msgs), len(msgs))
+			len(log.snapshot()), a.count(), want, len(msgs))
 	}
-	events := log.snapshot()
+	var events []event
+	for _, e := range log.snapshot() {
+		if !slices.Contains(sent, e.msg) {
+			events = append(events, e)
+		}
+	}
 	for i := range msgs {
 		got, back := events[2*i], events[2*i+1]
 		if got.what != "received" || back.what != "recycled" || got.msg != back.msg {
@@ -100,7 +114,7 @@ func TestForgetterHandsItsStructsBack(t *testing.T) {
 	// Forgetter, had none of its 15 structs recycled, and keeps them whole.
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, want := range msgs {
+	for i, want := range wireSampleMessages() {
 		if !reflect.DeepEqual(a.seen[i], want) {
 			t.Errorf("the recorder's message %d (%s) is %#v now", i, want.Kind(), a.seen[i])
 		}
@@ -156,4 +170,316 @@ func TestForwardedMessagesArriveIntact(t *testing.T) {
 			t.Fatalf("forwarded message %d (%s) from %s: got %#v", i, want.Kind(), c.from[i], got)
 		}
 	}
+}
+
+// sentLog records, for each struct the recycle hook is handed, how many
+// envelopes its runtime had written or dropped by then.
+type sentLog struct {
+	mu      sync.Mutex
+	msgs    []proto.Message
+	settled []uint64
+	runtime *Runtime
+	base    uint64 // the runtime's envelopes written or dropped at the reset
+}
+
+func (l *sentLog) hook(m proto.Message) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var n uint64
+	if l.runtime != nil {
+		st := l.runtime.TransportStats()
+		n = st.Sent + st.Dropped - l.base
+	}
+	l.msgs = append(l.msgs, m)
+	l.settled = append(l.settled, n)
+}
+
+func (l *sentLog) snapshot() ([]proto.Message, []uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.Clone(l.msgs), slices.Clone(l.settled)
+}
+
+// handsBackOnce fails unless the hook was handed each of sent exactly
+// once and nothing else, each only once its envelope — the i-th its
+// runtime sent since the reset — was written or dropped.
+func (l *sentLog) handsBackOnce(t *testing.T, sent []proto.Message) {
+	t.Helper()
+	if !waitFor(t, 10*time.Second, func() bool { m, _ := l.snapshot(); return len(m) >= len(sent) }) {
+		m, _ := l.snapshot()
+		t.Fatalf("%d of %d sent structs handed back", len(m), len(sent))
+	}
+	time.Sleep(20 * time.Millisecond) // room for a second give-back to show
+	got, settled := l.snapshot()
+	if len(got) != len(sent) {
+		t.Fatalf("%d structs handed back for %d sent", len(got), len(sent))
+	}
+	for i, m := range sent {
+		at := slices.Index(got, m)
+		if at < 0 {
+			t.Fatalf("sent message %d (%s) never handed back", i, m.Kind())
+		}
+		if settled[at] < uint64(i+1) {
+			t.Fatalf("sent message %d (%s) handed back with %d envelopes written or dropped: before its batch left",
+				i, m.Kind(), settled[at])
+		}
+	}
+}
+
+// A Forgetter's sends come back too: each struct reaches recycle once,
+// once the batch that carried it is written — or dropped, for a peer no
+// dial reaches or one the directory does not name, or lost to overflow.
+// A handler that is no Forgetter keeps every struct it sends.
+func TestForgetterHandsBackWhatItSends(t *testing.T) {
+	var log sentLog
+	t.Cleanup(func() { recycle = proto.ReleaseMessage })
+	recycle = log.hook // recorded, not reused
+
+	start := func(id proto.NodeID, h node.Handler) *Runtime {
+		r, err := Start(Config{ID: id, ListenAddr: "127.0.0.1:0", Handler: h, Logf: quietLogf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+	reset := func(r *Runtime) {
+		log.mu.Lock()
+		log.msgs, log.settled, log.runtime, log.base = nil, nil, r, 0
+		if r != nil {
+			st := r.TransportStats()
+			log.base = st.Sent + st.Dropped
+		}
+		log.mu.Unlock()
+	}
+
+	t.Run("written", func(t *testing.T) {
+		f, rec := &forgetful{log: &eventLog{}}, &recorder{}
+		rf, rr := start("f", f), start("r", rec)
+		rf.SetPeer("r", rr.Addr())
+		reset(rf)
+		sent := wireSampleMessages()
+		rf.Do(func() {
+			for _, m := range sent {
+				f.env.Send("r", m)
+			}
+		})
+		if !waitFor(t, 10*time.Second, func() bool { return rec.count() == len(sent) }) {
+			t.Fatalf("%d of %d messages arrived", rec.count(), len(sent))
+		}
+		log.handsBackOnce(t, sent)
+		if st := rf.TransportStats(); st.Sent != uint64(len(sent)) || st.Dropped != 0 {
+			t.Fatalf("transport: %+v", st)
+		}
+	})
+
+	t.Run("unreachable", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gone := ln.Addr().String()
+		ln.Close() // nothing listens there now: every dial fails
+		f := &forgetful{log: &eventLog{}}
+		rf := start("f", f)
+		rf.SetPeer("gone", gone)
+		// "nobody" has no address: its envelopes are dropped at the send.
+		for round, to := range []proto.NodeID{"gone", "nobody"} {
+			reset(rf)
+			sent := wireSampleMessages()
+			rf.Do(func() {
+				for _, m := range sent {
+					f.env.Send(to, m)
+				}
+			})
+			log.handsBackOnce(t, sent)
+			if st := rf.TransportStats(); st.Sent != 0 || st.Dropped != uint64((round+1)*len(sent)) {
+				t.Fatalf("to %s: transport %+v", to, st)
+			}
+		}
+	})
+
+	t.Run("overflow", func(t *testing.T) {
+		// A sender whose goroutine never runs, so the queue fills: the
+		// oldest envelope goes back when the next pushes it out, the rest
+		// when their batch comes back done.
+		r := &Runtime{cfg: Config{QueueDepth: 2}, loop: loop{forgets: true}}
+		s := &sender{rt: r, to: "peer", wake: make(chan struct{}, 1)}
+		reset(nil)
+		sent := wireSampleMessages()[:3]
+		for _, m := range sent {
+			s.enqueue(m)
+		}
+		if got, _ := log.snapshot(); len(got) != 1 || got[0] != sent[0] {
+			t.Fatalf("after the overflow, handed back %v; want the oldest envelope alone", got)
+		}
+		batch := s.drain(nil)
+		if got, _ := log.snapshot(); len(batch) != 2 || len(got) != 1 {
+			t.Fatalf("drained %d envelopes and handed back %d; want 2 out and none back until they are done", len(batch), len(got))
+		}
+		if s.drain(batch) != nil {
+			t.Fatal("a second batch from an empty queue")
+		}
+		if got, _ := log.snapshot(); !slices.Equal(got, sent) {
+			t.Fatalf("handed back %v, want %v", got, sent)
+		}
+	})
+
+	t.Run("no Forgetter", func(t *testing.T) {
+		a, rec := &recorder{}, &recorder{}
+		ra, rr := start("a", a), start("r", rec)
+		ra.SetPeer("r", rr.Addr())
+		reset(ra)
+		// The second round is queued once the first has arrived, so it
+		// leaves in a batch of its own, and the first batch is done with
+		// by the time the second arrives.
+		sent := wireSampleMessages()
+		for round, msgs := range [][]proto.Message{sent, wireSampleMessages()} {
+			ra.Do(func() {
+				for _, m := range msgs {
+					a.env.Send("r", m)
+				}
+			})
+			if !waitFor(t, 10*time.Second, func() bool { return rec.count() == (round+1)*len(sent) }) {
+				t.Fatalf("round %d: %d of %d messages arrived", round, rec.count(), (round+1)*len(sent))
+			}
+		}
+		if got, _ := log.snapshot(); len(got) != 0 {
+			t.Fatalf("a handler that is no Forgetter had %d sent structs handed back", len(got))
+		}
+		for i, want := range wireSampleMessages() {
+			if !reflect.DeepEqual(sent[i], want) {
+				t.Errorf("sent message %d (%s) is %#v now", i, want.Kind(), sent[i])
+			}
+		}
+	})
+}
+
+// fakeCoord plays the coordinator for one server: it answers the
+// server's syncs, assigns it one task, asks for that task's result once
+// more (a ServerSyncReply's Resend) some time after the first upload
+// arrived, and acknowledges the second. It records a copy of every
+// result, and is a Forgetter, like the coordinator: each struct it
+// receives goes back to the pool, where the server's sent structs go.
+// A struct the server sent and still kept would then be given back
+// twice over — by the server's runtime once sent, by this one once
+// received into — and poisoned or zeroed where the server reads it.
+type fakeCoord struct {
+	env     node.Env
+	task    proto.TaskID
+	mu      sync.Mutex
+	results []proto.TaskResult
+	given   bool
+}
+
+func (f *fakeCoord) Start(env node.Env) { f.env = env }
+func (f *fakeCoord) Stop()              {}
+func (f *fakeCoord) ForgetsMessages()   {}
+func (f *fakeCoord) Receive(from proto.NodeID, m proto.Message) {
+	switch m := m.(type) {
+	case *proto.ServerSync:
+		f.env.Send(from, &proto.ServerSyncReply{})
+	case *proto.Heartbeat:
+		if m.WantWork && !f.given {
+			f.given = true
+			f.env.Send(from, &proto.HeartbeatAck{From: "co", Coordinators: []proto.NodeID{"co"},
+				Tasks: []proto.TaskAssignment{{Task: f.task, Service: "upper", Params: []byte("hi")}}})
+		}
+	case *proto.TaskResult:
+		f.mu.Lock()
+		f.results = append(f.results, *m)
+		n := len(f.results)
+		f.mu.Unlock()
+		if n == 1 {
+			// Long enough for the first upload's batch to be done with.
+			f.env.After(50*time.Millisecond, func() {
+				f.env.Send(from, &proto.ServerSyncReply{Resend: []proto.TaskID{f.task}})
+			})
+		} else {
+			f.env.Send(from, &proto.TaskResultAck{Task: f.task})
+		}
+	}
+}
+
+func (f *fakeCoord) received() []proto.TaskResult {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return slices.Clone(f.results)
+}
+
+// The handlers keep to their promise over real sockets, where what they
+// send is given back (and, in race builds, poisoned) once it has left: a
+// server's result kept for a resend goes out as a copy each time, so
+// the resend carries the result and not a recycled struct; a
+// coordinator's ring beat to two successors is two structs, each given
+// back once.
+func TestHandlersSendEachStructOnce(t *testing.T) {
+	start := func(id proto.NodeID, h node.Handler) *Runtime {
+		r, err := Start(Config{ID: id, ListenAddr: "127.0.0.1:0", Handler: h, Logf: quietLogf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		return r
+	}
+
+	t.Run("server resend", func(t *testing.T) {
+		co := &fakeCoord{task: proto.TaskID{Call: proto.CallID{User: "u", Session: 1, Seq: 1}, Instance: 1}}
+		sv := server.New(server.Config{
+			Coordinators:    []proto.NodeID{"co"},
+			HeartbeatPeriod: 20 * time.Millisecond,
+			Services: map[string]server.Service{
+				"upper": func(p []byte) ([]byte, error) { return bytes.ToUpper(p), nil },
+			},
+		})
+		rco, rsv := start("co", co), start("sv", sv)
+		rco.SetPeer("sv", rsv.Addr())
+		rsv.SetPeer("co", rco.Addr())
+		if !waitFor(t, 10*time.Second, func() bool { return len(co.received()) >= 2 }) {
+			t.Fatalf("%d of 2 uploads arrived", len(co.received()))
+		}
+		for i, res := range co.received()[:2] {
+			if res.From != "sv" || res.Task != co.task || string(res.Output) != "HI" || res.Err != "" {
+				t.Fatalf("upload %d: %#v; want the server's result for %v", i, res, co.task)
+			}
+		}
+	})
+
+	t.Run("ring beat", func(t *testing.T) {
+		// co-b, the raw successor, falls silent and is suspected: co-a
+		// beats it and co-c, the effective successor, every period.
+		a := coordinator.New(coordinator.Config{
+			Coordinators:      []proto.NodeID{"co-a", "co-b", "co-c"},
+			HeartbeatPeriod:   5 * time.Millisecond,
+			HeartbeatTimeout:  100 * time.Millisecond,
+			ReplicationPeriod: time.Hour,
+		})
+		b, c := &recorder{}, &recorder{}
+		ra, rb, rc := start("co-a", a), start("co-b", b), start("co-c", c)
+		ra.SetPeer("co-b", rb.Addr())
+		ra.SetPeer("co-c", rc.Addr())
+		rb.SetPeer("co-a", ra.Addr())
+		rb.Do(func() { b.env.Send("co-a", &proto.Heartbeat{From: "co-b", Role: proto.RoleCoordinator}) })
+		beats := func(r *recorder) (n int) {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			for i, m := range r.seen {
+				hb, ok := m.(*proto.Heartbeat)
+				if !ok {
+					continue
+				}
+				if hb.From != "co-a" || hb.Role != proto.RoleCoordinator || r.from[i] != "co-a" {
+					t.Fatalf("beat %d from %s: %#v", i, r.from[i], hb)
+				}
+				n++
+			}
+			return n
+		}
+		if !waitFor(t, 10*time.Second, func() bool { return beats(c) >= 40 }) {
+			t.Fatalf("co-c, the effective successor, got %d beats", beats(c))
+		}
+		if n := beats(b); n < 40 {
+			t.Fatalf("co-b, the raw successor, got %d beats", n)
+		}
+	})
 }

@@ -30,13 +30,17 @@
 // growing a fresh one per batch, over the memory store a staged write
 // is simply the synchronous one, and over the WAL a staged write's
 // completion travels back to the loop as a function bound once in a
-// pooled record, as an offloaded body's does. Receiving a message costs
-// nothing of its own either: once the handler's Receive has returned,
-// the struct the message was decoded into goes back to the wire
-// decoder's pool for the next message of its kind, if the handler
-// promised to keep no pointer to it (node.Forgetter: the coordinator,
-// the server and the client do). What a call allocates is what it keeps
-// and what its messages carry.
+// pooled record, as an offloaded body's does. Nor does a message's
+// struct, in either direction, for a handler that promised to keep no
+// pointer to the structs it receives and sends (node.Forgetter: the
+// coordinator, the server and the client do): once the handler's
+// Receive has returned, the struct a message was decoded into goes back
+// to the wire decoder's pool for the next message of its kind, and so
+// does every struct the handler sent — it took it from that pool
+// (proto.Pooled) — once the batch that carried it is written or
+// dropped, or the envelope is lost to overflow or to a peer with no
+// address. What a call allocates is what it keeps and what its messages
+// carry.
 //
 // A payload a message delivers is the receiver's: the wire decoder read
 // it into an array of its own, shared with no other node of the process
@@ -622,9 +626,20 @@ func (r *Runtime) send(to proto.NodeID, msg proto.Message) {
 	if _, ok := r.lookup(to); !ok {
 		r.stats.drop(dropUnreachable, 1)
 		r.cfg.Logf("rt(%s): no address for %s, dropping %s", r.cfg.ID, to, msg.Kind())
+		r.sent(msg)
 		return
 	}
 	r.senderFor(to).enqueue(msg)
+}
+
+// sent is the end of msg's envelope, written or dropped: its struct goes
+// back to the wire decoder's pool if the handler promised to keep no
+// pointer to what it sends (node.Forgetter). Envelopes a closing runtime
+// leaves queued are left to the collector.
+func (r *Runtime) sent(msg proto.Message) {
+	if r.forgets {
+		recycle(msg)
+	}
 }
 
 // ---------------------------------------------------------------------

@@ -186,7 +186,9 @@ func (s *sender) enqueue(msg proto.Message) {
 			s = s.rt.senderFor(s.to)
 			continue
 		}
+		var lost proto.Message
 		if len(s.queue) >= s.rt.cfg.QueueDepth {
+			lost = s.queue[0]
 			copy(s.queue, s.queue[1:])
 			s.queue = s.queue[:len(s.queue)-1]
 			s.rt.stats.drop(dropOverflow, 1)
@@ -194,6 +196,9 @@ func (s *sender) enqueue(msg proto.Message) {
 		s.queue = append(s.queue, msg)
 		s.queued++
 		s.mu.Unlock()
+		if lost != nil {
+			s.rt.sent(lost)
+		}
 		select {
 		case s.wake <- struct{}{}:
 		default:
@@ -204,11 +209,14 @@ func (s *sender) enqueue(msg proto.Message) {
 
 // drain takes the whole queue: one coalesced batch. It takes back the
 // batch drained before, done with — written or dropped; nil the first
-// time — as the spare array, cleared so that it holds on to no message,
-// and settles the releases that waited for it. An empty queue is left
-// where it is: a swap would hand the spare to a batch that never comes
-// back.
+// time — as the spare array, its messages given back (Runtime.sent) and
+// cleared so that it holds on to none, and settles the releases that
+// waited for it. An empty queue is left where it is: a swap would hand
+// the spare to a batch that never comes back.
 func (s *sender) drain(flushed []proto.Message) []proto.Message {
+	for _, m := range flushed {
+		s.rt.sent(m)
+	}
 	clear(flushed)
 	s.mu.Lock()
 	if flushed != nil {

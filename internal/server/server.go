@@ -304,10 +304,11 @@ func (s *Server) Stop() {
 // unacknowledged result, a large output stored beside its header.
 const resultPrefix = "server/result/"
 
-// logged is an unacknowledged result and the key of its log entry, made
-// once, when the result is logged or recovered.
+// logged is an unacknowledged result, kept by value, and the key of its
+// log entry, made once, when the result is logged or recovered. Every
+// upload of res sends a copy (proto.Pooled).
 type logged struct {
-	res *proto.TaskResult
+	res proto.TaskResult
 	key string
 }
 
@@ -330,7 +331,7 @@ func (s *Server) loadResultLog() {
 			continue
 		}
 		if res, ok := msg.(*proto.TaskResult); ok {
-			s.unacked[res.Task] = logged{res: res, key: key}
+			s.unacked[res.Task] = logged{res: *res, key: key}
 		}
 	}
 }
@@ -394,13 +395,12 @@ func (s *Server) beat() {
 		return
 	}
 	capacity := s.cfg.Parallelism - len(s.running) - len(s.backlog)
-	hb := &proto.Heartbeat{
+	s.env.Send(s.preferred, proto.Pooled(proto.Heartbeat{
 		From:     s.env.Self(),
 		Role:     proto.RoleServer,
 		Capacity: capacity,
 		WantWork: capacity > 0,
-	}
-	s.env.Send(s.preferred, hb)
+	}))
 	s.retryUploads()
 }
 
@@ -418,7 +418,7 @@ func (s *Server) sendSync() {
 	for i := range s.backlog {
 		running = append(running, s.backlog[i].Task)
 	}
-	s.env.Send(s.preferred, &proto.ServerSync{From: s.env.Self(), Tasks: tasks, Running: running})
+	s.env.Send(s.preferred, proto.Pooled(proto.ServerSync{From: s.env.Self(), Tasks: tasks, Running: running}))
 }
 
 // retryBase is the first re-upload delay; it doubles per attempt up to
@@ -434,7 +434,7 @@ func (s *Server) retryUploads() {
 		if now.Before(s.nextRetry[t]) {
 			continue
 		}
-		s.env.Send(s.preferred, s.unacked[t].res)
+		s.env.Send(s.preferred, proto.Pooled(s.unacked[t].res))
 		s.bumpRetry(t, now)
 	}
 }
@@ -492,9 +492,10 @@ func (s *Server) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct. An assignment is copied into its execution or the backlog, the
-// coordinator list is merged into the server's own, and what a handler
-// sends is its own logged result, never what it received.
+// struct it received or sent. An assignment is copied into its execution
+// or the backlog, and the coordinator list is merged into the server's
+// own. An unacknowledged result is kept by value (logged.res), and every
+// upload of it is a pooled copy.
 func (*Server) ForgetsMessages() {}
 
 func (s *Server) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAck) {
@@ -599,7 +600,7 @@ func (s *Server) handleSyncReply(from proto.NodeID, m *proto.ServerSyncReply) {
 	}
 	for _, t := range m.Resend {
 		if r, ok := s.unacked[t]; ok {
-			s.env.Send(s.preferred, r.res)
+			s.env.Send(s.preferred, proto.Pooled(r.res))
 			s.bumpRetry(t, s.env.Now())
 		}
 	}
@@ -622,7 +623,7 @@ func (s *Server) startTask(t *proto.TaskAssignment) {
 		// Already executed (another instance): resend, don't recompute.
 		s.dedup++
 		s.sm.dedup.Inc()
-		s.env.Send(s.preferred, res)
+		s.env.Send(s.preferred, proto.Pooled(res))
 		return
 	}
 	if s.runningCall(t.Task.Call) {
@@ -718,13 +719,13 @@ func (s *Server) runningCall(call proto.CallID) bool {
 	return false
 }
 
-func (s *Server) haveResultFor(call proto.CallID) (*proto.TaskResult, bool) {
+func (s *Server) haveResultFor(call proto.CallID) (proto.TaskResult, bool) {
 	for t, r := range s.unacked {
 		if t.Call == call {
 			return r.res, true
 		}
 	}
-	return nil, false
+	return proto.TaskResult{}, false
 }
 
 // start produces the task's output and hands it to finishTask. A
@@ -819,15 +820,16 @@ func (s *Server) finishTask(t *proto.TaskAssignment, out outcome) {
 	if s.cfg.OnTaskDone != nil {
 		s.cfg.OnTaskDone(t.Task, s.env.Now())
 	}
-	res := &proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr}
+	res := proto.TaskResult{From: s.env.Self(), Task: t.Task, Output: out.output, Err: out.errStr}
+	up := proto.Pooled(res) // the first upload, logged before it leaves
 	key := s.resultKey(t.Task)
-	if err := msglog.Messages.Write(s.env, msglog.EntryOf(key, res)); err != nil {
+	if err := msglog.Messages.Write(s.env, msglog.EntryOf(key, up)); err != nil {
 		s.env.Logf("server: log result %s: %v", t.Task, err)
 	} else {
 		s.trace(t.Task.Call, obs.StageDurable, "result log")
 	}
 	s.unacked[t.Task] = logged{res: res, key: key}
-	s.env.Send(s.preferred, res)
+	s.env.Send(s.preferred, up)
 	s.bumpRetry(t.Task, s.env.Now())
 	s.uploaded++
 	s.sm.uploaded.Inc()
@@ -846,12 +848,12 @@ func (s *Server) pullMoreWork() {
 		s.startTask(&next)
 	}
 	if !s.needSync && len(s.running)+len(s.backlog) < s.cfg.Parallelism {
-		s.env.Send(s.preferred, &proto.Heartbeat{
+		s.env.Send(s.preferred, proto.Pooled(proto.Heartbeat{
 			From:     s.env.Self(),
 			Role:     proto.RoleServer,
 			Capacity: s.cfg.Parallelism - len(s.running) - len(s.backlog),
 			WantWork: true,
-		})
+		}))
 	}
 }
 
