@@ -136,9 +136,13 @@ type call struct {
 	logDone    bool      // the strategy's logging gate has cleared
 	acked      bool      // coordinator acknowledged registration
 	completed  bool      // both conditions met; callback fired
-	// result is the call's result where it arrived: inside the Results
-	// message that delivered it, which the client keeps rather than copy.
-	result *proto.Result
+	resulted   bool      // its result arrived: the three fields below hold it
+	// The call's result, copied out of the Results message that
+	// delivered it, whose list goes back with it; its CallID is the
+	// call's.
+	output    []byte
+	resultErr string
+	server    proto.NodeID
 }
 
 // Client is the application-side node handler. Its fields are
@@ -350,7 +354,7 @@ func (c *Client) passed(upTo proto.RPCSeq) {
 		if seq > upTo {
 			continue
 		}
-		if cl.result == nil {
+		if !cl.resulted {
 			c.pending--
 		}
 		c.release(cl)
@@ -373,10 +377,10 @@ func (c *Client) watermarkDone(err error) {
 	}
 }
 
-// deliver stores the first result to arrive for a tracked call: res
-// points into the message that brought it.
+// deliver stores a copy of the first result to arrive for a tracked
+// call: res points into the message that brought it.
 func (c *Client) deliver(cl *call, res *proto.Result) {
-	cl.result = res
+	cl.resulted, cl.output, cl.resultErr, cl.server = true, res.Output, res.Err, res.Server
 	c.release(cl)
 	c.pending--
 	c.cm.pending.SetInt(c.pending)
@@ -405,7 +409,7 @@ func (c *Client) scheduleAckCheck() {
 		now := c.env.Now()
 		for seq := c.ack + 1; seq <= c.nextSeq; seq++ {
 			cl := c.calls[seq]
-			if cl != nil && cl.undelivered() && !cl.acked && cl.result == nil &&
+			if cl != nil && cl.undelivered() && !cl.acked && !cl.resulted &&
 				now.Sub(cl.lastResent) >= c.cfg.AckResyncTimeout {
 				c.sendSync()
 				break
@@ -623,13 +627,14 @@ func (c *Client) pollNow() {
 	}
 	// The watermark stopped at ack+1, which has no result: the window
 	// of results that overtook it starts at ack+2.
-	var have []proto.RPCSeq
+	poll := proto.Blank[proto.Poll]()
+	poll.User, poll.Session, poll.Ack = c.cfg.User, c.cfg.Session, c.ack
 	for seq := c.ack + 2; seq <= c.nextSeq; seq++ {
 		if c.hasResult(seq) {
-			have = append(have, seq)
+			poll.Have = append(poll.Have, seq)
 		}
 	}
-	c.env.Send(c.pref, proto.Pooled(proto.Poll{User: c.cfg.User, Session: c.cfg.Session, Ack: c.ack, Have: have}))
+	c.env.Send(c.pref, poll)
 }
 
 // AckSoon sends the next Poll once the message being handled is done
@@ -656,7 +661,7 @@ func (c *Client) ackNow() {
 
 func (c *Client) hasResult(seq proto.RPCSeq) bool {
 	cl := c.calls[seq]
-	return cl != nil && cl.result != nil
+	return cl != nil && cl.resulted
 }
 
 // Receive implements node.Handler.
@@ -679,11 +684,11 @@ func (c *Client) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct it received or sent. A delivered result is kept by element —
-// the call points into the Results list, which stays the client's — and
-// a SyncReply's Known list is read, not kept. A call keeps its Submit
-// by value (call.submit) for a resend, and every send of it is a pooled
-// copy.
+// struct it received or sent, nor one of their lists. A delivered result
+// is copied into its call, and a SyncReply's Known list is read, not
+// kept. A call keeps its Submit by value (call.submit) for a resend, and
+// every send of it is a pooled copy; a Poll's Have list is appended to
+// the array its struct brought (proto.Blank).
 func (*Client) ForgetsMessages() {}
 
 func (c *Client) handleSubmitAck(from proto.NodeID, m *proto.SubmitAck) {
@@ -715,7 +720,7 @@ func (c *Client) handleResults(from proto.NodeID, m *proto.Results) {
 			cl = &call{issued: c.env.Now(), completed: true}
 			c.track(res.Call.Seq, cl)
 		}
-		if cl.result != nil {
+		if cl.resulted {
 			c.drop(res) // duplicate delivery
 			continue
 		}
@@ -861,12 +866,13 @@ func (c *Client) ResultCount() int { return int(c.ack) + len(c.calls) - c.pendin
 
 // Result returns the stored result for seq, if any: a result stays
 // until the watermark passes its call.
-func (c *Client) Result(seq proto.RPCSeq) (*proto.Result, bool) {
+func (c *Client) Result(seq proto.RPCSeq) (proto.Result, bool) {
 	cl, ok := c.calls[seq]
-	if !ok || cl.result == nil {
-		return nil, false
+	if !ok || !cl.resulted {
+		return proto.Result{}, false
 	}
-	return cl.result, true
+	id := proto.CallID{User: c.cfg.User, Session: c.cfg.Session, Seq: seq}
+	return proto.Result{Call: id, Output: cl.output, Err: cl.resultErr, Server: cl.server}, true
 }
 
 // Preferred returns the current preferred coordinator.

@@ -652,13 +652,18 @@ func (c *Coordinator) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct it received or sent, or sends one on. What they keep is what it
-// points to — a Submit's params and a TaskResult's output in the job
-// record, a poll's session in its subscription, a ring member list — and
-// apply copies each record of a ReplicaUpdate before storing it. Every
-// message sent is a struct of its own from proto.Pooled, a ring beat to
-// two successors two of them; a reply held at the commit gate is sent
-// once, or dropped unsent.
+// struct it received or sent, or sends one on, nor one of their lists.
+// What they keep is what a message points to — a Submit's params and a
+// TaskResult's output in the job record, a poll's session in its
+// subscription — and by element what its lists hold: apply copies each
+// record of a ReplicaUpdate before storing it, a ring member list is
+// merged into a list of the coordinator's own, a poll's Have and a
+// server's sync are read. Every message sent is a struct of its own
+// from proto.Pooled or proto.Blank, a ring beat to two successors two
+// of them, and every list in it is built in the struct's own array or
+// is a fresh copy (a sync reply's Known) — but a HeartbeatAck's
+// Coordinators, the coordinator's own list, which proto does not keep.
+// A reply held at the commit gate is sent once, or dropped unsent.
 func (*Coordinator) ForgetsMessages() {}
 
 // reply is what a handler decided to send once the database work it
@@ -804,7 +809,8 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 	if !slices.IsSorted(have) { // the sender's contract; cheap to enforce
 		have = slices.Sorted(slices.Values(have))
 	}
-	var out []proto.Result
+	out := proto.Blank[proto.Results]()
+	out.User, out.Session = m.User, m.Session
 	for rec := range c.store.SessionAfter(m.User, m.Session, c.collected[key]) {
 		for len(have) > 0 && have[0] < rec.Call.Seq {
 			have = have[1:]
@@ -812,11 +818,11 @@ func (c *Coordinator) handlePoll(from proto.NodeID, m *proto.Poll) {
 		if rec.State != proto.TaskFinished || (len(have) > 0 && have[0] == rec.Call.Seq) {
 			continue
 		}
-		out = append(out, resultOf(rec))
+		out.Results = append(out.Results, resultOf(rec))
 	}
-	c.cm.resultsPoll.Add(uint64(len(out)))
+	c.cm.resultsPoll.Add(uint64(len(out.Results)))
 	c.subscribe(from, m)
-	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.Results{User: m.User, Session: m.Session, Results: out})})
+	c.afterDBCost(reply{to: from, msg: out})
 }
 
 func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest) {
@@ -827,15 +833,15 @@ func (c *Coordinator) handleSyncRequest(from proto.NodeID, m *proto.SyncRequest)
 	// watermark the watermark itself is the list: every call there was
 	// known, finished and acknowledged.
 	w := c.collected[sessionKey{m.User, m.Session}]
-	known := c.store.SessionSeqs(m.User, m.Session)
+	known := c.store.SessionSeqs(m.User, m.Session) // a copy of the index
 	above, _ := slices.BinarySearch(known, w+1)
-	sync := proto.Pooled(proto.SyncReply{
-		User:      m.User,
-		Session:   m.Session,
-		MaxSeq:    c.maxSeq(m.User, m.Session),
-		Collected: w,
-		Known:     known[above:],
-	})
+	sync := proto.Blank[proto.SyncReply]()
+	sync.User, sync.Session, sync.MaxSeq, sync.Collected = m.User, m.Session, c.maxSeq(m.User, m.Session), w
+	if sync.Known == nil {
+		sync.Known = known[above:] // the copy's array is the message's
+	} else {
+		sync.Known = append(sync.Known, known[above:]...)
+	}
 	c.afterDBCost(reply{to: from, msg: sync})
 }
 
@@ -850,23 +856,33 @@ func (c *Coordinator) handleHeartbeat(from proto.NodeID, m *proto.Heartbeat) {
 	case proto.RoleCoordinator:
 		c.heard(from, []proto.NodeID{from})
 	}
-	var tasks []proto.TaskAssignment
+	ack := c.heartbeatAck()
 	idle := 0
 	if m.WantWork && m.Capacity > 0 {
-		tasks = c.assign(from, min(m.Capacity, c.cfg.MaxTasksPerAck))
-		c.cm.assignedPull.Add(uint64(len(tasks)))
-		idle = m.Capacity - len(tasks)
+		ack.Tasks = c.assign(ack.Tasks, from, min(m.Capacity, c.cfg.MaxTasksPerAck))
+		c.cm.assignedPull.Add(uint64(len(ack.Tasks)))
+		idle = m.Capacity - len(ack.Tasks)
 	}
 	if m.Role == proto.RoleServer {
 		// What this pull leaves unused stands as the server's offer until
 		// its next pull says otherwise.
 		c.standingOffer(from, idle)
-		if c.quietPull(from, len(tasks)) {
+		if c.quietPull(from, len(ack.Tasks)) {
+			proto.ReleaseMessage(ack) // never sent
 			return
 		}
 	}
 	c.noteHeartbeatAck(from)
-	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks})})
+	c.afterDBCost(reply{to: from, msg: ack})
+}
+
+// heartbeatAck begins a HeartbeatAck, its Tasks for assign to append to.
+// Its Coordinators is this coordinator's own list, which the struct's
+// give-back drops rather than keeps (proto.ReleaseMessage).
+func (c *Coordinator) heartbeatAck() *proto.HeartbeatAck {
+	ack := proto.Blank[proto.HeartbeatAck]()
+	ack.From, ack.Coordinators = c.env.Self(), c.coords
+	return ack
 }
 
 // heard takes a message from a fellow coordinator — a ring heartbeat or
@@ -881,10 +897,9 @@ func (c *Coordinator) heard(from proto.NodeID, members []proto.NodeID) {
 }
 
 // assign pops up to limit pending jobs from the engine, oldest first,
-// and binds them to server. It serves a pull (handleHeartbeat) and a
-// late reply to one (dispatch) alike.
-func (c *Coordinator) assign(server proto.NodeID, limit int) []proto.TaskAssignment {
-	var out []proto.TaskAssignment
+// binds them to server and appends their assignments to out. It serves
+// a pull (handleHeartbeat) and a late reply to one (dispatch) alike.
+func (c *Coordinator) assign(out []proto.TaskAssignment, server proto.NodeID, limit int) []proto.TaskAssignment {
 	now := c.env.Now()
 	for limit > 0 {
 		call, ok := c.eng.Pop(server, now)
@@ -969,8 +984,10 @@ func (c *Coordinator) handleTaskResult(from proto.NodeID, m *proto.TaskResult) {
 	if client, push := c.subscriber(rec.Call); push {
 		c.pushedResults++
 		c.cm.resultsPush.Inc()
-		r.pushTo, r.push = client, proto.Pooled(proto.Results{User: rec.Call.User, Session: rec.Call.Session,
-			Results: []proto.Result{resultOf(rec)}})
+		res := proto.Blank[proto.Results]()
+		res.User, res.Session = rec.Call.User, rec.Call.Session
+		res.Results = append(res.Results, resultOf(rec))
+		r.pushTo, r.push = client, res
 	}
 	c.afterDBCost(r)
 }
@@ -1011,7 +1028,8 @@ func (c *Coordinator) finish(rec *proto.JobRecord, tell bool) {
 
 func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 	c.servers.Observe(from)
-	resend, drop := statesync.TaskDiff(m.Tasks, func(call proto.CallID) bool {
+	sync := proto.Blank[proto.ServerSyncReply]()
+	sync.Resend, sync.Drop = statesync.TaskDiff(sync.Resend, sync.Drop, m.Tasks, func(call proto.CallID) bool {
 		rec, status := c.lookup(call)
 		if status == callCollected {
 			c.stale(m)
@@ -1050,7 +1068,7 @@ func (c *Coordinator) handleServerSync(from proto.NodeID, m *proto.ServerSync) {
 		c.requeue(call, requeueServerSync)
 	}
 
-	c.afterDBCost(reply{to: from, msg: proto.Pooled(proto.ServerSyncReply{Resend: resend, Drop: drop})})
+	c.afterDBCost(reply{to: from, msg: sync})
 	if _, offering := c.offers.by[from]; len(m.Running) == 0 && !offering {
 		// A server that synchronizes while running nothing — a fresh
 		// or restarted one — asks for work only on its next beat; what

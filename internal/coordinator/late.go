@@ -164,15 +164,17 @@ func (c *Coordinator) dispatch() {
 			continue
 		}
 		server := o.server
-		tasks := c.assign(server, min(o.slots, c.cfg.MaxTasksPerAck))
-		c.offers.spend(len(tasks))
-		if len(tasks) == 0 {
+		ack := c.heartbeatAck()
+		ack.Tasks = c.assign(ack.Tasks, server, min(o.slots, c.cfg.MaxTasksPerAck))
+		c.offers.spend(len(ack.Tasks))
+		if len(ack.Tasks) == 0 {
+			proto.ReleaseMessage(ack) // never sent
 			continue
 		}
-		c.pushedTasks += len(tasks)
-		c.cm.assignedPush.Add(uint64(len(tasks)))
+		c.pushedTasks += len(ack.Tasks)
+		c.cm.assignedPush.Add(uint64(len(ack.Tasks)))
 		c.noteHeartbeatAck(server)
-		c.afterDBCost(reply{to: server, msg: proto.Pooled(proto.HeartbeatAck{From: c.env.Self(), Coordinators: c.coords, Tasks: tasks})})
+		c.afterDBCost(reply{to: server, msg: ack})
 	}
 	c.noteIdleSlots()
 }

@@ -85,11 +85,11 @@ func (c *Coordinator) settle(r *round, epoch, n uint64) bool {
 	return true
 }
 
-// roundJobs is a round's job list: every record r owes its peer, in call
-// order, sharing its payloads (nothing modifies their bytes) but without
-// params over ReplicateParamsLimit — file archives are not replicated.
-func (c *Coordinator) roundJobs(r *round) []proto.JobRecord {
-	var jobs []proto.JobRecord
+// roundJobs appends a round's job list to jobs: every record r owes its
+// peer, in call order, sharing its payloads (nothing modifies their
+// bytes) but without params over ReplicateParamsLimit — file archives
+// are not replicated.
+func (c *Coordinator) roundJobs(jobs []proto.JobRecord, r *round) []proto.JobRecord {
 	for _, call := range sortedCalls(r.jobs.set) {
 		rec, ok := c.store.Peek(call)
 		if !ok {
@@ -197,8 +197,10 @@ func (c *Coordinator) ReplicateNow() {
 	}
 	// Nothing dirty: the (tiny) update goes anyway — it doubles as the
 	// ring heartbeat that keeps successors from suspecting us.
-	update := proto.Pooled(proto.ReplicaUpdate{From: c.env.Self(), Epoch: c.epoch, Jobs: c.roundJobs(&c.repl)})
-	update.MaxSeqs = c.sessionMaxes(update.Jobs)
+	update := proto.Blank[proto.ReplicaUpdate]()
+	update.From, update.Epoch = c.env.Self(), c.epoch
+	update.Jobs = c.roundJobs(update.Jobs, &c.repl)
+	update.MaxSeqs = c.sessionMaxes(update.MaxSeqs, update.Jobs)
 	update.Round = c.repl.begin(succ, c.env.Now())
 	c.afterDBCost(reply{to: succ, msg: update})
 	// Given up, the round stays on the successor: the ring monitor
@@ -206,12 +208,12 @@ func (c *Coordinator) ReplicateNow() {
 	c.repl.giveUpAfter(c.env, c.cfg.HeartbeatTimeout)
 }
 
-// sessionMaxes is a ReplicaUpdate's session list: one entry per session
-// the round says something about — a job it carries or a watermark the
-// successor has yet to hear — each with the session's watermark, which
-// is how the successor learns what it may delete too. The entries are
-// sorted by "user/session".
-func (c *Coordinator) sessionMaxes(jobs []proto.JobRecord) []proto.SessionMax {
+// sessionMaxes appends a ReplicaUpdate's session list to out: one entry
+// per session the round says something about — a job it carries or a
+// watermark the successor has yet to hear — each with the session's
+// watermark, which is how the successor learns what it may delete too.
+// The entries are sorted by "user/session".
+func (c *Coordinator) sessionMaxes(out []proto.SessionMax, jobs []proto.JobRecord) []proto.SessionMax {
 	byLabel := make(map[string]proto.SessionMax)
 	note := func(k sessionKey, seq proto.RPCSeq) {
 		label := fmt.Sprintf("%s/%d", k.user, k.session)
@@ -227,7 +229,6 @@ func (c *Coordinator) sessionMaxes(jobs []proto.JobRecord) []proto.SessionMax {
 	for k := range c.repl.marks.set {
 		note(k, c.collected[k])
 	}
-	var out []proto.SessionMax
 	for _, label := range slices.Sorted(maps.Keys(byLabel)) {
 		out = append(out, byLabel[label])
 	}

@@ -52,9 +52,9 @@ type Env interface {
 	// Send transmits msg to the named node, connection-less and
 	// unreliably: it never blocks, never fails synchronously, and the
 	// message may be lost, delayed arbitrarily, or arrive after the
-	// destination crashed. A Forgetter hands msg over with the call:
-	// the Env may reuse the struct once the message has left (see
-	// Forgetter).
+	// destination crashed. A Forgetter hands msg over with the call,
+	// lists and all: the Env may reuse the struct and its lists' arrays
+	// once the message has left (see Forgetter).
 	Send(to proto.NodeID, msg proto.Message)
 
 	// Disk returns the node's stable store. Its contents survive
@@ -251,21 +251,26 @@ func Release(env Env, b []byte) {
 }
 
 // Forgetter is optionally implemented by Handlers that treat a message
-// struct as a value at the Env boundary, in both directions. A struct
-// Receive was handed they keep no pointer to once Receive returns: not
-// the struct, not a field's address, and not the struct itself as a
-// message sent on. A struct they hand to Send they keep no pointer to
-// either, and they never send one struct twice: a message kept for a
-// later resend stays the handler's, and each send of it is a copy
-// (proto.Pooled builds one). An Env may then reuse a received struct
-// once Receive returns, and a sent one once the message has left —
-// written or dropped (proto.ReleaseMessage). Everything a struct points
-// to stays with whoever holds it, as it always did: its strings, its
-// payloads (given back only through Release) and its lists, such as the
-// Results a client keeps by element or the coordinator list a
-// HeartbeatAck shares with its sender. The coordinator, the server and
-// the client implement it, and build every message they send with
-// proto.Pooled.
+// as a value at the Env boundary, in both directions: its struct and
+// the lists it carries. A struct Receive was handed they keep no pointer
+// to once Receive returns: not the struct, not a field's address, and
+// not the struct itself as a message sent on. Nor do they keep one of
+// its lists — no slice of a list, no element's address: what they keep
+// of a list they copy out by element, as the client does a delivered
+// result. A struct they hand to Send they keep no pointer to either, nor
+// to its lists, and they never send one struct twice: a message kept for
+// a later resend stays the handler's, and each send of it is a copy
+// (proto.Pooled builds one). No list they send is their own state
+// either: each is built in the array the struct brought (proto.Blank),
+// or is a fresh one of its own. The one exception is a HeartbeatAck's
+// Coordinators, the coordinator's member list, which proto never keeps.
+// An Env may then reuse a received struct and its lists' arrays once
+// Receive returns, and a sent one once the message has left — written
+// or dropped (proto.ReleaseMessage). What the struct and its elements
+// point to stays with whoever holds it, as it always did: strings, and
+// payloads (given back only through Release). The coordinator, the
+// server and the client implement it, and build every message they send
+// with proto.Pooled or proto.Blank.
 //
 // internal/rt honours it: it hands the struct of every message a
 // Forgetter received, and of every message it sent, back to the wire
@@ -289,9 +294,9 @@ type Handler interface {
 
 	// Receive delivers one message. from identifies the sender as
 	// claimed by the transport; the protocol never trusts it for more
-	// than addressing replies. What msg points to — strings, payloads,
-	// lists — the handler may keep; the struct itself it may keep past
-	// Receive only if it is no Forgetter.
+	// than addressing replies. What msg points to — strings, payloads —
+	// the handler may keep; the struct itself and its lists it may keep
+	// past Receive only if it is no Forgetter.
 	Receive(from proto.NodeID, msg proto.Message)
 
 	// Stop tells the node its incarnation is ending (crash or clean

@@ -31,7 +31,9 @@ import (
 	"io"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // binMagic opens every encoding: the version preface of a connection,
@@ -199,6 +201,10 @@ type payloadBuf struct{ b []byte }
 
 var payloadBufs sync.Pool // of *payloadBuf, empty
 
+// payloadMisses counts, per class, the payloads getPayload found no
+// pooled buffer for (PoolMisses).
+var payloadMisses [len(payloadPools)]atomic.Uint64
+
 // payloadClass is the index of the smallest class that holds n bytes,
 // BlobMin <= n <= maxPooledBuffer.
 func payloadClass(n int) int {
@@ -234,6 +240,7 @@ func getPayload(n int) []byte {
 		payloadBufs.Put(pb)
 		return b
 	}
+	payloadMisses[c].Add(1)
 	return make([]byte, n, payloadClassCap(c))
 }
 
@@ -266,20 +273,27 @@ func ReleasePayload(b []byte) {
 
 // Every message readMessageBody decodes is a struct taken from its
 // kind's pool, every message a node.Forgetter sends is one it took with
-// Pooled, and ReleaseMessage gives one back: the runtime does, for a
-// handler that keeps no pointer to the structs it receives or sends
-// (node.Forgetter), once Receive has returned or once the batch that
-// carried the struct is written or dropped. Only the struct goes back.
-// What it points to — strings, payloads, lists — is not touched: it
-// stays with whoever kept it. Storage decodes draw from the pools too,
-// and keep what they get.
+// Pooled or Blank, and ReleaseMessage gives one back: the runtime does,
+// for a handler that keeps no pointer to the structs it receives or
+// sends nor a slice of their lists (node.Forgetter), once Receive has
+// returned or once the batch that carried the struct is written or
+// dropped. A struct goes back with its lists: each keeps its array,
+// truncated to length 0 with its elements zeroed, for the next decode
+// to read the list into or the next sender to append to — every list
+// but HeartbeatAck.Coordinators, which a coordinator sends as its own
+// member list, and an array above maxKeptList, which a resync-sized
+// list has and the next messages do not need. What the elements pointed
+// to — strings, payloads — is not touched: it stays with whoever kept
+// it. Storage decodes draw from the pools too, and keep what they get.
 //
-// A struct goes back zeroed, so the pool pins nothing it pointed to. In
-// race builds it goes back poisoned instead, and so does a payload that
-// ReleasePayload pools (clobber_race.go): a reader that kept either past
-// its give-back reads garbage rather than the next message's fields or
-// bytes, and a struct given back twice — sent twice, or sent and also
-// received — panics at its second give-back.
+// A struct goes back zeroed but for its lists, so the pool pins nothing
+// the message pointed to. In race builds it goes back poisoned instead,
+// its kept arrays over their whole capacity, and so does a payload that
+// ReleasePayload pools (clobber_race.go): a reader that kept a struct, a
+// list or a payload past its give-back reads garbage rather than the
+// next message's fields, elements or bytes, and a struct given back
+// twice — sent twice, or sent and also received — panics at its second
+// give-back.
 var msgPools struct {
 	submit          msgPool[Submit]
 	submitAck       msgPool[SubmitAck]
@@ -298,15 +312,29 @@ var msgPools struct {
 	replicaAck      msgPool[ReplicaAck]
 }
 
-// msgPool is one kind's pool of structs.
-type msgPool[T any] struct{ p sync.Pool }
+// msgPool is one kind's pool of structs, and the count of the takes it
+// found empty (PoolMisses).
+type msgPool[T any] struct {
+	p      sync.Pool
+	misses atomic.Uint64
+}
 
-// fill returns a struct from the pool, or a new one, holding v.
-func (p *msgPool[T]) fill(v T) *T {
+// get returns a struct from the pool, every field zero but its kept
+// lists (at length 0), or a new one.
+func (p *msgPool[T]) get() *T {
 	m, _ := p.p.Get().(*T)
 	if m == nil {
-		m = new(T)
+		p.misses.Add(1)
+		return new(T)
 	}
+	unpoison(m)
+	return m
+}
+
+// fill returns a struct from the pool, or a new one, holding v: the
+// arrays it kept are dropped.
+func (p *msgPool[T]) fill(v T) *T {
+	m := p.get()
 	*m = v
 	return m
 }
@@ -315,21 +343,77 @@ func (p *msgPool[T]) put(m *T) {
 	if poisoned(m) {
 		panic("proto: message recycled twice")
 	}
-	var zero T
-	*m = zero
+	if l, ok := any(m).(listCarrier); ok {
+		l.keepLists()
+	} else {
+		var zero T
+		*m = zero
+	}
 	clobberStruct(m)
 	p.p.Put(m)
+}
+
+// A listCarrier is a message kind with lists. keepLists zeroes the
+// struct but for each list's array, kept at length 0 (keep).
+type listCarrier interface{ keepLists() }
+
+func (m *Poll) keepLists()    { *m = Poll{Have: keep(m.Have)} }
+func (m *Results) keepLists() { *m = Results{Results: keep(m.Results)} }
+func (m *SyncReply) keepLists() {
+	*m = SyncReply{Known: keep(m.Known)}
+}
+
+// keepLists drops Coordinators: a coordinator sends its own member list
+// there, which no pool may keep.
+func (m *HeartbeatAck) keepLists() { *m = HeartbeatAck{Tasks: keep(m.Tasks)} }
+func (m *ServerSync) keepLists() {
+	*m = ServerSync{Tasks: keep(m.Tasks), Running: keep(m.Running)}
+}
+func (m *ServerSyncReply) keepLists() {
+	*m = ServerSyncReply{Resend: keep(m.Resend), Drop: keep(m.Drop)}
+}
+func (m *ReplicaUpdate) keepLists() {
+	*m = ReplicaUpdate{Jobs: keep(m.Jobs), MaxSeqs: keep(m.MaxSeqs)}
+}
+
+// maxKeptList bounds, in bytes, the array a given-back struct keeps of a
+// list: a poll's or a push's few results, an assignment's tasks. One
+// resync's thousands stay with no pool.
+const maxKeptList = 4 << 10
+
+// keep is the array of xs, at length 0 and zeroed over its capacity, or
+// nil when that is over maxKeptList.
+func keep[T any](xs []T) []T {
+	var zero T
+	if cap(xs)*int(unsafe.Sizeof(zero)) > maxKeptList {
+		return nil
+	}
+	clear(xs[:cap(xs)])
+	return xs[:0]
 }
 
 // Pooled returns a struct of v's kind, holding v, from the pool the
 // wire decoder fills from: the struct a handler that keeps none of the
 // structs it sends (node.Forgetter) builds each message in, for the
-// runtime to give back once the message has left.
+// runtime to give back once the message has left. Its lists are v's,
+// which go back with it: none may be the handler's own. A message with
+// lists to build is better begun with Blank.
 func Pooled[T any, P interface {
 	*T
 	Message
 }](v T) P {
 	return P(poolOf[T]().fill(v))
+}
+
+// Blank returns a struct of T's kind from the same pool as Pooled,
+// every field zero but its lists: each is the array the struct kept from
+// its last message at length 0, or nil, for the sender to append the
+// list into. So a list travels, and is recycled, as part of its message.
+func Blank[T any, P interface {
+	*T
+	Message
+}]() P {
+	return P(poolOf[T]().get())
 }
 
 // poolOf is the pool of T's structs. T is a message kind: any other
@@ -371,11 +455,12 @@ func poolOf[T any]() *msgPool[T] {
 	return pool.(*msgPool[T])
 }
 
-// ReleaseMessage hands msg's struct back for a later decode or Pooled
-// of its kind to fill. The caller gives up the struct: nothing may read
-// or write it after, nor hold a field's address, nor give it back
-// again. It keeps everything the struct pointed to. A message of an
-// unregistered type is left to the collector.
+// ReleaseMessage hands msg's struct back for a later decode, Pooled or
+// Blank of its kind to fill. The caller gives up the struct and its
+// lists: nothing may read or write either after, nor hold a field's or
+// an element's address, nor give the struct back again. It keeps what
+// the struct and its elements point to: strings and payloads. A message
+// of an unregistered type is left to the collector.
 func ReleaseMessage(msg Message) {
 	switch m := msg.(type) {
 	case *Submit:
@@ -409,6 +494,44 @@ func ReleaseMessage(msg Message) {
 	case *ReplicaAck:
 		msgPools.replicaAck.put(m)
 	}
+}
+
+// A PoolMiss reads one pool's misses: the takes that found it empty and
+// allocated, of a message kind's structs (Kind set) or of a payload
+// class's buffers (Class, the class's capacity in bytes, set). Only a
+// miss counts, so a hit costs no atomic. The pools, and so the counts,
+// are the process's.
+type PoolMiss struct {
+	Kind  string
+	Class int
+	Count func() uint64
+}
+
+// PoolMisses lists every pool's miss count: each message kind's, then
+// each payload class's, smallest first.
+func PoolMisses() []PoolMiss {
+	p := &msgPools
+	out := []PoolMiss{
+		{Kind: (*Submit)(nil).Kind(), Count: p.submit.misses.Load},
+		{Kind: (*SubmitAck)(nil).Kind(), Count: p.submitAck.misses.Load},
+		{Kind: (*Poll)(nil).Kind(), Count: p.poll.misses.Load},
+		{Kind: (*Results)(nil).Kind(), Count: p.results.misses.Load},
+		{Kind: (*SyncRequest)(nil).Kind(), Count: p.syncRequest.misses.Load},
+		{Kind: (*SyncReply)(nil).Kind(), Count: p.syncReply.misses.Load},
+		{Kind: (*Heartbeat)(nil).Kind(), Count: p.heartbeat.misses.Load},
+		{Kind: (*HeartbeatAck)(nil).Kind(), Count: p.heartbeatAck.misses.Load},
+		{Kind: (*TaskResult)(nil).Kind(), Count: p.taskResult.misses.Load},
+		{Kind: (*TaskResultAck)(nil).Kind(), Count: p.taskResultAck.misses.Load},
+		{Kind: (*TaskCancel)(nil).Kind(), Count: p.taskCancel.misses.Load},
+		{Kind: (*ServerSync)(nil).Kind(), Count: p.serverSync.misses.Load},
+		{Kind: (*ServerSyncReply)(nil).Kind(), Count: p.serverSyncReply.misses.Load},
+		{Kind: (*ReplicaUpdate)(nil).Kind(), Count: p.replicaUpdate.misses.Load},
+		{Kind: (*ReplicaAck)(nil).Kind(), Count: p.replicaAck.misses.Load},
+	}
+	for c := range payloadMisses {
+		out = append(out, PoolMiss{Class: payloadClassCap(c), Count: payloadMisses[c].Load})
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -788,15 +911,16 @@ func (r *binReader) task() TaskID {
 	return TaskID{Call: r.call(), Instance: r.u32()}
 }
 
-// readSlice decodes a +1-counted slice. The declared element count is
-// validated against the remaining bytes (every element encodes at
-// least one byte) and the initial capacity is additionally capped:
-// in-memory elements can be far larger than their encodings (a
-// JobRecord is ~176 bytes, its minimal encoding ~14), so trusting a
-// corrupt count with a full preallocation would let one frame force
-// an allocation orders of magnitude beyond the input. Legitimate
-// large slices just grow through append's amortized doubling.
-func readSlice[T any](r *binReader, rd func(*binReader) T) []T {
+// readSlice decodes a +1-counted slice into kept's array, the one the
+// message struct kept of the list (keep), growing it when the list is
+// longer. The declared element count is validated against the remaining
+// bytes (every element encodes at least one byte) and a fresh array's
+// capacity is additionally capped: in-memory elements can be far larger
+// than their encodings (a JobRecord is ~176 bytes, its minimal encoding
+// ~14), so trusting a corrupt count with a full preallocation would let
+// one frame force an allocation orders of magnitude beyond the input.
+// Legitimate large slices just grow through append's amortized doubling.
+func readSlice[T any](r *binReader, kept []T, rd func(*binReader) T) []T {
 	n := r.uvarint()
 	if r.err != nil || n == 0 {
 		return nil
@@ -806,11 +930,10 @@ func readSlice[T any](r *binReader, rd func(*binReader) T) []T {
 		r.fail()
 		return nil
 	}
-	capHint := n
-	if capHint > 256 {
-		capHint = 256
+	out := kept[:0]
+	if out == nil {
+		out = make([]T, 0, min(n, 256))
 	}
-	out := make([]T, 0, capHint)
 	for i := uint64(0); i < n; i++ {
 		out = append(out, rd(r))
 		if r.err != nil {
@@ -986,8 +1109,9 @@ func appendMessageBody(dst []byte, msg Message, cuts *[]cut) []byte {
 }
 
 // readMessageBody decodes the body for a kind byte, into a struct from
-// the kind's pool. Unknown kinds set the reader's error (a peer speaking
-// a newer protocol revision).
+// the kind's pool and its lists into the arrays that struct kept.
+// Unknown kinds set the reader's error (a peer speaking a newer protocol
+// revision).
 func readMessageBody(r *binReader, kind uint8) Message {
 	switch kind {
 	case kindSubmit:
@@ -996,23 +1120,32 @@ func readMessageBody(r *binReader, kind uint8) Message {
 	case kindSubmitAck:
 		return msgPools.submitAck.fill(SubmitAck{Call: r.call(), MaxSeq: r.seq()})
 	case kindPoll:
-		return msgPools.poll.fill(Poll{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			Ack: r.seq(), Have: readSlice(r, (*binReader).seq)})
+		m := msgPools.poll.get()
+		m.User, m.Session, m.Ack = UserID(r.str()), SessionID(r.uvarint()), r.seq()
+		m.Have = readSlice(r, m.Have, (*binReader).seq)
+		return m
 	case kindResults:
-		return msgPools.results.fill(Results{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			Results: readSlice(r, readResult)})
+		m := msgPools.results.get()
+		m.User, m.Session = UserID(r.str()), SessionID(r.uvarint())
+		m.Results = readSlice(r, m.Results, readResult)
+		return m
 	case kindSyncRequest:
 		return msgPools.syncRequest.fill(SyncRequest{User: UserID(r.str()), Session: SessionID(r.uvarint()),
 			MaxSeq: r.seq(), HaveLog: r.bool()})
 	case kindSyncReply:
-		return msgPools.syncReply.fill(SyncReply{User: UserID(r.str()), Session: SessionID(r.uvarint()),
-			MaxSeq: r.seq(), Collected: r.seq(), Known: readSlice(r, (*binReader).seq)})
+		m := msgPools.syncReply.get()
+		m.User, m.Session, m.MaxSeq, m.Collected = UserID(r.str()), SessionID(r.uvarint()), r.seq(), r.seq()
+		m.Known = readSlice(r, m.Known, (*binReader).seq)
+		return m
 	case kindHeartbeat:
 		return msgPools.heartbeat.fill(Heartbeat{From: r.node(), Role: Role(r.u8()),
 			Capacity: int(r.varint()), WantWork: r.bool()})
 	case kindHeartbeatAck:
-		return msgPools.heartbeatAck.fill(HeartbeatAck{From: r.node(), Tasks: readSlice(r, readAssignment),
-			Coordinators: readSlice(r, (*binReader).node)})
+		m := msgPools.heartbeatAck.get()
+		m.From = r.node()
+		m.Tasks = readSlice(r, m.Tasks, readAssignment)
+		m.Coordinators = readSlice(r, m.Coordinators, (*binReader).node)
+		return m
 	case kindTaskResult:
 		return msgPools.taskResult.fill(TaskResult{From: r.node(), Task: r.task(), Output: r.payload(),
 			Err: r.str()})
@@ -1021,14 +1154,22 @@ func readMessageBody(r *binReader, kind uint8) Message {
 	case kindTaskCancel:
 		return msgPools.taskCancel.fill(TaskCancel{Task: r.task()})
 	case kindServerSync:
-		return msgPools.serverSync.fill(ServerSync{From: r.node(), Tasks: readSlice(r, (*binReader).task),
-			Running: readSlice(r, (*binReader).task)})
+		m := msgPools.serverSync.get()
+		m.From = r.node()
+		m.Tasks = readSlice(r, m.Tasks, (*binReader).task)
+		m.Running = readSlice(r, m.Running, (*binReader).task)
+		return m
 	case kindServerSyncReply:
-		return msgPools.serverSyncReply.fill(ServerSyncReply{Resend: readSlice(r, (*binReader).task),
-			Drop: readSlice(r, (*binReader).task)})
+		m := msgPools.serverSyncReply.get()
+		m.Resend = readSlice(r, m.Resend, (*binReader).task)
+		m.Drop = readSlice(r, m.Drop, (*binReader).task)
+		return m
 	case kindReplicaUpdate:
-		return msgPools.replicaUpdate.fill(ReplicaUpdate{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint(),
-			Jobs: readSlice(r, readJobBody), MaxSeqs: readSlice(r, readSessionMax)})
+		m := msgPools.replicaUpdate.get()
+		m.From, m.Epoch, m.Round = r.node(), r.uvarint(), r.uvarint()
+		m.Jobs = readSlice(r, m.Jobs, readJobBody)
+		m.MaxSeqs = readSlice(r, m.MaxSeqs, readSessionMax)
+		return m
 	case kindReplicaAck:
 		return msgPools.replicaAck.fill(ReplicaAck{From: r.node(), Epoch: r.uvarint(), Round: r.uvarint()})
 	default:

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -298,5 +299,94 @@ func TestGivingBackTwicePanicsInRaceBuilds(t *testing.T) {
 		if got := twice(m); got != "proto: message recycled twice" {
 			t.Fatalf("giving back a %s twice: %v; want the panic", m.Kind(), got)
 		}
+	}
+}
+
+// A struct goes back with its lists (ReleaseMessage): each keeps its
+// array at length 0, every element zeroed — poisoned in race builds —
+// unless the array is over maxKeptList, and a HeartbeatAck's
+// Coordinators, a coordinator's own member list, is never kept. The
+// next decode reads its lists into those arrays, the next Blank of the
+// kind hands them to a sender to append to, and the next Pooled drops
+// them for the lists it is given.
+func TestReleasedListsGoBackWithTheirStruct(t *testing.T) {
+	coords := []NodeID{"coord-00", "coord-01"}
+	tasks := make([]TaskAssignment, 2, 4)
+	tasks[0].Service, tasks[1].Params = "svc", []byte{1}
+	ack := &HeartbeatAck{From: "coord-00", Tasks: tasks, Coordinators: coords}
+	Blank[HeartbeatAck]() // the struct an earlier test gave back, if any, is not the next one
+	ReleaseMessage(ack)
+	if !slices.Equal(coords, []NodeID{"coord-00", "coord-01"}) {
+		t.Fatalf("giving back a HeartbeatAck changed its Coordinators to %q", coords)
+	}
+	for i, task := range tasks[:cap(tasks)] {
+		if raceBuild {
+			if task.Service != "proto: recycled message" {
+				t.Fatalf("a kept task %d reads %#v, not poison", i, task)
+			}
+		} else if !reflect.DeepEqual(task, TaskAssignment{}) {
+			t.Fatalf("a kept task %d still holds %#v", i, task)
+		}
+	}
+	if raceBuild {
+		t.Skip("the race detector's sync.Pool drops structs: which one comes back is not known")
+	}
+	next := Blank[HeartbeatAck]()
+	if next != ack || len(next.Tasks) != 0 || cap(next.Tasks) != 4 || &next.Tasks[:1][0] != &tasks[0] || next.Coordinators != nil || next.From != "" {
+		t.Fatalf("Blank took %p %#v, want %p, empty but for the tasks' array", next, next, ack)
+	}
+	ReleaseMessage(next)
+	if got := Pooled(HeartbeatAck{From: "coord-00"}); got != ack || got.Tasks != nil {
+		t.Fatalf("Pooled took %#v, want the struct given back without its array", got)
+	}
+
+	big := make([]RPCSeq, 0, maxKeptList/8+1)
+	poll := &Poll{User: "u", Have: big}
+	Blank[Poll]()
+	ReleaseMessage(poll)
+	if got := Blank[Poll](); got != poll || got.Have != nil {
+		t.Fatalf("a Poll given back with a %d B list came back with %d elements of room", cap(big)*8, cap(got.Have))
+	}
+}
+
+// A warm decoder reading list-carrying messages into given-back structs
+// allocates nothing: each list is read into the array its struct kept.
+// So does a sender building one with Blank, its list appended to.
+func TestReleasedListsAreTheNextDecodes(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation guard: the race detector's sync.Pool drops structs")
+	}
+	task := TaskID{Call: CallID{User: "user-01", Session: 7, Seq: 42}, Instance: 3}
+	for _, msg := range []Message{
+		&Poll{User: "user-01", Session: 7, Ack: 40, Have: []RPCSeq{42, 43}},
+		&Results{User: "user-01", Session: 7, Results: []Result{{Call: task.Call, Err: "e", Server: "server-000"}, {Call: task.Call}}},
+		&HeartbeatAck{From: "coord-00", Tasks: []TaskAssignment{{Task: task, Service: "svc"}, {Task: task, Service: "svc"}}},
+		&ServerSync{From: "server-000", Tasks: []TaskID{task}, Running: []TaskID{task, task}},
+	} {
+		frame := mustFrame(t, nil, "node-a", msg)
+		r := bytes.NewReader(frame)
+		dec := NewWireDecoder(r)
+		next := func() {
+			r.Reset(frame)
+			_, got, err := dec.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseMessage(got)
+		}
+		next() // warm: the window, the intern table, the struct's arrays
+		if n := testing.AllocsPerRun(200, next); n != 0 {
+			t.Errorf("reading a %s into a given-back struct allocates %.1f times", msg.Kind(), n)
+		}
+	}
+	build := func() {
+		res := Blank[Results]()
+		res.User, res.Session = "user-01", 7
+		res.Results = append(res.Results, Result{Call: task.Call}, Result{Call: task.Call})
+		ReleaseMessage(res)
+	}
+	build()
+	if n := testing.AllocsPerRun(200, build); n != 0 {
+		t.Errorf("building a Results in a given-back struct allocates %.1f times", n)
 	}
 }

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rpcv/internal/client"
 	"rpcv/internal/coordinator"
 	"rpcv/internal/node"
 	"rpcv/internal/proto"
@@ -480,6 +482,90 @@ func TestHandlersSendEachStructOnce(t *testing.T) {
 		}
 		if n := beats(b); n < 40 {
 			t.Fatalf("co-b, the raw successor, got %d beats", n)
+		}
+	})
+}
+
+// A message's lists go back with its struct (proto.ReleaseMessage), and
+// the next message of its kind is read into, or built in, their arrays:
+// so a Forgetter keeps no list it received, by slice or by element
+// address, and sends no list that is its own state. Here the
+// coordinator, a server and a client run on TCP as Forgetters, ten echo
+// calls at once, and each keeps what such a slip would clear — or, in
+// race builds, poison: the client the results it holds above its
+// watermark (copied out of the Results list that brought them), the
+// server the tasks its bodies run off the loop (copied out of the
+// HeartbeatAck's Tasks) and the coordinator list it merged (the
+// coordinator's own, which no HeartbeatAck may keep). The client polls
+// once a second, so the results arrive in one Results message and stay
+// for a poll after.
+func TestListsGoBackWithTheirMessages(t *testing.T) {
+	const calls = 10
+	co := coordinator.New(coordinator.Config{Coordinators: []proto.NodeID{"co"},
+		HeartbeatPeriod: 20 * time.Millisecond, HeartbeatTimeout: 10 * time.Second})
+	sv := server.New(server.Config{Coordinators: []proto.NodeID{"co"}, HeartbeatPeriod: 20 * time.Millisecond,
+		SuspicionTimeout: 10 * time.Second, Parallelism: 4, Services: map[string]server.Service{
+			"echo": func(p []byte) ([]byte, error) { return slices.Clone(p), nil },
+		}})
+	var mu sync.Mutex
+	var got []proto.Result
+	cl := client.New(client.Config{User: "u", Session: 1, Coordinators: []proto.NodeID{"co"},
+		PollPeriod: time.Second, SuspicionTimeout: 10 * time.Second,
+		OnResult: func(res proto.Result, _ time.Time) {
+			mu.Lock()
+			got = append(got, res)
+			mu.Unlock()
+		}})
+	ids := []proto.NodeID{"co", "sv", "client-u-1"}
+	var rts []*Runtime
+	for i, h := range []node.Handler{co, sv, cl} {
+		r, err := Start(Config{ID: ids[i], ListenAddr: "127.0.0.1:0", Handler: h, Logf: quietLogf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Close)
+		rts = append(rts, r)
+	}
+	for _, r := range rts {
+		for i, id := range ids {
+			r.SetPeer(id, rts[i].Addr())
+		}
+	}
+	params := func(seq proto.RPCSeq) []byte { return []byte(fmt.Sprintf("params of call %d", seq)) }
+	rts[2].Do(func() {
+		for seq := proto.RPCSeq(1); seq <= calls; seq++ {
+			if got := cl.Submit("echo", params(seq), 0, 0); got != seq {
+				t.Errorf("call numbered %d, want %d", got, seq)
+			}
+		}
+	})
+	if !waitFor(t, 10*time.Second, func() bool { mu.Lock(); defer mu.Unlock(); return len(got) == calls }) {
+		t.Fatalf("%d of %d results", len(got), calls)
+	}
+	rts[2].Do(func() {
+		for seq := proto.RPCSeq(1); seq <= calls; seq++ {
+			res, ok := cl.Result(seq)
+			if !ok || string(res.Output) != string(params(seq)) || res.Err != "" || res.Server != "sv" {
+				t.Errorf("the client holds call %d's result as %q (err %q, from %q), held %v", seq, res.Output, res.Err, res.Server, ok)
+			}
+		}
+	})
+	mu.Lock()
+	for _, res := range got {
+		if string(res.Output) != string(params(res.Call.Seq)) || res.Err != "" {
+			t.Errorf("call %d: result %q (err %q)", res.Call.Seq, res.Output, res.Err)
+		}
+	}
+	mu.Unlock()
+	// Ten envelopes more from the coordinator, nearly all of them the
+	// HeartbeatAcks that answer the server's beats with its member list.
+	sent := rts[0].TransportStats().Sent
+	if !waitFor(t, 10*time.Second, func() bool { return rts[0].TransportStats().Sent >= sent+10 }) {
+		t.Fatal("the coordinator went quiet")
+	}
+	rts[1].Do(func() {
+		if coords := sv.Coordinators(); !slices.Equal(coords, []proto.NodeID{"co"}) {
+			t.Errorf("the server's coordinator list is %q", coords)
 		}
 	})
 }

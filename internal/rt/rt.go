@@ -68,6 +68,7 @@ import (
 	"math/rand"
 	randv2 "math/rand/v2"
 	"net"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,6 +314,14 @@ func (r *Runtime) registerObs() {
 	reg.GaugeFunc("rpcv_transport_inbound_conns", func() float64 { return float64(r.inbound.Load()) }, nl)
 	r.obsBatch = reg.Histogram("rpcv_transport_batch_msgs", nl)
 	r.obsWrite = reg.Histogram("rpcv_store_write_latency_ns", nl)
+	// proto's pools are the process's: their misses carry no node label.
+	for _, m := range proto.PoolMisses() {
+		if m.Kind != "" {
+			reg.CounterFunc("rpcv_proto_message_pool_misses_total", m.Count, obs.L("kind", m.Kind))
+		} else {
+			reg.CounterFunc("rpcv_proto_payload_pool_misses_total", m.Count, obs.L("class", strconv.Itoa(m.Class)))
+		}
+	}
 	reg.CounterFunc("rpcv_loop_tasks_total", r.tasks.Load, nl)
 	reg.CounterFunc("rpcv_loop_handoffs_total", r.handoffs.Load, nl)
 	reg.GaugeFunc("rpcv_loop_mailbox_depth", func() float64 { return float64(len(r.mailbox)) }, nl)

@@ -405,20 +405,29 @@ func (s *Server) beat() {
 }
 
 func (s *Server) sendSync() {
-	tasks := sortedTaskIDs(s.unacked)
-	running := make([]proto.TaskID, 0, len(s.running)+len(s.backlog))
+	sync := proto.Blank[proto.ServerSync]()
+	sync.From = s.env.Self()
+	// Both lists travel non-nil, as they always have, when the struct
+	// brought no array for them.
+	if sync.Tasks == nil {
+		sync.Tasks = make([]proto.TaskID, 0, len(s.unacked))
+	}
+	if sync.Running == nil {
+		sync.Running = make([]proto.TaskID, 0, len(s.running)+len(s.backlog))
+	}
+	sync.Tasks = appendSortedTaskIDs(sync.Tasks, s.unacked)
 	for t, wanted := range s.running {
 		// A cancelled instance will never produce a result: claiming it
 		// alive would make a coordinator that still counts on it wait.
 		if wanted {
-			running = append(running, t)
+			sync.Running = append(sync.Running, t)
 		}
 	}
-	sortTaskIDs(running)
+	sortTaskIDs(sync.Running)
 	for i := range s.backlog {
-		running = append(running, s.backlog[i].Task)
+		sync.Running = append(sync.Running, s.backlog[i].Task)
 	}
-	s.env.Send(s.preferred, proto.Pooled(proto.ServerSync{From: s.env.Self(), Tasks: tasks, Running: running}))
+	s.env.Send(s.preferred, sync)
 }
 
 // retryBase is the first re-upload delay; it doubles per attempt up to
@@ -430,7 +439,7 @@ const (
 
 func (s *Server) retryUploads() {
 	now := s.env.Now()
-	for _, t := range sortedTaskIDs(s.unacked) {
+	for _, t := range appendSortedTaskIDs(make([]proto.TaskID, 0, len(s.unacked)), s.unacked) {
 		if now.Before(s.nextRetry[t]) {
 			continue
 		}
@@ -449,15 +458,15 @@ func (s *Server) bumpRetry(t proto.TaskID, now time.Time) {
 	s.nextRetry[t] = now.Add(d)
 }
 
-// sortedTaskIDs returns the map's keys in a stable order: protocol
+// appendSortedTaskIDs appends the map's keys in a stable order: protocol
 // actions must not depend on Go's randomized map iteration, or runs
 // stop being reproducible.
-func sortedTaskIDs[V any](m map[proto.TaskID]V) []proto.TaskID {
-	out := make([]proto.TaskID, 0, len(m))
+func appendSortedTaskIDs[V any](out []proto.TaskID, m map[proto.TaskID]V) []proto.TaskID {
+	n := len(out)
 	for t := range m {
 		out = append(out, t)
 	}
-	sortTaskIDs(out)
+	sortTaskIDs(out[n:])
 	return out
 }
 
@@ -492,10 +501,12 @@ func (s *Server) Receive(from proto.NodeID, msg proto.Message) {
 }
 
 // ForgetsMessages implements node.Forgetter: no handler keeps a message
-// struct it received or sent. An assignment is copied into its execution
-// or the backlog, and the coordinator list is merged into the server's
-// own. An unacknowledged result is kept by value (logged.res), and every
-// upload of it is a pooled copy.
+// struct it received or sent, nor one of their lists. An assignment is
+// copied out of the HeartbeatAck's Tasks into its execution or the
+// backlog, and the coordinator list is merged into the server's own. An
+// unacknowledged result is kept by value (logged.res), and every upload
+// of it is a pooled copy; a sync's lists are built in the arrays its
+// struct brought (proto.Blank).
 func (*Server) ForgetsMessages() {}
 
 func (s *Server) handleHeartbeatAck(from proto.NodeID, m *proto.HeartbeatAck) {

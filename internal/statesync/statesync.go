@@ -51,11 +51,11 @@ func MissingSeqs(floor, clientMax proto.RPCSeq, known []proto.RPCSeq) []proto.RP
 // TaskDiff computes the server↔coordinator peer-wise log comparison.
 // offered is the set of task results the server still holds; wanted
 // reports, for each offered task, whether the coordinator lacks a
-// result for its call. The returned resend list is what the server
-// must upload again; drop is what it may garbage-collect (the
+// result for its call. It appends to resend what the server must
+// upload again, and to drop what it may garbage-collect (the
 // coordinator already has a finished result for the call, possibly from
 // another instance or another server).
-func TaskDiff(offered []proto.TaskID, wanted func(proto.CallID) bool) (resend, drop []proto.TaskID) {
+func TaskDiff(resend, drop, offered []proto.TaskID, wanted func(proto.CallID) bool) ([]proto.TaskID, []proto.TaskID) {
 	seen := make(map[proto.CallID]bool, len(offered))
 	sorted := append([]proto.TaskID(nil), offered...)
 	sort.Slice(sorted, func(i, j int) bool {

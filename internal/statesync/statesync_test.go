@@ -93,7 +93,7 @@ func TestTaskDiff(t *testing.T) {
 		task("b", 1, 1, 1),
 	}
 	finished := map[proto.CallID]bool{call("b", 1, 1): true}
-	resend, drop := TaskDiff(offered, func(c proto.CallID) bool { return !finished[c] })
+	resend, drop := TaskDiff(nil, nil, offered, func(c proto.CallID) bool { return !finished[c] })
 
 	if len(resend) != 2 {
 		t.Fatalf("resend = %v, want 2 entries", resend)
@@ -117,7 +117,7 @@ func TestTaskDiffPartition(t *testing.T) {
 		for i, r := range raw {
 			offered[i] = task("u", 1, int(r%8)+1, int(r/8)%4)
 		}
-		resend, drop := TaskDiff(offered, func(c proto.CallID) bool { return c.Seq%2 == 1 })
+		resend, drop := TaskDiff(nil, nil, offered, func(c proto.CallID) bool { return c.Seq%2 == 1 })
 		if len(resend)+len(drop) != len(offered) {
 			return false
 		}

@@ -226,11 +226,16 @@ func BenchmarkLargeCallAllocs(b *testing.B) {
 	b.ReportMetric(0, "ns/op") // an iteration is 200 calls; allocation is the point
 }
 
-// smallCallGrid is collectGrid with one-second beats and polls: a 64 B
-// call takes about a millisecond, and timers that fire every 20 ms would
-// add a tenth of what the call itself allocates.
+// smallCallGrid is collectGrid with the benchmark's 20 ms beats and
+// polls. Each poll lets the calls its Ack passed go, so the tables that
+// hold calls in flight — the job table, the memory store's map, the
+// collection lists — stay at a few polls' worth of calls, which the
+// warm-up already spans: a window of calls grows none of them. With
+// one-second polls a window's calls piled up between two polls, and a
+// process read one of two modes, 2.05 or 2.55 KB a call, by where its
+// windows fell against the polls.
 func smallCallGrid(tb testing.TB) *tcpGrid {
-	g := bootTCPGrid(tb, tcpGridSpec{user: "small", period: time.Second, timeout: 10 * time.Second,
+	g := bootTCPGrid(tb, tcpGridSpec{user: "small", period: busyBeat, timeout: 10 * time.Second,
 		servers: 2, parallelism: 16, services: shared.BuiltinServices()})
 	tb.Cleanup(g.close)
 	return g
@@ -238,9 +243,8 @@ func smallCallGrid(tb testing.TB) *tcpGrid {
 
 // smallCallLimit is about 10 % over what a 64 B echo call allocated
 // end to end when the guard was last tightened (TestSmallCallAllocations,
-// the least of three windows): 2.55 KB in about half the runs, 2.05 KB
-// in the others.
-const smallCallLimit = 2800
+// the least of three windows): 1.69 to 1.71 KB in each of ten runs.
+const smallCallLimit = 1870
 
 // TestSmallCallAllocations is the guard for a 64 B call, whose bytes are
 // nearly all per envelope: a call is seven of them, and each costs its
@@ -256,16 +260,13 @@ const smallCallLimit = 2800
 // nothing either: a reply, a log completion, a delete or an execution
 // takes no closure, and each log entry's key is built once. Nor does an
 // edge: CallAsync, the scheduler's queue and Offload take pooled or
-// reused entries, and the client keeps a result where it arrived.
-// Before, a call read about 6.2 KB here, then 4.6 KB, 3.8 KB, 3.4 KB
-// and 2.9 KB.
+// reused entries. Nor do a message's lists: an assignment's tasks, a
+// push's or a poll's results are read into, or built in, the arrays
+// their struct kept from its last message.
+// Before, a call read about 6.2 KB here, then 4.6 KB, 3.8 KB, 3.4 KB,
+// 2.9 KB and, with one-second polls, 2.05 KB (see smallCallGrid).
 //
-// The reading is the least of three windows. With one-second polls the
-// calls of a window pile up between two of them, and the tables that
-// hold them (the job table, the memory store's map, the collection
-// lists) grow; on a loaded box more pile up than the warm-up held, and
-// the window that first takes the tables past their peak pays for the
-// growth.
+// The reading is the least of three windows.
 func TestSmallCallAllocations(t *testing.T) {
 	if raceBuild {
 		t.Skip("allocation guard: the race detector's sync.Pool drops buffers")
