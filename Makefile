@@ -43,8 +43,10 @@
 #                   runs on a copy of internal/proto, restarted every
 #                   60 s and after a failure, so the inputs it fails on
 #                   are listed at the end, not added to the tree under
-#                   test; they and the rounds' logs stay under
-#                   $TMPDIR/rpcv-stress
+#                   test (the copy starts without the committed seeds,
+#                   which the rounds' own runs check, so that only new
+#                   finds are listed); they and the rounds' logs stay
+#                   under $TMPDIR/rpcv-stress
 
 GO ?= go
 
@@ -110,6 +112,7 @@ stress:
 	mkdir -p $(STRESS_DIR)/src/internal $(STRESS_DIR)/crashers
 	cp go.mod $(STRESS_DIR)/src/
 	cp -r internal/proto $(STRESS_DIR)/src/internal/
+	rm -rf $(STRESS_DIR)/src/internal/proto/testdata/fuzz
 	@(cd $(STRESS_DIR)/src/internal/proto && while [ ! -e $(STRESS_DIR)/stop ]; do \
 		$(GO) test -run '^$$' -fuzz '^FuzzCodecRoundTrip$$' -fuzztime 60s -fuzzminimizetime 1s -parallel 1 . >> $(STRESS_DIR)/fuzz.log 2>&1; \
 		if [ -d testdata/fuzz ]; then mv testdata/fuzz/FuzzCodecRoundTrip/* $(STRESS_DIR)/crashers/; rm -rf testdata/fuzz; fi; \

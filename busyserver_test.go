@@ -47,6 +47,7 @@ type tcpGrid struct {
 
 	mu       sync.Mutex
 	suspects []string // every log line of any node that mentions a suspicion
+	corrupt  []string // every log line of any node that mentions a corrupt record
 }
 
 type tcpGridSpec struct {
@@ -66,13 +67,24 @@ type tcpGridSpec struct {
 	coObs  *obs.Observer
 }
 
-// logf keeps the nodes quiet but remembers suspicions.
+// logf keeps the nodes quiet but remembers suspicions and corrupt
+// records.
 func (g *tcpGrid) logf(format string, args ...any) {
-	if line := fmt.Sprintf(format, args...); strings.Contains(line, "suspect") {
-		g.mu.Lock()
+	line := fmt.Sprintf(format, args...)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	switch {
+	case strings.Contains(line, "suspect"):
 		g.suspects = append(g.suspects, line)
-		g.mu.Unlock()
+	case strings.Contains(line, "corrupt"):
+		g.corrupt = append(g.corrupt, line)
 	}
+}
+
+func (g *tcpGrid) corruptions() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]string(nil), g.corrupt...)
 }
 
 func (g *tcpGrid) suspicions() []string {

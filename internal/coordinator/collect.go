@@ -246,11 +246,14 @@ type mark struct {
 // gone is a call gone from the job table: its record, and the key it
 // has on the disk until its delete has gone through. give says that the
 // record's payloads — the disk's blobs too, until then — go back to the
-// runtime once it has.
+// runtime once it has. header is what the key held when its delete was
+// staged, which goes back to proto's pool once the delete has gone
+// through, whatever give says: the disk held it alone.
 type gone struct {
-	rec  *proto.JobRecord
-	key  string
-	give bool
+	rec    *proto.JobRecord
+	key    string
+	give   bool
+	header []byte
 }
 
 // markWrite is a watermark write staged: the session, and the watermark
@@ -348,20 +351,23 @@ func (c *Coordinator) markWritten(err error) {
 // header names. Whatever fails puts the call back with the garbage; the
 // retry is as idempotent as the pass.
 func (c *Coordinator) deleteJob(g gone) {
+	g.header, _ = c.env.Disk().Read(g.key)
 	c.gc.deleting.Push(g)
-	if err := jobs.Remove(c.env, g.key, c.gc.deleted); err != nil {
+	if err := jobs.Remove(c.env, g.key, g.header, c.gc.deleted); err != nil {
 		c.deleteFailed(c.gc.deleting.Unpush(), err)
 	}
 }
 
 // jobDeleted completes the oldest delete staged. Its call is gone from
-// the table and now from the disk: its payloads are given back.
+// the table and now from the disk: its header and its payloads are
+// given back.
 func (c *Coordinator) jobDeleted(err error) {
 	g := c.gc.deleting.Pop()
 	if err != nil {
 		c.deleteFailed(g, err)
 		return
 	}
+	proto.ReleasePayload(g.header)
 	if g.give {
 		c.giveBack(g.rec.Params)
 		c.giveBack(g.rec.Output)
@@ -374,7 +380,7 @@ func (c *Coordinator) jobDeleted(err error) {
 // share an array the runtime reuses.
 func (c *Coordinator) deleteFailed(g gone, err error) {
 	c.env.Logf("coordinator: collect job %s: %v", g.rec.Call, err)
-	g.give = false
+	g.give, g.header = false, nil // the retry reads what the disk holds then
 	c.gc.jobs = append(c.gc.jobs, g)
 	c.sweep()
 }

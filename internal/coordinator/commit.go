@@ -58,7 +58,7 @@ type commitGate struct {
 	node.Env
 
 	staged, committed uint64 // headers staged, and completed, so far
-	headers           fifo.Queue[proto.CallID]
+	headers           fifo.Queue[stagedHeader]
 	held              fifo.Queue[effect]
 
 	// failed reports a header whose write failed; idle hears that no
@@ -69,6 +69,15 @@ type commitGate struct {
 	done   func(err error)
 
 	m *coordMetrics // the coordinator's, where the held replies are counted
+}
+
+// stagedHeader is a header staged: its call, and the header it replaces
+// on the disk (nil: none), which goes back to proto's pool once the new
+// one has committed — the store then holds it no more (node.Disk) — and
+// never when the write fails.
+type stagedHeader struct {
+	call     proto.CallID
+	replaced []byte
 }
 
 // effect is one held reply.
@@ -121,10 +130,10 @@ func awaitsCommit(msg proto.Message) (kind int, wait bool) {
 // noteHeld refreshes the gauge of the replies held.
 func (g *commitGate) noteHeld() { g.m.repliesHeldNow.SetInt(g.held.Len()) }
 
-// stage notes that call's header is being staged, with done as its
-// completion.
-func (g *commitGate) stage(call proto.CallID) {
-	g.headers.Push(call)
+// stage notes that call's header is being staged over replaced, with
+// done as its completion.
+func (g *commitGate) stage(call proto.CallID, replaced []byte) {
+	g.headers.Push(stagedHeader{call: call, replaced: replaced})
 	g.staged++
 }
 
@@ -132,20 +141,22 @@ func (g *commitGate) stage(call proto.CallID) {
 // already, and the header was never written.
 func (g *commitGate) unstage(err error) {
 	g.staged--
-	g.failed(g.headers.Unpush(), err)
+	g.failed(g.headers.Unpush().call, err)
 	g.withhold()
 }
 
 // commit is the completion of the oldest header still staged: it
-// releases the replies that waited for it, or withholds them.
+// releases the replies that waited for it, or withholds them, and gives
+// back the header it replaced.
 func (g *commitGate) commit(err error) {
-	call := g.headers.Pop()
+	h := g.headers.Pop()
 	g.committed++
 	if err != nil {
-		g.failed(call, err)
+		g.failed(h.call, err)
 		g.withhold()
 		return
 	}
+	proto.ReleasePayload(h.replaced)
 	for g.held.Len() > 0 && g.held.Front().seq <= g.committed {
 		e := g.held.Pop()
 		g.Env.Send(e.to, e.msg)

@@ -544,7 +544,7 @@ func (c *Coordinator) loadStore() {
 					c.env.Logf("coordinator: remove corrupt job record %s: %v", key, err)
 				}
 			}
-			if err := jobs.Remove(c.env, key, removed); err != nil {
+			if err := jobs.Remove(c.env, key, e.Data, removed); err != nil {
 				removed(err)
 			}
 			continue
@@ -593,9 +593,10 @@ func (c *Coordinator) persistJob(rec *proto.JobRecord) {
 	header, params, output := proto.EncodeJobHeader(rec)
 	// What collection left for the disk rides this header's commit.
 	c.flushGarbage()
-	c.gate.stage(rec.Call)
 	e := msglog.Entry{Key: c.store.Key(rec.Call, jobKey), Data: header, Blobs: [2][]byte{params, output}}
-	if err := jobs.Stage(c.env, e, c.gate.done); err != nil {
+	held, _ := c.env.Disk().Read(e.Key)
+	c.gate.stage(rec.Call, held)
+	if err := jobs.Stage(c.env, e, held, c.gate.done); err != nil {
 		c.gate.unstage(err)
 	}
 }

@@ -72,18 +72,24 @@ func (e *PayloadError) Unwrap() error { return e.Err }
 // Stage stores e on env's disk without waiting: each payload whose key
 // does not hold those bytes yet — once, however often the header is
 // rewritten — then the header, then the deletes of the payloads the
-// header it replaces named and it does not. A payload write already
-// known to have failed stages no header: Stage returns that
-// *PayloadError and never calls done. Otherwise done gets the header's
-// outcome, or a payload's failure — a header without its payload is not
-// stored.
-func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
+// header it replaces, held, named and it does not. held is what e.Key
+// holds now (the disk's Read; nil: nothing), which the caller reads
+// before it queues done's turn, and gives back (proto.ReleasePayload)
+// once done reports success: the store then holds it no more. A payload
+// write already known to have failed stages no header: Stage returns
+// that *PayloadError and never calls done, and held stays stored.
+// Otherwise done gets the header's outcome, or a payload's failure — a
+// header without its payload is not stored.
+func (s Shelf) Stage(env node.Env, e Entry, held []byte, done func(error)) error {
 	failed, err := s.stageBlobs(env, e)
 	if err != nil {
 		return err
 	}
+	// Read held now: a disk that does not batch completes the header's
+	// write within the staging call, and the owner may give held back
+	// there.
+	stale := proto.NamedPayloads(held) &^ proto.NamedPayloads(e.Data)
 	disk := env.Disk()
-	old, _ := disk.Read(e.Key)
 	if failed == nil {
 		node.WriteAsync(disk, e.Key, e.Data, done)
 	} else {
@@ -95,7 +101,7 @@ func (s Shelf) Stage(env node.Env, e Entry, done func(error)) error {
 		})
 	}
 	// A failure is logged there; Sweep makes up for it.
-	_, _ = s.removeBlobs(env, s.name(e.Key), proto.NamedPayloads(old)&^proto.NamedPayloads(e.Data))
+	_, _ = s.removeBlobs(env, s.name(e.Key), stale)
 	return nil
 }
 
@@ -157,18 +163,18 @@ func (s Shelf) Load(disk node.Disk, name string) (Entry, bool) {
 	return e, true
 }
 
-// Remove deletes the entry under key, staged where the disk batches: the
-// payloads its header names and then the header, all at once — staging
-// order is commit order, so a crash in between leaves a header its
-// decoder refuses, never a payload nothing names. done gets the header's
-// outcome, or a payload's failure: a nil says the whole entry is gone
-// from the disk. A payload whose delete is already known to have failed
-// keeps the header: Remove returns that failure and never calls done, so
-// that done, bound once by an owner that removes many entries, completes
-// them in the order they were removed.
-func (s Shelf) Remove(env node.Env, key string, done func(error)) error {
-	data, _ := env.Disk().Read(key)
-	failed, err := s.removeBlobs(env, s.name(key), proto.NamedPayloads(data))
+// Remove deletes the entry under key, whose header is held (the disk's
+// Read), staged where the disk batches: the payloads the header names
+// and then the header, all at once — staging order is commit order, so
+// a crash in between leaves a header its decoder refuses, never a
+// payload nothing names. done gets the header's outcome, or a payload's
+// failure: a nil says the whole entry is gone from the disk, and held
+// may go back (proto.ReleasePayload). A payload whose delete is already
+// known to have failed keeps the header: Remove returns that failure and
+// never calls done, so that done, bound once by an owner that removes
+// many entries, completes them in the order they were removed.
+func (s Shelf) Remove(env node.Env, key string, held []byte, done func(error)) error {
+	failed, err := s.removeBlobs(env, s.name(key), proto.NamedPayloads(held))
 	if err != nil {
 		return err
 	}
@@ -188,8 +194,9 @@ func (s Shelf) Remove(env node.Env, key string, done func(error)) error {
 // Remover removes entries from a shelf with no callback per entry: the
 // completion of every delete it stages is one callback, bound once, over
 // a queue of the removals staged — a disk completes its writes and
-// deletes in the order they were staged. failed hears of each entry
-// whose delete failed, which stays on the disk.
+// deletes in the order they were staged. An entry's header goes back to
+// proto's pool once its delete has gone through. failed hears of each
+// entry whose delete failed, which stays on the disk, header and all.
 type Remover struct {
 	env    node.Env
 	shelf  Shelf
@@ -198,11 +205,12 @@ type Remover struct {
 	done   func(error)
 }
 
-// removal is one entry's removal staged: its key, and the payload given
-// back once it has gone through.
+// removal is one entry's removal staged: its key, and the payload and
+// the header given back once it has gone through.
 type removal struct {
-	key  string
-	give []byte
+	key    string
+	give   []byte
+	header []byte
 }
 
 // NewRemover returns a Remover of shelf's entries on env's disk.
@@ -219,8 +227,9 @@ func NewRemover(env node.Env, shelf Shelf, failed func(key string, err error)) *
 // is gone from the disk, and never when the removal fails, since the
 // disk may then still hold it.
 func (r *Remover) Remove(key string, give []byte) {
-	r.staged.Push(removal{key: key, give: give})
-	if err := r.shelf.Remove(r.env, key, r.done); err != nil {
+	header, _ := r.env.Disk().Read(key)
+	r.staged.Push(removal{key: key, give: give, header: header})
+	if err := r.shelf.Remove(r.env, key, header, r.done); err != nil {
 		r.failed(r.staged.Unpush().key, err)
 	}
 }
@@ -235,6 +244,7 @@ func (r *Remover) removed(err error) {
 	if rm.give != nil {
 		node.Release(r.env, rm.give)
 	}
+	proto.ReleasePayload(rm.header)
 }
 
 // removeBlobs deletes, of the payloads in named, those the disk holds

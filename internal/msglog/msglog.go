@@ -82,7 +82,15 @@
 //   - Shelf.Sweep, which every owner runs at recovery, deletes the
 //     payloads no header names;
 //   - Log.Release is the first half of a Remove on purpose: it gives the
-//     sender its bytes back and keeps the key.
+//     sender its bytes back and keeps the key;
+//   - a header goes back to proto's pool (proto.ReleasePayload) once the
+//     write that replaced it or the delete that removed it has completed
+//     — never at staging, and never after a failed or torn write or
+//     delete: node.Disk promises that the store then holds it no more.
+//     The owner carries it on the queue that completes the write or the
+//     delete (Log's batched writes, Remover, the coordinator's commit
+//     gate and collection), having read it before staging, since a disk
+//     that does not batch completes within the staging call.
 package msglog
 
 import (
@@ -279,8 +287,11 @@ func (l *Log) LogAndSend(dst proto.NodeID, msg proto.Message, entry Entry, done 
 // completion callback (non-blocking pessimistic — the commit overlaps
 // the communication exactly as the paper describes).
 func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry, done func()) {
-	l.added(entry.Key)
-	p := pendingWrite{key: entry.Key}
+	held, ok := l.env.Disk().Read(entry.Key)
+	if !ok {
+		l.n++
+	}
+	p := pendingWrite{key: entry.Key, held: held}
 	switch l.strategy {
 	case Optimistic:
 		// Send now; the group commit makes the entry durable shortly
@@ -298,7 +309,7 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 		p.done = done
 	}
 	l.writing.Push(p)
-	if err := Messages.Stage(l.env, entry, l.written); err != nil {
+	if err := Messages.Stage(l.env, entry, held, l.written); err != nil {
 		// A write known to have failed at once still completes in its
 		// turn: behind the writes staged before it, as the disk completes
 		// them, and at once when there are none.
@@ -315,10 +326,12 @@ func (l *Log) logAndSendBatched(dst proto.NodeID, msg proto.Message, entry Entry
 
 // pendingWrite is an entry whose batched write has yet to complete, and
 // what its strategy does then: send msg to dst (blocking pessimistic),
-// and complete the operation (both pessimistic strategies). failed is
-// the error of a write that failed at once, which no disk completes.
+// and complete the operation (both pessimistic strategies). held is the
+// header the write replaces, given back once it has gone through. failed
+// is the error of a write that failed at once, which no disk completes.
 type pendingWrite struct {
 	key    string
+	held   []byte
 	dst    proto.NodeID
 	msg    proto.Message
 	done   func()
@@ -345,6 +358,8 @@ func (l *Log) completeFailed() {
 func (l *Log) complete(p pendingWrite, err error) {
 	if err != nil {
 		l.env.Logf("msglog: write %s: %v", p.key, err)
+	} else {
+		proto.ReleasePayload(p.held)
 	}
 	// An entry that never became durable withholds a blocking send:
 	// sending anyway would silently abandon durability-before-send, the

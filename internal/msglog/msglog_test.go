@@ -1,6 +1,7 @@
 package msglog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -446,17 +447,18 @@ func TestCompletionsInStagingOrder(t *testing.T) {
 func TestEntryOrderOnTheDisk(t *testing.T) {
 	env := &batchEnv{disk: newFakeBatchDisk()}
 	big, small := submitOf(1, 64<<10), submitOf(2, 64)
-	if err := Messages.Stage(env, EntryOf("log/1", big), func(error) {}); err != nil {
+	if err := Messages.Stage(env, EntryOf("log/1", big), nil, func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := Messages.Write(env, EntryOf("log/2", big)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Messages.Stage(env, EntryOf("log/3", small), func(error) {}); err != nil {
+	if err := Messages.Stage(env, EntryOf("log/3", small), nil, func(error) {}); err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"log/1", "log/2", "log/3"} {
-		Messages.Remove(env, key, func(error) {})
+		held, _ := env.disk.Read(key)
+		Messages.Remove(env, key, held, func(error) {})
 	}
 	want := []string{
 		"w blob/log/1", "w log/1", "w blob/log/2", "w log/2", "w log/3",
@@ -554,5 +556,73 @@ func TestCrashOracle(t *testing.T) {
 			func(at string, disk node.Disk, r crashRun, onlyACut bool) {
 				checkRecovered(t, fmt.Sprintf("%v, %s", strategy, at), disk, r, onlyACut && pessimistic)
 			})
+	}
+}
+
+// The log's half of the give-back order (the coordinator's job table is
+// the other, TestHeadersGoBackOnlyOnceTheStoreLetGo): a logged header
+// that a relog of its key replaces, or that Drop removes, keeps its
+// bytes until that write or delete has completed, however many entries
+// are encoded meanwhile, and a failed or torn write and a failed delete
+// give nothing back. A header given back early is drawn from proto's
+// pool by the encodes in between and written over, in every build.
+func TestLoggedHeadersGoBackOnlyOnceTheStoreLetGo(t *testing.T) {
+	d := nodetest.NewHandDisk()
+	l := New(nodetest.NewEnv("src", d), Config{Strategy: NonBlockingPessimistic})
+	key := l.Key("1")
+	logged := func(seq int) {
+		l.LogAndSend("dst", submitOf(seq, 64), EntryOf(key, submitOf(seq, 64)), nil)
+	}
+	held := func() (v, now []byte) {
+		v, ok := d.Data[key]
+		if !ok {
+			t.Fatalf("%s is not on the disk", key)
+		}
+		return v, bytes.Clone(v)
+	}
+	intact := func(header, want []byte, what string) {
+		t.Helper()
+		for n := range 512 { // entries of every size around the one under test
+			EntryOf(l.Key("churn"), submitOf(n+10, n))
+		}
+		if !bytes.Equal(header, want) {
+			t.Fatalf("a header %s was given back: its bytes changed", what)
+		}
+	}
+
+	logged(1)
+	d.Complete()
+	first, want := held()
+	logged(2)
+	intact(first, want, "that a staged relog replaced")
+	d.Complete()
+
+	for seq, fault := range []string{3: "fail", 4: "torn"} {
+		if fault == "" {
+			continue
+		}
+		replaced, want := held()
+		d.Faults[key] = fault
+		logged(seq)
+		d.Complete()
+		intact(replaced, want, "that a relog replaced ("+fault+")")
+	}
+
+	logged(5)
+	d.Complete()
+	last, want := held()
+	l.Drop(key)
+	intact(last, want, "whose staged drop had not completed")
+	d.Complete()
+
+	logged(6)
+	d.Complete()
+	last, want = held()
+	d.Faults[key] = "fail"
+	l.Drop(key)
+	d.Complete()
+	intact(last, want, "whose drop failed")
+	if v, ok := d.Data[key]; !ok || &v[0] != &last[0] {
+		t.Fatal("the header whose drop failed is not on the disk as it was")
 	}
 }

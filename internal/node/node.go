@@ -89,6 +89,24 @@ type Env interface {
 // own table, once in the store. Every writer hands over a buffer it
 // has just encoded or just received and never touches again, so the
 // copies bought nothing. store.Checked enforces the rule in tests.
+//
+// Ownership also comes back. Once a later write or delete of a key has
+// completed — Write or Delete returned nil, or the done of WriteAsync or
+// DeleteAsync ran with nil — the store holds no reference to the value
+// it replaced: no read serves it again, and no batch, snapshot or
+// history of the store's reads its bytes. The writer may then reuse
+// that slice; the owners of the job table and the message logs give
+// their headers back to proto's pool there (internal/msglog's order
+// rules). Until that completion the store may still read the old value
+// — a staged write is not yet committed — and after a failed or torn
+// one it may hold it for good. Every Disk in the tree keeps this: the
+// memory store and the simulator's drop the slice at the call; the WAL
+// at staging from its index, and from its in-flight batch by the commit
+// that completes the call, while a snapshot freezes a copy of its own; a
+// wrapper — store.Checked, store.WithFaults (whose torn write keeps a
+// prefix of the new value, never the old one), a test's power cut —
+// keeps no value its engine dropped, and a test double that keeps
+// history keeps copies.
 type Disk interface {
 	// Write durably stores value under key, replacing any previous
 	// value. It takes ownership of value (see above).

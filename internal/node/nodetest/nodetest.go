@@ -4,6 +4,7 @@
 package nodetest
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -98,11 +99,18 @@ func (e *Env) Reboot(disk node.Disk) {
 // delete asked for, so a first, uncut run sizes the sweep of a second;
 // Off says that one has been swallowed — whatever the handler does from
 // then on, the process it models did not live to do.
+//
+// A synchronous write or delete it swallows has completed, as far as
+// the dying process knows, and node.Disk promises that the value it
+// replaced is then the writer's again, to reuse: the process's reads of
+// that key are served what it wrote, never the store's slice beneath.
 type PowerCut struct {
 	store.Store
 	Left int
 	Ops  int
 	Off  bool
+
+	swallowed map[string][]byte // by key, what a swallowed Write wrote; nil: a Delete
 }
 
 func (c *PowerCut) gone() bool {
@@ -120,6 +128,10 @@ func (c *PowerCut) gone() bool {
 
 func (c *PowerCut) Write(key string, value []byte) error {
 	if c.gone() {
+		if value == nil {
+			value = []byte{} // nil is a Delete's
+		}
+		c.swallow(key, value)
 		return nil
 	}
 	return c.Store.Write(key, value)
@@ -127,9 +139,25 @@ func (c *PowerCut) Write(key string, value []byte) error {
 
 func (c *PowerCut) Delete(key string) error {
 	if c.gone() {
+		c.swallow(key, nil)
 		return nil
 	}
 	return c.Store.Delete(key)
+}
+
+// swallow notes what the dying process was told it stored under key.
+func (c *PowerCut) swallow(key string, value []byte) {
+	if c.swallowed == nil {
+		c.swallowed = make(map[string][]byte)
+	}
+	c.swallowed[key] = value
+}
+
+func (c *PowerCut) Read(key string) ([]byte, bool) {
+	if v, ok := c.swallowed[key]; ok {
+		return v, v != nil
+	}
+	return c.Store.Read(key)
 }
 
 func (c *PowerCut) WriteAsync(key string, value []byte, done func(error)) {
@@ -369,4 +397,84 @@ func (b *batchDisk) settle() {
 	}
 	b.hand()
 	_ = b.log.Sync() // a barrier only: a broken log has completed what it failed
+}
+
+// HandDisk is a node.BatchDisk whose staged writes and deletes complete
+// only when the test runs them (Complete), oldest first. Like every
+// engine it keeps the very slices it is handed and applies an operation
+// at staging, so that a read sees it at once. A key armed in Faults has
+// its next staged operation fail: a failed write ("fail") still replaces
+// the value, a torn one ("torn") with the first half of the new value,
+// and a failed delete leaves the key.
+type HandDisk struct {
+	Data    map[string][]byte
+	Faults  map[string]string
+	pending []func()
+}
+
+// ErrHandFault is what an operation HandDisk.Faults armed completes with.
+var ErrHandFault = errors.New("nodetest: injected fault")
+
+var _ node.BatchDisk = (*HandDisk)(nil)
+
+// NewHandDisk returns an empty HandDisk.
+func NewHandDisk() *HandDisk {
+	return &HandDisk{Data: map[string][]byte{}, Faults: map[string]string{}}
+}
+
+func (d *HandDisk) Write(key string, v []byte) error { d.Data[key] = v; return nil }
+func (d *HandDisk) Delete(key string) error          { delete(d.Data, key); return nil }
+func (d *HandDisk) Sync() error                      { return nil }
+func (d *HandDisk) Read(key string) ([]byte, bool)   { v, ok := d.Data[key]; return v, ok }
+
+func (d *HandDisk) Keys(prefix string) []string {
+	var keys []string
+	for k := range d.Data {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// fault takes the fault armed for key, if any.
+func (d *HandDisk) fault(key string) string {
+	f := d.Faults[key]
+	delete(d.Faults, key)
+	return f
+}
+
+func (d *HandDisk) WriteAsync(key string, v []byte, done func(error)) {
+	var err error
+	switch d.fault(key) {
+	case "fail":
+		err = ErrHandFault
+	case "torn":
+		v, err = v[:len(v)/2], ErrHandFault
+	}
+	d.Data[key] = v
+	d.pending = append(d.pending, func() { done(err) })
+}
+
+func (d *HandDisk) DeleteAsync(key string, done func(error)) {
+	var err error
+	if d.fault(key) != "" {
+		err = ErrHandFault
+	} else {
+		delete(d.Data, key)
+	}
+	d.pending = append(d.pending, func() { done(err) })
+}
+
+// Complete runs the completions of everything staged so far, and of
+// what they stage in turn.
+func (d *HandDisk) Complete() {
+	for len(d.pending) > 0 {
+		run := d.pending
+		d.pending = nil
+		for _, fn := range run {
+			fn()
+		}
+	}
 }

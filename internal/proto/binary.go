@@ -30,6 +30,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,9 +139,9 @@ func kindOf(msg Message) uint8 {
 
 // EncodeBuffer is a pooled scratch buffer for a small encoding: a
 // storage encoder borrows one, appends into B and copies the result out
-// at its exact length (encodeSized), so steady-state encodes allocate
-// only what they return. Wire frames do not come from the pool: each
-// sender keeps its own Frames.
+// into a pooled buffer of its size class (encodeSized), so steady-state
+// encodes allocate nothing that their owners give back. Wire frames do
+// not come from the pool: each sender keeps its own Frames.
 type EncodeBuffer struct{ B []byte }
 
 var bufferPool = sync.Pool{New: func() any { return &EncodeBuffer{B: make([]byte, 0, scratchBuffer)} }}
@@ -170,23 +171,30 @@ func PutBuffer(b *EncodeBuffer) {
 // ---------------------------------------------------------------------
 
 // A payload the wire decoder reads, from BlobMin bytes up to
-// maxPooledBuffer, is read into a buffer from payloadPools, and
-// ReleasePayload gives one back once its holder is done with it (the
-// runtime, for a handler that gave it up: node.Releaser says who does
-// and when). Storage decodes — blobs, log entries, job records — never
-// draw from the pools: what they return is kept.
+// maxPooledBuffer, is read into a buffer from payloadPools, and so is
+// every storage encoding of up to scratchMax bytes copied out of its
+// scratch buffer (encodeSized): a job header, a log entry. ReleasePayload
+// gives one back once its holder is done with it — the runtime, for a
+// handler that gave a payload up (node.Releaser says who does and when),
+// and the owner of a stored header once the store has let go of it
+// (node.Disk says when that is). Storage decodes — blobs, log entries,
+// job records — never draw from the pools: what they return is kept.
 //
 // A buffer's capacity is its size class: Go's own size classes up to
 // 32 KiB, whole 8 KiB pages above — exactly what the allocator rounds a
-// make of the same length up to. So a pooled payload that is kept for
-// good (the coordinator's record, a client's result) costs no more than
-// a make would have, and a released one fits every later payload of
-// its class.
+// make of the same length up to, and what an append onto nil gets. So a
+// pooled buffer that is kept for good (the coordinator's record, a
+// client's result, a header that stays stored) costs no more than a
+// make would have, and a released one fits every later buffer of its
+// class.
 var payloadPools [len(smallPayloadClasses) + (maxPooledBuffer-maxSmallPayload)/payloadPage]sync.Pool // of *payloadBuf
 
-// smallPayloadClasses are the runtime's size classes from BlobMin to
-// maxSmallPayload (runtime/sizeclasses.go).
-var smallPayloadClasses = [...]int{4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240,
+// smallPayloadClasses are the runtime's size classes up to
+// maxSmallPayload (runtime/sizeclasses.go); the wire reads into those
+// from BlobMin up (pooledPayload), storage encodes into all of them.
+var smallPayloadClasses = [...]int{8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280, 1408, 1536, 1792, 2048,
+	2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528, 6784, 6912, 8192, 9472, 9728, 10240,
 	10880, 12288, 13568, 14336, 16384, 18432, 19072, 20480, 21760, 24576, 27264, 28672, 32768}
 
 const (
@@ -201,18 +209,15 @@ type payloadBuf struct{ b []byte }
 
 var payloadBufs sync.Pool // of *payloadBuf, empty
 
-// payloadMisses counts, per class, the payloads getPayload found no
-// pooled buffer for (PoolMisses).
+// payloadMisses counts, per class, the buffers getPayload found no
+// pooled one for (PoolMisses).
 var payloadMisses [len(payloadPools)]atomic.Uint64
 
 // payloadClass is the index of the smallest class that holds n bytes,
-// BlobMin <= n <= maxPooledBuffer.
+// 0 < n <= maxPooledBuffer.
 func payloadClass(n int) int {
 	if n <= maxSmallPayload {
-		i := 0
-		for smallPayloadClasses[i] < n {
-			i++
-		}
+		i, _ := slices.BinarySearch(smallPayloadClasses[:], n)
 		return i
 	}
 	return len(smallPayloadClasses) + (n-maxSmallPayload+payloadPage-1)/payloadPage - 1
@@ -227,11 +232,12 @@ func payloadClassCap(c int) int {
 }
 
 // pooledPayload reports whether a payload of n bytes is read into a
-// pooled buffer on the wire.
+// pooled buffer on the wire. A smaller one is read into a make: the
+// handlers keep those, and give back only what they are sure of.
 func pooledPayload(n uint64) bool { return n >= BlobMin && n <= maxPooledBuffer }
 
-// getPayload returns a buffer of n bytes, pooled or fresh, to be
-// overwritten whole.
+// getPayload returns a buffer of n bytes, 0 < n <= maxPooledBuffer,
+// pooled or fresh, to be overwritten whole.
 func getPayload(n int) []byte {
 	c := payloadClass(n)
 	if pb, _ := payloadPools[c].Get().(*payloadBuf); pb != nil {
@@ -244,14 +250,17 @@ func getPayload(n int) []byte {
 	return make([]byte, n, payloadClassCap(c))
 }
 
-// ReleasePayload hands b, a payload a WireDecoder returned, back for a
-// later frame's payload to be read into. The caller gives up b and
-// every slice of its array: nothing may read or write them after.
-// A slice whose capacity is not a class's — under BlobMin, over
-// maxPooledBuffer, or not from the wire — is left to the collector.
+// ReleasePayload hands b back for a later buffer of its class to be
+// read or encoded into: a payload a WireDecoder returned, or a storage
+// encoding (EncodeJobHeader, EncodeLogged, EncodeMessage) the store has
+// let go of. The caller gives up b and every slice of its array:
+// nothing may read or write them after, and no other slice may reach
+// past b's capacity into the same array. A slice whose capacity is not a
+// class's — over maxPooledBuffer, or a make of another length — is left
+// to the collector.
 func ReleasePayload(b []byte) {
 	n := cap(b)
-	if !pooledPayload(uint64(n)) {
+	if n == 0 || n > maxPooledBuffer {
 		return
 	}
 	c := payloadClass(n)
@@ -757,13 +766,17 @@ func (r *binReader) varintFill() {
 	}
 }
 
+// uvarint and varint read only the minimal form of a varint, the one
+// every writer emits: a longer one — a last group of 0x00 behind a
+// continuation, which encoding/binary accepts — is corrupt, so that
+// each value has exactly one encoding that decodes.
 func (r *binReader) uvarint() uint64 {
 	r.varintFill()
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[r.pos+n-1] == 0) {
 		r.fail()
 		return 0
 	}
@@ -777,7 +790,7 @@ func (r *binReader) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.pos:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.buf[r.pos+n-1] == 0) {
 		r.fail()
 		return 0
 	}

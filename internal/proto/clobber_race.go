@@ -5,6 +5,7 @@ package proto
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 )
 
@@ -24,9 +25,9 @@ const poisonByte = 0xDB
 // poisonString names every node, user and service of a recycled struct.
 const poisonString = "proto: recycled message"
 
-// poisonBytes is every payload of a recycled struct. Its length is
-// under BlobMin, so no give-back ever pools it.
-var poisonBytes = []byte(poisonString)
+// poisonBytes is every payload of a recycled struct. Its capacity is no
+// size class's, so no give-back ever pools it.
+var poisonBytes = slices.Clip([]byte(poisonString))
 
 // clobber fills b with poisonByte.
 func clobber(b []byte) {

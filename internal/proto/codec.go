@@ -29,7 +29,14 @@ import (
 // Stores keep the very slice an encoder returns (node.Disk's ownership
 // contract), so every storage encoder sizes its result: capacity a
 // generous hint reserved and the encoding did not use would otherwise
-// be retained for as long as the entry is.
+// be retained for as long as the entry is. A small encoding — every job
+// header and log entry of a call under BlobMin — is written into a
+// pooled scratch buffer and copied into a buffer of proto's payload pool
+// whose capacity is the size class a make of its length would get; its
+// owner gives it back (ReleasePayload) once a later write or delete of
+// its key has completed, when the store holds it no more (node.Disk). A
+// larger one is encoded into a make of its hint, trimmed if the hint
+// fell short.
 
 // EncodeJob serializes a job record, payloads included, for durable
 // storage.
@@ -89,14 +96,17 @@ func encodeJobHeader(rec *JobRecord, external byte) []byte {
 const scratchMax = 4 << 10
 
 // encodeSized runs an append-style encoder and returns its output in a
-// slice of its own with no capacity to spare.
+// slice of its own with no capacity to spare beyond its size class: a
+// small one in a buffer from the payload pool, which its holder may give
+// back (ReleasePayload).
 func encodeSized(hint int, enc func(dst []byte) []byte) []byte {
 	if hint > scratchMax {
 		return rightSized(enc(make([]byte, 0, hint)))
 	}
 	scratch := GetBuffer()
 	scratch.B = enc(scratch.B)
-	out := append([]byte(nil), scratch.B...)
+	out := getPayload(len(scratch.B))
+	copy(out, scratch.B)
 	PutBuffer(scratch)
 	return out
 }

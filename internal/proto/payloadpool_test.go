@@ -11,9 +11,10 @@ import (
 
 // Each class is what the runtime rounds an allocation of its smallest
 // length up to: a pooled payload costs what a make of its length would,
-// never more, and the classes end at maxPooledBuffer.
+// never more, and the classes run from the smallest allocation to
+// maxPooledBuffer.
 func TestPayloadClassesAreTheAllocatorsRounding(t *testing.T) {
-	lo := BlobMin
+	lo := 1
 	for c := range payloadPools {
 		hi := payloadClassCap(c)
 		if got := cap(append([]byte(nil), make([]byte, lo)...)); got != hi {
